@@ -13,9 +13,10 @@ use lotusx_index::IndexedDocument;
 use lotusx_rank::{mrr, ndcg_at_k, precision_at_k, Ranker};
 use lotusx_rewrite::{Rewriter, RewriterConfig, SynonymTable};
 use lotusx_twig::exec::{execute, Algorithm};
-use lotusx_twig::matcher::TwigMatch;
+use lotusx_twig::matcher::MatchSet;
 use lotusx_twig::xpath::parse_query;
 use lotusx_twig::{Axis, TwigPattern};
+use lotusx_xml::NodeId;
 use std::collections::HashMap;
 
 const REPS: usize = 5;
@@ -274,16 +275,16 @@ fn e5_ranking_quality() {
         let pattern = parse_query(r#"//article[title ~ "data"]"#).unwrap();
         let matches = execute(&idx, &pattern, Algorithm::TwigStack);
         let title_q = pattern.node(pattern.root()).children[0];
-        let relevance: HashMap<TwigMatch, f64> = matches
-            .iter()
+        let relevance: HashMap<Vec<NodeId>, f64> = matches
+            .rows()
             .map(|m| {
-                let title = m.binding(title_q);
+                let title = m[title_q.index()];
                 let text = idx.document().direct_text(title);
                 let tf = lotusx_index::tokenize(&text)
                     .iter()
                     .filter(|t| t.as_str() == "data")
                     .count();
-                (m.clone(), tf as f64)
+                (m.to_vec(), tf as f64)
             })
             .collect();
         report_ranking(&idx, &pattern, matches, relevance, "content (dblp)");
@@ -297,11 +298,11 @@ fn e5_ranking_quality() {
         let s_q = pattern.root();
         let nn_q = pattern.node(s_q).children[0];
         let doc = idx.document();
-        let relevance: HashMap<TwigMatch, f64> = matches
-            .iter()
+        let relevance: HashMap<Vec<NodeId>, f64> = matches
+            .rows()
             .map(|m| {
-                let slack = doc.depth(m.binding(nn_q)) - doc.depth(m.binding(s_q)) - 1;
-                (m.clone(), (3.0 - slack as f64).max(0.0))
+                let slack = doc.depth(m[nn_q.index()]) - doc.depth(m[s_q.index()]) - 1;
+                (m.to_vec(), (3.0 - slack as f64).max(0.0))
             })
             .collect();
         report_ranking(&idx, &pattern, matches, relevance, "structure (treebank)");
@@ -312,18 +313,23 @@ fn e5_ranking_quality() {
 fn report_ranking(
     idx: &IndexedDocument,
     pattern: &TwigPattern,
-    matches: Vec<TwigMatch>,
-    relevance: HashMap<TwigMatch, f64>,
+    matches: MatchSet,
+    relevance: HashMap<Vec<NodeId>, f64>,
     oracle: &str,
 ) {
     let ranker = Ranker::new(idx);
-    let lotus: Vec<TwigMatch> = ranker
-        .rank(pattern, matches.clone())
+    let owned = |rows: Vec<&[NodeId]>| -> Vec<Vec<NodeId>> {
+        rows.into_iter().map(<[NodeId]>::to_vec).collect()
+    };
+    let lotus: Vec<Vec<NodeId>> = ranker
+        .rank(pattern, &matches)
         .into_iter()
-        .map(|s| s.m)
+        .map(|s| s.bindings)
         .collect();
-    let doc_order = lotusx_rank::score::rank_by_document_order(matches.clone());
-    let freq = lotusx_rank::score::rank_by_frequency(idx, pattern, matches);
+    let doc_order = owned(lotusx_rank::score::rank_by_document_order(&matches));
+    let freq = owned(lotusx_rank::score::rank_by_frequency(
+        idx, pattern, &matches,
+    ));
     for (name, ranked) in [
         ("LotusScore", &lotus),
         ("document-order", &doc_order),

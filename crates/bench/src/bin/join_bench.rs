@@ -24,7 +24,7 @@ use lotusx_datagen::{queries, Dataset};
 use lotusx_guard::QueryGuard;
 use lotusx_twig::algorithms::twigstack;
 use lotusx_twig::xpath::parse_query;
-use lotusx_twig::{choose_algorithm, execute, Algorithm, TwigMatch};
+use lotusx_twig::{choose_algorithm, execute, Algorithm};
 use std::time::Duration;
 
 /// The extra, non-`Algorithm` contender: the preserved array-of-structs
@@ -103,12 +103,6 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Canonical form for equivalence checks: matches sorted by bindings.
-fn canonical(mut matches: Vec<TwigMatch>) -> Vec<TwigMatch> {
-    matches.sort();
-    matches
-}
-
 struct QueryRow {
     id: &'static str,
     text: &'static str,
@@ -151,7 +145,7 @@ fn main() {
                 let pattern = parse_query(q.text).expect("canonical queries parse");
 
                 // Reference answer from the navigational baseline.
-                let reference = canonical(execute(&idx, &pattern, Algorithm::Naive));
+                let reference = execute(&idx, &pattern, Algorithm::Naive);
                 let mut equivalent = true;
 
                 // Interleaved timing: one run of every contender per round,
@@ -165,7 +159,7 @@ fn main() {
                     for (slot, algo) in Algorithm::ALL.into_iter().enumerate() {
                         let (t, m) = time_once(|| execute(&idx, &pattern, algo));
                         mins[slot] = mins[slot].min(ms(t));
-                        if rep == 0 && canonical(m) != reference {
+                        if rep == 0 && m != reference {
                             equivalent = false;
                             eprintln!("  MISMATCH: {} on {} {}", algo, ds, q.id);
                         }
@@ -181,7 +175,7 @@ fn main() {
                     });
                     let slot = Algorithm::ALL.len();
                     mins[slot] = mins[slot].min(ms(t));
-                    if rep == 0 && canonical(m) != reference {
+                    if rep == 0 && m != reference {
                         equivalent = false;
                         eprintln!("  MISMATCH: {ENTRYWISE} on {} {}", ds, q.id);
                     }
@@ -189,7 +183,7 @@ fn main() {
                     let (t, m) = time_once(|| execute(&idx, &pattern, Algorithm::Auto));
                     let slot = Algorithm::ALL.len() + 1;
                     mins[slot] = mins[slot].min(ms(t));
-                    if rep == 0 && canonical(m) != reference {
+                    if rep == 0 && m != reference {
                         equivalent = false;
                         eprintln!("  MISMATCH: auto on {} {}", ds, q.id);
                     }

@@ -1,6 +1,6 @@
 //! Bit-identity guarantees for the columnar join engine: every
 //! algorithm (including the adaptive chooser and the pre-columnar
-//! entrywise TwigStack baseline) returns exactly the same match vector
+//! entrywise TwigStack baseline) returns exactly the same `MatchSet`
 //! on the canonical corpora, under generous budgets, and across thread
 //! counts — and a starved budget only ever shrinks the result to a
 //! valid subset, never corrupts it.
@@ -17,7 +17,7 @@ const SCALES: [u32; 2] = [1, 2];
 
 /// Every concrete algorithm, the auto policy, and the entrywise
 /// baseline produce bit-identical (not merely equal-length) match
-/// vectors on every canonical dataset × query × scale.
+/// sets on every canonical dataset × query × scale.
 #[test]
 fn all_algorithms_are_bit_identical_on_canonical_corpora() {
     for ds in Dataset::ALL {
@@ -76,7 +76,7 @@ fn starved_budget_returns_a_valid_subset() {
                         "{ds} {} via {algo} quota {quota}",
                         q.id
                     );
-                    for m in &got {
+                    for m in got.rows() {
                         assert!(
                             reference.contains(m),
                             "{ds} {} via {algo} quota {quota}: spurious match",

@@ -48,6 +48,10 @@ struct GuideNode {
 #[derive(Clone, Debug)]
 pub struct DataGuide {
     nodes: Vec<GuideNode>,
+    /// Per node, `1 / (1 + ln(1 + count))` — the ranker's position
+    /// specificity term. Derived from the counts whenever a guide is
+    /// built or decoded; never serialized.
+    specificity: Vec<f64>,
 }
 
 impl DataGuide {
@@ -61,6 +65,7 @@ impl DataGuide {
                 count: 1,
                 depth: 0,
             }],
+            specificity: Vec::new(),
         };
         // DFS over (document node, guide node) pairs.
         let mut stack: Vec<(NodeId, GuideNodeId)> = vec![(NodeId::DOCUMENT, GuideNodeId::ROOT)];
@@ -74,7 +79,16 @@ impl DataGuide {
         }
         // Construction initializes counts to 0 via child_or_insert; the
         // root was seeded with 1 representing the single document node.
+        guide.derive_specificity();
         guide
+    }
+
+    fn derive_specificity(&mut self) {
+        self.specificity = self
+            .nodes
+            .iter()
+            .map(|n| 1.0 / (1.0 + (n.count as f64).ln_1p()))
+            .collect();
     }
 
     fn child_or_insert(&mut self, parent: GuideNodeId, tag: Symbol) -> GuideNodeId {
@@ -116,6 +130,12 @@ impl DataGuide {
     /// Number of document elements sharing this guide node's path.
     pub fn count(&self, id: GuideNodeId) -> u64 {
         self.nodes[id.index()].count
+    }
+
+    /// Position specificity of this guide node in `(0, 1]`: the fewer
+    /// elements share its path, the closer to 1.
+    pub fn specificity(&self, id: GuideNodeId) -> f64 {
+        self.specificity[id.index()]
     }
 
     /// Depth of the guide node (root = 0, root element = 1).
@@ -216,7 +236,7 @@ impl DataGuide {
 
     /// Approximate heap size in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<GuideNode>()
+        self.nodes.len() * (std::mem::size_of::<GuideNode>() + std::mem::size_of::<f64>())
             + self
                 .nodes
                 .iter()
@@ -303,7 +323,12 @@ impl DataGuide {
                 depth,
             });
         }
-        Ok(DataGuide { nodes })
+        let mut guide = DataGuide {
+            nodes,
+            specificity: Vec::new(),
+        };
+        guide.derive_specificity();
+        Ok(guide)
     }
 }
 

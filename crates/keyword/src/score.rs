@@ -21,12 +21,15 @@ pub fn score_hit(idx: &IndexedDocument, node: NodeId, keywords: &[&str]) -> f64 
             continue;
         }
         let idf = (1.0 + n / postings.len() as f64).ln();
-        // Occurrences inside the answer subtree.
+        // Occurrences inside the answer subtree: postings are in document
+        // order, so the subtree's are the contiguous run whose region
+        // starts fall inside the answer's region.
         let labels = idx.labels();
         let region = labels.region(node);
-        let tf: u32 = postings
+        let from = postings.partition_point(|p| labels.region(p.node).start < region.start);
+        let tf: u32 = postings[from..]
             .iter()
-            .filter(|p| p.node == node || region.is_ancestor_of(&labels.region(p.node)))
+            .take_while(|p| labels.region(p.node).start < region.end)
             .map(|p| p.tf)
             .sum();
         if tf > 0 {

@@ -1,12 +1,13 @@
 //! Randomized tests (seeded, deterministic): the indexed SLCA algorithm
 //! agrees with the bitmask ground truth on random documents and keyword
 //! sets, and the classic set relations (SLCA ⊆ ELCA, anti-chain property)
-//! always hold. Ported from proptest to plain seeded loops so the
-//! workspace builds offline.
+//! always hold; hit scoring over posting-list slices equals the full
+//! posting scan it replaced. Ported from proptest to plain seeded loops
+//! so the workspace builds offline.
 
 use lotusx_datagen::rng::XorShiftRng;
 use lotusx_index::IndexedDocument;
-use lotusx_keyword::{bitmask, indexed};
+use lotusx_keyword::{bitmask, indexed, score::score_hit};
 use lotusx_xml::{Document, NodeId};
 
 const TAGS: [&str; 4] = ["a", "b", "c", "d"];
@@ -125,4 +126,53 @@ fn slca_answers_form_an_antichain_and_subset_elca() {
             }
         }
     }
+}
+
+/// The scoring `score_hit` replaced: every keyword's whole posting list
+/// filtered by subtree membership, per hit.
+fn score_hit_by_scan(idx: &IndexedDocument, node: NodeId, keywords: &[&str]) -> f64 {
+    let (values, labels) = (idx.values(), idx.labels());
+    let n = values.content_element_count().max(1) as f64;
+    let region = labels.region(node);
+    let mut weight = 0.0;
+    for kw in keywords {
+        let postings = values.postings(kw);
+        let tf: u32 = postings
+            .iter()
+            .filter(|p| p.node == node || region.is_ancestor_of(&labels.region(p.node)))
+            .map(|p| p.tf)
+            .sum();
+        if tf > 0 {
+            let idf = (1.0 + n / postings.len() as f64).ln();
+            weight += (1.0 + f64::from(tf).ln_1p()) * idf;
+        }
+    }
+    let subtree_size = idx.document().descendants_or_self(node).count() as f64;
+    weight * (1.0 / (1.0 + subtree_size.ln_1p()))
+}
+
+#[test]
+fn slice_scoring_equals_the_posting_scan_bit_for_bit() {
+    let mut rng = XorShiftRng::seed_from_u64(0x5C02);
+    let mut scored = 0;
+    for case in 0..128 {
+        let (idx, keywords) = random_case(&mut rng);
+        // Every element, not just answers: subtrees with no, some and all
+        // of the keywords.
+        for entry in idx.all_elements() {
+            let got = score_hit(&idx, entry.node, &keywords);
+            let want = score_hit_by_scan(&idx, entry.node, &keywords);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "case {case}: {:?}",
+                entry.node
+            );
+            scored += usize::from(got > 0.0);
+        }
+    }
+    assert!(
+        scored > 300,
+        "the cases must exercise non-zero scores: {scored}"
+    );
 }

@@ -22,4 +22,4 @@ pub mod topk;
 
 pub use metrics::{mrr, ndcg_at_k, precision_at_k};
 pub use score::{RankWeights, Ranker, ScoredMatch};
-pub use topk::{OrderedTopK, TopK};
+pub use topk::OrderedTopK;

@@ -1,9 +1,11 @@
 //! Match scoring: the reconstructed LotusScore.
 
 use crate::topk::OrderedTopK;
+use lotusx_index::value_index::Posting;
 use lotusx_index::IndexedDocument;
-use lotusx_twig::matcher::TwigMatch;
+use lotusx_twig::matcher::MatchSet;
 use lotusx_twig::pattern::{Axis, TwigPattern, ValuePredicate};
+use lotusx_xml::NodeId;
 
 /// Weights of the three score components. Defaults follow the intuition of
 /// the demo: structure first, content second, specificity as a tiebreak.
@@ -28,10 +30,10 @@ impl Default for RankWeights {
 }
 
 /// A match together with its score.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ScoredMatch {
-    /// The match.
-    pub m: TwigMatch,
+    /// The match: `bindings[q.index()]` is the element bound to `q`.
+    pub bindings: Vec<NodeId>,
     /// Its LotusScore (higher is better).
     pub score: f64,
 }
@@ -40,6 +42,101 @@ pub struct ScoredMatch {
 pub struct Ranker<'a> {
     idx: &'a IndexedDocument,
     weights: RankWeights,
+}
+
+/// Everything about one pattern the per-row score needs, resolved once
+/// per ranking call so scoring a row touches only arrays.
+struct PatternScorer<'a> {
+    idx: &'a IndexedDocument,
+    weights: RankWeights,
+    /// `(child, parent)` column pairs of the ancestor-descendant edges.
+    ad_edges: Vec<(usize, usize)>,
+    /// One entry per `contains` term with postings, in (query node, term)
+    /// order: the bound column, the term's postings and its IDF.
+    terms: Vec<(usize, &'a [Posting], f64)>,
+}
+
+impl<'a> PatternScorer<'a> {
+    fn new(idx: &'a IndexedDocument, weights: RankWeights, pattern: &TwigPattern) -> Self {
+        let values = idx.values();
+        let n = values.content_element_count().max(1) as f64;
+        let mut ad_edges = Vec::new();
+        let mut terms = Vec::new();
+        for q in pattern.node_ids() {
+            let node = pattern.node(q);
+            if let (Some(parent), Axis::Descendant) = (node.parent, node.axis) {
+                ad_edges.push((q.index(), parent.index()));
+            }
+            let text = match &node.predicate {
+                Some(ValuePredicate::Contains(text)) => text,
+                Some(ValuePredicate::AttrContains { value, .. }) => value,
+                _ => continue,
+            };
+            for term in lotusx_index::tokenize(text) {
+                let postings = values.postings(&term);
+                if !postings.is_empty() {
+                    let idf = (1.0 + n / postings.len() as f64).ln();
+                    terms.push((q.index(), postings, idf));
+                }
+            }
+        }
+        PatternScorer {
+            idx,
+            weights,
+            ad_edges,
+            terms,
+        }
+    }
+
+    fn score(&self, row: &[NodeId]) -> f64 {
+        let w = self.weights;
+        w.structure * self.structure(row)
+            + w.content * self.content(row)
+            + w.specificity * self.specificity(row)
+    }
+
+    fn structure(&self, row: &[NodeId]) -> f64 {
+        // The region label's level is the element's depth.
+        let labels = self.idx.labels();
+        let level = |col: usize| u32::from(labels.region(row[col]).level);
+        let slack: u32 = self
+            .ad_edges
+            .iter()
+            .map(|&(child, parent)| level(child).saturating_sub(level(parent) + 1))
+            .sum();
+        1.0 / (1.0 + slack as f64)
+    }
+
+    fn content(&self, row: &[NodeId]) -> f64 {
+        let labels = self.idx.labels();
+        let mut sum = 0.0;
+        for &(col, postings, idf) in &self.terms {
+            // Postings are in document order, which region starts index.
+            let start = labels.region(row[col]).start;
+            let at = postings.partition_point(|p| labels.region(p.node).start < start);
+            if let Some(p) = postings.get(at).filter(|p| p.node == row[col]) {
+                sum += (1.0 + f64::from(p.tf).ln_1p()) * idf;
+            }
+        }
+        sum / (1.0 + sum)
+    }
+
+    fn specificity(&self, row: &[NodeId]) -> f64 {
+        let guide = self.idx.guide();
+        let mut sum = 0.0;
+        for &n in row {
+            sum += guide.specificity(self.idx.guide_node(n));
+        }
+        sum / row.len() as f64
+    }
+}
+
+/// Ranking order: `Less` when `a` outranks `b` — score descending, then
+/// document order of the bindings.
+fn rank_order(a: &(f64, &[NodeId]), b: &(f64, &[NodeId])) -> std::cmp::Ordering {
+    b.0.partial_cmp(&a.0)
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then_with(|| a.1.cmp(b.1))
 }
 
 impl<'a> Ranker<'a> {
@@ -53,92 +150,47 @@ impl<'a> Ranker<'a> {
         Ranker { idx, weights }
     }
 
-    /// The full LotusScore of one match.
-    pub fn score(&self, pattern: &TwigPattern, m: &TwigMatch) -> f64 {
-        let w = self.weights;
-        w.structure * self.structure_score(pattern, m)
-            + w.content * self.content_score(pattern, m)
-            + w.specificity * self.specificity_score(pattern, m)
+    fn scorer(&self, pattern: &TwigPattern) -> PatternScorer<'a> {
+        PatternScorer::new(self.idx, self.weights, pattern)
+    }
+
+    /// The full LotusScore of one match row.
+    pub fn score(&self, pattern: &TwigPattern, row: &[NodeId]) -> f64 {
+        self.scorer(pattern).score(row)
     }
 
     /// Structural tightness in `(0, 1]`: 1 when every A-D edge binds at
     /// minimal distance, decaying with the total extra depth (slack).
-    pub fn structure_score(&self, pattern: &TwigPattern, m: &TwigMatch) -> f64 {
-        let doc = self.idx.document();
-        let mut slack = 0u32;
-        for q in pattern.node_ids() {
-            let node = pattern.node(q);
-            let Some(parent) = node.parent else { continue };
-            if node.axis == Axis::Descendant {
-                let d_child = doc.depth(m.binding(q));
-                let d_parent = doc.depth(m.binding(parent));
-                slack += d_child.saturating_sub(d_parent + 1);
-            }
-        }
-        1.0 / (1.0 + slack as f64)
+    pub fn structure_score(&self, pattern: &TwigPattern, row: &[NodeId]) -> f64 {
+        self.scorer(pattern).structure(row)
     }
 
     /// TF-IDF sum over the `contains` terms of every predicate, squashed
     /// into `[0, 1)`. Matches without content predicates score 0 here.
-    pub fn content_score(&self, pattern: &TwigPattern, m: &TwigMatch) -> f64 {
-        let values = self.idx.values();
-        let n = values.content_element_count().max(1) as f64;
-        let mut sum = 0.0;
-        for q in pattern.node_ids() {
-            let text = match &pattern.node(q).predicate {
-                Some(ValuePredicate::Contains(text)) => text,
-                Some(ValuePredicate::AttrContains { value, .. }) => value,
-                _ => continue,
-            };
-            let bound = m.binding(q);
-            for term in lotusx_index::tokenize(text) {
-                let postings = values.postings(&term);
-                let Some(p) = postings.iter().find(|p| p.node == bound) else {
-                    continue;
-                };
-                let df = postings.len().max(1) as f64;
-                let idf = (1.0 + n / df).ln();
-                sum += (1.0 + f64::from(p.tf).ln_1p()) * idf;
-            }
-        }
-        sum / (1.0 + sum)
+    pub fn content_score(&self, pattern: &TwigPattern, row: &[NodeId]) -> f64 {
+        self.scorer(pattern).content(row)
     }
 
     /// Position specificity in `(0, 1]`: the rarer the bindings' DataGuide
     /// paths, the higher. Averaged over all bound query nodes.
-    pub fn specificity_score(&self, pattern: &TwigPattern, m: &TwigMatch) -> f64 {
-        let guide = self.idx.guide();
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for q in pattern.node_ids() {
-            let g = self.idx.guide_node(m.binding(q));
-            sum += 1.0 / (1.0 + (guide.count(g) as f64).ln_1p());
-            n += 1;
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
+    pub fn specificity_score(&self, pattern: &TwigPattern, row: &[NodeId]) -> f64 {
+        self.scorer(pattern).specificity(row)
     }
 
     /// Scores and sorts matches, best first; ties broken by document order
     /// of the bindings (stable, deterministic output).
-    pub fn rank(&self, pattern: &TwigPattern, matches: Vec<TwigMatch>) -> Vec<ScoredMatch> {
-        let mut scored: Vec<ScoredMatch> = matches
-            .into_iter()
-            .map(|m| ScoredMatch {
-                score: self.score(pattern, &m),
-                m,
-            })
-            .collect();
-        scored.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.m.cmp(&b.m))
-        });
+    pub fn rank(&self, pattern: &TwigPattern, matches: &MatchSet) -> Vec<ScoredMatch> {
+        let scorer = self.scorer(pattern);
+        let mut scored: Vec<(f64, &[NodeId])> =
+            matches.rows().map(|row| (scorer.score(row), row)).collect();
+        scored.sort_by(rank_order);
         scored
+            .into_iter()
+            .map(|(score, row)| ScoredMatch {
+                bindings: row.to_vec(),
+                score,
+            })
+            .collect()
     }
 
     /// Scores matches across `threads` workers and returns the best `k`.
@@ -152,43 +204,28 @@ impl<'a> Ranker<'a> {
     pub fn rank_top_k(
         &self,
         pattern: &TwigPattern,
-        matches: Vec<TwigMatch>,
+        matches: &MatchSet,
         k: usize,
         threads: usize,
     ) -> Vec<ScoredMatch> {
-        self.rank_top_k_spanned(pattern, matches, k, threads, None)
+        let unlimited = lotusx_guard::QueryGuard::unlimited();
+        self.rank_top_k_budgeted(pattern, matches, k, threads, None, &unlimited)
     }
 
-    /// Like [`Self::rank_top_k`], recording the score/select and merge
-    /// phases as timed children of `span` when one is supplied. The span
-    /// never changes the ranking.
-    pub fn rank_top_k_spanned(
-        &self,
-        pattern: &TwigPattern,
-        matches: Vec<TwigMatch>,
-        k: usize,
-        threads: usize,
-        span: Option<&lotusx_obs::Span>,
-    ) -> Vec<ScoredMatch> {
-        self.rank_top_k_budgeted(
-            pattern,
-            matches,
-            k,
-            threads,
-            span,
-            &lotusx_guard::QueryGuard::unlimited(),
-        )
-    }
-
-    /// Like [`Self::rank_top_k_spanned`], under a budget: each worker
+    /// Like [`Self::rank_top_k`], under a budget and recording the
+    /// score/select and sort phases as timed children of `span` when one
+    /// is supplied (the span never changes the ranking). Each worker
     /// charges one node visit per match scored and stops scoring once
     /// the guard trips. The matches handed in are already verified, so
     /// the truncated top-k is an exact top-k over the scored prefix —
     /// every returned hit is a true hit.
+    ///
+    /// Rows are scored where they lie and enter the collector by
+    /// reference; only the `k` survivors are copied out.
     pub fn rank_top_k_budgeted(
         &self,
         pattern: &TwigPattern,
-        matches: Vec<TwigMatch>,
+        matches: &MatchSet,
         k: usize,
         threads: usize,
         span: Option<&lotusx_obs::Span>,
@@ -200,14 +237,18 @@ impl<'a> Ranker<'a> {
             g.annotate("k", k);
             g
         });
-        let collector = lotusx_par::par_chunks(&matches, threads, |_, chunk| {
+        let scorer = self.scorer(pattern);
+        // Zero-sized items: the executor only hands out row ranges.
+        let row_slots = vec![(); matches.len()];
+        let collector = lotusx_par::par_chunks(&row_slots, threads, |start, slots| {
             let mut acc = OrderedTopK::new(k);
             let mut ticker = qguard.ticker();
-            for m in chunk {
+            for i in start..start + slots.len() {
                 if ticker.tick(1) {
                     break;
                 }
-                acc.push(self.score(pattern, m), m.clone());
+                let row = matches.row(i);
+                acc.push(scorer.score(row), row);
             }
             acc
         })
@@ -222,28 +263,32 @@ impl<'a> Ranker<'a> {
         collector
             .into_sorted()
             .into_iter()
-            .map(|(score, m)| ScoredMatch { m, score })
+            .map(|(score, row)| ScoredMatch {
+                bindings: row.to_vec(),
+                score,
+            })
             .collect()
     }
 }
 
-/// Baseline: document order (the first match in the document first).
-pub fn rank_by_document_order(matches: Vec<TwigMatch>) -> Vec<TwigMatch> {
-    let mut m = matches;
+/// Baseline: document order (the first match in the document first) —
+/// the canonical order every `execute*` result already has.
+pub fn rank_by_document_order(matches: &MatchSet) -> Vec<&[NodeId]> {
+    let mut m: Vec<&[NodeId]> = matches.rows().collect();
     m.sort();
     m
 }
 
 /// Baseline: frequency-only — matches whose root binding sits on a COMMON
 /// DataGuide path first (what a naive popularity ranking would do).
-pub fn rank_by_frequency(
+pub fn rank_by_frequency<'m>(
     idx: &IndexedDocument,
     pattern: &TwigPattern,
-    matches: Vec<TwigMatch>,
-) -> Vec<TwigMatch> {
-    let mut m = matches;
+    matches: &'m MatchSet,
+) -> Vec<&'m [NodeId]> {
+    let mut m: Vec<&[NodeId]> = matches.rows().collect();
     m.sort_by_key(|x| {
-        let g = idx.guide_node(x.binding(pattern.root()));
+        let g = idx.guide_node(x[pattern.root().index()]);
         std::cmp::Reverse(idx.guide().count(g))
     });
     m
@@ -272,9 +317,9 @@ mod tests {
         let matches = execute(&idx, &pattern, Algorithm::TwigStack);
         assert_eq!(matches.len(), 2);
         let ranker = Ranker::new(&idx);
-        let ranked = ranker.rank(&pattern, matches);
+        let ranked = ranker.rank(&pattern, &matches);
         // codd is a direct child (slack 0); lu sits under info (slack 1).
-        let top_author = ranked[0].m.bindings[1];
+        let top_author = ranked[0].bindings[1];
         assert_eq!(idx.document().direct_text(top_author), "codd");
         assert!(ranked[0].score > ranked[1].score);
     }
@@ -286,13 +331,13 @@ mod tests {
         let matches = execute(&idx, &pattern, Algorithm::TwigStack);
         assert_eq!(matches.len(), 1);
         let ranker = Ranker::new(&idx);
-        let with_term = ranker.content_score(&pattern, &matches[0]);
+        let with_term = ranker.content_score(&pattern, matches.row(0));
         assert!(with_term > 0.0);
 
         // A pattern without content predicates has zero content score.
         let plain = parse_query("//book").unwrap();
         let m = execute(&idx, &plain, Algorithm::TwigStack);
-        assert_eq!(ranker.content_score(&plain, &m[0]), 0.0);
+        assert_eq!(ranker.content_score(&plain, m.row(0)), 0.0);
     }
 
     #[test]
@@ -305,7 +350,7 @@ mod tests {
             r#"//book[title ~ "xml twig"]"#,
         ] {
             let pattern = parse_query(q).unwrap();
-            for sm in ranker.rank(&pattern, execute(&idx, &pattern, Algorithm::TwigStack)) {
+            for sm in ranker.rank(&pattern, &execute(&idx, &pattern, Algorithm::TwigStack)) {
                 assert!(sm.score > 0.0 && sm.score <= 1.0, "{q}: {}", sm.score);
             }
         }
@@ -321,8 +366,8 @@ mod tests {
         let m_common = execute(&idx, &p_common, Algorithm::Naive);
         let m_rare = execute(&idx, &p_rare, Algorithm::Naive);
         assert!(
-            ranker.specificity_score(&p_rare, &m_rare[0])
-                > ranker.specificity_score(&p_common, &m_common[0])
+            ranker.specificity_score(&p_rare, m_rare.row(0))
+                > ranker.specificity_score(&p_common, m_common.row(0))
         );
     }
 
@@ -333,12 +378,12 @@ mod tests {
         let matches = execute(&idx, &pattern, Algorithm::TwigStack);
         let ranker = Ranker::new(&idx);
         let a: Vec<f64> = ranker
-            .rank(&pattern, matches.clone())
+            .rank(&pattern, &matches)
             .iter()
             .map(|s| s.score)
             .collect();
         let b: Vec<f64> = ranker
-            .rank(&pattern, matches)
+            .rank(&pattern, &matches)
             .iter()
             .map(|s| s.score)
             .collect();
@@ -346,36 +391,13 @@ mod tests {
     }
 
     #[test]
-    fn rank_top_k_equals_full_rank_truncated() {
-        let idx = idx();
-        let ranker = Ranker::new(&idx);
-        for q in ["//book//author", "//book/title", "//book", "//bib//title"] {
-            let pattern = parse_query(q).unwrap();
-            let matches = execute(&idx, &pattern, Algorithm::TwigStack);
-            let full = ranker.rank(&pattern, matches.clone());
-            for k in [0, 1, 2, 100] {
-                let mut expect = full.clone();
-                expect.truncate(k);
-                for threads in [1, 2, 8] {
-                    let got = ranker.rank_top_k(&pattern, matches.clone(), k, threads);
-                    assert_eq!(got.len(), expect.len(), "{q} k={k} t={threads}");
-                    for (g, e) in got.iter().zip(&expect) {
-                        assert_eq!(g.m, e.m, "{q} k={k} t={threads}");
-                        assert_eq!(g.score, e.score, "{q} k={k} t={threads}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn baselines_order_matches() {
         let idx = idx();
         let pattern = parse_query("//book//author").unwrap();
         let matches = execute(&idx, &pattern, Algorithm::TwigStack);
-        let doc_order = rank_by_document_order(matches.clone());
+        let doc_order = rank_by_document_order(&matches);
         assert!(doc_order[0] <= doc_order[1]);
-        let by_freq = rank_by_frequency(&idx, &pattern, matches);
+        let by_freq = rank_by_frequency(&idx, &pattern, &matches);
         assert_eq!(by_freq.len(), 2);
     }
 }

@@ -3,99 +3,6 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Keeps the `k` items with the highest scores seen so far.
-///
-/// Internally a min-heap of size ≤ k: pushing is `O(log k)` and the
-/// threshold (worst retained score) is available in `O(1)`, which lets
-/// producers skip work for items that cannot make the cut.
-pub struct TopK<T> {
-    k: usize,
-    heap: BinaryHeap<Entry<T>>,
-}
-
-struct Entry<T> {
-    score: f64,
-    seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.score == other.score && self.seq == other.seq
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse on score → BinaryHeap becomes a min-heap. On equal
-        // scores the LATEST insertion is "greatest" (popped first), so
-        // earlier items win ties.
-        other
-            .score
-            .partial_cmp(&self.score)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| self.seq.cmp(&other.seq))
-    }
-}
-
-impl<T> TopK<T> {
-    /// Creates a collector that retains the best `k` items.
-    pub fn new(k: usize) -> Self {
-        TopK {
-            k,
-            heap: BinaryHeap::with_capacity(k + 1),
-        }
-    }
-
-    /// Offers an item; it is kept iff it beats the current threshold.
-    pub fn push(&mut self, score: f64, item: T) {
-        if self.k == 0 {
-            return;
-        }
-        let seq = self.heap.len() as u64;
-        self.heap.push(Entry { score, seq, item });
-        if self.heap.len() > self.k {
-            self.heap.pop();
-        }
-    }
-
-    /// The lowest retained score, if the collector is full.
-    pub fn threshold(&self) -> Option<f64> {
-        if self.heap.len() == self.k {
-            self.heap.peek().map(|e| e.score)
-        } else {
-            None
-        }
-    }
-
-    /// Number of retained items.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when nothing was retained.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Finishes, returning `(score, item)` pairs best-first.
-    pub fn into_sorted(self) -> Vec<(f64, T)> {
-        let mut items: Vec<Entry<T>> = self.heap.into_vec();
-        items.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(Ordering::Equal)
-                .then_with(|| a.seq.cmp(&b.seq))
-        });
-        items.into_iter().map(|e| (e.score, e.item)).collect()
-    }
-}
-
 /// A bounded top-k collector over a TOTAL order: entries compare by
 /// (score descending, item ascending), so the retained set — and the
 /// sorted output — is exactly the first `k` of the globally sorted input,
@@ -103,8 +10,9 @@ impl<T> TopK<T> {
 /// input partitions mergeable: merging per-chunk collectors yields the
 /// exact global top-k, which the parallel ranker relies on.
 ///
-/// Contrast with [`TopK`], which breaks score ties by insertion order and
-/// is therefore only deterministic for a fixed insertion sequence.
+/// Internally a min-heap of size ≤ k under the ranking order: an item
+/// that does not beat the worst retained entry is rejected by one
+/// comparison, a better one replaces it in `O(log k)`.
 pub struct OrderedTopK<T: Ord> {
     k: usize,
     heap: BinaryHeap<OrderedEntry<T>>,
@@ -147,27 +55,22 @@ impl<T: Ord> OrderedTopK<T> {
     pub fn new(k: usize) -> Self {
         OrderedTopK {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k),
         }
     }
 
     /// Offers an item; it is kept iff it is among the best `k` seen.
     pub fn push(&mut self, score: f64, item: T) {
-        if self.k == 0 {
-            return;
-        }
-        self.heap.push(OrderedEntry { score, item });
-        if self.heap.len() > self.k {
-            self.heap.pop();
-        }
+        self.offer(OrderedEntry { score, item });
     }
 
-    /// The lowest retained score, if the collector is full.
-    pub fn threshold(&self) -> Option<f64> {
-        if self.heap.len() == self.k {
-            self.heap.peek().map(|e| e.score)
-        } else {
-            None
+    fn offer(&mut self, entry: OrderedEntry<T>) {
+        if self.heap.len() < self.k {
+            self.heap.push(entry);
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if rank_cmp(&entry, &worst) == Ordering::Less {
+                *worst = entry;
+            }
         }
     }
 
@@ -184,10 +87,7 @@ impl<T: Ord> OrderedTopK<T> {
     /// Absorbs another collector built over a disjoint input partition.
     pub fn merge(&mut self, other: OrderedTopK<T>) {
         for e in other.heap {
-            self.heap.push(e);
-            if self.heap.len() > self.k {
-                self.heap.pop();
-            }
+            self.offer(e);
         }
     }
 
@@ -202,57 +102,6 @@ impl<T: Ord> OrderedTopK<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn keeps_the_best_k() {
-        let mut topk = TopK::new(3);
-        for (s, v) in [(0.1, "a"), (0.9, "b"), (0.5, "c"), (0.7, "d"), (0.2, "e")] {
-            topk.push(s, v);
-        }
-        let out = topk.into_sorted();
-        let items: Vec<&str> = out.iter().map(|(_, v)| *v).collect();
-        assert_eq!(items, vec!["b", "d", "c"]);
-    }
-
-    #[test]
-    fn threshold_reports_cutoff_when_full() {
-        let mut topk = TopK::new(2);
-        assert_eq!(topk.threshold(), None);
-        topk.push(0.5, 1);
-        assert_eq!(topk.threshold(), None, "not full yet");
-        topk.push(0.8, 2);
-        assert_eq!(topk.threshold(), Some(0.5));
-        topk.push(0.9, 3);
-        assert_eq!(topk.threshold(), Some(0.8));
-    }
-
-    #[test]
-    fn fewer_items_than_k() {
-        let mut topk = TopK::new(10);
-        topk.push(0.3, "x");
-        let out = topk.into_sorted();
-        assert_eq!(out.len(), 1);
-        assert!(!out.is_empty());
-    }
-
-    #[test]
-    fn zero_k_retains_nothing() {
-        let mut topk = TopK::new(0);
-        topk.push(1.0, "x");
-        assert!(topk.is_empty());
-        assert!(topk.into_sorted().is_empty());
-    }
-
-    #[test]
-    fn equal_scores_keep_insertion_order() {
-        let mut topk = TopK::new(2);
-        topk.push(0.5, "first");
-        topk.push(0.5, "second");
-        topk.push(0.5, "third");
-        let out = topk.into_sorted();
-        let items: Vec<&str> = out.iter().map(|(_, v)| *v).collect();
-        assert_eq!(items, vec!["first", "second"]);
-    }
 
     #[test]
     fn ordered_topk_is_insertion_order_independent() {
@@ -293,14 +142,12 @@ mod tests {
     }
 
     #[test]
-    fn ordered_topk_threshold_and_counts() {
+    fn ordered_topk_counts_and_zero_k() {
         let mut topk = OrderedTopK::new(2);
         assert!(topk.is_empty());
-        assert_eq!(topk.threshold(), None);
         topk.push(0.5, 1);
         topk.push(0.8, 2);
         assert_eq!(topk.len(), 2);
-        assert_eq!(topk.threshold(), Some(0.5));
         let mut zero = OrderedTopK::new(0);
         zero.push(1.0, 9);
         assert!(zero.is_empty());

@@ -23,5 +23,5 @@ pub mod rewriter;
 pub mod synonyms;
 
 pub use ops::{apply, RewriteOp};
-pub use rewriter::{RankedRewrite, Rewriter, RewriterConfig};
+pub use rewriter::{RankedRewrite, RewriteSetup, Rewriter, RewriterConfig};
 pub use synonyms::SynonymTable;

@@ -5,6 +5,7 @@ use crate::synonyms::{spelling_candidates, SynonymTable};
 use lotusx_index::IndexedDocument;
 use lotusx_twig::exec::{execute, Algorithm};
 use lotusx_twig::pattern::{NodeTest, TwigPattern};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 
@@ -61,12 +62,32 @@ pub struct RewriteStats {
     pub executions: usize,
 }
 
-/// The rewriter. Construction indexes the DataGuide once; rewriting is
-/// then independent of document size except for candidate execution.
-pub struct Rewriter<'a> {
-    idx: &'a IndexedDocument,
+/// What a rewriter prepares per document rather than per query: the
+/// DataGuide materialized and indexed as a tiny document (the
+/// satisfiability oracle) and the synonym table. Build it once and share
+/// it across rewrites with [`Rewriter::over`].
+#[derive(Clone)]
+pub struct RewriteSetup {
     guide_idx: IndexedDocument,
     synonyms: SynonymTable,
+}
+
+impl RewriteSetup {
+    /// Indexes the DataGuide of `idx`.
+    pub fn new(idx: &IndexedDocument, synonyms: SynonymTable) -> Self {
+        let guide_doc = idx.guide().to_document(idx.document().symbols());
+        RewriteSetup {
+            guide_idx: IndexedDocument::build(guide_doc),
+            synonyms,
+        }
+    }
+}
+
+/// The rewriter. Given its [`RewriteSetup`], rewriting is independent of
+/// document size except for candidate execution.
+pub struct Rewriter<'a> {
+    idx: &'a IndexedDocument,
+    setup: Cow<'a, RewriteSetup>,
     config: RewriterConfig,
 }
 
@@ -80,13 +101,22 @@ impl<'a> Rewriter<'a> {
         )
     }
 
-    /// Creates a rewriter with explicit synonym table and config.
+    /// Creates a rewriter with explicit synonym table and config,
+    /// building a private [`RewriteSetup`].
     pub fn with(idx: &'a IndexedDocument, synonyms: SynonymTable, config: RewriterConfig) -> Self {
-        let guide_doc = idx.guide().to_document(idx.document().symbols());
         Rewriter {
             idx,
-            guide_idx: IndexedDocument::build(guide_doc),
-            synonyms,
+            setup: Cow::Owned(RewriteSetup::new(idx, synonyms)),
+            config,
+        }
+    }
+
+    /// Creates a rewriter over a `setup` prepared earlier for the same
+    /// `idx` — no per-rewriter indexing at all.
+    pub fn over(idx: &'a IndexedDocument, setup: &'a RewriteSetup, config: RewriterConfig) -> Self {
+        Rewriter {
+            idx,
+            setup: Cow::Borrowed(setup),
             config,
         }
     }
@@ -100,7 +130,7 @@ impl<'a> Rewriter<'a> {
             stripped.set_predicate(q, None);
         }
         stripped.set_ordered(false);
-        !execute(&self.guide_idx, &stripped, Algorithm::Naive).is_empty()
+        !execute(&self.setup.guide_idx, &stripped, Algorithm::Naive).is_empty()
     }
 
     /// Rewrites a (typically empty-result) query: returns up to
@@ -160,7 +190,9 @@ impl<'a> Rewriter<'a> {
                     stats.pruned_unsatisfiable += 1;
                 } else {
                     stats.executions += 1;
-                    let matches = execute(self.idx, &candidate.pattern, Algorithm::TwigStack);
+                    // Only the count matters here, and every algorithm
+                    // returns the same set: let the chooser pick.
+                    let matches = execute(self.idx, &candidate.pattern, Algorithm::Auto);
                     if !matches.is_empty() {
                         results.push(RankedRewrite {
                             pattern: candidate.pattern.clone(),
@@ -236,7 +268,7 @@ impl<'a> Rewriter<'a> {
             ));
             if let NodeTest::Tag(tag) = &node.test {
                 // Synonyms that actually occur in the document.
-                for syn in self.synonyms.synonyms(tag) {
+                for syn in self.setup.synonyms.synonyms(tag) {
                     if symbols.get(syn).is_some() {
                         let op = RewriteOp::SubstituteTag(q, syn.clone());
                         let cost = op.base_cost();

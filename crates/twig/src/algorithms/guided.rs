@@ -18,7 +18,7 @@
 //!    connecting axis.
 
 use super::twigstack;
-use crate::matcher::{filtered_stream, TwigMatch};
+use crate::matcher::{filtered_stream, MatchSet};
 use crate::pattern::{Axis, NodeTest, QNodeId, TwigPattern};
 use lotusx_guard::QueryGuard;
 use lotusx_index::{DataGuide, ElementEntry, GuideNodeId, IndexedDocument};
@@ -182,7 +182,7 @@ pub fn pruned_stream(
 }
 
 /// Evaluates the pattern with TwigStack over guide-pruned streams.
-pub fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern) -> Vec<TwigMatch> {
+pub fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern) -> MatchSet {
     evaluate_guarded(idx, pattern, &QueryGuard::unlimited())
 }
 
@@ -193,16 +193,16 @@ pub fn evaluate_guarded(
     idx: &IndexedDocument,
     pattern: &TwigPattern,
     guard: &QueryGuard,
-) -> Vec<TwigMatch> {
+) -> MatchSet {
     let mut ticker = guard.ticker();
     let sweep_cost = (idx.guide().node_count() * pattern.len()) as u64;
     if ticker.tick(sweep_cost) {
-        return Vec::new();
+        return MatchSet::new(pattern.len());
     }
     let adm = admissibility(idx, pattern);
     // Fast reject: a query node with no admissible position cannot match.
     if pattern.node_ids().any(|q| adm.admissible_count(q) == 0) {
-        return Vec::new();
+        return MatchSet::new(pattern.len());
     }
     let streams: Vec<Vec<ElementEntry>> = pattern
         .node_ids()

@@ -1,6 +1,6 @@
 //! Stack machinery shared by the holistic algorithms (PathStack/TwigStack).
 
-use crate::matcher::PathSolution;
+use crate::matcher::MatchSet;
 use crate::pattern::{Axis, QNodeId, TwigPattern};
 use lotusx_index::ElementEntry;
 
@@ -26,58 +26,32 @@ pub(crate) fn clean_stack(stack: &mut Vec<StackEntry>, next_start: u32) {
 }
 
 /// Enumerates all root-to-leaf path solutions ending at a just-pushed leaf
-/// element.
+/// element, appending one `qpath`-aligned row per solution to `out`.
 ///
-/// `qpath` is the root-to-leaf query path; `stacks[q.index()]` the per-node
-/// stacks; the leaf element is `leaf` with `leaf_parent_top` parent entries
-/// visible. Parent-child edges are verified by level here (streams were
-/// processed under ancestor-descendant semantics).
-pub(crate) fn expand_solutions(
-    pattern: &TwigPattern,
-    qpath: &[QNodeId],
-    stacks: &[Vec<StackEntry>],
-    leaf: ElementEntry,
-    leaf_parent_top: usize,
-) -> Vec<PathSolution> {
-    let mut out = Vec::new();
-    // suffix holds bindings from position `depth` (exclusive) down to the
-    // leaf, built leaf-upwards.
-    let leaf_pos = qpath.len() - 1;
-    let mut suffix = vec![leaf.node];
-    recurse(
-        pattern,
-        qpath,
-        stacks,
-        leaf_pos,
-        leaf,
-        leaf_parent_top,
-        &mut suffix,
-        &mut out,
-    );
-    out
-}
-
+/// `qpath` is the root-to-leaf query path and `stacks[q.index()]` the
+/// per-node stacks. `row` is caller-owned scratch of `qpath.len()` columns
+/// filled leaf-upwards in place: the caller stores the leaf's node in the
+/// last column and starts at `pos = qpath.len() - 1` with the leaf
+/// `element` and the `parent_top` parent-stack entries visible to it.
+/// Parent-child edges are verified by level here (streams were processed
+/// under ancestor-descendant semantics).
 #[allow(clippy::too_many_arguments)]
-fn recurse(
+pub(crate) fn expand_solutions(
     pattern: &TwigPattern,
     qpath: &[QNodeId],
     stacks: &[Vec<StackEntry>],
     pos: usize,
     element: ElementEntry,
     parent_top: usize,
-    suffix: &mut Vec<lotusx_xml::NodeId>,
-    out: &mut Vec<PathSolution>,
+    row: &mut [lotusx_xml::NodeId],
+    out: &mut MatchSet,
 ) {
     if pos == 0 {
-        let mut nodes = suffix.clone();
-        nodes.reverse();
-        out.push(PathSolution { nodes });
+        out.push(row);
         return;
     }
-    let q = qpath[pos];
-    let axis = pattern.node(q).axis;
-    let parent_q = qpath[pos - 1];
-    let parent_stack = &stacks[parent_q.index()];
+    let axis = pattern.node(qpath[pos]).axis;
+    let parent_stack = &stacks[qpath[pos - 1].index()];
     for candidate in parent_stack.iter().take(parent_top).copied() {
         let ok = match axis {
             Axis::Descendant => candidate.entry.region.is_ancestor_of(&element.region),
@@ -86,17 +60,16 @@ fn recurse(
         if !ok {
             continue;
         }
-        suffix.push(candidate.entry.node);
-        recurse(
+        row[pos - 1] = candidate.entry.node;
+        expand_solutions(
             pattern,
             qpath,
             stacks,
             pos - 1,
             candidate.entry,
             candidate.parent_top,
-            suffix,
+            row,
             out,
         );
-        suffix.pop();
     }
 }

@@ -6,19 +6,19 @@
 //! per-child binding sets. Exponential in the worst case — exactly the
 //! baseline the structural/holistic join literature improves on.
 
-use crate::matcher::{filtered_stream, predicate_matches, TwigMatch};
+use crate::matcher::{filtered_stream, predicate_matches, MatchSet};
 use crate::pattern::{Axis, NodeTest, QNodeId, TwigPattern};
 use lotusx_guard::{QueryGuard, Ticker};
 use lotusx_index::IndexedDocument;
 use lotusx_xml::NodeId;
 
 /// Evaluates `pattern` navigationally, returning all full matches.
-pub fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern) -> Vec<TwigMatch> {
-    evaluate_partitioned(idx, pattern, 1)
+pub fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern) -> MatchSet {
+    evaluate_guarded(idx, pattern, 1, &QueryGuard::unlimited())
 }
 
-/// Evaluates `pattern` navigationally with the root candidate stream
-/// partitioned across `threads` workers.
+/// [`evaluate`] with the root candidate stream partitioned across
+/// `threads` workers, under a budget.
 ///
 /// Each root binding expands independently of every other, so the stream
 /// splits into contiguous chunks with no shared state. Chunk boundaries
@@ -28,15 +28,8 @@ pub fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern) -> Vec<TwigMatch> 
 /// behind one worker. The final global sort + dedup (which the serial
 /// path performs anyway) makes the result identical for every thread
 /// count and chunking.
-pub fn evaluate_partitioned(
-    idx: &IndexedDocument,
-    pattern: &TwigPattern,
-    threads: usize,
-) -> Vec<TwigMatch> {
-    evaluate_guarded(idx, pattern, threads, &QueryGuard::unlimited())
-}
-
-/// [`evaluate_partitioned`] under a budget. Every worker charges one
+///
+/// Every worker charges one
 /// node visit per candidate binding it examines (amortized through a
 /// per-chunk [`Ticker`]); on trip each worker finishes its in-flight
 /// recursion step and stops expanding new root candidates. Only fully
@@ -46,11 +39,14 @@ pub fn evaluate_guarded(
     pattern: &TwigPattern,
     threads: usize,
     guard: &QueryGuard,
-) -> Vec<TwigMatch> {
+) -> MatchSet {
     let roots = filtered_stream(idx, pattern, pattern.root());
+    // Preorder binds each node after its parent and its whole subtree
+    // before the next sibling: one nest of loops, no intermediate sets.
+    let order = pattern.preorder();
     let weight = |e: &lotusx_index::ElementEntry| u64::from(e.region.end - e.region.start);
     let chunks = lotusx_par::par_chunks_weighted(&roots, threads, weight, |_, chunk| {
-        let mut out = Vec::new();
+        let mut out = MatchSet::new(pattern.len());
         let mut bindings = vec![NodeId::DOCUMENT; pattern.len()];
         let mut ticker = guard.ticker();
         for entry in chunk {
@@ -58,11 +54,10 @@ pub fn evaluate_guarded(
                 break;
             }
             bindings[pattern.root().index()] = entry.node;
-            extend(
+            bind(
                 idx,
                 pattern,
-                pattern.root(),
-                entry.node,
+                &order[1..],
                 &mut bindings,
                 &mut out,
                 &mut ticker,
@@ -70,104 +65,70 @@ pub fn evaluate_guarded(
         }
         out
     });
-    let mut out: Vec<TwigMatch> = chunks.into_iter().flatten().collect();
-    out.sort();
-    out.dedup();
+    let mut out = MatchSet::new(pattern.len());
+    chunks.into_iter().for_each(|chunk| out.append(chunk));
+    out.sort_dedup();
     out
 }
 
-/// Recursively binds the children of query node `q` (already bound to
-/// `element`), appending every completed assignment to `out`.
-#[allow(clippy::too_many_arguments)]
-fn extend(
+/// Binds the query nodes of `rest` (preorder, parents already bound) in
+/// every possible way, appending one row per completed assignment.
+fn bind(
     idx: &IndexedDocument,
     pattern: &TwigPattern,
-    q: QNodeId,
-    element: NodeId,
-    bindings: &mut Vec<NodeId>,
-    out: &mut Vec<TwigMatch>,
+    rest: &[QNodeId],
+    bindings: &mut [NodeId],
+    out: &mut MatchSet,
     ticker: &mut Ticker,
 ) {
-    let children = &pattern.node(q).children;
-    bind_children(idx, pattern, element, children, 0, bindings, out, ticker);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn bind_children(
-    idx: &IndexedDocument,
-    pattern: &TwigPattern,
-    element: NodeId,
-    children: &[QNodeId],
-    at: usize,
-    bindings: &mut Vec<NodeId>,
-    out: &mut Vec<TwigMatch>,
-    ticker: &mut Ticker,
-) {
-    if at == children.len() {
-        // All children of this level bound; if no unresolved nodes remain
-        // this is only called from a fully-recursive chain, so record.
-        out.push(TwigMatch {
-            bindings: bindings.clone(),
-        });
+    let Some((&q, rest)) = rest.split_first() else {
+        out.push(bindings);
         return;
-    }
-    let qchild = children[at];
-    for candidate in candidates(idx, pattern, qchild, element) {
+    };
+    let parent = pattern.node(q).parent.expect("only the root has no parent");
+    for candidate in candidates(idx, pattern, q, bindings[parent.index()]) {
         // Budget checkpoint: one visit per candidate binding examined.
         if ticker.tick(1) {
             return;
         }
-        bindings[qchild.index()] = candidate;
-        // Recurse into the subtree of qchild first; for each completion of
-        // that subtree, continue with the next sibling.
-        let mut sub = Vec::new();
-        extend(idx, pattern, qchild, candidate, bindings, &mut sub, ticker);
-        for m in sub {
-            *bindings = m.bindings;
-            bind_children(
-                idx,
-                pattern,
-                element,
-                children,
-                at + 1,
-                bindings,
-                out,
-                ticker,
-            );
-        }
+        bindings[q.index()] = candidate;
+        bind(idx, pattern, rest, bindings, out, ticker);
     }
 }
 
 /// Document elements that can bind query node `q` under the already-bound
-/// `parent_element`.
-fn candidates(
-    idx: &IndexedDocument,
-    pattern: &TwigPattern,
+/// `parent_element`, in document order.
+fn candidates<'a>(
+    idx: &'a IndexedDocument,
+    pattern: &'a TwigPattern,
     q: QNodeId,
     parent_element: NodeId,
-) -> Vec<NodeId> {
+) -> impl Iterator<Item = NodeId> + 'a {
     let doc = idx.document();
     let node = pattern.node(q);
-    let iter: Vec<NodeId> = match node.axis {
-        Axis::Child => doc.element_children(parent_element).collect(),
-        Axis::Descendant => doc
-            .descendants_or_self(parent_element)
-            .skip(1)
-            .filter(|&n| doc.is_element(n))
-            .collect(),
-    };
-    iter.into_iter()
-        .filter(|&n| match &node.test {
+    // One of the two axis walks is empty, so the chain is whichever the
+    // edge asks for — without boxing or collecting either.
+    let children = (node.axis == Axis::Child)
+        .then(|| doc.element_children(parent_element))
+        .into_iter()
+        .flatten();
+    let descendants = (node.axis == Axis::Descendant)
+        .then(|| doc.descendants_or_self(parent_element).skip(1))
+        .into_iter()
+        .flatten()
+        .filter(move |&n| doc.is_element(n));
+    children
+        .chain(descendants)
+        .filter(move |&n| match &node.test {
             NodeTest::Tag(name) => doc.tag_name(n) == Some(name.as_str()),
             NodeTest::Wildcard => true,
         })
-        .filter(|&n| {
+        .filter(move |&n| {
             node.predicate
                 .as_ref()
                 .map(|p| predicate_matches(idx, n, p))
                 .unwrap_or(true)
         })
-        .collect()
 }
 
 #[cfg(test)]
@@ -244,8 +205,8 @@ mod tests {
         // book, book, article all have title+author children.
         assert_eq!(
             evaluate(&idx, &q)
-                .iter()
-                .map(|m| m.binding(q.root()))
+                .rows()
+                .map(|m| m[q.root().index()])
                 .collect::<std::collections::HashSet<_>>()
                 .len(),
             3

@@ -7,7 +7,7 @@
 //! input + output for ancestor-descendant paths.
 
 use super::holistic_common::{clean_stack, expand_solutions, StackEntry};
-use crate::matcher::{merge_path_solutions_guarded, node_columns, NodeColumns, TwigMatch};
+use crate::matcher::{merge_path_solutions_guarded, node_columns, MatchSet, NodeColumns};
 use crate::pattern::TwigPattern;
 use lotusx_guard::QueryGuard;
 use lotusx_index::{ColumnCursor, IndexedDocument};
@@ -17,7 +17,7 @@ use lotusx_index::{ColumnCursor, IndexedDocument};
 /// # Panics
 /// Panics if `pattern` branches; callers route twigs to TwigStack (the
 /// [`crate::exec`] facade does this automatically).
-pub fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern) -> Vec<TwigMatch> {
+pub fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern) -> MatchSet {
     evaluate_guarded(idx, pattern, &QueryGuard::unlimited())
 }
 
@@ -30,7 +30,7 @@ pub fn evaluate_guarded(
     idx: &IndexedDocument,
     pattern: &TwigPattern,
     guard: &QueryGuard,
-) -> Vec<TwigMatch> {
+) -> MatchSet {
     assert!(
         pattern.is_path(),
         "PathStack evaluates path queries; use TwigStack for twigs"
@@ -50,7 +50,8 @@ pub fn evaluate_guarded(
         .collect();
     let mut streams: Vec<ColumnCursor<'_>> = columns.iter().map(|c| c.view().cursor()).collect();
     let mut stacks: Vec<Vec<StackEntry>> = vec![Vec::new(); pattern.len()];
-    let mut solutions = Vec::new();
+    let mut solutions = MatchSet::new(qpath.len());
+    let mut row = vec![lotusx_xml::NodeId::DOCUMENT; qpath.len()];
     let mut ticker = guard.ticker();
 
     // Process elements in global document order until the leaf stream ends:
@@ -83,9 +84,17 @@ pub fn evaluate_guarded(
             };
             stacks[qmin.index()].push(StackEntry { entry, parent_top });
             if qmin == leaf {
-                solutions.extend(expand_solutions(
-                    pattern, &qpath, &stacks, entry, parent_top,
-                ));
+                row[pos] = entry.node;
+                expand_solutions(
+                    pattern,
+                    &qpath,
+                    &stacks,
+                    pos,
+                    entry,
+                    parent_top,
+                    &mut row,
+                    &mut solutions,
+                );
                 stacks[qmin.index()].pop();
             }
         }

@@ -3,10 +3,10 @@
 //! The pre-holistic decomposition: every query edge becomes one stack-tree
 //! structural join (Al-Khalifa et al., ICDE 2002) over the two nodes'
 //! sorted streams, producing an explicit `(ancestor, descendant)` pair list
-//! per edge. Full matches are then stitched together by hash-joining the
-//! pair lists along the twig. The per-edge pair lists are the
-//! characteristic cost of this approach — they can dwarf the final result,
-//! which is precisely what holistic joins avoid.
+//! per edge. Full matches are then stitched together along the twig. The
+//! per-edge pair lists are the characteristic cost of this approach — they
+//! can dwarf the final result, which is precisely what holistic joins
+//! avoid.
 //!
 //! The merge scans the index's struct-of-arrays region columns and skips
 //! with galloping binary search on both sides: descendants that start
@@ -14,16 +14,22 @@
 //! subtrees end before the current descendant (dead — they can never
 //! contain a later descendant either) jump via the per-stream end-maxima
 //! tree. Emitted pairs are identical to the element-by-element merge.
+//!
+//! Pairs are stream *positions*, not node ids, so the stitch needs only
+//! arrays: each edge's pairs are counting-sorted into a CSR adjacency over
+//! the parent stream ([`EdgeLists`]), bottom-up, dropping descendants whose
+//! own subtree cannot complete. The stitch then walks the twig in preorder
+//! with one cursor per query node; every partial assignment it touches
+//! extends to a match, so its work is proportional to the output.
 
-use crate::matcher::{node_columns, NodeColumns, TwigMatch};
-use crate::pattern::{Axis, QNodeId, TwigPattern};
+use crate::matcher::{node_columns, MatchSet, NodeColumns};
+use crate::pattern::{Axis, TwigPattern};
 use lotusx_guard::{QueryGuard, Ticker};
 use lotusx_index::{ColumnView, ElementEntry, IndexedDocument, OwnedColumns};
 use lotusx_xml::NodeId;
-use std::collections::HashMap;
 
 /// Evaluates `pattern` with one binary structural join per edge.
-pub fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern) -> Vec<TwigMatch> {
+pub fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern) -> MatchSet {
     evaluate_guarded(idx, pattern, &QueryGuard::unlimited())
 }
 
@@ -37,7 +43,7 @@ pub fn evaluate_guarded(
     idx: &IndexedDocument,
     pattern: &TwigPattern,
     guard: &QueryGuard,
-) -> Vec<TwigMatch> {
+) -> MatchSet {
     // Columnar streams per query node.
     let columns: Vec<NodeColumns<'_>> = pattern
         .node_ids()
@@ -46,9 +52,8 @@ pub fn evaluate_guarded(
     let views: Vec<ColumnView<'_>> = columns.iter().map(|c| c.view()).collect();
     let mut ticker = guard.ticker();
 
-    // One pair list per non-root query node (its edge to the parent),
-    // keyed by the ancestor binding.
-    let mut edge_pairs: Vec<HashMap<NodeId, Vec<NodeId>>> = vec![HashMap::new(); pattern.len()];
+    // One pair list per non-root query node (its edge to the parent).
+    let mut edge_pairs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); pattern.len()];
     for q in pattern.node_ids() {
         let node = pattern.node(q);
         let Some(parent) = node.parent else { continue };
@@ -57,80 +62,135 @@ pub fn evaluate_guarded(
             // them: the stitch treats it as "no descendants".
             break;
         }
-        let pairs = stack_tree_join_columns(
+        edge_pairs[q.index()] = stack_tree_join_columns(
             views[parent.index()],
             views[q.index()],
             node.axis,
             &mut ticker,
         );
-        let map = &mut edge_pairs[q.index()];
-        for (anc, desc) in pairs {
-            map.entry(anc).or_default().push(desc);
+    }
+
+    // Bottom-up (children carry larger ids than their parent): a stream
+    // position is alive iff every child edge still lists a descendant
+    // under it, and an edge keeps only pairs whose descendant is alive.
+    let mut lists = vec![EdgeLists::default(); pattern.len()];
+    let mut alive_roots: Option<Vec<bool>> = None;
+    for q in pattern.node_ids().rev() {
+        let node = pattern.node(q);
+        let alive = (!node.children.is_empty()).then(|| {
+            (0..views[q.index()].len())
+                .map(|i| node.children.iter().all(|c| lists[c.index()].any_under(i)))
+                .collect::<Vec<bool>>()
+        });
+        match node.parent {
+            Some(parent) => {
+                let pairs = std::mem::take(&mut edge_pairs[q.index()]);
+                lists[q.index()] =
+                    EdgeLists::build(&pairs, views[parent.index()].len(), alive.as_deref());
+            }
+            None => alive_roots = alive,
         }
     }
 
-    // Stitch: enumerate root candidates, then expand edge pair lists.
-    let mut out = Vec::new();
-    let mut bindings = vec![NodeId::DOCUMENT; pattern.len()];
-    let root_nodes = views[pattern.root().index()].nodes();
-    for &root in root_nodes {
+    // Stitch: a preorder walk with one cursor per query node. Level 0 is
+    // the root stream; level `k` iterates the edge list of `order[k]`
+    // under its parent's current binding (`cursors[k]` is the unvisited
+    // rest of that list, `at[q]` the stream position bound to node `q`).
+    let order: Vec<(usize, usize)> = pattern
+        .preorder()
+        .into_iter()
+        .map(|q| (q.index(), pattern.node(q).parent.unwrap_or(q).index()))
+        .collect();
+    let mut out = MatchSet::new(pattern.len());
+    let mut cursors = vec![(0usize, 0usize); order.len()];
+    let mut at = vec![0u32; pattern.len()];
+    let mut row = vec![NodeId::DOCUMENT; pattern.len()];
+    let bind = |q: usize, pos: u32, at: &mut [u32], row: &mut [NodeId]| {
+        at[q] = pos;
+        row[q] = views[q].nodes()[pos as usize];
+    };
+    for root in 0..views[pattern.root().index()].len() {
         if ticker.tick(1) {
             break;
         }
-        bindings[pattern.root().index()] = root;
-        stitch(
-            pattern,
-            &edge_pairs,
-            pattern.root(),
-            &mut bindings,
-            &mut out,
-        );
+        if alive_roots.as_ref().is_some_and(|alive| !alive[root]) {
+            continue;
+        }
+        bind(order[0].0, root as u32, &mut at, &mut row);
+        let mut k = 1;
+        loop {
+            if k == order.len() {
+                out.push(&row);
+                k -= 1;
+            } else {
+                // Just descended to level k: open its list.
+                let (q, parent) = order[k];
+                cursors[k] = lists[q].range(at[parent] as usize);
+            }
+            // Advance the deepest level that has something left.
+            while k > 0 && cursors[k].0 == cursors[k].1 {
+                k -= 1;
+            }
+            if k == 0 {
+                break;
+            }
+            let q = order[k].0;
+            bind(q, lists[q].targets[cursors[k].0], &mut at, &mut row);
+            cursors[k].0 += 1;
+            k += 1;
+        }
     }
-    out.sort();
-    out.dedup();
+    out.sort_dedup();
     out
 }
 
-/// Expands the children of query node `q` using the per-edge pair lists.
-fn stitch(
-    pattern: &TwigPattern,
-    edge_pairs: &[HashMap<NodeId, Vec<NodeId>>],
-    q: QNodeId,
-    bindings: &mut Vec<NodeId>,
-    out: &mut Vec<TwigMatch>,
-) {
-    let children = pattern.node(q).children.clone();
-    stitch_children(pattern, edge_pairs, q, &children, 0, bindings, out);
+/// One edge's surviving pairs as a CSR adjacency: for every position in
+/// the parent stream, the positions in the child stream it pairs with, in
+/// document order.
+#[derive(Clone, Default)]
+struct EdgeLists {
+    /// `ends[a]` is the end of `a`'s run in `targets`; it starts where
+    /// `a - 1`'s ends.
+    ends: Vec<u32>,
+    targets: Vec<u32>,
 }
 
-fn stitch_children(
-    pattern: &TwigPattern,
-    edge_pairs: &[HashMap<NodeId, Vec<NodeId>>],
-    q: QNodeId,
-    children: &[QNodeId],
-    at: usize,
-    bindings: &mut Vec<NodeId>,
-    out: &mut Vec<TwigMatch>,
-) {
-    if at == children.len() {
-        out.push(TwigMatch {
-            bindings: bindings.clone(),
-        });
-        return;
-    }
-    let qchild = children[at];
-    let anc = bindings[q.index()];
-    let Some(descendants) = edge_pairs[qchild.index()].get(&anc) else {
-        return;
-    };
-    for &desc in descendants {
-        bindings[qchild.index()] = desc;
-        let mut sub = Vec::new();
-        stitch(pattern, edge_pairs, qchild, bindings, &mut sub);
-        for m in sub {
-            *bindings = m.bindings;
-            stitch_children(pattern, edge_pairs, q, children, at + 1, bindings, out);
+impl EdgeLists {
+    /// Counting-sorts `pairs` (in descendant order, as the join emits
+    /// them) by ancestor position, keeping only descendants marked alive.
+    fn build(pairs: &[(u32, u32)], parent_len: usize, alive: Option<&[bool]>) -> Self {
+        let kept = || {
+            pairs
+                .iter()
+                .filter(|&&(_, d)| alive.is_none_or(|alive| alive[d as usize]))
+        };
+        let mut ends = vec![0u32; parent_len];
+        for &(a, _) in kept() {
+            ends[a as usize] += 1;
         }
+        let mut total = 0u32;
+        for slot in &mut ends {
+            total += std::mem::replace(slot, total);
+        }
+        // Each `ends[a]` now holds the start of a's run and advances to
+        // its end as the run fills.
+        let mut targets = vec![0u32; total as usize];
+        for &(a, d) in kept() {
+            targets[ends[a as usize] as usize] = d;
+            ends[a as usize] += 1;
+        }
+        EdgeLists { ends, targets }
+    }
+
+    /// The `targets` range paired with parent position `a`.
+    fn range(&self, a: usize) -> (usize, usize) {
+        let start = a.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        (start as usize, self.ends[a] as usize)
+    }
+
+    fn any_under(&self, a: usize) -> bool {
+        let (start, end) = self.range(a);
+        start < end
     }
 }
 
@@ -148,22 +208,26 @@ pub fn stack_tree_join(
     let anc = OwnedColumns::from_entries(ancestors);
     let desc = OwnedColumns::from_entries(descendants);
     stack_tree_join_columns(anc.view(), desc.view(), axis, &mut ticker)
+        .into_iter()
+        .map(|(a, d)| (ancestors[a as usize].node, descendants[d as usize].node))
+        .collect()
 }
 
 /// Columnar stack-tree join, charging one node visit per descendant
 /// consumed or skipped and per pair emitted; on trip the output is a
-/// truncated (but real) pair list.
+/// truncated (but real) pair list. Pairs are `(ancestor, descendant)`
+/// positions in the two streams, grouped by descendant in document order.
 fn stack_tree_join_columns(
     ancestors: ColumnView<'_>,
     descendants: ColumnView<'_>,
     axis: Axis,
     ticker: &mut Ticker,
-) -> Vec<(NodeId, NodeId)> {
+) -> Vec<(u32, u32)> {
     let mut out = Vec::new();
     let (a_starts, a_ends) = (ancestors.starts(), ancestors.ends());
-    let (a_levels, a_nodes) = (ancestors.levels(), ancestors.nodes());
+    let a_levels = ancestors.levels();
     let (d_starts, d_ends) = (descendants.starts(), descendants.ends());
-    let (d_levels, d_nodes) = (descendants.levels(), descendants.nodes());
+    let d_levels = descendants.levels();
     // Stack of indices into the ancestor columns (a nested chain).
     let mut stack: Vec<u32> = Vec::new();
     let mut acur = ancestors.cursor();
@@ -219,12 +283,12 @@ fn stack_tree_join_columns(
             break;
         }
         // Every remaining stack entry contains d.
-        let (dend, dlevel, dnode) = (d_ends[di], d_levels[di], d_nodes[di]);
-        for &ai in &stack {
-            let ai = ai as usize;
+        let (dend, dlevel) = (d_ends[di], d_levels[di]);
+        for &a in &stack {
+            let ai = a as usize;
             let contains = a_starts[ai] < dstart && dend < a_ends[ai];
             if contains && (axis == Axis::Descendant || a_levels[ai] + 1 == dlevel) {
-                out.push((a_nodes[ai], dnode));
+                out.push((a, di as u32));
                 if ticker.tick(1) {
                     return out;
                 }

@@ -12,16 +12,14 @@
 //! Internal-node value predicates (which a pure label scan cannot see) are
 //! verified on the merged matches as a final filter.
 
-use crate::matcher::{
-    match_is_valid, merge_path_solutions_guarded, node_columns, PathSolution, TwigMatch,
-};
+use crate::matcher::{match_is_valid, merge_path_solutions_guarded, node_columns, MatchSet};
 use crate::pattern::{Axis, NodeTest, QNodeId, TwigPattern};
 use lotusx_guard::QueryGuard;
 use lotusx_index::IndexedDocument;
 use lotusx_xml::{NodeId, Symbol};
 
 /// Evaluates any twig pattern scanning only its leaf streams.
-pub fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern) -> Vec<TwigMatch> {
+pub fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern) -> MatchSet {
     evaluate_guarded(idx, pattern, &QueryGuard::unlimited())
 }
 
@@ -33,13 +31,14 @@ pub fn evaluate_guarded(
     idx: &IndexedDocument,
     pattern: &TwigPattern,
     guard: &QueryGuard,
-) -> Vec<TwigMatch> {
+) -> MatchSet {
     let paths = pattern.root_to_leaf_paths();
     let mut ticker = guard.ticker();
-    let mut per_leaf: Vec<Vec<PathSolution>> = Vec::with_capacity(paths.len());
+    let mut per_leaf: Vec<MatchSet> = Vec::with_capacity(paths.len());
+    let mut chain: Vec<NodeId> = Vec::new();
     for qpath in &paths {
         let leaf = *qpath.last().expect("non-empty path");
-        let mut solutions = Vec::new();
+        let mut solutions = MatchSet::new(qpath.len());
         // Only the node-id column is touched: the label decode supplies
         // everything else, so the region columns stay cold in cache.
         let columns = node_columns(idx, pattern, leaf, false);
@@ -47,48 +46,50 @@ pub fn evaluate_guarded(
             if ticker.tick(1) {
                 break;
             }
-            solutions.extend(match_leaf_element(idx, pattern, qpath, node));
+            match_leaf_element(idx, pattern, qpath, node, &mut chain, &mut solutions);
         }
         per_leaf.push(solutions);
     }
-    let merged = merge_path_solutions_guarded(pattern, &paths, &per_leaf, guard);
+    let mut merged = merge_path_solutions_guarded(pattern, &paths, &per_leaf, guard);
     // Internal predicates were invisible to the label scan; verify now.
     let needs_verify = pattern
         .node_ids()
         .any(|q| !pattern.node(q).children.is_empty() && pattern.node(q).predicate.is_some());
     if needs_verify {
-        merged
-            .into_iter()
-            .filter(|m| match_is_valid(idx, pattern, m))
-            .collect()
-    } else {
-        merged
+        merged.retain(|m| match_is_valid(idx, pattern, m));
     }
+    merged
 }
 
-/// All assignments of the query path onto the ancestor chain of one leaf
-/// element, derived from its decoded tag path.
+/// Appends to `out` all assignments of the query path onto the ancestor
+/// chain of one leaf element, derived from its decoded tag path. `chain`
+/// is scratch reused across elements.
 fn match_leaf_element(
     idx: &IndexedDocument,
     pattern: &TwigPattern,
     qpath: &[QNodeId],
     leaf_element: NodeId,
-) -> Vec<PathSolution> {
+    chain: &mut Vec<NodeId>,
+    out: &mut MatchSet,
+) {
     let labels = idx.labels();
     let tag_path: Vec<Symbol> = labels
         .extended(leaf_element)
         .tag_path(labels.fst())
         .expect("labels derived from this document");
-    // Ancestor chain by depth: ancestors[d] is the element at depth d+1.
-    let mut chain: Vec<NodeId> = idx.document().ancestors(leaf_element).collect();
+    // Ancestor chain by depth: chain[d] is the element at depth d+1.
+    chain.clear();
+    chain.extend(idx.document().ancestors(leaf_element));
     chain.reverse();
     chain.push(leaf_element);
     debug_assert_eq!(chain.len(), tag_path.len());
+    if tag_path.len() < qpath.len() {
+        return;
+    }
 
-    // Dynamic programming over (query path position, depth): qpath[i] can
-    // be assigned to depth d (1-based index d-1 in `chain`) iff the node
-    // test matches tag_path[d-1] and the axis from qpath[i-1] is satisfied
-    // by some valid assignment of the prefix.
+    // qpath[i] can be assigned to depth d (index d in `chain`) iff the
+    // node test matches tag_path[d] and the axis from qpath[i-1] is
+    // satisfied by the assignment of the prefix.
     let symbols = idx.document().symbols();
     let test_matches = |q: QNodeId, depth_idx: usize| -> bool {
         match &pattern.node(q).test {
@@ -99,85 +100,58 @@ fn match_leaf_element(
                 .unwrap_or(false),
         }
     };
-
-    let k = qpath.len();
-    let n = tag_path.len();
-    let mut out = Vec::new();
-    if n < k {
-        return out;
-    }
     // Backtracking enumeration (paths are short).
-    let mut assignment: Vec<usize> = Vec::with_capacity(k);
-    enumerate(
-        pattern,
-        qpath,
-        &test_matches,
-        k,
-        n,
-        0,
-        &mut assignment,
-        &mut out,
-        &chain,
-    );
-    // The leaf must be the element itself: keep only assignments ending at
-    // the last depth.
-    out.retain(|sol| sol.nodes.last() == Some(&leaf_element));
-    out
+    let mut row = vec![NodeId::DOCUMENT; qpath.len()];
+    enumerate(pattern, qpath, &test_matches, chain, 0, 0, &mut row, out);
 }
 
+/// Assigns `qpath[pos]` to every admissible depth at or below `from`,
+/// emitting a row once the whole path is placed. The leaf query node must
+/// land on the element itself — the last depth of `chain`.
 #[allow(clippy::too_many_arguments)]
 fn enumerate(
     pattern: &TwigPattern,
     qpath: &[QNodeId],
     test_matches: &dyn Fn(QNodeId, usize) -> bool,
-    k: usize,
-    n: usize,
-    pos: usize,
-    assignment: &mut Vec<usize>,
-    out: &mut Vec<PathSolution>,
     chain: &[NodeId],
+    pos: usize,
+    from: usize,
+    row: &mut [NodeId],
+    out: &mut MatchSet,
 ) {
+    let (k, n) = (qpath.len(), chain.len());
     if pos == k {
-        out.push(PathSolution {
-            nodes: assignment.iter().map(|&d| chain[d]).collect(),
-        });
+        out.push(row);
         return;
     }
     let q = qpath[pos];
-    let axis = pattern.node(q).axis;
-    let candidates: Vec<usize> = if pos == 0 {
-        match axis {
-            Axis::Child => vec![0],
-            Axis::Descendant => (0..n).collect(),
-        }
-    } else {
-        let prev = assignment[pos - 1];
-        match axis {
-            Axis::Child => vec![prev + 1],
-            Axis::Descendant => (prev + 1..n).collect(),
-        }
+    let depths = match pattern.node(q).axis {
+        Axis::Child => from..(from + 1).min(n),
+        Axis::Descendant => from..n,
     };
-    for d in candidates {
-        if d >= n || !test_matches(q, d) {
+    for d in depths {
+        // Remaining query nodes must fit below depth d, the last of them
+        // exactly on the leaf.
+        let below = n - 1 - d;
+        let fits = if pos == k - 1 {
+            below == 0
+        } else {
+            below >= k - 1 - pos
+        };
+        if !fits || !test_matches(q, d) {
             continue;
         }
-        // Remaining query nodes must fit below depth d.
-        if n - 1 - d < k - 1 - pos {
-            continue;
-        }
-        assignment.push(d);
+        row[pos] = chain[d];
         enumerate(
             pattern,
             qpath,
             test_matches,
-            k,
-            n,
-            pos + 1,
-            assignment,
-            out,
             chain,
+            pos + 1,
+            d + 1,
+            row,
+            out,
         );
-        assignment.pop();
     }
 }
 

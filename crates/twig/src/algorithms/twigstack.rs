@@ -27,8 +27,7 @@
 
 use super::holistic_common::{clean_stack, expand_solutions, StackEntry};
 use crate::matcher::{
-    filtered_stream, merge_path_solutions_guarded, node_columns, NodeColumns, PathSolution,
-    TwigMatch,
+    filtered_stream, merge_path_solutions_guarded, node_columns, MatchSet, NodeColumns,
 };
 use crate::pattern::{QNodeId, TwigPattern};
 use lotusx_guard::{QueryGuard, Ticker};
@@ -37,7 +36,7 @@ use lotusx_index::{
 };
 
 /// Evaluates any twig pattern holistically.
-pub fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern) -> Vec<TwigMatch> {
+pub fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern) -> MatchSet {
     evaluate_guarded(idx, pattern, &QueryGuard::unlimited())
 }
 
@@ -46,26 +45,17 @@ pub fn evaluate_guarded(
     idx: &IndexedDocument,
     pattern: &TwigPattern,
     guard: &QueryGuard,
-) -> Vec<TwigMatch> {
+) -> MatchSet {
     let columns: Vec<NodeColumns<'_>> = pattern
         .node_ids()
         .map(|q| node_columns(idx, pattern, q, false))
         .collect();
     let views: Vec<ColumnView<'_>> = columns.iter().map(|c| c.view()).collect();
-    run_guarded(pattern, &views, guard)
+    run_guarded(pattern, views.iter().map(|v| v.cursor()).collect(), guard)
 }
 
-/// Evaluates with caller-provided per-node streams (document-ordered).
-/// Used by the guided variant, which prunes streams first.
-pub fn evaluate_with_streams(
-    idx: &IndexedDocument,
-    pattern: &TwigPattern,
-    stream_data: Vec<Vec<ElementEntry>>,
-) -> Vec<TwigMatch> {
-    evaluate_with_streams_guarded(idx, pattern, stream_data, &QueryGuard::unlimited())
-}
-
-/// [`evaluate_with_streams`] under a budget: the main loop charges one
+/// Evaluates with caller-provided per-node streams (document-ordered) —
+/// the guided variant prunes streams first. The main loop charges one
 /// node visit per element processed and the `getNext` skip seek charges
 /// one per element skipped, so truncation economics match the
 /// element-by-element walk; on trip the scan stops and the path solutions
@@ -76,27 +66,81 @@ pub fn evaluate_with_streams_guarded(
     pattern: &TwigPattern,
     stream_data: Vec<Vec<ElementEntry>>,
     guard: &QueryGuard,
-) -> Vec<TwigMatch> {
+) -> MatchSet {
     let _ = idx;
     let owned: Vec<OwnedColumns> = stream_data
         .iter()
         .map(|s| OwnedColumns::from_entries_without_end_tree(s))
         .collect();
     let views: Vec<ColumnView<'_>> = owned.iter().map(|o| o.view()).collect();
-    run_guarded(pattern, &views, guard)
+    run_guarded(pattern, views.iter().map(|v| v.cursor()).collect(), guard)
 }
 
-fn run_guarded(
-    pattern: &TwigPattern,
-    views: &[ColumnView<'_>],
-    guard: &QueryGuard,
-) -> Vec<TwigMatch> {
+/// What TwigStack needs from a document-ordered element stream. The
+/// columnar cursor skips with one seek over its end-maxima tree; the
+/// array-of-structs [`TagStream`] walks element by element.
+trait Stream {
+    fn head(&self) -> Option<ElementEntry>;
+    /// Region start of the head (`u32::MAX` once exhausted).
+    fn head_start(&self) -> u32;
+    fn is_exhausted(&self) -> bool;
+    fn advance(&mut self);
+    /// Skips the elements that end before `end`, charging one node visit
+    /// per element skipped so a tripped query stops within the same work
+    /// envelope either way.
+    fn skip_ending_before(&mut self, end: u32, ticker: &mut Ticker);
+}
+
+impl Stream for ColumnCursor<'_> {
+    fn head(&self) -> Option<ElementEntry> {
+        ColumnCursor::head(self)
+    }
+    fn head_start(&self) -> u32 {
+        ColumnCursor::head_start(self)
+    }
+    fn is_exhausted(&self) -> bool {
+        ColumnCursor::is_exhausted(self)
+    }
+    fn advance(&mut self) {
+        ColumnCursor::advance(self)
+    }
+    fn skip_ending_before(&mut self, end: u32, ticker: &mut Ticker) {
+        let skipped = self.seek_end_at_least(end);
+        if skipped > 0 {
+            ticker.tick(skipped as u64);
+        }
+    }
+}
+
+impl Stream for TagStream<'_> {
+    fn head(&self) -> Option<ElementEntry> {
+        TagStream::head(self)
+    }
+    fn head_start(&self) -> u32 {
+        TagStream::head(self).map_or(u32::MAX, |e| e.region.start)
+    }
+    fn is_exhausted(&self) -> bool {
+        TagStream::is_exhausted(self)
+    }
+    fn advance(&mut self) {
+        TagStream::advance(self)
+    }
+    fn skip_ending_before(&mut self, end: u32, ticker: &mut Ticker) {
+        while TagStream::head(self).is_some_and(|e| e.region.end < end) {
+            TagStream::advance(self);
+            if ticker.tick(1) {
+                break;
+            }
+        }
+    }
+}
+
+fn run_guarded<S: Stream>(pattern: &TwigPattern, cursors: Vec<S>, guard: &QueryGuard) -> MatchSet {
     let mut state = State {
         pattern,
-        cursors: views.iter().map(|v| v.cursor()).collect(),
+        cursors,
         stacks: vec![Vec::new(); pattern.len()],
-        paths: pattern.root_to_leaf_paths(),
-        solutions: vec![Vec::new(); pattern.len()],
+        solutions: LeafSolutions::new(pattern),
         ticker: guard.ticker(),
     };
 
@@ -123,40 +167,84 @@ fn run_guarded(
             let parent_top = parent.map(|p| state.stacks[p.index()].len()).unwrap_or(0);
             state.stacks[qact.index()].push(StackEntry { entry, parent_top });
             if pattern.node(qact).children.is_empty() {
-                let qpath = state
-                    .paths
-                    .iter()
-                    .find(|p| *p.last().expect("non-empty") == qact)
-                    .expect("every leaf has a path")
-                    .clone();
-                let sols = expand_solutions(pattern, &qpath, &state.stacks, entry, parent_top);
-                state.solutions[qact.index()].extend(sols);
+                state
+                    .solutions
+                    .expand(pattern, &state.stacks, qact, entry, parent_top);
                 state.stacks[qact.index()].pop();
             }
         }
         state.cursors[qact.index()].advance();
     }
 
-    let per_leaf: Vec<Vec<PathSolution>> = state
-        .paths
-        .iter()
-        .map(|p| state.solutions[p.last().expect("non-empty").index()].clone())
-        .collect();
-    merge_path_solutions_guarded(pattern, &state.paths, &per_leaf, guard)
+    let LeafSolutions {
+        paths, per_path, ..
+    } = state.solutions;
+    merge_path_solutions_guarded(pattern, &paths, &per_path, guard)
 }
 
-struct State<'a, 'p> {
-    pattern: &'p TwigPattern,
-    cursors: Vec<ColumnCursor<'a>>,
-    stacks: Vec<Vec<StackEntry>>,
+/// The emitted path solutions of one TwigStack run: one row set per
+/// root-to-leaf path, filled as leaf elements are pushed.
+struct LeafSolutions {
     paths: Vec<Vec<QNodeId>>,
-    /// Emitted path solutions, indexed by leaf query node.
-    solutions: Vec<Vec<PathSolution>>,
+    /// `per_path[i]` holds the solutions of `paths[i]`, path-aligned.
+    per_path: Vec<MatchSet>,
+    /// Query-node index → index of the path ending at that leaf.
+    path_of_leaf: Vec<usize>,
+    /// Scratch row reused by every expansion.
+    row: Vec<lotusx_xml::NodeId>,
+}
+
+impl LeafSolutions {
+    fn new(pattern: &TwigPattern) -> Self {
+        let paths = pattern.root_to_leaf_paths();
+        let mut path_of_leaf = vec![usize::MAX; pattern.len()];
+        for (i, path) in paths.iter().enumerate() {
+            path_of_leaf[path.last().expect("non-empty").index()] = i;
+        }
+        LeafSolutions {
+            per_path: paths.iter().map(|p| MatchSet::new(p.len())).collect(),
+            paths,
+            path_of_leaf,
+            row: vec![lotusx_xml::NodeId::DOCUMENT; pattern.len()],
+        }
+    }
+
+    /// Records every path solution ending at the just-pushed `leaf` entry.
+    fn expand(
+        &mut self,
+        pattern: &TwigPattern,
+        stacks: &[Vec<StackEntry>],
+        leaf: QNodeId,
+        entry: ElementEntry,
+        parent_top: usize,
+    ) {
+        let i = self.path_of_leaf[leaf.index()];
+        let qpath = &self.paths[i];
+        let row = &mut self.row[..qpath.len()];
+        row[qpath.len() - 1] = entry.node;
+        expand_solutions(
+            pattern,
+            qpath,
+            stacks,
+            qpath.len() - 1,
+            entry,
+            parent_top,
+            row,
+            &mut self.per_path[i],
+        );
+    }
+}
+
+struct State<'p, S> {
+    pattern: &'p TwigPattern,
+    cursors: Vec<S>,
+    stacks: Vec<Vec<StackEntry>>,
+    solutions: LeafSolutions,
     /// Budget checkpoint shared by the main loop and the skip seek.
     ticker: Ticker,
 }
 
-impl State<'_, '_> {
+impl<S: Stream> State<'_, S> {
     /// Next start of a node's stream (`u32::MAX` once exhausted).
     fn next_l(&self, q: QNodeId) -> u32 {
         self.cursors[q.index()].head_start()
@@ -174,42 +262,27 @@ impl State<'_, '_> {
 
     /// The paper's `getNext`, restricted to alive subtrees.
     fn get_next(&mut self, q: QNodeId) -> QNodeId {
-        let children: Vec<QNodeId> = self.pattern.node(q).children.clone();
-        let alive: Vec<QNodeId> = children
-            .iter()
-            .copied()
-            .filter(|c| self.subtree_alive(*c))
-            .collect();
-        if alive.is_empty() {
+        // Borrowed from the pattern, not from `self`, so the recursion
+        // below needs no copy of the child list.
+        let children: &[QNodeId] = &self.pattern.node(q).children;
+        for &qi in children {
+            if self.subtree_alive(qi) {
+                let ni = self.get_next(qi);
+                if ni != qi {
+                    return ni;
+                }
+            }
+        }
+        let alive = || children.iter().copied().filter(|c| self.subtree_alive(*c));
+        let Some(nmin) = alive().min_by_key(|c| self.next_l(*c)) else {
             // Leaf, or an interior node whose branches are all dead —
             // behaves like a leaf.
             return q;
-        }
-        for &qi in &alive {
-            let ni = self.get_next(qi);
-            if ni != qi {
-                return ni;
-            }
-        }
-        let nmin = alive
-            .iter()
-            .copied()
-            .min_by_key(|c| self.next_l(*c))
-            .expect("non-empty");
-        let nmax_l = alive
-            .iter()
-            .map(|c| self.next_l(*c))
-            .max()
-            .expect("non-empty");
+        };
+        let nmax_l = alive().map(|c| self.next_l(c)).max().expect("non-empty");
         // Skip q-elements that end before the furthest child element
-        // starts: they cannot contain a full set of child matches. One
-        // seek over the end-maxima tree replaces the element-by-element
-        // walk; the budget is still charged per element skipped, so a
-        // tripped query stops within the same work envelope.
-        let skipped = self.cursors[q.index()].seek_end_at_least(nmax_l);
-        if skipped > 0 {
-            self.ticker.tick(skipped as u64);
-        }
+        // starts: they cannot contain a full set of child matches.
+        self.cursors[q.index()].skip_ending_before(nmax_l, &mut self.ticker);
         if self.next_l(q) < self.next_l(nmin) {
             q
         } else {
@@ -227,134 +300,13 @@ pub fn evaluate_entrywise_guarded(
     idx: &IndexedDocument,
     pattern: &TwigPattern,
     guard: &QueryGuard,
-) -> Vec<TwigMatch> {
+) -> MatchSet {
     let stream_data: Vec<Vec<ElementEntry>> = pattern
         .node_ids()
         .map(|q| filtered_stream(idx, pattern, q))
         .collect();
-    let mut state = EntrywiseState {
-        pattern,
-        streams: stream_data.iter().map(|s| TagStream::new(s)).collect(),
-        stacks: vec![Vec::new(); pattern.len()],
-        paths: pattern.root_to_leaf_paths(),
-        solutions: vec![Vec::new(); pattern.len()],
-        ticker: guard.ticker(),
-    };
-
-    while state.subtree_alive(pattern.root()) {
-        if state.ticker.tick(1) {
-            break;
-        }
-        let qact = state.get_next(pattern.root());
-        let entry = match state.streams[qact.index()].head() {
-            Some(e) => e,
-            None => break,
-        };
-        let parent = pattern.node(qact).parent;
-        if let Some(p) = parent {
-            clean_stack(&mut state.stacks[p.index()], entry.region.start);
-        }
-        let parent_ok = match parent {
-            None => true,
-            Some(p) => !state.stacks[p.index()].is_empty(),
-        };
-        if parent_ok {
-            clean_stack(&mut state.stacks[qact.index()], entry.region.start);
-            let parent_top = parent.map(|p| state.stacks[p.index()].len()).unwrap_or(0);
-            state.stacks[qact.index()].push(StackEntry { entry, parent_top });
-            if pattern.node(qact).children.is_empty() {
-                let qpath = state
-                    .paths
-                    .iter()
-                    .find(|p| *p.last().expect("non-empty") == qact)
-                    .expect("every leaf has a path")
-                    .clone();
-                let sols = expand_solutions(pattern, &qpath, &state.stacks, entry, parent_top);
-                state.solutions[qact.index()].extend(sols);
-                state.stacks[qact.index()].pop();
-            }
-        }
-        state.streams[qact.index()].advance();
-    }
-
-    let per_leaf: Vec<Vec<PathSolution>> = state
-        .paths
-        .iter()
-        .map(|p| state.solutions[p.last().expect("non-empty").index()].clone())
-        .collect();
-    merge_path_solutions_guarded(pattern, &state.paths, &per_leaf, guard)
-}
-
-struct EntrywiseState<'a> {
-    pattern: &'a TwigPattern,
-    streams: Vec<TagStream<'a>>,
-    stacks: Vec<Vec<StackEntry>>,
-    paths: Vec<Vec<QNodeId>>,
-    solutions: Vec<Vec<PathSolution>>,
-    ticker: Ticker,
-}
-
-impl EntrywiseState<'_> {
-    fn next_l(&self, q: QNodeId) -> u32 {
-        self.streams[q.index()]
-            .head()
-            .map(|e| e.region.start)
-            .unwrap_or(u32::MAX)
-    }
-
-    fn next_r(&self, q: QNodeId) -> u32 {
-        self.streams[q.index()]
-            .head()
-            .map(|e| e.region.end)
-            .unwrap_or(u32::MAX)
-    }
-
-    fn subtree_alive(&self, q: QNodeId) -> bool {
-        let node = self.pattern.node(q);
-        if node.children.is_empty() {
-            return !self.streams[q.index()].is_exhausted();
-        }
-        node.children.iter().any(|c| self.subtree_alive(*c))
-    }
-
-    fn get_next(&mut self, q: QNodeId) -> QNodeId {
-        let children: Vec<QNodeId> = self.pattern.node(q).children.clone();
-        let alive: Vec<QNodeId> = children
-            .iter()
-            .copied()
-            .filter(|c| self.subtree_alive(*c))
-            .collect();
-        if alive.is_empty() {
-            return q;
-        }
-        for &qi in &alive {
-            let ni = self.get_next(qi);
-            if ni != qi {
-                return ni;
-            }
-        }
-        let nmin = alive
-            .iter()
-            .copied()
-            .min_by_key(|c| self.next_l(*c))
-            .expect("non-empty");
-        let nmax_l = alive
-            .iter()
-            .map(|c| self.next_l(*c))
-            .max()
-            .expect("non-empty");
-        while self.next_r(q) < nmax_l {
-            self.streams[q.index()].advance();
-            if self.ticker.tick(1) {
-                break;
-            }
-        }
-        if self.next_l(q) < self.next_l(nmin) {
-            q
-        } else {
-            nmin
-        }
-    }
+    let streams = stream_data.iter().map(|s| TagStream::new(s)).collect();
+    run_guarded(pattern, streams, guard)
 }
 
 #[cfg(test)]

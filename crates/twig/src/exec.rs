@@ -1,9 +1,9 @@
 //! Algorithm selection facade.
 
 use crate::algorithms::{guided, naive, pathstack, structural_join, tjfast, twigstack};
-use crate::matcher::TwigMatch;
+use crate::matcher::MatchSet;
 use crate::ordered::filter_ordered;
-use crate::pattern::{Axis, TwigPattern};
+use crate::pattern::{Axis, TwigPattern, ValuePredicate};
 use lotusx_guard::QueryGuard;
 use lotusx_index::IndexedDocument;
 use lotusx_obs::Span;
@@ -92,40 +92,48 @@ pub struct Choice {
 }
 
 /// Per element visited by a navigational child or subtree scan.
-const SCAN_COST: u64 = 30;
+const SCAN_COST: u64 = 14;
 /// Per element consumed by a binary-join merge pass.
-const MERGE_COST: u64 = 20;
-/// Per surviving pair the binary join materializes (hash insert plus
-/// stitch re-enumeration).
-const PAIR_COST: u64 = 100;
+const MERGE_COST: u64 = 5;
+/// Per surviving pair the binary join emits and counting-sorts into its
+/// edge adjacency.
+const PAIR_COST: u64 = 8;
 /// Per root-stream element during the binary join's stitch phase.
-const STITCH_COST: u64 = 50;
+const STITCH_COST: u64 = 10;
+/// Per match row the binary join's stitch writes.
+const STITCH_OUT_COST: u64 = 9;
 /// Per stream element pushed through PathStack's chain stacks.
-const PATH_COST: u64 = 30;
-/// Per path solution PathStack emits and merges.
-const PATH_OUT_COST: u64 = 300;
-/// Per emitted match the navigational baseline pays for cloning the
-/// binding vector and the final sort+dedup.
-const NAIVE_MATCH_COST: u64 = 150;
+const PATH_COST: u64 = 26;
+/// Per path solution PathStack emits and merges. Leaf-ordered output
+/// needs a real sort under nesting (65–130 ns per match, ~12 on flat
+/// data); priced near the nested end, where PathStack competes.
+const PATH_OUT_COST: u64 = 80;
+/// Per emitted match row of the navigational baseline.
+const NAIVE_MATCH_COST: u64 = 20;
 /// Per stream element per query node in TwigStack's `getNext` scans.
-const TWIG_COST: u64 = 100;
-/// Per stream element of value-predicate evaluation paid by every
-/// algorithm that materializes filtered streams up front.
-const PRED_STREAM_COST: u64 = 300;
+const TWIG_COST: u64 = 15;
+/// Per emitted match per query node in TwigStack's path-solution merge.
+const TWIG_OUT_COST: u64 = 27;
+/// Per stream element of a value predicate that has to read the element
+/// (`contains` and the attribute tests), paid by every algorithm that
+/// materializes filtered streams up front.
+const PRED_STREAM_COST: u64 = 270;
+/// Per stream element of a predicate the value index resolves (`=` and
+/// numeric ranges): one binary search in the candidate list.
+const PRED_INDEX_COST: u64 = 20;
 /// Per candidate value-predicate evaluation paid lazily by the
-/// navigational baseline (only structural survivors are tested).
-const PRED_NAV_COST: u64 = 150;
-/// Fixed per-query setup the stream-materializing joins pay (column
-/// slicing, cursor and stack construction) before any element moves; the
-/// navigational baseline starts from the root stream alone and pays
-/// none. Dominant only on small inputs, where it keeps micro-queries on
-/// the baseline.
-const JOIN_SETUP_COST: u64 = 20_000;
-/// PathStack's analogue of [`JOIN_SETUP_COST`] — one stack per chain
-/// node, no end trees.
-const PATH_SETUP_COST: u64 = 18_000;
+/// navigational baseline (only structural survivors are tested, but each
+/// test reads the element).
+const PRED_NAV_COST: u64 = 270;
+/// Fixed per-query setup of the binary join (column slicing, one
+/// adjacency per edge) before any element moves; the navigational
+/// baseline starts from the root stream alone and pays none. Decides
+/// only micro-queries.
+const JOIN_SETUP_COST: u64 = 600;
+/// PathStack's analogue of [`JOIN_SETUP_COST`].
+const PATH_SETUP_COST: u64 = 700;
 /// TwigStack's analogue of [`JOIN_SETUP_COST`].
-const TWIG_SETUP_COST: u64 = 15_000;
+const TWIG_SETUP_COST: u64 = 900;
 
 /// The stats-driven cost model behind [`Algorithm::Auto`]: prices the
 /// navigational, binary-join, PathStack, and TwigStack strategies for
@@ -141,13 +149,13 @@ const TWIG_SETUP_COST: u64 = 15_000;
 ///   aggregates (recursion multiplies the latter, which is exactly when
 ///   navigation loses); value predicates are tested lazily on survivors;
 /// * **binary join** — a galloping merge over both streams per edge, plus
-///   [`PAIR_COST`] per surviving pair (exact from the DataGuide) and a
-///   stitch pass over the root stream; predicates are evaluated while
-///   materializing full streams;
+///   [`PAIR_COST`] per surviving pair (exact from the DataGuide), a
+///   stitch pass over the root stream and one row write per match;
+///   predicates are evaluated while materializing full streams;
 /// * **PathStack** (paths only) — one pass over all streams plus the
 ///   emitted path solutions;
 /// * **TwigStack** — `getNext` work proportional to total stream length
-///   times the pattern width.
+///   times the pattern width, plus the path-solution merge per match.
 pub fn choose_algorithm(idx: &IndexedDocument, pattern: &TwigPattern) -> Choice {
     let js = idx.join_stats();
     let symbols = idx.document().symbols();
@@ -193,9 +201,13 @@ pub fn choose_algorithm(idx: &IndexedDocument, pattern: &TwigPattern) -> Choice 
     let mut reached_frac = vec![1.0f64; pattern.len()];
     for q in pattern.node_ids() {
         let node = pattern.node(q);
-        if node.predicate.is_some() {
-            pred_stream_cost = pred_stream_cost
-                .saturating_add(PRED_STREAM_COST.saturating_mul(stream_len[q.index()]));
+        if let Some(predicate) = &node.predicate {
+            let per_element = match predicate {
+                ValuePredicate::Equals(_) | ValuePredicate::Range { .. } => PRED_INDEX_COST,
+                _ => PRED_STREAM_COST,
+            };
+            pred_stream_cost =
+                pred_stream_cost.saturating_add(per_element.saturating_mul(stream_len[q.index()]));
         }
         let Some(parent) = node.parent else { continue };
         let s_q = stream_len[q.index()];
@@ -262,7 +274,6 @@ pub fn choose_algorithm(idx: &IndexedDocument, pattern: &TwigPattern) -> Choice 
             .saturating_add(MERGE_COST.saturating_mul(s_p.saturating_add(s_q)))
             .saturating_add(PAIR_COST.saturating_mul(pairs_emitted));
     }
-    binary_cost = binary_cost.saturating_add(pred_stream_cost);
     let est_matches = if edge_count == 0 {
         // Edgeless (single-node) pattern: every algorithm just copies the
         // stream, so don't charge output handling to any of them.
@@ -271,6 +282,9 @@ pub fn choose_algorithm(idx: &IndexedDocument, pattern: &TwigPattern) -> Choice 
         match_est.min(u64::MAX as f64) as u64
     };
     nav_cost = nav_cost.saturating_add(NAIVE_MATCH_COST.saturating_mul(est_matches));
+    binary_cost = binary_cost
+        .saturating_add(STITCH_OUT_COST.saturating_mul(est_matches))
+        .saturating_add(pred_stream_cost);
     let path_cost = if is_path {
         PATH_SETUP_COST
             .saturating_add(PATH_COST.saturating_mul(total_stream))
@@ -281,6 +295,11 @@ pub fn choose_algorithm(idx: &IndexedDocument, pattern: &TwigPattern) -> Choice 
     };
     let holistic_cost = TWIG_SETUP_COST
         .saturating_add(TWIG_COST.saturating_mul(total_stream).saturating_mul(nodes))
+        .saturating_add(
+            TWIG_OUT_COST
+                .saturating_mul(est_matches)
+                .saturating_mul(nodes),
+        )
         .saturating_add(pred_stream_cost);
 
     let algorithm = [
@@ -340,11 +359,11 @@ fn join(
     algorithm: Algorithm,
     threads: usize,
     guard: &QueryGuard,
-) -> Vec<TwigMatch> {
+) -> MatchSet {
     // A query node over a tag the document never saw has an empty stream,
     // so every algorithm would grind to an empty answer; return it now.
     if provably_empty(idx, pattern) {
-        return Vec::new();
+        return MatchSet::new(pattern.len());
     }
     match algorithm {
         Algorithm::Naive => naive::evaluate_guarded(idx, pattern, threads, guard),
@@ -365,12 +384,8 @@ fn join(
 
 /// Evaluates `pattern` over `idx` with the chosen algorithm, applying the
 /// order-sensitivity filter if the pattern requests it.
-pub fn execute(
-    idx: &IndexedDocument,
-    pattern: &TwigPattern,
-    algorithm: Algorithm,
-) -> Vec<TwigMatch> {
-    execute_spanned(idx, pattern, algorithm, 1, None)
+pub fn execute(idx: &IndexedDocument, pattern: &TwigPattern, algorithm: Algorithm) -> MatchSet {
+    execute_parallel(idx, pattern, algorithm, 1)
 }
 
 /// Like [`execute`], but partitions match enumeration across `threads`
@@ -390,31 +405,14 @@ pub fn execute_parallel(
     pattern: &TwigPattern,
     algorithm: Algorithm,
     threads: usize,
-) -> Vec<TwigMatch> {
-    execute_spanned(idx, pattern, algorithm, threads, None)
+) -> MatchSet {
+    let unlimited = QueryGuard::unlimited();
+    execute_budgeted(idx, pattern, algorithm, threads, None, &unlimited)
 }
 
-/// Like [`execute_parallel`], recording the join and the ordered filter
-/// as timed children of `span` when one is supplied. The span never
-/// changes what is computed — results are identical with and without it.
-pub fn execute_spanned(
-    idx: &IndexedDocument,
-    pattern: &TwigPattern,
-    algorithm: Algorithm,
-    threads: usize,
-    span: Option<&Span>,
-) -> Vec<TwigMatch> {
-    execute_budgeted(
-        idx,
-        pattern,
-        algorithm,
-        threads,
-        span,
-        &QueryGuard::unlimited(),
-    )
-}
-
-/// Like [`execute_spanned`], under a budget: the join runs its guarded
+/// Like [`execute_parallel`], under a budget and recording the join and
+/// the ordered filter as timed children of `span` when one is supplied
+/// (the span never changes what is computed). The join runs its guarded
 /// variant and stops cooperatively once `guard` trips, returning only
 /// matches proven valid by then. Callers inspect the guard afterwards
 /// to learn whether the result is complete.
@@ -425,7 +423,7 @@ pub fn execute_budgeted(
     threads: usize,
     span: Option<&Span>,
     guard: &QueryGuard,
-) -> Vec<TwigMatch> {
+) -> MatchSet {
     // Resolve the auto policy up front so spans and thread annotations
     // report the algorithm that actually runs.
     let algorithm = match algorithm {
@@ -520,8 +518,8 @@ mod tests {
     #[test]
     fn selector_routes_by_shape_and_selectivity() {
         let idx = idx();
-        // On a tiny document every cost is small and the navigational
-        // baseline's scans are cheapest.
+        // On a tiny document only the fixed setup costs differ, and the
+        // navigational baseline has none.
         let p = parse_query("//bib/book/title").unwrap();
         assert_eq!(select_algorithm(&idx, &p), Algorithm::Naive);
         let p = parse_query("//book[title][author]").unwrap();
@@ -546,10 +544,10 @@ mod tests {
     #[test]
     fn chooser_avoids_navigation_on_recursive_data() {
         // Deep recursion makes subtree rescans quadratic (subtree_weight
-        // counts every element once per enclosing instance) and blows up
-        // the pair multiplicity charged to the binary join and to every
-        // strategy's output handling; TwigStack streams each element once
-        // per query node regardless of nesting depth.
+        // counts every element once per enclosing instance). The binary
+        // join pays for every nested pair too, but only a few nanoseconds
+        // each (measured 49 µs against navigation's 146 µs and
+        // PathStack's 210 µs on exactly this document).
         let mut xml = String::new();
         for _ in 0..80 {
             xml.push_str("<s><t>x</t>");
@@ -557,16 +555,10 @@ mod tests {
         xml.push_str(&"</s>".repeat(80));
         let idx = IndexedDocument::from_str(&xml).unwrap();
         let choice = choose_algorithm(&idx, &parse_query("//s//t").unwrap());
-        assert!(
-            matches!(
-                choice.algorithm,
-                Algorithm::PathStack | Algorithm::TwigStack
-            ),
-            "recursive descendant path must run holistically, got {:?}",
-            choice
-        );
-        assert!(choice.nav_cost > choice.holistic_cost);
-        assert!(choice.binary_cost > choice.holistic_cost);
+        assert_eq!(choice.algorithm, Algorithm::StructuralJoin, "{choice:?}");
+        assert!(choice.nav_cost > 2 * choice.binary_cost);
+        assert!(choice.path_cost > choice.binary_cost);
+        assert!(choice.holistic_cost > choice.binary_cost);
     }
 
     #[test]
@@ -596,20 +588,27 @@ mod tests {
     }
 
     #[test]
-    fn chooser_prefers_navigation_on_flat_matching_twigs() {
-        // Flat, densely matching data: navigation touches each element
-        // about once, while the binary join pays for materializing one
-        // pair per element.
+    fn chooser_prices_predicates_by_how_they_are_evaluated() {
+        // 400 flat items. An index-resolved range predicate costs the
+        // stream joins one binary search per element, so the binary join
+        // keeps its edge; a `contains` predicate has to read every element
+        // of the stream up front, while navigation reads only the
+        // structural survivors — here the items' own children, half the
+        // `a` stream.
         let mut xml = String::from("<r>");
-        for _ in 0..50 {
-            xml.push_str("<item><a/><b/></item>");
+        for i in 0..400 {
+            xml.push_str(&format!(
+                "<item><a>w{i}</a><b>{i}</b></item><x><a>v</a></x>"
+            ));
         }
         xml.push_str("</r>");
         let idx = IndexedDocument::from_str(&xml).unwrap();
-        let choice = choose_algorithm(&idx, &parse_query("//item[a][b]").unwrap());
-        assert_eq!(choice.algorithm, Algorithm::Naive, "{choice:?}");
-        assert!(choice.binary_cost > choice.nav_cost);
-        assert!(choice.holistic_cost > choice.nav_cost);
+        let ranged = choose_algorithm(&idx, &parse_query("//item[b >= 100]/a").unwrap());
+        assert_eq!(ranged.algorithm, Algorithm::StructuralJoin, "{ranged:?}");
+        let scanned = choose_algorithm(&idx, &parse_query(r#"//item[a ~ "w7"]/b"#).unwrap());
+        assert_eq!(scanned.algorithm, Algorithm::Naive, "{scanned:?}");
+        assert!(scanned.binary_cost > scanned.nav_cost);
+        assert!(scanned.holistic_cost > scanned.nav_cost);
     }
 
     #[test]
@@ -719,7 +718,15 @@ mod tests {
         let pattern = parse_query("ordered //book[title][author]").unwrap();
         let plain = execute_parallel(&idx, &pattern, Algorithm::TwigStack, 2);
         let span = Span::new("query");
-        let spanned = execute_spanned(&idx, &pattern, Algorithm::TwigStack, 2, Some(&span));
+        let unlimited = QueryGuard::unlimited();
+        let spanned = execute_budgeted(
+            &idx,
+            &pattern,
+            Algorithm::TwigStack,
+            2,
+            Some(&span),
+            &unlimited,
+        );
         assert_eq!(plain, spanned);
         let rec = span.finish();
         let join = rec.child("join/twigstack").expect("join child recorded");

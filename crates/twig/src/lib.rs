@@ -39,6 +39,6 @@ pub use exec::{
     choose_algorithm, execute, execute_budgeted, execute_parallel, select_algorithm, Algorithm,
     Choice,
 };
-pub use matcher::TwigMatch;
+pub use matcher::MatchSet;
 pub use pattern::{Axis, NodeTest, QNodeId, TwigPattern, ValuePredicate};
 pub use xpath::parse_query;

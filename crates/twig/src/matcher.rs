@@ -6,29 +6,119 @@ use crate::pattern::{Axis, NodeTest, QNodeId, TwigPattern, ValuePredicate};
 use lotusx_guard::QueryGuard;
 use lotusx_index::{ColumnView, ElementEntry, IndexedDocument, OwnedColumns};
 use lotusx_xml::{NodeId, NodeKind};
-use std::collections::{HashMap, HashSet};
 
-/// One complete twig match: a binding for every query node.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TwigMatch {
-    /// `bindings[q.index()]` is the element bound to query node `q`.
-    pub bindings: Vec<NodeId>,
+/// A set of fixed-width binding rows in one flat, row-major buffer — the
+/// only match representation from join output through ranking. Row `i`
+/// occupies `data[i * width..][..width]`; for full twig matches
+/// `row[q.index()]` is the element bound to query node `q` (the holistic
+/// algorithms also use it, at path width, for root-to-leaf path
+/// solutions). Every `execute*` result is canonical: rows sorted
+/// lexicographically and distinct.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct MatchSet {
+    width: usize,
+    data: Vec<NodeId>,
 }
 
-impl TwigMatch {
-    /// The binding of query node `q`.
-    pub fn binding(&self, q: QNodeId) -> NodeId {
-        self.bindings[q.index()]
+impl MatchSet {
+    /// An empty set of `width`-column rows.
+    ///
+    /// # Panics
+    /// Panics if `width` is zero (a pattern always has a root).
+    pub fn new(width: usize) -> Self {
+        assert!(width > 0, "a match row binds at least the root");
+        MatchSet {
+            width,
+            data: Vec::new(),
+        }
     }
 
-    /// Projects the match onto the pattern's output nodes.
-    pub fn project(&self, pattern: &TwigPattern) -> Vec<NodeId> {
-        pattern
-            .output_nodes()
-            .into_iter()
-            .map(|q| self.binding(q))
-            .collect()
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.data.len() / self.width
     }
+
+    /// True when the set holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
+
+    /// Row `i`.
+    pub fn row(&self, i: usize) -> &[NodeId] {
+        &self.data[i * self.width..][..self.width]
+    }
+
+    /// All rows, in stored order.
+    pub fn rows(&self) -> std::slice::ChunksExact<'_, NodeId> {
+        self.data.chunks_exact(self.width)
+    }
+
+    /// True if some row equals `row` (a linear scan).
+    pub fn contains(&self, row: &[NodeId]) -> bool {
+        self.rows().any(|r| r == row)
+    }
+
+    /// Appends a row.
+    ///
+    /// # Panics
+    /// Panics if `row` is not `width` long.
+    pub fn push(&mut self, row: &[NodeId]) {
+        assert_eq!(row.len(), self.width, "row width");
+        self.data.extend_from_slice(row);
+    }
+
+    /// The last row, mutably (to patch columns of a just-pushed row).
+    pub fn last_mut(&mut self) -> Option<&mut [NodeId]> {
+        let at = self.data.len().checked_sub(self.width)?;
+        Some(&mut self.data[at..])
+    }
+
+    /// Moves every row of `other` (same width) to the end of `self`.
+    pub fn append(&mut self, mut other: MatchSet) {
+        assert_eq!(other.width, self.width, "row width");
+        self.data.append(&mut other.data);
+    }
+
+    /// Keeps the first `rows` rows.
+    pub fn truncate(&mut self, rows: usize) {
+        self.data.truncate(rows * self.width);
+    }
+
+    /// Keeps the rows `keep` accepts, in order, compacting in place.
+    pub fn retain(&mut self, mut keep: impl FnMut(&[NodeId]) -> bool) {
+        let (w, mut kept) = (self.width, 0);
+        for i in 0..self.len() {
+            if keep(&self.data[i * w..][..w]) {
+                self.data.copy_within(i * w..(i + 1) * w, kept * w);
+                kept += 1;
+            }
+        }
+        self.truncate(kept);
+    }
+
+    /// Sorts rows lexicographically and drops duplicates. Join output is
+    /// usually already in that order (streams are document-ordered), which
+    /// one linear check detects; otherwise rows are gathered through a
+    /// sorted permutation — two allocations, whatever the row count.
+    pub fn sort_dedup(&mut self) {
+        let n = self.len();
+        if (1..n).all(|i| self.row(i - 1) < self.row(i)) {
+            return;
+        }
+        let mut order: Vec<u32> = (0..row_index(n)).collect();
+        order.sort_unstable_by(|&a, &b| self.row(a as usize).cmp(self.row(b as usize)));
+        order.dedup_by(|a, b| self.row(*a as usize) == self.row(*b as usize));
+        let mut data = Vec::with_capacity(order.len() * self.width);
+        for &i in &order {
+            data.extend_from_slice(self.row(i as usize));
+        }
+        self.data = data;
+    }
+}
+
+/// Row counts as `u32` permutation entries (half the sort's footprint).
+fn row_index(rows: usize) -> u32 {
+    u32::try_from(rows).expect("fewer than 2^32 rows: 16 GiB per column")
 }
 
 /// Evaluates a value predicate directly against an element's content.
@@ -48,7 +138,7 @@ pub fn predicate_matches(idx: &IndexedDocument, node: NodeId, pred: &ValuePredic
                     content.push_str(value);
                 }
             }
-            let haystack: HashSet<String> = lotusx_index::tokenize(&content).into_iter().collect();
+            let haystack = lotusx_index::tokenize(&content);
             needles.iter().all(|t| haystack.contains(t))
         }
         ValuePredicate::Range { low, high } => doc
@@ -64,7 +154,7 @@ pub fn predicate_matches(idx: &IndexedDocument, node: NodeId, pred: &ValuePredic
         ValuePredicate::AttrContains { name, value } => doc
             .attribute(node, name)
             .map(|v| {
-                let haystack: HashSet<String> = lotusx_index::tokenize(v).into_iter().collect();
+                let haystack = lotusx_index::tokenize(v);
                 lotusx_index::tokenize(value)
                     .iter()
                     .all(|t| haystack.contains(t))
@@ -127,24 +217,25 @@ pub fn filtered_stream(
             .copied()
             .collect(),
         Some(ValuePredicate::Equals(v)) => {
-            let allowed: HashSet<NodeId> = idx.values().exact_matches(v).iter().copied().collect();
-            base.iter()
-                .filter(|e| allowed.contains(&e.node))
-                .copied()
-                .collect()
+            intersect_with_candidates(base, idx.values().exact_matches(v).to_vec())
         }
         Some(ValuePredicate::Range { low, high }) => {
-            let allowed: HashSet<NodeId> = idx
-                .values()
-                .range_matches(*low, *high)
-                .into_iter()
-                .collect();
-            base.iter()
-                .filter(|e| allowed.contains(&e.node))
-                .copied()
-                .collect()
+            intersect_with_candidates(base, idx.values().range_matches(*low, *high))
         }
     }
+}
+
+/// The entries of `base` whose node is among the value-index `candidates`
+/// (sorted here: the numeric index hands them out in value order).
+fn intersect_with_candidates(
+    base: &[ElementEntry],
+    mut candidates: Vec<NodeId>,
+) -> Vec<ElementEntry> {
+    candidates.sort_unstable();
+    base.iter()
+        .filter(|e| candidates.binary_search(&e.node).is_ok())
+        .copied()
+        .collect()
 }
 
 /// The columnar stream for one query node: a zero-copy borrow of the
@@ -213,123 +304,108 @@ pub fn edge_satisfied(idx: &IndexedDocument, axis: Axis, parent: NodeId, child: 
     }
 }
 
-/// A root-to-leaf path solution: bindings for the query nodes along one
-/// root-to-leaf path of the pattern, in path order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PathSolution {
-    /// Bindings, aligned with the query path.
-    pub nodes: Vec<NodeId>,
-}
-
-/// Merges per-leaf path solutions into full twig matches.
-///
-/// `paths[i]` is the i-th root-to-leaf query path; `solutions[i]` its
-/// solutions. Two solutions are joinable iff they agree on every query node
-/// the two paths share (their common prefix plus any other shared nodes —
-/// for a tree pattern, shared nodes are exactly the common prefix).
-pub fn merge_path_solutions(
-    pattern: &TwigPattern,
-    paths: &[Vec<QNodeId>],
-    solutions: &[Vec<PathSolution>],
-) -> Vec<TwigMatch> {
-    merge_path_solutions_guarded(pattern, paths, solutions, &QueryGuard::unlimited())
-}
-
 /// How many partial assignments the merge keeps alive once the budget
 /// trips. The survivors are still joined against every remaining leaf,
 /// so each emitted match is a complete, valid twig match — the cap only
 /// bounds how much longer a tripped query runs.
 const TRIPPED_PARTIAL_CAP: usize = 64;
 
-/// [`merge_path_solutions`] with a budget: the intermediate partial
-/// product is the classic blow-up site of path-solution merging, so the
-/// merge charges one node visit per partial examined and, once the guard
-/// trips, shrinks the frontier to [`TRIPPED_PARTIAL_CAP`] survivors
-/// while still completing their joins with every remaining leaf path —
-/// truncated output, but only true matches in it.
+/// Merges per-leaf path solutions into full twig matches.
+///
+/// `paths[i]` is the i-th root-to-leaf query path; `solutions[i]` its
+/// solutions, one row per solution aligned with the path. Two solutions
+/// are joinable iff they agree on every query node the two paths share
+/// (for a tree pattern, exactly their common prefix).
+///
+/// The intermediate partial product is the classic blow-up site of
+/// path-solution merging, so the merge charges one node visit per partial
+/// examined and, once the guard trips, shrinks the frontier to
+/// [`TRIPPED_PARTIAL_CAP`] survivors while still completing their joins
+/// with every remaining leaf path — truncated output, but only true
+/// matches in it.
+///
+/// Partials are full-width rows (unassigned columns hold a placeholder)
+/// grown one leaf at a time; each new leaf's solutions are looked up by
+/// binary search over a permutation sorted on the shared-prefix key.
 pub fn merge_path_solutions_guarded(
     pattern: &TwigPattern,
     paths: &[Vec<QNodeId>],
-    solutions: &[Vec<PathSolution>],
+    solutions: &[MatchSet],
     guard: &QueryGuard,
-) -> Vec<TwigMatch> {
+) -> MatchSet {
     assert_eq!(paths.len(), solutions.len());
+    let mut partials = MatchSet::new(pattern.len());
     if paths.is_empty() {
-        return Vec::new();
+        return partials;
     }
     let mut ticker = guard.ticker();
-    // Partial assignments: query-node -> element, grown one leaf at a time.
-    let mut partials: Vec<HashMap<QNodeId, NodeId>> = solutions[0]
-        .iter()
-        .map(|sol| {
-            paths[0]
-                .iter()
-                .copied()
-                .zip(sol.nodes.iter().copied())
-                .collect()
-        })
-        .collect();
+    let mut assigned = vec![false; pattern.len()];
+    let mut row = vec![NodeId::DOCUMENT; pattern.len()];
+    for sol in solutions[0].rows() {
+        for (q, n) in paths[0].iter().zip(sol) {
+            row[q.index()] = *n;
+        }
+        partials.push(&row);
+    }
+    for q in &paths[0] {
+        assigned[q.index()] = true;
+    }
     if ticker.tick(partials.len() as u64) {
         partials.truncate(TRIPPED_PARTIAL_CAP);
     }
 
     for (path, sols) in paths.iter().zip(solutions.iter()).skip(1) {
         if partials.is_empty() {
-            return Vec::new();
+            return partials;
         }
-        // Index the new leaf's solutions by their bindings on the query
-        // nodes already assigned (the shared prefix with previous paths).
-        let shared: Vec<usize> = path
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| partials[0].contains_key(q))
-            .map(|(i, _)| i)
+        // Path positions already assigned by earlier paths: the join key.
+        let shared: Vec<usize> = (0..path.len())
+            .filter(|&i| assigned[path[i].index()])
             .collect();
-        let mut by_key: HashMap<Vec<NodeId>, Vec<&PathSolution>> = HashMap::new();
-        for sol in sols {
-            let key: Vec<NodeId> = shared.iter().map(|&i| sol.nodes[i]).collect();
-            by_key.entry(key).or_default().push(sol);
+        let key_of = |s: usize| shared.iter().map(move |&i| sols.row(s)[i]);
+        // Solutions ordered by key; the stable sort keeps emission order
+        // within a key, and already-ordered input (flat data) skips it.
+        let mut by_key: Vec<u32> = (0..row_index(sols.len())).collect();
+        if !(1..sols.len()).all(|s| key_of(s - 1).le(key_of(s))) {
+            by_key.sort_by(|&a, &b| key_of(a as usize).cmp(key_of(b as usize)));
         }
-        let mut next: Vec<HashMap<QNodeId, NodeId>> = Vec::new();
-        'grow: for partial in &partials {
+        let mut next = MatchSet::new(pattern.len());
+        'grow: for partial in partials.rows() {
             if ticker.tick(1) && next.len() >= TRIPPED_PARTIAL_CAP {
                 break 'grow;
             }
-            let key: Vec<NodeId> = shared.iter().map(|&i| partial[&path[i]]).collect();
-            if let Some(matching) = by_key.get(&key) {
-                for sol in matching {
-                    let mut extended = partial.clone();
-                    for (q, n) in path.iter().zip(sol.nodes.iter()) {
-                        extended.insert(*q, *n);
-                    }
-                    next.push(extended);
-                    if ticker.stopped() && next.len() >= TRIPPED_PARTIAL_CAP {
-                        break 'grow;
-                    }
+            let key = || shared.iter().map(|&i| partial[path[i].index()]);
+            let from = by_key.partition_point(|&s| key_of(s as usize).lt(key()));
+            for &s in by_key[from..]
+                .iter()
+                .take_while(|&&s| key_of(s as usize).eq(key()))
+            {
+                next.push(partial);
+                let extended = next.last_mut().expect("just pushed");
+                for (q, n) in path.iter().zip(sols.row(s as usize)) {
+                    extended[q.index()] = *n;
+                }
+                if ticker.stopped() && next.len() >= TRIPPED_PARTIAL_CAP {
+                    break 'grow;
                 }
             }
         }
+        for q in path {
+            assigned[q.index()] = true;
+        }
         partials = next;
     }
-
-    let mut out: Vec<TwigMatch> = partials
-        .into_iter()
-        .map(|assignment| TwigMatch {
-            bindings: pattern.node_ids().map(|q| assignment[&q]).collect(),
-        })
-        .collect();
-    out.sort();
-    out.dedup();
-    out
+    partials.sort_dedup();
+    partials
 }
 
 /// Verifies a full match against every edge, test and predicate — the
 /// ground-truth validity check used by tests and post-filters.
-pub fn match_is_valid(idx: &IndexedDocument, pattern: &TwigPattern, m: &TwigMatch) -> bool {
+pub fn match_is_valid(idx: &IndexedDocument, pattern: &TwigPattern, row: &[NodeId]) -> bool {
     let doc = idx.document();
     for q in pattern.node_ids() {
         let node = pattern.node(q);
-        let bound = m.binding(q);
+        let bound = row[q.index()];
         if !doc.is_element(bound) {
             return false;
         }
@@ -345,7 +421,7 @@ pub fn match_is_valid(idx: &IndexedDocument, pattern: &TwigPattern, m: &TwigMatc
         }
         match node.parent {
             Some(p) => {
-                if !edge_satisfied(idx, node.axis, m.binding(p), bound) {
+                if !edge_satisfied(idx, node.axis, row[p.index()], bound) {
                     return false;
                 }
             }
@@ -562,31 +638,46 @@ mod tests {
         let y0 = nth_element(&idx, "year", 0);
         let y1 = nth_element(&idx, "year", 1);
 
-        let sols_title = vec![
-            PathSolution {
-                nodes: vec![book0, t0],
-            },
-            PathSolution {
-                nodes: vec![book1, t1],
-            },
-        ];
-        let sols_year = vec![
-            PathSolution {
-                nodes: vec![book0, y0],
-            },
-            PathSolution {
-                nodes: vec![book1, y1],
-            },
-        ];
-        let merged = merge_path_solutions(&p, &paths, &[sols_title, sols_year]);
+        // Leaf solutions arrive unsorted on the shared prefix and with a
+        // duplicate, exercising the key sort and the final dedup.
+        let rows = |rows: &[[NodeId; 2]]| {
+            let mut set = MatchSet::new(2);
+            rows.iter().for_each(|r| set.push(r));
+            set
+        };
+        let sols_title = rows(&[[book0, t0], [book1, t1]]);
+        let sols_year = rows(&[[book1, y1], [book0, y0], [book1, y1]]);
+        let merged = merge_path_solutions_guarded(
+            &p,
+            &paths,
+            &[sols_title, sols_year],
+            &QueryGuard::unlimited(),
+        );
         assert_eq!(merged.len(), 2);
-        for m in &merged {
+        for m in merged.rows() {
             assert!(match_is_valid(&idx, &p, m));
         }
         // Cross-book combinations must not appear.
         assert!(!merged
-            .iter()
-            .any(|m| m.binding(root) == book0 && m.binding(year) == y1));
+            .rows()
+            .any(|m| m[root.index()] == book0 && m[year.index()] == y1));
+    }
+
+    #[test]
+    fn match_set_sorts_dedups_and_compacts_in_place() {
+        let n = NodeId::from_index;
+        let mut set = MatchSet::new(2);
+        for r in [[3, 1], [1, 2], [3, 1], [1, 1]] {
+            set.push(&[n(r[0]), n(r[1])]);
+        }
+        set.sort_dedup();
+        let got: Vec<&[NodeId]> = set.rows().collect();
+        assert_eq!(got, [[n(1), n(1)], [n(1), n(2)], [n(3), n(1)]]);
+        set.retain(|r| r[1] == n(1));
+        assert_eq!(set.len(), 2);
+        assert_eq!(set.row(1), [n(3), n(1)]);
+        set.last_mut().unwrap()[0] = n(9);
+        assert_eq!(set.row(1), [n(9), n(1)]);
     }
 
     #[test]
@@ -597,7 +688,12 @@ mod tests {
         b.child(root, "year");
         let p = b.build();
         let paths = p.root_to_leaf_paths();
-        let merged = merge_path_solutions(&p, &paths, &[vec![], vec![]]);
+        let merged = merge_path_solutions_guarded(
+            &p,
+            &paths,
+            &[MatchSet::new(2), MatchSet::new(2)],
+            &QueryGuard::unlimited(),
+        );
         assert!(merged.is_empty());
     }
 
@@ -611,20 +707,8 @@ mod tests {
         let book0 = nth_element(&idx, "book", 0);
         let t0 = nth_element(&idx, "title", 0);
         let t1 = nth_element(&idx, "title", 1);
-        assert!(match_is_valid(
-            &idx,
-            &p,
-            &TwigMatch {
-                bindings: vec![book0, t0]
-            }
-        ));
+        assert!(match_is_valid(&idx, &p, &[book0, t0]));
         // Title of the other book fails the child edge.
-        assert!(!match_is_valid(
-            &idx,
-            &p,
-            &TwigMatch {
-                bindings: vec![book0, t1]
-            }
-        ));
+        assert!(!match_is_valid(&idx, &p, &[book0, t1]));
     }
 }

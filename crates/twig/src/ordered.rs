@@ -7,19 +7,20 @@
 //! constraint between siblings — two sibling query nodes may even bind the
 //! same element.)
 
-use crate::matcher::TwigMatch;
+use crate::matcher::MatchSet;
 use crate::pattern::{QNodeId, TwigPattern};
 use lotusx_index::IndexedDocument;
+use lotusx_xml::NodeId;
 
 /// True if `m` satisfies the order constraint: for every query node, the
 /// bindings of its children occur in strictly increasing document order.
-pub fn match_is_ordered(idx: &IndexedDocument, pattern: &TwigPattern, m: &TwigMatch) -> bool {
+pub fn match_is_ordered(idx: &IndexedDocument, pattern: &TwigPattern, row: &[NodeId]) -> bool {
     let labels = idx.labels();
     for q in pattern.node_ids() {
         let children: &[QNodeId] = &pattern.node(q).children;
         for pair in children.windows(2) {
-            let a = m.binding(pair[0]);
-            let b = m.binding(pair[1]);
+            let a = row[pair[0].index()];
+            let b = row[pair[1].index()];
             // Strict document order; equal bindings violate ordering.
             if !labels.doc_order_before(a, b) {
                 return false;
@@ -29,16 +30,14 @@ pub fn match_is_ordered(idx: &IndexedDocument, pattern: &TwigPattern, m: &TwigMa
     true
 }
 
-/// Retains only the order-satisfying matches.
+/// Retains only the order-satisfying matches (in place, order kept).
 pub fn filter_ordered(
     idx: &IndexedDocument,
     pattern: &TwigPattern,
-    matches: Vec<TwigMatch>,
-) -> Vec<TwigMatch> {
+    mut matches: MatchSet,
+) -> MatchSet {
+    matches.retain(|row| match_is_ordered(idx, pattern, row));
     matches
-        .into_iter()
-        .filter(|m| match_is_ordered(idx, pattern, m))
-        .collect()
 }
 
 #[cfg(test)]

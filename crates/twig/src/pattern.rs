@@ -228,6 +228,19 @@ impl TwigPattern {
         self.node_ids().all(|id| self.node(id).children.len() <= 1)
     }
 
+    /// All node ids in depth-first preorder: every node after its parent,
+    /// a node's whole subtree before its next sibling. Binding query nodes
+    /// in this order enumerates matches as one nest of loops.
+    pub fn preorder(&self) -> Vec<QNodeId> {
+        let mut order = Vec::with_capacity(self.len());
+        let mut pending = vec![self.root()];
+        while let Some(q) = pending.pop() {
+            order.push(q);
+            pending.extend(self.node(q).children.iter().rev());
+        }
+        order
+    }
+
     /// The output nodes; if none was marked, the root is the default
     /// output (what the GUI highlights when the user marks nothing).
     pub fn output_nodes(&self) -> Vec<QNodeId> {

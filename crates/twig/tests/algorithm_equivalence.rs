@@ -1,15 +1,19 @@
-//! The crown-jewel invariant: all five twig algorithms produce identical
-//! match sets, on random documents × random patterns (seeded loops) and on
-//! the canonical datasets × canonical query workloads.
+//! The crown-jewel invariant: all six twig algorithms and the `Auto`
+//! chooser produce identical match sets, on random documents × random
+//! patterns (seeded loops, ordered and unordered) and on the canonical
+//! datasets × canonical query workloads — and a starved budget only ever
+//! yields a valid subset.
+
+mod random_inputs;
 
 use lotusx_datagen::rng::XorShiftRng;
 use lotusx_datagen::{queries, Dataset};
+use lotusx_guard::{Budget, QueryGuard};
 use lotusx_index::IndexedDocument;
-use lotusx_twig::exec::{execute, Algorithm};
+use lotusx_twig::exec::{execute, execute_budgeted, Algorithm};
 use lotusx_twig::matcher::match_is_valid;
-use lotusx_twig::pattern::{Axis, NodeTest, TwigPattern};
+use lotusx_twig::ordered::match_is_ordered;
 use lotusx_twig::xpath::parse_query;
-use lotusx_xml::{Document, NodeId};
 
 // ---------------------------------------------------------------------
 // Canonical workloads
@@ -23,7 +27,7 @@ fn algorithms_agree_on_canonical_workloads() {
         for q in queries::queries(ds) {
             let pattern = parse_query(q.text).unwrap();
             let reference = execute(&idx, &pattern, Algorithm::Naive);
-            for m in &reference {
+            for m in reference.rows() {
                 assert!(match_is_valid(&idx, &pattern, m), "{} {}", ds, q.id);
             }
             for algo in Algorithm::ALL {
@@ -55,7 +59,7 @@ fn ordered_variants_are_subsets_on_canonical_workloads() {
             pattern.set_ordered(true);
             let ordered = execute(&idx, &pattern, Algorithm::TwigStack);
             assert!(ordered.len() <= unordered.len(), "{} {}", ds, q.id);
-            for m in &ordered {
+            for m in ordered.rows() {
                 assert!(unordered.contains(m), "{} {}", ds, q.id);
             }
         }
@@ -66,120 +70,51 @@ fn ordered_variants_are_subsets_on_canonical_workloads() {
 // Random documents × random patterns
 // ---------------------------------------------------------------------
 
-const TAGS: [&str; 5] = ["a", "b", "c", "d", "e"];
-
-#[derive(Clone, Debug)]
-struct GenTree {
-    tag: usize,
-    children: Vec<GenTree>,
-}
-
-fn random_tree(rng: &mut XorShiftRng, depth: u32, budget: &mut u32) -> GenTree {
-    let tag = rng.gen_range(0..TAGS.len());
-    if depth == 0 || *budget == 0 || rng.gen_bool(0.3) {
-        return GenTree {
-            tag,
-            children: vec![],
-        };
-    }
-    let n = rng.gen_range(0..4usize);
-    let mut children = Vec::with_capacity(n);
-    for _ in 0..n {
-        if *budget == 0 {
-            break;
-        }
-        *budget -= 1;
-        children.push(random_tree(rng, depth - 1, budget));
-    }
-    GenTree { tag, children }
-}
-
-fn build(doc: &mut Document, parent: NodeId, t: &GenTree) {
-    let e = doc.append_element(parent, TAGS[t.tag]);
-    for c in &t.children {
-        build(doc, e, c);
-    }
-}
-
-/// A small random pattern: a root plus up to 4 more nodes attached to
-/// random earlier nodes with random axes/tests.
-#[derive(Clone, Debug)]
-struct GenPattern {
-    root_tag: usize,
-    // (parent index among already-created nodes, axis-is-child, tag, wild)
-    extra: Vec<(usize, bool, usize, bool)>,
-    ordered: bool,
-}
-
-fn random_pattern(rng: &mut XorShiftRng) -> GenPattern {
-    GenPattern {
-        // Wildcard roots multiply matches combinatorially and slow the
-        // naive oracle to a crawl; interior wildcards cover the case.
-        root_tag: rng.gen_range(0..TAGS.len()),
-        extra: (0..rng.gen_range(0..4usize))
-            .map(|_| {
-                (
-                    rng.gen_range(0..5usize),
-                    rng.gen_bool(0.5),
-                    rng.gen_range(0..TAGS.len()),
-                    rng.gen_bool(0.2),
-                )
-            })
-            .collect(),
-        ordered: rng.gen_bool(0.5),
-    }
-}
-
-fn materialize(gp: &GenPattern) -> TwigPattern {
-    let test = NodeTest::Tag(TAGS[gp.root_tag].to_string());
-    let mut pattern = TwigPattern::new(test, Axis::Descendant);
-    let mut ids = vec![pattern.root()];
-    for (parent, is_child, tag, wild) in &gp.extra {
-        let axis = if *is_child {
-            Axis::Child
-        } else {
-            Axis::Descendant
-        };
-        let test = if *wild {
-            NodeTest::Wildcard
-        } else {
-            NodeTest::Tag(TAGS[*tag].to_string())
-        };
-        let id = pattern.add_child(ids[parent % ids.len()], axis, test);
-        ids.push(id);
-    }
-    pattern.set_ordered(gp.ordered);
-    pattern
-}
-
 #[test]
 fn all_algorithms_agree_on_random_inputs() {
     let mut rng = XorShiftRng::seed_from_u64(0x7716);
+    let (mut ordered_cases, mut truncated_cases, mut reference_rows) = (0, 0, 0);
     for case in 0..96 {
-        let mut budget = 50u32;
-        let root = random_tree(&mut rng, 5, &mut budget);
-        let mut doc = Document::new();
-        build(&mut doc, NodeId::DOCUMENT, &root);
-        let idx = IndexedDocument::build(doc);
-        let gp = random_pattern(&mut rng);
-        let pattern = materialize(&gp);
+        let (idx, pattern) = random_inputs::random_case(&mut rng);
+        ordered_cases += usize::from(pattern.is_ordered());
 
         let reference = execute(&idx, &pattern, Algorithm::Naive);
-        for m in &reference {
+        reference_rows += reference.len();
+        for m in reference.rows() {
             assert!(match_is_valid(&idx, &pattern, m), "case {case}");
+            assert!(
+                !pattern.is_ordered() || match_is_ordered(&idx, &pattern, m),
+                "case {case}"
+            );
         }
-        for algo in [
-            Algorithm::StructuralJoin,
-            Algorithm::PathStack,
-            Algorithm::TwigStack,
-            Algorithm::TJFast,
-            Algorithm::TwigStackGuided,
-        ] {
+        for algo in Algorithm::ALL.into_iter().chain([Algorithm::Auto]) {
             let got = execute(&idx, &pattern, algo);
             assert_eq!(
                 got, reference,
                 "case {case}: algorithm {algo} on pattern {pattern}"
             );
+            // Starved: whatever survives is a true match of the full answer.
+            let quota = rng.gen_range(0..12u64);
+            let guard = QueryGuard::new(&Budget::unlimited().with_node_quota(quota));
+            let partial = execute_budgeted(&idx, &pattern, algo, 1, None, &guard);
+            truncated_cases += usize::from(guard.is_tripped());
+            assert!(
+                guard.is_tripped() || partial == reference,
+                "case {case}: {algo} lost rows without tripping"
+            );
+            for m in partial.rows() {
+                assert!(match_is_valid(&idx, &pattern, m), "case {case}: {algo}");
+                assert!(
+                    reference.contains(m),
+                    "case {case}: {algo} invented a row under budget"
+                );
+            }
         }
     }
+    assert!(reference_rows > 2000, "cases must match: {reference_rows}");
+    assert!(ordered_cases > 20 && ordered_cases < 76, "{ordered_cases}");
+    assert!(
+        truncated_cases > 96,
+        "budgets must actually trip: {truncated_cases}"
+    );
 }

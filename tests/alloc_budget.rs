@@ -1,0 +1,103 @@
+//! Allocation budget of the match pipeline: `execute` + `rank_top_k` on
+//! a twig with thousands of matches allocates a constant number of
+//! buffers plus their `O(log n)` doubling steps — never something per
+//! match, pair or partial. A per-match `Vec` (or a hash map keyed per
+//! binding) anywhere between join output and the ranked top-k multiplies
+//! the count by the match total and fails this test deterministically.
+//!
+//! The counter is per thread, so the harness and other tests cannot
+//! disturb it.
+
+use lotusx_guard::QueryGuard;
+use lotusx_index::IndexedDocument;
+use lotusx_rank::Ranker;
+use lotusx_twig::exec::{execute_budgeted, Algorithm};
+use lotusx_twig::xpath::parse_query;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct CountingAllocator;
+
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` unchanged; the only addition
+// is a thread-local counter bump that neither allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// `items` flat records: `//item[a][b]` and `//r/item/a` both match once
+/// per record.
+fn corpus(items: usize) -> IndexedDocument {
+    let mut xml = String::from("<r>");
+    for i in 0..items {
+        xml.push_str(&format!("<item><a>{i}</a><b/></item>"));
+    }
+    xml.push_str("</r>");
+    IndexedDocument::from_str(&xml).expect("well-formed")
+}
+
+/// Allocations (and reallocations) made by join + rank of `query`.
+fn pipeline_allocations(idx: &IndexedDocument, query: &str, algorithm: Algorithm) -> usize {
+    let pattern = parse_query(query).expect("parses");
+    let guard = QueryGuard::unlimited();
+    let before = ALLOCATIONS.with(Cell::get);
+    let matches = execute_budgeted(idx, &pattern, algorithm, 1, None, &guard);
+    let top = Ranker::new(idx).rank_top_k(&pattern, &matches, 10, 1);
+    let spent = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(matches.len(), idx.all_elements().len() / 3, "{query}");
+    assert_eq!(top.len(), 10);
+    spent
+}
+
+#[test]
+fn join_and_rank_allocate_per_buffer_not_per_match() {
+    const SMALL: usize = 6_000;
+    const GROWTH: usize = 8;
+    let (small, large) = (corpus(SMALL), corpus(SMALL * GROWTH));
+    for (query, algorithm) in [
+        ("//item[a][b]", Algorithm::StructuralJoin),
+        ("//item[a][b]", Algorithm::Naive),
+        ("//r/item/a", Algorithm::PathStack),
+    ] {
+        let at_small = pipeline_allocations(&small, query, algorithm);
+        let at_large = pipeline_allocations(&large, query, algorithm);
+        // A few dozen buffers, whatever the match count …
+        assert!(
+            at_small < 100,
+            "{algorithm} on {query}: {at_small} allocations for {SMALL} matches"
+        );
+        // … and 8x the matches may only add doubling steps: 3 per buffer
+        // that grows with the output.
+        assert!(
+            at_large <= at_small + 24,
+            "{algorithm} on {query}: {at_small} allocations at {SMALL} matches, \
+             {at_large} at {}",
+            SMALL * GROWTH
+        );
+    }
+}

@@ -23,10 +23,12 @@ fn canonical_queries_return_valid_ranked_results() {
             let pattern = parse_query(q.text).unwrap();
             // Every reported result is a genuine match.
             for r in &response.matches {
-                let m = lotusx_twig::matcher::TwigMatch {
-                    bindings: r.bindings.clone(),
-                };
-                assert!(match_is_valid(sys.index(), &pattern, &m), "{} {}", ds, q.id);
+                assert!(
+                    match_is_valid(sys.index(), &pattern, &r.bindings),
+                    "{} {}",
+                    ds,
+                    q.id
+                );
                 assert!(!r.snippet.is_empty());
             }
             // Scores are non-increasing.
