@@ -17,11 +17,11 @@ set -u
 # Stage registry, in default run order. --fast keeps only fmt, clippy
 # and test. A stage named X is implemented by the function stage_X
 # (dashes become underscores).
-ALL_STAGES=(fmt clippy build test smoke robust-smoke telemetry-smoke
-            serve-smoke metrics-smoke soak-smoke tenant-soak
+ALL_STAGES=(fmt clippy build bench-build test smoke robust-smoke
+            telemetry-smoke serve-smoke metrics-smoke soak-smoke tenant-soak
             join-bench-smoke snapshot-smoke)
-FAST_SKIP=(build smoke robust-smoke telemetry-smoke serve-smoke metrics-smoke
-           soak-smoke tenant-soak join-bench-smoke snapshot-smoke)
+FAST_SKIP=(build bench-build smoke robust-smoke telemetry-smoke serve-smoke
+           metrics-smoke soak-smoke tenant-soak join-bench-smoke snapshot-smoke)
 
 FAST=0
 ONLY_STAGES=()
@@ -91,6 +91,9 @@ write_timing_json() {
         [ ${#STAGE_NAMES[@]} -gt 0 ] && echo
         echo '  ],'
         printf '  "total_ns": %d,\n' "$total"
+        # The ROADMAP's LoC trend, next to the stage times.
+        printf '  "rust_loc": %d,\n' \
+            "$(find crates tests examples src -name '*.rs' -print0 | xargs -0 cat | wc -l)"
         if [ -n "$FAILED_STAGE" ]; then
             printf '  "failed_stage": "%s"\n' "$FAILED_STAGE"
         else
@@ -152,6 +155,25 @@ stage_build() {
     cargo build --release
 }
 
+# The load generator under benchmark/ is a detached workspace the root
+# build never sees, so an API deletion that breaks it would otherwise
+# surface only in the benchmark pipeline. Type-check it (all targets)
+# into the shared target dir. cargo may re-resolve benchmark/Cargo.lock
+# when a crate's dependency edges changed; the tracked lock file is
+# restored, never committed.
+stage_bench_build() {
+    local status=0
+    CARGO_TARGET_DIR="$PWD/target" cargo check --offline --all-targets \
+        --manifest-path benchmark/Cargo.toml || status=$?
+    git checkout -q -- benchmark/Cargo.lock
+    if [ -n "$(git status --porcelain -- benchmark)" ]; then
+        echo "bench-build: tracked files under benchmark/ changed:" >&2
+        git status --porcelain -- benchmark >&2
+        return 1
+    fi
+    return $status
+}
+
 stage_test() {
     # One workspace invocation covers the root package too.
     cargo test --workspace -q
@@ -162,7 +184,7 @@ stage_test() {
 # the explain output must contain the stage-timing tree.
 stage_smoke() {
     local out
-    out=$(printf 'profile on\nexplain //book[author]/title\nquery //book/title\nquery //book/title\nalgo tjfast\nquery //book/title\nstats\nstats json\nquit\n' \
+    out=$(printf 'profile on\nexplain //book[author]/title\nquery //book/title\nquery //book/title\nalgo structural-join\nquery //book/title\nstats\nstats json\nquit\n' \
         | cargo run --release -p lotusx-serve --bin lotusx-cli) || return 1
     echo "$out" | grep -q 'parse' &&
     echo "$out" | grep -q 'total:' &&
@@ -197,7 +219,7 @@ stage_telemetry_smoke() {
     local trace=/tmp/lotusx_ci_trace.json
     rm -f "$trace"
     printf 'trace on\ntimeout 1\nquery //*//*//*//*//*\ntimeout 0\nquery //s/np\nquery //s/np\ntrace export %s\nquit\n' "$trace" \
-        | LOTUSX_THREADS=4 cargo run --release -p lotusx-serve --bin lotusx-cli -- @treebank:2 \
+        | cargo run --release -p lotusx-serve --bin lotusx-cli -- @treebank:2 \
         || return 1
     cargo run --release -p lotusx-bench --bin trace-check -- "$trace" --require-trip || return 1
     cargo run --release -p lotusx-bench --bin lotusx-telemetry-bench -- --quick
@@ -348,14 +370,14 @@ stage_tenant_soak() {
 # few reps, artifact under target/). Exits nonzero if any algorithm
 # disagrees with the reference results (exit 2) or the adaptive chooser
 # lands outside its 1.25x-of-best gate (exit 1) — a regression gate for
-# both the columnar join paths and the cost model. Fully offline.
+# both the join paths and the cost model. Fully offline.
 stage_join_bench_smoke() {
     cargo run --release -p lotusx-bench --bin join-bench -- --quick
 }
 
 # Snapshot smoke: build @dblp:2 from XML, save a v2 .ltsx snapshot,
-# reload it cold, and byte-compare query responses across all six join
-# algorithms plus auto, chooser decisions and completion sweeps (exit 2
+# reload it cold, and byte-compare query responses across every join
+# algorithm plus auto, chooser decisions and completion sweeps (exit 2
 # on any mismatch), then gate the cold-boot speedup (exit 1). Artifact
 # under target/BENCH_snapshot_quick.json. Fully offline.
 stage_snapshot_smoke() {

@@ -29,10 +29,10 @@ mod bench {
                 let mut ordered = unordered.clone();
                 ordered.set_ordered(true);
                 group.bench_with_input(BenchmarkId::new(q.id, "unordered"), &unordered, |b, p| {
-                    b.iter(|| execute(&idx, p, Algorithm::TwigStack))
+                    b.iter(|| execute(&idx, p, Algorithm::Auto))
                 });
                 group.bench_with_input(BenchmarkId::new(q.id, "ordered"), &ordered, |b, p| {
-                    b.iter(|| execute(&idx, p, Algorithm::TwigStack))
+                    b.iter(|| execute(&idx, p, Algorithm::Auto))
                 });
             }
             group.finish();

@@ -10,6 +10,7 @@ mod bench {
     use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
     use lotusx_bench::fixture;
     use lotusx_datagen::{queries, Dataset};
+    use lotusx_guard::QueryGuard;
     use lotusx_rewrite::{Rewriter, RewriterConfig, SynonymTable};
     use lotusx_twig::xpath::parse_query;
 
@@ -32,10 +33,10 @@ mod bench {
             for q in queries::broken_queries(dataset) {
                 let pattern = parse_query(q.text).expect("broken queries still parse");
                 group.bench_with_input(BenchmarkId::new(q.id, "pruned"), &pattern, |b, p| {
-                    b.iter(|| pruned.rewrite(p))
+                    b.iter(|| pruned.rewrite(p, None, &QueryGuard::unlimited()))
                 });
                 group.bench_with_input(BenchmarkId::new(q.id, "unpruned"), &pattern, |b, p| {
-                    b.iter(|| unpruned.rewrite(p))
+                    b.iter(|| unpruned.rewrite(p, None, &QueryGuard::unlimited()))
                 });
             }
             group.finish();

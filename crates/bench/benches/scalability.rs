@@ -24,9 +24,11 @@ mod bench {
         group.sample_size(10);
         for scale in [1u32, 2, 4, 8] {
             let idx = fixture(Dataset::DblpLike, scale);
-            group.bench_with_input(BenchmarkId::new("twigstack-D2", scale), &idx, |b, idx| {
-                b.iter(|| execute(idx, &pattern, Algorithm::TwigStack))
-            });
+            group.bench_with_input(
+                BenchmarkId::new("structural-join-D2", scale),
+                &idx,
+                |b, idx| b.iter(|| execute(idx, &pattern, Algorithm::StructuralJoin)),
+            );
             group.bench_with_input(BenchmarkId::new("naive-D2", scale), &idx, |b, idx| {
                 b.iter(|| execute(idx, &pattern, Algorithm::Naive))
             });

@@ -1,6 +1,7 @@
-//! The experiments harness: regenerates every table/figure of the
-//! reconstructed LotusX evaluation (E1–E9, see DESIGN.md) and prints them
-//! as markdown. `EXPERIMENTS.md` records one run of this binary.
+//! The experiments harness: regenerates the tables/figures of the
+//! reconstructed LotusX evaluation (E1–E10, see DESIGN.md) and prints them
+//! as markdown. `EXPERIMENTS.md` records one run of this binary; the
+//! holistic-join columns it recorded before E12 are no longer regenerable.
 //!
 //! ```sh
 //! cargo run --release -p lotusx-bench --bin experiments
@@ -9,6 +10,7 @@
 use lotusx_autocomplete::{CompletionEngine, PositionContext};
 use lotusx_bench::{fixture, fmt_duration, median_time, time_once, SEED};
 use lotusx_datagen::{generate, queries, Dataset};
+use lotusx_guard::QueryGuard;
 use lotusx_index::IndexedDocument;
 use lotusx_rank::{mrr, ndcg_at_k, precision_at_k, Ranker};
 use lotusx_rewrite::{Rewriter, RewriterConfig, SynonymTable};
@@ -130,13 +132,13 @@ fn e2_algorithms() {
     for ds in Dataset::ALL {
         let idx = fixture(ds, 2);
         println!("### {ds}\n");
-        println!("| query | matches | naive | structural-join | pathstack | twigstack | tjfast | twigstack-guided |");
-        println!("|---|---|---|---|---|---|---|---|");
+        println!("| query | matches | naive | structural-join | auto |");
+        println!("|---|---|---|---|---|");
         for q in queries::queries(ds) {
             let pattern = parse_query(q.text).unwrap();
             let mut cells = Vec::new();
             let mut matches = 0usize;
-            for algo in Algorithm::ALL {
+            for algo in Algorithm::ALL.into_iter().chain([Algorithm::Auto]) {
                 let (t, m) = median_time(REPS, || execute(&idx, &pattern, algo));
                 matches = m.len();
                 cells.push(fmt_duration(t));
@@ -273,7 +275,7 @@ fn e5_ranking_quality() {
     {
         let idx = fixture(Dataset::DblpLike, 1);
         let pattern = parse_query(r#"//article[title ~ "data"]"#).unwrap();
-        let matches = execute(&idx, &pattern, Algorithm::TwigStack);
+        let matches = execute(&idx, &pattern, Algorithm::Auto);
         let title_q = pattern.node(pattern.root()).children[0];
         let relevance: HashMap<Vec<NodeId>, f64> = matches
             .rows()
@@ -294,7 +296,7 @@ fn e5_ranking_quality() {
     {
         let idx = fixture(Dataset::TreebankLike, 1);
         let pattern = parse_query("//s//nn").unwrap();
-        let matches = execute(&idx, &pattern, Algorithm::TwigStack);
+        let matches = execute(&idx, &pattern, Algorithm::Auto);
         let s_q = pattern.root();
         let nn_q = pattern.node(s_q).children[0];
         let doc = idx.document();
@@ -364,9 +366,11 @@ fn e6_rewriting() {
         );
         for q in queries::broken_queries(ds) {
             let pattern = parse_query(q.text).unwrap();
-            let (latency, (rewrites, stats)) =
-                median_time(REPS.min(3), || pruned.rewrite_with_stats(&pattern));
-            let (_, (_, ustats)) = time_once(|| unpruned.rewrite_with_stats(&pattern));
+            let (latency, (rewrites, stats)) = median_time(REPS.min(3), || {
+                pruned.rewrite(&pattern, None, &QueryGuard::unlimited())
+            });
+            let (_, (_, ustats)) =
+                time_once(|| unpruned.rewrite(&pattern, None, &QueryGuard::unlimited()));
             match rewrites.first() {
                 Some(best) => println!(
                     "| {} | `{}` | {} | yes ({} matches) | {:.1} | {} | {} | {} | {} | {} |",
@@ -399,7 +403,7 @@ fn e6_rewriting() {
 
 // ---------------------------------------------------------------- E7 ----
 fn e7_ordered() {
-    println!("## E7 (Figure 7) — order-sensitive overhead (scale 2, twigstack)\n");
+    println!("## E7 (Figure 7) — order-sensitive overhead (scale 2, auto)\n");
     println!("| dataset | query | matches unordered | matches ordered | time unordered | time ordered | overhead |");
     println!("|---|---|---|---|---|---|---|");
     for ds in Dataset::ALL {
@@ -411,8 +415,8 @@ fn e7_ordered() {
             }
             let mut ordered = unordered.clone();
             ordered.set_ordered(true);
-            let (tu, mu) = median_time(REPS, || execute(&idx, &unordered, Algorithm::TwigStack));
-            let (to, mo) = median_time(REPS, || execute(&idx, &ordered, Algorithm::TwigStack));
+            let (tu, mu) = median_time(REPS, || execute(&idx, &unordered, Algorithm::Auto));
+            let (to, mo) = median_time(REPS, || execute(&idx, &ordered, Algorithm::Auto));
             println!(
                 "| {} | {} | {} | {} | {} | {} | {:.2}× |",
                 ds,
@@ -431,12 +435,11 @@ fn e7_ordered() {
 // ---------------------------------------------------------------- E8 ----
 fn e8_scalability() {
     println!("## E8 (Figure 8) — scalability on dblp-like (query D2, completion prefix \"a\")\n");
-    println!("| scale | elements | twigstack | naive | structural-join | completion aware | completion trie | completion scan |");
-    println!("|---|---|---|---|---|---|---|---|");
+    println!("| scale | elements | naive | structural-join | completion aware | completion trie | completion scan |");
+    println!("|---|---|---|---|---|---|---|");
     let pattern = parse_query("//article[author][title]/year").unwrap();
     for scale in [1u32, 2, 4, 8, 16] {
         let idx = fixture(Dataset::DblpLike, scale);
-        let (t_twig, _) = median_time(REPS, || execute(&idx, &pattern, Algorithm::TwigStack));
         let (t_naive, _) = median_time(REPS, || execute(&idx, &pattern, Algorithm::Naive));
         let (t_sj, _) = median_time(REPS, || execute(&idx, &pattern, Algorithm::StructuralJoin));
         let engine = CompletionEngine::new(&idx);
@@ -445,10 +448,9 @@ fn e8_scalability() {
         let (t_trie, _) = median_time(REPS, || engine.complete_tag_global("a", 10));
         let (t_scan, _) = median_time(REPS, || engine.complete_tag_scan("a", 10));
         println!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} |",
+            "| {} | {} | {} | {} | {} | {} | {} |",
             scale,
             idx.stats().element_count,
-            fmt_duration(t_twig),
             fmt_duration(t_naive),
             fmt_duration(t_sj),
             fmt_duration(t_aware),
@@ -458,27 +460,23 @@ fn e8_scalability() {
     }
     println!();
 
-    // The naive/holistic crossover lives on recursive data: descendant
+    // The navigation/join crossover lives on recursive data: descendant
     // axes force the navigational baseline to rescan whole subtrees.
     println!("### E8b: recursive data (treebank-like, query T2 `//s//vp//nn`)\n");
-    println!("| scale | elements | matches | naive | structural-join | pathstack | twigstack |");
-    println!("|---|---|---|---|---|---|---|");
+    println!("| scale | elements | matches | naive | structural-join |");
+    println!("|---|---|---|---|---|");
     let pattern = parse_query("//s//vp//nn").unwrap();
     for scale in [1u32, 2, 4, 8] {
         let idx = fixture(Dataset::TreebankLike, scale);
         let (t_naive, m) = median_time(REPS, || execute(&idx, &pattern, Algorithm::Naive));
         let (t_sj, _) = median_time(REPS, || execute(&idx, &pattern, Algorithm::StructuralJoin));
-        let (t_ps, _) = median_time(REPS, || execute(&idx, &pattern, Algorithm::PathStack));
-        let (t_ts, _) = median_time(REPS, || execute(&idx, &pattern, Algorithm::TwigStack));
         println!(
-            "| {} | {} | {} | {} | {} | {} | {} |",
+            "| {} | {} | {} | {} | {} |",
             scale,
             idx.stats().element_count,
             m.len(),
             fmt_duration(t_naive),
             fmt_duration(t_sj),
-            fmt_duration(t_ps),
-            fmt_duration(t_ts),
         );
     }
     println!();
@@ -540,8 +538,10 @@ fn e9_ablations() {
         let mut tu = std::time::Duration::ZERO;
         for q in queries::broken_queries(ds) {
             let pattern = parse_query(q.text).unwrap();
-            let (t1, (_, s1)) = time_once(|| pruned.rewrite_with_stats(&pattern));
-            let (t2, (_, s2)) = time_once(|| unpruned.rewrite_with_stats(&pattern));
+            let (t1, (_, s1)) =
+                time_once(|| pruned.rewrite(&pattern, None, &QueryGuard::unlimited()));
+            let (t2, (_, s2)) =
+                time_once(|| unpruned.rewrite(&pattern, None, &QueryGuard::unlimited()));
             pe += s1.executions;
             pa += s1.pruned_unsatisfiable;
             ue += s2.executions;
@@ -557,53 +557,6 @@ fn e9_ablations() {
             fmt_duration(tp),
             fmt_duration(tu)
         );
-    }
-    println!();
-
-    println!("### E9c: PathStack vs TwigStack on pure path queries (scale 2)\n");
-    println!("| dataset | query | pathstack | twigstack |");
-    println!("|---|---|---|---|");
-    for ds in Dataset::ALL {
-        let idx = fixture(ds, 2);
-        for q in queries::queries(ds) {
-            let pattern = parse_query(q.text).unwrap();
-            if !pattern.is_path() {
-                continue;
-            }
-            let (tp, _) = median_time(REPS, || execute(&idx, &pattern, Algorithm::PathStack));
-            let (tt, _) = median_time(REPS, || execute(&idx, &pattern, Algorithm::TwigStack));
-            println!(
-                "| {} | {} | {} | {} |",
-                ds,
-                q.id,
-                fmt_duration(tp),
-                fmt_duration(tt)
-            );
-        }
-    }
-    println!();
-
-    println!("### E9d: DataGuide stream pruning for execution (guided TwigStack, scale 2)\n");
-    println!("| dataset | query | stream entries | after pruning | reduction | twigstack | twigstack-guided |");
-    println!("|---|---|---|---|---|---|---|");
-    for ds in Dataset::ALL {
-        let idx = fixture(ds, 2);
-        for q in queries::queries(ds) {
-            let pattern = parse_query(q.text).unwrap();
-            let (before, after) = lotusx_twig::algorithms::guided::pruning_stats(&idx, &pattern);
-            let (tt, _) = median_time(REPS, || execute(&idx, &pattern, Algorithm::TwigStack));
-            let (tg, _) = median_time(REPS, || execute(&idx, &pattern, Algorithm::TwigStackGuided));
-            println!(
-                "| {} | {} | {} | {} | {:.0}% | {} | {} |",
-                ds,
-                q.id,
-                before,
-                after,
-                100.0 * (1.0 - after as f64 / before.max(1) as f64),
-                fmt_duration(tt),
-                fmt_duration(tg),
-            );
-        }
     }
     println!();
 }

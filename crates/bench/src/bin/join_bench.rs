@@ -1,6 +1,5 @@
-//! Head-to-head join benchmark: every twig algorithm (plus the
-//! pre-columnar `twigstack-entrywise` baseline and the `auto` chooser)
-//! across all dataset shapes and scales.
+//! Head-to-head join benchmark: every twig algorithm plus the `auto`
+//! chooser across all dataset shapes and scales.
 //!
 //! For every (dataset, scale, query) cell it measures the median wall
 //! time of each contender, verifies all contenders return bit-identical
@@ -21,15 +20,9 @@
 
 use lotusx_bench::{fixture, fmt_duration, time_once, SEED};
 use lotusx_datagen::{queries, Dataset};
-use lotusx_guard::QueryGuard;
-use lotusx_twig::algorithms::twigstack;
 use lotusx_twig::xpath::parse_query;
 use lotusx_twig::{choose_algorithm, execute, Algorithm};
 use std::time::Duration;
-
-/// The extra, non-`Algorithm` contender: the preserved array-of-structs
-/// TwigStack that advances element by element (the seed's join engine).
-const ENTRYWISE: &str = "twigstack-entrywise";
 
 struct Config {
     quick: bool,
@@ -115,8 +108,6 @@ struct QueryRow {
     auto_pick: &'static str,
     auto_factor: f64,
     gate_pass: bool,
-    /// entrywise_ms / columnar twigstack_ms (> 1 = columnar wins).
-    columnar_speedup: f64,
     equivalent: bool,
 }
 
@@ -131,7 +122,6 @@ fn main() {
         cfg.scales, cfg.reps, cfg.gate, cfg.slack_ms
     );
 
-    let metrics = lotusx_obs::metrics();
     let mut sections = Vec::new();
     let mut all_rows: Vec<QueryRow> = Vec::new();
 
@@ -154,9 +144,11 @@ fn main() {
                 // instead of biasing whichever one happened to run during
                 // the noise, and the minimum discards the interference that
                 // remains. Equivalence is checked on the first round.
-                let mut mins = vec![f64::INFINITY; Algorithm::ALL.len() + 2];
+                let mut mins = vec![f64::INFINITY; Algorithm::ALL.len() + 1];
                 for rep in 0..cfg.reps {
-                    for (slot, algo) in Algorithm::ALL.into_iter().enumerate() {
+                    // Auto runs end to end, chooser resolution included.
+                    let contenders = Algorithm::ALL.into_iter().chain([Algorithm::Auto]);
+                    for (slot, algo) in contenders.enumerate() {
                         let (t, m) = time_once(|| execute(&idx, &pattern, algo));
                         mins[slot] = mins[slot].min(ms(t));
                         if rep == 0 && m != reference {
@@ -164,76 +156,27 @@ fn main() {
                             eprintln!("  MISMATCH: {} on {} {}", algo, ds, q.id);
                         }
                     }
-                    // The seed's entrywise TwigStack, for the
-                    // columnar-vs-seed comparison.
-                    let (t, m) = time_once(|| {
-                        twigstack::evaluate_entrywise_guarded(
-                            &idx,
-                            &pattern,
-                            &QueryGuard::unlimited(),
-                        )
-                    });
-                    let slot = Algorithm::ALL.len();
-                    mins[slot] = mins[slot].min(ms(t));
-                    if rep == 0 && m != reference {
-                        equivalent = false;
-                        eprintln!("  MISMATCH: {ENTRYWISE} on {} {}", ds, q.id);
-                    }
-                    // Auto end to end, chooser resolution included.
-                    let (t, m) = time_once(|| execute(&idx, &pattern, Algorithm::Auto));
-                    let slot = Algorithm::ALL.len() + 1;
-                    mins[slot] = mins[slot].min(ms(t));
-                    if rep == 0 && m != reference {
-                        equivalent = false;
-                        eprintln!("  MISMATCH: auto on {} {}", ds, q.id);
-                    }
                 }
-                let mut times: Vec<(&'static str, f64)> = Algorithm::ALL
+                let times: Vec<(&'static str, f64)> = Algorithm::ALL
                     .iter()
                     .enumerate()
                     .map(|(slot, algo)| (algo.name(), mins[slot]))
                     .collect();
-                times.push((ENTRYWISE, mins[Algorithm::ALL.len()]));
-                let auto_ms = mins[Algorithm::ALL.len() + 1];
+                let auto_ms = mins[Algorithm::ALL.len()];
 
-                // Record what the chooser picked.
-                let choice = choose_algorithm(&idx, &pattern);
-                let pick = choice.algorithm.name();
-                metrics.incr(
-                    match choice.algorithm {
-                        Algorithm::Naive => "algo_chosen_naive",
-                        Algorithm::StructuralJoin => "algo_chosen_structural_join",
-                        Algorithm::PathStack => "algo_chosen_pathstack",
-                        Algorithm::TwigStack => "algo_chosen_twigstack",
-                        Algorithm::TJFast => "algo_chosen_tjfast",
-                        Algorithm::TwigStackGuided => "algo_chosen_twigstack_guided",
-                        Algorithm::Auto => "algo_chosen_auto",
-                    },
-                    1,
-                );
-
-                // Per-query best among the six concrete algorithms.
+                // What the chooser picked, and the per-query best among the
+                // concrete algorithms.
+                let pick = choose_algorithm(&idx, &pattern).algorithm.name();
                 let (best, best_ms) = times
                     .iter()
-                    .filter(|(name, _)| *name != ENTRYWISE)
                     .min_by(|a, b| a.1.total_cmp(&b.1))
                     .copied()
-                    .expect("six algorithms ran");
+                    .expect("every algorithm ran");
                 let auto_factor = auto_ms / best_ms.max(1e-9);
                 let gate_pass = auto_ms <= cfg.gate * best_ms + cfg.slack_ms;
-                if !gate_pass {
-                    metrics.incr("chooser_mispicks", 1);
-                }
-
-                let columnar_ms = times
-                    .iter()
-                    .find(|(name, _)| *name == "twigstack")
-                    .expect("twigstack ran")
-                    .1;
-                let columnar_speedup = mins[Algorithm::ALL.len()] / columnar_ms.max(1e-9);
 
                 eprintln!(
-                    "  {:3} {:-44} {:7} m  best {:-16} {:>9}  auto->{:-16} {:.2}x{}  col/entry {:.2}x",
+                    "  {:3} {:-44} {:7} m  best {:-16} {:>9}  auto->{:-16} {:.2}x{}",
                     q.id,
                     q.text,
                     reference.len(),
@@ -242,7 +185,6 @@ fn main() {
                     pick,
                     auto_factor,
                     if gate_pass { "" } else { " GATE-FAIL" },
-                    columnar_speedup,
                 );
 
                 rows.push(QueryRow {
@@ -256,7 +198,6 @@ fn main() {
                     auto_pick: pick,
                     auto_factor,
                     gate_pass,
-                    columnar_speedup,
                     equivalent,
                 });
             }
@@ -273,34 +214,22 @@ fn main() {
         .iter()
         .map(|r| r.auto_factor)
         .fold(0.0f64, f64::max);
-    let columnar_wins = all_rows.iter().filter(|r| r.columnar_speedup > 1.0).count();
-    let speedup_geomean = (all_rows
-        .iter()
-        .map(|r| r.columnar_speedup.max(1e-9).ln())
-        .sum::<f64>()
-        / total.max(1) as f64)
-        .exp();
-    let max_speedup = all_rows
-        .iter()
-        .map(|r| r.columnar_speedup)
-        .fold(0.0f64, f64::max);
     eprintln!(
-        "\nsummary: {total} queries, {mispicks} chooser mispicks (max auto factor {max_factor:.2}x), \
-         columnar beats entrywise on {columnar_wins}/{total} (geomean {speedup_geomean:.2}x, max {max_speedup:.2}x)"
+        "\nsummary: {total} queries, {mispicks} chooser mispicks (max auto factor {max_factor:.2}x)"
     );
-    let snapshot = metrics.snapshot();
-    let chooser_counts: Vec<String> = snapshot
-        .counters
+    let picks: Vec<String> = Algorithm::ALL
         .iter()
-        .filter(|(n, _)| n.starts_with("algo_chosen_") || n == "chooser_mispicks")
-        .map(|(n, v)| format!("{n}={v}"))
+        .map(|a| {
+            let n = all_rows.iter().filter(|r| r.auto_pick == a.name()).count();
+            format!("{a}={n}")
+        })
         .collect();
-    eprintln!("counters: {}", chooser_counts.join("  "));
+    eprintln!("auto picks: {}", picks.join("  "));
 
     // ---- JSON artifact --------------------------------------------------
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"experiment\": \"columnar join engine head-to-head\",\n");
+    json.push_str("  \"experiment\": \"join head-to-head: naive vs structural-join vs auto\",\n");
     json.push_str(&format!("  \"mode\": {},\n", json_str(mode)));
     json.push_str(&format!("  \"seed\": {SEED},\n"));
     json.push_str(&format!("  \"reps\": {},\n", cfg.reps));
@@ -350,10 +279,6 @@ fn main() {
                 r.auto_factor
             ));
             json.push_str(&format!("          \"gate_pass\": {},\n", r.gate_pass));
-            json.push_str(&format!(
-                "          \"columnar_vs_entrywise\": {:.3},\n",
-                r.columnar_speedup
-            ));
             json.push_str(&format!("          \"equivalent\": {}\n", r.equivalent));
             json.push_str(if qi + 1 == *nrows {
                 "        }\n"
@@ -373,15 +298,6 @@ fn main() {
     json.push_str(&format!("    \"queries\": {total},\n"));
     json.push_str(&format!("    \"chooser_mispicks\": {mispicks},\n"));
     json.push_str(&format!("    \"max_auto_factor\": {max_factor:.3},\n"));
-    json.push_str(&format!(
-        "    \"columnar_wins_vs_entrywise\": {columnar_wins},\n"
-    ));
-    json.push_str(&format!(
-        "    \"columnar_speedup_geomean\": {speedup_geomean:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"columnar_speedup_max\": {max_speedup:.3},\n"
-    ));
     json.push_str(&format!("    \"nonequivalent\": {nonequivalent},\n"));
     json.push_str(&format!(
         "    \"gate_pass\": {}\n",

@@ -1,9 +1,11 @@
-//! Serial vs parallel pipeline benchmark.
+//! Serial vs parallel boot benchmark.
 //!
-//! Compares the serial (1-thread) and parallel (4-thread) code paths for
-//! index build, batch twig search and completion precompute on XMark-scale
-//! synthetic data, verifies the outputs are identical, and writes the
-//! measurements to `BENCH_parallel.json` in the current directory.
+//! Compares the serial (1-thread) and parallel (4-thread) code paths of
+//! the two boot-time stages that still fork — index build and completion
+//! precompute — on XMark-like data at two scales, verifies the outputs
+//! are identical, and writes the measurements to `BENCH_parallel.json` in
+//! the current directory. (Queries run on the calling thread; the
+//! per-query fork was measured and removed — EXPERIMENTS.md E12.)
 //!
 //! ```sh
 //! cargo run --release -p lotusx-bench --bin parallel
@@ -23,25 +25,15 @@ use std::time::Duration;
 const REPS: usize = 5;
 const PARALLEL_THREADS: usize = 4;
 const HOT_TAGS: usize = 16;
+const SCALES: [u32; 2] = [8, 64];
 
-const QUERIES: [&str; 8] = [
-    "//item/name",
-    "//*[name][payment]",
-    "//person[name]//emailaddress",
-    "//open_auction//bidder",
-    "//item[payment]/name",
-    "ordered //person[name][emailaddress]",
-    "//closed_auction/price",
-    "//regions//item",
-];
-
-fn secs(d: Duration) -> f64 {
-    d.as_secs_f64()
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
 }
 
-fn ratio(serial: f64, parallel: f64) -> f64 {
-    if parallel > 0.0 {
-        serial / parallel
+fn ratio(serial: Duration, parallel: Duration) -> f64 {
+    if parallel > Duration::ZERO {
+        serial.as_secs_f64() / parallel.as_secs_f64()
     } else {
         0.0
     }
@@ -51,89 +43,57 @@ fn main() {
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let scale = 8u32;
-    let doc = generate(Dataset::XmarkLike, scale, SEED);
-    eprintln!("dataset: xmark-like scale {scale}, host_cpus {host_cpus}");
+    eprintln!("dataset: xmark-like scales {SCALES:?}, host_cpus {host_cpus}");
 
-    // --- Index build: serial vs partitioned. --------------------------
-    let (t_build_1, idx1) = median_time(REPS, || {
-        IndexedDocument::build_with(doc.clone(), &BuildOptions { threads: 1 })
-    });
-    let (t_build_n, idxn) = median_time(REPS, || {
-        IndexedDocument::build_with(
-            doc.clone(),
-            &BuildOptions {
-                threads: PARALLEL_THREADS,
-            },
-        )
-    });
-    let elements = idx1.stats().element_count;
-    let build_equivalent = idx1.all_elements() == idxn.all_elements();
-    eprintln!(
-        "index build: serial {:.1}ms, {PARALLEL_THREADS}t {:.1}ms",
-        secs(t_build_1) * 1e3,
-        secs(t_build_n) * 1e3
-    );
+    let mut equivalent = true;
+    let mut sections = Vec::new();
+    for scale in SCALES {
+        let doc = generate(Dataset::XmarkLike, scale, SEED);
 
-    // --- Batch search: serial vs partitioned engine. ------------------
-    // `search_pattern` bypasses the query cache, so every repetition
-    // does the full execute + rank pipeline.
-    let mut serial = LotusX::load_document(doc.clone());
-    let config = serial.config().clone().threads(1).auto_algorithm();
-    serial.reconfigure(config).unwrap();
-    let mut parallel = LotusX::load_document(doc.clone());
-    let config = parallel
-        .config()
-        .clone()
-        .threads(PARALLEL_THREADS)
-        .auto_algorithm();
-    parallel.reconfigure(config).unwrap();
-    let patterns: Vec<_> = QUERIES
-        .iter()
-        .map(|q| lotusx_twig::parse_query(q).unwrap())
-        .collect();
-    let run_all = |system: &LotusX| -> usize {
-        patterns
-            .iter()
-            .map(|p| system.search_pattern(p).total_matches)
-            .sum()
-    };
-    let (t_search_1, matches_1) = median_time(REPS, || run_all(&serial));
-    let (t_search_n, matches_n) = median_time(REPS, || run_all(&parallel));
-    let search_equivalent = patterns.iter().all(|p| {
-        let a = serial.search_pattern(p);
-        let b = parallel.search_pattern(p);
-        a.total_matches == b.total_matches
-            && a.results.len() == b.results.len()
-            && a.results
-                .iter()
-                .zip(&b.results)
-                .all(|(x, y)| x.score.to_bits() == y.score.to_bits() && x.bindings == y.bindings)
-    });
-    eprintln!(
-        "batch search ({} queries, {matches_1} matches): serial {:.1}ms, {PARALLEL_THREADS}t {:.1}ms",
-        QUERIES.len(),
-        secs(t_search_1) * 1e3,
-        secs(t_search_n) * 1e3
-    );
+        // --- Index build: serial vs partitioned. ----------------------
+        let build = |threads| {
+            median_time(REPS, || {
+                IndexedDocument::build_with(doc.clone(), &BuildOptions { threads })
+            })
+        };
+        let (t_build_1, idx1) = build(1);
+        let (t_build_n, idxn) = build(PARALLEL_THREADS);
+        let elements = idx1.stats().element_count;
+        equivalent &= idx1.all_elements() == idxn.all_elements();
+        eprintln!(
+            "scale {scale} index build ({elements} elements): serial {:.1}ms, {PARALLEL_THREADS}t {:.1}ms",
+            ms(t_build_1),
+            ms(t_build_n)
+        );
 
-    // --- Completion precompute: serial vs parallel trie builds. -------
-    let (t_prec_1, built_1) = median_time(REPS, || {
-        let cache = ValueTrieCache::new();
-        cache.precompute_hottest(&idx1, HOT_TAGS, 1)
-    });
-    let (t_prec_n, built_n) = median_time(REPS, || {
-        let cache = ValueTrieCache::new();
-        cache.precompute_hottest(&idx1, HOT_TAGS, PARALLEL_THREADS)
-    });
-    eprintln!(
-        "completion precompute ({built_1} tries): serial {:.1}ms, {PARALLEL_THREADS}t {:.1}ms",
-        secs(t_prec_1) * 1e3,
-        secs(t_prec_n) * 1e3
-    );
+        // --- Completion precompute: serial vs parallel trie builds. ---
+        let precompute = |threads| {
+            median_time(REPS, || {
+                ValueTrieCache::new().precompute_hottest(&idx1, HOT_TAGS, threads)
+            })
+        };
+        let (t_prec_1, built_1) = precompute(1);
+        let (t_prec_n, built_n) = precompute(PARALLEL_THREADS);
+        equivalent &= built_1 == built_n;
+        eprintln!(
+            "scale {scale} completion precompute ({built_1} tries): serial {:.1}ms, {PARALLEL_THREADS}t {:.1}ms",
+            ms(t_prec_1),
+            ms(t_prec_n)
+        );
+
+        sections.push(format!(
+            "    {{\n      \"scale\": {scale},\n      \"elements\": {elements},\n      \"index_build\": {{\n        \"serial_ms\": {:.3},\n        \"parallel_ms\": {:.3},\n        \"speedup\": {:.3}\n      }},\n      \"completion_precompute\": {{\n        \"tries\": {built_n},\n        \"serial_ms\": {:.3},\n        \"parallel_ms\": {:.3},\n        \"speedup\": {:.3}\n      }}\n    }}",
+            ms(t_build_1),
+            ms(t_build_n),
+            ratio(t_build_1, t_build_n),
+            ms(t_prec_1),
+            ms(t_prec_n),
+            ratio(t_prec_1, t_prec_n),
+        ));
+    }
 
     // --- Query-result cache: uncached pipeline vs warm repeat. --------
-    let system = LotusX::load_document(doc.clone());
+    let system = LotusX::load_document(generate(Dataset::XmarkLike, SCALES[0], SEED));
     let hot_query = "//person[name]//emailaddress";
     let hot_pattern = lotusx_twig::parse_query(hot_query).unwrap();
     // `search_pattern` bypasses the cache: the full execute + rank cost.
@@ -147,29 +107,21 @@ fn main() {
     });
     let cache_stats = system.query_cache_stats();
     eprintln!(
-        "query cache: uncached {:.3}ms, cached {:.3}ms ({} hits / {} misses)",
-        secs(t_uncached) * 1e3,
-        secs(t_warm) * 1e3,
+        "query cache (scale {}): uncached {:.3}ms, cached {:.3}ms ({} hits / {} misses)",
+        SCALES[0],
+        ms(t_uncached),
+        ms(t_warm),
         cache_stats.hits,
         cache_stats.misses
     );
 
-    let equivalent = build_equivalent && search_equivalent && matches_1 == matches_n;
     let json = format!(
-        "{{\n  \"experiment\": \"serial vs parallel pipeline\",\n  \"dataset\": \"xmark-like\",\n  \"scale\": {scale},\n  \"elements\": {elements},\n  \"seed\": {SEED},\n  \"reps\": {REPS},\n  \"host_cpus\": {host_cpus},\n  \"parallel_threads\": {PARALLEL_THREADS},\n  \"index_build\": {{\n    \"serial_ms\": {:.3},\n    \"parallel_ms\": {:.3},\n    \"speedup\": {:.3}\n  }},\n  \"batch_search\": {{\n    \"queries\": {},\n    \"total_matches\": {matches_1},\n    \"serial_ms\": {:.3},\n    \"parallel_ms\": {:.3},\n    \"speedup\": {:.3}\n  }},\n  \"completion_precompute\": {{\n    \"tries\": {built_n},\n    \"serial_ms\": {:.3},\n    \"parallel_ms\": {:.3},\n    \"speedup\": {:.3}\n  }},\n  \"query_cache\": {{\n    \"uncached_ms\": {:.4},\n    \"cached_ms\": {:.4},\n    \"cache_speedup\": {:.1}\n  }},\n  \"equivalent_outputs\": {equivalent}\n}}\n",
-        secs(t_build_1) * 1e3,
-        secs(t_build_n) * 1e3,
-        ratio(secs(t_build_1), secs(t_build_n)),
-        QUERIES.len(),
-        secs(t_search_1) * 1e3,
-        secs(t_search_n) * 1e3,
-        ratio(secs(t_search_1), secs(t_search_n)),
-        secs(t_prec_1) * 1e3,
-        secs(t_prec_n) * 1e3,
-        ratio(secs(t_prec_1), secs(t_prec_n)),
-        secs(t_uncached) * 1e3,
-        secs(t_warm) * 1e3,
-        ratio(secs(t_uncached), secs(t_warm)),
+        "{{\n  \"experiment\": \"serial vs parallel boot stages\",\n  \"dataset\": \"xmark-like\",\n  \"seed\": {SEED},\n  \"reps\": {REPS},\n  \"host_cpus\": {host_cpus},\n  \"parallel_threads\": {PARALLEL_THREADS},\n  \"scales\": [\n{}\n  ],\n  \"query_cache\": {{\n    \"scale\": {},\n    \"uncached_ms\": {:.4},\n    \"cached_ms\": {:.4},\n    \"cache_speedup\": {:.1}\n  }},\n  \"equivalent_outputs\": {equivalent}\n}}\n",
+        sections.join(",\n"),
+        SCALES[0],
+        ms(t_uncached),
+        ms(t_warm),
+        ratio(t_uncached, t_warm),
     );
     std::fs::write("BENCH_parallel.json", &json).expect("write BENCH_parallel.json");
     println!("{json}");

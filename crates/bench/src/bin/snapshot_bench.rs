@@ -6,7 +6,7 @@
 //! snapshot, and times `LotusX::open` on the snapshot (bulk section
 //! reads, no rebuild). Both timings are minimum-of-reps. It then proves
 //! the loaded engine is *bit-identical* to the fresh one: every
-//! canonical query under all six concrete join algorithms plus the
+//! canonical query under every concrete join algorithm plus the
 //! adaptive `auto` chooser, tag/value completions over a prefix sweep,
 //! and the chooser's per-query algorithm decisions must render to
 //! byte-equal canonical strings.

@@ -21,20 +21,14 @@ fn dump_choices() {
                 let p = parse_query(q.text).unwrap();
                 let c = choose_algorithm(&idx, &p);
                 println!(
-                    "{} s{} {:4} {:45} -> {:15} nav={:>10} bin={:>10} path={:>20} hol={:>10}",
+                    "{} s{} {:4} {:45} -> {:15} nav={:>10} bin={:>10}",
                     ds.name(),
                     scale,
                     q.id,
                     q.text,
                     c.algorithm.name(),
                     c.nav_cost,
-                    c.binary_cost,
-                    if c.path_cost == u64::MAX {
-                        "MAX".to_string()
-                    } else {
-                        c.path_cost.to_string()
-                    },
-                    c.holistic_cost
+                    c.binary_cost
                 );
             }
         }

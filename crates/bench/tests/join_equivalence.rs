@@ -1,23 +1,21 @@
-//! Bit-identity guarantees for the columnar join engine: every
-//! algorithm (including the adaptive chooser and the pre-columnar
-//! entrywise TwigStack baseline) returns exactly the same `MatchSet`
-//! on the canonical corpora, under generous budgets, and across thread
-//! counts — and a starved budget only ever shrinks the result to a
-//! valid subset, never corrupts it.
+//! Bit-identity guarantees for the join engine: every algorithm
+//! (including the adaptive chooser) returns exactly the same `MatchSet`
+//! as the navigational oracle on the canonical corpora and under
+//! generous budgets — and a starved budget only ever shrinks the result
+//! to a valid subset, never corrupts it.
 
 use lotusx_bench::fixture;
 use lotusx_datagen::{queries::queries, Dataset};
 use lotusx_guard::{Budget, QueryGuard};
-use lotusx_twig::algorithms::twigstack;
 use lotusx_twig::matcher::match_is_valid;
 use lotusx_twig::xpath::parse_query;
-use lotusx_twig::{execute, execute_budgeted, execute_parallel, Algorithm};
+use lotusx_twig::{execute, execute_budgeted, Algorithm};
 
 const SCALES: [u32; 2] = [1, 2];
 
-/// Every concrete algorithm, the auto policy, and the entrywise
-/// baseline produce bit-identical (not merely equal-length) match
-/// sets on every canonical dataset × query × scale.
+/// Every concrete algorithm and the auto policy produce bit-identical
+/// (not merely equal-length) match sets on every canonical dataset ×
+/// query × scale.
 #[test]
 fn all_algorithms_are_bit_identical_on_canonical_corpora() {
     for ds in Dataset::ALL {
@@ -30,9 +28,6 @@ fn all_algorithms_are_bit_identical_on_canonical_corpora() {
                     let got = execute(&idx, &pattern, algo);
                     assert_eq!(got, reference, "{ds} s{scale} {} via {algo}", q.id);
                 }
-                let entrywise =
-                    twigstack::evaluate_entrywise_guarded(&idx, &pattern, &QueryGuard::unlimited());
-                assert_eq!(entrywise, reference, "{ds} s{scale} {} entrywise", q.id);
             }
         }
     }
@@ -50,7 +45,7 @@ fn generous_budget_is_bit_identical_to_unbudgeted() {
             let reference = execute(&idx, &pattern, Algorithm::Naive);
             for algo in Algorithm::ALL.into_iter().chain([Algorithm::Auto]) {
                 let guard = QueryGuard::new(&budget);
-                let got = execute_budgeted(&idx, &pattern, algo, 1, None, &guard);
+                let got = execute_budgeted(&idx, &pattern, algo, None, &guard);
                 assert_eq!(got, reference, "{ds} {} via {algo}", q.id);
                 assert!(!guard.is_tripped(), "{ds} {} via {algo} tripped", q.id);
             }
@@ -70,7 +65,7 @@ fn starved_budget_returns_a_valid_subset() {
             for algo in Algorithm::ALL.into_iter().chain([Algorithm::Auto]) {
                 for quota in [1u64, 16, 256] {
                     let guard = QueryGuard::new(&Budget::unlimited().with_node_quota(quota));
-                    let got = execute_budgeted(&idx, &pattern, algo, 1, None, &guard);
+                    let got = execute_budgeted(&idx, &pattern, algo, None, &guard);
                     assert!(
                         got.len() <= reference.len(),
                         "{ds} {} via {algo} quota {quota}",
@@ -85,32 +80,6 @@ fn starved_budget_returns_a_valid_subset() {
                         assert!(
                             match_is_valid(&idx, &pattern, m),
                             "{ds} {} via {algo} quota {quota}: invalid match",
-                            q.id
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The weighted parallel partitioning keeps every thread count
-/// bit-identical to serial, for the algorithms that parallelize and the
-/// ones that ignore `threads` alike.
-#[test]
-fn parallel_execution_is_bit_identical_across_thread_counts() {
-    for ds in Dataset::ALL {
-        for scale in SCALES {
-            let idx = fixture(ds, scale);
-            for q in queries(ds) {
-                let pattern = parse_query(q.text).unwrap();
-                let reference = execute(&idx, &pattern, Algorithm::Naive);
-                for algo in [Algorithm::Naive, Algorithm::Auto] {
-                    for threads in [1usize, 2, 8] {
-                        let got = execute_parallel(&idx, &pattern, algo, threads);
-                        assert_eq!(
-                            got, reference,
-                            "{ds} s{scale} {} via {algo} x{threads}",
                             q.id
                         );
                     }

@@ -109,50 +109,43 @@ impl From<lotusx_storage::StorageError> for LotusError {
 /// let config = system
 ///     .config()
 ///     .clone()
-///     .algorithm(Algorithm::TJFast)
+///     .algorithm(Algorithm::StructuralJoin)
 ///     .result_limit(10);
 /// system.reconfigure(config).unwrap();
 /// ```
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    algorithm: Option<Algorithm>,
+    algorithm: Algorithm,
     weights: RankWeights,
     rewriter: RewriterConfig,
     auto_rewrite: bool,
     result_limit: usize,
-    threads: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            algorithm: Some(Algorithm::TwigStack),
+            algorithm: Algorithm::Auto,
             weights: RankWeights::default(),
             rewriter: RewriterConfig::default(),
             auto_rewrite: true,
             result_limit: 100,
-            threads: default_threads(),
         }
     }
 }
 
 impl EngineConfig {
-    /// The default configuration (TwigStack pinned, auto-rewrite on,
-    /// 100 results, the host's available parallelism).
+    /// The default configuration (per-query algorithm selection,
+    /// auto-rewrite on, 100 results).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Pins the join algorithm.
+    /// Sets the join algorithm: a concrete one pins it, the default
+    /// [`Algorithm::Auto`] lets the cost model pick per query (see
+    /// `lotusx_twig::choose_algorithm`).
     pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithm = Some(algorithm);
-        self
-    }
-
-    /// Lets the engine pick an algorithm per query from its shape and the
-    /// streams' selectivity (see `lotusx_twig::select_algorithm`).
-    pub fn auto_algorithm(mut self) -> Self {
-        self.algorithm = None;
+        self.algorithm = algorithm;
         self
     }
 
@@ -180,19 +173,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the worker-thread count for partitioned search and ranking
-    /// (`1` = fully serial). Outcomes are identical for every thread
-    /// count, so changing only this never invalidates the query cache.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The pinned algorithm (`None` = per-query auto-selection).
-    pub fn pinned_algorithm(&self) -> Option<Algorithm> {
-        self.algorithm
-    }
-
     /// The ranking weights.
     pub fn weights(&self) -> RankWeights {
         self.weights
@@ -213,18 +193,8 @@ impl EngineConfig {
         self.result_limit
     }
 
-    /// The worker-thread count.
-    pub fn threads_value(&self) -> usize {
-        self.threads
-    }
-
     /// Checks the configuration for nonsensical values.
     pub fn validate(&self) -> Result<(), LotusError> {
-        if self.threads == 0 {
-            return Err(LotusError::Config(
-                "threads must be at least 1 (1 = serial)".into(),
-            ));
-        }
         for (name, w) in [
             ("structure", self.weights.structure),
             ("content", self.weights.content),
@@ -245,8 +215,7 @@ impl EngineConfig {
         Ok(())
     }
 
-    /// Whether `self` and `other` can produce different query outcomes
-    /// (everything except the thread count, which never changes results).
+    /// Whether `self` and `other` can produce different query outcomes.
     fn affects_results_differently(&self, other: &EngineConfig) -> bool {
         let w = |x: RankWeights| {
             (
@@ -564,10 +533,6 @@ fn chosen_counter(algorithm: Algorithm) -> &'static str {
     match algorithm {
         Algorithm::Naive => "algo_chosen_naive",
         Algorithm::StructuralJoin => "algo_chosen_structural_join",
-        Algorithm::PathStack => "algo_chosen_pathstack",
-        Algorithm::TwigStack => "algo_chosen_twigstack",
-        Algorithm::TJFast => "algo_chosen_tjfast",
-        Algorithm::TwigStackGuided => "algo_chosen_twigstack_guided",
         Algorithm::Auto => "algo_chosen_auto",
     }
 }
@@ -714,7 +679,7 @@ impl LotusX {
     /// hottest tags exactly as [`Self::load_document`] does.
     pub fn from_indexed(idx: IndexedDocument) -> Self {
         let value_cache = ValueTrieCache::new();
-        value_cache.precompute_hottest(&idx, HOT_TAG_TRIES, EngineConfig::default().threads);
+        value_cache.precompute_hottest(&idx, HOT_TAG_TRIES, default_threads());
         Self::assemble(idx, value_cache)
     }
 
@@ -759,8 +724,8 @@ impl LotusX {
     }
 
     /// Validates and applies `config` atomically. The query cache is
-    /// invalidated iff a result-affecting knob changed (everything except
-    /// the thread count). On error nothing changes.
+    /// invalidated iff a result-affecting knob changed. On error nothing
+    /// changes.
     pub fn reconfigure(&mut self, config: EngineConfig) -> Result<(), LotusError> {
         config.validate()?;
         if self.config.affects_results_differently(&config) {
@@ -770,16 +735,16 @@ impl LotusX {
         Ok(())
     }
 
-    /// The pinned join algorithm (the default when auto-selection is on).
+    /// The configured join algorithm ([`Algorithm::Auto`] by default).
     pub fn algorithm(&self) -> Algorithm {
-        self.config.algorithm.unwrap_or(Algorithm::TwigStack)
+        self.config.algorithm
     }
 
     /// Resolves the effective join algorithm for one execution. A pinned
     /// concrete algorithm passes through; `Algorithm::Auto` (per request
-    /// or configuration) and an unset configuration run the cost-model
-    /// chooser, recording the decision as an `algo_chosen_*` counter and
-    /// an [`EventKind::AlgoChosen`] trace event.
+    /// or configuration) runs the cost-model chooser, recording the
+    /// decision as an `algo_chosen_*` counter and an
+    /// [`EventKind::AlgoChosen`] trace event.
     fn algorithm_for(
         &self,
         pattern: &TwigPattern,
@@ -787,8 +752,8 @@ impl LotusX {
         recording: bool,
         qid: QueryId,
     ) -> Algorithm {
-        match request_override.or(self.config.algorithm) {
-            Some(Algorithm::Auto) | None => {
+        match request_override.unwrap_or(self.config.algorithm) {
+            Algorithm::Auto => {
                 let choice = lotusx_twig::choose_algorithm(&self.idx, pattern);
                 if recording {
                     lotusx_obs::metrics().incr(chosen_counter(choice.algorithm), 1);
@@ -801,13 +766,8 @@ impl LotusX {
                 );
                 choice.algorithm
             }
-            Some(pinned) => pinned,
+            pinned => pinned,
         }
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.config.threads
     }
 
     /// Aggregate hit/miss statistics of the query-result cache.
@@ -847,15 +807,16 @@ impl LotusX {
         }
     }
 
-    /// Runs many requests, partitioned across the worker threads. The
-    /// result at position `i` is exactly `self.query(&requests[i])`.
+    /// Runs many requests, partitioned across [`default_threads`] workers
+    /// (each request itself runs on one thread). The result at position
+    /// `i` is exactly `self.query(&requests[i])`.
     ///
     /// Worker panics are isolated: a panic while running one request
     /// surfaces as [`LotusError::WorkerPanic`] in that slot (after a
     /// serial retry of the affected chunk narrows it to the poisoned
     /// request) while every sibling request still completes normally.
     pub fn query_batch(&self, requests: &[QueryRequest]) -> Vec<Result<QueryResponse, LotusError>> {
-        par_map_isolated(requests, self.config.threads, |r| self.query(r))
+        par_map_isolated(requests, default_threads(), |r| self.query(r))
             .into_iter()
             .map(|slot| match slot {
                 Ok(response) => response,
@@ -996,7 +957,6 @@ impl LotusX {
                 executed: pattern.to_string(),
                 algorithm: executed_algorithm.map(|a| a.name().to_string()),
                 cache_hit: hit,
-                threads: self.config.threads,
                 candidates: outcome.total_matches,
                 results: outcome.results.len(),
                 rewritten: outcome.rewrite.as_ref().map(|i| i.pattern.to_string()),
@@ -1087,7 +1047,6 @@ impl LotusX {
             executed: request.text.clone(),
             algorithm: None,
             cache_hit: false,
-            threads: self.config.threads,
             candidates: total_matches,
             results: results.len(),
             rewritten: None,
@@ -1149,7 +1108,7 @@ impl LotusX {
     ) -> (SearchOutcome, Algorithm) {
         let algorithm = self.algorithm_for(pattern, algorithm_override, recording, qid);
         let matches = run_stage(span, Stage::Match, recording, qid, |s| {
-            execute_budgeted(&self.idx, pattern, algorithm, self.config.threads, s, guard)
+            execute_budgeted(&self.idx, pattern, algorithm, s, guard)
         });
         // A tripped guard suppresses rewriting: a truncated empty run says
         // nothing about whether the query is truly empty, and the budget
@@ -1160,27 +1119,23 @@ impl LotusX {
             outcome.algorithm = Some(algorithm);
             return (outcome, algorithm);
         }
-        // Empty: try rewriting.
-        let rewrites = run_stage(span, Stage::Rewrite, recording, qid, |s| {
+        // Empty: try rewriting, under the same budget. A search the guard
+        // cut short applies nothing — the re-execution could not run
+        // anyway — and the outcome reports the truncation.
+        let (rewrites, _) = run_stage(span, Stage::Rewrite, recording, qid, |s| {
             let setup = self.rewrite_setup.get_or_init(|| {
                 RewriteSetup::new(&self.idx, lotusx_rewrite::SynonymTable::default_table())
             });
-            Rewriter::over(&self.idx, setup, self.config.rewriter).rewrite_spanned(pattern, s)
+            Rewriter::over(&self.idx, setup, self.config.rewriter).rewrite(pattern, s, guard)
         });
-        match rewrites.into_iter().next() {
+        let best = rewrites.into_iter().next().filter(|_| !guard.is_tripped());
+        match best {
             Some(best) => {
                 lotusx_obs::emit(qid, EventKind::Rewrite { accepted: true });
                 let algorithm =
                     self.algorithm_for(&best.pattern, algorithm_override, recording, qid);
                 let matches = run_stage(span, Stage::Match, recording, qid, |s| {
-                    execute_budgeted(
-                        &self.idx,
-                        &best.pattern,
-                        algorithm,
-                        self.config.threads,
-                        s,
-                        guard,
-                    )
+                    execute_budgeted(&self.idx, &best.pattern, algorithm, s, guard)
                 });
                 let info = RewriteInfo {
                     pattern: best.pattern.clone(),
@@ -1233,7 +1188,7 @@ impl LotusX {
         let total_matches = matches.len();
         let ranked = run_stage(span, Stage::Rank, recording, qid, |s| {
             let ranker = Ranker::with_weights(&self.idx, self.config.weights);
-            ranker.rank_top_k_budgeted(pattern, &matches, limit, self.config.threads, s, guard)
+            ranker.rank_top_k_budgeted(pattern, &matches, limit, s, guard)
         });
         let results = run_stage(span, Stage::Serialize, recording, qid, |s| {
             let doc = self.idx.document();
@@ -1366,20 +1321,19 @@ mod tests {
     #[test]
     fn reconfigure_validates() {
         let mut system = LotusX::load_str(BIB).unwrap();
-        let bad = system.config().clone().threads(0);
-        assert!(matches!(
-            system.reconfigure(bad),
-            Err(LotusError::Config(_))
-        ));
-        assert_eq!(system.threads(), default_threads(), "unchanged on error");
         let bad = system.config().clone().rank_weights(RankWeights {
             structure: f64::NAN,
             ..RankWeights::default()
         });
         assert!(matches!(
-            system.reconfigure(bad),
+            system.reconfigure(bad.result_limit(7)),
             Err(LotusError::Config(_))
         ));
+        assert_eq!(
+            system.config().result_limit_value(),
+            100,
+            "unchanged on error"
+        );
     }
 
     #[test]
@@ -1412,18 +1366,21 @@ mod tests {
     #[test]
     fn responses_report_the_executed_algorithm() {
         let mut system = LotusX::load_str(BIB).unwrap();
-        // Pinned configuration: the pin is reported.
-        let response = system.query(&twig("//book[title][author]")).unwrap();
-        assert_eq!(response.algorithm, Some(Algorithm::TwigStack));
-        // Cache hits report the algorithm of the original execution.
-        let hit = system.query(&twig("//book[title][author]")).unwrap();
-        assert_eq!(hit.algorithm, Some(Algorithm::TwigStack));
-        // Auto (via configuration) resolves to a concrete algorithm.
-        let config = system.config().clone().auto_algorithm();
-        system.reconfigure(config).unwrap();
+        // Auto (the default configuration) resolves to a concrete
+        // algorithm.
+        assert_eq!(system.algorithm(), Algorithm::Auto);
         let auto = system.query(&twig("//book[title][author]")).unwrap();
         let resolved = auto.algorithm.expect("a join ran");
         assert_ne!(resolved, Algorithm::Auto, "always resolved");
+        // Pinned configuration: the pin is reported.
+        let config = system.config().clone().algorithm(Algorithm::StructuralJoin);
+        system.reconfigure(config).unwrap();
+        assert_eq!(system.algorithm(), Algorithm::StructuralJoin);
+        let response = system.query(&twig("//book[title][author]")).unwrap();
+        assert_eq!(response.algorithm, Some(Algorithm::StructuralJoin));
+        // Cache hits report the algorithm of the original execution.
+        let hit = system.query(&twig("//book[title][author]")).unwrap();
+        assert_eq!(hit.algorithm, Some(Algorithm::StructuralJoin));
         // Auto as a per-request override resolves too.
         let fresh = LotusX::load_str(BIB).unwrap();
         let via_request = fresh
@@ -1439,20 +1396,22 @@ mod tests {
     #[test]
     fn auto_algorithm_matches_pinned_results() {
         let mut system = LotusX::load_str(BIB).unwrap();
-        let pinned = system
+        let auto = system
             .query(&twig("//book[title][author]"))
             .unwrap()
             .total_matches;
-        let config = system.config().clone().auto_algorithm();
-        system.reconfigure(config).unwrap();
-        assert_eq!(
-            system
-                .query(&twig("//book[title][author]"))
-                .unwrap()
-                .total_matches,
-            pinned
-        );
-        assert_eq!(system.algorithm(), Algorithm::TwigStack, "reported default");
+        for pinned in Algorithm::ALL {
+            let config = system.config().clone().algorithm(pinned);
+            system.reconfigure(config).unwrap();
+            assert_eq!(
+                system
+                    .query(&twig("//book[title][author]"))
+                    .unwrap()
+                    .total_matches,
+                auto,
+                "{pinned}"
+            );
+        }
     }
 
     #[test]
@@ -1567,15 +1526,16 @@ mod tests {
     #[test]
     fn profiles_report_cache_hits() {
         let system = LotusX::load_str(BIB).unwrap();
-        let miss = system.query(&twig("//book/title").profiled(true)).unwrap();
+        let request = twig("//book/title").algorithm(Algorithm::StructuralJoin);
+        let miss = system.query(&request.clone().profiled(true)).unwrap();
         let p = miss.profile.expect("requested");
         assert!(!p.cache_hit);
-        assert_eq!(p.algorithm.as_deref(), Some("twigstack"));
+        assert_eq!(p.algorithm.as_deref(), Some("structural-join"));
         assert_eq!(p.candidates, 2);
         assert_eq!(p.results, 2);
         assert!(p.stage_ns("match") > 0);
         assert!(p.stages_ns() <= p.total_ns());
-        let hit = system.query(&twig("//book/title").profiled(true)).unwrap();
+        let hit = system.query(&request.profiled(true)).unwrap();
         let p = hit.profile.expect("requested");
         assert!(p.cache_hit);
         assert!(p.algorithm.is_none(), "cache hits never reach the join");
@@ -1631,16 +1591,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_only_changes_keep_the_cache() {
-        let mut system = LotusX::load_str(BIB).unwrap();
-        system.query(&twig("//author")).unwrap();
-        let config = system.config().clone().threads(2);
-        system.reconfigure(config).unwrap();
-        system.query(&twig("//author")).unwrap();
-        assert_eq!(system.query_cache_stats().hits, 1, "cache survives");
-    }
-
-    #[test]
     fn batch_query_matches_individual_queries() {
         let system = LotusX::load_str(BIB).unwrap();
         let requests: Vec<QueryRequest> = [
@@ -1666,41 +1616,6 @@ mod tests {
             }
         }
         assert!(batch[2].is_err(), "malformed query surfaces its error");
-    }
-
-    #[test]
-    fn thread_count_does_not_change_outcomes() {
-        let mut serial = LotusX::load_str(BIB).unwrap();
-        serial
-            .reconfigure(serial.config().clone().threads(1))
-            .unwrap();
-        let mut parallel = LotusX::load_str(BIB).unwrap();
-        for threads in [2, 8] {
-            parallel
-                .reconfigure(parallel.config().clone().threads(threads))
-                .unwrap();
-            assert_eq!(parallel.threads(), threads);
-            for q in [
-                "//book/title",
-                "//book[title][author]",
-                "ordered //book[title][year]",
-            ] {
-                let a = serial.query(&twig(q)).unwrap();
-                let b = parallel.query(&twig(q)).unwrap();
-                assert_eq!(a.total_matches, b.total_matches, "{q} at {threads}");
-                let ka: Vec<_> = a
-                    .matches
-                    .iter()
-                    .map(|r| (r.bindings.clone(), r.score.to_bits()))
-                    .collect();
-                let kb: Vec<_> = b
-                    .matches
-                    .iter()
-                    .map(|r| (r.bindings.clone(), r.score.to_bits()))
-                    .collect();
-                assert_eq!(ka, kb, "{q} at {threads}");
-            }
-        }
     }
 
     #[test]

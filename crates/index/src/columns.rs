@@ -309,19 +309,6 @@ impl OwnedColumns {
     /// Transposes a document-ordered entry slice, including the end
     /// max-segment-tree (needed by `seek_end_at_least`).
     pub fn from_entries(entries: &[ElementEntry]) -> Self {
-        Self::transpose(entries, true)
-    }
-
-    /// Transposes a document-ordered entry slice without building the end
-    /// max-segment-tree. For per-query owned streams whose consumer never
-    /// end-seeks (the holistic joins only gallop on `starts`), skipping
-    /// the tree halves the transpose cost; `seek_end_at_least` on such
-    /// columns falls back to a correct linear scan.
-    pub fn from_entries_without_end_tree(entries: &[ElementEntry]) -> Self {
-        Self::transpose(entries, false)
-    }
-
-    fn transpose(entries: &[ElementEntry], with_end_tree: bool) -> Self {
         let mut cols = OwnedColumns {
             starts: Vec::with_capacity(entries.len()),
             ends: Vec::with_capacity(entries.len()),
@@ -342,9 +329,7 @@ impl OwnedColumns {
             cols.levels.push(e.region.level);
             cols.nodes.push(e.node);
         }
-        if with_end_tree {
-            build_max_tree(&cols.ends, &mut cols.end_tree);
-        }
+        build_max_tree(&cols.ends, &mut cols.end_tree);
         cols
     }
 
@@ -432,17 +417,10 @@ impl<'a> ColumnView<'a> {
     }
 
     /// First position `>= from` with `ends[pos] >= end`, by segment-tree
-    /// descent (see module docs for why `ends` cannot be galloped). Owned
-    /// columns built without an end tree scan linearly — still correct,
-    /// just not logarithmic.
+    /// descent (see module docs for why `ends` cannot be galloped).
     fn first_end_at_least(&self, from: usize, end: u32) -> usize {
         if end == 0 {
             return from.min(self.len());
-        }
-        if self.end_tree.is_empty() && !self.is_empty() {
-            return (from..self.len())
-                .find(|&i| self.ends[i] >= end)
-                .unwrap_or(self.len());
         }
         match tree_first_at_least(self.end_tree, from, end) {
             usize::MAX => self.len(),
@@ -679,26 +657,6 @@ mod tests {
                     scalar.position(),
                     "from={from} target={target}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn treeless_columns_end_seek_falls_back_to_linear() {
-        let entries = nested();
-        let cheap = OwnedColumns::from_entries_without_end_tree(&entries);
-        let full = OwnedColumns::from_entries(&entries);
-        for from in 0..=entries.len() {
-            for target in 0..110u32 {
-                let mut a = cheap.view().cursor();
-                let mut b = full.view().cursor();
-                for _ in 0..from {
-                    a.advance();
-                    b.advance();
-                }
-                a.seek_end_at_least(target);
-                b.seek_end_at_least(target);
-                assert_eq!(a.position(), b.position(), "from={from} target={target}");
             }
         }
     }

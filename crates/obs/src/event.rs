@@ -171,7 +171,7 @@ pub enum EventKind {
     /// The adaptive chooser resolved `Algorithm::Auto` to a concrete join
     /// algorithm for this query.
     AlgoChosen {
-        /// The chosen algorithm's stable name (e.g. `twigstack`).
+        /// The chosen algorithm's stable name (e.g. `structural-join`).
         algorithm: &'static str,
     },
     /// The serving layer accepted a connection.

@@ -31,7 +31,7 @@
 //!
 //! let root = Span::new("query");
 //! root.time("parse", |_| { /* … */ });
-//! root.time("match", |s| s.annotate("algorithm", "twigstack"));
+//! root.time("match", |s| s.annotate("algorithm", "structural-join"));
 //! let profile = QueryProfile {
 //!     query: "//book/title".into(),
 //!     span: root.finish(),

@@ -14,7 +14,7 @@ use std::time::Instant;
 /// A finished span: name, wall time, annotations and finished children.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// What the span measured (e.g. `parse`, `match/twigstack`).
+    /// What the span measured (e.g. `parse`, `match/structural-join`).
     pub name: String,
     /// Wall time between the span's start and finish.
     pub duration_ns: u64,
@@ -188,7 +188,7 @@ mod tests {
         {
             let exec = root.child("match");
             {
-                let inner = exec.child("twigstack");
+                let inner = exec.child("structural-join");
                 inner.annotate("matches", 3);
             }
         }
@@ -198,7 +198,7 @@ mod tests {
         assert_eq!(rec.children[0].name, "parse");
         assert_eq!(rec.children[0].note("bytes"), Some("12"));
         let exec = rec.child("match").unwrap();
-        assert_eq!(exec.children[0].name, "twigstack");
+        assert_eq!(exec.children[0].name, "structural-join");
         assert_eq!(exec.children[0].note("matches"), Some("3"));
         assert!(rec.child("nosuch").is_none());
         assert_eq!(rec.child_ns("nosuch"), 0);
@@ -263,7 +263,7 @@ mod tests {
                 SpanRecord {
                     name: "match".into(),
                     duration_ns: 45_600,
-                    notes: vec![("algorithm".into(), "twigstack".into())],
+                    notes: vec![("algorithm".into(), "structural-join".into())],
                     children: vec![SpanRecord {
                         name: "ordered-filter".into(),
                         duration_ns: 1_000,
@@ -275,7 +275,7 @@ mod tests {
         let text = rec.render();
         assert!(text.contains("query 70.0µs  cache=miss"));
         assert!(text.contains("├─ parse 12.3µs"));
-        assert!(text.contains("└─ match 45.6µs  algorithm=twigstack"));
+        assert!(text.contains("└─ match 45.6µs  algorithm=structural-join"));
         assert!(text.contains("   └─ ordered-filter 1.0µs"));
         // The last child flips from ├─ to └─.
         rec.children.pop();

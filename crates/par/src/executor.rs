@@ -5,14 +5,9 @@
 //! chunk order. Because chunk boundaries depend only on `(len, threads)`
 //! and recombination is ordered, the output never depends on scheduling —
 //! the invariant the parallel-vs-serial equivalence suite checks.
-//!
-//! The executor keeps process-wide usage counters ([`executor_stats`]):
-//! two relaxed atomic adds per combinator call, which the observability
-//! layer folds into its metrics snapshot.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 thread_local! {
@@ -89,32 +84,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Process-wide executor usage counters (see [`executor_stats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ExecutorStats {
-    /// Combinator invocations (`par_map` / `par_chunks` / `par_fold`).
-    pub jobs: u64,
-    /// Worker threads spawned (0 for inline/serial runs).
-    pub threads_spawned: u64,
-}
-
-static JOBS: AtomicU64 = AtomicU64::new(0);
-static THREADS_SPAWNED: AtomicU64 = AtomicU64::new(0);
-
-/// A snapshot of the process-wide executor counters.
-pub fn executor_stats() -> ExecutorStats {
-    ExecutorStats {
-        jobs: JOBS.load(Ordering::Relaxed),
-        threads_spawned: THREADS_SPAWNED.load(Ordering::Relaxed),
-    }
-}
-
-/// Resets the executor counters to zero (tests and CLI `stats reset`).
-pub fn reset_executor_stats() {
-    JOBS.store(0, Ordering::Relaxed);
-    THREADS_SPAWNED.store(0, Ordering::Relaxed);
-}
-
 /// The number of worker threads to use by default: the `LOTUSX_THREADS`
 /// environment variable when set to a positive integer, otherwise the
 /// host's available parallelism (1 if unknown).
@@ -141,48 +110,15 @@ fn chunk_ranges(len: usize, threads: usize) -> Vec<std::ops::Range<usize>> {
         .collect()
 }
 
-/// Splits `len` items into at most `threads` contiguous ranges of
-/// roughly equal total weight: each chunk closes once it holds its fair
-/// share of the weight that was left when it began, so one heavy item
-/// gets a chunk to itself and the light tail spreads over the rest.
-/// Boundaries depend only on `(weights, threads)` — deterministic.
-fn weighted_chunk_ranges(weights: &[u64], threads: usize) -> Vec<std::ops::Range<usize>> {
-    let len = weights.len();
-    let threads = threads.max(1).min(len.max(1));
-    let total: u64 = weights.iter().sum();
-    if threads <= 1 || total == 0 {
-        // Serial, or nothing to balance: fall back to even item counts.
-        return chunk_ranges(len, threads);
-    }
-    let mut ranges = Vec::with_capacity(threads);
-    let mut remaining = total;
-    let mut start = 0usize;
-    let mut acc = 0u64;
-    for (i, &w) in weights.iter().enumerate() {
-        acc += w;
-        remaining -= w;
-        let chunks_left = (threads - ranges.len()) as u64;
-        // acc >= (acc + remaining) / chunks_left, in overflow-safe form.
-        if chunks_left > 1 && acc.saturating_mul(chunks_left) >= remaining + acc {
-            ranges.push(start..i + 1);
-            start = i + 1;
-            acc = 0;
-        }
-    }
-    if start < len {
-        ranges.push(start..len);
-    }
-    ranges
-}
-
-/// Per-chunk outcome of [`run_ranges`]: the chunk's result, or the
+/// Per-chunk outcome of [`run_chunks`]: the chunk's result, or the
 /// structured panic record plus the original payload (kept so the
 /// infallible combinators can [`resume_unwind`] it on the caller).
 type ChunkOutcome<U> = Result<U, (WorkerPanic, Box<dyn std::any::Any + Send>)>;
 
-/// The shared chunked runner: applies `f` to every chunk, catching each
+/// The shared chunked runner: applies `f` to every chunk — one scoped
+/// worker per chunk, inline when there is at most one — catching each
 /// worker's panic individually so one poisoned chunk never takes down
-/// its siblings — every other chunk runs to completion and returns its
+/// its siblings: every other chunk runs to completion and returns its
 /// result.
 fn run_chunks<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<ChunkOutcome<U>>
 where
@@ -190,22 +126,7 @@ where
     U: Send,
     F: Fn(usize, &[T]) -> U + Sync,
 {
-    run_ranges(items, chunk_ranges(items.len(), threads), f)
-}
-
-/// Runs `f` over the given precomputed contiguous ranges of `items`, one
-/// scoped worker per range (inline when there is at most one range).
-fn run_ranges<T, U, F>(
-    items: &[T],
-    ranges: Vec<std::ops::Range<usize>>,
-    f: F,
-) -> Vec<ChunkOutcome<U>>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &[T]) -> U + Sync,
-{
-    JOBS.fetch_add(1, Ordering::Relaxed);
+    let ranges = chunk_ranges(items.len(), threads);
     let capture = |chunk_index: usize, r: std::ops::Range<usize>| -> ChunkOutcome<U> {
         let chunk = &items[r.clone()];
         catch_unwind(AssertUnwindSafe(|| f(r.start, chunk))).map_err(|payload| {
@@ -227,7 +148,6 @@ where
             .map(|(i, r)| capture(i, r))
             .collect();
     }
-    THREADS_SPAWNED.fetch_add(ranges.len() as u64, Ordering::Relaxed);
     std::thread::scope(|scope| {
         let handles: Vec<_> = ranges
             .into_iter()
@@ -282,7 +202,7 @@ where
 /// If a worker panics, every sibling chunk still runs to completion;
 /// the first panic (in chunk order) is then re-raised on the calling
 /// thread. Callers that want panics as values instead use
-/// [`try_par_chunks`].
+/// [`par_map_isolated`].
 pub fn par_chunks<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
 where
     T: Sync,
@@ -297,54 +217,6 @@ where
         }
     }
     out
-}
-
-/// Like [`par_chunks`], but chunk boundaries balance *work* instead of
-/// item count: `weight` prices each item, and every chunk takes on
-/// roughly the same total weight. With uniform weights this still
-/// differs from [`par_chunks`]' fixed arithmetic split, so callers that
-/// pin exact chunk boundaries keep using [`par_chunks`].
-///
-/// Deterministic for a fixed `(items, threads, weight)`: boundaries
-/// depend only on the weight sequence, never on scheduling. Panic
-/// semantics match [`par_chunks`] — siblings finish, then the first
-/// panic (in chunk order) is re-raised.
-///
-/// Use when per-item cost is predictably skewed (e.g. tree roots with
-/// very different subtree sizes) and an even item count would leave all
-/// but one worker idle behind the heaviest chunk.
-pub fn par_chunks_weighted<T, U, W, F>(items: &[T], threads: usize, weight: W, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    W: Fn(&T) -> u64,
-    F: Fn(usize, &[T]) -> U + Sync,
-{
-    let weights: Vec<u64> = items.iter().map(&weight).collect();
-    let ranges = weighted_chunk_ranges(&weights, threads);
-    let mut out = Vec::new();
-    for outcome in run_ranges(items, ranges, f) {
-        match outcome {
-            Ok(u) => out.push(u),
-            Err((_, payload)) => resume_unwind(payload),
-        }
-    }
-    out
-}
-
-/// Like [`par_chunks`], but worker panics become per-chunk
-/// [`WorkerPanic`] values instead of unwinding the caller. Sibling
-/// chunks always complete and keep their results.
-pub fn try_par_chunks<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<Result<U, WorkerPanic>>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &[T]) -> U + Sync,
-{
-    run_chunks(items, threads, f)
-        .into_iter()
-        .map(|outcome| outcome.map_err(|(wp, _payload)| wp))
-        .collect()
 }
 
 /// Order-preserving parallel map: `par_map(xs, t, f)` equals
@@ -379,12 +251,12 @@ where
     F: Fn(&T) -> U + Sync,
 {
     let mut out = Vec::with_capacity(items.len());
-    for outcome in try_par_chunks(items, threads, |start, chunk| {
-        (start, chunk.iter().map(&f).collect::<Vec<U>>())
+    for outcome in run_chunks(items, threads, |_, chunk| {
+        chunk.iter().map(&f).collect::<Vec<U>>()
     }) {
         match outcome {
-            Ok((_, results)) => out.extend(results.into_iter().map(Ok)),
-            Err(panic) => {
+            Ok(results) => out.extend(results.into_iter().map(Ok)),
+            Err((panic, _payload)) => {
                 // Serial per-item retry isolates the poisoned item(s).
                 for (offset, item) in items[panic.start..panic.start + panic.len]
                     .iter()
@@ -406,25 +278,6 @@ where
     out
 }
 
-/// Parallel fold: each worker folds its contiguous chunk into a fresh
-/// accumulator from `init`, then the per-chunk accumulators are merged
-/// left-to-right in chunk order with `merge`. Deterministic whenever
-/// `merge` is associative over chunk concatenation (it need not be
-/// commutative — chunk order is preserved).
-pub fn par_fold<T, A, I, F, M>(items: &[T], threads: usize, init: I, fold: F, merge: M) -> A
-where
-    T: Sync,
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(A, &T) -> A + Sync,
-    M: Fn(A, A) -> A,
-{
-    let accs = par_chunks(items, threads, |_, chunk| chunk.iter().fold(init(), &fold));
-    let mut iter = accs.into_iter();
-    let first = iter.next().unwrap_or_else(&init);
-    iter.fold(first, merge)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,97 +295,6 @@ mod tests {
                 assert!(ranges.len() <= threads.max(1));
             }
         }
-    }
-
-    #[test]
-    fn weighted_ranges_cover_exactly_once_and_respect_thread_cap() {
-        let weight_sets: Vec<Vec<u64>> = vec![
-            vec![],
-            vec![5],
-            vec![0, 0, 0, 0],
-            vec![1; 100],
-            vec![1000, 1, 1, 1, 1, 1, 1, 1],
-            (0..97).map(|i| (i * 37 + 11) % 101).collect(),
-        ];
-        for weights in &weight_sets {
-            for threads in [1usize, 2, 3, 8, 200] {
-                let ranges = weighted_chunk_ranges(weights, threads);
-                let mut covered = Vec::new();
-                for r in &ranges {
-                    covered.extend(r.clone());
-                }
-                assert_eq!(
-                    covered,
-                    (0..weights.len()).collect::<Vec<_>>(),
-                    "{weights:?}/{threads}"
-                );
-                assert!(ranges.len() <= threads.max(1));
-            }
-        }
-    }
-
-    #[test]
-    fn weighted_ranges_isolate_a_heavy_head() {
-        // One item carrying almost all the weight gets a chunk to
-        // itself; the light tail spreads over the remaining workers.
-        let weights = vec![1000u64, 1, 1, 1, 1, 1, 1, 1, 1];
-        let ranges = weighted_chunk_ranges(&weights, 4);
-        assert_eq!(ranges[0], 0..1, "heavy item isolated: {ranges:?}");
-        assert!(ranges.len() > 1);
-    }
-
-    #[test]
-    fn par_chunks_weighted_matches_serial_for_every_thread_count() {
-        let items: Vec<u64> = (0..257).collect();
-        let expect: u64 = items.iter().map(|x| x * 3).sum();
-        for threads in [1, 2, 3, 8, 64] {
-            let got: u64 = par_chunks_weighted(
-                &items,
-                threads,
-                |x| *x, // skewed: later items are heavier
-                |_, chunk| chunk.iter().map(|x| x * 3).sum::<u64>(),
-            )
-            .into_iter()
-            .sum();
-            assert_eq!(got, expect, "{threads}");
-        }
-    }
-
-    #[test]
-    fn par_chunks_weighted_balances_skewed_weights() {
-        // Even item-count chunking would put the whole heavy prefix in
-        // one chunk; weighted chunking splits by work instead.
-        let items: Vec<u64> = (0..64).map(|i| if i < 8 { 100 } else { 1 }).collect();
-        let loads = par_chunks_weighted(&items, 4, |w| *w, |_, chunk| chunk.iter().sum::<u64>());
-        let max = loads.iter().copied().max().unwrap();
-        let total: u64 = items.iter().sum();
-        assert!(max <= total / 2, "no chunk hoards the weight: {loads:?}");
-    }
-
-    #[test]
-    fn par_chunks_weighted_passes_chunk_offsets_and_propagates_panics() {
-        let items: Vec<u32> = (0..100).collect();
-        let chunks = par_chunks_weighted(&items, 4, |_| 1, |start, chunk| (start, chunk.len()));
-        let mut expected_start = 0;
-        for (start, len) in chunks {
-            assert_eq!(start, expected_start);
-            expected_start += len;
-        }
-        assert_eq!(expected_start, items.len());
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            par_chunks_weighted(
-                &items,
-                4,
-                |_| 1,
-                |start, _| {
-                    if start == 0 {
-                        panic!("weighted chunk dies");
-                    }
-                    0u32
-                },
-            )
-        }));
-        assert!(caught.is_err());
     }
 
     #[test]
@@ -557,81 +319,23 @@ mod tests {
     }
 
     #[test]
-    fn par_fold_is_deterministic_and_ordered() {
-        // String concatenation is associative but NOT commutative: any
-        // out-of-order merge would scramble the result.
-        let items: Vec<String> = (0..50).map(|i| format!("{i};")).collect();
-        let expect: String = items.concat();
-        for threads in [1, 2, 5, 16] {
-            let got = par_fold(
-                &items,
-                threads,
-                String::new,
-                |mut acc, s| {
-                    acc.push_str(s);
-                    acc
-                },
-                |mut a, b| {
-                    a.push_str(&b);
-                    a
-                },
-            );
-            assert_eq!(got, expect, "{threads}");
-        }
-    }
-
-    #[test]
     fn empty_input_is_fine() {
         let items: [u8; 0] = [];
         assert!(par_map(&items, 4, |x| *x).is_empty());
         assert!(par_chunks(&items, 4, |_, c| c.len()).is_empty());
-        assert_eq!(
-            par_fold(&items, 4, || 7u32, |a, _| a, |a, b| a + b),
-            7,
-            "empty fold yields init()"
-        );
     }
 
     #[test]
-    fn panicking_chunk_fails_alone_in_try_par_chunks() {
-        let items: Vec<u32> = (0..100).collect();
-        let outcomes = try_par_chunks(&items, 4, |start, chunk| {
-            if start == 25 {
-                panic!("chunk at {start} is poisoned");
-            }
-            chunk.iter().sum::<u32>()
-        });
-        assert_eq!(outcomes.len(), 4);
-        let mut failed = 0;
-        for (i, o) in outcomes.iter().enumerate() {
-            match o {
-                Ok(sum) => {
-                    let expect: u32 = items[i * 25..(i + 1) * 25].iter().sum();
-                    assert_eq!(*sum, expect, "sibling chunk {i} completed intact");
-                }
-                Err(wp) => {
-                    failed += 1;
-                    assert_eq!(wp.chunk_index, 1);
-                    assert_eq!(wp.start, 25);
-                    assert_eq!(wp.len, 25);
-                    assert!(wp.message.contains("poisoned"), "{}", wp.message);
-                }
-            }
-        }
-        assert_eq!(failed, 1, "exactly the poisoned chunk failed");
-    }
-
-    #[test]
-    fn try_par_chunks_catches_inline_serial_panics_too() {
+    fn par_map_isolated_catches_inline_serial_panics_too() {
         let items: Vec<u32> = (0..8).collect();
-        let outcomes = try_par_chunks(&items, 1, |_, _| -> u32 { panic!("serial boom") });
-        assert_eq!(outcomes.len(), 1);
-        assert!(outcomes[0].is_err());
+        let outcomes = par_map_isolated(&items, 1, |_| -> u32 { panic!("serial boom") });
+        assert_eq!(outcomes.len(), 8);
+        assert!(outcomes.iter().all(|o| o.is_err()));
     }
 
     #[test]
     fn par_chunks_resumes_panic_after_siblings_finish() {
-        use std::sync::atomic::AtomicUsize;
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let completed = AtomicUsize::new(0);
         let items: Vec<u32> = (0..100).collect();
         let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -719,24 +423,4 @@ mod tests {
     // The worker-observer hook is process-global, so its test lives in
     // `tests/worker_observer.rs` (own process — no cross-test pollution
     // from concurrently running parallel jobs).
-
-    #[test]
-    fn executor_counters_are_monotonic() {
-        let items: Vec<u32> = (0..64).collect();
-        let before = executor_stats();
-        let _ = par_map(&items, 4, |x| x + 1);
-        let after = executor_stats();
-        assert!(after.jobs > before.jobs);
-        assert!(
-            after.threads_spawned >= before.threads_spawned + 2,
-            "a 4-way map spawns workers"
-        );
-        // Serial runs count the job but spawn nothing.
-        let before = executor_stats();
-        let _ = par_map(&items, 1, |x| x + 1);
-        assert!(executor_stats().jobs > before.jobs);
-        // Reset is only guaranteed exact when no other threads are
-        // running combinators; here just check it does not panic.
-        reset_executor_stats();
-    }
 }

@@ -8,7 +8,7 @@
 //! Three pieces:
 //!
 //! * [`executor`] — deterministic chunked `par_map` / `par_chunks` /
-//!   `par_fold` over slices. Chunks are contiguous and results are merged
+//!   `par_map_isolated` over slices. Chunks are contiguous and results are merged
 //!   in chunk order, so every combinator is order-preserving: the output
 //!   is byte-identical for any thread count.
 //! * [`sharded`] — [`ShardedMap`], a fixed-shard `RwLock<HashMap>` used
@@ -23,9 +23,8 @@ pub mod lru;
 pub mod sharded;
 
 pub use executor::{
-    current_lane, default_threads, executor_stats, panic_message, par_chunks, par_chunks_weighted,
-    par_fold, par_map, par_map_isolated, reset_executor_stats, set_worker_observer, try_par_chunks,
-    ExecutorStats, WorkerPanic,
+    current_lane, default_threads, panic_message, par_chunks, par_map, par_map_isolated,
+    set_worker_observer, WorkerPanic,
 };
 pub use lru::{CacheStats, ConcurrentLru, ShardedLru};
 pub use sharded::{ShardLoad, ShardedMap};

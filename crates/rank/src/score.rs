@@ -193,32 +193,27 @@ impl<'a> Ranker<'a> {
             .collect()
     }
 
-    /// Scores matches across `threads` workers and returns the best `k`.
-    ///
-    /// Exactly equal to `self.rank(pattern, matches)` truncated to `k`
-    /// for every thread count: the (score descending, document-order
-    /// ascending) tie-break is a total order, so per-chunk bounded
-    /// [`OrderedTopK`] collectors merge to the exact global top-k, and
-    /// scoring a match is pure — the same match yields bit-identical
-    /// scores on any thread.
+    /// Scores matches and returns the best `k`: exactly
+    /// `self.rank(pattern, matches)` truncated to `k` — the (score
+    /// descending, document-order ascending) tie-break is a total order,
+    /// so the bounded [`OrderedTopK`] collector retains the global top-k.
     pub fn rank_top_k(
         &self,
         pattern: &TwigPattern,
         matches: &MatchSet,
         k: usize,
-        threads: usize,
     ) -> Vec<ScoredMatch> {
         let unlimited = lotusx_guard::QueryGuard::unlimited();
-        self.rank_top_k_budgeted(pattern, matches, k, threads, None, &unlimited)
+        self.rank_top_k_budgeted(pattern, matches, k, None, &unlimited)
     }
 
     /// Like [`Self::rank_top_k`], under a budget and recording the
     /// score/select and sort phases as timed children of `span` when one
-    /// is supplied (the span never changes the ranking). Each worker
-    /// charges one node visit per match scored and stops scoring once
-    /// the guard trips. The matches handed in are already verified, so
-    /// the truncated top-k is an exact top-k over the scored prefix —
-    /// every returned hit is a true hit.
+    /// is supplied (the span never changes the ranking). Scoring charges
+    /// one node visit per match and stops once the guard trips. The
+    /// matches handed in are already verified, so the truncated top-k is
+    /// an exact top-k over the scored prefix — every returned hit is a
+    /// true hit.
     ///
     /// Rows are scored where they lie and enter the collector by
     /// reference; only the `k` survivors are copied out.
@@ -227,7 +222,6 @@ impl<'a> Ranker<'a> {
         pattern: &TwigPattern,
         matches: &MatchSet,
         k: usize,
-        threads: usize,
         span: Option<&lotusx_obs::Span>,
         qguard: &lotusx_guard::QueryGuard,
     ) -> Vec<ScoredMatch> {
@@ -238,26 +232,14 @@ impl<'a> Ranker<'a> {
             g
         });
         let scorer = self.scorer(pattern);
-        // Zero-sized items: the executor only hands out row ranges.
-        let row_slots = vec![(); matches.len()];
-        let collector = lotusx_par::par_chunks(&row_slots, threads, |start, slots| {
-            let mut acc = OrderedTopK::new(k);
-            let mut ticker = qguard.ticker();
-            for i in start..start + slots.len() {
-                if ticker.tick(1) {
-                    break;
-                }
-                let row = matches.row(i);
-                acc.push(scorer.score(row), row);
+        let mut collector = OrderedTopK::new(k);
+        let mut ticker = qguard.ticker();
+        for row in matches.rows() {
+            if ticker.tick(1) {
+                break;
             }
-            acc
-        })
-        .into_iter()
-        .reduce(|mut a, b| {
-            a.merge(b);
-            a
-        })
-        .unwrap_or_else(|| OrderedTopK::new(k));
+            collector.push(scorer.score(row), row);
+        }
         drop(guard);
         let _sort = span.map(|p| p.child("sort"));
         collector
@@ -314,7 +296,7 @@ mod tests {
     fn tighter_structure_scores_higher() {
         let idx = idx();
         let pattern = parse_query("//book//author").unwrap();
-        let matches = execute(&idx, &pattern, Algorithm::TwigStack);
+        let matches = execute(&idx, &pattern, Algorithm::StructuralJoin);
         assert_eq!(matches.len(), 2);
         let ranker = Ranker::new(&idx);
         let ranked = ranker.rank(&pattern, &matches);
@@ -328,7 +310,7 @@ mod tests {
     fn content_relevance_boosts_term_matches() {
         let idx = idx();
         let pattern = parse_query(r#"//book[title ~ "twig"]"#).unwrap();
-        let matches = execute(&idx, &pattern, Algorithm::TwigStack);
+        let matches = execute(&idx, &pattern, Algorithm::StructuralJoin);
         assert_eq!(matches.len(), 1);
         let ranker = Ranker::new(&idx);
         let with_term = ranker.content_score(&pattern, matches.row(0));
@@ -336,7 +318,7 @@ mod tests {
 
         // A pattern without content predicates has zero content score.
         let plain = parse_query("//book").unwrap();
-        let m = execute(&idx, &plain, Algorithm::TwigStack);
+        let m = execute(&idx, &plain, Algorithm::StructuralJoin);
         assert_eq!(ranker.content_score(&plain, m.row(0)), 0.0);
     }
 
@@ -350,7 +332,10 @@ mod tests {
             r#"//book[title ~ "xml twig"]"#,
         ] {
             let pattern = parse_query(q).unwrap();
-            for sm in ranker.rank(&pattern, &execute(&idx, &pattern, Algorithm::TwigStack)) {
+            for sm in ranker.rank(
+                &pattern,
+                &execute(&idx, &pattern, Algorithm::StructuralJoin),
+            ) {
                 assert!(sm.score > 0.0 && sm.score <= 1.0, "{q}: {}", sm.score);
             }
         }
@@ -375,7 +360,7 @@ mod tests {
     fn ranking_is_deterministic() {
         let idx = idx();
         let pattern = parse_query("//book//author").unwrap();
-        let matches = execute(&idx, &pattern, Algorithm::TwigStack);
+        let matches = execute(&idx, &pattern, Algorithm::StructuralJoin);
         let ranker = Ranker::new(&idx);
         let a: Vec<f64> = ranker
             .rank(&pattern, &matches)
@@ -394,7 +379,7 @@ mod tests {
     fn baselines_order_matches() {
         let idx = idx();
         let pattern = parse_query("//book//author").unwrap();
-        let matches = execute(&idx, &pattern, Algorithm::TwigStack);
+        let matches = execute(&idx, &pattern, Algorithm::StructuralJoin);
         let doc_order = rank_by_document_order(&matches);
         assert!(doc_order[0] <= doc_order[1]);
         let by_freq = rank_by_frequency(&idx, &pattern, &matches);

@@ -6,9 +6,7 @@ use std::collections::BinaryHeap;
 /// A bounded top-k collector over a TOTAL order: entries compare by
 /// (score descending, item ascending), so the retained set — and the
 /// sorted output — is exactly the first `k` of the globally sorted input,
-/// independent of insertion order. That makes collectors over disjoint
-/// input partitions mergeable: merging per-chunk collectors yields the
-/// exact global top-k, which the parallel ranker relies on.
+/// independent of insertion order.
 ///
 /// Internally a min-heap of size ≤ k under the ranking order: an item
 /// that does not beat the worst retained entry is rejected by one
@@ -61,10 +59,7 @@ impl<T: Ord> OrderedTopK<T> {
 
     /// Offers an item; it is kept iff it is among the best `k` seen.
     pub fn push(&mut self, score: f64, item: T) {
-        self.offer(OrderedEntry { score, item });
-    }
-
-    fn offer(&mut self, entry: OrderedEntry<T>) {
+        let entry = OrderedEntry { score, item };
         if self.heap.len() < self.k {
             self.heap.push(entry);
         } else if let Some(mut worst) = self.heap.peek_mut() {
@@ -82,13 +77,6 @@ impl<T: Ord> OrderedTopK<T> {
     /// True when nothing was retained.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Absorbs another collector built over a disjoint input partition.
-    pub fn merge(&mut self, other: OrderedTopK<T>) {
-        for e in other.heap {
-            self.offer(e);
-        }
     }
 
     /// Finishes, returning `(score, item)` pairs best-first.
@@ -117,28 +105,6 @@ mod tests {
         let expect = vec![(0.9, 1), (0.7, 4), (0.5, 1)];
         assert_eq!(forward.into_sorted(), expect);
         assert_eq!(backward.into_sorted(), expect);
-    }
-
-    #[test]
-    fn ordered_topk_merge_equals_global() {
-        // Split a stream into chunks, collect per chunk, merge — must
-        // equal one global collector over the whole stream.
-        let items: Vec<(f64, u32)> = (0..50)
-            .map(|i| (((i * 37) % 11) as f64 / 10.0, (i * 13) % 50))
-            .collect();
-        let mut global = OrderedTopK::new(7);
-        for &(s, v) in &items {
-            global.push(s, v);
-        }
-        let mut merged = OrderedTopK::new(7);
-        for chunk in items.chunks(9) {
-            let mut part = OrderedTopK::new(7);
-            for &(s, v) in chunk {
-                part.push(s, v);
-            }
-            merged.merge(part);
-        }
-        assert_eq!(merged.into_sorted(), global.into_sorted());
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! `rank_top_k` is `rank()` cut at `k` — bindings and score bits — on
 //! seeded random documents × random twigs (the differential generator of
-//! `lotusx-twig`'s tests), for the boundary `k`s and on one and several
-//! threads.
+//! `lotusx-twig`'s tests), for the boundary `k`s.
 
 #[path = "../../twig/tests/random_inputs/mod.rs"]
 mod random_inputs;
@@ -24,13 +23,8 @@ fn top_k_equals_the_full_ranking_truncated() {
         tied_cases += usize::from(full.windows(2).any(|w| w[0].score == w[1].score));
         for k in [0, 1, 10, matches.len() + 1] {
             let expect = &full[..k.min(full.len())];
-            for threads in [1, 4] {
-                let got = ranker.rank_top_k(&pattern, &matches, k, threads);
-                assert_eq!(
-                    got, expect,
-                    "case {case}: {pattern} k={k} threads={threads}"
-                );
-            }
+            let got = ranker.rank_top_k(&pattern, &matches, k);
+            assert_eq!(got, expect, "case {case}: {pattern} k={k}");
         }
     }
     assert!(

@@ -2,8 +2,10 @@
 
 use crate::ops::{apply, RewriteOp};
 use crate::synonyms::{spelling_candidates, SynonymTable};
+use lotusx_guard::QueryGuard;
 use lotusx_index::IndexedDocument;
-use lotusx_twig::exec::{execute, Algorithm};
+use lotusx_obs::Span;
+use lotusx_twig::exec::{execute_budgeted, Algorithm};
 use lotusx_twig::pattern::{NodeTest, TwigPattern};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -123,43 +125,38 @@ impl<'a> Rewriter<'a> {
 
     /// Structure-only satisfiability: does the pattern (ignoring value
     /// predicates) match the DataGuide? Sound and complete for the tag
-    /// paths present in the document, and runs on the tiny guide tree.
-    pub fn is_satisfiable(&self, pattern: &TwigPattern) -> bool {
+    /// paths present in the document, and runs on the tiny guide tree —
+    /// under `guard`, so an answer is only meaningful while it has not
+    /// tripped.
+    pub fn is_satisfiable(&self, pattern: &TwigPattern, guard: &QueryGuard) -> bool {
         let mut stripped = pattern.clone();
         for q in stripped.node_ids() {
             stripped.set_predicate(q, None);
         }
         stripped.set_ordered(false);
-        !execute(&self.setup.guide_idx, &stripped, Algorithm::Naive).is_empty()
+        let guide = &self.setup.guide_idx;
+        !execute_budgeted(guide, &stripped, Algorithm::Naive, None, guard).is_empty()
     }
 
     /// Rewrites a (typically empty-result) query: returns up to
-    /// `max_rewrites` non-empty rewrites, gentlest first.
-    pub fn rewrite(&self, original: &TwigPattern) -> Vec<RankedRewrite> {
-        self.rewrite_with_stats(original).0
-    }
-
-    /// Like [`Self::rewrite`], annotating `span` (when supplied) with the
-    /// search statistics: frontier expansions, candidates pruned as
+    /// `max_rewrites` non-empty rewrites, gentlest first, with the search
+    /// statistics — frontier expansions, candidates pruned as
     /// unsatisfiable by the DataGuide, and candidates executed against
-    /// the data. The span never changes the search.
-    pub fn rewrite_spanned(
+    /// the data — which also annotate `span` when one is supplied (the
+    /// span never changes the search).
+    ///
+    /// The search runs under the request's `guard`: every expansion
+    /// charges one node visit, candidates execute budgeted, and the
+    /// search stops as soon as the guard trips. A candidate whose
+    /// satisfiability check or execution was cut short is never reported,
+    /// so every returned rewrite is verified; callers learn from the guard
+    /// that the list may be incomplete.
+    pub fn rewrite(
         &self,
         original: &TwigPattern,
-        span: Option<&lotusx_obs::Span>,
-    ) -> Vec<RankedRewrite> {
-        let (rewrites, stats) = self.rewrite_with_stats(original);
-        if let Some(span) = span {
-            span.annotate("expansions", stats.expansions);
-            span.annotate("pruned-unsatisfiable", stats.pruned_unsatisfiable);
-            span.annotate("executions", stats.executions);
-            span.annotate("rewrites", rewrites.len());
-        }
-        rewrites
-    }
-
-    /// Like [`Self::rewrite`], also returning search statistics.
-    pub fn rewrite_with_stats(&self, original: &TwigPattern) -> (Vec<RankedRewrite>, RewriteStats) {
+        span: Option<&Span>,
+        guard: &QueryGuard,
+    ) -> (Vec<RankedRewrite>, RewriteStats) {
         let mut stats = RewriteStats::default();
         let mut results: Vec<RankedRewrite> = Vec::new();
         let mut seen: HashSet<String> = HashSet::new();
@@ -176,6 +173,7 @@ impl<'a> Rewriter<'a> {
         while let Some(candidate) = frontier.pop() {
             if results.len() >= self.config.max_rewrites
                 || stats.expansions >= self.config.max_expansions
+                || guard.charge_nodes(1)
             {
                 break;
             }
@@ -185,14 +183,26 @@ impl<'a> Rewriter<'a> {
             // it is empty).
             if candidate.cost > 0.0 {
                 let satisfiable =
-                    !self.config.guide_pruning || self.is_satisfiable(&candidate.pattern);
+                    !self.config.guide_pruning || self.is_satisfiable(&candidate.pattern, guard);
+                if guard.is_tripped() {
+                    break;
+                }
                 if !satisfiable {
                     stats.pruned_unsatisfiable += 1;
                 } else {
                     stats.executions += 1;
                     // Only the count matters here, and every algorithm
                     // returns the same set: let the chooser pick.
-                    let matches = execute(self.idx, &candidate.pattern, Algorithm::Auto);
+                    let matches = execute_budgeted(
+                        self.idx,
+                        &candidate.pattern,
+                        Algorithm::Auto,
+                        None,
+                        guard,
+                    );
+                    if guard.is_tripped() {
+                        break;
+                    }
                     if !matches.is_empty() {
                         results.push(RankedRewrite {
                             pattern: candidate.pattern.clone(),
@@ -237,6 +247,12 @@ impl<'a> Rewriter<'a> {
                 .unwrap_or(Ordering::Equal)
                 .then_with(|| b.match_count.cmp(&a.match_count))
         });
+        if let Some(span) = span {
+            span.annotate("expansions", stats.expansions);
+            span.annotate("pruned-unsatisfiable", stats.pruned_unsatisfiable);
+            span.annotate("executions", stats.executions);
+            span.annotate("rewrites", results.len());
+        }
         (results, stats)
     }
 
@@ -331,6 +347,10 @@ mod tests {
     use super::*;
     use lotusx_twig::xpath::parse_query;
 
+    fn rewrite(r: &Rewriter<'_>, pattern: &TwigPattern) -> (Vec<RankedRewrite>, RewriteStats) {
+        r.rewrite(pattern, None, &QueryGuard::unlimited())
+    }
+
     fn idx() -> IndexedDocument {
         IndexedDocument::from_str(
             "<dblp>\
@@ -346,10 +366,12 @@ mod tests {
     fn satisfiability_matches_data_presence() {
         let idx = idx();
         let r = Rewriter::new(&idx);
-        assert!(r.is_satisfiable(&parse_query("//article/author").unwrap()));
-        assert!(r.is_satisfiable(&parse_query("//dblp//title").unwrap()));
-        assert!(!r.is_satisfiable(&parse_query("//article/publisher").unwrap()));
-        assert!(!r.is_satisfiable(&parse_query("//nosuchtag").unwrap()));
+        let satisfiable =
+            |q: &str| r.is_satisfiable(&parse_query(q).unwrap(), &QueryGuard::unlimited());
+        assert!(satisfiable("//article/author"));
+        assert!(satisfiable("//dblp//title"));
+        assert!(!satisfiable("//article/publisher"));
+        assert!(!satisfiable("//nosuchtag"));
     }
 
     #[test]
@@ -357,7 +379,7 @@ mod tests {
         let idx = idx();
         let r = Rewriter::new(&idx);
         let broken = parse_query("//article/writer").unwrap();
-        let rewrites = r.rewrite(&broken);
+        let (rewrites, _) = rewrite(&r, &broken);
         assert!(!rewrites.is_empty());
         let best = &rewrites[0];
         assert!(
@@ -373,7 +395,7 @@ mod tests {
         let idx = idx();
         let r = Rewriter::new(&idx);
         let broken = parse_query("//artcle/title").unwrap();
-        let rewrites = r.rewrite(&broken);
+        let (rewrites, _) = rewrite(&r, &broken);
         assert!(!rewrites.is_empty());
         assert!(rewrites[0].pattern.to_string().contains("article"));
     }
@@ -383,7 +405,7 @@ mod tests {
         let idx = IndexedDocument::from_str("<r><a><m><b>x</b></m></a></r>").unwrap();
         let r = Rewriter::new(&idx);
         let broken = parse_query("//a/b").unwrap();
-        let rewrites = r.rewrite(&broken);
+        let (rewrites, _) = rewrite(&r, &broken);
         assert!(!rewrites.is_empty());
         let best = &rewrites[0];
         assert_eq!(best.pattern.to_string(), "//a[//b!]");
@@ -395,7 +417,7 @@ mod tests {
         let idx = idx();
         let r = Rewriter::new(&idx);
         let broken = parse_query("//book/journal").unwrap();
-        let rewrites = r.rewrite(&broken);
+        let (rewrites, _) = rewrite(&r, &broken);
         assert!(!rewrites.is_empty());
         for w in rewrites.windows(2) {
             assert!(w[0].cost <= w[1].cost);
@@ -418,8 +440,8 @@ mod tests {
             },
         );
         let broken = parse_query("//artcle[writer]/journal").unwrap();
-        let (_, s1) = pruned.rewrite_with_stats(&broken);
-        let (_, s2) = unpruned.rewrite_with_stats(&broken);
+        let (_, s1) = rewrite(&pruned, &broken);
+        let (_, s2) = rewrite(&unpruned, &broken);
         assert!(
             s1.executions < s2.executions,
             "pruned {} vs unpruned {}",
@@ -435,7 +457,7 @@ mod tests {
         let r = Rewriter::new(&idx);
         // Structurally fine but the predicate matches nothing.
         let broken = parse_query(r#"//article[title = "nonexistent words"]"#).unwrap();
-        let rewrites = r.rewrite(&broken);
+        let (rewrites, _) = rewrite(&r, &broken);
         assert!(!rewrites.is_empty());
         // The gentlest fix softens or drops the predicate.
         assert!(rewrites[0].ops.iter().any(|o| o.contains("predicate")));
@@ -453,7 +475,42 @@ mod tests {
             },
         );
         let broken = parse_query("//nosuchtag1/nosuchtag2").unwrap();
-        let (_, stats) = tight.rewrite_with_stats(&broken);
+        let (_, stats) = rewrite(&tight, &broken);
         assert!(stats.expansions <= 2);
+    }
+
+    #[test]
+    fn tripped_guards_stop_the_search_and_report_only_verified_rewrites() {
+        use lotusx_guard::Budget;
+        let idx = idx();
+        let r = Rewriter::new(&idx);
+        let broken = parse_query("//article[publisher]/title").unwrap();
+        let (full, full_stats) = rewrite(&r, &broken);
+        assert!(full.len() > 1 && full_stats.expansions > 4);
+        let describe = |rewrites: &[RankedRewrite]| -> Vec<(String, usize)> {
+            let key = |rw: &RankedRewrite| (rw.pattern.to_string(), rw.match_count);
+            rewrites.iter().map(key).collect()
+        };
+        // A generous budget changes nothing.
+        let generous = QueryGuard::new(&Budget::unlimited().with_node_quota(1 << 40));
+        let (same, same_stats) = r.rewrite(&broken, None, &generous);
+        assert!(!generous.is_tripped());
+        assert_eq!(describe(&same), describe(&full));
+        assert_eq!(same_stats.expansions, full_stats.expansions);
+        // Starved budgets stop early.
+        let mut tripped = 0;
+        for quota in 0..full_stats.expansions as u64 {
+            let guard = QueryGuard::new(&Budget::unlimited().with_node_quota(quota));
+            let (got, stats) = r.rewrite(&broken, None, &guard);
+            assert!(guard.is_tripped(), "quota {quota}");
+            assert!(stats.expansions as u64 <= quota, "one visit per expansion");
+            tripped += usize::from(got.len() < full.len());
+            // Whatever comes back ran to completion: same pattern, same
+            // match count as in the unbudgeted search.
+            for verified in describe(&got) {
+                assert!(describe(&full).contains(&verified), "quota {quota}");
+            }
+        }
+        assert!(tripped > 2, "small quotas must lose rewrites: {tripped}");
     }
 }

@@ -259,21 +259,21 @@ fn main() {
                     node_budget.map_or("off".to_string(), |n| format!("{n} nodes"))
                 ),
             },
-            "algo" => match parse_algorithm(rest) {
-                Some(Algorithm::Auto) => {
+            "algo" => match lotusx_serve::wire::parse_algorithm(rest) {
+                Ok(Algorithm::Auto) => {
                     algo_override = Some(Algorithm::Auto);
                     println!("queries now pick an algorithm per query (cost-model chooser)");
                 }
-                Some(a) => {
+                Ok(a) => {
                     algo_override = Some(a);
                     println!("queries now run with {a}");
                 }
-                None if rest == "config" => {
+                Err(_) if rest == "config" => {
                     algo_override = None;
                     println!("queries now use the engine's configuration");
                 }
-                None => println!(
-                    "algorithms: naive structural-join pathstack twigstack tjfast twigstack-guided auto config (current: {})",
+                Err(reason) => println!(
+                    "{reason}, or config (current: {})",
                     algo_override.map(|a| a.name()).unwrap_or("config")
                 ),
             },
@@ -380,13 +380,6 @@ fn main() {
     }
 }
 
-fn parse_algorithm(name: &str) -> Option<Algorithm> {
-    Algorithm::ALL
-        .into_iter()
-        .chain([Algorithm::Auto])
-        .find(|a| a.name() == name)
-}
-
 fn build_budget(timeout_ms: Option<u64>, node_budget: Option<u64>) -> Budget {
     let mut budget = Budget::default();
     if let Some(ms) = timeout_ms {
@@ -445,13 +438,12 @@ fn print_stats(system: &LotusX) {
     );
     let qc = system.query_cache_stats();
     println!(
-        "query cache: {} hits, {} misses, {}/{} entries  value tries cached: {}  threads: {}",
+        "query cache: {} hits, {} misses, {}/{} entries  value tries cached: {}",
         qc.hits,
         qc.misses,
         qc.entries,
         qc.capacity,
-        system.value_trie_cache_len(),
-        system.threads()
+        system.value_trie_cache_len()
     );
     if qc.hits + qc.misses > 0 {
         let per_shard: Vec<String> = system
@@ -472,11 +464,6 @@ fn print_stats(system: &LotusX) {
             .collect();
         println!("  value-trie shards: {}", per_shard.join("  "));
     }
-    let ex = lotusx_par::executor_stats();
-    println!(
-        "executor: {} parallel jobs, {} worker threads spawned",
-        ex.jobs, ex.threads_spawned
-    );
     if !lotusx_obs::enabled() {
         println!("profiling off — `profile on` to record stage latencies ('stats json' for the raw snapshot)");
         return;

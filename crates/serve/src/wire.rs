@@ -63,7 +63,7 @@ fn parse_axis(name: &str) -> Result<Axis, String> {
     }
 }
 
-/// Resolves an algorithm name (`twigstack`, `tjfast`, `auto`, …) from the
+/// Resolves an algorithm name (`naive`, `structural-join`, `auto`) from the
 /// wire. `auto` requests the engine's per-query cost-model chooser.
 pub fn parse_algorithm(name: &str) -> Result<Algorithm, String> {
     Algorithm::ALL

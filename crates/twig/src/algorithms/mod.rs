@@ -1,21 +1,16 @@
 //! Twig-matching algorithms.
 //!
-//! All five evaluators return the same match sets (a property the test
-//! suite enforces); they differ in how much work and memory they spend:
+//! Both evaluators return the same match sets (a property the test suite
+//! enforces) through one signature, `evaluate(idx, pattern, guard)`:
 //!
 //! | module | style | notes |
 //! |---|---|---|
-//! | [`naive`] | navigational, top-down | baseline; no indexes beyond tag lookup |
-//! | [`structural_join`] | binary stack-tree joins | the pre-holistic decomposition baseline; large intermediate pair lists |
-//! | [`pathstack`] | holistic, path queries | optimal for A-D path queries |
-//! | [`twigstack`] | holistic, chained stacks | optimal for A-D-only twigs |
-//! | [`tjfast`] | leaf streams + extended Dewey | scans only leaf streams |
-//! | [`guided`] | TwigStack + DataGuide stream pruning | position-aware execution |
+//! | [`naive`] | navigational, top-down | the test oracle, and `Auto`'s pick when reading only structural survivors beats materializing streams (scan predicates, micro-queries) |
+//! | [`structural_join`] | binary stack-tree joins | galloping columnar merges per edge, stitched along the twig; `Auto`'s pick everywhere else |
+//!
+//! The holistic family (PathStack, TwigStack, TJFast, DataGuide-guided
+//! TwigStack) was measured and removed — EXPERIMENTS.md E12 is the
+//! decision record.
 
-pub mod guided;
-pub(crate) mod holistic_common;
 pub mod naive;
-pub mod pathstack;
 pub mod structural_join;
-pub mod tjfast;
-pub mod twigstack;

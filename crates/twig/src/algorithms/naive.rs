@@ -12,61 +12,35 @@ use lotusx_guard::{QueryGuard, Ticker};
 use lotusx_index::IndexedDocument;
 use lotusx_xml::NodeId;
 
-/// Evaluates `pattern` navigationally, returning all full matches.
-pub fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern) -> MatchSet {
-    evaluate_guarded(idx, pattern, 1, &QueryGuard::unlimited())
-}
-
-/// [`evaluate`] with the root candidate stream partitioned across
-/// `threads` workers, under a budget.
+/// Evaluates `pattern` navigationally under a budget, returning all full
+/// matches found before `guard` trips.
 ///
-/// Each root binding expands independently of every other, so the stream
-/// splits into contiguous chunks with no shared state. Chunk boundaries
-/// balance estimated work, not item count: a root's expansion cost scales
-/// with its subtree, whose size is exactly its region width, so workers
-/// split on cumulative width and a few huge subtrees no longer serialize
-/// behind one worker. The final global sort + dedup (which the serial
-/// path performs anyway) makes the result identical for every thread
-/// count and chunking.
-///
-/// Every worker charges one
-/// node visit per candidate binding it examines (amortized through a
-/// per-chunk [`Ticker`]); on trip each worker finishes its in-flight
+/// The walk charges one node visit per candidate binding it examines
+/// (amortized through a [`Ticker`]); on trip it finishes its in-flight
 /// recursion step and stops expanding new root candidates. Only fully
 /// bound assignments are ever emitted, so partial output is valid.
-pub fn evaluate_guarded(
-    idx: &IndexedDocument,
-    pattern: &TwigPattern,
-    threads: usize,
-    guard: &QueryGuard,
-) -> MatchSet {
+pub fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern, guard: &QueryGuard) -> MatchSet {
     let roots = filtered_stream(idx, pattern, pattern.root());
     // Preorder binds each node after its parent and its whole subtree
     // before the next sibling: one nest of loops, no intermediate sets.
     let order = pattern.preorder();
-    let weight = |e: &lotusx_index::ElementEntry| u64::from(e.region.end - e.region.start);
-    let chunks = lotusx_par::par_chunks_weighted(&roots, threads, weight, |_, chunk| {
-        let mut out = MatchSet::new(pattern.len());
-        let mut bindings = vec![NodeId::DOCUMENT; pattern.len()];
-        let mut ticker = guard.ticker();
-        for entry in chunk {
-            if ticker.tick(1) {
-                break;
-            }
-            bindings[pattern.root().index()] = entry.node;
-            bind(
-                idx,
-                pattern,
-                &order[1..],
-                &mut bindings,
-                &mut out,
-                &mut ticker,
-            );
-        }
-        out
-    });
     let mut out = MatchSet::new(pattern.len());
-    chunks.into_iter().for_each(|chunk| out.append(chunk));
+    let mut bindings = vec![NodeId::DOCUMENT; pattern.len()];
+    let mut ticker = guard.ticker();
+    for entry in &roots {
+        if ticker.tick(1) {
+            break;
+        }
+        bindings[pattern.root().index()] = entry.node;
+        bind(
+            idx,
+            pattern,
+            &order[1..],
+            &mut bindings,
+            &mut out,
+            &mut ticker,
+        );
+    }
     out.sort_dedup();
     out
 }
@@ -136,6 +110,10 @@ mod tests {
     use super::*;
     use crate::pattern::{TwigBuilder, ValuePredicate};
     use crate::xpath::parse_query;
+
+    fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern) -> MatchSet {
+        super::evaluate(idx, pattern, &QueryGuard::unlimited())
+    }
 
     fn idx() -> IndexedDocument {
         IndexedDocument::from_str(

@@ -28,26 +28,17 @@ use lotusx_guard::{QueryGuard, Ticker};
 use lotusx_index::{ColumnView, ElementEntry, IndexedDocument, OwnedColumns};
 use lotusx_xml::NodeId;
 
-/// Evaluates `pattern` with one binary structural join per edge.
-pub fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern) -> MatchSet {
-    evaluate_guarded(idx, pattern, &QueryGuard::unlimited())
-}
-
-/// [`evaluate`] under a budget. The explicit per-edge pair lists are
-/// this algorithm's blow-up site, so the join charges one node visit
-/// per pair emitted (and one per element skipped); on trip later edges
-/// get incomplete (possibly empty) pair lists and the stitch stops
-/// early — every stitched match still satisfies all its edges, so
-/// partial output is valid.
-pub fn evaluate_guarded(
-    idx: &IndexedDocument,
-    pattern: &TwigPattern,
-    guard: &QueryGuard,
-) -> MatchSet {
+/// Evaluates `pattern` with one binary structural join per edge, under a
+/// budget. The explicit per-edge pair lists are this algorithm's blow-up
+/// site, so the join charges one node visit per pair emitted (and one per
+/// element skipped); on trip later edges get incomplete (possibly empty)
+/// pair lists and the stitch stops early — every stitched match still
+/// satisfies all its edges, so partial output is valid.
+pub fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern, guard: &QueryGuard) -> MatchSet {
     // Columnar streams per query node.
     let columns: Vec<NodeColumns<'_>> = pattern
         .node_ids()
-        .map(|q| node_columns(idx, pattern, q, true))
+        .map(|q| node_columns(idx, pattern, q))
         .collect();
     let views: Vec<ColumnView<'_>> = columns.iter().map(|c| c.view()).collect();
     let mut ticker = guard.ticker();
@@ -306,6 +297,14 @@ mod tests {
     use crate::xpath::parse_query;
     use lotusx_labeling::RegionLabel;
 
+    fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern) -> MatchSet {
+        super::evaluate(idx, pattern, &QueryGuard::unlimited())
+    }
+
+    fn naive_evaluate(idx: &IndexedDocument, pattern: &TwigPattern) -> MatchSet {
+        naive::evaluate(idx, pattern, &QueryGuard::unlimited())
+    }
+
     fn idx() -> IndexedDocument {
         IndexedDocument::from_str(
             "<bib>\
@@ -436,7 +435,7 @@ mod tests {
             "/bib/book/author",
         ] {
             let pattern = parse_query(q).unwrap();
-            let a = naive::evaluate(&idx, &pattern);
+            let a = naive_evaluate(&idx, &pattern);
             let b = evaluate(&idx, &pattern);
             assert_eq!(a, b, "query {q}");
         }
@@ -448,7 +447,7 @@ mod tests {
         for q in ["//s//t", "//s/t", "//s[s]/t", "//s//s//t"] {
             let pattern = parse_query(q).unwrap();
             assert_eq!(
-                naive::evaluate(&idx, &pattern),
+                naive_evaluate(&idx, &pattern),
                 evaluate(&idx, &pattern),
                 "query {q}"
             );

@@ -8,12 +8,13 @@
 //!   order-sensitive semantics.
 //! * [`xpath`] — a parser for an XPath-like textual subset so queries can be
 //!   written as strings (`//book[year >= 2000]/title`).
-//! * [`algorithms`] — five evaluators producing identical match sets:
-//!   a navigational baseline, binary structural joins, the holistic
-//!   PathStack and TwigStack, and TJFast over extended Dewey labels.
+//! * [`algorithms`] — two evaluators producing identical match sets: the
+//!   binary structural join and a navigational walk that doubles as the
+//!   test oracle.
 //! * [`ordered`] — order-sensitive twig semantics (LotusX supports
 //!   "complex twig queries (including order sensitive queries)").
-//! * [`exec`] — algorithm selection facade.
+//! * [`exec`] — the execution core: the two-plan cost model behind
+//!   [`Algorithm::Auto`] and the one `execute` / `execute_budgeted` entry.
 //!
 //! ```
 //! use lotusx_index::IndexedDocument;
@@ -22,7 +23,7 @@
 //! let idx = IndexedDocument::from_str(
 //!     "<bib><book><title>XML</title><year>2003</year></book></bib>").unwrap();
 //! let q = parse_query("//book[year >= 2000]/title").unwrap();
-//! let matches = execute(&idx, &q, Algorithm::TwigStack);
+//! let matches = execute(&idx, &q, Algorithm::Auto);
 //! assert_eq!(matches.len(), 1);
 //! ```
 
@@ -35,10 +36,7 @@ pub mod ordered;
 pub mod pattern;
 pub mod xpath;
 
-pub use exec::{
-    choose_algorithm, execute, execute_budgeted, execute_parallel, select_algorithm, Algorithm,
-    Choice,
-};
+pub use exec::{choose_algorithm, execute, execute_budgeted, Algorithm, Choice};
 pub use matcher::MatchSet;
 pub use pattern::{Axis, NodeTest, QNodeId, TwigPattern, ValuePredicate};
 pub use xpath::parse_query;

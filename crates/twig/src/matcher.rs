@@ -1,19 +1,15 @@
-//! Shared evaluation plumbing: filtered streams, predicate checks, the
-//! match representation, and the path-solution merge used by the holistic
-//! algorithms.
+//! Shared evaluation plumbing: filtered streams, predicate checks and the
+//! match representation.
 
 use crate::pattern::{Axis, NodeTest, QNodeId, TwigPattern, ValuePredicate};
-use lotusx_guard::QueryGuard;
 use lotusx_index::{ColumnView, ElementEntry, IndexedDocument, OwnedColumns};
 use lotusx_xml::{NodeId, NodeKind};
 
 /// A set of fixed-width binding rows in one flat, row-major buffer — the
 /// only match representation from join output through ranking. Row `i`
-/// occupies `data[i * width..][..width]`; for full twig matches
-/// `row[q.index()]` is the element bound to query node `q` (the holistic
-/// algorithms also use it, at path width, for root-to-leaf path
-/// solutions). Every `execute*` result is canonical: rows sorted
-/// lexicographically and distinct.
+/// occupies `data[i * width..][..width]`, and `row[q.index()]` is the
+/// element bound to query node `q`. Every `execute*` result is canonical:
+/// rows sorted lexicographically and distinct.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MatchSet {
     width: usize,
@@ -65,18 +61,6 @@ impl MatchSet {
     pub fn push(&mut self, row: &[NodeId]) {
         assert_eq!(row.len(), self.width, "row width");
         self.data.extend_from_slice(row);
-    }
-
-    /// The last row, mutably (to patch columns of a just-pushed row).
-    pub fn last_mut(&mut self) -> Option<&mut [NodeId]> {
-        let at = self.data.len().checked_sub(self.width)?;
-        Some(&mut self.data[at..])
-    }
-
-    /// Moves every row of `other` (same width) to the end of `self`.
-    pub fn append(&mut self, mut other: MatchSet) {
-        assert_eq!(other.width, self.width, "row width");
-        self.data.append(&mut other.data);
     }
 
     /// Keeps the first `rows` rows.
@@ -263,16 +247,10 @@ impl NodeColumns<'_> {
 /// index wherever [`filtered_stream`] would have copied the tag stream
 /// verbatim (no predicate, and not the level-filtered child-axis root).
 ///
-/// `with_end_seeks` says whether the caller will use
-/// `ColumnCursor::seek_end_at_least` on this stream: only the binary
-/// structural join does, and only it should pay for building the end
-/// max-segment-tree when the stream has to be owned. (Borrowed index
-/// columns carry their trees for free — built once at index time.)
 pub fn node_columns<'a>(
     idx: &'a IndexedDocument,
     pattern: &TwigPattern,
     q: QNodeId,
-    with_end_seeks: bool,
 ) -> NodeColumns<'a> {
     let node = pattern.node(q);
     let level_filtered_root = node.parent.is_none() && node.axis == Axis::Child;
@@ -286,12 +264,9 @@ pub fn node_columns<'a>(
         };
         NodeColumns::Borrowed(view)
     } else {
-        let stream = filtered_stream(idx, pattern, q);
-        NodeColumns::Owned(if with_end_seeks {
-            OwnedColumns::from_entries(&stream)
-        } else {
-            OwnedColumns::from_entries_without_end_tree(&stream)
-        })
+        NodeColumns::Owned(OwnedColumns::from_entries(&filtered_stream(
+            idx, pattern, q,
+        )))
     }
 }
 
@@ -302,101 +277,6 @@ pub fn edge_satisfied(idx: &IndexedDocument, axis: Axis, parent: NodeId, child: 
         Axis::Child => labels.is_parent(parent, child),
         Axis::Descendant => labels.is_ancestor(parent, child),
     }
-}
-
-/// How many partial assignments the merge keeps alive once the budget
-/// trips. The survivors are still joined against every remaining leaf,
-/// so each emitted match is a complete, valid twig match — the cap only
-/// bounds how much longer a tripped query runs.
-const TRIPPED_PARTIAL_CAP: usize = 64;
-
-/// Merges per-leaf path solutions into full twig matches.
-///
-/// `paths[i]` is the i-th root-to-leaf query path; `solutions[i]` its
-/// solutions, one row per solution aligned with the path. Two solutions
-/// are joinable iff they agree on every query node the two paths share
-/// (for a tree pattern, exactly their common prefix).
-///
-/// The intermediate partial product is the classic blow-up site of
-/// path-solution merging, so the merge charges one node visit per partial
-/// examined and, once the guard trips, shrinks the frontier to
-/// [`TRIPPED_PARTIAL_CAP`] survivors while still completing their joins
-/// with every remaining leaf path — truncated output, but only true
-/// matches in it.
-///
-/// Partials are full-width rows (unassigned columns hold a placeholder)
-/// grown one leaf at a time; each new leaf's solutions are looked up by
-/// binary search over a permutation sorted on the shared-prefix key.
-pub fn merge_path_solutions_guarded(
-    pattern: &TwigPattern,
-    paths: &[Vec<QNodeId>],
-    solutions: &[MatchSet],
-    guard: &QueryGuard,
-) -> MatchSet {
-    assert_eq!(paths.len(), solutions.len());
-    let mut partials = MatchSet::new(pattern.len());
-    if paths.is_empty() {
-        return partials;
-    }
-    let mut ticker = guard.ticker();
-    let mut assigned = vec![false; pattern.len()];
-    let mut row = vec![NodeId::DOCUMENT; pattern.len()];
-    for sol in solutions[0].rows() {
-        for (q, n) in paths[0].iter().zip(sol) {
-            row[q.index()] = *n;
-        }
-        partials.push(&row);
-    }
-    for q in &paths[0] {
-        assigned[q.index()] = true;
-    }
-    if ticker.tick(partials.len() as u64) {
-        partials.truncate(TRIPPED_PARTIAL_CAP);
-    }
-
-    for (path, sols) in paths.iter().zip(solutions.iter()).skip(1) {
-        if partials.is_empty() {
-            return partials;
-        }
-        // Path positions already assigned by earlier paths: the join key.
-        let shared: Vec<usize> = (0..path.len())
-            .filter(|&i| assigned[path[i].index()])
-            .collect();
-        let key_of = |s: usize| shared.iter().map(move |&i| sols.row(s)[i]);
-        // Solutions ordered by key; the stable sort keeps emission order
-        // within a key, and already-ordered input (flat data) skips it.
-        let mut by_key: Vec<u32> = (0..row_index(sols.len())).collect();
-        if !(1..sols.len()).all(|s| key_of(s - 1).le(key_of(s))) {
-            by_key.sort_by(|&a, &b| key_of(a as usize).cmp(key_of(b as usize)));
-        }
-        let mut next = MatchSet::new(pattern.len());
-        'grow: for partial in partials.rows() {
-            if ticker.tick(1) && next.len() >= TRIPPED_PARTIAL_CAP {
-                break 'grow;
-            }
-            let key = || shared.iter().map(|&i| partial[path[i].index()]);
-            let from = by_key.partition_point(|&s| key_of(s as usize).lt(key()));
-            for &s in by_key[from..]
-                .iter()
-                .take_while(|&&s| key_of(s as usize).eq(key()))
-            {
-                next.push(partial);
-                let extended = next.last_mut().expect("just pushed");
-                for (q, n) in path.iter().zip(sols.row(s as usize)) {
-                    extended[q.index()] = *n;
-                }
-                if ticker.stopped() && next.len() >= TRIPPED_PARTIAL_CAP {
-                    break 'grow;
-                }
-            }
-        }
-        for q in path {
-            assigned[q.index()] = true;
-        }
-        partials = next;
-    }
-    partials.sort_dedup();
-    partials
 }
 
 /// Verifies a full match against every edge, test and predicate — the
@@ -620,50 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_joins_on_shared_prefix() {
-        let idx = idx();
-        // //book[/title][/year]
-        let mut b = TwigBuilder::root("book");
-        let root = b.root_id();
-        let title = b.child(root, "title");
-        let year = b.child(root, "year");
-        let p = b.build();
-        let paths = p.root_to_leaf_paths();
-        assert_eq!(paths, vec![vec![root, title], vec![root, year]]);
-
-        let book0 = nth_element(&idx, "book", 0);
-        let book1 = nth_element(&idx, "book", 1);
-        let t0 = nth_element(&idx, "title", 0);
-        let t1 = nth_element(&idx, "title", 1);
-        let y0 = nth_element(&idx, "year", 0);
-        let y1 = nth_element(&idx, "year", 1);
-
-        // Leaf solutions arrive unsorted on the shared prefix and with a
-        // duplicate, exercising the key sort and the final dedup.
-        let rows = |rows: &[[NodeId; 2]]| {
-            let mut set = MatchSet::new(2);
-            rows.iter().for_each(|r| set.push(r));
-            set
-        };
-        let sols_title = rows(&[[book0, t0], [book1, t1]]);
-        let sols_year = rows(&[[book1, y1], [book0, y0], [book1, y1]]);
-        let merged = merge_path_solutions_guarded(
-            &p,
-            &paths,
-            &[sols_title, sols_year],
-            &QueryGuard::unlimited(),
-        );
-        assert_eq!(merged.len(), 2);
-        for m in merged.rows() {
-            assert!(match_is_valid(&idx, &p, m));
-        }
-        // Cross-book combinations must not appear.
-        assert!(!merged
-            .rows()
-            .any(|m| m[root.index()] == book0 && m[year.index()] == y1));
-    }
-
-    #[test]
     fn match_set_sorts_dedups_and_compacts_in_place() {
         let n = NodeId::from_index;
         let mut set = MatchSet::new(2);
@@ -676,25 +512,6 @@ mod tests {
         set.retain(|r| r[1] == n(1));
         assert_eq!(set.len(), 2);
         assert_eq!(set.row(1), [n(3), n(1)]);
-        set.last_mut().unwrap()[0] = n(9);
-        assert_eq!(set.row(1), [n(9), n(1)]);
-    }
-
-    #[test]
-    fn merge_with_empty_leaf_solutions_is_empty() {
-        let mut b = TwigBuilder::root("book");
-        let root = b.root_id();
-        b.child(root, "title");
-        b.child(root, "year");
-        let p = b.build();
-        let paths = p.root_to_leaf_paths();
-        let merged = merge_path_solutions_guarded(
-            &p,
-            &paths,
-            &[MatchSet::new(2), MatchSet::new(2)],
-            &QueryGuard::unlimited(),
-        );
-        assert!(merged.is_empty());
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub fn filter_ordered(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::naive;
+    use crate::exec::{execute, Algorithm};
     use crate::xpath::parse_query;
 
     fn idx() -> IndexedDocument {
@@ -61,7 +61,7 @@ mod tests {
     fn ordered_filter_keeps_in_order_siblings_only() {
         let idx = idx();
         let unordered = parse_query("//section[title][para]").unwrap();
-        let all = naive::evaluate(&idx, &unordered);
+        let all = execute(&idx, &unordered, Algorithm::Naive);
         assert_eq!(all.len(), 2);
 
         let ordered = parse_query("ordered //section[title][para]").unwrap();
@@ -70,7 +70,11 @@ mod tests {
 
         // Reversing the sibling order in the query flips the result.
         let reversed = parse_query("ordered //section[para][title]").unwrap();
-        let all_rev = naive::evaluate(&idx, &parse_query("//section[para][title]").unwrap());
+        let all_rev = execute(
+            &idx,
+            &parse_query("//section[para][title]").unwrap(),
+            Algorithm::Naive,
+        );
         let kept_rev = filter_ordered(&idx, &reversed, all_rev);
         assert_eq!(kept_rev.len(), 1);
     }
@@ -80,7 +84,7 @@ mod tests {
         let idx = IndexedDocument::from_str("<r><x>1</x></r>").unwrap();
         // //r[x][x] unordered: the single x binds both siblings.
         let q = parse_query("//r[x][x]").unwrap();
-        let all = naive::evaluate(&idx, &q);
+        let all = execute(&idx, &q, Algorithm::Naive);
         assert_eq!(all.len(), 1);
         let kept = filter_ordered(&idx, &q, all);
         assert!(
@@ -95,7 +99,7 @@ mod tests {
             IndexedDocument::from_str("<r><g><a>1</a><b>1</b></g><g><b>2</b><a>2</a></g></r>")
                 .unwrap();
         let q = parse_query("//r/g[a][b]").unwrap();
-        let all = naive::evaluate(&idx, &q);
+        let all = execute(&idx, &q, Algorithm::Naive);
         assert_eq!(all.len(), 2);
         let kept = filter_ordered(&idx, &q, all);
         assert_eq!(kept.len(), 1);
@@ -105,7 +109,7 @@ mod tests {
     fn paths_are_never_filtered() {
         let idx = idx();
         let q = parse_query("//section/title").unwrap();
-        let all = naive::evaluate(&idx, &q);
+        let all = execute(&idx, &q, Algorithm::Naive);
         let kept = filter_ordered(&idx, &q, all.clone());
         assert_eq!(all, kept);
     }

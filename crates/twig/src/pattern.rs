@@ -252,23 +252,6 @@ impl TwigPattern {
         }
     }
 
-    /// All root-to-leaf paths (each starts with the root).
-    pub fn root_to_leaf_paths(&self) -> Vec<Vec<QNodeId>> {
-        self.leaves()
-            .into_iter()
-            .map(|leaf| {
-                let mut path = vec![leaf];
-                let mut cur = leaf;
-                while let Some(p) = self.node(cur).parent {
-                    path.push(p);
-                    cur = p;
-                }
-                path.reverse();
-                path
-            })
-            .collect()
-    }
-
     /// The root-to-node path of query node `id` (inclusive).
     pub fn path_to(&self, id: QNodeId) -> Vec<QNodeId> {
         let mut path = vec![id];
@@ -436,7 +419,6 @@ mod tests {
         assert_eq!(p.len(), 3);
         assert!(!p.is_path());
         assert_eq!(p.leaves().len(), 2);
-        assert_eq!(p.root_to_leaf_paths().len(), 2);
         assert_eq!(p.depth(p.root()), 1);
         let title = QNodeId::from_index(1);
         assert_eq!(p.depth(title), 2);
@@ -461,8 +443,6 @@ mod tests {
         b.descendant(x, "c");
         let p = b.build();
         assert!(p.is_path());
-        assert_eq!(p.root_to_leaf_paths().len(), 1);
-        assert_eq!(p.root_to_leaf_paths()[0].len(), 3);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The crown-jewel invariant: all six twig algorithms and the `Auto`
+//! The crown-jewel invariant: every twig algorithm and the `Auto`
 //! chooser produce identical match sets, on random documents × random
 //! patterns (seeded loops, ordered and unordered) and on the canonical
 //! datasets × canonical query workloads — and a starved budget only ever
@@ -30,7 +30,7 @@ fn algorithms_agree_on_canonical_workloads() {
             for m in reference.rows() {
                 assert!(match_is_valid(&idx, &pattern, m), "{} {}", ds, q.id);
             }
-            for algo in Algorithm::ALL {
+            for algo in Algorithm::ALL.into_iter().chain([Algorithm::Auto]) {
                 let got = execute(&idx, &pattern, algo);
                 assert_eq!(
                     got.len(),
@@ -55,9 +55,9 @@ fn ordered_variants_are_subsets_on_canonical_workloads() {
         let idx = IndexedDocument::build(doc);
         for q in queries::queries(ds) {
             let mut pattern = parse_query(q.text).unwrap();
-            let unordered = execute(&idx, &pattern, Algorithm::TwigStack);
+            let unordered = execute(&idx, &pattern, Algorithm::StructuralJoin);
             pattern.set_ordered(true);
-            let ordered = execute(&idx, &pattern, Algorithm::TwigStack);
+            let ordered = execute(&idx, &pattern, Algorithm::StructuralJoin);
             assert!(ordered.len() <= unordered.len(), "{} {}", ds, q.id);
             for m in ordered.rows() {
                 assert!(unordered.contains(m), "{} {}", ds, q.id);
@@ -96,7 +96,7 @@ fn all_algorithms_agree_on_random_inputs() {
             // Starved: whatever survives is a true match of the full answer.
             let quota = rng.gen_range(0..12u64);
             let guard = QueryGuard::new(&Budget::unlimited().with_node_quota(quota));
-            let partial = execute_budgeted(&idx, &pattern, algo, 1, None, &guard);
+            let partial = execute_budgeted(&idx, &pattern, algo, None, &guard);
             truncated_cases += usize::from(guard.is_tripped());
             assert!(
                 guard.is_tripped() || partial == reference,

@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // costs (run with --release to see the spread clearly). The override
     // rides on the request, so no engine reconfiguration is needed.
     println!("\nalgorithm comparison on //open_auction[bidder/increase >= 25]/itemref:");
-    for algo in Algorithm::ALL {
+    for algo in Algorithm::ALL.into_iter().chain([Algorithm::Auto]) {
         let request =
             QueryRequest::twig("//open_auction[bidder/increase >= 25]/itemref").algorithm(algo);
         let start = Instant::now();

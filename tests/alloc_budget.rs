@@ -66,8 +66,8 @@ fn pipeline_allocations(idx: &IndexedDocument, query: &str, algorithm: Algorithm
     let pattern = parse_query(query).expect("parses");
     let guard = QueryGuard::unlimited();
     let before = ALLOCATIONS.with(Cell::get);
-    let matches = execute_budgeted(idx, &pattern, algorithm, 1, None, &guard);
-    let top = Ranker::new(idx).rank_top_k(&pattern, &matches, 10, 1);
+    let matches = execute_budgeted(idx, &pattern, algorithm, None, &guard);
+    let top = Ranker::new(idx).rank_top_k(&pattern, &matches, 10);
     let spent = ALLOCATIONS.with(Cell::get) - before;
     assert_eq!(matches.len(), idx.all_elements().len() / 3, "{query}");
     assert_eq!(top.len(), 10);
@@ -82,7 +82,6 @@ fn join_and_rank_allocate_per_buffer_not_per_match() {
     for (query, algorithm) in [
         ("//item[a][b]", Algorithm::StructuralJoin),
         ("//item[a][b]", Algorithm::Naive),
-        ("//r/item/a", Algorithm::PathStack),
     ] {
         let at_small = pipeline_allocations(&small, query, algorithm);
         let at_large = pipeline_allocations(&large, query, algorithm);

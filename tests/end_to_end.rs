@@ -45,7 +45,7 @@ fn every_algorithm_returns_identical_counts_end_to_end() {
         let sys = system(ds);
         for q in queries::queries(ds) {
             let mut counts = Vec::new();
-            for algo in Algorithm::ALL {
+            for algo in Algorithm::ALL.into_iter().chain([Algorithm::Auto]) {
                 let request = QueryRequest::twig(q.text).algorithm(algo);
                 counts.push(sys.query(&request).unwrap().total_matches);
             }
@@ -260,13 +260,15 @@ fn snapshot_roundtrip_preserves_query_results() {
 fn auto_algorithm_selection_is_safe_on_canonical_workloads() {
     for ds in Dataset::ALL {
         let mut sys = system(ds);
-        let mut pinned = Vec::new();
+        assert_eq!(sys.algorithm(), Algorithm::Auto, "the default");
+        let mut auto = Vec::new();
         for q in queries::queries(ds) {
-            pinned.push(run(&sys, q.text).total_matches);
+            auto.push(run(&sys, q.text).total_matches);
         }
-        let config = sys.config().clone().auto_algorithm();
+        // The navigational oracle, pinned by configuration, agrees.
+        let config = sys.config().clone().algorithm(Algorithm::Naive);
         sys.reconfigure(config).unwrap();
-        for (q, expected) in queries::queries(ds).iter().zip(pinned) {
+        for (q, expected) in queries::queries(ds).iter().zip(auto) {
             assert_eq!(run(&sys, q.text).total_matches, expected, "{} {}", ds, q.id);
         }
     }
@@ -293,7 +295,7 @@ fn ordered_queries_are_consistent_across_algorithms() {
     let sys = system(Dataset::XmarkLike);
     let q = "ordered //bidder[time][increase]";
     let mut counts = Vec::new();
-    for algo in Algorithm::ALL {
+    for algo in Algorithm::ALL.into_iter().chain([Algorithm::Auto]) {
         let request = QueryRequest::twig(q).algorithm(algo);
         counts.push(sys.query(&request).unwrap().total_matches);
     }

@@ -7,7 +7,8 @@
 //! cache.
 
 use lotusx::{Budget, CancelToken, LotusX, QueryRequest, TruncationReason};
-use lotusx_datagen::{generate, Dataset};
+use lotusx_datagen::{generate, queries, Dataset};
+use lotusx_serve::wire::encode_response;
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -186,6 +187,69 @@ fn truncated_outcomes_never_poison_the_query_cache() {
         .unwrap();
     assert!(again.completeness.is_complete());
     assert_eq!(again.total_matches, full.total_matches);
+}
+
+/// The empty-result rewriter runs under the request's budget: a node
+/// quota that trips inside the rewrite search stops it, the response is
+/// marked truncated and applies no rewrite, nothing is cached — and a
+/// budget that never trips changes no byte of the answer.
+#[test]
+fn budgets_bound_the_rewrite_search() {
+    let (mut stopped_in_rewrite, mut recovered) = (0, 0);
+    for dataset in Dataset::ALL {
+        let doc = generate(dataset, 1, 42);
+        let reference = LotusX::load_document(doc.clone());
+        for q in queries::broken_queries(dataset) {
+            let full = reference.query(&QueryRequest::twig(q.text)).unwrap();
+            assert!(full.completeness.is_complete(), "{dataset} {}", q.id);
+            let Some(applied) = &full.rewrite else {
+                continue;
+            };
+            recovered += 1;
+            // Rising quotas on a fresh engine: truncated until one
+            // suffices, and that answer is the unbudgeted one.
+            let system = LotusX::load_document(doc.clone());
+            let mut completed = false;
+            for quota in (0..40).map(|shift| 1u64 << shift) {
+                let budget = Budget::default().with_node_quota(quota);
+                let request = QueryRequest::twig(q.text).budget(budget).profiled(true);
+                let mut got = system.query(&request).unwrap();
+                let stages = got.profile.take().expect("profiled").span.children;
+                if got.completeness.is_complete() {
+                    assert_eq!(
+                        encode_response(&got),
+                        encode_response(&full),
+                        "{dataset} {} at quota {quota}",
+                        q.id
+                    );
+                    completed = true;
+                    break;
+                }
+                assert_eq!(
+                    got.completeness.truncation_reason(),
+                    Some(TruncationReason::NodeQuotaExceeded)
+                );
+                assert_eq!(system.query_cache_stats().entries, 0, "never cached");
+                // Only a rewrite whose search ran to completion is ever
+                // applied, so it is the one the unbudgeted run found.
+                match &got.rewrite {
+                    Some(info) => assert_eq!(info.pattern, applied.pattern, "{dataset} {}", q.id),
+                    None => assert!(got.matches.is_empty(), "{dataset} {}", q.id),
+                }
+                let ran = |stage: &str| stages.iter().filter(|s| s.name == stage).count();
+                if ran("rewrite") == 1 && got.rewrite.is_none() {
+                    assert_eq!(ran("match"), 1, "a cut-short search re-executes nothing");
+                    stopped_in_rewrite += 1;
+                }
+            }
+            assert!(completed, "{dataset} {}: 2^39 visits suffice", q.id);
+        }
+    }
+    assert!(recovered >= 6, "broken queries must rewrite: {recovered}");
+    assert!(
+        stopped_in_rewrite >= recovered,
+        "quotas must trip inside the search: {stopped_in_rewrite} of {recovered}"
+    );
 }
 
 #[test]

@@ -45,6 +45,7 @@ fn queries_byte_identical_across_algorithms_under_concurrency() {
     // Every algorithm, twig and keyword kinds, varying top_k.
     let mut bodies: Vec<String> = Algorithm::ALL
         .iter()
+        .chain([&Algorithm::Auto])
         .map(|a| {
             format!(
                 "{{\"text\":\"//item/name\",\"algorithm\":\"{}\",\"top_k\":7}}",
@@ -306,7 +307,7 @@ fn poll_backend_serves_byte_identical_responses() {
         ..ServeConfig::default()
     };
     let bodies = [
-        "{\"text\":\"//item/name\",\"algorithm\":\"tjfast\",\"top_k\":7}".to_string(),
+        "{\"text\":\"//item/name\",\"algorithm\":\"structural-join\",\"top_k\":7}".to_string(),
         "{\"text\":\"gold keyword\",\"kind\":\"keyword\",\"top_k\":5}".to_string(),
     ];
     let expected: Vec<String> = bodies.iter().map(|b| expected_bytes(&engine, b)).collect();

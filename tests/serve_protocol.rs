@@ -37,6 +37,8 @@ struct Case {
     /// Does this input get far enough to be *routed* (and therefore
     /// counted in `requests` as well as `rejected`)?
     routed: bool,
+    /// Text the JSON error body must contain ("" = any reason).
+    reason: &'static str,
 }
 
 fn case(name: &'static str, raw: &str, expect: u16, routed: bool) -> Case {
@@ -45,6 +47,7 @@ fn case(name: &'static str, raw: &str, expect: u16, routed: bool) -> Case {
         chunks: vec![(raw.as_bytes().to_vec(), Duration::ZERO)],
         expect,
         routed,
+        reason: "",
     }
 }
 
@@ -151,6 +154,7 @@ fn malformed_inputs_get_documented_rejections_and_exact_counters() {
             )],
             expect: 400,
             routed: true,
+            reason: "",
         },
         case(
             "body is not JSON",
@@ -164,6 +168,18 @@ fn malformed_inputs_get_documented_rejections_and_exact_counters() {
             400,
             true,
         ),
+        // A deleted join algorithm is rejected, never silently mapped to
+        // a survivor.
+        Case {
+            reason: "unknown algorithm \\\"twigstack\\\" (one of naive, structural-join, auto)",
+            ..case(
+                "removed algorithm name",
+                "POST /query HTTP/1.1\r\nContent-Length: 38\r\n\r\n\
+                 {\"text\":\"//a\",\"algorithm\":\"twigstack\"}",
+                400,
+                true,
+            )
+        },
         case("unknown endpoint", "GET /admin HTTP/1.1\r\n\r\n", 404, true),
         case(
             "wrong method on /query",
@@ -185,6 +201,7 @@ fn malformed_inputs_get_documented_rejections_and_exact_counters() {
             ],
             expect: 408,
             routed: false,
+            reason: "",
         },
     ];
 
@@ -207,6 +224,12 @@ fn malformed_inputs_get_documented_rejections_and_exact_counters() {
             // Every rejection carries a JSON error body.
             assert!(
                 response.body_text().starts_with("{\"error\":"),
+                "{}: body {:?}",
+                c.name,
+                response.body_text()
+            );
+            assert!(
+                response.body_text().contains(c.reason),
                 "{}: body {:?}",
                 c.name,
                 response.body_text()

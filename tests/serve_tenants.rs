@@ -137,7 +137,7 @@ fn tenant_responses_byte_identical_to_single_tenant_servers() {
     let dblp_bodies = [
         "{\"text\":\"//article/title\",\"top_k\":5}",
         "{\"text\":\"//inproceedings//author\",\"top_k\":3}",
-        "{\"text\":\"//article[author]/title\",\"algorithm\":\"tjfast\",\"top_k\":7}",
+        "{\"text\":\"//article[author]/title\",\"algorithm\":\"structural-join\",\"top_k\":7}",
     ];
     let treebank_bodies = [
         "{\"text\":\"//s/np\",\"top_k\":4}",
