@@ -228,9 +228,11 @@ stage_telemetry_smoke() {
 # Serving smoke: boot the lotusx-serve binary on an ephemeral loopback
 # port, wait for its "listening on" line (CI_WAIT_SECS overrides the
 # default 10s bind wait on slow machines), hit /healthz and run one
-# query through the raw-socket test client (--probe), then stop it
-# gracefully over HTTP (--stop) and check it exits cleanly. Offline,
-# loopback-only, no curl.
+# query through the raw-socket test client (--probe; it ends by scraping
+# /stats and fails unless inline_answers > 0, panics == 0 and
+# timer_entries <= connections_open + 1), then stop it gracefully over
+# HTTP (--stop) and check it exits cleanly. Offline, loopback-only, no
+# curl.
 stage_serve_smoke() {
     # The root `cargo build --release` does not build dependency crates'
     # binaries; make sure the server binary exists (no-op when cached).
@@ -278,8 +280,9 @@ stage_serve_smoke() {
 
 # Metrics smoke: boot the server with a structured access log and
 # connection tracing on, scrape /metrics twice through the raw-socket
-# probe client (exposition-format conformance + counter monotonicity,
-# no curl), stop it gracefully, then validate the exported trace with
+# probe client (exposition-format conformance + counter monotonicity +
+# the same /stats work-counter check serve-smoke ends with, no curl),
+# stop it gracefully, then validate the exported trace with
 # trace-check --require-conns (per-connection lanes, phase slice
 # balance, exact ring accounting) and check the access log carries
 # exactly one JSONL line per request the stage made.
@@ -328,12 +331,13 @@ stage_metrics_smoke() {
         return 1
     fi
     ./target/release/trace-check "$trace" --require-conns || return 1
-    # The stage's request ledger: 3 pipelined queries + 2 scrapes from
-    # the probe, plus the POST /shutdown from --stop.
+    # The stage's request ledger: 3 pipelined queries + 2 scrapes + the
+    # closing /stats work-counter check from the probe, plus the
+    # POST /shutdown from --stop.
     local lines
     lines=$(wc -l < "$access")
-    if [ "$lines" -ne 6 ]; then
-        echo "metrics-smoke: access log has $lines lines, want 6:" >&2
+    if [ "$lines" -ne 7 ]; then
+        echo "metrics-smoke: access log has $lines lines, want 7:" >&2
         cat "$access" >&2
         return 1
     fi

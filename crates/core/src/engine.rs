@@ -355,6 +355,44 @@ pub struct QueryResponse {
     pub profile: Option<QueryProfile>,
 }
 
+/// What [`LotusX::query_probe`] found.
+#[derive(Debug)]
+pub enum QueryProbe {
+    /// The answer was cached: the finished response.
+    Hit(QueryResponse),
+    /// Not cached (or never cacheable): the parsed state to hand to
+    /// [`LotusX::query_compute`], on this thread or another.
+    Miss(PendingQuery),
+}
+
+/// A probed-but-unanswered query: what the probe already worked out
+/// (parsed pattern, cache key, trace identity, profile span), so the
+/// compute half repeats none of it. `Send`, so a server can probe where
+/// the request arrives and compute on a worker.
+pub struct PendingQuery {
+    /// `None` for keyword searches, which the probe does not look at.
+    twig: Option<PendingTwig>,
+}
+
+impl fmt::Debug for PendingQuery {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PendingQuery")
+            .field("key", &self.twig.as_ref().map(|t| t.key.as_str()))
+            .finish_non_exhaustive()
+    }
+}
+
+struct PendingTwig {
+    qid: QueryId,
+    /// The profile root when this query is profiled or sampled.
+    root: Option<Span>,
+    pattern: TwigPattern,
+    limit: usize,
+    key: String,
+    /// Engine time spent on this query so far (the `total` stage).
+    spent_ns: u64,
+}
+
 /// One ranked search result.
 #[derive(Clone, Debug)]
 pub struct SearchResult {
@@ -800,10 +838,226 @@ impl LotusX {
     /// reconfiguration invalidates the cache. Keyword searches are not
     /// cached. Profiling ([`QueryRequest::profile`]) never changes the
     /// matches — responses are identical with it on or off.
+    ///
+    /// This is [`Self::query_probe`] followed, on a miss, by
+    /// [`Self::query_compute`] — one pipeline with a seam in it, for
+    /// callers that run the two halves on different threads.
     pub fn query(&self, request: &QueryRequest) -> Result<QueryResponse, LotusError> {
-        match request.kind {
-            QueryKind::Twig => self.query_twig(request),
-            QueryKind::Keyword => Ok(self.query_keyword(request)),
+        match self.query_probe(request)? {
+            QueryProbe::Hit(response) => Ok(response),
+            QueryProbe::Miss(pending) => Ok(self.query_compute(request, pending)),
+        }
+    }
+
+    /// The first half of [`Self::query`]: parses the text, derives the
+    /// cache key and looks it up. Everything here is bounded by the size
+    /// of the request and of the cached answer — never by the corpus —
+    /// and nothing here can tick a [`QueryGuard`]. A hit is counted and
+    /// answered on the spot; a miss hands back the parsed state for
+    /// [`Self::query_compute`] (keyword searches are never cached, so
+    /// they always miss, having done no work).
+    pub fn query_probe(&self, request: &QueryRequest) -> Result<QueryProbe, LotusError> {
+        if request.kind == QueryKind::Keyword {
+            return Ok(QueryProbe::Miss(PendingQuery { twig: None }));
+        }
+        let recording = lotusx_obs::enabled();
+        let tracing = lotusx_obs::tracing();
+        let qid = if tracing {
+            lotusx_obs::next_query_id()
+        } else {
+            QueryId::NONE
+        };
+        lotusx_obs::emit(qid, EventKind::QueryBegin);
+        let started = Instant::now();
+        // Sampled always-on profiling: 1-in-N queries build the full span
+        // tree even without `request.profile`, feeding the exemplar store.
+        // The profile is attached to the response only when asked for, so
+        // sampling never changes what the caller sees.
+        let sampled = request.profile || lotusx_obs::sampler().should_sample();
+        let root = sampled.then(|| Span::new("query"));
+
+        let parsed = run_stage(root.as_ref(), Stage::Parse, recording, qid, |_| {
+            parse_query(&request.text)
+        });
+        let pattern = match parsed {
+            Ok(p) => p,
+            Err(e) => {
+                if recording {
+                    lotusx_obs::metrics().incr("query_errors", 1);
+                }
+                lotusx_obs::emit(
+                    qid,
+                    EventKind::QueryEnd {
+                        cache_hit: false,
+                        truncated: false,
+                        results: 0,
+                    },
+                );
+                return Err(e.into());
+            }
+        };
+
+        let limit = request.top_k.unwrap_or(self.config.result_limit);
+        let key = format!(
+            "g{}|k{}|a{}|{}",
+            self.config_generation,
+            limit,
+            request.algorithm.map(|a| a.name()).unwrap_or("-"),
+            pattern
+        );
+        let cached = self.query_cache.get(&key);
+        let mut twig = PendingTwig {
+            qid,
+            root,
+            pattern,
+            limit,
+            key,
+            spent_ns: 0,
+        };
+        match cached {
+            // Cache hits are always complete answers (truncated outcomes
+            // are never inserted), so they satisfy any budget as-is.
+            Some(packed) => {
+                self.note_cache_access(&twig, true);
+                twig.spent_ns = started.elapsed().as_nanos() as u64;
+                Ok(QueryProbe::Hit(self.respond_twig(
+                    request,
+                    twig,
+                    packed.unpack(),
+                    None,
+                    true,
+                )))
+            }
+            None => {
+                twig.spent_ns = started.elapsed().as_nanos() as u64;
+                Ok(QueryProbe::Miss(PendingQuery { twig: Some(twig) }))
+            }
+        }
+    }
+
+    /// The second half of [`Self::query`]: counts the miss, starts the
+    /// request's budget clock and does everything that can tick a
+    /// [`QueryGuard`] — execute, rewrite, rank, serialize — then caches a
+    /// complete outcome. `request` must be the one `pending` was probed
+    /// from. Time between the two halves (a queue, another thread) is not
+    /// charged to the query's `total` stage.
+    pub fn query_compute(&self, request: &QueryRequest, pending: PendingQuery) -> QueryResponse {
+        let Some(mut twig) = pending.twig else {
+            return self.query_keyword(request);
+        };
+        let recording = lotusx_obs::enabled();
+        let started = Instant::now();
+        self.note_cache_access(&twig, false);
+        let guard = QueryGuard::new(&request.budget);
+        guard.set_trace_id(twig.qid.0);
+        let (outcome, executed_algorithm) = if guard.checkpoint() {
+            // Exhausted before any work ran (zero budget, pre-cancelled
+            // token, or the deadline already passed): nothing but the
+            // truncation marker.
+            (
+                SearchOutcome {
+                    results: Vec::new(),
+                    total_matches: 0,
+                    rewrite: None,
+                    completeness: guard.completeness(),
+                    algorithm: None,
+                },
+                None,
+            )
+        } else {
+            let (outcome, algorithm) = self.run_pattern(
+                &twig.pattern,
+                twig.limit,
+                request.algorithm,
+                twig.root.as_ref(),
+                recording,
+                twig.qid,
+                &guard,
+            );
+            if outcome.completeness.is_complete() {
+                let key = std::mem::take(&mut twig.key);
+                self.query_cache.insert(key, PackedOutcome::pack(&outcome));
+            }
+            (outcome, Some(algorithm))
+        };
+        note_degradation(recording, &guard, outcome.completeness);
+        twig.spent_ns += started.elapsed().as_nanos() as u64;
+        self.respond_twig(request, twig, outcome, executed_algorithm, false)
+    }
+
+    /// Counts one cache lookup (`queries` plus `cache_hit`/`cache_miss`)
+    /// and emits its trace event — the hit from the probe, the miss from
+    /// the compute, so each request moves the counters exactly once
+    /// wherever its halves ran.
+    fn note_cache_access(&self, twig: &PendingTwig, hit: bool) {
+        if lotusx_obs::enabled() {
+            let m = lotusx_obs::metrics();
+            m.incr("queries", 1);
+            m.incr(if hit { "cache_hit" } else { "cache_miss" }, 1);
+        }
+        if lotusx_obs::tracing() {
+            lotusx_obs::emit(
+                twig.qid,
+                EventKind::CacheAccess {
+                    shard: self.query_cache.shard_for(&twig.key) as u32,
+                    hit,
+                },
+            );
+        }
+    }
+
+    /// The shared tail of both halves: stage totals, the profile, the
+    /// end-of-query trace event, the response.
+    fn respond_twig(
+        &self,
+        request: &QueryRequest,
+        twig: PendingTwig,
+        outcome: SearchOutcome,
+        executed_algorithm: Option<Algorithm>,
+        hit: bool,
+    ) -> QueryResponse {
+        if lotusx_obs::enabled() {
+            let m = lotusx_obs::metrics();
+            m.record_stage(Stage::Total, twig.spent_ns);
+            m.slow_queries().record(&request.text, twig.spent_ns);
+        }
+
+        let profile = twig.root.map(|r| {
+            r.annotate("cache", if hit { "hit" } else { "miss" });
+            if let Some(reason) = outcome.completeness.truncation_reason() {
+                r.annotate("truncated", reason.name());
+            }
+            QueryProfile {
+                query: request.text.clone(),
+                executed: twig.pattern.to_string(),
+                algorithm: executed_algorithm.map(|a| a.name().to_string()),
+                cache_hit: hit,
+                candidates: outcome.total_matches,
+                results: outcome.results.len(),
+                rewritten: outcome.rewrite.as_ref().map(|i| i.pattern.to_string()),
+                span: r.finish(),
+            }
+        });
+        if let Some(p) = profile.as_ref() {
+            lotusx_obs::metrics().exemplars().observe(p);
+        }
+
+        lotusx_obs::emit(
+            twig.qid,
+            EventKind::QueryEnd {
+                cache_hit: hit,
+                truncated: !outcome.completeness.is_complete(),
+                results: outcome.results.len() as u32,
+            },
+        );
+
+        QueryResponse {
+            algorithm: outcome.algorithm,
+            matches: outcome.results,
+            total_matches: outcome.total_matches,
+            rewrite: outcome.rewrite,
+            completeness: outcome.completeness,
+            profile: if request.profile { profile } else { None },
         }
     }
 
@@ -836,154 +1090,6 @@ impl LotusX {
         Ok(response
             .profile
             .expect("profiled requests always carry a profile"))
-    }
-
-    fn query_twig(&self, request: &QueryRequest) -> Result<QueryResponse, LotusError> {
-        let recording = lotusx_obs::enabled();
-        let tracing = lotusx_obs::tracing();
-        let qid = if tracing {
-            lotusx_obs::next_query_id()
-        } else {
-            QueryId::NONE
-        };
-        lotusx_obs::emit(qid, EventKind::QueryBegin);
-        let started = recording.then(Instant::now);
-        // Sampled always-on profiling: 1-in-N queries build the full span
-        // tree even without `request.profile`, feeding the exemplar store.
-        // The profile is attached to the response only when asked for, so
-        // sampling never changes what the caller sees.
-        let sampled = request.profile || lotusx_obs::sampler().should_sample();
-        let root = sampled.then(|| Span::new("query"));
-        let span = root.as_ref();
-        let guard = QueryGuard::new(&request.budget);
-        guard.set_trace_id(qid.0);
-
-        let parsed = run_stage(span, Stage::Parse, recording, qid, |_| {
-            parse_query(&request.text)
-        });
-        let pattern = match parsed {
-            Ok(p) => p,
-            Err(e) => {
-                if recording {
-                    lotusx_obs::metrics().incr("query_errors", 1);
-                }
-                lotusx_obs::emit(
-                    qid,
-                    EventKind::QueryEnd {
-                        cache_hit: false,
-                        truncated: false,
-                        results: 0,
-                    },
-                );
-                return Err(e.into());
-            }
-        };
-
-        let limit = request.top_k.unwrap_or(self.config.result_limit);
-        let key = format!(
-            "g{}|k{}|a{}|{}",
-            self.config_generation,
-            limit,
-            request.algorithm.map(|a| a.name()).unwrap_or("-"),
-            pattern
-        );
-
-        let cached = self.query_cache.get(&key);
-        let hit = cached.is_some();
-        if recording {
-            let m = lotusx_obs::metrics();
-            m.incr("queries", 1);
-            m.incr(if hit { "cache_hit" } else { "cache_miss" }, 1);
-        }
-        if tracing {
-            lotusx_obs::emit(
-                qid,
-                EventKind::CacheAccess {
-                    shard: self.query_cache.shard_for(&key) as u32,
-                    hit,
-                },
-            );
-        }
-
-        let (outcome, executed_algorithm) = match cached {
-            // Cache hits are always complete answers (truncated outcomes
-            // are never inserted), so they satisfy any budget as-is.
-            Some(packed) => (packed.unpack(), None),
-            // Exhausted before any work ran (zero budget, pre-cancelled
-            // token, or the deadline already passed): nothing but the
-            // truncation marker.
-            None if guard.checkpoint() => (
-                SearchOutcome {
-                    results: Vec::new(),
-                    total_matches: 0,
-                    rewrite: None,
-                    completeness: guard.completeness(),
-                    algorithm: None,
-                },
-                None,
-            ),
-            None => {
-                let (outcome, algorithm) = self.run_pattern(
-                    &pattern,
-                    limit,
-                    request.algorithm,
-                    span,
-                    recording,
-                    qid,
-                    &guard,
-                );
-                if outcome.completeness.is_complete() {
-                    self.query_cache.insert(key, PackedOutcome::pack(&outcome));
-                }
-                (outcome, Some(algorithm))
-            }
-        };
-        note_degradation(recording, &guard, outcome.completeness);
-
-        if let Some(t0) = started {
-            let total_ns = t0.elapsed().as_nanos() as u64;
-            let m = lotusx_obs::metrics();
-            m.record_stage(Stage::Total, total_ns);
-            m.slow_queries().record(&request.text, total_ns);
-        }
-
-        let profile = root.map(|r| {
-            r.annotate("cache", if hit { "hit" } else { "miss" });
-            if let Some(reason) = outcome.completeness.truncation_reason() {
-                r.annotate("truncated", reason.name());
-            }
-            QueryProfile {
-                query: request.text.clone(),
-                executed: pattern.to_string(),
-                algorithm: executed_algorithm.map(|a| a.name().to_string()),
-                cache_hit: hit,
-                candidates: outcome.total_matches,
-                results: outcome.results.len(),
-                rewritten: outcome.rewrite.as_ref().map(|i| i.pattern.to_string()),
-                span: r.finish(),
-            }
-        });
-        if let Some(p) = profile.as_ref() {
-            lotusx_obs::metrics().exemplars().observe(p);
-        }
-
-        lotusx_obs::emit(
-            qid,
-            EventKind::QueryEnd {
-                cache_hit: hit,
-                truncated: !outcome.completeness.is_complete(),
-                results: outcome.results.len() as u32,
-            },
-        );
-
-        Ok(QueryResponse {
-            algorithm: outcome.algorithm,
-            matches: outcome.results,
-            total_matches: outcome.total_matches,
-            rewrite: outcome.rewrite,
-            completeness: outcome.completeness,
-            profile: if request.profile { profile } else { None },
-        })
     }
 
     fn query_keyword(&self, request: &QueryRequest) -> QueryResponse {
@@ -1521,6 +1627,38 @@ mod tests {
             assert_eq!(rewritten(&hit), rewritten(&miss), "{q}");
         }
         assert_eq!(system.query_cache_stats().hits, 4);
+    }
+
+    #[test]
+    fn probe_and_compute_are_the_two_halves_of_query() {
+        fn assert_send<T: Send>() {}
+        assert_send::<PendingQuery>();
+        let system = LotusX::load_str(BIB).unwrap();
+        let request = twig("//book/title");
+        // A miss probes without answering; the compute half may run on
+        // another thread and fills the cache exactly once.
+        let QueryProbe::Miss(pending) = system.query_probe(&request).unwrap() else {
+            panic!("an empty cache cannot hit");
+        };
+        let computed =
+            std::thread::scope(|s| s.spawn(|| system.query_compute(&request, pending)).join())
+                .unwrap();
+        let stats = system.query_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (0, 1));
+        let QueryProbe::Hit(hit) = system.query_probe(&request).unwrap() else {
+            panic!("the computed answer must be cached");
+        };
+        assert_eq!(hit.total_matches, computed.total_matches);
+        assert_eq!(hit.matches.len(), computed.matches.len());
+        let stats = system.query_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        // Keyword searches are never cached: the probe does no work.
+        assert!(matches!(
+            system.query_probe(&QueryRequest::keyword("web")).unwrap(),
+            QueryProbe::Miss(_)
+        ));
+        // Parse errors surface from the probe.
+        assert!(system.query_probe(&twig("//book[")).is_err());
     }
 
     #[test]

@@ -40,8 +40,8 @@ pub mod source;
 pub use canvas::{CanvasError, CanvasNodeId, QueryCanvas};
 pub use corpus::{Corpus, CorpusResult};
 pub use engine::{
-    EngineConfig, LotusError, LotusX, QueryKind, QueryRequest, QueryResponse, SearchOutcome,
-    SearchResult,
+    EngineConfig, LotusError, LotusX, PendingQuery, QueryKind, QueryProbe, QueryRequest,
+    QueryResponse, SearchOutcome, SearchResult,
 };
 pub use registry::{EngineRegistry, Tenant};
 pub use routing::{

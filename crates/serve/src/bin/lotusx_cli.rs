@@ -608,6 +608,12 @@ fn print_top_remote(addr: std::net::SocketAddr) -> bool {
             int(server.get("queue_depth")),
             int(server.get("max_queue_depth")),
         );
+        println!(
+            "  answered inline {} / via workers {}  timer entries {}",
+            int(server.get("inline_answers")),
+            int(server.get("inline_fallbacks")),
+            int(server.get("timer_entries")),
+        );
         let dropped = int(server.get("access_log_dropped"));
         if dropped > 0 {
             println!("  access log: {dropped} lines dropped");

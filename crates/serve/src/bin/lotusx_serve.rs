@@ -356,6 +356,10 @@ fn probe(addr: SocketAddr) -> ExitCode {
     let query = "{\"text\":\"author\",\"kind\":\"keyword\",\"top_k\":1}";
     match client::post(addr, "/query", query) {
         Ok(r) if r.status == 200 && r.body_text().contains("\"total_matches\":") => {
+            if let Err(e) = check_work_counters(addr) {
+                eprintln!("probe: {e}");
+                return ExitCode::FAILURE;
+            }
             println!("probe ok: {}", r.body_text().trim_end());
             ExitCode::SUCCESS
         }
@@ -368,6 +372,40 @@ fn probe(addr: SocketAddr) -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// The deterministic tripwire both probes end with: after their traffic
+/// `/stats` must show the loop-thread fast path at work
+/// (`inline_answers` > 0 — `/healthz` and `/metrics` are answered
+/// there), no isolated panic, and a deadline wheel holding at most one
+/// entry per open connection.
+fn check_work_counters(addr: SocketAddr) -> Result<(), String> {
+    let r = client::get(addr, "/stats").map_err(|e| format!("/stats failed: {e}"))?;
+    if r.status != 200 {
+        return Err(format!("/stats answered {}", r.status));
+    }
+    let doc = lotusx_obs::parse_json(&r.body_text()).map_err(|e| format!("/stats body: {e}"))?;
+    let server = |key: &str| -> Result<u64, String> {
+        doc.get("server")
+            .and_then(|s| s.get(key))
+            .and_then(|v| v.as_f64())
+            .map(|v| v as u64)
+            .ok_or_else(|| format!("/stats has no server.{key}"))
+    };
+    let (inline, panics) = (server("inline_answers")?, server("panics")?);
+    let (entries, open) = (server("timer_entries")?, server("connections_open")?);
+    if inline == 0 {
+        return Err("inline_answers is 0: the loop-thread fast path answered nothing".into());
+    }
+    if panics != 0 {
+        return Err(format!("{panics} handler panic(s)"));
+    }
+    if entries > open + 1 {
+        return Err(format!(
+            "{entries} timer entries for {open} open connection(s): the wheel grows with requests"
+        ));
+    }
+    Ok(())
 }
 
 /// The value of a single-sample Prometheus family in an exposition
@@ -497,6 +535,9 @@ fn metrics_probe(addr: SocketAddr) -> ExitCode {
         if b <= a {
             return fail(format!("{counter} did not advance: {a} → {b}"));
         }
+    }
+    if let Err(e) = check_work_counters(addr) {
+        return fail(e);
     }
     println!(
         "metrics-probe ok: requests {} → {}",

@@ -330,6 +330,12 @@ impl Conn {
         }
     }
 
+    /// Bytes received that no [`Conn::read_one`] has returned yet — a
+    /// non-empty remainder after a failed read is a torn response.
+    pub fn buffered(&self) -> &[u8] {
+        &self.buf
+    }
+
     /// The underlying stream (for timeout tweaks in tests).
     pub fn stream(&self) -> &TcpStream {
         &self.stream

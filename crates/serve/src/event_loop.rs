@@ -10,16 +10,17 @@
 //!           accept (admitted)                accept (gate full)
 //!                 │                                 │
 //!                 ▼                                 ▼
-//!             ┌───────┐   parse complete       ┌─────────┐
-//!      ┌─────▶│READING│──────────────────────▶ │REJECTING│ (429/4xx/408:
-//!      │      └───────┘   (job → workers)      └────┬────┘  flush, close)
-//!      │          │ ▲                               │
-//!  new bytes      │ └────────────┐                  ▼
-//! (re-admit)      ▼              │               closed
-//!      │      ┌───────┐  done  ┌─┴─────┐
-//!      │      │PENDING│───────▶│FLUSH  │──▶ close (Connection: close,
-//!      │      └───────┘        └─┬─────┘           EOF, error, stop)
-//!      │   (compute on worker)   │ drained, keep-alive
+//!             ┌───────┐  parse complete,       ┌─────────┐
+//!      ┌─────▶│READING│  answered inline ──┐   │REJECTING│ (429/4xx/408:
+//!      │      └───────┘                    │   └────┬────┘  flush, close)
+//!      │          │ ▲  parse complete,     │        │
+//!  new bytes      │ │  needs the workers   │        ▼
+//! (re-admit)      ▼ └────────────┐         │     closed
+//!      │      ┌───────┐  done  ┌─┴─────┐   │
+//!      │      │PENDING│───────▶│FLUSH  │◀──┘
+//!      │      └───────┘        └─┬─────┘──▶ close (Connection: close,
+//!      │   (compute on worker)   │               EOF, error, stop)
+//!      │                         │ drained, keep-alive
 //!      │                         ▼
 //!      │                      ┌──────┐
 //!      └──────────────────────│ IDLE │──▶ idle deadline → close
@@ -27,18 +28,42 @@
 //! ```
 //!
 //! * **READING** — accumulating bytes until [`crate::http::parse_request`]
-//!   frames a request. The read deadline re-arms on every received byte;
+//!   frames a request. The read deadline moves on every received byte;
 //!   firing answers `408` (a slow-loris costs a buffer, not a thread).
-//! * **PENDING** — exactly one request is on the worker pool. Pipelined
-//!   bytes keep accumulating (up to the input-buffer cap) but are not
-//!   parsed until the response is enqueued, which keeps responses in
-//!   request order with no reorder machinery.
+//!   A framed, routed, admitted request is then *answered where it
+//!   arrived* if its work is bounded by its own size and the size of its
+//!   response rather than by the corpus: `GET /healthz`, `GET /metrics`,
+//!   `POST /complete` within [`INLINE_NODE_BUDGET`], a `POST /query`
+//!   whose answer is cached, and every 4xx those produce. That is
+//!   READING → FLUSH directly — no queue, no second thread, no wake-up;
+//!   the loop goes straight on to the next pipelined request, so a burst
+//!   of keystrokes is parsed, answered and written with one `read` and
+//!   one `write`.
+//! * **PENDING** — the inline attempt declined (a cache miss, a tripped
+//!   budget, an endpoint that renders the registry or takes a lock): the
+//!   request, with whatever was already decoded of it, is on the worker
+//!   pool — exactly one per connection. Pipelined bytes keep
+//!   accumulating (up to the input-buffer cap) but are not parsed until
+//!   the response is enqueued, which keeps responses in request order
+//!   with no reorder machinery. Both routes run the same
+//!   [`Server::answer`] and deliver through the same
+//!   [`EventLoop::respond`]; only the thread differs.
 //! * **FLUSH** — response bytes draining to the socket. On `WouldBlock`
 //!   the loop registers write interest and arms the write-stall
 //!   deadline; a peer that stops reading for too long is dropped.
+//!   Appending to an output buffer always ends in a write attempt
+//!   ([`EventLoop::flush`] repeats until nothing is left unwritten).
 //! * **IDLE** — a keep-alive connection between requests. It gives up
 //!   its admission slot (so parked connections never starve new ones)
 //!   and is closed when the idle deadline fires.
+//!
+//! # Deadlines
+//!
+//! Each connection has one deadline and at most one entry in the
+//! [`TimerWheel`]; moving the deadline later (every request does) and
+//! disarming it are field writes that never touch the wheel — see
+//! `timer.rs`. `timer_entries` in `/stats` is the wheel's live count and
+//! stays within the number of open connections.
 //!
 //! # Admission
 //!
@@ -62,9 +87,9 @@
 
 use crate::http::{self, ParseStatus, Reject};
 use crate::poller::{Interest, PollEvent, Poller};
-use crate::server::Server;
+use crate::server::{Outcome, Server, Work};
 use crate::tenants::Tenancy;
-use crate::timer::{Fired, TimerWheel};
+use crate::timer::{Deadline, Fired, TimerWheel};
 use lotusx_obs::{
     conn_lane, emit_on_lane, CloseReason, ConnPhase, DeadlineKind, EventKind, QueryId, Stage,
 };
@@ -83,8 +108,19 @@ const TOKEN_WAKER: usize = usize::MAX - 1;
 /// The loop never sleeps longer than this, so a lost wakeup can delay
 /// (never lose) a stop request or completion by at most one lap.
 const MAX_WAIT: Duration = Duration::from_millis(500);
+/// The node-visit budget of one inline answer: how many DataGuide nodes
+/// (tag completion) or elements (building a value trie that is not
+/// resident yet) the loop thread may touch for a request before it drops
+/// the partial work and hands the request to the worker pool. It bounds
+/// how long one request can keep every other connection waiting — a few
+/// tens of microseconds — while covering whole-guide completions on
+/// data-centric corpora (their strong DataGuides have tens of nodes).
+/// A constant, not a knob: the fast path's latency bound is part of the
+/// server's design, not of its configuration.
+pub(crate) const INLINE_NODE_BUDGET: u64 = 512;
 
-/// A parsed request handed to the worker pool.
+/// A parsed request the loop thread declined to answer itself, handed
+/// to the worker pool.
 pub(crate) struct Job {
     /// Connection slot index.
     pub token: usize,
@@ -95,6 +131,8 @@ pub(crate) struct Job {
     pub conn_id: u64,
     /// The request to route.
     pub request: http::Request,
+    /// What the inline attempt already decoded of it.
+    pub work: Work,
     /// The routed tenant index (`None` for server-scoped endpoints).
     /// The loop thread already charged this tenant's `inflight` gauge;
     /// the matching decrement happens when the completion lands.
@@ -107,16 +145,13 @@ pub(crate) struct Job {
     pub queued_at: Instant,
 }
 
-/// A finished response traveling back to the loop.
+/// A finished response on its way to a connection — from a worker
+/// through the completion queue, or straight from the loop thread's own
+/// inline answer. Either way it lands in [`EventLoop::respond`].
 pub(crate) struct Done {
     pub token: usize,
     pub epoch: u64,
-    /// Fully encoded response bytes (may be empty for dead peers).
-    pub bytes: Vec<u8>,
-    /// Close the connection once the bytes are flushed.
-    pub close: bool,
-    /// Response status, for the access log.
-    pub status: u16,
+    pub payload: Payload,
     /// Request method/path, moved out of the request for the access log.
     pub method: String,
     pub path: String,
@@ -125,9 +160,31 @@ pub(crate) struct Done {
     /// Timing breakdown carried through to the access-log line.
     pub parse_ns: u64,
     pub queue_ns: u64,
-    pub compute_ns: u64,
-    /// When the worker pushed this completion (loop-lag measurement).
-    pub finished: Instant,
+}
+
+/// The response itself, in the form its producer left it.
+pub(crate) enum Payload {
+    /// Encoded on a worker thread.
+    Encoded {
+        /// Fully encoded response bytes (may be empty for dead peers).
+        bytes: Vec<u8>,
+        status: u16,
+        /// Close the connection once the bytes are flushed.
+        close: bool,
+        /// Pick-up to encoded, on the worker.
+        compute_ns: u64,
+        /// When the worker pushed this completion (loop-lag measurement).
+        finished: Instant,
+    },
+    /// Answered on the loop thread; encoded straight into the
+    /// connection's output buffer by [`EventLoop::respond`].
+    Inline {
+        outcome: Outcome,
+        /// Encode the response with `Connection: keep-alive`.
+        keep_alive: bool,
+        /// When the inline attempt began (its `compute_ns` clock).
+        started: Instant,
+    },
 }
 
 /// A response whose access-log line is waiting on its flush time
@@ -207,7 +264,7 @@ impl Completions {
 }
 
 /// Per-connection state. See the module docs for the state machine.
-/// The armed deadline (at most one) is tagged with the shared
+/// The deadline (at most one) is tagged with the shared
 /// [`DeadlineKind`] so the deadline-fired trace event needs no mapping.
 struct Conn {
     stream: TcpStream,
@@ -247,9 +304,9 @@ struct Conn {
     phase: Option<ConnPhase>,
     /// Current poller interest (cached to skip no-op syscalls).
     interest: Interest,
-    /// Bumped on every (re-)arm or cancel; stale wheel entries fail it.
-    timer_epoch: u64,
-    deadline: Option<(Instant, DeadlineKind)>,
+    /// The connection's one deadline and its one wheel entry (see
+    /// `timer.rs`).
+    deadline: Deadline<DeadlineKind>,
 }
 
 impl Conn {
@@ -271,8 +328,7 @@ impl Conn {
             log: Vec::new(),
             phase: None,
             interest: Interest::default(),
-            timer_epoch: 0,
-            deadline: None,
+            deadline: Deadline::default(),
         }
     }
 }
@@ -407,13 +463,16 @@ impl EventLoop<'_> {
                 }
             }
             for done in self.completions.drain() {
-                self.apply_done(done);
+                self.on_completion(done);
             }
             fired.clear();
             self.wheel.expire(Instant::now(), &mut fired);
             for f in &fired {
                 self.fire_deadline(f);
             }
+            stats
+                .timer_entries
+                .store(self.wheel.entries() as u64, Ordering::Relaxed);
             // Safe to reuse closed slots now: no stale event from this
             // batch can still reference them.
             self.free.append(&mut self.free_pending);
@@ -457,6 +516,7 @@ impl EventLoop<'_> {
             return;
         };
         slot.epoch += 1;
+        self.wheel.release(&mut conn.deadline);
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
         drop(conn.stream);
         if conn.counted {
@@ -480,8 +540,7 @@ impl EventLoop<'_> {
         }
         // Responses that never fully drained still get their line, with
         // the close reason as the disposition.
-        let entries = std::mem::take(&mut conn.log);
-        self.write_access_lines(conn.id, entries, reason.name());
+        self.write_access_lines(conn.id, &mut conn.log, reason.name());
     }
 
     /// Publishes a lifecycle phase change on the connection's trace
@@ -506,13 +565,10 @@ impl EventLoop<'_> {
 
     /// Writes one access-log line per entry (flush time measured here)
     /// and records each flush latency into the obs registry.
-    fn write_access_lines(&self, conn_id: u64, entries: Vec<PendingLog>, disposition: &str) {
-        if entries.is_empty() {
-            return;
-        }
+    fn write_access_lines(&self, conn_id: u64, entries: &mut Vec<PendingLog>, disposition: &str) {
         let recording = lotusx_obs::enabled();
         let stats = &self.server.stats;
-        for entry in entries {
+        for entry in entries.drain(..) {
             let flush_ns = entry.enqueued.elapsed().as_nanos() as u64;
             if recording {
                 lotusx_obs::metrics().record_stage(Stage::HttpFlush, flush_ns);
@@ -575,41 +631,27 @@ impl EventLoop<'_> {
 
     fn arm(&mut self, token: usize, kind: DeadlineKind, after: Duration) {
         let at = Instant::now() + after;
-        let Some(conn) = self.conn(token) else {
-            return;
-        };
-        conn.timer_epoch += 1;
-        conn.deadline = Some((at, kind));
-        let epoch = conn.timer_epoch;
-        self.wheel.insert(at, token, epoch);
+        if let Some(conn) = self.slots.get_mut(token).and_then(|s| s.conn.as_mut()) {
+            self.wheel.arm(&mut conn.deadline, token, at, kind);
+        }
     }
 
     fn disarm(&mut self, token: usize) {
         if let Some(conn) = self.conn(token) {
-            conn.timer_epoch += 1;
-            conn.deadline = None;
+            conn.deadline.disarm();
         }
     }
 
     fn fire_deadline(&mut self, f: &Fired) {
         let token = f.token;
-        let Some(conn) = self.conn(token) else {
+        let Some(conn) = self.slots.get_mut(token).and_then(|s| s.conn.as_mut()) else {
             return;
         };
-        if conn.timer_epoch != f.epoch {
-            return;
-        }
-        let Some((at, kind)) = conn.deadline else {
+        // Stale entries, disarmed deadlines and entries that came up
+        // before a since-moved deadline (re-lodged) all end here.
+        let Some(kind) = self.wheel.fired(&mut conn.deadline, f, Instant::now()) else {
             return;
         };
-        let now = Instant::now();
-        if now < at {
-            // A lapped wheel entry came up early: re-lodge it.
-            let epoch = conn.timer_epoch;
-            self.wheel.insert(at, token, epoch);
-            return;
-        }
-        conn.deadline = None;
         if lotusx_obs::tracing() {
             let id = conn.id as u32;
             emit_on_lane(
@@ -826,8 +868,10 @@ impl EventLoop<'_> {
         }
     }
 
-    /// Parses as much of the input buffer as the pipelining rules allow
-    /// (at most one request on the workers at a time).
+    /// Parses as much of the input buffer as the pipelining rules allow:
+    /// requests are answered inline one after another (their responses
+    /// coalesce in the output buffer) until one needs the worker pool —
+    /// at most one request per connection is on the workers at a time.
     fn process_inbuf(&mut self, token: usize) {
         // What one look at the buffer decided; acted on after the
         // connection borrow is released.
@@ -836,21 +880,15 @@ impl EventLoop<'_> {
             EofTruncated,
             EofClose,
             GoIdle,
-            Dispatch {
+            /// A routed, admitted request: answer it here if that is
+            /// cheap, else hand it to the workers.
+            Serve {
                 request: http::Request,
                 keep_alive: bool,
                 reused: bool,
                 parse_ns: u64,
                 conn_id: u64,
                 tenant: Option<u32>,
-            },
-            /// `GET /metrics` answered inline on the loop thread — no
-            /// worker round-trip, so a wedged pool can't hide from the
-            /// scraper.
-            Metrics {
-                keep_alive: bool,
-                reused: bool,
-                parse_ns: u64,
             },
             Reject(Reject),
             /// A routing miss (404 `unknown_tenant`) or a per-tenant
@@ -940,41 +978,36 @@ impl EventLoop<'_> {
                                 },
                                 Ok(tenant) => {
                                     // `/t/<name>` stripping may have just
-                                    // exposed a metrics path.
-                                    if request.method == "GET" && request.path == "/metrics" {
-                                        Act::Metrics {
+                                    // exposed a server-scoped path: a
+                                    // scrape is never charged to (or
+                                    // refused for) the tenant in the URL.
+                                    let tenant = tenant.filter(|_| {
+                                        !(request.method == "GET" && request.path == "/metrics")
+                                    });
+                                    // Per-tenant admission quota, checked
+                                    // only here on the loop thread —
+                                    // exact, like the server-wide gate.
+                                    let over = tenant.is_some_and(|idx| {
+                                        let rt = tenancy.set.runtime(idx);
+                                        rt.limits().max_inflight.is_some_and(|quota| {
+                                            rt.stats.inflight.load(Ordering::Relaxed)
+                                                >= quota as u64
+                                        })
+                                    });
+                                    if over {
+                                        Act::RejectTenant {
+                                            reject: Reject::new(429, "tenant at capacity"),
+                                            tenant,
+                                            quota: true,
+                                        }
+                                    } else {
+                                        Act::Serve {
+                                            request,
                                             keep_alive,
                                             reused,
                                             parse_ns,
-                                        }
-                                    } else {
-                                        // Per-tenant admission quota,
-                                        // checked only here on the loop
-                                        // thread — exact, like the
-                                        // server-wide gate.
-                                        let over = tenant.is_some_and(|idx| {
-                                            let rt = tenancy.set.runtime(idx);
-                                            rt.limits().max_inflight.is_some_and(|quota| {
-                                                rt.stats.inflight.load(Ordering::Relaxed)
-                                                    >= quota as u64
-                                            })
-                                        });
-                                        if over {
-                                            Act::RejectTenant {
-                                                reject: Reject::new(429, "tenant at capacity"),
-                                                tenant,
-                                                quota: true,
-                                            }
-                                        } else {
-                                            conn.pending = true;
-                                            Act::Dispatch {
-                                                request,
-                                                keep_alive,
-                                                reused,
-                                                parse_ns,
-                                                conn_id: conn.id,
-                                                tenant,
-                                            }
+                                            conn_id: conn.id,
+                                            tenant,
                                         }
                                     }
                                 }
@@ -1043,7 +1076,7 @@ impl EventLoop<'_> {
                     self.flush(token);
                     return;
                 }
-                Act::Dispatch {
+                Act::Serve {
                     request,
                     keep_alive,
                     reused,
@@ -1059,7 +1092,7 @@ impl EventLoop<'_> {
                     if let Some(idx) = tenant {
                         // Admitted under the tenant's quota: charge the
                         // inflight gauge here on the loop thread; the
-                        // matching release is in `apply_done` (or the
+                        // matching release is in `respond` (or the
                         // failed-send path below).
                         let rt = self.tenancy.set.runtime(idx);
                         rt.stats.requests.fetch_add(1, Ordering::Relaxed);
@@ -1081,16 +1114,53 @@ impl EventLoop<'_> {
                             },
                         );
                     }
+                    // The fast path: whatever is bounded by the size of
+                    // the request and its response is answered right
+                    // here, with no hand-off.
+                    let started = Instant::now();
+                    let epoch = self.slots[token].epoch;
+                    let lane = conn_lane(conn_id as u32);
+                    let attempt =
+                        self.server
+                            .answer(self.tenancy, tenant, &request, Work::Raw, lane, true);
+                    let work = match attempt {
+                        Ok(outcome) => {
+                            stats.inline_answers.fetch_add(1, Ordering::Relaxed);
+                            let http::Request { method, path, .. } = request;
+                            self.respond(Done {
+                                token,
+                                epoch,
+                                payload: Payload::Inline {
+                                    outcome,
+                                    keep_alive,
+                                    started,
+                                },
+                                method,
+                                path,
+                                tenant,
+                                parse_ns,
+                                queue_ns: 0,
+                            });
+                            // Loop: the next pipelined request parses (and
+                            // its response coalesces) before the flush.
+                            continue;
+                        }
+                        Err(work) => work,
+                    };
+                    stats.inline_fallbacks.fetch_add(1, Ordering::Relaxed);
+                    if let Some(conn) = self.conn(token) {
+                        conn.pending = true;
+                    }
                     self.set_phase(token, ConnPhase::Pending);
                     self.disarm(token);
                     let depth = stats.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
                     stats.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
-                    let epoch = self.slots[token].epoch;
                     let sent = self.jobs.send(Job {
                         token,
                         epoch,
                         conn_id,
                         request,
+                        work,
                         tenant,
                         keep_alive,
                         parse_ns,
@@ -1111,99 +1181,7 @@ impl EventLoop<'_> {
                         return;
                     }
                     // Loop: the next iteration sees `pending` and
-                    // returns (or, after a completion, parses the next
-                    // pipelined request).
-                }
-                Act::Metrics {
-                    keep_alive,
-                    reused,
-                    parse_ns,
-                } => {
-                    let Some(conn_id) = self.conn(token).map(|c| c.id) else {
-                        return;
-                    };
-                    let stats = &self.server.stats;
-                    stats.requests.fetch_add(1, Ordering::Relaxed);
-                    // Counted *before* rendering so the scrape sees
-                    // itself — `/metrics` and `/stats` then reconcile
-                    // exactly, with no in-flight gap.
-                    stats.metrics_requests.fetch_add(1, Ordering::Relaxed);
-                    if reused {
-                        stats.keepalive_reuses.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if lotusx_obs::enabled() {
-                        lotusx_obs::metrics().incr("http_requests", 1);
-                        if reused {
-                            lotusx_obs::metrics().incr("http_keepalive_reuses", 1);
-                        }
-                    }
-                    let lane = conn_lane(conn_id as u32);
-                    if lotusx_obs::tracing() {
-                        if reused {
-                            emit_on_lane(
-                                lane,
-                                QueryId::NONE,
-                                EventKind::ConnReuse {
-                                    conn: conn_id as u32,
-                                },
-                            );
-                        }
-                        emit_on_lane(
-                            lane,
-                            QueryId::NONE,
-                            EventKind::StageBegin {
-                                stage: Stage::HttpMetrics.name(),
-                            },
-                        );
-                    }
-                    let started = Instant::now();
-                    let body = format!(
-                        "{}{}{}",
-                        self.server.stats.snapshot().to_prometheus(),
-                        self.tenancy.set.to_prometheus(),
-                        lotusx_obs::metrics().snapshot().to_prometheus()
-                    );
-                    let bytes = http::encode_response(
-                        200,
-                        "text/plain; version=0.0.4",
-                        body.as_bytes(),
-                        keep_alive,
-                    );
-                    let compute_ns = started.elapsed().as_nanos() as u64;
-                    if lotusx_obs::enabled() {
-                        lotusx_obs::metrics().record_stage(Stage::HttpMetrics, compute_ns);
-                    }
-                    if lotusx_obs::tracing() {
-                        emit_on_lane(
-                            lane,
-                            QueryId::NONE,
-                            EventKind::StageEnd {
-                                stage: Stage::HttpMetrics.name(),
-                            },
-                        );
-                    }
-                    let len = bytes.len() as u64;
-                    if let Some(conn) = self.conn(token) {
-                        conn.outbuf.extend_from_slice(&bytes);
-                        conn.log.push(PendingLog {
-                            method: "GET".to_string(),
-                            path: "/metrics".to_string(),
-                            status: 200,
-                            bytes: len,
-                            tenant: None,
-                            parse_ns,
-                            queue_ns: 0,
-                            compute_ns,
-                            enqueued: Instant::now(),
-                        });
-                        if !keep_alive {
-                            conn.close_after_flush = true;
-                            conn.close_reason.get_or_insert(CloseReason::ClientClose);
-                        }
-                    }
-                    self.set_phase(token, ConnPhase::Flush);
-                    // Loop: pipelined requests behind the scrape parse
-                    // (and coalesce) before the flush.
+                    // returns; the completion resumes the parse.
                 }
             }
         }
@@ -1265,62 +1243,14 @@ impl EventLoop<'_> {
 
     // ---- completions -------------------------------------------------
 
-    fn apply_done(&mut self, done: Done) {
+    /// A worker finished a request: deliver the response, then resume
+    /// the connection's pipeline.
+    fn on_completion(&mut self, done: Done) {
         let token = done.token;
-        let stopping = self.stopping();
-        // Release the tenant's inflight slot unconditionally, *before*
-        // the epoch check: the gauge was charged at dispatch, and a
-        // connection that died mid-compute must still release it or the
-        // tenant's quota leaks shut.
-        if let Some(idx) = done.tenant {
-            self.tenancy
-                .set
-                .runtime(idx)
-                .stats
-                .inflight
-                .fetch_sub(1, Ordering::Relaxed);
-        }
-        // Completion-to-pickup latency: how far behind the loop thread
-        // is running (its health signal under load).
-        if lotusx_obs::enabled() {
-            lotusx_obs::metrics().record_stage(
-                Stage::HttpLoopLag,
-                done.finished.elapsed().as_nanos() as u64,
-            );
-        }
-        match self.slots.get(token) {
-            Some(slot) if slot.epoch == done.epoch && slot.conn.is_some() => {}
+        let Some(closing) = self.respond(done) else {
             // The connection died (reset, write stall) while computing.
-            _ => return,
-        }
-        let closing = {
-            let conn = self.slots[token].conn.as_mut().expect("checked above");
-            conn.pending = false;
-            conn.outbuf.extend_from_slice(&done.bytes);
-            if done.close || stopping {
-                conn.close_after_flush = true;
-                conn.close_reason.get_or_insert(if stopping {
-                    CloseReason::Drain
-                } else if done.status >= 400 || done.status == 0 {
-                    CloseReason::Rejected
-                } else {
-                    CloseReason::ClientClose
-                });
-            }
-            conn.log.push(PendingLog {
-                method: done.method,
-                path: done.path,
-                status: done.status,
-                bytes: done.bytes.len() as u64,
-                tenant: done.tenant,
-                parse_ns: done.parse_ns,
-                queue_ns: done.queue_ns,
-                compute_ns: done.compute_ns,
-                enqueued: Instant::now(),
-            });
-            conn.close_after_flush
+            return;
         };
-        self.set_phase(token, ConnPhase::Flush);
         if !closing {
             // Parse the next pipelined request (or go idle) before
             // flushing so a back-to-back pair coalesces into one write.
@@ -1335,6 +1265,104 @@ impl EventLoop<'_> {
         self.ensure_deadline(token);
     }
 
+    /// **The** way a finished response reaches a connection, whether a
+    /// worker computed it or the loop thread just did: releases the
+    /// tenant's inflight slot, records the request's queue-wait and
+    /// compute samples, appends the bytes to the output buffer (inline
+    /// answers are encoded straight into it), decides whether the
+    /// connection closes after the flush, and queues the access-log
+    /// line. Flushing is the caller's next step. Returns whether the
+    /// connection is now closing, or `None` when it no longer exists.
+    fn respond(&mut self, done: Done) -> Option<bool> {
+        let token = done.token;
+        let stopping = self.stopping();
+        // Release the tenant's inflight slot unconditionally, *before*
+        // the epoch check: the gauge was charged at dispatch, and a
+        // connection that died mid-compute must still release it or the
+        // tenant's quota leaks shut.
+        if let Some(idx) = done.tenant {
+            self.tenancy
+                .set
+                .runtime(idx)
+                .stats
+                .inflight
+                .fetch_sub(1, Ordering::Relaxed);
+        }
+        // A completion for a connection that died (reset, write stall)
+        // while computing has nowhere to go.
+        let conn = self
+            .slots
+            .get_mut(token)
+            .filter(|slot| slot.epoch == done.epoch)
+            .and_then(|slot| slot.conn.as_mut())?;
+        let (status, close, len, compute_ns, lag_ns) = match done.payload {
+            Payload::Encoded {
+                bytes,
+                status,
+                close,
+                compute_ns,
+                finished,
+            } => {
+                conn.outbuf.extend_from_slice(&bytes);
+                // Completion-to-pickup latency: how far behind the loop
+                // thread is running (its health signal under load).
+                let lag_ns = finished.elapsed().as_nanos() as u64;
+                (status, close, bytes.len() as u64, compute_ns, lag_ns)
+            }
+            Payload::Inline {
+                outcome,
+                keep_alive,
+                started,
+            } => {
+                let before = conn.outbuf.len();
+                // A draining server says so in the response itself.
+                let (status, close) = self.server.encode_outcome(
+                    self.tenancy,
+                    done.tenant,
+                    outcome,
+                    keep_alive && !stopping,
+                    &mut conn.outbuf,
+                );
+                let len = (conn.outbuf.len() - before) as u64;
+                (status, close, len, started.elapsed().as_nanos() as u64, 0)
+            }
+        };
+        if lotusx_obs::enabled() {
+            // Every delivered response leaves one sample of each, so the
+            // per-request latency budget sums wherever it was served; an
+            // inline answer waited in no queue and for no pick-up.
+            let m = lotusx_obs::metrics();
+            m.record_stage(Stage::HttpQueueWait, done.queue_ns);
+            m.record_stage(Stage::HttpCompute, compute_ns);
+            m.record_stage(Stage::HttpLoopLag, lag_ns);
+        }
+        conn.pending = false;
+        if close || stopping {
+            conn.close_after_flush = true;
+            conn.close_reason.get_or_insert(if stopping {
+                CloseReason::Drain
+            } else if status >= 400 || status == 0 {
+                CloseReason::Rejected
+            } else {
+                CloseReason::ClientClose
+            });
+        }
+        conn.log.push(PendingLog {
+            method: done.method,
+            path: done.path,
+            status,
+            bytes: len,
+            tenant: done.tenant,
+            parse_ns: done.parse_ns,
+            queue_ns: done.queue_ns,
+            compute_ns,
+            enqueued: Instant::now(),
+        });
+        let closing = conn.close_after_flush;
+        self.set_phase(token, ConnPhase::Flush);
+        Some(closing)
+    }
+
     /// Arms whatever deadline the connection's state calls for, if
     /// none is armed. PENDING and closing connections are bounded by
     /// their completion and the write path respectively; every other
@@ -1343,7 +1371,7 @@ impl EventLoop<'_> {
         let Some(conn) = self.conn(token) else {
             return;
         };
-        if conn.pending || conn.close_after_flush || conn.deadline.is_some() {
+        if conn.pending || conn.close_after_flush || conn.deadline.is_armed() {
             return;
         }
         self.restore_deadline(token);
@@ -1351,16 +1379,37 @@ impl EventLoop<'_> {
 
     // ---- write path --------------------------------------------------
 
+    /// Writes out whatever the connection has queued, then lets the
+    /// input buffer make progress (the next pipelined request, or idle).
+    /// That progress can itself queue bytes — every inline answer does —
+    /// so the two steps repeat until nothing is left unwritten: bytes
+    /// appended to an output buffer always get a write attempt, and a
+    /// stalled write always leaves write interest and a deadline behind.
     fn flush(&mut self, token: usize) {
+        while self.flush_once(token) {
+            self.process_inbuf(token);
+            let more = self
+                .conn(token)
+                .is_some_and(|conn| conn.outpos < conn.outbuf.len());
+            if !more {
+                return;
+            }
+        }
+    }
+
+    /// One pass of [`Self::flush`]: writes until the output buffer is
+    /// empty or the socket pushes back. Returns true when the connection
+    /// is still open with nothing left to write.
+    fn flush_once(&mut self, token: usize) -> bool {
         let write_timeout = self.server.config.write_timeout;
         let Some(conn) = self.conn(token) else {
-            return;
+            return false;
         };
         while conn.outpos < conn.outbuf.len() {
             match (&conn.stream).write(&conn.outbuf[conn.outpos..]) {
                 Ok(0) => {
                     self.close_conn(token, CloseReason::IoError);
-                    return;
+                    return false;
                 }
                 Ok(n) => conn.outpos += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -1370,17 +1419,17 @@ impl EventLoop<'_> {
                         readable: conn.interest.readable,
                         writable: true,
                     };
-                    let stalled = !matches!(conn.deadline, Some((_, DeadlineKind::Write)));
+                    let stalled = conn.deadline.kind() != Some(DeadlineKind::Write);
                     self.set_interest(token, interest);
                     if stalled {
                         self.arm(token, DeadlineKind::Write, write_timeout);
                     }
-                    return;
+                    return false;
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.close_conn(token, CloseReason::IoError);
-                    return;
+                    return false;
                 }
             }
         }
@@ -1393,20 +1442,22 @@ impl EventLoop<'_> {
         let close = conn.close_after_flush;
         let close_reason = conn.close_reason.unwrap_or(CloseReason::ClientClose);
         let writable_armed = conn.interest.writable;
-        let write_deadline = matches!(conn.deadline, Some((_, DeadlineKind::Write)));
+        let write_deadline = conn.deadline.kind() == Some(DeadlineKind::Write);
         // Keep-alive responses that just drained get their access-log
         // lines now, with the flush time known; a closing connection
         // logs from `close_conn` so the line carries the close reason.
-        let drained = if flushed && !close {
-            std::mem::take(&mut conn.log)
-        } else {
-            Vec::new()
-        };
-        let conn_id = conn.id;
-        self.write_access_lines(conn_id, drained, "keep_alive");
+        if flushed && !close {
+            // Lent out and handed back, so the queue keeps its capacity
+            // from one request to the next.
+            let (conn_id, mut log) = (conn.id, std::mem::take(&mut conn.log));
+            self.write_access_lines(conn_id, &mut log, "keep_alive");
+            if let Some(conn) = self.conn(token) {
+                conn.log = log;
+            }
+        }
         if close {
             self.close_conn(token, close_reason);
-            return;
+            return false;
         }
         if writable_armed {
             let interest = Interest {
@@ -1423,8 +1474,7 @@ impl EventLoop<'_> {
             self.disarm(token);
             self.restore_deadline(token);
         }
-        // A response just finished and nothing is queued: idle?
-        self.process_inbuf(token);
+        self.conn(token).is_some()
     }
 
     /// Recomputes the deadline for a connection's current state (used

@@ -73,10 +73,9 @@ pub struct Request {
 impl Request {
     /// The first value of a header (name matched case-insensitively).
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
         self.headers
             .iter()
-            .find(|(n, _)| *n == name)
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
 }
@@ -307,7 +306,24 @@ pub fn status_reason(status: u16) -> &'static str {
 /// `Connection` header — the writer must actually close the connection
 /// when it says `close`.
 pub fn encode_response(status: u16, content_type: &str, body: &[u8], keep_alive: bool) -> Vec<u8> {
-    let head = format!(
+    let mut out = Vec::with_capacity(128 + body.len());
+    encode_response_into(&mut out, status, content_type, body, keep_alive);
+    out
+}
+
+/// [`encode_response`], appended to `out` — the event loop encodes
+/// straight into a connection's output buffer with it.
+pub fn encode_response_into(
+    out: &mut Vec<u8>,
+    status: u16,
+    content_type: &str,
+    body: &[u8],
+    keep_alive: bool,
+) {
+    use std::io::Write;
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(
+        out,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
         status,
         status_reason(status),
@@ -315,17 +331,21 @@ pub fn encode_response(status: u16, content_type: &str, body: &[u8], keep_alive:
         body.len(),
         if keep_alive { "keep-alive" } else { "close" }
     );
-    let mut out = Vec::with_capacity(head.len() + body.len());
-    out.extend_from_slice(head.as_bytes());
     out.extend_from_slice(body);
-    out
 }
 
 /// Encodes the JSON error body for a rejected request. Error responses
 /// always close the connection.
 pub fn encode_error(status: u16, reason: &str) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_error_into(&mut out, status, reason);
+    out
+}
+
+/// [`encode_error`], appended to `out`.
+pub fn encode_error_into(out: &mut Vec<u8>, status: u16, reason: &str) {
     let body = format!("{{\"error\":{}}}\n", lotusx_obs::json_string(reason));
-    encode_response(status, "application/json", body.as_bytes(), false)
+    encode_response_into(out, status, "application/json", body.as_bytes(), false);
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! | `POST /query`     | Twig/keyword search (per-request `top_k`, `algorithm`, `deadline_ms`, `budget`) |
 //! | `POST /complete`  | Position-aware tag/value auto-completion       |
 //! | `GET /stats`      | Per-server counters, per-tenant counters (registry mode) + the full obs snapshot |
-//! | `GET /metrics`    | Prometheus text exposition (v0.0.4), served inline on the loop thread |
+//! | `GET /metrics`    | Prometheus text exposition (v0.0.4), always served on the loop thread |
 //! | `GET /healthz`    | Liveness probe (`ok`)                          |
 //! | `POST /shutdown`  | Graceful remote stop                           |
 //! | `POST /admin/routes` | Hot-swap the routing rules (registry mode only) |
@@ -27,9 +27,12 @@
 //!
 //! The I/O layer is a single-threaded nonblocking event loop driving
 //! per-connection state machines — incremental parsing, HTTP/1.1
-//! keep-alive and pipelining, read/idle/write-stall deadline wheels —
-//! while compute runs on a fixed worker pool, so a slow or hostile
-//! client costs a buffer, never a query thread. Robustness is
+//! keep-alive and pipelining, read/idle/write-stall deadlines on a
+//! timer wheel. Requests whose work is bounded by their own size
+//! (completions, query-cache hits, health checks, scrapes) are answered
+//! on that thread, where they arrive; everything else computes on a
+//! fixed worker pool, so a slow or hostile client costs a buffer, never
+//! a query thread. Robustness is
 //! first-class: per-connection read/write/idle deadlines, a
 //! max-in-flight admission gate (`429`), a request-size cap (`413`),
 //! malformed input answered with `400` (never a panic — worker panics

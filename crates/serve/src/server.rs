@@ -5,12 +5,22 @@
 //! [`Server::run`]) owns the listener and every connection. It accepts,
 //! reads, parses incrementally, and writes — all nonblocking, driven by
 //! an epoll/poll readiness [`Poller`](crate::poller::Poller) and a
-//! deadline [`TimerWheel`](crate::timer::TimerWheel). Parsed requests
-//! are handed to a fixed pool of **worker threads** over a channel;
+//! deadline [`TimerWheel`](crate::timer::TimerWheel) — and it *answers*
+//! every request whose work is bounded by the request and response size
+//! rather than by the corpus: health checks, scrapes, completions within
+//! a fixed node-visit budget, queries whose answer is cached. A
+//! keystroke is thus served where it arrives, with no hand-off. What the
+//! loop thread declines — cache misses, completions that trip the
+//! budget, `/stats`, `/shutdown`, `/admin/routes` — goes, already
+//! decoded, to a fixed pool of **worker threads** over a channel;
 //! finished responses come back over a completion queue that wakes the
-//! loop. A slow (or stalled, or hostile) client therefore costs one
-//! connection slot and a few kilobytes of buffer — never a query
-//! thread.
+//! loop. Both threads run the one answer path (`Server::answer` →
+//! `Server::encode_outcome`: routing, panic isolation, reject
+//! accounting), and every response reaches its connection through one
+//! function on the loop thread. A slow (or stalled, or hostile) client
+//! therefore costs one connection slot and a few kilobytes of buffer —
+//! never a query thread — and a cold join never delays a keystroke by
+//! more than one inline budget.
 //!
 //! Admission is gated on the event-loop thread *before* a connection
 //! enters service: when `max_inflight` connections are actively being
@@ -29,12 +39,12 @@
 //! request is ever answered with a torn or missing response.
 
 use crate::access_log::AccessLog;
-use crate::event_loop::{self, Completions, Done, Job, Waker};
+use crate::event_loop::{self, Completions, Done, Job, Payload, Waker, INLINE_NODE_BUDGET};
 use crate::http::{self, Limits, Reject, Request};
 use crate::poller::{Backend, Poller};
 use crate::tenants::{Tenancy, TenantSet, TenantSnapshot};
 use crate::wire;
-use lotusx::{CancelToken, EngineRegistry, LotusX, QueryRequest};
+use lotusx::{Budget, CancelToken, EngineRegistry, LotusX, QueryGuard, QueryRequest};
 use lotusx_obs::{conn_lane, EventKind, PromWriter, QueryId, Stage};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -157,6 +167,19 @@ pub struct ServerStats {
     /// server-wide `max_inflight` gate counts under `rejected` via the
     /// accept path instead).
     pub tenant_quota_rejects: AtomicU64,
+    /// Responses produced on the event-loop thread itself — no worker
+    /// hand-off: `/healthz`, `/metrics`, `/complete` within the inline
+    /// budget, `/query` cache hits, and any 4xx those paths answer.
+    pub inline_answers: AtomicU64,
+    /// Requests the loop thread handed to the worker pool: endpoints
+    /// that always compute there (`/stats`, `/shutdown`,
+    /// `/admin/routes`), `/query` cache misses, and `/complete` calls
+    /// that tripped the inline budget. Every routed request is one or
+    /// the other: `requests == inline_answers + inline_fallbacks`.
+    pub inline_fallbacks: AtomicU64,
+    /// Gauge: entries lodged in the deadline wheel (at most one per open
+    /// connection — it must not grow with request rate).
+    pub timer_entries: AtomicU64,
 }
 
 /// A plain-value copy of [`ServerStats`].
@@ -212,6 +235,12 @@ pub struct StatsSnapshot {
     pub unknown_tenant_rejects: u64,
     /// See [`ServerStats::tenant_quota_rejects`].
     pub tenant_quota_rejects: u64,
+    /// See [`ServerStats::inline_answers`].
+    pub inline_answers: u64,
+    /// See [`ServerStats::inline_fallbacks`].
+    pub inline_fallbacks: u64,
+    /// See [`ServerStats::timer_entries`].
+    pub timer_entries: u64,
 }
 
 impl ServerStats {
@@ -243,6 +272,9 @@ impl ServerStats {
             access_log_dropped: self.access_log_dropped.load(Ordering::Relaxed),
             unknown_tenant_rejects: self.unknown_tenant_rejects.load(Ordering::Relaxed),
             tenant_quota_rejects: self.tenant_quota_rejects.load(Ordering::Relaxed),
+            inline_answers: self.inline_answers.load(Ordering::Relaxed),
+            inline_fallbacks: self.inline_fallbacks.load(Ordering::Relaxed),
+            timer_entries: self.timer_entries.load(Ordering::Relaxed),
         }
     }
 }
@@ -251,7 +283,7 @@ impl StatsSnapshot {
     /// Every field as a `(name, value, is_gauge)` triple, in display
     /// order — the one list `/stats` JSON and `/metrics` exposition are
     /// both rendered from, so the two can never drift apart.
-    fn fields(&self) -> [(&'static str, u64, bool); 25] {
+    fn fields(&self) -> [(&'static str, u64, bool); 28] {
         [
             ("requests", self.requests, false),
             ("rejected", self.rejected, false),
@@ -278,6 +310,9 @@ impl StatsSnapshot {
             ("access_log_dropped", self.access_log_dropped, false),
             ("unknown_tenant_rejects", self.unknown_tenant_rejects, false),
             ("tenant_quota_rejects", self.tenant_quota_rejects, false),
+            ("inline_answers", self.inline_answers, false),
+            ("inline_fallbacks", self.inline_fallbacks, false),
+            ("timer_entries", self.timer_entries, true),
         ]
     }
 
@@ -485,10 +520,10 @@ impl Server {
         }
     }
 
-    /// One compute worker: pulls parsed requests, routes them on the
-    /// engine, encodes the full response bytes, and pushes them back to
-    /// the event loop. Panics are isolated per request: the peer gets a
-    /// best-effort `500` and the server keeps serving.
+    /// One compute worker: pulls requests the loop thread declined to
+    /// answer itself, finishes them on the engine ([`Server::answer`] —
+    /// the same path the loop thread tried), encodes the full response
+    /// bytes, and pushes them back to the event loop.
     fn worker_loop(
         &self,
         tenancy: &Tenancy<'_>,
@@ -509,68 +544,36 @@ impl Server {
                     // Stage slices land on the owning connection's trace
                     // lane so they nest inside its PENDING phase slice.
                     let lane = conn_lane(job.conn_id as u32);
-                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        self.route(tenancy, job.tenant, &job.request, lane)
-                    }));
-                    let (status, bytes, close) = match outcome {
-                        Ok(Ok((content_type, body))) => (
-                            200u16,
-                            http::encode_response(
-                                200,
-                                content_type,
-                                body.as_bytes(),
-                                job.keep_alive,
-                            ),
-                            !job.keep_alive,
-                        ),
-                        Ok(Err(reject)) => {
-                            self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                            if let Some(idx) = job.tenant {
-                                let rt = tenancy.set.runtime(idx);
-                                rt.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                            }
-                            if lotusx_obs::enabled() {
-                                lotusx_obs::metrics().incr("http_rejected", 1);
-                            }
-                            let bytes = if reject.connection_dead() {
-                                Vec::new()
-                            } else {
-                                http::encode_error(reject.status, &reject.reason)
-                            };
-                            (reject.status, bytes, true)
-                        }
-                        Err(_) => {
-                            self.stats.panics.fetch_add(1, Ordering::Relaxed);
-                            if let Some(idx) = job.tenant {
-                                let rt = tenancy.set.runtime(idx);
-                                rt.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                            }
-                            if lotusx_obs::enabled() {
-                                lotusx_obs::metrics().incr("http_worker_panics", 1);
-                            }
-                            (500u16, http::encode_error(500, "internal error"), true)
-                        }
-                    };
-                    let compute_ns = picked_up.elapsed().as_nanos() as u64;
-                    if lotusx_obs::enabled() {
-                        let m = lotusx_obs::metrics();
-                        m.record_stage(Stage::HttpQueueWait, queue_ns);
-                        m.record_stage(Stage::HttpCompute, compute_ns);
-                    }
+                    let outcome = self
+                        .answer(tenancy, job.tenant, &job.request, job.work, lane, false)
+                        .unwrap_or_else(|_| {
+                            debug_assert!(false, "only the loop thread falls back");
+                            Outcome::Panicked
+                        });
+                    let mut bytes = Vec::new();
+                    let (status, close) = self.encode_outcome(
+                        tenancy,
+                        job.tenant,
+                        outcome,
+                        job.keep_alive,
+                        &mut bytes,
+                    );
                     let http::Request { method, path, .. } = job.request;
                     done.push(Done {
                         token: job.token,
                         epoch: job.epoch,
-                        bytes,
-                        close,
-                        status,
+                        payload: Payload::Encoded {
+                            bytes,
+                            status,
+                            close,
+                            compute_ns: picked_up.elapsed().as_nanos() as u64,
+                            finished: Instant::now(),
+                        },
                         method,
                         path,
                         tenant: job.tenant,
                         parse_ns: job.parse_ns,
                         queue_ns,
-                        compute_ns,
-                        finished: Instant::now(),
                     });
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -584,21 +587,126 @@ impl Server {
         }
     }
 
-    /// Routes one parsed request. `Ok` carries the response content type
-    /// and body (the status is always 200). `tenant` is the routed
+    /// Runs one request to its [`Outcome`] on the calling thread —
+    /// **the** answer path, shared by the event loop (`inline`) and the
+    /// workers. Panics are isolated per request: they become
+    /// [`Outcome::Panicked`] (a best-effort `500`) and the server keeps
+    /// serving. `Err` hands the request back, with whatever was already
+    /// decoded, for the worker pool to finish; it only happens when
+    /// `inline` is set.
+    pub(crate) fn answer(
+        &self,
+        tenancy: &Tenancy<'_>,
+        tenant: Option<u32>,
+        request: &Request,
+        work: Work,
+        lane: u32,
+        inline: bool,
+    ) -> Result<Outcome, Work> {
+        let routed = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            self.route(tenancy, tenant, request, work, lane, inline)
+        }));
+        match routed {
+            Ok(Ok(Routed::Ready(content_type, body))) => Ok(Outcome::Ready(content_type, body)),
+            Ok(Ok(Routed::Fallback(work))) => Err(work),
+            Ok(Err(reject)) => Ok(Outcome::Rejected(reject)),
+            Err(_) => Ok(Outcome::Panicked),
+        }
+    }
+
+    /// Appends the wire bytes of `outcome` to `out` — a worker's fresh
+    /// buffer or, on the loop thread, the connection's output buffer —
+    /// and does the reject/panic accounting. Returns the status and
+    /// whether the connection must close after the response.
+    pub(crate) fn encode_outcome(
+        &self,
+        tenancy: &Tenancy<'_>,
+        tenant: Option<u32>,
+        outcome: Outcome,
+        keep_alive: bool,
+        out: &mut Vec<u8>,
+    ) -> (u16, bool) {
+        let count_tenant_reject = || {
+            if let Some(idx) = tenant {
+                let rt = tenancy.set.runtime(idx);
+                rt.stats.rejected.fetch_add(1, Ordering::Relaxed);
+            }
+        };
+        match outcome {
+            Outcome::Ready(content_type, body) => {
+                http::encode_response_into(out, 200, content_type, body.as_bytes(), keep_alive);
+                (200, !keep_alive)
+            }
+            Outcome::Rejected(reject) => {
+                self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                count_tenant_reject();
+                if lotusx_obs::enabled() {
+                    lotusx_obs::metrics().incr("http_rejected", 1);
+                }
+                if !reject.connection_dead() {
+                    http::encode_error_into(out, reject.status, &reject.reason);
+                }
+                (reject.status, true)
+            }
+            Outcome::Panicked => {
+                self.stats.panics.fetch_add(1, Ordering::Relaxed);
+                count_tenant_reject();
+                if lotusx_obs::enabled() {
+                    lotusx_obs::metrics().incr("http_worker_panics", 1);
+                }
+                http::encode_error_into(out, 500, "internal error");
+                (500, true)
+            }
+        }
+    }
+
+    /// Routes one parsed request. `Ready` carries the response content
+    /// type and body (the status is always 200). `tenant` is the routed
     /// tenant index (`None` for server-scoped endpoints); `lane` is the
-    /// owning connection's trace lane.
+    /// owning connection's trace lane; `work` is what an earlier inline
+    /// attempt already decoded.
+    ///
+    /// With `inline` set (the event-loop thread) only work bounded by
+    /// the size of the request and of its response is done here:
+    /// completions run under [`INLINE_NODE_BUDGET`], queries stop at the
+    /// cache probe, and the endpoints that take locks or render the
+    /// whole registry go to the workers untouched. Whatever that attempt
+    /// decoded travels with the `Fallback`; partial results never do.
     fn route(
         &self,
         tenancy: &Tenancy<'_>,
         tenant: Option<u32>,
         request: &Request,
+        work: Work,
         lane: u32,
-    ) -> Result<(&'static str, String), Reject> {
+        inline: bool,
+    ) -> Result<Routed, Reject> {
+        #[cfg(test)]
+        test_hooks::maybe_panic();
+        let ready =
+            |content_type: &'static str, body: String| Ok(Routed::Ready(content_type, body));
         match (request.method.as_str(), request.path.as_str()) {
             ("GET", "/healthz") => {
                 self.stats.health_checks.fetch_add(1, Ordering::Relaxed);
-                Ok(("text/plain", "ok\n".to_string()))
+                ready("text/plain", "ok\n".to_string())
+            }
+            // Never falls back, so a wedged pool can't hide from the
+            // scraper.
+            ("GET", "/metrics") => self.timed(Stage::HttpMetrics, lane, || {
+                // Counted *before* rendering so the scrape sees itself —
+                // `/metrics` and `/stats` then reconcile exactly, with
+                // no in-flight gap.
+                self.stats.metrics_requests.fetch_add(1, Ordering::Relaxed);
+                let body = format!(
+                    "{}{}{}",
+                    self.stats.snapshot().to_prometheus(),
+                    tenancy.set.to_prometheus(),
+                    lotusx_obs::metrics().snapshot().to_prometheus()
+                );
+                ready("text/plain; version=0.0.4", body)
+            }),
+            ("GET", "/stats") | ("POST", "/shutdown" | "/admin/routes") if inline => {
+                Ok(Routed::Fallback(Work::Raw))
             }
             ("GET", "/stats") => self.timed(Stage::HttpStats, lane, || {
                 self.stats.stats_requests.fetch_add(1, Ordering::Relaxed);
@@ -608,102 +716,116 @@ impl Server {
                     tenancy.set.to_json(),
                     lotusx_obs::metrics().snapshot().to_json()
                 );
-                Ok(("application/json", body))
+                ready("application/json", body)
             }),
             ("POST", "/query") => self.timed(Stage::HttpQuery, lane, || {
-                let query = self.decode_body(&request.body, wire::decode_query)?;
-                let mut query = self.with_server_cancel(query);
                 let runtime = tenant.map(|idx| tenancy.set.runtime(idx));
-                if let Some(rt) = runtime {
-                    // Tenant defaults fill only budget fields the request
-                    // left unset — an explicit wire budget always wins.
-                    query.budget = rt.limits().apply_defaults(query.budget);
-                }
-                let started = Instant::now();
-                match tenancy.engine(tenant).query(&query) {
-                    Ok(response) => {
-                        self.stats.queries.fetch_add(1, Ordering::Relaxed);
-                        let truncated = !response.completeness.is_complete();
-                        if truncated {
-                            self.stats
-                                .truncated_responses
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                        if let Some(rt) = runtime {
-                            rt.record_query(started.elapsed().as_nanos() as u64, truncated);
-                        }
-                        Ok(("application/json", wire::encode_response(&response)))
+                let engine = tenancy.engine(tenant);
+                let mut started = Instant::now();
+                let (query, probe) = match work {
+                    Work::Query(probed) => {
+                        let (query, pending) = *probed;
+                        (query, lotusx::QueryProbe::Miss(pending))
                     }
-                    Err(e @ lotusx::LotusError::Query(_)) => Err(Reject {
-                        status: 400,
-                        reason: e.to_string(),
-                    }),
-                    Err(e) => Err(Reject {
-                        status: 500,
-                        reason: e.to_string(),
-                    }),
+                    _ => {
+                        let query = self.decode_body(&request.body, wire::decode_query)?;
+                        let mut query = self.with_server_cancel(query);
+                        if let Some(rt) = runtime {
+                            // Tenant defaults fill only budget fields the
+                            // request left unset — an explicit wire
+                            // budget always wins.
+                            query.budget = rt.limits().apply_defaults(query.budget);
+                        }
+                        started = Instant::now();
+                        let probe = engine.query_probe(&query).map_err(|e| match e {
+                            e @ lotusx::LotusError::Query(_) => Reject::new(400, e.to_string()),
+                            e => Reject::new(500, e.to_string()),
+                        })?;
+                        (query, probe)
+                    }
+                };
+                let response = match probe {
+                    lotusx::QueryProbe::Hit(response) => response,
+                    lotusx::QueryProbe::Miss(pending) if inline => {
+                        return Ok(Routed::Fallback(Work::Query(Box::new((query, pending)))));
+                    }
+                    lotusx::QueryProbe::Miss(pending) => engine.query_compute(&query, pending),
+                };
+                self.stats.queries.fetch_add(1, Ordering::Relaxed);
+                let truncated = !response.completeness.is_complete();
+                if truncated {
+                    self.stats
+                        .truncated_responses
+                        .fetch_add(1, Ordering::Relaxed);
                 }
+                if let Some(rt) = runtime {
+                    rt.record_query(started.elapsed().as_nanos() as u64, truncated);
+                }
+                ready("application/json", wire::encode_response(&response))
             }),
             ("POST", "/complete") => self.timed(Stage::HttpComplete, lane, || {
-                let complete = self.decode_body(&request.body, wire::decode_complete)?;
+                let complete = match work {
+                    Work::Complete(complete) => complete,
+                    _ => self.decode_body(&request.body, wire::decode_complete)?,
+                };
                 let completion = tenancy.engine(tenant).completion_engine();
+                let guard = if inline {
+                    QueryGuard::new(&Budget::unlimited().with_node_quota(INLINE_NODE_BUDGET))
+                } else {
+                    QueryGuard::unlimited()
+                };
                 let started = Instant::now();
-                let body = match complete {
+                let body = match &complete {
                     wire::CompleteRequest::Tag { context, prefix, k } => {
-                        wire::encode_tag_candidates(&completion.complete_tag(&context, &prefix, k))
+                        let found = completion.complete_tag_guarded(context, prefix, *k, &guard);
+                        (!guard.is_tripped()).then(|| wire::encode_tag_candidates(&found))
                     }
                     wire::CompleteRequest::Value { tag, prefix, k } => {
-                        wire::encode_value_candidates(&completion.complete_value(&tag, &prefix, k))
+                        let found = completion.complete_value_guarded(tag, prefix, *k, &guard);
+                        (!guard.is_tripped()).then(|| wire::encode_value_candidates(&found))
                     }
+                };
+                // A tripped inline budget: the truncated candidate list is
+                // dropped, never sent.
+                let Some(body) = body else {
+                    return Ok(Routed::Fallback(Work::Complete(complete)));
                 };
                 self.stats.completions.fetch_add(1, Ordering::Relaxed);
                 if let Some(rt) = tenant.map(|idx| tenancy.set.runtime(idx)) {
                     rt.record_completion(started.elapsed().as_nanos() as u64);
                 }
-                Ok(("application/json", body))
+                ready("application/json", body)
             }),
             ("POST", "/shutdown") => {
                 // Graceful remote stop: the response goes out first, the
                 // event loop notices the flag when the completion lands.
                 self.query_cancel.cancel();
                 self.stop.store(true, Ordering::SeqCst);
-                Ok(("application/json", "{\"stopping\":true}\n".to_string()))
+                ready("application/json", "{\"stopping\":true}\n".to_string())
             }
             ("POST", "/admin/routes") => match tenancy.registry_ref() {
                 Some(registry) => {
-                    let text = std::str::from_utf8(&request.body).map_err(|_| Reject {
-                        status: 400,
-                        reason: "body is not valid UTF-8".to_string(),
-                    })?;
+                    let text = std::str::from_utf8(&request.body)
+                        .map_err(|_| Reject::new(400, "body is not valid UTF-8"))?;
                     match registry.reload_rules(text) {
-                        Ok(count) => Ok(("application/json", format!("{{\"rules\":{count}}}\n"))),
+                        Ok(count) => ready("application/json", format!("{{\"rules\":{count}}}\n")),
                         // The typed error carries kind + byte offset;
                         // the previous table stays installed.
-                        Err(e) => Err(Reject {
-                            status: 400,
-                            reason: e.to_string(),
-                        }),
+                        Err(e) => Err(Reject::new(400, e.to_string())),
                     }
                 }
-                None => Err(Reject {
-                    status: 404,
-                    reason: "unknown endpoint /admin/routes (not a registry server)".to_string(),
-                }),
+                None => Err(Reject::new(
+                    404,
+                    "unknown endpoint /admin/routes (not a registry server)",
+                )),
             },
-            // `GET /metrics` is answered inline on the event-loop
-            // thread; only other methods ever reach the workers.
-            (_, "/healthz" | "/stats" | "/metrics") => Err(Reject {
-                status: 405,
-                reason: format!("{} requires GET", request.path),
-            }),
-            (_, "/query" | "/complete" | "/shutdown" | "/admin/routes") => Err(Reject {
-                status: 405,
-                reason: format!("{} requires POST", request.path),
-            }),
-            (_, path) => Err(Reject {
-                status: 404,
-                reason: format!("unknown endpoint {path}"),
-            }),
+            (_, "/healthz" | "/stats" | "/metrics") => {
+                Err(Reject::new(405, format!("{} requires GET", request.path)))
+            }
+            (_, "/query" | "/complete" | "/shutdown" | "/admin/routes") => {
+                Err(Reject::new(405, format!("{} requires POST", request.path)))
+            }
+            (_, path) => Err(Reject::new(404, format!("unknown endpoint {path}"))),
         }
     }
 
@@ -714,18 +836,11 @@ impl Server {
         body: &[u8],
         decode: impl FnOnce(&lotusx_obs::JsonValue) -> Result<T, String>,
     ) -> Result<T, Reject> {
-        let text = std::str::from_utf8(body).map_err(|_| Reject {
-            status: 400,
-            reason: "body is not valid UTF-8".to_string(),
-        })?;
-        let value = lotusx_obs::parse_json(text).map_err(|e| Reject {
-            status: 400,
-            reason: format!("body is not valid JSON: {e}"),
-        })?;
-        decode(&value).map_err(|reason| Reject {
-            status: 400,
-            reason,
-        })
+        let text =
+            std::str::from_utf8(body).map_err(|_| Reject::new(400, "body is not valid UTF-8"))?;
+        let value = lotusx_obs::parse_json(text)
+            .map_err(|e| Reject::new(400, format!("body is not valid JSON: {e}")))?;
+        decode(&value).map_err(|reason| Reject::new(400, reason))
     }
 
     /// Attaches the server-wide cancellation token to a request's budget
@@ -742,13 +857,15 @@ impl Server {
 
     /// Runs `f`, recording its wall time into `stage` (lifetime + live
     /// windows) and emitting stage begin/end trace events on the owning
-    /// connection's lane when tracing is on.
-    fn timed<T>(
+    /// connection's lane when tracing is on. An inline attempt that
+    /// falls back leaves no sample — the worker's run of the same
+    /// request records the one that counts.
+    fn timed(
         &self,
         stage: Stage,
         lane: u32,
-        f: impl FnOnce() -> Result<T, Reject>,
-    ) -> Result<T, Reject> {
+        f: impl FnOnce() -> Result<Routed, Reject>,
+    ) -> Result<Routed, Reject> {
         lotusx_obs::emit_on_lane(
             lane,
             QueryId::NONE,
@@ -760,7 +877,9 @@ impl Server {
         let started = recording.then(Instant::now);
         let out = f();
         if let Some(t0) = started {
-            lotusx_obs::metrics().record_stage(stage, t0.elapsed().as_nanos() as u64);
+            if !matches!(out, Ok(Routed::Fallback(_))) {
+                lotusx_obs::metrics().record_stage(stage, t0.elapsed().as_nanos() as u64);
+            }
         }
         lotusx_obs::emit_on_lane(
             lane,
@@ -770,5 +889,106 @@ impl Server {
             },
         );
         out
+    }
+}
+
+/// What an earlier attempt at a request already decoded, so a fallback
+/// to the worker pool repeats none of it.
+pub(crate) enum Work {
+    /// Nothing yet: decode from the request body.
+    Raw,
+    /// A `/query` whose cache probe missed: the decoded request and
+    /// what the probe worked out (boxed — misses are the rare, expensive
+    /// case, and this keeps the hand-off small for everyone else).
+    Query(Box<(QueryRequest, lotusx::PendingQuery)>),
+    /// A `/complete` that tripped the inline budget.
+    Complete(wire::CompleteRequest),
+}
+
+/// What routing one request produced.
+enum Routed {
+    /// A 200: content type and body.
+    Ready(&'static str, String),
+    /// Inline attempts only: the request needs the worker pool.
+    Fallback(Work),
+}
+
+/// How a request ended, before encoding ([`Server::encode_outcome`]).
+pub(crate) enum Outcome {
+    /// A 200: content type and body.
+    Ready(&'static str, String),
+    /// A 4xx/5xx; the connection closes after it.
+    Rejected(Reject),
+    /// The handler panicked: a best-effort 500.
+    Panicked,
+}
+
+/// Test-only fault injection for the shared answer path.
+#[cfg(test)]
+pub(crate) mod test_hooks {
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Set on the thread that should panic inside its next
+        /// [`super::Server::route`] call (one shot).
+        pub(crate) static PANIC_NEXT_ROUTE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(crate) fn maybe_panic() {
+        if PANIC_NEXT_ROUTE.with(|flag| flag.replace(false)) {
+            panic!("injected route panic");
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client;
+
+    /// The shared answer path isolates panics on whichever thread runs
+    /// it: one injected into the loop thread's inline attempt costs that
+    /// request a `500` and that connection, nothing else.
+    #[test]
+    fn a_panic_on_the_loop_thread_is_one_500_and_the_server_lives() {
+        let engine = LotusX::load_str("<bib><book><title>t</title></book></bib>").unwrap();
+        let server = Server::bind(ServeConfig::default()).expect("bind");
+        let addr = server.local_addr();
+        let handle = server.handle();
+        let keystroke = b"{\"prefix\":\"t\"}";
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                // This thread becomes the event loop; the workers it
+                // spawns never see the flag.
+                test_hooks::PANIC_NEXT_ROUTE.with(|flag| flag.set(true));
+                server.run(&engine)
+            });
+            let mut conn = client::Conn::connect(addr).expect("connect");
+            conn.send("POST", "/complete", Some(keystroke))
+                .expect("send");
+            let r = conn.read_one().expect("a response, not a dead socket");
+            assert_eq!(r.status, 500);
+            assert_eq!(r.body_text(), "{\"error\":\"internal error\"}\n");
+            assert!(conn.at_eof().expect("the connection closes"));
+            let stats = handle.stats();
+            assert_eq!(stats.panics, 1);
+            assert_eq!(stats.inline_answers, 1, "the 500 came from the loop thread");
+            assert_eq!(stats.completions, 0);
+
+            // The loop thread survived: the next connection is served.
+            let mut conn = client::Conn::connect(addr).expect("connect");
+            for _ in 0..3 {
+                conn.send("POST", "/complete", Some(keystroke))
+                    .expect("send");
+                assert_eq!(conn.read_one().expect("response").status, 200);
+            }
+            let stats = handle.stats();
+            assert_eq!((stats.panics, stats.completions), (1, 3));
+            assert_eq!(
+                stats.requests,
+                stats.inline_answers + stats.inline_fallbacks
+            );
+            handle.shutdown();
+        });
     }
 }

@@ -5,7 +5,8 @@
 //! registry's tenant list (or a single implicit `default` tenant for
 //! `Server::run`). The event loop charges admission (the `inflight`
 //! gauge and `quota_rejects`) on its own thread, so those are exact;
-//! workers charge the outcome counters (queries, completions, rejects,
+//! whichever thread answers a request — the loop thread inline, or a
+//! worker — charges the outcome counters (queries, completions, rejects,
 //! truncations) with relaxed atomics, mirroring `ServerStats`.
 //!
 //! Tenant counters surface in three places, all rendered from this one

@@ -294,10 +294,17 @@ pub fn encode_value_candidates(candidates: &[ValueCandidate]) -> String {
 }
 
 fn encode_candidates<'a>(items: impl Iterator<Item = (&'a str, u64)>) -> String {
-    let rendered: Vec<String> = items
-        .map(|(term, count)| format!("{{\"term\":{},\"count\":{count}}}", json_string(term)))
-        .collect();
-    format!("{{\"candidates\":[{}]}}\n", rendered.join(","))
+    use std::fmt::Write;
+    let mut out = String::from("{\"candidates\":[");
+    for (i, (term, count)) in items.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{{\"term\":{},\"count\":{count}}}", json_string(term));
+    }
+    out.push_str("]}\n");
+    out
 }
 
 #[cfg(test)]

@@ -254,6 +254,34 @@ fn prometheus_exposition_conforms_and_escapes_labels() {
     assert_conformant(&body);
     assert!(body.contains("# TYPE lotusx_server_requests_total counter"));
     assert!(body.contains("# TYPE lotusx_server_connections_open gauge"));
+
+    // The fast-path work counters ride the same one field list: counters
+    // for answers and fallbacks, a gauge for the deadline wheel — in the
+    // exposition and in the `/stats` JSON alike.
+    stats.inline_answers.fetch_add(5, Ordering::Relaxed);
+    stats.inline_fallbacks.fetch_add(2, Ordering::Relaxed);
+    stats.timer_entries.store(1, Ordering::Relaxed);
+    let snapshot = stats.snapshot();
+    let body = snapshot.to_prometheus();
+    assert_conformant(&body);
+    for line in [
+        "# TYPE lotusx_server_inline_answers_total counter",
+        "lotusx_server_inline_answers_total 5",
+        "# TYPE lotusx_server_inline_fallbacks_total counter",
+        "lotusx_server_inline_fallbacks_total 2",
+        "# TYPE lotusx_server_timer_entries gauge",
+        "lotusx_server_timer_entries 1",
+    ] {
+        assert!(body.lines().any(|l| l == line), "missing {line:?}:\n{body}");
+    }
+    let json = lotusx_obs::parse_json(&snapshot.to_json()).expect("server section is JSON");
+    for (key, want) in [
+        ("inline_answers", 5.0),
+        ("inline_fallbacks", 2.0),
+        ("timer_entries", 1.0),
+    ] {
+        assert_eq!(json.get(key).and_then(|v| v.as_f64()), Some(want), "{key}");
+    }
 }
 
 #[test]
