@@ -379,7 +379,7 @@ stage_join_bench_smoke() {
     cargo run --release -p lotusx-bench --bin join-bench -- --quick
 }
 
-# Snapshot smoke: build @dblp:2 from XML, save a v2 .ltsx snapshot,
+# Snapshot smoke: build @dblp:2 from XML, save a v3 .ltsx snapshot,
 # reload it cold, and byte-compare query responses across every join
 # algorithm plus auto, chooser decisions and completion sweeps (exit 2
 # on any mismatch), then gate the cold-boot speedup (exit 1). Artifact

@@ -3,7 +3,7 @@
 use crate::context::PositionContext;
 use lotusx_guard::{QueryGuard, Ticker};
 use lotusx_index::{GuideNodeId, IndexedDocument, Trie};
-use lotusx_par::{par_map, ShardedMap};
+use lotusx_par::ShardedMap;
 use lotusx_storage::codec::{get_string, get_varint, put_string, put_varint};
 use lotusx_storage::StorageError;
 use lotusx_twig::Axis;
@@ -69,28 +69,26 @@ impl ValueTrieCache {
     }
 
     /// Builds and caches the value tries of the `top_k` most frequent
-    /// tags (ties broken by name), partitioning the builds across
-    /// `threads` workers. Returns the number of tries built.
-    pub fn precompute_hottest(&self, idx: &IndexedDocument, top_k: usize, threads: usize) -> usize {
+    /// tags (ties broken by name). Returns the number of tries built.
+    pub fn precompute_hottest(&self, idx: &IndexedDocument, top_k: usize) -> usize {
         let symbols = idx.document().symbols();
+        let frequency = |sym: Symbol| idx.columns().view(sym).len();
         let mut hot: Vec<Symbol> = symbols
             .iter()
             .map(|(sym, _)| sym)
-            .filter(|&sym| idx.tags().frequency(sym) > 0)
+            .filter(|&sym| frequency(sym) > 0)
             .collect();
         hot.sort_by(|&a, &b| {
-            idx.tags()
-                .frequency(b)
-                .cmp(&idx.tags().frequency(a))
+            frequency(b)
+                .cmp(&frequency(a))
                 .then_with(|| symbols.resolve(a).cmp(symbols.resolve(b)))
         });
         hot.truncate(top_k);
-        let built = par_map(&hot, threads, |&sym| (sym, build_value_trie(idx, sym)));
-        let n = built.len();
-        for (sym, vt) in built {
-            self.map.get_or_insert_with(sym, || vt);
+        for &sym in &hot {
+            self.map
+                .get_or_insert_with(sym, || build_value_trie(idx, sym));
         }
-        n
+        hot.len()
     }
 
     /// Serializes every cached per-tag trie for the snapshot
@@ -365,10 +363,12 @@ impl<'a> CompletionEngine<'a> {
             .document()
             .symbols()
             .iter()
-            .filter(|(sym, name)| name.starts_with(prefix) && self.idx.tags().frequency(*sym) > 0)
+            .filter(|(sym, name)| {
+                name.starts_with(prefix) && !self.idx.columns().view(*sym).is_empty()
+            })
             .map(|(sym, name)| TagCandidate {
                 name: name.to_string(),
-                count: self.idx.tags().frequency(sym) as u64,
+                count: self.idx.columns().view(sym).len() as u64,
             })
             .collect();
         out.sort_by(|a, b| b.count.cmp(&a.count).then_with(|| a.name.cmp(&b.name)));
@@ -452,11 +452,11 @@ fn build_value_trie(idx: &IndexedDocument, tag: Symbol) -> ValueTrie {
 fn build_value_trie_ticked(idx: &IndexedDocument, tag: Symbol, ticker: &mut Ticker) -> ValueTrie {
     let doc = idx.document();
     let mut counts: HashMap<String, u64> = HashMap::new();
-    for entry in idx.tags().stream(tag) {
+    for &node in idx.columns().view(tag).nodes() {
         if ticker.tick(1) {
             break;
         }
-        for term in lotusx_index::tokenize(&doc.direct_text(entry.node)) {
+        for term in lotusx_index::tokenize(&doc.direct_text(node)) {
             *counts.entry(term).or_insert(0) += 1;
         }
     }
@@ -649,7 +649,7 @@ mod tests {
     fn precompute_hottest_seeds_the_cache() {
         let idx = idx();
         let cache = Arc::new(ValueTrieCache::new());
-        let built = cache.precompute_hottest(&idx, 3, 2);
+        let built = cache.precompute_hottest(&idx, 3);
         assert_eq!(built, 3);
         assert_eq!(cache.len(), 3);
         // Precomputed tries answer identically to lazily built ones.
@@ -718,7 +718,7 @@ mod tests {
     fn cache_codec_roundtrip_preserves_completions() {
         let idx = idx();
         let cache = Arc::new(ValueTrieCache::new());
-        cache.precompute_hottest(&idx, 8, 1);
+        cache.precompute_hottest(&idx, 8);
         assert!(!cache.is_empty());
 
         let bytes = cache.encode();
@@ -753,7 +753,7 @@ mod tests {
     fn cache_decode_rejects_malformed_bytes_without_panicking() {
         let idx = idx();
         let cache = ValueTrieCache::new();
-        cache.precompute_hottest(&idx, 8, 1);
+        cache.precompute_hottest(&idx, 8);
         let good = cache.encode();
         let tag_count = idx.document().symbols().len();
 

@@ -1,5 +1,5 @@
-//! E10: keyword search — indexed SLCA vs the full-tree bitmask pass, and
-//! binary snapshot save/load vs XML re-parsing.
+//! E10: keyword search — indexed SLCA vs the full-tree bitmask pass.
+//! (Snapshot save/load is measured by `snapshot-bench`.)
 //!
 //! Gated behind the non-default `criterion` feature so the workspace builds
 //! offline; enabling it requires restoring the criterion dev-dependency
@@ -8,8 +8,8 @@
 #[cfg(feature = "criterion")]
 mod bench {
     use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-    use lotusx_bench::{fixture, SEED};
-    use lotusx_datagen::{generate, Dataset};
+    use lotusx_bench::fixture;
+    use lotusx_datagen::Dataset;
     use lotusx_keyword::KeywordEngine;
 
     const QUERIES: [&[&str]; 3] = [&["data", "query"], &["xml", "search", "index"], &["smith"]];
@@ -32,30 +32,6 @@ mod bench {
             }
             group.finish();
         }
-
-        // Snapshot I/O vs XML parsing.
-        let doc = generate(Dataset::DblpLike, 2, SEED);
-        let xml = doc.to_xml();
-        let mut snapshot = Vec::new();
-        lotusx_storage::save_document(&doc, &mut snapshot).expect("encodes");
-        let mut group = c.benchmark_group("E10-storage");
-        group.measurement_time(std::time::Duration::from_secs(1));
-        group.warm_up_time(std::time::Duration::from_millis(300));
-        group.sample_size(10);
-        group.bench_function("parse-xml", |b| {
-            b.iter(|| lotusx_xml::Document::parse_str(&xml).expect("well-formed"))
-        });
-        group.bench_function("load-snapshot", |b| {
-            b.iter(|| lotusx_storage::load_document(&snapshot[..]).expect("valid"))
-        });
-        group.bench_function("save-snapshot", |b| {
-            b.iter(|| {
-                let mut buf = Vec::new();
-                lotusx_storage::save_document(&doc, &mut buf).expect("encodes");
-                buf
-            })
-        });
-        group.finish();
     }
 
     criterion_group! {

@@ -35,13 +35,12 @@ fn main() {
     e7_ordered();
     e8_scalability();
     e9_ablations();
-    e10_keyword_and_storage();
+    e10_keyword();
 }
 
 // --------------------------------------------------------------- E10 ----
-fn e10_keyword_and_storage() {
-    println!("## E10 — keyword search (SLCA) and snapshot storage\n");
-    println!("### Keyword search: indexed lookup vs full-tree bitmask\n");
+fn e10_keyword() {
+    println!("## E10 — keyword search (SLCA): indexed lookup vs full-tree bitmask\n");
     println!("| scale | elements | query | answers | indexed SLCA | bitmask SLCA |");
     println!("|---|---|---|---|---|---|");
     let keyword_queries: [&[&str]; 3] =
@@ -63,36 +62,6 @@ fn e10_keyword_and_storage() {
             );
         }
     }
-    println!();
-    println!("### Snapshot storage vs XML re-parsing (dblp-like, scale 2)\n");
-    println!("| operation | time | size |");
-    println!("|---|---|---|");
-    let doc = generate(Dataset::DblpLike, 2, SEED);
-    let xml = doc.to_xml();
-    let mut snapshot = Vec::new();
-    lotusx_storage::save_document(&doc, &mut snapshot).expect("encodes");
-    let (t_parse, _) = median_time(REPS, || {
-        lotusx_xml::Document::parse_str(&xml).expect("well-formed")
-    });
-    let (t_load, _) = median_time(REPS, || {
-        lotusx_storage::load_document(&snapshot[..]).expect("valid")
-    });
-    let (t_save, _) = median_time(REPS, || {
-        let mut buf = Vec::new();
-        lotusx_storage::save_document(&doc, &mut buf).expect("encodes");
-        buf
-    });
-    println!(
-        "| parse XML | {} | {} bytes |",
-        fmt_duration(t_parse),
-        xml.len()
-    );
-    println!(
-        "| load snapshot | {} | {} bytes |",
-        fmt_duration(t_load),
-        snapshot.len()
-    );
-    println!("| save snapshot | {} | – |", fmt_duration(t_save));
     println!();
 }
 

@@ -16,7 +16,7 @@
 
 use lotusx_autocomplete::{CompletionEngine, ValueTrieCache};
 use lotusx_guard::{Budget, Completeness, QueryGuard, TruncationReason};
-use lotusx_index::{BuildOptions, IndexedDocument};
+use lotusx_index::IndexedDocument;
 use lotusx_obs::{EventKind, QueryId, QueryProfile, Span, Stage};
 use lotusx_par::{
     default_threads, par_map_isolated, CacheStats, ShardLoad, ShardedLru, WorkerPanic,
@@ -676,28 +676,16 @@ impl LotusX {
         Ok(())
     }
 
-    /// Opens a binary snapshot written by [`Self::save_snapshot`].
-    ///
-    /// Version negotiation: v2 snapshots deserialize every index
-    /// structure directly into place (no re-parsing, re-labeling or stats
-    /// re-walks); legacy v1 document-only snapshots still open by
-    /// decoding the tree and rebuilding the indexes.
+    /// Opens a binary snapshot written by [`Self::save_snapshot`]: every
+    /// index structure deserializes directly into place (no re-parsing,
+    /// re-labeling or stats re-walks). A file of any other format version
+    /// is a typed [`LotusError::Storage`], never parsed.
     pub fn open_snapshot(path: impl AsRef<std::path::Path>) -> Result<Self, LotusError> {
-        let snapshot = lotusx_storage::read_snapshot_file(path)?;
-        if snapshot.version == 1 {
-            let payload = snapshot
-                .section(lotusx_storage::snapshot::section::DOCUMENT)
-                .ok_or(LotusError::Storage(lotusx_storage::StorageError::Corrupt(
-                    "v1 snapshot without document payload",
-                )))?;
-            let doc = lotusx_storage::decode_document_payload(payload)?;
-            return Ok(Self::load_document(doc));
-        }
-        let idx = lotusx_index::snapshot::decode_sections(&snapshot.sections)?;
+        let sections = lotusx_storage::read_snapshot_file(path)?;
+        let idx = lotusx_index::snapshot::decode_sections(&sections)?;
         // Restore the shipped value-trie cache when present (duplicates
         // are corruption); snapshots without one rebuild the hot set.
-        let mut vtries = snapshot
-            .sections
+        let mut vtries = sections
             .iter()
             .filter(|s| s.id == lotusx_storage::snapshot::section::VALUE_TRIES);
         match (vtries.next(), vtries.next()) {
@@ -717,7 +705,7 @@ impl LotusX {
     /// hottest tags exactly as [`Self::load_document`] does.
     pub fn from_indexed(idx: IndexedDocument) -> Self {
         let value_cache = ValueTrieCache::new();
-        value_cache.precompute_hottest(&idx, HOT_TAG_TRIES, default_threads());
+        value_cache.precompute_hottest(&idx, HOT_TAG_TRIES);
         Self::assemble(idx, value_cache)
     }
 
@@ -739,16 +727,10 @@ impl LotusX {
         self.idx
     }
 
-    /// Indexes an already-parsed document, partitioning index construction
-    /// across the host's worker threads and pre-building the value tries
+    /// Indexes an already-parsed document and pre-builds the value tries
     /// of the hottest tags.
     pub fn load_document(doc: Document) -> Self {
-        Self::from_indexed(IndexedDocument::build_with(
-            doc,
-            &BuildOptions {
-                threads: default_threads(),
-            },
-        ))
+        Self::from_indexed(IndexedDocument::build(doc))
     }
 
     /// The underlying indexed document.

@@ -3,65 +3,27 @@
 use crate::columns::TagColumns;
 use crate::dataguide::{DataGuide, GuideNodeId};
 use crate::stats::{JoinStats, Stats};
-use crate::tag_index::{ElementEntry, TagIndex};
 use crate::trie::Trie;
 use crate::value_index::ValueIndex;
 use lotusx_labeling::DocumentLabels;
-use lotusx_par::par_chunks;
 use lotusx_xml::{Document, NodeId, NodeKind, Symbol};
 
-/// Options controlling index construction.
-#[derive(Clone, Copy, Debug)]
-pub struct BuildOptions {
-    /// Worker threads for the partitioned build phases. `1` runs every
-    /// phase inline on the calling thread; the output is identical for
-    /// any value (chunks are contiguous in preorder and merged in chunk
-    /// order, so document order — and thus every index — is preserved).
-    pub threads: usize,
-}
-
-impl Default for BuildOptions {
-    fn default() -> Self {
-        BuildOptions {
-            threads: lotusx_par::default_threads(),
-        }
-    }
-}
-
 /// A document together with its labels and all indexes — the unit LotusX
-/// loads and queries.
+/// loads and queries. Each fact is held once: positions as region labels
+/// (by node in `labels`, by tag stream in `columns`), nothing else.
 ///
 /// ```
 /// use lotusx_index::IndexedDocument;
 ///
 /// let idx = IndexedDocument::from_str("<bib><book><title>XML</title></book></bib>").unwrap();
 /// let title = idx.document().symbols().get("title").unwrap();
-/// assert_eq!(idx.tags().frequency(title), 1);
+/// assert_eq!(idx.columns().view(title).len(), 1);
 /// assert_eq!(idx.values().df("xml"), 1);
 /// ```
 #[derive(Clone, Debug)]
 pub struct IndexedDocument {
-    doc: Document,
-    labels: DocumentLabels,
-    tags: TagIndex,
-    columns: TagColumns,
-    values: ValueIndex,
-    tag_trie: Trie,
-    term_trie: Trie,
-    terms: Vec<String>,
-    guide: DataGuide,
-    guide_of: Vec<GuideNodeId>,
-    stats: Stats,
-    join_stats: JoinStats,
-    all_elements: Vec<ElementEntry>,
-}
-
-/// The full field set of an [`IndexedDocument`], used by the snapshot
-/// decoder to reassemble one without running the build pipeline.
-pub(crate) struct IndexParts {
     pub(crate) doc: Document,
     pub(crate) labels: DocumentLabels,
-    pub(crate) tags: TagIndex,
     pub(crate) columns: TagColumns,
     pub(crate) values: ValueIndex,
     pub(crate) tag_trie: Trie,
@@ -71,7 +33,6 @@ pub(crate) struct IndexParts {
     pub(crate) guide_of: Vec<GuideNodeId>,
     pub(crate) stats: Stats,
     pub(crate) join_stats: JoinStats,
-    pub(crate) all_elements: Vec<ElementEntry>,
 }
 
 impl IndexedDocument {
@@ -84,149 +45,62 @@ impl IndexedDocument {
         Ok(Self::build(Document::parse_str(xml)?))
     }
 
-    /// Builds all indexes over an already-parsed document, serially.
-    ///
-    /// Equivalent to [`Self::build_with`] at `threads: 1`; the parallel
-    /// build produces identical indexes for any thread count.
+    /// Builds all indexes over an already-parsed document, on the
+    /// calling thread: whole-document passes for labels, DataGuide and
+    /// statistics; one preorder walk for the element list and the
+    /// element→guide-node map; the value postings and the tag columns
+    /// from that list; then the two completion tries.
     pub fn build(doc: Document) -> Self {
-        Self::build_with(doc, &BuildOptions { threads: 1 })
-    }
+        let labels = DocumentLabels::compute(&doc);
+        let guide = DataGuide::from_document(&doc);
+        let stats = Stats::compute(&doc);
 
-    /// Builds all indexes, partitioning the per-element work across
-    /// `opts.threads` worker threads.
-    ///
-    /// The pipeline has four phases:
-    ///
-    /// 1. labels ∥ DataGuide ∥ stats — three independent whole-document
-    ///    passes, one per thread;
-    /// 2. a serial preorder walk computing the element list and the
-    ///    element→guide-node map (each entry depends on its parent's, so
-    ///    this is inherently sequential — and O(1) per node);
-    /// 3. partitioned posting construction: contiguous preorder chunks
-    ///    each build a partial [`TagIndex`]/[`ValueIndex`]/element stream,
-    ///    merged in chunk order so document order is preserved exactly;
-    /// 4. the two completion tries (tags ∥ terms), which only read the
-    ///    merged indexes.
-    pub fn build_with(doc: Document, opts: &BuildOptions) -> Self {
-        let threads = opts.threads.max(1);
-
-        // Phase 1: independent whole-document passes.
-        let (labels, guide, stats) = if threads > 1 {
-            std::thread::scope(|s| {
-                let guide = s.spawn(|| DataGuide::from_document(&doc));
-                let stats = s.spawn(|| Stats::compute(&doc));
-                let labels = DocumentLabels::compute(&doc);
-                (
-                    labels,
-                    guide.join().expect("guide pass"),
-                    stats.join().expect("stats pass"),
-                )
-            })
-        } else {
-            (
-                DocumentLabels::compute(&doc),
-                DataGuide::from_document(&doc),
-                Stats::compute(&doc),
-            )
-        };
-
-        // Phase 2: preorder element list and the element→guide-node map.
+        // Each guide-of entry depends on its parent's, which preorder
+        // has already filled in.
         let mut guide_of = vec![GuideNodeId::ROOT; doc.node_count()];
         let mut elements = Vec::with_capacity(stats.element_count);
+        let mut values = ValueIndex::new();
         for node in doc.all_nodes() {
-            if node == NodeId::DOCUMENT || !doc.is_element(node) {
+            let NodeKind::Element { name, attributes } = doc.kind(node) else {
                 continue;
-            }
-            let tag = doc.tag(node).expect("element");
+            };
             let parent_guide = doc
                 .parent(node)
                 .map(|p| guide_of[p.index()])
                 .unwrap_or(GuideNodeId::ROOT);
             guide_of[node.index()] = guide
-                .child_by_tag(parent_guide, tag)
+                .child_by_tag(parent_guide, *name)
                 .expect("guide derived from the same document");
             elements.push(node);
-        }
-
-        // Phase 3: per-chunk partial postings, merged in chunk order.
-        let tag_count = doc.symbols().len();
-        let partials = par_chunks(&elements, threads, |_, chunk| {
-            let mut tags = TagIndex::with_tag_count(tag_count);
-            let mut values = ValueIndex::new();
-            let mut stream = Vec::with_capacity(chunk.len());
-            for &node in chunk {
-                let tag = doc.tag(node).expect("element");
-                let entry = ElementEntry {
-                    node,
-                    region: labels.region(node),
-                };
-                tags.push(tag, entry);
-                stream.push(entry);
-                let direct_text = doc.direct_text(node);
-                let attrs: Vec<&str> = match doc.kind(node) {
-                    NodeKind::Element { attributes, .. } => {
-                        attributes.iter().map(|(_, v)| v.as_str()).collect()
-                    }
-                    _ => unreachable!(),
-                };
-                values.index_element(node, &direct_text, &attrs);
-            }
-            (tags, values, stream)
-        });
-        let mut tags = TagIndex::with_tag_count(tag_count);
-        let mut values = ValueIndex::new();
-        let mut all_elements = Vec::with_capacity(elements.len());
-        for (t, v, stream) in partials {
-            tags.merge_append(t);
-            values.merge_append(v);
-            all_elements.extend(stream);
+            let attrs: Vec<&str> = attributes.iter().map(|(_, v)| v.as_str()).collect();
+            values.index_element(node, &doc.direct_text(node), &attrs);
         }
         values.finish();
 
-        // Columnar (struct-of-arrays) mirror of the merged tag streams —
-        // the layout the join engine scans. Derived entirely from the
-        // merged postings, so it is identical for any thread count.
-        let columns = TagColumns::build(&tags, &all_elements, tag_count);
-        let join_stats = JoinStats::compute(&tags, &guide, tag_count);
+        let tag_count = doc.symbols().len();
+        let columns = TagColumns::build(&doc, &labels, &elements);
+        let join_stats = JoinStats::compute(&columns, &guide, tag_count);
 
-        // Phase 4: the two completion tries are independent of each other.
-        // Insertion order is fixed (symbol order / sorted terms), so the
-        // tries are identical however the closures are scheduled.
-        let build_tag_trie = || {
-            // Tag trie: element tags only, weighted by occurrence count.
-            let mut tag_trie = Trie::new();
-            for (sym, name) in doc.symbols().iter() {
-                let freq = tags.frequency(sym);
-                if freq > 0 {
-                    tag_trie.insert(name, sym.index() as u32, freq as u64);
-                }
+        // Tag trie: element tags only, weighted by occurrence count.
+        let mut tag_trie = Trie::new();
+        for (sym, name) in doc.symbols().iter() {
+            let freq = columns.view(sym).len();
+            if freq > 0 {
+                tag_trie.insert(name, sym.index() as u32, freq as u64);
             }
-            tag_trie
-        };
-        let build_term_trie = || {
-            // Term trie: payload is an id into `terms`, weighted by
-            // document frequency.
-            let mut terms: Vec<String> = values.terms().map(|(t, _)| t.to_string()).collect();
-            terms.sort();
-            let mut term_trie = Trie::new();
-            for (i, term) in terms.iter().enumerate() {
-                term_trie.insert(term, i as u32, values.df(term) as u64);
-            }
-            (terms, term_trie)
-        };
-        let (tag_trie, (terms, term_trie)) = if threads > 1 {
-            std::thread::scope(|s| {
-                let term = s.spawn(build_term_trie);
-                (build_tag_trie(), term.join().expect("term trie pass"))
-            })
-        } else {
-            (build_tag_trie(), build_term_trie())
-        };
+        }
+        // Term trie: payload is an id into `terms`, weighted by document
+        // frequency.
+        let mut terms: Vec<String> = values.terms().map(|(t, _)| t.to_string()).collect();
+        terms.sort();
+        let mut term_trie = Trie::new();
+        for (i, term) in terms.iter().enumerate() {
+            term_trie.insert(term, i as u32, values.df(term) as u64);
+        }
 
         IndexedDocument {
             doc,
             labels,
-            tags,
             columns,
             values,
             tag_trie,
@@ -236,29 +110,6 @@ impl IndexedDocument {
             guide_of,
             stats,
             join_stats,
-            all_elements,
-        }
-    }
-
-    /// Reassembles an `IndexedDocument` from deserialized parts (the
-    /// snapshot load path). The parts must be mutually consistent — the
-    /// snapshot decoder validates each structure against the document
-    /// before calling this.
-    pub(crate) fn from_parts(parts: IndexParts) -> Self {
-        IndexedDocument {
-            doc: parts.doc,
-            labels: parts.labels,
-            tags: parts.tags,
-            columns: parts.columns,
-            values: parts.values,
-            tag_trie: parts.tag_trie,
-            term_trie: parts.term_trie,
-            terms: parts.terms,
-            guide: parts.guide,
-            guide_of: parts.guide_of,
-            stats: parts.stats,
-            join_stats: parts.join_stats,
-            all_elements: parts.all_elements,
         }
     }
 
@@ -267,17 +118,12 @@ impl IndexedDocument {
         &self.doc
     }
 
-    /// All positional labels.
+    /// The region label of every node.
     pub fn labels(&self) -> &DocumentLabels {
         &self.labels
     }
 
-    /// The per-tag element streams.
-    pub fn tags(&self) -> &TagIndex {
-        &self.tags
-    }
-
-    /// The columnar (struct-of-arrays) mirror of the tag streams.
+    /// The per-tag element streams, in columnar (struct-of-arrays) form.
     pub fn columns(&self) -> &TagColumns {
         &self.columns
     }
@@ -322,12 +168,6 @@ impl IndexedDocument {
         &self.join_stats
     }
 
-    /// Document-ordered stream of ALL elements (the stream a wildcard
-    /// query node scans).
-    pub fn all_elements(&self) -> &[ElementEntry] {
-        &self.all_elements
-    }
-
     /// Resolves a tag symbol to its name.
     pub fn tag_name(&self, sym: Symbol) -> &str {
         self.doc.symbols().resolve(sym)
@@ -337,7 +177,6 @@ impl IndexedDocument {
     /// excluding the document tree itself. Reported by experiment E1.
     pub fn index_size_bytes(&self) -> usize {
         self.labels.size_bytes()
-            + self.tags.size_bytes()
             + self.columns.size_bytes()
             + self.values.size_bytes()
             + self.tag_trie.size_bytes()
@@ -366,11 +205,9 @@ mod tests {
     fn tag_streams_are_document_ordered() {
         let idx = idx();
         let title = idx.document().symbols().get("title").unwrap();
-        let stream = idx.tags().stream(title);
-        assert_eq!(stream.len(), 3);
-        for w in stream.windows(2) {
-            assert!(w[0].region.start < w[1].region.start);
-        }
+        let starts = idx.columns().view(title).starts();
+        assert_eq!(starts.len(), 3);
+        assert!(starts.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
@@ -416,51 +253,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_is_identical_to_serial() {
-        let xml = "<bib>\
-               <book year=\"1999\"><title>Data on the Web</title><author>Abiteboul</author></book>\
-               <book year=\"2003\"><title>XML Handbook</title><author>Goldfarb</author></book>\
-               <article><title>TwigStack</title><author>Bruno</author></article>\
-             </bib>";
-        let serial = IndexedDocument::from_str(xml).unwrap();
-        for threads in [2, 3, 8] {
-            let par = IndexedDocument::build_with(
-                Document::parse_str(xml).unwrap(),
-                &BuildOptions { threads },
-            );
-            assert_eq!(par.all_elements(), serial.all_elements(), "{threads}");
-            for (sym, _) in serial.document().symbols().iter() {
-                assert_eq!(
-                    par.tags().stream(sym),
-                    serial.tags().stream(sym),
-                    "{threads}"
-                );
-            }
-            for node in serial.document().all_nodes() {
-                if serial.document().is_element(node) {
-                    assert_eq!(par.guide_node(node), serial.guide_node(node), "{threads}");
-                }
-            }
-            for (term, df) in serial.values().terms() {
-                assert_eq!(par.values().df(term), df, "{threads}");
-            }
-            assert_eq!(
-                par.tag_trie().complete("", 100),
-                serial.tag_trie().complete("", 100),
-                "{threads}"
-            );
-            assert_eq!(
-                par.term_trie().complete("", 1000),
-                serial.term_trie().complete("", 1000),
-                "{threads}"
-            );
-        }
-    }
-
-    #[test]
     fn stats_and_sizes_are_consistent() {
         let idx = idx();
-        assert_eq!(idx.stats().element_count, idx.tags().total_entries());
+        assert_eq!(
+            idx.stats().element_count,
+            idx.columns().all_elements().len()
+        );
         assert!(idx.index_size_bytes() > 0);
     }
 }

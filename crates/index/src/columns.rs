@@ -1,13 +1,13 @@
-//! Struct-of-arrays region-label columns for the join engine.
+//! Struct-of-arrays region-label columns: the one stream representation.
 //!
-//! The [`TagIndex`] streams store `ElementEntry` records (node id + region
-//! label) as an array of structs. The hot join loops, however, touch one
-//! field at a time — a skip loop compares only `start`s, a containment
-//! check only `end`s — so an AoS walk drags the unused fields through the
-//! cache with every probe. [`TagColumns`] transposes every tag stream once
-//! at build time into four contiguous per-tag arrays (`starts`, `ends`,
-//! `levels`, `nodes`), packed back-to-back in one arena per column so a
-//! stream scan is a pure sequential read at memory bandwidth.
+//! A join touches one field of a region label at a time — a skip loop
+//! compares only `start`s, a containment check only `end`s — so an array
+//! of `(node, start, end, level)` records drags the unused fields through
+//! the cache with every probe. [`TagColumns`] therefore holds every tag's
+//! document-ordered element stream as four contiguous per-tag arrays
+//! (`starts`, `ends`, `levels`, `nodes`), packed back-to-back in one arena
+//! per column so a stream scan is a pure sequential read at memory
+//! bandwidth. Nothing else in the index stores a per-tag stream.
 //!
 //! Two skip primitives ride on top:
 //!
@@ -23,19 +23,23 @@
 //!   prefix-maximum would not do — the maximum may come from an element
 //!   the cursor has already consumed, and the query must ignore it.
 //!
-//! These two seeks are what turn the holistic joins' element-by-element
+//! These two seeks are what turn the structural join's element-by-element
 //! skip loops into logarithmic jumps.
+//!
+//! The end trees are *derived* from `ends`, so the snapshot does not
+//! store them: [`TagColumns::decode`] rebuilds them with the builder the
+//! fresh build uses. A stored tree would have to be validated against
+//! `ends` to be trusted — which costs what rebuilding it costs.
 
-use crate::tag_index::{ElementEntry, TagIndex};
 use crate::wire::{
     corrupt, get_u16_slice, get_u32_slice, put_u16_slice, put_u32_slice, put_varint, rd_len,
     StorageError,
 };
-use lotusx_labeling::RegionLabel;
-use lotusx_xml::{NodeId, Symbol};
+use lotusx_labeling::{DocumentLabels, RegionLabel};
+use lotusx_xml::{Document, NodeId, Symbol};
 
 /// Per-stream extent of one tag inside the column arenas.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct StreamRange {
     /// Offset into the `starts`/`ends`/`levels`/`nodes` arenas.
     offset: u32,
@@ -47,10 +51,10 @@ struct StreamRange {
     tree_leaves: u32,
 }
 
-/// Columnar (struct-of-arrays) mirror of every tag stream, plus one extra
-/// pseudo-stream covering all elements in document order (what wildcard
-/// query nodes scan). Built once alongside the [`TagIndex`]; immutable.
-#[derive(Clone, Debug, Default)]
+/// Every tag's element stream in columnar (struct-of-arrays) form, plus
+/// one extra pseudo-stream covering all elements in document order (what
+/// wildcard query nodes scan). Immutable once built.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TagColumns {
     starts: Vec<u32>,
     ends: Vec<u32>,
@@ -65,44 +69,74 @@ pub struct TagColumns {
 }
 
 impl TagColumns {
-    /// Transposes `tags` (and the document-ordered `all_elements` stream)
-    /// into columnar arenas.
-    pub fn build(tags: &TagIndex, all_elements: &[ElementEntry], tag_count: usize) -> Self {
-        let total: usize = tags.total_entries() + all_elements.len();
-        let mut cols = TagColumns {
-            starts: Vec::with_capacity(total),
-            ends: Vec::with_capacity(total),
-            levels: Vec::with_capacity(total),
-            nodes: Vec::with_capacity(total),
-            end_tree: Vec::new(),
-            ranges: Vec::with_capacity(tag_count),
-            all_range: StreamRange::default(),
-        };
-        for t in 0..tag_count {
-            let stream = tags.stream(Symbol::from_index(t));
-            let range = cols.append_stream(stream);
-            cols.ranges.push(range);
+    /// Builds the columns of `doc`. `elements` — every element, in
+    /// document order — is counting-sorted by tag straight into the
+    /// arenas (the sort is stable, so each stream stays in document
+    /// order): the tag streams in symbol order, then the all-elements
+    /// pseudo-stream.
+    pub fn build(doc: &Document, labels: &DocumentLabels, elements: &[NodeId]) -> Self {
+        let tag_of = |node: NodeId| doc.tag(node).expect("element").index();
+        let mut lens = vec![0u32; doc.symbols().len()];
+        for &node in elements {
+            lens[tag_of(node)] += 1;
         }
-        cols.all_range = cols.append_stream(all_elements);
+        lens.push(elements.len() as u32);
+        let total = 2 * elements.len();
+        let mut cols = TagColumns {
+            starts: vec![0; total],
+            ends: vec![0; total],
+            levels: vec![0; total],
+            nodes: vec![NodeId::DOCUMENT; total],
+            ..TagColumns::default()
+        };
+        cols.lay_out(&lens);
+        // `next[t]` is the arena slot of tag `t`'s next element.
+        let mut next: Vec<u32> = cols.ranges.iter().map(|r| r.offset).collect();
+        let all = cols.all_range.offset as usize;
+        for (i, &node) in elements.iter().enumerate() {
+            let region = labels.region(node);
+            let slot = &mut next[tag_of(node)];
+            for at in [*slot as usize, all + i] {
+                cols.starts[at] = region.start;
+                cols.ends[at] = region.end;
+                cols.levels[at] = region.level;
+                cols.nodes[at] = node;
+            }
+            *slot += 1;
+        }
+        cols.build_end_trees();
         cols
     }
 
-    fn append_stream(&mut self, stream: &[ElementEntry]) -> StreamRange {
-        let offset = self.starts.len() as u32;
-        for e in stream {
-            self.starts.push(e.region.start);
-            self.ends.push(e.region.end);
-            self.levels.push(e.region.level);
-            self.nodes.push(e.node);
-        }
-        let tree_offset = self.end_tree.len() as u32;
-        let ends = &self.ends[offset as usize..];
-        let tree_leaves = build_max_tree(ends, &mut self.end_tree);
-        StreamRange {
-            offset,
-            len: stream.len() as u32,
-            tree_offset,
-            tree_leaves,
+    /// Sets the stream extents from `lens` — one length per tag, then the
+    /// all-elements stream's — laid back to back from arena offset 0.
+    fn lay_out(&mut self, lens: &[u32]) {
+        let mut offset = 0u32;
+        self.ranges = lens
+            .iter()
+            .map(|&len| {
+                let range = StreamRange {
+                    offset,
+                    len,
+                    ..StreamRange::default()
+                };
+                offset += len;
+                range
+            })
+            .collect();
+        self.all_range = self.ranges.pop().expect("lens ends with the all stream");
+    }
+
+    /// Builds every stream's max-segment-tree over the filled `ends`
+    /// arena — the last step of both a fresh build and a snapshot load.
+    fn build_end_trees(&mut self) {
+        let ranges = self.ranges.iter().chain([&self.all_range]);
+        let slots = ranges.map(|r| 2 * tree_leaves(r.len as usize)).sum();
+        self.end_tree = Vec::with_capacity(slots);
+        for range in self.ranges.iter_mut().chain([&mut self.all_range]) {
+            let (a, b) = (range.offset as usize, (range.offset + range.len) as usize);
+            range.tree_offset = self.end_tree.len() as u32;
+            range.tree_leaves = build_max_tree(&self.ends[a..b], &mut self.end_tree);
         }
     }
 
@@ -144,9 +178,10 @@ impl TagColumns {
             + self.ranges.capacity() * std::mem::size_of::<StreamRange>()
     }
 
-    /// Serializes the arenas for the snapshot `COLUMNS` section. Node ids
-    /// are written through `node_map` (old id → canonical preorder id) so
-    /// the decoded columns reference the decoded document's ids.
+    /// Serializes the arenas and stream lengths for the snapshot
+    /// `COLUMNS` section. Node ids are written through `node_map` (old id
+    /// → canonical preorder id) so the decoded columns reference the
+    /// decoded document's ids.
     pub(crate) fn encode(&self, node_map: &[u32], out: &mut Vec<u8>) {
         put_varint(out, self.starts.len() as u64);
         put_u32_slice(out, &self.starts);
@@ -156,22 +191,18 @@ impl TagColumns {
         for &n in &self.nodes {
             out.extend_from_slice(&node_map[n.index()].to_le_bytes());
         }
-        put_varint(out, self.end_tree.len() as u64);
-        put_u32_slice(out, &self.end_tree);
         put_varint(out, self.ranges.len() as u64);
-        for r in self.ranges.iter().chain(std::iter::once(&self.all_range)) {
-            put_varint(out, r.offset as u64);
+        for r in self.ranges.iter().chain([&self.all_range]) {
             put_varint(out, r.len as u64);
-            put_varint(out, r.tree_offset as u64);
-            put_varint(out, r.tree_leaves as u64);
         }
     }
 
     /// Deserializes arenas written by [`encode`](Self::encode) — a bulk
-    /// read straight into the struct-of-arrays layout. Validates every
-    /// invariant the join loops rely on: node ids within the document,
-    /// range extents within the arenas, per-element `start < end`, and
-    /// strictly increasing `starts` within each stream (document order).
+    /// read straight into the struct-of-arrays layout — and rebuilds the
+    /// end trees. Validates every invariant the join loops rely on: node
+    /// ids within the document, stream lengths that tile the arenas
+    /// exactly, per-element `start < end`, and strictly increasing
+    /// `starts` within each stream (document order).
     pub(crate) fn decode(
         data: &[u8],
         pos: &mut usize,
@@ -192,29 +223,18 @@ impl TagColumns {
             }
             nodes.push(NodeId::from_index(v as usize));
         }
-        let tree_len = rd_len(data, pos, "columns end-tree length")?;
-        if tree_len > u32::MAX as usize {
-            return Err(corrupt("end-tree length exceeds u32"));
-        }
-        let end_tree = get_u32_slice(data, pos, tree_len, "columns end tree")?;
         let range_count = rd_len(data, pos, "columns range count")?;
-        let mut ranges = Vec::new();
+        if range_count > data.len() {
+            return Err(corrupt("columns range count"));
+        }
+        let mut lens = Vec::with_capacity(range_count + 1);
+        let mut a = 0usize;
         for _ in 0..range_count + 1 {
-            let offset = rd_len(data, pos, "range offset")? as u64;
-            let len = rd_len(data, pos, "range length")? as u64;
-            let tree_offset = rd_len(data, pos, "range tree offset")? as u64;
-            let tree_leaves = rd_len(data, pos, "range tree leaves")? as u64;
-            let end = offset.checked_add(len).ok_or(corrupt("range overflow"))?;
-            if end > n as u64 {
-                return Err(corrupt("range exceeds column arenas"));
-            }
-            let tree_end = tree_offset
-                .checked_add(2 * tree_leaves)
-                .ok_or(corrupt("range tree overflow"))?;
-            if tree_end > tree_len as u64 {
-                return Err(corrupt("range exceeds end-tree arena"));
-            }
-            let (a, b) = (offset as usize, end as usize);
+            let len = rd_len(data, pos, "range length")?;
+            let b = a
+                .checked_add(len)
+                .filter(|&b| b <= n)
+                .ok_or(corrupt("range exceeds column arenas"))?;
             for i in a..b {
                 if starts[i] >= ends[i] {
                     return Err(corrupt("column element with start >= end"));
@@ -223,23 +243,22 @@ impl TagColumns {
                     return Err(corrupt("column stream not in document order"));
                 }
             }
-            ranges.push(StreamRange {
-                offset: offset as u32,
-                len: len as u32,
-                tree_offset: tree_offset as u32,
-                tree_leaves: tree_leaves as u32,
-            });
+            lens.push(len as u32);
+            a = b;
         }
-        let all_range = ranges.pop().expect("range_count + 1 ranges were read");
-        Ok(TagColumns {
+        if a != n {
+            return Err(corrupt("column arenas longer than their streams"));
+        }
+        let mut cols = TagColumns {
             starts,
             ends,
             levels,
             nodes,
-            end_tree,
-            ranges,
-            all_range,
-        })
+            ..TagColumns::default()
+        };
+        cols.lay_out(&lens);
+        cols.build_end_trees();
+        Ok(cols)
     }
 }
 
@@ -248,10 +267,7 @@ impl TagColumns {
 /// `2 * leaves` (slot 0 unused), leaves at `leaves..2 * leaves`, padding
 /// leaves hold 0 (the neutral element for max).
 fn build_max_tree(ends: &[u32], arena: &mut Vec<u32>) -> u32 {
-    if ends.is_empty() {
-        return 0;
-    }
-    let leaves = ends.len().next_power_of_two();
+    let leaves = tree_leaves(ends.len());
     let base = arena.len();
     arena.resize(base + 2 * leaves, 0);
     arena[base + leaves..base + leaves + ends.len()].copy_from_slice(ends);
@@ -259,6 +275,16 @@ fn build_max_tree(ends: &[u32], arena: &mut Vec<u32>) -> u32 {
         arena[base + i] = arena[base + 2 * i].max(arena[base + 2 * i + 1]);
     }
     leaves as u32
+}
+
+/// Padded leaf count of the max-segment-tree over `len` ends: the next
+/// power of two, and no tree at all over an empty stream.
+fn tree_leaves(len: usize) -> usize {
+    if len == 0 {
+        0
+    } else {
+        len.next_power_of_two()
+    }
 }
 
 /// Leftmost leaf `>= from` with `value >= target` in a tree built by
@@ -306,28 +332,28 @@ pub struct OwnedColumns {
 }
 
 impl OwnedColumns {
-    /// Transposes a document-ordered entry slice, including the end
-    /// max-segment-tree (needed by `seek_end_at_least`).
-    pub fn from_entries(entries: &[ElementEntry]) -> Self {
+    /// The columns of `elements`, which must come in document order,
+    /// including the end max-segment-tree (needed by `seek_end_at_least`).
+    /// An iterator that knows its length costs one allocation per column.
+    pub fn from_elements(elements: impl IntoIterator<Item = (NodeId, RegionLabel)>) -> Self {
+        let elements = elements.into_iter();
+        let n = elements.size_hint().0;
         let mut cols = OwnedColumns {
-            starts: Vec::with_capacity(entries.len()),
-            ends: Vec::with_capacity(entries.len()),
-            levels: Vec::with_capacity(entries.len()),
-            nodes: Vec::with_capacity(entries.len()),
+            starts: Vec::with_capacity(n),
+            ends: Vec::with_capacity(n),
+            levels: Vec::with_capacity(n),
+            nodes: Vec::with_capacity(n),
             end_tree: Vec::new(),
         };
-        for e in entries {
+        for (node, region) in elements {
             debug_assert!(
-                cols.starts
-                    .last()
-                    .map(|&s| s < e.region.start)
-                    .unwrap_or(true),
+                cols.starts.last().is_none_or(|&s| s < region.start),
                 "columns must be built in document order"
             );
-            cols.starts.push(e.region.start);
-            cols.ends.push(e.region.end);
-            cols.levels.push(e.region.level);
-            cols.nodes.push(e.node);
+            cols.starts.push(region.start);
+            cols.ends.push(region.end);
+            cols.levels.push(region.level);
+            cols.nodes.push(node);
         }
         build_max_tree(&cols.ends, &mut cols.end_tree);
         cols
@@ -398,12 +424,10 @@ impl<'a> ColumnView<'a> {
         self.nodes
     }
 
-    /// Reassembles the `i`-th element as an [`ElementEntry`].
-    pub fn entry(&self, i: usize) -> ElementEntry {
-        ElementEntry {
-            node: self.nodes[i],
-            region: RegionLabel::new(self.starts[i], self.ends[i], self.levels[i]),
-        }
+    /// The `i`-th element: its node and region label.
+    pub fn element(&self, i: usize) -> (NodeId, RegionLabel) {
+        let region = RegionLabel::new(self.starts[i], self.ends[i], self.levels[i]);
+        (self.nodes[i], region)
     }
 
     /// A cursor positioned at the first element.
@@ -451,8 +475,8 @@ fn gallop(column: &[u32], from: usize, target: u32) -> usize {
     lo + 1 + column[lo + 1..hi].partition_point(|&v| v < target)
 }
 
-/// Forward-only cursor over a [`ColumnView`], mirroring the `TagStream`
-/// head/advance contract and adding the galloping seeks.
+/// Forward-only cursor over a [`ColumnView`]: head, advance, and the two
+/// logarithmic seeks.
 #[derive(Clone, Copy, Debug)]
 pub struct ColumnCursor<'a> {
     view: ColumnView<'a>,
@@ -466,7 +490,7 @@ impl<'a> ColumnCursor<'a> {
     }
 
     /// Region start of the head, or `u32::MAX` once exhausted — the
-    /// sentinel the holistic merge loops compare against.
+    /// sentinel the structural join's merge loop compares against.
     pub fn head_start(&self) -> u32 {
         self.view.starts.get(self.pos).copied().unwrap_or(u32::MAX)
     }
@@ -474,15 +498,6 @@ impl<'a> ColumnCursor<'a> {
     /// Region end of the head, or `u32::MAX` once exhausted.
     pub fn head_end(&self) -> u32 {
         self.view.ends.get(self.pos).copied().unwrap_or(u32::MAX)
-    }
-
-    /// The head element, if any.
-    pub fn head(&self) -> Option<ElementEntry> {
-        if self.is_exhausted() {
-            None
-        } else {
-            Some(self.view.entry(self.pos))
-        }
     }
 
     /// Advances past the head.
@@ -522,57 +537,90 @@ impl<'a> ColumnCursor<'a> {
 mod tests {
     use super::*;
 
-    fn entry(node: u32, start: u32, end: u32, level: u16) -> ElementEntry {
-        ElementEntry {
-            node: NodeId::from_index(node as usize),
-            region: RegionLabel::new(start, end, level),
-        }
+    fn element(node: u32, start: u32, end: u32, level: u16) -> (NodeId, RegionLabel) {
+        (
+            NodeId::from_index(node as usize),
+            RegionLabel::new(start, end, level),
+        )
     }
 
     /// A recursive-nesting shape: ends are NOT monotonic.
-    fn nested() -> Vec<ElementEntry> {
+    fn nested() -> Vec<(NodeId, RegionLabel)> {
         vec![
-            entry(0, 1, 100, 1),
-            entry(1, 2, 40, 2),
-            entry(2, 3, 10, 3),
-            entry(3, 12, 30, 3),
-            entry(4, 50, 60, 2),
-            entry(5, 70, 71, 2),
+            element(0, 1, 100, 1),
+            element(1, 2, 40, 2),
+            element(2, 3, 10, 3),
+            element(3, 12, 30, 3),
+            element(4, 50, 60, 2),
+            element(5, 70, 71, 2),
         ]
     }
 
     #[test]
-    fn owned_columns_round_trip_entries() {
-        let entries = nested();
-        let cols = OwnedColumns::from_entries(&entries);
+    fn owned_columns_round_trip_elements() {
+        let elements = nested();
+        let cols = OwnedColumns::from_elements(elements.iter().copied());
         let view = cols.view();
-        assert_eq!(view.len(), entries.len());
-        for (i, e) in entries.iter().enumerate() {
-            assert_eq!(view.entry(i), *e);
+        assert_eq!(view.len(), elements.len());
+        for (i, e) in elements.iter().enumerate() {
+            assert_eq!(view.element(i), *e);
         }
     }
 
+    /// Columns built from a document equal a per-tag scan of that
+    /// document, and equal themselves — arenas, ranges and rebuilt end
+    /// trees — after a snapshot round trip.
     #[test]
-    fn tag_columns_mirror_tag_index() {
-        let a = Symbol::from_index(0);
-        let b = Symbol::from_index(1);
-        let mut tags = TagIndex::with_tag_count(2);
-        let all: Vec<ElementEntry> = nested();
-        tags.push(a, all[0]);
-        tags.push(a, all[2]);
-        tags.push(b, all[1]);
-        tags.push(b, all[4]);
-        let cols = TagColumns::build(&tags, &all, 2);
-        for (sym, stream) in [(a, tags.stream(a)), (b, tags.stream(b))] {
-            let view = cols.view(sym);
-            assert_eq!(view.len(), stream.len());
-            for (i, e) in stream.iter().enumerate() {
-                assert_eq!(view.entry(i), *e, "tag {sym:?} entry {i}");
-            }
+    fn tag_columns_equal_a_document_scan_and_survive_the_codec() {
+        let idx = crate::IndexedDocument::from_str(
+            "<s><s><t/><s k=\"1\"><t>x</t></s></s><t/><u>y<t/></u><s/></s>",
+        )
+        .unwrap();
+        let (doc, labels, cols) = (idx.document(), idx.labels(), idx.columns());
+        let scan = |keep: &dyn Fn(NodeId) -> bool| -> Vec<(NodeId, RegionLabel)> {
+            doc.all_nodes()
+                .filter(|&n| doc.is_element(n) && keep(n))
+                .map(|n| (n, labels.region(n)))
+                .collect()
+        };
+        let elements = |view: ColumnView<'_>| -> Vec<(NodeId, RegionLabel)> {
+            (0..view.len()).map(|i| view.element(i)).collect()
+        };
+        for (sym, name) in doc.symbols().iter() {
+            let expect = scan(&|n| doc.tag(n) == Some(sym));
+            assert_eq!(elements(cols.view(sym)), expect, "tag {name}");
         }
-        assert_eq!(cols.view(Symbol::from_index(9)).len(), 0);
-        assert_eq!(cols.all_elements().len(), all.len());
+        // `k` is an attribute name: a symbol no element carries.
+        assert!(cols.view(doc.symbols().get("k").unwrap()).is_empty());
+        assert!(cols.view(Symbol::from_index(99)).is_empty());
+        assert_eq!(elements(cols.all_elements()), scan(&|_| true));
         assert!(cols.size_bytes() > 0);
+
+        let identity: Vec<u32> = (0..doc.node_count() as u32).collect();
+        let mut bytes = Vec::new();
+        cols.encode(&identity, &mut bytes);
+        let mut pos = 0;
+        let back = TagColumns::decode(&bytes, &mut pos, doc.node_count()).unwrap();
+        assert_eq!(pos, bytes.len());
+        assert_eq!(&back, cols);
+    }
+
+    /// A payload whose stream lengths do not tile the arenas exactly is
+    /// corrupt, whichever way it is off.
+    #[test]
+    fn decode_rejects_stream_lengths_that_do_not_tile_the_arenas() {
+        let idx = crate::IndexedDocument::from_str("<a><b/><b/></a>").unwrap();
+        let identity: Vec<u32> = (0..idx.document().node_count() as u32).collect();
+        let mut good = Vec::new();
+        idx.columns().encode(&identity, &mut good);
+        // The payload ends with the all-elements stream's length (3).
+        assert_eq!(good.last(), Some(&3));
+        for last in [2u8, 4] {
+            let mut bad = good.clone();
+            *bad.last_mut().unwrap() = last;
+            let got = TagColumns::decode(&bad, &mut 0, idx.document().node_count());
+            assert!(matches!(got, Err(StorageError::Corrupt(_))), "{last}");
+        }
     }
 
     #[test]
@@ -638,9 +686,8 @@ mod tests {
     fn seek_end_agrees_with_element_by_element_skip() {
         // Equivalence with the scalar loop `while head.end < X { advance }`
         // on a nesting-heavy stream, from every position and threshold.
-        let entries = nested();
-        let cols = OwnedColumns::from_entries(&entries);
-        for from in 0..=entries.len() {
+        let cols = OwnedColumns::from_elements(nested());
+        for from in 0..=cols.view().len() {
             for target in 0..110u32 {
                 let mut cur = cols.view().cursor();
                 for _ in 0..from {
@@ -663,16 +710,15 @@ mod tests {
 
     #[test]
     fn cursor_heads_and_sentinels() {
-        let cols = OwnedColumns::from_entries(&nested());
+        let cols = OwnedColumns::from_elements(nested());
         let mut cur = cols.view().cursor();
         assert_eq!(cur.head_start(), 1);
         assert_eq!(cur.seek_start_at_least(49), 4);
-        assert_eq!(cur.head().unwrap().region.start, 50);
+        assert_eq!((cur.head_start(), cur.head_end()), (50, 60));
         cur.seek_start_at_least(u32::MAX);
         assert!(cur.is_exhausted());
         assert_eq!(cur.head_start(), u32::MAX);
         assert_eq!(cur.head_end(), u32::MAX);
-        assert_eq!(cur.head(), None);
     }
 
     #[test]

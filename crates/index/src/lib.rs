@@ -2,12 +2,11 @@
 //!
 //! The index layer of LotusX. One pass over a parsed document builds:
 //!
-//! * [`tag_index::TagIndex`] — per-tag, document-ordered element streams
-//!   (the inputs of structural and holistic twig joins);
-//! * [`columns::TagColumns`] — a struct-of-arrays mirror of those streams
-//!   (contiguous start/end/level columns plus a prefix-max-end column)
-//!   that the join engine scans branch-light and skips with galloping
-//!   binary search;
+//! * [`columns::TagColumns`] — per-tag, document-ordered element streams
+//!   (the inputs of the structural join) as struct-of-arrays columns:
+//!   contiguous start/end/level/node arrays plus a max-end tree per
+//!   stream, which the join scans branch-light and skips through with
+//!   galloping binary search;
 //! * [`value_index::ValueIndex`] — tokenized term postings with term
 //!   frequencies, an exact-value index, and a numeric index for range
 //!   predicates;
@@ -30,15 +29,13 @@ pub mod columns;
 pub mod dataguide;
 pub mod snapshot;
 pub mod stats;
-pub mod tag_index;
 pub mod trie;
 pub mod value_index;
 mod wire;
 
-pub use builder::{BuildOptions, IndexedDocument};
+pub use builder::IndexedDocument;
 pub use columns::{ColumnCursor, ColumnView, OwnedColumns, TagColumns};
 pub use dataguide::{DataGuide, GuideNodeId};
 pub use stats::{JoinStats, Stats};
-pub use tag_index::{ElementEntry, TagIndex, TagStream};
 pub use trie::{Trie, TrieCursor};
 pub use value_index::{tokenize, ValueIndex};

@@ -1,17 +1,17 @@
-//! Full-index snapshot codecs: the section payloads of the `LTSX` v2
+//! Full-index snapshot codecs: the section payloads of the `LTSX`
 //! container.
 //!
 //! [`encode_sections`] serializes every structure of an
-//! [`IndexedDocument`] — the document tree, all label families, the
+//! [`IndexedDocument`] — the document tree, the region labels, the
 //! columnar arenas, the value index, both completion tries, the
 //! DataGuide and the statistics tables — into the sections that
 //! `lotusx-storage` frames and checksums. [`decode_sections`] is the
-//! inverse: bulk reads straight into the arena layouts, with **no
-//! re-parsing, no re-labeling and no stats re-walks**. The only derived
-//! work on load is an O(n) transpose of the columnar arenas back into
-//! the per-tag [`TagIndex`] posting vectors (the columns are the exact
-//! same entries in the same order, so serializing both would double the
-//! file for no information).
+//! inverse: bulk reads straight into the arena layouts plus validation,
+//! with **no re-parsing, no re-labeling and no stats re-walks**. The one
+//! exception is a structure *derived* from another section's bytes — the
+//! columns' end trees — which is rebuilt, not stored: a stored derivation
+//! must be validated against its source or it can lie, and validating it
+//! costs what rebuilding it costs.
 //!
 //! ## Node-id canonicalization
 //!
@@ -31,20 +31,19 @@
 //! answers every query, completion and chooser probe bit-identically to
 //! the fresh build it was saved from.
 
-use crate::builder::{IndexParts, IndexedDocument};
+use crate::builder::IndexedDocument;
 use crate::columns::TagColumns;
 use crate::dataguide::{DataGuide, GuideNodeId};
 use crate::stats::{JoinStats, Stats};
-use crate::tag_index::{ElementEntry, TagIndex};
 use crate::trie::Trie;
 use crate::value_index::ValueIndex;
 use crate::wire::{corrupt, get_string, put_string, put_varint, rd_len, StorageError};
 use crate::wire::{get_u16_slice, get_u32_slice, put_u16_slice, put_u32_slice};
-use lotusx_labeling::{DocumentLabels, RegionLabel, TagFst};
+use lotusx_labeling::{DocumentLabels, RegionLabel};
 use lotusx_storage::snapshot::{section, Section};
 use lotusx_xml::{Document, NodeId, NodeKind, Symbol};
 
-/// Serializes the entire index set into v2 snapshot sections.
+/// Serializes the entire index set into snapshot sections.
 pub fn encode_sections(idx: &IndexedDocument) -> Vec<Section> {
     let doc = idx.document();
     let order = preorder(doc);
@@ -101,7 +100,7 @@ pub fn encode_sections(idx: &IndexedDocument) -> Vec<Section> {
     ]
 }
 
-/// Reassembles an [`IndexedDocument`] from v2 snapshot sections. Every
+/// Reassembles an [`IndexedDocument`] from snapshot sections. Every
 /// section must be present exactly once; every embedded id is
 /// bounds-checked so a crafted payload yields a typed error, never a
 /// panic.
@@ -119,13 +118,12 @@ pub fn decode_sections(sections: &[Section]) -> Result<IndexedDocument, StorageE
     let n = doc.node_count();
     let tag_count = doc.symbols().len();
 
-    let labels = decode_labels(find(section::LABELS)?, n, tag_count)?;
+    let labels = decode_labels(find(section::LABELS)?, n)?;
 
     let bytes = find(section::COLUMNS)?;
     let mut pos = 0;
     let columns = TagColumns::decode(bytes, &mut pos, n)?;
     ensure_consumed(bytes, pos, "columns")?;
-    let (tags, all_elements) = rebuild_tag_index(&columns, tag_count)?;
 
     let bytes = find(section::VALUES)?;
     let mut pos = 0;
@@ -142,10 +140,9 @@ pub fn decode_sections(sections: &[Section]) -> Result<IndexedDocument, StorageE
     let join_stats = JoinStats::decode(bytes, &mut pos, tag_count)?;
     ensure_consumed(bytes, pos, "stats")?;
 
-    Ok(IndexedDocument::from_parts(IndexParts {
+    Ok(IndexedDocument {
         doc,
         labels,
-        tags,
         columns,
         values,
         tag_trie,
@@ -155,8 +152,7 @@ pub fn decode_sections(sections: &[Section]) -> Result<IndexedDocument, StorageE
         guide_of,
         stats,
         join_stats,
-        all_elements,
-    }))
+    })
 }
 
 /// The canonical preorder node walk: the document root first, then every
@@ -183,12 +179,12 @@ fn ensure_consumed(bytes: &[u8], pos: usize, _what: &'static str) -> Result<(), 
     Ok(())
 }
 
-/// `DOCUMENT` (v2 bulk form): the symbol table in exact insertion order,
-/// then a kind column, a parent column, and the per-node payload stream —
-/// all in canonical preorder. Unlike the v1 tree-walk payload this never
-/// re-interns tag strings per node (symbols load with their original
-/// dense indexes, which every other section's symbol references rely on)
-/// and rebuilds sibling links in one forward pass.
+/// `DOCUMENT`: the symbol table in exact insertion order, then a kind
+/// column, a parent column, and the per-node payload stream — all in
+/// canonical preorder. Symbols load with their original dense indexes
+/// (which every other section's symbol references rely on), never
+/// re-interned per node, and sibling links are rebuilt in one forward
+/// pass.
 fn encode_document(doc: &Document, order: &[NodeId], node_map: &[u32], out: &mut Vec<u8>) {
     let symbols = doc.symbols();
     put_varint(out, symbols.len() as u64);
@@ -325,8 +321,8 @@ fn decode_document(bytes: &[u8]) -> Result<Document, StorageError> {
     Ok(doc)
 }
 
-/// `LABELS`: three raw region columns, then per-node Dewey and extended
-/// Dewey component lists, then the tag transducer sorted by state.
+/// `LABELS`: the region label of every node in canonical order, as three
+/// raw columns.
 fn encode_labels(idx: &IndexedDocument, order: &[NodeId], out: &mut Vec<u8>) {
     let labels = idx.labels();
     let n = order.len();
@@ -343,47 +339,9 @@ fn encode_labels(idx: &IndexedDocument, order: &[NodeId], out: &mut Vec<u8>) {
     put_u32_slice(out, &starts);
     put_u32_slice(out, &ends);
     put_u16_slice(out, &levels);
-    // Dewey families as columns: per-node component counts (u16 — depth
-    // is bounded by the u16 region level), then one flat component
-    // arena. Decoding is two bulk reads plus a prefix sum, matching the
-    // arena layout `DocumentLabels` uses in memory.
-    fn put_family<'a>(
-        out: &mut Vec<u8>,
-        order: &[NodeId],
-        components_of: impl Fn(NodeId) -> &'a [u32],
-    ) {
-        let lens: Vec<u16> = order
-            .iter()
-            .map(|&old| u16::try_from(components_of(old).len()).expect("depth fits in u16"))
-            .collect();
-        put_u16_slice(out, &lens);
-        let mut flat = Vec::with_capacity(lens.iter().map(|&l| l as usize).sum());
-        for &old in order {
-            flat.extend_from_slice(components_of(old));
-        }
-        put_u32_slice(out, &flat);
-    }
-    put_family(out, order, |old| labels.dewey(old).components());
-    put_family(out, order, |old| labels.extended(old).components());
-    // Transducer states sorted by encoded key (None first) so hash-map
-    // order never leaks into the bytes.
-    let mut states: Vec<(Option<Symbol>, &[Symbol])> = labels.fst().states().collect();
-    states.sort_by_key(|(s, _)| s.map(|t| t.index() as u64 + 1).unwrap_or(0));
-    put_varint(out, states.len() as u64);
-    for (state, alphabet) in states {
-        put_varint(out, state.map(|t| t.index() as u64 + 1).unwrap_or(0));
-        put_varint(out, alphabet.len() as u64);
-        for &t in alphabet {
-            put_varint(out, t.index() as u64);
-        }
-    }
 }
 
-fn decode_labels(
-    bytes: &[u8],
-    node_count: usize,
-    tag_count: usize,
-) -> Result<DocumentLabels, StorageError> {
+fn decode_labels(bytes: &[u8], node_count: usize) -> Result<DocumentLabels, StorageError> {
     let pos = &mut 0;
     let n = rd_len(bytes, pos, "labels length")?;
     if n != node_count {
@@ -399,53 +357,8 @@ fn decode_labels(
         }
         region.push(RegionLabel::new(starts[i], ends[i], levels[i]));
     }
-    let mut rd_family = |what: &'static str| -> Result<(Vec<u32>, Vec<u32>), StorageError> {
-        let lens = get_u16_slice(bytes, pos, n, what)?;
-        let mut off = Vec::with_capacity(n + 1);
-        let mut total = 0u32;
-        off.push(0);
-        for &len in &lens {
-            total = total.checked_add(u32::from(len)).ok_or(corrupt(what))?;
-            off.push(total);
-        }
-        let flat = get_u32_slice(bytes, pos, total as usize, what)?;
-        Ok((flat, off))
-    };
-    let dewey = rd_family("dewey labels")?;
-    let extended = rd_family("extended dewey labels")?;
-    let state_count = rd_len(bytes, pos, "fst state count")?;
-    if state_count > bytes.len() {
-        return Err(corrupt("fst state count"));
-    }
-    let rd_sym = |v: usize| -> Result<Symbol, StorageError> {
-        if v >= tag_count {
-            return Err(corrupt("fst symbol out of range"));
-        }
-        Ok(Symbol::from_index(v))
-    };
-    let mut states = Vec::with_capacity(state_count);
-    for _ in 0..state_count {
-        let state = match rd_len(bytes, pos, "fst state")? {
-            0 => None,
-            v => Some(rd_sym(v - 1)?),
-        };
-        let alpha_len = rd_len(bytes, pos, "fst alphabet length")?;
-        if alpha_len > bytes.len() {
-            return Err(corrupt("fst alphabet length"));
-        }
-        let mut alphabet = Vec::with_capacity(alpha_len);
-        for _ in 0..alpha_len {
-            alphabet.push(rd_sym(rd_len(bytes, pos, "fst alphabet symbol")?)?);
-        }
-        states.push((state, alphabet));
-    }
     ensure_consumed(bytes, *pos, "labels")?;
-    Ok(DocumentLabels::from_parts(
-        region,
-        dewey,
-        extended,
-        TagFst::from_states(states),
-    ))
+    Ok(DocumentLabels::from_parts(region))
 }
 
 /// `TRIES`: the sorted term table, then both tries structurally.
@@ -508,26 +421,6 @@ fn decode_guide(
     Ok((guide, guide_of))
 }
 
-/// Rebuilds the per-tag posting vectors and the all-elements stream from
-/// the decoded columns — an O(n) transpose, the only derived work on the
-/// snapshot load path.
-fn rebuild_tag_index(
-    columns: &TagColumns,
-    tag_count: usize,
-) -> Result<(TagIndex, Vec<ElementEntry>), StorageError> {
-    let mut tags = TagIndex::with_tag_count(tag_count);
-    for t in 0..tag_count {
-        let sym = Symbol::from_index(t);
-        let view = columns.view(sym);
-        for i in 0..view.len() {
-            tags.push(sym, view.entry(i));
-        }
-    }
-    let all = columns.all_elements();
-    let all_elements: Vec<ElementEntry> = (0..all.len()).map(|i| all.entry(i)).collect();
-    Ok((tags, all_elements))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,21 +446,12 @@ mod tests {
         let doc = idx.document();
         for node in doc.all_nodes() {
             assert_eq!(back.labels().region(node), idx.labels().region(node));
-            assert_eq!(back.labels().dewey(node), idx.labels().dewey(node));
-            assert_eq!(back.labels().extended(node), idx.labels().extended(node));
             if doc.is_element(node) {
                 assert_eq!(back.guide_node(node), idx.guide_node(node));
             }
         }
-        for (sym, _) in doc.symbols().iter() {
-            assert_eq!(back.tags().stream(sym), idx.tags().stream(sym));
-            let (a, b) = (back.columns().view(sym), idx.columns().view(sym));
-            assert_eq!(a.len(), b.len());
-            for i in 0..a.len() {
-                assert_eq!(a.entry(i), b.entry(i));
-            }
-        }
-        assert_eq!(back.all_elements(), idx.all_elements());
+        // Arenas, ranges and the rebuilt end trees.
+        assert_eq!(back.columns(), idx.columns());
         for (term, df) in idx.values().terms() {
             assert_eq!(back.values().df(term), df);
             assert_eq!(back.values().postings(term), idx.values().postings(term));

@@ -1,8 +1,8 @@
 //! Corpus statistics used by ranking, the experiment harness, and the
 //! adaptive join-algorithm chooser.
 
+use crate::columns::TagColumns;
 use crate::dataguide::{DataGuide, GuideNodeId};
-use crate::tag_index::TagIndex;
 use crate::wire::{corrupt, put_varint, rd_f64, rd_len, rd_varint, StorageError};
 use lotusx_xml::{Document, NodeId, Symbol};
 use std::collections::HashMap;
@@ -150,13 +150,13 @@ struct PairCounts {
 }
 
 impl JoinStats {
-    /// Derives join statistics from the merged tag index and DataGuide.
-    pub fn compute(tags: &TagIndex, guide: &DataGuide, tag_count: usize) -> Self {
+    /// Derives join statistics from the tag columns and DataGuide.
+    pub fn compute(columns: &TagColumns, guide: &DataGuide, tag_count: usize) -> Self {
         let mut stats = JoinStats {
             tag_freq: (0..tag_count)
-                .map(|t| tags.frequency(Symbol::from_index(t)) as u64)
+                .map(|t| columns.view(Symbol::from_index(t)).len() as u64)
                 .collect(),
-            element_count: tags.total_entries() as u64,
+            element_count: columns.all_elements().len() as u64,
             children_total: vec![0; tag_count],
             subtree_weight: vec![0; tag_count],
             pair_table: HashMap::new(),

@@ -21,7 +21,12 @@ pub fn tokenize(text: &str) -> Vec<String> {
     let mut current = String::new();
     for ch in text.chars() {
         if ch.is_alphanumeric() {
-            current.extend(ch.to_lowercase());
+            // A `push` loop, not `extend`: whether the generic `extend`
+            // gets inlined here has swung this function by 20 % between
+            // builds that did not touch it.
+            for lower in ch.to_lowercase() {
+                current.push(lower);
+            }
         } else if !current.is_empty() {
             terms.push(std::mem::take(&mut current));
         }
@@ -87,23 +92,6 @@ impl ValueIndex {
         if any {
             self.content_elements += 1;
         }
-    }
-
-    /// Appends all postings of `other` after the postings of `self`.
-    ///
-    /// `other` must have been indexed over a later contiguous chunk of the
-    /// same document, so per-term posting lists stay in document order.
-    /// Call [`Self::finish`] once after the last merge. Used by the
-    /// parallel builder to merge per-chunk partial indexes.
-    pub fn merge_append(&mut self, other: ValueIndex) {
-        for (term, postings) in other.terms {
-            self.terms.entry(term).or_default().extend(postings);
-        }
-        for (value, nodes) in other.exact {
-            self.exact.entry(value).or_default().extend(nodes);
-        }
-        self.numeric.extend(other.numeric);
-        self.content_elements += other.content_elements;
     }
 
     /// Finishes construction: sorts the numeric index.

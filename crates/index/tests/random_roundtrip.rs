@@ -1,10 +1,13 @@
-//! Randomized tests (seeded, deterministic): save → load is the identity on
-//! documents, including the generated benchmark corpora, and random
-//! corruption never panics. Ported from proptest to plain seeded loops so
-//! the workspace builds offline.
+//! Randomized tests (seeded, deterministic) of the snapshot section
+//! codecs, the `DOCUMENT` section first of all: index → sections → index
+//! is the identity on random mixed-content trees and on the generated
+//! benchmark corpora, and random corruption of a framed snapshot never
+//! panics.
 
 use lotusx_datagen::rng::XorShiftRng;
-use lotusx_storage::{load_document, save_document};
+use lotusx_index::snapshot::{decode_sections, encode_sections};
+use lotusx_index::IndexedDocument;
+use lotusx_storage::{read_snapshot, write_snapshot};
 use lotusx_xml::{Document, NodeId};
 
 const TAGS: [&str; 5] = ["a", "b", "c", "d", "e"];
@@ -82,8 +85,23 @@ fn build(doc: &mut Document, parent: NodeId, node: &GenNode) {
     }
 }
 
+/// Encodes `doc`'s index set, decodes it again, and checks the decoded
+/// side against the source. Source node ids need not be preorder-dense
+/// (`append_text` coalesces adjacent text nodes; the generators allocate
+/// in construction order), so the columns must come back renumbered to
+/// the decoded tree — equal to a fresh build over it.
+fn assert_roundtrips(doc: Document, case: &str) {
+    let idx = IndexedDocument::build(doc);
+    let back = decode_sections(&encode_sections(&idx)).expect("own sections decode");
+    let (doc, back_doc) = (idx.document(), back.document());
+    assert_eq!(back_doc.to_xml(), doc.to_xml(), "{case}");
+    assert_eq!(back_doc.node_count(), doc.node_count(), "{case}");
+    let rebuilt = IndexedDocument::build(back_doc.clone());
+    assert!(back.columns() == rebuilt.columns(), "{case}: columns");
+}
+
 #[test]
-fn save_load_is_identity() {
+fn encode_decode_is_identity() {
     let mut rng = XorShiftRng::seed_from_u64(0x5707);
     for case in 0..128 {
         let mut doc = Document::new();
@@ -92,39 +110,44 @@ fn save_load_is_identity() {
             let node = random_node(&mut rng, 4);
             build(&mut doc, root, &node);
         }
-        let mut buf = Vec::new();
-        save_document(&doc, &mut buf).unwrap();
-        let back = load_document(&buf[..]).unwrap();
-        assert_eq!(back.to_xml(), doc.to_xml(), "case {case}");
-        assert_eq!(back.node_count(), doc.node_count(), "case {case}");
+        assert_roundtrips(doc, &format!("case {case}"));
     }
 }
 
 #[test]
 fn corrupted_bytes_error_but_never_panic() {
-    let doc = Document::parse_str(
+    let idx = IndexedDocument::from_str(
         "<bib><book year=\"1999\"><title>data</title><author>lu</author></book></bib>",
     )
     .unwrap();
     let mut clean = Vec::new();
-    save_document(&doc, &mut clean).unwrap();
+    write_snapshot(&mut clean, &encode_sections(&idx)).unwrap();
     let mut rng = XorShiftRng::seed_from_u64(0xC0FF);
     for _ in 0..256 {
         let mut buf = clean.clone();
-        let i = rng.gen_range(0..200usize) % buf.len();
+        let i = rng.gen_range(0..buf.len());
         buf[i] ^= rng.gen_range(1..256u32) as u8;
-        // Either a clean error or (if the flip hit a don't-care byte) success.
-        let _ = load_document(&buf[..]);
+        // The section checksum catches nearly every flip; either way the
+        // outcome is a typed error, never a panic.
+        if let Ok(sections) = read_snapshot(&buf[..]) {
+            let _ = decode_sections(&sections);
+        }
+    }
+    // Past the checksum (a crafted file): flips inside the DOCUMENT
+    // payload itself reach the decoder.
+    let sections = encode_sections(&idx);
+    for _ in 0..256 {
+        let mut tampered = sections.clone();
+        let bytes = &mut tampered[0].bytes;
+        let i = rng.gen_range(0..bytes.len());
+        bytes[i] ^= rng.gen_range(1..256u32) as u8;
+        let _ = decode_sections(&tampered);
     }
 }
 
 #[test]
 fn benchmark_corpora_roundtrip() {
     for ds in lotusx_datagen::Dataset::ALL {
-        let doc = lotusx_datagen::generate(ds, 1, 7);
-        let mut buf = Vec::new();
-        save_document(&doc, &mut buf).unwrap();
-        let back = load_document(&buf[..]).unwrap();
-        assert_eq!(back.to_xml(), doc.to_xml(), "{ds}");
+        assert_roundtrips(lotusx_datagen::generate(ds, 1, 7), ds.name());
     }
 }

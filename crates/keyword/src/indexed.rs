@@ -1,4 +1,4 @@
-//! Indexed SLCA over Dewey-sorted keyword lists (XKSearch's indexed
+//! Indexed SLCA over document-ordered keyword lists (XKSearch's indexed
 //! lookup, Xu & Papakonstantinou, SIGMOD 2005).
 //!
 //! Rather than touching the whole tree, the algorithm scans only the

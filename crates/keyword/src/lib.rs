@@ -17,7 +17,7 @@
 //!
 //! Each semantics has two evaluators: a bottom-up containment-bitmask pass
 //! over the whole tree (simple, linear, the ground truth) and, for SLCA,
-//! the indexed lookup algorithm over Dewey-sorted keyword lists that only
+//! the indexed lookup algorithm over document-ordered keyword lists that only
 //! touches the posting lists (sub-linear in document size for selective
 //! keywords). Property tests pin them to each other.
 //!

@@ -1,18 +1,9 @@
-//! One-pass assignment of all label families over a document.
+//! One-pass assignment of region labels over a document.
 
-use crate::dewey::{DeweyLabel, DeweyRef};
-use crate::extended_dewey::{assign_extended_dewey, ExtendedDeweyRef, TagFst};
 use crate::region::RegionLabel;
 use lotusx_xml::{Document, NodeId};
 
-/// All positional labels for one document, indexed by [`NodeId`].
-///
-/// Per-node Dewey and extended-Dewey component lists live in two shared
-/// flat arenas (`*_flat`) addressed by per-node offsets (`*_off`, length
-/// `n + 1`) — one allocation per family instead of one per node, so the
-/// store deserializes from a snapshot with a handful of bulk reads and
-/// stays cache-friendly during joins. Accessors hand out borrowed
-/// [`DeweyRef`] / [`ExtendedDeweyRef`] views into the arenas.
+/// The region label of every node of one document, indexed by [`NodeId`].
 ///
 /// ```
 /// use lotusx_xml::Document;
@@ -27,34 +18,14 @@ use lotusx_xml::{Document, NodeId};
 #[derive(Clone, Debug)]
 pub struct DocumentLabels {
     region: Vec<RegionLabel>,
-    dewey_flat: Vec<u32>,
-    dewey_off: Vec<u32>,
-    extended_flat: Vec<u32>,
-    extended_off: Vec<u32>,
-    fst: TagFst,
-}
-
-/// Flattens per-node component lists into a `(flat, offsets)` arena pair.
-fn flatten(per_node: impl Iterator<Item = Vec<u32>>) -> (Vec<u32>, Vec<u32>) {
-    let mut flat = Vec::new();
-    let mut off = vec![0u32];
-    for components in per_node {
-        flat.extend_from_slice(&components);
-        off.push(flat.len() as u32);
-    }
-    (flat, off)
 }
 
 impl DocumentLabels {
-    /// Computes region, Dewey and extended Dewey labels for every element
-    /// of `doc` (plus region labels for non-element nodes, which matter for
-    /// ordered semantics over mixed content).
+    /// Computes the region label of every node of `doc` — non-element
+    /// nodes included, which matters for ordered semantics over mixed
+    /// content — in one enter/exit DFS.
     pub fn compute(doc: &Document) -> Self {
-        let n = doc.node_count();
-        let mut region = vec![RegionLabel::new(0, 1, 0); n];
-        let mut dewey = vec![DeweyLabel::default(); n];
-
-        // Region labels via an explicit enter/exit DFS over ALL nodes.
+        let mut region = vec![RegionLabel::new(0, 1, 0); doc.node_count()];
         let mut counter: u32 = 0;
         #[derive(Clone, Copy)]
         enum Step {
@@ -62,76 +33,31 @@ impl DocumentLabels {
             Exit(NodeId),
         }
         let mut stack = vec![Step::Enter(NodeId::DOCUMENT, 0)];
-        let mut starts = vec![0u32; n];
         while let Some(step) = stack.pop() {
+            counter += 1;
             match step {
                 Step::Enter(node, level) => {
-                    counter += 1;
-                    starts[node.index()] = counter;
-                    // Record level now; end comes on exit.
+                    // The end is a placeholder until the matching exit.
                     region[node.index()] = RegionLabel::new(counter, counter + 1, level);
                     stack.push(Step::Exit(node));
-                    // Push children in reverse so they are entered in
-                    // document order.
-                    let children: Vec<NodeId> = doc.children(node).collect();
-                    for child in children.into_iter().rev() {
-                        stack.push(Step::Enter(child, level + 1));
-                    }
+                    // Reversed, so children pop in document order.
+                    let first_child = stack.len();
+                    stack.extend(doc.children(node).map(|c| Step::Enter(c, level + 1)));
+                    stack[first_child..].reverse();
                 }
-                Step::Exit(node) => {
-                    counter += 1;
-                    let r = &mut region[node.index()];
-                    *r = RegionLabel::new(r.start, counter, r.level);
-                }
+                Step::Exit(node) => region[node.index()].end = counter,
             }
         }
-
-        // Dewey labels over element children only.
-        let mut dfs = vec![NodeId::DOCUMENT];
-        while let Some(node) = dfs.pop() {
-            let parent_label = dewey[node.index()].clone();
-            for (i, child) in doc.element_children(node).enumerate() {
-                dewey[child.index()] = parent_label.child(i as u32 + 1);
-                dfs.push(child);
-            }
-        }
-
-        let fst = TagFst::from_document(doc);
-        let extended = assign_extended_dewey(doc, &fst);
-
-        let (dewey_flat, dewey_off) = flatten(dewey.into_iter().map(DeweyLabel::into_components));
-        let (extended_flat, extended_off) =
-            flatten(extended.into_iter().map(|l| l.components().to_vec()));
-        DocumentLabels {
-            region,
-            dewey_flat,
-            dewey_off,
-            extended_flat,
-            extended_off,
-            fst,
-        }
+        DocumentLabels { region }
     }
 
-    /// Reassembles a label store from previously computed parts (the
-    /// snapshot load path). `region` and both offset arrays must be
-    /// indexed by [`NodeId`] (offsets have one extra trailing entry) and
+    /// Reassembles a label store from previously computed labels (the
+    /// snapshot load path). `region` must be indexed by [`NodeId`] and
     /// cover every node of the document, like [`compute`](Self::compute)
-    /// produces; callers are responsible for validating lengths against
-    /// the document and offsets against the arenas.
-    pub fn from_parts(
-        region: Vec<RegionLabel>,
-        dewey: (Vec<u32>, Vec<u32>),
-        extended: (Vec<u32>, Vec<u32>),
-        fst: TagFst,
-    ) -> Self {
-        DocumentLabels {
-            region,
-            dewey_flat: dewey.0,
-            dewey_off: dewey.1,
-            extended_flat: extended.0,
-            extended_off: extended.1,
-            fst,
-        }
+    /// produces; callers are responsible for validating its length
+    /// against the document.
+    pub fn from_parts(region: Vec<RegionLabel>) -> Self {
+        DocumentLabels { region }
     }
 
     /// All region labels, indexed by [`NodeId`].
@@ -142,25 +68,6 @@ impl DocumentLabels {
     /// The region label of `id`.
     pub fn region(&self, id: NodeId) -> RegionLabel {
         self.region[id.index()]
-    }
-
-    /// The Dewey label of `id` (empty for non-elements and the root).
-    pub fn dewey(&self, id: NodeId) -> DeweyRef<'_> {
-        let i = id.index();
-        DeweyRef::new(&self.dewey_flat[self.dewey_off[i] as usize..self.dewey_off[i + 1] as usize])
-    }
-
-    /// The extended Dewey label of `id`.
-    pub fn extended(&self, id: NodeId) -> ExtendedDeweyRef<'_> {
-        let i = id.index();
-        ExtendedDeweyRef::new(
-            &self.extended_flat[self.extended_off[i] as usize..self.extended_off[i + 1] as usize],
-        )
-    }
-
-    /// The tag transducer used for extended Dewey decoding.
-    pub fn fst(&self) -> &TagFst {
-        &self.fst
     }
 
     /// True if `a` is a proper ancestor of `d`.
@@ -180,10 +87,7 @@ impl DocumentLabels {
 
     /// Approximate heap size of the label store in bytes (for Table 1).
     pub fn size_bytes(&self) -> usize {
-        let region = self.region.len() * std::mem::size_of::<RegionLabel>();
-        let dewey = (self.dewey_flat.len() + self.dewey_off.len()) * 4;
-        let extended = (self.extended_flat.len() + self.extended_off.len()) * 4;
-        region + dewey + extended
+        self.region.len() * std::mem::size_of::<RegionLabel>()
     }
 }
 
@@ -226,34 +130,12 @@ mod tests {
     }
 
     #[test]
-    fn dewey_labels_agree_with_region_labels() {
-        let d = doc();
-        let labels = DocumentLabels::compute(&d);
-        let elems = elements(&d);
-        for &a in &elems {
-            for &b in &elems {
-                if a == b {
-                    continue;
-                }
-                assert_eq!(
-                    labels.dewey(a).is_ancestor_of(labels.dewey(b)),
-                    labels.is_ancestor(a, b)
-                );
-            }
-        }
-    }
-
-    #[test]
     fn document_order_matches_preorder_ids() {
         let d = doc();
         let labels = DocumentLabels::compute(&d);
         let elems = elements(&d);
         for w in elems.windows(2) {
             assert!(labels.doc_order_before(w[0], w[1]));
-            assert_eq!(
-                labels.dewey(w[0]).doc_cmp(labels.dewey(w[1])),
-                std::cmp::Ordering::Less
-            );
         }
     }
 
@@ -263,19 +145,6 @@ mod tests {
         let labels = DocumentLabels::compute(&d);
         for n in elements(&d) {
             assert_eq!(labels.region(n).level as u32, d.depth(n));
-            assert_eq!(labels.dewey(n).depth() as u32, d.depth(n));
-        }
-    }
-
-    #[test]
-    fn extended_dewey_decodes_paths() {
-        let d = doc();
-        let labels = DocumentLabels::compute(&d);
-        for n in elements(&d) {
-            assert_eq!(
-                labels.extended(n).tag_path(labels.fst()).unwrap(),
-                d.tag_path(n)
-            );
         }
     }
 

@@ -1,29 +1,19 @@
 //! # lotusx-labeling
 //!
-//! Positional labeling schemes for XML trees — the "position-aware"
-//! foundation of LotusX. Three label families are provided, each supporting
-//! structural-relationship tests without touching the tree:
+//! Region labels for XML trees: [`region::RegionLabel`] is the containment
+//! `(start, end, level)` label of the structural-join literature, which
+//! answers ancestor/descendant, parent/child and document-order tests
+//! between two nodes without touching the tree. It is the only positional
+//! label LotusX computes or stores. (Which tags can occur *at* a position
+//! — the "position-aware" half of completion — is answered by the
+//! DataGuide in `lotusx-index`, not by a label.)
 //!
-//! * [`region::RegionLabel`] — containment `(start, end, level)` labels,
-//!   the classic scheme of structural and holistic twig joins
-//!   (TwigStack and friends).
-//! * [`dewey::DeweyLabel`] — path-style labels where the label of a node's
-//!   parent is a prefix of the node's own label.
-//! * [`extended_dewey`] — TJFast's extended Dewey: with a tag-transition
-//!   finite-state transducer derived from the document, a numeric label
-//!   alone decodes the node's entire root-to-node *tag path*. This is what
-//!   lets LotusX answer "what is at this position?" from the index alone.
-//!
-//! [`assign::DocumentLabels`] computes all three in one traversal.
+//! [`assign::DocumentLabels`] labels a whole document in one traversal.
 
 #![warn(missing_docs)]
 
 pub mod assign;
-pub mod dewey;
-pub mod extended_dewey;
 pub mod region;
 
 pub use assign::DocumentLabels;
-pub use dewey::{DeweyLabel, DeweyRef};
-pub use extended_dewey::{ExtendedDeweyLabel, ExtendedDeweyRef, TagFst};
 pub use region::RegionLabel;

@@ -1,5 +1,5 @@
-//! Randomized tests (seeded, deterministic): all three label families agree
-//! with the tree's ground truth on every node pair of random documents.
+//! Randomized tests (seeded, deterministic): region labels agree with the
+//! tree's ground truth on every node pair of random documents.
 //! Ported from proptest to plain seeded loops so the workspace builds offline.
 
 use lotusx_datagen::rng::XorShiftRng;
@@ -49,7 +49,7 @@ fn make_doc(root: &GenTree) -> Document {
 }
 
 #[test]
-fn label_families_agree_with_tree() {
+fn region_labels_agree_with_tree() {
     let mut rng = XorShiftRng::seed_from_u64(0x1ABE1);
     for case in 0..64 {
         let mut budget = 40u32;
@@ -59,10 +59,9 @@ fn label_families_agree_with_tree() {
         let elems: Vec<NodeId> = doc.all_nodes().filter(|&n| doc.is_element(n)).collect();
 
         for (i, &a) in elems.iter().enumerate() {
-            // Extended Dewey decodes the true tag path.
             assert_eq!(
-                labels.extended(a).tag_path(labels.fst()).unwrap(),
-                doc.tag_path(a),
+                u32::from(labels.region(a).level),
+                doc.depth(a),
                 "case {case}"
             );
             for &b in &elems {
@@ -73,40 +72,10 @@ fn label_families_agree_with_tree() {
                 let truth_parent = doc.parent(b) == Some(a);
                 assert_eq!(labels.is_ancestor(a, b), truth_anc, "case {case}");
                 assert_eq!(labels.is_parent(a, b), truth_parent, "case {case}");
-                assert_eq!(
-                    labels.dewey(a).is_ancestor_of(labels.dewey(b)),
-                    truth_anc,
-                    "case {case}"
-                );
-                assert_eq!(
-                    labels.dewey(a).is_parent_of(labels.dewey(b)),
-                    truth_parent,
-                    "case {case}"
-                );
-                assert_eq!(
-                    labels.extended(a).is_ancestor_of(labels.extended(b)),
-                    truth_anc,
-                    "case {case}"
-                );
-                assert_eq!(
-                    labels.extended(a).is_parent_of(labels.extended(b)),
-                    truth_parent,
-                    "case {case}"
-                );
             }
             // Document order: elems was collected in preorder.
             for &b in &elems[i + 1..] {
                 assert!(labels.doc_order_before(a, b), "case {case}");
-                assert_eq!(
-                    labels.dewey(a).doc_cmp(labels.dewey(b)),
-                    std::cmp::Ordering::Less,
-                    "case {case}"
-                );
-                assert_eq!(
-                    labels.extended(a).doc_cmp(labels.extended(b)),
-                    std::cmp::Ordering::Less,
-                    "case {case}"
-                );
             }
         }
     }

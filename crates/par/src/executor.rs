@@ -1,13 +1,13 @@
-//! Deterministic chunked parallel combinators over slices.
+//! A deterministic chunked parallel map over slices.
 //!
-//! All combinators partition the input into at most `threads` contiguous
-//! chunks, run one scoped thread per chunk, and recombine results in
-//! chunk order. Because chunk boundaries depend only on `(len, threads)`
-//! and recombination is ordered, the output never depends on scheduling —
-//! the invariant the parallel-vs-serial equivalence suite checks.
+//! [`par_map_isolated`] partitions the input into at most `threads`
+//! contiguous chunks, runs one scoped thread per chunk, and recombines
+//! results in chunk order. Because chunk boundaries depend only on
+//! `(len, threads)` and recombination is ordered, the output never
+//! depends on scheduling.
 
 use std::cell::Cell;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
 thread_local! {
@@ -110,35 +110,25 @@ fn chunk_ranges(len: usize, threads: usize) -> Vec<std::ops::Range<usize>> {
         .collect()
 }
 
-/// Per-chunk outcome of [`run_chunks`]: the chunk's result, or the
-/// structured panic record plus the original payload (kept so the
-/// infallible combinators can [`resume_unwind`] it on the caller).
-type ChunkOutcome<U> = Result<U, (WorkerPanic, Box<dyn std::any::Any + Send>)>;
-
-/// The shared chunked runner: applies `f` to every chunk — one scoped
-/// worker per chunk, inline when there is at most one — catching each
-/// worker's panic individually so one poisoned chunk never takes down
-/// its siblings: every other chunk runs to completion and returns its
-/// result.
-fn run_chunks<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<ChunkOutcome<U>>
+/// The chunked runner: applies `f` to every chunk — one scoped worker
+/// per chunk, inline when there is at most one — catching each worker's
+/// panic individually so one poisoned chunk never takes down its
+/// siblings: every other chunk runs to completion and returns its
+/// result, the poisoned one the structured record of its panic.
+fn run_chunks<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<Result<U, WorkerPanic>>
 where
     T: Sync,
     U: Send,
-    F: Fn(usize, &[T]) -> U + Sync,
+    F: Fn(&[T]) -> U + Sync,
 {
     let ranges = chunk_ranges(items.len(), threads);
-    let capture = |chunk_index: usize, r: std::ops::Range<usize>| -> ChunkOutcome<U> {
+    let capture = |chunk_index: usize, r: std::ops::Range<usize>| -> Result<U, WorkerPanic> {
         let chunk = &items[r.clone()];
-        catch_unwind(AssertUnwindSafe(|| f(r.start, chunk))).map_err(|payload| {
-            (
-                WorkerPanic {
-                    chunk_index,
-                    start: r.start,
-                    len: r.len(),
-                    message: panic_message(payload.as_ref()),
-                },
-                payload,
-            )
+        catch_unwind(AssertUnwindSafe(|| f(chunk))).map_err(|payload| WorkerPanic {
+            chunk_index,
+            start: r.start,
+            len: r.len(),
+            message: panic_message(payload.as_ref()),
         })
     };
     if ranges.len() <= 1 {
@@ -175,68 +165,21 @@ where
                 // The worker closure already catches panics, so join()
                 // only fails if the catch itself was bypassed (e.g. a
                 // panic-in-panic abort never reaches here anyway).
-                Err(payload) => {
-                    let message = panic_message(payload.as_ref());
-                    Err((
-                        WorkerPanic {
-                            chunk_index: usize::MAX,
-                            start: 0,
-                            len: 0,
-                            message,
-                        },
-                        payload,
-                    ))
-                }
+                Err(payload) => Err(WorkerPanic {
+                    chunk_index: usize::MAX,
+                    start: 0,
+                    len: 0,
+                    message: panic_message(payload.as_ref()),
+                }),
             })
             .collect()
     })
 }
 
-/// Applies `f` to every chunk of `items` (at most `threads` contiguous
-/// chunks), returning one result per chunk in chunk order. `f` receives
-/// the chunk's starting index in `items` plus the chunk itself.
-///
-/// With `threads <= 1` (or a single chunk) everything runs inline on the
-/// calling thread — no spawn overhead on the serial path.
-///
-/// If a worker panics, every sibling chunk still runs to completion;
-/// the first panic (in chunk order) is then re-raised on the calling
-/// thread. Callers that want panics as values instead use
-/// [`par_map_isolated`].
-pub fn par_chunks<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &[T]) -> U + Sync,
-{
-    let mut out = Vec::new();
-    for outcome in run_chunks(items, threads, f) {
-        match outcome {
-            Ok(u) => out.push(u),
-            Err((_, payload)) => resume_unwind(payload),
-        }
-    }
-    out
-}
-
-/// Order-preserving parallel map: `par_map(xs, t, f)` equals
-/// `xs.iter().map(f).collect()` for every thread count.
-pub fn par_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let mut out = Vec::with_capacity(items.len());
-    for chunk in par_chunks(items, threads, |_, chunk| {
-        chunk.iter().map(&f).collect::<Vec<U>>()
-    }) {
-        out.extend(chunk);
-    }
-    out
-}
-
-/// Panic-isolated parallel map: like [`par_map`], but a worker panic
+/// Panic-isolated, order-preserving parallel map: without panics,
+/// `par_map_isolated(xs, t, f)` equals `xs.iter().map(f).map(Ok)` for
+/// every thread count (with `threads <= 1`, or a single chunk, everything
+/// runs inline on the calling thread). A worker panic
 /// fails only the items it was responsible for, as per-item
 /// [`WorkerPanic`] errors — siblings keep their results.
 ///
@@ -251,12 +194,12 @@ where
     F: Fn(&T) -> U + Sync,
 {
     let mut out = Vec::with_capacity(items.len());
-    for outcome in run_chunks(items, threads, |_, chunk| {
+    for outcome in run_chunks(items, threads, |chunk| {
         chunk.iter().map(&f).collect::<Vec<U>>()
     }) {
         match outcome {
             Ok(results) => out.extend(results.into_iter().map(Ok)),
-            Err((panic, _payload)) => {
+            Err(panic) => {
                 // Serial per-item retry isolates the poisoned item(s).
                 for (offset, item) in items[panic.start..panic.start + panic.len]
                     .iter()
@@ -298,31 +241,9 @@ mod tests {
     }
 
     #[test]
-    fn par_map_matches_serial_map_for_every_thread_count() {
-        let items: Vec<u64> = (0..257).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
-        for threads in [1, 2, 3, 8, 64] {
-            assert_eq!(par_map(&items, threads, |x| x * x + 1), expect, "{threads}");
-        }
-    }
-
-    #[test]
-    fn par_chunks_passes_chunk_offsets() {
-        let items: Vec<u32> = (0..100).collect();
-        let chunks = par_chunks(&items, 4, |start, chunk| (start, chunk.len()));
-        let mut expected_start = 0;
-        for (start, len) in chunks {
-            assert_eq!(start, expected_start);
-            expected_start += len;
-        }
-        assert_eq!(expected_start, items.len());
-    }
-
-    #[test]
     fn empty_input_is_fine() {
         let items: [u8; 0] = [];
-        assert!(par_map(&items, 4, |x| *x).is_empty());
-        assert!(par_chunks(&items, 4, |_, c| c.len()).is_empty());
+        assert!(par_map_isolated(&items, 4, |x| *x).is_empty());
     }
 
     #[test]
@@ -331,28 +252,6 @@ mod tests {
         let outcomes = par_map_isolated(&items, 1, |_| -> u32 { panic!("serial boom") });
         assert_eq!(outcomes.len(), 8);
         assert!(outcomes.iter().all(|o| o.is_err()));
-    }
-
-    #[test]
-    fn par_chunks_resumes_panic_after_siblings_finish() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let completed = AtomicUsize::new(0);
-        let items: Vec<u32> = (0..100).collect();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            par_chunks(&items, 4, |start, chunk| {
-                if start == 0 {
-                    panic!("first chunk dies");
-                }
-                completed.fetch_add(1, Ordering::SeqCst);
-                chunk.len()
-            })
-        }));
-        assert!(caught.is_err(), "the panic still reaches the caller");
-        assert_eq!(
-            completed.load(Ordering::SeqCst),
-            3,
-            "sibling chunks ran to completion before the re-raise"
-        );
     }
 
     #[test]
@@ -378,14 +277,15 @@ mod tests {
     }
 
     #[test]
-    fn par_map_isolated_matches_par_map_when_nothing_panics() {
+    fn par_map_isolated_matches_serial_map_for_every_thread_count() {
         let items: Vec<u64> = (0..257).collect();
-        for threads in [1, 2, 8] {
-            let got: Vec<u64> = par_map_isolated(&items, threads, |x| x + 7)
+        let expect: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
+        for threads in [1, 2, 3, 8, 64] {
+            let got: Vec<u64> = par_map_isolated(&items, threads, |x| x * x + 1)
                 .into_iter()
                 .map(|r| r.unwrap())
                 .collect();
-            assert_eq!(got, par_map(&items, threads, |x| x + 7), "{threads}");
+            assert_eq!(got, expect, "{threads}");
         }
     }
 
@@ -411,12 +311,16 @@ mod tests {
     #[test]
     fn lanes_identify_worker_threads() {
         assert_eq!(current_lane(), 0, "coordinating thread is lane 0");
-        let items: Vec<u32> = (0..64).collect();
-        let lanes = par_chunks(&items, 4, |_, _| current_lane());
-        assert_eq!(lanes, vec![1, 2, 3, 4], "one lane per chunk, in order");
+        let items: Vec<u32> = (0..4).collect();
+        let lanes = |threads| -> Vec<u32> {
+            par_map_isolated(&items, threads, |_| current_lane())
+                .into_iter()
+                .map(|r| r.unwrap())
+                .collect()
+        };
+        assert_eq!(lanes(4), vec![1, 2, 3, 4], "one lane per chunk, in order");
         // Serial/inline runs stay on the caller's lane.
-        let lanes = par_chunks(&items, 1, |_, _| current_lane());
-        assert_eq!(lanes, vec![0]);
+        assert_eq!(lanes(1), vec![0; 4]);
         assert_eq!(current_lane(), 0, "lane restored after the job");
     }
 

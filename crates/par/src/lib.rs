@@ -7,10 +7,10 @@
 //!
 //! Three pieces:
 //!
-//! * [`executor`] — deterministic chunked `par_map` / `par_chunks` /
-//!   `par_map_isolated` over slices. Chunks are contiguous and results are merged
-//!   in chunk order, so every combinator is order-preserving: the output
-//!   is byte-identical for any thread count.
+//! * [`executor`] — the deterministic chunked `par_map_isolated` over
+//!   slices (behind `query_batch`). Chunks are contiguous and results are
+//!   merged in chunk order, so the output is byte-identical for any thread
+//!   count.
 //! * [`sharded`] — [`ShardedMap`], a fixed-shard `RwLock<HashMap>` used
 //!   as a build-once-read-many cache (per-tag value tries).
 //! * [`lru`] — [`ConcurrentLru`], a mutex-protected LRU with atomic
@@ -23,8 +23,8 @@ pub mod lru;
 pub mod sharded;
 
 pub use executor::{
-    current_lane, default_threads, panic_message, par_chunks, par_map, par_map_isolated,
-    set_worker_observer, WorkerPanic,
+    current_lane, default_threads, panic_message, par_map_isolated, set_worker_observer,
+    WorkerPanic,
 };
 pub use lru::{CacheStats, ConcurrentLru, ShardedLru};
 pub use sharded::{ShardLoad, ShardedMap};

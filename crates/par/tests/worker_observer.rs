@@ -2,7 +2,7 @@
 //! test runs in its own integration-test process: no other test here
 //! runs parallel jobs, making the recorded event stream exact.
 
-use lotusx_par::{current_lane, par_map, set_worker_observer};
+use lotusx_par::{current_lane, par_map_isolated, set_worker_observer};
 use std::sync::Mutex;
 
 static SEEN: Mutex<Vec<(u32, usize, bool)>> = Mutex::new(Vec::new());
@@ -16,7 +16,7 @@ fn worker_observer_sees_begin_end_pairs_on_worker_threads() {
     set_worker_observer(observe);
     set_worker_observer(observe); // second install is a no-op
     let items: Vec<u32> = (0..64).collect();
-    let _ = par_map(&items, 4, |x| x + 1);
+    let _ = par_map_isolated(&items, 4, |x| x + 1);
     let seen = SEEN.lock().unwrap().clone();
     let spawned: Vec<_> = seen.iter().filter(|(lane, _, _)| *lane > 0).collect();
     assert_eq!(spawned.len(), 8, "4 chunks x begin+end: {seen:?}");
@@ -36,7 +36,7 @@ fn worker_observer_sees_begin_end_pairs_on_worker_threads() {
 
     // Inline (serial) runs never fire the observer: there is no worker.
     SEEN.lock().unwrap().clear();
-    let _ = par_map(&items, 1, |x| x + 1);
+    let _ = par_map_isolated(&items, 1, |x| x + 1);
     assert!(SEEN.lock().unwrap().is_empty());
     assert_eq!(current_lane(), 0, "caller stays on lane 0");
 }

@@ -98,13 +98,13 @@ pub fn apply(pattern: &TwigPattern, op: &RewriteOp) -> Option<TwigPattern> {
             if *q == pattern.root() || !pattern.node(*q).children.is_empty() || pattern.len() <= 1 {
                 return None;
             }
-            rebuild_without(pattern, *q, false)
+            pattern_without(pattern, *q, false)
         }
         RewriteOp::PromoteNode(q) => {
             if *q == pattern.root() || pattern.node(*q).children.is_empty() {
                 return None;
             }
-            rebuild_without(pattern, *q, true)
+            pattern_without(pattern, *q, true)
         }
     }
 }
@@ -112,7 +112,7 @@ pub fn apply(pattern: &TwigPattern, op: &RewriteOp) -> Option<TwigPattern> {
 /// Rebuilds the pattern without `removed`. With `reattach`, the removed
 /// node's children hang off its parent via ancestor-descendant edges;
 /// otherwise `removed` must be a leaf.
-fn rebuild_without(pattern: &TwigPattern, removed: QNodeId, reattach: bool) -> Option<TwigPattern> {
+fn pattern_without(pattern: &TwigPattern, removed: QNodeId, reattach: bool) -> Option<TwigPattern> {
     let root = pattern.root();
     let root_node = pattern.node(root);
     let mut out = TwigPattern::new(root_node.test.clone(), root_node.axis);

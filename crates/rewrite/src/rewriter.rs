@@ -296,7 +296,7 @@ impl<'a> Rewriter<'a> {
                 if symbols.get(tag).is_none() {
                     let doc_tags = symbols
                         .iter()
-                        .map(|(sym, name)| (name, self.idx.tags().frequency(sym)))
+                        .map(|(sym, name)| (name, self.idx.columns().view(sym).len()))
                         .filter(|(_, f)| *f > 0);
                     for (fixed, distance) in
                         spelling_candidates(tag, doc_tags, self.config.spell_distance)

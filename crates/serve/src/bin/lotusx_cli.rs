@@ -17,7 +17,7 @@ const SAMPLE: &str = r#"<bib>
   <book year="1999"><title>Data on the Web</title><author>Abiteboul</author><author>Buneman</author><publisher>Morgan Kaufmann</publisher></book>
   <book year="2003"><title>XML Handbook</title><author>Goldfarb</author><publisher>Prentice Hall</publisher></book>
   <article year="2002"><title>Holistic Twig Joins</title><author>Bruno</author><journal>SIGMOD</journal></article>
-  <article year="2005"><title>TJFast Extended Dewey</title><author>Lu</author><journal>VLDB</journal></article>
+  <article year="2005"><title>TJFast Extended Labels</title><author>Lu</author><journal>VLDB</journal></article>
 </bib>"#;
 
 fn main() {

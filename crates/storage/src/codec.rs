@@ -51,7 +51,9 @@ pub fn get_string(data: &[u8], pos: &mut usize) -> Option<String> {
     Some(s)
 }
 
-/// FNV-1a 64-bit hash of a byte slice.
+/// FNV-1a 64-bit hash of a byte slice, one byte at a time. No snapshot
+/// is checksummed with it any more; it stays because the golden
+/// wire-response table (`tests/golden_responses.rs`) is recorded in it.
 pub fn fnv1a(data: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in data {
@@ -63,9 +65,8 @@ pub fn fnv1a(data: &[u8]) -> u64 {
 
 /// FNV-1a folded over little-endian 8-byte words, with the tail hashed
 /// byte-wise. One multiply per word instead of per byte makes this ~8x
-/// faster on megabyte payloads — it is the checksum of v2 snapshot
+/// faster on megabyte payloads — it is the checksum of snapshot
 /// sections, where verification sits on the cold-boot critical path.
-/// v1 files keep the byte-wise [`fnv1a`] for compatibility.
 pub fn fnv1a_words(data: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     let mut chunks = data.chunks_exact(8);

@@ -1,18 +1,8 @@
-//! The `LTSX` container format and document (de)serialization.
+//! The `LTSX` magic and the error type of the storage layer.
 
-use crate::codec::{fnv1a, get_string, get_varint, put_string, put_varint};
-use lotusx_xml::{Document, NodeId, NodeKind};
 use std::fmt;
-use std::io::{Read, Write};
 
 pub(crate) const MAGIC: &[u8; 4] = b"LTSX";
-const VERSION: u8 = 1;
-
-/// Node-kind tags in the payload.
-const KIND_ELEMENT: u64 = 0;
-const KIND_TEXT: u64 = 1;
-const KIND_COMMENT: u64 = 2;
-const KIND_PI: u64 = 3;
 
 /// Errors when reading or writing the binary format.
 #[derive(Debug)]
@@ -21,11 +11,11 @@ pub enum StorageError {
     Io(std::io::Error),
     /// The input does not start with the `LTSX` magic.
     BadMagic,
-    /// The format version is newer than this build understands.
+    /// The file's format version is not the one this build reads.
     UnsupportedVersion(u8),
     /// The payload checksum does not match the header.
     ChecksumMismatch,
-    /// A v2 snapshot contains a section id this build does not know.
+    /// The snapshot contains a section id this build does not know.
     UnknownSection(u64),
     /// Structurally invalid payload.
     Corrupt(&'static str),
@@ -39,7 +29,7 @@ impl fmt::Display for StorageError {
             StorageError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported storage version {v} (this build reads ≤ {})",
+                    "unsupported storage version {v} (this build reads only version {})",
                     crate::snapshot::SNAPSHOT_VERSION
                 )
             }
@@ -55,315 +45,5 @@ impl std::error::Error for StorageError {}
 impl From<std::io::Error> for StorageError {
     fn from(e: std::io::Error) -> Self {
         StorageError::Io(e)
-    }
-}
-
-/// Serializes a document into `writer`.
-pub fn save_document(doc: &Document, mut writer: impl Write) -> Result<(), StorageError> {
-    let payload = encode_payload(doc);
-    writer.write_all(MAGIC)?;
-    writer.write_all(&[VERSION])?;
-    writer.write_all(&(payload.len() as u64).to_le_bytes())?;
-    writer.write_all(&fnv1a(&payload).to_le_bytes())?;
-    writer.write_all(&payload)?;
-    Ok(())
-}
-
-/// Deserializes a document from `reader`.
-pub fn load_document(mut reader: impl Read) -> Result<Document, StorageError> {
-    let mut header = [0u8; 4 + 1 + 8 + 8];
-    reader.read_exact(&mut header)?;
-    if &header[..4] != MAGIC {
-        return Err(StorageError::BadMagic);
-    }
-    let version = header[4];
-    if version > VERSION {
-        return Err(StorageError::UnsupportedVersion(version));
-    }
-    let len = u64::from_le_bytes(header[5..13].try_into().expect("8 bytes"));
-    let checksum = u64::from_le_bytes(header[13..21].try_into().expect("8 bytes"));
-    // Never trust the claimed length with a pre-allocation: a corrupted
-    // header would otherwise demand terabytes. Read incrementally up to
-    // the claimed size and fail cleanly on a short stream.
-    let mut payload = Vec::new();
-    reader.take(len).read_to_end(&mut payload)?;
-    if payload.len() as u64 != len {
-        return Err(StorageError::Io(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "payload shorter than the header claims",
-        )));
-    }
-    if fnv1a(&payload) != checksum {
-        return Err(StorageError::ChecksumMismatch);
-    }
-    decode_payload(&payload)
-}
-
-/// Saves a document to a file.
-pub fn save_document_file(
-    doc: &Document,
-    path: impl AsRef<std::path::Path>,
-) -> Result<(), StorageError> {
-    let file = std::fs::File::create(path)?;
-    save_document(doc, std::io::BufWriter::new(file))
-}
-
-/// Loads a document from a file.
-pub fn load_document_file(path: impl AsRef<std::path::Path>) -> Result<Document, StorageError> {
-    let file = std::fs::File::open(path)?;
-    load_document(std::io::BufReader::new(file))
-}
-
-/// Encodes a document into the v1 payload form: symbol table first, then
-/// the tree in preorder with explicit child counts. This is also the
-/// `DOCUMENT` section payload of a v2 snapshot.
-pub fn encode_document_payload(doc: &Document) -> Vec<u8> {
-    encode_payload(doc)
-}
-
-/// Decodes a document payload (the inverse of [`encode_document_payload`]).
-///
-/// Node ids are assigned in strict preorder: the virtual document root is
-/// `NodeId::DOCUMENT` (index 0) and every other node gets the next index
-/// in document order. Serializers that embed node ids rely on this.
-pub fn decode_document_payload(payload: &[u8]) -> Result<Document, StorageError> {
-    decode_payload(payload)
-}
-
-fn encode_payload(doc: &Document) -> Vec<u8> {
-    let mut out = Vec::new();
-    // Symbol table.
-    let symbols = doc.symbols();
-    put_varint(&mut out, symbols.len() as u64);
-    for (_, name) in symbols.iter() {
-        put_string(&mut out, name);
-    }
-    // Top-level nodes, preorder, each with an explicit child count.
-    let top: Vec<NodeId> = doc.children(NodeId::DOCUMENT).collect();
-    put_varint(&mut out, top.len() as u64);
-    for node in top {
-        encode_node(doc, node, &mut out);
-    }
-    out
-}
-
-fn encode_node(doc: &Document, node: NodeId, out: &mut Vec<u8>) {
-    match doc.kind(node) {
-        NodeKind::Document => unreachable!("virtual root is never encoded"),
-        NodeKind::Element { name, attributes } => {
-            put_varint(out, KIND_ELEMENT);
-            put_varint(out, name.index() as u64);
-            put_varint(out, attributes.len() as u64);
-            for (attr, value) in attributes {
-                put_varint(out, attr.index() as u64);
-                put_string(out, value);
-            }
-            let children: Vec<NodeId> = doc.children(node).collect();
-            put_varint(out, children.len() as u64);
-            for child in children {
-                encode_node(doc, child, out);
-            }
-        }
-        NodeKind::Text(text) => {
-            put_varint(out, KIND_TEXT);
-            put_string(out, text);
-        }
-        NodeKind::Comment(text) => {
-            put_varint(out, KIND_COMMENT);
-            put_string(out, text);
-        }
-        NodeKind::Pi { target, data } => {
-            put_varint(out, KIND_PI);
-            put_string(out, target);
-            put_string(out, data);
-        }
-    }
-}
-
-fn decode_payload(payload: &[u8]) -> Result<Document, StorageError> {
-    let mut pos = 0usize;
-    let corrupt = |what| StorageError::Corrupt(what);
-    let symbol_count = get_varint(payload, &mut pos).ok_or(corrupt("symbol count"))? as usize;
-    let mut names = Vec::with_capacity(symbol_count);
-    for _ in 0..symbol_count {
-        names.push(get_string(payload, &mut pos).ok_or(corrupt("symbol name"))?);
-    }
-    let mut doc = Document::new();
-    // Re-intern in the stored order so stored symbol indexes resolve.
-    for name in &names {
-        doc.symbols_mut().intern(name);
-    }
-    let top = get_varint(payload, &mut pos).ok_or(corrupt("top-level count"))? as usize;
-    for _ in 0..top {
-        decode_node(payload, &mut pos, &mut doc, NodeId::DOCUMENT, &names, 0)?;
-    }
-    if pos != payload.len() {
-        return Err(corrupt("trailing bytes after document"));
-    }
-    Ok(doc)
-}
-
-fn decode_node(
-    payload: &[u8],
-    pos: &mut usize,
-    doc: &mut Document,
-    parent: NodeId,
-    names: &[String],
-    depth: u32,
-) -> Result<(), StorageError> {
-    let corrupt = StorageError::Corrupt;
-    if depth > 4096 {
-        return Err(corrupt("nesting too deep"));
-    }
-    match get_varint(payload, pos).ok_or(corrupt("node kind"))? {
-        KIND_ELEMENT => {
-            let name_idx = get_varint(payload, pos).ok_or(corrupt("tag symbol"))? as usize;
-            let name = names
-                .get(name_idx)
-                .ok_or(corrupt("tag symbol out of range"))?;
-            let element = doc.new_element(name);
-            let attr_count = get_varint(payload, pos).ok_or(corrupt("attribute count"))? as usize;
-            for _ in 0..attr_count {
-                let attr_idx =
-                    get_varint(payload, pos).ok_or(corrupt("attribute symbol"))? as usize;
-                let attr_name = names
-                    .get(attr_idx)
-                    .ok_or(corrupt("attribute symbol out of range"))?
-                    .clone();
-                let value = get_string(payload, pos).ok_or(corrupt("attribute value"))?;
-                doc.set_attribute(element, &attr_name, value);
-            }
-            doc.append_child(parent, element);
-            let child_count = get_varint(payload, pos).ok_or(corrupt("child count"))? as usize;
-            for _ in 0..child_count {
-                decode_node(payload, pos, doc, element, names, depth + 1)?;
-            }
-        }
-        KIND_TEXT => {
-            let text = get_string(payload, pos).ok_or(corrupt("text content"))?;
-            doc.append_text(parent, text);
-        }
-        KIND_COMMENT => {
-            let text = get_string(payload, pos).ok_or(corrupt("comment content"))?;
-            let c = doc.new_comment(text);
-            doc.append_child(parent, c);
-        }
-        KIND_PI => {
-            let target = get_string(payload, pos).ok_or(corrupt("PI target"))?;
-            let data = get_string(payload, pos).ok_or(corrupt("PI data"))?;
-            let pi = doc.new_pi(target, data);
-            doc.append_child(parent, pi);
-        }
-        _ => return Err(corrupt("unknown node kind")),
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn roundtrip(xml: &str) {
-        let opts = lotusx_xml::ParseOptions {
-            keep_comments: true,
-            keep_pis: true,
-            ..Default::default()
-        };
-        let doc = Document::parse_with_options(xml, opts).unwrap();
-        let mut buf = Vec::new();
-        save_document(&doc, &mut buf).unwrap();
-        let back = load_document(&buf[..]).unwrap();
-        assert_eq!(back.to_xml(), doc.to_xml(), "{xml}");
-        assert_eq!(back.node_count(), doc.node_count());
-    }
-
-    #[test]
-    fn roundtrips_documents() {
-        roundtrip("<a/>");
-        roundtrip("<bib><book year=\"1999\" lang=\"en\"><t>x &amp; y</t></book></bib>");
-        roundtrip("<r><!--c--><?pi data?><x>text</x></r>");
-        roundtrip("<deep><a><b><c><d><e>bottom</e></d></c></b></a></deep>");
-    }
-
-    #[test]
-    fn binary_is_smaller_than_xml_for_repetitive_documents() {
-        let mut xml = String::from("<dblp>");
-        for i in 0..200 {
-            xml.push_str(&format!(
-                "<article key=\"a{i}\"><author>someone</author><title>words here</title></article>"
-            ));
-        }
-        xml.push_str("</dblp>");
-        let doc = Document::parse_str(&xml).unwrap();
-        let mut buf = Vec::new();
-        save_document(&doc, &mut buf).unwrap();
-        assert!(
-            buf.len() < xml.len(),
-            "binary {} vs xml {}",
-            buf.len(),
-            xml.len()
-        );
-    }
-
-    #[test]
-    fn rejects_bad_magic_and_future_versions() {
-        let err = load_document(&b"NOPE................."[..]).unwrap_err();
-        assert!(matches!(err, StorageError::BadMagic));
-
-        let doc = Document::parse_str("<a/>").unwrap();
-        let mut buf = Vec::new();
-        save_document(&doc, &mut buf).unwrap();
-        buf[4] = 99;
-        assert!(matches!(
-            load_document(&buf[..]).unwrap_err(),
-            StorageError::UnsupportedVersion(99)
-        ));
-    }
-
-    #[test]
-    fn detects_payload_corruption() {
-        let doc = Document::parse_str("<a><b>text</b></a>").unwrap();
-        let mut buf = Vec::new();
-        save_document(&doc, &mut buf).unwrap();
-        let last = buf.len() - 1;
-        buf[last] ^= 0xff;
-        assert!(matches!(
-            load_document(&buf[..]).unwrap_err(),
-            StorageError::ChecksumMismatch
-        ));
-    }
-
-    #[test]
-    fn detects_truncation() {
-        let doc = Document::parse_str("<a><b>text</b></a>").unwrap();
-        let mut buf = Vec::new();
-        save_document(&doc, &mut buf).unwrap();
-        buf.truncate(buf.len() - 3);
-        assert!(matches!(
-            load_document(&buf[..]).unwrap_err(),
-            StorageError::Io(_)
-        ));
-    }
-
-    #[test]
-    fn file_helpers_roundtrip() {
-        let dir = std::env::temp_dir().join("lotusx-storage-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("doc.ltsx");
-        let doc = Document::parse_str("<r><x k=\"v\">hello</x></r>").unwrap();
-        save_document_file(&doc, &path).unwrap();
-        let back = load_document_file(&path).unwrap();
-        assert_eq!(back.to_xml(), doc.to_xml());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn document_payload_assigns_preorder_node_ids() {
-        let doc = Document::parse_str("<a><b>t</b><c x=\"1\"/></a>").unwrap();
-        let payload = encode_document_payload(&doc);
-        let back = decode_document_payload(&payload).unwrap();
-        assert_eq!(back.to_xml(), doc.to_xml());
-        // Preorder contract: re-encoding the decoded document is a fixpoint.
-        assert_eq!(encode_document_payload(&back), payload);
     }
 }

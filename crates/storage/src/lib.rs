@@ -3,28 +3,20 @@
 //! Compact binary persistence for LotusX documents, so a corpus parsed and
 //! cleaned once can be reopened without re-tokenizing XML.
 //!
-//! Two container versions share the `LTSX` magic:
-//!
-//! - **v1** (document-only): a fixed header (magic, version, payload
-//!   length, FNV-1a-64 checksum) followed by a varint-encoded payload —
-//!   the symbol table, then the tree in preorder with explicit child
-//!   counts. Indexes are rebuilt on load.
-//! - **v2** (full-index snapshot, [`snapshot`]): a sectioned container
-//!   where each section (document, labels, columns, values, tries,
-//!   dataguide, stats) carries its own FNV-1a checksum, so the entire
-//!   index set loads via bulk reads with no re-parsing, re-labeling, or
-//!   stats re-walks. Section payload codecs live in `lotusx-index`; this
-//!   crate owns framing, version negotiation, and atomic file writes.
+//! One container, [`snapshot`]: a sectioned file where each section
+//! (document, labels, columns, values, tries, dataguide, stats) carries
+//! its own FNV-1a checksum, so the entire index set loads via bulk reads
+//! with no re-parsing, re-labeling, or stats re-walks. Section payload
+//! codecs live in `lotusx-index`; this crate owns framing, the version
+//! check, and atomic file writes.
 //!
 //! ```
-//! use lotusx_storage::{load_document, save_document};
-//! use lotusx_xml::Document;
+//! use lotusx_storage::{read_snapshot, write_snapshot, Section};
 //!
-//! let doc = Document::parse_str("<bib><book year=\"1999\"><t>x &amp; y</t></book></bib>").unwrap();
+//! let sections = vec![Section { id: 1, bytes: b"payload".to_vec() }];
 //! let mut buffer = Vec::new();
-//! save_document(&doc, &mut buffer).unwrap();
-//! let back = load_document(&buffer[..]).unwrap();
-//! assert_eq!(back.to_xml(), doc.to_xml());
+//! write_snapshot(&mut buffer, &sections).unwrap();
+//! assert_eq!(read_snapshot(&buffer[..]).unwrap(), sections);
 //! ```
 
 #![warn(missing_docs)]
@@ -33,11 +25,8 @@ pub mod codec;
 pub mod format;
 pub mod snapshot;
 
-pub use format::{
-    decode_document_payload, encode_document_payload, load_document, load_document_file,
-    save_document, save_document_file, StorageError,
-};
+pub use format::StorageError;
 pub use snapshot::{
-    read_snapshot, read_snapshot_file, write_snapshot, write_snapshot_file, Section, Snapshot,
+    read_snapshot, read_snapshot_file, write_snapshot, write_snapshot_file, Section,
     SNAPSHOT_VERSION,
 };

@@ -1,47 +1,49 @@
-//! Sectioned, versioned `LTSX` v2 snapshot container.
+//! The sectioned `LTSX` snapshot container, version 3.
 //!
 //! Layout:
 //!
 //! ```text
-//! magic "LTSX" | version (1 byte, = 2) | varint section count
+//! magic "LTSX" | version (1 byte, = 3) | varint section count
 //! then per section:
 //!   varint section id | varint payload length | u64 LE checksum | payload
-//!
-//! The v2 section checksum is [`fnv1a_words`] (FNV-1a folded over 8-byte
-//! words — one multiply per word keeps verification off the cold-boot
-//! critical path); v1 files keep the byte-wise [`fnv1a`].
 //! ```
 //!
-//! Each section payload carries its own checksum, so corruption is pinned
-//! to a section and detected before any payload decoding starts. Section
-//! *contents* are opaque at this layer — `lotusx-index` owns the codecs
-//! for every index structure; this module owns framing, checksums,
-//! version negotiation, and atomic file replacement.
+//! The section checksum is [`fnv1a_words`] (FNV-1a folded over 8-byte
+//! words — one multiply per word keeps verification off the cold-boot
+//! critical path). Each section payload carries its own checksum, so
+//! corruption is pinned to a section and detected before any payload
+//! decoding starts. Section *contents* are opaque at this layer —
+//! `lotusx-index` owns the codecs for every index structure; this module
+//! owns framing, checksums and atomic file replacement.
 //!
-//! Version negotiation: v1 files (document-only, written by
-//! [`save_document`](crate::save_document)) are read as a single
-//! [`section::DOCUMENT`] section, so callers can fall back to rebuilding
-//! indexes from the tree. Versions above [`SNAPSHOT_VERSION`] are
-//! rejected with [`StorageError::UnsupportedVersion`]; section ids this
-//! build does not know are rejected with [`StorageError::UnknownSection`]
-//! rather than skipped — a snapshot is a coherent unit, and silently
-//! dropping a section would desynchronize the index set.
+//! There is one version and no negotiation: a file whose version byte is
+//! not [`SNAPSHOT_VERSION`] is [`StorageError::UnsupportedVersion`]
+//! before any section is parsed (a snapshot is rebuilt from the source
+//! XML in seconds; a second reader for an old layout is code nothing
+//! exercises). Section ids this build does not know are rejected with
+//! [`StorageError::UnknownSection`] rather than skipped — a snapshot is a
+//! coherent unit, and silently dropping a section would desynchronize
+//! the index set.
 
-use crate::codec::{fnv1a, fnv1a_words, put_varint};
+use crate::codec::{fnv1a_words, put_varint};
 use crate::format::{StorageError, MAGIC};
 use std::io::{Read, Write};
 use std::path::Path;
 
-/// The current snapshot container version.
-pub const SNAPSHOT_VERSION: u8 = 2;
+/// The one snapshot container version this build writes and reads.
+/// (1 was a document-only file; 2 also stored path-style labels and the
+/// columns' end trees, and did not validate the latter.)
+pub const SNAPSHOT_VERSION: u8 = 3;
 
 /// Section ids of the full-index snapshot.
 pub mod section {
-    /// The document tree (same payload encoding as the v1 format).
+    /// The document tree: symbol table, then kind, parent and payload
+    /// columns in preorder.
     pub const DOCUMENT: u64 = 1;
-    /// Region / Dewey / extended-Dewey labels plus the tag transducer.
+    /// The region label of every node, as three columns.
     pub const LABELS: u64 = 2;
-    /// Struct-of-arrays region columns (per-tag arenas + max trees).
+    /// Struct-of-arrays region columns: the per-tag arenas and stream
+    /// lengths (the end trees are rebuilt on load, not stored).
     pub const COLUMNS: u64 = 3;
     /// The value index: term postings, exact strings, numeric values.
     pub const VALUES: u64 = 4;
@@ -52,8 +54,7 @@ pub mod section {
     /// Document statistics and the `JoinStats` pair tables.
     pub const STATS: u64 = 7;
     /// Precomputed per-tag value-completion tries (the hot-tag cache).
-    /// Optional: older v2 files without it fall back to recomputing the
-    /// hot set on load.
+    /// Optional: a file without it recomputes the hot set on load.
     pub const VALUE_TRIES: u64 = 8;
 
     /// Every id this build understands.
@@ -78,29 +79,7 @@ pub struct Section {
     pub bytes: Vec<u8>,
 }
 
-/// A decoded snapshot container: the format version that was read plus
-/// its sections in file order. `version == 1` means a legacy
-/// document-only file, surfaced as a single [`section::DOCUMENT`]
-/// section whose payload still needs an index rebuild.
-#[derive(Debug)]
-pub struct Snapshot {
-    /// The container version the file was written with (1 or 2).
-    pub version: u8,
-    /// Sections in file order, checksums already verified.
-    pub sections: Vec<Section>,
-}
-
-impl Snapshot {
-    /// Returns the payload of the section with `id`, if present.
-    pub fn section(&self, id: u64) -> Option<&[u8]> {
-        self.sections
-            .iter()
-            .find(|s| s.id == id)
-            .map(|s| s.bytes.as_slice())
-    }
-}
-
-/// Writes a v2 snapshot container to `writer`.
+/// Writes a snapshot container to `writer`.
 pub fn write_snapshot(mut writer: impl Write, sections: &[Section]) -> Result<(), StorageError> {
     writer.write_all(MAGIC)?;
     writer.write_all(&[SNAPSHOT_VERSION])?;
@@ -118,75 +97,52 @@ pub fn write_snapshot(mut writer: impl Write, sections: &[Section]) -> Result<()
     Ok(())
 }
 
-/// Reads a snapshot container (v1 or v2) from `reader`, verifying every
-/// section checksum. See the module docs for the negotiation rules.
-pub fn read_snapshot(mut reader: impl Read) -> Result<Snapshot, StorageError> {
+/// Reads a snapshot container from `reader`, verifying every section
+/// checksum, and returns its sections in file order.
+pub fn read_snapshot(mut reader: impl Read) -> Result<Vec<Section>, StorageError> {
     let mut head = [0u8; 5];
     reader.read_exact(&mut head)?;
     if &head[..4] != MAGIC {
         return Err(StorageError::BadMagic);
     }
-    match head[4] {
-        1 => {
-            let mut fixed = [0u8; 16];
-            reader.read_exact(&mut fixed)?;
-            let len = u64::from_le_bytes(fixed[..8].try_into().expect("8 bytes"));
-            let checksum = u64::from_le_bytes(fixed[8..].try_into().expect("8 bytes"));
-            let bytes = read_payload(&mut reader, len)?;
-            if fnv1a(&bytes) != checksum {
-                return Err(StorageError::ChecksumMismatch);
-            }
-            reject_trailing(&mut reader)?;
-            Ok(Snapshot {
-                version: 1,
-                sections: vec![Section {
-                    id: section::DOCUMENT,
-                    bytes,
-                }],
-            })
-        }
-        SNAPSHOT_VERSION => {
-            let count = read_varint(&mut reader)?;
-            // A snapshot holds a handful of sections; an absurd count is
-            // header corruption, not a big file.
-            if count > 1024 {
-                return Err(StorageError::Corrupt("implausible section count"));
-            }
-            let mut sections = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let id = read_varint(&mut reader)?;
-                if !section::KNOWN.contains(&id) {
-                    return Err(StorageError::UnknownSection(id));
-                }
-                let len = read_varint(&mut reader)?;
-                let mut sum = [0u8; 8];
-                reader.read_exact(&mut sum)?;
-                let bytes = read_payload(&mut reader, len)?;
-                if fnv1a_words(&bytes) != u64::from_le_bytes(sum) {
-                    return Err(StorageError::ChecksumMismatch);
-                }
-                sections.push(Section { id, bytes });
-            }
-            reject_trailing(&mut reader)?;
-            Ok(Snapshot {
-                version: SNAPSHOT_VERSION,
-                sections,
-            })
-        }
-        v => Err(StorageError::UnsupportedVersion(v)),
+    if head[4] != SNAPSHOT_VERSION {
+        return Err(StorageError::UnsupportedVersion(head[4]));
     }
+    let count = read_varint(&mut reader)?;
+    // A snapshot holds a handful of sections; an absurd count is header
+    // corruption, not a big file.
+    if count > 1024 {
+        return Err(StorageError::Corrupt("implausible section count"));
+    }
+    let mut sections = Vec::with_capacity(count as usize);
+    for _ in 0..count {
+        let id = read_varint(&mut reader)?;
+        if !section::KNOWN.contains(&id) {
+            return Err(StorageError::UnknownSection(id));
+        }
+        let len = read_varint(&mut reader)?;
+        let mut sum = [0u8; 8];
+        reader.read_exact(&mut sum)?;
+        let bytes = read_payload(&mut reader, len)?;
+        if fnv1a_words(&bytes) != u64::from_le_bytes(sum) {
+            return Err(StorageError::ChecksumMismatch);
+        }
+        sections.push(Section { id, bytes });
+    }
+    reject_trailing(&mut reader)?;
+    Ok(sections)
 }
 
 /// Reads a snapshot container from a file. The file is slurped in one
 /// read and parsed from memory — section payloads then land in
 /// exact-size buffers with no incremental growth, which matters on the
 /// cold-boot path.
-pub fn read_snapshot_file(path: impl AsRef<Path>) -> Result<Snapshot, StorageError> {
+pub fn read_snapshot_file(path: impl AsRef<Path>) -> Result<Vec<Section>, StorageError> {
     let data = std::fs::read(path)?;
     read_snapshot(&data[..])
 }
 
-/// Atomically writes a v2 snapshot to `path`: the container is written
+/// Atomically writes a snapshot to `path`: the container is written
 /// to a temporary file in the same directory, fsynced, then renamed over
 /// the target. A crash mid-save can never leave a truncated snapshot at
 /// `path` — readers see either the old file or the complete new one.
@@ -292,24 +248,7 @@ mod tests {
     #[test]
     fn roundtrips_sections_in_order() {
         let sections = sample_sections();
-        let snap = read_snapshot(&encode(&sections)[..]).unwrap();
-        assert_eq!(snap.version, SNAPSHOT_VERSION);
-        assert_eq!(snap.sections, sections);
-        assert_eq!(snap.section(section::STATS), Some(&[][..]));
-        assert_eq!(snap.section(section::GUIDE), None);
-    }
-
-    #[test]
-    fn reads_v1_files_as_a_document_section() {
-        let doc = lotusx_xml::Document::parse_str("<a><b>t</b></a>").unwrap();
-        let mut buf = Vec::new();
-        crate::save_document(&doc, &mut buf).unwrap();
-        let snap = read_snapshot(&buf[..]).unwrap();
-        assert_eq!(snap.version, 1);
-        assert_eq!(snap.sections.len(), 1);
-        let payload = snap.section(section::DOCUMENT).unwrap();
-        let back = crate::decode_document_payload(payload).unwrap();
-        assert_eq!(back.to_xml(), doc.to_xml());
+        assert_eq!(read_snapshot(&encode(&sections)[..]).unwrap(), sections);
     }
 
     /// Table-driven corruption sweep: every tampering mode must produce
@@ -331,6 +270,18 @@ mod tests {
                 "future version",
                 |b| b[4] = 9,
                 |e| matches!(e, StorageError::UnsupportedVersion(9)),
+            ),
+            // The two retired layouts are refused at the version byte:
+            // the rest of this file would parse as either.
+            (
+                "version 1",
+                |b| b[4] = 1,
+                |e| matches!(e, StorageError::UnsupportedVersion(1)),
+            ),
+            (
+                "version 2",
+                |b| b[4] = 2,
+                |e| matches!(e, StorageError::UnsupportedVersion(2)),
             ),
             (
                 "unknown section id",
@@ -399,8 +350,7 @@ mod tests {
         write_snapshot_file(&path, &sections).unwrap();
         // Overwrite in place: the rename must replace the old file whole.
         write_snapshot_file(&path, &sections).unwrap();
-        let snap = read_snapshot_file(&path).unwrap();
-        assert_eq!(snap.sections, sections);
+        assert_eq!(read_snapshot_file(&path).unwrap(), sections);
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())

@@ -6,7 +6,7 @@
 //! per-child binding sets. Exponential in the worst case — exactly the
 //! baseline the structural/holistic join literature improves on.
 
-use crate::matcher::{filtered_stream, predicate_matches, MatchSet};
+use crate::matcher::{node_columns, predicate_matches, MatchSet};
 use crate::pattern::{Axis, NodeTest, QNodeId, TwigPattern};
 use lotusx_guard::{QueryGuard, Ticker};
 use lotusx_index::IndexedDocument;
@@ -20,18 +20,18 @@ use lotusx_xml::NodeId;
 /// recursion step and stops expanding new root candidates. Only fully
 /// bound assignments are ever emitted, so partial output is valid.
 pub fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern, guard: &QueryGuard) -> MatchSet {
-    let roots = filtered_stream(idx, pattern, pattern.root());
+    let roots = node_columns(idx, pattern, pattern.root());
     // Preorder binds each node after its parent and its whole subtree
     // before the next sibling: one nest of loops, no intermediate sets.
     let order = pattern.preorder();
     let mut out = MatchSet::new(pattern.len());
     let mut bindings = vec![NodeId::DOCUMENT; pattern.len()];
     let mut ticker = guard.ticker();
-    for entry in &roots {
+    for &root in roots.view().nodes() {
         if ticker.tick(1) {
             break;
         }
-        bindings[pattern.root().index()] = entry.node;
+        bindings[pattern.root().index()] = root;
         bind(
             idx,
             pattern,

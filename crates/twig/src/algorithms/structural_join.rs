@@ -25,7 +25,7 @@
 use crate::matcher::{node_columns, MatchSet, NodeColumns};
 use crate::pattern::{Axis, TwigPattern};
 use lotusx_guard::{QueryGuard, Ticker};
-use lotusx_index::{ColumnView, ElementEntry, IndexedDocument, OwnedColumns};
+use lotusx_index::{ColumnView, IndexedDocument};
 use lotusx_xml::NodeId;
 
 /// Evaluates `pattern` with one binary structural join per edge, under a
@@ -187,27 +187,14 @@ impl EdgeLists {
 
 /// The stack-tree structural join: all `(a, d)` with `a` from `ancestors`,
 /// `d` from `descendants`, and `a` an ancestor (or parent, per `axis`) of
-/// `d`. Both inputs must be in document order; output cost is
+/// `d`. Both inputs are in document order; output cost is
 /// `O(|A| + |D| + |result|)` — with the galloping skips, the `|A| + |D|`
 /// term drops to the number of elements that actually participate.
-pub fn stack_tree_join(
-    ancestors: &[ElementEntry],
-    descendants: &[ElementEntry],
-    axis: Axis,
-) -> Vec<(NodeId, NodeId)> {
-    let mut ticker = QueryGuard::unlimited().ticker();
-    let anc = OwnedColumns::from_entries(ancestors);
-    let desc = OwnedColumns::from_entries(descendants);
-    stack_tree_join_columns(anc.view(), desc.view(), axis, &mut ticker)
-        .into_iter()
-        .map(|(a, d)| (ancestors[a as usize].node, descendants[d as usize].node))
-        .collect()
-}
-
-/// Columnar stack-tree join, charging one node visit per descendant
-/// consumed or skipped and per pair emitted; on trip the output is a
-/// truncated (but real) pair list. Pairs are `(ancestor, descendant)`
-/// positions in the two streams, grouped by descendant in document order.
+///
+/// Charges one node visit per descendant consumed or skipped and per pair
+/// emitted; on trip the output is a truncated (but real) pair list. Pairs
+/// are `(ancestor, descendant)` positions in the two streams, grouped by
+/// descendant in document order.
 fn stack_tree_join_columns(
     ancestors: ColumnView<'_>,
     descendants: ColumnView<'_>,
@@ -295,6 +282,7 @@ mod tests {
     use super::*;
     use crate::algorithms::naive;
     use crate::xpath::parse_query;
+    use lotusx_index::OwnedColumns;
     use lotusx_labeling::RegionLabel;
 
     fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern) -> MatchSet {
@@ -317,48 +305,55 @@ mod tests {
         .unwrap()
     }
 
-    fn entry(node: u32, start: u32, end: u32, level: u16) -> ElementEntry {
-        ElementEntry {
-            node: NodeId::from_index(node as usize),
-            region: RegionLabel::new(start, end, level),
-        }
+    type Element = (NodeId, RegionLabel);
+
+    fn element(node: u32, start: u32, end: u32, level: u16) -> Element {
+        (
+            NodeId::from_index(node as usize),
+            RegionLabel::new(start, end, level),
+        )
     }
 
-    /// The pre-columnar element-by-element merge, kept as the oracle the
-    /// galloping join is checked against.
+    /// The join under test, over hand-built streams, as node pairs.
+    fn stack_tree_join(
+        ancestors: &[Element],
+        descendants: &[Element],
+        axis: Axis,
+    ) -> Vec<(NodeId, NodeId)> {
+        let anc = OwnedColumns::from_elements(ancestors.iter().copied());
+        let desc = OwnedColumns::from_elements(descendants.iter().copied());
+        let mut ticker = QueryGuard::unlimited().ticker();
+        stack_tree_join_columns(anc.view(), desc.view(), axis, &mut ticker)
+            .into_iter()
+            .map(|(a, d)| (ancestors[a as usize].0, descendants[d as usize].0))
+            .collect()
+    }
+
+    /// The element-by-element merge, kept as the oracle the galloping
+    /// join is checked against.
     fn stack_tree_join_scalar(
-        ancestors: &[ElementEntry],
-        descendants: &[ElementEntry],
+        ancestors: &[Element],
+        descendants: &[Element],
         axis: Axis,
     ) -> Vec<(NodeId, NodeId)> {
         let mut out = Vec::new();
-        let mut stack: Vec<ElementEntry> = Vec::new();
+        let mut stack: Vec<Element> = Vec::new();
         let mut ai = 0usize;
-        for d in descendants {
-            while ai < ancestors.len() && ancestors[ai].region.start < d.region.start {
+        for &(d_node, d) in descendants {
+            while ai < ancestors.len() && ancestors[ai].1.start < d.start {
                 let a = ancestors[ai];
-                while let Some(top) = stack.last() {
-                    if top.region.end < a.region.start {
-                        stack.pop();
-                    } else {
-                        break;
-                    }
+                while stack.last().is_some_and(|top| top.1.end < a.1.start) {
+                    stack.pop();
                 }
                 stack.push(a);
                 ai += 1;
             }
-            while let Some(top) = stack.last() {
-                if top.region.end < d.region.start {
-                    stack.pop();
-                } else {
-                    break;
-                }
+            while stack.last().is_some_and(|top| top.1.end < d.start) {
+                stack.pop();
             }
-            for a in &stack {
-                if a.region.is_ancestor_of(&d.region)
-                    && (axis == Axis::Descendant || a.region.level + 1 == d.region.level)
-                {
-                    out.push((a.node, d.node));
+            for (a_node, a) in &stack {
+                if a.is_ancestor_of(&d) && (axis == Axis::Descendant || a.level + 1 == d.level) {
+                    out.push((*a_node, d_node));
                 }
             }
         }
@@ -368,16 +363,16 @@ mod tests {
     #[test]
     fn stack_tree_join_ad_pairs() {
         // a1(1,10) contains d1(2,3), a2(4,9) inside a1 contains d2(5,6).
-        let ancestors = vec![entry(1, 1, 10, 1), entry(2, 4, 9, 2)];
-        let descendants = vec![entry(3, 2, 3, 2), entry(4, 5, 6, 3)];
+        let ancestors = vec![element(1, 1, 10, 1), element(2, 4, 9, 2)];
+        let descendants = vec![element(3, 2, 3, 2), element(4, 5, 6, 3)];
         let pairs = stack_tree_join(&ancestors, &descendants, Axis::Descendant);
         assert_eq!(pairs.len(), 3); // (a1,d1), (a1,d2), (a2,d2)
     }
 
     #[test]
     fn stack_tree_join_pc_filters_levels() {
-        let ancestors = vec![entry(1, 1, 10, 1), entry(2, 4, 9, 2)];
-        let descendants = vec![entry(3, 2, 3, 2), entry(4, 5, 6, 3)];
+        let ancestors = vec![element(1, 1, 10, 1), element(2, 4, 9, 2)];
+        let descendants = vec![element(3, 2, 3, 2), element(4, 5, 6, 3)];
         let pairs = stack_tree_join(&ancestors, &descendants, Axis::Child);
         assert_eq!(
             pairs,
@@ -390,8 +385,8 @@ mod tests {
 
     #[test]
     fn stack_tree_join_disjoint_inputs() {
-        let ancestors = vec![entry(1, 1, 2, 1)];
-        let descendants = vec![entry(2, 3, 4, 1)];
+        let ancestors = vec![element(1, 1, 2, 1)];
+        let descendants = vec![element(2, 3, 4, 1)];
         assert!(stack_tree_join(&ancestors, &descendants, Axis::Descendant).is_empty());
     }
 
@@ -401,16 +396,16 @@ mod tests {
         // siblings), descendant gaps (runs with no live ancestor), and a
         // self-join (identical streams) where starts collide.
         let stream = vec![
-            entry(1, 1, 4, 1),
-            entry(2, 2, 3, 2),
-            entry(3, 5, 6, 1),
-            entry(4, 7, 20, 1),
-            entry(5, 8, 15, 2),
-            entry(6, 9, 10, 3),
-            entry(7, 16, 17, 2),
-            entry(8, 21, 22, 1),
+            element(1, 1, 4, 1),
+            element(2, 2, 3, 2),
+            element(3, 5, 6, 1),
+            element(4, 7, 20, 1),
+            element(5, 8, 15, 2),
+            element(6, 9, 10, 3),
+            element(7, 16, 17, 2),
+            element(8, 21, 22, 1),
         ];
-        let sparse = vec![entry(9, 9, 10, 3), entry(10, 21, 22, 1)];
+        let sparse = vec![element(9, 9, 10, 3), element(10, 21, 22, 1)];
         for axis in [Axis::Descendant, Axis::Child] {
             for (a, d) in [(&stream, &stream), (&stream, &sparse), (&sparse, &stream)] {
                 let mut expect = stack_tree_join_scalar(a, d, axis);

@@ -249,7 +249,7 @@ fn provably_empty(idx: &IndexedDocument, pattern: &TwigPattern) -> bool {
                 idx.document()
                     .symbols()
                     .get(name)
-                    .map(|sym| idx.tags().frequency(sym))
+                    .map(|sym| idx.columns().view(sym).len())
                     .unwrap_or(0)
                     == 0
             }

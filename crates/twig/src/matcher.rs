@@ -1,8 +1,8 @@
 //! Shared evaluation plumbing: filtered streams, predicate checks and the
 //! match representation.
 
-use crate::pattern::{Axis, NodeTest, QNodeId, TwigPattern, ValuePredicate};
-use lotusx_index::{ColumnView, ElementEntry, IndexedDocument, OwnedColumns};
+use crate::pattern::{Axis, NodeTest, QNode, QNodeId, TwigPattern, ValuePredicate};
+use lotusx_index::{ColumnView, IndexedDocument, OwnedColumns};
 use lotusx_xml::{NodeId, NodeKind};
 
 /// A set of fixed-width binding rows in one flat, row-major buffer — the
@@ -153,83 +153,15 @@ pub fn predicate_matches(idx: &IndexedDocument, node: NodeId, pred: &ValuePredic
     }
 }
 
-/// The document-ordered stream of elements matching a query node's test and
-/// predicate — the input every join algorithm consumes for that node.
-///
-/// Predicates are pushed into the index: `Equals` and `Range` resolve to
-/// candidate sets from the value index which are then intersected with the
-/// tag stream, so a selective predicate shrinks the stream before any join
-/// work happens.
-pub fn filtered_stream(
-    idx: &IndexedDocument,
-    pattern: &TwigPattern,
-    q: QNodeId,
-) -> Vec<ElementEntry> {
-    let node = pattern.node(q);
-    let base: &[ElementEntry] = match &node.test {
-        NodeTest::Tag(name) => match idx.document().symbols().get(name) {
-            Some(sym) => idx.tags().stream(sym),
-            None => &[],
-        },
-        NodeTest::Wildcard => idx.all_elements(),
-    };
-    // A child-axis query root can only bind the document's root element.
-    if node.parent.is_none() && node.axis == Axis::Child {
-        let mut out: Vec<ElementEntry> = base
-            .iter()
-            .filter(|e| e.region.level == 1)
-            .copied()
-            .collect();
-        if let Some(pred) = &node.predicate {
-            out.retain(|e| predicate_matches(idx, e.node, pred));
-        }
-        return out;
-    }
-    match &node.predicate {
-        None => base.to_vec(),
-        // Attribute predicates and term containment have no dedicated
-        // candidate index; they filter the tag stream directly.
-        Some(
-            pred @ (ValuePredicate::Contains(_)
-            | ValuePredicate::AttrEquals { .. }
-            | ValuePredicate::AttrContains { .. }
-            | ValuePredicate::AttrRange { .. }
-            | ValuePredicate::AttrExists { .. }),
-        ) => base
-            .iter()
-            .filter(|e| predicate_matches(idx, e.node, pred))
-            .copied()
-            .collect(),
-        Some(ValuePredicate::Equals(v)) => {
-            intersect_with_candidates(base, idx.values().exact_matches(v).to_vec())
-        }
-        Some(ValuePredicate::Range { low, high }) => {
-            intersect_with_candidates(base, idx.values().range_matches(*low, *high))
-        }
-    }
-}
-
-/// The entries of `base` whose node is among the value-index `candidates`
-/// (sorted here: the numeric index hands them out in value order).
-fn intersect_with_candidates(
-    base: &[ElementEntry],
-    mut candidates: Vec<NodeId>,
-) -> Vec<ElementEntry> {
-    candidates.sort_unstable();
-    base.iter()
-        .filter(|e| candidates.binary_search(&e.node).is_ok())
-        .copied()
-        .collect()
-}
-
-/// The columnar stream for one query node: a zero-copy borrow of the
-/// index-resident column arenas when the node carries no predicate (the
-/// overwhelmingly common case — the join then scans the index's own
-/// memory), or an owned transpose of its [`filtered_stream`] otherwise.
+/// The columnar stream for one query node — the input every join
+/// consumes for that node: a zero-copy borrow of the index-resident
+/// column arenas when the node carries no predicate (the overwhelmingly
+/// common case — the join then scans the index's own memory), or an owned
+/// filtered copy otherwise.
 pub enum NodeColumns<'a> {
     /// Index-resident columns, borrowed.
     Borrowed(ColumnView<'a>),
-    /// Filtered stream, transposed and owned.
+    /// Filtered stream, owned.
     Owned(OwnedColumns),
 }
 
@@ -243,30 +175,75 @@ impl NodeColumns<'_> {
     }
 }
 
-/// Resolves the columnar stream for a query node, borrowing from the
-/// index wherever [`filtered_stream`] would have copied the tag stream
-/// verbatim (no predicate, and not the level-filtered child-axis root).
-///
+/// Resolves the document-ordered stream of elements matching a query
+/// node's test and predicate, borrowing the tag's columns from the index
+/// unless something filters them: a predicate, or the level-1 filter of a
+/// child-axis query root.
 pub fn node_columns<'a>(
     idx: &'a IndexedDocument,
     pattern: &TwigPattern,
     q: QNodeId,
 ) -> NodeColumns<'a> {
     let node = pattern.node(q);
+    let base = match &node.test {
+        NodeTest::Tag(name) => match idx.document().symbols().get(name) {
+            Some(sym) => idx.columns().view(sym),
+            None => ColumnView::empty(),
+        },
+        NodeTest::Wildcard => idx.columns().all_elements(),
+    };
     let level_filtered_root = node.parent.is_none() && node.axis == Axis::Child;
     if node.predicate.is_none() && !level_filtered_root {
-        let view = match &node.test {
-            NodeTest::Tag(name) => match idx.document().symbols().get(name) {
-                Some(sym) => idx.columns().view(sym),
-                None => ColumnView::empty(),
-            },
-            NodeTest::Wildcard => idx.columns().all_elements(),
-        };
-        NodeColumns::Borrowed(view)
+        NodeColumns::Borrowed(base)
     } else {
-        NodeColumns::Owned(OwnedColumns::from_entries(&filtered_stream(
-            idx, pattern, q,
-        )))
+        NodeColumns::Owned(filtered_stream(idx, node, base))
+    }
+}
+
+/// The elements of `base` that satisfy `node`'s predicate (and root
+/// edge), as columns of their own.
+///
+/// Predicates are pushed into the index: `Equals` and `Range` resolve to
+/// candidate sets from the value index which are then intersected with the
+/// tag stream, so a selective predicate shrinks the stream before any join
+/// work happens.
+fn filtered_stream(idx: &IndexedDocument, node: &QNode, base: ColumnView<'_>) -> OwnedColumns {
+    let nodes = base.nodes();
+    // Kept positions first (the one buffer that grows), so that every
+    // column is then allocated once, at its final size.
+    let keep = |accept: &dyn Fn(usize) -> bool| {
+        let kept: Vec<usize> = (0..base.len()).filter(|&i| accept(i)).collect();
+        OwnedColumns::from_elements(kept.iter().map(|&i| base.element(i)))
+    };
+    // A child-axis query root can only bind the document's root element.
+    if node.parent.is_none() && node.axis == Axis::Child {
+        return keep(&|i| {
+            base.levels()[i] == 1
+                && node
+                    .predicate
+                    .as_ref()
+                    .is_none_or(|pred| predicate_matches(idx, nodes[i], pred))
+        });
+    }
+    // The value index hands out candidates unsorted (the numeric index in
+    // value order); sorted, each stream element is one binary search.
+    let among = |mut candidates: Vec<NodeId>| {
+        candidates.sort_unstable();
+        keep(&|i| candidates.binary_search(&nodes[i]).is_ok())
+    };
+    match &node.predicate {
+        None => keep(&|_| true),
+        Some(ValuePredicate::Equals(v)) => among(idx.values().exact_matches(v).to_vec()),
+        Some(ValuePredicate::Range { low, high }) => among(idx.values().range_matches(*low, *high)),
+        // Attribute predicates and term containment have no dedicated
+        // candidate index; they filter the tag stream directly.
+        Some(
+            pred @ (ValuePredicate::Contains(_)
+            | ValuePredicate::AttrEquals { .. }
+            | ValuePredicate::AttrContains { .. }
+            | ValuePredicate::AttrRange { .. }
+            | ValuePredicate::AttrExists { .. }),
+        ) => keep(&|i| predicate_matches(idx, nodes[i], pred)),
     }
 }
 
@@ -335,39 +312,51 @@ mod tests {
 
     fn nth_element(idx: &IndexedDocument, tag: &str, n: usize) -> NodeId {
         let sym = idx.document().symbols().get(tag).unwrap();
-        idx.tags().stream(sym)[n].node
+        idx.columns().view(sym).nodes()[n]
+    }
+
+    /// The nodes of the stream `node_columns` resolves for the root.
+    fn root_stream(idx: &IndexedDocument, p: &TwigPattern) -> Vec<NodeId> {
+        node_columns(idx, p, p.root()).view().nodes().to_vec()
     }
 
     #[test]
-    fn filtered_stream_by_tag() {
+    fn stream_by_tag() {
         let idx = idx();
         let b = TwigBuilder::root("book");
         let p = b.build();
-        let stream = filtered_stream(&idx, &p, p.root());
-        assert_eq!(stream.len(), 2);
+        assert_eq!(root_stream(&idx, &p).len(), 2);
     }
 
     #[test]
-    fn filtered_stream_unknown_tag_is_empty() {
+    fn stream_of_unknown_tag_is_empty() {
         let idx = idx();
         let b = TwigBuilder::root("nosuchtag");
         let p = b.build();
-        assert!(filtered_stream(&idx, &p, p.root()).is_empty());
+        assert!(root_stream(&idx, &p).is_empty());
     }
 
     #[test]
-    fn filtered_stream_wildcard_sees_everything() {
+    fn wildcard_stream_sees_everything() {
         let idx = idx();
         let b = TwigBuilder::wildcard_root();
         let p = b.build();
-        assert_eq!(
-            filtered_stream(&idx, &p, p.root()).len(),
-            idx.stats().element_count
-        );
+        assert_eq!(root_stream(&idx, &p).len(), idx.stats().element_count);
     }
 
     #[test]
-    fn filtered_stream_applies_predicates() {
+    fn child_axis_root_binds_only_the_document_root() {
+        let idx = idx();
+        let root = |tag: &str| {
+            let p = TwigPattern::new(NodeTest::Tag(tag.to_string()), Axis::Child);
+            root_stream(&idx, &p)
+        };
+        assert_eq!(root("bib"), [nth_element(&idx, "bib", 0)]);
+        assert!(root("book").is_empty());
+    }
+
+    #[test]
+    fn stream_applies_predicates() {
         let idx = idx();
         let mut b = TwigBuilder::root("year");
         b.predicate(
@@ -378,13 +367,12 @@ mod tests {
             },
         );
         let p = b.build();
-        let stream = filtered_stream(&idx, &p, p.root());
-        assert_eq!(stream.len(), 1);
+        assert_eq!(root_stream(&idx, &p), [nth_element(&idx, "year", 1)]);
 
         let mut b = TwigBuilder::root("title");
         b.predicate(b.root_id(), ValuePredicate::Contains("xml".into()));
         let p = b.build();
-        assert_eq!(filtered_stream(&idx, &p, p.root()).len(), 1);
+        assert_eq!(root_stream(&idx, &p).len(), 1);
 
         let mut b = TwigBuilder::root("title");
         b.predicate(
@@ -392,7 +380,7 @@ mod tests {
             ValuePredicate::Equals("data on the web".into()),
         );
         let p = b.build();
-        assert_eq!(filtered_stream(&idx, &p, p.root()).len(), 1);
+        assert_eq!(root_stream(&idx, &p).len(), 1);
     }
 
     #[test]
@@ -494,9 +482,7 @@ mod tests {
             },
         );
         let p = b.build();
-        let stream = filtered_stream(&idx, &p, p.root());
-        assert_eq!(stream.len(), 1);
-        assert_eq!(stream[0].node, book1);
+        assert_eq!(root_stream(&idx, &p), [book1]);
     }
 
     #[test]

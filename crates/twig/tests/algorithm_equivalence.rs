@@ -13,6 +13,7 @@ use lotusx_index::IndexedDocument;
 use lotusx_twig::exec::{execute, execute_budgeted, Algorithm};
 use lotusx_twig::matcher::match_is_valid;
 use lotusx_twig::ordered::match_is_ordered;
+use lotusx_twig::pattern::Axis;
 use lotusx_twig::xpath::parse_query;
 
 // ---------------------------------------------------------------------
@@ -70,16 +71,26 @@ fn ordered_variants_are_subsets_on_canonical_workloads() {
 // Random documents × random patterns
 // ---------------------------------------------------------------------
 
+/// Predicates and rooted twigs thin the matches out, so it takes this
+/// many cases to see each filter path succeed a few dozen times.
+const CASES: usize = 256;
+
 #[test]
 fn all_algorithms_agree_on_random_inputs() {
     let mut rng = XorShiftRng::seed_from_u64(0x7716);
     let (mut ordered_cases, mut truncated_cases, mut reference_rows) = (0, 0, 0);
-    for case in 0..96 {
+    // Cases with matches whose streams the join had to filter: by a value
+    // predicate, by the level-1 test of a child-axis root.
+    let (mut predicate_hits, mut child_root_hits) = (0, 0);
+    for case in 0..CASES {
         let (idx, pattern) = random_inputs::random_case(&mut rng);
         ordered_cases += usize::from(pattern.is_ordered());
 
         let reference = execute(&idx, &pattern, Algorithm::Naive);
         reference_rows += reference.len();
+        let child_root = pattern.node(pattern.root()).axis == Axis::Child;
+        predicate_hits += usize::from(pattern.has_predicates() && !reference.is_empty());
+        child_root_hits += usize::from(child_root && !reference.is_empty());
         for m in reference.rows() {
             assert!(match_is_valid(&idx, &pattern, m), "case {case}");
             assert!(
@@ -112,9 +123,20 @@ fn all_algorithms_agree_on_random_inputs() {
         }
     }
     assert!(reference_rows > 2000, "cases must match: {reference_rows}");
-    assert!(ordered_cases > 20 && ordered_cases < 76, "{ordered_cases}");
     assert!(
-        truncated_cases > 96,
+        predicate_hits > 40,
+        "predicates must match: {predicate_hits}"
+    );
+    assert!(
+        child_root_hits > 10,
+        "rooted twigs must match: {child_root_hits}"
+    );
+    assert!(
+        ordered_cases > CASES / 4 && ordered_cases < 3 * CASES / 4,
+        "{ordered_cases}"
+    );
+    assert!(
+        truncated_cases > CASES,
         "budgets must actually trip: {truncated_cases}"
     );
 }

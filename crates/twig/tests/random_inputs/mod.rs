@@ -4,22 +4,33 @@
 
 use lotusx_datagen::rng::XorShiftRng;
 use lotusx_index::IndexedDocument;
-use lotusx_twig::pattern::{Axis, NodeTest, TwigPattern};
+use lotusx_twig::pattern::{Axis, NodeTest, TwigPattern, ValuePredicate};
 use lotusx_xml::{Document, NodeId};
 
 const TAGS: [&str; 3] = ["a", "b", "c"];
 
+/// Leaf texts and `year` attribute values are drawn from `0..VALUES`, so
+/// a random predicate over the same range selects a fair share of them.
+const VALUES: u32 = 4;
+
 #[derive(Clone, Debug)]
 struct GenTree {
     tag: usize,
+    /// The `year` attribute, on about half the elements.
+    year: Option<u32>,
+    /// Small integer text, on leaves only.
+    text: Option<u32>,
     children: Vec<GenTree>,
 }
 
 fn random_tree(rng: &mut XorShiftRng, depth: u32, budget: &mut u32) -> GenTree {
     let tag = rng.gen_range(0..TAGS.len());
+    let year = rng.gen_bool(0.5).then(|| rng.gen_range(0..VALUES));
     if depth == 0 || *budget == 0 || rng.gen_bool(0.2) {
         return GenTree {
             tag,
+            year,
+            text: Some(rng.gen_range(0..VALUES)),
             children: vec![],
         };
     }
@@ -32,81 +43,106 @@ fn random_tree(rng: &mut XorShiftRng, depth: u32, budget: &mut u32) -> GenTree {
         *budget -= 1;
         children.push(random_tree(rng, depth - 1, budget));
     }
-    GenTree { tag, children }
+    GenTree {
+        tag,
+        year,
+        text: None,
+        children,
+    }
 }
 
 fn build(doc: &mut Document, parent: NodeId, t: &GenTree) {
     let e = doc.append_element(parent, TAGS[t.tag]);
+    if let Some(year) = t.year {
+        doc.set_attribute(e, "year", year.to_string());
+    }
+    if let Some(text) = t.text {
+        doc.append_text(e, text.to_string());
+    }
     for c in &t.children {
         build(doc, e, c);
     }
 }
 
-/// A small random pattern: a root plus up to 4 more nodes attached to
-/// random earlier nodes with random axes/tests.
-#[derive(Clone, Debug)]
-struct GenPattern {
-    root_tag: usize,
-    // (parent index among already-created nodes, axis-is-child, tag, wild)
-    extra: Vec<(usize, bool, usize, bool)>,
-    ordered: bool,
-}
-
-fn random_pattern(rng: &mut XorShiftRng) -> GenPattern {
-    GenPattern {
-        // Wildcard roots multiply matches combinatorially and slow the
-        // naive oracle to a crawl; interior wildcards cover the case.
-        root_tag: rng.gen_range(0..TAGS.len()),
-        extra: (0..rng.gen_range(0..4usize))
-            .map(|_| {
-                (
-                    rng.gen_range(0..5usize),
-                    rng.gen_bool(0.5),
-                    rng.gen_range(0..TAGS.len()),
-                    rng.gen_bool(0.2),
-                )
-            })
-            .collect(),
-        ordered: rng.gen_bool(0.5),
+/// A value predicate on about a third of pattern nodes, spread over every
+/// branch of the stream filter: `Equals`/`Range` resolve through the value
+/// index, `Contains` and the attribute forms scan the tag stream.
+fn random_predicate(rng: &mut XorShiftRng) -> Option<ValuePredicate> {
+    if !rng.gen_bool(1.0 / 3.0) {
+        return None;
     }
+    let value = rng.gen_range(0..VALUES);
+    let (low, high) = (f64::from(value), f64::from(value + 1));
+    let name = "year".to_string();
+    Some(match rng.gen_range(0..7u32) {
+        0 => ValuePredicate::Equals(value.to_string()),
+        1 => ValuePredicate::Contains(value.to_string()),
+        2 => ValuePredicate::Range { low, high },
+        3 => ValuePredicate::AttrEquals {
+            name,
+            value: value.to_string(),
+        },
+        4 => ValuePredicate::AttrContains {
+            name,
+            value: value.to_string(),
+        },
+        5 => ValuePredicate::AttrRange { name, low, high },
+        _ => ValuePredicate::AttrExists { name },
+    })
 }
 
-fn materialize(gp: &GenPattern) -> TwigPattern {
-    let test = NodeTest::Tag(TAGS[gp.root_tag].to_string());
-    let mut pattern = TwigPattern::new(test, Axis::Descendant);
+/// A small random pattern: a root plus up to 4 more nodes attached to
+/// random earlier nodes with random axes/tests. About a fifth of roots
+/// hang off the document by the child axis (binding the root element
+/// only); the rest float.
+fn random_pattern(rng: &mut XorShiftRng, root_tag: usize) -> TwigPattern {
+    // Wildcard roots multiply matches combinatorially and slow the naive
+    // oracle to a crawl; interior wildcards cover the case. A child-axis
+    // root takes the document root's tag: any other matches nothing.
+    let (test, axis) = if rng.gen_bool(0.2) {
+        (TAGS[root_tag], Axis::Child)
+    } else {
+        (TAGS[rng.gen_range(0..TAGS.len())], Axis::Descendant)
+    };
+    let mut pattern = TwigPattern::new(NodeTest::Tag(test.to_string()), axis);
+    pattern.set_predicate(pattern.root(), random_predicate(rng));
     let mut ids = vec![pattern.root()];
-    for (parent, is_child, tag, wild) in &gp.extra {
-        let axis = if *is_child {
+    for _ in 0..rng.gen_range(0..4usize) {
+        let parent = ids[rng.gen_range(0..5usize) % ids.len()];
+        let axis = if rng.gen_bool(0.5) {
             Axis::Child
         } else {
             Axis::Descendant
         };
-        let test = if *wild {
+        let tag = rng.gen_range(0..TAGS.len());
+        let test = if rng.gen_bool(0.2) {
             NodeTest::Wildcard
         } else {
-            NodeTest::Tag(TAGS[*tag].to_string())
+            NodeTest::Tag(TAGS[tag].to_string())
         };
-        let id = pattern.add_child(ids[parent % ids.len()], axis, test);
+        let id = pattern.add_child(parent, axis, test);
+        pattern.set_predicate(id, random_predicate(rng));
         ids.push(id);
     }
-    pattern.set_ordered(gp.ordered);
+    pattern.set_ordered(rng.gen_bool(0.5));
     pattern
 }
 
 /// One random case: a document of 20 to ~60 elements over three tags
 /// (few tags and deep nesting make matches — and same-tag recursion —
-/// common), indexed, and a pattern of 1–4 nodes that is ordered half the
-/// time.
+/// common) whose leaves carry small integer text and half of whose
+/// elements a `year` attribute, indexed; and a pattern of 1–4 nodes that
+/// is ordered half the time and carries predicates on a third of them.
 pub fn random_case(rng: &mut XorShiftRng) -> (IndexedDocument, TwigPattern) {
-    let doc = loop {
+    let (doc, root_tag) = loop {
         let mut budget = 60u32;
         let root = random_tree(rng, 6, &mut budget);
         let mut doc = Document::new();
         build(&mut doc, NodeId::DOCUMENT, &root);
-        if doc.node_count() > 20 {
-            break doc;
+        if doc.element_count() > 20 {
+            break (doc, root.tag);
         }
     };
-    let pattern = materialize(&random_pattern(rng));
+    let pattern = random_pattern(rng, root_tag);
     (IndexedDocument::build(doc), pattern)
 }

@@ -1,11 +1,12 @@
-//! Snapshot persistence integration tests: a system restored from a v2
+//! Snapshot persistence integration tests: a system restored from a
 //! `.ltsx` snapshot must be observationally identical to a freshly built
 //! one — query responses under every algorithm and the auto chooser,
-//! chooser decisions, and completions — and corrupted or legacy files
-//! must surface typed errors, never panics.
+//! chooser decisions, and completions — and corrupted files or files of a
+//! retired format version must surface typed errors, never panics.
 
 use lotusx::{Algorithm, CorpusSource, LotusError, LotusX, QueryRequest, QueryResponse};
 use lotusx_datagen::{queries, Dataset};
+use lotusx_storage::StorageError;
 use lotusx_twig::choose_algorithm;
 use lotusx_twig::xpath::parse_query;
 use std::path::PathBuf;
@@ -120,6 +121,10 @@ fn loaded_snapshot_answers_bit_identically_on_every_dataset() {
 
         // Both open paths must agree: the explicit one and CorpusSource.
         let loaded = LotusX::open_snapshot(&path.0).unwrap();
+        assert!(
+            loaded.index().columns() == fresh.index().columns(),
+            "{ds}: loaded columns (arenas, ranges, rebuilt end trees) differ from the build's"
+        );
         assert_equivalent(&fresh, &loaded, ds);
         let via_source = LotusX::open(&CorpusSource::Snapshot(path.0.clone())).unwrap();
         assert_equivalent(&fresh, &via_source, ds);
@@ -148,19 +153,6 @@ fn mixed_content_document_survives_the_roundtrip() {
         canonical(&fresh.query(&q).unwrap()),
         canonical(&loaded.query(&q).unwrap())
     );
-}
-
-#[test]
-fn v1_document_snapshot_still_opens_via_rebuild() {
-    let doc = lotusx_datagen::generate(Dataset::DblpLike, 1, 4242);
-    let path = Scratch::new("v1.ltsx");
-    lotusx_storage::save_document_file(&doc, &path.0).unwrap();
-
-    let rebuilt = LotusX::open_snapshot(&path.0).unwrap();
-    // Parse the same document from XML so both sides carry the parser's
-    // preorder node numbering (the v1 payload is written in preorder).
-    let fresh = LotusX::load_str(&doc.to_xml()).unwrap();
-    assert_equivalent(&fresh, &rebuilt, Dataset::DblpLike);
 }
 
 #[test]
@@ -198,6 +190,26 @@ fn corrupted_snapshots_yield_typed_errors_not_panics() {
             ),
             "truncation at {cut} must fail with a storage error"
         );
+    }
+
+    // The two retired layouts are refused at the version byte, before any
+    // section is parsed: the good file relabelled (every byte after the
+    // version would parse) and a bare header followed by garbage fail
+    // alike, naming the version they claimed.
+    for version in [1u8, 2] {
+        let mut relabelled = good.clone();
+        relabelled[4] = version;
+        let bare = [&b"LTSX"[..], &[version, 0xff, 0xff, 0xff]].concat();
+        for bytes in [relabelled, bare] {
+            std::fs::write(&tampered.0, &bytes).unwrap();
+            match LotusX::open_snapshot(&tampered.0) {
+                Err(LotusError::Storage(StorageError::UnsupportedVersion(v))) => {
+                    assert_eq!(v, version)
+                }
+                Err(other) => panic!("version {version}: wrong error kind: {other}"),
+                Ok(_) => panic!("version {version}: retired layout opened"),
+            }
+        }
     }
 }
 
