@@ -17,7 +17,7 @@
 use lotusx_autocomplete::{CompletionEngine, ValueTrieCache};
 use lotusx_guard::{Budget, Completeness, QueryGuard, TruncationReason};
 use lotusx_index::IndexedDocument;
-use lotusx_obs::{EventKind, QueryId, QueryProfile, Span, Stage};
+use lotusx_obs::{EventKind, QueryId, QueryProfile, Span, Stage, WindowCounter};
 use lotusx_par::{
     default_threads, par_map_isolated, CacheStats, ShardLoad, ShardedLru, WorkerPanic,
 };
@@ -29,6 +29,7 @@ use lotusx_twig::pattern::TwigPattern;
 use lotusx_twig::xpath::{parse_query, ParseError};
 use lotusx_xml::{Document, NodeId, SerializeOptions};
 use std::fmt;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -565,16 +566,6 @@ fn run_stage<T>(
     out
 }
 
-/// Stable counter name for one chooser decision (`algo_chosen_*` in the
-/// metrics snapshot, `stats`, and the `top` live view).
-fn chosen_counter(algorithm: Algorithm) -> &'static str {
-    match algorithm {
-        Algorithm::Naive => "algo_chosen_naive",
-        Algorithm::StructuralJoin => "algo_chosen_structural_join",
-        Algorithm::Auto => "algo_chosen_auto",
-    }
-}
-
 /// Records degradation metrics (degraded-response and deadline counters,
 /// the deadline-overshoot histogram) for a truncated outcome. A no-op for
 /// complete outcomes or when recording is off.
@@ -586,9 +577,11 @@ fn note_degradation(recording: bool, guard: &QueryGuard, completeness: Completen
         return;
     }
     let m = lotusx_obs::metrics();
-    m.incr("degraded_responses", 1);
+    m.count_windowed(WindowCounter::Truncated, 1);
     if reason == TruncationReason::DeadlineExceeded {
-        m.incr("queries_deadline_exceeded", 1);
+        m.counters
+            .queries_deadline_exceeded
+            .fetch_add(1, Ordering::Relaxed);
         if let Some(overshoot) = guard.deadline_overshoot() {
             m.record_named("deadline_overshoot", overshoot.as_nanos() as u64);
         }
@@ -776,7 +769,13 @@ impl LotusX {
             Algorithm::Auto => {
                 let choice = lotusx_twig::choose_algorithm(&self.idx, pattern);
                 if recording {
-                    lotusx_obs::metrics().incr(chosen_counter(choice.algorithm), 1);
+                    let counters = &lotusx_obs::metrics().counters;
+                    match choice.algorithm {
+                        Algorithm::Naive => &counters.algo_chosen_naive,
+                        Algorithm::StructuralJoin => &counters.algo_chosen_structural_join,
+                        Algorithm::Auto => unreachable!("the chooser prices concrete plans"),
+                    }
+                    .fetch_add(1, Ordering::Relaxed);
                 }
                 lotusx_obs::emit(
                     qid,
@@ -865,7 +864,8 @@ impl LotusX {
             Ok(p) => p,
             Err(e) => {
                 if recording {
-                    lotusx_obs::metrics().incr("query_errors", 1);
+                    let counters = &lotusx_obs::metrics().counters;
+                    counters.query_errors.fetch_add(1, Ordering::Relaxed);
                 }
                 lotusx_obs::emit(
                     qid,
@@ -974,8 +974,13 @@ impl LotusX {
     fn note_cache_access(&self, twig: &PendingTwig, hit: bool) {
         if lotusx_obs::enabled() {
             let m = lotusx_obs::metrics();
-            m.incr("queries", 1);
-            m.incr(if hit { "cache_hit" } else { "cache_miss" }, 1);
+            m.count_windowed(WindowCounter::Queries, 1);
+            let lookup = if hit {
+                WindowCounter::CacheHits
+            } else {
+                WindowCounter::CacheMisses
+            };
+            m.count_windowed(lookup, 1);
         }
         if lotusx_obs::tracing() {
             lotusx_obs::emit(
@@ -1057,7 +1062,8 @@ impl LotusX {
             .map(|slot| match slot {
                 Ok(response) => response,
                 Err(panic) => {
-                    lotusx_obs::metrics().incr("worker_panics", 1);
+                    let counters = &lotusx_obs::metrics().counters;
+                    counters.worker_panics.fetch_add(1, Ordering::Relaxed);
                     Err(LotusError::WorkerPanic(panic))
                 }
             })
@@ -1124,8 +1130,8 @@ impl LotusX {
         if let Some(t0) = started {
             let total_ns = t0.elapsed().as_nanos() as u64;
             let m = lotusx_obs::metrics();
-            m.incr("queries", 1);
-            m.incr("keyword_queries", 1);
+            m.count_windowed(WindowCounter::Queries, 1);
+            m.counters.keyword_queries.fetch_add(1, Ordering::Relaxed);
             m.record_stage(Stage::Total, total_ns);
             m.slow_queries().record(&request.text, total_ns);
         }

@@ -9,11 +9,11 @@
 //! path prefix or from a header value.
 //!
 //! Rule lists come from a JSON config (`--routes FILE`, hot-reloadable
-//! via `POST /admin/routes`). The parser here is *spanned*: every value
-//! remembers its byte offset in the source text, so malformed configs —
-//! syntax errors, unknown keys, bad tenant names, rules naming
-//! unregistered tenants — produce a typed [`RouteError`] pointing at
-//! the exact byte, not a vague "invalid config".
+//! via `POST /admin/routes`), read into `lotusx-obs`'s offset-tagged
+//! tree: every value remembers its byte offset in the source text, so
+//! malformed configs — syntax errors, unknown keys, bad tenant names,
+//! rules naming unregistered tenants — produce a typed [`RouteError`]
+//! pointing at the exact byte, not a vague "invalid config".
 //!
 //! Contract used by the serving layer (documented in DESIGN.md):
 //!
@@ -29,6 +29,7 @@ use std::collections::HashSet;
 use std::time::Duration;
 
 use lotusx_guard::TenantLimits;
+use lotusx_obs::{parse_json_as, JsonNode as Val, SpannedJson as Sp};
 
 /// What went wrong while loading a route config.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -409,213 +410,11 @@ fn check_rules_against(
     Ok(())
 }
 
-// ---------------------------------------------------------------------
-// Spanned JSON reader
-//
-// The obs crate has a JSON reader already, but its errors are plain
-// strings; typed byte-offset errors need every value to remember where
-// it started, so the route config gets its own small reader. Grammar
-// support matches what configs need (no surrogate-pair escapes).
-// ---------------------------------------------------------------------
-
-/// A JSON value tagged with its start offset in the source text.
-struct Sp {
-    off: usize,
-    val: Val,
-}
-
-enum Val {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Sp>),
-    /// Insertion-ordered `(key offset, key, value)` triples.
-    Obj(Vec<(usize, String, Sp)>),
-}
-
-fn syntax(offset: usize, message: impl Into<String>) -> RouteError {
-    RouteError::new(offset, RouteErrorKind::Syntax, message)
-}
-
+/// Reads `input` into the offset-tagged tree the decoders below walk;
+/// the reader's own errors are this module's `Syntax` kind, at the same
+/// byte.
 fn parse_spanned(input: &str) -> Result<Sp, RouteError> {
-    let bytes = input.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(syntax(pos, "trailing data after document"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Sp, RouteError> {
-    skip_ws(bytes, pos);
-    let off = *pos;
-    match bytes.get(*pos) {
-        None => Err(syntax(off, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => {
-            let s = parse_string(bytes, pos)?;
-            Ok(Sp {
-                off,
-                val: Val::Str(s),
-            })
-        }
-        Some(b't') => parse_literal(bytes, pos, "true", Val::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Val::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Val::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, val: Val) -> Result<Sp, RouteError> {
-    let off = *pos;
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(Sp { off, val })
-    } else {
-        Err(syntax(off, "invalid literal"))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Sp, RouteError> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(|n| Sp {
-            off: start,
-            val: Val::Num(n),
-        })
-        .ok_or_else(|| syntax(start, "invalid number"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, RouteError> {
-    let start = *pos;
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(syntax(*pos, "expected '\"'"));
-    }
-    *pos += 1;
-    let mut out = Vec::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(syntax(start, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return String::from_utf8(out).map_err(|_| syntax(start, "invalid UTF-8"));
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push(b'"'),
-                    Some(b'\\') => out.push(b'\\'),
-                    Some(b'/') => out.push(b'/'),
-                    Some(b'n') => out.push(b'\n'),
-                    Some(b'r') => out.push(b'\r'),
-                    Some(b't') => out.push(b'\t'),
-                    Some(b'b') => out.push(0x08),
-                    Some(b'f') => out.push(0x0c),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| syntax(*pos - 1, "bad \\u escape"))?;
-                        let c = char::from_u32(hex).unwrap_or('\u{fffd}');
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                        *pos += 4;
-                    }
-                    _ => return Err(syntax(*pos - 1, "bad escape")),
-                }
-                *pos += 1;
-            }
-            Some(&b) => {
-                out.push(b);
-                *pos += 1;
-            }
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Sp, RouteError> {
-    let off = *pos;
-    *pos += 1; // consume '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Sp {
-            off,
-            val: Val::Arr(items),
-        });
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Sp {
-                    off,
-                    val: Val::Arr(items),
-                });
-            }
-            _ => return Err(syntax(*pos, "expected ',' or ']'")),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Sp, RouteError> {
-    let off = *pos;
-    *pos += 1; // consume '{'
-    let mut fields = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Sp {
-            off,
-            val: Val::Obj(fields),
-        });
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key_off = *pos;
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(syntax(*pos, "expected ':'"));
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos)?;
-        fields.push((key_off, key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Sp {
-                    off,
-                    val: Val::Obj(fields),
-                });
-            }
-            _ => return Err(syntax(*pos, "expected ',' or '}'")),
-        }
-    }
+    parse_json_as(input).map_err(|e| RouteError::new(e.offset, RouteErrorKind::Syntax, e.message))
 }
 
 // ---------------------------------------------------------------------
@@ -954,17 +753,6 @@ mod tests {
         );
         assert_eq!(cfg.tenants[1].limits.default_node_quota, Some(1000));
         assert_eq!(cfg.rules.len(), 2);
-    }
-
-    #[test]
-    fn syntax_errors_carry_offsets() {
-        let err = RegistryConfig::parse("{\"tenants\": [}").unwrap_err();
-        assert_eq!(err.kind, RouteErrorKind::Syntax);
-        assert_eq!(err.offset, 13, "points at the stray '}}'");
-        // Display embeds both the kind and the offset.
-        let text = err.to_string();
-        assert!(text.contains("syntax"), "{text}");
-        assert!(text.contains("byte 13"), "{text}");
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! A tiny hand-rolled JSON emitter *and* reader (this workspace has no
-//! serde), used to dump metrics snapshots in a `metrics.json`-able shape
-//! and to validate the emitted documents (`stats json` schema test,
-//! Chrome-trace well-formedness check) without external dependencies.
+//! serde). The emitter dumps metrics snapshots in a `metrics.json`-able
+//! shape. The reader is the only JSON grammar in the tree: wire bodies,
+//! route configs, `/stats` scrapes and trace files all go through
+//! [`parse_json_as`], which bounds nesting at [`MAX_JSON_DEPTH`] and
+//! builds either a plain [`JsonValue`] or an offset-tagged
+//! [`SpannedJson`].
 
 use crate::histogram::HistogramSnapshot;
-use crate::registry::MetricsSnapshot;
+use crate::registry::{MetricsSnapshot, ProcessCounters};
 use crate::window::WindowSnapshot;
+use std::fmt;
 
 /// Escapes a string for inclusion in a JSON document (quotes included).
 pub fn json_string(s: &str) -> String {
@@ -86,16 +90,13 @@ impl MetricsSnapshot {
             ));
         }
         out.push_str("  },\n  \"counters\": {");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
+        let rows = ProcessCounters::ROWS;
+        for (i, (row, v)) in rows.iter().zip(self.counters.values()).enumerate() {
             out.push_str(&format!(
                 "\n    {}: {}{}",
-                json_string(name),
+                json_string(row.name),
                 v,
-                if i + 1 == self.counters.len() {
-                    "\n  "
-                } else {
-                    ","
-                }
+                if i + 1 == rows.len() { "\n  " } else { "," }
             ));
         }
         out.push_str("},\n  \"histograms\": {");
@@ -228,16 +229,129 @@ impl JsonValue {
     }
 }
 
-/// Parses a complete JSON document (trailing whitespace allowed).
-pub fn parse_json(input: &str) -> Result<JsonValue, String> {
+/// One parsed production with its children already built: what the
+/// reader hands a [`JsonTree`] to wrap, and the payload of a
+/// [`SpannedJson`].
+pub enum JsonNode<T: JsonTree> {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// Any JSON number (parsed as `f64`).
+    Num(f64),
+    /// A string (unescaped).
+    Str(String),
+    /// An array.
+    Arr(Vec<T>),
+    /// An object, as insertion-ordered members.
+    Obj(Vec<T::Member>),
+}
+
+/// A tree the reader can build, bottom-up.
+pub trait JsonTree: Sized {
+    /// One object member, as the tree stores it.
+    type Member;
+    /// The value whose first byte is at `off`.
+    fn value(off: usize, node: JsonNode<Self>) -> Self;
+    /// The member whose key's opening quote is at `key_off`.
+    fn member(key_off: usize, key: String, value: Self) -> Self::Member;
+}
+
+impl JsonTree for JsonValue {
+    type Member = (String, JsonValue);
+    fn value(_: usize, node: JsonNode<Self>) -> Self {
+        match node {
+            JsonNode::Null => JsonValue::Null,
+            JsonNode::Bool(b) => JsonValue::Bool(b),
+            JsonNode::Num(n) => JsonValue::Num(n),
+            JsonNode::Str(s) => JsonValue::Str(s),
+            JsonNode::Arr(items) => JsonValue::Arr(items),
+            JsonNode::Obj(members) => JsonValue::Obj(members),
+        }
+    }
+    fn member(_: usize, key: String, value: Self) -> Self::Member {
+        (key, value)
+    }
+}
+
+/// A JSON value tagged with the byte offset of its first byte in the
+/// source text — what config decoders read, so a schema error can point
+/// at the offending construct. Object members are
+/// `(key offset, key, value)` triples.
+pub struct SpannedJson {
+    /// Offset of the value's first byte.
+    pub off: usize,
+    /// The value.
+    pub val: JsonNode<SpannedJson>,
+}
+
+impl JsonTree for SpannedJson {
+    type Member = (usize, String, SpannedJson);
+    fn value(off: usize, val: JsonNode<Self>) -> Self {
+        SpannedJson { off, val }
+    }
+    fn member(key_off: usize, key: String, value: Self) -> Self::Member {
+        (key_off, key, value)
+    }
+}
+
+/// How deeply arrays and objects may nest. The reader recurses once per
+/// level, so this is what keeps a body of `[[[[…` — well inside any body
+/// cap — from overflowing the stack of the thread that parses it.
+/// `/stats` nests 5 deep, the wire bodies 3.
+pub const MAX_JSON_DEPTH: usize = 64;
+
+const UNEXPECTED_END: &str = "unexpected end of input";
+const UNTERMINATED_STRING: &str = "unterminated string";
+const INVALID_UTF8: &str = "invalid UTF-8";
+
+/// Why a text is not a JSON document the reader accepts.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct JsonError {
+    /// Byte offset of the offending construct (of the string's opening
+    /// quote for string-level errors, of the opener that went one level
+    /// too deep for the nesting cap).
+    pub offset: usize,
+    /// What was wrong there.
+    pub message: &'static str,
+}
+
+impl fmt::Display for JsonError {
+    /// `<message> at byte <offset>` — these texts go out in `400` bodies.
+    /// The three end-of-input and string-level messages have always gone
+    /// out bare, and still do.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.message)?;
+        match self.message {
+            UNEXPECTED_END | UNTERMINATED_STRING | INVALID_UTF8 => Ok(()),
+            _ => write!(f, " at byte {}", self.offset),
+        }
+    }
+}
+
+impl std::error::Error for JsonError {}
+
+/// Parses a complete JSON document (trailing whitespace allowed) into a
+/// plain [`JsonValue`].
+pub fn parse_json(input: &str) -> Result<JsonValue, JsonError> {
+    parse_json_as(input)
+}
+
+/// Parses a complete JSON document into whichever [`JsonTree`] the
+/// caller decodes from.
+pub fn parse_json_as<T: JsonTree>(input: &str) -> Result<T, JsonError> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
+        return err(pos, "trailing data");
     }
     Ok(value)
+}
+
+fn err<T>(offset: usize, message: &'static str) -> Result<T, JsonError> {
+    Err(JsonError { offset, message })
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -246,44 +360,35 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
-    if *pos < bytes.len() && bytes[*pos] == b {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {}", b as char, *pos))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses one value; `depth` is the number of arrays and objects it
+/// already sits inside.
+fn parse_value<T: JsonTree>(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<T, JsonError> {
     skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", JsonValue::Null),
-        Some(_) => parse_number(bytes, pos),
+    let off = *pos;
+    match bytes.get(off) {
+        None => err(off, UNEXPECTED_END),
+        Some(b'{' | b'[') if depth == MAX_JSON_DEPTH => err(off, "nesting too deep"),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
+        Some(b'"') => parse_string(bytes, pos).map(JsonNode::Str),
+        Some(b't') => parse_literal(bytes, pos, "true", JsonNode::Bool(true)),
+        Some(b'f') => parse_literal(bytes, pos, "false", JsonNode::Bool(false)),
+        Some(b'n') => parse_literal(bytes, pos, "null", JsonNode::Null),
+        Some(_) => parse_number(bytes, pos).map(JsonNode::Num),
     }
+    .map(|node| T::value(off, node))
 }
 
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    lit: &str,
-    value: JsonValue,
-) -> Result<JsonValue, String> {
+fn parse_literal<N>(bytes: &[u8], pos: &mut usize, lit: &str, node: N) -> Result<N, JsonError> {
     if bytes[*pos..].starts_with(lit.as_bytes()) {
         *pos += lit.len();
-        Ok(value)
+        Ok(node)
     } else {
-        Err(format!("invalid literal at byte {}", *pos))
+        err(*pos, "invalid literal")
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, JsonError> {
     let start = *pos;
     while *pos < bytes.len()
         && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
@@ -293,19 +398,22 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     std::str::from_utf8(&bytes[start..*pos])
         .ok()
         .and_then(|s| s.parse::<f64>().ok())
-        .map(JsonValue::Num)
-        .ok_or_else(|| format!("invalid number at byte {start}"))
+        .map_or(err(start, "invalid number"), Ok)
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
+fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+    let start = *pos;
+    if bytes.get(start) != Some(&b'"') {
+        return err(start, "expected '\"'");
+    }
+    *pos += 1;
     let mut out = Vec::new();
     loop {
         match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
+            None => return err(start, UNTERMINATED_STRING),
             Some(b'"') => {
                 *pos += 1;
-                return String::from_utf8(out).map_err(|_| "invalid UTF-8".to_string());
+                return String::from_utf8(out).or(err(start, INVALID_UTF8));
             }
             Some(b'\\') => {
                 *pos += 1;
@@ -323,7 +431,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                             .get(*pos + 1..*pos + 5)
                             .and_then(|h| std::str::from_utf8(h).ok())
                             .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
+                            .map_or(err(*pos, "bad \\u escape"), Ok)?;
                         // Surrogate pairs are not needed for our own
                         // documents; map them to the replacement char.
                         let c = char::from_u32(hex).unwrap_or('\u{fffd}');
@@ -331,7 +439,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                         out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
                         *pos += 4;
                     }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
+                    _ => return err(*pos, "bad escape"),
                 }
                 *pos += 1;
             }
@@ -343,51 +451,62 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    expect(bytes, pos, b'[')?;
+fn parse_array<T: JsonTree>(
+    bytes: &[u8],
+    pos: &mut usize,
+    depth: usize,
+) -> Result<JsonNode<T>, JsonError> {
+    *pos += 1; // the '[' parse_value saw
     let mut items = Vec::new();
     skip_ws(bytes, pos);
     if bytes.get(*pos) == Some(&b']') {
         *pos += 1;
-        return Ok(JsonValue::Arr(items));
+        return Ok(JsonNode::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b']') => {
                 *pos += 1;
-                return Ok(JsonValue::Arr(items));
+                return Ok(JsonNode::Arr(items));
             }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
+            _ => return err(*pos, "expected ',' or ']'"),
         }
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    expect(bytes, pos, b'{')?;
-    let mut pairs = Vec::new();
+fn parse_object<T: JsonTree>(
+    bytes: &[u8],
+    pos: &mut usize,
+    depth: usize,
+) -> Result<JsonNode<T>, JsonError> {
+    *pos += 1; // the '{' parse_value saw
+    let mut members = Vec::new();
     skip_ws(bytes, pos);
     if bytes.get(*pos) == Some(&b'}') {
         *pos += 1;
-        return Ok(JsonValue::Obj(pairs));
+        return Ok(JsonNode::Obj(members));
     }
     loop {
         skip_ws(bytes, pos);
+        let key_off = *pos;
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        pairs.push((key, value));
+        if bytes.get(*pos) != Some(&b':') {
+            return err(*pos, "expected ':'");
+        }
+        *pos += 1;
+        members.push(T::member(key_off, key, parse_value(bytes, pos, depth)?));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b'}') => {
                 *pos += 1;
-                return Ok(JsonValue::Obj(pairs));
+                return Ok(JsonNode::Obj(members));
             }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
+            _ => return err(*pos, "expected ',' or '}'"),
         }
     }
 }
@@ -396,6 +515,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
 mod tests {
     use super::*;
     use crate::registry::{Metrics, Stage};
+    use crate::window::WindowCounter;
 
     #[test]
     fn strings_are_escaped() {
@@ -409,7 +529,7 @@ mod tests {
     fn snapshot_renders_valid_looking_json() {
         let m = Metrics::new();
         m.record_stage(Stage::Total, 1_000);
-        m.incr("queries", 2);
+        m.count_windowed(WindowCounter::Queries, 2);
         m.record_named("deadline_overshoot", 7_000);
         m.slow_queries().set_threshold_ns(1);
         m.slow_queries().record("//a[\"x\"]", 500_000);
@@ -430,7 +550,7 @@ mod tests {
     #[test]
     fn empty_snapshot_still_renders() {
         let json = Metrics::new().snapshot().to_json();
-        assert!(json.contains("\"counters\": {}"));
+        assert!(json.contains("\"counters\": {\n    \"algo_chosen_naive\": 0,"));
         assert!(json.contains("\"histograms\": {}"));
         assert!(json.contains("\"slow_queries\": []"));
         assert!(json.contains("\"windows\""));
@@ -457,21 +577,50 @@ mod tests {
     }
 
     #[test]
-    fn parser_rejects_malformed_documents() {
-        assert!(parse_json("").is_err());
-        assert!(parse_json("{\"a\":1").is_err());
-        assert!(parse_json("[1,2,]").is_err());
-        assert!(parse_json("{} trailing").is_err());
-        assert!(parse_json("\"unterminated").is_err());
-        assert!(parse_json("nul").is_err());
+    fn error_texts_are_the_ones_400_bodies_have_always_carried() {
+        for (input, text) in [
+            ("", "unexpected end of input"),
+            ("\"open", "unterminated string"),
+            ("{} x", "trailing data at byte 3"),
+            ("{\"a\":1", "expected ',' or '}' at byte 6"),
+            ("[1 2]", "expected ',' or ']' at byte 3"),
+            ("{a:1}", "expected '\"' at byte 1"),
+            ("{\"a\" 1}", "expected ':' at byte 5"),
+            ("[1,2,]", "invalid number at byte 5"),
+            ("nul", "invalid literal at byte 0"),
+            ("\"\\x\"", "bad escape at byte 2"),
+            ("\"\\u12\"", "bad \\u escape at byte 2"),
+        ] {
+            assert_eq!(parse_json(input).unwrap_err().to_string(), text);
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_same_opener_for_both_trees() {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let nest = |n: usize| format!("{}1{}", open.repeat(n), close.repeat(n));
+            let at_cap = nest(MAX_JSON_DEPTH);
+            assert!(parse_json(&at_cap).is_ok());
+            assert!(parse_json_as::<SpannedJson>(&at_cap).is_ok());
+            let over = nest(MAX_JSON_DEPTH + 1);
+            let want = JsonError {
+                offset: MAX_JSON_DEPTH * open.len(),
+                message: "nesting too deep",
+            };
+            assert_eq!(parse_json(&over), Err(want.clone()));
+            assert_eq!(parse_json_as::<SpannedJson>(&over).err(), Some(want));
+        }
+        // What used to overflow the stack: openers only, far past the cap.
+        let bomb = "[".repeat(100_000);
+        assert_eq!(parse_json(&bomb).unwrap_err().offset, MAX_JSON_DEPTH);
     }
 
     #[test]
     fn snapshot_json_roundtrips_through_the_parser() {
         let m = Metrics::new();
         m.record_stage(Stage::Total, 2_000_000);
-        m.incr("queries", 1);
-        m.incr("cache_miss", 1);
+        m.count_windowed(WindowCounter::Queries, 1);
+        m.count_windowed(WindowCounter::CacheMisses, 1);
         let doc = parse_json(&m.snapshot().to_json()).expect("self-emitted JSON parses");
         let windows = doc.get("windows").expect("windows section");
         for w in ["1s", "10s", "60s"] {

@@ -2,7 +2,7 @@
 //!
 //! The observability substrate of the LotusX query pipeline: lightweight
 //! nestable timing spans, log2-bucketed latency histograms with
-//! p50/p95/p99, named counters, per-query [`QueryProfile`]s, a bounded
+//! p50/p95/p99, the [`counters!`](macro@counters) table, per-query [`QueryProfile`]s, a bounded
 //! slow-query log, and a `metrics.json`-able snapshot — all on `std`
 //! only (thread safety reuses the `lotusx-par` primitives).
 //!
@@ -43,6 +43,7 @@
 
 #![warn(missing_docs)]
 
+pub mod counters;
 pub mod event;
 pub mod export;
 pub mod histogram;
@@ -55,18 +56,22 @@ pub mod sampler;
 pub mod span;
 pub mod window;
 
+pub use counters::{counter_members, CounterKind, CounterRow};
 pub use event::{
     conn_lane, drain_events, emit, emit_on_lane, next_query_id, set_tracing, trace_counters,
     tracing, CloseReason, ConnPhase, DeadlineKind, EventKind, QueryId, TraceEvent, CONN_LANE_BASE,
 };
 pub use export::{chrome_trace_json, chrome_trace_json_with, jsonl_log};
 pub use histogram::{fmt_ns, HistogramAccumulator, HistogramSnapshot, LatencyHistogram};
-pub use json::{json_string, parse_json, JsonValue};
+pub use json::{
+    json_string, parse_json, parse_json_as, JsonError, JsonNode, JsonTree, JsonValue, SpannedJson,
+    MAX_JSON_DEPTH,
+};
 pub use profile::QueryProfile;
 pub use prom::{escape_label_value, sanitize_metric_name, PromWriter};
 pub use registry::{
-    enabled, metrics, set_enabled, time_stage, Metrics, MetricsSnapshot, SlowQuery, SlowQueryLog,
-    Stage,
+    enabled, metrics, set_enabled, time_stage, Metrics, MetricsSnapshot, ProcessCounters,
+    ProcessSnapshot, SlowQuery, SlowQueryLog, Stage,
 };
 pub use ring::{EventRing, RingCounters};
 pub use sampler::{sampler, Exemplar, ExemplarStore, Sampler, DEFAULT_SAMPLE_RATE};

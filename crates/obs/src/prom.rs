@@ -5,16 +5,19 @@
 //! / `# TYPE` comment lines — and [`MetricsSnapshot::to_prometheus`]
 //! renders the full obs snapshot with it: stage and named histograms as
 //! summaries (precomputed p50/p95/p99 as `quantile` labels plus `_sum`
-//! and `_count`), named counters as `_total` counters, the rolling
-//! windows as labelled gauges, and the trace ring's exact accounting.
+//! and `_count`), the process counter table as `_total` counters, the
+//! rolling windows as labelled gauges, and the trace ring's exact
+//! accounting. Every counter scope renders through
+//! [`PromWriter::counter_rows`], straight from its declaration.
 //! Durations are exported in seconds, per Prometheus convention.
 //!
 //! The serving layer prepends its own `lotusx_server_*` section (see
 //! `lotusx-serve`) and serves the result as
 //! `text/plain; version=0.0.4` from `GET /metrics`.
 
+use crate::counters::CounterRow;
 use crate::histogram::HistogramSnapshot;
-use crate::registry::MetricsSnapshot;
+use crate::registry::{MetricsSnapshot, ProcessCounters};
 
 /// Maps `name` into the Prometheus metric-name alphabet
 /// (`[a-zA-Z_:][a-zA-Z0-9_:]*`): invalid characters become `_`, and a
@@ -125,6 +128,23 @@ impl PromWriter {
         self.sample(name, labels, value as f64);
     }
 
+    /// Writes one family per declared row — name and `# TYPE` from
+    /// [`CounterRow::family`] under `prefix`, the row's help as `# HELP`
+    /// — and lets `samples(self, family, row index)` write the family's
+    /// sample lines (one, or one per label set).
+    pub fn counter_rows(
+        &mut self,
+        prefix: &str,
+        rows: &[CounterRow],
+        mut samples: impl FnMut(&mut PromWriter, &str, usize),
+    ) {
+        for (i, row) in rows.iter().enumerate() {
+            let (family, kind) = row.family(prefix);
+            self.header(&family, row.help, kind);
+            samples(self, &family, i);
+        }
+    }
+
     /// Writes a histogram snapshot as a summary family: one
     /// `quantile`-labelled line per precomputed percentile plus `_sum`
     /// and `_count`, all in seconds. `labels` is prepended to every
@@ -159,11 +179,10 @@ impl MetricsSnapshot {
         for (stage, h) in &self.stages {
             w.summary("lotusx_stage_seconds", &[("stage", stage)], h);
         }
-        for (name, value) in &self.counters {
-            let family = format!("lotusx_{name}_total");
-            w.header(&family, &format!("Named obs counter `{name}`."), "counter");
-            w.sample_u64(&family, &[], *value);
-        }
+        let values = self.counters.values();
+        w.counter_rows("lotusx_", ProcessCounters::ROWS, |w, family, i| {
+            w.sample_u64(family, &[], values[i])
+        });
         if !self.histograms.is_empty() {
             w.header(
                 "lotusx_named_seconds",
@@ -241,7 +260,7 @@ mod tests {
 
     #[test]
     fn names_are_sanitized_and_labels_escaped() {
-        assert_eq!(sanitize_metric_name("http_requests"), "http_requests");
+        assert_eq!(sanitize_metric_name("queue_depth"), "queue_depth");
         assert_eq!(sanitize_metric_name("a.b-c"), "a_b_c");
         assert_eq!(sanitize_metric_name("9lives"), "_9lives");
         assert_eq!(sanitize_metric_name(""), "_");
@@ -318,12 +337,22 @@ mod tests {
         use crate::registry::{Metrics, Stage};
         let m = Metrics::new();
         m.record_stage(Stage::HttpQuery, 1_500_000);
-        m.incr("http_requests", 2);
+        m.counters
+            .query_errors
+            .fetch_add(2, std::sync::atomic::Ordering::Relaxed);
         let out = m.snapshot().to_prometheus();
         assert!(out.contains("# TYPE lotusx_stage_seconds summary"));
         assert!(out.contains("lotusx_stage_seconds_count{stage=\"http_query\"} 1"));
-        assert!(out.contains("# TYPE lotusx_http_requests_total counter"));
-        assert!(out.contains("lotusx_http_requests_total 2"));
+        assert!(
+            out.contains("# HELP lotusx_query_errors_total Query texts that failed to parse.\n")
+        );
+        assert!(
+            out.contains("# TYPE lotusx_query_errors_total counter\nlotusx_query_errors_total 2\n")
+        );
+        assert!(
+            out.contains("lotusx_worker_panics_total 0\n"),
+            "zero rows render"
+        );
         assert!(out.contains("lotusx_window_qps{window=\"1s\"}"));
         assert!(out.contains("lotusx_trace_events_total{outcome=\"produced\"}"));
         // Exactly one HELP/TYPE pair per family.

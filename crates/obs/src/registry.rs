@@ -1,5 +1,6 @@
-//! The global metrics registry: stage histograms, named counters and the
-//! slow-query log, behind one process-wide enable flag.
+//! The global metrics registry: stage histograms, the process-scope
+//! counter table and the slow-query log, behind one process-wide enable
+//! flag.
 //!
 //! Everything here is designed around the *overhead-when-disabled*
 //! budget: a disabled pipeline pays exactly one relaxed atomic load per
@@ -15,6 +16,24 @@ use lotusx_par::ShardedMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
+
+crate::counters! {
+    /// The process-scope counter rows: engine events, counted while
+    /// recording is [`enabled`]. `/stats` lists them under
+    /// `metrics.counters`, `/metrics` as `lotusx_<name>_total`.
+    pub struct ProcessCounters => ProcessSnapshot {
+        counter algo_chosen_naive: "Chooser decisions for the navigational plan.",
+        counter algo_chosen_structural_join: "Chooser decisions for the binary structural join.",
+        counter cache_hit: "Query-cache lookups answered from the cache (also windowed).",
+        counter cache_miss: "Query-cache lookups that went on to compute (also windowed).",
+        counter degraded_responses: "Answers marked truncated by a budget (also windowed).",
+        counter keyword_queries: "Keyword (SLCA) searches answered.",
+        counter queries: "Queries answered, twig and keyword (also windowed).",
+        counter queries_deadline_exceeded: "Truncated answers whose tripped limit was a deadline.",
+        counter query_errors: "Query texts that failed to parse.",
+        counter worker_panics: "Panics isolated to one request of a `query_batch`.",
+    }
+}
 
 /// Pipeline stages with a dedicated (array-indexed, hash-free) histogram.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -184,11 +203,15 @@ impl SlowQueryLog {
     }
 }
 
-/// The metrics registry: per-stage histograms, named counters, named
-/// (dynamically registered) histograms, and the slow-query log.
+/// The metrics registry: per-stage histograms, the process counter
+/// table, named (dynamically registered) histograms, and the slow-query
+/// log.
 pub struct Metrics {
     stages: [LatencyHistogram; Stage::ALL.len()],
-    counters: ShardedMap<&'static str, AtomicU64>,
+    /// The process-scope counters; sites bump a field directly
+    /// (`counters.query_errors.fetch_add(..)`), except the four rows
+    /// behind [`Metrics::count_windowed`].
+    pub counters: ProcessCounters,
     named: ShardedMap<&'static str, LatencyHistogram>,
     slow: SlowQueryLog,
     windows: WindowedStats,
@@ -206,7 +229,7 @@ impl Metrics {
     pub fn new() -> Self {
         Metrics {
             stages: Default::default(),
-            counters: ShardedMap::new(),
+            counters: ProcessCounters::default(),
             named: ShardedMap::new(),
             slow: SlowQueryLog::new(DEFAULT_SLOW_CAPACITY, DEFAULT_SLOW_THRESHOLD_NS),
             windows: WindowedStats::new(),
@@ -227,31 +250,18 @@ impl Metrics {
         self.windows.record_stage(stage, ns);
     }
 
-    /// Adds `n` to the named counter, creating it at zero first. The
-    /// handful of counters the live dashboard derives its rates from
-    /// (queries, cache hits/misses, truncations) are mirrored into the
-    /// current telemetry window.
-    pub fn incr(&self, name: &'static str, n: u64) {
-        self.counters
-            .get_or_insert_with(name, || AtomicU64::new(0))
-            .fetch_add(n, Ordering::Relaxed);
-        let window = match name {
-            "queries" => Some(WindowCounter::Queries),
-            "cache_hit" => Some(WindowCounter::CacheHits),
-            "cache_miss" => Some(WindowCounter::CacheMisses),
-            "degraded_responses" => Some(WindowCounter::Truncated),
-            _ => None,
+    /// Adds `n` to one of the four rows the live dashboard derives its
+    /// rates from — the lifetime counter and the current telemetry
+    /// window move together.
+    pub fn count_windowed(&self, counter: WindowCounter, n: u64) {
+        let row = match counter {
+            WindowCounter::Queries => &self.counters.queries,
+            WindowCounter::CacheHits => &self.counters.cache_hit,
+            WindowCounter::CacheMisses => &self.counters.cache_miss,
+            WindowCounter::Truncated => &self.counters.degraded_responses,
         };
-        if let Some(counter) = window {
-            self.windows.incr(counter, n);
-        }
-    }
-
-    /// The current value of a named counter (0 if never incremented).
-    pub fn counter(&self, name: &'static str) -> u64 {
-        self.counters
-            .get(&name)
-            .map_or(0, |c| c.load(Ordering::Relaxed))
+        row.fetch_add(n, Ordering::Relaxed);
+        self.windows.incr(counter, n);
     }
 
     /// Records one sample into the named histogram, creating it first.
@@ -290,12 +300,8 @@ impl Metrics {
         for h in &self.stages {
             h.reset();
         }
-        let mut names = Vec::new();
-        self.counters.for_each(|name, _| names.push(*name));
-        for name in names {
-            if let Some(c) = self.counters.get(&name) {
-                c.store(0, Ordering::Relaxed);
-            }
+        for c in self.counters.cells() {
+            c.store(0, Ordering::Relaxed);
         }
         self.named.for_each(|_, h| h.reset());
         self.slow.reset();
@@ -305,10 +311,6 @@ impl Metrics {
 
     /// A plain-data snapshot of everything in the registry.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters = Vec::new();
-        self.counters
-            .for_each(|name, c| counters.push((name.to_string(), c.load(Ordering::Relaxed))));
-        counters.sort();
         let mut histograms = Vec::new();
         self.named
             .for_each(|name, h| histograms.push((name.to_string(), h.snapshot())));
@@ -318,7 +320,7 @@ impl Metrics {
                 .iter()
                 .map(|&s| (s.name(), self.stage(s).snapshot()))
                 .collect(),
-            counters,
+            counters: self.counters.snapshot(),
             histograms,
             slow_queries: self.slow.entries(),
             windows: self.windows.aggregate_all(),
@@ -334,8 +336,8 @@ impl Metrics {
 pub struct MetricsSnapshot {
     /// Per-stage histogram snapshots, in [`Stage::ALL`] order.
     pub stages: Vec<(&'static str, HistogramSnapshot)>,
-    /// Named counters, sorted by name.
-    pub counters: Vec<(String, u64)>,
+    /// The process counter table, zeros included.
+    pub counters: ProcessSnapshot,
     /// Named histogram snapshots, sorted by name.
     pub histograms: Vec<(String, HistogramSnapshot)>,
     /// Slow-query log entries, oldest first.
@@ -397,12 +399,18 @@ mod tests {
     }
 
     #[test]
-    fn counters_create_on_first_increment() {
+    fn windowed_rows_move_the_counter_and_the_window_together() {
         let m = Metrics::new();
-        assert_eq!(m.counter("queries"), 0);
-        m.incr("queries", 1);
-        m.incr("queries", 2);
-        assert_eq!(m.counter("queries"), 3);
+        m.count_windowed(WindowCounter::Queries, 1);
+        m.count_windowed(WindowCounter::Queries, 2);
+        m.count_windowed(WindowCounter::CacheMisses, 1);
+        m.count_windowed(WindowCounter::Truncated, 1);
+        let counters = m.snapshot().counters;
+        assert_eq!((counters.queries, counters.cache_hit), (3, 0));
+        assert_eq!((counters.cache_miss, counters.degraded_responses), (1, 1));
+        let minute = m.windows().aggregate(60);
+        assert_eq!((minute.queries, minute.cache_misses), (3, 1));
+        assert_eq!(minute.truncated, 1);
     }
 
     #[test]
@@ -442,18 +450,18 @@ mod tests {
     fn snapshot_collects_everything() {
         let m = Metrics::new();
         m.record_stage(Stage::Total, 50_000);
-        m.incr("cache_hits", 4);
+        m.counters.cache_hit.fetch_add(4, Ordering::Relaxed);
         m.slow_queries().set_threshold_ns(1);
         m.slow_queries().record("//slow", 77);
         let s = m.snapshot();
         assert_eq!(s.stages.len(), Stage::ALL.len());
         let total = s.stages.iter().find(|(n, _)| *n == "total").unwrap();
         assert_eq!(total.1.count, 1);
-        assert_eq!(s.counters, vec![("cache_hits".to_string(), 4)]);
+        assert_eq!(s.counters.cache_hit, 4);
         assert_eq!(s.slow_queries.len(), 1);
         m.reset();
         let s = m.snapshot();
-        assert_eq!(s.counters, vec![("cache_hits".to_string(), 0)]);
+        assert_eq!(s.counters, ProcessSnapshot::default());
         assert!(s.slow_queries.is_empty());
         assert_eq!(s.stages[0].1.count, 0);
     }

@@ -484,30 +484,24 @@ fn print_stats(system: &LotusX) {
             lotusx_obs::fmt_ns(h.max_ns),
         );
     }
-    if !snapshot.counters.is_empty() {
-        let rendered: Vec<String> = snapshot
-            .counters
-            .iter()
-            .map(|(n, v)| format!("{n}={v}"))
-            .collect();
+    let counters = snapshot.counters;
+    let rendered: Vec<String> = lotusx_obs::ProcessCounters::ROWS
+        .iter()
+        .zip(counters.values())
+        .filter(|(_, v)| *v > 0)
+        .map(|(row, v)| format!("{}={v}", row.name))
+        .collect();
+    if !rendered.is_empty() {
         println!("counters: {}", rendered.join("  "));
     }
-    let counter = |name: &str| {
-        snapshot
-            .counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
-    };
-    let queries = counter("queries");
-    let degraded = counter("degraded_responses");
-    if queries > 0 && (degraded > 0 || counter("worker_panics") > 0) {
+    let (queries, degraded) = (counters.queries, counters.degraded_responses);
+    if queries > 0 && (degraded > 0 || counters.worker_panics > 0) {
         println!(
             "degradation: {degraded}/{queries} responses truncated ({:.1}%), \
              {} past deadline, {} worker panics isolated",
             100.0 * degraded as f64 / queries as f64,
-            counter("queries_deadline_exceeded"),
-            counter("worker_panics"),
+            counters.queries_deadline_exceeded,
+            counters.worker_panics,
         );
         if let Some((_, h)) = snapshot
             .histograms
@@ -690,22 +684,13 @@ fn print_top() {
             );
         }
     }
-    // Adaptive-chooser decisions since startup (algo_chosen_* counters,
-    // plus mispicks recorded by the join benchmark's regression gate).
-    let snapshot = m.snapshot();
-    let chooser: Vec<String> = snapshot
-        .counters
-        .iter()
-        .filter(|(n, _)| n.starts_with("algo_chosen_") || n == "chooser_mispicks")
-        .map(|(n, v)| {
-            format!(
-                "{}={v}",
-                n.strip_prefix("algo_chosen_").unwrap_or(n.as_str())
-            )
-        })
-        .collect();
-    if !chooser.is_empty() {
-        println!("chooser: {}", chooser.join("  "));
+    // Adaptive-chooser decisions since startup.
+    let chosen = m.counters.snapshot();
+    if chosen.algo_chosen_naive + chosen.algo_chosen_structural_join > 0 {
+        println!(
+            "chooser: naive={}  structural_join={}",
+            chosen.algo_chosen_naive, chosen.algo_chosen_structural_join
+        );
     }
     let exemplars = m.exemplars().snapshot();
     if !exemplars.is_empty() {

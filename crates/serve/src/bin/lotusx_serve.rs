@@ -38,7 +38,7 @@
 //! reader — backgrounding with `</dev/null` does not stop the server.
 
 use lotusx::{CorpusSource, EngineRegistry, LotusX, RegistryConfig};
-use lotusx_serve::{client, ServeConfig, Server, ServerHandle};
+use lotusx_serve::{client, ServeConfig, Server, ServerHandle, ServerStats};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -279,10 +279,10 @@ fn serve_routes(config: ServeConfig, routes: &std::path::Path) -> ExitCode {
         scope.spawn(move || stdin_control(stdin_handle));
         server.run_registry(&registry);
     });
-    for tenant in handle.tenant_stats() {
+    for (name, tenant) in handle.tenant_stats() {
         eprintln!(
-            "tenant {}: {} requests ({} queries, {} rejected, {} quota rejects)",
-            tenant.name, tenant.requests, tenant.queries, tenant.rejected, tenant.quota_rejects
+            "tenant {name}: {} requests ({} queries, {} rejected, {} quota rejects)",
+            tenant.requests, tenant.queries, tenant.rejected, tenant.quota_rejects
         );
     }
     finish(trace_path, &handle)
@@ -378,20 +378,14 @@ fn probe(addr: SocketAddr) -> ExitCode {
 /// `/stats` must show the loop-thread fast path at work
 /// (`inline_answers` > 0 — `/healthz` and `/metrics` are answered
 /// there), no isolated panic, and a deadline wheel holding at most one
-/// entry per open connection.
-fn check_work_counters(addr: SocketAddr) -> Result<(), String> {
+/// entry per open connection. Returns the `/stats` document it checked.
+fn check_work_counters(addr: SocketAddr) -> Result<lotusx_obs::JsonValue, String> {
     let r = client::get(addr, "/stats").map_err(|e| format!("/stats failed: {e}"))?;
     if r.status != 200 {
         return Err(format!("/stats answered {}", r.status));
     }
     let doc = lotusx_obs::parse_json(&r.body_text()).map_err(|e| format!("/stats body: {e}"))?;
-    let server = |key: &str| -> Result<u64, String> {
-        doc.get("server")
-            .and_then(|s| s.get(key))
-            .and_then(|v| v.as_f64())
-            .map(|v| v as u64)
-            .ok_or_else(|| format!("/stats has no server.{key}"))
-    };
+    let server = |key: &str| server_counter(&doc, key);
     let (inline, panics) = (server("inline_answers")?, server("panics")?);
     let (entries, open) = (server("timer_entries")?, server("connections_open")?);
     if inline == 0 {
@@ -404,6 +398,46 @@ fn check_work_counters(addr: SocketAddr) -> Result<(), String> {
         return Err(format!(
             "{entries} timer entries for {open} open connection(s): the wheel grows with requests"
         ));
+    }
+    Ok(doc)
+}
+
+/// One counter of the `server` section of a `/stats` document.
+fn server_counter(stats: &lotusx_obs::JsonValue, key: &str) -> Result<u64, String> {
+    stats
+        .get("server")
+        .and_then(|s| s.get(key))
+        .and_then(|v| v.as_f64())
+        .map(|v| v as u64)
+        .ok_or_else(|| format!("/stats has no server.{key}"))
+}
+
+/// The tripwire that says `/metrics` and `/stats` are two renderings of
+/// one counter table: no family of the deleted `http_*` mirror, no
+/// `# HELP` that is the old name-restating placeholder, and every server
+/// `counter` row at least as large in `stats` (taken later) as in
+/// `scrape` (taken earlier).
+fn check_one_table(scrape: &str, stats: &lotusx_obs::JsonValue) -> Result<(), String> {
+    if let Some(line) = scrape.lines().find(|l| l.contains("lotusx_http_")) {
+        return Err(format!("a mirrored http_* family is back: {line:?}"));
+    }
+    let placeholder =
+        |l: &&str| l.starts_with("# HELP") && (l.contains(" counter `") || l.contains(" gauge `"));
+    if let Some(line) = scrape.lines().find(placeholder) {
+        return Err(format!("placeholder help text: {line:?}"));
+    }
+    let counters = ServerStats::ROWS
+        .iter()
+        .filter(|row| row.kind == lotusx_obs::CounterKind::Counter);
+    for row in counters {
+        let (family, _) = row.family("lotusx_server_");
+        let before = metric_value(scrape, &family).ok_or(format!("scrape lacks {family}"))?;
+        let after = server_counter(stats, row.name)? as f64;
+        if after < before {
+            return Err(format!(
+                "{family} read {before}, then /stats {after}: one row, two counts"
+            ));
+        }
     }
     Ok(())
 }
@@ -536,7 +570,7 @@ fn metrics_probe(addr: SocketAddr) -> ExitCode {
             return fail(format!("{counter} did not advance: {a} → {b}"));
         }
     }
-    if let Err(e) = check_work_counters(addr) {
+    if let Err(e) = check_work_counters(addr).and_then(|stats| check_one_table(&second, &stats)) {
         return fail(e);
     }
     println!(

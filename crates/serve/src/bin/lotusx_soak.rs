@@ -356,7 +356,8 @@ fn tenant_soak() -> Result<(), String> {
     let find = |name: &str| {
         tenants
             .iter()
-            .find(|t| t.name == name)
+            .find(|(tenant, _)| tenant == name)
+            .map(|(_, snapshot)| snapshot)
             .ok_or_else(|| format!("no {name} snapshot"))
     };
     let alpha_snap = find("alpha")?;
@@ -477,8 +478,12 @@ fn drive(
     if stats_probe.status != 200 {
         return Err(format!("stats probe answered {}", stats_probe.status));
     }
-    let open = extract_counter(&stats_probe.body_text(), "connections_open")
-        .ok_or("stats probe: no connections_open counter")?;
+    let open = lotusx_obs::parse_json(&stats_probe.body_text())
+        .map_err(|e| format!("stats probe: {e}"))?
+        .get("server")
+        .and_then(|s| s.get("connections_open"))
+        .and_then(|v| v.as_f64())
+        .ok_or("stats probe: no server.connections_open counter")? as u64;
     if (open as usize) < profile.conns {
         return Err(format!(
             "only {open} connections open concurrently, want >= {}",
@@ -754,14 +759,6 @@ fn sync_interest(poller: &mut Poller, token: usize, c: &mut Client) {
 fn fd(stream: &TcpStream) -> std::os::fd::RawFd {
     use std::os::fd::AsRawFd;
     stream.as_raw_fd()
-}
-
-/// Pulls one numeric counter out of the /stats JSON body.
-fn extract_counter(body: &str, name: &str) -> Option<u64> {
-    let key = format!("\"{name}\":");
-    let rest = &body[body.find(&key)? + key.len()..];
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
 }
 
 /// Resident set size in KiB (Linux); `None` elsewhere.

@@ -441,9 +441,6 @@ impl EventLoop<'_> {
                 stats
                     .max_ready_batch
                     .fetch_max(events.len() as u64, Ordering::Relaxed);
-                if lotusx_obs::enabled() {
-                    lotusx_obs::metrics().incr("http_loop_ready_events", events.len() as u64);
-                }
             }
             for ev in &events {
                 match ev.token {
@@ -699,9 +696,6 @@ impl EventLoop<'_> {
                         // Admission gate: answer 429 without entering
                         // service. Checked only on this thread — exact.
                         stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        if lotusx_obs::enabled() {
-                            lotusx_obs::metrics().incr("http_rejected", 1);
-                        }
                         if lotusx_obs::tracing() {
                             let lane = conn_lane(id as u32);
                             emit_on_lane(
@@ -804,9 +798,6 @@ impl EventLoop<'_> {
                         let owed = !conn.pending && (conn.served == 0 || !conn.inbuf.is_empty());
                         if owed {
                             self.server.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                            if lotusx_obs::enabled() {
-                                lotusx_obs::metrics().incr("http_rejected", 1);
-                            }
                         }
                         self.close_conn(token, CloseReason::IoError);
                         return;
@@ -844,9 +835,6 @@ impl EventLoop<'_> {
             && (conn.served == 0 || !conn.inbuf.is_empty());
         if owed {
             self.server.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            if lotusx_obs::enabled() {
-                lotusx_obs::metrics().incr("http_rejected", 1);
-            }
         }
         self.close_conn(token, CloseReason::Hangup);
     }
@@ -1063,14 +1051,8 @@ impl EventLoop<'_> {
                                 .quota_rejects
                                 .fetch_add(1, Ordering::Relaxed);
                         }
-                        if lotusx_obs::enabled() {
-                            lotusx_obs::metrics().incr("http_tenant_quota_rejects", 1);
-                        }
                     } else {
                         stats.unknown_tenant_rejects.fetch_add(1, Ordering::Relaxed);
-                        if lotusx_obs::enabled() {
-                            lotusx_obs::metrics().incr("http_unknown_tenant_rejects", 1);
-                        }
                     }
                     self.reject_conn(token, reject, tenant);
                     self.flush(token);
@@ -1098,12 +1080,6 @@ impl EventLoop<'_> {
                         rt.stats.requests.fetch_add(1, Ordering::Relaxed);
                         let now = rt.stats.inflight.fetch_add(1, Ordering::Relaxed) + 1;
                         rt.stats.max_inflight_seen.fetch_max(now, Ordering::Relaxed);
-                    }
-                    if lotusx_obs::enabled() {
-                        lotusx_obs::metrics().incr("http_requests", 1);
-                        if reused {
-                            lotusx_obs::metrics().incr("http_keepalive_reuses", 1);
-                        }
                     }
                     if reused && lotusx_obs::tracing() {
                         emit_on_lane(
@@ -1215,9 +1191,6 @@ impl EventLoop<'_> {
             return;
         }
         self.server.stats.rejected.fetch_add(1, Ordering::Relaxed);
-        if lotusx_obs::enabled() {
-            lotusx_obs::metrics().incr("http_rejected", 1);
-        }
         let bytes =
             (!reject.connection_dead()).then(|| http::encode_error(reject.status, &reject.reason));
         let reason = if reject.status == 408 {

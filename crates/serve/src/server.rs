@@ -50,7 +50,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -102,249 +102,56 @@ impl Default for ServeConfig {
     }
 }
 
-/// Lifetime request counters, kept per server instance (exact and
-/// isolated, unlike the process-global obs counters they mirror).
-#[derive(Debug, Default)]
-pub struct ServerStats {
-    /// Requests that parsed and were routed (including ones that were
-    /// then rejected with a 4xx).
-    pub requests: AtomicU64,
-    /// Rejected work: parse failures, timeouts, 404/405/411/413/429/431,
-    /// and bad request bodies.
-    pub rejected: AtomicU64,
-    /// Handler panics isolated to their connection.
-    pub panics: AtomicU64,
-    /// `POST /query` requests answered 200.
-    pub queries: AtomicU64,
-    /// `POST /complete` requests answered 200.
-    pub completions: AtomicU64,
-    /// `GET /stats` requests answered 200.
-    pub stats_requests: AtomicU64,
-    /// `GET /metrics` scrapes answered 200 (on the loop thread).
-    pub metrics_requests: AtomicU64,
-    /// `GET /healthz` requests answered 200.
-    pub health_checks: AtomicU64,
-    /// Query responses that went out marked truncated.
-    pub truncated_responses: AtomicU64,
-    /// Connections accepted (including ones answered `429`).
-    pub connections_accepted: AtomicU64,
-    /// Gauge: connections currently open.
-    pub connections_open: AtomicU64,
-    /// Gauge: connections currently holding an admission slot.
-    pub connections_active: AtomicU64,
-    /// Requests served on a reused keep-alive connection (second and
-    /// later requests on one socket).
-    pub keepalive_reuses: AtomicU64,
-    /// Keep-alive connections closed by the idle deadline.
-    pub idle_closes: AtomicU64,
-    /// Connections that failed to deliver a request in time (`408`).
-    pub read_timeouts: AtomicU64,
-    /// Connections dropped because a response write stalled past the
-    /// write timeout.
-    pub write_stalls: AtomicU64,
-    /// Event-loop iterations that found at least one ready event.
-    pub loop_wakeups: AtomicU64,
-    /// Total readiness events dispatched by the loop.
-    pub ready_events: AtomicU64,
-    /// High-water mark of events returned by one poll wait (ready-queue
-    /// depth).
-    pub max_ready_batch: AtomicU64,
-    /// Gauge: requests dispatched to the worker pool and not yet picked
-    /// up (worker queue depth).
-    pub queue_depth: AtomicU64,
-    /// High-water mark of `queue_depth`.
-    pub max_queue_depth: AtomicU64,
-    /// Access-log lines accepted by the bounded writer queue.
-    pub access_log_lines: AtomicU64,
-    /// Access-log lines dropped (writer queue full or log disabled —
-    /// only counted while a log is configured).
-    pub access_log_dropped: AtomicU64,
-    /// Requests answered `404 unknown_tenant` because no routing rule
-    /// matched (or the extracted tenant is not hosted). Always zero on a
-    /// single-engine server.
-    pub unknown_tenant_rejects: AtomicU64,
-    /// Requests answered `429` by a *per-tenant* admission quota (the
-    /// server-wide `max_inflight` gate counts under `rejected` via the
-    /// accept path instead).
-    pub tenant_quota_rejects: AtomicU64,
-    /// Responses produced on the event-loop thread itself — no worker
-    /// hand-off: `/healthz`, `/metrics`, `/complete` within the inline
-    /// budget, `/query` cache hits, and any 4xx those paths answer.
-    pub inline_answers: AtomicU64,
-    /// Requests the loop thread handed to the worker pool: endpoints
-    /// that always compute there (`/stats`, `/shutdown`,
-    /// `/admin/routes`), `/query` cache misses, and `/complete` calls
-    /// that tripped the inline budget. Every routed request is one or
-    /// the other: `requests == inline_answers + inline_fallbacks`.
-    pub inline_fallbacks: AtomicU64,
-    /// Gauge: entries lodged in the deadline wheel (at most one per open
-    /// connection — it must not grow with request rate).
-    pub timer_entries: AtomicU64,
-}
-
-/// A plain-value copy of [`ServerStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// See [`ServerStats::requests`].
-    pub requests: u64,
-    /// See [`ServerStats::rejected`].
-    pub rejected: u64,
-    /// See [`ServerStats::panics`].
-    pub panics: u64,
-    /// See [`ServerStats::queries`].
-    pub queries: u64,
-    /// See [`ServerStats::completions`].
-    pub completions: u64,
-    /// See [`ServerStats::stats_requests`].
-    pub stats_requests: u64,
-    /// See [`ServerStats::metrics_requests`].
-    pub metrics_requests: u64,
-    /// See [`ServerStats::health_checks`].
-    pub health_checks: u64,
-    /// See [`ServerStats::truncated_responses`].
-    pub truncated_responses: u64,
-    /// See [`ServerStats::connections_accepted`].
-    pub connections_accepted: u64,
-    /// See [`ServerStats::connections_open`].
-    pub connections_open: u64,
-    /// See [`ServerStats::connections_active`].
-    pub connections_active: u64,
-    /// See [`ServerStats::keepalive_reuses`].
-    pub keepalive_reuses: u64,
-    /// See [`ServerStats::idle_closes`].
-    pub idle_closes: u64,
-    /// See [`ServerStats::read_timeouts`].
-    pub read_timeouts: u64,
-    /// See [`ServerStats::write_stalls`].
-    pub write_stalls: u64,
-    /// See [`ServerStats::loop_wakeups`].
-    pub loop_wakeups: u64,
-    /// See [`ServerStats::ready_events`].
-    pub ready_events: u64,
-    /// See [`ServerStats::max_ready_batch`].
-    pub max_ready_batch: u64,
-    /// See [`ServerStats::queue_depth`].
-    pub queue_depth: u64,
-    /// See [`ServerStats::max_queue_depth`].
-    pub max_queue_depth: u64,
-    /// See [`ServerStats::access_log_lines`].
-    pub access_log_lines: u64,
-    /// See [`ServerStats::access_log_dropped`].
-    pub access_log_dropped: u64,
-    /// See [`ServerStats::unknown_tenant_rejects`].
-    pub unknown_tenant_rejects: u64,
-    /// See [`ServerStats::tenant_quota_rejects`].
-    pub tenant_quota_rejects: u64,
-    /// See [`ServerStats::inline_answers`].
-    pub inline_answers: u64,
-    /// See [`ServerStats::inline_fallbacks`].
-    pub inline_fallbacks: u64,
-    /// See [`ServerStats::timer_entries`].
-    pub timer_entries: u64,
-}
-
-impl ServerStats {
-    /// A consistent-enough snapshot (each field read relaxed).
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            panics: self.panics.load(Ordering::Relaxed),
-            queries: self.queries.load(Ordering::Relaxed),
-            completions: self.completions.load(Ordering::Relaxed),
-            stats_requests: self.stats_requests.load(Ordering::Relaxed),
-            metrics_requests: self.metrics_requests.load(Ordering::Relaxed),
-            health_checks: self.health_checks.load(Ordering::Relaxed),
-            truncated_responses: self.truncated_responses.load(Ordering::Relaxed),
-            connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
-            connections_open: self.connections_open.load(Ordering::Relaxed),
-            connections_active: self.connections_active.load(Ordering::Relaxed),
-            keepalive_reuses: self.keepalive_reuses.load(Ordering::Relaxed),
-            idle_closes: self.idle_closes.load(Ordering::Relaxed),
-            read_timeouts: self.read_timeouts.load(Ordering::Relaxed),
-            write_stalls: self.write_stalls.load(Ordering::Relaxed),
-            loop_wakeups: self.loop_wakeups.load(Ordering::Relaxed),
-            ready_events: self.ready_events.load(Ordering::Relaxed),
-            max_ready_batch: self.max_ready_batch.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            access_log_lines: self.access_log_lines.load(Ordering::Relaxed),
-            access_log_dropped: self.access_log_dropped.load(Ordering::Relaxed),
-            unknown_tenant_rejects: self.unknown_tenant_rejects.load(Ordering::Relaxed),
-            tenant_quota_rejects: self.tenant_quota_rejects.load(Ordering::Relaxed),
-            inline_answers: self.inline_answers.load(Ordering::Relaxed),
-            inline_fallbacks: self.inline_fallbacks.load(Ordering::Relaxed),
-            timer_entries: self.timer_entries.load(Ordering::Relaxed),
-        }
+lotusx_obs::counters! {
+    /// Lifetime request counters, kept per server instance: the `server`
+    /// section of `/stats` and the `lotusx_server_*` families of
+    /// `/metrics`, both rendered from this one declaration.
+    pub struct ServerStats => StatsSnapshot {
+        counter requests: "Requests that parsed and were routed, including ones then answered 4xx.",
+        counter rejected: "Rejected work: parse failures, timeouts, 4xx statuses, bad bodies.",
+        counter panics: "Handler panics isolated to their connection.",
+        counter queries: "POST /query requests answered 200.",
+        counter completions: "POST /complete requests answered 200.",
+        counter stats_requests: "GET /stats requests answered 200.",
+        counter metrics_requests: "GET /metrics scrapes answered 200 (on the loop thread).",
+        counter health_checks: "GET /healthz requests answered 200.",
+        counter truncated_responses: "Query responses that went out marked truncated.",
+        counter connections_accepted: "Connections accepted, including ones answered 429.",
+        gauge connections_open: "Connections currently open.",
+        gauge connections_active: "Connections currently holding an admission slot.",
+        counter keepalive_reuses: "Second and later requests served on one keep-alive connection.",
+        counter idle_closes: "Keep-alive connections closed by the idle deadline.",
+        counter read_timeouts: "Connections that failed to deliver a request in time (408).",
+        counter write_stalls: "Connections dropped when a response write outlasted its timeout.",
+        counter loop_wakeups: "Event-loop iterations that found at least one ready event.",
+        counter ready_events: "Readiness events dispatched by the loop.",
+        gauge max_ready_batch: "High-water mark of events returned by one poll wait.",
+        gauge queue_depth: "Requests dispatched to the worker pool and not yet picked up.",
+        gauge max_queue_depth: "High-water mark of queue_depth.",
+        counter access_log_lines: "Access-log lines accepted by the bounded writer queue.",
+        counter access_log_dropped: "Access-log lines dropped on a full writer queue.",
+        counter unknown_tenant_rejects: "Requests routing answered 404 unknown_tenant.",
+        counter tenant_quota_rejects: "Requests answered 429 by a per-tenant admission quota.",
+        counter inline_answers: "Responses produced on the event-loop thread, no worker hand-off.",
+        counter inline_fallbacks: "Requests the loop thread handed to the worker pool.",
+        gauge timer_entries: "Deadline-wheel entries: at most one per open connection.",
     }
 }
 
 impl StatsSnapshot {
-    /// Every field as a `(name, value, is_gauge)` triple, in display
-    /// order — the one list `/stats` JSON and `/metrics` exposition are
-    /// both rendered from, so the two can never drift apart.
-    fn fields(&self) -> [(&'static str, u64, bool); 28] {
-        [
-            ("requests", self.requests, false),
-            ("rejected", self.rejected, false),
-            ("panics", self.panics, false),
-            ("queries", self.queries, false),
-            ("completions", self.completions, false),
-            ("stats_requests", self.stats_requests, false),
-            ("metrics_requests", self.metrics_requests, false),
-            ("health_checks", self.health_checks, false),
-            ("truncated_responses", self.truncated_responses, false),
-            ("connections_accepted", self.connections_accepted, false),
-            ("connections_open", self.connections_open, true),
-            ("connections_active", self.connections_active, true),
-            ("keepalive_reuses", self.keepalive_reuses, false),
-            ("idle_closes", self.idle_closes, false),
-            ("read_timeouts", self.read_timeouts, false),
-            ("write_stalls", self.write_stalls, false),
-            ("loop_wakeups", self.loop_wakeups, false),
-            ("ready_events", self.ready_events, false),
-            ("max_ready_batch", self.max_ready_batch, true),
-            ("queue_depth", self.queue_depth, true),
-            ("max_queue_depth", self.max_queue_depth, true),
-            ("access_log_lines", self.access_log_lines, false),
-            ("access_log_dropped", self.access_log_dropped, false),
-            ("unknown_tenant_rejects", self.unknown_tenant_rejects, false),
-            ("tenant_quota_rejects", self.tenant_quota_rejects, false),
-            ("inline_answers", self.inline_answers, false),
-            ("inline_fallbacks", self.inline_fallbacks, false),
-            ("timer_entries", self.timer_entries, true),
-        ]
-    }
-
     /// The `server` section of the `/stats` response body.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, value, _)) in self.fields().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{value}"));
-        }
-        out.push('}');
-        out
+        let members = lotusx_obs::counter_members(ServerStats::ROWS, &self.values());
+        format!("{{{members}}}")
     }
 
     /// The `lotusx_server_*` section of the `GET /metrics` Prometheus
-    /// text exposition: monotonic fields as `_total` counters, gauges
-    /// (and high-water marks) as gauges.
+    /// text exposition.
     pub fn to_prometheus(&self) -> String {
-        let mut w = PromWriter::new();
-        for (name, value, is_gauge) in self.fields() {
-            if is_gauge {
-                let family = format!("lotusx_server_{name}");
-                w.header(&family, &format!("Server gauge `{name}`."), "gauge");
-                w.sample_u64(&family, &[], value);
-            } else {
-                let family = format!("lotusx_server_{name}_total");
-                w.header(&family, &format!("Server counter `{name}`."), "counter");
-                w.sample_u64(&family, &[], value);
-            }
-        }
+        let (mut w, values) = (PromWriter::new(), self.values());
+        w.counter_rows("lotusx_server_", ServerStats::ROWS, |w, family, i| {
+            w.sample_u64(family, &[], values[i])
+        });
         w.finish()
     }
 }
@@ -381,10 +188,10 @@ impl ServerHandle {
         self.stats.snapshot()
     }
 
-    /// Per-tenant counter snapshots, in registry order (a single
-    /// `default` entry for `Server::run`). Empty until `run`/
+    /// Per-tenant `(name, counters)` snapshots, in registry order (a
+    /// single `default` entry for `Server::run`). Empty until `run`/
     /// `run_registry` has started.
-    pub fn tenant_stats(&self) -> Vec<TenantSnapshot> {
+    pub fn tenant_stats(&self) -> Vec<(String, TenantSnapshot)> {
         self.tenants.get().map(|s| s.snapshot()).unwrap_or_default()
     }
 
@@ -640,9 +447,6 @@ impl Server {
             Outcome::Rejected(reject) => {
                 self.stats.rejected.fetch_add(1, Ordering::Relaxed);
                 count_tenant_reject();
-                if lotusx_obs::enabled() {
-                    lotusx_obs::metrics().incr("http_rejected", 1);
-                }
                 if !reject.connection_dead() {
                     http::encode_error_into(out, reject.status, &reject.reason);
                 }
@@ -651,9 +455,6 @@ impl Server {
             Outcome::Panicked => {
                 self.stats.panics.fetch_add(1, Ordering::Relaxed);
                 count_tenant_reject();
-                if lotusx_obs::enabled() {
-                    lotusx_obs::metrics().incr("http_worker_panics", 1);
-                }
                 http::encode_error_into(out, 500, "internal error");
                 (500, true)
             }

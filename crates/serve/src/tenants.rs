@@ -16,8 +16,8 @@
 //! at route-load time), and the `tenant` field of access-log lines.
 
 use lotusx::{EngineRegistry, LotusX, TenantLimits};
-use lotusx_obs::{PromWriter, Stage, WindowCounter, WindowedStats};
-use std::sync::atomic::{AtomicU64, Ordering};
+use lotusx_obs::{counter_members, PromWriter, Stage, WindowCounter, WindowedStats};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// The engine view a running server serves from: one engine, or a
@@ -96,67 +96,19 @@ impl<'a> Tenancy<'a> {
     }
 }
 
-/// Lifetime counters for one tenant (names mirror [`crate::server::ServerStats`]).
-#[derive(Debug, Default)]
-pub struct TenantStats {
-    /// Requests routed to this tenant and dispatched into service.
-    pub requests: AtomicU64,
-    /// `POST /query` requests answered 200.
-    pub queries: AtomicU64,
-    /// `POST /complete` requests answered 200.
-    pub completions: AtomicU64,
-    /// Requests rejected with a 4xx/5xx after dispatch (bad bodies,
-    /// unknown endpoints, engine errors, panics).
-    pub rejected: AtomicU64,
-    /// Requests answered 429 by the per-tenant admission quota on the
-    /// loop thread (never dispatched; not counted in `requests`).
-    pub quota_rejects: AtomicU64,
-    /// Query responses that went out marked truncated.
-    pub truncated_responses: AtomicU64,
-    /// Gauge: requests currently in flight (loop-thread exact).
-    pub inflight: AtomicU64,
-    /// High-water mark of `inflight`.
-    pub max_inflight_seen: AtomicU64,
-}
-
-/// A plain-value copy of one tenant's counters.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TenantSnapshot {
-    /// The tenant's name.
-    pub name: String,
-    /// See [`TenantStats::requests`].
-    pub requests: u64,
-    /// See [`TenantStats::queries`].
-    pub queries: u64,
-    /// See [`TenantStats::completions`].
-    pub completions: u64,
-    /// See [`TenantStats::rejected`].
-    pub rejected: u64,
-    /// See [`TenantStats::quota_rejects`].
-    pub quota_rejects: u64,
-    /// See [`TenantStats::truncated_responses`].
-    pub truncated_responses: u64,
-    /// See [`TenantStats::inflight`].
-    pub inflight: u64,
-    /// See [`TenantStats::max_inflight_seen`].
-    pub max_inflight_seen: u64,
-}
-
-impl TenantSnapshot {
-    /// The counter fields as `(name, value, is_gauge)` triples — the one
-    /// list the `/stats` JSON and `/metrics` exposition are rendered
-    /// from (same pattern as `StatsSnapshot::fields`).
-    fn fields(&self) -> [(&'static str, u64, bool); 8] {
-        [
-            ("requests", self.requests, false),
-            ("queries", self.queries, false),
-            ("completions", self.completions, false),
-            ("rejected", self.rejected, false),
-            ("quota_rejects", self.quota_rejects, false),
-            ("truncated_responses", self.truncated_responses, false),
-            ("inflight", self.inflight, true),
-            ("max_inflight_seen", self.max_inflight_seen, true),
-        ]
+lotusx_obs::counters! {
+    /// Lifetime counters for one tenant: its object in the `tenants`
+    /// section of `/stats` and its `tenant`-labelled samples in the
+    /// `lotusx_tenant_*` families of `/metrics`.
+    pub struct TenantStats => TenantSnapshot {
+        counter requests: "Requests routed to this tenant and dispatched into service.",
+        counter queries: "POST /query requests answered 200.",
+        counter completions: "POST /complete requests answered 200.",
+        counter rejected: "Requests answered 4xx/5xx after dispatch (bad bodies, engine errors, panics).",
+        counter quota_rejects: "Requests answered 429 by this tenant's admission quota, never dispatched.",
+        counter truncated_responses: "Query responses that went out marked truncated.",
+        gauge inflight: "Requests currently in flight (loop-thread exact).",
+        gauge max_inflight_seen: "High-water mark of inflight.",
     }
 }
 
@@ -208,21 +160,6 @@ impl TenantRuntime {
         self.stats.completions.fetch_add(1, Ordering::Relaxed);
         self.windows.record_stage(Stage::HttpComplete, compute_ns);
     }
-
-    fn snapshot(&self) -> TenantSnapshot {
-        let s = &self.stats;
-        TenantSnapshot {
-            name: self.name.clone(),
-            requests: s.requests.load(Ordering::Relaxed),
-            queries: s.queries.load(Ordering::Relaxed),
-            completions: s.completions.load(Ordering::Relaxed),
-            rejected: s.rejected.load(Ordering::Relaxed),
-            quota_rejects: s.quota_rejects.load(Ordering::Relaxed),
-            truncated_responses: s.truncated_responses.load(Ordering::Relaxed),
-            inflight: s.inflight.load(Ordering::Relaxed),
-            max_inflight_seen: s.max_inflight_seen.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// The per-tenant runtime table, index-aligned with the engine view.
@@ -261,9 +198,12 @@ impl TenantSet {
         &self.tenants[idx as usize]
     }
 
-    /// Plain-value snapshots of every tenant, in registry order.
-    pub fn snapshot(&self) -> Vec<TenantSnapshot> {
-        self.tenants.iter().map(|t| t.snapshot()).collect()
+    /// `(name, counters)` snapshots of every tenant, in registry order.
+    pub fn snapshot(&self) -> Vec<(String, TenantSnapshot)> {
+        self.tenants
+            .iter()
+            .map(|t| (t.name.clone(), t.stats.snapshot()))
+            .collect()
     }
 
     /// The `tenants` section of the `/stats` response body: an object
@@ -275,15 +215,8 @@ impl TenantSet {
             if i > 0 {
                 out.push(',');
             }
-            let snap = rt.snapshot();
-            out.push_str(&format!("\"{}\":{{", rt.name));
-            for (j, (name, value, _)) in snap.fields().iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{name}\":{value}"));
-            }
-            out.push_str(",\"windows\":{");
+            let counters = counter_members(TenantStats::ROWS, &rt.stats.snapshot().values());
+            out.push_str(&format!("\"{}\":{{{counters},\"windows\":{{", rt.name));
             for (j, w) in rt.windows.aggregate_all().iter().enumerate() {
                 if j > 0 {
                     out.push(',');
@@ -303,22 +236,16 @@ impl TenantSet {
     /// family written once (one `# HELP`/`# TYPE` pair), with one
     /// `tenant`-labelled sample per tenant.
     pub fn to_prometheus(&self) -> String {
-        let snaps: Vec<TenantSnapshot> = self.snapshot();
+        let tenants = self.tenants.iter();
+        let series: Vec<_> = tenants
+            .map(|rt| (rt.name.as_str(), rt.stats.snapshot().values()))
+            .collect();
         let mut w = PromWriter::new();
-        if let Some(first) = snaps.first() {
-            for (i, (name, _, is_gauge)) in first.fields().iter().enumerate() {
-                let (family, kind) = if *is_gauge {
-                    (format!("lotusx_tenant_{name}"), "gauge")
-                } else {
-                    (format!("lotusx_tenant_{name}_total"), "counter")
-                };
-                w.header(&family, &format!("Per-tenant counter `{name}`."), kind);
-                for snap in &snaps {
-                    let value = snap.fields()[i].1;
-                    w.sample_u64(&family, &[("tenant", &snap.name)], value);
-                }
+        w.counter_rows("lotusx_tenant_", TenantStats::ROWS, |w, family, i| {
+            for (name, values) in &series {
+                w.sample_u64(family, &[("tenant", name)], values[i]);
             }
-        }
+        });
         w.header(
             "lotusx_tenant_window_qps",
             "Per-tenant queries per second over the rolling window.",

@@ -39,4 +39,4 @@ pub mod xpath;
 pub use exec::{choose_algorithm, execute, execute_budgeted, Algorithm, Choice};
 pub use matcher::MatchSet;
 pub use pattern::{Axis, NodeTest, QNodeId, TwigPattern, ValuePredicate};
-pub use xpath::parse_query;
+pub use xpath::{parse_query, MAX_PATTERN_NODES};

@@ -92,8 +92,16 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses a query string into a [`TwigPattern`]. Errors carry a rendered
-/// snippet of the input around the failure offset.
+/// The most nodes a parsed pattern may have — more than ten times the
+/// largest query any workload in the tree issues. Patterns are walked
+/// recursively (this parser's predicate descent, `Display`, the
+/// evaluators, the rewriter), so the cap on what the parser hands out is
+/// what bounds all of those against a request body of nothing but steps.
+pub const MAX_PATTERN_NODES: usize = 64;
+
+/// Parses a query string into a [`TwigPattern`] of at most
+/// [`MAX_PATTERN_NODES`] nodes. Errors carry a rendered snippet of the
+/// input around the failure offset.
 pub fn parse_query(input: &str) -> Result<TwigPattern, ParseError> {
     Parser::new(input)
         .parse()
@@ -166,13 +174,7 @@ impl<'a> Parser<'a> {
             } else {
                 break;
             };
-            self.skip_ws();
-            let (test, output) = self.parse_name()?;
-            last = pattern.add_child(last, axis, test);
-            if output {
-                pattern.set_output(last, true);
-                self.explicit_output = true;
-            }
+            last = self.add_step(&mut pattern, last, axis)?;
             self.parse_predicates(&mut pattern, last)?;
         }
 
@@ -208,6 +210,27 @@ impl<'a> Parser<'a> {
             // natural "find it anywhere" semantics of a search UI.
             Axis::Descendant
         }
+    }
+
+    /// Parses the step at the cursor and adds it under `parent`; the
+    /// (N+1)-th node is an error at the step that would have been it.
+    fn add_step(
+        &mut self,
+        pattern: &mut TwigPattern,
+        parent: QNodeId,
+        axis: Axis,
+    ) -> Result<QNodeId, ParseError> {
+        self.skip_ws();
+        if pattern.len() == MAX_PATTERN_NODES {
+            return self.err(format!("pattern has more than {MAX_PATTERN_NODES} nodes"));
+        }
+        let (test, output) = self.parse_name()?;
+        let node = pattern.add_child(parent, axis, test);
+        if output {
+            pattern.set_output(node, true);
+            self.explicit_output = true;
+        }
+        Ok(node)
     }
 
     fn parse_name(&mut self) -> Result<(NodeTest, bool), ParseError> {
@@ -294,13 +317,7 @@ impl<'a> Parser<'a> {
         };
         let mut last = context;
         loop {
-            self.skip_ws();
-            let (test, output) = self.parse_name()?;
-            last = pattern.add_child(last, axis, test);
-            if output {
-                pattern.set_output(last, true);
-                self.explicit_output = true;
-            }
+            last = self.add_step(pattern, last, axis)?;
             // Nested predicates on branch steps are allowed.
             self.parse_predicates(pattern, last)?;
             self.skip_ws();
@@ -627,6 +644,25 @@ mod tests {
             snippet: None,
         };
         assert_eq!(bare.to_string().lines().count(), 1);
+    }
+
+    #[test]
+    fn patterns_are_capped_where_the_next_node_would_be_added() {
+        let path = |steps: usize| format!("//a{}", "/b".repeat(steps - 1));
+        let full = parse_query(&path(MAX_PATTERN_NODES)).unwrap();
+        assert_eq!(full.len(), MAX_PATTERN_NODES);
+        assert_eq!(parse_query(&full.to_string()).unwrap(), full);
+
+        let err = parse_query(&path(MAX_PATTERN_NODES + 1)).unwrap_err();
+        assert_eq!(err.message, "pattern has more than 64 nodes");
+        assert_eq!(err.offset, path(MAX_PATTERN_NODES).len() + 1, "{err}");
+        assert!(err.to_string().ends_with("^"), "caret snippet: {err}");
+
+        // What used to overflow the stack, in both shapes.
+        assert!(parse_query(&path(20_000)).is_err());
+        let nested = format!("//a{}{}", "[b".repeat(20_000), "]".repeat(20_000));
+        let err = parse_query(&nested).unwrap_err();
+        assert_eq!(err.offset, "//a".len() + 2 * (MAX_PATTERN_NODES - 1) + 1);
     }
 
     #[test]

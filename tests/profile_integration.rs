@@ -66,10 +66,11 @@ fn profiles_and_metrics_agree_with_engine_behaviour() {
 
     // --- Global counters track the engine's own cache stats. -----------
     let m = lotusx_obs::metrics();
-    let queries0 = m.counter("queries");
-    let hits0 = m.counter("cache_hit");
-    let misses0 = m.counter("cache_miss");
-    let keyword0 = m.counter("keyword_queries");
+    let c = || m.counters.snapshot();
+    let queries0 = c().queries;
+    let hits0 = c().cache_hit;
+    let misses0 = c().cache_miss;
+    let keyword0 = c().keyword_queries;
     let cache0 = sys.query_cache_stats();
 
     lotusx_obs::set_enabled(true);
@@ -82,20 +83,17 @@ fn profiles_and_metrics_agree_with_engine_behaviour() {
     lotusx_obs::set_enabled(false);
 
     let cache1 = sys.query_cache_stats();
-    assert_eq!(m.counter("queries") - queries0, 4);
-    assert_eq!(m.counter("keyword_queries") - keyword0, 1);
-    assert_eq!(m.counter("cache_hit") - hits0, cache1.hits - cache0.hits);
-    assert_eq!(
-        m.counter("cache_miss") - misses0,
-        cache1.misses - cache0.misses
-    );
-    assert_eq!(m.counter("cache_hit") - hits0, 1);
-    assert_eq!(m.counter("cache_miss") - misses0, 2);
+    assert_eq!(c().queries - queries0, 4);
+    assert_eq!(c().keyword_queries - keyword0, 1);
+    assert_eq!(c().cache_hit - hits0, cache1.hits - cache0.hits);
+    assert_eq!(c().cache_miss - misses0, cache1.misses - cache0.misses);
+    assert_eq!(c().cache_hit - hits0, 1);
+    assert_eq!(c().cache_miss - misses0, 2);
 
     // While disabled, queries leave the registry untouched.
-    let queries1 = m.counter("queries");
+    let queries1 = c().queries;
     sys.query(&QueryRequest::twig("//phdthesis")).unwrap();
-    assert_eq!(m.counter("queries"), queries1);
+    assert_eq!(c().queries, queries1);
 
     // Stage histograms were fed while enabled.
     let snapshot = m.snapshot();

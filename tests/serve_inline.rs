@@ -138,7 +138,10 @@ fn inline_and_fallback_answers_are_byte_identical() {
     let want_value =
         wire::encode_value_candidates(&corpus().completion_engine().complete_value("t9", "w", 5));
     assert!(want_value.contains("\"count\":57"), "{want_value}");
-    let counter = |name: &'static str| lotusx_obs::metrics().counter(name);
+    let counters = || {
+        let c = lotusx_obs::metrics().counters.snapshot();
+        (c.queries, c.cache_hit, c.cache_miss)
+    };
 
     with_server(&engine, ServeConfig::default(), |addr, handle| {
         let mut conn = client::Conn::connect(addr).expect("connect");
@@ -166,34 +169,16 @@ fn inline_and_fallback_answers_are_byte_identical() {
         // hit answered inline. Same bytes; the cache counters move by
         // exactly one per request wherever it was served.
         let query = "{\"text\":\"//r/t3\",\"top_k\":7}";
-        let (q0, h0, m0) = (
-            counter("queries"),
-            counter("cache_hit"),
-            counter("cache_miss"),
-        );
+        let (q0, h0, m0) = counters();
         let miss = post(&mut conn, "/query", query);
         let s3 = handle.stats();
         assert_eq!(s3.inline_fallbacks - s2.inline_fallbacks, 1);
-        assert_eq!(
-            (
-                counter("queries"),
-                counter("cache_hit"),
-                counter("cache_miss")
-            ),
-            (q0 + 1, h0, m0 + 1)
-        );
+        assert_eq!(counters(), (q0 + 1, h0, m0 + 1));
         let hit = post(&mut conn, "/query", query);
         let s4 = handle.stats();
         assert_eq!(s4.inline_answers - s3.inline_answers, 1);
         assert_eq!(s4.inline_fallbacks, s3.inline_fallbacks);
-        assert_eq!(
-            (
-                counter("queries"),
-                counter("cache_hit"),
-                counter("cache_miss")
-            ),
-            (q0 + 2, h0 + 1, m0 + 1)
-        );
+        assert_eq!(counters(), (q0 + 2, h0 + 1, m0 + 1));
         assert_eq!(hit.body, miss.body);
         let cache = engine.query_cache_stats();
         assert_eq!((cache.hits, cache.misses), (1, 1));
@@ -411,10 +396,10 @@ fn inline_answers_hold_a_tenant_slot_only_while_they_run() {
         assert_eq!(stats.rejected, 0);
         assert_ledger(&stats);
         let tenants = handle.tenant_stats();
-        assert_eq!(tenants[0].completions, 10_000);
-        assert_eq!(tenants[0].quota_rejects, 0);
-        assert_eq!(tenants[0].inflight, 0);
-        assert_eq!(tenants[0].max_inflight_seen, 1);
+        assert_eq!(tenants[0].1.completions, 10_000);
+        assert_eq!(tenants[0].1.quota_rejects, 0);
+        assert_eq!(tenants[0].1.inflight, 0);
+        assert_eq!(tenants[0].1.max_inflight_seen, 1);
         handle.shutdown();
     });
 }

@@ -2,7 +2,7 @@
 //! the documented 4xx (or a timeout), never a panic, and the rejection
 //! counters account for every one of them exactly.
 
-use lotusx::LotusX;
+use lotusx::{EngineRegistry, LotusX, RegistryConfig};
 use lotusx_datagen::{generate, Dataset};
 use lotusx_serve::{client, Limits, ServeConfig, Server};
 use std::io::Write;
@@ -255,6 +255,61 @@ fn malformed_inputs_get_documented_rejections_and_exact_counters() {
 
         handle.shutdown();
     });
+}
+
+/// Bodies well inside the default 256 KiB cap that used to recurse the
+/// process to death: JSON nesting parsed on the loop thread (`/query`,
+/// `/complete`) and on a worker (`/admin/routes`), and twig texts of
+/// tens of thousands of steps. Each is one `400` and one `rejected`, no
+/// panic, and the same server answers the next `/healthz`.
+#[test]
+fn nesting_and_pattern_bombs_are_400s_under_default_limits() {
+    let config = format!(
+        r#"{{"tenants": [{{"name": "only", "corpus": {}}}],
+            "rules": [{{"when": {{"always": true}}, "tenant": "only"}}]}}"#,
+        lotusx_obs::json_string(DOC)
+    );
+    let registry = EngineRegistry::open(&RegistryConfig::parse(&config).unwrap()).unwrap();
+    let server = Server::bind(ServeConfig::default()).expect("bind");
+    let (addr, handle) = (server.local_addr(), server.handle());
+    let twig = |tail: String| format!("{{\"text\":\"//a{tail}\"}}");
+    let too_deep = "nesting too deep at byte 64";
+    let too_big = "pattern has more than 64 nodes\\n";
+    let cases = [
+        ("/query", "[".repeat(100_000), too_deep),
+        ("/complete", "[".repeat(100_000), too_deep),
+        ("/admin/routes", "[".repeat(10_000), "(syntax) at byte 64: "),
+        ("/query", twig("/b".repeat(20_000)), too_big),
+        (
+            "/query",
+            twig("[b".repeat(20_000) + &"]".repeat(20_000)),
+            too_big,
+        ),
+    ];
+    // Asserted outside the scope: a panic inside it would wait forever
+    // on a server nobody stops.
+    let outcomes: Vec<_> = std::thread::scope(|scope| {
+        scope.spawn(|| server.run_registry(&registry));
+        let outcomes = cases
+            .iter()
+            .map(|(path, body, _)| {
+                let answer = client::post(addr, path, body).map(|r| (r.status, r.body_text()));
+                let health = client::get(addr, "/healthz").map(|r| r.status);
+                (answer.ok(), health.ok(), handle.stats())
+            })
+            .collect();
+        handle.shutdown();
+        outcomes
+    });
+    for (i, ((path, _, reason), (answer, health, stats))) in cases.iter().zip(outcomes).enumerate()
+    {
+        let (status, body) = answer.unwrap_or_else(|| panic!("case {i}: {path} died"));
+        assert_eq!(status, 400, "case {i}: {body}");
+        assert!(body.contains(reason), "case {i}: {body}");
+        assert!(i < 3 || body.ends_with("^\"}\n"), "caret snippet: {body}");
+        assert_eq!(health, Some(200), "case {i}: the server keeps serving");
+        assert_eq!((stats.rejected, stats.panics), (i as u64 + 1, 0));
+    }
 }
 
 /// Keep-alive, pipelining, half-close, and the idle deadline: the

@@ -332,7 +332,7 @@ fn per_tenant_counters_reconcile_and_isolate() {
 
         // The handle's snapshot agrees with the wire.
         let tenants = handle.tenant_stats();
-        let dblp = tenants.iter().find(|t| t.name == "dblp").unwrap();
+        let (_, dblp) = tenants.iter().find(|(name, _)| name == "dblp").unwrap();
         assert_eq!(dblp.requests, 4);
         assert_eq!(dblp.queries, 3);
         assert_eq!(handle.stats().unknown_tenant_rejects, 1);

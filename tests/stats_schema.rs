@@ -8,15 +8,19 @@
 //! grammar, label values must escape correctly, and counters must be
 //! monotonic across scrapes.
 //!
-//! Only `stats_json_has_the_documented_schema` touches the process-wide
+//! And to the counter-table invariants: the three `counters!`
+//! declarations (process, server, tenant) are checked row by row, and
+//! against what a live server's `/stats` and `/metrics` actually carry.
+//!
+//! Only `stats_json_has_the_documented_schema` writes the process-wide
 //! obs registry and flags (this file runs as its own process, isolated
 //! from the other integration tests); the exposition tests run against
 //! local `Metrics`/`ServerStats` instances so they can share the
-//! process safely.
+//! process safely, and the table test's server only reads the registry.
 
 use lotusx::{LotusX, QueryRequest};
 use lotusx_datagen::{generate, Dataset};
-use lotusx_obs::{parse_json, JsonValue, Stage};
+use lotusx_obs::{parse_json, JsonValue, Stage, WindowCounter};
 use std::sync::atomic::Ordering;
 
 fn num(v: &JsonValue, key: &str) -> f64 {
@@ -231,8 +235,8 @@ fn prometheus_exposition_conforms_and_escapes_labels() {
     metrics.record_stage(Stage::Parse, 1_500);
     metrics.record_stage(Stage::HttpQueueWait, 900);
     metrics.record_stage(Stage::HttpFlush, 12_000);
-    metrics.incr("queries", 3);
-    metrics.incr("cache_hit", 1);
+    metrics.count_windowed(WindowCounter::Queries, 3);
+    metrics.count_windowed(WindowCounter::CacheHits, 1);
     // A named series whose label value needs all three escapes.
     metrics.record_named("evil\"name\\with\nnewline", 777);
 
@@ -314,5 +318,106 @@ fn prometheus_counters_are_monotonic_across_scrapes() {
             value(&second, name) > value(&first, name),
             "{name} regressed"
         );
+    }
+}
+
+// --- The counter table, by enumeration ---------------------------------
+
+#[test]
+fn counter_tables_are_well_formed_and_are_exactly_what_is_served() {
+    use lotusx_obs::{CounterKind, CounterRow, ProcessCounters};
+    use lotusx_serve::{client, ServeConfig, Server, ServerStats, TenantStats};
+    let scopes: [(&str, &[CounterRow]); 3] = [
+        ("lotusx_", ProcessCounters::ROWS),
+        ("lotusx_server_", ServerStats::ROWS),
+        ("lotusx_tenant_", TenantStats::ROWS),
+    ];
+    for (prefix, rows) in scopes {
+        let unique: std::collections::HashSet<_> = rows.iter().map(|r| r.name).collect();
+        assert_eq!(unique.len(), rows.len(), "{prefix}: a wire name repeats");
+        for row in rows {
+            let (family, kind) = row.family(prefix);
+            assert!(valid_metric_name(&family), "{family}");
+            // A sentence of its own, not the old "Server counter `name`.".
+            assert!(
+                row.help.contains(' ') && !row.help.contains(&format!("`{}`", row.name)),
+                "{family}: help {:?} must describe, not restate",
+                row.help
+            );
+            let want = match row.kind {
+                CounterKind::Counter => (true, "counter"),
+                CounterKind::Gauge => (false, "gauge"),
+            };
+            assert_eq!((family.ends_with("_total"), kind), want, "{family}");
+        }
+    }
+    // The names other programs (loadgen gates and per-layer lookups, CLI
+    // `top`, soak, probes, CI) read out of `/stats` are rows.
+    let read_by_name = [
+        (
+            ProcessCounters::ROWS,
+            "cache_hit cache_miss algo_chosen_naive algo_chosen_structural_join queries \
+             degraded_responses queries_deadline_exceeded worker_panics",
+        ),
+        (
+            ServerStats::ROWS,
+            "requests rejected panics connections_accepted connections_open keepalive_reuses \
+             loop_wakeups ready_events inline_answers inline_fallbacks timer_entries \
+             access_log_dropped queue_depth max_queue_depth",
+        ),
+    ];
+    for (rows, names) in read_by_name {
+        for name in names.split(' ') {
+            assert!(rows.iter().any(|r| r.name == name), "no row {name}");
+        }
+    }
+
+    // What a live server renders from them.
+    let engine = LotusX::load_str("<a><b>x</b></a>").unwrap();
+    let server = Server::bind(ServeConfig::default()).expect("bind");
+    let (addr, handle) = (server.local_addr(), server.handle());
+    let (stats, scrape) = std::thread::scope(|scope| {
+        scope.spawn(|| server.run(&engine));
+        let bodies = ["/stats", "/metrics"].map(|p| client::get(addr, p).map(|r| r.body_text()));
+        handle.shutdown();
+        bodies.map(|b| b.expect("served")).into()
+    });
+    let doc = parse_json(&stats).expect("/stats parses");
+    let keys = |v: Option<&JsonValue>| -> Vec<String> {
+        let members = v.and_then(JsonValue::as_obj).expect("an object");
+        members.iter().map(|(k, _)| k.clone()).collect()
+    };
+    let names = |rows: &[CounterRow], extra: &[&str]| -> Vec<String> {
+        let names = rows.iter().map(|r| r.name).chain(extra.iter().copied());
+        names.map(str::to_string).collect()
+    };
+    assert_eq!(keys(doc.get("server")), names(ServerStats::ROWS, &[]));
+    let tenants = doc.get("tenants").and_then(JsonValue::as_obj).unwrap();
+    assert_eq!(tenants.len(), 1, "the implicit default tenant");
+    for (_, tenant) in tenants {
+        assert_eq!(keys(Some(tenant)), names(TenantStats::ROWS, &["windows"]));
+    }
+    let counters = doc.get("metrics").and_then(|m| m.get("counters"));
+    assert_eq!(keys(counters), names(ProcessCounters::ROWS, &[]));
+
+    // Family ↔ row, both ways, for the two prefixes rows own outright;
+    // every scope's `# HELP` is the row's help.
+    for (prefix, rows) in scopes {
+        let declared: Vec<String> = rows.iter().map(|r| r.family(prefix).0).collect();
+        for (row, family) in rows.iter().zip(&declared) {
+            let header = format!("# HELP {family} {}\n# TYPE {family} ", row.help);
+            assert_eq!(scrape.matches(&header).count(), 1, "{header}");
+        }
+        if prefix != "lotusx_" {
+            let served: Vec<&str> = scrape
+                .lines()
+                .filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next())
+                .filter(|f| f.starts_with(prefix) && *f != "lotusx_tenant_window_qps")
+                .collect();
+            assert_eq!(
+                served, declared,
+                "{prefix}* families are the rows, in order"
+            );
+        }
     }
 }
