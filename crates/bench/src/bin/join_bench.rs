@@ -1,13 +1,21 @@
 //! Head-to-head join benchmark: every twig algorithm plus the `auto`
 //! chooser across all dataset shapes and scales.
 //!
-//! For every (dataset, scale, query) cell it measures the median wall
-//! time of each contender, verifies all contenders return bit-identical
+//! For every (dataset, scale, query) cell it measures the minimum wall
+//! time of each contender materializing every match (`execute` — what
+//! the chooser prices), verifies all contenders return bit-identical
 //! match sets, finds the per-query best concrete algorithm, and checks
 //! the adaptive chooser (`Algorithm::Auto`) lands within `--gate` (default
 //! 1.25×) of that best. Gate violations increment the process-local
 //! `chooser_mispicks` counter and fail the run with a nonzero exit, so
-//! CI can use this binary as a regression gate.
+//! CI can use this binary as a regression gate. One more column,
+//! `count_top10`, times what a query actually asks of the join: the
+//! count and the ten best rows through the ranker, no row built that the
+//! ranker does not look at.
+//!
+//! The corpora are generated, serialized and parsed, like any document a
+//! server loads: node ids ascend with document order (the xmark
+//! generator's own arena appends items to regions out of order).
 //!
 //! ```sh
 //! cargo run --release -p lotusx-bench --bin join-bench            # full sweep, writes BENCH_join.json
@@ -18,10 +26,13 @@
 //! `target/`), `--gate <factor>`, `--slack-ms <ms>` (absolute noise floor
 //! added to the gate for micro-second queries), `--out <path>`.
 
-use lotusx_bench::{fixture, fmt_duration, time_once, SEED};
+use lotusx_bench::{fmt_duration, time_once, SEED};
 use lotusx_datagen::{queries, Dataset};
+use lotusx_guard::QueryGuard;
+use lotusx_index::IndexedDocument;
+use lotusx_rank::Ranker;
 use lotusx_twig::xpath::parse_query;
-use lotusx_twig::{choose_algorithm, execute, Algorithm};
+use lotusx_twig::{choose_algorithm, execute, execute_budgeted, Algorithm};
 use std::time::Duration;
 
 struct Config {
@@ -109,6 +120,8 @@ struct QueryRow {
     auto_factor: f64,
     gate_pass: bool,
     equivalent: bool,
+    /// Count + top-10 through the ranker, via the chooser.
+    count_top10_ms: f64,
 }
 
 fn main() {
@@ -127,7 +140,8 @@ fn main() {
 
     for ds in Dataset::ALL {
         for &scale in &cfg.scales {
-            let idx = fixture(ds, scale);
+            let xml = lotusx_datagen::generate(ds, scale, SEED).to_xml();
+            let idx = IndexedDocument::from_str(&xml).expect("generated corpora parse");
             let elements = idx.stats().element_count;
             eprintln!("\n=== {ds} scale {scale} ({elements} elements) ===");
             let mut rows = Vec::new();
@@ -145,6 +159,8 @@ fn main() {
                 // the noise, and the minimum discards the interference that
                 // remains. Equivalence is checked on the first round.
                 let mut mins = vec![f64::INFINITY; Algorithm::ALL.len() + 1];
+                let mut count_top10_ms = f64::INFINITY;
+                let guard = QueryGuard::unlimited();
                 for rep in 0..cfg.reps {
                     // Auto runs end to end, chooser resolution included.
                     let contenders = Algorithm::ALL.into_iter().chain([Algorithm::Auto]);
@@ -155,6 +171,18 @@ fn main() {
                             equivalent = false;
                             eprintln!("  MISMATCH: {} on {} {}", algo, ds, q.id);
                         }
+                    }
+                    let (t, (count, top)) = time_once(|| {
+                        let result =
+                            execute_budgeted(&idx, &pattern, Algorithm::Auto, None, &guard);
+                        let top = Ranker::new(&idx).rank_top_k(&pattern, &result, 10, None);
+                        (result.count(), top)
+                    });
+                    count_top10_ms = count_top10_ms.min(ms(t));
+                    if rep == 0 && (count, top.len()) != (reference.len(), reference.len().min(10))
+                    {
+                        equivalent = false;
+                        eprintln!("  MISMATCH: count + top-10 on {} {}", ds, q.id);
                     }
                 }
                 let times: Vec<(&'static str, f64)> = Algorithm::ALL
@@ -176,7 +204,7 @@ fn main() {
                 let gate_pass = auto_ms <= cfg.gate * best_ms + cfg.slack_ms;
 
                 eprintln!(
-                    "  {:3} {:-44} {:7} m  best {:-16} {:>9}  auto->{:-16} {:.2}x{}",
+                    "  {:3} {:-44} {:7} m  best {:-16} {:>9}  auto->{:-16} {:.2}x{}  top-10 {:>9}",
                     q.id,
                     q.text,
                     reference.len(),
@@ -185,6 +213,7 @@ fn main() {
                     pick,
                     auto_factor,
                     if gate_pass { "" } else { " GATE-FAIL" },
+                    fmt_duration(Duration::from_secs_f64(count_top10_ms / 1e3)),
                 );
 
                 rows.push(QueryRow {
@@ -199,6 +228,7 @@ fn main() {
                     auto_factor,
                     gate_pass,
                     equivalent,
+                    count_top10_ms,
                 });
             }
             sections.push((ds, scale, elements, rows.len()));
@@ -234,6 +264,7 @@ fn main() {
     json.push_str(&format!("  \"seed\": {SEED},\n"));
     json.push_str(&format!("  \"reps\": {},\n", cfg.reps));
     json.push_str("  \"timing\": \"min-of-reps\",\n");
+    json.push_str("  \"corpus\": \"generated, serialized, parsed\",\n");
     json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
     json.push_str(&format!("  \"gate\": {:.3},\n", cfg.gate));
     json.push_str(&format!("  \"slack_ms\": {:.3},\n", cfg.slack_ms));
@@ -268,6 +299,10 @@ fn main() {
                     .join(", "),
             );
             json.push_str(&format!(", \"auto\": {:.4}}},\n", r.auto_ms));
+            json.push_str(&format!(
+                "          \"count_top10_ms\": {:.4},\n",
+                r.count_top10_ms
+            ));
             json.push_str(&format!("          \"best\": {},\n", json_str(r.best)));
             json.push_str(&format!("          \"best_ms\": {:.4},\n", r.best_ms));
             json.push_str(&format!(

@@ -45,7 +45,7 @@ fn generous_budget_is_bit_identical_to_unbudgeted() {
             let reference = execute(&idx, &pattern, Algorithm::Naive);
             for algo in Algorithm::ALL.into_iter().chain([Algorithm::Auto]) {
                 let guard = QueryGuard::new(&budget);
-                let got = execute_budgeted(&idx, &pattern, algo, None, &guard);
+                let got = execute_budgeted(&idx, &pattern, algo, None, &guard).into_match_set();
                 assert_eq!(got, reference, "{ds} {} via {algo}", q.id);
                 assert!(!guard.is_tripped(), "{ds} {} via {algo} tripped", q.id);
             }
@@ -65,7 +65,7 @@ fn starved_budget_returns_a_valid_subset() {
             for algo in Algorithm::ALL.into_iter().chain([Algorithm::Auto]) {
                 for quota in [1u64, 16, 256] {
                     let guard = QueryGuard::new(&Budget::unlimited().with_node_quota(quota));
-                    let got = execute_budgeted(&idx, &pattern, algo, None, &guard);
+                    let got = execute_budgeted(&idx, &pattern, algo, None, &guard).into_match_set();
                     assert!(
                         got.len() <= reference.len(),
                         "{ds} {} via {algo} quota {quota}",

@@ -23,8 +23,7 @@ use lotusx_par::{
 };
 use lotusx_rank::{RankWeights, Ranker};
 use lotusx_rewrite::{RewriteSetup, Rewriter, RewriterConfig};
-use lotusx_twig::exec::{execute_budgeted, Algorithm};
-use lotusx_twig::matcher::MatchSet;
+use lotusx_twig::exec::{execute_budgeted, Algorithm, JoinResult};
 use lotusx_twig::pattern::TwigPattern;
 use lotusx_twig::xpath::{parse_query, ParseError};
 use lotusx_xml::{Document, NodeId, SerializeOptions};
@@ -1201,6 +1200,8 @@ impl LotusX {
         guard: &QueryGuard,
     ) -> (SearchOutcome, Algorithm) {
         let algorithm = self.algorithm_for(pattern, algorithm_override, recording, qid);
+        // The match stage reduces and counts; rows exist only in the rank
+        // stage, and only as many as the ranker asks for.
         let matches = run_stage(span, Stage::Match, recording, qid, |s| {
             execute_budgeted(&self.idx, pattern, algorithm, s, guard)
         });
@@ -1209,7 +1210,7 @@ impl LotusX {
         // is spent anyway.
         if !matches.is_empty() || !self.config.auto_rewrite || guard.is_tripped() {
             let mut outcome =
-                self.finish(pattern, matches, None, limit, span, recording, qid, guard);
+                self.finish(pattern, &matches, None, limit, span, recording, qid, guard);
             outcome.algorithm = Some(algorithm);
             return (outcome, algorithm);
         }
@@ -1238,7 +1239,7 @@ impl LotusX {
                 };
                 let mut outcome = self.finish(
                     &best.pattern,
-                    matches,
+                    &matches,
                     Some(info),
                     limit,
                     span,
@@ -1251,16 +1252,8 @@ impl LotusX {
             }
             None => {
                 lotusx_obs::emit(qid, EventKind::Rewrite { accepted: false });
-                let mut outcome = self.finish(
-                    pattern,
-                    MatchSet::new(pattern.len()),
-                    None,
-                    limit,
-                    span,
-                    recording,
-                    qid,
-                    guard,
-                );
+                let mut outcome =
+                    self.finish(pattern, &matches, None, limit, span, recording, qid, guard);
                 outcome.algorithm = Some(algorithm);
                 (outcome, algorithm)
             }
@@ -1271,7 +1264,7 @@ impl LotusX {
     fn finish(
         &self,
         pattern: &TwigPattern,
-        matches: MatchSet,
+        matches: &JoinResult<'_>,
         rewrite: Option<RewriteInfo>,
         limit: usize,
         span: Option<&Span>,
@@ -1279,10 +1272,10 @@ impl LotusX {
         qid: QueryId,
         guard: &QueryGuard,
     ) -> SearchOutcome {
-        let total_matches = matches.len();
+        let total_matches = matches.count();
         let ranked = run_stage(span, Stage::Rank, recording, qid, |s| {
             let ranker = Ranker::with_weights(&self.idx, self.config.weights);
-            ranker.rank_top_k_budgeted(pattern, &matches, limit, s, guard)
+            ranker.rank_top_k(pattern, matches, limit, s)
         });
         let results = run_stage(span, Stage::Serialize, recording, qid, |s| {
             let doc = self.idx.document();
@@ -1666,6 +1659,41 @@ mod tests {
         assert!(p.cache_hit);
         assert!(p.algorithm.is_none(), "cache hits never reach the join");
         assert!(p.render().contains("cache: hit"));
+    }
+
+    /// 10 000 rows that all tie: the match stage counts them without
+    /// building one, the rank stage stops the enumerator at the tenth, and
+    /// the answer is complete — the first ten in document order, exactly
+    /// what ranking all of them returns — and cached like any other.
+    #[test]
+    fn an_early_stopped_ranking_is_complete_exact_and_cacheable() {
+        let xml = format!("<r>{}</r>", "<item><a/><b/></item>".repeat(10_000));
+        let system = LotusX::load_str(&xml).unwrap();
+        let request = twig("//item[a]/b")
+            .algorithm(Algorithm::StructuralJoin)
+            .top_k(10);
+        let stopped = system.query(&request.clone().profiled(true)).unwrap();
+        assert_eq!(stopped.completeness, Completeness::Complete);
+        assert_eq!(stopped.total_matches, 10_000);
+        let profile = stopped.profile.as_ref().expect("requested");
+        let stage = |name: &str| profile.span.child(name).expect("stage ran");
+        let join = stage("match").child("join/structural-join").unwrap();
+        assert_eq!(join.note("matches"), Some("10000"));
+        let select = stage("rank").child("score-select").unwrap();
+        assert_eq!(select.note("candidates"), Some("10"));
+        assert_eq!(select.note("k"), Some("10"));
+
+        let all = system.query(&request.clone().top_k(10_000)).unwrap();
+        assert_eq!(all.matches.len(), 10_000);
+        for (a, b) in stopped.matches.iter().zip(&all.matches) {
+            assert_eq!(a.bindings, b.bindings);
+            assert_eq!(a.score.to_bits(), b.score.to_bits());
+        }
+        let before = system.query_cache_stats().hits;
+        let hit = system.query(&request).unwrap();
+        assert_eq!(system.query_cache_stats().hits, before + 1);
+        assert_eq!(hit.total_matches, 10_000);
+        assert_eq!(hit.matches.len(), 10);
     }
 
     #[test]

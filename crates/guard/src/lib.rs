@@ -493,6 +493,7 @@ pub struct Ticker {
     guard: QueryGuard,
     stride: u64,
     pending: u64,
+    pending_candidates: u64,
     tripped: bool,
 }
 
@@ -513,6 +514,7 @@ impl Ticker {
             guard,
             stride,
             pending: 0,
+            pending_candidates: 0,
             tripped,
         }
     }
@@ -535,9 +537,10 @@ impl Ticker {
         self.tripped
     }
 
-    /// Charges `n` materialized candidates; returns true when the stage
-    /// should stop. Flushes immediately — candidate quotas are coarse
-    /// (per emitted match), not per inner-loop step.
+    /// Charges `n` candidates — match rows that came into existence —
+    /// batched like node visits: the guard hears of them once per stride,
+    /// so a quota trips within one stride of being crossed. Returns true
+    /// when the stage should stop.
     #[inline]
     pub fn tick_candidates(&mut self, n: u64) -> bool {
         if !self.guard.is_active() {
@@ -546,22 +549,25 @@ impl Ticker {
         if self.tripped {
             return true;
         }
-        self.tripped = self.guard.charge_candidates(n);
+        self.pending_candidates += n;
+        if self.pending_candidates >= self.stride {
+            let pending = std::mem::take(&mut self.pending_candidates);
+            self.tripped = self.guard.charge_candidates(pending);
+        }
         self.tripped
     }
 
-    /// Flushes any locally buffered steps to the guard and returns the
-    /// stop decision. Call on loop exit so counts stay accurate.
+    /// Flushes any locally buffered steps and candidates to the guard and
+    /// returns the stop decision. Call on loop exit so counts stay
+    /// accurate.
     pub fn flush(&mut self) -> bool {
         if !self.guard.is_active() || self.tripped {
             return self.tripped;
         }
-        if self.pending > 0 {
-            let pending = std::mem::take(&mut self.pending);
-            self.tripped = self.guard.charge_nodes(pending);
-        } else {
-            self.tripped = self.guard.checkpoint();
-        }
+        // Charging nothing still re-checks the deadline and the token.
+        self.guard.charge_nodes(std::mem::take(&mut self.pending));
+        let candidates = std::mem::take(&mut self.pending_candidates);
+        self.tripped = self.guard.charge_candidates(candidates);
         self.tripped
     }
 
@@ -690,6 +696,31 @@ mod tests {
             assert!(steps < 100, "small quota must trip promptly");
         }
         assert!(steps <= 16, "stride clamped near the quota, got {steps}");
+    }
+
+    #[test]
+    fn ticker_batches_candidates_within_a_quota_clamped_stride() {
+        let g = QueryGuard::new(&Budget::unlimited().with_candidate_quota(5));
+        let mut t = g.ticker();
+        let mut rows = 0u64;
+        while !t.tick_candidates(1) {
+            rows += 1;
+            assert!(rows < 100, "small quota must trip promptly");
+        }
+        assert!((5..10).contains(&rows), "within one stride of 5: {rows}");
+        assert_eq!(
+            g.trip_reason(),
+            Some(TruncationReason::CandidateQuotaExceeded)
+        );
+
+        let g = QueryGuard::new(&Budget::unlimited().with_candidate_quota(1 << 40));
+        let mut t = g.ticker();
+        for _ in 0..1500 {
+            assert!(!t.tick_candidates(1));
+        }
+        assert_eq!(g.candidates_seen(), 1024, "one full stride flushed");
+        assert!(!t.flush());
+        assert_eq!(g.candidates_seen(), 1500);
     }
 
     #[test]

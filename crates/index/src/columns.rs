@@ -9,27 +9,13 @@
 //! per column so a stream scan is a pure sequential read at memory
 //! bandwidth. Nothing else in the index stores a per-tag stream.
 //!
-//! Two skip primitives ride on top:
-//!
-//! * `starts` is strictly increasing within a stream (document order), so
-//!   "first element starting at or after X" is a gallop — exponential
-//!   probe then binary search, O(log distance).
-//! * `ends` is **not** monotonic (recursive elements nest: a child's end
-//!   precedes its parent's even though its start follows), so "first
-//!   element at or after the cursor whose subtree reaches past X" cannot
-//!   be binary-searched directly. Each stream therefore carries a flat
-//!   max-segment-tree over its `ends`: a leftmost-leaf-at-least descent
-//!   answers the query in O(log n) from *any* cursor position. A plain
-//!   prefix-maximum would not do — the maximum may come from an element
-//!   the cursor has already consumed, and the query must ignore it.
-//!
-//! These two seeks are what turn the structural join's element-by-element
-//! skip loops into logarithmic jumps.
-//!
-//! The end trees are *derived* from `ends`, so the snapshot does not
-//! store them: [`TagColumns::decode`] rebuilds them with the builder the
-//! fresh build uses. A stored tree would have to be validated against
-//! `ends` to be trusted — which costs what rebuilding it costs.
+//! One skip primitive rides on top: `starts` is strictly increasing within
+//! a stream (document order), so "first element starting at or after X"
+//! is a gallop — exponential probe then binary search, O(log distance).
+//! `ends` is **not** monotonic (recursive elements nest: a child's end
+//! precedes its parent's even though its start follows), so the structural
+//! join never searches it: it walks parents linearly and keeps the open
+//! ones on a stack.
 
 use crate::wire::{
     corrupt, get_u16_slice, get_u32_slice, put_u16_slice, put_u32_slice, put_varint, rd_len,
@@ -45,10 +31,6 @@ struct StreamRange {
     offset: u32,
     /// Number of elements.
     len: u32,
-    /// Offset into the `end_tree` arena.
-    tree_offset: u32,
-    /// Padded leaf count of this stream's segment tree (power of two).
-    tree_leaves: u32,
 }
 
 /// Every tag's element stream in columnar (struct-of-arrays) form, plus
@@ -60,12 +42,12 @@ pub struct TagColumns {
     ends: Vec<u32>,
     levels: Vec<u16>,
     nodes: Vec<NodeId>,
-    /// Concatenated per-stream max-segment-trees over `ends`.
-    end_tree: Vec<u32>,
     /// Per-tag extents; index = symbol index.
     ranges: Vec<StreamRange>,
     /// Extent of the all-elements pseudo-stream.
     all_range: StreamRange,
+    /// Derived from `nodes`: node ids ascend along every stream.
+    ids_ascend: bool,
 }
 
 impl TagColumns {
@@ -104,7 +86,7 @@ impl TagColumns {
             }
             *slot += 1;
         }
-        cols.build_end_trees();
+        cols.derive_id_order();
         cols
     }
 
@@ -115,11 +97,7 @@ impl TagColumns {
         self.ranges = lens
             .iter()
             .map(|&len| {
-                let range = StreamRange {
-                    offset,
-                    len,
-                    ..StreamRange::default()
-                };
+                let range = StreamRange { offset, len };
                 offset += len;
                 range
             })
@@ -127,17 +105,21 @@ impl TagColumns {
         self.all_range = self.ranges.pop().expect("lens ends with the all stream");
     }
 
-    /// Builds every stream's max-segment-tree over the filled `ends`
-    /// arena — the last step of both a fresh build and a snapshot load.
-    fn build_end_trees(&mut self) {
-        let ranges = self.ranges.iter().chain([&self.all_range]);
-        let slots = ranges.map(|r| 2 * tree_leaves(r.len as usize)).sum();
-        self.end_tree = Vec::with_capacity(slots);
-        for range in self.ranges.iter_mut().chain([&mut self.all_range]) {
-            let (a, b) = (range.offset as usize, (range.offset + range.len) as usize);
-            range.tree_offset = self.end_tree.len() as u32;
-            range.tree_leaves = build_max_tree(&self.ends[a..b], &mut self.end_tree);
-        }
+    /// Sets `ids_ascend` from the filled `nodes` arena — the last step of
+    /// both a fresh build and a snapshot load. The all-elements stream
+    /// holds every element in document order, so it decides for all.
+    fn derive_id_order(&mut self) {
+        let all = self.all_elements().nodes();
+        self.ids_ascend = all.windows(2).all(|w| w[0] < w[1]);
+    }
+
+    /// True when node ids ascend with document order, so that a stream
+    /// scanned front to back yields ascending ids. Holds for every parsed
+    /// or snapshot-loaded document (ids are assigned in preorder); a
+    /// document assembled through the tree API may append a child to an
+    /// element that already has a following sibling, and then it does not.
+    pub fn ids_ascend(&self) -> bool {
+        self.ids_ascend
     }
 
     /// The columns of one tag's stream (empty view for unseen symbols).
@@ -155,16 +137,11 @@ impl TagColumns {
 
     fn slice(&self, r: StreamRange) -> ColumnView<'_> {
         let (a, b) = (r.offset as usize, (r.offset + r.len) as usize);
-        let (ta, tb) = (
-            r.tree_offset as usize,
-            r.tree_offset as usize + 2 * r.tree_leaves as usize,
-        );
         ColumnView {
             starts: &self.starts[a..b],
             ends: &self.ends[a..b],
             levels: &self.levels[a..b],
             nodes: &self.nodes[a..b],
-            end_tree: &self.end_tree[ta..tb],
         }
     }
 
@@ -174,7 +151,6 @@ impl TagColumns {
             + self.ends.capacity() * 4
             + self.levels.capacity() * 2
             + self.nodes.capacity() * std::mem::size_of::<NodeId>()
-            + self.end_tree.capacity() * 4
             + self.ranges.capacity() * std::mem::size_of::<StreamRange>()
     }
 
@@ -198,8 +174,8 @@ impl TagColumns {
     }
 
     /// Deserializes arenas written by [`encode`](Self::encode) — a bulk
-    /// read straight into the struct-of-arrays layout — and rebuilds the
-    /// end trees. Validates every invariant the join loops rely on: node
+    /// read straight into the struct-of-arrays layout. Validates every
+    /// invariant the join loops rely on: node
     /// ids within the document, stream lengths that tile the arenas
     /// exactly, per-element `start < end`, and strictly increasing
     /// `starts` within each stream (document order).
@@ -257,66 +233,8 @@ impl TagColumns {
             ..TagColumns::default()
         };
         cols.lay_out(&lens);
-        cols.build_end_trees();
+        cols.derive_id_order();
         Ok(cols)
-    }
-}
-
-/// Appends the max-segment-tree of `ends` onto `arena` and returns the
-/// padded leaf count. Layout: 1-indexed implicit binary tree of size
-/// `2 * leaves` (slot 0 unused), leaves at `leaves..2 * leaves`, padding
-/// leaves hold 0 (the neutral element for max).
-fn build_max_tree(ends: &[u32], arena: &mut Vec<u32>) -> u32 {
-    let leaves = tree_leaves(ends.len());
-    let base = arena.len();
-    arena.resize(base + 2 * leaves, 0);
-    arena[base + leaves..base + leaves + ends.len()].copy_from_slice(ends);
-    for i in (1..leaves).rev() {
-        arena[base + i] = arena[base + 2 * i].max(arena[base + 2 * i + 1]);
-    }
-    leaves as u32
-}
-
-/// Padded leaf count of the max-segment-tree over `len` ends: the next
-/// power of two, and no tree at all over an empty stream.
-fn tree_leaves(len: usize) -> usize {
-    if len == 0 {
-        0
-    } else {
-        len.next_power_of_two()
-    }
-}
-
-/// Leftmost leaf `>= from` with `value >= target` in a tree built by
-/// [`build_max_tree`]; `usize::MAX` when none exists. O(log leaves).
-fn tree_first_at_least(tree: &[u32], from: usize, target: u32) -> usize {
-    let leaves = tree.len() / 2;
-    if from >= leaves {
-        return usize::MAX;
-    }
-    // Walk right from the `from` leaf over maximal aligned subtrees until
-    // one's max reaches the target, then descend to its leftmost
-    // qualifying leaf. Padding leaves hold 0 < target (target >= 1 here),
-    // so the descent never lands in padding.
-    let mut i = from + leaves;
-    loop {
-        if tree[i] >= target {
-            while i < leaves {
-                i <<= 1;
-                if tree[i] < target {
-                    i += 1;
-                }
-            }
-            return i - leaves;
-        }
-        i += 1;
-        if i.is_power_of_two() {
-            // Walked off the right edge of the tree.
-            return usize::MAX;
-        }
-        while i & 1 == 0 {
-            i >>= 1;
-        }
     }
 }
 
@@ -328,13 +246,11 @@ pub struct OwnedColumns {
     ends: Vec<u32>,
     levels: Vec<u16>,
     nodes: Vec<NodeId>,
-    end_tree: Vec<u32>,
 }
 
 impl OwnedColumns {
-    /// The columns of `elements`, which must come in document order,
-    /// including the end max-segment-tree (needed by `seek_end_at_least`).
-    /// An iterator that knows its length costs one allocation per column.
+    /// The columns of `elements`, which must come in document order. An
+    /// iterator that knows its length costs one allocation per column.
     pub fn from_elements(elements: impl IntoIterator<Item = (NodeId, RegionLabel)>) -> Self {
         let elements = elements.into_iter();
         let n = elements.size_hint().0;
@@ -343,7 +259,6 @@ impl OwnedColumns {
             ends: Vec::with_capacity(n),
             levels: Vec::with_capacity(n),
             nodes: Vec::with_capacity(n),
-            end_tree: Vec::new(),
         };
         for (node, region) in elements {
             debug_assert!(
@@ -355,7 +270,6 @@ impl OwnedColumns {
             cols.levels.push(region.level);
             cols.nodes.push(node);
         }
-        build_max_tree(&cols.ends, &mut cols.end_tree);
         cols
     }
 
@@ -366,20 +280,18 @@ impl OwnedColumns {
             ends: &self.ends,
             levels: &self.levels,
             nodes: &self.nodes,
-            end_tree: &self.end_tree,
         }
     }
 }
 
 /// Borrowed column slices of one stream — the unit the join algorithms
-/// scan. Copy-cheap (five fat pointers).
+/// scan. Copy-cheap (four fat pointers).
 #[derive(Clone, Copy, Debug)]
 pub struct ColumnView<'a> {
     starts: &'a [u32],
     ends: &'a [u32],
     levels: &'a [u16],
     nodes: &'a [NodeId],
-    end_tree: &'a [u32],
 }
 
 impl<'a> ColumnView<'a> {
@@ -390,7 +302,6 @@ impl<'a> ColumnView<'a> {
             ends: &[],
             levels: &[],
             nodes: &[],
-            end_tree: &[],
         }
     }
 
@@ -430,26 +341,10 @@ impl<'a> ColumnView<'a> {
         (self.nodes[i], region)
     }
 
-    /// A cursor positioned at the first element.
-    pub fn cursor(self) -> ColumnCursor<'a> {
-        ColumnCursor { view: self, pos: 0 }
-    }
-
-    /// First position `>= from` with `starts[pos] >= start`, galloping.
-    fn first_start_at_least(&self, from: usize, start: u32) -> usize {
+    /// First position `>= from` with `starts[pos] >= start` (the stream's
+    /// length when there is none), galloping: O(log distance).
+    pub fn first_start_at_least(&self, from: usize, start: u32) -> usize {
         gallop(self.starts, from, start)
-    }
-
-    /// First position `>= from` with `ends[pos] >= end`, by segment-tree
-    /// descent (see module docs for why `ends` cannot be galloped).
-    fn first_end_at_least(&self, from: usize, end: u32) -> usize {
-        if end == 0 {
-            return from.min(self.len());
-        }
-        match tree_first_at_least(self.end_tree, from, end) {
-            usize::MAX => self.len(),
-            pos => pos,
-        }
     }
 }
 
@@ -473,64 +368,6 @@ fn gallop(column: &[u32], from: usize, target: u32) -> usize {
     }
     let hi = (from + step + 1).min(n);
     lo + 1 + column[lo + 1..hi].partition_point(|&v| v < target)
-}
-
-/// Forward-only cursor over a [`ColumnView`]: head, advance, and the two
-/// logarithmic seeks.
-#[derive(Clone, Copy, Debug)]
-pub struct ColumnCursor<'a> {
-    view: ColumnView<'a>,
-    pos: usize,
-}
-
-impl<'a> ColumnCursor<'a> {
-    /// True when the stream is exhausted.
-    pub fn is_exhausted(&self) -> bool {
-        self.pos >= self.view.len()
-    }
-
-    /// Region start of the head, or `u32::MAX` once exhausted — the
-    /// sentinel the structural join's merge loop compares against.
-    pub fn head_start(&self) -> u32 {
-        self.view.starts.get(self.pos).copied().unwrap_or(u32::MAX)
-    }
-
-    /// Region end of the head, or `u32::MAX` once exhausted.
-    pub fn head_end(&self) -> u32 {
-        self.view.ends.get(self.pos).copied().unwrap_or(u32::MAX)
-    }
-
-    /// Advances past the head.
-    pub fn advance(&mut self) {
-        self.pos += 1;
-    }
-
-    /// Seeks to the first element with `start >= start`; returns how many
-    /// elements were skipped (so callers can charge their budget).
-    pub fn seek_start_at_least(&mut self, start: u32) -> usize {
-        let to = self
-            .view
-            .first_start_at_least(self.pos.min(self.view.len()), start);
-        let skipped = to.saturating_sub(self.pos);
-        self.pos = to;
-        skipped
-    }
-
-    /// Seeks to the first element at or after the cursor whose region end
-    /// is `>= end`; returns how many elements were skipped.
-    pub fn seek_end_at_least(&mut self, end: u32) -> usize {
-        let to = self
-            .view
-            .first_end_at_least(self.pos.min(self.view.len()), end);
-        let skipped = to.saturating_sub(self.pos);
-        self.pos = to;
-        skipped
-    }
-
-    /// The cursor position (index of the head within the stream).
-    pub fn position(&self) -> usize {
-        self.pos
-    }
 }
 
 #[cfg(test)]
@@ -568,8 +405,8 @@ mod tests {
     }
 
     /// Columns built from a document equal a per-tag scan of that
-    /// document, and equal themselves — arenas, ranges and rebuilt end
-    /// trees — after a snapshot round trip.
+    /// document, and equal themselves — arenas, ranges and the derived
+    /// id-order flag — after a snapshot round trip.
     #[test]
     fn tag_columns_equal_a_document_scan_and_survive_the_codec() {
         let idx = crate::IndexedDocument::from_str(
@@ -595,6 +432,7 @@ mod tests {
         assert!(cols.view(Symbol::from_index(99)).is_empty());
         assert_eq!(elements(cols.all_elements()), scan(&|_| true));
         assert!(cols.size_bytes() > 0);
+        assert!(cols.ids_ascend(), "a parsed document numbers in preorder");
 
         let identity: Vec<u32> = (0..doc.node_count() as u32).collect();
         let mut bytes = Vec::new();
@@ -603,6 +441,20 @@ mod tests {
         let back = TagColumns::decode(&bytes, &mut pos, doc.node_count()).unwrap();
         assert_eq!(pos, bytes.len());
         assert_eq!(&back, cols);
+    }
+
+    /// A tree assembled out of document order (a child appended to an
+    /// element that already has a following sibling) has streams whose
+    /// ids do not ascend, and the flag says so.
+    #[test]
+    fn id_order_flag_sees_out_of_order_construction() {
+        let mut doc = Document::new();
+        let root = doc.append_element(NodeId::DOCUMENT, "r");
+        let first = doc.append_element(root, "a");
+        doc.append_element(root, "a");
+        doc.append_element(first, "b");
+        let idx = crate::IndexedDocument::build(doc);
+        assert!(!idx.columns().ids_ascend());
     }
 
     /// A payload whose stream lengths do not tile the arenas exactly is
@@ -641,93 +493,14 @@ mod tests {
     }
 
     #[test]
-    fn end_tree_finds_leftmost_from_any_position() {
-        // Non-monotonic ends, including the trap a prefix-maximum falls
-        // into: the early large end (100) must be ignored once passed.
-        let ends: Vec<u32> = vec![100, 40, 10, 30, 60, 71];
-        let mut arena = Vec::new();
-        build_max_tree(&ends, &mut arena);
-        for from in 0..=ends.len() {
-            for target in 1..=110u32 {
-                let expect = (from..ends.len())
-                    .find(|&i| ends[i] >= target)
-                    .map(|i| i as isize)
-                    .unwrap_or(-1);
-                let got = match tree_first_at_least(&arena, from, target) {
-                    usize::MAX => -1,
-                    i => i as isize,
-                };
-                assert_eq!(got, expect, "from={from} target={target}");
-            }
-        }
-    }
-
-    #[test]
-    fn end_tree_handles_non_power_of_two_and_singleton() {
-        for ends in [vec![5u32], vec![9, 2, 7], vec![3, 3, 3, 3, 3, 8, 1]] {
-            let mut arena = Vec::new();
-            build_max_tree(&ends, &mut arena);
-            for from in 0..=ends.len() {
-                for target in 1..=10u32 {
-                    let expect = (from..ends.len())
-                        .find(|&i| ends[i] >= target)
-                        .unwrap_or(usize::MAX);
-                    assert_eq!(
-                        tree_first_at_least(&arena, from, target),
-                        expect,
-                        "ends={ends:?} from={from} target={target}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn seek_end_agrees_with_element_by_element_skip() {
-        // Equivalence with the scalar loop `while head.end < X { advance }`
-        // on a nesting-heavy stream, from every position and threshold.
+    fn start_seeks_and_the_empty_view() {
         let cols = OwnedColumns::from_elements(nested());
-        for from in 0..=cols.view().len() {
-            for target in 0..110u32 {
-                let mut cur = cols.view().cursor();
-                for _ in 0..from {
-                    cur.advance();
-                }
-                let mut scalar = cur;
-                while !scalar.is_exhausted() && scalar.head_end() < target {
-                    scalar.advance();
-                }
-                let mut seek = cur;
-                seek.seek_end_at_least(target);
-                assert_eq!(
-                    seek.position(),
-                    scalar.position(),
-                    "from={from} target={target}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn cursor_heads_and_sentinels() {
-        let cols = OwnedColumns::from_elements(nested());
-        let mut cur = cols.view().cursor();
-        assert_eq!(cur.head_start(), 1);
-        assert_eq!(cur.seek_start_at_least(49), 4);
-        assert_eq!((cur.head_start(), cur.head_end()), (50, 60));
-        cur.seek_start_at_least(u32::MAX);
-        assert!(cur.is_exhausted());
-        assert_eq!(cur.head_start(), u32::MAX);
-        assert_eq!(cur.head_end(), u32::MAX);
-    }
-
-    #[test]
-    fn empty_view_is_safe() {
-        let view = ColumnView::empty();
-        assert!(view.is_empty());
-        let mut cur = view.cursor();
-        assert!(cur.is_exhausted());
-        assert_eq!(cur.seek_start_at_least(5), 0);
-        assert_eq!(cur.seek_end_at_least(5), 0);
+        let view = cols.view();
+        assert_eq!(view.first_start_at_least(0, 49), 4);
+        assert_eq!(view.first_start_at_least(4, 49), 4);
+        assert_eq!(view.first_start_at_least(0, u32::MAX), view.len());
+        let empty = ColumnView::empty();
+        assert!(empty.is_empty());
+        assert_eq!(empty.first_start_at_least(0, 5), 0);
     }
 }

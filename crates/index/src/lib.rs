@@ -4,9 +4,8 @@
 //!
 //! * [`columns::TagColumns`] — per-tag, document-ordered element streams
 //!   (the inputs of the structural join) as struct-of-arrays columns:
-//!   contiguous start/end/level/node arrays plus a max-end tree per
-//!   stream, which the join scans branch-light and skips through with
-//!   galloping binary search;
+//!   contiguous start/end/level/node arrays, which the join scans
+//!   branch-light and skips through with galloping binary search;
 //! * [`value_index::ValueIndex`] — tokenized term postings with term
 //!   frequencies, an exact-value index, and a numeric index for range
 //!   predicates;
@@ -34,8 +33,8 @@ pub mod value_index;
 mod wire;
 
 pub use builder::IndexedDocument;
-pub use columns::{ColumnCursor, ColumnView, OwnedColumns, TagColumns};
+pub use columns::{ColumnView, OwnedColumns, TagColumns};
 pub use dataguide::{DataGuide, GuideNodeId};
 pub use stats::{JoinStats, Stats};
 pub use trie::{Trie, TrieCursor};
-pub use value_index::{tokenize, ValueIndex};
+pub use value_index::{fold_value, tokenize, ValueIndex};

@@ -7,11 +7,11 @@
 //! DataGuide and the statistics tables — into the sections that
 //! `lotusx-storage` frames and checksums. [`decode_sections`] is the
 //! inverse: bulk reads straight into the arena layouts plus validation,
-//! with **no re-parsing, no re-labeling and no stats re-walks**. The one
-//! exception is a structure *derived* from another section's bytes — the
-//! columns' end trees — which is rebuilt, not stored: a stored derivation
-//! must be validated against its source or it can lie, and validating it
-//! costs what rebuilding it costs.
+//! with **no re-parsing, no re-labeling and no stats re-walks**. What is
+//! *derived* from another section's bytes — today one flag, whether the
+//! columns' node ids ascend — is recomputed, not stored: a stored
+//! derivation must be validated against its source or it can lie, and
+//! validating it costs what recomputing it costs.
 //!
 //! ## Node-id canonicalization
 //!
@@ -450,7 +450,7 @@ mod tests {
                 assert_eq!(back.guide_node(node), idx.guide_node(node));
             }
         }
-        // Arenas, ranges and the rebuilt end trees.
+        // Arenas, ranges and the derived id-order flag.
         assert_eq!(back.columns(), idx.columns());
         for (term, df) in idx.values().terms() {
             assert_eq!(back.values().df(term), df);

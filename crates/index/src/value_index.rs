@@ -37,6 +37,14 @@ pub fn tokenize(text: &str) -> Vec<String> {
     terms
 }
 
+/// The one case fold of exact-value matching (`=`): surrounding whitespace
+/// off, then Unicode lowercase — the fold [`tokenize`] applies to terms.
+/// The value index keys on it and the direct predicate test compares by
+/// it, so the two cannot disagree on non-ASCII text.
+pub fn fold_value(text: &str) -> String {
+    text.trim().to_lowercase()
+}
+
 /// One posting: an element and the term's frequency within it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Posting {
@@ -81,10 +89,12 @@ impl ValueIndex {
         let trimmed = direct_text.trim();
         if !trimmed.is_empty() {
             self.exact
-                .entry(trimmed.to_lowercase())
+                .entry(fold_value(trimmed))
                 .or_default()
                 .push(node);
-            if let Ok(n) = trimmed.parse::<f64>() {
+            // "NaN" parses, compares false with every bound and has no
+            // place in a sorted list: it is never a range match.
+            if let Some(n) = trimmed.parse::<f64>().ok().filter(|n| !n.is_nan()) {
                 self.numeric.push((n, node));
             }
             any = true;
@@ -94,10 +104,10 @@ impl ValueIndex {
         }
     }
 
-    /// Finishes construction: sorts the numeric index.
+    /// Finishes construction: sorts the numeric index by value (stable,
+    /// so equal values stay in document order).
     pub fn finish(&mut self) {
-        self.numeric
-            .sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        self.numeric.sort_by(|a, b| a.0.total_cmp(&b.0));
     }
 
     /// Elements whose content contains `term` (case-insensitive).
@@ -113,22 +123,20 @@ impl ValueIndex {
         self.postings(term).len()
     }
 
-    /// Elements whose trimmed direct text equals `value` (case-insensitive).
+    /// Elements whose direct text equals `value` under [`fold_value`].
     pub fn exact_matches(&self, value: &str) -> &[NodeId] {
         self.exact
-            .get(&value.trim().to_lowercase())
+            .get(&fold_value(value))
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }
 
-    /// Elements whose numeric value lies in `[low, high]`.
-    pub fn range_matches(&self, low: f64, high: f64) -> Vec<NodeId> {
+    /// The `(value, element)` entries whose numeric value lies in
+    /// `[low, high]`, in value order — a slice of the sorted index.
+    pub fn range_matches(&self, low: f64, high: f64) -> &[(f64, NodeId)] {
         let from = self.numeric.partition_point(|(v, _)| *v < low);
-        self.numeric[from..]
-            .iter()
-            .take_while(|(v, _)| *v <= high)
-            .map(|(_, n)| *n)
-            .collect()
+        let len = self.numeric[from..].partition_point(|(v, _)| *v <= high);
+        &self.numeric[from..from + len]
     }
 
     /// Number of elements carrying any content.
@@ -243,6 +251,14 @@ impl ValueIndex {
             let node = rd_node(data, pos)?;
             numeric.push((value, node));
         }
+        // Files written before NaN stopped being indexed may hold NaN
+        // entries, and the sort that placed them may have left their
+        // neighbours out of order: drop them and restore the order.
+        let stored = numeric.len();
+        numeric.retain(|(v, _)| !v.is_nan());
+        if numeric.len() != stored {
+            numeric.sort_by(|a, b| a.0.total_cmp(&b.0));
+        }
         let content_elements = rd_len(data, pos, "value-index content elements")?;
         Ok(ValueIndex {
             terms,
@@ -325,9 +341,57 @@ mod tests {
         idx.index_element(node(3), "2010", &[]);
         idx.index_element(node(4), "not a number", &[]);
         idx.finish();
-        assert_eq!(idx.range_matches(2000.0, 2010.0), vec![node(2), node(3)]);
-        assert_eq!(idx.range_matches(1999.0, 1999.0), vec![node(1)]);
+        assert_eq!(
+            idx.range_matches(2000.0, 2010.0),
+            [(2003.0, node(2)), (2010.0, node(3))]
+        );
+        assert_eq!(idx.range_matches(1999.0, 1999.0), [(1999.0, node(1))]);
         assert!(idx.range_matches(2011.0, 3000.0).is_empty());
+    }
+
+    #[test]
+    fn nan_is_not_a_number_to_the_range_index_and_infinities_are() {
+        let mut idx = ValueIndex::new();
+        let texts = ["1", "NaN", "5", "nan", "inf", "-inf", "3"];
+        for (i, text) in texts.iter().enumerate() {
+            idx.index_element(node(i), text, &[]);
+        }
+        idx.finish();
+        let nodes = |low: f64, high: f64| -> Vec<NodeId> {
+            idx.range_matches(low, high).iter().map(|e| e.1).collect()
+        };
+        assert_eq!(nodes(2.0, f64::INFINITY), [node(6), node(2), node(4)]);
+        assert_eq!(nodes(f64::NEG_INFINITY, 1.0), [node(5), node(0)]);
+        assert_eq!(nodes(f64::NEG_INFINITY, f64::INFINITY).len(), 5);
+        // NaN is still an exact value.
+        assert_eq!(idx.exact_matches("nan"), [node(1), node(3)]);
+
+        // A file written while NaN was still indexed: decoding drops the
+        // entries and re-sorts what their comparisons left out of order.
+        idx.numeric = vec![
+            (1.0, node(0)),
+            (f64::NAN, node(1)),
+            (5.0, node(2)),
+            (3.0, node(6)),
+        ];
+        let identity: Vec<u32> = (0..8).collect();
+        let mut bytes = Vec::new();
+        idx.encode(&identity, &mut bytes);
+        let back = ValueIndex::decode(&bytes, &mut 0, 8).unwrap();
+        assert_eq!(
+            back.range_matches(f64::NEG_INFINITY, f64::INFINITY),
+            [(1.0, node(0)), (3.0, node(6)), (5.0, node(2))]
+        );
+    }
+
+    #[test]
+    fn exact_match_folds_non_ascii_case() {
+        let mut idx = ValueIndex::new();
+        idx.index_element(node(1), "Éclair", &[]);
+        idx.index_element(node(2), "éclair", &[]);
+        idx.finish();
+        assert_eq!(idx.exact_matches("ÉCLAIR"), [node(1), node(2)]);
+        assert_eq!(fold_value("  Éclair "), "éclair");
     }
 
     #[test]

@@ -191,24 +191,26 @@ impl<'a> Rewriter<'a> {
                     stats.pruned_unsatisfiable += 1;
                 } else {
                     stats.executions += 1;
-                    // Only the count matters here, and every algorithm
-                    // returns the same set: let the chooser pick.
-                    let matches = execute_budgeted(
+                    // Only the count matters here — no row is built for
+                    // it — and every algorithm counts the same: let the
+                    // chooser pick.
+                    let match_count = execute_budgeted(
                         self.idx,
                         &candidate.pattern,
                         Algorithm::Auto,
                         None,
                         guard,
-                    );
+                    )
+                    .count();
                     if guard.is_tripped() {
                         break;
                     }
-                    if !matches.is_empty() {
+                    if match_count > 0 {
                         results.push(RankedRewrite {
                             pattern: candidate.pattern.clone(),
                             cost: candidate.cost,
                             ops: candidate.ops.clone(),
-                            match_count: matches.len(),
+                            match_count,
                         });
                         // A hit is a good stopping point for this branch;
                         // still expand others for diversity.

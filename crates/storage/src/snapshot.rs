@@ -43,7 +43,7 @@ pub mod section {
     /// The region label of every node, as three columns.
     pub const LABELS: u64 = 2;
     /// Struct-of-arrays region columns: the per-tag arenas and stream
-    /// lengths (the end trees are rebuilt on load, not stored).
+    /// lengths.
     pub const COLUMNS: u64 = 3;
     /// The value index: term postings, exact strings, numeric values.
     pub const VALUES: u64 = 4;

@@ -16,9 +16,10 @@ use lotusx_xml::NodeId;
 /// matches found before `guard` trips.
 ///
 /// The walk charges one node visit per candidate binding it examines
-/// (amortized through a [`Ticker`]); on trip it finishes its in-flight
-/// recursion step and stops expanding new root candidates. Only fully
-/// bound assignments are ever emitted, so partial output is valid.
+/// and one candidate per row it pushes (amortized through a [`Ticker`]);
+/// on trip it finishes its in-flight recursion step and stops expanding
+/// new root candidates. Only fully bound assignments are ever emitted, so
+/// partial output is valid.
 pub fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern, guard: &QueryGuard) -> MatchSet {
     let roots = node_columns(idx, pattern, pattern.root());
     // Preorder binds each node after its parent and its whole subtree
@@ -57,6 +58,7 @@ fn bind(
 ) {
     let Some((&q, rest)) = rest.split_first() else {
         out.push(bindings);
+        let _ = ticker.tick_candidates(1);
         return;
     };
     let parent = pattern.node(q).parent.expect("only the root has no parent");

@@ -1,280 +1,391 @@
-//! Binary structural-join baseline.
+//! Binary structural join: reduce, count, enumerate.
 //!
-//! The pre-holistic decomposition: every query edge becomes one stack-tree
-//! structural join (Al-Khalifa et al., ICDE 2002) over the two nodes'
-//! sorted streams, producing an explicit `(ancestor, descendant)` pair list
-//! per edge. Full matches are then stitched together along the twig. The
-//! per-edge pair lists are the characteristic cost of this approach — they
-//! can dwarf the final result, which is precisely what holistic joins
-//! avoid.
+//! The pre-holistic decomposition — one stack-tree merge (Al-Khalifa et
+//! al., ICDE 2002) per query edge over the two nodes' sorted streams —
+//! without its characteristic cost: no `(ancestor, descendant)` pair is
+//! ever written down. The join is a semi-join reduction that carries
+//! counts, in three steps:
 //!
-//! The merge scans the index's struct-of-arrays region columns and skips
-//! with galloping binary search on both sides: descendants that start
-//! before any live ancestor jump forward in one seek, and ancestors whose
-//! subtrees end before the current descendant (dead — they can never
-//! contain a later descendant either) jump via the per-stream end-maxima
-//! tree. Emitted pairs are identical to the element-by-element merge.
+//! * **Reduce** ([`reduce`]): bottom-up over the pattern, one merge per
+//!   edge. Per parent position it records the range of child-stream
+//!   positions inside the parent's region and the number of sub-twig
+//!   matches under it — the sum of its related children's own counts —
+//!   and multiplies that into the parent's count. One integer per stream
+//!   element, whatever the nesting.
+//! * **Count** ([`ReducedTwig::count`]): the sum of the root counts is
+//!   the exact number of matches; no row has been built.
+//! * **Enumerate** ([`ReducedTwig::for_each_row`]): a preorder walk over
+//!   the stored ranges, one cursor per query node, hands the rows to a
+//!   sink one at a time — in ascending row order when the pattern's
+//!   preorder is its id order and the document's node ids ascend, which
+//!   is what lets a ranker stop as soon as its k-th score is unbeatable.
 //!
-//! Pairs are stream *positions*, not node ids, so the stitch needs only
-//! arrays: each edge's pairs are counting-sorted into a CSR adjacency over
-//! the parent stream ([`EdgeLists`]), bottom-up, dropping descendants whose
-//! own subtree cannot complete. The stitch then walks the twig in preorder
-//! with one cursor per query node; every partial assignment it touches
-//! extends to a match, so its work is proportional to the output.
+//! The merge walks both streams once. Children no open parent contains
+//! are skipped in one galloping seek; parents are walked linearly and the
+//! open ones — a nested chain — sit on a stack.
 
 use crate::matcher::{node_columns, MatchSet, NodeColumns};
-use crate::pattern::{Axis, TwigPattern};
+use crate::pattern::{Axis, QNodeId, TwigPattern};
 use lotusx_guard::{QueryGuard, Ticker};
 use lotusx_index::{ColumnView, IndexedDocument};
 use lotusx_xml::NodeId;
+use std::ops::Range;
 
-/// Evaluates `pattern` with one binary structural join per edge, under a
-/// budget. The explicit per-edge pair lists are this algorithm's blow-up
-/// site, so the join charges one node visit per pair emitted (and one per
-/// element skipped); on trip later edges get incomplete (possibly empty)
-/// pair lists and the stitch stops early — every stitched match still
-/// satisfies all its edges, so partial output is valid.
+/// Evaluates `pattern` in full: [`reduce`], then every row enumerated
+/// into a canonical [`MatchSet`]. On a budget trip the set holds the rows
+/// enumerated by then — every one a true match.
 pub fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern, guard: &QueryGuard) -> MatchSet {
-    // Columnar streams per query node.
-    let columns: Vec<NodeColumns<'_>> = pattern
-        .node_ids()
-        .map(|q| node_columns(idx, pattern, q))
-        .collect();
-    let views: Vec<ColumnView<'_>> = columns.iter().map(|c| c.view()).collect();
-    let mut ticker = guard.ticker();
+    reduce(idx, pattern, guard).into_match_set(guard)
+}
 
-    // One pair list per non-root query node (its edge to the parent).
-    let mut edge_pairs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); pattern.len()];
-    for q in pattern.node_ids() {
-        let node = pattern.node(q);
-        let Some(parent) = node.parent else { continue };
-        if ticker.stopped() {
-            // A missing pair list only removes matches, never invents
-            // them: the stitch treats it as "no descendants".
-            break;
-        }
-        edge_pairs[q.index()] = stack_tree_join_columns(
-            views[parent.index()],
-            views[q.index()],
-            node.axis,
-            &mut ticker,
-        );
-    }
+/// A twig reduced against a document: per query node its stream and, per
+/// stream position, how many matches of the node's sub-twig bind it there;
+/// per edge, where each parent's candidate children lie in the child
+/// stream. Enough to count the matches exactly and to enumerate them
+/// lazily, in document order.
+pub struct ReducedTwig<'a> {
+    columns: Vec<NodeColumns<'a>>,
+    /// `(node, parent)` columns in preorder; the root is its own parent.
+    order: Vec<(usize, usize)>,
+    /// Per node: its edge to the parent is a child (`/`) edge, so a
+    /// candidate in the parent's range must also sit one level below it.
+    child_edge: Vec<bool>,
+    /// Per node and stream position: the matches of the node's sub-twig
+    /// rooted at that element, saturating. Zero also marks an element
+    /// that relates to no element of the parent's stream.
+    weights: Vec<Vec<u64>>,
+    /// Per non-root node and *parent* stream position: the node's stream
+    /// positions that start inside the parent's region.
+    ranges: Vec<Vec<Range<u32>>>,
+    rows_ascend: bool,
+}
 
-    // Bottom-up (children carry larger ids than their parent): a stream
-    // position is alive iff every child edge still lists a descendant
-    // under it, and an edge keeps only pairs whose descendant is alive.
-    let mut lists = vec![EdgeLists::default(); pattern.len()];
-    let mut alive_roots: Option<Vec<bool>> = None;
-    for q in pattern.node_ids().rev() {
-        let node = pattern.node(q);
-        let alive = (!node.children.is_empty()).then(|| {
-            (0..views[q.index()].len())
-                .map(|i| node.children.iter().all(|c| lists[c.index()].any_under(i)))
-                .collect::<Vec<bool>>()
-        });
-        match node.parent {
-            Some(parent) => {
-                let pairs = std::mem::take(&mut edge_pairs[q.index()]);
-                lists[q.index()] =
-                    EdgeLists::build(&pairs, views[parent.index()].len(), alive.as_deref());
-            }
-            None => alive_roots = alive,
-        }
-    }
-
-    // Stitch: a preorder walk with one cursor per query node. Level 0 is
-    // the root stream; level `k` iterates the edge list of `order[k]`
-    // under its parent's current binding (`cursors[k]` is the unvisited
-    // rest of that list, `at[q]` the stream position bound to node `q`).
+/// Reduces `pattern` against `idx` under a budget: one merge per edge,
+/// children before parents. The merges charge one node visit per stream
+/// element consumed or skipped. On a trip the merge under way keeps the
+/// partial — and still true — sums it has, and an edge that never ran
+/// empties the result: what remains enumerable is a subset of the answer.
+pub fn reduce<'a>(
+    idx: &'a IndexedDocument,
+    pattern: &TwigPattern,
+    guard: &QueryGuard,
+) -> ReducedTwig<'a> {
     let order: Vec<(usize, usize)> = pattern
         .preorder()
         .into_iter()
         .map(|q| (q.index(), pattern.node(q).parent.unwrap_or(q).index()))
         .collect();
-    let mut out = MatchSet::new(pattern.len());
-    let mut cursors = vec![(0usize, 0usize); order.len()];
-    let mut at = vec![0u32; pattern.len()];
-    let mut row = vec![NodeId::DOCUMENT; pattern.len()];
-    let bind = |q: usize, pos: u32, at: &mut [u32], row: &mut [NodeId]| {
-        at[q] = pos;
-        row[q] = views[q].nodes()[pos as usize];
+    // Rows compare column by column in id order and bind in preorder:
+    // the walk emits them ascending iff the two orders are one and each
+    // stream's ids ascend.
+    let rows_ascend =
+        idx.columns().ids_ascend() && order.iter().enumerate().all(|(k, &(q, _))| k == q);
+    let mut twig = ReducedTwig {
+        columns: Vec::with_capacity(pattern.len()),
+        order,
+        child_edge: pattern
+            .node_ids()
+            .map(|q| pattern.node(q).axis == Axis::Child)
+            .collect(),
+        weights: vec![Vec::new(); pattern.len()],
+        ranges: vec![Vec::new(); pattern.len()],
+        rows_ascend,
     };
-    for root in 0..views[pattern.root().index()].len() {
-        if ticker.tick(1) {
+    for q in pattern.node_ids() {
+        let columns = node_columns(idx, pattern, q);
+        if columns.view().is_empty() {
+            // One empty stream empties the answer: no merge can change
+            // that, and no later stream needs filtering.
+            twig.columns.clear();
+            return twig;
+        }
+        twig.columns.push(columns);
+    }
+    for (weights, columns) in twig.weights.iter_mut().zip(&twig.columns) {
+        *weights = vec![1; columns.view().len()];
+    }
+    let mut ticker = guard.ticker();
+    // Children carry larger ids than their parent, so descending ids meet
+    // every edge below a node before the edge above it: a child's weights
+    // are final when its edge merges.
+    for q in pattern.node_ids().rev() {
+        let node = pattern.node(q);
+        let Some(parent) = node.parent else { continue };
+        if ticker.stopped() {
+            // The parents of an edge that never merged would go on
+            // counting matches nobody verified. The last edge in this
+            // order hangs off the root, so emptying the root covers them.
+            twig.weights[pattern.root().index()].fill(0);
             break;
         }
-        if alive_roots.as_ref().is_some_and(|alive| !alive[root]) {
-            continue;
-        }
-        bind(order[0].0, root as u32, &mut at, &mut row);
-        let mut k = 1;
-        loop {
-            if k == order.len() {
-                out.push(&row);
-                k -= 1;
-            } else {
-                // Just descended to level k: open its list.
-                let (q, parent) = order[k];
-                cursors[k] = lists[q].range(at[parent] as usize);
-            }
-            // Advance the deepest level that has something left.
-            while k > 0 && cursors[k].0 == cursors[k].1 {
-                k -= 1;
-            }
-            if k == 0 {
-                break;
-            }
-            let q = order[k].0;
-            bind(q, lists[q].targets[cursors[k].0], &mut at, &mut row);
-            cursors[k].0 += 1;
-            k += 1;
-        }
+        let (above, below) = twig.weights.split_at_mut(q.index());
+        twig.ranges[q.index()] = merge_edge(
+            twig.columns[parent.index()].view(),
+            twig.columns[q.index()].view(),
+            node.axis,
+            &mut above[parent.index()],
+            &mut below[0],
+            &mut ticker,
+        );
     }
-    out.sort_dedup();
-    out
+    twig
 }
 
-/// One edge's surviving pairs as a CSR adjacency: for every position in
-/// the parent stream, the positions in the child stream it pairs with, in
-/// document order.
-#[derive(Clone, Default)]
-struct EdgeLists {
-    /// `ends[a]` is the end of `a`'s run in `targets`; it starts where
-    /// `a - 1`'s ends.
-    ends: Vec<u32>,
-    targets: Vec<u32>,
+/// A parent whose region the merge is inside of.
+struct Open {
+    /// Position in the parent stream.
+    parent: usize,
+    /// Child axis: the weights of the children found so far. Descendant
+    /// axis: the running total when the parent opened.
+    acc: u128,
 }
 
-impl EdgeLists {
-    /// Counting-sorts `pairs` (in descendant order, as the join emits
-    /// them) by ancestor position, keeping only descendants marked alive.
-    fn build(pairs: &[(u32, u32)], parent_len: usize, alive: Option<&[bool]>) -> Self {
-        let kept = || {
-            pairs
-                .iter()
-                .filter(|&&(_, d)| alive.is_none_or(|alive| alive[d as usize]))
-        };
-        let mut ends = vec![0u32; parent_len];
-        for &(a, _) in kept() {
-            ends[a as usize] += 1;
-        }
-        let mut total = 0u32;
-        for slot in &mut ends {
-            total += std::mem::replace(slot, total);
-        }
-        // Each `ends[a]` now holds the start of a's run and advances to
-        // its end as the run fills.
-        let mut targets = vec![0u32; total as usize];
-        for &(a, d) in kept() {
-            targets[ends[a as usize] as usize] = d;
-            ends[a as usize] += 1;
-        }
-        EdgeLists { ends, targets }
-    }
-
-    /// The `targets` range paired with parent position `a`.
-    fn range(&self, a: usize) -> (usize, usize) {
-        let start = a.checked_sub(1).map_or(0, |prev| self.ends[prev]);
-        (start as usize, self.ends[a] as usize)
-    }
-
-    fn any_under(&self, a: usize) -> bool {
-        let (start, end) = self.range(a);
-        start < end
-    }
-}
-
-/// The stack-tree structural join: all `(a, d)` with `a` from `ancestors`,
-/// `d` from `descendants`, and `a` an ancestor (or parent, per `axis`) of
-/// `d`. Both inputs are in document order; output cost is
-/// `O(|A| + |D| + |result|)` — with the galloping skips, the `|A| + |D|`
-/// term drops to the number of elements that actually participate.
-///
-/// Charges one node visit per descendant consumed or skipped and per pair
-/// emitted; on trip the output is a truncated (but real) pair list. Pairs
-/// are `(ancestor, descendant)` positions in the two streams, grouped by
-/// descendant in document order.
-fn stack_tree_join_columns(
-    ancestors: ColumnView<'_>,
-    descendants: ColumnView<'_>,
+/// The parent side of one edge's merge: what is open, and what closing
+/// it writes down.
+struct OpenParents<'m> {
     axis: Axis,
+    ends: &'m [u32],
+    weights: &'m mut [u64],
+    ranges: Vec<Range<u32>>,
+    /// The open parents — a nested chain, innermost last.
+    open: Vec<Open>,
+    /// Descendant axis: the weights of all related children so far.
+    total: u128,
+}
+
+impl OpenParents<'_> {
+    /// Opens parent `pi`; `ci` is the first child position that can lie
+    /// inside it.
+    fn open(&mut self, pi: usize, ci: usize) {
+        self.ranges[pi].start = ci as u32;
+        let acc = match self.axis {
+            Axis::Child => 0,
+            Axis::Descendant => self.total,
+        };
+        self.open.push(Open { parent: pi, acc });
+    }
+
+    /// Closes every open parent that ends before `start`; `ci` is the
+    /// first child position no longer inside them.
+    fn close_ended(&mut self, start: u32, ci: usize) {
+        while let Some(top) = self.open.pop_if(|top| self.ends[top.parent] < start) {
+            let sum = match self.axis {
+                Axis::Child => top.acc,
+                Axis::Descendant => self.total - top.acc,
+            };
+            let sum = u64::try_from(sum).unwrap_or(u64::MAX);
+            self.ranges[top.parent].end = ci as u32;
+            self.weights[top.parent] = self.weights[top.parent].saturating_mul(sum);
+        }
+    }
+}
+
+/// One edge's reduce pass: a stack merge over the two streams that, per
+/// parent, records the child positions starting inside its region and
+/// multiplies the summed weights of its related children into the
+/// parent's weight; children related to no parent get weight zero.
+///
+/// *Related* on the descendant axis is every child under the parent. All
+/// open parents contain the current child, so instead of adding its
+/// weight to each of them the merge keeps one running total and a parent
+/// takes the growth between its opening and its closing: a child costs
+/// O(1) however deep the parents nest. On the child axis the only
+/// candidate is the innermost open parent — the element's parent is its
+/// deepest ancestor — and it qualifies iff it sits exactly one level up.
+///
+/// Sums are `u128` (2^32 children of weight 2^64 cannot overflow it) and
+/// saturate into the `u64` weights.
+fn merge_edge(
+    parents: ColumnView<'_>,
+    children: ColumnView<'_>,
+    axis: Axis,
+    parent_weights: &mut [u64],
+    child_weights: &mut [u64],
     ticker: &mut Ticker,
-) -> Vec<(u32, u32)> {
-    let mut out = Vec::new();
-    let (a_starts, a_ends) = (ancestors.starts(), ancestors.ends());
-    let a_levels = ancestors.levels();
-    let (d_starts, d_ends) = (descendants.starts(), descendants.ends());
-    let d_levels = descendants.levels();
-    // Stack of indices into the ancestor columns (a nested chain).
-    let mut stack: Vec<u32> = Vec::new();
-    let mut acur = ancestors.cursor();
-    let mut dcur = descendants.cursor();
-    while !dcur.is_exhausted() {
-        let di = dcur.position();
-        let dstart = d_starts[di];
-        // Push every ancestor that starts before d does. Ancestors whose
-        // subtree ends before d starts are dead — they cannot contain
-        // this or any later descendant — so the cursor seeks straight to
-        // the next one whose end reaches d.
-        while !acur.is_exhausted() && acur.head_start() < dstart {
-            if acur.head_end() < dstart {
-                let skipped = acur.seek_end_at_least(dstart);
-                let _ = ticker.tick(skipped as u64);
-                continue;
+) -> Vec<Range<u32>> {
+    let (p_starts, p_levels) = (parents.starts(), parents.levels());
+    let (c_starts, c_levels) = (children.starts(), children.levels());
+    let mut up = OpenParents {
+        axis,
+        ends: parents.ends(),
+        weights: parent_weights,
+        ranges: vec![0..0; parents.len()],
+        open: Vec::new(),
+        total: 0,
+    };
+    let (mut pi, mut ci) = (0, 0);
+    while ci < c_starts.len() {
+        let c_start = c_starts[ci];
+        // Open every parent that starts before this child does. (The
+        // same element in both streams starts *with* it and is not its
+        // own ancestor: the child goes first.)
+        let mut visited = 1;
+        while pi < p_starts.len() && p_starts[pi] < c_start {
+            up.close_ended(p_starts[pi], ci);
+            up.open(pi, ci);
+            pi += 1;
+            visited += 1;
+        }
+        up.close_ended(c_start, ci);
+        match up.open.last_mut() {
+            None => {
+                // Nothing contains this child — nor any other that starts
+                // before the next parent does. One seek disposes of the
+                // gap (at least the child itself).
+                let to = match p_starts.get(pi) {
+                    Some(&next) => children.first_start_at_least(ci, next.saturating_add(1)),
+                    None => c_starts.len(),
+                };
+                child_weights[ci..to].fill(0);
+                visited += to - ci - 1;
+                ci = to;
             }
-            let ai = acur.position();
-            // Pop finished ancestors first.
-            while let Some(&top) = stack.last() {
-                if a_ends[top as usize] < a_starts[ai] {
-                    stack.pop();
-                } else {
-                    break;
+            Some(innermost) => {
+                let weight = u128::from(child_weights[ci]);
+                let one_below =
+                    || u32::from(p_levels[innermost.parent]) + 1 == u32::from(c_levels[ci]);
+                match axis {
+                    Axis::Descendant => up.total += weight,
+                    Axis::Child if one_below() => innermost.acc += weight,
+                    Axis::Child => child_weights[ci] = 0,
                 }
-            }
-            stack.push(ai as u32);
-            acur.advance();
-        }
-        // Pop ancestors that ended before d starts.
-        while let Some(&top) = stack.last() {
-            if a_ends[top as usize] < dstart {
-                stack.pop();
-            } else {
-                break;
+                ci += 1;
             }
         }
-        if stack.is_empty() {
-            // Nothing contains this descendant — nor any other that
-            // starts before the next ancestor does. One seek disposes of
-            // the whole gap (at least d itself).
-            if acur.is_exhausted() {
-                break;
-            }
-            let next_a = acur.head_start();
-            let skipped = dcur.seek_start_at_least(next_a.saturating_add(1));
-            if ticker.tick(skipped.max(1) as u64) {
-                break;
-            }
-            continue;
-        }
-        if ticker.tick(1) {
+        if ticker.tick(visited as u64) {
             break;
         }
-        // Every remaining stack entry contains d.
-        let (dend, dlevel) = (d_ends[di], d_levels[di]);
-        for &a in &stack {
-            let ai = a as usize;
-            let contains = a_starts[ai] < dstart && dend < a_ends[ai];
-            if contains && (axis == Axis::Descendant || a_levels[ai] + 1 == dlevel) {
-                out.push((a, di as u32));
+    }
+    // Out of children, or of budget: no later child starts inside what is
+    // still open (a budget trip leaves sums over the children seen — true
+    // ones, just not all), and a parent never opened has none.
+    up.close_ended(u32::MAX, ci);
+    up.weights[pi..].fill(0);
+    up.ranges
+}
+
+impl ReducedTwig<'_> {
+    /// The exact number of matches (saturating), from the root counts
+    /// alone. After a budget trip during [`reduce`]: of the matches still
+    /// enumerable.
+    pub fn count(&self) -> u64 {
+        let root = self.order[0].0;
+        self.weights[root]
+            .iter()
+            .fold(0u64, |sum, &w| sum.saturating_add(w))
+    }
+
+    /// True when [`Self::for_each_row`] emits rows in ascending order —
+    /// the canonical [`MatchSet`] order and the ranker's tie-break.
+    pub fn rows_ascend(&self) -> bool {
+        self.rows_ascend
+    }
+
+    /// The total length of the query nodes' streams: what one pass over
+    /// every [`Self::stream`] reads.
+    pub fn stream_elements(&self) -> usize {
+        self.weights.iter().map(Vec::len).sum()
+    }
+
+    /// The stream of query node `q` — node, level, and whether the
+    /// element is *live*: able to bind `q` in some match. Live is exact
+    /// or slightly generous, never stingy: it holds for every element
+    /// whose own sub-twig matches and that relates to *some* element of
+    /// the parent's stream, whether or not that parent ends up in a match
+    /// itself.
+    pub fn stream(&self, q: QNodeId) -> impl Iterator<Item = (NodeId, u16, bool)> + '_ {
+        let view = self
+            .columns
+            .get(q.index())
+            .map_or(ColumnView::empty(), NodeColumns::view);
+        (view.nodes().iter().zip(view.levels()))
+            .zip(&self.weights[q.index()])
+            .map(|((&node, &level), &weight)| (node, level, weight != 0))
+    }
+
+    /// Hands every match to `sink`, one row at a time
+    /// (`row[q.index()]` is the element bound to `q`), until the sink
+    /// returns `false` or the budget trips; returns whether the
+    /// enumeration ran to its end.
+    ///
+    /// One preorder walk with a cursor per query node: a node's cursor
+    /// scans the range stored for its parent's current binding and stops
+    /// at elements of non-zero weight (on a child edge: one level below
+    /// the parent). A bound parent has non-zero weight, so every range
+    /// the walk opens holds such an element and every partial assignment
+    /// completes — the work is the root stream, the rows, and on child
+    /// edges the deeper descendants the level test passes over.
+    ///
+    /// Charges one node visit per cursor step and one candidate per row.
+    pub fn for_each_row(
+        &self,
+        ticker: &mut Ticker,
+        mut sink: impl FnMut(&[NodeId]) -> bool,
+    ) -> bool {
+        if self.columns.is_empty() {
+            return true;
+        }
+        let views: Vec<ColumnView<'_>> = self.columns.iter().map(NodeColumns::view).collect();
+        let depth = self.order.len();
+        // `cursors[k]` is the unvisited rest of the range level `k` scans
+        // (level 0: the root stream), `at[q]` the position bound to `q`.
+        let mut cursors = vec![0..0; depth];
+        let mut at = vec![0usize; depth];
+        let mut row = vec![NodeId::DOCUMENT; depth];
+        cursors[0] = 0..views[self.order[0].0].len() as u32;
+        let mut k = 0;
+        loop {
+            // Advance level `k` to its next qualifying element.
+            let (q, parent) = self.order[k];
+            let parent_level = views[parent].levels()[at[parent]];
+            let found = loop {
+                let Some(pos) = cursors[k].next() else {
+                    break None;
+                };
                 if ticker.tick(1) {
-                    return out;
+                    return false;
                 }
+                let pos = pos as usize;
+                let level_fits = k == 0
+                    || !self.child_edge[q]
+                    || u32::from(views[q].levels()[pos]) == u32::from(parent_level) + 1;
+                if self.weights[q][pos] != 0 && level_fits {
+                    break Some(pos);
+                }
+            };
+            let Some(pos) = found else {
+                if k == 0 {
+                    return true;
+                }
+                k -= 1;
+                continue;
+            };
+            at[q] = pos;
+            row[q] = views[q].nodes()[pos];
+            if k + 1 < depth {
+                // Descend: open the next node's range under its parent.
+                k += 1;
+                let (q, parent) = self.order[k];
+                cursors[k] = self.ranges[q][at[parent]].clone();
+            } else if ticker.tick_candidates(1) || !sink(&row) {
+                return false;
             }
         }
-        dcur.advance();
     }
-    out
+
+    /// Every row, as a canonical [`MatchSet`] (sorted only if the walk
+    /// did not already emit them ascending).
+    pub fn into_match_set(self, guard: &QueryGuard) -> MatchSet {
+        let mut out = MatchSet::new(self.order.len());
+        self.for_each_row(&mut guard.ticker(), |row| {
+            out.push(row);
+            true
+        });
+        if !self.rows_ascend {
+            out.sort_dedup();
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -314,86 +425,89 @@ mod tests {
         )
     }
 
-    /// The join under test, over hand-built streams, as node pairs.
-    fn stack_tree_join(
-        ancestors: &[Element],
-        descendants: &[Element],
-        axis: Axis,
-    ) -> Vec<(NodeId, NodeId)> {
-        let anc = OwnedColumns::from_elements(ancestors.iter().copied());
-        let desc = OwnedColumns::from_elements(descendants.iter().copied());
-        let mut ticker = QueryGuard::unlimited().ticker();
-        stack_tree_join_columns(anc.view(), desc.view(), axis, &mut ticker)
-            .into_iter()
-            .map(|(a, d)| (ancestors[a as usize].0, descendants[d as usize].0))
-            .collect()
-    }
+    /// What one merge leaves behind: per parent its child range and
+    /// weight, and the child weights.
+    type Merged = (Vec<Range<u32>>, Vec<u64>, Vec<u64>);
 
-    /// The element-by-element merge, kept as the oracle the galloping
-    /// join is checked against.
-    fn stack_tree_join_scalar(
-        ancestors: &[Element],
-        descendants: &[Element],
-        axis: Axis,
-    ) -> Vec<(NodeId, NodeId)> {
-        let mut out = Vec::new();
-        let mut stack: Vec<Element> = Vec::new();
-        let mut ai = 0usize;
-        for &(d_node, d) in descendants {
-            while ai < ancestors.len() && ancestors[ai].1.start < d.start {
-                let a = ancestors[ai];
-                while stack.last().is_some_and(|top| top.1.end < a.1.start) {
-                    stack.pop();
-                }
-                stack.push(a);
-                ai += 1;
-            }
-            while stack.last().is_some_and(|top| top.1.end < d.start) {
-                stack.pop();
-            }
-            for (a_node, a) in &stack {
-                if a.is_ancestor_of(&d) && (axis == Axis::Descendant || a.level + 1 == d.level) {
-                    out.push((*a_node, d_node));
-                }
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn stack_tree_join_ad_pairs() {
-        // a1(1,10) contains d1(2,3), a2(4,9) inside a1 contains d2(5,6).
-        let ancestors = vec![element(1, 1, 10, 1), element(2, 4, 9, 2)];
-        let descendants = vec![element(3, 2, 3, 2), element(4, 5, 6, 3)];
-        let pairs = stack_tree_join(&ancestors, &descendants, Axis::Descendant);
-        assert_eq!(pairs.len(), 3); // (a1,d1), (a1,d2), (a2,d2)
-    }
-
-    #[test]
-    fn stack_tree_join_pc_filters_levels() {
-        let ancestors = vec![element(1, 1, 10, 1), element(2, 4, 9, 2)];
-        let descendants = vec![element(3, 2, 3, 2), element(4, 5, 6, 3)];
-        let pairs = stack_tree_join(&ancestors, &descendants, Axis::Child);
-        assert_eq!(
-            pairs,
-            vec![
-                (NodeId::from_index(1), NodeId::from_index(3)),
-                (NodeId::from_index(2), NodeId::from_index(4)),
-            ]
+    /// The merge under test over hand-built streams; child `j` enters
+    /// with weight `j + 1`, so sums tell the children apart.
+    fn merge(parents: &[Element], children: &[Element], axis: Axis) -> Merged {
+        let p = OwnedColumns::from_elements(parents.iter().copied());
+        let c = OwnedColumns::from_elements(children.iter().copied());
+        let mut parent_weights = vec![1; parents.len()];
+        let mut child_weights: Vec<u64> = (1..=children.len() as u64).collect();
+        let ranges = merge_edge(
+            p.view(),
+            c.view(),
+            axis,
+            &mut parent_weights,
+            &mut child_weights,
+            &mut QueryGuard::unlimited().ticker(),
         );
+        (ranges, parent_weights, child_weights)
+    }
+
+    /// The same by definition, pair by pair.
+    fn merge_by_definition(parents: &[Element], children: &[Element], axis: Axis) -> Merged {
+        let related = |p: &RegionLabel, c: &RegionLabel| {
+            p.is_ancestor_of(c) && (axis == Axis::Descendant || p.level + 1 == c.level)
+        };
+        let inside = |p: &RegionLabel, c: &RegionLabel| p.start < c.start && c.start < p.end;
+        let mut ranges = Vec::new();
+        let mut parent_weights = Vec::new();
+        for (_, p) in parents {
+            let lo = children.iter().take_while(|(_, c)| c.start <= p.start);
+            let lo = lo.count();
+            let len = children[lo..].iter().take_while(|(_, c)| inside(p, c));
+            ranges.push(lo as u32..(lo + len.count()) as u32);
+            let sum = (children.iter().enumerate())
+                .filter(|(_, (_, c))| related(p, c))
+                .map(|(j, _)| j as u64 + 1);
+            parent_weights.push(sum.sum());
+        }
+        let child_weights = (children.iter().enumerate())
+            .map(|(j, (_, c))| {
+                let kept = parents.iter().any(|(_, p)| related(p, c));
+                (j as u64 + 1) * u64::from(kept)
+            })
+            .collect();
+        (ranges, parent_weights, child_weights)
     }
 
     #[test]
-    fn stack_tree_join_disjoint_inputs() {
-        let ancestors = vec![element(1, 1, 2, 1)];
-        let descendants = vec![element(2, 3, 4, 1)];
-        assert!(stack_tree_join(&ancestors, &descendants, Axis::Descendant).is_empty());
+    fn merge_sums_descendants_under_every_nested_parent() {
+        // a1(1,10) contains d1(2,3), a2(4,9) inside a1 contains d2(5,6).
+        let parents = vec![element(1, 1, 10, 1), element(2, 4, 9, 2)];
+        let children = vec![element(3, 2, 3, 2), element(4, 5, 6, 3)];
+        let (ranges, parent_weights, child_weights) = merge(&parents, &children, Axis::Descendant);
+        assert_eq!(ranges, [0..2, 1..2]);
+        assert_eq!(parent_weights, [1 + 2, 2], "(a1,d1), (a1,d2), (a2,d2)");
+        assert_eq!(child_weights, [1, 2]);
     }
 
     #[test]
-    fn galloping_join_matches_scalar_join_on_self_join_and_gaps() {
-        // A shape exercising every skip path: dead ancestors (early
-        // siblings), descendant gaps (runs with no live ancestor), and a
+    fn merge_on_the_child_axis_counts_only_the_level_below() {
+        let parents = vec![element(1, 1, 10, 1), element(2, 4, 9, 2)];
+        let children = vec![element(3, 2, 3, 2), element(4, 5, 6, 3)];
+        let (ranges, parent_weights, _) = merge(&parents, &children, Axis::Child);
+        // a1's range still spans d2 — the enumerator's level test skips it.
+        assert_eq!(ranges, [0..2, 1..2]);
+        assert_eq!(parent_weights, [1, 2], "(a1,d1) and (a2,d2) only");
+    }
+
+    #[test]
+    fn merge_of_disjoint_streams_zeroes_both_sides() {
+        let parents = vec![element(1, 1, 2, 1)];
+        let children = vec![element(2, 3, 4, 1)];
+        let (ranges, parent_weights, child_weights) = merge(&parents, &children, Axis::Descendant);
+        assert!(ranges[0].is_empty());
+        assert_eq!((parent_weights, child_weights), (vec![0], vec![0]));
+    }
+
+    #[test]
+    fn merge_matches_the_definition_on_self_join_and_gaps() {
+        // A shape exercising every path: parents that close childless
+        // (early siblings), child gaps (runs no parent contains), and a
         // self-join (identical streams) where starts collide.
         let stream = vec![
             element(1, 1, 4, 1),
@@ -407,14 +521,79 @@ mod tests {
         ];
         let sparse = vec![element(9, 9, 10, 3), element(10, 21, 22, 1)];
         for axis in [Axis::Descendant, Axis::Child] {
-            for (a, d) in [(&stream, &stream), (&stream, &sparse), (&sparse, &stream)] {
-                let mut expect = stack_tree_join_scalar(a, d, axis);
-                let mut got = stack_tree_join(a, d, axis);
-                expect.sort();
-                got.sort();
-                assert_eq!(got, expect, "axis {axis:?}");
+            for (p, c) in [(&stream, &stream), (&stream, &sparse), (&sparse, &stream)] {
+                let (ranges, parent_weights, child_weights) = merge(p, c, axis);
+                let expect = merge_by_definition(p, c, axis);
+                // Only non-empty ranges are ever opened: compare those.
+                for (i, range) in ranges.iter().enumerate() {
+                    assert!(
+                        *range == expect.0[i] || (range.is_empty() && expect.0[i].is_empty()),
+                        "axis {axis:?} parent {i}: {range:?} vs {:?}",
+                        expect.0[i]
+                    );
+                }
+                assert_eq!(parent_weights, expect.1, "axis {axis:?}");
+                assert_eq!(child_weights, expect.2, "axis {axis:?}");
             }
         }
+    }
+
+    #[test]
+    fn sums_saturate_instead_of_wrapping() {
+        let parents = vec![element(1, 1, 10, 1)];
+        let children = vec![element(2, 2, 3, 2), element(3, 4, 5, 2)];
+        let p = OwnedColumns::from_elements(parents);
+        let c = OwnedColumns::from_elements(children);
+        for axis in [Axis::Descendant, Axis::Child] {
+            let mut parent_weights = vec![3];
+            let mut child_weights = vec![u64::MAX, u64::MAX];
+            merge_edge(
+                p.view(),
+                c.view(),
+                axis,
+                &mut parent_weights,
+                &mut child_weights,
+                &mut QueryGuard::unlimited().ticker(),
+            );
+            assert_eq!(parent_weights, [u64::MAX], "{axis:?}");
+        }
+    }
+
+    #[test]
+    fn count_and_rows_agree_without_building_rows_to_count() {
+        let idx = idx();
+        let pattern = parse_query("//book[title][author]/year").unwrap();
+        let guard = QueryGuard::unlimited();
+        let twig = reduce(&idx, &pattern, &guard);
+        assert_eq!(twig.count(), 3);
+        assert!(twig.rows_ascend());
+        let mut rows = 0;
+        let exhausted = twig.for_each_row(&mut guard.ticker(), |row| {
+            assert_eq!(row.len(), 4);
+            rows += 1;
+            rows < 2
+        });
+        assert!(!exhausted, "the sink stopped the walk");
+        assert_eq!(rows, 2);
+        // The article's title and author relate to no book.
+        let live = |q: usize| {
+            let stream = twig.stream(QNodeId::from_index(q));
+            stream.filter(|&(_, _, live)| live).count()
+        };
+        assert_eq!((live(0), live(1), live(2), live(3)), (2, 2, 3, 2));
+    }
+
+    #[test]
+    fn an_empty_stream_empties_the_answer_before_any_merge() {
+        let idx = idx();
+        let guard = QueryGuard::new(&lotusx_guard::Budget::unlimited().with_node_quota(1 << 40));
+        for q in ["//book[year >= 2024]/author", "//book/nosuch"] {
+            let twig = reduce(&idx, &parse_query(q).unwrap(), &guard);
+            assert_eq!(twig.count(), 0, "{q}");
+            assert!(twig.for_each_row(&mut guard.ticker(), |_| panic!("no rows")));
+            assert!(twig.into_match_set(&guard).is_empty());
+        }
+        assert_eq!(guard.nodes_visited(), 0, "no merge ran");
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Algorithm selection facade.
 
-use crate::algorithms::{naive, structural_join};
+use crate::algorithms::naive;
+use crate::algorithms::structural_join::{self, ReducedTwig};
 use crate::matcher::MatchSet;
 use crate::ordered::filter_ordered;
 use crate::pattern::{Axis, TwigPattern, ValuePredicate};
 use lotusx_guard::QueryGuard;
 use lotusx_index::IndexedDocument;
 use lotusx_obs::Span;
+use lotusx_xml::NodeId;
 
 /// The available twig evaluation algorithms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -53,22 +55,21 @@ pub struct Choice {
     /// Estimated cost of the navigational baseline (child-fanout and
     /// subtree-weight scans).
     pub nav_cost: u64,
-    /// Estimated cost of the binary structural join (merges + pair
-    /// materialization + stitch).
+    /// Estimated cost of the binary structural join (one counting merge
+    /// per edge + the walk that enumerates every row).
     pub binary_cost: u64,
 }
 
 /// Per element visited by a navigational child or subtree scan.
 const SCAN_COST: u64 = 14;
-/// Per element consumed by a binary-join merge pass.
-const MERGE_COST: u64 = 5;
-/// Per surviving pair the binary join emits and counting-sorts into its
-/// edge adjacency.
-const PAIR_COST: u64 = 8;
-/// Per root-stream element during the binary join's stitch phase.
-const STITCH_COST: u64 = 10;
-/// Per match row the binary join's stitch writes.
-const STITCH_OUT_COST: u64 = 9;
+/// Per element of both streams consumed by one edge's reduce merge. A
+/// related pair costs nothing of its own: the merge counts, it does not
+/// write pairs down.
+const MERGE_COST: u64 = 7;
+/// Per root-stream element the binary join's enumerating walk steps over.
+const WALK_COST: u64 = 7;
+/// Per match row the walk binds and writes.
+const ROW_COST: u64 = 22;
 /// Per emitted match row of the navigational baseline.
 const NAIVE_MATCH_COST: u64 = 20;
 /// Per stream element of a value predicate that has to read the element
@@ -76,17 +77,17 @@ const NAIVE_MATCH_COST: u64 = 20;
 /// materializes filtered streams up front.
 const PRED_STREAM_COST: u64 = 270;
 /// Per stream element of a predicate the value index resolves (`=` and
-/// numeric ranges): one binary search in the candidate list.
-const PRED_INDEX_COST: u64 = 20;
+/// numeric ranges): marking the candidates and one bit probe.
+const PRED_INDEX_COST: u64 = 7;
 /// Per candidate value-predicate evaluation paid lazily by the
 /// navigational baseline (only structural survivors are tested, but each
 /// test reads the element).
 const PRED_NAV_COST: u64 = 270;
-/// Fixed per-query setup of the binary join (column slicing, one
-/// adjacency per edge) before any element moves; the navigational
-/// baseline starts from the root stream alone and pays none. Decides
-/// only micro-queries.
-const JOIN_SETUP_COST: u64 = 600;
+/// Fixed per-query setup of the binary join (column slicing, a weight
+/// vector per node and a range vector per edge) before any element
+/// moves; the navigational baseline starts from the root stream alone
+/// and pays none. Decides only micro-queries.
+const JOIN_SETUP_COST: u64 = 800;
 
 /// The stats-driven cost model behind [`Algorithm::Auto`]: prices the
 /// navigational and the binary-join plan for `pattern` from
@@ -101,9 +102,11 @@ const JOIN_SETUP_COST: u64 = 600;
 ///   [`subtree_weight`](lotusx_index::JoinStats::subtree_weight)
 ///   aggregates (recursion multiplies the latter, which is exactly when
 ///   navigation loses); value predicates are tested lazily on survivors;
-/// * **binary join** — a galloping merge over both streams per edge, plus
-///   [`PAIR_COST`] per surviving pair (exact from the DataGuide), a
-///   stitch pass over the root stream and one row write per match;
+/// * **binary join** — one counting merge over both streams per edge
+///   (pairs are never written, so recursion multiplies nothing here), a
+///   walk over the root stream and one row write per match — full
+///   materialization, which is what [`execute`] does; a caller that asks
+///   only for the count and the top `k` pays less, never more;
 ///   predicates are evaluated while materializing full streams.
 pub fn choose_algorithm(idx: &IndexedDocument, pattern: &TwigPattern) -> Choice {
     let js = idx.join_stats();
@@ -135,7 +138,7 @@ pub fn choose_algorithm(idx: &IndexedDocument, pattern: &TwigPattern) -> Choice 
     // (where each extra branch thins the root survivors).
     let mut match_est = s_root as f64;
     let mut nav_cost = SCAN_COST.saturating_mul(s_root);
-    let mut binary_cost = JOIN_SETUP_COST.saturating_add(STITCH_COST.saturating_mul(s_root));
+    let mut binary_cost = JOIN_SETUP_COST.saturating_add(WALK_COST.saturating_mul(s_root));
     let mut pred_stream_cost = 0u64;
     // Fraction of each query node's tag instances the navigational walk
     // actually reaches: the root stream is visited in full, but a deeper
@@ -158,8 +161,8 @@ pub fn choose_algorithm(idx: &IndexedDocument, pattern: &TwigPattern) -> Choice 
         // `pairs` counts distinct descendants that survive the edge;
         // `pairs_emitted` counts every (ancestor, descendant) containment
         // pair with multiplicity — under recursion one element pairs with
-        // several nested ancestors, so this is what the binary stack-tree
-        // join actually materializes.
+        // several nested ancestors, and each such pair is a row (or a
+        // factor of rows) of the answer.
         let (pairs, pairs_emitted) = match (sym_of(parent), sym_of(q)) {
             (Some(Some(a)), Some(Some(d))) => {
                 if node.axis == Axis::Child {
@@ -208,12 +211,9 @@ pub fn choose_algorithm(idx: &IndexedDocument, pattern: &TwigPattern) -> Choice 
             (surviving as f64 * frac_p / s_q as f64).min(1.0)
         };
 
-        // Binary join: merge both streams, materialize every related pair —
-        // the stack-tree join emits pairs with multiplicity, so recursion
-        // charges the uncapped count.
-        binary_cost = binary_cost
-            .saturating_add(MERGE_COST.saturating_mul(s_p.saturating_add(s_q)))
-            .saturating_add(PAIR_COST.saturating_mul(pairs_emitted));
+        // Binary join: one merge over both streams, whatever relates.
+        binary_cost =
+            binary_cost.saturating_add(MERGE_COST.saturating_mul(s_p.saturating_add(s_q)));
     }
     let est_matches = if edge_count == 0 {
         // Edgeless (single-node) pattern: both plans just copy the
@@ -224,7 +224,7 @@ pub fn choose_algorithm(idx: &IndexedDocument, pattern: &TwigPattern) -> Choice 
     };
     nav_cost = nav_cost.saturating_add(NAIVE_MATCH_COST.saturating_mul(est_matches));
     binary_cost = binary_cost
-        .saturating_add(STITCH_OUT_COST.saturating_mul(est_matches))
+        .saturating_add(ROW_COST.saturating_mul(est_matches))
         .saturating_add(pred_stream_cost);
     let algorithm = if binary_cost < nav_cost {
         Algorithm::StructuralJoin
@@ -257,73 +257,155 @@ fn provably_empty(idx: &IndexedDocument, pattern: &TwigPattern) -> bool {
         })
 }
 
+/// What a join returns: the matches of one pattern, countable without
+/// being built and enumerable one row at a time, still under the budget
+/// the join ran under.
+///
+/// The binary structural join stops at its reduced twig ([`ReducedTwig`])
+/// — the count is a sum and rows exist only while a sink looks at them.
+/// The navigational walk and ordered patterns (whose sibling-order filter
+/// needs whole rows) hold a materialized [`MatchSet`] behind the same
+/// three calls.
+pub struct JoinResult<'a> {
+    guard: QueryGuard,
+    matches: Matches<'a>,
+    count: usize,
+}
+
+enum Matches<'a> {
+    Reduced(ReducedTwig<'a>),
+    Rows(MatchSet),
+}
+
+impl<'a> JoinResult<'a> {
+    fn new(guard: &QueryGuard, matches: Matches<'a>) -> Self {
+        let count = match &matches {
+            Matches::Reduced(twig) => usize::try_from(twig.count()).unwrap_or(usize::MAX),
+            Matches::Rows(rows) => rows.len(),
+        };
+        JoinResult {
+            guard: guard.clone(),
+            matches,
+            count,
+        }
+    }
+
+    /// The number of matches (saturating at `usize::MAX`) — exact unless
+    /// the budget tripped inside the join, and then the number of valid
+    /// matches it still holds.
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// True when there is no match.
+    pub fn is_empty(&self) -> bool {
+        self.count() == 0
+    }
+
+    /// Hands the matches to `sink` one row at a time
+    /// (`row[q.index()]` is the element bound to `q`) until it returns
+    /// `false` or the budget trips; returns whether every row was handed
+    /// over. One node visit is charged per row at least; a row that comes
+    /// into existence here — enumerated, not read back from a set the
+    /// join already materialized and paid for — is charged as a candidate.
+    pub fn for_each_row(&self, mut sink: impl FnMut(&[NodeId]) -> bool) -> bool {
+        let mut ticker = self.guard.ticker();
+        match &self.matches {
+            Matches::Reduced(twig) => twig.for_each_row(&mut ticker, sink),
+            Matches::Rows(rows) => rows.rows().all(|row| !ticker.tick(1) && sink(row)),
+        }
+    }
+
+    /// The reduced twig behind this result, when there is one and it
+    /// enumerates rows in ascending order — the canonical [`MatchSet`]
+    /// order, which is also the ranker's tie-break. What a ranker needs
+    /// to bound the scores of the rows it has not seen and stop early.
+    pub fn reduced_in_row_order(&self) -> Option<&ReducedTwig<'a>> {
+        match &self.matches {
+            Matches::Reduced(twig) if twig.rows_ascend() => Some(twig),
+            _ => None,
+        }
+    }
+
+    /// The budget this result was computed, and is enumerated, under.
+    pub fn guard(&self) -> &QueryGuard {
+        &self.guard
+    }
+
+    /// Every match, as a canonical [`MatchSet`].
+    pub fn into_match_set(self) -> MatchSet {
+        match self.matches {
+            Matches::Reduced(twig) => twig.into_match_set(&self.guard),
+            Matches::Rows(rows) => rows,
+        }
+    }
+}
+
 /// The raw join: runs the (already resolved) algorithm on the calling
 /// thread.
-fn join(
-    idx: &IndexedDocument,
+fn join<'a>(
+    idx: &'a IndexedDocument,
     pattern: &TwigPattern,
     algorithm: Algorithm,
     guard: &QueryGuard,
-) -> MatchSet {
+) -> Matches<'a> {
     // A query node over a tag the document never saw has an empty stream,
     // so every algorithm would grind to an empty answer; return it now.
     if provably_empty(idx, pattern) {
-        return MatchSet::new(pattern.len());
+        return Matches::Rows(MatchSet::new(pattern.len()));
     }
     match algorithm {
-        Algorithm::Naive => naive::evaluate(idx, pattern, guard),
-        Algorithm::StructuralJoin => structural_join::evaluate(idx, pattern, guard),
+        Algorithm::Naive => Matches::Rows(naive::evaluate(idx, pattern, guard)),
+        Algorithm::StructuralJoin => Matches::Reduced(structural_join::reduce(idx, pattern, guard)),
         Algorithm::Auto => unreachable!("Auto is resolved before dispatch"),
     }
 }
 
 /// Evaluates `pattern` over `idx` with the chosen algorithm, applying the
-/// order-sensitivity filter if the pattern requests it.
+/// order-sensitivity filter if the pattern requests it, and materializes
+/// every match.
 pub fn execute(idx: &IndexedDocument, pattern: &TwigPattern, algorithm: Algorithm) -> MatchSet {
-    execute_budgeted(idx, pattern, algorithm, None, &QueryGuard::unlimited())
+    execute_budgeted(idx, pattern, algorithm, None, &QueryGuard::unlimited()).into_match_set()
 }
 
-/// Like [`execute`], under a budget and recording the join and the
-/// ordered filter as timed children of `span` when one is supplied (the
-/// span never changes what is computed). The join stops cooperatively
-/// once `guard` trips, returning only matches proven valid by then.
-/// Callers inspect the guard afterwards to learn whether the result is
-/// complete.
-pub fn execute_budgeted(
-    idx: &IndexedDocument,
+/// Like [`execute`], under a budget, recording the join and the ordered
+/// filter as timed children of `span` when one is supplied (the span
+/// never changes what is computed) — and stopping short of the rows: the
+/// [`JoinResult`] counts them and enumerates them on demand. The join
+/// stops cooperatively once `guard` trips, keeping only matches proven
+/// valid by then. Callers inspect the guard afterwards to learn whether
+/// the result is complete.
+pub fn execute_budgeted<'a>(
+    idx: &'a IndexedDocument,
     pattern: &TwigPattern,
     algorithm: Algorithm,
     span: Option<&Span>,
     guard: &QueryGuard,
-) -> MatchSet {
+) -> JoinResult<'a> {
     // Resolve the auto policy up front so spans report the algorithm
     // that actually runs.
     let algorithm = match algorithm {
         Algorithm::Auto => choose_algorithm(idx, pattern).algorithm,
         pinned => pinned,
     };
-    let matches = match span {
-        None => join(idx, pattern, algorithm, guard),
-        Some(parent) => {
-            let span_guard = parent.child(format!("join/{algorithm}"));
-            let m = join(idx, pattern, algorithm, guard);
-            span_guard.annotate("matches", m.len());
-            m
-        }
-    };
+    let join_span = span.map(|parent| parent.child(format!("join/{algorithm}")));
+    let result = JoinResult::new(guard, join(idx, pattern, algorithm, guard));
+    if let Some(join_span) = join_span {
+        join_span.annotate("matches", result.count());
+    }
     if !pattern.is_ordered() {
-        return matches;
+        return result;
     }
-    match span {
-        None => filter_ordered(idx, pattern, matches),
-        Some(parent) => {
-            let span_guard = parent.child("ordered-filter");
-            span_guard.annotate("in", matches.len());
-            let out = filter_ordered(idx, pattern, matches);
-            span_guard.annotate("kept", out.len());
-            out
-        }
+    // Sibling order is a property of whole rows: build them, filter them.
+    let filter_span = span.map(|parent| parent.child("ordered-filter"));
+    let rows = result.into_match_set();
+    let rows_in = rows.len();
+    let kept = filter_ordered(idx, pattern, rows);
+    if let Some(filter_span) = filter_span {
+        filter_span.annotate("in", rows_in);
+        filter_span.annotate("kept", kept.len());
     }
+    JoinResult::new(guard, Matches::Rows(kept))
 }
 
 #[cfg(test)]
@@ -400,9 +482,9 @@ mod tests {
     fn chooser_avoids_navigation_on_recursive_data() {
         // Deep recursion makes subtree rescans quadratic (subtree_weight
         // counts every element once per enclosing instance). The binary
-        // join pays for every nested pair too, but only a few nanoseconds
-        // each (measured 49 µs against navigation's 146 µs on exactly this
-        // document).
+        // join's merge costs a nested pair nothing, and its walk a row
+        // write each (measured 36 µs against navigation's 153 µs on
+        // exactly this document).
         let mut xml = String::new();
         for _ in 0..80 {
             xml.push_str("<s><t>x</t>");
@@ -436,7 +518,7 @@ mod tests {
     #[test]
     fn chooser_prices_predicates_by_how_they_are_evaluated() {
         // 400 flat items. An index-resolved range predicate costs the
-        // binary join one binary search per element, so it keeps its
+        // binary join one bit probe per element, so it keeps its
         // edge; a `contains` predicate has to read every element of the
         // stream up front, while navigation reads only the structural
         // survivors — here the items' own children, half the `a` stream.
@@ -531,7 +613,8 @@ mod tests {
             Some(&span),
             &unlimited,
         );
-        assert_eq!(plain, spanned);
+        assert_eq!(spanned.count(), plain.len());
+        assert_eq!(plain, spanned.into_match_set());
         let rec = span.finish();
         let join = rec
             .child("join/structural-join")

@@ -9,12 +9,14 @@
 //! * [`xpath`] — a parser for an XPath-like textual subset so queries can be
 //!   written as strings (`//book[year >= 2000]/title`).
 //! * [`algorithms`] — two evaluators producing identical match sets: the
-//!   binary structural join and a navigational walk that doubles as the
-//!   test oracle.
+//!   binary structural join (reduce, count, enumerate on demand) and a
+//!   navigational walk that doubles as the test oracle.
 //! * [`ordered`] — order-sensitive twig semantics (LotusX supports
 //!   "complex twig queries (including order sensitive queries)").
 //! * [`exec`] — the execution core: the two-plan cost model behind
-//!   [`Algorithm::Auto`] and the one `execute` / `execute_budgeted` entry.
+//!   [`Algorithm::Auto`] and the one `execute` / `execute_budgeted` entry,
+//!   whose [`JoinResult`] counts matches without building them and hands
+//!   rows to a sink one at a time.
 //!
 //! ```
 //! use lotusx_index::IndexedDocument;
@@ -36,7 +38,7 @@ pub mod ordered;
 pub mod pattern;
 pub mod xpath;
 
-pub use exec::{choose_algorithm, execute, execute_budgeted, Algorithm, Choice};
+pub use exec::{choose_algorithm, execute, execute_budgeted, Algorithm, Choice, JoinResult};
 pub use matcher::MatchSet;
 pub use pattern::{Axis, NodeTest, QNodeId, TwigPattern, ValuePredicate};
 pub use xpath::{parse_query, MAX_PATTERN_NODES};

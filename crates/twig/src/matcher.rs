@@ -109,7 +109,9 @@ fn row_index(rows: usize) -> u32 {
 pub fn predicate_matches(idx: &IndexedDocument, node: NodeId, pred: &ValuePredicate) -> bool {
     let doc = idx.document();
     match pred {
-        ValuePredicate::Equals(v) => doc.direct_text(node).trim().eq_ignore_ascii_case(v.trim()),
+        ValuePredicate::Equals(v) => {
+            lotusx_index::fold_value(&doc.direct_text(node)) == lotusx_index::fold_value(v)
+        }
         ValuePredicate::Contains(v) => {
             let needles = lotusx_index::tokenize(v);
             if needles.is_empty() {
@@ -205,8 +207,9 @@ pub fn node_columns<'a>(
 ///
 /// Predicates are pushed into the index: `Equals` and `Range` resolve to
 /// candidate sets from the value index which are then intersected with the
-/// tag stream, so a selective predicate shrinks the stream before any join
-/// work happens.
+/// tag stream — candidates marked in a bitmap over node ids, one bit probe
+/// per stream element — so a selective predicate shrinks the stream before
+/// any join work happens.
 fn filtered_stream(idx: &IndexedDocument, node: &QNode, base: ColumnView<'_>) -> OwnedColumns {
     let nodes = base.nodes();
     // Kept positions first (the one buffer that grows), so that every
@@ -225,16 +228,21 @@ fn filtered_stream(idx: &IndexedDocument, node: &QNode, base: ColumnView<'_>) ->
                     .is_none_or(|pred| predicate_matches(idx, nodes[i], pred))
         });
     }
-    // The value index hands out candidates unsorted (the numeric index in
-    // value order); sorted, each stream element is one binary search.
-    let among = |mut candidates: Vec<NodeId>| {
-        candidates.sort_unstable();
-        keep(&|i| candidates.binary_search(&nodes[i]).is_ok())
+    let among = |candidates: &mut dyn Iterator<Item = NodeId>| {
+        let mut marked = vec![0u64; idx.document().node_count() / 64 + 1];
+        for n in candidates {
+            marked[n.index() / 64] |= 1 << (n.index() % 64);
+        }
+        keep(&|i| marked[nodes[i].index() / 64] >> (nodes[i].index() % 64) & 1 == 1)
     };
     match &node.predicate {
         None => keep(&|_| true),
-        Some(ValuePredicate::Equals(v)) => among(idx.values().exact_matches(v).to_vec()),
-        Some(ValuePredicate::Range { low, high }) => among(idx.values().range_matches(*low, *high)),
+        Some(ValuePredicate::Equals(v)) => {
+            among(&mut idx.values().exact_matches(v).iter().copied())
+        }
+        Some(ValuePredicate::Range { low, high }) => {
+            among(&mut idx.values().range_matches(*low, *high).iter().map(|e| e.1))
+        }
         // Attribute predicates and term containment have no dedicated
         // candidate index; they filter the tag stream directly.
         Some(

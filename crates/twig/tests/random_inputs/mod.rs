@@ -6,6 +6,7 @@ use lotusx_datagen::rng::XorShiftRng;
 use lotusx_index::IndexedDocument;
 use lotusx_twig::pattern::{Axis, NodeTest, TwigPattern, ValuePredicate};
 use lotusx_xml::{Document, NodeId};
+use std::collections::VecDeque;
 
 const TAGS: [&str; 3] = ["a", "b", "c"];
 
@@ -13,14 +14,28 @@ const TAGS: [&str; 3] = ["a", "b", "c"];
 /// a random predicate over the same range selects a fair share of them.
 const VALUES: u32 = 4;
 
+/// Leaf texts that are not small integers, one leaf in six: the numbers
+/// that do not order (`NaN` parses as `f64` and compares false with
+/// everything; the infinities parse too, and do order) and a word whose
+/// case folds outside ASCII.
+const ODD_TEXTS: [&str; 5] = ["NaN", "inf", "-inf", "Éclair", "éclair"];
+
 #[derive(Clone, Debug)]
 struct GenTree {
     tag: usize,
     /// The `year` attribute, on about half the elements.
     year: Option<u32>,
-    /// Small integer text, on leaves only.
-    text: Option<u32>,
+    /// Text, on leaves only: a small integer or one of [`ODD_TEXTS`].
+    text: Option<String>,
     children: Vec<GenTree>,
+}
+
+fn random_text(rng: &mut XorShiftRng) -> String {
+    if rng.gen_bool(1.0 / 6.0) {
+        ODD_TEXTS[rng.gen_range(0..ODD_TEXTS.len())].to_string()
+    } else {
+        rng.gen_range(0..VALUES).to_string()
+    }
 }
 
 fn random_tree(rng: &mut XorShiftRng, depth: u32, budget: &mut u32) -> GenTree {
@@ -30,7 +45,7 @@ fn random_tree(rng: &mut XorShiftRng, depth: u32, budget: &mut u32) -> GenTree {
         return GenTree {
             tag,
             year,
-            text: Some(rng.gen_range(0..VALUES)),
+            text: Some(random_text(rng)),
             children: vec![],
         };
     }
@@ -51,16 +66,35 @@ fn random_tree(rng: &mut XorShiftRng, depth: u32, budget: &mut u32) -> GenTree {
     }
 }
 
-fn build(doc: &mut Document, parent: NodeId, t: &GenTree) {
+/// Appends `t`'s element (not its children) under `parent`.
+fn append(doc: &mut Document, parent: NodeId, t: &GenTree) -> NodeId {
     let e = doc.append_element(parent, TAGS[t.tag]);
     if let Some(year) = t.year {
         doc.set_attribute(e, "year", year.to_string());
     }
-    if let Some(text) = t.text {
-        doc.append_text(e, text.to_string());
+    if let Some(text) = &t.text {
+        doc.append_text(e, text.clone());
     }
+    e
+}
+
+/// Builds the tree in preorder: node ids ascend with document order, as
+/// in every parsed document.
+fn build(doc: &mut Document, parent: NodeId, t: &GenTree) {
+    let e = append(doc, parent, t);
     for c in &t.children {
         build(doc, e, c);
+    }
+}
+
+/// Builds the tree level by level: the same document, but a node's id
+/// says nothing about its position — what an arena assembled through the
+/// tree API (the xmark generator, an editor) can look like.
+fn build_breadth_first(doc: &mut Document, root: &GenTree) {
+    let mut pending = VecDeque::from([(NodeId::DOCUMENT, root)]);
+    while let Some((parent, t)) = pending.pop_front() {
+        let e = append(doc, parent, t);
+        pending.extend(t.children.iter().map(|c| (e, c)));
     }
 }
 
@@ -74,10 +108,21 @@ fn random_predicate(rng: &mut XorShiftRng) -> Option<ValuePredicate> {
     let value = rng.gen_range(0..VALUES);
     let (low, high) = (f64::from(value), f64::from(value + 1));
     let name = "year".to_string();
-    Some(match rng.gen_range(0..7u32) {
+    Some(match rng.gen_range(0..9u32) {
         0 => ValuePredicate::Equals(value.to_string()),
         1 => ValuePredicate::Contains(value.to_string()),
         2 => ValuePredicate::Range { low, high },
+        // Open ranges reach the infinities (and must not reach `NaN`);
+        // the folded word must match both of its spellings.
+        7 if rng.gen_bool(0.5) => ValuePredicate::Range {
+            low,
+            high: f64::INFINITY,
+        },
+        7 => ValuePredicate::Range {
+            low: f64::NEG_INFINITY,
+            high,
+        },
+        8 => ValuePredicate::Equals("ÉCLAIR".to_string()),
         3 => ValuePredicate::AttrEquals {
             name,
             value: value.to_string(),
@@ -130,15 +175,20 @@ fn random_pattern(rng: &mut XorShiftRng, root_tag: usize) -> TwigPattern {
 
 /// One random case: a document of 20 to ~60 elements over three tags
 /// (few tags and deep nesting make matches — and same-tag recursion —
-/// common) whose leaves carry small integer text and half of whose
-/// elements a `year` attribute, indexed; and a pattern of 1–4 nodes that
+/// common) whose leaves carry small integer text (one in six an odd one)
+/// and half of whose elements a `year` attribute, indexed — one arena in
+/// four numbered out of document order; and a pattern of 1–4 nodes that
 /// is ordered half the time and carries predicates on a third of them.
 pub fn random_case(rng: &mut XorShiftRng) -> (IndexedDocument, TwigPattern) {
     let (doc, root_tag) = loop {
         let mut budget = 60u32;
         let root = random_tree(rng, 6, &mut budget);
         let mut doc = Document::new();
-        build(&mut doc, NodeId::DOCUMENT, &root);
+        if rng.gen_bool(0.25) {
+            build_breadth_first(&mut doc, &root);
+        } else {
+            build(&mut doc, NodeId::DOCUMENT, &root);
+        }
         if doc.element_count() > 20 {
             break (doc, root.tag);
         }

@@ -98,6 +98,63 @@ fn node_quota_partials_are_valid_subsets_of_the_full_answer() {
     }
 }
 
+/// A candidate is a match row that came into existence: `candidates: 5`
+/// stops the enumeration within one ticker stride of the fifth row, the
+/// answer is marked, valid and never cached — and a quota that is not
+/// reached changes nothing.
+#[test]
+fn candidate_quotas_are_charged_per_row() {
+    let system = LotusX::load_str(&generate(Dataset::XmarkLike, 1, 3).to_xml()).unwrap();
+    let full = system
+        .query(&QueryRequest::twig("//item/name").top_k(1_000_000))
+        .unwrap();
+    assert!(full.completeness.is_complete());
+    assert!(full.total_matches > 100);
+    let full_set: HashSet<Vec<u32>> = binding_keys(&full).into_iter().collect();
+
+    let fresh = LotusX::load_str(&generate(Dataset::XmarkLike, 1, 3).to_xml()).unwrap();
+    for algorithm in [lotusx::Algorithm::StructuralJoin, lotusx::Algorithm::Naive] {
+        let starved = fresh
+            .query(
+                &QueryRequest::twig("//item/name")
+                    .algorithm(algorithm)
+                    .budget(Budget::default().with_candidate_quota(5)),
+            )
+            .unwrap();
+        assert_eq!(
+            starved.completeness.truncation_reason(),
+            Some(TruncationReason::CandidateQuotaExceeded),
+            "{algorithm}"
+        );
+        // The rows that existed before the trip are ranked; navigation
+        // trips inside the join, and a tripped guard ranks nothing.
+        assert!(starved.matches.len() < 10, "{algorithm}");
+        assert_eq!(
+            starved.matches.is_empty(),
+            algorithm == lotusx::Algorithm::Naive
+        );
+        for bindings in binding_keys(&starved) {
+            assert!(full_set.contains(&bindings), "{algorithm}: {bindings:?}");
+        }
+        assert_eq!(fresh.query_cache_stats().entries, 0, "never cached");
+    }
+    // Every `//person/name` row scores the same, so ranking stops the
+    // enumerator at the tenth of them: 50 candidates are never reached.
+    let twig = || {
+        QueryRequest::twig("//person/name")
+            .algorithm(lotusx::Algorithm::StructuralJoin)
+            .top_k(10)
+    };
+    let plain = fresh.query(&twig()).unwrap();
+    assert!(plain.total_matches > 50);
+    let roomy = LotusX::load_str(&generate(Dataset::XmarkLike, 1, 3).to_xml())
+        .unwrap()
+        .query(&twig().budget(Budget::default().with_candidate_quota(50)))
+        .unwrap();
+    assert!(roomy.completeness.is_complete());
+    assert_eq!(encode_response(&roomy), encode_response(&plain));
+}
+
 #[test]
 fn generous_budgets_change_nothing() {
     let generous = || {

@@ -123,7 +123,7 @@ fn loaded_snapshot_answers_bit_identically_on_every_dataset() {
         let loaded = LotusX::open_snapshot(&path.0).unwrap();
         assert!(
             loaded.index().columns() == fresh.index().columns(),
-            "{ds}: loaded columns (arenas, ranges, rebuilt end trees) differ from the build's"
+            "{ds}: loaded columns (arenas, ranges, id-order flag) differ from the build's"
         );
         assert_equivalent(&fresh, &loaded, ds);
         let via_source = LotusX::open(&CorpusSource::Snapshot(path.0.clone())).unwrap();
