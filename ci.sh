@@ -147,7 +147,7 @@ stage_fmt() {
 stage_clippy() {
     cargo clippy --workspace --all-targets -- -D warnings &&
     # The observability crate must stay warning-free on its own too (it
-    # is the one crate everything above lotusx-par depends on).
+    # is the bottom of the crate graph: every other crate builds on it).
     cargo clippy -p lotusx-obs --all-targets -- -D warnings
 }
 
@@ -231,15 +231,34 @@ stage_telemetry_smoke() {
 # query through the raw-socket test client (--probe; it ends by scraping
 # /stats and fails unless inline_answers > 0, panics == 0 and
 # timer_entries <= connections_open + 1), then stop it gracefully over
-# HTTP (--stop) and check it exits cleanly. Offline, loopback-only, no
-# curl.
+# HTTP (--stop) and check it exits cleanly within 5 s. Then once more
+# with stdin an open pipe nobody writes to (the regression: the stdin
+# reader blocks in read_line there, and a server that joins it never
+# exits after /shutdown). Offline, loopback-only, no curl.
 stage_serve_smoke() {
     # The root `cargo build --release` does not build dependency crates'
     # binaries; make sure the server binary exists (no-op when cached).
     cargo build --release -p lotusx-serve --bin lotusx-serve || return 1
+    serve_smoke_cycle /dev/null probe || return 1
+    local fifo=/tmp/lotusx_ci_stdin.fifo status=0
+    rm -f "$fifo"
+    mkfifo "$fifo" || return 1
+    sleep 600 >"$fifo" &
+    local writer=$!
+    serve_smoke_cycle "$fifo" || status=1
+    kill "$writer" 2>/dev/null
+    rm -f "$fifo"
+    return $status
+}
+
+# One boot -> [probe] -> --stop -> exit cycle of the server binary with
+# stdin taken from "$1"; "$2" = probe runs the probe client in between.
+serve_smoke_cycle() {
+    local stdin="$1" probe="${2:-}"
+    local bin=./target/release/lotusx-serve
     local log=/tmp/lotusx_ci_serve.log
     rm -f "$log"
-    ./target/release/lotusx-serve --addr 127.0.0.1:0 --corpus @dblp:1 </dev/null >"$log" 2>&1 &
+    "$bin" --addr 127.0.0.1:0 --corpus @dblp:1 <"$stdin" >"$log" 2>&1 &
     local pid=$!
     local wait_secs="${CI_WAIT_SECS:-10}"
     local tries=$((wait_secs * 10))
@@ -261,13 +280,23 @@ stage_serve_smoke() {
         kill "$pid" 2>/dev/null
         return 1
     fi
-    if ! ./target/release/lotusx-serve --probe "$addr"; then
+    if [ "$probe" = probe ] && ! "$bin" --probe "$addr"; then
         echo "serve-smoke: probe failed; log tail:" >&2
         tail -n 40 "$log" >&2
         kill "$pid" 2>/dev/null
         return 1
     fi
-    ./target/release/lotusx-serve --stop "$addr" || { kill "$pid" 2>/dev/null; return 1; }
+    "$bin" --stop "$addr" || { kill "$pid" 2>/dev/null; return 1; }
+    for i in $(seq 1 50); do
+        kill -0 "$pid" 2>/dev/null || break
+        sleep 0.1
+    done
+    if kill -0 "$pid" 2>/dev/null; then
+        echo "serve-smoke: server still running 5 s after --stop (stdin: $stdin)" >&2
+        kill -9 "$pid" 2>/dev/null
+        wait "$pid" 2>/dev/null
+        return 1
+    fi
     local status=0
     wait "$pid" || status=$?
     if [ $status -ne 0 ]; then

@@ -3,13 +3,12 @@
 use crate::context::PositionContext;
 use lotusx_guard::{QueryGuard, Ticker};
 use lotusx_index::{GuideNodeId, IndexedDocument, Trie};
-use lotusx_par::ShardedMap;
 use lotusx_storage::codec::{get_string, get_varint, put_string, put_varint};
 use lotusx_storage::StorageError;
 use lotusx_twig::Axis;
 use lotusx_xml::Symbol;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A ranked tag candidate.
 #[derive(Clone, Debug, PartialEq)]
@@ -30,42 +29,43 @@ pub struct ValueCandidate {
     pub count: u64,
 }
 
-/// Thread-safe, shareable cache of per-tag value-completion tries.
+/// Thread-safe, shareable cache of per-tag value-completion tries: one
+/// build-once cell per tag symbol of the document it was sized for, so a
+/// value keystroke on a built trie is an index and an atomic load.
 ///
 /// Engines are cheap to construct and usually short-lived; the cache is
 /// what makes lazily built tries survive them. `LotusX` keeps one per
 /// loaded document and hands a clone of the `Arc` to every engine, so
 /// concurrent completion calls share work instead of repeating it.
-#[derive(Default)]
 pub struct ValueTrieCache {
-    map: ShardedMap<Symbol, ValueTrie>,
+    slots: Box<[OnceLock<ValueTrie>]>,
 }
 
 impl ValueTrieCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty cache for a document with `tag_count` tag
+    /// symbols.
+    pub fn new(tag_count: usize) -> Self {
+        ValueTrieCache {
+            slots: (0..tag_count).map(|_| OnceLock::new()).collect(),
+        }
     }
 
     /// Number of cached per-tag tries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.built().count()
     }
 
     /// True when nothing has been cached yet.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.built().next().is_none()
     }
 
-    /// Drops every cached trie (call after replacing the document).
-    pub fn clear(&self) {
-        self.map.clear();
-    }
-
-    /// Per-shard hit/miss/occupancy counters of the underlying sharded
-    /// map, in shard order — makes shard imbalance visible in `stats`.
-    pub fn shard_stats(&self) -> Vec<lotusx_par::ShardLoad> {
-        self.map.shard_stats()
+    /// The built tries, in tag-symbol order.
+    fn built(&self) -> impl Iterator<Item = (usize, &ValueTrie)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| Some((i, slot.get()?)))
     }
 
     /// Builds and caches the value tries of the `top_k` most frequent
@@ -85,26 +85,23 @@ impl ValueTrieCache {
         });
         hot.truncate(top_k);
         for &sym in &hot {
-            self.map
-                .get_or_insert_with(sym, || build_value_trie(idx, sym));
+            self.slots[sym.index()].get_or_init(|| build_value_trie(idx, sym));
         }
         hot.len()
     }
 
     /// Serializes every cached per-tag trie for the snapshot
-    /// `VALUE_TRIES` section: entries sorted by tag symbol, each carrying
+    /// `VALUE_TRIES` section: entries in tag-symbol order, each carrying
     /// its sorted term table and the structural trie encoding. Rebuilding
     /// these tries dominates warm-up after a snapshot load, so shipping
     /// them in the file is what keeps cold boot in the millisecond range.
     pub fn encode(&self) -> Vec<u8> {
-        let mut entries: Vec<(Symbol, Arc<ValueTrie>)> = Vec::new();
-        self.map
-            .for_each(|&sym, vt| entries.push((sym, Arc::clone(vt))));
-        entries.sort_by_key(|(sym, _)| sym.index());
+        // Collected first: a completion may fill a cell while we write.
+        let built: Vec<(usize, &ValueTrie)> = self.built().collect();
         let mut out = Vec::new();
-        put_varint(&mut out, entries.len() as u64);
-        for (sym, vt) in entries {
-            put_varint(&mut out, sym.index() as u64);
+        put_varint(&mut out, built.len() as u64);
+        for (sym, vt) in built {
+            put_varint(&mut out, sym as u64);
             put_varint(&mut out, vt.terms.len() as u64);
             for term in &vt.terms {
                 put_string(&mut out, term);
@@ -125,7 +122,7 @@ impl ValueTrieCache {
         if count > tag_count {
             return Err(corrupt("value-trie entry count"));
         }
-        let cache = ValueTrieCache::new();
+        let cache = ValueTrieCache::new(tag_count);
         let mut prev: Option<u64> = None;
         for _ in 0..count {
             let sym = get_varint(data, &mut pos).ok_or(corrupt("value-trie tag symbol"))?;
@@ -147,9 +144,8 @@ impl ValueTrieCache {
                 terms.push(term);
             }
             let trie = Trie::decode(data, &mut pos, terms.len() as u32)?;
-            cache
-                .map
-                .insert(Symbol::from_index(sym as usize), ValueTrie { trie, terms });
+            // Symbols strictly ascend, so each cell is set at most once.
+            let _ = cache.slots[sym as usize].set(ValueTrie { trie, terms });
         }
         if pos != data.len() {
             return Err(corrupt("value-trie section trailing bytes"));
@@ -175,10 +171,12 @@ struct ValueTrie {
 impl<'a> CompletionEngine<'a> {
     /// Creates an engine over `idx` with a private trie cache.
     pub fn new(idx: &'a IndexedDocument) -> Self {
-        Self::with_cache(idx, Arc::new(ValueTrieCache::new()))
+        let cache = ValueTrieCache::new(idx.document().symbols().len());
+        Self::with_cache(idx, Arc::new(cache))
     }
 
-    /// Creates an engine over `idx` sharing an existing trie cache.
+    /// Creates an engine over `idx` sharing an existing trie cache
+    /// (one sized for `idx`'s document).
     pub fn with_cache(idx: &'a IndexedDocument, cache: Arc<ValueTrieCache>) -> Self {
         CompletionEngine { idx, cache }
     }
@@ -411,16 +409,16 @@ impl<'a> CompletionEngine<'a> {
                     })
                     .collect()
             };
-            if let Some(vt) = self.cache.map.get(&sym) {
-                return complete_from(&vt);
+            let slot = &self.cache.slots[sym.index()];
+            if let Some(vt) = slot.get() {
+                return complete_from(vt);
             }
             let mut ticker = guard.ticker();
             let vt = build_value_trie_ticked(self.idx, sym, &mut ticker);
-            let out = complete_from(&vt);
-            if !ticker.stopped() {
-                self.cache.map.get_or_insert_with(sym, || vt);
+            if ticker.stopped() {
+                return complete_from(&vt);
             }
-            out
+            complete_from(slot.get_or_init(|| vt))
         })
     }
 
@@ -473,6 +471,10 @@ fn build_value_trie_ticked(idx: &IndexedDocument, tag: Symbol, ticker: &mut Tick
 mod tests {
     use super::*;
     use crate::context::ContextStep;
+
+    fn empty_cache(idx: &IndexedDocument) -> Arc<ValueTrieCache> {
+        Arc::new(ValueTrieCache::new(idx.document().symbols().len()))
+    }
 
     fn idx() -> IndexedDocument {
         IndexedDocument::from_str(
@@ -632,7 +634,7 @@ mod tests {
     #[test]
     fn shared_cache_is_reused_across_engines() {
         let idx = idx();
-        let cache = Arc::new(ValueTrieCache::new());
+        let cache = empty_cache(&idx);
         assert!(cache.is_empty());
         let e1 = CompletionEngine::with_cache(&idx, Arc::clone(&cache));
         let before = e1.complete_value("title", "x", 10);
@@ -641,14 +643,54 @@ mod tests {
         let e2 = CompletionEngine::with_cache(&idx, Arc::clone(&cache));
         assert_eq!(e2.complete_value("title", "x", 10), before);
         assert_eq!(cache.len(), 1, "second engine reused the cached trie");
-        cache.clear();
-        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn racing_first_completions_agree_and_store_one_trie() {
+        let idx = idx();
+        let cache = empty_cache(&idx);
+        // Released together on a cold tag: whoever finds the cell empty
+        // builds, one build is stored, all answer from a complete trie.
+        let barrier = std::sync::Barrier::new(4);
+        let answers: Vec<Vec<ValueCandidate>> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let e = CompletionEngine::with_cache(&idx, Arc::clone(&cache));
+                        barrier.wait();
+                        e.complete_value("title", "", 10)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(answers[0].len(), 6, "{:?}", answers[0]);
+        assert!(answers.iter().all(|a| *a == answers[0]));
+        assert_eq!(cache.len(), 1, "one stored trie, whoever built it");
+    }
+
+    #[test]
+    fn a_trie_cut_short_by_the_budget_is_not_stored() {
+        let idx = idx();
+        let e = CompletionEngine::new(&idx);
+        let starved = QueryGuard::new(&lotusx_guard::Budget::unlimited().with_node_quota(1));
+        let partial = e.complete_value_guarded("title", "", 10, &starved);
+        assert!(starved.is_tripped());
+        assert!(partial.len() < 6, "three titles, one visit allowed");
+        assert!(e.cache.is_empty(), "a partial build is never cached");
+        let full = e.complete_value("title", "", 10);
+        assert_eq!(
+            full,
+            CompletionEngine::new(&idx).complete_value("title", "", 10)
+        );
+        assert_eq!(full.len(), 6);
+        assert_eq!(e.cache.len(), 1);
     }
 
     #[test]
     fn precompute_hottest_seeds_the_cache() {
         let idx = idx();
-        let cache = Arc::new(ValueTrieCache::new());
+        let cache = empty_cache(&idx);
         let built = cache.precompute_hottest(&idx, 3);
         assert_eq!(built, 3);
         assert_eq!(cache.len(), 3);
@@ -717,7 +759,7 @@ mod tests {
     #[test]
     fn cache_codec_roundtrip_preserves_completions() {
         let idx = idx();
-        let cache = Arc::new(ValueTrieCache::new());
+        let cache = empty_cache(&idx);
         cache.precompute_hottest(&idx, 8);
         assert!(!cache.is_empty());
 
@@ -743,7 +785,7 @@ mod tests {
 
     #[test]
     fn empty_cache_roundtrips() {
-        let cache = ValueTrieCache::new();
+        let cache = ValueTrieCache::new(0);
         let bytes = cache.encode();
         let restored = ValueTrieCache::decode(&bytes, 0).unwrap();
         assert!(restored.is_empty());
@@ -752,7 +794,7 @@ mod tests {
     #[test]
     fn cache_decode_rejects_malformed_bytes_without_panicking() {
         let idx = idx();
-        let cache = ValueTrieCache::new();
+        let cache = empty_cache(&idx);
         cache.precompute_hottest(&idx, 8);
         let good = cache.encode();
         let tag_count = idx.document().symbols().len();

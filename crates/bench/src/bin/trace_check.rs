@@ -1,7 +1,7 @@
 //! Validates an exported Chrome trace-event JSON file.
 //!
 //! ```sh
-//! trace-check <trace.json> [--require-trip] [--require-workers] [--require-conns]
+//! trace-check <trace.json> [--require-trip] [--require-conns]
 //! ```
 //!
 //! Checks, in order: the file parses as JSON with the obs crate's own
@@ -16,8 +16,7 @@
 //! `trace_accounting` metadata record must reconcile exactly
 //! (`produced == exported + dropped`). `--require-trip` additionally
 //! demands a budget-trip instant or a truncated query end (the
-//! robustness story); `--require-workers` demands at least one worker
-//! lane besides `main`; `--require-conns` demands at least one complete
+//! robustness story); `--require-conns` demands at least one complete
 //! connection span with phase slices, a stage slice nested inside a
 //! phase, and the accounting record. Exits non-zero with a message on
 //! the first violated check — this is the `telemetry-smoke` /
@@ -34,19 +33,17 @@ fn fail(msg: &str) -> ! {
 fn main() {
     let mut path = None;
     let mut require_trip = false;
-    let mut require_workers = false;
     let mut require_conns = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--require-trip" => require_trip = true,
-            "--require-workers" => require_workers = true,
             "--require-conns" => require_conns = true,
             other if path.is_none() => path = Some(other.to_string()),
             other => fail(&format!("unexpected argument {other:?}")),
         }
     }
     let Some(path) = path else {
-        fail("usage: trace-check <trace.json> [--require-trip] [--require-workers] [--require-conns]");
+        fail("usage: trace-check <trace.json> [--require-trip] [--require-conns]");
     };
 
     let text = std::fs::read_to_string(&path)
@@ -62,7 +59,6 @@ fn main() {
     let mut stages_in_query = 0usize;
     let mut trips = 0usize;
     let mut truncated_queries = 0usize;
-    let mut worker_lanes = 0usize;
     let mut complete_conns = 0usize;
     let mut open_conns: HashMap<String, u64> = HashMap::new();
     let mut phase_depth: HashMap<u64, usize> = HashMap::new();
@@ -80,16 +76,7 @@ fn main() {
             .and_then(JsonValue::as_str)
             .unwrap_or_else(|| fail(&format!("event {i} has no ph")));
         if ph == "M" {
-            if name == "thread_name" {
-                let label = e
-                    .get("args")
-                    .and_then(|a| a.get("name"))
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or_else(|| fail("thread_name metadata without a name"));
-                if label.starts_with("worker-") {
-                    worker_lanes += 1;
-                }
-            } else if name == "trace_accounting" {
+            if name == "trace_accounting" {
                 let counter = |field: &str| {
                     e.get("args")
                         .and_then(|a| a.get(field))
@@ -176,7 +163,7 @@ fn main() {
                 }
                 other => fail(&format!("phase slice with odd phase {other:?}")),
             }
-        } else if ph == "B" && !name.starts_with("chunk#") {
+        } else if ph == "B" {
             // A stage slice opened while a query slice is open: nesting.
             if !open_queries.is_empty() {
                 stages_in_query += 1;
@@ -201,9 +188,6 @@ fn main() {
     }
     if require_trip && trips == 0 && truncated_queries == 0 {
         fail("no budget trip or truncated query in the trace (--require-trip)");
-    }
-    if require_workers && worker_lanes == 0 {
-        fail("no worker lanes besides main (--require-workers)");
     }
     if let Some((produced, dropped, exported)) = accounting {
         if produced != exported + dropped {
@@ -230,7 +214,7 @@ fn main() {
     println!(
         "trace-check: OK: {} events, {complete_queries} complete queries \
          ({truncated_queries} truncated), {stages_in_query} nested stage slices, \
-         {trips} budget trips, {worker_lanes} worker lanes, \
+         {trips} budget trips, \
          {complete_conns} connection spans ({phase_slices} phase slices, \
          {stages_in_phase} stages in phase)",
         events.len()

@@ -14,13 +14,11 @@
 //! [`Completeness::Truncated`] — never an error, and never silently
 //! passed off as a complete answer. Truncated outcomes are not cached.
 
+use crate::lru::{CacheStats, ConcurrentLru};
 use lotusx_autocomplete::{CompletionEngine, ValueTrieCache};
 use lotusx_guard::{Budget, Completeness, QueryGuard, TruncationReason};
 use lotusx_index::IndexedDocument;
 use lotusx_obs::{EventKind, QueryId, QueryProfile, Span, Stage, WindowCounter};
-use lotusx_par::{
-    default_threads, par_map_isolated, CacheStats, ShardLoad, ShardedLru, WorkerPanic,
-};
 use lotusx_rank::{RankWeights, Ranker};
 use lotusx_rewrite::{RewriteSetup, Rewriter, RewriterConfig};
 use lotusx_twig::exec::{execute_budgeted, Algorithm, JoinResult};
@@ -49,10 +47,6 @@ pub enum LotusError {
     Storage(lotusx_storage::StorageError),
     /// An [`EngineConfig`] failed validation.
     Config(String),
-    /// A worker thread panicked while running this query in a batch. Only
-    /// the panicking slot fails; sibling queries in the same
-    /// [`LotusX::query_batch`] call still return their results.
-    WorkerPanic(WorkerPanic),
 }
 
 impl fmt::Display for LotusError {
@@ -63,7 +57,6 @@ impl fmt::Display for LotusError {
             LotusError::Io(e) => write!(f, "I/O error: {e}"),
             LotusError::Storage(e) => write!(f, "snapshot error: {e}"),
             LotusError::Config(e) => write!(f, "configuration error: {e}"),
-            LotusError::WorkerPanic(e) => write!(f, "worker panic: {e}"),
         }
     }
 }
@@ -83,11 +76,6 @@ impl From<ParseError> for LotusError {
 impl From<std::io::Error> for LotusError {
     fn from(e: std::io::Error) -> Self {
         LotusError::Io(e)
-    }
-}
-impl From<WorkerPanic> for LotusError {
-    fn from(e: WorkerPanic) -> Self {
-        LotusError::WorkerPanic(e)
     }
 }
 impl From<lotusx_storage::StorageError> for LotusError {
@@ -522,11 +510,6 @@ const HOT_TAG_TRIES: usize = 8;
 /// Capacity of the query-result LRU cache.
 const QUERY_CACHE_CAPACITY: usize = 128;
 
-/// Shard count of the query-result LRU cache: enough that concurrent
-/// queries rarely contend on one shard mutex, few enough that per-shard
-/// stats stay readable.
-const QUERY_CACHE_SHARDS: usize = 8;
-
 /// Runs one pipeline stage: `f` gets a child span when the query is
 /// profiled, the stage's wall time lands in the global histogram when
 /// recording is on, and stage begin/end events tagged with `qid` go to
@@ -600,9 +583,8 @@ pub struct LotusX {
     /// out by [`Self::completion_engine`].
     value_cache: Arc<ValueTrieCache>,
     /// Memoized outcomes keyed by normalized pattern + effective limit +
-    /// per-request algorithm + config generation. Sharded so concurrent
-    /// queries on different keys never contend on one mutex.
-    query_cache: ShardedLru<String, PackedOutcome>,
+    /// per-request algorithm + config generation.
+    query_cache: ConcurrentLru<String, PackedOutcome>,
     /// Bumped by every result-affecting reconfiguration; stale cache keys
     /// never match again and age out of the LRU.
     config_generation: u64,
@@ -696,7 +678,7 @@ impl LotusX {
     /// default configuration), pre-building the value tries of the
     /// hottest tags exactly as [`Self::load_document`] does.
     pub fn from_indexed(idx: IndexedDocument) -> Self {
-        let value_cache = ValueTrieCache::new();
+        let value_cache = ValueTrieCache::new(idx.document().symbols().len());
         value_cache.precompute_hottest(&idx, HOT_TAG_TRIES);
         Self::assemble(idx, value_cache)
     }
@@ -708,7 +690,7 @@ impl LotusX {
             idx,
             config: EngineConfig::default(),
             value_cache: Arc::new(value_cache),
-            query_cache: ShardedLru::new(QUERY_CACHE_CAPACITY, QUERY_CACHE_SHARDS),
+            query_cache: ConcurrentLru::new(QUERY_CACHE_CAPACITY),
             config_generation: 0,
             rewrite_setup: OnceLock::new(),
         }
@@ -793,20 +775,9 @@ impl LotusX {
         self.query_cache.stats()
     }
 
-    /// Per-shard hit/miss statistics of the query-result cache, in shard
-    /// order — a hot query hammering one shard shows up as an outlier.
-    pub fn query_cache_shard_stats(&self) -> Vec<CacheStats> {
-        self.query_cache.per_shard_stats()
-    }
-
     /// Number of per-tag value-completion tries currently cached.
     pub fn value_trie_cache_len(&self) -> usize {
         self.value_cache.len()
-    }
-
-    /// Per-shard hit/miss/occupancy counters of the value-trie cache.
-    pub fn value_trie_shard_stats(&self) -> Vec<ShardLoad> {
-        self.value_cache.shard_stats()
     }
 
     /// Runs one [`QueryRequest`].
@@ -981,15 +952,7 @@ impl LotusX {
             };
             m.count_windowed(lookup, 1);
         }
-        if lotusx_obs::tracing() {
-            lotusx_obs::emit(
-                twig.qid,
-                EventKind::CacheAccess {
-                    shard: self.query_cache.shard_for(&twig.key) as u32,
-                    hit,
-                },
-            );
-        }
+        lotusx_obs::emit(twig.qid, EventKind::CacheAccess { hit });
     }
 
     /// The shared tail of both halves: stage totals, the profile, the
@@ -1045,28 +1008,6 @@ impl LotusX {
             completeness: outcome.completeness,
             profile: if request.profile { profile } else { None },
         }
-    }
-
-    /// Runs many requests, partitioned across [`default_threads`] workers
-    /// (each request itself runs on one thread). The result at position
-    /// `i` is exactly `self.query(&requests[i])`.
-    ///
-    /// Worker panics are isolated: a panic while running one request
-    /// surfaces as [`LotusError::WorkerPanic`] in that slot (after a
-    /// serial retry of the affected chunk narrows it to the poisoned
-    /// request) while every sibling request still completes normally.
-    pub fn query_batch(&self, requests: &[QueryRequest]) -> Vec<Result<QueryResponse, LotusError>> {
-        par_map_isolated(requests, default_threads(), |r| self.query(r))
-            .into_iter()
-            .map(|slot| match slot {
-                Ok(response) => response,
-                Err(panic) => {
-                    let counters = &lotusx_obs::metrics().counters;
-                    counters.worker_panics.fetch_add(1, Ordering::Relaxed);
-                    Err(LotusError::WorkerPanic(panic))
-                }
-            })
-            .collect()
     }
 
     /// Profiles one twig query: shorthand for a profiled [`Self::query`],
@@ -1744,32 +1685,43 @@ mod tests {
         assert_eq!(system.query_cache_stats().hits, 0);
     }
 
+    /// The two shapes the serving benchmark gates on, through the engine:
+    /// more keys than the LRU holds, cycled, never hit; a handful of keys,
+    /// repeated, always hit after the first pass — and the counters after
+    /// every request are the same in every freshly built engine.
     #[test]
-    fn batch_query_matches_individual_queries() {
-        let system = LotusX::load_str(BIB).unwrap();
-        let requests: Vec<QueryRequest> = [
+    fn cache_hits_and_misses_are_a_function_of_the_request_sequence() {
+        const TWIGS: [&str; 7] = [
+            "//book",
             "//book/title",
-            "//author",
-            "//book[",
+            "//book/author",
             "//book[year >= 2000]",
-        ]
-        .iter()
-        .map(|q| QueryRequest::twig(*q))
-        .collect();
-        let batch = system.query_batch(&requests);
-        assert_eq!(batch.len(), requests.len());
-        for (request, response) in requests.iter().zip(&batch) {
-            match response {
-                Ok(got) => {
-                    let expect = system.query(request).unwrap();
-                    let q = &request.text;
-                    assert_eq!(got.total_matches, expect.total_matches, "{q}");
-                    assert_eq!(got.matches.len(), expect.matches.len(), "{q}");
-                }
-                Err(e) => assert!(matches!(e, LotusError::Query(_))),
+            "//title",
+            "//author",
+            "//year",
+        ];
+        let cold: Vec<QueryRequest> = (1..=64)
+            .flat_map(|k| TWIGS.iter().map(move |q| twig(q).top_k(k)))
+            .collect();
+        assert_eq!(cold.len(), 448);
+        let replay = |requests: &[QueryRequest], passes: usize| -> Vec<(u64, u64)> {
+            let system = LotusX::load_str(BIB).unwrap();
+            let mut counters = Vec::new();
+            for request in std::iter::repeat_n(requests, passes).flatten() {
+                system.query(request).unwrap();
+                let stats = system.query_cache_stats();
+                counters.push((stats.hits, stats.misses));
             }
-        }
-        assert!(batch[2].is_err(), "malformed query surfaces its error");
+            assert_eq!(system.query_cache_stats().capacity, QUERY_CACHE_CAPACITY);
+            counters
+        };
+        let cycled = replay(&cold, 2);
+        assert_eq!(cycled.last(), Some(&(0, 896)));
+        assert_eq!(cycled, replay(&cold, 2));
+        let repeated = replay(&cold[..6], 3);
+        assert_eq!(repeated[5], (0, 6), "first pass fills");
+        assert_eq!(repeated.last(), Some(&(12, 6)), "then every lookup hits");
+        assert_eq!(repeated, replay(&cold[..6], 3));
     }
 
     #[test]

@@ -30,19 +30,19 @@
 #![warn(missing_docs)]
 
 pub mod canvas;
-pub mod corpus;
 pub mod engine;
+mod lru;
 pub mod registry;
 pub mod routing;
 pub mod session;
 pub mod source;
 
 pub use canvas::{CanvasError, CanvasNodeId, QueryCanvas};
-pub use corpus::{Corpus, CorpusResult};
 pub use engine::{
     EngineConfig, LotusError, LotusX, PendingQuery, QueryKind, QueryProbe, QueryRequest,
     QueryResponse, SearchOutcome, SearchResult,
 };
+pub use lru::CacheStats;
 pub use registry::{EngineRegistry, Tenant};
 pub use routing::{
     parse_rules, valid_tenant_name, RegistryConfig, RouteError, RouteErrorKind, RouteMatch,
@@ -60,7 +60,6 @@ pub use lotusx_guard::{
 };
 pub use lotusx_index::IndexedDocument;
 pub use lotusx_obs::QueryProfile;
-pub use lotusx_par::WorkerPanic;
 pub use lotusx_rank::RankWeights;
 pub use lotusx_rewrite::{RankedRewrite, RewriterConfig};
 pub use lotusx_twig::{Algorithm, Axis, NodeTest, TwigPattern, ValuePredicate};

@@ -2,8 +2,8 @@
 //!
 //! When tracing is on ([`set_tracing`]), the engine emits one
 //! [`TraceEvent`] per interesting moment of a query's life — query
-//! begin/end, stage enter/exit, per-shard cache hits, budget trips,
-//! worker activity, rewrite decisions — into a lock-free bounded
+//! begin/end, stage enter/exit, cache hits, budget trips, rewrite
+//! decisions — into a lock-free bounded
 //! [`EventRing`](crate::ring::EventRing). Nothing on the hot path ever
 //! blocks: a full ring drops the event and counts it. The CLI (or any
 //! embedder) drains the ring into a Chrome trace-event JSON or a JSONL
@@ -141,8 +141,6 @@ pub enum EventKind {
     },
     /// The query-result cache was consulted.
     CacheAccess {
-        /// Which cache shard served the lookup.
-        shard: u32,
         /// Hit or miss.
         hit: bool,
     },
@@ -151,18 +149,6 @@ pub enum EventKind {
         /// The stable truncation-reason name.
         reason: &'static str,
     },
-    /// A parallel worker picked up a chunk.
-    WorkerBegin {
-        /// Chunk index within the parallel job.
-        chunk: u32,
-    },
-    /// A parallel worker finished its chunk.
-    WorkerEnd {
-        /// Chunk index within the parallel job.
-        chunk: u32,
-    },
-    /// A worker panicked and was isolated.
-    WorkerPanicked,
     /// The empty-result rewriter ran.
     Rewrite {
         /// Whether a rewrite was applied (false = no candidate survived).
@@ -226,9 +212,6 @@ impl EventKind {
             EventKind::StageEnd { .. } => "stage_end",
             EventKind::CacheAccess { .. } => "cache_access",
             EventKind::BudgetTrip { .. } => "budget_trip",
-            EventKind::WorkerBegin { .. } => "worker_begin",
-            EventKind::WorkerEnd { .. } => "worker_end",
-            EventKind::WorkerPanicked => "worker_panic",
             EventKind::Rewrite { .. } => "rewrite",
             EventKind::AlgoChosen { .. } => "algo_chosen",
             EventKind::ConnAccept { .. } => "conn_accept",
@@ -246,8 +229,8 @@ impl EventKind {
 pub struct TraceEvent {
     /// Nanoseconds since the process trace epoch.
     pub ts_ns: u64,
-    /// Worker lane (0 = coordinating thread, 1.. = parallel workers; see
-    /// `lotusx_par::current_lane`).
+    /// Trace lane: 0 for engine events, [`conn_lane`] for events the
+    /// serving layer attributes to a connection.
     pub lane: u32,
     /// The query this event belongs to (`QueryId::NONE` when unknown).
     pub query: QueryId,
@@ -258,10 +241,9 @@ pub struct TraceEvent {
 /// Default trace-ring capacity in events (~1 MiB of 32-byte events).
 pub const DEFAULT_RING_CAPACITY: usize = 32_768;
 
-/// First lane id of the per-connection lane namespace. Worker lanes
-/// (from `lotusx-par`) are small integers; connection-attributed events
-/// live on `CONN_LANE_BASE + conn` so the two never collide and the
-/// exporter can label them `conn-N`.
+/// First lane id of the per-connection lane namespace: engine events
+/// sit on lane 0, connection-attributed events on `CONN_LANE_BASE + conn`,
+/// which the exporter labels `conn-N`.
 pub const CONN_LANE_BASE: u32 = 1 << 20;
 
 /// The trace lane of connection `conn` (wraps inside the connection
@@ -282,12 +264,9 @@ pub fn tracing() -> bool {
     TRACING.load(Ordering::Relaxed)
 }
 
-/// Turns event tracing on or off. The first enable installs the
-/// parallel-executor worker observer so worker lanes show up in traces.
+/// Turns event tracing on or off.
 pub fn set_tracing(on: bool) {
     if on {
-        // Idempotent: the executor accepts one observer for the process.
-        lotusx_par::set_worker_observer(worker_observer);
         // Pin the epoch so the first events don't all start at ts 0.
         let _ = trace_epoch();
     }
@@ -315,24 +294,16 @@ pub fn trace_now_ns() -> u64 {
     trace_epoch().elapsed().as_nanos() as u64
 }
 
-/// Emits one event for `query` if tracing is on: stamps the current
-/// time and worker lane and pushes into the ring (dropping, never
-/// blocking, when full).
+/// Emits one event for `query` on lane 0 if tracing is on: stamps the
+/// current time and pushes into the ring (dropping, never blocking, when
+/// full).
 #[inline]
 pub fn emit(query: QueryId, kind: EventKind) {
-    if !tracing() {
-        return;
-    }
-    trace_ring().push(TraceEvent {
-        ts_ns: trace_now_ns(),
-        lane: lotusx_par::current_lane(),
-        query,
-        kind,
-    });
+    emit_on_lane(0, query, kind);
 }
 
-/// Like [`emit`], but placing the event on an explicit lane instead of
-/// the calling thread's worker lane. The serving layer uses this to put
+/// Like [`emit`], but placing the event on an explicit lane. The
+/// serving layer uses this to put
 /// connection-lifecycle events — and the HTTP stage slices computed on
 /// its worker threads — on the owning connection's lane
 /// ([`conn_lane`]), so Perfetto renders one lane per connection.
@@ -359,21 +330,6 @@ pub fn trace_counters() -> RingCounters {
     trace_ring().counters()
 }
 
-/// The executor hook: emits worker begin/end events on the worker's own
-/// lane whenever a parallel chunk runs while tracing is on.
-fn worker_observer(chunk: usize, begin: bool) {
-    if !tracing() {
-        return;
-    }
-    let chunk = chunk.min(u32::MAX as usize) as u32;
-    let kind = if begin {
-        EventKind::WorkerBegin { chunk }
-    } else {
-        EventKind::WorkerEnd { chunk }
-    };
-    emit(QueryId::NONE, kind);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,15 +346,7 @@ mod tests {
     #[test]
     fn kind_names_are_stable() {
         assert_eq!(EventKind::QueryBegin.name(), "query_begin");
-        assert_eq!(
-            EventKind::CacheAccess {
-                shard: 3,
-                hit: true
-            }
-            .name(),
-            "cache_access"
-        );
-        assert_eq!(EventKind::WorkerPanicked.name(), "worker_panic");
+        assert_eq!(EventKind::CacheAccess { hit: true }.name(), "cache_access");
         assert_eq!(
             EventKind::ConnClose {
                 conn: 1,

@@ -2,10 +2,10 @@
 //! `chrome://tracing` and Perfetto) and a line-per-event JSONL log.
 //!
 //! The Chrome format is the "JSON Array Format" with duration (`B`/`E`)
-//! and instant (`i`) phases: every worker lane from `lotusx-par` becomes
-//! a named thread (`tid` = lane), query and stage events nest into
-//! slices on the lane that executed them, and point events (cache
-//! accesses, budget trips, rewrites, panics) render as instants.
+//! and instant (`i`) phases: every lane becomes a named thread (`tid` =
+//! lane; engine events sit on lane 0, `main`), query and stage events
+//! nest into slices on their lane, and point events (cache accesses,
+//! budget trips, rewrites) render as instants.
 //! Timestamps are microseconds since the trace epoch, with sub-µs
 //! precision kept as fractions.
 //!
@@ -44,15 +44,12 @@ fn chrome_event(e: &TraceEvent) -> String {
         ),
         EventKind::StageBegin { stage } => ("B", stage.to_string(), String::new()),
         EventKind::StageEnd { stage } => ("E", stage.to_string(), String::new()),
-        EventKind::CacheAccess { shard, hit } => (
+        EventKind::CacheAccess { hit } => (
             "i",
             format!("cache_{}", if hit { "hit" } else { "miss" }),
-            format!("\"shard\":{shard}"),
+            String::new(),
         ),
         EventKind::BudgetTrip { reason } => ("i", format!("budget_trip:{reason}"), String::new()),
-        EventKind::WorkerBegin { chunk } => ("B", format!("chunk#{chunk}"), String::new()),
-        EventKind::WorkerEnd { chunk } => ("E", format!("chunk#{chunk}"), String::new()),
-        EventKind::WorkerPanicked => ("i", "worker_panic".to_string(), String::new()),
         EventKind::Rewrite { accepted } => (
             "i",
             "rewrite".to_string(),
@@ -121,7 +118,7 @@ fn phase_event(ph: &str, name: &str, lane: u32, ts_ns: u64) -> String {
 }
 
 /// Renders events as a complete Chrome trace-event JSON document
-/// (`{"traceEvents":[...]}`) with one named lane per worker thread.
+/// (`{"traceEvents":[...]}`) with every lane named.
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     chrome_trace_json_with(events, None)
 }
@@ -160,10 +157,8 @@ pub fn chrome_trace_json_with(events: &[TraceEvent], counters: Option<RingCounte
     for lane in &lanes {
         let label = if *lane >= CONN_LANE_BASE {
             format!("conn-{}", lane - CONN_LANE_BASE)
-        } else if *lane == 0 {
-            "main".to_string()
         } else {
-            format!("worker-{lane}")
+            "main".to_string()
         };
         push(
             format!(
@@ -230,14 +225,11 @@ pub fn jsonl_log(events: &[TraceEvent]) -> String {
             EventKind::StageBegin { stage } | EventKind::StageEnd { stage } => {
                 line.push_str(&format!(",\"stage\":{}", json_string(stage)));
             }
-            EventKind::CacheAccess { shard, hit } => {
-                line.push_str(&format!(",\"shard\":{shard},\"hit\":{hit}"));
+            EventKind::CacheAccess { hit } => {
+                line.push_str(&format!(",\"hit\":{hit}"));
             }
             EventKind::BudgetTrip { reason } => {
                 line.push_str(&format!(",\"reason\":{}", json_string(reason)));
-            }
-            EventKind::WorkerBegin { chunk } | EventKind::WorkerEnd { chunk } => {
-                line.push_str(&format!(",\"chunk\":{chunk}"));
             }
             EventKind::AlgoChosen { algorithm } => {
                 line.push_str(&format!(",\"algorithm\":{}", json_string(algorithm)));
@@ -266,7 +258,7 @@ pub fn jsonl_log(events: &[TraceEvent]) -> String {
             EventKind::ConnReuse { conn } | EventKind::AdmissionReject { conn } => {
                 line.push_str(&format!(",\"conn\":{conn}"));
             }
-            EventKind::QueryBegin | EventKind::WorkerPanicked | EventKind::Rewrite { .. } => {}
+            EventKind::QueryBegin | EventKind::Rewrite { .. } => {}
         }
         if let EventKind::Rewrite { accepted } = e.kind {
             line.push_str(&format!(",\"accepted\":{accepted}"));
@@ -299,15 +291,9 @@ mod tests {
             },
             TraceEvent {
                 ts_ns: 2_000,
-                lane: 1,
-                query: QueryId::NONE,
-                kind: EventKind::WorkerBegin { chunk: 0 },
-            },
-            TraceEvent {
-                ts_ns: 2_200,
-                lane: 1,
-                query: QueryId::NONE,
-                kind: EventKind::WorkerEnd { chunk: 0 },
+                lane: 0,
+                query: q,
+                kind: EventKind::CacheAccess { hit: false },
             },
             TraceEvent {
                 ts_ns: 2_500,
@@ -342,9 +328,9 @@ mod tests {
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"name\":\"process_name\""));
         assert!(json.contains("{\"name\":\"main\"}"));
-        assert!(json.contains("{\"name\":\"worker-1\"}"));
         assert!(json.contains("\"name\":\"query#7\",\"cat\":\"query_begin\",\"ph\":\"B\""));
         assert!(json.contains("\"name\":\"match\""));
+        assert!(json.contains("\"name\":\"cache_miss\""));
         assert!(json.contains("budget_trip:deadline_exceeded"));
         assert!(json.contains("\"truncated\":true"));
         assert_eq!(
@@ -361,11 +347,14 @@ mod tests {
     fn jsonl_is_one_object_per_line() {
         let log = jsonl_log(&sample_events());
         let lines: Vec<&str> = log.lines().collect();
-        assert_eq!(lines.len(), 7);
+        assert_eq!(lines.len(), 6);
         assert!(lines[0].contains("\"kind\":\"query_begin\""));
         assert!(lines[1].contains("\"stage\":\"match\""));
-        assert!(lines[4].contains("\"reason\":\"deadline_exceeded\""));
-        assert!(lines[6].contains("\"results\":3"));
+        assert!(
+            lines[2].contains("\"kind\":\"cache_access\"") && lines[2].contains("\"hit\":false")
+        );
+        assert!(lines[3].contains("\"reason\":\"deadline_exceeded\""));
+        assert!(lines[5].contains("\"results\":3"));
         for line in lines {
             assert!(line.starts_with('{') && line.ends_with('}'));
             assert_eq!(line.matches('{').count(), line.matches('}').count());

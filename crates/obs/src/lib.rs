@@ -4,7 +4,7 @@
 //! nestable timing spans, log2-bucketed latency histograms with
 //! p50/p95/p99, the [`counters!`](macro@counters) table, per-query [`QueryProfile`]s, a bounded
 //! slow-query log, and a `metrics.json`-able snapshot — all on `std`
-//! only (thread safety reuses the `lotusx-par` primitives).
+//! only, with no workspace dependency.
 //!
 //! Two recording paths:
 //!

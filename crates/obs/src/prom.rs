@@ -350,7 +350,7 @@ mod tests {
             out.contains("# TYPE lotusx_query_errors_total counter\nlotusx_query_errors_total 2\n")
         );
         assert!(
-            out.contains("lotusx_worker_panics_total 0\n"),
+            out.contains("lotusx_keyword_queries_total 0\n"),
             "zero rows render"
         );
         assert!(out.contains("lotusx_window_qps{window=\"1s\"}"));

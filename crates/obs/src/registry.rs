@@ -12,10 +12,9 @@
 use crate::histogram::{HistogramSnapshot, LatencyHistogram};
 use crate::sampler::{Exemplar, ExemplarStore};
 use crate::window::{WindowCounter, WindowSnapshot, WindowedStats};
-use lotusx_par::ShardedMap;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, RwLock};
 
 crate::counters! {
     /// The process-scope counter rows: engine events, counted while
@@ -31,7 +30,6 @@ crate::counters! {
         counter queries: "Queries answered, twig and keyword (also windowed).",
         counter queries_deadline_exceeded: "Truncated answers whose tripped limit was a deadline.",
         counter query_errors: "Query texts that failed to parse.",
-        counter worker_panics: "Panics isolated to one request of a `query_batch`.",
     }
 }
 
@@ -212,7 +210,7 @@ pub struct Metrics {
     /// (`counters.query_errors.fetch_add(..)`), except the four rows
     /// behind [`Metrics::count_windowed`].
     pub counters: ProcessCounters,
-    named: ShardedMap<&'static str, LatencyHistogram>,
+    named: RwLock<HashMap<&'static str, LatencyHistogram>>,
     slow: SlowQueryLog,
     windows: WindowedStats,
     exemplars: ExemplarStore,
@@ -230,7 +228,7 @@ impl Metrics {
         Metrics {
             stages: Default::default(),
             counters: ProcessCounters::default(),
-            named: ShardedMap::new(),
+            named: RwLock::default(),
             slow: SlowQueryLog::new(DEFAULT_SLOW_CAPACITY, DEFAULT_SLOW_THRESHOLD_NS),
             windows: WindowedStats::new(),
             exemplars: ExemplarStore::new(),
@@ -270,14 +268,17 @@ impl Metrics {
     /// use — this is the home for low-frequency series (e.g. deadline
     /// overshoot on truncated queries) that do not merit a [`Stage`].
     pub fn record_named(&self, name: &'static str, ns: u64) {
-        self.named
-            .get_or_insert_with(name, LatencyHistogram::default)
-            .record_ns(ns);
+        if let Some(h) = self.named.read().expect("named poisoned").get(name) {
+            return h.record_ns(ns);
+        }
+        let mut named = self.named.write().expect("named poisoned");
+        named.entry(name).or_default().record_ns(ns);
     }
 
     /// A snapshot of a named histogram, or `None` if never recorded.
     pub fn named_histogram(&self, name: &'static str) -> Option<HistogramSnapshot> {
-        self.named.get(&name).map(|h| h.snapshot())
+        let named = self.named.read().expect("named poisoned");
+        named.get(name).map(|h| h.snapshot())
     }
 
     /// The slow-query log.
@@ -303,7 +304,9 @@ impl Metrics {
         for c in self.counters.cells() {
             c.store(0, Ordering::Relaxed);
         }
-        self.named.for_each(|_, h| h.reset());
+        for h in self.named.read().expect("named poisoned").values() {
+            h.reset();
+        }
         self.slow.reset();
         self.windows.reset();
         self.exemplars.reset();
@@ -311,9 +314,13 @@ impl Metrics {
 
     /// A plain-data snapshot of everything in the registry.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut histograms = Vec::new();
-        self.named
-            .for_each(|name, h| histograms.push((name.to_string(), h.snapshot())));
+        let mut histograms: Vec<(String, HistogramSnapshot)> = self
+            .named
+            .read()
+            .expect("named poisoned")
+            .iter()
+            .map(|(name, h)| (name.to_string(), h.snapshot()))
+            .collect();
         histograms.sort_by(|a, b| a.0.cmp(&b.0));
         MetricsSnapshot {
             stages: Stage::ALL

@@ -445,25 +445,6 @@ fn print_stats(system: &LotusX) {
         qc.capacity,
         system.value_trie_cache_len()
     );
-    if qc.hits + qc.misses > 0 {
-        let per_shard: Vec<String> = system
-            .query_cache_shard_stats()
-            .iter()
-            .enumerate()
-            .map(|(i, s)| format!("{i}:{}h/{}m", s.hits, s.misses))
-            .collect();
-        println!("  query-cache shards: {}", per_shard.join("  "));
-    }
-    let vt = system.value_trie_shard_stats();
-    if vt.iter().any(|s| s.hits + s.misses > 0) {
-        let per_shard: Vec<String> = vt
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.hits + s.misses > 0 || s.entries > 0)
-            .map(|(i, s)| format!("{i}:{}h/{}m/{}e", s.hits, s.misses, s.entries))
-            .collect();
-        println!("  value-trie shards: {}", per_shard.join("  "));
-    }
     if !lotusx_obs::enabled() {
         println!("profiling off — `profile on` to record stage latencies ('stats json' for the raw snapshot)");
         return;
@@ -495,13 +476,12 @@ fn print_stats(system: &LotusX) {
         println!("counters: {}", rendered.join("  "));
     }
     let (queries, degraded) = (counters.queries, counters.degraded_responses);
-    if queries > 0 && (degraded > 0 || counters.worker_panics > 0) {
+    if queries > 0 && degraded > 0 {
         println!(
             "degradation: {degraded}/{queries} responses truncated ({:.1}%), \
-             {} past deadline, {} worker panics isolated",
+             {} past deadline",
             100.0 * degraded as f64 / queries as f64,
             counters.queries_deadline_exceeded,
-            counters.worker_panics,
         );
         if let Some((_, h)) = snapshot
             .histograms

@@ -34,7 +34,7 @@
 //!
 //! The server prints `listening on <ADDR>` once bound (scripts wait for
 //! that line), then serves until it reads `quit` on stdin, receives
-//! `POST /shutdown`, or the process is killed. EOF on stdin parks the
+//! `POST /shutdown`, or the process is killed. EOF on stdin ends the
 //! reader — backgrounding with `</dev/null` does not stop the server.
 
 use lotusx::{CorpusSource, EngineRegistry, LotusX, RegistryConfig};
@@ -220,11 +220,8 @@ fn serve(config: ServeConfig, corpus: &str, snapshot: Option<SnapshotAction>) ->
     // The wait-for line: scripts poll for this exact prefix.
     println!("listening on {}", server.local_addr());
 
-    std::thread::scope(|scope| {
-        let stdin_handle = handle.clone();
-        scope.spawn(move || stdin_control(stdin_handle));
-        server.run(&engine);
-    });
+    spawn_stdin_control(&handle);
+    server.run(&engine);
     finish(trace_path, &handle)
 }
 
@@ -274,11 +271,8 @@ fn serve_routes(config: ServeConfig, routes: &std::path::Path) -> ExitCode {
     );
     // The wait-for line: scripts poll for this exact prefix.
     println!("listening on {}", server.local_addr());
-    std::thread::scope(|scope| {
-        let stdin_handle = handle.clone();
-        scope.spawn(move || stdin_control(stdin_handle));
-        server.run_registry(&registry);
-    });
+    spawn_stdin_control(&handle);
+    server.run_registry(&registry);
     for (name, tenant) in handle.tenant_stats() {
         eprintln!(
             "tenant {name}: {} requests ({} queries, {} rejected, {} quota rejects)",
@@ -288,28 +282,24 @@ fn serve_routes(config: ServeConfig, routes: &std::path::Path) -> ExitCode {
     finish(trace_path, &handle)
 }
 
-/// stdin control: a `quit` line triggers graceful shutdown; EOF just
-/// parks so `</dev/null &` backgrounding works.
-fn stdin_control(handle: ServerHandle) {
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match std::io::stdin().read_line(&mut line) {
-            Ok(0) => loop {
-                if handle.is_stopping() {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(200));
-            },
-            Ok(_) => {
-                if line.trim() == "quit" {
-                    handle.shutdown();
-                    return;
-                }
+/// stdin control: a `quit` line triggers graceful shutdown; EOF ends the
+/// reader and leaves the server up, so `</dev/null &` backgrounding
+/// works. The thread is detached, never joined: `read_line` on an open,
+/// silent stdin does not return, and a scoped reader kept the process
+/// alive after `/shutdown` for as long as the pipe's writer lived.
+fn spawn_stdin_control(handle: &ServerHandle) {
+    let handle = handle.clone();
+    std::thread::spawn(move || {
+        let mut line = String::new();
+        loop {
+            line.clear();
+            match std::io::stdin().read_line(&mut line) {
+                Ok(0) | Err(_) => return,
+                Ok(_) if line.trim() == "quit" => return handle.shutdown(),
+                Ok(_) => {}
             }
-            Err(_) => return,
         }
-    }
+    });
 }
 
 /// Post-run trace dump and final stats line, shared by both modes.

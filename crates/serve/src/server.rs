@@ -90,7 +90,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
-            threads: lotusx_par::default_threads(),
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             max_inflight: 64,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
@@ -176,11 +176,6 @@ impl ServerHandle {
         self.query_cancel.cancel();
         self.stop.store(true, Ordering::SeqCst);
         self.waker.wake();
-    }
-
-    /// Has shutdown been requested?
-    pub fn is_stopping(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
     }
 
     /// The server's lifetime request counters.

@@ -302,42 +302,3 @@ fn ordered_queries_are_consistent_across_algorithms() {
     assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
     assert!(counts[0] > 0, "bidders always list time before increase");
 }
-
-/// `query_batch` forks across `default_threads()` workers over the
-/// concurrent caches; its answers must be those of the same queries run
-/// one by one — everything a caller can observe, scores bit-for-bit.
-#[test]
-fn batch_search_is_identical_to_sequential_searches() {
-    const QUERIES: [&str; 6] = [
-        "//title",
-        "//book/title",
-        "//*[title][author]",
-        "//book[year >= 2000]/title",
-        "ordered //book[title][author]",
-        "//nosuchtag/title",
-    ];
-    fn response_key(response: &QueryResponse) -> (usize, Vec<(u64, Vec<u32>, String)>) {
-        (
-            response.total_matches,
-            response
-                .matches
-                .iter()
-                .map(|r| {
-                    (
-                        r.score.to_bits(),
-                        r.bindings.iter().map(|n| n.index() as u32).collect(),
-                        r.snippet.clone(),
-                    )
-                })
-                .collect(),
-        )
-    }
-    let system = LotusX::load_document(generate(Dataset::XmarkLike, 1, 3));
-    let requests: Vec<QueryRequest> = QUERIES.iter().map(|q| QueryRequest::twig(*q)).collect();
-    let batch = system.query_batch(&requests);
-    for (q, got) in QUERIES.iter().zip(&batch) {
-        let got = got.as_ref().unwrap();
-        let expect = system.query(&QueryRequest::twig(*q)).unwrap();
-        assert_eq!(response_key(got), response_key(&expect), "{q}");
-    }
-}
