@@ -1,14 +1,12 @@
 //! Telemetry overhead benchmark.
 //!
 //! Measures the cost the observability layer adds to the query pipeline
-//! in four configurations and writes the results to `BENCH_obs.json`:
+//! in three configurations and writes the results to `BENCH_obs.json`:
 //!
-//! * `baseline` — everything off: no metrics, no tracing, sampling rate 0.
-//! * `off`      — the default ship state: metrics and tracing off, sampled
-//!   profiling at its default 1-in-N rate. The delta vs `baseline` is the
-//!   "disabled cost" the tentpole bounds at a few relaxed atomic loads.
-//! * `sampled`  — metrics recording on, sampling at the default rate.
-//! * `full`     — metrics on, tracing on, every query sampled (rate 1).
+//! * `off`     — the default ship state: metrics and tracing off; the
+//!   whole subsystem costs a few relaxed atomic loads per query.
+//! * `metrics` — metrics recording on (what `lotusx-serve` runs with).
+//! * `full`    — metrics on, tracing on, every request profiled.
 //!
 //! ```sh
 //! cargo run --release -p lotusx-bench --bin lotusx-telemetry-bench
@@ -21,8 +19,7 @@
 //! (queue wait, compute, flush, loop lag, `/metrics` render).
 //!
 //! `--quick` shrinks the workload for CI and exits non-zero if the
-//! disabled (`off` vs `baseline`) overhead exceeds 3% or the sampled
-//! (`sampled` vs `baseline`) overhead exceeds 15%.
+//! `metrics` overhead over `off` exceeds 15%.
 
 use lotusx::{LotusX, QueryRequest};
 use lotusx_bench::SEED;
@@ -30,15 +27,11 @@ use lotusx_datagen::{generate, Dataset};
 use lotusx_serve::{client, ServeConfig, Server};
 use std::time::{Duration, Instant};
 
-/// Disabled-path overhead budget enforced by `--quick` (percent).
-const MAX_DISABLED_OVERHEAD_PCT: f64 = 3.0;
-
-/// Sampled-path overhead budget enforced by `--quick` (percent).
-/// Sampled mode is the always-on production state (metrics recording at
-/// the default 1-in-N profiling rate); measured ~9-10% on the cached
-/// workload, budgeted with headroom but still asserted so it cannot
-/// silently creep toward the full-tracing cost.
-const MAX_SAMPLED_OVERHEAD_PCT: f64 = 15.0;
+/// Metrics-on overhead budget enforced by `--quick` (percent). Metrics
+/// recording is the always-on production state; budgeted with headroom
+/// but still asserted so it cannot silently creep toward the
+/// full-tracing cost.
+const MAX_METRICS_OVERHEAD_PCT: f64 = 15.0;
 
 const QUERIES: [&str; 8] = [
     "//article/title",
@@ -55,37 +48,26 @@ struct Mode {
     name: &'static str,
     metrics: bool,
     tracing: bool,
-    sample_rate: u64,
     profile_requests: bool,
 }
 
-const MODES: [Mode; 4] = [
-    Mode {
-        name: "baseline",
-        metrics: false,
-        tracing: false,
-        sample_rate: 0,
-        profile_requests: false,
-    },
+const MODES: [Mode; 3] = [
     Mode {
         name: "off",
         metrics: false,
         tracing: false,
-        sample_rate: lotusx_obs::DEFAULT_SAMPLE_RATE,
         profile_requests: false,
     },
     Mode {
-        name: "sampled",
+        name: "metrics",
         metrics: true,
         tracing: false,
-        sample_rate: lotusx_obs::DEFAULT_SAMPLE_RATE,
         profile_requests: false,
     },
     Mode {
         name: "full",
         metrics: true,
         tracing: true,
-        sample_rate: 1,
         profile_requests: true,
     },
 ];
@@ -112,7 +94,6 @@ impl Mode {
     fn apply(&self) {
         lotusx_obs::set_enabled(self.metrics);
         lotusx_obs::set_tracing(self.tracing);
-        lotusx_obs::sampler().set_rate(self.sample_rate);
     }
 }
 
@@ -124,9 +105,9 @@ fn best(times: &[Duration]) -> Duration {
     *times.iter().min().expect("at least one rep")
 }
 
-/// Overhead of a mode vs the baseline, as the MEDIAN of per-rep paired
-/// differences. Each rep runs every mode within a few milliseconds, so
-/// pairing cancels the slow drift of a shared host that defeats both
+/// Overhead of a mode vs `off` (the baseline), as the MEDIAN of per-rep
+/// paired differences. Each rep runs every mode within a few milliseconds,
+/// so pairing cancels the slow drift of a shared host that defeats both
 /// block timing (drift lands on one mode) and min-of-reps (compares two
 /// extreme-value statistics taken seconds apart). The median then
 /// shrugs off the occasional rep that caught a scheduler hiccup.
@@ -260,7 +241,6 @@ fn main() {
     // Restore the default ship state.
     lotusx_obs::set_enabled(false);
     lotusx_obs::set_tracing(false);
-    lotusx_obs::sampler().set_rate(lotusx_obs::DEFAULT_SAMPLE_RATE);
 
     let overhead_pct: Vec<f64> = rep_times
         .iter()
@@ -303,8 +283,7 @@ fn main() {
          \"serving_sample\": {{\n    \"requests\": {serve_requests},\n    \
          \"stages\": {{\n{serving_json}    }}\n  }},\n  \
          \"identical_matches\": {identical},\n  \
-         \"disabled_overhead_budget_pct\": {MAX_DISABLED_OVERHEAD_PCT},\n  \
-         \"sampled_overhead_budget_pct\": {MAX_SAMPLED_OVERHEAD_PCT}\n}}\n",
+         \"metrics_overhead_budget_pct\": {MAX_METRICS_OVERHEAD_PCT}\n}}\n",
         trace.produced, trace.dropped, trace.exported,
     );
     // Quick (CI) runs keep their hands off the committed full-run
@@ -322,23 +301,14 @@ fn main() {
 
     assert!(identical, "telemetry must never change query results");
     if quick {
-        let disabled = overhead_pct[1];
-        if disabled > MAX_DISABLED_OVERHEAD_PCT {
+        let metrics = overhead_pct[1];
+        if metrics > MAX_METRICS_OVERHEAD_PCT {
             eprintln!(
-                "FAIL: disabled-path overhead {disabled:.2}% exceeds \
-                 {MAX_DISABLED_OVERHEAD_PCT}% budget"
+                "FAIL: metrics-on overhead {metrics:.2}% exceeds \
+                 {MAX_METRICS_OVERHEAD_PCT}% budget"
             );
             std::process::exit(1);
         }
-        eprintln!("disabled-path overhead {disabled:.2}% — within budget");
-        let sampled = overhead_pct[2];
-        if sampled > MAX_SAMPLED_OVERHEAD_PCT {
-            eprintln!(
-                "FAIL: sampled-path overhead {sampled:.2}% exceeds \
-                 {MAX_SAMPLED_OVERHEAD_PCT}% budget"
-            );
-            std::process::exit(1);
-        }
-        eprintln!("sampled-path overhead {sampled:.2}% — within budget");
+        eprintln!("metrics-on overhead {metrics:.2}% — within budget");
     }
 }

@@ -18,7 +18,7 @@ use crate::lru::{CacheStats, ConcurrentLru};
 use lotusx_autocomplete::{CompletionEngine, ValueTrieCache};
 use lotusx_guard::{Budget, Completeness, QueryGuard, TruncationReason};
 use lotusx_index::IndexedDocument;
-use lotusx_obs::{EventKind, QueryId, QueryProfile, Span, Stage, WindowCounter};
+use lotusx_obs::{EventKind, QueryId, QueryProfile, Span, Stage};
 use lotusx_rank::{RankWeights, Ranker};
 use lotusx_rewrite::{RewriteSetup, Rewriter, RewriterConfig};
 use lotusx_twig::exec::{execute_budgeted, Algorithm, JoinResult};
@@ -372,7 +372,7 @@ impl fmt::Debug for PendingQuery {
 
 struct PendingTwig {
     qid: QueryId,
-    /// The profile root when this query is profiled or sampled.
+    /// The profile root when this query is profiled.
     root: Option<Span>,
     pattern: TwigPattern,
     limit: usize,
@@ -559,13 +559,15 @@ fn note_degradation(recording: bool, guard: &QueryGuard, completeness: Completen
         return;
     }
     let m = lotusx_obs::metrics();
-    m.count_windowed(WindowCounter::Truncated, 1);
+    m.counters
+        .degraded_responses
+        .fetch_add(1, Ordering::Relaxed);
     if reason == TruncationReason::DeadlineExceeded {
         m.counters
             .queries_deadline_exceeded
             .fetch_add(1, Ordering::Relaxed);
         if let Some(overshoot) = guard.deadline_overshoot() {
-            m.record_named("deadline_overshoot", overshoot.as_nanos() as u64);
+            m.record_stage(Stage::DeadlineOvershoot, overshoot.as_nanos() as u64);
         }
     }
 }
@@ -604,7 +606,7 @@ impl LotusX {
     /// extension are opened as LotusX binary snapshots instead.
     ///
     /// This is a thin shim over [`Self::open`] with
-    /// [`CorpusSource::from_path`].
+    /// [`CorpusSource::from_path`](crate::source::CorpusSource::from_path).
     pub fn load_file(path: impl AsRef<std::path::Path>) -> Result<Self, LotusError> {
         Self::open(&crate::source::CorpusSource::from_path(path.as_ref()))
     }
@@ -820,12 +822,7 @@ impl LotusX {
         };
         lotusx_obs::emit(qid, EventKind::QueryBegin);
         let started = Instant::now();
-        // Sampled always-on profiling: 1-in-N queries build the full span
-        // tree even without `request.profile`, feeding the exemplar store.
-        // The profile is attached to the response only when asked for, so
-        // sampling never changes what the caller sees.
-        let sampled = request.profile || lotusx_obs::sampler().should_sample();
-        let root = sampled.then(|| Span::new("query"));
+        let root = request.profile.then(|| Span::new("query"));
 
         let parsed = run_stage(root.as_ref(), Stage::Parse, recording, qid, |_| {
             parse_query(&request.text)
@@ -943,14 +940,14 @@ impl LotusX {
     /// wherever its halves ran.
     fn note_cache_access(&self, twig: &PendingTwig, hit: bool) {
         if lotusx_obs::enabled() {
-            let m = lotusx_obs::metrics();
-            m.count_windowed(WindowCounter::Queries, 1);
+            let counters = &lotusx_obs::metrics().counters;
+            counters.queries.fetch_add(1, Ordering::Relaxed);
             let lookup = if hit {
-                WindowCounter::CacheHits
+                &counters.cache_hit
             } else {
-                WindowCounter::CacheMisses
+                &counters.cache_miss
             };
-            m.count_windowed(lookup, 1);
+            lookup.fetch_add(1, Ordering::Relaxed);
         }
         lotusx_obs::emit(twig.qid, EventKind::CacheAccess { hit });
     }
@@ -966,9 +963,7 @@ impl LotusX {
         hit: bool,
     ) -> QueryResponse {
         if lotusx_obs::enabled() {
-            let m = lotusx_obs::metrics();
-            m.record_stage(Stage::Total, twig.spent_ns);
-            m.slow_queries().record(&request.text, twig.spent_ns);
+            lotusx_obs::metrics().record_stage(Stage::Total, twig.spent_ns);
         }
 
         let profile = twig.root.map(|r| {
@@ -987,10 +982,6 @@ impl LotusX {
                 span: r.finish(),
             }
         });
-        if let Some(p) = profile.as_ref() {
-            lotusx_obs::metrics().exemplars().observe(p);
-        }
-
         lotusx_obs::emit(
             twig.qid,
             EventKind::QueryEnd {
@@ -1006,7 +997,7 @@ impl LotusX {
             total_matches: outcome.total_matches,
             rewrite: outcome.rewrite,
             completeness: outcome.completeness,
-            profile: if request.profile { profile } else { None },
+            profile,
         }
     }
 
@@ -1030,8 +1021,7 @@ impl LotusX {
         };
         lotusx_obs::emit(qid, EventKind::QueryBegin);
         let started = recording.then(Instant::now);
-        let sampled = request.profile || lotusx_obs::sampler().should_sample();
-        let root = sampled.then(|| Span::new("query"));
+        let root = request.profile.then(|| Span::new("query"));
         let limit = request.top_k.unwrap_or(self.config.result_limit);
         // Keyword (SLCA) search runs to completion once started, so the
         // budget gates only whether it starts at all: an exhausted budget
@@ -1070,10 +1060,9 @@ impl LotusX {
         if let Some(t0) = started {
             let total_ns = t0.elapsed().as_nanos() as u64;
             let m = lotusx_obs::metrics();
-            m.count_windowed(WindowCounter::Queries, 1);
+            m.counters.queries.fetch_add(1, Ordering::Relaxed);
             m.counters.keyword_queries.fetch_add(1, Ordering::Relaxed);
             m.record_stage(Stage::Total, total_ns);
-            m.slow_queries().record(&request.text, total_ns);
         }
 
         let profile = root.map(|r| QueryProfile {
@@ -1086,10 +1075,6 @@ impl LotusX {
             rewritten: None,
             span: r.finish(),
         });
-        if let Some(p) = profile.as_ref() {
-            lotusx_obs::metrics().exemplars().observe(p);
-        }
-
         let completeness = guard.completeness();
         lotusx_obs::emit(
             qid,
@@ -1106,7 +1091,7 @@ impl LotusX {
             rewrite: None,
             completeness,
             algorithm: None,
-            profile: if request.profile { profile } else { None },
+            profile,
         }
     }
 

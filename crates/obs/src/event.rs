@@ -3,11 +3,10 @@
 //! When tracing is on ([`set_tracing`]), the engine emits one
 //! [`TraceEvent`] per interesting moment of a query's life — query
 //! begin/end, stage enter/exit, cache hits, budget trips, rewrite
-//! decisions — into a lock-free bounded
-//! [`EventRing`](crate::ring::EventRing). Nothing on the hot path ever
-//! blocks: a full ring drops the event and counts it. The CLI (or any
-//! embedder) drains the ring into a Chrome trace-event JSON or a JSONL
-//! log (see [`crate::export`]).
+//! decisions — into a lock-free bounded [`EventRing`]. Nothing on the
+//! hot path ever blocks: a full ring drops the event and counts it. The
+//! CLI (or any embedder) drains the ring into a Chrome trace-event JSON
+//! (see [`crate::export`]).
 //!
 //! When tracing is off the entire cost is one relaxed atomic load per
 //! potential emission site.

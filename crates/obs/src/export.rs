@@ -1,5 +1,5 @@
-//! Trace exporters: Chrome trace-event JSON (loadable in
-//! `chrome://tracing` and Perfetto) and a line-per-event JSONL log.
+//! The trace exporter: Chrome trace-event JSON (loadable in
+//! `chrome://tracing` and Perfetto).
 //!
 //! The Chrome format is the "JSON Array Format" with duration (`B`/`E`)
 //! and instant (`i`) phases: every lane becomes a named thread (`tid` =
@@ -202,73 +202,6 @@ pub fn chrome_trace_json_with(events: &[TraceEvent], counters: Option<RingCounte
     out
 }
 
-/// One JSONL line per event: flat objects with `ts_ns`, `lane`, `query`,
-/// `kind` and the kind-specific fields.
-pub fn jsonl_log(events: &[TraceEvent]) -> String {
-    let mut out = String::new();
-    for e in events {
-        let mut line = format!(
-            "{{\"ts_ns\":{},\"lane\":{},\"query\":{},\"kind\":{}",
-            e.ts_ns,
-            e.lane,
-            e.query.0,
-            json_string(e.kind.name())
-        );
-        match e.kind {
-            EventKind::QueryEnd {
-                cache_hit,
-                truncated,
-                results,
-            } => line.push_str(&format!(
-                ",\"cache_hit\":{cache_hit},\"truncated\":{truncated},\"results\":{results}"
-            )),
-            EventKind::StageBegin { stage } | EventKind::StageEnd { stage } => {
-                line.push_str(&format!(",\"stage\":{}", json_string(stage)));
-            }
-            EventKind::CacheAccess { hit } => {
-                line.push_str(&format!(",\"hit\":{hit}"));
-            }
-            EventKind::BudgetTrip { reason } => {
-                line.push_str(&format!(",\"reason\":{}", json_string(reason)));
-            }
-            EventKind::AlgoChosen { algorithm } => {
-                line.push_str(&format!(",\"algorithm\":{}", json_string(algorithm)));
-            }
-            EventKind::ConnAccept { conn, admitted } => {
-                line.push_str(&format!(",\"conn\":{conn},\"admitted\":{admitted}"));
-            }
-            EventKind::ConnClose { conn, reason } => {
-                line.push_str(&format!(
-                    ",\"conn\":{conn},\"reason\":{}",
-                    json_string(reason.name())
-                ));
-            }
-            EventKind::ConnPhase { conn, phase } => {
-                line.push_str(&format!(
-                    ",\"conn\":{conn},\"phase\":{}",
-                    json_string(phase.name())
-                ));
-            }
-            EventKind::ConnDeadline { conn, kind } => {
-                line.push_str(&format!(
-                    ",\"conn\":{conn},\"deadline\":{}",
-                    json_string(kind.name())
-                ));
-            }
-            EventKind::ConnReuse { conn } | EventKind::AdmissionReject { conn } => {
-                line.push_str(&format!(",\"conn\":{conn}"));
-            }
-            EventKind::QueryBegin | EventKind::Rewrite { .. } => {}
-        }
-        if let EventKind::Rewrite { accepted } = e.kind {
-            line.push_str(&format!(",\"accepted\":{accepted}"));
-        }
-        line.push_str("}\n");
-        out.push_str(&line);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,24 +274,6 @@ mod tests {
         // Timestamps are µs: 1_500ns → 1.500.
         assert!(json.contains("\"ts\":1.500"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn jsonl_is_one_object_per_line() {
-        let log = jsonl_log(&sample_events());
-        let lines: Vec<&str> = log.lines().collect();
-        assert_eq!(lines.len(), 6);
-        assert!(lines[0].contains("\"kind\":\"query_begin\""));
-        assert!(lines[1].contains("\"stage\":\"match\""));
-        assert!(
-            lines[2].contains("\"kind\":\"cache_access\"") && lines[2].contains("\"hit\":false")
-        );
-        assert!(lines[3].contains("\"reason\":\"deadline_exceeded\""));
-        assert!(lines[5].contains("\"results\":3"));
-        for line in lines {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-            assert_eq!(line.matches('{').count(), line.matches('}').count());
-        }
     }
 
     #[test]
@@ -456,10 +371,6 @@ mod tests {
         let pending_e = json.find("\"name\":\"pending\",\"cat\":\"conn_phase\",\"ph\":\"E\"");
         assert!(pending_b.unwrap() < stage_b.unwrap());
         assert!(stage_b.unwrap() < pending_e.unwrap());
-        let log = jsonl_log(&events);
-        assert!(log.contains("\"kind\":\"conn_accept\",\"conn\":3,\"admitted\":true"));
-        assert!(log.contains("\"kind\":\"conn_phase\",\"conn\":3,\"phase\":\"pending\""));
-        assert!(log.contains("\"kind\":\"conn_close\",\"conn\":3,\"reason\":\"client_close\""));
     }
 
     #[test]
@@ -467,6 +378,5 @@ mod tests {
         let json = chrome_trace_json(&[]);
         assert!(json.contains("process_name"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(jsonl_log(&[]), "");
     }
 }

@@ -71,81 +71,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// A plain (non-atomic) accumulator that merges one or more
-/// [`LatencyHistogram`]s and derives a combined [`HistogramSnapshot`] —
-/// used by the windowed-telemetry layer to fold per-second slots into a
-/// 10s/60s view.
-#[derive(Clone)]
-pub struct HistogramAccumulator {
-    buckets: [u64; BUCKETS],
-    sum_ns: u64,
-    max_ns: u64,
-}
-
-impl Default for HistogramAccumulator {
-    fn default() -> Self {
-        HistogramAccumulator {
-            buckets: [0; BUCKETS],
-            sum_ns: 0,
-            max_ns: 0,
-        }
-    }
-}
-
-impl HistogramAccumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds the current contents of `h` into the accumulator.
-    pub fn merge(&mut self, h: &LatencyHistogram) {
-        for (acc, b) in self.buckets.iter_mut().zip(h.buckets.iter()) {
-            *acc += b.load(Ordering::Relaxed);
-        }
-        self.sum_ns = self.sum_ns.saturating_add(h.sum_ns.load(Ordering::Relaxed));
-        self.max_ns = self.max_ns.max(h.max_ns.load(Ordering::Relaxed));
-    }
-
-    /// Total merged samples.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// The combined snapshot over everything merged so far.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        snapshot_from(&self.buckets, self.sum_ns, self.max_ns)
-    }
-}
-
-/// Derives a snapshot (with percentile estimates) from raw bucket counts.
-fn snapshot_from(buckets: &[u64; BUCKETS], sum_ns: u64, max_ns: u64) -> HistogramSnapshot {
-    let count: u64 = buckets.iter().sum();
-    let percentile = |q: f64| -> u64 {
-        if count == 0 {
-            return 0;
-        }
-        // Rank of the q-quantile sample, 1-based, rounded up.
-        let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
-        let mut seen = 0u64;
-        for (i, &c) in buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bucket_upper_bound(i).min(max_ns);
-            }
-        }
-        max_ns
-    };
-    HistogramSnapshot {
-        count,
-        sum_ns,
-        max_ns,
-        p50_ns: percentile(0.50),
-        p95_ns: percentile(0.95),
-        p99_ns: percentile(0.99),
-    }
-}
-
 impl LatencyHistogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
@@ -178,9 +103,33 @@ impl LatencyHistogram {
     /// Takes a consistent-enough snapshot (relaxed reads; exact once
     /// writers quiesce) and derives the percentile estimates.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut acc = HistogramAccumulator::new();
-        acc.merge(self);
-        acc.snapshot()
+        let buckets: [u64; BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
+        let count: u64 = buckets.iter().sum();
+        let max_ns = self.max_ns.load(Ordering::Relaxed);
+        let percentile = |q: f64| -> u64 {
+            if count == 0 {
+                return 0;
+            }
+            // Rank of the q-quantile sample, 1-based, rounded up.
+            let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
+            let mut seen = 0u64;
+            for (i, &c) in buckets.iter().enumerate() {
+                seen += c;
+                if seen >= rank {
+                    return bucket_upper_bound(i).min(max_ns);
+                }
+            }
+            max_ns
+        };
+        HistogramSnapshot {
+            count,
+            sum_ns: self.sum_ns.load(Ordering::Relaxed),
+            max_ns,
+            p50_ns: percentile(0.50),
+            p95_ns: percentile(0.95),
+            p99_ns: percentile(0.99),
+        }
     }
 }
 
@@ -290,28 +239,6 @@ mod tests {
             }
         });
         assert_eq!(h.count(), 4_000);
-    }
-
-    #[test]
-    fn accumulator_merges_multiple_histograms() {
-        let a = LatencyHistogram::new();
-        let b = LatencyHistogram::new();
-        for _ in 0..90 {
-            a.record_ns(1_000);
-        }
-        for _ in 0..10 {
-            b.record_ns(1_000_000);
-        }
-        let mut acc = HistogramAccumulator::new();
-        acc.merge(&a);
-        acc.merge(&b);
-        let s = acc.snapshot();
-        assert_eq!(s.count, 100);
-        assert_eq!(s.sum_ns, 90 * 1_000 + 10 * 1_000_000);
-        assert_eq!(s.max_ns, 1_000_000);
-        assert!(s.p50_ns >= 1_000 && s.p50_ns < 2_048, "p50 {}", s.p50_ns);
-        assert_eq!(s.p99_ns, 1_000_000);
-        assert_eq!(HistogramAccumulator::new().snapshot().count, 0);
     }
 
     #[test]

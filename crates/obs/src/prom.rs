@@ -3,11 +3,10 @@
 //! [`PromWriter`] is a tiny line builder that gets the format details
 //! right once — metric-name sanitization, label-value escaping, `# HELP`
 //! / `# TYPE` comment lines — and [`MetricsSnapshot::to_prometheus`]
-//! renders the full obs snapshot with it: stage and named histograms as
-//! summaries (precomputed p50/p95/p99 as `quantile` labels plus `_sum`
-//! and `_count`), the process counter table as `_total` counters, the
-//! rolling windows as labelled gauges, and the trace ring's exact
-//! accounting. Every counter scope renders through
+//! renders the full obs snapshot with it: stage histograms as summaries
+//! (precomputed p50/p95/p99 as `quantile` labels plus `_sum` and
+//! `_count`), the process counter table as `_total` counters, and the
+//! trace ring's exact accounting. Every counter scope renders through
 //! [`PromWriter::counter_rows`], straight from its declaration.
 //! Durations are exported in seconds, per Prometheus convention.
 //!
@@ -183,61 +182,6 @@ impl MetricsSnapshot {
         w.counter_rows("lotusx_", ProcessCounters::ROWS, |w, family, i| {
             w.sample_u64(family, &[], values[i])
         });
-        if !self.histograms.is_empty() {
-            w.header(
-                "lotusx_named_seconds",
-                "Named low-frequency latency series.",
-                "summary",
-            );
-            for (name, h) in &self.histograms {
-                w.summary("lotusx_named_seconds", &[("series", name)], h);
-            }
-        }
-        w.header(
-            "lotusx_window_qps",
-            "Queries per second over the rolling window.",
-            "gauge",
-        );
-        for win in &self.windows {
-            let label = format!("{}s", win.window_secs);
-            w.sample("lotusx_window_qps", &[("window", &label)], win.qps);
-        }
-        w.header(
-            "lotusx_window_cache_hit_ratio",
-            "Query-cache hit ratio over the rolling window.",
-            "gauge",
-        );
-        for win in &self.windows {
-            let label = format!("{}s", win.window_secs);
-            w.sample(
-                "lotusx_window_cache_hit_ratio",
-                &[("window", &label)],
-                win.hit_ratio,
-            );
-        }
-        w.header(
-            "lotusx_window_truncation_rate",
-            "Truncated-response rate over the rolling window.",
-            "gauge",
-        );
-        for win in &self.windows {
-            let label = format!("{}s", win.window_secs);
-            w.sample(
-                "lotusx_window_truncation_rate",
-                &[("window", &label)],
-                win.truncation_rate,
-            );
-        }
-        w.header(
-            "lotusx_slow_queries_retained",
-            "Entries currently held by the slow-query log.",
-            "gauge",
-        );
-        w.sample_u64(
-            "lotusx_slow_queries_retained",
-            &[],
-            self.slow_queries.len() as u64,
-        );
         w.header(
             "lotusx_trace_events_total",
             "Trace-ring accounting (produced == exported + dropped).",
@@ -353,11 +297,10 @@ mod tests {
             out.contains("lotusx_keyword_queries_total 0\n"),
             "zero rows render"
         );
-        assert!(out.contains("lotusx_window_qps{window=\"1s\"}"));
         assert!(out.contains("lotusx_trace_events_total{outcome=\"produced\"}"));
         // Exactly one HELP/TYPE pair per family.
         assert_eq!(
-            out.matches("# TYPE lotusx_window_qps").count(),
+            out.matches("# TYPE lotusx_stage_seconds").count(),
             1,
             "headers written once per family"
         );

@@ -1,20 +1,17 @@
-//! The global metrics registry: stage histograms, the process-scope
-//! counter table and the slow-query log, behind one process-wide enable
+//! The global metrics registry: one lifetime histogram per [`Stage`]
+//! and the process-scope counter table, behind one process-wide enable
 //! flag.
 //!
 //! Everything here is designed around the *overhead-when-disabled*
 //! budget: a disabled pipeline pays exactly one relaxed atomic load per
 //! potential recording site ([`enabled`]) and nothing else. When enabled,
-//! recordings are relaxed atomic adds (histograms, counters) or one short
-//! mutex push (slow-query log — taken only for queries over the
-//! threshold).
+//! a recording is a handful of relaxed atomic adds, made once: rates and
+//! windowed means are the reader's to derive (Δcounter/Δt,
+//! Δ`sum_ns`/Δ`count` between two scrapes).
 
 use crate::histogram::{HistogramSnapshot, LatencyHistogram};
-use crate::sampler::{Exemplar, ExemplarStore};
-use crate::window::{WindowCounter, WindowSnapshot, WindowedStats};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 crate::counters! {
     /// The process-scope counter rows: engine events, counted while
@@ -23,11 +20,11 @@ crate::counters! {
     pub struct ProcessCounters => ProcessSnapshot {
         counter algo_chosen_naive: "Chooser decisions for the navigational plan.",
         counter algo_chosen_structural_join: "Chooser decisions for the binary structural join.",
-        counter cache_hit: "Query-cache lookups answered from the cache (also windowed).",
-        counter cache_miss: "Query-cache lookups that went on to compute (also windowed).",
-        counter degraded_responses: "Answers marked truncated by a budget (also windowed).",
+        counter cache_hit: "Query-cache lookups answered from the cache.",
+        counter cache_miss: "Query-cache lookups that went on to compute.",
+        counter degraded_responses: "Answers marked truncated by a budget.",
         counter keyword_queries: "Keyword (SLCA) searches answered.",
-        counter queries: "Queries answered, twig and keyword (also windowed).",
+        counter queries: "Queries answered, twig and keyword.",
         counter queries_deadline_exceeded: "Truncated answers whose tripped limit was a deadline.",
         counter query_errors: "Query texts that failed to parse.",
     }
@@ -73,11 +70,13 @@ pub enum Stage {
     /// Worker completion push → event-loop pickup (loop wakeup→dispatch
     /// lag).
     HttpLoopLag,
+    /// How far past its deadline a deadline-truncated query ran.
+    DeadlineOvershoot,
 }
 
 impl Stage {
     /// Every stage, in display order.
-    pub const ALL: [Stage; 17] = [
+    pub const ALL: [Stage; 18] = [
         Stage::Parse,
         Stage::Rewrite,
         Stage::Match,
@@ -95,6 +94,7 @@ impl Stage {
         Stage::HttpCompute,
         Stage::HttpFlush,
         Stage::HttpLoopLag,
+        Stage::DeadlineOvershoot,
     ];
 
     /// Stable snake-case name (used as the JSON key).
@@ -117,122 +117,25 @@ impl Stage {
             Stage::HttpCompute => "http_compute",
             Stage::HttpFlush => "http_flush",
             Stage::HttpLoopLag => "http_loop_lag",
+            Stage::DeadlineOvershoot => "deadline_overshoot",
         }
     }
 }
 
-/// One slow query, as retained by the bounded slow-query log.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SlowQuery {
-    /// The query text.
-    pub query: String,
-    /// Its total wall time.
-    pub total_ns: u64,
-    /// Monotonic admission number (higher = more recent).
-    pub seq: u64,
-}
-
-/// A bounded log of the most recent queries over a latency threshold.
-pub struct SlowQueryLog {
-    entries: Mutex<VecDeque<SlowQuery>>,
-    capacity: usize,
-    threshold_ns: AtomicU64,
-    seq: AtomicU64,
-}
-
-/// Default slow-query threshold: 10ms.
-const DEFAULT_SLOW_THRESHOLD_NS: u64 = 10_000_000;
-
-/// Default slow-query log capacity.
-const DEFAULT_SLOW_CAPACITY: usize = 32;
-
-impl SlowQueryLog {
-    fn new(capacity: usize, threshold_ns: u64) -> Self {
-        SlowQueryLog {
-            entries: Mutex::new(VecDeque::with_capacity(capacity)),
-            capacity,
-            threshold_ns: AtomicU64::new(threshold_ns),
-            seq: AtomicU64::new(0),
-        }
-    }
-
-    /// The current threshold in nanoseconds.
-    pub fn threshold_ns(&self) -> u64 {
-        self.threshold_ns.load(Ordering::Relaxed)
-    }
-
-    /// Sets the threshold.
-    pub fn set_threshold_ns(&self, ns: u64) {
-        self.threshold_ns.store(ns, Ordering::Relaxed);
-    }
-
-    /// Admits `query` if it is slow enough, evicting the oldest entry
-    /// when full. Returns whether it was admitted.
-    pub fn record(&self, query: &str, total_ns: u64) -> bool {
-        if total_ns < self.threshold_ns() {
-            return false;
-        }
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut entries = self.entries.lock().expect("slow log poisoned");
-        if entries.len() == self.capacity {
-            entries.pop_front();
-        }
-        entries.push_back(SlowQuery {
-            query: query.to_string(),
-            total_ns,
-            seq,
-        });
-        true
-    }
-
-    /// The retained entries, oldest first.
-    pub fn entries(&self) -> Vec<SlowQuery> {
-        self.entries
-            .lock()
-            .expect("slow log poisoned")
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    fn reset(&self) {
-        self.entries.lock().expect("slow log poisoned").clear();
-        self.seq.store(0, Ordering::Relaxed);
-    }
-}
-
-/// The metrics registry: per-stage histograms, the process counter
-/// table, named (dynamically registered) histograms, and the slow-query
-/// log.
+/// The metrics registry: per-stage histograms and the process counter
+/// table.
+#[derive(Default)]
 pub struct Metrics {
     stages: [LatencyHistogram; Stage::ALL.len()],
     /// The process-scope counters; sites bump a field directly
-    /// (`counters.query_errors.fetch_add(..)`), except the four rows
-    /// behind [`Metrics::count_windowed`].
+    /// (`counters.query_errors.fetch_add(..)`).
     pub counters: ProcessCounters,
-    named: RwLock<HashMap<&'static str, LatencyHistogram>>,
-    slow: SlowQueryLog,
-    windows: WindowedStats,
-    exemplars: ExemplarStore,
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Metrics {
     /// Creates an empty registry (the process-wide one is [`metrics`]).
     pub fn new() -> Self {
-        Metrics {
-            stages: Default::default(),
-            counters: ProcessCounters::default(),
-            named: RwLock::default(),
-            slow: SlowQueryLog::new(DEFAULT_SLOW_CAPACITY, DEFAULT_SLOW_THRESHOLD_NS),
-            windows: WindowedStats::new(),
-            exemplars: ExemplarStore::new(),
-        }
+        Self::default()
     }
 
     /// The histogram of one pipeline stage.
@@ -241,62 +144,11 @@ impl Metrics {
     }
 
     /// Records one stage sample (no-op shorthand guarded by the caller).
-    /// Every sample also lands in the current one-second telemetry slot,
-    /// so lifetime histograms and live windows stay in lockstep.
     pub fn record_stage(&self, stage: Stage, ns: u64) {
         self.stage(stage).record_ns(ns);
-        self.windows.record_stage(stage, ns);
     }
 
-    /// Adds `n` to one of the four rows the live dashboard derives its
-    /// rates from — the lifetime counter and the current telemetry
-    /// window move together.
-    pub fn count_windowed(&self, counter: WindowCounter, n: u64) {
-        let row = match counter {
-            WindowCounter::Queries => &self.counters.queries,
-            WindowCounter::CacheHits => &self.counters.cache_hit,
-            WindowCounter::CacheMisses => &self.counters.cache_miss,
-            WindowCounter::Truncated => &self.counters.degraded_responses,
-        };
-        row.fetch_add(n, Ordering::Relaxed);
-        self.windows.incr(counter, n);
-    }
-
-    /// Records one sample into the named histogram, creating it first.
-    ///
-    /// Unlike [`Metrics::record_stage`], names are registered on first
-    /// use — this is the home for low-frequency series (e.g. deadline
-    /// overshoot on truncated queries) that do not merit a [`Stage`].
-    pub fn record_named(&self, name: &'static str, ns: u64) {
-        if let Some(h) = self.named.read().expect("named poisoned").get(name) {
-            return h.record_ns(ns);
-        }
-        let mut named = self.named.write().expect("named poisoned");
-        named.entry(name).or_default().record_ns(ns);
-    }
-
-    /// A snapshot of a named histogram, or `None` if never recorded.
-    pub fn named_histogram(&self, name: &'static str) -> Option<HistogramSnapshot> {
-        let named = self.named.read().expect("named poisoned");
-        named.get(name).map(|h| h.snapshot())
-    }
-
-    /// The slow-query log.
-    pub fn slow_queries(&self) -> &SlowQueryLog {
-        &self.slow
-    }
-
-    /// The rolling 1s/10s/60s telemetry windows.
-    pub fn windows(&self) -> &WindowedStats {
-        &self.windows
-    }
-
-    /// The worst-K sampled-profile exemplar store.
-    pub fn exemplars(&self) -> &ExemplarStore {
-        &self.exemplars
-    }
-
-    /// Zeroes every histogram and counter and empties the slow log.
+    /// Zeroes every histogram and counter.
     pub fn reset(&self) {
         for h in &self.stages {
             h.reset();
@@ -304,34 +156,16 @@ impl Metrics {
         for c in self.counters.cells() {
             c.store(0, Ordering::Relaxed);
         }
-        for h in self.named.read().expect("named poisoned").values() {
-            h.reset();
-        }
-        self.slow.reset();
-        self.windows.reset();
-        self.exemplars.reset();
     }
 
     /// A plain-data snapshot of everything in the registry.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut histograms: Vec<(String, HistogramSnapshot)> = self
-            .named
-            .read()
-            .expect("named poisoned")
-            .iter()
-            .map(|(name, h)| (name.to_string(), h.snapshot()))
-            .collect();
-        histograms.sort_by(|a, b| a.0.cmp(&b.0));
         MetricsSnapshot {
             stages: Stage::ALL
                 .iter()
                 .map(|&s| (s.name(), self.stage(s).snapshot()))
                 .collect(),
             counters: self.counters.snapshot(),
-            histograms,
-            slow_queries: self.slow.entries(),
-            windows: self.windows.aggregate_all(),
-            exemplars: self.exemplars.snapshot(),
             trace: crate::event::trace_counters(),
         }
     }
@@ -345,14 +179,6 @@ pub struct MetricsSnapshot {
     pub stages: Vec<(&'static str, HistogramSnapshot)>,
     /// The process counter table, zeros included.
     pub counters: ProcessSnapshot,
-    /// Named histogram snapshots, sorted by name.
-    pub histograms: Vec<(String, HistogramSnapshot)>,
-    /// Slow-query log entries, oldest first.
-    pub slow_queries: Vec<SlowQuery>,
-    /// Rolling 1s/10s/60s window aggregates, shortest window first.
-    pub windows: Vec<WindowSnapshot>,
-    /// Worst-K sampled-profile exemplars, grouped by dominant stage.
-    pub exemplars: Vec<Exemplar>,
     /// Trace-ring accounting (produced / dropped / exported events).
     pub trace: crate::ring::RingCounters,
 }
@@ -406,71 +232,22 @@ mod tests {
     }
 
     #[test]
-    fn windowed_rows_move_the_counter_and_the_window_together() {
-        let m = Metrics::new();
-        m.count_windowed(WindowCounter::Queries, 1);
-        m.count_windowed(WindowCounter::Queries, 2);
-        m.count_windowed(WindowCounter::CacheMisses, 1);
-        m.count_windowed(WindowCounter::Truncated, 1);
-        let counters = m.snapshot().counters;
-        assert_eq!((counters.queries, counters.cache_hit), (3, 0));
-        assert_eq!((counters.cache_miss, counters.degraded_responses), (1, 1));
-        let minute = m.windows().aggregate(60);
-        assert_eq!((minute.queries, minute.cache_misses), (3, 1));
-        assert_eq!(minute.truncated, 1);
-    }
-
-    #[test]
-    fn slow_log_is_bounded_and_thresholded() {
-        let log = SlowQueryLog::new(2, 1_000);
-        assert!(!log.record("fast", 999));
-        assert!(log.record("a", 1_000));
-        assert!(log.record("b", 5_000));
-        assert!(log.record("c", 9_000));
-        let entries = log.entries();
-        assert_eq!(entries.len(), 2, "capacity evicts the oldest");
-        assert_eq!(entries[0].query, "b");
-        assert_eq!(entries[1].query, "c");
-        assert!(entries[1].seq > entries[0].seq);
-        log.set_threshold_ns(10_000);
-        assert!(!log.record("d", 9_999));
-    }
-
-    #[test]
-    fn named_histograms_register_on_first_record() {
-        let m = Metrics::new();
-        assert!(m.named_histogram("deadline_overshoot").is_none());
-        m.record_named("deadline_overshoot", 1_000);
-        m.record_named("deadline_overshoot", 3_000);
-        m.record_named("queue_wait", 42);
-        let h = m.named_histogram("deadline_overshoot").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.max_ns, 3_000);
-        let s = m.snapshot();
-        let names: Vec<_> = s.histograms.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["deadline_overshoot", "queue_wait"], "sorted");
-        m.reset();
-        assert_eq!(m.named_histogram("queue_wait").unwrap().count, 0);
-    }
-
-    #[test]
-    fn snapshot_collects_everything() {
+    fn every_recording_is_visible_in_the_snapshot_exactly_once() {
         let m = Metrics::new();
         m.record_stage(Stage::Total, 50_000);
-        m.counters.cache_hit.fetch_add(4, Ordering::Relaxed);
-        m.slow_queries().set_threshold_ns(1);
-        m.slow_queries().record("//slow", 77);
+        m.counters.queries.fetch_add(1, Ordering::Relaxed);
         let s = m.snapshot();
         assert_eq!(s.stages.len(), Stage::ALL.len());
+        let samples: u64 = s.stages.iter().map(|(_, h)| h.count).sum();
+        assert_eq!(samples, 1, "one stage sample, one histogram");
         let total = s.stages.iter().find(|(n, _)| *n == "total").unwrap();
-        assert_eq!(total.1.count, 1);
-        assert_eq!(s.counters.cache_hit, 4);
-        assert_eq!(s.slow_queries.len(), 1);
+        assert_eq!((total.1.count, total.1.sum_ns), (1, 50_000));
+        assert_eq!(s.counters.queries, 1);
+        assert_eq!(s.counters.values().iter().sum::<u64>(), 1, "one row moved");
         m.reset();
         let s = m.snapshot();
         assert_eq!(s.counters, ProcessSnapshot::default());
-        assert!(s.slow_queries.is_empty());
-        assert_eq!(s.stages[0].1.count, 0);
+        assert!(s.stages.iter().all(|(_, h)| h.count == 0));
     }
 
     #[test]

@@ -24,15 +24,7 @@ fn main() {
     let stdin = std::io::stdin();
     let mut out = std::io::stdout();
 
-    // `lotusx-cli top --remote HOST:PORT [frames]` works straight from
-    // argv — watching a running server needs no corpus and no REPL.
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("top") {
-        let rest = argv[1..].join(" ");
-        std::process::exit(if run_top(&rest) { 0 } else { 1 });
-    }
-
-    let arg = argv.first().cloned();
+    let arg = std::env::args().nth(1);
     let system = match &arg {
         // Any corpus source works: `@dataset[:scale[:seed]]` for a seeded
         // synthetic corpus (e.g. `@treebank:2:7`), a `.ltsx` snapshot for
@@ -122,9 +114,6 @@ fn main() {
                     Err(e) => println!("error: {e}"),
                 }
             }
-            "top" => {
-                run_top(rest);
-            }
             "trace" => {
                 let (sub, arg) = rest.split_once(' ').unwrap_or((rest, ""));
                 match sub {
@@ -153,15 +142,8 @@ fn main() {
                             Err(e) => println!("error: {e}"),
                         }
                     }
-                    "log" if !arg.is_empty() => {
-                        let events = lotusx_obs::drain_events();
-                        match std::fs::write(arg, lotusx_obs::jsonl_log(&events)) {
-                            Ok(()) => println!("wrote {} events to {arg} (JSONL)", events.len()),
-                            Err(e) => println!("error: {e}"),
-                        }
-                    }
                     _ => println!(
-                        "usage: trace on|off|export <file>|log <file> (currently {})",
+                        "usage: trace on|off|export <file> (currently {})",
                         if lotusx_obs::tracing() { "on" } else { "off" }
                     ),
                 }
@@ -483,204 +465,13 @@ fn print_stats(system: &LotusX) {
             100.0 * degraded as f64 / queries as f64,
             counters.queries_deadline_exceeded,
         );
-        if let Some((_, h)) = snapshot
-            .histograms
-            .iter()
-            .find(|(n, _)| n == "deadline_overshoot")
-        {
+        let (_, h) = &snapshot.stages[lotusx_obs::Stage::DeadlineOvershoot as usize];
+        if h.count > 0 {
             println!(
                 "deadline overshoot: p50 {}  p99 {}  max {}",
                 lotusx_obs::fmt_ns(h.p50_ns),
                 lotusx_obs::fmt_ns(h.p99_ns),
                 lotusx_obs::fmt_ns(h.max_ns),
-            );
-        }
-    }
-    if !snapshot.slow_queries.is_empty() {
-        println!("slow queries (threshold {}):", {
-            lotusx_obs::fmt_ns(lotusx_obs::metrics().slow_queries().threshold_ns())
-        });
-        for sq in &snapshot.slow_queries {
-            println!("  {}  {}", lotusx_obs::fmt_ns(sq.total_ns), sq.query);
-        }
-    }
-}
-
-/// The `top` command: `top [frames]` for the in-process windows,
-/// `top --remote HOST:PORT [frames]` to poll a running server's
-/// `GET /stats` once per frame. Returns false on a usage or poll error.
-fn run_top(rest: &str) -> bool {
-    let mut remote: Option<std::net::SocketAddr> = None;
-    let mut frames: u64 = 1;
-    let mut words = rest.split_whitespace();
-    while let Some(word) = words.next() {
-        match word {
-            "--remote" => {
-                let Some(addr) = words.next().and_then(|a| a.parse().ok()) else {
-                    println!("usage: top [--remote HOST:PORT] [frames]");
-                    return false;
-                };
-                remote = Some(addr);
-            }
-            n => {
-                let Ok(parsed) = n.parse() else {
-                    println!("usage: top [--remote HOST:PORT] [frames]");
-                    return false;
-                };
-                frames = parsed;
-            }
-        }
-    }
-    for frame in 0..frames.max(1) {
-        if frame > 0 {
-            std::thread::sleep(Duration::from_secs(1));
-        }
-        match remote {
-            Some(addr) => {
-                if !print_top_remote(addr) {
-                    return false;
-                }
-            }
-            None => print_top(),
-        }
-    }
-    true
-}
-
-/// One frame of a remote server's health, from one `GET /stats` poll:
-/// the server-side connection/loop counters plus the same windowed
-/// QPS / tail-latency table `print_top` shows locally.
-fn print_top_remote(addr: std::net::SocketAddr) -> bool {
-    let body = match lotusx_serve::client::get(addr, "/stats") {
-        Ok(r) if r.status == 200 => r.body_text(),
-        Ok(r) => {
-            println!("top: {addr} answered {}", r.status);
-            return false;
-        }
-        Err(e) => {
-            println!("top: polling {addr} failed: {e}");
-            return false;
-        }
-    };
-    let parsed = match lotusx_obs::parse_json(&body) {
-        Ok(v) => v,
-        Err(e) => {
-            println!("top: /stats body is not valid JSON: {e}");
-            return false;
-        }
-    };
-    let int = |v: Option<&lotusx_obs::JsonValue>| v.and_then(|v| v.as_f64()).unwrap_or(0.0) as u64;
-    if let Some(server) = parsed.get("server") {
-        println!(
-            "server {addr}: {} reqs ({} rejected)  conns {} open / {} active  \
-             keepalive reuses {}  queue {} (max {})",
-            int(server.get("requests")),
-            int(server.get("rejected")),
-            int(server.get("connections_open")),
-            int(server.get("connections_active")),
-            int(server.get("keepalive_reuses")),
-            int(server.get("queue_depth")),
-            int(server.get("max_queue_depth")),
-        );
-        println!(
-            "  answered inline {} / via workers {}  timer entries {}",
-            int(server.get("inline_answers")),
-            int(server.get("inline_fallbacks")),
-            int(server.get("timer_entries")),
-        );
-        let dropped = int(server.get("access_log_dropped"));
-        if dropped > 0 {
-            println!("  access log: {dropped} lines dropped");
-        }
-    }
-    let Some(windows) = parsed.get("metrics").and_then(|m| m.get("windows")) else {
-        println!("top: /stats body has no metrics.windows section");
-        return false;
-    };
-    println!("window   queries      qps   hit%  trunc%   p50(total)   p95(total)   p99(total)");
-    for label in ["1s", "10s", "60s"] {
-        let Some(w) = windows.get(label) else {
-            continue;
-        };
-        let f = |key: &str| w.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
-        let total = w.get("stages").and_then(|s| s.get("total"));
-        let t = |key: &str| {
-            total
-                .and_then(|t| t.get(key))
-                .and_then(|v| v.as_f64())
-                .unwrap_or(0.0) as u64
-        };
-        println!(
-            "{:>5}s  {:>8}  {:>7.1}  {:>5.1}  {:>6.1}  {:>11}  {:>11}  {:>11}",
-            label.trim_end_matches('s'),
-            f("queries") as u64,
-            f("qps"),
-            100.0 * f("hit_ratio"),
-            100.0 * f("truncation_rate"),
-            lotusx_obs::fmt_ns(t("p50_ns")),
-            lotusx_obs::fmt_ns(t("p95_ns")),
-            lotusx_obs::fmt_ns(t("p99_ns")),
-        );
-    }
-    true
-}
-
-/// One frame of live telemetry: windowed QPS / tail latency / cache and
-/// truncation rates, plus the retained worst-case exemplars.
-fn print_top() {
-    let m = lotusx_obs::metrics();
-    if !lotusx_obs::enabled() {
-        println!("profiling off — `profile on` to feed the live windows");
-        return;
-    }
-    println!("window   queries      qps   hit%  trunc%   p50(total)   p95(total)   p99(total)");
-    for w in m.windows().aggregate_all() {
-        let total = &w.stages[lotusx_obs::Stage::Total as usize].1;
-        println!(
-            "{:>5}s  {:>8}  {:>7.1}  {:>5.1}  {:>6.1}  {:>11}  {:>11}  {:>11}",
-            w.window_secs,
-            w.queries,
-            w.qps,
-            100.0 * w.hit_ratio,
-            100.0 * w.truncation_rate,
-            lotusx_obs::fmt_ns(total.p50_ns),
-            lotusx_obs::fmt_ns(total.p95_ns),
-            lotusx_obs::fmt_ns(total.p99_ns),
-        );
-    }
-    // Busiest stages over the last 10 seconds.
-    let ten = &m.windows().aggregate_all()[1];
-    let mut active: Vec<_> = ten.stages.iter().filter(|(_, h)| h.count > 0).collect();
-    active.sort_by_key(|s| std::cmp::Reverse(s.1.sum_ns));
-    if !active.is_empty() {
-        println!("stages (10s, by time):");
-        for (name, h) in active.iter().take(5) {
-            println!(
-                "  {:<14} {:>6}  p50 {:>9}  p99 {:>9}",
-                name,
-                h.count,
-                lotusx_obs::fmt_ns(h.p50_ns),
-                lotusx_obs::fmt_ns(h.p99_ns),
-            );
-        }
-    }
-    // Adaptive-chooser decisions since startup.
-    let chosen = m.counters.snapshot();
-    if chosen.algo_chosen_naive + chosen.algo_chosen_structural_join > 0 {
-        println!(
-            "chooser: naive={}  structural_join={}",
-            chosen.algo_chosen_naive, chosen.algo_chosen_structural_join
-        );
-    }
-    let exemplars = m.exemplars().snapshot();
-    if !exemplars.is_empty() {
-        println!("slowest sampled queries (by dominant stage):");
-        for e in exemplars.iter().take(8) {
-            println!(
-                "  {:<10} {:>9}  {}",
-                e.stage,
-                lotusx_obs::fmt_ns(e.total_ns),
-                truncate(&e.profile.query, 60)
             );
         }
     }
@@ -721,13 +512,8 @@ observability:
   explain <xpath>    run one query and print its stage-timing tree
   stats              document, cache, executor and latency statistics
   stats json         the metrics snapshot as JSON (metrics.json format)
-  top [frames]       live windowed telemetry (QPS, tail latency, exemplars)
-  top --remote HOST:PORT [frames]
-                     poll a running server's GET /stats once per frame
-                     (also works from argv: lotusx-cli top --remote ...)
   trace on|off       toggle structured event tracing into the ring buffer
   trace export <f>   drain the ring to a Chrome/Perfetto trace JSON file
-  trace log <f>      drain the ring to a JSONL event log
 canvas (the GUI surrogate):
   root               drop the root node
   node <i> [/ | //]  add a node under node i

@@ -4,14 +4,14 @@
 //! Threading model: **one event-loop thread** (the caller of
 //! [`Server::run`]) owns the listener and every connection. It accepts,
 //! reads, parses incrementally, and writes — all nonblocking, driven by
-//! an epoll/poll readiness [`Poller`](crate::poller::Poller) and a
-//! deadline [`TimerWheel`](crate::timer::TimerWheel) — and it *answers*
-//! every request whose work is bounded by the request and response size
-//! rather than by the corpus: health checks, scrapes, completions within
-//! a fixed node-visit budget, queries whose answer is cached. A
-//! keystroke is thus served where it arrives, with no hand-off. What the
-//! loop thread declines — cache misses, completions that trip the
-//! budget, `/stats`, `/shutdown`, `/admin/routes` — goes, already
+//! an epoll/poll readiness [`Poller`] and a deadline
+//! [`TimerWheel`](crate::timer::TimerWheel) — and it *answers* every
+//! request whose work is bounded by the request and response size rather
+//! than by the corpus: health checks, scrapes, completions within a
+//! fixed node-visit budget, queries whose answer is cached. A keystroke
+//! is thus served where it arrives, with no hand-off. What the loop
+//! thread declines — cache misses, completions that trip the budget,
+//! `/stats`, `/shutdown`, `/admin/routes` — goes, already
 //! decoded, to a fixed pool of **worker threads** over a channel;
 //! finished responses come back over a completion queue that wakes the
 //! loop. Both threads run the one answer path (`Server::answer` →
@@ -517,7 +517,6 @@ impl Server {
             ("POST", "/query") => self.timed(Stage::HttpQuery, lane, || {
                 let runtime = tenant.map(|idx| tenancy.set.runtime(idx));
                 let engine = tenancy.engine(tenant);
-                let mut started = Instant::now();
                 let (query, probe) = match work {
                     Work::Query(probed) => {
                         let (query, pending) = *probed;
@@ -532,7 +531,6 @@ impl Server {
                             // budget always wins.
                             query.budget = rt.limits().apply_defaults(query.budget);
                         }
-                        started = Instant::now();
                         let probe = engine.query_probe(&query).map_err(|e| match e {
                             e @ lotusx::LotusError::Query(_) => Reject::new(400, e.to_string()),
                             e => Reject::new(500, e.to_string()),
@@ -555,7 +553,7 @@ impl Server {
                         .fetch_add(1, Ordering::Relaxed);
                 }
                 if let Some(rt) = runtime {
-                    rt.record_query(started.elapsed().as_nanos() as u64, truncated);
+                    rt.record_query(truncated);
                 }
                 ready("application/json", wire::encode_response(&response))
             }),
@@ -570,7 +568,6 @@ impl Server {
                 } else {
                     QueryGuard::unlimited()
                 };
-                let started = Instant::now();
                 let body = match &complete {
                     wire::CompleteRequest::Tag { context, prefix, k } => {
                         let found = completion.complete_tag_guarded(context, prefix, *k, &guard);
@@ -588,7 +585,7 @@ impl Server {
                 };
                 self.stats.completions.fetch_add(1, Ordering::Relaxed);
                 if let Some(rt) = tenant.map(|idx| tenancy.set.runtime(idx)) {
-                    rt.record_completion(started.elapsed().as_nanos() as u64);
+                    rt.record_completion();
                 }
                 ready("application/json", body)
             }),
@@ -651,11 +648,11 @@ impl Server {
         request
     }
 
-    /// Runs `f`, recording its wall time into `stage` (lifetime + live
-    /// windows) and emitting stage begin/end trace events on the owning
-    /// connection's lane when tracing is on. An inline attempt that
-    /// falls back leaves no sample — the worker's run of the same
-    /// request records the one that counts.
+    /// Runs `f`, recording its wall time into `stage` and emitting stage
+    /// begin/end trace events on the owning connection's lane when
+    /// tracing is on. An inline attempt that falls back leaves no sample
+    /// — the worker's run of the same request records the one that
+    /// counts.
     fn timed(
         &self,
         stage: Stage,

@@ -1,5 +1,5 @@
-//! Per-tenant serving state: counters, admission gauge, rolling
-//! windows, and the engine view the workers route against.
+//! Per-tenant serving state: counters, admission gauge, and the engine
+//! view the workers route against.
 //!
 //! A running server owns one [`TenantSet`] — index-aligned with the
 //! registry's tenant list (or a single implicit `default` tenant for
@@ -16,7 +16,7 @@
 //! at route-load time), and the `tenant` field of access-log lines.
 
 use lotusx::{EngineRegistry, LotusX, TenantLimits};
-use lotusx_obs::{counter_members, PromWriter, Stage, WindowCounter, WindowedStats};
+use lotusx_obs::{counter_members, PromWriter};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -112,14 +112,12 @@ lotusx_obs::counters! {
     }
 }
 
-/// One tenant's runtime state: guard limits, counters, live windows.
+/// One tenant's runtime state: guard limits and counters.
 pub struct TenantRuntime {
     name: String,
     limits: TenantLimits,
     /// Lifetime counters (see [`TenantStats`]).
     pub stats: TenantStats,
-    /// Rolling 1s/10s/60s windows for this tenant alone.
-    pub windows: WindowedStats,
 }
 
 impl TenantRuntime {
@@ -128,7 +126,6 @@ impl TenantRuntime {
             name: name.to_string(),
             limits,
             stats: TenantStats::default(),
-            windows: WindowedStats::new(),
         }
     }
 
@@ -142,23 +139,19 @@ impl TenantRuntime {
         &self.limits
     }
 
-    /// Charges a served query: outcome counters plus the live windows.
-    pub fn record_query(&self, compute_ns: u64, truncated: bool) {
+    /// Charges a served query.
+    pub fn record_query(&self, truncated: bool) {
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        self.windows.record_stage(Stage::HttpQuery, compute_ns);
-        self.windows.incr(WindowCounter::Queries, 1);
         if truncated {
             self.stats
                 .truncated_responses
                 .fetch_add(1, Ordering::Relaxed);
-            self.windows.incr(WindowCounter::Truncated, 1);
         }
     }
 
     /// Charges a served completion request.
-    pub fn record_completion(&self, compute_ns: u64) {
+    pub fn record_completion(&self) {
         self.stats.completions.fetch_add(1, Ordering::Relaxed);
-        self.windows.record_stage(Stage::HttpComplete, compute_ns);
     }
 }
 
@@ -207,8 +200,7 @@ impl TenantSet {
     }
 
     /// The `tenants` section of the `/stats` response body: an object
-    /// keyed by tenant name, each with its counters and rolling-window
-    /// qps/truncation aggregates.
+    /// keyed by tenant name, each with its counters.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         for (i, rt) in self.tenants.iter().enumerate() {
@@ -216,17 +208,7 @@ impl TenantSet {
                 out.push(',');
             }
             let counters = counter_members(TenantStats::ROWS, &rt.stats.snapshot().values());
-            out.push_str(&format!("\"{}\":{{{counters},\"windows\":{{", rt.name));
-            for (j, w) in rt.windows.aggregate_all().iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "\"{}s\":{{\"queries\":{},\"qps\":{:.6},\"truncation_rate\":{:.6}}}",
-                    w.window_secs, w.queries, w.qps, w.truncation_rate
-                ));
-            }
-            out.push_str("}}");
+            out.push_str(&format!("\"{}\":{{{counters}}}", rt.name));
         }
         out.push('}');
         out
@@ -246,21 +228,6 @@ impl TenantSet {
                 w.sample_u64(family, &[("tenant", name)], values[i]);
             }
         });
-        w.header(
-            "lotusx_tenant_window_qps",
-            "Per-tenant queries per second over the rolling window.",
-            "gauge",
-        );
-        for rt in &self.tenants {
-            for win in rt.windows.aggregate_all() {
-                let label = format!("{}s", win.window_secs);
-                w.sample(
-                    "lotusx_tenant_window_qps",
-                    &[("tenant", &rt.name), ("window", &label)],
-                    win.qps,
-                );
-            }
-        }
         w.finish()
     }
 }
@@ -281,8 +248,8 @@ mod tests {
     #[test]
     fn json_and_prometheus_render_every_tenant_once() {
         let set = set_of(&["alpha", "beta"]);
-        set.runtime(0).record_query(1_000_000, true);
-        set.runtime(1).record_completion(500);
+        set.runtime(0).record_query(true);
+        set.runtime(1).record_completion();
         set.runtime(1)
             .stats
             .requests
@@ -292,14 +259,12 @@ mod tests {
         assert!(json.contains("\"alpha\":{\"requests\":0"), "{json}");
         assert!(json.contains("\"queries\":1"), "{json}");
         assert!(json.contains("\"beta\":{\"requests\":3"), "{json}");
-        assert!(json.contains("\"windows\":{\"1s\":"), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
 
         let prom = set.to_prometheus();
         assert!(prom.contains("lotusx_tenant_queries_total{tenant=\"alpha\"} 1"));
         assert!(prom.contains("lotusx_tenant_truncated_responses_total{tenant=\"alpha\"} 1"));
         assert!(prom.contains("lotusx_tenant_requests_total{tenant=\"beta\"} 3"));
-        assert!(prom.contains("lotusx_tenant_window_qps{tenant=\"beta\",window=\"60s\"}"));
         // Exactly one HELP/TYPE pair per family despite two tenants.
         assert_eq!(
             prom.matches("# TYPE lotusx_tenant_requests_total").count(),

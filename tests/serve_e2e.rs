@@ -184,7 +184,7 @@ fn healthz_and_stats_reconcile() {
         // The metrics section is the full obs snapshot: the schema keys
         // the rest of the tooling relies on must be present.
         let metrics = doc.get("metrics").expect("metrics section");
-        for key in ["stages", "counters", "windows"] {
+        for key in ["stages", "counters", "trace"] {
             assert!(metrics.get(key).is_some(), "metrics.{key} missing");
         }
     });
