@@ -35,4 +35,4 @@ pub mod session;
 
 pub use context::{ContextStep, PositionContext};
 pub use engine::{CompletionEngine, TagCandidate, ValueCandidate, ValueTrieCache};
-pub use session::{CompletionSession, CompletionState};
+pub use session::CompletionState;

@@ -7,8 +7,7 @@
 //! narrowed by prefix; the global fallback narrows through the trie cursor.
 //!
 //! The narrowing state lives in [`CompletionState`], an engine-free value
-//! shared with `lotusx::Session` (the canvas-driven session re-exports
-//! it) so both sessions run the exact same keystroke logic.
+//! the canvas-driven `lotusx::Session` holds per focused node.
 
 use crate::context::PositionContext;
 use crate::engine::{CompletionEngine, TagCandidate};
@@ -17,9 +16,8 @@ use crate::engine::{CompletionEngine, TagCandidate};
 /// the structural context, the typed prefix, and the cached empty-prefix
 /// candidate set the keystrokes narrow.
 ///
-/// This is the single shared implementation of per-keystroke narrowing;
-/// both [`CompletionSession`] and the canvas-driven `lotusx::Session`
-/// delegate to it.
+/// This is the single implementation of per-keystroke narrowing; the
+/// canvas-driven `lotusx::Session` delegates to it.
 #[derive(Clone, Debug)]
 pub struct CompletionState {
     context: PositionContext,
@@ -110,55 +108,6 @@ impl CompletionState {
     }
 }
 
-/// An incremental tag-completion session for one focused query node: a
-/// [`CompletionState`] bound to its engine.
-pub struct CompletionSession<'a> {
-    engine: &'a CompletionEngine<'a>,
-    state: CompletionState,
-}
-
-impl<'a> CompletionSession<'a> {
-    /// Starts a session for `context`, returning up to `k` candidates per
-    /// keystroke.
-    pub fn new(engine: &'a CompletionEngine<'a>, context: PositionContext, k: usize) -> Self {
-        CompletionSession {
-            state: CompletionState::new(engine, context, k),
-            engine,
-        }
-    }
-
-    /// The text typed so far.
-    pub fn typed(&self) -> &str {
-        self.state.typed()
-    }
-
-    /// The session's structural context.
-    pub fn context(&self) -> &PositionContext {
-        self.state.context()
-    }
-
-    /// Processes one keystroke and returns the narrowed top-k candidates.
-    pub fn keystroke(&mut self, ch: char) -> Vec<TagCandidate> {
-        self.state.keystroke(self.engine, ch)
-    }
-
-    /// Removes the last keystroke (no-op on empty input).
-    pub fn backspace(&mut self) -> Vec<TagCandidate> {
-        self.state.backspace(self.engine)
-    }
-
-    /// The current top-k candidates for the typed prefix.
-    pub fn current(&self) -> Vec<TagCandidate> {
-        self.state.current(self.engine)
-    }
-
-    /// Accepts the single remaining candidate, if the prefix is already
-    /// unambiguous.
-    pub fn accept_if_unique(&self) -> Option<TagCandidate> {
-        self.state.accept_if_unique(self.engine)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,15 +127,15 @@ mod tests {
         let idx = idx();
         let engine = CompletionEngine::new(&idx);
         let ctx = PositionContext::from_tag_path(&["bib", "article"], Axis::Child);
-        let mut s = CompletionSession::new(&engine, ctx, 10);
-        let c0 = s.current();
+        let mut s = CompletionState::new(&engine, ctx, 10);
+        let c0 = s.current(&engine);
         assert_eq!(c0.len(), 2); // author, abstract
-        let c1 = s.keystroke('a');
+        let c1 = s.keystroke(&engine, 'a');
         assert_eq!(c1.len(), 2); // both start with 'a'
-        let c2 = s.keystroke('u');
+        let c2 = s.keystroke(&engine, 'u');
         assert_eq!(c2.len(), 1);
         assert_eq!(c2[0].name, "author");
-        assert_eq!(s.accept_if_unique().unwrap().name, "author");
+        assert_eq!(s.accept_if_unique(&engine).unwrap().name, "author");
     }
 
     #[test]
@@ -194,21 +143,21 @@ mod tests {
         let idx = idx();
         let engine = CompletionEngine::new(&idx);
         let ctx = PositionContext::from_tag_path(&["bib", "article"], Axis::Child);
-        let mut s = CompletionSession::new(&engine, ctx, 10);
-        s.keystroke('a');
-        s.keystroke('u');
-        assert_eq!(s.current().len(), 1);
-        let widened = s.backspace();
+        let mut s = CompletionState::new(&engine, ctx, 10);
+        s.keystroke(&engine, 'a');
+        s.keystroke(&engine, 'u');
+        assert_eq!(s.current(&engine).len(), 1);
+        let widened = s.backspace(&engine);
         assert_eq!(widened.len(), 2);
         assert_eq!(s.typed(), "a");
     }
 
     #[test]
-    fn global_session_uses_trie() {
+    fn global_state_uses_trie() {
         let idx = idx();
         let engine = CompletionEngine::new(&idx);
-        let mut s = CompletionSession::new(&engine, PositionContext::unconstrained(), 10);
-        let c = s.keystroke('a');
+        let mut s = CompletionState::new(&engine, PositionContext::unconstrained(), 10);
+        let c = s.keystroke(&engine, 'a');
         let names: Vec<&str> = c.iter().map(|x| x.name.as_str()).collect();
         assert!(names.contains(&"author"));
         assert!(names.contains(&"article"));
@@ -216,16 +165,16 @@ mod tests {
     }
 
     #[test]
-    fn session_matches_fresh_queries_at_every_prefix() {
+    fn state_matches_fresh_queries_at_every_prefix() {
         let idx = idx();
         let engine = CompletionEngine::new(&idx);
         let ctx = PositionContext::from_tag_path(&["bib", "book"], Axis::Child);
-        let mut s = CompletionSession::new(&engine, ctx.clone(), 10);
+        let mut s = CompletionState::new(&engine, ctx.clone(), 10);
         for (i, ch) in "title".chars().enumerate() {
-            let via_session = s.keystroke(ch);
+            let via_state = s.keystroke(&engine, ch);
             let prefix: String = "title".chars().take(i + 1).collect();
             let fresh = engine.complete_tag(&ctx, &prefix, 10);
-            assert_eq!(via_session, fresh, "prefix {prefix}");
+            assert_eq!(via_state, fresh, "prefix {prefix}");
         }
     }
 
@@ -234,10 +183,10 @@ mod tests {
         let idx = idx();
         let engine = CompletionEngine::new(&idx);
         let ctx = PositionContext::from_tag_path(&["bib", "book"], Axis::Child);
-        let mut s = CompletionSession::new(&engine, ctx, 10);
-        assert!(s.keystroke('z').is_empty());
-        assert!(s.accept_if_unique().is_none());
-        assert!(!s.backspace().is_empty());
+        let mut s = CompletionState::new(&engine, ctx, 10);
+        assert!(s.keystroke(&engine, 'z').is_empty());
+        assert!(s.accept_if_unique(&engine).is_none());
+        assert!(!s.backspace(&engine).is_empty());
     }
 
     #[test]

@@ -132,12 +132,12 @@ fn canonical_response(r: &QueryResponse) -> String {
         }
         None => s.push_str("rewrite=none;"),
     }
-    for m in &r.matches {
+    for m in r.matches.iter() {
         let _ = write!(s, "[{:016x}", m.score.to_bits());
-        for b in &m.bindings {
+        for b in m.bindings {
             let _ = write!(s, ",b{}", b.index());
         }
-        for o in &m.output {
+        for o in m.output {
             let _ = write!(s, ",o{}", o.index());
         }
         let _ = write!(s, ",{:?}]", m.snippet);

@@ -18,8 +18,8 @@
 //! artifact also carries the `http_*` connection-path stage histograms
 //! (queue wait, compute, flush, loop lag, `/metrics` render).
 //!
-//! `--quick` shrinks the workload for CI and exits non-zero if the
-//! `metrics` overhead over `off` exceeds 15%.
+//! `--quick` shrinks the workload for CI and exits non-zero if `metrics`
+//! adds more than 250 ns to a query over `off`.
 
 use lotusx::{LotusX, QueryRequest};
 use lotusx_bench::SEED;
@@ -27,11 +27,15 @@ use lotusx_datagen::{generate, Dataset};
 use lotusx_serve::{client, ServeConfig, Server};
 use std::time::{Duration, Instant};
 
-/// Metrics-on overhead budget enforced by `--quick` (percent). Metrics
-/// recording is the always-on production state; budgeted with headroom
-/// but still asserted so it cannot silently creep toward the
-/// full-tracing cost.
-const MAX_METRICS_OVERHEAD_PCT: f64 = 15.0;
+/// Metrics-on overhead budget enforced by `--quick`: nanoseconds added
+/// to one query. Metrics recording is the always-on production state;
+/// budgeted with headroom but still asserted so it cannot silently creep
+/// toward the full-tracing cost. The cost is fixed per query — two timed
+/// stages and three counters on a cache hit, ≈110 ns on the CI host — so
+/// the budget is absolute: as a share of a hit it depends on how cheap a
+/// hit is (1 % of 11 µs before hits shared the cached answer, 16 % of
+/// 0.7 µs since; EXPERIMENTS.md E19).
+const MAX_METRICS_OVERHEAD_NS: f64 = 250.0;
 
 const QUERIES: [&str; 8] = [
     "//article/title",
@@ -105,26 +109,21 @@ fn best(times: &[Duration]) -> Duration {
     *times.iter().min().expect("at least one rep")
 }
 
-/// Overhead of a mode vs `off` (the baseline), as the MEDIAN of per-rep
-/// paired differences. Each rep runs every mode within a few milliseconds,
-/// so pairing cancels the slow drift of a shared host that defeats both
-/// block timing (drift lands on one mode) and min-of-reps (compares two
-/// extreme-value statistics taken seconds apart). The median then
-/// shrugs off the occasional rep that caught a scheduler hiccup.
-fn paired_overhead_pct(mode: &[Duration], baseline: &[Duration]) -> f64 {
+/// Overhead of a mode vs `off` (the baseline) in nanoseconds per rep, as
+/// the MEDIAN of per-rep paired differences. Each rep runs every mode
+/// within a few milliseconds, so pairing cancels the slow drift of a
+/// shared host that defeats both block timing (drift lands on one mode)
+/// and min-of-reps (compares two extreme-value statistics taken seconds
+/// apart). The median then shrugs off the occasional rep that caught a
+/// scheduler hiccup.
+fn paired_overhead_ns(mode: &[Duration], baseline: &[Duration]) -> f64 {
     let mut diffs: Vec<i64> = mode
         .iter()
         .zip(baseline)
         .map(|(m, b)| m.as_nanos() as i64 - b.as_nanos() as i64)
         .collect();
     diffs.sort();
-    let median_diff = diffs[diffs.len() / 2] as f64;
-    let base = best(baseline).as_nanos() as f64;
-    if base > 0.0 {
-        100.0 * median_diff / base
-    } else {
-        0.0
-    }
+    diffs[diffs.len() / 2] as f64
 }
 
 /// Drives a keep-alive burst (queries plus periodic `/metrics` scrapes)
@@ -242,9 +241,10 @@ fn main() {
     lotusx_obs::set_enabled(false);
     lotusx_obs::set_tracing(false);
 
-    let overhead_pct: Vec<f64> = rep_times
+    // Per query, and as a share of the fastest `off` rep.
+    let overhead_ns: Vec<f64> = rep_times
         .iter()
-        .map(|times| paired_overhead_pct(times, &rep_times[0]))
+        .map(|times| paired_overhead_ns(times, &rep_times[0]) / queries_per_rep as f64)
         .collect();
     let identical = matches_seen.iter().all(|&m| m == matches_seen[0]);
 
@@ -268,9 +268,11 @@ fn main() {
     let mut modes_json = String::new();
     for (i, name) in names.iter().enumerate() {
         modes_json.push_str(&format!(
-            "    \"{name}\": {{ \"per_query_ns\": {:.1}, \"overhead_pct\": {:.3} }}{}\n",
+            "    \"{name}\": {{ \"per_query_ns\": {:.1}, \"overhead_ns\": {:.1}, \
+             \"overhead_pct\": {:.3} }}{}\n",
             per_query_ns[i],
-            overhead_pct[i],
+            overhead_ns[i],
+            100.0 * overhead_ns[i] / per_query_ns[0],
             if i + 1 < names.len() { "," } else { "" }
         ));
     }
@@ -283,7 +285,7 @@ fn main() {
          \"serving_sample\": {{\n    \"requests\": {serve_requests},\n    \
          \"stages\": {{\n{serving_json}    }}\n  }},\n  \
          \"identical_matches\": {identical},\n  \
-         \"metrics_overhead_budget_pct\": {MAX_METRICS_OVERHEAD_PCT}\n}}\n",
+         \"metrics_overhead_budget_ns\": {MAX_METRICS_OVERHEAD_NS}\n}}\n",
         trace.produced, trace.dropped, trace.exported,
     );
     // Quick (CI) runs keep their hands off the committed full-run
@@ -301,14 +303,14 @@ fn main() {
 
     assert!(identical, "telemetry must never change query results");
     if quick {
-        let metrics = overhead_pct[1];
-        if metrics > MAX_METRICS_OVERHEAD_PCT {
+        let metrics = overhead_ns[1];
+        if metrics > MAX_METRICS_OVERHEAD_NS {
             eprintln!(
-                "FAIL: metrics-on overhead {metrics:.2}% exceeds \
-                 {MAX_METRICS_OVERHEAD_PCT}% budget"
+                "FAIL: metrics-on overhead {metrics:.0} ns/query exceeds the \
+                 {MAX_METRICS_OVERHEAD_NS} ns budget"
             );
             std::process::exit(1);
         }
-        eprintln!("metrics-on overhead {metrics:.2}% — within budget");
+        eprintln!("metrics-on overhead {metrics:.0} ns/query — within budget");
     }
 }

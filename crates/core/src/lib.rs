@@ -9,9 +9,9 @@
 //!
 //! The three layers mirror the demo's architecture:
 //!
-//! * [`engine::LotusX`] — load & index a document, execute twig queries
-//!   (five interchangeable join algorithms), rank matches, rewrite
-//!   empty-result queries;
+//! * [`engine::LotusX`] — load & index a document, execute twig queries,
+//!   rank matches, rewrite empty-result queries ([`request`] is what goes
+//!   in and comes out);
 //! * [`canvas::QueryCanvas`] — the graphical canvas as an API: add nodes,
 //!   connect edges, type into nodes, mark outputs;
 //! * [`session::Session`] — an interactive session combining both with
@@ -24,7 +24,7 @@
 //!     "<bib><book><title>Data on the Web</title><year>1999</year></book></bib>").unwrap();
 //! let response = system.query(&QueryRequest::twig("//book[year <= 2000]/title")).unwrap();
 //! assert_eq!(response.matches.len(), 1);
-//! assert!(response.matches[0].snippet.contains("Data on the Web"));
+//! assert!(response.matches.first().unwrap().snippet.contains("Data on the Web"));
 //! ```
 
 #![warn(missing_docs)]
@@ -33,17 +33,19 @@ pub mod canvas;
 pub mod engine;
 mod lru;
 pub mod registry;
+pub mod request;
 pub mod routing;
 pub mod session;
 pub mod source;
 
 pub use canvas::{CanvasError, CanvasNodeId, QueryCanvas};
-pub use engine::{
-    EngineConfig, LotusError, LotusX, PendingQuery, QueryKind, QueryProbe, QueryRequest,
-    QueryResponse, SearchOutcome, SearchResult,
-};
+pub use engine::LotusX;
 pub use lru::CacheStats;
 pub use registry::{EngineRegistry, Tenant};
+pub use request::{
+    Answer, LotusError, PendingQuery, QueryKind, QueryProbe, QueryRequest, QueryResponse,
+    SearchResult,
+};
 pub use routing::{
     parse_rules, valid_tenant_name, RegistryConfig, RouteError, RouteErrorKind, RouteMatch,
     RoutePredicate, RouteRule, RouteTable, TenantSelector, TenantSpec,
@@ -60,7 +62,6 @@ pub use lotusx_guard::{
 };
 pub use lotusx_index::IndexedDocument;
 pub use lotusx_obs::QueryProfile;
-pub use lotusx_rank::RankWeights;
-pub use lotusx_rewrite::{RankedRewrite, RewriterConfig};
+pub use lotusx_rewrite::RankedRewrite;
 pub use lotusx_twig::{Algorithm, Axis, NodeTest, TwigPattern, ValuePredicate};
 pub use lotusx_xml::{Document, NodeId};

@@ -19,7 +19,8 @@ use std::sync::{Arc, RwLock};
 
 use lotusx_guard::TenantLimits;
 
-use crate::engine::{LotusError, LotusX};
+use crate::engine::LotusX;
+use crate::request::LotusError;
 use crate::routing::{parse_rules, valid_tenant_name, RegistryConfig, RouteRule, RouteTable};
 use crate::source::CorpusSource;
 
@@ -223,7 +224,7 @@ mod tests {
         assert_eq!(reg.tenants()[0].limits().max_inflight, Some(1));
         let resp = reg.tenants()[0]
             .engine()
-            .query(&crate::engine::QueryRequest::twig("//x"))
+            .query(&crate::QueryRequest::twig("//x"))
             .unwrap();
         assert_eq!(resp.matches.len(), 1);
     }

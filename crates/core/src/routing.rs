@@ -652,142 +652,3 @@ fn decode_selector(sp: &Sp) -> Result<TenantSelector, RouteError> {
         )),
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn hdrs(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
-        pairs
-            .iter()
-            .map(|(n, v)| (n.to_string(), v.to_string()))
-            .collect()
-    }
-
-    #[test]
-    fn tenant_name_alphabet() {
-        assert!(valid_tenant_name("dblp"));
-        assert!(valid_tenant_name("a-b_C9"));
-        assert!(!valid_tenant_name(""));
-        assert!(!valid_tenant_name("a b"));
-        assert!(!valid_tenant_name("a\"b"));
-        assert!(!valid_tenant_name("a\\b"));
-        assert!(!valid_tenant_name("a\nb"));
-        assert!(!valid_tenant_name(&"x".repeat(65)));
-        assert!(valid_tenant_name(&"x".repeat(64)));
-    }
-
-    #[test]
-    fn from_path_extracts_and_strips() {
-        let table = RouteTable::new(vec![RouteRule {
-            when: RoutePredicate::PathPrefix("/t/".to_string()),
-            tenant: TenantSelector::FromPath,
-        }]);
-        let m = table.resolve("/t/dblp/query", &[]).unwrap();
-        assert_eq!(m.tenant, "dblp");
-        assert_eq!(m.path, "/query");
-        // Bare /t/<tenant> resolves with an effective root path.
-        let m = table.resolve("/t/dblp", &[]).unwrap();
-        assert_eq!(m.path, "/");
-        // Empty or invalid names are a miss, not a panic.
-        assert!(table.resolve("/t//query", &[]).is_none());
-        assert!(table.resolve("/query", &[]).is_none(), "no rule matches");
-    }
-
-    #[test]
-    fn first_match_wins_and_never_falls_through() {
-        let table = RouteTable::new(vec![
-            RouteRule {
-                when: RoutePredicate::PathPrefix("/t/".to_string()),
-                tenant: TenantSelector::FromHeader("x-tenant".to_string()),
-            },
-            RouteRule {
-                when: RoutePredicate::Always,
-                tenant: TenantSelector::Fixed("fallback".to_string()),
-            },
-        ]);
-        // The first rule matches but the header is absent: the rule
-        // decides — miss, no fall-through to the catch-all.
-        assert!(table.resolve("/t/dblp/query", &[]).is_none());
-        // A non-matching path falls to the catch-all.
-        assert_eq!(table.resolve("/query", &[]).unwrap().tenant, "fallback");
-    }
-
-    #[test]
-    fn header_matching_is_case_insensitive_on_names() {
-        let table = RouteTable::new(vec![RouteRule {
-            when: RoutePredicate::HeaderExact {
-                name: "x-tenant".to_string(),
-                value: "dblp".to_string(),
-            },
-            tenant: TenantSelector::FromHeader("x-tenant".to_string()),
-        }]);
-        let headers = hdrs(&[("X-Tenant", "dblp")]);
-        assert_eq!(table.resolve("/query", &headers).unwrap().tenant, "dblp");
-        // Header *values* are exact-matched, case-sensitively.
-        assert!(table
-            .resolve("/query", &hdrs(&[("x-tenant", "DBLP2")]))
-            .is_none());
-    }
-
-    #[test]
-    fn config_parses_and_validates() {
-        let cfg = RegistryConfig::parse(
-            r#"{
-              "tenants": [
-                {"name": "dblp", "corpus": "@dblp:1", "max_inflight": 4, "deadline_ms": 250},
-                {"name": "tb", "corpus": "@treebank:1", "node_budget": 1000}
-              ],
-              "rules": [
-                {"when": {"path_prefix": "/t/"}, "tenant": {"from_path": true}},
-                {"when": {"always": true}, "tenant": "dblp"}
-              ]
-            }"#,
-        )
-        .unwrap();
-        assert_eq!(cfg.tenants.len(), 2);
-        assert_eq!(cfg.tenants[0].limits.max_inflight, Some(4));
-        assert_eq!(
-            cfg.tenants[0].limits.default_deadline,
-            Some(Duration::from_millis(250))
-        );
-        assert_eq!(cfg.tenants[1].limits.default_node_quota, Some(1000));
-        assert_eq!(cfg.rules.len(), 2);
-    }
-
-    #[test]
-    fn invalid_tenant_names_are_typed_errors() {
-        let text = r#"{"tenants": [{"name": "bad name", "corpus": "@dblp:1"}], "rules": []}"#;
-        let err = RegistryConfig::parse(text).unwrap_err();
-        assert_eq!(err.kind, RouteErrorKind::InvalidTenantName);
-        assert_eq!(err.offset, text.find("\"bad name\"").unwrap());
-    }
-
-    #[test]
-    fn rules_reject_undeclared_tenants() {
-        let err = RegistryConfig::parse(
-            r#"{"tenants": [{"name": "a", "corpus": "@dblp:1"}],
-               "rules": [{"when": {"always": true}, "tenant": "ghost"}]}"#,
-        )
-        .unwrap_err();
-        assert_eq!(err.kind, RouteErrorKind::UnknownTenant);
-
-        let err = parse_rules(
-            r#"[{"when": {"always": true}, "tenant": "ghost"}]"#,
-            &["a", "b"],
-        )
-        .unwrap_err();
-        assert_eq!(err.kind, RouteErrorKind::UnknownTenant);
-    }
-
-    #[test]
-    fn parse_rules_accepts_bare_arrays_and_wrapped() {
-        let bare = parse_rules(r#"[{"when": {"always": true}, "tenant": "a"}]"#, &["a"]).unwrap();
-        let wrapped = parse_rules(
-            r#"{"rules": [{"when": {"always": true}, "tenant": "a"}]}"#,
-            &["a"],
-        )
-        .unwrap();
-        assert_eq!(bare, wrapped);
-    }
-}

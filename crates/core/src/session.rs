@@ -5,7 +5,8 @@
 //! keystroke), and run the query at any point — complete or not.
 
 use crate::canvas::{CanvasError, CanvasNodeId, QueryCanvas};
-use crate::engine::{LotusX, SearchOutcome};
+use crate::engine::LotusX;
+use crate::request::{LotusError, QueryRequest, QueryResponse};
 use lotusx_autocomplete::{CompletionEngine, CompletionState, TagCandidate, ValueCandidate};
 
 /// An interactive query-building session over one loaded document.
@@ -132,10 +133,15 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Runs the current canvas state (untyped nodes run as wildcards).
-    pub fn run(&self) -> Result<SearchOutcome, CanvasError> {
+    /// Runs the current canvas state (untyped nodes run as wildcards):
+    /// exactly [`LotusX::query`] on the canvas written out as query text,
+    /// so a repeated run is a cache hit. The canvas has to be spellable
+    /// in the query grammar: a hand-typed tag that is not a name is a
+    /// [`LotusError::Query`], and a predicate value must not contain `"`
+    /// (the grammar has no escape for it).
+    pub fn run(&self) -> Result<QueryResponse, LotusError> {
         let pattern = self.canvas.to_pattern()?;
-        Ok(self.engine.search_pattern(&pattern))
+        self.engine.query(&QueryRequest::twig(pattern.to_string()))
     }
 }
 
@@ -193,6 +199,48 @@ mod tests {
         s.canvas_mut().add_node(root, Axis::Child).unwrap();
         let outcome = s.run().unwrap();
         assert_eq!(outcome.total_matches, 4, "book × each of its children");
+    }
+
+    /// What a response answers with, for equality checks.
+    fn rows(r: &QueryResponse) -> (usize, Vec<(u64, Vec<lotusx_xml::NodeId>, String)>) {
+        let rows = r.matches.iter();
+        let rows = rows.map(|m| (m.score.to_bits(), m.output.to_vec(), m.snippet.to_string()));
+        (r.total_matches, rows.collect())
+    }
+
+    #[test]
+    fn running_a_canvas_is_querying_its_text() {
+        use lotusx_twig::ValuePredicate;
+        let system = LotusX::load_str(BIB).unwrap();
+        let mut s = Session::new(&system);
+        // An untyped root, a predicate, an output marker and `ordered`:
+        // everything a canvas can say beyond tags and edges.
+        let root = s.canvas_mut().add_root().unwrap();
+        let title = s.canvas_mut().add_node(root, Axis::Child).unwrap();
+        s.canvas_mut().set_tag(title, "title").unwrap();
+        let predicate = ValuePredicate::Contains("xml".into());
+        s.canvas_mut()
+            .set_predicate(title, Some(predicate))
+            .unwrap();
+        let author = s.canvas_mut().add_node(root, Axis::Child).unwrap();
+        s.canvas_mut().set_tag(author, "author").unwrap();
+        s.canvas_mut().set_output(author, true).unwrap();
+        s.canvas_mut().set_ordered(true);
+
+        let first = s.run().unwrap();
+        assert_eq!(first.total_matches, 1);
+        assert!(first.matches.first().unwrap().snippet.contains("Goldfarb"));
+        let before = system.query_cache_stats();
+        // Run again: the same response, from the cache.
+        let second = s.run().unwrap();
+        assert_eq!(rows(&second), rows(&first));
+        let after = system.query_cache_stats();
+        assert_eq!((after.hits, after.misses), (before.hits + 1, before.misses));
+        // And `query()` on the canvas text is that same entry.
+        let text = s.canvas().to_pattern().unwrap().to_string();
+        let queried = system.query(&QueryRequest::twig(text)).unwrap();
+        assert_eq!(rows(&queried), rows(&first));
+        assert_eq!(system.query_cache_stats().hits, after.hits + 1);
     }
 
     #[test]

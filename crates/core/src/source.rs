@@ -23,7 +23,7 @@
 //! assert!(system.index().document().node_count() > 1);
 //! ```
 
-use crate::engine::LotusError;
+use crate::request::LotusError;
 use lotusx_datagen::Dataset;
 use std::fmt;
 use std::path::{Path, PathBuf};

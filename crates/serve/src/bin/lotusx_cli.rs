@@ -59,9 +59,8 @@ fn main() {
 
     let mut session = Session::new(&system);
     let mut nodes: Vec<CanvasNodeId> = Vec::new();
-    // Per-request join-algorithm override ("algo <name>"); the session
-    // borrows the engine, so reconfiguration happens per request here.
-    let mut algo_override: Option<Algorithm> = None;
+    // The join algorithm each query request names ("algo <name>").
+    let mut algorithm = Algorithm::Auto;
     // Per-request budget knobs ("timeout <ms>", "budget <nodes>"; 0 = off).
     let mut timeout_ms: Option<u64> = None;
     let mut node_budget: Option<u64> = None;
@@ -102,10 +101,10 @@ fn main() {
                 ),
             },
             "explain" => {
-                // Honor the session's `algo` override (notably `auto`, so
-                // the chooser's decision shows up in the stage tree).
+                // Honor the session's `algo` (with `auto` the chooser's
+                // decision shows up in the stage tree).
                 let mut request = QueryRequest::twig(rest).profiled(true);
-                request.algorithm = algo_override;
+                request.algorithm = Some(algorithm);
                 match system.query(&request) {
                     Ok(response) => {
                         let profile = response.profile.expect("profiled request");
@@ -166,14 +165,7 @@ fn main() {
                             println!("(truncated: {reason} — partial results)");
                         }
                         println!("{} answers", response.total_matches);
-                        for (i, h) in response.matches.iter().take(10).enumerate() {
-                            println!(
-                                "  {:>2}. [{:.3}] {}",
-                                i + 1,
-                                h.score,
-                                truncate(&h.snippet, 90)
-                            );
-                        }
+                        print_top(&response.matches);
                         if let Some(profile) = &response.profile {
                             print!("{}", profile.render());
                         }
@@ -185,7 +177,7 @@ fn main() {
                 let mut request = QueryRequest::twig(rest)
                     .budget(build_budget(timeout_ms, node_budget))
                     .profiled(lotusx_obs::enabled());
-                request.algorithm = algo_override;
+                request.algorithm = Some(algorithm);
                 match system.query(&request) {
                     Ok(response) => {
                         if let Some(reason) = response.completeness.truncation_reason() {
@@ -198,14 +190,7 @@ fn main() {
                             );
                         }
                         println!("{} matches", response.total_matches);
-                        for (i, r) in response.matches.iter().take(10).enumerate() {
-                            println!(
-                                "  {:>2}. [{:.3}] {}",
-                                i + 1,
-                                r.score,
-                                truncate(&r.snippet, 90)
-                            );
-                        }
+                        print_top(&response.matches);
                         if let Some(profile) = &response.profile {
                             print!("{}", profile.render());
                         }
@@ -242,22 +227,15 @@ fn main() {
                 ),
             },
             "algo" => match lotusx_serve::wire::parse_algorithm(rest) {
-                Ok(Algorithm::Auto) => {
-                    algo_override = Some(Algorithm::Auto);
-                    println!("queries now pick an algorithm per query (cost-model chooser)");
-                }
                 Ok(a) => {
-                    algo_override = Some(a);
-                    println!("queries now run with {a}");
+                    algorithm = a;
+                    if a == Algorithm::Auto {
+                        println!("queries now pick an algorithm per query (cost-model chooser)");
+                    } else {
+                        println!("queries now run with {a}");
+                    }
                 }
-                Err(_) if rest == "config" => {
-                    algo_override = None;
-                    println!("queries now use the engine's configuration");
-                }
-                Err(reason) => println!(
-                    "{reason}, or config (current: {})",
-                    algo_override.map(|a| a.name()).unwrap_or("config")
-                ),
+                Err(reason) => println!("{reason} (current: {algorithm})"),
             },
             "root" => match session.canvas_mut().add_root() {
                 Ok(id) => {
@@ -344,16 +322,9 @@ fn main() {
                 Err(e) => println!("error: {e}"),
             },
             "run" => match session.run() {
-                Ok(outcome) => {
-                    println!("{} matches", outcome.total_matches);
-                    for (i, r) in outcome.results.iter().take(10).enumerate() {
-                        println!(
-                            "  {:>2}. [{:.3}] {}",
-                            i + 1,
-                            r.score,
-                            truncate(&r.snippet, 90)
-                        );
-                    }
+                Ok(response) => {
+                    println!("{} matches", response.total_matches);
+                    print_top(&response.matches);
                 }
                 Err(e) => println!("error: {e}"),
             },
@@ -477,6 +448,18 @@ fn print_stats(system: &LotusX) {
     }
 }
 
+/// The ten best results, one line each.
+fn print_top(matches: &lotusx::Answer) {
+    for (i, r) in matches.iter().take(10).enumerate() {
+        println!(
+            "  {:>2}. [{:.3}] {}",
+            i + 1,
+            r.score,
+            truncate(r.snippet, 90)
+        );
+    }
+}
+
 fn print_candidates(cands: &[lotusx::TagCandidate]) {
     if cands.is_empty() {
         println!("  (no candidates at this position)");
@@ -523,13 +506,14 @@ canvas (the GUI surrogate):
   tag <i> <name>     set a node's tag directly
   values <prefix>    value suggestions for the focused node's tag
   show               print the canvas as a query
-  run                execute the canvas (untyped nodes are wildcards)
+  run                execute the canvas through the same path as 'query'
+                     (untyped nodes are wildcards; a repeat is a cache hit)
 other:
   serve <port>       serve this document over HTTP on 127.0.0.1:<port>
                      (POST /query, POST /complete, GET /stats, GET /healthz;
                      Enter stops the server and returns to the REPL)
-  algo [name|auto]   per-request join algorithm override ('auto' = per-query
-                     cost-model chooser, 'config' = engine configuration)
+  algo [name|auto]   join algorithm for later queries ('auto', the default =
+                     per-query cost-model chooser)
   timeout <ms>       wall-clock budget per query, 0 = off (partial results are marked)
   budget <nodes>     node-visit budget per query, 0 = off
   help, quit

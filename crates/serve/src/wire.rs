@@ -177,9 +177,9 @@ pub fn encode_response(response: &QueryResponse) -> String {
         out.push_str(&format!(
             "{{\"score\":{},\"bindings\":[{}],\"output\":[{}],\"snippet\":{}}}",
             json_f64(m.score),
-            render(&m.bindings),
-            render(&m.output),
-            json_string(&m.snippet)
+            render(m.bindings),
+            render(m.output),
+            json_string(m.snippet)
         ));
     }
     out.push_str("],\"profile\":");

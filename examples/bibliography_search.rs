@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\ncanvas compiles to: {pattern}");
     let outcome = session.run()?;
     println!("→ {} matches; top 3:", outcome.total_matches);
-    for r in outcome.results.iter().take(3) {
+    for r in outcome.matches.iter().take(3) {
         println!("  [{:.3}] {}", r.score, r.snippet);
     }
 
@@ -82,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         response
             .matches
             .first()
-            .map(|r| r.snippet.as_str())
+            .map(|r| r.snippet)
             .unwrap_or("(none)")
     );
     Ok(())

@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Run a twig query: books with a title, output the title.
     let response = system.query(&QueryRequest::twig("//book/title"))?;
     println!("query //book/title → {} matches", response.total_matches);
-    for result in &response.matches {
+    for result in response.matches.iter() {
         println!("  [{:.3}] {}", result.score, result.snippet);
     }
 
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let response = system.query(&QueryRequest::twig(r#"//book[title ~ "web"]/author"#))?;
     println!(
         "\nbooks about the web → author: {}",
-        response.matches[0].snippet
+        response.matches.first().expect("one such book").snippet
     );
 
     // 4. Queries that come back empty are rewritten automatically:
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    covering every term, ranked.
     let response = system.query(&QueryRequest::keyword("holistic bruno"))?;
     println!("\nkeyword search 'holistic bruno':");
-    for h in &response.matches {
+    for h in response.matches.iter() {
         println!("  [{:.3}] {}", h.score, h.snippet);
     }
 

@@ -9,6 +9,9 @@
 //! So does a per-entry allocation where a predicate filters a stream
 //! into columns of its own.
 //!
+//! And of the cache-hit path: a hit hands out the answer the miss built,
+//! so it allocates the same number of blocks whatever the answer holds.
+//!
 //! The counter is per thread, so the harness and other tests cannot
 //! disturb it.
 
@@ -145,4 +148,23 @@ fn join_and_rank_allocate_per_buffer_not_per_match() {
             SMALL * GROWTH
         );
     }
+}
+
+/// A cache hit is a pointer copy of the cached answer: the same blocks
+/// (the parsed pattern, the key) at 10 results and at 100. One block per
+/// result anywhere on the hit path shows up as a difference of 90 or more.
+#[test]
+fn a_cache_hit_allocates_the_same_at_any_top_k() {
+    let system = lotusx::LotusX::from_indexed(corpus(200));
+    let hit_allocations = |k: usize| {
+        let request = lotusx::QueryRequest::twig("//item[a][b]").top_k(k);
+        let miss = system.query(&request).expect("parses");
+        let before = ALLOCATIONS.with(Cell::get);
+        let hit = system.query(&request).expect("parses");
+        let spent = ALLOCATIONS.with(Cell::get) - before;
+        assert_eq!((miss.matches.len(), hit.matches.len()), (k, k));
+        spent
+    };
+    assert_eq!(hit_allocations(10), hit_allocations(100));
+    assert_eq!(system.query_cache_stats().hits, 2);
 }

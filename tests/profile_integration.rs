@@ -13,7 +13,7 @@ fn result_key(response: &QueryResponse) -> Vec<(u64, String)> {
     response
         .matches
         .iter()
-        .map(|r| (r.score.to_bits(), r.snippet.clone()))
+        .map(|r| (r.score.to_bits(), r.snippet.to_string()))
         .collect()
 }
 
@@ -30,8 +30,7 @@ fn profiles_and_metrics_agree_with_engine_behaviour() {
     );
 
     // --- A fresh (cache-miss) profile has a coherent stage tree. -------
-    let mut cold = LotusX::load_document(generate(Dataset::DblpLike, 1, 99));
-    cold.reconfigure(cold.config().clone()).unwrap(); // a no-op reconfigure keeps results
+    let cold = LotusX::load_document(generate(Dataset::DblpLike, 1, 99));
     let profiled = cold.query(&QueryRequest::twig(q).profiled(true)).unwrap();
     let profile = profiled.profile.as_ref().expect("requested a profile");
     assert!(!profile.cache_hit);

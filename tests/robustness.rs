@@ -183,7 +183,7 @@ fn generous_budgets_change_nothing() {
                 binding_keys(&budgeted),
                 "{dataset}: {q}"
             );
-            for (a, b) in plain.matches.iter().zip(&budgeted.matches) {
+            for (a, b) in plain.matches.iter().zip(budgeted.matches.iter()) {
                 assert_eq!(a.score.to_bits(), b.score.to_bits(), "{dataset}: {q}");
                 assert_eq!(a.snippet, b.snippet, "{dataset}: {q}");
             }
@@ -215,7 +215,7 @@ fn one_ms_deadline_on_a_large_corpus_returns_partial_results_in_bounded_time() {
         response.completeness.truncation_reason(),
         Some(TruncationReason::DeadlineExceeded)
     );
-    for m in &response.matches {
+    for m in response.matches.iter() {
         assert_eq!(m.bindings.len(), 5, "every partial hit binds all 5 steps");
         assert!(!m.snippet.is_empty());
     }

@@ -14,6 +14,7 @@
 use lotusx::{
     parse_rules, valid_tenant_name, RegistryConfig, RouteErrorKind, RouteTable, TenantSelector,
 };
+use std::time::Duration;
 
 /// One resolution probe: a request shape and the expected outcome.
 /// `want: None` is the miss side of the contract — the serving layer
@@ -118,7 +119,8 @@ const CASES: &[Case] = &[
                                                           "value": "b"}},
                                "tenant": {"from_header": "x-tenant"}}]}"#,
         probes: &[
-            // Header names match case-insensitively (HTTP semantics).
+            // Header names match case-insensitively (HTTP semantics) in
+            // the table itself: the probe hands them over as written.
             Probe {
                 path: "/query",
                 headers: &[("X-Tenant", "alpha")],
@@ -128,7 +130,7 @@ const CASES: &[Case] = &[
             // and the path is left untouched.
             Probe {
                 path: "/query",
-                headers: &[("x-tenant", "beta")],
+                headers: &[("X-TENANT", "beta")],
                 want: Some(("beta", "/query")),
             },
             // Matching rule, but the extracted value is not a legal
@@ -252,12 +254,20 @@ const CASES: &[Case] = &[
         config: r#"{"tenants": [{"name": "fallback", "corpus": "<r/>"}],
                     "rules": [{"when": {"path_prefix": "/t/"},
                                "tenant": {"from_path": true}},
+                              {"when": {"path_prefix": "/h/"},
+                               "tenant": {"from_header": "x-tenant"}},
                               {"when": {"always": true}, "tenant": "fallback"}]}"#,
         probes: &[
             // The catch-all WOULD route this, but the /t/ rule already
             // matched and its extraction failed → miss, not fallback.
             Probe {
                 path: "/t/bad!name/query",
+                headers: &[],
+                want: None,
+            },
+            // Likewise a selector whose header is absent.
+            Probe {
+                path: "/h/query",
                 headers: &[],
                 want: None,
             },
@@ -280,7 +290,7 @@ fn predicate_tables_resolve_as_documented() {
             let headers: Vec<(String, String)> = probe
                 .headers
                 .iter()
-                .map(|(n, v)| (n.to_ascii_lowercase(), v.to_string()))
+                .map(|(n, v)| (n.to_string(), v.to_string()))
                 .collect();
             let got = table.resolve(probe.path, &headers);
             match (&got, &probe.want) {
@@ -520,6 +530,23 @@ fn malformed_configs_carry_typed_errors_with_byte_offsets() {
 }
 
 #[test]
+fn tenant_limits_parse_into_typed_defaults() {
+    let cfg = RegistryConfig::parse(
+        r#"{"tenants": [
+              {"name": "dblp", "corpus": "@dblp:1", "max_inflight": 4, "deadline_ms": 250},
+              {"name": "tb", "corpus": "@treebank:1", "node_budget": 1000}],
+            "rules": [{"when": {"always": true}, "tenant": "dblp"}]}"#,
+    )
+    .unwrap();
+    let limits: Vec<_> = cfg.tenants.iter().map(|t| &t.limits).collect();
+    assert_eq!(limits[0].max_inflight, Some(4));
+    assert_eq!(limits[0].default_deadline, Some(Duration::from_millis(250)));
+    assert_eq!(limits[0].default_node_quota, None);
+    assert_eq!(limits[1].max_inflight, None);
+    assert_eq!(limits[1].default_node_quota, Some(1000));
+}
+
+#[test]
 fn parse_rules_accepts_both_payload_shapes() {
     let known = ["alpha", "beta"];
     // Bare array (the POST /admin/routes fast path).
@@ -554,7 +581,7 @@ fn parse_rules_accepts_both_payload_shapes() {
 
 #[test]
 fn tenant_name_alphabet_is_label_safe() {
-    for good in ["a", "A-b_2", "x".repeat(64).as_str()] {
+    for good in ["a", "dblp", "A-b_2", "a-b_C9", "x".repeat(64).as_str()] {
         assert!(valid_tenant_name(good), "{good:?} should be legal");
     }
     for bad in [
