@@ -42,17 +42,13 @@ impl CounterRow {
     }
 }
 
-/// Renders one scope as the members of a compact JSON object
+/// Appends one scope as the members of a compact JSON object
 /// (`"a":1,"b":2` — the caller adds the braces and anything it nests
 /// beside them), keys in declared order; `values` is the snapshot's
 /// `values()`.
-pub fn counter_members(rows: &[CounterRow], values: &[u64]) -> String {
-    let pairs: Vec<String> = rows
-        .iter()
-        .zip(values)
-        .map(|(row, value)| format!("\"{}\":{value}", row.name))
-        .collect();
-    pairs.join(",")
+pub fn counter_members(out: &mut String, rows: &[CounterRow], values: &[u64]) {
+    let names = rows.iter().map(|row| row.name);
+    crate::json::push_u64_members(out, names.zip(values.iter().copied()));
 }
 
 /// Declares one scope's counters (see the [module docs](mod@crate::counters);

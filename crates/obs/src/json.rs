@@ -1,74 +1,188 @@
-//! A tiny hand-rolled JSON emitter *and* reader (this workspace has no
-//! serde). The emitter dumps metrics snapshots in a `metrics.json`-able
-//! shape. The reader is the only JSON grammar in the tree: wire bodies,
-//! route configs, `/stats` scrapes and trace files all go through
-//! [`parse_json_as`], which bounds nesting at [`MAX_JSON_DEPTH`] and
-//! builds either a plain [`JsonValue`] or an offset-tagged
-//! [`SpannedJson`].
+//! A tiny hand-rolled JSON writer *and* reader (this workspace has no
+//! serde).
+//!
+//! The writer is free functions that append to a caller's `String`
+//! ([`push_json_str`], [`push_u64`], [`push_f64`]): the JSON a server
+//! writes per request — wire responses, error bodies, `/stats`,
+//! access-log lines — is written in place, one buffer per body, with no
+//! `format!` or intermediate `String` per member. The reader is the only
+//! JSON grammar in the tree: wire bodies, route configs, `/stats` scrapes
+//! and trace files all go through [`parse_json_as`], which bounds nesting
+//! at [`MAX_JSON_DEPTH`] and builds either a plain [`JsonValue`] or an
+//! offset-tagged [`SpannedJson`].
 
 use crate::histogram::HistogramSnapshot;
 use crate::registry::{MetricsSnapshot, ProcessCounters};
 use std::fmt;
 
-/// Escapes a string for inclusion in a JSON document (quotes included).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// The bytes a JSON string must escape: C0 controls, `"` and `\`. All
+/// are ASCII, so the runs between them are whole UTF-8 sequences.
+const ESCAPED: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 0x20 {
+        table[b] = true;
+        b += 1;
+    }
+    table[b'"' as usize] = true;
+    table[b'\\' as usize] = true;
+    table
+};
+
+/// Appends `s` as a JSON string, quotes included. Each run of bytes that
+/// needs no escape is copied with one `push_str`; `"` `\\` `\n` `\r` `\t`
+/// get their short escapes and every other control `\u00xx`.
+pub fn push_json_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if !ESCAPED[b as usize] {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
+            }
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// Escapes a string for inclusion in a JSON document (quotes included).
+pub fn json_string(s: &str) -> String {
+    let mut out = String::new();
+    push_json_str(&mut out, s);
     out
 }
 
-fn histogram_json(h: &HistogramSnapshot) -> String {
-    format!(
-        "{{\"count\":{},\"sum_ns\":{},\"mean_ns\":{},\"max_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{}}}",
-        h.count,
-        h.sum_ns,
-        h.mean_ns(),
-        h.max_ns,
-        h.p50_ns,
-        h.p95_ns,
-        h.p99_ns
-    )
+/// `n` in decimal, right-aligned in `buf`: the digit loop behind
+/// [`push_u64`], for writers that append to bytes rather than a `String`.
+pub fn u64_decimal(mut n: u64, buf: &mut [u8; 20]) -> &str {
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[start..]).expect("ASCII digits")
+}
+
+/// Appends `n` in decimal.
+pub fn push_u64(out: &mut String, n: u64) {
+    out.push_str(u64_decimal(n, &mut [0; 20]));
+}
+
+/// Appends `v` as a JSON number: Rust's shortest-roundtrip `Display`
+/// (never an exponent), or `0` for a NaN or an infinity, which JSON
+/// cannot spell.
+pub fn push_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        // `Display` writes in pieces; room for a 17-digit fraction up
+        // front saves an empty buffer its growth steps. Writing into a
+        // `String` cannot fail.
+        out.reserve(24);
+        let _ = fmt::Write::write_fmt(out, format_args!("{v}"));
+    } else {
+        out.push('0');
+    }
+}
+
+/// Appends `v` as [`push_f64`] does, but formats it only when its bits
+/// differ from the previous call's: `run` keeps the last value's bits
+/// and bytes, so a run of tied scores costs one `Display`. Start from
+/// `Default::default()`.
+pub fn push_f64_run(out: &mut String, v: f64, run: &mut (Option<u64>, String)) {
+    if run.0 != Some(v.to_bits()) {
+        run.0 = Some(v.to_bits());
+        run.1.clear();
+        push_f64(&mut run.1, v);
+    }
+    out.push_str(&run.1);
+}
+
+/// Appends `"key":value` members, comma-separated, keys verbatim (they
+/// are identifiers, never escaped).
+pub fn push_u64_members<'a>(out: &mut String, members: impl IntoIterator<Item = (&'a str, u64)>) {
+    for (i, (key, value)) in members.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        out.push_str(key);
+        out.push_str("\":");
+        push_u64(out, value);
+    }
+}
+
+fn push_histogram(out: &mut String, h: &HistogramSnapshot) {
+    out.push('{');
+    push_u64_members(
+        out,
+        [
+            ("count", h.count),
+            ("sum_ns", h.sum_ns),
+            ("mean_ns", h.mean_ns()),
+            ("max_ns", h.max_ns),
+            ("p50_ns", h.p50_ns),
+            ("p95_ns", h.p95_ns),
+            ("p99_ns", h.p99_ns),
+        ],
+    );
+    out.push('}');
 }
 
 impl MetricsSnapshot {
     /// Renders the snapshot as a pretty-printed JSON object with
     /// `stages`, `counters` and `trace` (ring accounting) sections.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"stages\": {\n");
+        let mut out = String::with_capacity(4096);
+        out.push_str("{\n  \"stages\": {\n");
         for (i, (name, h)) in self.stages.iter().enumerate() {
-            out.push_str(&format!(
-                "    {}: {}{}\n",
-                json_string(name),
-                histogram_json(h),
-                if i + 1 == self.stages.len() { "" } else { "," }
-            ));
+            out.push_str("    ");
+            push_json_str(&mut out, name);
+            out.push_str(": ");
+            push_histogram(&mut out, h);
+            out.push_str(if i + 1 == self.stages.len() {
+                "\n"
+            } else {
+                ",\n"
+            });
         }
         out.push_str("  },\n  \"counters\": {");
         let rows = ProcessCounters::ROWS;
         for (i, (row, v)) in rows.iter().zip(self.counters.values()).enumerate() {
-            out.push_str(&format!(
-                "\n    {}: {}{}",
-                json_string(row.name),
-                v,
-                if i + 1 == rows.len() { "\n  " } else { "," }
-            ));
+            out.push_str("\n    ");
+            push_json_str(&mut out, row.name);
+            out.push_str(": ");
+            push_u64(&mut out, v);
+            out.push_str(if i + 1 == rows.len() { "\n  " } else { "," });
         }
-        out.push_str(&format!(
-            "}},\n  \"trace\": {{\"produced\":{},\"dropped\":{},\"exported\":{}}}\n}}\n",
-            self.trace.produced, self.trace.dropped, self.trace.exported
-        ));
+        out.push_str("},\n  \"trace\": {");
+        let trace = &self.trace;
+        push_u64_members(
+            &mut out,
+            [
+                ("produced", trace.produced),
+                ("dropped", trace.dropped),
+                ("exported", trace.exported),
+            ],
+        );
+        out.push_str("}\n}\n");
         out
     }
 }
@@ -338,17 +452,9 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     Some(b'b') => out.push(0x08),
                     Some(b'f') => out.push(0x0c),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .map_or(err(*pos, "bad \\u escape"), Ok)?;
-                        // Surrogate pairs are not needed for our own
-                        // documents; map them to the replacement char.
-                        let c = char::from_u32(hex).unwrap_or('\u{fffd}');
+                        let c = parse_u_escape(bytes, pos)?;
                         let mut buf = [0u8; 4];
                         out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                        *pos += 4;
                     }
                     _ => return err(*pos, "bad escape"),
                 }
@@ -360,6 +466,31 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
             }
         }
     }
+}
+
+/// Exactly four hex digits at `at` — no sign, no short form.
+fn hex4(bytes: &[u8], at: usize) -> Option<u32> {
+    let digits = bytes.get(at..at + 4)?;
+    digits
+        .iter()
+        .try_fold(0, |acc, &b| Some(acc * 16 + char::from(b).to_digit(16)?))
+}
+
+/// Decodes the `\u` escape whose `u` is at `*pos`, leaving `*pos` on its
+/// last hex digit. A high surrogate followed by `\u` and a low surrogate
+/// is one astral scalar (how `JSON.stringify` and Python's `json.dumps`
+/// spell one); an unpaired surrogate of either half decodes to U+FFFD.
+fn parse_u_escape(bytes: &[u8], pos: &mut usize) -> Result<char, JsonError> {
+    let unit = hex4(bytes, *pos + 1).map_or(err(*pos, "bad \\u escape"), Ok)?;
+    *pos += 4;
+    if (0xd800..0xdc00).contains(&unit) && bytes.get(*pos + 1..*pos + 3) == Some(b"\\u") {
+        if let Some(low @ 0xdc00..=0xdfff) = hex4(bytes, *pos + 3) {
+            *pos += 6;
+            let scalar = 0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00);
+            return Ok(char::from_u32(scalar).expect("a paired surrogate is a scalar"));
+        }
+    }
+    Ok(char::from_u32(unit).unwrap_or('\u{fffd}'))
 }
 
 fn parse_array<T: JsonTree>(
@@ -497,6 +628,56 @@ mod tests {
         ] {
             assert_eq!(parse_json(input).unwrap_err().to_string(), text);
         }
+    }
+
+    #[test]
+    fn u_escapes_take_four_hex_digits_and_pair_surrogates() {
+        for (input, want) in [
+            (r#""\u00e9\u4E2D""#, "\u{e9}\u{4e2d}"),
+            (r#""\ud83d\ude00""#, "\u{1f600}"),
+            (r#""\uD840\uDC00x""#, "\u{20000}x"),
+            // Unpaired halves stay U+FFFD, and what follows is kept.
+            (r#""\ud83d""#, "\u{fffd}"),
+            (r#""\ude00\ud83d""#, "\u{fffd}\u{fffd}"),
+            (r#""\ud83dA""#, "\u{fffd}A"),
+            (r#""\ud83d\u0041""#, "\u{fffd}A"),
+            (r#""\ud83d\n""#, "\u{fffd}\n"),
+        ] {
+            assert_eq!(
+                parse_json(input),
+                Ok(JsonValue::Str(want.into())),
+                "{input}"
+            );
+        }
+        for input in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\ud83d\u+c00""#,
+        ] {
+            let e = parse_json(input).unwrap_err();
+            assert_eq!(e.message, "bad \\u escape", "{input}");
+        }
+    }
+
+    #[test]
+    fn writer_appends_escapes_digits_and_shortest_floats() {
+        let mut out = String::from("[");
+        push_json_str(&mut out, "a\u{7f}\u{1f}é\"");
+        out.push(',');
+        push_u64(&mut out, u64::MAX);
+        out.push(',');
+        push_u64(&mut out, 0);
+        for v in [0.5, -0.0, 1e21, 1e-7, f64::NAN, f64::NEG_INFINITY] {
+            out.push(',');
+            push_f64(&mut out, v);
+        }
+        out.push(']');
+        assert_eq!(
+            out,
+            "[\"a\u{7f}\\u001fé\\\"\",18446744073709551615,0,\
+             0.5,-0,1000000000000000000000,0.0000001,0,0]"
+        );
     }
 
     #[test]

@@ -58,7 +58,8 @@ pub use event::{
 pub use export::{chrome_trace_json, chrome_trace_json_with};
 pub use histogram::{fmt_ns, HistogramSnapshot, LatencyHistogram};
 pub use json::{
-    json_string, parse_json, parse_json_as, JsonError, JsonNode, JsonTree, JsonValue, SpannedJson,
+    json_string, parse_json, parse_json_as, push_f64, push_f64_run, push_json_str, push_u64,
+    push_u64_members, u64_decimal, JsonError, JsonNode, JsonTree, JsonValue, SpannedJson,
     MAX_JSON_DEPTH,
 };
 pub use profile::QueryProfile;

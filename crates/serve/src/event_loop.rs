@@ -91,7 +91,8 @@ use crate::server::{Outcome, Server, Work};
 use crate::tenants::Tenancy;
 use crate::timer::{Deadline, Fired, TimerWheel};
 use lotusx_obs::{
-    conn_lane, emit_on_lane, CloseReason, ConnPhase, DeadlineKind, EventKind, QueryId, Stage,
+    conn_lane, emit_on_lane, push_json_str, push_u64_members, CloseReason, ConnPhase, DeadlineKind,
+    EventKind, QueryId, Stage,
 };
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -580,20 +581,38 @@ impl EventLoop<'_> {
             let tenant = entry
                 .tenant
                 .map_or("-", |idx| self.tenancy.set.runtime(idx).name());
-            let line = format!(
-                "{{\"ts_ms\":{ts_ms},\"conn\":{conn_id},\"tenant\":{},\"method\":{},\"path\":{},\
-                 \"status\":{},\"bytes\":{},\"close\":{},\"parse_ns\":{},\"queue_ns\":{},\
-                 \"compute_ns\":{},\"flush_ns\":{flush_ns}}}",
-                lotusx_obs::json_string(tenant),
-                lotusx_obs::json_string(&entry.method),
-                lotusx_obs::json_string(&entry.path),
-                entry.status,
-                entry.bytes,
-                lotusx_obs::json_string(disposition),
-                entry.parse_ns,
-                entry.queue_ns,
-                entry.compute_ns,
+            let mut line = String::with_capacity(256 + entry.path.len());
+            line.push('{');
+            push_u64_members(&mut line, [("ts_ms", ts_ms), ("conn", conn_id)]);
+            let texts = [
+                ("tenant", tenant),
+                ("method", &entry.method),
+                ("path", &entry.path),
+            ];
+            for (key, text) in texts {
+                line.push_str(",\"");
+                line.push_str(key);
+                line.push_str("\":");
+                push_json_str(&mut line, text);
+            }
+            line.push(',');
+            push_u64_members(
+                &mut line,
+                [("status", entry.status.into()), ("bytes", entry.bytes)],
             );
+            line.push_str(",\"close\":");
+            push_json_str(&mut line, disposition);
+            line.push(',');
+            push_u64_members(
+                &mut line,
+                [
+                    ("parse_ns", entry.parse_ns),
+                    ("queue_ns", entry.queue_ns),
+                    ("compute_ns", entry.compute_ns),
+                    ("flush_ns", flush_ns),
+                ],
+            );
+            line.push('}');
             if access.log(line) {
                 stats.access_log_lines.fetch_add(1, Ordering::Relaxed);
             } else {

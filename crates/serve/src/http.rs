@@ -22,6 +22,8 @@
 //! violation the byte stream can no longer be trusted to frame a next
 //! request.
 
+use lotusx_obs::{push_json_str, u64_decimal};
+
 /// Size limits the parser enforces while reading a request.
 #[derive(Clone, Copy, Debug)]
 pub struct Limits {
@@ -185,6 +187,25 @@ fn connection_has(value: &str, token: &str) -> bool {
         .any(|part| part.trim().eq_ignore_ascii_case(token))
 }
 
+/// The body length the `Content-Length` headers frame (RFC 9112 §6.3):
+/// `1*DIGIT` only — no sign, no list — and a repeat must say exactly
+/// what the first one said. Anything else is the `400` a proxy in front
+/// of this server would have to agree on, or smuggle a request past.
+fn content_length(headers: &[(String, String)]) -> Result<Option<usize>, Reject> {
+    let mut values = headers
+        .iter()
+        .filter(|(name, _)| name == "content-length")
+        .map(|(_, value)| value.as_str());
+    let Some(first) = values.next() else {
+        return Ok(None);
+    };
+    let digits = !first.is_empty() && first.bytes().all(|b| b.is_ascii_digit());
+    match first.parse() {
+        Ok(n) if digits && values.all(|v| v == first) => Ok(Some(n)),
+        _ => Err(Reject::new(400, "bad content-length")),
+    }
+}
+
 /// Attempts to frame one request out of `buf` under `limits`.
 ///
 /// Pure and restartable: call it again with more bytes appended after a
@@ -256,21 +277,18 @@ pub fn parse_request(buf: &[u8], limits: &Limits) -> ParseStatus {
         _ => !keep_alive_default,
     };
 
-    let body_len = match request.header("content-length") {
-        Some(v) => {
-            let n: usize = match v.parse() {
-                Ok(n) => n,
-                Err(_) => return ParseStatus::Failed(Reject::new(400, "bad content-length")),
-            };
+    let body_len = match content_length(&request.headers) {
+        Ok(Some(n)) => {
             if n > limits.max_body_bytes {
                 return ParseStatus::Failed(Reject::new(413, "body exceeds the size cap"));
             }
             n
         }
-        None if request.method == "POST" => {
+        Ok(None) if request.method == "POST" => {
             return ParseStatus::Failed(Reject::new(411, "POST requires content-length"));
         }
-        None => 0,
+        Ok(None) => 0,
+        Err(reject) => return ParseStatus::Failed(reject),
     };
 
     if buf.len() - pos < body_len {
@@ -320,17 +338,18 @@ pub fn encode_response_into(
     body: &[u8],
     keep_alive: bool,
 ) {
-    use std::io::Write;
-    // Writing into a `Vec` cannot fail.
-    let _ = write!(
-        out,
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
-        status,
-        status_reason(status),
-        content_type,
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" }
-    );
+    let mut digits = [0; 20];
+    out.extend_from_slice(b"HTTP/1.1 ");
+    out.extend_from_slice(u64_decimal(status.into(), &mut digits).as_bytes());
+    out.push(b' ');
+    out.extend_from_slice(status_reason(status).as_bytes());
+    out.extend_from_slice(b"\r\nContent-Type: ");
+    out.extend_from_slice(content_type.as_bytes());
+    out.extend_from_slice(b"\r\nContent-Length: ");
+    out.extend_from_slice(u64_decimal(body.len() as u64, &mut digits).as_bytes());
+    out.extend_from_slice(b"\r\nConnection: ");
+    out.extend_from_slice(if keep_alive { b"keep-alive" } else { b"close" });
+    out.extend_from_slice(b"\r\n\r\n");
     out.extend_from_slice(body);
 }
 
@@ -344,7 +363,10 @@ pub fn encode_error(status: u16, reason: &str) -> Vec<u8> {
 
 /// [`encode_error`], appended to `out`.
 pub fn encode_error_into(out: &mut Vec<u8>, status: u16, reason: &str) {
-    let body = format!("{{\"error\":{}}}\n", lotusx_obs::json_string(reason));
+    let mut body = String::with_capacity(reason.len() + 16);
+    body.push_str("{\"error\":");
+    push_json_str(&mut body, reason);
+    body.push_str("}\n");
     encode_response_into(out, status, "application/json", body.as_bytes(), false);
 }
 
@@ -437,6 +459,46 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn content_length_is_digits_and_repeats_must_agree() {
+        let framed = |headers: &str| {
+            let raw = format!("POST /q HTTP/1.1\r\n{headers}\r\n{{}}");
+            match parse_request(raw.as_bytes(), &limits()) {
+                ParseStatus::Complete(p) => Ok(p.request.body.len()),
+                ParseStatus::Failed(r) => Err((r.status, r.reason)),
+                other => panic!("{headers:?}: {other:?}"),
+            }
+        };
+        let bad = Err((400, "bad content-length".to_string()));
+        for headers in [
+            "Content-Length: +2\r\n",
+            "Content-Length: -2\r\n",
+            "Content-Length: 2, 2\r\n",
+            "Content-Length: \r\n",
+            "Content-Length: 2\r\nContent-Length: 3\r\n",
+            "Content-Length: 2\r\ncontent-length: 02\r\n",
+        ] {
+            assert_eq!(framed(headers), bad, "{headers:?}");
+        }
+        assert_eq!(framed("Content-Length: 2\r\n"), Ok(2));
+        assert_eq!(framed("Content-Length: 2\r\nCONTENT-LENGTH: 2\r\n"), Ok(2));
+        assert_eq!(framed("Content-Length: 0002\r\n"), Ok(2));
+    }
+
+    #[test]
+    fn head_and_error_bodies_keep_their_bytes() {
+        assert_eq!(
+            encode_response(200, "text/plain", b"ok\n", true),
+            b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 3\r\n\
+              Connection: keep-alive\r\n\r\nok\n"
+        );
+        assert_eq!(
+            encode_error(431, "a \"b\"\u{1}"),
+            b"HTTP/1.1 431 Request Header Fields Too Large\r\nContent-Type: application/json\r\n\
+              Content-Length: 26\r\nConnection: close\r\n\r\n{\"error\":\"a \\\"b\\\"\\u0001\"}\n"
+        );
     }
 
     #[test]

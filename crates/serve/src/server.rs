@@ -141,8 +141,11 @@ lotusx_obs::counters! {
 impl StatsSnapshot {
     /// The `server` section of the `/stats` response body.
     pub fn to_json(&self) -> String {
-        let members = lotusx_obs::counter_members(ServerStats::ROWS, &self.values());
-        format!("{{{members}}}")
+        let mut out = String::with_capacity(1024);
+        out.push('{');
+        lotusx_obs::counter_members(&mut out, ServerStats::ROWS, &self.values());
+        out.push('}');
+        out
     }
 
     /// The `lotusx_server_*` section of the `GET /metrics` Prometheus

@@ -16,7 +16,7 @@
 //! at route-load time), and the `tenant` field of access-log lines.
 
 use lotusx::{EngineRegistry, LotusX, TenantLimits};
-use lotusx_obs::{counter_members, PromWriter};
+use lotusx_obs::{counter_members, push_json_str, PromWriter};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -202,13 +202,16 @@ impl TenantSet {
     /// The `tenants` section of the `/stats` response body: an object
     /// keyed by tenant name, each with its counters.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
+        let mut out = String::with_capacity(256 * self.tenants.len() + 2);
+        out.push('{');
         for (i, rt) in self.tenants.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let counters = counter_members(TenantStats::ROWS, &rt.stats.snapshot().values());
-            out.push_str(&format!("\"{}\":{{{counters}}}", rt.name));
+            push_json_str(&mut out, &rt.name);
+            out.push_str(":{");
+            counter_members(&mut out, TenantStats::ROWS, &rt.stats.snapshot().values());
+            out.push('}');
         }
         out.push('}');
         out

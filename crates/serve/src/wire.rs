@@ -8,23 +8,15 @@
 //! must be byte-identical to the same request encoded in-process.
 
 use lotusx::{
-    Algorithm, Axis, Budget, ContextStep, PositionContext, QueryRequest, QueryResponse,
+    Algorithm, Axis, Budget, ContextStep, NodeId, PositionContext, QueryRequest, QueryResponse,
     TagCandidate, ValueCandidate,
 };
-use lotusx_obs::{json_string, JsonValue};
+use lotusx_obs::{push_f64, push_f64_run, push_json_str, push_u64, JsonValue};
+use std::fmt::Write;
 
 /// Upper bound on `k`/`top_k` accepted over the wire, so one request
 /// cannot ask the serializer to materialize an absurd result set.
 pub const MAX_WIRE_TOP_K: usize = 10_000;
-
-/// Formats an `f64` as a JSON number (shortest roundtrip, finite-safe).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
 
 fn field_usize(v: &JsonValue, key: &str) -> Result<Option<usize>, String> {
     match v.get(key) {
@@ -131,64 +123,79 @@ pub fn decode_query(v: &JsonValue) -> Result<QueryRequest, String> {
     Ok(request)
 }
 
-/// Encodes a [`QueryResponse`] as one compact JSON line.
+/// Encodes a [`QueryResponse`] as one compact JSON line, appended row by
+/// row into one buffer sized for the answer up front; a run of tied
+/// scores is formatted once ([`push_f64_run`]).
 pub fn encode_response(response: &QueryResponse) -> String {
-    let mut out = String::with_capacity(256);
-    out.push_str(&format!(
-        "{{\"total_matches\":{},\"completeness\":{},\"truncation_reason\":{},",
-        response.total_matches,
-        json_string(if response.completeness.is_complete() {
-            "complete"
-        } else {
-            "truncated"
-        }),
-        match response.completeness.truncation_reason() {
-            Some(reason) => json_string(reason.name()),
-            None => "null".to_string(),
-        },
-    ));
+    let row_bytes: usize = (response.matches.iter())
+        .map(|m| 80 + m.snippet.len() + 11 * (m.bindings.len() + m.output.len()))
+        .sum();
+    let mut out = String::with_capacity(256 + row_bytes);
+    out.push_str("{\"total_matches\":");
+    push_u64(&mut out, response.total_matches as u64);
+    out.push_str(if response.completeness.is_complete() {
+        ",\"completeness\":\"complete\",\"truncation_reason\":"
+    } else {
+        ",\"completeness\":\"truncated\",\"truncation_reason\":"
+    });
+    match response.completeness.truncation_reason() {
+        Some(reason) => push_json_str(&mut out, reason.name()),
+        None => out.push_str("null"),
+    }
     match &response.rewrite {
         Some(info) => {
-            out.push_str(&format!(
-                "\"rewrite\":{{\"pattern\":{},\"cost\":{},\"ops\":[{}]}},",
-                json_string(&info.pattern.to_string()),
-                json_f64(info.cost),
-                info.ops
-                    .iter()
-                    .map(|op| json_string(op))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ));
+            // The pattern exists only as `Display`; writing into a
+            // `String` cannot fail.
+            let mut pattern = String::new();
+            let _ = write!(pattern, "{}", info.pattern);
+            out.push_str(",\"rewrite\":{\"pattern\":");
+            push_json_str(&mut out, &pattern);
+            out.push_str(",\"cost\":");
+            push_f64(&mut out, info.cost);
+            out.push_str(",\"ops\":[");
+            for (i, op) in info.ops.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_json_str(&mut out, op);
+            }
+            out.push_str("]},");
         }
-        None => out.push_str("\"rewrite\":null,"),
+        None => out.push_str(",\"rewrite\":null,"),
     }
     out.push_str("\"matches\":[");
+    let mut score_run = Default::default();
     for (i, m) in response.matches.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let render = |nodes: &[lotusx::NodeId]| {
-            nodes
-                .iter()
-                .map(|n| n.index().to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        out.push_str(&format!(
-            "{{\"score\":{},\"bindings\":[{}],\"output\":[{}],\"snippet\":{}}}",
-            json_f64(m.score),
-            render(m.bindings),
-            render(m.output),
-            json_string(m.snippet)
-        ));
+        out.push_str("{\"score\":");
+        push_f64_run(&mut out, m.score, &mut score_run);
+        out.push_str(",\"bindings\":[");
+        push_node_ids(&mut out, m.bindings);
+        out.push_str("],\"output\":[");
+        push_node_ids(&mut out, m.output);
+        out.push_str("],\"snippet\":");
+        push_json_str(&mut out, m.snippet);
+        out.push('}');
     }
     out.push_str("],\"profile\":");
     match &response.profile {
-        Some(profile) => out.push_str(&json_string(&profile.render())),
+        Some(profile) => push_json_str(&mut out, &profile.render()),
         None => out.push_str("null"),
     }
     out.push_str("}\n");
     out
+}
+
+/// Appends node ids as comma-separated decimal indexes.
+fn push_node_ids(out: &mut String, nodes: &[NodeId]) {
+    for (i, n) in nodes.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_u64(out, n.index() as u64);
+    }
 }
 
 /// A decoded `POST /complete` body.
@@ -293,15 +300,19 @@ pub fn encode_value_candidates(candidates: &[ValueCandidate]) -> String {
     encode_candidates(candidates.iter().map(|c| (c.term.as_str(), c.count)))
 }
 
-fn encode_candidates<'a>(items: impl Iterator<Item = (&'a str, u64)>) -> String {
-    use std::fmt::Write;
-    let mut out = String::from("{\"candidates\":[");
+fn encode_candidates<'a>(items: impl Iterator<Item = (&'a str, u64)> + Clone) -> String {
+    let bytes: usize = items.clone().map(|(term, _)| 48 + term.len()).sum();
+    let mut out = String::with_capacity(16 + bytes);
+    out.push_str("{\"candidates\":[");
     for (i, (term, count)) in items.enumerate() {
         if i > 0 {
             out.push(',');
         }
-        // Writing into a `String` cannot fail.
-        let _ = write!(out, "{{\"term\":{},\"count\":{count}}}", json_string(term));
+        out.push_str("{\"term\":");
+        push_json_str(&mut out, term);
+        out.push_str(",\"count\":");
+        push_u64(&mut out, count);
+        out.push('}');
     }
     out.push_str("]}\n");
     out

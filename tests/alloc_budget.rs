@@ -10,14 +10,17 @@
 //! into columns of its own.
 //!
 //! And of the cache-hit path: a hit hands out the answer the miss built,
-//! so it allocates the same number of blocks whatever the answer holds.
+//! so it allocates the same number of blocks whatever the answer holds —
+//! and the wire encoders then write it into one growing buffer.
 //!
 //! The counter is per thread, so the harness and other tests cannot
 //! disturb it.
 
+use lotusx::PositionContext;
 use lotusx_guard::QueryGuard;
 use lotusx_index::IndexedDocument;
 use lotusx_rank::Ranker;
+use lotusx_serve::wire::{encode_response, encode_tag_candidates};
 use lotusx_twig::exec::{execute_budgeted, Algorithm};
 use lotusx_twig::matcher::predicate_matches;
 use lotusx_twig::pattern::{TwigPattern, ValuePredicate};
@@ -167,4 +170,62 @@ fn a_cache_hit_allocates_the_same_at_any_top_k() {
     };
     assert_eq!(hit_allocations(10), hit_allocations(100));
     assert_eq!(system.query_cache_stats().hits, 2);
+}
+
+/// Blocks `f` allocates, with what it returns dropped afterwards.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> usize {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    let spent = ALLOCATIONS.with(Cell::get) - before;
+    drop(out);
+    spent
+}
+
+/// Whatever a wire body holds, it allocates its buffer and that
+/// buffer's growth steps: at most this many blocks …
+const BODY_BLOCKS: usize = 16;
+/// … of which 10x the rows may add only doubling steps.
+const TENFOLD_STEPS: usize = 4;
+
+/// Asserts the budget above for a body of `few` and of 10x more rows.
+fn assert_per_body(what: &str, (few, many): (usize, usize)) {
+    assert!(
+        few <= many && many <= BODY_BLOCKS && many - few <= TENFOLD_STEPS,
+        "{what}: {few} blocks, {many} for 10x the rows"
+    );
+}
+
+/// `encode_response` appends every row to one output `String`. A
+/// `format!` or a `to_string` per row shows up as hundreds of blocks at
+/// 100 rows.
+#[test]
+fn encoding_an_answer_allocates_per_body_not_per_row() {
+    let system = lotusx::LotusX::from_indexed(corpus(200));
+    let body_allocations = |k: usize| {
+        let request = lotusx::QueryRequest::twig("//item[a][b]").top_k(k);
+        let response = system.query(&request).expect("parses");
+        assert_eq!(response.matches.len(), k);
+        allocations_of(|| encode_response(&response))
+    };
+    assert_per_body(
+        "encode_response at 10 rows",
+        (body_allocations(10), body_allocations(100)),
+    );
+}
+
+/// The same for the completion encoders, at one candidate and at ten.
+#[test]
+fn encoding_candidates_allocates_per_body_not_per_candidate() {
+    let tags: String = (0..12).map(|i| format!("<t{i}/>")).collect();
+    let system = lotusx::LotusX::load_str(&format!("<r>{tags}</r>")).expect("well-formed");
+    let completion = system.completion_engine();
+    let candidate_allocations = |k: usize| {
+        let found = completion.complete_tag(&PositionContext::unconstrained(), "t", k);
+        assert_eq!(found.len(), k);
+        allocations_of(|| encode_tag_candidates(&found))
+    };
+    assert_per_body(
+        "encode_tag_candidates at k 1",
+        (candidate_allocations(1), candidate_allocations(10)),
+    );
 }

@@ -1,12 +1,18 @@
-//! Seeded property test for the one JSON reader (`lotusx_obs::json`):
-//! random documents written with `json_string` parse to the structure
-//! they were generated from through both trees the reader builds, every
-//! offset of the tagged tree points at the first byte of its value or
-//! key, and every proper prefix and random byte flip of a document is an
-//! `Ok` or an `Err` — never a panic, never a stack overflow.
+//! Seeded property tests for the one JSON reader and writer
+//! (`lotusx_obs::json`): random documents written with `json_string`
+//! parse to the structure they were generated from through both trees
+//! the reader builds, every offset of the tagged tree points at the first
+//! byte of its value or key, and every proper prefix and random byte flip
+//! of a document is an `Ok` or an `Err` — never a panic, never a stack
+//! overflow. The writer's escaper, float writer and tied-score reuse
+//! write exactly the bytes of the per-string, per-row `format!` encoders
+//! they replaced, which are kept here as the reference.
 
 use lotusx_datagen::rng::XorShiftRng;
-use lotusx_obs::{json_string, parse_json, parse_json_as, JsonNode, JsonValue, SpannedJson};
+use lotusx_obs::{
+    json_string, parse_json, parse_json_as, push_f64, push_f64_run, push_json_str, JsonNode,
+    JsonValue, SpannedJson,
+};
 
 // Quotes, backslashes, control characters and multi-byte UTF-8.
 const CHARS: [char; 10] = ['a', 'Z', ' ', '"', '\\', '\n', '\u{1}', '/', 'é', '中'];
@@ -126,5 +132,124 @@ fn random_documents_roundtrip_and_damaged_ones_never_panic() {
             let (plain, tree) = (parse_json(&damaged), tagged(&damaged));
             assert_eq!(plain.err(), tree.err(), "seed {seed}: {damaged:?}");
         }
+    }
+}
+
+/// The escaper the run-copying writer replaced: one `char` at a time.
+fn reference_escape(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// The float writer the wire used per row: shortest `Display`, `0` for
+/// what JSON cannot spell.
+fn reference_f64(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "0".to_string()
+    }
+}
+
+#[test]
+fn the_escaper_writes_the_char_loop_bytes_and_roundtrips() {
+    // Every C0 control, the two escapes, DEL, multibyte and astral
+    // characters, and plain runs between them.
+    let alphabet: Vec<char> = (0..0x20u8)
+        .map(char::from)
+        .chain([
+            '"',
+            '\\',
+            '\u{7f}',
+            'a',
+            ' ',
+            '/',
+            'é',
+            '中',
+            '\u{1f600}',
+            '\u{20000}',
+        ])
+        .collect();
+    for seed in 0..500 {
+        let mut rng = XorShiftRng::seed_from_u64(seed);
+        let s: String = (0..rng.gen_range(0..24usize))
+            .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
+            .collect();
+        let mut out = String::from("prefix");
+        push_json_str(&mut out, &s);
+        assert_eq!(out["prefix".len()..], reference_escape(&s), "{s:?}");
+        assert_eq!(json_string(&s), reference_escape(&s), "{s:?}");
+        assert_eq!(parse_json(&json_string(&s)), Ok(JsonValue::Str(s)));
+    }
+}
+
+#[test]
+fn the_float_writer_is_shortest_display() {
+    let mut rng = XorShiftRng::seed_from_u64(2012);
+    let random = (0..20_000).map(|_| f64::from_bits(rng.next_u64()));
+    let edges = [
+        0.0,
+        -0.0,
+        f64::from_bits(1),
+        -f64::from_bits(1),
+        f64::MIN_POSITIVE / 3.0,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+        1e21,
+        1e-7,
+        0.1 + 0.2,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    for v in random.chain(edges) {
+        let mut out = String::new();
+        push_f64(&mut out, v);
+        assert_eq!(out, reference_f64(v), "{:#x}", v.to_bits());
+        if v.is_finite() {
+            assert_eq!(out.parse::<f64>().map(f64::to_bits), Ok(v.to_bits()));
+        }
+    }
+}
+
+#[test]
+fn tied_score_runs_write_per_row_bytes() {
+    // Few distinct values, so columns tie, alternate and break; -0 and 0
+    // differ in bits and in bytes, NaN and infinity share the bytes `0`.
+    let pool = [
+        0.5,
+        0.5,
+        1.0 / 3.0,
+        0.0,
+        -0.0,
+        1e21,
+        f64::NAN,
+        f64::INFINITY,
+    ];
+    for seed in 0..300 {
+        let mut rng = XorShiftRng::seed_from_u64(seed);
+        let column: Vec<f64> = (0..rng.gen_range(0..40usize))
+            .map(|_| pool[rng.gen_range(0..pool.len())])
+            .collect();
+        let (mut got, mut run) = (String::new(), Default::default());
+        for &v in &column {
+            push_f64_run(&mut got, v, &mut run);
+            got.push(',');
+        }
+        let want: String = column.iter().map(|&v| reference_f64(v) + ",").collect();
+        assert_eq!(got, want, "seed {seed}: {column:?}");
     }
 }

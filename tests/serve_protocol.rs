@@ -118,6 +118,26 @@ fn malformed_inputs_get_documented_rejections_and_exact_counters() {
             400,
             false,
         ),
+        // RFC 9112 §6.3: Content-Length is 1*DIGIT, and repeats that
+        // differ are a framing error — never "take the first".
+        Case {
+            reason: "bad content-length",
+            ..case(
+                "signed content-length",
+                "POST /query HTTP/1.1\r\nContent-Length: +2\r\n\r\n{}",
+                400,
+                false,
+            )
+        },
+        Case {
+            reason: "bad content-length",
+            ..case(
+                "conflicting content-lengths",
+                "POST /query HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\n{}",
+                400,
+                false,
+            )
+        },
         case(
             "content-length over the cap",
             "POST /query HTTP/1.1\r\nContent-Length: 999999\r\n\r\n",
@@ -310,6 +330,32 @@ fn nesting_and_pattern_bombs_are_400s_under_default_limits() {
         assert_eq!(health, Some(200), "case {i}: the server keeps serving");
         assert_eq!((stats.rejected, stats.panics), (i as u64 + 1, 0));
     }
+}
+
+/// A `\u` surrogate pair — how `json.dumps` spells an astral character —
+/// decodes to that one character: a `/complete` prefix sent escaped gets
+/// the bytes the same prefix sent as raw UTF-8 gets.
+#[test]
+fn escaped_surrogate_pairs_decode_to_the_astral_character() {
+    let engine = LotusX::load_str("<bib><book><title>\u{20000}data</title></book></bib>").unwrap();
+    let server = Server::bind(ServeConfig::default()).expect("bind");
+    let (addr, handle) = (server.local_addr(), server.handle());
+    let complete = |prefix: &str| {
+        let body = format!("{{\"kind\":\"value\",\"tag\":\"title\",\"prefix\":\"{prefix}\"}}");
+        client::post(addr, "/complete", &body).map(|r| (r.status, r.body_text()))
+    };
+    // Asserted outside the scope: a panic inside it would wait forever
+    // on a server nobody stops.
+    let (escaped, raw) = std::thread::scope(|scope| {
+        scope.spawn(|| server.run(&engine));
+        let answers = (complete("\\ud840\\udc00"), complete("\u{20000}"));
+        handle.shutdown();
+        answers
+    });
+    let (escaped, raw) = (escaped.expect("escaped request"), raw.expect("raw request"));
+    assert_eq!(raw.0, 200);
+    assert!(raw.1.contains("\"term\":\"\u{20000}data\""), "{}", raw.1);
+    assert_eq!(escaped, raw);
 }
 
 /// Keep-alive, pipelining, half-close, and the idle deadline: the
