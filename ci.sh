@@ -164,12 +164,14 @@ stage_build() {
 # The load generator under benchmark/ is a detached workspace the root
 # build never sees, so an API deletion that breaks it would otherwise
 # surface only in the benchmark pipeline. Type-check it (all targets)
-# into the shared target dir. cargo may re-resolve benchmark/Cargo.lock
-# when a crate's dependency edges changed; the tracked lock file is
-# restored, never committed.
+# and run its unit tests, into the shared target dir. cargo may
+# re-resolve benchmark/Cargo.lock when a crate's dependency edges
+# changed; the tracked lock file is restored, never committed.
 stage_bench_build() {
     local status=0
     CARGO_TARGET_DIR="$PWD/target" cargo check --offline --all-targets \
+        --manifest-path benchmark/Cargo.toml &&
+    CARGO_TARGET_DIR="$PWD/target" cargo test --offline -q \
         --manifest-path benchmark/Cargo.toml || status=$?
     git checkout -q -- benchmark/Cargo.lock
     if [ -n "$(git status --porcelain -- benchmark)" ]; then

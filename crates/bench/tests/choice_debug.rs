@@ -58,6 +58,60 @@ fn time_auto_overhead() {
     }
 }
 
+/// Calibrates the price of a child edge: reduces `//p/c` alone for every
+/// child edge between two tags in the canonical queries, and fits
+/// `ns = per_child * |c| + per_parent * |p|` by least squares.
+#[test]
+#[ignore]
+fn fit_child_edge_cost() {
+    use lotusx_bench::min_time;
+    use lotusx_guard::QueryGuard;
+    use lotusx_twig::algorithms::structural_join::reduce;
+    use lotusx_twig::{Axis, NodeTest};
+    let guard = QueryGuard::unlimited();
+    // Sums for the normal equations of the two-parameter fit.
+    let (mut cc, mut cp, mut pp, mut ct, mut pt) = (0f64, 0f64, 0f64, 0f64, 0f64);
+    for ds in Dataset::ALL {
+        let idx = fixture(ds, 8);
+        let mut seen = std::collections::HashSet::new();
+        for q in queries(ds) {
+            let p = parse_query(q.text).unwrap();
+            for id in p.node_ids() {
+                let node = p.node(id);
+                let Some(parent) = node.parent else { continue };
+                let (NodeTest::Tag(pt_), NodeTest::Tag(ct_)) = (&p.node(parent).test, &node.test)
+                else {
+                    continue;
+                };
+                if node.axis != Axis::Child || !seen.insert((pt_.clone(), ct_.clone())) {
+                    continue;
+                }
+                let edge = parse_query(&format!("//{pt_}/{ct_}")).unwrap();
+                let len = |tag: &str| {
+                    let sym = idx.document().symbols().get(tag).unwrap();
+                    idx.columns().view(sym).len() as f64
+                };
+                let (s_p, s_c) = (len(pt_), len(ct_));
+                let (t, count) = min_time(200, || reduce(&idx, &edge, &guard).count());
+                let ns = t.as_nanos() as f64;
+                println!(
+                    "{:13} //{pt_}/{ct_}: |p|={s_p:>6} |c|={s_c:>6} matches={count:>6} \
+                     {:>8.1} us  {:.2} ns/(|p|+|c|)",
+                    ds.name(),
+                    ns / 1e3,
+                    ns / (s_p + s_c)
+                );
+                (cc, cp, pp) = (cc + s_c * s_c, cp + s_c * s_p, pp + s_p * s_p);
+                (ct, pt) = (ct + s_c * ns, pt + s_p * ns);
+            }
+        }
+    }
+    let det = cc * pp - cp * cp;
+    let per_child = (ct * pp - pt * cp) / det;
+    let per_parent = (pt * cc - ct * cp) / det;
+    println!("fit: {per_child:.2} ns per child + {per_parent:.2} ns per parent");
+}
+
 #[test]
 #[ignore]
 fn dump_treebank_stats() {

@@ -14,8 +14,16 @@
 //! is a gallop — exponential probe then binary search, O(log distance).
 //! `ends` is **not** monotonic (recursive elements nest: a child's end
 //! precedes its parent's even though its start follows), so the structural
-//! join never searches it: it walks parents linearly and keeps the open
-//! ones on a stack.
+//! join never searches it: on a descendant edge it walks parents linearly
+//! and keeps the open ones on a stack.
+//!
+//! A child edge needs no search at all. Every tag-stream element carries
+//! one derived `u32`, its *parent slot*: its parent's position in the
+//! parent's own tag stream. The join gathers a child's parent through
+//! it. The column is derived at build and at load from one
+//! document-order pass and never stored in a snapshot. It costs 4 B per
+//! element. The all-elements stream has no such column: a `*` endpoint
+//! would need a second one.
 
 use crate::wire::{
     corrupt, get_u16_slice, get_u32_slice, put_u16_slice, put_u32_slice, put_varint, rd_len,
@@ -33,6 +41,18 @@ struct StreamRange {
     len: u32,
 }
 
+impl StreamRange {
+    /// This stream's part of `arena`.
+    fn of<T>(self, arena: &[T]) -> &[T] {
+        &arena[self.offset as usize..(self.offset + self.len) as usize]
+    }
+}
+
+/// The parent slot of the document's root element, whose parent is no
+/// element; also what a filtered stream's kept map holds for a dropped
+/// position. Larger than any stream position.
+pub const NO_SLOT: u32 = u32::MAX;
+
 /// Every tag's element stream in columnar (struct-of-arrays) form, plus
 /// one extra pseudo-stream covering all elements in document order (what
 /// wildcard query nodes scan). Immutable once built.
@@ -42,6 +62,10 @@ pub struct TagColumns {
     ends: Vec<u32>,
     levels: Vec<u16>,
     nodes: Vec<NodeId>,
+    /// Per tag-stream slot (the arenas' first half; the all-elements
+    /// stream has none): the element's parent's position in the parent's
+    /// own tag stream, or [`NO_SLOT`]. Derived, never serialized.
+    parent_slots: Vec<u32>,
     /// Per-tag extents; index = symbol index.
     ranges: Vec<StreamRange>,
     /// Extent of the all-elements pseudo-stream.
@@ -86,8 +110,57 @@ impl TagColumns {
             }
             *slot += 1;
         }
+        cols.derive_parent_slots(|node| doc.tag(node))
+            .expect("streams built from the document agree with it");
         cols.derive_id_order();
         cols
+    }
+
+    /// Derives `parent_slots` from the filled arenas — the last-but-one
+    /// step of both a fresh build and a snapshot load — in one pass over
+    /// the all-elements stream, which is in document order. An element's
+    /// parent is the last element seen one level up, so a stack holding
+    /// per open level that element's tag-stream position names every
+    /// parent. `tag_of` names each element's stream, which is walked
+    /// alongside, and each step checks that both streams hold the same
+    /// element: a snapshot whose streams disagree with its tags is
+    /// corrupt.
+    fn derive_parent_slots(
+        &mut self,
+        tag_of: impl Fn(NodeId) -> Option<Symbol>,
+    ) -> Result<(), StorageError> {
+        let all = self.all_range;
+        self.parent_slots = vec![NO_SLOT; all.offset as usize];
+        // `next[t]`: how many of tag `t`'s elements the pass has met.
+        let mut next = vec![0u32; self.ranges.len()];
+        // `open[l]`: the tag-stream position of the open element at level
+        // `l`; level 0 is the document, which no stream holds.
+        let mut open = vec![NO_SLOT];
+        for (&node, &level) in all.of(&self.nodes).iter().zip(all.of(&self.levels)) {
+            let level = usize::from(level);
+            if level == 0 || level > open.len() {
+                return Err(corrupt("column element without a parent level"));
+            }
+            open.truncate(level);
+            let tag = tag_of(node).map(Symbol::index);
+            let (Some(range), Some(pos)) = (
+                tag.and_then(|t| self.ranges.get(t)),
+                tag.and_then(|t| next.get_mut(t)),
+            ) else {
+                return Err(corrupt("column element without a tag stream"));
+            };
+            let slot = (range.offset + *pos) as usize;
+            if *pos >= range.len || self.nodes[slot] != node {
+                return Err(corrupt("tag stream disagrees with the all-elements stream"));
+            }
+            self.parent_slots[slot] = open[level - 1];
+            open.push(*pos);
+            *pos += 1;
+        }
+        if next.iter().zip(&self.ranges).any(|(&met, r)| met != r.len) {
+            return Err(corrupt("tag stream disagrees with the all-elements stream"));
+        }
+        Ok(())
     }
 
     /// Sets the stream extents from `lens` — one length per tag, then the
@@ -122,26 +195,30 @@ impl TagColumns {
         self.ids_ascend
     }
 
-    /// The columns of one tag's stream (empty view for unseen symbols).
+    /// The columns of one tag's stream, parent slots included (empty view
+    /// for unseen symbols).
     pub fn view(&self, tag: Symbol) -> ColumnView<'_> {
         match self.ranges.get(tag.index()) {
-            Some(&range) => self.slice(range),
+            Some(&range) => ColumnView {
+                parent_slots: range.of(&self.parent_slots),
+                ..self.slice(range)
+            },
             None => ColumnView::empty(),
         }
     }
 
-    /// The columns of the all-elements pseudo-stream.
+    /// The columns of the all-elements pseudo-stream (no parent slots).
     pub fn all_elements(&self) -> ColumnView<'_> {
         self.slice(self.all_range)
     }
 
     fn slice(&self, r: StreamRange) -> ColumnView<'_> {
-        let (a, b) = (r.offset as usize, (r.offset + r.len) as usize);
         ColumnView {
-            starts: &self.starts[a..b],
-            ends: &self.ends[a..b],
-            levels: &self.levels[a..b],
-            nodes: &self.nodes[a..b],
+            starts: r.of(&self.starts),
+            ends: r.of(&self.ends),
+            levels: r.of(&self.levels),
+            nodes: r.of(&self.nodes),
+            parent_slots: &[],
         }
     }
 
@@ -151,6 +228,7 @@ impl TagColumns {
             + self.ends.capacity() * 4
             + self.levels.capacity() * 2
             + self.nodes.capacity() * std::mem::size_of::<NodeId>()
+            + self.parent_slots.capacity() * 4
             + self.ranges.capacity() * std::mem::size_of::<StreamRange>()
     }
 
@@ -177,12 +255,16 @@ impl TagColumns {
     /// read straight into the struct-of-arrays layout. Validates every
     /// invariant the join loops rely on: node
     /// ids within the document, stream lengths that tile the arenas
-    /// exactly, per-element `start < end`, and strictly increasing
-    /// `starts` within each stream (document order).
+    /// exactly, per-element `start < end`, strictly increasing `starts`
+    /// within each stream (document order), and tag streams that hold
+    /// exactly the elements `tag_of` gives their tag — which the parent
+    /// slots, derived here, rely on. `tag_of` is called only with ids
+    /// below `node_count`.
     pub(crate) fn decode(
         data: &[u8],
         pos: &mut usize,
         node_count: usize,
+        tag_of: impl Fn(NodeId) -> Option<Symbol>,
     ) -> Result<TagColumns, StorageError> {
         let n = rd_len(data, pos, "columns length")?;
         if n > u32::MAX as usize {
@@ -233,6 +315,7 @@ impl TagColumns {
             ..TagColumns::default()
         };
         cols.lay_out(&lens);
+        cols.derive_parent_slots(tag_of)?;
         cols.derive_id_order();
         Ok(cols)
     }
@@ -246,29 +329,73 @@ pub struct OwnedColumns {
     ends: Vec<u32>,
     levels: Vec<u16>,
     nodes: Vec<NodeId>,
+    /// The kept elements' parent slots, when the base stream has them.
+    parent_slots: Vec<u32>,
+    /// Per base-stream position: its position here, or [`NO_SLOT`] when
+    /// the filter dropped it. Empty unless the base is a tag stream.
+    kept: Vec<u32>,
 }
 
 impl OwnedColumns {
-    /// The columns of `elements`, which must come in document order. An
-    /// iterator that knows its length costs one allocation per column.
+    /// The columns of `elements`, which must come in document order, with
+    /// no parent slots. An iterator that knows its length costs one
+    /// allocation per column.
     pub fn from_elements(elements: impl IntoIterator<Item = (NodeId, RegionLabel)>) -> Self {
         let elements = elements.into_iter();
-        let n = elements.size_hint().0;
-        let mut cols = OwnedColumns {
+        let mut cols = OwnedColumns::with_capacity(elements.size_hint().0);
+        elements.for_each(|element| cols.push(element));
+        cols
+    }
+
+    fn with_capacity(n: usize) -> Self {
+        OwnedColumns {
             starts: Vec::with_capacity(n),
             ends: Vec::with_capacity(n),
             levels: Vec::with_capacity(n),
             nodes: Vec::with_capacity(n),
-        };
-        for (node, region) in elements {
-            debug_assert!(
-                cols.starts.last().is_none_or(|&s| s < region.start),
-                "columns must be built in document order"
-            );
-            cols.starts.push(region.start);
-            cols.ends.push(region.end);
-            cols.levels.push(region.level);
-            cols.nodes.push(node);
+            ..OwnedColumns::default()
+        }
+    }
+
+    fn push(&mut self, (node, region): (NodeId, RegionLabel)) {
+        debug_assert!(
+            self.starts.last().is_none_or(|&s| s < region.start),
+            "columns must be built in document order"
+        );
+        self.starts.push(region.start);
+        self.ends.push(region.end);
+        self.levels.push(region.level);
+        self.nodes.push(node);
+    }
+
+    /// The elements of `base` at the positions `keep` accepts (asked once
+    /// each, in order). From a tag stream the result carries the kept
+    /// elements' parent slots and the map from base positions to kept
+    /// ones, so a child edge gathers into or out of it as it would with
+    /// the base. The map comes first and is sized once, so that every
+    /// column is then allocated once, at its final size.
+    pub fn filter(base: ColumnView<'_>, mut keep: impl FnMut(usize) -> bool) -> Self {
+        let mut kept = vec![NO_SLOT; base.len()];
+        let mut len = 0;
+        for (i, k) in kept.iter_mut().enumerate() {
+            if keep(i) {
+                *k = len;
+                len += 1;
+            }
+        }
+        let mut cols = OwnedColumns::with_capacity(len as usize);
+        let from_tag = !base.parent_slots.is_empty();
+        if from_tag {
+            cols.parent_slots.reserve_exact(len as usize);
+        }
+        for (i, _) in kept.iter().enumerate().filter(|(_, &k)| k != NO_SLOT) {
+            cols.push(base.element(i));
+            if from_tag {
+                cols.parent_slots.push(base.parent_slots[i]);
+            }
+        }
+        if from_tag {
+            cols.kept = kept;
         }
         cols
     }
@@ -280,18 +407,26 @@ impl OwnedColumns {
             ends: &self.ends,
             levels: &self.levels,
             nodes: &self.nodes,
+            parent_slots: &self.parent_slots,
         }
+    }
+
+    /// Per position of the tag stream this was filtered from: the position
+    /// here, or [`NO_SLOT`]. Empty when the base was not a tag stream.
+    pub fn kept(&self) -> &[u32] {
+        &self.kept
     }
 }
 
 /// Borrowed column slices of one stream — the unit the join algorithms
-/// scan. Copy-cheap (four fat pointers).
+/// scan. Copy-cheap (five fat pointers).
 #[derive(Clone, Copy, Debug)]
 pub struct ColumnView<'a> {
     starts: &'a [u32],
     ends: &'a [u32],
     levels: &'a [u16],
     nodes: &'a [NodeId],
+    parent_slots: &'a [u32],
 }
 
 impl<'a> ColumnView<'a> {
@@ -302,6 +437,7 @@ impl<'a> ColumnView<'a> {
             ends: &[],
             levels: &[],
             nodes: &[],
+            parent_slots: &[],
         }
     }
 
@@ -333,6 +469,13 @@ impl<'a> ColumnView<'a> {
     /// Node ids column.
     pub fn nodes(&self) -> &'a [NodeId] {
         self.nodes
+    }
+
+    /// Parent slots column: per element, its parent's position in the
+    /// parent's own tag stream ([`NO_SLOT`] for the root element). Empty
+    /// for the all-elements stream and the streams filtered from it.
+    pub fn parent_slots(&self) -> &'a [u32] {
+        self.parent_slots
     }
 
     /// The `i`-th element: its node and region label.
@@ -404,6 +547,24 @@ mod tests {
         }
     }
 
+    /// A filtered tag stream keeps its elements' parent slots and maps
+    /// every base position to its kept one; one filtered from the
+    /// all-elements stream has neither.
+    #[test]
+    fn filtered_streams_carry_parent_slots_and_the_kept_map() {
+        let idx = crate::IndexedDocument::from_str("<r><s><s/><s><s/></s></s><s/></r>").unwrap();
+        let s = idx.document().symbols().get("s").unwrap();
+        let base = idx.columns().view(s);
+        assert_eq!(base.parent_slots(), [0, 0, 0, 2, 0]);
+        let odd = OwnedColumns::filter(base, |i| i % 2 == 1);
+        assert_eq!(odd.view().nodes(), [base.nodes()[1], base.nodes()[3]]);
+        assert_eq!(odd.view().parent_slots(), [0, 2]);
+        assert_eq!(odd.kept(), [NO_SLOT, 0, NO_SLOT, 1, NO_SLOT]);
+        let all = OwnedColumns::filter(idx.columns().all_elements(), |i| i > 0);
+        assert_eq!(all.view().len(), 5);
+        assert!(all.view().parent_slots().is_empty() && all.kept().is_empty());
+    }
+
     /// Columns built from a document equal a per-tag scan of that
     /// document, and equal themselves — arenas, ranges and the derived
     /// id-order flag — after a snapshot round trip.
@@ -433,28 +594,74 @@ mod tests {
         assert_eq!(elements(cols.all_elements()), scan(&|_| true));
         assert!(cols.size_bytes() > 0);
         assert!(cols.ids_ascend(), "a parsed document numbers in preorder");
+        assert_parent_slots_name_parents(&idx);
 
         let identity: Vec<u32> = (0..doc.node_count() as u32).collect();
         let mut bytes = Vec::new();
         cols.encode(&identity, &mut bytes);
         let mut pos = 0;
-        let back = TagColumns::decode(&bytes, &mut pos, doc.node_count()).unwrap();
+        let back = TagColumns::decode(&bytes, &mut pos, doc.node_count(), |n| doc.tag(n)).unwrap();
         assert_eq!(pos, bytes.len());
         assert_eq!(&back, cols);
     }
 
+    /// Every tag-stream element's parent slot names its parent's position
+    /// in the parent's tag stream, looked up the slow way; the
+    /// all-elements stream has no slots.
+    fn assert_parent_slots_name_parents(idx: &crate::IndexedDocument) {
+        let (doc, cols) = (idx.document(), idx.columns());
+        let position = |node: NodeId| {
+            let stream = cols.view(doc.tag(node)?).nodes();
+            Some(
+                stream
+                    .iter()
+                    .position(|&n| n == node)
+                    .expect("in its stream") as u32,
+            )
+        };
+        for (sym, name) in doc.symbols().iter() {
+            let view = cols.view(sym);
+            assert_eq!(view.parent_slots().len(), view.len(), "<{name}>");
+            for (&node, &slot) in view.nodes().iter().zip(view.parent_slots()) {
+                let parent = doc.parent(node).expect("elements have parents");
+                assert_eq!(slot, position(parent).unwrap_or(NO_SLOT), "<{name}>");
+            }
+        }
+        assert!(cols.all_elements().parent_slots().is_empty());
+    }
+
     /// A tree assembled out of document order (a child appended to an
     /// element that already has a following sibling) has streams whose
-    /// ids do not ascend, and the flag says so.
+    /// ids do not ascend, and the flag says so; the parent slots still
+    /// follow document order.
     #[test]
     fn id_order_flag_sees_out_of_order_construction() {
         let mut doc = Document::new();
         let root = doc.append_element(NodeId::DOCUMENT, "r");
         let first = doc.append_element(root, "a");
-        doc.append_element(root, "a");
+        let second = doc.append_element(root, "a");
         doc.append_element(first, "b");
+        doc.append_element(second, "a");
         let idx = crate::IndexedDocument::build(doc);
         assert!(!idx.columns().ids_ascend());
+        assert_parent_slots_name_parents(&idx);
+        // Document order: r, a(first) [b], a(second) [a]. The nested `a`
+        // is a child of the `a` stream's second element.
+        let a = idx.document().symbols().get("a").unwrap();
+        assert_eq!(idx.columns().view(a).parent_slots(), [0, 0, 1]);
+    }
+
+    /// Columns decoded against tags that disagree with their streams are
+    /// corrupt: the parent slots would name wrong elements.
+    #[test]
+    fn decode_rejects_streams_that_disagree_with_their_tags() {
+        let idx = crate::IndexedDocument::from_str("<a><b/><b/></a>").unwrap();
+        let identity: Vec<u32> = (0..idx.document().node_count() as u32).collect();
+        let mut bytes = Vec::new();
+        idx.columns().encode(&identity, &mut bytes);
+        let other = Document::parse_str("<a><c/><b/></a>").unwrap();
+        let got = TagColumns::decode(&bytes, &mut 0, other.node_count(), |n| other.tag(n));
+        assert!(matches!(got, Err(StorageError::Corrupt(_))));
     }
 
     /// A payload whose stream lengths do not tile the arenas exactly is
@@ -470,7 +677,8 @@ mod tests {
         for last in [2u8, 4] {
             let mut bad = good.clone();
             *bad.last_mut().unwrap() = last;
-            let got = TagColumns::decode(&bad, &mut 0, idx.document().node_count());
+            let doc = idx.document();
+            let got = TagColumns::decode(&bad, &mut 0, doc.node_count(), |n| doc.tag(n));
             assert!(matches!(got, Err(StorageError::Corrupt(_))), "{last}");
         }
     }

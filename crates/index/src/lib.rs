@@ -5,7 +5,8 @@
 //! * [`columns::TagColumns`] — per-tag, document-ordered element streams
 //!   (the inputs of the structural join) as struct-of-arrays columns:
 //!   contiguous start/end/level/node arrays, which the join scans
-//!   branch-light and skips through with galloping binary search;
+//!   branch-light and skips through with galloping binary search, plus
+//!   a derived parent-slot column a child edge gathers through;
 //! * [`value_index::ValueIndex`] — tokenized term postings with term
 //!   frequencies, an exact-value index, and a numeric index for range
 //!   predicates;

@@ -6,9 +6,9 @@
 //! ever written down. The join is a semi-join reduction that carries
 //! counts, in three steps:
 //!
-//! * **Reduce** ([`reduce`]): bottom-up over the pattern, one merge per
-//!   edge. Per parent position it records the range of child-stream
-//!   positions inside the parent's region and the number of sub-twig
+//! * **Reduce** ([`reduce`]): bottom-up over the pattern, one pass per
+//!   edge. Per parent position it records a range of child-stream
+//!   positions holding every related child and the number of sub-twig
 //!   matches under it — the sum of its related children's own counts —
 //!   and multiplies that into the parent's count. One integer per stream
 //!   element, whatever the nesting.
@@ -20,9 +20,15 @@
 //!   preorder is its id order and the document's node ids ascend, which
 //!   is what lets a ranker stop as soon as its k-th score is unbeatable.
 //!
-//! The merge walks both streams once. Children no open parent contains
-//! are skipped in one galloping seek; parents are walked linearly and the
-//! open ones — a nested chain — sit on a stack.
+//! A child (`/`) edge between two tag streams is a *gather*: a child's
+//! parent is a function of the element, which the index stores as a
+//! parent slot, so one sequential pass over the children adds each
+//! one's weight to its parent's sum, and one pass over the parents
+//! multiplies the sums in. Every other edge — descendant (`//`), or one
+//! with a `*` end, whose all-elements stream has no parent slots — is a
+//! stack merge that walks both streams once. Children no open parent
+//! contains are skipped in one galloping seek; parents are walked
+//! linearly and the open ones — a nested chain — sit on a stack.
 
 use crate::matcher::{node_columns, MatchSet, NodeColumns};
 use crate::pattern::{Axis, QNodeId, TwigPattern};
@@ -54,17 +60,20 @@ pub struct ReducedTwig<'a> {
     /// rooted at that element, saturating. Zero also marks an element
     /// that relates to no element of the parent's stream.
     weights: Vec<Vec<u64>>,
-    /// Per non-root node and *parent* stream position: the node's stream
-    /// positions that start inside the parent's region.
+    /// Per non-root node and *parent* stream position: node stream
+    /// positions holding every element related to the parent — on a
+    /// merged edge those starting inside its region, on a gathered one
+    /// its first related child to its last.
     ranges: Vec<Vec<Range<u32>>>,
     rows_ascend: bool,
 }
 
-/// Reduces `pattern` against `idx` under a budget: one merge per edge,
-/// children before parents. The merges charge one node visit per stream
-/// element consumed or skipped. On a trip the merge under way keeps the
-/// partial — and still true — sums it has, and an edge that never ran
-/// empties the result: what remains enumerable is a subset of the answer.
+/// Reduces `pattern` against `idx` under a budget: one gather or merge
+/// per edge, children before parents. Each charges one node visit per
+/// stream element consumed or skipped. On a trip the edge under way
+/// keeps the partial — and still true — sums it has, and an edge that
+/// never ran empties the result: what remains enumerable is a subset of
+/// the answer.
 pub fn reduce<'a>(
     idx: &'a IndexedDocument,
     pattern: &TwigPattern,
@@ -119,8 +128,8 @@ pub fn reduce<'a>(
             break;
         }
         let (above, below) = twig.weights.split_at_mut(q.index());
-        twig.ranges[q.index()] = merge_edge(
-            twig.columns[parent.index()].view(),
+        twig.ranges[q.index()] = reduce_edge(
+            &twig.columns[parent.index()],
             twig.columns[q.index()].view(),
             node.axis,
             &mut above[parent.index()],
@@ -129,6 +138,114 @@ pub fn reduce<'a>(
         );
     }
     twig
+}
+
+/// One edge's reduce pass: a [`gather_edge`] for a child edge between two
+/// tag streams (filtered or not: those are the streams with parent
+/// slots), a [`merge_edge`] for any other.
+fn reduce_edge(
+    parents: &NodeColumns<'_>,
+    children: ColumnView<'_>,
+    axis: Axis,
+    parent_weights: &mut [u64],
+    child_weights: &mut [u64],
+    ticker: &mut Ticker,
+) -> Vec<Range<u32>> {
+    let gather = axis == Axis::Child
+        && !children.parent_slots().is_empty()
+        && !parents.view().parent_slots().is_empty();
+    match parents {
+        NodeColumns::Borrowed(view) if gather => gather_edge(
+            *view,
+            children,
+            |slot| slot as usize,
+            parent_weights,
+            child_weights,
+            ticker,
+        ),
+        NodeColumns::Owned(cols) if gather => {
+            let kept = cols.kept();
+            gather_edge(
+                cols.view(),
+                children,
+                |slot| kept.get(slot as usize).map_or(usize::MAX, |&k| k as usize),
+                parent_weights,
+                child_weights,
+                ticker,
+            )
+        }
+        _ => merge_edge(
+            parents.view(),
+            children,
+            axis,
+            parent_weights,
+            child_weights,
+            ticker,
+        ),
+    }
+}
+
+/// Children a gather pass handles between two budget ticks.
+const GATHER_STRIDE: usize = 16;
+
+/// One child edge's reduce pass, by gather: `position` maps a child's
+/// parent slot to a parent-stream position (one past the stream, or
+/// further, when the parent is not in it). A child is related iff the
+/// parent there sits one level up and contains it — which also rejects
+/// the slot of a parent with another tag. Its weight goes to that
+/// parent's sum and widens the parent's range to it; any other child's
+/// weight becomes zero. A second pass multiplies the sums into the
+/// parents' weights.
+///
+/// Charges one node visit per child, in strides, and one per parent.
+/// After a budget trip the children not reached get weight zero and the
+/// parent pass still runs: the sums it multiplies in are true ones, over
+/// the children seen. Sums saturate.
+fn gather_edge(
+    parents: ColumnView<'_>,
+    children: ColumnView<'_>,
+    position: impl Fn(u32) -> usize,
+    parent_weights: &mut [u64],
+    child_weights: &mut [u64],
+    ticker: &mut Ticker,
+) -> Vec<Range<u32>> {
+    let (p_starts, p_ends, p_levels) = (parents.starts(), parents.ends(), parents.levels());
+    let (c_starts, c_levels) = (children.starts(), children.levels());
+    let c_slots = children.parent_slots();
+    let mut ranges = vec![0..0; parents.len()];
+    let mut sums = vec![0u64; parents.len()];
+    let mut ci = 0;
+    while ci < c_starts.len() {
+        let to = (ci + GATHER_STRIDE).min(c_starts.len());
+        if ticker.tick((to - ci) as u64) {
+            break;
+        }
+        for c in ci..to {
+            let (weight, pi, start) = (child_weights[c], position(c_slots[c]), c_starts[c]);
+            let related = pi < p_starts.len()
+                && u32::from(p_levels[pi]) + 1 == u32::from(c_levels[c])
+                && p_starts[pi] < start
+                && start < p_ends[pi];
+            if weight == 0 || !related {
+                child_weights[c] = 0;
+                continue;
+            }
+            sums[pi] = sums[pi].saturating_add(weight);
+            let range = &mut ranges[pi];
+            if range.end == 0 {
+                // The parent's first related child.
+                range.start = c as u32;
+            }
+            range.end = c as u32 + 1;
+        }
+        ci = to;
+    }
+    child_weights[ci..].fill(0);
+    ticker.tick(parents.len() as u64);
+    for (weight, sum) in parent_weights.iter_mut().zip(sums) {
+        *weight = weight.saturating_mul(sum);
+    }
+    ranges
 }
 
 /// A parent whose region the merge is inside of.
@@ -258,9 +375,11 @@ fn merge_edge(
     }
     // Out of children, or of budget: no later child starts inside what is
     // still open (a budget trip leaves sums over the children seen — true
-    // ones, just not all), and a parent never opened has none.
+    // ones, just not all, and the children not seen relate to nothing),
+    // and a parent never opened has none.
     up.close_ended(u32::MAX, ci);
     up.weights[pi..].fill(0);
+    child_weights[ci..].fill(0);
     up.ranges
 }
 
@@ -314,7 +433,9 @@ impl ReducedTwig<'_> {
     /// the parent). A bound parent has non-zero weight, so every range
     /// the walk opens holds such an element and every partial assignment
     /// completes — the work is the root stream, the rows, and on child
-    /// edges the deeper descendants the level test passes over.
+    /// edges the deeper descendants the level test passes over (on a
+    /// gathered edge only those between the parent's first child and its
+    /// last).
     ///
     /// Charges one node visit per cursor step and one candidate per row.
     pub fn for_each_row(
@@ -538,6 +659,146 @@ mod tests {
         }
     }
 
+    fn view<'a>(idx: &'a IndexedDocument, tag: &str) -> ColumnView<'a> {
+        idx.columns()
+            .view(idx.document().symbols().get(tag).unwrap())
+    }
+
+    fn elements(view: ColumnView<'_>) -> Vec<Element> {
+        (0..view.len()).map(|i| view.element(i)).collect()
+    }
+
+    /// One edge through [`reduce_edge`] — the gather on a child edge
+    /// between tag streams — under `guard`; child `j` enters with weight
+    /// `j + 1`.
+    fn reduce_one(
+        parents: &NodeColumns<'_>,
+        children: ColumnView<'_>,
+        axis: Axis,
+        guard: &QueryGuard,
+    ) -> Merged {
+        let mut parent_weights = vec![1; parents.view().len()];
+        let mut child_weights: Vec<u64> = (1..=children.len() as u64).collect();
+        let ranges = reduce_edge(
+            parents,
+            children,
+            axis,
+            &mut parent_weights,
+            &mut child_weights,
+            &mut guard.ticker(),
+        );
+        (ranges, parent_weights, child_weights)
+    }
+
+    /// Parent and child streams over `idx`'s `s`, `t` and `u` streams:
+    /// the self-join `//s/s` over recursive nesting, `t` under parents of
+    /// three tags, and filtered parents and children (every other element
+    /// kept, both ways round).
+    fn edge_cases(idx: &IndexedDocument) -> Vec<(String, NodeColumns<'_>, NodeColumns<'_>)> {
+        let borrowed = |tag| NodeColumns::Borrowed(view(idx, tag));
+        let filtered = |tag, parity| {
+            NodeColumns::Owned(OwnedColumns::filter(view(idx, tag), |i| i % 2 == parity))
+        };
+        let mut cases = Vec::new();
+        for (p, c) in [("s", "s"), ("s", "t"), ("u", "t"), ("r", "s"), ("t", "s")] {
+            cases.push((format!("//{p}/{c}"), borrowed(p), borrowed(c)));
+            for parity in [0, 1] {
+                let odd = ["even", "odd"][parity];
+                cases.push((format!("{odd} {p} / {c}"), filtered(p, parity), borrowed(c)));
+                cases.push((format!("{p} / {odd} {c}"), borrowed(p), filtered(c, parity)));
+                cases.push((
+                    format!("{odd} {p} / {odd} {c}"),
+                    filtered(p, parity),
+                    filtered(c, parity),
+                ));
+            }
+        }
+        cases
+    }
+
+    fn recursive_idx() -> IndexedDocument {
+        IndexedDocument::from_str(
+            "<r><s><s/></s><s/><s><s><s/><t/></s><s/><u><t/><s/></u><t/></s>\
+             <t/><s><t/><t/><s><t/><s><t/></s></s></s></r>",
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn gather_matches_the_definition_and_the_merge() {
+        let idx = recursive_idx();
+        for (case, parents, children) in edge_cases(&idx) {
+            let children = children.view();
+            assert!(!children.parent_slots().is_empty(), "{case}: a tag stream");
+            let (p, c) = (elements(parents.view()), elements(children));
+            let (ranges, parent_weights, child_weights) =
+                reduce_one(&parents, children, Axis::Child, &QueryGuard::unlimited());
+            let expect = merge_by_definition(&p, &c, Axis::Child);
+            assert_eq!(parent_weights, expect.1, "{case}");
+            assert_eq!(child_weights, expect.2, "{case}");
+            let merged = merge(&p, &c, Axis::Child);
+            assert_eq!((&merged.1, &merged.2), (&expect.1, &expect.2), "{case}");
+            // A gathered range runs from the parent's first related child
+            // to its last.
+            for (i, (_, parent)) in p.iter().enumerate() {
+                let related: Vec<u32> = (c.iter().enumerate())
+                    .filter(|(_, (_, child))| parent.is_parent_of(child))
+                    .map(|(j, _)| j as u32)
+                    .collect();
+                let tight = match (related.first(), related.last()) {
+                    (Some(&first), Some(&last)) => first..last + 1,
+                    _ => 0..0,
+                };
+                assert_eq!(ranges[i], tight, "{case} parent {i}");
+            }
+            // The descendant axis of the same streams still merges.
+            let descendants = reduce_one(
+                &parents,
+                children,
+                Axis::Descendant,
+                &QueryGuard::unlimited(),
+            );
+            let expect = merge_by_definition(&p, &c, Axis::Descendant);
+            assert_eq!(
+                (descendants.1, descendants.2),
+                (expect.1, expect.2),
+                "{case}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_budget_trip_leaves_true_partial_sums_and_unreached_children_dead() {
+        let mut xml = String::from("<r>");
+        for _ in 0..20 {
+            xml.push_str("<s><t/><s><t/></s></s>");
+        }
+        xml.push_str("<u><t/></u></r>");
+        let idx = IndexedDocument::from_str(&xml).unwrap();
+        let mut partial = 0;
+        for (case, parents, children) in edge_cases(&idx) {
+            for axis in [Axis::Child, Axis::Descendant] {
+                let children = children.view();
+                let full = reduce_one(&parents, children, axis, &QueryGuard::unlimited());
+                for quota in 0..48 {
+                    let budget = lotusx_guard::Budget::unlimited().with_node_quota(quota);
+                    let (_, sums, weights) =
+                        reduce_one(&parents, children, axis, &QueryGuard::new(&budget));
+                    let at = format!("{case} {axis:?} quota {quota}");
+                    assert!(sums.iter().zip(&full.1).all(|(s, f)| s <= f), "{at}");
+                    let reached = weights.iter().zip(&full.2).take_while(|(w, f)| w == f);
+                    let reached = reached.count();
+                    assert!(weights[reached..].iter().all(|&w| w == 0), "{at}");
+                    partial += usize::from(sums.iter().any(|&s| s != 0) && sums != full.1);
+                }
+            }
+        }
+        assert!(
+            partial > 0,
+            "some trip lands between the first child and the last"
+        );
+    }
+
     #[test]
     fn sums_saturate_instead_of_wrapping() {
         let parents = vec![element(1, 1, 10, 1)];
@@ -557,6 +818,19 @@ mod tests {
             );
             assert_eq!(parent_weights, [u64::MAX], "{axis:?}");
         }
+        // The gather, too.
+        let idx = IndexedDocument::from_str("<r><s><t/><t/></s></r>").unwrap();
+        let mut parent_weights = vec![3];
+        let mut child_weights = vec![u64::MAX, u64::MAX];
+        reduce_edge(
+            &NodeColumns::Borrowed(view(&idx, "s")),
+            view(&idx, "t"),
+            Axis::Child,
+            &mut parent_weights,
+            &mut child_weights,
+            &mut QueryGuard::unlimited().ticker(),
+        );
+        assert_eq!(parent_weights, [u64::MAX]);
     }
 
     #[test]

@@ -55,17 +55,22 @@ pub struct Choice {
     /// Estimated cost of the navigational baseline (child-fanout and
     /// subtree-weight scans).
     pub nav_cost: u64,
-    /// Estimated cost of the binary structural join (one counting merge
-    /// per edge + the walk that enumerates every row).
+    /// Estimated cost of the binary structural join (one counting gather
+    /// or merge per edge + the walk that enumerates every row).
     pub binary_cost: u64,
 }
 
 /// Per element visited by a navigational child or subtree scan.
 const SCAN_COST: u64 = 14;
-/// Per element of both streams consumed by one edge's reduce merge. A
-/// related pair costs nothing of its own: the merge counts, it does not
-/// write pairs down.
+/// Per element of both streams consumed by one edge's reduce merge — a
+/// descendant edge, or an edge with a `*` end. A related pair costs
+/// nothing of its own: the merge counts, it does not write pairs down.
 const MERGE_COST: u64 = 7;
+/// Per child-stream element of a child edge between two tag streams,
+/// which reduces by gather: one parent lookup per child, and then one
+/// pass over the parents at about one unit each (`choice_debug`'s
+/// `fit_child_edge_cost`: 2.8 ns per child + 0.9 ns per parent).
+const GATHER_COST: u64 = 3;
 /// Per root-stream element the binary join's enumerating walk steps over.
 const WALK_COST: u64 = 7;
 /// Per match row the walk binds and writes.
@@ -102,8 +107,10 @@ const JOIN_SETUP_COST: u64 = 800;
 ///   [`subtree_weight`](lotusx_index::JoinStats::subtree_weight)
 ///   aggregates (recursion multiplies the latter, which is exactly when
 ///   navigation loses); value predicates are tested lazily on survivors;
-/// * **binary join** — one counting merge over both streams per edge
-///   (pairs are never written, so recursion multiplies nothing here), a
+/// * **binary join** — one counting pass per edge: a gather over the
+///   children and a pass over the parents on a child edge between tags,
+///   a merge over both streams otherwise (pairs are never written, so
+///   recursion multiplies nothing here), a
 ///   walk over the root stream and one row write per match — full
 ///   materialization, which is what [`execute`] does; a caller that asks
 ///   only for the count and the top `k` pays less, never more;
@@ -211,9 +218,16 @@ pub fn choose_algorithm(idx: &IndexedDocument, pattern: &TwigPattern) -> Choice 
             (surviving as f64 * frac_p / s_q as f64).min(1.0)
         };
 
-        // Binary join: one merge over both streams, whatever relates.
-        binary_cost =
-            binary_cost.saturating_add(MERGE_COST.saturating_mul(s_p.saturating_add(s_q)));
+        // Binary join: a gather step per child and a pass over the
+        // parents on a child edge between tags, else one merge over both
+        // streams, whatever relates.
+        let is_tag = |n| pattern.node(n).test.tag_name().is_some();
+        let edge_cost = if node.axis == Axis::Child && is_tag(parent) && is_tag(q) {
+            GATHER_COST.saturating_mul(s_q).saturating_add(s_p)
+        } else {
+            MERGE_COST.saturating_mul(s_p.saturating_add(s_q))
+        };
+        binary_cost = binary_cost.saturating_add(edge_cost);
     }
     let est_matches = if edge_count == 0 {
         // Edgeless (single-node) pattern: both plans just copy the

@@ -135,7 +135,7 @@ pub fn predicate_matches(idx: &IndexedDocument, node: NodeId, pred: &ValuePredic
             .unwrap_or(false),
         ValuePredicate::AttrEquals { name, value } => doc
             .attribute(node, name)
-            .map(|v| v.trim().eq_ignore_ascii_case(value.trim()))
+            .map(|v| lotusx_index::fold_value(v) == lotusx_index::fold_value(value))
             .unwrap_or(false),
         ValuePredicate::AttrContains { name, value } => doc
             .attribute(node, name)
@@ -212,12 +212,7 @@ pub fn node_columns<'a>(
 /// any join work happens.
 fn filtered_stream(idx: &IndexedDocument, node: &QNode, base: ColumnView<'_>) -> OwnedColumns {
     let nodes = base.nodes();
-    // Kept positions first (the one buffer that grows), so that every
-    // column is then allocated once, at its final size.
-    let keep = |accept: &dyn Fn(usize) -> bool| {
-        let kept: Vec<usize> = (0..base.len()).filter(|&i| accept(i)).collect();
-        OwnedColumns::from_elements(kept.iter().map(|&i| base.element(i)))
-    };
+    let keep = |accept: &dyn Fn(usize) -> bool| OwnedColumns::filter(base, accept);
     // A child-axis query root can only bind the document's root element.
     if node.parent.is_none() && node.axis == Axis::Child {
         return keep(&|i| {

@@ -262,11 +262,20 @@ fn nan_texts_do_not_break_numeric_ranges() {
 }
 
 /// `=` folded case with `to_lowercase()` in the index and ASCII-only in
-/// the direct test: one fold now, Unicode lowercase.
+/// the direct test, and `@attr =` ASCII-only everywhere: one fold now,
+/// Unicode lowercase, for text and attributes, `=` and `~` alike.
 #[test]
 fn equality_folds_case_the_same_way_everywhere() {
     let idx = IndexedDocument::from_str("<r><i><a>Éclair</a></i><i><a>éclair</a></i></r>").unwrap();
     assert_eq!(agreed_count(&idx, r#"//i[a = "éclair"]"#), 2);
     assert_eq!(agreed_count(&idx, r#"//i[a = "ÉCLAIR"]"#), 2);
     assert_eq!(agreed_count(&idx, r#"//i[a = "eclair"]"#), 0);
+    let idx =
+        IndexedDocument::from_str(r#"<r><i a="éclair">éclair</i><i a="Éclair">Éclair</i></r>"#)
+            .unwrap();
+    assert_eq!(agreed_count(&idx, r#"//i[. = "ÉCLAIR"]"#), 2);
+    assert_eq!(agreed_count(&idx, r#"//i[@a ~ "ÉCLAIR"]"#), 2);
+    assert_eq!(agreed_count(&idx, r#"//i[@a = "ÉCLAIR"]"#), 2);
+    assert_eq!(agreed_count(&idx, r#"//i[@a = " éclair "]"#), 2);
+    assert_eq!(agreed_count(&idx, r#"//i[@a = "eclair"]"#), 0);
 }
