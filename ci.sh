@@ -193,7 +193,9 @@ stage_test() {
 # ends on the canvas (root, focus, type, accept, run, run): both runs
 # must print a matches line like the three queries before them, and the
 # second must be the cache hit that only a `run` going through `query()`
-# produces (hits: the repeated query + the repeated run).
+# produces (hits: the repeated query, the same query pinned to
+# structural-join — what `auto` resolves to, so one cache entry — and the
+# repeated run).
 stage_smoke() {
     local out
     out=$(printf 'profile on\nexplain //book[author]/title\nquery //book/title\nquery //book/title\nalgo structural-join\nquery //book/title\nroot\nfocus 0\ntype b\naccept\nrun\nrun\nstats\nstats json\nquit\n' \
@@ -203,7 +205,7 @@ stage_smoke() {
     echo "$out" | grep -q 'cache_hit' &&
     echo "$out" | grep -q 'accepted book' &&
     [ "$(echo "$out" | grep -c ' matches$')" -eq 5 ] &&
-    echo "$out" | grep -q 'query cache: 2 hits, 4 misses'
+    echo "$out" | grep -q 'query cache: 3 hits, 3 misses'
 }
 
 # Robustness smoke: a deliberately explosive all-wildcard query with a
@@ -415,18 +417,18 @@ stage_tenant_soak() {
 }
 
 # Join-engine smoke: the head-to-head benchmark in --quick mode (scale 1,
-# few reps, artifact under target/). Exits nonzero if any algorithm
-# disagrees with the reference results (exit 2) or the adaptive chooser
-# lands outside its 1.25x-of-best gate (exit 1) — a regression gate for
-# both the join paths and the cost model. Fully offline.
+# few reps, artifact under target/). Exits nonzero if the join disagrees
+# with the naive oracle (exit 2) or naive beats the join by more than the
+# 1.25x + 0.05 ms gate on any query (exit 1) — a regression gate for the
+# one plan every query runs. Fully offline.
 stage_join_bench_smoke() {
     cargo run --release -p lotusx-bench --bin join-bench -- --quick
 }
 
-# Snapshot smoke: build @dblp:2 from XML, save a v3 .ltsx snapshot,
+# Snapshot smoke: build @dblp:2 from XML, save a v4 .ltsx snapshot,
 # reload it cold, and byte-compare query responses across every join
-# algorithm plus auto, chooser decisions and completion sweeps (exit 2
-# on any mismatch), then gate the cold-boot speedup (exit 1). Artifact
+# algorithm plus auto and completion sweeps (exit 2 on any mismatch),
+# then gate the cold-boot speedup (exit 1). Artifact
 # under target/BENCH_snapshot_quick.json. Fully offline.
 stage_snapshot_smoke() {
     cargo run --release -p lotusx-bench --bin snapshot-bench -- --quick

@@ -1,14 +1,13 @@
-//! Head-to-head join benchmark: every twig algorithm plus the `auto`
-//! chooser across all dataset shapes and scales.
+//! Head-to-head join benchmark: the structural join (the plan every
+//! query runs) against the navigational oracle, across all dataset
+//! shapes and scales.
 //!
 //! For every (dataset, scale, query) cell it measures the minimum wall
-//! time of each contender materializing every match (`execute` — what
-//! the chooser prices), verifies all contenders return bit-identical
-//! match sets, finds the per-query best concrete algorithm, and checks
-//! the adaptive chooser (`Algorithm::Auto`) lands within `--gate` (default
-//! 1.25×) of that best. Gate violations increment the process-local
-//! `chooser_mispicks` counter and fail the run with a nonzero exit, so
-//! CI can use this binary as a regression gate. One more column,
+//! time of each contender materializing every match (`execute`), verifies
+//! both return bit-identical match sets, and checks the join lands within
+//! `--gate` (default 1.25×) plus `--slack-ms` of naive. A cell where naive
+//! beats the join by more fails the run with a nonzero exit, so CI can use
+//! this binary as a regression gate for the one plan. One more column,
 //! `count_top10`, times what a query actually asks of the join: the
 //! count and the ten best rows through the ranker, no row built that the
 //! ranker does not look at.
@@ -32,7 +31,7 @@ use lotusx_guard::QueryGuard;
 use lotusx_index::IndexedDocument;
 use lotusx_rank::Ranker;
 use lotusx_twig::xpath::parse_query;
-use lotusx_twig::{choose_algorithm, execute, execute_budgeted, Algorithm};
+use lotusx_twig::{execute, execute_budgeted, Algorithm};
 use std::time::Duration;
 
 struct Config {
@@ -111,16 +110,13 @@ struct QueryRow {
     id: &'static str,
     text: &'static str,
     matches: usize,
-    /// (contender name, median ms) in contender order.
+    /// (contender name, min ms) in [`Algorithm::ALL`] order.
     times: Vec<(&'static str, f64)>,
-    best: &'static str,
-    best_ms: f64,
-    auto_ms: f64,
-    auto_pick: &'static str,
-    auto_factor: f64,
+    /// Join time over naive time.
+    join_factor: f64,
     gate_pass: bool,
     equivalent: bool,
-    /// Count + top-10 through the ranker, via the chooser.
+    /// Count + top-10 through the ranker, as a query runs them.
     count_top10_ms: f64,
 }
 
@@ -158,13 +154,11 @@ fn main() {
                 // instead of biasing whichever one happened to run during
                 // the noise, and the minimum discards the interference that
                 // remains. Equivalence is checked on the first round.
-                let mut mins = vec![f64::INFINITY; Algorithm::ALL.len() + 1];
+                let mut mins = [f64::INFINITY; Algorithm::ALL.len()];
                 let mut count_top10_ms = f64::INFINITY;
                 let guard = QueryGuard::unlimited();
                 for rep in 0..cfg.reps {
-                    // Auto runs end to end, chooser resolution included.
-                    let contenders = Algorithm::ALL.into_iter().chain([Algorithm::Auto]);
-                    for (slot, algo) in contenders.enumerate() {
+                    for (slot, algo) in Algorithm::ALL.into_iter().enumerate() {
                         let (t, m) = time_once(|| execute(&idx, &pattern, algo));
                         mins[slot] = mins[slot].min(ms(t));
                         if rep == 0 && m != reference {
@@ -187,33 +181,25 @@ fn main() {
                 }
                 let times: Vec<(&'static str, f64)> = Algorithm::ALL
                     .iter()
-                    .enumerate()
-                    .map(|(slot, algo)| (algo.name(), mins[slot]))
+                    .zip(&mins)
+                    .map(|(algo, &t)| (algo.name(), t))
                     .collect();
-                let auto_ms = mins[Algorithm::ALL.len()];
-
-                // What the chooser picked, and the per-query best among the
-                // concrete algorithms.
-                let pick = choose_algorithm(&idx, &pattern).algorithm.name();
-                let (best, best_ms) = times
-                    .iter()
-                    .min_by(|a, b| a.1.total_cmp(&b.1))
-                    .copied()
-                    .expect("every algorithm ran");
-                let auto_factor = auto_ms / best_ms.max(1e-9);
-                let gate_pass = auto_ms <= cfg.gate * best_ms + cfg.slack_ms;
+                // `Algorithm::ALL` order.
+                let [naive_ms, join_ms] = mins;
+                let join_factor = join_ms / naive_ms.max(1e-9);
+                let gate_pass = join_ms <= cfg.gate * naive_ms + cfg.slack_ms;
+                let show = |t: f64| fmt_duration(Duration::from_secs_f64(t / 1e3));
 
                 eprintln!(
-                    "  {:3} {:-44} {:7} m  best {:-16} {:>9}  auto->{:-16} {:.2}x{}  top-10 {:>9}",
+                    "  {:3} {:-44} {:7} m  naive {:>9}  join {:>9} {:.2}x{}  top-10 {:>9}",
                     q.id,
                     q.text,
                     reference.len(),
-                    best,
-                    fmt_duration(Duration::from_secs_f64(best_ms / 1e3)),
-                    pick,
-                    auto_factor,
+                    show(naive_ms),
+                    show(join_ms),
+                    join_factor,
                     if gate_pass { "" } else { " GATE-FAIL" },
-                    fmt_duration(Duration::from_secs_f64(count_top10_ms / 1e3)),
+                    show(count_top10_ms),
                 );
 
                 rows.push(QueryRow {
@@ -221,11 +207,7 @@ fn main() {
                     text: q.text,
                     matches: reference.len(),
                     times,
-                    best,
-                    best_ms,
-                    auto_ms,
-                    auto_pick: pick,
-                    auto_factor,
+                    join_factor,
                     gate_pass,
                     equivalent,
                     count_top10_ms,
@@ -238,28 +220,20 @@ fn main() {
 
     // ---- Summary --------------------------------------------------------
     let total = all_rows.len();
-    let mispicks = all_rows.iter().filter(|r| !r.gate_pass).count();
+    let gate_failures = all_rows.iter().filter(|r| !r.gate_pass).count();
     let nonequivalent = all_rows.iter().filter(|r| !r.equivalent).count();
     let max_factor = all_rows
         .iter()
-        .map(|r| r.auto_factor)
+        .map(|r| r.join_factor)
         .fold(0.0f64, f64::max);
     eprintln!(
-        "\nsummary: {total} queries, {mispicks} chooser mispicks (max auto factor {max_factor:.2}x)"
+        "\nsummary: {total} queries, {gate_failures} over the gate (max join/naive {max_factor:.2}x)"
     );
-    let picks: Vec<String> = Algorithm::ALL
-        .iter()
-        .map(|a| {
-            let n = all_rows.iter().filter(|r| r.auto_pick == a.name()).count();
-            format!("{a}={n}")
-        })
-        .collect();
-    eprintln!("auto picks: {}", picks.join("  "));
 
     // ---- JSON artifact --------------------------------------------------
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"experiment\": \"join head-to-head: naive vs structural-join vs auto\",\n");
+    json.push_str("  \"experiment\": \"join head-to-head: naive vs structural-join\",\n");
     json.push_str(&format!("  \"mode\": {},\n", json_str(mode)));
     json.push_str(&format!("  \"seed\": {SEED},\n"));
     json.push_str(&format!("  \"reps\": {},\n", cfg.reps));
@@ -298,20 +272,14 @@ fn main() {
                     .collect::<Vec<_>>()
                     .join(", "),
             );
-            json.push_str(&format!(", \"auto\": {:.4}}},\n", r.auto_ms));
+            json.push_str("},\n");
             json.push_str(&format!(
                 "          \"count_top10_ms\": {:.4},\n",
                 r.count_top10_ms
             ));
-            json.push_str(&format!("          \"best\": {},\n", json_str(r.best)));
-            json.push_str(&format!("          \"best_ms\": {:.4},\n", r.best_ms));
             json.push_str(&format!(
-                "          \"auto_pick\": {},\n",
-                json_str(r.auto_pick)
-            ));
-            json.push_str(&format!(
-                "          \"auto_factor\": {:.3},\n",
-                r.auto_factor
+                "          \"join_factor\": {:.3},\n",
+                r.join_factor
             ));
             json.push_str(&format!("          \"gate_pass\": {},\n", r.gate_pass));
             json.push_str(&format!("          \"equivalent\": {}\n", r.equivalent));
@@ -331,12 +299,12 @@ fn main() {
     json.push_str("  ],\n");
     json.push_str("  \"summary\": {\n");
     json.push_str(&format!("    \"queries\": {total},\n"));
-    json.push_str(&format!("    \"chooser_mispicks\": {mispicks},\n"));
-    json.push_str(&format!("    \"max_auto_factor\": {max_factor:.3},\n"));
+    json.push_str(&format!("    \"gate_failures\": {gate_failures},\n"));
+    json.push_str(&format!("    \"max_join_factor\": {max_factor:.3},\n"));
     json.push_str(&format!("    \"nonequivalent\": {nonequivalent},\n"));
     json.push_str(&format!(
         "    \"gate_pass\": {}\n",
-        mispicks == 0 && nonequivalent == 0
+        gate_failures == 0 && nonequivalent == 0
     ));
     json.push_str("  }\n");
     json.push_str("}\n");
@@ -353,15 +321,15 @@ fn main() {
         eprintln!("FAIL: {nonequivalent} queries returned non-identical matches");
         std::process::exit(2);
     }
-    if mispicks > 0 {
+    if gate_failures > 0 {
         eprintln!(
-            "FAIL: chooser exceeded {:.2}x-of-best gate on {mispicks} queries",
-            cfg.gate
+            "FAIL: naive beat the join by more than {:.2}x + {:.2}ms on {gate_failures} queries",
+            cfg.gate, cfg.slack_ms
         );
         std::process::exit(1);
     }
     eprintln!(
-        "PASS: chooser within {:.2}x of per-query best everywhere",
-        cfg.gate
+        "PASS: the join within {:.2}x + {:.2}ms of naive everywhere",
+        cfg.gate, cfg.slack_ms
     );
 }

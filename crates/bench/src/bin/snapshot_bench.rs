@@ -6,10 +6,9 @@
 //! snapshot, and times `LotusX::open` on the snapshot (bulk section
 //! reads, no rebuild). Both timings are minimum-of-reps. It then proves
 //! the loaded engine is *bit-identical* to the fresh one: every
-//! canonical query under every concrete join algorithm plus the
-//! adaptive `auto` chooser, tag/value completions over a prefix sweep,
-//! and the chooser's per-query algorithm decisions must render to
-//! byte-equal canonical strings. Each cell also records where the
+//! canonical query under every concrete join algorithm plus `auto`, and
+//! tag/value completions over a prefix sweep, must render to byte-equal
+//! canonical strings. Each cell also records where the
 //! snapshot's bytes go: bytes per element, section by section.
 //!
 //! ```sh
@@ -29,8 +28,7 @@ use lotusx::{CorpusSource, LotusX, QueryRequest, QueryResponse};
 use lotusx_bench::{fmt_duration, time_once, SEED};
 use lotusx_datagen::{queries, Dataset};
 use lotusx_storage::snapshot::section;
-use lotusx_twig::xpath::parse_query;
-use lotusx_twig::{choose_algorithm, Algorithm};
+use lotusx_twig::Algorithm;
 use std::time::Duration;
 
 struct Config {
@@ -147,7 +145,7 @@ fn canonical_response(r: &QueryResponse) -> String {
 
 /// Every probe the equivalence check compares, as (label, canonical
 /// string) pairs: per-query responses under each algorithm and `auto`,
-/// chooser decisions, and tag/value completions over a prefix sweep.
+/// and tag/value completions over a prefix sweep.
 fn probes(system: &LotusX, ds: Dataset) -> Vec<(String, String)> {
     let mut out = Vec::new();
     for q in queries::queries(ds) {
@@ -164,13 +162,6 @@ fn probes(system: &LotusX, ds: Dataset) -> Vec<(String, String)> {
             Err(e) => format!("error:{e}"),
         };
         out.push((format!("{}:auto", q.id), rendered));
-        if let Ok(pattern) = parse_query(q.text) {
-            let choice = choose_algorithm(system.index(), &pattern);
-            out.push((
-                format!("{}:chooser", q.id),
-                choice.algorithm.name().to_string(),
-            ));
-        }
     }
     let completion = system.completion_engine();
     for prefix in ["", "a", "b", "s", "t"] {

@@ -44,23 +44,6 @@ pub fn median_time<T>(reps: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
     (times[times.len() / 2], last.expect("reps > 0"))
 }
 
-/// Minimum wall time of `reps` runs of `f` (result of the last run kept).
-///
-/// On a noisy shared host the minimum is the robust estimator for
-/// CPU-bound work: every source of interference only ever adds time, so
-/// the smallest observation is the closest to the true cost.
-pub fn min_time<T>(reps: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
-    assert!(reps > 0);
-    let mut best = Duration::MAX;
-    let mut last = None;
-    for _ in 0..reps {
-        let (t, out) = time_once(&mut f);
-        best = best.min(t);
-        last = Some(out);
-    }
-    (best, last.expect("reps > 0"))
-}
-
 /// Formats a duration compactly for tables (µs below 1 ms, ms otherwise).
 pub fn fmt_duration(d: Duration) -> String {
     let us = d.as_secs_f64() * 1e6;

@@ -1,5 +1,5 @@
 //! Bit-identity guarantees for the join engine: every algorithm
-//! (including the adaptive chooser) returns exactly the same `MatchSet`
+//! (including `auto`) returns exactly the same `MatchSet`
 //! as the navigational oracle on the canonical corpora and under
 //! generous budgets — and a starved budget only ever shrinks the result
 //! to a valid subset, never corrupts it.

@@ -185,7 +185,7 @@ pub struct LotusX {
     /// out by [`Self::completion_engine`].
     value_cache: Arc<ValueTrieCache>,
     /// Complete twig responses (profile-less) keyed by effective limit +
-    /// effective algorithm + normalized pattern. A hit clones the entry:
+    /// resolved algorithm + normalized pattern. A hit clones the entry:
     /// a pointer copy of its [`Answer`].
     query_cache: ConcurrentLru<String, QueryResponse>,
     /// The rewriter's per-document set-up (indexed DataGuide, synonyms),
@@ -323,10 +323,11 @@ impl LotusX {
     /// Runs one [`QueryRequest`].
     ///
     /// Complete twig responses are memoized in a thread-safe LRU keyed by
-    /// the request's effective limit and algorithm plus the normalized
-    /// pattern text, so repeating a query (even spelled differently, e.g.
-    /// with extra whitespace, or with [`Algorithm::Auto`] spelled out) is
-    /// a cache hit. Keyword searches are not cached. Profiling
+    /// the request's effective limit, the algorithm it resolves to and the
+    /// normalized pattern text, so repeating a query (even spelled
+    /// differently, e.g. with extra whitespace, or with [`Algorithm::Auto`]
+    /// spelled out or pinned to what it resolves to) is a cache hit.
+    /// Keyword searches are not cached. Profiling
     /// ([`QueryRequest::profile`]) never changes the matches — responses
     /// are identical with it on or off.
     ///
@@ -371,9 +372,13 @@ impl LotusX {
                     return Err(e.into());
                 }
             };
-            // Keyed on the effective request: an absent `algorithm` and a
-            // spelled-out `auto` are one entry.
-            let algorithm = request.algorithm.unwrap_or(Algorithm::Auto);
+            // Keyed on the algorithm that runs: an absent `algorithm`, a
+            // spelled-out `auto` and the pin `auto` resolves to are one
+            // entry.
+            let algorithm = request
+                .algorithm
+                .unwrap_or(Algorithm::Auto)
+                .resolve(&self.idx, &pattern);
             let key = format!("k{limit}|a{}|{pattern}", algorithm.name());
             // Cache hits are always complete answers (truncated ones are
             // never inserted), so they satisfy any budget as-is.
@@ -384,7 +389,7 @@ impl LotusX {
                 let response = ctx.end(request, Some(&pattern), response, true);
                 return Ok(QueryProbe::Hit(response));
             }
-            twig = Some((pattern, key));
+            twig = Some((pattern, key, algorithm));
         }
         ctx.spent_ns = started.elapsed().as_nanos() as u64;
         Ok(QueryProbe::Miss(PendingQuery { ctx, limit, twig }))
@@ -399,7 +404,7 @@ impl LotusX {
     pub fn query_compute(&self, request: &QueryRequest, pending: PendingQuery) -> QueryResponse {
         let started = Instant::now();
         let (mut ctx, limit) = (pending.ctx, pending.limit);
-        let (pattern, key) = pending.twig.unzip();
+        let (pattern, plan) = pending.twig.map(|(p, key, algo)| (p, (key, algo))).unzip();
         ctx.guard = QueryGuard::new(&request.budget);
         ctx.guard.set_trace_id(ctx.qid.0);
         if pattern.is_some() {
@@ -420,9 +425,8 @@ impl LotusX {
                 algorithm: None,
                 profile: None,
             }
-        } else if let (Some(pattern), Some(key)) = (&pattern, key) {
-            let requested = request.algorithm.unwrap_or(Algorithm::Auto);
-            let response = self.run_twig(&ctx, pattern, limit, requested);
+        } else if let (Some(pattern), Some((key, algorithm))) = (&pattern, plan) {
+            let response = self.run_twig(&ctx, pattern, limit, algorithm);
             if response.completeness.is_complete() {
                 self.query_cache.insert(key, response.clone());
             }
@@ -470,48 +474,16 @@ impl LotusX {
         })
     }
 
-    /// Resolves the join algorithm for one execution. A pinned concrete
-    /// algorithm passes through; [`Algorithm::Auto`] runs the cost-model
-    /// chooser, recording the decision as an `algo_chosen_*` counter and
-    /// an [`EventKind::AlgoChosen`] trace event.
-    fn resolve_algorithm(
-        &self,
-        ctx: &RequestCtx,
-        pattern: &TwigPattern,
-        requested: Algorithm,
-    ) -> Algorithm {
-        if requested != Algorithm::Auto {
-            return requested;
-        }
-        let chosen = lotusx_twig::choose_algorithm(&self.idx, pattern).algorithm;
-        if ctx.recording {
-            let counters = &lotusx_obs::metrics().counters;
-            match chosen {
-                Algorithm::Naive => &counters.algo_chosen_naive,
-                Algorithm::StructuralJoin => &counters.algo_chosen_structural_join,
-                Algorithm::Auto => unreachable!("the chooser prices concrete plans"),
-            }
-            .fetch_add(1, Ordering::Relaxed);
-        }
-        lotusx_obs::emit(
-            ctx.qid,
-            EventKind::AlgoChosen {
-                algorithm: chosen.name(),
-            },
-        );
-        chosen
-    }
-
-    /// The twig body: execute → (rewrite if empty) → rank → serialize.
+    /// The twig body: execute → (rewrite if empty) → rank → serialize,
+    /// with `algorithm` (already resolved) for the query and its rewrite.
     fn run_twig(
         &self,
         ctx: &RequestCtx,
         pattern: &TwigPattern,
         limit: usize,
-        requested: Algorithm,
+        algorithm: Algorithm,
     ) -> QueryResponse {
         let guard = &ctx.guard;
-        let mut algorithm = self.resolve_algorithm(ctx, pattern, requested);
         // The match stage reduces and counts; rows exist only in the rank
         // stage, and only as many as the ranker asks for.
         let mut matches = ctx.stage(Stage::Match, |s| {
@@ -541,7 +513,6 @@ impl LotusX {
                 },
             );
             if let Some(best) = best {
-                algorithm = self.resolve_algorithm(ctx, &best.pattern, requested);
                 matches = ctx.stage(Stage::Match, |s| {
                     execute_budgeted(&self.idx, &best.pattern, algorithm, s, guard)
                 });
@@ -734,6 +705,24 @@ mod tests {
         system.query(&spelled).unwrap();
         let stats = system.query_cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+    }
+
+    /// The cache keys on the algorithm that runs, not the name asked for:
+    /// `auto` and the structural join it resolves to are one entry.
+    #[test]
+    fn auto_and_structural_join_share_one_cache_entry() {
+        let system = LotusX::load_str(BIB).unwrap();
+        let auto = system.query(&twig("//book/title")).unwrap();
+        let pinned = twig("//book/title").algorithm(Algorithm::StructuralJoin);
+        let hit = system.query(&pinned).unwrap();
+        let stats = system.query_cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        assert_eq!(hit.algorithm, auto.algorithm);
+        // The oracle stays a plan of its own.
+        system
+            .query(&twig("//book/title").algorithm(Algorithm::Naive))
+            .unwrap();
+        assert_eq!(system.query_cache_stats().entries, 2);
     }
 
     #[test]

@@ -100,8 +100,8 @@ pub struct QueryRequest {
     pub kind: QueryKind,
     /// Per-request result limit (`None` = 100 results).
     pub top_k: Option<usize>,
-    /// Per-request join algorithm (`None` = [`Algorithm::Auto`], the
-    /// per-query cost-model chooser; ignored by keyword searches).
+    /// Per-request join algorithm (`None` = [`Algorithm::Auto`], which
+    /// runs the structural join; ignored by keyword searches).
     pub algorithm: Option<Algorithm>,
     /// Execution budget: wall-clock deadline, work quotas and/or a
     /// cancellation token. The default is unlimited. When a limit trips
@@ -186,10 +186,11 @@ pub struct QueryResponse {
     /// result returned is a true answer — but the set may be a prefix of
     /// what an unbudgeted run would find.
     pub completeness: Completeness,
-    /// The join algorithm that produced these matches — the chooser's
-    /// pick unless the request pinned one. Cache hits report the
-    /// algorithm of the original execution; keyword searches, and
-    /// requests whose budget was spent before a join ran, report `None`.
+    /// The join algorithm that produced these matches — what
+    /// [`Algorithm::Auto`] resolves to unless the request pinned one.
+    /// Cache hits report the algorithm of the original execution; keyword
+    /// searches, and requests whose budget was spent before a join ran,
+    /// report `None`.
     /// Not part of the wire encoding: identical answers stay
     /// byte-identical regardless of which algorithm produced them.
     pub algorithm: Option<Algorithm>,
@@ -325,21 +326,21 @@ pub enum QueryProbe {
 }
 
 /// A probed-but-unanswered query: what the probe already worked out
-/// (trace identity, profile span, parsed pattern, cache key), so the
-/// compute half repeats none of it. `Send`, so a server can probe where
-/// the request arrives and compute on a worker.
+/// (trace identity, profile span, parsed pattern, cache key, resolved
+/// algorithm), so the compute half repeats none of it. `Send`, so a
+/// server can probe where the request arrives and compute on a worker.
 pub struct PendingQuery {
     pub(crate) ctx: RequestCtx,
     pub(crate) limit: usize,
-    /// The parsed pattern and its cache key; `None` for keyword
-    /// searches, which are never cached.
-    pub(crate) twig: Option<(TwigPattern, String)>,
+    /// The parsed pattern, its cache key and the algorithm it runs with;
+    /// `None` for keyword searches, which are never cached.
+    pub(crate) twig: Option<(TwigPattern, String, Algorithm)>,
 }
 
 impl fmt::Debug for PendingQuery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PendingQuery")
-            .field("key", &self.twig.as_ref().map(|(_, key)| key.as_str()))
+            .field("key", &self.twig.as_ref().map(|(_, key, _)| key.as_str()))
             .finish_non_exhaustive()
     }
 }

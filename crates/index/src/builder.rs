@@ -2,7 +2,7 @@
 
 use crate::columns::TagColumns;
 use crate::dataguide::{DataGuide, GuideNodeId};
-use crate::stats::{JoinStats, Stats};
+use crate::stats::Stats;
 use crate::trie::Trie;
 use crate::value_index::ValueIndex;
 use lotusx_labeling::DocumentLabels;
@@ -32,7 +32,6 @@ pub struct IndexedDocument {
     pub(crate) guide: DataGuide,
     pub(crate) guide_of: Vec<GuideNodeId>,
     pub(crate) stats: Stats,
-    pub(crate) join_stats: JoinStats,
 }
 
 impl IndexedDocument {
@@ -77,9 +76,7 @@ impl IndexedDocument {
         }
         values.finish();
 
-        let tag_count = doc.symbols().len();
         let columns = TagColumns::build(&doc, &labels, &elements);
-        let join_stats = JoinStats::compute(&columns, &guide, tag_count);
 
         // Tag trie: element tags only, weighted by occurrence count.
         let mut tag_trie = Trie::new();
@@ -109,7 +106,6 @@ impl IndexedDocument {
             guide,
             guide_of,
             stats,
-            join_stats,
         }
     }
 
@@ -161,11 +157,6 @@ impl IndexedDocument {
     /// Corpus statistics.
     pub fn stats(&self) -> &Stats {
         &self.stats
-    }
-
-    /// Join-selectivity statistics (chooser inputs).
-    pub fn join_stats(&self) -> &JoinStats {
-        &self.join_stats
     }
 
     /// Resolves a tag symbol to its name.

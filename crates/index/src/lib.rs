@@ -15,10 +15,7 @@
 //! * [`dataguide::DataGuide`] — a strong DataGuide structural summary,
 //!   the engine behind *position-aware* candidate filtering and
 //!   satisfiability pruning;
-//! * [`stats::Stats`] — corpus statistics used by ranking — and
-//!   [`stats::JoinStats`] — per-tag frequencies and DataGuide-derived
-//!   pair selectivities, the cost-model inputs of the adaptive join
-//!   algorithm chooser.
+//! * [`stats::Stats`] — corpus statistics used by ranking.
 //!
 //! [`IndexedDocument`] bundles the document, its labels and all indexes.
 
@@ -36,6 +33,6 @@ mod wire;
 pub use builder::IndexedDocument;
 pub use columns::{ColumnView, OwnedColumns, TagColumns};
 pub use dataguide::{DataGuide, GuideNodeId};
-pub use stats::{JoinStats, Stats};
+pub use stats::Stats;
 pub use trie::{Trie, TrieCursor};
 pub use value_index::{fold_value, tokenize, ValueIndex};

@@ -29,13 +29,13 @@
 //! Every hash-map-backed structure is emitted under a sorted key order
 //! and the tries are serialized structurally, so encoding the same
 //! index twice yields byte-identical sections — and a loaded snapshot
-//! answers every query, completion and chooser probe bit-identically to
+//! answers every query and completion bit-identically to
 //! the fresh build it was saved from.
 
 use crate::builder::IndexedDocument;
 use crate::columns::TagColumns;
 use crate::dataguide::{DataGuide, GuideNodeId};
-use crate::stats::{JoinStats, Stats};
+use crate::stats::Stats;
 use crate::trie::Trie;
 use crate::value_index::ValueIndex;
 use crate::wire::{corrupt, get_string, put_string, put_varint, rd_len, StorageError};
@@ -67,7 +67,6 @@ pub fn encode_sections(idx: &IndexedDocument) -> Vec<Section> {
     encode_guide(idx, &order, &mut guide);
     let mut stats = Vec::new();
     idx.stats().encode(&mut stats);
-    idx.join_stats().encode(&mut stats);
 
     vec![
         Section {
@@ -142,7 +141,6 @@ pub fn decode_sections(sections: &[Section]) -> Result<IndexedDocument, StorageE
     let bytes = find(section::STATS)?;
     let mut pos = 0;
     let stats = Stats::decode(bytes, &mut pos)?;
-    let join_stats = JoinStats::decode(bytes, &mut pos, tag_count)?;
     ensure_consumed(bytes, pos, "stats")?;
 
     Ok(IndexedDocument {
@@ -156,7 +154,6 @@ pub fn decode_sections(sections: &[Section]) -> Result<IndexedDocument, StorageE
         guide,
         guide_of,
         stats,
-        join_stats,
     })
 }
 
@@ -499,26 +496,6 @@ mod tests {
             back.stats().avg_fanout.to_bits(),
             idx.stats().avg_fanout.to_bits()
         );
-        for (a, _) in doc.symbols().iter() {
-            assert_eq!(
-                back.join_stats().tag_frequency(a),
-                idx.join_stats().tag_frequency(a)
-            );
-            for (b, _) in doc.symbols().iter() {
-                assert_eq!(
-                    back.join_stats().descendant_pairs(a, b),
-                    idx.join_stats().descendant_pairs(a, b)
-                );
-                assert_eq!(
-                    back.join_stats().child_pairs(a, b),
-                    idx.join_stats().child_pairs(a, b)
-                );
-                assert_eq!(
-                    back.join_stats().descendant_pair_multiplicity(a, b),
-                    idx.join_stats().descendant_pair_multiplicity(a, b)
-                );
-            }
-        }
     }
 
     #[test]

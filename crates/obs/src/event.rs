@@ -153,12 +153,6 @@ pub enum EventKind {
         /// Whether a rewrite was applied (false = no candidate survived).
         accepted: bool,
     },
-    /// The adaptive chooser resolved `Algorithm::Auto` to a concrete join
-    /// algorithm for this query.
-    AlgoChosen {
-        /// The chosen algorithm's stable name (e.g. `structural-join`).
-        algorithm: &'static str,
-    },
     /// The serving layer accepted a connection.
     ConnAccept {
         /// Per-server connection id (wrapping; lanes reuse after 2^20).
@@ -212,7 +206,6 @@ impl EventKind {
             EventKind::CacheAccess { .. } => "cache_access",
             EventKind::BudgetTrip { .. } => "budget_trip",
             EventKind::Rewrite { .. } => "rewrite",
-            EventKind::AlgoChosen { .. } => "algo_chosen",
             EventKind::ConnAccept { .. } => "conn_accept",
             EventKind::ConnClose { .. } => "conn_close",
             EventKind::ConnPhase { .. } => "conn_phase",

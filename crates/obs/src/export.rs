@@ -55,11 +55,6 @@ fn chrome_event(e: &TraceEvent) -> String {
             "rewrite".to_string(),
             format!("\"accepted\":{accepted}"),
         ),
-        EventKind::AlgoChosen { algorithm } => (
-            "i",
-            format!("algo_chosen:{algorithm}"),
-            format!("\"algorithm\":{}", json_string(algorithm)),
-        ),
         EventKind::ConnAccept { conn, admitted } => (
             "B",
             format!("conn#{conn}"),

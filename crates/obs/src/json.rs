@@ -589,7 +589,7 @@ mod tests {
     #[test]
     fn empty_snapshot_still_renders() {
         let json = Metrics::new().snapshot().to_json();
-        assert!(json.contains("\"counters\": {\n    \"algo_chosen_naive\": 0,"));
+        assert!(json.contains("\"counters\": {\n    \"cache_hit\": 0,"));
         assert!(json.contains("\"trace\""));
     }
 

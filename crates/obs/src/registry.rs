@@ -18,8 +18,6 @@ crate::counters! {
     /// recording is [`enabled`]. `/stats` lists them under
     /// `metrics.counters`, `/metrics` as `lotusx_<name>_total`.
     pub struct ProcessCounters => ProcessSnapshot {
-        counter algo_chosen_naive: "Chooser decisions for the navigational plan.",
-        counter algo_chosen_structural_join: "Chooser decisions for the binary structural join.",
         counter cache_hit: "Query-cache lookups answered from the cache.",
         counter cache_miss: "Query-cache lookups that went on to compute.",
         counter degraded_responses: "Answers marked truncated by a budget.",

@@ -192,8 +192,8 @@ impl<'a> Rewriter<'a> {
                 } else {
                     stats.executions += 1;
                     // Only the count matters here — no row is built for
-                    // it — and every algorithm counts the same: let the
-                    // chooser pick.
+                    // it — and every algorithm counts the same: run what
+                    // `auto` resolves to.
                     let match_count = execute_budgeted(
                         self.idx,
                         &candidate.pattern,

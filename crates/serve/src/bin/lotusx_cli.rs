@@ -101,8 +101,8 @@ fn main() {
                 ),
             },
             "explain" => {
-                // Honor the session's `algo` (with `auto` the chooser's
-                // decision shows up in the stage tree).
+                // Honor the session's `algo` (the stage tree names the
+                // join that ran).
                 let mut request = QueryRequest::twig(rest).profiled(true);
                 request.algorithm = Some(algorithm);
                 match system.query(&request) {
@@ -230,7 +230,7 @@ fn main() {
                 Ok(a) => {
                     algorithm = a;
                     if a == Algorithm::Auto {
-                        println!("queries now pick an algorithm per query (cost-model chooser)");
+                        println!("queries now run with auto (the structural join)");
                     } else {
                         println!("queries now run with {a}");
                     }
@@ -512,8 +512,9 @@ other:
   serve <port>       serve this document over HTTP on 127.0.0.1:<port>
                      (POST /query, POST /complete, GET /stats, GET /healthz;
                      Enter stops the server and returns to the REPL)
-  algo [name|auto]   join algorithm for later queries ('auto', the default =
-                     per-query cost-model chooser)
+  algo [name|auto]   join algorithm for later queries: 'structural-join',
+                     'naive' (the oracle), or 'auto' (the default = the
+                     structural join)
   timeout <ms>       wall-clock budget per query, 0 = off (partial results are marked)
   budget <nodes>     node-visit budget per query, 0 = off
   help, quit

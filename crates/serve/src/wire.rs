@@ -56,7 +56,7 @@ fn parse_axis(name: &str) -> Result<Axis, String> {
 }
 
 /// Resolves an algorithm name (`naive`, `structural-join`, `auto`) from the
-/// wire. `auto` requests the engine's per-query cost-model chooser.
+/// wire. `auto` (what an absent field means) runs the structural join.
 pub fn parse_algorithm(name: &str) -> Result<Algorithm, String> {
     Algorithm::ALL
         .into_iter()

@@ -1,9 +1,9 @@
-//! The sectioned `LTSX` snapshot container, version 3.
+//! The sectioned `LTSX` snapshot container, version 4.
 //!
 //! Layout:
 //!
 //! ```text
-//! magic "LTSX" | version (1 byte, = 3) | varint section count
+//! magic "LTSX" | version (1 byte, = 4) | varint section count
 //! then per section:
 //!   varint section id | varint payload length | u64 LE checksum | payload
 //! ```
@@ -32,8 +32,9 @@ use std::path::Path;
 
 /// The one snapshot container version this build writes and reads.
 /// (1 was a document-only file; 2 also stored path-style labels and the
-/// columns' end trees, and did not validate the latter.)
-pub const SNAPSHOT_VERSION: u8 = 3;
+/// columns' end trees, and did not validate the latter; 3 also stored
+/// the join-cost statistics of a retired algorithm chooser in `STATS`.)
+pub const SNAPSHOT_VERSION: u8 = 4;
 
 /// Section ids of the full-index snapshot.
 pub mod section {
@@ -51,7 +52,7 @@ pub mod section {
     pub const TRIES: u64 = 5;
     /// The DataGuide and the node → guide-node map.
     pub const GUIDE: u64 = 6;
-    /// Document statistics and the `JoinStats` pair tables.
+    /// Document statistics.
     pub const STATS: u64 = 7;
     /// Precomputed per-tag value-completion tries (the hot-tag cache).
     /// Optional: a file without it recomputes the hot set on load.
@@ -271,8 +272,8 @@ mod tests {
                 |b| b[4] = 9,
                 |e| matches!(e, StorageError::UnsupportedVersion(9)),
             ),
-            // The two retired layouts are refused at the version byte:
-            // the rest of this file would parse as either.
+            // The retired layouts are refused at the version byte: the
+            // rest of this file would parse as any of them.
             (
                 "version 1",
                 |b| b[4] = 1,
@@ -282,6 +283,11 @@ mod tests {
                 "version 2",
                 |b| b[4] = 2,
                 |e| matches!(e, StorageError::UnsupportedVersion(2)),
+            ),
+            (
+                "version 3",
+                |b| b[4] = 3,
+                |e| matches!(e, StorageError::UnsupportedVersion(3)),
             ),
             (
                 "unknown section id",

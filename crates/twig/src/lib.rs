@@ -13,8 +13,8 @@
 //!   navigational walk that doubles as the test oracle.
 //! * [`ordered`] — order-sensitive twig semantics (LotusX supports
 //!   "complex twig queries (including order sensitive queries)").
-//! * [`exec`] — the execution core: the two-plan cost model behind
-//!   [`Algorithm::Auto`] and the one `execute` / `execute_budgeted` entry,
+//! * [`exec`] — the execution core: the rule behind [`Algorithm::Auto`]
+//!   (the structural join) and the one `execute` / `execute_budgeted` entry,
 //!   whose [`JoinResult`] counts matches without building them and hands
 //!   rows to a sink one at a time.
 //!
@@ -38,7 +38,7 @@ pub mod ordered;
 pub mod pattern;
 pub mod xpath;
 
-pub use exec::{choose_algorithm, execute, execute_budgeted, Algorithm, Choice, JoinResult};
+pub use exec::{choose_algorithm, execute, execute_budgeted, Algorithm, JoinResult};
 pub use matcher::MatchSet;
 pub use pattern::{Axis, NodeTest, QNodeId, TwigPattern, ValuePredicate};
 pub use xpath::{parse_query, MAX_PATTERN_NODES};

@@ -205,11 +205,14 @@ pub fn node_columns<'a>(
 /// The elements of `base` that satisfy `node`'s predicate (and root
 /// edge), as columns of their own.
 ///
-/// Predicates are pushed into the index: `Equals` and `Range` resolve to
-/// candidate sets from the value index which are then intersected with the
-/// tag stream — candidates marked in a bitmap over node ids, one bit probe
-/// per stream element — so a selective predicate shrinks the stream before
-/// any join work happens.
+/// Value predicates are pushed into the index: `Equals` and `Range`
+/// resolve to candidate sets from the value index, and `Contains` to the
+/// postings of each of its terms, ANDed. The candidates are marked in a
+/// bitmap over node ids and intersected with the tag stream by one bit
+/// probe per stream element, so a selective predicate shrinks the stream
+/// before any join work happens. The postings index exactly what
+/// [`predicate_matches`] reads — direct text plus attribute values,
+/// through `tokenize` — so both give the same answer.
 fn filtered_stream(idx: &IndexedDocument, node: &QNode, base: ColumnView<'_>) -> OwnedColumns {
     let nodes = base.nodes();
     let keep = |accept: &dyn Fn(usize) -> bool| OwnedColumns::filter(base, accept);
@@ -223,26 +226,44 @@ fn filtered_stream(idx: &IndexedDocument, node: &QNode, base: ColumnView<'_>) ->
                     .is_none_or(|pred| predicate_matches(idx, nodes[i], pred))
         });
     }
-    let among = |candidates: &mut dyn Iterator<Item = NodeId>| {
-        let mut marked = vec![0u64; idx.document().node_count() / 64 + 1];
+    let words = idx.document().node_count() / 64 + 1;
+    let mark = |candidates: &mut dyn Iterator<Item = NodeId>| {
+        let mut marked = vec![0u64; words];
         for n in candidates {
             marked[n.index() / 64] |= 1 << (n.index() % 64);
         }
+        marked
+    };
+    let among = |marked: &[u64]| {
         keep(&|i| marked[nodes[i].index() / 64] >> (nodes[i].index() % 64) & 1 == 1)
     };
+    let values = idx.values();
+    let postings = |term: &str| values.postings(term).iter().map(|p| p.node);
     match &node.predicate {
         None => keep(&|_| true),
         Some(ValuePredicate::Equals(v)) => {
-            among(&mut idx.values().exact_matches(v).iter().copied())
+            among(&mark(&mut values.exact_matches(v).iter().copied()))
         }
-        Some(ValuePredicate::Range { low, high }) => {
-            among(&mut idx.values().range_matches(*low, *high).iter().map(|e| e.1))
+        Some(ValuePredicate::Range { low, high }) => among(&mark(
+            &mut values.range_matches(*low, *high).iter().map(|e| e.1),
+        )),
+        Some(ValuePredicate::Contains(v)) => {
+            let mut terms = lotusx_index::tokenize(v).into_iter();
+            // A needle with no terms is contained in everything.
+            let Some(first) = terms.next() else {
+                return keep(&|_| true);
+            };
+            let mut marked = mark(&mut postings(&first));
+            for term in terms {
+                let next = mark(&mut postings(&term));
+                marked.iter_mut().zip(next).for_each(|(m, n)| *m &= n);
+            }
+            among(&marked)
         }
-        // Attribute predicates and term containment have no dedicated
-        // candidate index; they filter the tag stream directly.
+        // Attribute predicates have no candidate index; they filter the
+        // tag stream directly.
         Some(
-            pred @ (ValuePredicate::Contains(_)
-            | ValuePredicate::AttrEquals { .. }
+            pred @ (ValuePredicate::AttrEquals { .. }
             | ValuePredicate::AttrContains { .. }
             | ValuePredicate::AttrRange { .. }
             | ValuePredicate::AttrExists { .. }),

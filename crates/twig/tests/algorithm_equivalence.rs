@@ -1,5 +1,5 @@
 //! The crown-jewel invariant: every twig algorithm and the `Auto`
-//! chooser produce identical match sets, on random documents × random
+//! policy produce identical match sets, on random documents × random
 //! patterns (seeded loops, ordered and unordered) and on the canonical
 //! datasets × canonical query workloads — counted without being built,
 //! enumerated row by row or materialized — and a starved budget only
@@ -228,7 +228,7 @@ fn all_algorithms_agree_on_random_inputs() {
 // Inputs on which the value index once disagreed with the oracle
 // ---------------------------------------------------------------------
 
-/// Row counts of `query` through every algorithm and the chooser, after
+/// Row counts of `query` through every algorithm and `auto`, after
 /// checking they all return the oracle's rows.
 fn agreed_count(idx: &IndexedDocument, query: &str) -> usize {
     let pattern = parse_query(query).unwrap();

@@ -100,7 +100,8 @@ fn build_breadth_first(doc: &mut Document, root: &GenTree) {
 
 /// A value predicate on about a third of pattern nodes, spread over every
 /// branch of the stream filter: `Equals`/`Range` resolve through the value
-/// index, `Contains` and the attribute forms scan the tag stream.
+/// index, `Contains` through the term postings (which hold attribute
+/// values too), and the attribute forms scan the tag stream.
 fn random_predicate(rng: &mut XorShiftRng) -> Option<ValuePredicate> {
     if !rng.gen_bool(1.0 / 3.0) {
         return None;

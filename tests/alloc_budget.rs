@@ -22,8 +22,6 @@ use lotusx_index::IndexedDocument;
 use lotusx_rank::Ranker;
 use lotusx_serve::wire::{encode_response, encode_tag_candidates};
 use lotusx_twig::exec::{execute_budgeted, Algorithm};
-use lotusx_twig::matcher::predicate_matches;
-use lotusx_twig::pattern::{TwigPattern, ValuePredicate};
 use lotusx_twig::xpath::parse_query;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -73,37 +71,14 @@ fn corpus(items: usize) -> IndexedDocument {
     IndexedDocument::from_str(&xml).expect("well-formed")
 }
 
-/// What evaluating the pattern's `contains` predicates costs by itself:
-/// there is no candidate index for them, so the stream filter calls
-/// `predicate_matches` once per element of the tag's stream, and that
-/// call extracts and tokenizes text — allocations per element by nature,
-/// and the same whatever the filter around it does.
-fn predicate_scan_allocations(idx: &IndexedDocument, pattern: &TwigPattern) -> usize {
-    let before = ALLOCATIONS.with(Cell::get);
-    for q in pattern.node_ids() {
-        let node = pattern.node(q);
-        let tag = node
-            .test
-            .tag_name()
-            .and_then(|t| idx.document().symbols().get(t));
-        if let (Some(pred @ ValuePredicate::Contains(_)), Some(tag)) = (&node.predicate, tag) {
-            for &element in idx.columns().view(tag).nodes() {
-                std::hint::black_box(predicate_matches(idx, element, pred));
-            }
-        }
-    }
-    ALLOCATIONS.with(Cell::get) - before
-}
-
-/// Allocations (and reallocations) made by join + rank of `query`, net of
-/// [`predicate_scan_allocations`].
+/// Allocations (and reallocations) made by join + rank of `query`.
 fn pipeline_allocations(idx: &IndexedDocument, query: &str, algorithm: Algorithm) -> usize {
     let pattern = parse_query(query).expect("parses");
     let guard = QueryGuard::unlimited();
     let before = ALLOCATIONS.with(Cell::get);
     let matches = execute_budgeted(idx, &pattern, algorithm, None, &guard);
     let top = Ranker::new(idx).rank_top_k(&pattern, &matches, 10, None);
-    let spent = ALLOCATIONS.with(Cell::get) - before - predicate_scan_allocations(idx, &pattern);
+    let spent = ALLOCATIONS.with(Cell::get) - before;
     assert_eq!(
         matches.count(),
         idx.columns().all_elements().len() / 3,
@@ -121,8 +96,8 @@ fn join_and_rank_allocate_per_buffer_not_per_match() {
     for (query, algorithm) in [
         ("//item[a][b]", Algorithm::StructuralJoin),
         ("//item[a][b]", Algorithm::Naive),
-        // Filtered streams: candidates from the value index intersected
-        // with the tag stream, and a scan of the tag stream.
+        // Filtered streams: candidates from the value index, and from a
+        // term's postings, intersected with the tag stream.
         ("//item[a >= 0][b]", Algorithm::StructuralJoin),
         (r#"//item[a][b ~ "x"]"#, Algorithm::StructuralJoin),
     ] {

@@ -1,14 +1,13 @@
 //! Snapshot persistence integration tests: a system restored from a
 //! `.ltsx` snapshot must be observationally identical to a freshly built
-//! one — query responses under every algorithm and the auto chooser,
-//! chooser decisions, and completions — and corrupted files or files of a
-//! retired format version must surface typed errors, never panics.
+//! one — query responses under every algorithm and `auto`, and
+//! completions — and corrupted files or files of a retired format version
+//! must surface typed errors, never panics.
 
 use lotusx::{Algorithm, CorpusSource, LotusError, LotusX, QueryRequest, QueryResponse};
 use lotusx_datagen::{queries, Dataset};
 use lotusx_storage::StorageError;
-use lotusx_twig::choose_algorithm;
-use lotusx_twig::xpath::parse_query;
+use lotusx_twig::{execute, parse_query};
 use std::path::PathBuf;
 
 /// A scratch path under the OS temp dir, removed on drop.
@@ -52,7 +51,7 @@ fn canonical(r: &QueryResponse) -> String {
 }
 
 /// Every observable probe of a system: per-algorithm and auto query
-/// responses, chooser decisions, and tag/value completion sweeps.
+/// responses, and tag/value completion sweeps.
 fn probes(system: &LotusX, ds: Dataset) -> Vec<(String, String)> {
     let mut out = Vec::new();
     for q in queries::queries(ds) {
@@ -69,13 +68,6 @@ fn probes(system: &LotusX, ds: Dataset) -> Vec<(String, String)> {
             Err(e) => format!("error:{e}"),
         };
         out.push((format!("{}:auto", q.id), rendered));
-        if let Ok(pattern) = parse_query(q.text) {
-            let choice = choose_algorithm(system.index(), &pattern);
-            out.push((
-                format!("{}:chooser", q.id),
-                choice.algorithm.name().to_string(),
-            ));
-        }
     }
     let completion = system.completion_engine();
     for prefix in ["", "a", "t"] {
@@ -155,6 +147,56 @@ fn mixed_content_document_survives_the_roundtrip() {
     );
 }
 
+/// `contains` resolves through the term postings on the join path and
+/// reads each element on the naive one: on a fresh build and on a loaded
+/// snapshot alike, both give every needle shape the same answer.
+#[test]
+fn contains_through_the_postings_answers_like_naive_built_and_loaded() {
+    let xml = r#"<lib>
+        <book lang="Français"><title>Éclair recipes</title><note>foo<br/>bar</note></book>
+        <book kind="rare gem"><title>XML Handbook</title><note>the xml handbook</note></book>
+        <book><title>Data on the Web</title><note>intro <br/> tail words</note></book>
+    </lib>"#;
+    // Every predicate sits below the query root: naive binds its root
+    // from the same filtered stream the join reads, and tests any other
+    // node element by element.
+    let cases = [
+        // Multi-term needles: every term, in any order.
+        (r#"//book[title ~ "handbook XML"]"#, 1),
+        (r#"//book[note ~ "xml the"]/title"#, 1),
+        // A term the index never saw, alone and beside a present one.
+        (r#"//book[title ~ "nosuchterm"]"#, 0),
+        (r#"//book[title ~ "xml nosuchterm"]"#, 0),
+        // No terms: contained in everything.
+        (r#"//book[title ~ "!!"]"#, 3),
+        // Terms present only in attribute values.
+        (r#"//lib[book ~ "gem"]"#, 1),
+        (r#"//lib[book ~ "rare xml"]"#, 0),
+        // Non-ASCII case folds, in text and in an attribute.
+        (r#"//book[title ~ "ÉCLAIR"]"#, 1),
+        (r#"//lib[book ~ "FRANÇAIS"]"#, 1),
+        // Several text children: their direct text runs together.
+        (r#"//book[note ~ "foobar"]"#, 1),
+        (r#"//book[note ~ "foo"]"#, 0),
+        (r#"//book[note ~ "tail intro"]"#, 1),
+    ];
+    let fresh = LotusX::load_str(xml).unwrap();
+    let path = Scratch::new("contains.ltsx");
+    fresh.save_snapshot(&path.0).unwrap();
+    let loaded = LotusX::open_snapshot(&path.0).unwrap();
+    for (q, want) in cases {
+        let pattern = parse_query(q).unwrap();
+        let oracle = execute(fresh.index(), &pattern, Algorithm::Naive);
+        assert_eq!(oracle.len(), want, "{q}: naive count");
+        for system in [&fresh, &loaded] {
+            for algorithm in Algorithm::ALL.into_iter().chain([Algorithm::Auto]) {
+                let got = execute(system.index(), &pattern, algorithm);
+                assert_eq!(got, oracle, "{q} via {algorithm}");
+            }
+        }
+    }
+}
+
 #[test]
 fn corrupted_snapshots_yield_typed_errors_not_panics() {
     let fresh = LotusX::open(&"@dblp:1:4242".parse::<CorpusSource>().unwrap()).unwrap();
@@ -192,11 +234,11 @@ fn corrupted_snapshots_yield_typed_errors_not_panics() {
         );
     }
 
-    // The two retired layouts are refused at the version byte, before any
+    // The retired layouts are refused at the version byte, before any
     // section is parsed: the good file relabelled (every byte after the
     // version would parse) and a bare header followed by garbage fail
     // alike, naming the version they claimed.
-    for version in [1u8, 2] {
+    for version in [1u8, 2, 3] {
         let mut relabelled = good.clone();
         relabelled[4] = version;
         let bare = [&b"LTSX"[..], &[version, 0xff, 0xff, 0xff]].concat();

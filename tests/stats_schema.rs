@@ -327,8 +327,7 @@ fn counter_tables_are_well_formed_and_are_exactly_what_is_served() {
     let read_by_name = [
         (
             ProcessCounters::ROWS,
-            "cache_hit cache_miss algo_chosen_naive algo_chosen_structural_join queries \
-             degraded_responses queries_deadline_exceeded",
+            "cache_hit cache_miss queries degraded_responses queries_deadline_exceeded",
         ),
         (
             ServerStats::ROWS,
