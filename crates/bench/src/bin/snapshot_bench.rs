@@ -9,7 +9,9 @@
 //! canonical query under every concrete join algorithm plus `auto`, and
 //! tag/value completions over a prefix sweep, must render to byte-equal
 //! canonical strings. Each cell also records where the
-//! snapshot's bytes go: bytes per element, section by section.
+//! snapshot's bytes go — bytes per element, section by section — and
+//! what the document tree holds resident once loaded: its columns and
+//! arenas per node (`Document::size_bytes`).
 //!
 //! ```sh
 //! cargo run --release -p lotusx-bench --bin snapshot-bench            # full sweep, writes BENCH_snapshot.json
@@ -17,7 +19,10 @@
 //! ```
 //!
 //! Exit codes: 2 = equivalence mismatch, 1 = cold-boot speedup below the
-//! `--gate` factor (default 3x) at a dataset's largest measured scale.
+//! `--gate` factor (default 3x) at a dataset's largest measured scale,
+//! 3 = a built or loaded document holding more than
+//! [`DOCUMENT_BYTES_PER_NODE`] per node plus its own character data (the
+//! tripwire for a tree that allocates per node again).
 //! The gate is a build/load *ratio*: it exists to catch a load that has
 //! turned back into a rebuild (ratio → 1), and it falls whenever the
 //! build gets cheaper — E14 cut the label pass tenfold and the ratio
@@ -29,7 +34,30 @@ use lotusx_bench::{fmt_duration, time_once, SEED};
 use lotusx_datagen::{queries, Dataset};
 use lotusx_storage::snapshot::section;
 use lotusx_twig::Algorithm;
+use lotusx_xml::{Document, NodeKind};
 use std::time::Duration;
+
+/// Resident bytes a document may spend per node beyond its character
+/// data: 25 for the node columns, the rest for attribute entries.
+const DOCUMENT_BYTES_PER_NODE: usize = 32;
+
+/// The corpus's own character data: every text, comment and PI byte and
+/// every attribute value byte.
+fn character_bytes(doc: &Document) -> usize {
+    doc.all_nodes()
+        .map(|n| match doc.kind(n) {
+            NodeKind::Document => 0,
+            NodeKind::Element { attributes, .. } => attributes.iter().map(|(_, v)| v.len()).sum(),
+            NodeKind::Text(t) | NodeKind::Comment(t) => t.len(),
+            NodeKind::Pi { target, data } => target.len() + data.len(),
+        })
+        .sum()
+}
+
+/// The budget a document's `size_bytes` must stay within.
+fn document_budget(doc: &Document) -> usize {
+    DOCUMENT_BYTES_PER_NODE * doc.node_count() + character_bytes(doc)
+}
 
 struct Config {
     quick: bool,
@@ -202,6 +230,15 @@ struct Row {
     /// Payload bytes per element of each of [`SECTIONS`] (framing — 5
     /// header bytes and ~12 per section — is in `snapshot_bytes` only).
     section_bytes_per_element: Vec<f64>,
+    /// The loaded document's columns and arenas per node (text nodes
+    /// included).
+    document_bytes_per_node: f64,
+    /// Its character data per node: the part of the above no layout
+    /// can shrink.
+    character_bytes_per_node: f64,
+    /// Whether the built and the loaded document both stayed within
+    /// [`document_budget`].
+    document_within_budget: bool,
     build_ms: f64,
     save_ms: f64,
     load_ms: f64,
@@ -278,12 +315,20 @@ fn main() {
             })
             .collect();
         drop(stored);
+        let (built_doc, loaded_doc) = (fresh.index().document(), loaded.index().document());
+        let nodes = loaded_doc.node_count() as f64;
+        let document_bytes_per_node = loaded_doc.size_bytes() as f64 / nodes;
+        let character_bytes_per_node = character_bytes(loaded_doc) as f64 / nodes;
+        let document_within_budget = [built_doc, loaded_doc]
+            .iter()
+            .all(|d| d.size_bytes() <= document_budget(d));
         let xml_bytes = std::fs::metadata(&xml_path).map(|m| m.len()).unwrap_or(0);
         let snapshot_bytes = std::fs::metadata(&ltsx_path).map(|m| m.len()).unwrap_or(0);
         let speedup = build_ms / load_ms.max(1e-9);
         eprintln!(
             "  {ds} scale {scale}: {elements} elements, build {} -> load {} ({speedup:.1}x), \
-             snapshot {snapshot_bytes} bytes, {} probes {}",
+             snapshot {snapshot_bytes} bytes, document {document_bytes_per_node:.1} B/node \
+             ({character_bytes_per_node:.1} of them text), {} probes {}",
             fmt_duration(Duration::from_secs_f64(build_ms / 1e3)),
             fmt_duration(Duration::from_secs_f64(load_ms / 1e3)),
             fresh_probes.len(),
@@ -301,6 +346,9 @@ fn main() {
             xml_bytes,
             snapshot_bytes,
             section_bytes_per_element,
+            document_bytes_per_node,
+            character_bytes_per_node,
+            document_within_budget,
             build_ms,
             save_ms: ms(save_t),
             load_ms,
@@ -329,6 +377,11 @@ fn main() {
         }
     }
     let nonequivalent = rows.iter().filter(|r| !r.equivalent).count();
+    let over_budget: Vec<String> = rows
+        .iter()
+        .filter(|r| !r.document_within_budget)
+        .map(|r| format!("{}:{}", r.dataset, r.scale))
+        .collect();
     let min_speedup = rows.iter().map(|r| r.speedup).fold(f64::INFINITY, f64::min);
     let max_speedup = rows.iter().map(|r| r.speedup).fold(0.0f64, f64::max);
     eprintln!(
@@ -368,6 +421,14 @@ fn main() {
             "      \"bytes_per_element\": {{ {} }},\n",
             per_section.join(", ")
         ));
+        json.push_str(&format!(
+            "      \"document_bytes_per_node\": {:.2},\n",
+            r.document_bytes_per_node
+        ));
+        json.push_str(&format!(
+            "      \"character_bytes_per_node\": {:.2},\n",
+            r.character_bytes_per_node
+        ));
         json.push_str(&format!("      \"build_ms\": {:.3},\n", r.build_ms));
         json.push_str(&format!("      \"save_ms\": {:.3},\n", r.save_ms));
         json.push_str(&format!("      \"load_ms\": {:.3},\n", r.load_ms));
@@ -389,8 +450,12 @@ fn main() {
     json.push_str(&format!("    \"max_speedup\": {max_speedup:.2},\n"));
     json.push_str(&format!("    \"nonequivalent\": {nonequivalent},\n"));
     json.push_str(&format!(
+        "    \"documents_over_budget\": {},\n",
+        over_budget.len()
+    ));
+    json.push_str(&format!(
         "    \"gate_pass\": {}\n",
-        gate_failures.is_empty() && nonequivalent == 0
+        gate_failures.is_empty() && nonequivalent == 0 && over_budget.is_empty()
     ));
     json.push_str("  }\n");
     json.push_str("}\n");
@@ -407,6 +472,13 @@ fn main() {
         eprintln!("FAIL: {nonequivalent} cells answered differently after snapshot reload");
         std::process::exit(2);
     }
+    if !over_budget.is_empty() {
+        eprintln!(
+            "FAIL: documents above {DOCUMENT_BYTES_PER_NODE} B/node plus their character data: {}",
+            over_budget.join(", ")
+        );
+        std::process::exit(3);
+    }
     if !gate_failures.is_empty() {
         eprintln!(
             "FAIL: cold-boot speedup below {:.1}x at largest scale: {}",
@@ -416,7 +488,8 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!(
-        "PASS: snapshot boot >= {:.1}x faster than fresh build, all responses bit-identical",
+        "PASS: snapshot boot >= {:.1}x faster than fresh build, all responses bit-identical, \
+         documents within {DOCUMENT_BYTES_PER_NODE} B/node plus their character data",
         cfg.gate
     );
 }

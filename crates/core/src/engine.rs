@@ -218,7 +218,10 @@ impl LotusX {
         match source {
             CorpusSource::XmlFile(path) => {
                 let xml = std::fs::read_to_string(path)?;
-                Self::load_str(&xml)
+                let doc = Document::parse_str(&xml)?;
+                // The text is dead once parsed: free it before indexing.
+                drop(xml);
+                Ok(Self::load_document(doc))
             }
             CorpusSource::Snapshot(path) => Self::open_snapshot(path),
             CorpusSource::Spec {
@@ -255,22 +258,27 @@ impl LotusX {
     /// re-labeling or stats re-walks). A file of any other format version
     /// is a typed [`LotusError::Storage`], never parsed.
     pub fn open_snapshot(path: impl AsRef<std::path::Path>) -> Result<Self, LotusError> {
+        // Every checksum is verified here, before anything decodes.
         let sections = lotusx_storage::read_snapshot_file(path)?;
-        let idx = lotusx_index::snapshot::decode_sections(&sections)?;
-        // Restore the shipped value-trie cache when present (duplicates
-        // are corruption); snapshots without one rebuild the hot set.
-        let mut vtries = sections
-            .iter()
-            .filter(|s| s.id == lotusx_storage::snapshot::section::VALUE_TRIES);
-        match (vtries.next(), vtries.next()) {
-            (Some(s), None) => {
+        // The shipped value-trie cache (duplicates are corruption) is set
+        // aside; the index decoder takes the rest and frees each payload
+        // once its section is decoded.
+        let (mut vtries, sections): (Vec<_>, Vec<_>) = sections
+            .into_iter()
+            .partition(|s| s.id == lotusx_storage::snapshot::section::VALUE_TRIES);
+        if vtries.len() > 1 {
+            return Err(LotusError::Storage(lotusx_storage::StorageError::Corrupt(
+                "duplicate snapshot section",
+            )));
+        }
+        let idx = lotusx_index::snapshot::decode_sections(sections)?;
+        // Snapshots without a value-trie cache rebuild the hot set.
+        match vtries.pop() {
+            Some(s) => {
                 let cache = ValueTrieCache::decode(&s.bytes, idx.document().symbols().len())?;
                 Ok(Self::assemble(idx, cache))
             }
-            (None, None) => Ok(Self::from_indexed(idx)),
-            _ => Err(LotusError::Storage(lotusx_storage::StorageError::Corrupt(
-                "duplicate snapshot section",
-            ))),
+            None => Ok(Self::from_indexed(idx)),
         }
     }
 

@@ -128,7 +128,7 @@ mod tests {
         let mut counts: std::collections::HashMap<String, usize> = Default::default();
         for n in doc.all_nodes() {
             if doc.tag_name(n) == Some("author") {
-                *counts.entry(doc.direct_text(n)).or_default() += 1;
+                *counts.entry(doc.direct_text(n).into_owned()).or_default() += 1;
             }
         }
         let mut freqs: Vec<usize> = counts.values().copied().collect();

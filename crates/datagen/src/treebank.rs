@@ -41,20 +41,20 @@ fn exemplar_sentence(doc: &mut Document, corpus: NodeId) {
     let np = doc.append_element(s, "np");
     for (tag, word) in [("dt", "the"), ("jj", "old"), ("nn", "parser")] {
         let t = doc.append_element(np, tag);
-        doc.append_text(t, word.to_string());
+        doc.append_text(t, word);
     }
     let vp = doc.append_element(s, "vp");
     let vb = doc.append_element(vp, "vb");
-    doc.append_text(vb, "matches".to_string());
+    doc.append_text(vb, "matches");
     let obj = doc.append_element(vp, "np");
     let nn = doc.append_element(obj, "nn");
-    doc.append_text(nn, "twigs".to_string());
+    doc.append_text(nn, "twigs");
     let pp = doc.append_element(s, "pp");
     let prep = doc.append_element(pp, "in");
-    doc.append_text(prep, "in".to_string());
+    doc.append_text(prep, "in");
     let pobj = doc.append_element(pp, "np");
     let pnn = doc.append_element(pobj, "nn");
-    doc.append_text(pnn, "order".to_string());
+    doc.append_text(pnn, "order");
 }
 
 fn grow(doc: &mut Document, parent: NodeId, depth: u32, rng: &mut XorShiftRng, zipf: &Zipf) {
@@ -76,7 +76,7 @@ fn grow(doc: &mut Document, parent: NodeId, depth: u32, rng: &mut XorShiftRng, z
             let tag = TERMINALS[rng.gen_range(0..TERMINALS.len())];
             let terminal = doc.append_element(parent, tag);
             let word = WORDS[zipf.sample(rng) % WORDS.len()];
-            doc.append_text(terminal, word.to_string());
+            doc.append_text(terminal, word);
         }
     }
 }

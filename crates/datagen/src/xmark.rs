@@ -49,10 +49,7 @@ pub fn generate(scale: u32, seed: u64) -> Document {
         doc.append_text(text, zipf_words(&mut rng, &word_zipf, desc_len));
         for _ in 0..rng.gen_range(0..3) {
             let keyword = doc.append_element(text, "keyword");
-            doc.append_text(
-                keyword,
-                WORDS[word_zipf.sample(&mut rng) % WORDS.len()].to_string(),
-            );
+            doc.append_text(keyword, WORDS[word_zipf.sample(&mut rng) % WORDS.len()]);
         }
         if rng.gen_bool(0.6) {
             let quantity = doc.append_element(item, "quantity");
@@ -90,7 +87,7 @@ pub fn generate(scale: u32, seed: u64) -> Document {
                 let education = doc.append_element(profile, "education");
                 doc.append_text(
                     education,
-                    ["high school", "college", "graduate school"][rng.gen_range(0..3)].to_string(),
+                    ["high school", "college", "graduate school"][rng.gen_range(0..3)],
                 );
             }
         }
@@ -144,10 +141,7 @@ pub fn generate(scale: u32, seed: u64) -> Document {
             doc.append_text(text, zipf_words(&mut rng, &word_zipf, 5));
             for _ in 0..rng.gen_range(0..2) {
                 let keyword = doc.append_element(text, "keyword");
-                doc.append_text(
-                    keyword,
-                    WORDS[word_zipf.sample(&mut rng) % WORDS.len()].to_string(),
-                );
+                doc.append_text(keyword, WORDS[word_zipf.sample(&mut rng) % WORDS.len()]);
             }
         }
     }

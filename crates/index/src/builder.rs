@@ -68,10 +68,10 @@ impl IndexedDocument {
                 .map(|p| guide_of[p.index()])
                 .unwrap_or(GuideNodeId::ROOT);
             guide_of[node.index()] = guide
-                .child_by_tag(parent_guide, *name)
+                .child_by_tag(parent_guide, name)
                 .expect("guide derived from the same document");
             elements.push(node);
-            let attrs: Vec<&str> = attributes.iter().map(|(_, v)| v.as_str()).collect();
+            let attrs: Vec<&str> = attributes.into_iter().map(|(_, v)| v).collect();
             values.index_element(node, &doc.direct_text(node), &attrs);
         }
         values.finish();

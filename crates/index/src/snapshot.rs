@@ -7,12 +7,14 @@
 //! DataGuide and the statistics tables — into the sections that
 //! `lotusx-storage` frames and checksums. [`decode_sections`] is the
 //! inverse: bulk reads straight into the arena layouts plus validation,
-//! with **no re-parsing, no re-labeling and no stats re-walks**. What is
-//! *derived* from another section's bytes — today whether the columns'
-//! node ids ascend, and the columns' parent slots — is recomputed, not
-//! stored: a stored
-//! derivation must be validated against its source or it can lie, and
-//! validating it costs what recomputing it costs.
+//! with **no re-parsing, no re-labeling and no stats re-walks**. It takes
+//! the sections by value and frees each payload as soon as its section
+//! is decoded, so a load never holds the whole file beside the whole
+//! index. What is *derived* from another section's bytes — today whether
+//! the columns' node ids ascend, and the columns' parent slots — is
+//! recomputed, not stored: a stored derivation must be validated against
+//! its source or it can lie, and validating it costs what recomputing it
+//! costs.
 //!
 //! ## Node-id canonicalization
 //!
@@ -38,7 +40,7 @@ use crate::dataguide::{DataGuide, GuideNodeId};
 use crate::stats::Stats;
 use crate::trie::Trie;
 use crate::value_index::ValueIndex;
-use crate::wire::{corrupt, get_string, put_string, put_varint, rd_len, StorageError};
+use crate::wire::{corrupt, get_str, get_string, put_string, put_varint, rd_len, StorageError};
 use crate::wire::{get_u16_slice, get_u32_slice, put_u16_slice, put_u32_slice};
 use lotusx_labeling::{DocumentLabels, RegionLabel};
 use lotusx_storage::snapshot::{section, Section};
@@ -47,7 +49,9 @@ use lotusx_xml::{Document, NodeId, NodeKind, Symbol};
 /// Serializes the entire index set into snapshot sections.
 pub fn encode_sections(idx: &IndexedDocument) -> Vec<Section> {
     let doc = idx.document();
-    let order = preorder(doc);
+    // The canonical node order: preorder from the document root, the
+    // order the document-section decoder re-creates nodes in.
+    let order: Vec<NodeId> = doc.all_nodes().collect();
     let mut node_map = vec![u32::MAX; doc.node_count()];
     for (new_id, old) in order.iter().enumerate() {
         node_map[old.index()] = new_id as u32;
@@ -100,48 +104,70 @@ pub fn encode_sections(idx: &IndexedDocument) -> Vec<Section> {
     ]
 }
 
-/// Reassembles an [`IndexedDocument`] from snapshot sections. Every
-/// section must be present exactly once; every embedded id is
-/// bounds-checked so a crafted payload yields a typed error, never a
-/// panic.
-pub fn decode_sections(sections: &[Section]) -> Result<IndexedDocument, StorageError> {
-    let find = |id: u64| -> Result<&[u8], StorageError> {
-        let mut matches = sections.iter().filter(|s| s.id == id);
-        let first = matches.next().ok_or(corrupt("missing snapshot section"))?;
-        if matches.next().is_some() {
-            return Err(corrupt("duplicate snapshot section"));
-        }
-        Ok(&first.bytes)
-    };
+/// The sections [`decode_sections`] reads, in decode order: `GUIDE`
+/// before `COLUMNS`, whose tag streams take their tags from it.
+const DECODED: [u64; 7] = [
+    section::DOCUMENT,
+    section::LABELS,
+    section::GUIDE,
+    section::COLUMNS,
+    section::VALUES,
+    section::TRIES,
+    section::STATS,
+];
 
-    let doc = decode_document(find(section::DOCUMENT)?)?;
+/// Reassembles an [`IndexedDocument`] from snapshot sections. Every
+/// section must be present exactly once (sections it does not read, such
+/// as `VALUE_TRIES`, are dropped); every embedded id is bounds-checked so
+/// a crafted payload yields a typed error, never a panic. Each payload
+/// is freed once its section is decoded.
+pub fn decode_sections(sections: Vec<Section>) -> Result<IndexedDocument, StorageError> {
+    let mut payloads: [Option<Vec<u8>>; DECODED.len()] = Default::default();
+    for s in sections {
+        if let Some(slot) = DECODED.iter().position(|&id| id == s.id) {
+            if payloads[slot].replace(s.bytes).is_some() {
+                return Err(corrupt("duplicate snapshot section"));
+            }
+        }
+    }
+    if payloads.iter().any(Option::is_none) {
+        return Err(corrupt("missing snapshot section"));
+    }
+    let mut payloads = payloads.into_iter().flatten();
+    let mut next = || payloads.next().expect("every section present");
+
+    let doc = decode_document(&next())?;
     let n = doc.node_count();
     let tag_count = doc.symbols().len();
 
-    let labels = decode_labels(find(section::LABELS)?, n)?;
+    let labels = decode_labels(&next(), n)?;
 
-    let (guide, guide_of) = decode_guide(find(section::GUIDE)?, n, tag_count)?;
+    let (guide, guide_of) = decode_guide(&next(), n, tag_count)?;
 
     // The columns take each element's tag from its guide node: the
-    // guide-of map is 4 B per node, where the document's node records
-    // are ~100 B, and on dblp:128 reading those made the parent-slot pass
-    // 6.3 ms instead of 1.5 (E21).
-    let bytes = find(section::COLUMNS)?;
+    // guide-of map is 4 B per node, and on dblp:128 reading tags from
+    // the document's node records made the parent-slot pass 6.3 ms
+    // rather than 1.5 (E21).
+    let bytes = next();
     let mut pos = 0;
-    let columns = TagColumns::decode(bytes, &mut pos, n, |node| guide.tag(guide_of[node.index()]))?;
-    ensure_consumed(bytes, pos, "columns")?;
+    let columns = TagColumns::decode(&bytes, &mut pos, n, |node| {
+        guide.tag(guide_of[node.index()])
+    })?;
+    ensure_consumed(&bytes, pos, "columns")?;
+    drop(bytes);
 
-    let bytes = find(section::VALUES)?;
+    let bytes = next();
     let mut pos = 0;
-    let values = ValueIndex::decode(bytes, &mut pos, n)?;
-    ensure_consumed(bytes, pos, "values")?;
+    let values = ValueIndex::decode(&bytes, &mut pos, n)?;
+    ensure_consumed(&bytes, pos, "values")?;
+    drop(bytes);
 
-    let (terms, tag_trie, term_trie) = decode_tries(find(section::TRIES)?, tag_count)?;
+    let (terms, tag_trie, term_trie) = decode_tries(&next(), tag_count)?;
 
-    let bytes = find(section::STATS)?;
+    let bytes = next();
     let mut pos = 0;
-    let stats = Stats::decode(bytes, &mut pos)?;
-    ensure_consumed(bytes, pos, "stats")?;
+    let stats = Stats::decode(&bytes, &mut pos)?;
+    ensure_consumed(&bytes, pos, "stats")?;
 
     Ok(IndexedDocument {
         doc,
@@ -157,23 +183,6 @@ pub fn decode_sections(sections: &[Section]) -> Result<IndexedDocument, StorageE
     })
 }
 
-/// The canonical preorder node walk: the document root first, then every
-/// node in the order the document-section decoder re-creates them.
-fn preorder(doc: &Document) -> Vec<NodeId> {
-    let mut order = Vec::with_capacity(doc.node_count());
-    order.push(NodeId::DOCUMENT);
-    let mut stack: Vec<NodeId> = doc.children(NodeId::DOCUMENT).collect();
-    stack.reverse();
-    while let Some(node) = stack.pop() {
-        order.push(node);
-        let children: Vec<NodeId> = doc.children(node).collect();
-        for child in children.into_iter().rev() {
-            stack.push(child);
-        }
-    }
-    order
-}
-
 fn ensure_consumed(bytes: &[u8], pos: usize, _what: &'static str) -> Result<(), StorageError> {
     if pos != bytes.len() {
         return Err(corrupt("trailing bytes in snapshot section"));
@@ -185,8 +194,8 @@ fn ensure_consumed(bytes: &[u8], pos: usize, _what: &'static str) -> Result<(), 
 /// column, a parent column, and the per-node payload stream — all in
 /// canonical preorder. Symbols load with their original dense indexes
 /// (which every other section's symbol references rely on), never
-/// re-interned per node, and sibling links are rebuilt in one forward
-/// pass.
+/// re-interned per node; sibling links are rebuilt in one forward pass
+/// and every string payload is appended to the document's arena.
 fn encode_document(doc: &Document, order: &[NodeId], node_map: &[u32], out: &mut Vec<u8>) {
     let symbols = doc.symbols();
     put_varint(out, symbols.len() as u64);
@@ -240,13 +249,9 @@ fn decode_document(bytes: &[u8]) -> Result<Document, StorageError> {
     if sym_count > bytes.len() {
         return Err(corrupt("symbol count"));
     }
-    let mut doc = Document::new();
+    let mut names = Vec::with_capacity(sym_count);
     for _ in 0..sym_count {
-        let name = get_string(bytes, pos).ok_or(corrupt("symbol name"))?;
-        doc.symbols_mut().intern(&name);
-    }
-    if doc.symbols().len() != sym_count {
-        return Err(corrupt("duplicate symbol in table"));
+        names.push(get_str(bytes, pos).ok_or(corrupt("symbol name"))?);
     }
     let n = rd_len(bytes, pos, "node count")?;
     if n == 0 || n > bytes.len() {
@@ -261,22 +266,24 @@ fn decode_document(bytes: &[u8]) -> Result<Document, StorageError> {
     if kinds[0] != 0 {
         return Err(corrupt("first node must be the document root"));
     }
-    let raw_parents = get_u32_slice(bytes, pos, n, "parent column")?;
-    let mut parents = Vec::with_capacity(n);
-    for (i, &p) in raw_parents.iter().enumerate() {
-        if i == 0 {
-            if p != 0 {
-                return Err(corrupt("document root with a parent"));
-            }
-            parents.push(0);
-        } else {
-            // Preorder guarantees every parent precedes its children, so
-            // a single forward pass rebuilds the sibling links acyclically.
-            if p == 0 || p as usize > i {
-                return Err(corrupt("parent id out of preorder range"));
-            }
-            parents.push(p as usize - 1);
-        }
+    let end = n
+        .checked_mul(4)
+        .and_then(|len| pos.checked_add(len))
+        .filter(|&e| e <= bytes.len())
+        .ok_or(corrupt("parent column"))?;
+    let parents = bytes[*pos..end]
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")));
+    *pos = end;
+
+    // Every string payload is a slice of what is left of this section,
+    // so its length bounds the arena.
+    let mut doc = Document::with_capacity(n, bytes.len() - *pos);
+    for name in names {
+        doc.symbols_mut().intern(name);
+    }
+    if doc.symbols().len() != sym_count {
+        return Err(corrupt("duplicate symbol in table"));
     }
     let rd_sym = |bytes: &[u8], pos: &mut usize, what| -> Result<Symbol, StorageError> {
         let v = rd_len(bytes, pos, what)?;
@@ -285,7 +292,20 @@ fn decode_document(bytes: &[u8]) -> Result<Document, StorageError> {
         }
         Ok(Symbol::from_index(v))
     };
-    for (i, &kind) in kinds.iter().enumerate().skip(1) {
+    let rd_str = |bytes, pos: &mut usize, what| get_str(bytes, pos).ok_or(corrupt(what));
+    for (i, (&kind, parent)) in kinds.iter().zip(parents).enumerate() {
+        if i == 0 {
+            if parent != 0 {
+                return Err(corrupt("document root with a parent"));
+            }
+            continue;
+        }
+        // The parent column holds preorder id + 1: every parent precedes
+        // its children, so a single forward pass rebuilds the sibling
+        // links acyclically.
+        if parent == 0 || parent as usize > i {
+            return Err(corrupt("parent id out of preorder range"));
+        }
         let id = match kind {
             1 => {
                 let name = rd_sym(bytes, pos, "element tag symbol")?;
@@ -293,33 +313,26 @@ fn decode_document(bytes: &[u8]) -> Result<Document, StorageError> {
                 if attr_count > bytes.len() {
                     return Err(corrupt("attribute count"));
                 }
-                let mut attributes = Vec::with_capacity(attr_count);
+                let id = doc.new_element_interned(name);
                 for _ in 0..attr_count {
                     let sym = rd_sym(bytes, pos, "attribute name symbol")?;
-                    let value = get_string(bytes, pos).ok_or(corrupt("attribute value"))?;
-                    attributes.push((sym, value));
+                    doc.append_attribute(id, sym, rd_str(bytes, pos, "attribute value")?);
                 }
-                doc.new_element_with(name, attributes)
+                id
             }
-            2 => {
-                let t = get_string(bytes, pos).ok_or(corrupt("text payload"))?;
-                doc.new_text(t)
-            }
-            3 => {
-                let t = get_string(bytes, pos).ok_or(corrupt("comment payload"))?;
-                doc.new_comment(t)
-            }
+            2 => doc.new_text(rd_str(bytes, pos, "text payload")?),
+            3 => doc.new_comment(rd_str(bytes, pos, "comment payload")?),
             4 => {
-                let target = get_string(bytes, pos).ok_or(corrupt("pi target"))?;
-                let data = get_string(bytes, pos).ok_or(corrupt("pi data"))?;
-                doc.new_pi(target, data)
+                let target = rd_str(bytes, pos, "pi target")?;
+                doc.new_pi(target, rd_str(bytes, pos, "pi data")?)
             }
             _ => return Err(corrupt("unknown node kind")),
         };
         debug_assert_eq!(id.index(), i);
-        doc.append_child(NodeId::from_index(parents[i]), id);
+        doc.append_child(NodeId::from_index(parent as usize - 1), id);
     }
     ensure_consumed(bytes, *pos, "document")?;
+    doc.shrink_to_fit();
     Ok(doc)
 }
 
@@ -441,8 +454,7 @@ mod tests {
     #[test]
     fn sections_roundtrip_every_structure() {
         let idx = sample();
-        let sections = encode_sections(&idx);
-        let back = decode_sections(&sections).unwrap();
+        let back = decode_sections(encode_sections(&idx)).unwrap();
 
         assert_eq!(back.document().to_xml(), idx.document().to_xml());
         let doc = idx.document();
@@ -504,7 +516,7 @@ mod tests {
         assert_eq!(encode_sections(&idx), encode_sections(&idx));
         // And stable across decode: re-encoding the decoded index is a
         // fixpoint (hash maps rebuilt in a different order must not leak).
-        let back = decode_sections(&encode_sections(&idx)).unwrap();
+        let back = decode_sections(encode_sections(&idx)).unwrap();
         assert_eq!(encode_sections(&back), encode_sections(&idx));
     }
 
@@ -514,13 +526,13 @@ mod tests {
         let mut sections = encode_sections(&idx);
         let stats = sections.pop().unwrap();
         assert!(matches!(
-            decode_sections(&sections),
+            decode_sections(sections.clone()),
             Err(StorageError::Corrupt(_))
         ));
         sections.push(stats.clone());
         sections.push(stats);
         assert!(matches!(
-            decode_sections(&sections),
+            decode_sections(sections),
             Err(StorageError::Corrupt(_))
         ));
     }
@@ -540,7 +552,7 @@ mod tests {
                 // Any outcome but a panic is acceptable; most flips must
                 // surface as typed errors, a few land in value bytes
                 // (counts, weights) that decode to different-but-valid data.
-                let _ = decode_sections(&tampered);
+                let _ = decode_sections(tampered);
             }
         }
     }
@@ -555,7 +567,7 @@ mod tests {
             truncated[si].bytes.truncate(len / 2);
             assert!(
                 matches!(
-                    decode_sections(&truncated),
+                    decode_sections(truncated),
                     Err(StorageError::Corrupt(_)) | Err(StorageError::Io(_))
                 ),
                 "truncating section {} must fail decoding",

@@ -1,7 +1,7 @@
 //! Corpus statistics used by ranking and the experiment harness.
 
 use crate::wire::{corrupt, put_varint, rd_f64, rd_len, rd_varint, StorageError};
-use lotusx_xml::{Document, NodeId};
+use lotusx_xml::{Document, NodeId, NodeKind};
 
 /// Aggregate statistics about one document.
 #[derive(Clone, Debug, Default)]
@@ -33,7 +33,7 @@ impl Stats {
                 continue;
             }
             match doc.kind(node) {
-                lotusx_xml::NodeKind::Element { attributes, .. } => {
+                NodeKind::Element { attributes, .. } => {
                     stats.element_count += 1;
                     stats.attribute_count += attributes.len();
                     let depth = doc.depth(node);
@@ -48,7 +48,7 @@ impl Stats {
                         internal += 1;
                     }
                 }
-                lotusx_xml::NodeKind::Text(_) => stats.text_count += 1,
+                NodeKind::Text(_) => stats.text_count += 1,
                 _ => {}
             }
         }

@@ -92,7 +92,7 @@ fn build(doc: &mut Document, parent: NodeId, node: &GenNode) {
 /// the decoded tree — equal to a fresh build over it.
 fn assert_roundtrips(doc: Document, case: &str) {
     let idx = IndexedDocument::build(doc);
-    let back = decode_sections(&encode_sections(&idx)).expect("own sections decode");
+    let back = decode_sections(encode_sections(&idx)).expect("own sections decode");
     let (doc, back_doc) = (idx.document(), back.document());
     assert_eq!(back_doc.to_xml(), doc.to_xml(), "{case}");
     assert_eq!(back_doc.node_count(), doc.node_count(), "{case}");
@@ -130,7 +130,7 @@ fn corrupted_bytes_error_but_never_panic() {
         // The section checksum catches nearly every flip; either way the
         // outcome is a typed error, never a panic.
         if let Ok(sections) = read_snapshot(&buf[..]) {
-            let _ = decode_sections(&sections);
+            let _ = decode_sections(sections);
         }
     }
     // Past the checksum (a crafted file): flips inside the DOCUMENT
@@ -141,7 +141,7 @@ fn corrupted_bytes_error_but_never_panic() {
         let bytes = &mut tampered[0].bytes;
         let i = rng.gen_range(0..bytes.len());
         bytes[i] ^= rng.gen_range(1..256u32) as u8;
-        let _ = decode_sections(&tampered);
+        let _ = decode_sections(tampered);
     }
 }
 

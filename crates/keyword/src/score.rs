@@ -1,6 +1,7 @@
 //! Scoring of keyword hits: smaller, term-rich subtrees first.
 
 use lotusx_index::IndexedDocument;
+use lotusx_labeling::RegionLabel;
 use lotusx_xml::NodeId;
 
 /// Scores one SLCA/ELCA answer subtree for ranking.
@@ -10,10 +11,11 @@ use lotusx_xml::NodeId;
 /// more specific and rank higher (the intuition behind preferring SLCAs
 /// over arbitrary LCAs in the first place).
 pub fn score_hit(idx: &IndexedDocument, node: NodeId, keywords: &[&str]) -> f64 {
-    let doc = idx.document();
     let values = idx.values();
     let n = values.content_element_count().max(1) as f64;
 
+    let labels = idx.labels();
+    let region = labels.region(node);
     let mut weight = 0.0;
     for kw in keywords {
         let postings = values.postings(kw);
@@ -24,8 +26,6 @@ pub fn score_hit(idx: &IndexedDocument, node: NodeId, keywords: &[&str]) -> f64 
         // Occurrences inside the answer subtree: postings are in document
         // order, so the subtree's are the contiguous run whose region
         // starts fall inside the answer's region.
-        let labels = idx.labels();
-        let region = labels.region(node);
         let from = postings.partition_point(|p| labels.region(p.node).start < region.start);
         let tf: u32 = postings[from..]
             .iter()
@@ -37,9 +37,16 @@ pub fn score_hit(idx: &IndexedDocument, node: NodeId, keywords: &[&str]) -> f64 
         }
     }
 
-    let subtree_size = doc.descendants_or_self(node).count() as f64;
+    let subtree_size = f64::from(subtree_size(region));
     let compactness = 1.0 / (1.0 + subtree_size.ln_1p());
     weight * compactness
+}
+
+/// Nodes in the subtree `region` labels, the node itself included:
+/// every node's enter and exit are numbered, so the exit of a subtree of
+/// `k` nodes comes `2k - 1` numbers after its enter.
+pub fn subtree_size(region: RegionLabel) -> u32 {
+    (region.end - region.start) / 2 + 1
 }
 
 #[cfg(test)]

@@ -7,7 +7,8 @@
 
 use lotusx_datagen::rng::XorShiftRng;
 use lotusx_index::IndexedDocument;
-use lotusx_keyword::{bitmask, indexed, score::score_hit};
+use lotusx_keyword::score::{score_hit, subtree_size};
+use lotusx_keyword::{bitmask, indexed};
 use lotusx_xml::{Document, NodeId};
 
 const TAGS: [&str; 4] = ["a", "b", "c", "d"];
@@ -169,5 +170,47 @@ fn slice_scoring_equals_the_posting_scan_bit_for_bit() {
     assert!(
         scored > 300,
         "the cases must exercise non-zero scores: {scored}"
+    );
+}
+
+/// [`build`] with every keyword a text node of its own, so adjacent text
+/// runs exist for `coalesce_text` to merge.
+fn build_split(doc: &mut Document, parent: NodeId, t: &GenTree) {
+    let e = doc.append_element(parent, TAGS[t.tag]);
+    for &w in &t.words {
+        doc.append_text(e, format!("{} ", WORDS[w]));
+    }
+    for c in &t.children {
+        build_split(doc, e, c);
+    }
+}
+
+/// `score_hit` sizes an answer from its region label: every node's enter
+/// and exit are numbered, so the subtree walk it replaced counts exactly
+/// `(end - start + 1) / 2` nodes — text nodes included, and so are the
+/// ones `coalesce_text` empties.
+#[test]
+fn region_labels_count_every_node_of_a_subtree() {
+    let mut rng = XorShiftRng::seed_from_u64(0x517E);
+    let mut merged = 0;
+    for case in 0..128 {
+        let mut budget = 60u32;
+        let root = random_tree(&mut rng, 5, &mut budget);
+        let mut doc = Document::new();
+        build_split(&mut doc, NodeId::DOCUMENT, &root);
+        merged += lotusx_xml::parser::coalesce_text(&mut doc);
+        let idx = IndexedDocument::build(doc);
+        let doc = idx.document();
+        for node in doc.all_nodes() {
+            assert_eq!(
+                subtree_size(idx.labels().region(node)) as usize,
+                doc.descendants_or_self(node).count(),
+                "case {case}: {node:?}"
+            );
+        }
+    }
+    assert!(
+        merged > 50,
+        "the cases must hold emptied text nodes: {merged}"
     );
 }

@@ -382,12 +382,15 @@ fn serve_command(system: &LotusX, rest: &str) {
 
 fn print_stats(system: &LotusX) {
     let s = system.index().stats();
+    let doc = system.index().document();
     println!(
-        "elements: {}  distinct tags: {}  max depth: {}  index bytes: {}",
+        "elements: {}  distinct tags: {}  max depth: {}  index bytes: {}  document bytes: {} ({:.1}/node)",
         s.element_count,
         s.distinct_tags,
         s.max_depth,
-        system.index().index_size_bytes()
+        system.index().index_size_bytes(),
+        doc.size_bytes(),
+        doc.size_bytes() as f64 / doc.node_count() as f64
     );
     let qc = system.query_cache_stats();
     println!(

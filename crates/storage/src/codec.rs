@@ -41,12 +41,17 @@ pub fn put_string(out: &mut Vec<u8>, s: &str) {
 
 /// Reads a length-prefixed UTF-8 string.
 pub fn get_string(data: &[u8], pos: &mut usize) -> Option<String> {
+    get_str(data, pos).map(str::to_string)
+}
+
+/// Reads a length-prefixed UTF-8 string, borrowed from `data`.
+pub fn get_str<'a>(data: &'a [u8], pos: &mut usize) -> Option<&'a str> {
     let len = get_varint(data, pos)? as usize;
     let end = pos.checked_add(len)?;
     if end > data.len() {
         return None;
     }
-    let s = std::str::from_utf8(&data[*pos..end]).ok()?.to_string();
+    let s = std::str::from_utf8(&data[*pos..end]).ok()?;
     *pos = end;
     Some(s)
 }

@@ -100,7 +100,28 @@ pub fn write_snapshot(mut writer: impl Write, sections: &[Section]) -> Result<()
 
 /// Reads a snapshot container from `reader`, verifying every section
 /// checksum, and returns its sections in file order.
-pub fn read_snapshot(mut reader: impl Read) -> Result<Vec<Section>, StorageError> {
+pub fn read_snapshot(reader: impl Read) -> Result<Vec<Section>, StorageError> {
+    read_sections(reader, PREALLOC_CAP)
+}
+
+/// Reads a snapshot container from a file through a buffered reader:
+/// each payload is read straight into its own exact-size buffer, so the
+/// file is never held a second time beside its sections. Every checksum
+/// is verified before this returns.
+pub fn read_snapshot_file(path: impl AsRef<Path>) -> Result<Vec<Section>, StorageError> {
+    let file = std::fs::File::open(path)?;
+    // No valid payload is longer than the file: a header claiming more
+    // is truncation, and allocates no more than the file holds.
+    let len = file.metadata()?.len();
+    read_sections(std::io::BufReader::new(file), len)
+}
+
+/// An untrusted payload length pre-allocates at most this much from a
+/// stream of unknown length (a corrupt header could demand terabytes).
+const PREALLOC_CAP: u64 = 1 << 26; // 64 MiB
+
+/// [`read_snapshot`], pre-allocating no payload beyond `prealloc_cap`.
+fn read_sections(mut reader: impl Read, prealloc_cap: u64) -> Result<Vec<Section>, StorageError> {
     let mut head = [0u8; 5];
     reader.read_exact(&mut head)?;
     if &head[..4] != MAGIC {
@@ -124,7 +145,7 @@ pub fn read_snapshot(mut reader: impl Read) -> Result<Vec<Section>, StorageError
         let len = read_varint(&mut reader)?;
         let mut sum = [0u8; 8];
         reader.read_exact(&mut sum)?;
-        let bytes = read_payload(&mut reader, len)?;
+        let bytes = read_payload(&mut reader, len, prealloc_cap)?;
         if fnv1a_words(&bytes) != u64::from_le_bytes(sum) {
             return Err(StorageError::ChecksumMismatch);
         }
@@ -132,15 +153,6 @@ pub fn read_snapshot(mut reader: impl Read) -> Result<Vec<Section>, StorageError
     }
     reject_trailing(&mut reader)?;
     Ok(sections)
-}
-
-/// Reads a snapshot container from a file. The file is slurped in one
-/// read and parsed from memory — section payloads then land in
-/// exact-size buffers with no incremental growth, which matters on the
-/// cold-boot path.
-pub fn read_snapshot_file(path: impl AsRef<Path>) -> Result<Vec<Section>, StorageError> {
-    let data = std::fs::read(path)?;
-    read_snapshot(&data[..])
 }
 
 /// Atomically writes a snapshot to `path`: the container is written
@@ -176,12 +188,11 @@ pub fn write_snapshot_file(
     result
 }
 
-/// Reads exactly `len` payload bytes. `len` is untrusted (a corrupt
-/// header could demand terabytes), so the pre-allocation is capped —
-/// sections below the cap still get one exact-size buffer.
-fn read_payload(reader: &mut impl Read, len: u64) -> Result<Vec<u8>, StorageError> {
-    const PREALLOC_CAP: u64 = 1 << 26; // 64 MiB
-    let mut bytes = Vec::with_capacity(len.min(PREALLOC_CAP) as usize);
+/// Reads exactly `len` payload bytes. `len` is untrusted, so the
+/// pre-allocation is capped — sections below the cap still get one
+/// exact-size buffer.
+fn read_payload(reader: &mut impl Read, len: u64, cap: u64) -> Result<Vec<u8>, StorageError> {
+    let mut bytes = Vec::with_capacity(len.min(cap) as usize);
     reader.take(len).read_to_end(&mut bytes)?;
     if bytes.len() as u64 != len {
         return Err(StorageError::Io(std::io::Error::new(

@@ -117,7 +117,7 @@ pub fn predicate_matches(idx: &IndexedDocument, node: NodeId, pred: &ValuePredic
             if needles.is_empty() {
                 return true;
             }
-            let mut content = doc.direct_text(node);
+            let mut content = doc.direct_text(node).into_owned();
             if let NodeKind::Element { attributes, .. } = doc.kind(node) {
                 for (_, value) in attributes {
                     content.push(' ');

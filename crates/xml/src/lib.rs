@@ -1,8 +1,8 @@
 //! # lotusx-xml
 //!
 //! From-scratch XML substrate for the LotusX reproduction: a zero-copy pull
-//! tokenizer, an arena-allocated document tree, a well-formedness-checking
-//! parser and an escaping serializer.
+//! tokenizer, a columnar document tree over byte arenas, a
+//! well-formedness-checking parser and an escaping serializer.
 //!
 //! The scope is deliberately the subset of XML that the twig-search
 //! literature's corpora (DBLP, XMark, TreeBank) exercise: elements,
@@ -36,4 +36,4 @@ pub use parser::ParseOptions;
 pub use serializer::SerializeOptions;
 pub use symbols::{Symbol, SymbolTable};
 pub use tokenizer::{Token, Tokenizer};
-pub use tree::{Document, NodeId, NodeKind};
+pub use tree::{AttributeIter, Attributes, Document, NodeId, NodeKind};

@@ -4,6 +4,7 @@ use crate::error::{Error, Result, TextPos};
 use crate::escape::{needs_unescaping, unescape};
 use crate::tokenizer::{Token, Tokenizer};
 use crate::tree::{Document, NodeId, NodeKind};
+use std::borrow::Cow;
 
 /// Options controlling parsing behaviour.
 #[derive(Clone, Copy, Debug)]
@@ -67,20 +68,14 @@ impl Document {
                         });
                     }
                     let elem = doc.new_element(name);
-                    let mut seen: Vec<&str> = Vec::with_capacity(attributes.len());
-                    for attr in attributes {
-                        if seen.contains(&attr.name) {
+                    for (i, attr) in attributes.iter().enumerate() {
+                        if attributes[..i].iter().any(|a| a.name == attr.name) {
                             return Err(Error::DuplicateAttribute {
                                 name: attr.name.to_string(),
                                 pos: TextPos::from_offset(input, attr.value_offset),
                             });
                         }
-                        seen.push(attr.name);
-                        let value = if needs_unescaping(attr.raw_value) {
-                            unescape(attr.raw_value, input, attr.value_offset)?
-                        } else {
-                            attr.raw_value.to_string()
-                        };
+                        let value = unescaped(attr.raw_value, input, attr.value_offset)?;
                         doc.set_attribute(elem, attr.name, value);
                     }
                     doc.append_child(parent, elem);
@@ -122,12 +117,7 @@ impl Document {
                     if options.trim_whitespace_text && is_ws_only {
                         continue;
                     }
-                    let text = if needs_unescaping(raw) {
-                        unescape(raw, input, offset)?
-                    } else {
-                        raw.to_string()
-                    };
-                    doc.append_text(parent, text);
+                    doc.append_text(parent, unescaped(raw, input, offset)?);
                 }
                 Token::CData { text } => {
                     if parent == NodeId::DOCUMENT {
@@ -166,85 +156,66 @@ impl Document {
                 pos: TextPos::from_offset(input, input.len()),
             });
         }
+        doc.shrink_to_fit();
         Ok(doc)
     }
+}
+
+/// `raw` with its entity and character references resolved, borrowed
+/// unless it has any: the document copies it into its arena either way.
+fn unescaped<'a>(raw: &'a str, input: &str, offset: usize) -> Result<Cow<'a, str>> {
+    Ok(if needs_unescaping(raw) {
+        Cow::Owned(unescape(raw, input, offset)?)
+    } else {
+        Cow::Borrowed(raw)
+    })
 }
 
 /// Merges adjacent text children created by CDATA/text interleaving.
 ///
 /// The parser may produce adjacent text nodes (e.g. `a<![CDATA[b]]>c`);
 /// most consumers are fine with that, but canonical comparisons want them
-/// merged. Returns the number of merges performed.
+/// merged. The first node of each run receives the whole text; the
+/// others stay in the tree, emptied, which serializers skip. Returns the
+/// number of merges performed.
 pub fn coalesce_text(doc: &mut Document) -> usize {
-    // Collect merge plans first to avoid aliasing the arena while editing.
-    let mut merges: Vec<(NodeId, String)> = Vec::new();
-    let ids: Vec<NodeId> = doc.all_nodes().collect();
-    let mut merged = 0usize;
-    for id in ids {
+    // Plan first (the walk borrows the tree), then rewrite: each run as
+    // its head node and length.
+    let mut runs: Vec<(NodeId, usize)> = Vec::new();
+    for id in doc.all_nodes() {
         if !matches!(doc.kind(id), NodeKind::Document | NodeKind::Element { .. }) {
             continue;
         }
-        let children: Vec<NodeId> = doc.children(id).collect();
-        let mut i = 0;
-        while i < children.len() {
-            if let NodeKind::Text(first) = doc.kind(children[i]) {
-                let mut combined = first.clone();
-                let mut j = i + 1;
-                while j < children.len() {
-                    if let NodeKind::Text(t) = doc.kind(children[j]) {
-                        combined.push_str(t);
-                        j += 1;
-                    } else {
-                        break;
-                    }
-                }
-                if j > i + 1 {
-                    merges.push((children[i], combined));
-                    merged += j - i - 1;
-                }
-                i = j;
-            } else {
-                i += 1;
+        let mut run: Option<(NodeId, usize)> = None;
+        for child in doc.children(id) {
+            let is_text = matches!(doc.kind(child), NodeKind::Text(_));
+            match (&mut run, is_text) {
+                (Some((_, len)), true) => *len += 1,
+                (None, true) => run = Some((child, 1)),
+                (_, false) => runs.extend(run.take().filter(|&(_, len)| len > 1)),
             }
         }
+        runs.extend(run.filter(|&(_, len)| len > 1));
     }
-    // Apply: rebuild documents with merged text is overkill; instead we just
-    // rewrite the first node's content. Subsequent text siblings remain in
-    // the arena but are emptied, which serializers skip.
-    for (id, text) in merges {
-        replace_text(doc, id, text);
+    let mut merged = 0usize;
+    let mut combined = String::new();
+    for (head, len) in runs {
+        combined.clear();
+        let mut node = Some(head);
+        for _ in 0..len {
+            let text = node.expect("run of text siblings");
+            if let NodeKind::Text(t) = doc.kind(text) {
+                combined.push_str(t);
+            }
+            if text != head {
+                doc.set_text_content(text, "");
+            }
+            node = doc.next_sibling(text);
+        }
+        doc.set_text_content(head, &combined);
+        merged += len - 1;
     }
     merged
-}
-
-fn replace_text(doc: &mut Document, id: NodeId, text: String) {
-    // Empty the following text siblings, then set the node's own content.
-    let mut next = doc.next_sibling(id);
-    while let Some(n) = next {
-        let is_text = matches!(doc.kind(n), NodeKind::Text(_));
-        if !is_text {
-            break;
-        }
-        doc.set_text_content(n, String::new());
-        next = doc.next_sibling(n);
-    }
-    doc.set_text_content(id, text);
-}
-
-impl Document {
-    /// Replaces the content of a text node (used by [`coalesce_text`]).
-    ///
-    /// # Panics
-    /// Panics if `id` is not a text node.
-    pub fn set_text_content(&mut self, id: NodeId, text: String) {
-        match self.kind(id) {
-            NodeKind::Text(_) => {}
-            other => panic!("set_text_content on non-text node {other:?}"),
-        }
-        // Re-create through the public kind accessor is impossible without
-        // interior access; expose a dedicated mutator on the arena instead.
-        self.replace_kind(id, NodeKind::Text(text));
-    }
 }
 
 #[cfg(test)]

@@ -64,43 +64,42 @@ impl Document {
             NodeKind::Document => {}
             NodeKind::Element { name, attributes } => {
                 out.push('<');
-                out.push_str(self.symbols().resolve(*name));
+                out.push_str(self.symbols().resolve(name));
                 for (attr, value) in attributes {
                     out.push(' ');
-                    out.push_str(self.symbols().resolve(*attr));
+                    out.push_str(self.symbols().resolve(attr));
                     out.push_str("=\"");
                     escape_attr_into(value, out);
                     out.push('"');
                 }
                 // Empty text nodes (left behind by text coalescing) are
                 // invisible to serialization.
-                let children: Vec<NodeId> = self
+                let children = self
                     .children(id)
-                    .filter(|&c| !matches!(self.kind(c), NodeKind::Text(t) if t.is_empty()))
-                    .collect();
-                if children.is_empty() {
+                    .filter(|&c| !matches!(self.kind(c), NodeKind::Text("")));
+                if children.clone().next().is_none() {
                     out.push_str("/>");
                     return;
                 }
                 out.push('>');
                 let only_text = children
-                    .iter()
-                    .all(|&c| matches!(self.kind(c), NodeKind::Text(_)));
+                    .clone()
+                    .all(|c| matches!(self.kind(c), NodeKind::Text(_)));
                 if opts.pretty && !only_text {
-                    for child in &children {
+                    for child in children {
                         out.push('\n');
                         push_indent(out, opts.indent * (depth + 1));
-                        self.serialize_node(*child, opts, depth + 1, out);
+                        self.serialize_node(child, opts, depth + 1, out);
                     }
                     out.push('\n');
                     push_indent(out, opts.indent * depth);
                 } else {
-                    for child in &children {
-                        self.serialize_node(*child, opts, depth + 1, out);
+                    for child in children {
+                        self.serialize_node(child, opts, depth + 1, out);
                     }
                 }
                 out.push_str("</");
-                out.push_str(self.symbols().resolve(*name));
+                out.push_str(self.symbols().resolve(name));
                 out.push('>');
             }
             NodeKind::Text(text) => escape_text_into(text, out),

@@ -204,3 +204,46 @@ fn encoding_candidates_allocates_per_body_not_per_candidate() {
         (candidate_allocations(1), candidate_allocations(10)),
     );
 }
+
+/// `items` flat records of two text nodes each, as XML text.
+fn text_corpus(items: usize) -> String {
+    let mut xml = String::from("<r>");
+    for _ in 0..items {
+        xml.push_str("<item><a>x</a><b>y</b></item>");
+    }
+    xml.push_str("</r>");
+    xml
+}
+
+/// A document is node columns plus character-data arenas: parsing one,
+/// or decoding one from a snapshot, allocates per column and its growth
+/// steps, not per text node. (The node-per-allocation tree this replaced
+/// took 4 027 blocks to parse 2 000 records and 32 030 for 16 000, and
+/// 4 074 / 32 077 to decode them — one block per text node.)
+#[test]
+fn parsing_and_snapshot_decoding_allocate_per_document_not_per_text_node() {
+    const SMALL: usize = 2_000;
+    const GROWTH: usize = 8;
+    let parse = |items: usize| {
+        let xml = text_corpus(items);
+        allocations_of(|| lotusx_xml::Document::parse_str(&xml).expect("well-formed"))
+    };
+    let decode = |items: usize| {
+        let idx = IndexedDocument::from_str(&text_corpus(items)).expect("well-formed");
+        let sections = lotusx_index::snapshot::encode_sections(&idx);
+        allocations_of(|| lotusx_index::snapshot::decode_sections(sections).expect("decodes"))
+    };
+    for (what, small, large) in [
+        ("parse", parse(SMALL), parse(SMALL * GROWTH)),
+        ("decode", decode(SMALL), decode(SMALL * GROWTH)),
+    ] {
+        eprintln!("{what}: {small} blocks for {SMALL} records, {large} for 8x");
+        // The columns, the arenas and the index structures …
+        assert!(small < 160, "{what}: {small} blocks for {SMALL} records");
+        // … of which 8x the records may add only doubling steps.
+        assert!(
+            large <= small + 32,
+            "{what}: {small} blocks for {SMALL} records, {large} for 8x"
+        );
+    }
+}
