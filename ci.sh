@@ -189,23 +189,25 @@ stage_test() {
 
 # Smoke-test the CLI observability surface headlessly: a scripted REPL
 # session exercising profile/explain/stats must run to completion, and
-# the explain output must contain the stage-timing tree. The session
-# ends on the canvas (root, focus, type, accept, run, run): both runs
-# must print a matches line like the three queries before them, and the
-# second must be the cache hit that only a `run` going through `query()`
-# produces (hits: the repeated query, the same query pinned to
+# the explain output must contain the stage-timing tree. A broken query
+# (`writer` for `author`) must come back through the rewriter. The
+# session ends on the canvas (root, focus, type, accept, run, run): both
+# runs must print a matches line like the four queries before them, and
+# the second must be the cache hit that only a `run` going through
+# `query()` produces (hits: the repeated query, the same query pinned to
 # structural-join — what `auto` resolves to, so one cache entry — and the
 # repeated run).
 stage_smoke() {
     local out
-    out=$(printf 'profile on\nexplain //book[author]/title\nquery //book/title\nquery //book/title\nalgo structural-join\nquery //book/title\nroot\nfocus 0\ntype b\naccept\nrun\nrun\nstats\nstats json\nquit\n' \
+    out=$(printf 'profile on\nexplain //book[author]/title\nquery //book/title\nquery //book/title\nalgo structural-join\nquery //book/title\nquery //article/writer\nroot\nfocus 0\ntype b\naccept\nrun\nrun\nstats\nstats json\nquit\n' \
         | cargo run --release -p lotusx-serve --bin lotusx-cli) || return 1
     echo "$out" | grep -q 'parse' &&
     echo "$out" | grep -q 'total:' &&
     echo "$out" | grep -q 'cache_hit' &&
+    echo "$out" | grep -q 'rewritten to.*author' &&
     echo "$out" | grep -q 'accepted book' &&
-    [ "$(echo "$out" | grep -c ' matches$')" -eq 5 ] &&
-    echo "$out" | grep -q 'query cache: 3 hits, 3 misses'
+    [ "$(echo "$out" | grep -c ' matches$')" -eq 6 ] &&
+    echo "$out" | grep -q 'query cache: 3 hits, 4 misses'
 }
 
 # Robustness smoke: a deliberately explosive all-wildcard query with a

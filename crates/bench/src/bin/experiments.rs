@@ -8,12 +8,13 @@
 //! ```
 
 use lotusx_autocomplete::{CompletionEngine, PositionContext};
+use lotusx_bench::metrics::{mrr, ndcg_at_k, precision_at_k};
 use lotusx_bench::{fixture, fmt_duration, median_time, time_once, SEED};
 use lotusx_datagen::{generate, queries, Dataset};
 use lotusx_guard::QueryGuard;
 use lotusx_index::IndexedDocument;
-use lotusx_rank::{mrr, ndcg_at_k, precision_at_k, Ranker};
-use lotusx_rewrite::{Rewriter, RewriterConfig, SynonymTable};
+use lotusx_rank::Ranker;
+use lotusx_rewrite::{Rewriter, RewriterConfig};
 use lotusx_twig::exec::{execute, Algorithm};
 use lotusx_twig::matcher::MatchSet;
 use lotusx_twig::xpath::parse_query;
@@ -324,13 +325,11 @@ fn e6_rewriting() {
     println!("|---|---|---|---|---|---|---|---|---|---|");
     for ds in Dataset::ALL {
         let idx = fixture(ds, 1);
-        let pruned = Rewriter::new(&idx);
-        let unpruned = Rewriter::with(
+        let pruned = Rewriter::new(&idx, RewriterConfig::default());
+        let unpruned = Rewriter::new(
             &idx,
-            SynonymTable::default_table(),
             RewriterConfig {
                 guide_pruning: false,
-                ..RewriterConfig::default()
             },
         );
         for q in queries::broken_queries(ds) {
@@ -491,13 +490,11 @@ fn e9_ablations() {
     println!("|---|---|---|---|---|---|");
     for ds in Dataset::ALL {
         let idx = fixture(ds, 1);
-        let pruned = Rewriter::new(&idx);
-        let unpruned = Rewriter::with(
+        let pruned = Rewriter::new(&idx, RewriterConfig::default());
+        let unpruned = Rewriter::new(
             &idx,
-            SynonymTable::default_table(),
             RewriterConfig {
                 guide_pruning: false,
-                ..RewriterConfig::default()
             },
         );
         let mut pe = 0usize;

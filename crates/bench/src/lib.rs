@@ -3,6 +3,8 @@
 
 #![warn(missing_docs)]
 
+pub mod metrics;
+
 use lotusx::{CorpusSource, LotusX};
 use lotusx_datagen::Dataset;
 use lotusx_index::IndexedDocument;

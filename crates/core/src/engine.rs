@@ -23,13 +23,13 @@ use lotusx_guard::{QueryGuard, TruncationReason};
 use lotusx_index::IndexedDocument;
 use lotusx_obs::{EventKind, QueryId, QueryProfile, Span, Stage};
 use lotusx_rank::Ranker;
-use lotusx_rewrite::{RewriteSetup, Rewriter, RewriterConfig};
+use lotusx_rewrite::{Rewriter, RewriterConfig};
 use lotusx_twig::exec::{execute_budgeted, Algorithm};
 use lotusx_twig::pattern::TwigPattern;
 use lotusx_twig::xpath::parse_query;
 use lotusx_xml::{Document, SerializeOptions};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Number of hottest tags whose value-completion tries are prebuilt at
@@ -188,10 +188,6 @@ pub struct LotusX {
     /// resolved algorithm + normalized pattern. A hit clones the entry:
     /// a pointer copy of its [`Answer`].
     query_cache: ConcurrentLru<String, QueryResponse>,
-    /// The rewriter's per-document set-up (indexed DataGuide, synonyms),
-    /// built by the first query that needs rewriting — never at boot, so
-    /// an engine that never rewrites never pays for it.
-    rewrite_setup: OnceLock<RewriteSetup>,
 }
 
 impl LotusX {
@@ -298,7 +294,6 @@ impl LotusX {
             idx,
             value_cache: Arc::new(value_cache),
             query_cache: ConcurrentLru::new(QUERY_CACHE_CAPACITY),
-            rewrite_setup: OnceLock::new(),
         }
     }
 
@@ -504,11 +499,7 @@ impl LotusX {
         // anyway.
         if matches.is_empty() && !guard.is_tripped() {
             let (rewrites, _) = ctx.stage(Stage::Rewrite, |s| {
-                let setup = self.rewrite_setup.get_or_init(|| {
-                    RewriteSetup::new(&self.idx, lotusx_rewrite::SynonymTable::default_table())
-                });
-                Rewriter::over(&self.idx, setup, RewriterConfig::default())
-                    .rewrite(pattern, s, guard)
+                Rewriter::new(&self.idx, RewriterConfig::default()).rewrite(pattern, s, guard)
             });
             // A search the guard cut short applies nothing — the
             // re-execution could not run anyway — and the response

@@ -161,14 +161,6 @@ impl DataGuide {
         out
     }
 
-    /// All guide nodes whose tag is `tag`.
-    pub fn nodes_with_tag(&self, tag: Symbol) -> Vec<GuideNodeId> {
-        (0..self.nodes.len())
-            .map(|i| GuideNodeId(i as u32))
-            .filter(|id| self.tag(*id) == Some(tag))
-            .collect()
-    }
-
     /// The guide node for an exact root-to-node tag path, if present.
     pub fn lookup_path(&self, path: &[Symbol]) -> Option<GuideNodeId> {
         let mut cur = GuideNodeId::ROOT;
@@ -212,28 +204,6 @@ impl DataGuide {
         self.nodes.len()
     }
 
-    /// Maximum path depth in the guide.
-    pub fn max_depth(&self) -> u16 {
-        self.nodes.iter().map(|n| n.depth).max().unwrap_or(0)
-    }
-
-    /// Materializes the guide as a small [`Document`] (one element per guide
-    /// node). Used by the rewriter: a twig is structurally satisfiable on
-    /// the data iff it matches this document.
-    pub fn to_document(&self, symbols: &lotusx_xml::SymbolTable) -> Document {
-        let mut doc = Document::new();
-        let mut map: Vec<NodeId> = vec![NodeId::DOCUMENT; self.nodes.len()];
-        // Guide nodes were pushed parent-before-child, so a forward sweep
-        // can attach each node to its already-materialized parent.
-        for i in 1..self.nodes.len() {
-            let gid = GuideNodeId(i as u32);
-            let tag = self.tag(gid).expect("non-root guide nodes have tags");
-            let parent = map[self.parent(gid).expect("non-root").index()];
-            map[i] = doc.append_element(parent, symbols.resolve(tag));
-        }
-        doc
-    }
-
     /// Approximate heap size in bytes.
     pub fn size_bytes(&self) -> usize {
         self.nodes.len() * (std::mem::size_of::<GuideNode>() + std::mem::size_of::<f64>())
@@ -244,9 +214,10 @@ impl DataGuide {
                 .sum::<usize>()
     }
 
-    /// Serializes the guide for the snapshot `GUIDE` section. Children
-    /// are written in their stored order — [`to_document`](Self::to_document)
-    /// and the completion ranking depend on it being preserved exactly.
+    /// Serializes the guide for the snapshot `GUIDE` section. Nodes and
+    /// children are written in their stored order — the rewriter's
+    /// parent-before-child sweeps and the completion ranking depend on it
+    /// being preserved exactly.
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         put_varint(out, self.nodes.len() as u64);
         for node in &self.nodes {
@@ -358,7 +329,6 @@ mod tests {
         // Paths: root, bib, bib/book, bib/book/title, bib/book/author,
         //        bib/article, bib/article/title, bib/article/author
         assert_eq!(g.node_count(), 8);
-        assert_eq!(g.max_depth(), 3);
     }
 
     #[test]
@@ -412,30 +382,6 @@ mod tests {
         assert_eq!(map["title"], 3);
         assert_eq!(map["author"], 3);
         assert_eq!(map["book"], 2);
-    }
-
-    #[test]
-    fn nodes_with_tag_finds_all_contexts() {
-        let d = doc();
-        let g = DataGuide::from_document(&d);
-        assert_eq!(g.nodes_with_tag(sym(&d, "title")).len(), 2);
-        assert_eq!(g.nodes_with_tag(sym(&d, "bib")).len(), 1);
-    }
-
-    #[test]
-    fn to_document_materializes_every_path_once() {
-        let d = doc();
-        let g = DataGuide::from_document(&d);
-        let gd = g.to_document(d.symbols());
-        assert_eq!(gd.element_count(), g.node_count() - 1);
-        // The guide document contains the path bib/book/title exactly once.
-        let bib = gd.root_element().unwrap();
-        assert_eq!(gd.tag_name(bib), Some("bib"));
-        let books: Vec<NodeId> = gd
-            .element_children(bib)
-            .filter(|&c| gd.tag_name(c) == Some("book"))
-            .collect();
-        assert_eq!(books.len(), 1);
     }
 
     #[test]

@@ -12,14 +12,12 @@
 //!
 //! The combination weights live in [`score::RankWeights`]; the experiment
 //! harness compares the full score against the document-order and
-//! frequency-only baselines with the retrieval metrics in [`metrics`].
+//! frequency-only baselines with the retrieval metrics of `lotusx-bench`.
 
 #![warn(missing_docs)]
 
-pub mod metrics;
 pub mod score;
 pub mod topk;
 
-pub use metrics::{mrr, ndcg_at_k, precision_at_k};
 pub use score::{RankWeights, Ranker, ScoredMatch};
 pub use topk::OrderedTopK;

@@ -9,12 +9,17 @@
 //!
 //! Two ingredients keep the search fast:
 //!
-//! 1. **DataGuide satisfiability pruning** — a candidate rewrite is matched
-//!    against the (tiny) DataGuide before the data; structurally
-//!    unsatisfiable candidates are discarded without touching the document.
+//! 1. **DataGuide satisfiability pruning** — a candidate rewrite is first
+//!    embedded in the index's DataGuide, read in place and charged to the
+//!    request's budget; structurally unsatisfiable candidates are
+//!    discarded without touching the document, and nothing is built for
+//!    it on first use.
 //! 2. **Penalty-ordered frontier** — each operator has a cost, the frontier
-//!    is a priority queue, and exploration stops after the requested number
-//!    of non-empty rewrites or a budget of expansions.
+//!    is a priority queue, and exploration stops after five non-empty
+//!    rewrites, 300 expansions, or when the request's budget trips.
+//!
+//! The search limits and the synonym table are constants; the one option
+//! is [`RewriterConfig::guide_pruning`], which the E9b ablation turns off.
 
 #![warn(missing_docs)]
 
@@ -23,5 +28,4 @@ pub mod rewriter;
 pub mod synonyms;
 
 pub use ops::{apply, RewriteOp};
-pub use rewriter::{RankedRewrite, RewriteSetup, Rewriter, RewriterConfig};
-pub use synonyms::SynonymTable;
+pub use rewriter::{RankedRewrite, Rewriter, RewriterConfig};

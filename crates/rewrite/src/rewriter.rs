@@ -1,27 +1,28 @@
 //! Best-first search over the rewrite space.
 
 use crate::ops::{apply, RewriteOp};
-use crate::synonyms::{spelling_candidates, SynonymTable};
-use lotusx_guard::QueryGuard;
-use lotusx_index::IndexedDocument;
+use crate::synonyms::{spelling_candidates, synonyms};
+use lotusx_guard::{QueryGuard, Ticker};
+use lotusx_index::{DataGuide, GuideNodeId, IndexedDocument};
 use lotusx_obs::Span;
 use lotusx_twig::exec::{execute_budgeted, Algorithm};
-use lotusx_twig::pattern::{NodeTest, TwigPattern};
-use std::borrow::Cow;
+use lotusx_twig::pattern::{Axis, NodeTest, TwigPattern};
+use lotusx_xml::Symbol;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 
-/// Search budget and output size configuration.
+/// Stop after this many non-empty rewrites.
+const MAX_REWRITES: usize = 5;
+/// Stop after expanding this many candidates.
+const MAX_EXPANSIONS: usize = 300;
+/// Never explore rewrites costlier than this.
+const MAX_COST: f64 = 6.0;
+/// Maximum edit distance for spelling-corrected tag substitution.
+const SPELL_DISTANCE: usize = 2;
+
+/// The rewriter's one option.
 #[derive(Clone, Copy, Debug)]
 pub struct RewriterConfig {
-    /// Stop after this many non-empty rewrites.
-    pub max_rewrites: usize,
-    /// Stop after expanding this many candidates.
-    pub max_expansions: usize,
-    /// Never explore rewrites costlier than this.
-    pub max_cost: f64,
-    /// Maximum edit distance for spelling-corrected tag substitution.
-    pub spell_distance: usize,
     /// Enable DataGuide satisfiability pruning (disabled by the E9
     /// ablation to measure its value).
     pub guide_pruning: bool,
@@ -30,10 +31,6 @@ pub struct RewriterConfig {
 impl Default for RewriterConfig {
     fn default() -> Self {
         RewriterConfig {
-            max_rewrites: 5,
-            max_expansions: 300,
-            max_cost: 6.0,
-            spell_distance: 2,
             guide_pruning: true,
         }
     }
@@ -64,82 +61,35 @@ pub struct RewriteStats {
     pub executions: usize,
 }
 
-/// What a rewriter prepares per document rather than per query: the
-/// DataGuide materialized and indexed as a tiny document (the
-/// satisfiability oracle) and the synonym table. Build it once and share
-/// it across rewrites with [`Rewriter::over`].
-#[derive(Clone)]
-pub struct RewriteSetup {
-    guide_idx: IndexedDocument,
-    synonyms: SynonymTable,
-}
-
-impl RewriteSetup {
-    /// Indexes the DataGuide of `idx`.
-    pub fn new(idx: &IndexedDocument, synonyms: SynonymTable) -> Self {
-        let guide_doc = idx.guide().to_document(idx.document().symbols());
-        RewriteSetup {
-            guide_idx: IndexedDocument::build(guide_doc),
-            synonyms,
-        }
-    }
-}
-
-/// The rewriter. Given its [`RewriteSetup`], rewriting is independent of
-/// document size except for candidate execution.
+/// The rewriter. It holds nothing but the index: the satisfiability
+/// check reads the index's DataGuide in place, so a rewriter costs
+/// nothing to create and rewriting is independent of document size
+/// except for candidate execution.
 pub struct Rewriter<'a> {
     idx: &'a IndexedDocument,
-    setup: Cow<'a, RewriteSetup>,
     config: RewriterConfig,
 }
 
 impl<'a> Rewriter<'a> {
-    /// Creates a rewriter with the default synonym table and config.
-    pub fn new(idx: &'a IndexedDocument) -> Self {
-        Self::with(
-            idx,
-            SynonymTable::default_table(),
-            RewriterConfig::default(),
-        )
+    /// Creates a rewriter over `idx`.
+    pub fn new(idx: &'a IndexedDocument, config: RewriterConfig) -> Self {
+        Rewriter { idx, config }
     }
 
-    /// Creates a rewriter with explicit synonym table and config,
-    /// building a private [`RewriteSetup`].
-    pub fn with(idx: &'a IndexedDocument, synonyms: SynonymTable, config: RewriterConfig) -> Self {
-        Rewriter {
-            idx,
-            setup: Cow::Owned(RewriteSetup::new(idx, synonyms)),
-            config,
-        }
-    }
-
-    /// Creates a rewriter over a `setup` prepared earlier for the same
-    /// `idx` — no per-rewriter indexing at all.
-    pub fn over(idx: &'a IndexedDocument, setup: &'a RewriteSetup, config: RewriterConfig) -> Self {
-        Rewriter {
-            idx,
-            setup: Cow::Borrowed(setup),
-            config,
-        }
-    }
-
-    /// Structure-only satisfiability: does the pattern (ignoring value
-    /// predicates) match the DataGuide? Sound and complete for the tag
-    /// paths present in the document, and runs on the tiny guide tree —
-    /// under `guard`, so an answer is only meaningful while it has not
-    /// tripped.
+    /// Structure-only satisfiability: does the pattern, with its value
+    /// predicates dropped and its order ignored, embed in the DataGuide
+    /// tree? Sound and complete for the tag paths present in the
+    /// document. Every guide node examined charges one visit to `guard`,
+    /// so an answer is only meaningful while it has not tripped.
     pub fn is_satisfiable(&self, pattern: &TwigPattern, guard: &QueryGuard) -> bool {
-        let mut stripped = pattern.clone();
-        for q in stripped.node_ids() {
-            stripped.set_predicate(q, None);
-        }
-        stripped.set_ordered(false);
-        let guide = &self.setup.guide_idx;
-        !execute_budgeted(guide, &stripped, Algorithm::Naive, None, guard).is_empty()
+        let mut ticker = guard.ticker();
+        let embeds = embeds_in_guide(self.idx, pattern, &mut ticker);
+        ticker.flush();
+        embeds
     }
 
     /// Rewrites a (typically empty-result) query: returns up to
-    /// `max_rewrites` non-empty rewrites, gentlest first, with the search
+    /// five non-empty rewrites, gentlest first, with the search
     /// statistics — frontier expansions, candidates pruned as
     /// unsatisfiable by the DataGuide, and candidates executed against
     /// the data — which also annotate `span` when one is supplied (the
@@ -171,8 +121,8 @@ impl<'a> Rewriter<'a> {
         let mut seq = 1u64;
 
         while let Some(candidate) = frontier.pop() {
-            if results.len() >= self.config.max_rewrites
-                || stats.expansions >= self.config.max_expansions
+            if results.len() >= MAX_REWRITES
+                || stats.expansions >= MAX_EXPANSIONS
                 || guard.charge_nodes(1)
             {
                 break;
@@ -222,7 +172,7 @@ impl<'a> Rewriter<'a> {
             // Expand.
             for (op, extra_cost) in self.applicable_ops(&candidate.pattern) {
                 let cost = candidate.cost + extra_cost;
-                if cost > self.config.max_cost {
+                if cost > MAX_COST {
                     continue;
                 }
                 let Some(next) = apply(&candidate.pattern, &op) else {
@@ -286,9 +236,9 @@ impl<'a> Rewriter<'a> {
             ));
             if let NodeTest::Tag(tag) = &node.test {
                 // Synonyms that actually occur in the document.
-                for syn in self.setup.synonyms.synonyms(tag) {
+                for syn in synonyms(tag) {
                     if symbols.get(syn).is_some() {
-                        let op = RewriteOp::SubstituteTag(q, syn.clone());
+                        let op = RewriteOp::SubstituteTag(q, syn.to_string());
                         let cost = op.base_cost();
                         out.push((op, cost));
                     }
@@ -300,10 +250,9 @@ impl<'a> Rewriter<'a> {
                         .iter()
                         .map(|(sym, name)| (name, self.idx.columns().view(sym).len()))
                         .filter(|(_, f)| *f > 0);
-                    for (fixed, distance) in
-                        spelling_candidates(tag, doc_tags, self.config.spell_distance)
-                            .into_iter()
-                            .take(3)
+                    for (fixed, distance) in spelling_candidates(tag, doc_tags, SPELL_DISTANCE)
+                        .into_iter()
+                        .take(3)
                     {
                         let op = RewriteOp::SubstituteTag(q, fixed);
                         out.push((op, 1.0 + distance as f64));
@@ -313,6 +262,85 @@ impl<'a> Rewriter<'a> {
         }
         out
     }
+}
+
+/// Whether `pattern` embeds in the guide tree of `idx`, predicates and
+/// order ignored. Query nodes are settled children first: guide node `g`
+/// satisfies query node `q` when its tag passes `q`'s test and, for every
+/// child `c` of `q`, a guide child (`/`) or a proper guide descendant
+/// (`//`) of `g` satisfies `c`. Returns false as soon as the ticker stops.
+fn embeds_in_guide(idx: &IndexedDocument, pattern: &TwigPattern, ticker: &mut Ticker) -> bool {
+    let symbols = idx.document().symbols();
+    // A tag the document never interned labels no guide node.
+    let tests: Option<Vec<Option<Symbol>>> = pattern
+        .node_ids()
+        .map(|q| match &pattern.node(q).test {
+            NodeTest::Tag(name) => symbols.get(name).map(Some),
+            NodeTest::Wildcard => Some(None),
+        })
+        .collect();
+    let Some(tests) = tests else {
+        return false;
+    };
+    let guide = idx.guide();
+    let mut satisfied: Vec<Vec<bool>> = vec![Vec::new(); pattern.len()];
+    for q in pattern.preorder().into_iter().rev() {
+        let below: Option<Vec<Vec<bool>>> = pattern
+            .node(q)
+            .children
+            .iter()
+            .map(|&c| marked_below(guide, &satisfied[c.index()], pattern.node(c).axis, ticker))
+            .collect();
+        let Some(below) = below else {
+            return false;
+        };
+        let mut here = vec![false; guide.node_count()];
+        // The virtual root binds no query node.
+        for (g, sat) in here.iter_mut().enumerate().skip(1) {
+            if ticker.tick(1) {
+                return false;
+            }
+            let tag = guide.tag(GuideNodeId::from_index(g));
+            *sat = tests[q.index()].is_none_or(|t| tag == Some(t)) && below.iter().all(|b| b[g]);
+        }
+        // A query node nothing satisfies sinks the whole pattern.
+        if !here.contains(&true) {
+            return false;
+        }
+        satisfied[q.index()] = here;
+    }
+    let root = &satisfied[pattern.root().index()];
+    match pattern.node(pattern.root()).axis {
+        Axis::Child => guide
+            .children(GuideNodeId::ROOT)
+            .iter()
+            .any(|&(_, g)| root[g.index()]),
+        // Non-empty, or the loop above would have returned.
+        Axis::Descendant => true,
+    }
+}
+
+/// Per guide node, whether a child (`/`) or a proper descendant (`//`) of
+/// it is marked in `marked`; `None` once the ticker stops. Guide nodes are
+/// stored parent before child, so a reverse sweep has settled a node
+/// before it passes its mark up to its parent.
+fn marked_below(
+    guide: &DataGuide,
+    marked: &[bool],
+    axis: Axis,
+    ticker: &mut Ticker,
+) -> Option<Vec<bool>> {
+    let mut below = vec![false; marked.len()];
+    for g in (1..marked.len()).rev() {
+        if ticker.tick(1) {
+            return None;
+        }
+        if marked[g] || (axis == Axis::Descendant && below[g]) {
+            let parent = guide.parent(GuideNodeId::from_index(g)).expect("non-root");
+            below[parent.index()] = true;
+        }
+    }
+    Some(below)
 }
 
 struct Candidate {
@@ -347,6 +375,7 @@ impl Ord for Candidate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lotusx_guard::Budget;
     use lotusx_twig::xpath::parse_query;
 
     fn rewrite(r: &Rewriter<'_>, pattern: &TwigPattern) -> (Vec<RankedRewrite>, RewriteStats) {
@@ -367,7 +396,7 @@ mod tests {
     #[test]
     fn satisfiability_matches_data_presence() {
         let idx = idx();
-        let r = Rewriter::new(&idx);
+        let r = Rewriter::new(&idx, RewriterConfig::default());
         let satisfiable =
             |q: &str| r.is_satisfiable(&parse_query(q).unwrap(), &QueryGuard::unlimited());
         assert!(satisfiable("//article/author"));
@@ -379,7 +408,7 @@ mod tests {
     #[test]
     fn synonym_substitution_recovers_results() {
         let idx = idx();
-        let r = Rewriter::new(&idx);
+        let r = Rewriter::new(&idx, RewriterConfig::default());
         let broken = parse_query("//article/writer").unwrap();
         let (rewrites, _) = rewrite(&r, &broken);
         assert!(!rewrites.is_empty());
@@ -395,7 +424,7 @@ mod tests {
     #[test]
     fn typo_correction_recovers_results() {
         let idx = idx();
-        let r = Rewriter::new(&idx);
+        let r = Rewriter::new(&idx, RewriterConfig::default());
         let broken = parse_query("//artcle/title").unwrap();
         let (rewrites, _) = rewrite(&r, &broken);
         assert!(!rewrites.is_empty());
@@ -405,7 +434,7 @@ mod tests {
     #[test]
     fn axis_generalization_recovers_results() {
         let idx = IndexedDocument::from_str("<r><a><m><b>x</b></m></a></r>").unwrap();
-        let r = Rewriter::new(&idx);
+        let r = Rewriter::new(&idx, RewriterConfig::default());
         let broken = parse_query("//a/b").unwrap();
         let (rewrites, _) = rewrite(&r, &broken);
         assert!(!rewrites.is_empty());
@@ -417,7 +446,7 @@ mod tests {
     #[test]
     fn results_are_cost_ordered_and_nonempty() {
         let idx = idx();
-        let r = Rewriter::new(&idx);
+        let r = Rewriter::new(&idx, RewriterConfig::default());
         let broken = parse_query("//book/journal").unwrap();
         let (rewrites, _) = rewrite(&r, &broken);
         assert!(!rewrites.is_empty());
@@ -432,13 +461,11 @@ mod tests {
     #[test]
     fn pruning_reduces_executions() {
         let idx = idx();
-        let pruned = Rewriter::new(&idx);
-        let unpruned = Rewriter::with(
+        let pruned = Rewriter::new(&idx, RewriterConfig::default());
+        let unpruned = Rewriter::new(
             &idx,
-            SynonymTable::default_table(),
             RewriterConfig {
                 guide_pruning: false,
-                ..RewriterConfig::default()
             },
         );
         let broken = parse_query("//artcle[writer]/journal").unwrap();
@@ -456,7 +483,7 @@ mod tests {
     #[test]
     fn satisfiable_original_with_empty_results_still_rewrites() {
         let idx = idx();
-        let r = Rewriter::new(&idx);
+        let r = Rewriter::new(&idx, RewriterConfig::default());
         // Structurally fine but the predicate matches nothing.
         let broken = parse_query(r#"//article[title = "nonexistent words"]"#).unwrap();
         let (rewrites, _) = rewrite(&r, &broken);
@@ -468,24 +495,18 @@ mod tests {
     #[test]
     fn budget_limits_exploration() {
         let idx = idx();
-        let tight = Rewriter::with(
-            &idx,
-            SynonymTable::default_table(),
-            RewriterConfig {
-                max_expansions: 2,
-                ..RewriterConfig::default()
-            },
-        );
+        let r = Rewriter::new(&idx, RewriterConfig::default());
         let broken = parse_query("//nosuchtag1/nosuchtag2").unwrap();
-        let (_, stats) = rewrite(&tight, &broken);
+        let guard = QueryGuard::new(&Budget::unlimited().with_node_quota(2));
+        let (_, stats) = r.rewrite(&broken, None, &guard);
+        assert!(guard.is_tripped());
         assert!(stats.expansions <= 2);
     }
 
     #[test]
     fn tripped_guards_stop_the_search_and_report_only_verified_rewrites() {
-        use lotusx_guard::Budget;
         let idx = idx();
-        let r = Rewriter::new(&idx);
+        let r = Rewriter::new(&idx, RewriterConfig::default());
         let broken = parse_query("//article[publisher]/title").unwrap();
         let (full, full_stats) = rewrite(&r, &broken);
         assert!(full.len() > 1 && full_stats.expansions > 4);

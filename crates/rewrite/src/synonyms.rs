@@ -1,56 +1,27 @@
 //! Tag synonym dictionary and spelling correction.
 
-use std::collections::HashMap;
+/// Groups of mutually-synonymous tags: common bibliographic / document
+/// vocabulary (what a search UI over DBLP/XMark-style data ships with).
+const GROUPS: [&[&str]; 10] = [
+    &["author", "writer", "creator"],
+    &["title", "name", "heading"],
+    &["year", "date"],
+    &["article", "paper"],
+    &["book", "monograph"],
+    &["publisher", "press"],
+    &["increase", "cost", "amount"],
+    &["s", "sentence"],
+    &["person", "people", "user"],
+    &["item", "product"],
+];
 
-/// A symmetric tag-synonym dictionary.
-#[derive(Clone, Debug, Default)]
-pub struct SynonymTable {
-    map: HashMap<String, Vec<String>>,
-}
-
-impl SynonymTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A default table covering common bibliographic / document vocabulary
-    /// (what a search UI over DBLP/XMark-style data ships with).
-    pub fn default_table() -> Self {
-        let mut t = SynonymTable::new();
-        for group in [
-            &["author", "writer", "creator"][..],
-            &["title", "name", "heading"][..],
-            &["year", "date"][..],
-            &["article", "paper"][..],
-            &["book", "monograph"][..],
-            &["publisher", "press"][..],
-            &["increase", "cost", "amount"][..],
-            &["s", "sentence"][..],
-            &["person", "people", "user"][..],
-            &["item", "product"][..],
-        ] {
-            t.add_group(group);
-        }
-        t
-    }
-
-    /// Registers a group of mutually-synonymous tags.
-    pub fn add_group(&mut self, tags: &[&str]) {
-        for &a in tags {
-            let entry = self.map.entry(a.to_string()).or_default();
-            for &b in tags {
-                if a != b && !entry.iter().any(|x| x == b) {
-                    entry.push(b.to_string());
-                }
-            }
-        }
-    }
-
-    /// Synonyms of `tag` (empty if none registered).
-    pub fn synonyms(&self, tag: &str) -> &[String] {
-        self.map.get(tag).map(Vec::as_slice).unwrap_or(&[])
-    }
+/// Synonyms of `tag`, in group order (none if it is in no group).
+pub(crate) fn synonyms(tag: &str) -> impl Iterator<Item = &'static str> + '_ {
+    GROUPS
+        .iter()
+        .filter(move |group| group.contains(&tag))
+        .flat_map(|group| group.iter().copied())
+        .filter(move |&other| other != tag)
 }
 
 /// Levenshtein edit distance (classic DP, O(|a|·|b|)).
@@ -98,20 +69,13 @@ mod tests {
 
     #[test]
     fn synonym_groups_are_symmetric() {
-        let t = SynonymTable::default_table();
-        assert!(t.synonyms("author").iter().any(|s| s == "writer"));
-        assert!(t.synonyms("writer").iter().any(|s| s == "author"));
-        assert!(t.synonyms("unknown").is_empty());
-    }
-
-    #[test]
-    fn add_group_merges_without_duplicates() {
-        let mut t = SynonymTable::new();
-        t.add_group(&["a", "b"]);
-        t.add_group(&["a", "c"]);
-        let syns = t.synonyms("a");
-        assert_eq!(syns.len(), 2);
-        assert!(syns.contains(&"b".to_string()) && syns.contains(&"c".to_string()));
+        assert!(synonyms("author").any(|s| s == "writer"));
+        assert!(synonyms("writer").any(|s| s == "author"));
+        assert_eq!(
+            synonyms("writer").collect::<Vec<_>>(),
+            ["author", "creator"]
+        );
+        assert_eq!(synonyms("unknown").count(), 0);
     }
 
     #[test]
