@@ -248,8 +248,10 @@ stage_telemetry_smoke() {
 # port, wait for its "listening on" line (CI_WAIT_SECS overrides the
 # default 10s bind wait on slow machines), hit /healthz and run one
 # query through the raw-socket test client (--probe; it ends by scraping
-# /stats and fails unless inline_answers > 0, panics == 0 and
-# timer_entries <= connections_open + 1), then stop it gracefully over
+# /stats and fails unless inline_answers > 0, panics == 0,
+# timer_entries <= connections_open + 1 and the tenants section is
+# exactly {"default": …}, then requires POST /admin/routes with one
+# catch-all rule to default to answer {"rules":1}), then stop it gracefully over
 # HTTP (--stop) and check it exits cleanly within 5 s. Then once more
 # with stdin an open pipe nobody writes to (the regression: the stdin
 # reader blocks in read_line there, and a server that joins it never

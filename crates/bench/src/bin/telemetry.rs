@@ -21,7 +21,7 @@
 //! `--quick` shrinks the workload for CI and exits non-zero if `metrics`
 //! adds more than 250 ns to a query over `off`.
 
-use lotusx::{LotusX, QueryRequest};
+use lotusx::{EngineRegistry, LotusX, QueryRequest};
 use lotusx_bench::SEED;
 use lotusx_datagen::{generate, Dataset};
 use lotusx_serve::{client, ServeConfig, Server};
@@ -132,7 +132,7 @@ fn paired_overhead_ns(mode: &[Duration], baseline: &[Duration]) -> f64 {
 /// what puts the connection-path stages into the artifact: the query
 /// workload above never touches them.
 fn serving_sample(
-    system: &LotusX,
+    system: LotusX,
     requests: usize,
 ) -> Vec<(&'static str, lotusx_obs::HistogramSnapshot)> {
     lotusx_obs::metrics().reset();
@@ -145,8 +145,9 @@ fn serving_sample(
     .expect("serving sample: bind");
     let handle = server.handle();
     let addr = server.local_addr();
+    let registry = EngineRegistry::single_tenant(system);
     std::thread::scope(|s| {
-        s.spawn(|| server.run(system));
+        s.spawn(|| server.run(&registry));
         let mut conn = client::Conn::connect(addr).expect("serving sample: connect");
         let body = b"{\"text\":\"article\",\"kind\":\"keyword\",\"top_k\":4}";
         for i in 0..requests {
@@ -251,7 +252,7 @@ fn main() {
     // The serving sample: not a timed comparison, just enough traffic
     // through the event loop to populate the connection-path stages.
     let serve_requests = if quick { 64 } else { 256 };
-    let serving = serving_sample(&system, serve_requests);
+    let serving = serving_sample(system, serve_requests);
     let mut serving_json = String::new();
     for (i, (name, h)) in serving.iter().enumerate() {
         let mean = h.sum_ns as f64 / h.count as f64;

@@ -47,8 +47,8 @@ pub use request::{
     SearchResult,
 };
 pub use routing::{
-    parse_rules, valid_tenant_name, RegistryConfig, RouteError, RouteErrorKind, RouteMatch,
-    RoutePredicate, RouteRule, RouteTable, TenantSelector, TenantSpec,
+    parse_rules, valid_tenant_name, MatchTest, RegistryConfig, Route, RouteError, RouteErrorKind,
+    RouteInput, RouteMatch, RoutePredicate, RouteRule, RouteTable, TenantSelector, TenantSpec,
 };
 pub use session::Session;
 pub use source::CorpusSource;

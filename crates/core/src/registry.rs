@@ -1,19 +1,19 @@
-//! The multi-tenant engine registry: one process, N independent corpora.
+//! The engine registry: one process, N independent corpora.
 //!
 //! An [`EngineRegistry`] owns a set of named tenants, each a fully
 //! independent [`LotusX`] engine (its own document, indexes, caches and
 //! stats — nothing is shared between tenants), plus the routing
-//! [`RouteTable`] that maps requests onto them. Tenants and their
-//! corpora are fixed at open time; the *rule list* is hot-swappable
-//! (`POST /admin/routes` in the serving layer calls
+//! [`RouteTable`] that maps requests onto them. A single corpus is the
+//! one-tenant case ([`EngineRegistry::single_tenant`]). Tenants and
+//! their corpora are fixed at open time; the *rule list* is
+//! hot-swappable (`POST /admin/routes` in the serving layer calls
 //! [`EngineRegistry::reload_rules`]), so traffic can be re-routed
 //! without reopening engines or dropping connections.
 //!
 //! The registry is deliberately engine-layer only: admission quotas,
 //! per-tenant counters and endpoint semantics live in `lotusx-serve`,
-//! which consumes this type through `Server::run_registry`.
+//! whose `Server::run` serves one.
 
-use std::collections::HashMap;
 use std::str::FromStr;
 use std::sync::{Arc, RwLock};
 
@@ -52,7 +52,6 @@ impl Tenant {
 /// routing table. See the [module docs](self).
 pub struct EngineRegistry {
     tenants: Vec<Tenant>,
-    by_name: HashMap<String, usize>,
     routes: RwLock<Arc<RouteTable>>,
 }
 
@@ -71,14 +70,22 @@ impl EngineRegistry {
         EngineRegistry::from_parts(parts, config.rules.clone())
     }
 
+    /// The one-tenant registry a single corpus is served as: `engine`
+    /// as tenant `default`, unlimited, with every request routed to it
+    /// ([`RouteTable::catch_all`]).
+    pub fn single_tenant(engine: LotusX) -> EngineRegistry {
+        let rules = RouteTable::catch_all("default").rules().to_vec();
+        let parts = vec![("default".to_string(), engine, TenantLimits::unlimited())];
+        EngineRegistry::from_parts(parts, rules).expect("`default` is a legal tenant name")
+    }
+
     /// Builds a registry from already-opened engines (tests and
     /// harnesses that construct corpora programmatically).
     pub fn from_parts(
         parts: Vec<(String, LotusX, TenantLimits)>,
         rules: Vec<RouteRule>,
     ) -> Result<EngineRegistry, LotusError> {
-        let mut tenants = Vec::with_capacity(parts.len());
-        let mut by_name = HashMap::with_capacity(parts.len());
+        let mut tenants: Vec<Tenant> = Vec::with_capacity(parts.len());
         for (name, engine, limits) in parts {
             if !valid_tenant_name(&name) {
                 return Err(LotusError::Config(format!(
@@ -86,7 +93,7 @@ impl EngineRegistry {
                     name.escape_default()
                 )));
             }
-            if by_name.insert(name.clone(), tenants.len()).is_some() {
+            if tenants.iter().any(|t| t.name == name) {
                 return Err(LotusError::Config(format!(
                     "duplicate tenant name `{name}`"
                 )));
@@ -104,7 +111,6 @@ impl EngineRegistry {
         }
         Ok(EngineRegistry {
             tenants,
-            by_name,
             routes: RwLock::new(Arc::new(RouteTable::new(rules))),
         })
     }
@@ -114,9 +120,26 @@ impl EngineRegistry {
         &self.tenants
     }
 
-    /// The index of the named tenant, if hosted.
+    /// The index of the named tenant, if hosted (a scan: registries
+    /// host a handful of tenants).
     pub fn lookup(&self, name: &str) -> Option<usize> {
-        self.by_name.get(name).copied()
+        self.tenants.iter().position(|t| t.name == name)
+    }
+
+    /// Routes a request through the current table to a hosted tenant:
+    /// its index, and the rewritten path when `/t/<name>` stripping
+    /// changed it. The rewritten path is the only allocation; `None` is
+    /// the documented 404 `unknown_tenant` (no rule, a failed
+    /// extraction, or a name the registry does not host).
+    pub fn route(
+        &self,
+        path: &str,
+        headers: &[(String, String)],
+    ) -> Option<(usize, Option<String>)> {
+        let table = self.routes.read().expect("routes lock poisoned");
+        let route = table.route(path, headers)?;
+        let idx = self.lookup(route.tenant)?;
+        Some((idx, (route.path != path).then(|| route.path.to_string())))
     }
 
     /// A snapshot of the current routing table (cheap `Arc` clone; a
@@ -166,6 +189,16 @@ mod tests {
         assert_eq!(reg.lookup("beta"), Some(1));
         assert_eq!(reg.lookup("ghost"), None);
         assert_eq!(reg.routes().rules().len(), 1);
+    }
+
+    #[test]
+    fn a_single_corpus_is_the_default_tenant_behind_a_catch_all() {
+        let reg = EngineRegistry::single_tenant(tiny_engine());
+        assert_eq!(reg.tenants().len(), 1);
+        assert_eq!(reg.tenants()[0].name(), "default");
+        assert!(reg.tenants()[0].limits().is_unlimited());
+        assert_eq!(*reg.routes(), RouteTable::catch_all("default"));
+        assert_eq!(reg.route("/t/x/query", &[]), Some((0, None)));
     }
 
     #[test]

@@ -1,31 +1,29 @@
-//! Declarative request routing for the multi-tenant engine registry.
+//! Declarative request routing for the engine registry that every
+//! server hosts (a single corpus is a one-tenant registry). Routing is
+//! one pipeline:
 //!
-//! A registry-backed server hosts N independent corpora; this module
-//! decides which one a request belongs to. Routing is a first-match-wins
-//! list of [`RouteRule`]s, each pairing a [`RoutePredicate`] tree
-//! (prefix/exact matchers over the request path and headers, composed
-//! with `all`/`any`/`not`) with a [`TenantSelector`] that names the
-//! tenant — either statically, or extracted from the `/t/<tenant>/...`
-//! path prefix or from a header value.
+//! 1. **extract** — a [`RouteInput`] reads a value off the request: the
+//!    path or a header;
+//! 2. **match** — a [`MatchTest`] (prefix or exact) compares it with the
+//!    rule's value; `all`/`any`/`not` compose leaves into a
+//!    [`RoutePredicate`];
+//! 3. **first match** — the first [`RouteRule`] whose predicate holds
+//!    decides, and its [`TenantSelector`] names the tenant: fixed, from
+//!    the `/t/<tenant>/...` prefix, or from a header.
 //!
 //! Rule lists come from a JSON config (`--routes FILE`, hot-reloadable
-//! via `POST /admin/routes`), read into `lotusx-obs`'s offset-tagged
-//! tree: every value remembers its byte offset in the source text, so
-//! malformed configs — syntax errors, unknown keys, bad tenant names,
-//! rules naming unregistered tenants — produce a typed [`RouteError`]
-//! pointing at the exact byte, not a vague "invalid config".
+//! via `POST /admin/routes`) read into `lotusx-obs`'s offset-tagged tree,
+//! so every malformed config — syntax, unknown or repeated keys, bad
+//! tenant names, rules naming unregistered tenants — is a typed
+//! [`RouteError`] at the exact byte.
 //!
-//! Contract used by the serving layer (documented in DESIGN.md):
-//!
-//! * a request no rule matches → **404 `unknown_tenant`**;
-//! * a rule matches but its selector extracts nothing (no `/t/` prefix,
-//!   missing header) or an invalid/unregistered name → also 404
-//!   `unknown_tenant` — a matching rule decides, it never falls through;
-//! * tenant names are restricted to `[A-Za-z0-9_-]` (max 64 bytes) at
-//!   route-load time, so names flow into Prometheus label values and the
-//!   access log without escaping surprises.
+//! Contract used by the serving layer (documented in DESIGN.md): a
+//! request no rule matches, or whose matching rule extracts nothing or
+//! an invalid/unregistered name, is **404 `unknown_tenant`** — a
+//! matching rule decides, it never falls through; tenant names are
+//! `[A-Za-z0-9_-]{1,64}`, checked at load time, so they flow into
+//! Prometheus labels and the access log without escaping.
 
-use std::collections::HashSet;
 use std::time::Duration;
 
 use lotusx_guard::TenantLimits;
@@ -36,8 +34,8 @@ use lotusx_obs::{parse_json_as, JsonNode as Val, SpannedJson as Sp};
 pub enum RouteErrorKind {
     /// The text is not well-formed JSON.
     Syntax,
-    /// Well-formed JSON with the wrong shape (unknown key, wrong type,
-    /// missing required field).
+    /// Well-formed JSON with the wrong shape (unknown or repeated key,
+    /// wrong type, missing required field).
     Schema,
     /// A tenant name outside the `[A-Za-z0-9_-]{1,64}` alphabet.
     InvalidTenantName,
@@ -106,27 +104,55 @@ pub fn valid_tenant_name(name: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
 }
 
+/// The extract step: which value of a request a matcher or selector
+/// reads.
+#[derive(Clone, Debug, PartialEq)]
+pub enum RouteInput {
+    /// The request path.
+    Path,
+    /// The named header's value (name stored lower-cased; matching is
+    /// case-insensitive). Absent header → nothing extracted.
+    Header(String),
+}
+
+impl RouteInput {
+    /// The value this input reads from a request, borrowed from it.
+    fn extract<'r>(&self, path: &'r str, headers: &'r [(String, String)]) -> Option<&'r str> {
+        match self {
+            RouteInput::Path => Some(path),
+            RouteInput::Header(name) => header_value(headers, name),
+        }
+    }
+}
+
+fn header_value<'r>(headers: &'r [(String, String)], name: &str) -> Option<&'r str> {
+    headers
+        .iter()
+        .find(|(n, _)| n.eq_ignore_ascii_case(name))
+        .map(|(_, v)| v.as_str())
+}
+
+/// The match step: how an extracted value is compared with a rule's.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MatchTest {
+    /// The extracted value starts with the rule's value.
+    Prefix,
+    /// The extracted value equals the rule's value.
+    Exact,
+}
+
 /// A boolean condition over a request's path and headers.
 #[derive(Clone, Debug, PartialEq)]
 pub enum RoutePredicate {
     /// Matches every request.
     Always,
-    /// The path starts with the given prefix.
-    PathPrefix(String),
-    /// The path equals the given string exactly.
-    PathExact(String),
-    /// The named header is present and its value starts with the prefix.
-    HeaderPrefix {
-        /// Header name (stored lower-cased; matching is case-insensitive).
-        name: String,
-        /// Required value prefix.
-        value: String,
-    },
-    /// The named header is present with exactly the given value.
-    HeaderExact {
-        /// Header name (stored lower-cased; matching is case-insensitive).
-        name: String,
-        /// Required value.
+    /// Extract `input`, then `test` it against `value`.
+    Match {
+        /// What is read off the request.
+        input: RouteInput,
+        /// How it is compared.
+        test: MatchTest,
+        /// What it is compared with.
         value: String,
     },
     /// Every child matches (AND). Empty list matches.
@@ -138,31 +164,22 @@ pub enum RoutePredicate {
 }
 
 impl RoutePredicate {
-    /// Evaluates the predicate against a request's path and (lower-cased
-    /// name, value) header list.
+    /// Evaluates the predicate against a request's path and (name,
+    /// value) header list.
     pub fn matches(&self, path: &str, headers: &[(String, String)]) -> bool {
         match self {
             RoutePredicate::Always => true,
-            RoutePredicate::PathPrefix(p) => path.starts_with(p.as_str()),
-            RoutePredicate::PathExact(p) => path == p,
-            RoutePredicate::HeaderPrefix { name, value } => {
-                header_value(headers, name).is_some_and(|v| v.starts_with(value.as_str()))
-            }
-            RoutePredicate::HeaderExact { name, value } => {
-                header_value(headers, name).is_some_and(|v| v == value)
+            RoutePredicate::Match { input, test, value } => {
+                input.extract(path, headers).is_some_and(|v| match test {
+                    MatchTest::Prefix => v.starts_with(value.as_str()),
+                    MatchTest::Exact => v == value,
+                })
             }
             RoutePredicate::All(children) => children.iter().all(|c| c.matches(path, headers)),
             RoutePredicate::Any(children) => children.iter().any(|c| c.matches(path, headers)),
             RoutePredicate::Not(child) => !child.matches(path, headers),
         }
     }
-}
-
-fn header_value<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers
-        .iter()
-        .find(|(n, _)| n.eq_ignore_ascii_case(name))
-        .map(|(_, v)| v.as_str())
 }
 
 /// How a matching rule names the tenant.
@@ -187,15 +204,20 @@ pub struct RouteRule {
     pub tenant: TenantSelector,
 }
 
-/// A successful resolution: the tenant and the effective request path
-/// (tenant prefix stripped for [`TenantSelector::FromPath`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RouteMatch {
+/// A resolution: the tenant name and the path its endpoint handlers
+/// see (a suffix of the request path when [`TenantSelector::FromPath`]
+/// stripped `/t/<tenant>`). [`RouteTable::route`] borrows both from the
+/// table and the request; a [`RouteMatch`] owns them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Route<S = String> {
     /// The resolved tenant name.
-    pub tenant: String,
+    pub tenant: S,
     /// The path the tenant's endpoint handlers should see.
-    pub path: String,
+    pub path: S,
 }
+
+/// An owned [`Route`] ([`RouteTable::resolve`]).
+pub type RouteMatch = Route<String>;
 
 /// An ordered, first-match-wins rule list.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -209,16 +231,13 @@ impl RouteTable {
         RouteTable { rules }
     }
 
-    /// The single-tenant table: every request routes to `tenant`
-    /// unchanged. This is what `Server::run` uses for its implicit
-    /// `default` tenant.
+    /// The one-rule table that routes every request to `tenant`
+    /// unchanged: what a single-corpus server boots with.
     pub fn catch_all(tenant: &str) -> RouteTable {
-        RouteTable {
-            rules: vec![RouteRule {
-                when: RoutePredicate::Always,
-                tenant: TenantSelector::Fixed(tenant.to_string()),
-            }],
-        }
+        RouteTable::new(vec![RouteRule {
+            when: RoutePredicate::Always,
+            tenant: TenantSelector::Fixed(tenant.to_string()),
+        }])
     }
 
     /// The rules, in evaluation order.
@@ -226,47 +245,37 @@ impl RouteTable {
         &self.rules
     }
 
-    /// Resolves a request. The *first* rule whose predicate matches
-    /// decides: `Some` with the tenant and effective path when its
-    /// selector extracts a valid name, `None` (→ 404 `unknown_tenant`)
-    /// when extraction fails — a matching rule never falls through to
-    /// later rules. `None` is also returned when no rule matches.
-    ///
-    /// Whether an extracted name is actually *registered* is the
-    /// caller's check (the registry knows the tenant set; the table does
-    /// not).
-    pub fn resolve(&self, path: &str, headers: &[(String, String)]) -> Option<RouteMatch> {
+    /// Resolves a request without allocating. The *first* rule whose
+    /// predicate matches decides: `None` (→ 404 `unknown_tenant`) when
+    /// its selector extracts no valid name — it never falls through —
+    /// or when no rule matches. Whether the name is *registered* is the
+    /// registry's check.
+    pub fn route<'a>(
+        &'a self,
+        path: &'a str,
+        headers: &'a [(String, String)],
+    ) -> Option<Route<&'a str>> {
         let rule = self.rules.iter().find(|r| r.when.matches(path, headers))?;
-        match &rule.tenant {
-            TenantSelector::Fixed(name) => Some(RouteMatch {
-                tenant: name.clone(),
-                path: path.to_string(),
-            }),
+        let (tenant, path) = match &rule.tenant {
+            TenantSelector::Fixed(name) => (name.as_str(), path),
             TenantSelector::FromPath => {
                 let rest = path.strip_prefix("/t/")?;
-                let (tenant, tail) = match rest.find('/') {
-                    Some(i) => (&rest[..i], &rest[i..]),
+                match rest.find('/') {
+                    Some(i) => rest.split_at(i),
                     None => (rest, "/"),
-                };
-                if !valid_tenant_name(tenant) {
-                    return None;
                 }
-                Some(RouteMatch {
-                    tenant: tenant.to_string(),
-                    path: tail.to_string(),
-                })
             }
-            TenantSelector::FromHeader(name) => {
-                let value = header_value(headers, name)?;
-                if !valid_tenant_name(value) {
-                    return None;
-                }
-                Some(RouteMatch {
-                    tenant: value.to_string(),
-                    path: path.to_string(),
-                })
-            }
-        }
+            TenantSelector::FromHeader(name) => (header_value(headers, name)?, path),
+        };
+        valid_tenant_name(tenant).then_some(Route { tenant, path })
+    }
+
+    /// [`RouteTable::route`], owned.
+    pub fn resolve(&self, path: &str, headers: &[(String, String)]) -> Option<RouteMatch> {
+        self.route(path, headers).map(|r| RouteMatch {
+            tenant: r.tenant.to_string(),
+            path: r.path.to_string(),
+        })
     }
 }
 
@@ -309,40 +318,33 @@ impl RegistryConfig {
     /// }
     /// ```
     ///
-    /// Errors are typed with byte offsets: JSON syntax, unknown keys,
-    /// wrong types, duplicate or invalid tenant names, and rules whose
-    /// fixed tenant is not declared.
+    /// Errors are typed with byte offsets: JSON syntax, unknown or
+    /// repeated keys, wrong types, duplicate or invalid tenant names, and
+    /// rules whose fixed tenant is not declared.
     pub fn parse(text: &str) -> Result<RegistryConfig, RouteError> {
         let doc = parse_spanned(text)?;
-        let fields = want_obj(&doc, "config")?;
         let mut tenants: Option<Vec<TenantSpec>> = None;
         let mut rules: Option<(usize, Vec<RouteRule>)> = None;
-        for (key_off, key, value) in fields {
+        for (key_off, key, value) in want_obj(&doc, "config")? {
             match key.as_str() {
                 "tenants" => tenants = Some(decode_tenants(value)?),
                 "rules" => rules = Some((value.off, decode_rules(value)?)),
                 other => {
-                    return Err(RouteError::new(
+                    return Err(schema(
                         *key_off,
-                        RouteErrorKind::Schema,
                         format!("unknown config key `{other}` (expected `tenants` or `rules`)"),
                     ));
                 }
             }
         }
-        let tenants = tenants.ok_or_else(|| {
-            RouteError::new(doc.off, RouteErrorKind::Schema, "missing `tenants` section")
-        })?;
+        let tenants = tenants.ok_or_else(|| schema(doc.off, "missing `tenants` section"))?;
         if tenants.is_empty() {
-            return Err(RouteError::new(
+            return Err(schema(
                 doc.off,
-                RouteErrorKind::Schema,
                 "`tenants` must declare at least one tenant",
             ));
         }
-        let (rules_off, rules) = rules.ok_or_else(|| {
-            RouteError::new(doc.off, RouteErrorKind::Schema, "missing `rules` section")
-        })?;
+        let (rules_off, rules) = rules.ok_or_else(|| schema(doc.off, "missing `rules` section"))?;
         let names: Vec<&str> = tenants.iter().map(|t| t.name.as_str()).collect();
         check_rules_against(&rules, &names, rules_off)?;
         Ok(RegistryConfig { tenants, rules })
@@ -358,27 +360,22 @@ pub fn parse_rules(text: &str, known_tenants: &[&str]) -> Result<Vec<RouteRule>,
     let doc = parse_spanned(text)?;
     let (off, rules) = match &doc.val {
         Val::Arr(_) => (doc.off, decode_rules(&doc)?),
-        Val::Obj(fields) => {
+        Val::Obj(_) => {
             let mut found: Option<(usize, Vec<RouteRule>)> = None;
-            for (key_off, key, value) in fields {
-                if key == "rules" {
-                    found = Some((value.off, decode_rules(value)?));
-                } else {
-                    return Err(RouteError::new(
+            for (key_off, key, value) in want_obj(&doc, "payload")? {
+                if key != "rules" {
+                    return Err(schema(
                         *key_off,
-                        RouteErrorKind::Schema,
                         format!("unknown key `{key}` (expected `rules`)"),
                     ));
                 }
+                found = Some((value.off, decode_rules(value)?));
             }
-            found.ok_or_else(|| {
-                RouteError::new(doc.off, RouteErrorKind::Schema, "missing `rules` section")
-            })?
+            found.ok_or_else(|| schema(doc.off, "missing `rules` section"))?
         }
         _ => {
-            return Err(RouteError::new(
+            return Err(schema(
                 doc.off,
-                RouteErrorKind::Schema,
                 "expected a rule array or {\"rules\": [...]}",
             ));
         }
@@ -391,16 +388,12 @@ pub fn parse_rules(text: &str, known_tenants: &[&str]) -> Result<Vec<RouteRule>,
 /// registry's tenant set. Offsets are approximate here (the rule list's
 /// start) — fixed-name *syntax* errors are caught earlier with exact
 /// offsets during decoding.
-fn check_rules_against(
-    rules: &[RouteRule],
-    known: &[&str],
-    rules_off: usize,
-) -> Result<(), RouteError> {
+fn check_rules_against(rules: &[RouteRule], known: &[&str], off: usize) -> Result<(), RouteError> {
     for rule in rules {
         if let TenantSelector::Fixed(name) = &rule.tenant {
             if !known.contains(&name.as_str()) {
                 return Err(RouteError::new(
-                    rules_off,
+                    off,
                     RouteErrorKind::UnknownTenant,
                     format!("rule routes to undeclared tenant `{name}`"),
                 ));
@@ -417,19 +410,23 @@ fn parse_spanned(input: &str) -> Result<Sp, RouteError> {
     parse_json_as(input).map_err(|e| RouteError::new(e.offset, RouteErrorKind::Syntax, e.message))
 }
 
-// ---------------------------------------------------------------------
-// Schema decoding
-// ---------------------------------------------------------------------
-
 fn schema(offset: usize, message: impl Into<String>) -> RouteError {
     RouteError::new(offset, RouteErrorKind::Schema, message)
 }
 
+/// The members of a config object. Every object of the grammar goes
+/// through here, so a key written twice is refused at the repeat's
+/// offset instead of the later value silently winning.
 fn want_obj<'a>(sp: &'a Sp, what: &str) -> Result<&'a [(usize, String, Sp)], RouteError> {
-    match &sp.val {
-        Val::Obj(fields) => Ok(fields),
-        _ => Err(schema(sp.off, format!("{what} must be an object"))),
+    let Val::Obj(fields) = &sp.val else {
+        return Err(schema(sp.off, format!("{what} must be an object")));
+    };
+    for (i, (key_off, key, _)) in fields.iter().enumerate() {
+        if fields[..i].iter().any(|(_, k, _)| k == key) {
+            return Err(schema(*key_off, format!("duplicate key `{key}` in {what}")));
+        }
     }
+    Ok(fields)
 }
 
 fn want_arr<'a>(sp: &'a Sp, what: &str) -> Result<&'a [Sp], RouteError> {
@@ -447,12 +444,20 @@ fn want_str<'a>(sp: &'a Sp, what: &str) -> Result<&'a str, RouteError> {
 }
 
 fn want_u64(sp: &Sp, what: &str) -> Result<u64, RouteError> {
-    match &sp.val {
-        Val::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => Ok(*n as u64),
+    match sp.val {
+        Val::Num(n) if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 => Ok(n as u64),
         _ => Err(schema(
             sp.off,
             format!("{what} must be a non-negative integer"),
         )),
+    }
+}
+
+/// `true` is the only value a flag key (`always`, `from_path`) takes.
+fn want_true(sp: &Sp, what: &str) -> Result<(), RouteError> {
+    match sp.val {
+        Val::Bool(true) => Ok(()),
+        _ => Err(schema(sp.off, format!("{what} must be `true`"))),
     }
 }
 
@@ -476,22 +481,19 @@ fn checked_tenant_name(sp: &Sp, what: &str) -> Result<String, RouteError> {
 fn decode_tenants(sp: &Sp) -> Result<Vec<TenantSpec>, RouteError> {
     let items = want_arr(sp, "`tenants`")?;
     let mut tenants = Vec::with_capacity(items.len());
-    let mut seen: HashSet<String> = HashSet::new();
     for item in items {
-        let fields = want_obj(item, "tenant entry")?;
         let mut name: Option<(usize, String)> = None;
         let mut source: Option<String> = None;
         let mut limits = TenantLimits::unlimited();
-        for (key_off, key, value) in fields {
+        for (key_off, key, value) in want_obj(item, "tenant entry")? {
             match key.as_str() {
                 "name" => name = Some((value.off, checked_tenant_name(value, "tenant name")?)),
                 "corpus" => source = Some(want_str(value, "`corpus`")?.to_string()),
                 "max_inflight" => {
                     let n = want_u64(value, "`max_inflight`")?;
-                    if n > u32::MAX as u64 {
-                        return Err(schema(value.off, "`max_inflight` out of range"));
-                    }
-                    limits.max_inflight = Some(n as u32);
+                    let n = u32::try_from(n)
+                        .map_err(|_| schema(value.off, "`max_inflight` out of range"))?;
+                    limits.max_inflight = Some(n);
                 }
                 "deadline_ms" => {
                     limits.default_deadline =
@@ -511,7 +513,7 @@ fn decode_tenants(sp: &Sp) -> Result<Vec<TenantSpec>, RouteError> {
         let (name_off, name) =
             name.ok_or_else(|| schema(item.off, "tenant entry missing `name`"))?;
         let source = source.ok_or_else(|| schema(item.off, "tenant entry missing `corpus`"))?;
-        if !seen.insert(name.clone()) {
+        if tenants.iter().any(|t: &TenantSpec| t.name == name) {
             return Err(schema(name_off, format!("duplicate tenant name `{name}`")));
         }
         tenants.push(TenantSpec {
@@ -529,10 +531,9 @@ fn decode_rules(sp: &Sp) -> Result<Vec<RouteRule>, RouteError> {
 }
 
 fn decode_rule(sp: &Sp) -> Result<RouteRule, RouteError> {
-    let fields = want_obj(sp, "rule")?;
     let mut when: Option<RoutePredicate> = None;
     let mut tenant: Option<TenantSelector> = None;
-    for (key_off, key, value) in fields {
+    for (key_off, key, value) in want_obj(sp, "rule")? {
         match key.as_str() {
             "when" => when = Some(decode_predicate(value)?),
             "tenant" => tenant = Some(decode_selector(value)?),
@@ -550,35 +551,35 @@ fn decode_rule(sp: &Sp) -> Result<RouteRule, RouteError> {
     })
 }
 
+/// The leaf matchers: config key → is the input a header (else the
+/// path), and how the extracted value is tested.
+const LEAVES: [(&str, bool, MatchTest); 4] = [
+    ("path_prefix", false, MatchTest::Prefix),
+    ("path_exact", false, MatchTest::Exact),
+    ("header_prefix", true, MatchTest::Prefix),
+    ("header_exact", true, MatchTest::Exact),
+];
+
 fn decode_predicate(sp: &Sp) -> Result<RoutePredicate, RouteError> {
-    let fields = want_obj(sp, "predicate")?;
-    if fields.len() != 1 {
+    let [(key_off, key, value)] = want_obj(sp, "predicate")? else {
         return Err(schema(
             sp.off,
             "predicate must have exactly one key (always, path_prefix, path_exact, \
              header_prefix, header_exact, all, any, not)",
         ));
+    };
+    if let Some(&(_, header, test)) = LEAVES.iter().find(|(k, ..)| k == key) {
+        let (input, value) = if header {
+            let (name, value) = decode_header_matcher(value)?;
+            (RouteInput::Header(name), value)
+        } else {
+            let value = want_str(value, &format!("`{key}`"))?;
+            (RouteInput::Path, value.to_string())
+        };
+        return Ok(RoutePredicate::Match { input, test, value });
     }
-    let (key_off, key, value) = &fields[0];
     match key.as_str() {
-        "always" => match value.val {
-            Val::Bool(true) => Ok(RoutePredicate::Always),
-            _ => Err(schema(value.off, "`always` must be `true`")),
-        },
-        "path_prefix" => Ok(RoutePredicate::PathPrefix(
-            want_str(value, "`path_prefix`")?.to_string(),
-        )),
-        "path_exact" => Ok(RoutePredicate::PathExact(
-            want_str(value, "`path_exact`")?.to_string(),
-        )),
-        "header_prefix" => {
-            let (name, v) = decode_header_matcher(value)?;
-            Ok(RoutePredicate::HeaderPrefix { name, value: v })
-        }
-        "header_exact" => {
-            let (name, v) = decode_header_matcher(value)?;
-            Ok(RoutePredicate::HeaderExact { name, value: v })
-        }
+        "always" => want_true(value, "`always`").map(|()| RoutePredicate::Always),
         "all" => Ok(RoutePredicate::All(decode_predicate_list(value)?)),
         "any" => Ok(RoutePredicate::Any(decode_predicate_list(value)?)),
         "not" => Ok(RoutePredicate::Not(Box::new(decode_predicate(value)?))),
@@ -594,10 +595,9 @@ fn decode_predicate_list(sp: &Sp) -> Result<Vec<RoutePredicate>, RouteError> {
 }
 
 fn decode_header_matcher(sp: &Sp) -> Result<(String, String), RouteError> {
-    let fields = want_obj(sp, "header matcher")?;
     let mut name: Option<String> = None;
     let mut value: Option<String> = None;
-    for (key_off, key, v) in fields {
+    for (key_off, key, v) in want_obj(sp, "header matcher")? {
         match key.as_str() {
             "name" => name = Some(want_str(v, "header `name`")?.to_ascii_lowercase()),
             "value" => value = Some(want_str(v, "header `value`")?.to_string()),
@@ -619,23 +619,16 @@ fn decode_header_matcher(sp: &Sp) -> Result<(String, String), RouteError> {
 
 fn decode_selector(sp: &Sp) -> Result<TenantSelector, RouteError> {
     match &sp.val {
-        Val::Str(_) => {
-            let name = checked_tenant_name(sp, "tenant name")?;
-            Ok(TenantSelector::Fixed(name))
-        }
-        Val::Obj(fields) => {
-            if fields.len() != 1 {
+        Val::Str(_) => checked_tenant_name(sp, "tenant name").map(TenantSelector::Fixed),
+        Val::Obj(_) => {
+            let [(key_off, key, value)] = want_obj(sp, "tenant selector")? else {
                 return Err(schema(
                     sp.off,
                     "tenant selector must have exactly one key (from_path or from_header)",
                 ));
-            }
-            let (key_off, key, value) = &fields[0];
+            };
             match key.as_str() {
-                "from_path" => match value.val {
-                    Val::Bool(true) => Ok(TenantSelector::FromPath),
-                    _ => Err(schema(value.off, "`from_path` must be `true`")),
-                },
+                "from_path" => want_true(value, "`from_path`").map(|()| TenantSelector::FromPath),
                 "from_header" => {
                     let name = want_str(value, "`from_header`")?.to_ascii_lowercase();
                     if name.is_empty() {

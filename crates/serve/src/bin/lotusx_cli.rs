@@ -6,8 +6,8 @@
 //! reachable: incremental canvas construction with per-keystroke
 //! position-aware candidates, one-shot textual queries, algorithm
 //! switching, ranked results, automatic rewriting of empty queries, the
-//! observability surface (`profile`, `explain`, `stats`), and `serve
-//! <port>` to expose the loaded document over HTTP.
+//! and the observability surface (`profile`, `explain`, `stats`). To
+//! serve a corpus over HTTP, run `lotusx-serve --corpus SOURCE`.
 
 use lotusx::{Algorithm, Axis, Budget, CanvasNodeId, CorpusSource, LotusX, QueryRequest, Session};
 use std::io::{BufRead, Write};
@@ -147,7 +147,6 @@ fn main() {
                     ),
                 }
             }
-            "serve" => serve_command(&system, rest),
             "save" | "snapshot" => match system.save_snapshot(rest) {
                 Ok(()) => {
                     let size = std::fs::metadata(rest).map(|m| m.len()).unwrap_or(0);
@@ -344,42 +343,6 @@ fn build_budget(timeout_ms: Option<u64>, node_budget: Option<u64>) -> Budget {
     budget
 }
 
-/// Serves the loaded document over HTTP on `127.0.0.1:<port>` until the
-/// user presses Enter (blocking the REPL while serving).
-fn serve_command(system: &LotusX, rest: &str) {
-    let Ok(port) = rest.trim().parse::<u16>() else {
-        println!("usage: serve <port> (e.g. serve 8080; port 0 picks one)");
-        return;
-    };
-    let config = lotusx_serve::ServeConfig {
-        addr: format!("127.0.0.1:{port}"),
-        ..lotusx_serve::ServeConfig::default()
-    };
-    let server = match lotusx_serve::Server::bind(config) {
-        Ok(server) => server,
-        Err(e) => {
-            println!("error: bind failed: {e}");
-            return;
-        }
-    };
-    let handle = server.handle();
-    println!(
-        "serving on {} (POST /query, POST /complete, GET /stats, GET /healthz) — press Enter to stop",
-        server.local_addr()
-    );
-    std::thread::scope(|scope| {
-        scope.spawn(|| server.run(system));
-        let mut line = String::new();
-        let _ = std::io::stdin().lock().read_line(&mut line);
-        handle.shutdown();
-    });
-    let stats = handle.stats();
-    println!(
-        "stopped: {} requests ({} rejected, {} panics)",
-        stats.requests, stats.rejected, stats.panics
-    );
-}
-
 fn print_stats(system: &LotusX) {
     let s = system.index().stats();
     let doc = system.index().document();
@@ -512,9 +475,6 @@ canvas (the GUI surrogate):
   run                execute the canvas through the same path as 'query'
                      (untyped nodes are wildcards; a repeat is a cache hit)
 other:
-  serve <port>       serve this document over HTTP on 127.0.0.1:<port>
-                     (POST /query, POST /complete, GET /stats, GET /healthz;
-                     Enter stops the server and returns to the REPL)
   algo [name|auto]   join algorithm for later queries: 'structural-join',
                      'naive' (the oracle), or 'auto' (the default = the
                      structural join)
@@ -523,6 +483,7 @@ other:
   help, quit
 
 start with '@dblp', '@xmark' or '@treebank[:scale[:seed]]' instead of a
-file to load a seeded synthetic corpus."
+file to load a seeded synthetic corpus; 'lotusx-serve --corpus <source>'
+serves the same corpus over HTTP."
     );
 }

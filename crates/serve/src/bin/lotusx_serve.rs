@@ -1,13 +1,12 @@
-//! The `lotusx-serve` binary: serve a generated corpus over HTTP.
+//! The `lotusx-serve` binary: serve corpora over HTTP.
 //!
 //! ```text
 //! lotusx-serve [--addr HOST:PORT] [--threads N] [--max-inflight N]
-//!              [--corpus SOURCE] [--read-timeout-ms MS]
-//!              [--write-timeout-ms MS] [--idle-timeout-ms MS]
-//!              [--backend auto|poll|epoll] [--access-log PATH]
-//! lotusx-serve --routes FILE             # multi-tenant registry server
+//!              [--corpus SOURCE | --snapshot load:PATH | --routes FILE]
+//!              [--read-timeout-ms MS] [--write-timeout-ms MS]
+//!              [--idle-timeout-ms MS] [--backend auto|poll|epoll]
+//!              [--access-log PATH]
 //! lotusx-serve --corpus SOURCE --snapshot save:PATH   # build, save, exit
-//! lotusx-serve --snapshot load:PATH                   # serve from snapshot
 //! lotusx-serve --probe HOST:PORT         # healthz + one query, exit 0/1
 //! lotusx-serve --metrics-probe HOST:PORT # keep-alive traffic + two
 //!                                        # /metrics scrapes, exit 0/1
@@ -15,15 +14,16 @@
 //! ```
 //!
 //! `SOURCE` is any corpus source: `@dataset[:scale[:seed]]`, an XML
-//! file, or a `.ltsx` snapshot.
+//! file, or a `.ltsx` snapshot (default `@dblp:1`).
 //!
-//! `--routes FILE` starts a multi-tenant server: the JSON config names
-//! each tenant (with its own corpus source, admission quota, and
+//! Every server hosts an engine registry. `--corpus` and `--snapshot
+//! load:` serve one corpus as the one-tenant registry: tenant `default`,
+//! no quota, one catch-all rule. `--routes FILE` reads a JSON config that
+//! names each tenant (with its own corpus source, admission quota, and
 //! default budgets) and the routing rules that map requests onto them
-//! (`/t/<name>` prefixes, headers, predicate trees). The rule list can
-//! be hot-reloaded at runtime with `POST /admin/routes`. `--corpus` and
-//! `--snapshot` do not combine with `--routes` — corpora come from the
-//! config file.
+//! (`/t/<name>` prefixes, headers, predicate trees); it does not combine
+//! with `--corpus`/`--snapshot`. On either kind of server `POST
+//! /admin/routes` hot-reloads the rule list.
 //!
 //! `--access-log PATH` writes one JSONL line per response (method,
 //! path, status, bytes, connection id, close disposition, and the
@@ -40,18 +40,18 @@
 use lotusx::{CorpusSource, EngineRegistry, LotusX, RegistryConfig};
 use lotusx_serve::{client, ServeConfig, Server, ServerHandle, ServerStats};
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_args(&args) {
-        Ok(Mode::Serve(config, corpus, snapshot)) => serve(config, &corpus, snapshot),
-        Ok(Mode::ServeRoutes(config, routes)) => serve_routes(config, &routes),
-        Ok(Mode::Probe(addr)) => probe(addr),
-        Ok(Mode::MetricsProbe(addr)) => metrics_probe(addr),
-        Ok(Mode::Stop(addr)) => stop(addr),
+    let outcome = match parse_args(&args) {
+        Ok(Mode::Serve(config, boot)) => serve(config, &boot),
+        Ok(Mode::Save(source, path)) => save(&source, &path),
+        Ok(Mode::Probe(addr)) => Ok(probe(addr)),
+        Ok(Mode::MetricsProbe(addr)) => Ok(metrics_probe(addr)),
+        Ok(Mode::Stop(addr)) => Ok(stop(addr)),
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!(
@@ -63,22 +63,29 @@ fn main() -> ExitCode {
                  | --stop HOST:PORT\n\
                  SOURCE: @dataset[:scale[:seed]] | file.xml | file.ltsx"
             );
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
         }
-    }
+    };
+    outcome.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
 }
 
-enum SnapshotAction {
-    /// Build the corpus, write the snapshot, exit without serving.
-    Save(PathBuf),
-    /// Serve from a snapshot instead of the `--corpus` source.
-    Load(PathBuf),
+/// Where the served registry comes from.
+enum Boot {
+    /// One corpus (`--corpus`, `--snapshot load:`): the one-tenant
+    /// registry.
+    Corpus(CorpusSource),
+    /// A `--routes` config: its tenants and rules.
+    Routes(PathBuf),
 }
 
 enum Mode {
-    Serve(ServeConfig, String, Option<SnapshotAction>),
-    /// Multi-tenant registry server from a `--routes` config file.
-    ServeRoutes(ServeConfig, PathBuf),
+    Serve(ServeConfig, Boot),
+    /// `--snapshot save:PATH`: build the corpus, write the snapshot,
+    /// exit without serving.
+    Save(CorpusSource, PathBuf),
     Probe(SocketAddr),
     MetricsProbe(SocketAddr),
     Stop(SocketAddr),
@@ -89,8 +96,7 @@ fn parse_args(args: &[String]) -> Result<Mode, String> {
         addr: "127.0.0.1:8080".to_string(),
         ..ServeConfig::default()
     };
-    let mut corpus = "@dblp:1".to_string();
-    let mut corpus_set = false;
+    let mut corpus: Option<String> = None;
     let mut snapshot = None;
     let mut routes: Option<PathBuf> = None;
     let mut iter = args.iter();
@@ -101,168 +107,107 @@ fn parse_args(args: &[String]) -> Result<Mode, String> {
                 .ok_or_else(|| format!("{name} requires a value"))
         };
         match flag.as_str() {
-            "--addr" => config.addr = value("--addr")?,
-            "--threads" => {
-                config.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads must be a positive integer".to_string())?
-            }
-            "--max-inflight" => {
-                config.max_inflight = value("--max-inflight")?
-                    .parse()
-                    .map_err(|_| "--max-inflight must be a positive integer".to_string())?
-            }
-            "--read-timeout-ms" => {
-                let ms: u64 = value("--read-timeout-ms")?
-                    .parse()
-                    .map_err(|_| "--read-timeout-ms must be an integer".to_string())?;
-                config.read_timeout = Duration::from_millis(ms);
-            }
-            "--write-timeout-ms" => {
-                let ms: u64 = value("--write-timeout-ms")?
-                    .parse()
-                    .map_err(|_| "--write-timeout-ms must be an integer".to_string())?;
-                config.write_timeout = Duration::from_millis(ms);
-            }
-            "--idle-timeout-ms" => {
-                let ms: u64 = value("--idle-timeout-ms")?
-                    .parse()
-                    .map_err(|_| "--idle-timeout-ms must be an integer".to_string())?;
-                config.idle_timeout = Duration::from_millis(ms);
-            }
-            "--backend" => config.backend = lotusx_serve::Backend::parse(&value("--backend")?)?,
-            "--access-log" => config.access_log = Some(PathBuf::from(value("--access-log")?)),
-            "--corpus" => {
-                corpus = value("--corpus")?;
-                corpus_set = true;
-            }
-            "--routes" => routes = Some(PathBuf::from(value("--routes")?)),
+            "--addr" => config.addr = value(flag)?,
+            "--threads" => config.threads = integer(flag, value(flag)?)?,
+            "--max-inflight" => config.max_inflight = integer(flag, value(flag)?)?,
+            "--read-timeout-ms" => config.read_timeout = millis(flag, value(flag)?)?,
+            "--write-timeout-ms" => config.write_timeout = millis(flag, value(flag)?)?,
+            "--idle-timeout-ms" => config.idle_timeout = millis(flag, value(flag)?)?,
+            "--backend" => config.backend = lotusx_serve::Backend::parse(&value(flag)?)?,
+            "--access-log" => config.access_log = Some(PathBuf::from(value(flag)?)),
+            "--corpus" => corpus = Some(value(flag)?),
+            "--routes" => routes = Some(PathBuf::from(value(flag)?)),
             "--snapshot" => {
-                let action = value("--snapshot")?;
-                snapshot = Some(match action.split_once(':') {
-                    Some(("save", path)) if !path.is_empty() => {
-                        SnapshotAction::Save(PathBuf::from(path))
-                    }
-                    Some(("load", path)) if !path.is_empty() => {
-                        SnapshotAction::Load(PathBuf::from(path))
+                let action = value(flag)?;
+                snapshot = match action.split_once(':') {
+                    Some((verb @ ("save" | "load"), path)) if !path.is_empty() => {
+                        Some((verb == "save", PathBuf::from(path)))
                     }
                     _ => {
                         return Err(format!(
                             "--snapshot takes save:PATH or load:PATH, got {action:?}"
                         ))
                     }
-                });
+                };
             }
-            "--probe" => return Ok(Mode::Probe(parse_addr(&value("--probe")?)?)),
-            "--metrics-probe" => {
-                return Ok(Mode::MetricsProbe(parse_addr(&value("--metrics-probe")?)?))
-            }
-            "--stop" => return Ok(Mode::Stop(parse_addr(&value("--stop")?)?)),
+            "--probe" => return Ok(Mode::Probe(parse_addr(&value(flag)?)?)),
+            "--metrics-probe" => return Ok(Mode::MetricsProbe(parse_addr(&value(flag)?)?)),
+            "--stop" => return Ok(Mode::Stop(parse_addr(&value(flag)?)?)),
             other => return Err(format!("unknown flag {other}")),
         }
     }
     if let Some(routes) = routes {
-        if corpus_set || snapshot.is_some() {
+        if corpus.is_some() || snapshot.is_some() {
             return Err("--routes does not combine with --corpus/--snapshot \
                         (tenant corpora come from the config file)"
                 .to_string());
         }
-        return Ok(Mode::ServeRoutes(config, routes));
+        return Ok(Mode::Serve(config, Boot::Routes(routes)));
     }
-    Ok(Mode::Serve(config, corpus, snapshot))
+    let corpus = || {
+        let text = corpus.as_deref().unwrap_or("@dblp:1");
+        text.parse::<CorpusSource>().map_err(|e| e.to_string())
+    };
+    Ok(match snapshot {
+        Some((true, path)) => Mode::Save(corpus()?, path),
+        Some((false, path)) => Mode::Serve(config, Boot::Corpus(CorpusSource::Snapshot(path))),
+        None => Mode::Serve(config, Boot::Corpus(corpus()?)),
+    })
+}
+
+fn integer<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} takes a non-negative integer, got {value:?}"))
+}
+
+fn millis(flag: &str, value: String) -> Result<Duration, String> {
+    integer(flag, value).map(Duration::from_millis)
 }
 
 fn parse_addr(s: &str) -> Result<SocketAddr, String> {
     s.parse().map_err(|_| format!("bad address {s:?}"))
 }
 
-fn serve(config: ServeConfig, corpus: &str, snapshot: Option<SnapshotAction>) -> ExitCode {
-    let source = if let Some(SnapshotAction::Load(path)) = &snapshot {
-        CorpusSource::Snapshot(path.clone())
-    } else {
-        match corpus.parse::<CorpusSource>() {
-            Ok(source) => source,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
+/// Opens the registry `boot` names: a corpus as the one-tenant
+/// registry, or every tenant of a `--routes` config.
+fn open_registry(boot: &Boot) -> Result<EngineRegistry, String> {
+    match boot {
+        Boot::Corpus(source) => Ok(EngineRegistry::single_tenant(open_corpus(source)?)),
+        Boot::Routes(routes) => {
+            let text = std::fs::read_to_string(routes)
+                .map_err(|e| format!("reading {} failed: {e}", routes.display()))?;
+            let config =
+                RegistryConfig::parse(&text).map_err(|e| format!("{}: {e}", routes.display()))?;
+            for tenant in &config.tenants {
+                eprintln!("opening tenant {} ({}) ...", tenant.name, tenant.source);
             }
+            EngineRegistry::open(&config).map_err(|e| format!("opening registry failed: {e}"))
         }
-    };
-    lotusx_obs::set_enabled(true);
-    let trace_path = std::env::var_os("LOTUSX_TRACE").map(PathBuf::from);
-    if trace_path.is_some() {
-        lotusx_obs::set_tracing(true);
     }
-    eprintln!("opening corpus {source} ...");
-    let engine = match LotusX::open(&source) {
-        Ok(engine) => engine,
-        Err(e) => {
-            eprintln!("error: opening corpus {source} failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(SnapshotAction::Save(path)) = &snapshot {
-        if let Err(e) = engine.save_snapshot(path) {
-            eprintln!("error: saving snapshot failed: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("snapshot saved to {}", path.display());
-        return ExitCode::SUCCESS;
-    }
-    let server = match Server::bind(config) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("error: bind failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let handle = server.handle();
-    // The wait-for line: scripts poll for this exact prefix.
-    println!("listening on {}", server.local_addr());
-
-    spawn_stdin_control(&handle);
-    server.run(&engine);
-    finish(trace_path, &handle)
 }
 
-/// Serves a multi-tenant registry from a `--routes` config file.
-fn serve_routes(config: ServeConfig, routes: &std::path::Path) -> ExitCode {
-    let text = match std::fs::read_to_string(routes) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("error: reading {} failed: {e}", routes.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let registry_config = match RegistryConfig::parse(&text) {
-        Ok(config) => config,
-        Err(e) => {
-            eprintln!("error: {}: {e}", routes.display());
-            return ExitCode::FAILURE;
-        }
-    };
+fn open_corpus(source: &CorpusSource) -> Result<LotusX, String> {
+    eprintln!("opening corpus {source} ...");
+    LotusX::open(source).map_err(|e| format!("opening corpus {source} failed: {e}"))
+}
+
+fn save(source: &CorpusSource, path: &Path) -> Result<ExitCode, String> {
+    open_corpus(source)?
+        .save_snapshot(path)
+        .map_err(|e| format!("saving snapshot failed: {e}"))?;
+    println!("snapshot saved to {}", path.display());
+    Ok(ExitCode::SUCCESS)
+}
+
+fn serve(config: ServeConfig, boot: &Boot) -> Result<ExitCode, String> {
     lotusx_obs::set_enabled(true);
     let trace_path = std::env::var_os("LOTUSX_TRACE").map(PathBuf::from);
     if trace_path.is_some() {
         lotusx_obs::set_tracing(true);
     }
-    for tenant in &registry_config.tenants {
-        eprintln!("opening tenant {} ({}) ...", tenant.name, tenant.source);
-    }
-    let registry = match EngineRegistry::open(&registry_config) {
-        Ok(registry) => registry,
-        Err(e) => {
-            eprintln!("error: opening registry failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let server = match Server::bind(config) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("error: bind failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let registry = open_registry(boot)?;
+    let server = Server::bind(config).map_err(|e| format!("bind failed: {e}"))?;
     let handle = server.handle();
     eprintln!(
         "serving {} tenants, {} routing rules",
@@ -272,14 +217,31 @@ fn serve_routes(config: ServeConfig, routes: &std::path::Path) -> ExitCode {
     // The wait-for line: scripts poll for this exact prefix.
     println!("listening on {}", server.local_addr());
     spawn_stdin_control(&handle);
-    server.run_registry(&registry);
+    server.run(&registry);
     for (name, tenant) in handle.tenant_stats() {
         eprintln!(
             "tenant {name}: {} requests ({} queries, {} rejected, {} quota rejects)",
             tenant.requests, tenant.queries, tenant.rejected, tenant.quota_rejects
         );
     }
-    finish(trace_path, &handle)
+    if let Some(path) = trace_path {
+        let events = lotusx_obs::drain_events();
+        let json = lotusx_obs::chrome_trace_json_with(&events, Some(lotusx_obs::trace_counters()));
+        match std::fs::write(&path, json) {
+            Ok(()) => eprintln!(
+                "trace: {} events written to {}",
+                events.len(),
+                path.display()
+            ),
+            Err(e) => eprintln!("trace: writing {} failed: {e}", path.display()),
+        }
+    }
+    let stats = handle.stats();
+    eprintln!(
+        "stopped: {} requests ({} rejected, {} panics)",
+        stats.requests, stats.rejected, stats.panics
+    );
+    Ok(ExitCode::SUCCESS)
 }
 
 /// stdin control: a `quit` line triggers graceful shutdown; EOF ends the
@@ -300,28 +262,6 @@ fn spawn_stdin_control(handle: &ServerHandle) {
             }
         }
     });
-}
-
-/// Post-run trace dump and final stats line, shared by both modes.
-fn finish(trace_path: Option<PathBuf>, handle: &ServerHandle) -> ExitCode {
-    if let Some(path) = trace_path {
-        let events = lotusx_obs::drain_events();
-        let json = lotusx_obs::chrome_trace_json_with(&events, Some(lotusx_obs::trace_counters()));
-        match std::fs::write(&path, json) {
-            Ok(()) => eprintln!(
-                "trace: {} events written to {}",
-                events.len(),
-                path.display()
-            ),
-            Err(e) => eprintln!("trace: writing {} failed: {e}", path.display()),
-        }
-    }
-    let stats = handle.stats();
-    eprintln!(
-        "stopped: {} requests ({} rejected, {} panics)",
-        stats.requests, stats.rejected, stats.panics
-    );
-    ExitCode::SUCCESS
 }
 
 /// Liveness + one end-to-end query against a running server.
@@ -346,7 +286,9 @@ fn probe(addr: SocketAddr) -> ExitCode {
     let query = "{\"text\":\"author\",\"kind\":\"keyword\",\"top_k\":1}";
     match client::post(addr, "/query", query) {
         Ok(r) if r.status == 200 && r.body_text().contains("\"total_matches\":") => {
-            if let Err(e) = check_work_counters(addr) {
+            let checked =
+                check_work_counters(addr).and_then(|stats| check_one_tenant(addr, &stats));
+            if let Err(e) = checked {
                 eprintln!("probe: {e}");
                 return ExitCode::FAILURE;
             }
@@ -390,6 +332,34 @@ fn check_work_counters(addr: SocketAddr) -> Result<lotusx_obs::JsonValue, String
         ));
     }
     Ok(doc)
+}
+
+/// The single-corpus server is the one-tenant registry: `/stats` lists
+/// exactly the `default` tenant, and `/admin/routes` takes a catch-all
+/// rule to it (the table it booted with, so the probe changes nothing).
+fn check_one_tenant(addr: SocketAddr, stats: &lotusx_obs::JsonValue) -> Result<(), String> {
+    let tenants = stats.get("tenants").and_then(lotusx_obs::JsonValue::as_obj);
+    let names: Vec<&str> = tenants
+        .into_iter()
+        .flatten()
+        .map(|(name, _)| name.as_str())
+        .collect();
+    if names != ["default"] {
+        return Err(format!(
+            "/stats tenants are {names:?}, not exactly [\"default\"]"
+        ));
+    }
+    let rules = r#"[{"when": {"always": true}, "tenant": "default"}]"#;
+    let r = client::post(addr, "/admin/routes", rules)
+        .map_err(|e| format!("/admin/routes failed: {e}"))?;
+    if (r.status, r.body_text().as_str()) != (200, "{\"rules\":1}\n") {
+        return Err(format!(
+            "/admin/routes answered {}: {}",
+            r.status,
+            r.body_text()
+        ));
+    }
+    Ok(())
 }
 
 /// One counter of the `server` section of a `/stats` document.

@@ -36,7 +36,7 @@
 //! tripped its quota, beta's counters equal beta's own traffic alone,
 //! and nothing panicked.
 
-use lotusx::{EngineRegistry, LotusX, RoutePredicate, RouteRule, TenantLimits, TenantSelector};
+use lotusx::{parse_rules, EngineRegistry, LotusX, TenantLimits};
 use lotusx_serve::client::{self, parse_response, Response};
 use lotusx_serve::poller::{Backend, Interest, PollEvent, Poller};
 use lotusx_serve::{ServeConfig, Server};
@@ -48,6 +48,8 @@ use std::time::{Duration, Instant};
 const CORPUS: &str = "<bib><book><author>knuth</author><title>taocp</title></book>\
                       <book><author>lamport</author><title>latex</title></book></bib>";
 const QUERY: &str = "{\"text\":\"knuth\",\"kind\":\"keyword\",\"top_k\":1}";
+/// The tenant soak's one rule: `/t/<name>/…` names the tenant.
+const FROM_PATH: &str = r#"[{"when": {"path_prefix": "/t/"}, "tenant": {"from_path": true}}]"#;
 
 /// Soak dimensions; `quick()` is the CI stage, `full()` is `--soak`.
 struct Profile {
@@ -163,6 +165,7 @@ struct Ledger {
 
 fn soak(profile: &Profile, backend: Backend) -> Result<(), String> {
     let engine = LotusX::load_str(CORPUS).map_err(|e| format!("corpus: {e}"))?;
+    let registry = EngineRegistry::single_tenant(engine);
     // Route the soak through the structured access log so the run also
     // proves the log's exactly-once accounting under real churn.
     let access_path =
@@ -184,7 +187,7 @@ fn soak(profile: &Profile, backend: Backend) -> Result<(), String> {
     let rss_before = vm_rss_kb();
 
     let result = std::thread::scope(|scope| {
-        scope.spawn(|| server.run(&engine));
+        scope.spawn(|| server.run(&registry));
         let out = drive(profile, addr, &handle);
         handle.shutdown();
         out
@@ -287,10 +290,7 @@ fn tenant_soak() -> Result<(), String> {
             ),
             ("beta".to_string(), beta, TenantLimits::unlimited()),
         ],
-        vec![RouteRule {
-            when: RoutePredicate::PathPrefix("/t/".to_string()),
-            tenant: TenantSelector::FromPath,
-        }],
+        parse_rules(FROM_PATH, &[]).map_err(|e| format!("rules: {e}"))?,
     )
     .map_err(|e| format!("registry: {e}"))?;
     let server = Server::bind(ServeConfig {
@@ -309,7 +309,7 @@ fn tenant_soak() -> Result<(), String> {
     let alpha_query = "{\"text\":\"knuth\",\"kind\":\"keyword\",\"top_k\":25}";
 
     let ((a_ok, a_429, a_other), (b_latencies, b_429, b_other)) = std::thread::scope(|scope| {
-        scope.spawn(|| server.run_registry(&registry));
+        scope.spawn(|| server.run(&registry));
         let a_handles: Vec<_> = (0..A_THREADS)
             .map(|_| {
                 scope.spawn(move || {

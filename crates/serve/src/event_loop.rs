@@ -343,7 +343,7 @@ struct Slot {
 
 struct EventLoop<'a> {
     server: &'a Server,
-    /// The engine view and per-tenant runtimes (routing, quotas,
+    /// The registry and per-tenant runtimes (routing, quotas,
     /// counters). A plain reference copy of it is taken wherever a
     /// connection borrow is simultaneously live.
     tenancy: &'a Tenancy<'a>,
@@ -955,68 +955,54 @@ impl EventLoop<'_> {
                                 || (conn.peer_eof && conn.inbuf.is_empty()));
                             let reused = conn.dispatched > 1;
                             let mut request = parsed.request;
-                            // Server-scoped endpoints bypass tenant
-                            // routing entirely: health, stats, metrics,
+                            // Route first, then decide scope once, on
+                            // the path routing produced (the request's
+                            // own on a miss): health, stats, metrics,
                             // shutdown and route administration answer
-                            // for the whole process, whatever the rules
-                            // say, and are never charged to a tenant.
+                            // for the whole process — never charged to,
+                            // or refused for, the tenant a rule or a
+                            // `/t/<name>` prefix names.
+                            let routed = tenancy.registry.route(&request.path, &request.headers);
+                            let routed = routed.map(|(idx, rewritten)| {
+                                if let Some(path) = rewritten {
+                                    request.path = path;
+                                }
+                                idx as u32
+                            });
                             let server_scoped = matches!(
                                 request.path.as_str(),
                                 "/healthz" | "/stats" | "/metrics" | "/shutdown" | "/admin/routes"
                             );
-                            let routed = if server_scoped {
-                                Ok(None)
-                            } else {
-                                match tenancy.resolve(&request.path, &request.headers) {
-                                    None => Err(()),
-                                    Some((idx, rewritten)) => {
-                                        if let Some(path) = rewritten {
-                                            request.path = path;
-                                        }
-                                        Ok(Some(idx))
-                                    }
-                                }
-                            };
-                            match routed {
-                                Err(()) => Act::RejectTenant {
+                            let tenant = routed.filter(|_| !server_scoped);
+                            // Per-tenant admission quota, checked only
+                            // here on the loop thread — exact, like the
+                            // server-wide gate.
+                            let over = tenant.is_some_and(|idx| {
+                                let rt = tenancy.set.runtime(idx);
+                                rt.limits().max_inflight.is_some_and(|quota| {
+                                    rt.stats.inflight.load(Ordering::Relaxed) >= quota as u64
+                                })
+                            });
+                            if tenant.is_none() && !server_scoped {
+                                Act::RejectTenant {
                                     reject: Reject::new(404, "unknown_tenant"),
                                     tenant: None,
                                     quota: false,
-                                },
-                                Ok(tenant) => {
-                                    // `/t/<name>` stripping may have just
-                                    // exposed a server-scoped path: a
-                                    // scrape is never charged to (or
-                                    // refused for) the tenant in the URL.
-                                    let tenant = tenant.filter(|_| {
-                                        !(request.method == "GET" && request.path == "/metrics")
-                                    });
-                                    // Per-tenant admission quota, checked
-                                    // only here on the loop thread —
-                                    // exact, like the server-wide gate.
-                                    let over = tenant.is_some_and(|idx| {
-                                        let rt = tenancy.set.runtime(idx);
-                                        rt.limits().max_inflight.is_some_and(|quota| {
-                                            rt.stats.inflight.load(Ordering::Relaxed)
-                                                >= quota as u64
-                                        })
-                                    });
-                                    if over {
-                                        Act::RejectTenant {
-                                            reject: Reject::new(429, "tenant at capacity"),
-                                            tenant,
-                                            quota: true,
-                                        }
-                                    } else {
-                                        Act::Serve {
-                                            request,
-                                            keep_alive,
-                                            reused,
-                                            parse_ns,
-                                            conn_id: conn.id,
-                                            tenant,
-                                        }
-                                    }
+                                }
+                            } else if over {
+                                Act::RejectTenant {
+                                    reject: Reject::new(429, "tenant at capacity"),
+                                    tenant,
+                                    quota: true,
+                                }
+                            } else {
+                                Act::Serve {
+                                    request,
+                                    keep_alive,
+                                    reused,
+                                    parse_ns,
+                                    conn_id: conn.id,
+                                    tenant,
                                 }
                             }
                         }

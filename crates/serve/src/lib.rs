@@ -10,20 +10,23 @@
 //! |-------------------|------------------------------------------------|
 //! | `POST /query`     | Twig/keyword search (per-request `top_k`, `algorithm`, `deadline_ms`, `budget`) |
 //! | `POST /complete`  | Position-aware tag/value auto-completion       |
-//! | `GET /stats`      | Per-server counters, per-tenant counters (registry mode) + the full obs snapshot |
+//! | `GET /stats`      | Per-server counters, per-tenant counters + the full obs snapshot |
 //! | `GET /metrics`    | Prometheus text exposition (v0.0.4), always served on the loop thread |
 //! | `GET /healthz`    | Liveness probe (`ok`)                          |
 //! | `POST /shutdown`  | Graceful remote stop                           |
-//! | `POST /admin/routes` | Hot-swap the routing rules (registry mode only) |
+//! | `POST /admin/routes` | Hot-swap the routing rules                  |
 //!
-//! A server runs either single-tenant ([`Server::run`]) or hosts a
-//! whole [`EngineRegistry`](lotusx::EngineRegistry) of named corpora
-//! ([`Server::run_registry`]) with requests routed by a declarative
-//! rule table (`/t/<tenant>/…` prefixes, headers), per-tenant
-//! `max_inflight` quotas (`429 tenant at capacity`) and default
+//! A server hosts an [`EngineRegistry`](lotusx::EngineRegistry) of named
+//! corpora ([`Server::run`]); a single corpus is the one-tenant registry
+//! ([`EngineRegistry::single_tenant`](lotusx::EngineRegistry::single_tenant):
+//! tenant `default`, one catch-all rule). Requests are routed by a
+//! declarative rule table (`/t/<tenant>/…` prefixes, headers), with
+//! per-tenant `max_inflight` quotas (`429 tenant at capacity`) and default
 //! budgets, and per-tenant observability across `/stats`, `/metrics`
 //! (`tenant` label) and the access log — see [`tenants`] and the
-//! "Multi-tenant routing" section of DESIGN.md.
+//! "Multi-tenant routing" section of DESIGN.md. The process endpoints
+//! (`/healthz`, `/stats`, `/metrics`, `/shutdown`, `/admin/routes`) are
+//! server-scoped: never charged to a tenant, even behind `/t/<tenant>`.
 //!
 //! The I/O layer is a single-threaded nonblocking event loop driving
 //! per-connection state machines — incremental parsing, HTTP/1.1
@@ -43,14 +46,15 @@
 //! wire format.
 //!
 //! ```no_run
-//! use lotusx::LotusX;
+//! use lotusx::{EngineRegistry, LotusX};
 //! use lotusx_serve::{Server, ServeConfig};
 //!
 //! let engine = LotusX::load_str("<bib><book><title>t</title></book></bib>").unwrap();
+//! let registry = EngineRegistry::single_tenant(engine);
 //! let server = Server::bind(ServeConfig::default()).unwrap();
 //! let handle = server.handle();
 //! std::thread::scope(|s| {
-//!     s.spawn(|| server.run(&engine));
+//!     s.spawn(|| server.run(&registry));
 //!     // ... talk to server.local_addr() ...
 //!     handle.shutdown();
 //! });

@@ -44,7 +44,7 @@ use crate::http::{self, Limits, Reject, Request};
 use crate::poller::{Backend, Poller};
 use crate::tenants::{Tenancy, TenantSet, TenantSnapshot};
 use crate::wire;
-use lotusx::{Budget, CancelToken, EngineRegistry, LotusX, QueryGuard, QueryRequest};
+use lotusx::{Budget, CancelToken, EngineRegistry, QueryGuard, QueryRequest};
 use lotusx_obs::{conn_lane, EventKind, PromWriter, QueryId, Stage};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -186,9 +186,8 @@ impl ServerHandle {
         self.stats.snapshot()
     }
 
-    /// Per-tenant `(name, counters)` snapshots, in registry order (a
-    /// single `default` entry for `Server::run`). Empty until `run`/
-    /// `run_registry` has started.
+    /// Per-tenant `(name, counters)` snapshots, in registry order. Empty
+    /// until [`Server::run`] has started.
     pub fn tenant_stats(&self) -> Vec<(String, TenantSnapshot)> {
         self.tenants.get().map(|s| s.snapshot()).unwrap_or_default()
     }
@@ -211,8 +210,8 @@ pub struct Server {
     /// The structured access log, when configured (opened at bind time
     /// so a bad path surfaces early).
     pub(crate) access: Option<AccessLog>,
-    /// The per-tenant runtime table, installed when `run`/`run_registry`
-    /// starts so handles can read per-tenant counters.
+    /// The per-tenant runtime table, installed when `run` starts so
+    /// handles can read per-tenant counters.
     pub(crate) tenants: Arc<OnceLock<Arc<TenantSet>>>,
     /// The loop-side waker receiver and the readiness poller, built at
     /// bind time so configuration errors surface early; taken by the
@@ -222,7 +221,7 @@ pub struct Server {
 
 impl Server {
     /// Binds the configured address and opens the readiness poller. The
-    /// engine is supplied at [`Server::run`] time so the server can
+    /// registry is supplied at [`Server::run`] time so the server can
     /// borrow it (no `'static` requirement — run it under
     /// `std::thread::scope` if needed).
     pub fn bind(config: ServeConfig) -> io::Result<Server> {
@@ -280,26 +279,18 @@ impl Server {
         }
     }
 
-    /// Serves `engine` until [`ServerHandle::shutdown`] is called,
-    /// blocking the calling thread (it becomes the event loop). Worker
-    /// threads are scoped to this call: when it returns, every
-    /// connection owed a response has been answered and every thread
-    /// joined. May be called at most once per server.
-    pub fn run(&self, engine: &LotusX) {
-        self.run_with(Tenancy::single(engine));
-    }
-
-    /// Serves a multi-tenant [`EngineRegistry`]: requests are routed to
-    /// a hosted engine by the registry's rule table (`404
+    /// Serves `registry` until [`ServerHandle::shutdown`] is called,
+    /// blocking the calling thread (it becomes the event loop): requests
+    /// are routed to a hosted engine by the registry's rule table (`404
     /// unknown_tenant` on a miss), per-tenant admission quotas and
     /// default budgets apply, and `POST /admin/routes` hot-reloads the
-    /// rule list. Same threading and shutdown contract as
-    /// [`Server::run`]; at most one `run*` call per server.
-    pub fn run_registry(&self, registry: &EngineRegistry) {
-        self.run_with(Tenancy::registry(registry));
-    }
-
-    fn run_with(&self, tenancy: Tenancy<'_>) {
+    /// rule list. A single corpus is served as
+    /// [`EngineRegistry::single_tenant`]. Worker threads are scoped to
+    /// this call: when it returns, every connection owed a response has
+    /// been answered and every thread joined. May be called at most once
+    /// per server.
+    pub fn run(&self, registry: &EngineRegistry) {
+        let tenancy = Tenancy::new(registry);
         let (poller, waker_rx) = self
             .loop_parts
             .lock()
@@ -599,22 +590,16 @@ impl Server {
                 self.stop.store(true, Ordering::SeqCst);
                 ready("application/json", "{\"stopping\":true}\n".to_string())
             }
-            ("POST", "/admin/routes") => match tenancy.registry_ref() {
-                Some(registry) => {
-                    let text = std::str::from_utf8(&request.body)
-                        .map_err(|_| Reject::new(400, "body is not valid UTF-8"))?;
-                    match registry.reload_rules(text) {
-                        Ok(count) => ready("application/json", format!("{{\"rules\":{count}}}\n")),
-                        // The typed error carries kind + byte offset;
-                        // the previous table stays installed.
-                        Err(e) => Err(Reject::new(400, e.to_string())),
-                    }
+            ("POST", "/admin/routes") => {
+                let text = std::str::from_utf8(&request.body)
+                    .map_err(|_| Reject::new(400, "body is not valid UTF-8"))?;
+                match tenancy.registry.reload_rules(text) {
+                    Ok(count) => ready("application/json", format!("{{\"rules\":{count}}}\n")),
+                    // The typed error carries kind + byte offset; the
+                    // previous table stays installed.
+                    Err(e) => Err(Reject::new(400, e.to_string())),
                 }
-                None => Err(Reject::new(
-                    404,
-                    "unknown endpoint /admin/routes (not a registry server)",
-                )),
-            },
+            }
             (_, "/healthz" | "/stats" | "/metrics") => {
                 Err(Reject::new(405, format!("{} requires GET", request.path)))
             }
@@ -747,7 +732,8 @@ mod tests {
     /// request a `500` and that connection, nothing else.
     #[test]
     fn a_panic_on_the_loop_thread_is_one_500_and_the_server_lives() {
-        let engine = LotusX::load_str("<bib><book><title>t</title></book></bib>").unwrap();
+        let engine = lotusx::LotusX::load_str("<bib><book><title>t</title></book></bib>").unwrap();
+        let registry = EngineRegistry::single_tenant(engine);
         let server = Server::bind(ServeConfig::default()).expect("bind");
         let addr = server.local_addr();
         let handle = server.handle();
@@ -757,7 +743,7 @@ mod tests {
                 // This thread becomes the event loop; the workers it
                 // spawns never see the flag.
                 test_hooks::PANIC_NEXT_ROUTE.with(|flag| flag.set(true));
-                server.run(&engine)
+                server.run(&registry)
             });
             let mut conn = client::Conn::connect(addr).expect("connect");
             conn.send("POST", "/complete", Some(keystroke))

@@ -1,9 +1,9 @@
-//! Per-tenant serving state: counters, admission gauge, and the engine
-//! view the workers route against.
+//! Per-tenant serving state: counters, admission gauge, and the
+//! registry the workers route against.
 //!
 //! A running server owns one [`TenantSet`] — index-aligned with the
-//! registry's tenant list (or a single implicit `default` tenant for
-//! `Server::run`). The event loop charges admission (the `inflight`
+//! registry's tenant list (one `default` tenant for a single corpus).
+//! The event loop charges admission (the `inflight`
 //! gauge and `quota_rejects`) on its own thread, so those are exact;
 //! whichever thread answers a request — the loop thread inline, or a
 //! worker — charges the outcome counters (queries, completions, rejects,
@@ -20,79 +20,31 @@ use lotusx_obs::{counter_members, push_json_str, PromWriter};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// The engine view a running server serves from: one engine, or a
-/// registry of them.
-pub(crate) enum Engines<'a> {
-    /// `Server::run`: a single borrowed engine.
-    Single(&'a LotusX),
-    /// `Server::run_registry`: N engines behind the routing table.
-    Registry(&'a EngineRegistry),
-}
-
-/// The complete tenancy view threaded through the event loop and the
-/// worker pool: the engines plus the per-tenant runtime table
-/// (index-aligned). Built once per `run*` call.
+/// The tenancy view threaded through the event loop and the worker
+/// pool: the registry plus its per-tenant runtime table (index-aligned).
+/// Built once per `run` call.
 pub(crate) struct Tenancy<'a> {
-    engines: Engines<'a>,
+    pub(crate) registry: &'a EngineRegistry,
     /// Shared with [`crate::server::ServerHandle`] so harnesses can read
     /// exact per-tenant counters without a `/stats` round-trip.
     pub(crate) set: Arc<TenantSet>,
 }
 
 impl<'a> Tenancy<'a> {
-    pub(crate) fn single(engine: &'a LotusX) -> Tenancy<'a> {
-        Tenancy {
-            engines: Engines::Single(engine),
-            set: Arc::new(TenantSet::single()),
-        }
-    }
-
-    pub(crate) fn registry(registry: &'a EngineRegistry) -> Tenancy<'a> {
-        Tenancy {
-            engines: Engines::Registry(registry),
-            set: Arc::new(TenantSet::from_registry(registry)),
-        }
-    }
-
-    /// The registry, when serving one (`/admin/routes` support).
-    pub(crate) fn registry_ref(&self) -> Option<&'a EngineRegistry> {
-        match self.engines {
-            Engines::Registry(r) => Some(r),
-            Engines::Single(_) => None,
-        }
+    pub(crate) fn new(registry: &'a EngineRegistry) -> Tenancy<'a> {
+        let tenants = registry.tenants().iter();
+        let tenants = tenants.map(|t| TenantRuntime::new(t.name(), t.limits().clone()));
+        let set = Arc::new(TenantSet {
+            tenants: tenants.collect(),
+        });
+        Tenancy { registry, set }
     }
 
     /// The engine a request routed to `tenant` computes against.
     /// Tenant-less (server-scoped) requests never reach an engine; the
     /// first tenant stands in defensively.
     pub(crate) fn engine(&self, tenant: Option<u32>) -> &'a LotusX {
-        match (&self.engines, tenant) {
-            (Engines::Single(e), _) => e,
-            (Engines::Registry(r), Some(i)) => r.tenants()[i as usize].engine(),
-            (Engines::Registry(r), None) => r.tenants()[0].engine(),
-        }
-    }
-
-    /// Resolves a request to `(tenant index, rewritten path)`. The path
-    /// is `Some` only when routing changed it (`/t/<name>` stripping).
-    /// `None` overall means no tenant owns the request → the documented
-    /// 404 `unknown_tenant` reject. Single-engine servers route
-    /// everything to their one tenant unchanged.
-    pub(crate) fn resolve(
-        &self,
-        path: &str,
-        headers: &[(String, String)],
-    ) -> Option<(u32, Option<String>)> {
-        match &self.engines {
-            Engines::Single(_) => Some((0, None)),
-            Engines::Registry(reg) => {
-                let table = reg.routes();
-                let m = table.resolve(path, headers)?;
-                let idx = reg.lookup(&m.tenant)?;
-                let rewritten = (m.path != path).then_some(m.path);
-                Some((idx as u32, rewritten))
-            }
-        }
+        self.registry.tenants()[tenant.unwrap_or(0) as usize].engine()
     }
 }
 
@@ -155,31 +107,12 @@ impl TenantRuntime {
     }
 }
 
-/// The per-tenant runtime table, index-aligned with the engine view.
+/// The per-tenant runtime table, index-aligned with the registry.
 pub struct TenantSet {
     tenants: Vec<TenantRuntime>,
 }
 
 impl TenantSet {
-    /// The single-tenant set `Server::run` uses: one unlimited tenant
-    /// named `default`.
-    pub(crate) fn single() -> TenantSet {
-        TenantSet {
-            tenants: vec![TenantRuntime::new("default", TenantLimits::unlimited())],
-        }
-    }
-
-    /// A runtime slot per registry tenant, in registry order.
-    pub(crate) fn from_registry(registry: &EngineRegistry) -> TenantSet {
-        TenantSet {
-            tenants: registry
-                .tenants()
-                .iter()
-                .map(|t| TenantRuntime::new(t.name(), t.limits().clone()))
-                .collect(),
-        }
-    }
-
     /// The tenant runtimes, in registry order.
     pub fn tenants(&self) -> &[TenantRuntime] {
         &self.tenants
@@ -274,13 +207,5 @@ mod tests {
             1
         );
         assert_eq!(prom.matches("# TYPE lotusx_tenant_inflight").count(), 1);
-    }
-
-    #[test]
-    fn single_set_is_one_unlimited_default_tenant() {
-        let set = TenantSet::single();
-        assert_eq!(set.tenants().len(), 1);
-        assert_eq!(set.runtime(0).name(), "default");
-        assert!(set.runtime(0).limits().is_unlimited());
     }
 }

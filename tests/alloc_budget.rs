@@ -11,7 +11,9 @@
 //!
 //! And of the cache-hit path: a hit hands out the answer the miss built,
 //! so it allocates the same number of blocks whatever the answer holds —
-//! and the wire encoders then write it into one growing buffer.
+//! and the wire encoders then write it into one growing buffer. Routing,
+//! which every served request goes through, allocates only the path it
+//! rewrites.
 //!
 //! The counter is per thread, so the harness and other tests cannot
 //! disturb it.
@@ -246,4 +248,36 @@ fn parsing_and_snapshot_decoding_allocate_per_document_not_per_text_node() {
             "{what}: {small} blocks for {SMALL} records, {large} for 8x"
         );
     }
+}
+
+/// Every served request is routed, so routing borrows: the tenant name
+/// from the rule or the request, the path from the request. A catch-all
+/// or `from_header` rule resolves in 0 blocks; `/t/<name>` allocates the
+/// one thing it returns, the rewritten path.
+#[test]
+fn routing_allocates_only_the_rewritten_path() {
+    let engine = || lotusx::LotusX::load_str("<r/>").expect("well-formed");
+    let unlimited = lotusx::TenantLimits::unlimited;
+    let rules = lotusx::parse_rules(
+        r#"[{"when": {"path_prefix": "/t/"}, "tenant": {"from_path": true}},
+            {"when": {"header_prefix": {"name": "x-tenant", "value": ""}},
+             "tenant": {"from_header": "x-tenant"}},
+            {"when": {"always": true}, "tenant": "alpha"}]"#,
+        &["alpha", "beta"],
+    )
+    .expect("rules parse");
+    let parts = ["alpha", "beta"].map(|name| (name.to_string(), engine(), unlimited()));
+    let registry =
+        lotusx::EngineRegistry::from_parts(parts.into(), rules).expect("registry builds");
+    let header = [("X-Tenant".to_string(), "beta".to_string())];
+    let routed = |registry: &lotusx::EngineRegistry, path, headers| {
+        let before = ALLOCATIONS.with(Cell::get);
+        let routed = registry.route(path, headers);
+        (routed, ALLOCATIONS.with(Cell::get) - before)
+    };
+    assert_eq!(routed(&registry, "/query", &[]), (Some((0, None)), 0));
+    let by_header = Some((1, None));
+    assert_eq!(routed(&registry, "/complete", &header), (by_header, 0));
+    let stripped = Some((1, Some("/query".to_string())));
+    assert_eq!(routed(&registry, "/t/beta/query", &[]), (stripped, 1));
 }

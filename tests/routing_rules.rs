@@ -487,6 +487,43 @@ const BAD_CASES: &[BadCase] = &[
         at: r#"[{"when": {"always": true}, "tenant": "ghost"}]"#,
         msg: "undeclared tenant `ghost`",
     },
+    // A repeated key is refused where it repeats, in every object of
+    // the grammar — never "the later value wins".
+    BadCase {
+        name: "repeated top-level key",
+        config: r#"{"tenants": [{"name": "a", "corpus": "<r/>"}], "rules": [], "rules": [1]}"#,
+        kind: RouteErrorKind::Schema,
+        at: r#""rules": [1]"#,
+        msg: "duplicate key `rules`",
+    },
+    BadCase {
+        name: "repeated tenant key",
+        config: r#"{"tenants": [{"name": "a", "corpus": "<r/>", "max_inflight": 1, "max_inflight": 9}]}"#,
+        kind: RouteErrorKind::Schema,
+        at: r#""max_inflight": 9"#,
+        msg: "duplicate key `max_inflight`",
+    },
+    BadCase {
+        name: "repeated rule key",
+        config: r#"{"rules": [{"when": {"always": true}, "tenant": "a", "when": {"always": true}}]}"#,
+        kind: RouteErrorKind::Schema,
+        at: r#""when": {"always": true}}"#,
+        msg: "duplicate key `when`",
+    },
+    BadCase {
+        name: "repeated header-matcher key",
+        config: r#"{"rules": [{"when": {"header_exact": {"name": "x", "value": "1", "name": "y"}}}]}"#,
+        kind: RouteErrorKind::Schema,
+        at: r#""name": "y""#,
+        msg: "duplicate key `name`",
+    },
+    BadCase {
+        name: "repeated selector key",
+        config: r#"{"rules": [{"tenant": {"from_path": true, "from_path": true}}]}"#,
+        kind: RouteErrorKind::Schema,
+        at: r#""from_path": true}"#,
+        msg: "duplicate key `from_path`",
+    },
 ];
 
 #[test]
@@ -577,6 +614,17 @@ fn parse_rules_accepts_both_payload_shapes() {
     let err = parse_rules(r#"{"ruleset": []}"#, &known).unwrap_err();
     assert_eq!(err.kind, RouteErrorKind::Schema);
     assert!(err.message.contains("unknown key `ruleset`"));
+}
+
+#[test]
+fn a_repeated_key_in_a_reload_payload_is_a_schema_error() {
+    let err = parse_rules(r#"{"rules": [], "rules": []}"#, &["a"]).unwrap_err();
+    assert_eq!(
+        (err.kind, err.offset),
+        (RouteErrorKind::Schema, 14),
+        "{err}"
+    );
+    assert!(err.message.contains("duplicate key `rules`"), "{err}");
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! ephemeral loopback port, concurrent clients on real sockets, and
 //! responses checked byte-for-byte against the in-process engine.
 
-use lotusx::{Algorithm, LotusX};
+use lotusx::{Algorithm, EngineRegistry, LotusX};
 use lotusx_datagen::{generate, Dataset};
 use lotusx_obs::parse_json;
 use lotusx_serve::{client, wire, Backend, ServeConfig, Server};
@@ -15,7 +15,7 @@ fn xmark_engine() -> LotusX {
 
 /// Runs `body` against a freshly bound server and shuts it down after.
 fn with_server<T: Send>(
-    engine: &LotusX,
+    registry: &EngineRegistry,
     config: ServeConfig,
     body: impl FnOnce(SocketAddr, &lotusx_serve::ServerHandle) -> T + Send,
 ) -> T {
@@ -23,7 +23,7 @@ fn with_server<T: Send>(
     let addr = server.local_addr();
     let handle = server.handle();
     std::thread::scope(|scope| {
-        scope.spawn(|| server.run(engine));
+        scope.spawn(|| server.run(registry));
         let out = body(addr, &handle);
         handle.shutdown();
         out
@@ -40,7 +40,8 @@ fn expected_bytes(engine: &LotusX, body: &str) -> String {
 
 #[test]
 fn queries_byte_identical_across_algorithms_under_concurrency() {
-    let engine = xmark_engine();
+    let registry = EngineRegistry::single_tenant(xmark_engine());
+    let engine = registry.tenants()[0].engine();
 
     // Every algorithm, twig and keyword kinds, varying top_k.
     let mut bodies: Vec<String> = Algorithm::ALL
@@ -57,11 +58,11 @@ fn queries_byte_identical_across_algorithms_under_concurrency() {
     bodies.push("{\"text\":\"//open_auction//bidder\",\"top_k\":3}".to_string());
     bodies.push("{\"text\":\"gold keyword\",\"kind\":\"keyword\",\"top_k\":5}".to_string());
 
-    let expected: Vec<String> = bodies.iter().map(|b| expected_bytes(&engine, b)).collect();
+    let expected: Vec<String> = bodies.iter().map(|b| expected_bytes(engine, b)).collect();
 
     let mismatches = AtomicUsize::new(0);
     let served = AtomicUsize::new(0);
-    with_server(&engine, ServeConfig::default(), |addr, handle| {
+    with_server(&registry, ServeConfig::default(), |addr, handle| {
         std::thread::scope(|scope| {
             // The issue demands ≥8 concurrent client threads; use 10.
             for t in 0..10 {
@@ -101,8 +102,9 @@ fn queries_byte_identical_across_algorithms_under_concurrency() {
 
 #[test]
 fn completions_match_in_process_results() {
-    let engine = xmark_engine();
-    with_server(&engine, ServeConfig::default(), |addr, handle| {
+    let registry = EngineRegistry::single_tenant(xmark_engine());
+    let engine = registry.tenants()[0].engine();
+    with_server(&registry, ServeConfig::default(), |addr, handle| {
         // Position-aware tag completion: what can sit under //item?
         let body = r#"{"kind":"tag","prefix":"n","context":{"steps":[{"tag":"item","axis":"descendant"}],"axis":"child"}}"#;
         let response = client::post(addr, "/complete", body).expect("complete roundtrip");
@@ -141,8 +143,8 @@ fn completions_match_in_process_results() {
 
 #[test]
 fn healthz_and_stats_reconcile() {
-    let engine = xmark_engine();
-    with_server(&engine, ServeConfig::default(), |addr, handle| {
+    let registry = EngineRegistry::single_tenant(xmark_engine());
+    with_server(&registry, ServeConfig::default(), |addr, handle| {
         let health = client::get(addr, "/healthz").expect("healthz");
         assert_eq!(health.status, 200);
         assert_eq!(health.body_text(), "ok\n");
@@ -197,8 +199,8 @@ fn metrics_reconcile_exactly_with_stats() {
     // EXACTLY against the JSON counters — both endpoints render the
     // same `ServerStats`, and each scrape counts itself before it
     // renders, so every step below has one provable right answer.
-    let engine = xmark_engine();
-    with_server(&engine, ServeConfig::default(), |addr, _handle| {
+    let registry = EngineRegistry::single_tenant(xmark_engine());
+    with_server(&registry, ServeConfig::default(), |addr, _handle| {
         // A sample's first token is the full metric name; match it
         // exactly so e.g. `..._requests_total` never shadows
         // `..._metrics_requests_total`.
@@ -301,7 +303,8 @@ fn poll_backend_serves_byte_identical_responses() {
     // and behind `--backend poll`; it must be indistinguishable on the
     // wire from the default (epoll on Linux) backend, keep-alive
     // included.
-    let engine = xmark_engine();
+    let registry = EngineRegistry::single_tenant(xmark_engine());
+    let engine = registry.tenants()[0].engine();
     let config = ServeConfig {
         backend: Backend::Poll,
         ..ServeConfig::default()
@@ -310,8 +313,8 @@ fn poll_backend_serves_byte_identical_responses() {
         "{\"text\":\"//item/name\",\"algorithm\":\"structural-join\",\"top_k\":7}".to_string(),
         "{\"text\":\"gold keyword\",\"kind\":\"keyword\",\"top_k\":5}".to_string(),
     ];
-    let expected: Vec<String> = bodies.iter().map(|b| expected_bytes(&engine, b)).collect();
-    with_server(&engine, config, |addr, handle| {
+    let expected: Vec<String> = bodies.iter().map(|b| expected_bytes(engine, b)).collect();
+    with_server(&registry, config, |addr, handle| {
         // One-shot clients (Connection: close per request).
         for (body, want) in bodies.iter().zip(&expected) {
             let response = client::post(addr, "/query", body).expect("poll-backend query");
@@ -336,8 +339,9 @@ fn poll_backend_serves_byte_identical_responses() {
 
 #[test]
 fn per_request_budget_and_deadline_round_trip() {
-    let engine = xmark_engine();
-    with_server(&engine, ServeConfig::default(), |addr, _handle| {
+    let registry = EngineRegistry::single_tenant(xmark_engine());
+    let engine = registry.tenants()[0].engine();
+    with_server(&registry, ServeConfig::default(), |addr, _handle| {
         // A node-quota budget so small the query must truncate; the
         // response still parses and says so.
         let body =
@@ -356,6 +360,6 @@ fn per_request_budget_and_deadline_round_trip() {
 
         // Byte-identity holds for budgeted requests too (truncation is
         // deterministic for a node quota on the same engine).
-        assert_eq!(response.body_text(), expected_bytes(&engine, body));
+        assert_eq!(response.body_text(), expected_bytes(engine, body));
     });
 }

@@ -52,7 +52,7 @@ const TAG_KEYSTROKE: &str =
 const COLD_VALUE: &str = "{\"kind\":\"value\",\"tag\":\"t9\",\"prefix\":\"w\",\"k\":5}";
 
 fn with_server<T: Send>(
-    engine: &LotusX,
+    registry: &EngineRegistry,
     config: ServeConfig,
     body: impl FnOnce(SocketAddr, &ServerHandle) -> T + Send,
 ) -> T {
@@ -60,7 +60,7 @@ fn with_server<T: Send>(
     let addr = server.local_addr();
     let handle = server.handle();
     std::thread::scope(|scope| {
-        scope.spawn(|| server.run(engine));
+        scope.spawn(|| server.run(registry));
         let out = body(addr, &handle);
         handle.shutdown();
         out
@@ -88,8 +88,8 @@ fn assert_ledger(stats: &StatsSnapshot) {
 #[test]
 fn a_keystroke_costs_one_readiness_event_and_no_timer_entry() {
     let _serial = serial();
-    let engine = corpus();
-    with_server(&engine, ServeConfig::default(), |addr, handle| {
+    let registry = EngineRegistry::single_tenant(corpus());
+    with_server(&registry, ServeConfig::default(), |addr, handle| {
         let mut conn = client::Conn::connect(addr).expect("connect");
         post(&mut conn, "/complete", TAG_KEYSTROKE);
         let before = handle.stats();
@@ -132,7 +132,8 @@ fn a_keystroke_costs_one_readiness_event_and_no_timer_entry() {
 fn inline_and_fallback_answers_are_byte_identical() {
     let _serial = serial();
     lotusx_obs::set_enabled(true);
-    let engine = corpus();
+    let registry = EngineRegistry::single_tenant(corpus());
+    let engine = registry.tenants()[0].engine();
     // What the full (never truncated) answer looks like, from a twin
     // engine so the served one's trie cache stays cold.
     let want_value =
@@ -143,7 +144,7 @@ fn inline_and_fallback_answers_are_byte_identical() {
         (c.queries, c.cache_hit, c.cache_miss)
     };
 
-    with_server(&engine, ServeConfig::default(), |addr, handle| {
+    with_server(&registry, ServeConfig::default(), |addr, handle| {
         let mut conn = client::Conn::connect(addr).expect("connect");
 
         // Value completion on a tag whose trie is not resident: the
@@ -231,8 +232,8 @@ fn stall_corpus() -> LotusX {
 #[test]
 fn pipelined_inline_answers_are_flushed_without_another_byte() {
     let _serial = serial();
-    let engine = stall_corpus();
-    with_server(&engine, ServeConfig::default(), |addr, handle| {
+    let registry = EngineRegistry::single_tenant(stall_corpus());
+    with_server(&registry, ServeConfig::default(), |addr, handle| {
         let want = client::post(addr, "/complete", TAG_KEYSTROKE)
             .expect("reference completion")
             .body;
@@ -371,7 +372,7 @@ fn inline_answers_hold_a_tenant_slot_only_while_they_run() {
     let addr = server.local_addr();
     let handle = server.handle();
     std::thread::scope(|scope| {
-        scope.spawn(|| server.run_registry(&registry));
+        scope.spawn(|| server.run(&registry));
         // Two connections taking turns in bursts: with a quota of one,
         // any slot held past its answer would refuse the other's next
         // request.
@@ -407,7 +408,7 @@ fn inline_answers_hold_a_tenant_slot_only_while_they_run() {
 #[test]
 fn inline_answers_honour_the_drain() {
     let _serial = serial();
-    let engine = corpus();
+    let registry = EngineRegistry::single_tenant(corpus());
     let want_value =
         wire::encode_value_candidates(&corpus().completion_engine().complete_value("t9", "w", 5));
     let server = Server::bind(ServeConfig {
@@ -419,7 +420,7 @@ fn inline_answers_honour_the_drain() {
     let addr = server.local_addr();
     let handle = server.handle();
     std::thread::scope(|scope| {
-        scope.spawn(|| server.run(&engine));
+        scope.spawn(|| server.run(&registry));
 
         // A client typing away while the server is told to stop: every
         // response it gets is whole, the last one says `close`, and the

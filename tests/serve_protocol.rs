@@ -53,7 +53,7 @@ fn case(name: &'static str, raw: &str, expect: u16, routed: bool) -> Case {
 
 #[test]
 fn malformed_inputs_get_documented_rejections_and_exact_counters() {
-    let engine = LotusX::load_str(DOC).unwrap();
+    let registry = EngineRegistry::single_tenant(LotusX::load_str(DOC).unwrap());
     let server = Server::bind(hardened_config()).expect("bind");
     let addr = server.local_addr();
     let handle = server.handle();
@@ -229,7 +229,7 @@ fn malformed_inputs_get_documented_rejections_and_exact_counters() {
     let expected_routed = cases.iter().filter(|c| c.routed).count() as u64;
 
     std::thread::scope(|scope| {
-        scope.spawn(|| server.run(&engine));
+        scope.spawn(|| server.run(&registry));
 
         for c in &cases {
             let chunks: Vec<(&[u8], Duration)> = c
@@ -309,7 +309,7 @@ fn nesting_and_pattern_bombs_are_400s_under_default_limits() {
     // Asserted outside the scope: a panic inside it would wait forever
     // on a server nobody stops.
     let outcomes: Vec<_> = std::thread::scope(|scope| {
-        scope.spawn(|| server.run_registry(&registry));
+        scope.spawn(|| server.run(&registry));
         let outcomes = cases
             .iter()
             .map(|(path, body, _)| {
@@ -337,7 +337,9 @@ fn nesting_and_pattern_bombs_are_400s_under_default_limits() {
 /// the bytes the same prefix sent as raw UTF-8 gets.
 #[test]
 fn escaped_surrogate_pairs_decode_to_the_astral_character() {
-    let engine = LotusX::load_str("<bib><book><title>\u{20000}data</title></book></bib>").unwrap();
+    let registry = EngineRegistry::single_tenant(
+        LotusX::load_str("<bib><book><title>\u{20000}data</title></book></bib>").unwrap(),
+    );
     let server = Server::bind(ServeConfig::default()).expect("bind");
     let (addr, handle) = (server.local_addr(), server.handle());
     let complete = |prefix: &str| {
@@ -347,7 +349,7 @@ fn escaped_surrogate_pairs_decode_to_the_astral_character() {
     // Asserted outside the scope: a panic inside it would wait forever
     // on a server nobody stops.
     let (escaped, raw) = std::thread::scope(|scope| {
-        scope.spawn(|| server.run(&engine));
+        scope.spawn(|| server.run(&registry));
         let answers = (complete("\\ud840\\udc00"), complete("\u{20000}"));
         handle.shutdown();
         answers
@@ -363,7 +365,7 @@ fn escaped_surrogate_pairs_decode_to_the_astral_character() {
 /// accounting across all four conversations.
 #[test]
 fn keep_alive_pipelining_half_close_and_idle_timeout() {
-    let engine = LotusX::load_str(DOC).unwrap();
+    let registry = EngineRegistry::single_tenant(LotusX::load_str(DOC).unwrap());
     let config = ServeConfig {
         idle_timeout: Duration::from_millis(300),
         ..ServeConfig::default()
@@ -373,7 +375,7 @@ fn keep_alive_pipelining_half_close_and_idle_timeout() {
     let handle = server.handle();
 
     std::thread::scope(|scope| {
-        scope.spawn(|| server.run(&engine));
+        scope.spawn(|| server.run(&registry));
 
         // 1. A second request on a reused connection.
         let mut conn = client::Conn::connect(addr).expect("keep-alive connect");
@@ -463,13 +465,13 @@ fn keep_alive_pipelining_half_close_and_idle_timeout() {
 /// slot forever.
 #[test]
 fn partial_pipelined_request_hits_the_read_timeout() {
-    let engine = LotusX::load_str(DOC).unwrap();
+    let registry = EngineRegistry::single_tenant(LotusX::load_str(DOC).unwrap());
     let server = Server::bind(hardened_config()).expect("bind");
     let addr = server.local_addr();
     let handle = server.handle();
 
     std::thread::scope(|scope| {
-        scope.spawn(|| server.run(&engine));
+        scope.spawn(|| server.run(&registry));
 
         // One complete request plus the head of a second, in one write.
         let mut conn = client::Conn::connect(addr).expect("connect");
@@ -498,7 +500,7 @@ fn partial_pipelined_request_hits_the_read_timeout() {
 /// instead of leaving `Server::run` waiting on a silent peer.
 #[test]
 fn drain_closes_connections_with_partial_input() {
-    let engine = LotusX::load_str(DOC).unwrap();
+    let registry = EngineRegistry::single_tenant(LotusX::load_str(DOC).unwrap());
     // Deliberately long read timeout: the drain itself — not a
     // deadline — has to reap the partial connection.
     let server = Server::bind(ServeConfig {
@@ -510,7 +512,7 @@ fn drain_closes_connections_with_partial_input() {
     let handle = server.handle();
 
     std::thread::scope(|scope| {
-        scope.spawn(|| server.run(&engine));
+        scope.spawn(|| server.run(&registry));
 
         let mut conn = client::Conn::connect(addr).expect("connect");
         conn.send_raw(b"GET /healthz HTTP/1.1\r\n\r\nGET /heal")
@@ -535,7 +537,8 @@ fn drain_closes_connections_with_partial_input() {
 /// tens of thousands of wakeups in the measurement window.
 #[test]
 fn half_close_during_compute_does_not_spin_the_loop() {
-    let engine = LotusX::load_document(generate(Dataset::TreebankLike, 2, 7));
+    let registry =
+        EngineRegistry::single_tenant(LotusX::load_document(generate(Dataset::TreebankLike, 2, 7)));
     let server = Server::bind(ServeConfig {
         threads: 1,
         ..ServeConfig::default()
@@ -545,7 +548,7 @@ fn half_close_during_compute_does_not_spin_the_loop() {
     let handle = server.handle();
 
     std::thread::scope(|scope| {
-        scope.spawn(|| server.run(&engine));
+        scope.spawn(|| server.run(&registry));
 
         // A deliberately expensive query (budget-bounded), then FIN the
         // write side so the loop records peer EOF and parks the read.
@@ -575,7 +578,7 @@ fn half_close_during_compute_does_not_spin_the_loop() {
 
 #[test]
 fn admission_gate_answers_429_exactly_at_capacity() {
-    let engine = LotusX::load_str(DOC).unwrap();
+    let registry = EngineRegistry::single_tenant(LotusX::load_str(DOC).unwrap());
     let config = ServeConfig {
         threads: 1,
         max_inflight: 1,
@@ -586,7 +589,7 @@ fn admission_gate_answers_429_exactly_at_capacity() {
     let handle = server.handle();
 
     std::thread::scope(|scope| {
-        scope.spawn(|| server.run(&engine));
+        scope.spawn(|| server.run(&registry));
 
         // Occupy the single slot: connect and send only part of a
         // request, so the worker sits in read() holding the slot.

@@ -3,7 +3,7 @@
 //! verify every in-flight request still gets a complete, well-formed
 //! response (complete or cleanly truncated) and the server joins fast.
 
-use lotusx::LotusX;
+use lotusx::{EngineRegistry, LotusX};
 use lotusx_datagen::{generate, Dataset};
 use lotusx_obs::parse_json;
 use lotusx_serve::{client, ServeConfig, Server};
@@ -29,7 +29,8 @@ const THREADS: usize = 4;
 
 #[test]
 fn shutdown_drains_in_flight_queries_cleanly() {
-    let engine = LotusX::load_document(generate(Dataset::TreebankLike, 4, 7));
+    let registry =
+        EngineRegistry::single_tenant(LotusX::load_document(generate(Dataset::TreebankLike, 4, 7)));
     let config = ServeConfig {
         threads: THREADS,
         max_inflight: CLIENTS + 4,
@@ -43,7 +44,7 @@ fn shutdown_drains_in_flight_queries_cleanly() {
     let started = AtomicUsize::new(0);
 
     let (join_elapsed, mut idle_conn) = std::thread::scope(|scope| {
-        let run = scope.spawn(|| server.run(&engine));
+        let run = scope.spawn(|| server.run(&registry));
 
         // A parked keep-alive connection, established before the storm:
         // the event loop must reap it on shutdown instead of letting it

@@ -13,8 +13,11 @@
 //! * **tenant default budgets** — a tenant-configured node budget
 //!   truncates queries that set none, while explicit wire budgets win;
 //! * **hot reload** — `POST /admin/routes` swaps the rule table without
-//!   a restart, rejects bad payloads with the typed route error, and is
-//!   404 on a single-tenant server.
+//!   a restart and rejects bad payloads with the typed route error, on a
+//!   one-tenant server as on a registry;
+//! * **server scope** — health, stats, metrics and shutdown answer for
+//!   the process even behind `/t/<tenant>`: never charged to the tenant,
+//!   never refused by its quota.
 
 use lotusx::{parse_rules, CorpusSource, EngineRegistry, LotusX, TenantLimits};
 use lotusx_datagen::{generate, Dataset};
@@ -28,23 +31,7 @@ fn open_engine(source: &str) -> LotusX {
         .unwrap_or_else(|e| panic!("open {source}: {e}"))
 }
 
-/// Runs `body` against a freshly bound single-tenant server.
-fn with_single<T: Send>(
-    engine: &LotusX,
-    body: impl FnOnce(SocketAddr, &ServerHandle) -> T + Send,
-) -> T {
-    let server = Server::bind(ServeConfig::default()).expect("bind ephemeral port");
-    let addr = server.local_addr();
-    let handle = server.handle();
-    std::thread::scope(|scope| {
-        scope.spawn(|| server.run(engine));
-        let out = body(addr, &handle);
-        handle.shutdown();
-        out
-    })
-}
-
-/// Runs `body` against a freshly bound registry-backed server.
+/// Runs `body` against a freshly bound server.
 fn with_registry<T: Send>(
     registry: &EngineRegistry,
     body: impl FnOnce(SocketAddr, &ServerHandle) -> T + Send,
@@ -53,14 +40,26 @@ fn with_registry<T: Send>(
     let addr = server.local_addr();
     let handle = server.handle();
     std::thread::scope(|scope| {
-        scope.spawn(|| server.run_registry(registry));
-        let out = body(addr, &handle);
-        handle.shutdown();
-        out
+        scope.spawn(|| server.run(registry));
+        let _stop = StopOnDrop(&handle);
+        body(addr, &handle)
     })
 }
 
-/// The standard two-tenant registry from the issue: `@dblp:2` and
+/// Stops the server when dropped: a failed assertion in a test body
+/// unwinds into a stopped server, not a scope that never joins.
+struct StopOnDrop<'a>(&'a ServerHandle);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.shutdown();
+    }
+}
+
+/// The one rule: `/t/<tenant>/…` names the tenant.
+const FROM_PATH: &str = r#"[{"when": {"path_prefix": "/t/"}, "tenant": {"from_path": true}}]"#;
+
+/// The standard two-tenant registry: `@dblp:2` and
 /// `@treebank:2`, `/t/<tenant>/...` path routing plus a routing header.
 /// Unlimited limits — byte identity only holds with no default budgets.
 fn dblp_treebank_registry() -> EngineRegistry {
@@ -147,8 +146,8 @@ fn tenant_responses_byte_identical_to_single_tenant_servers() {
 
     // Ground truth: single-tenant servers over engines opened from the
     // SAME corpus source strings (generation is deterministic).
-    let dblp_single = open_engine("@dblp:2");
-    let dblp_expected: Vec<Vec<u8>> = with_single(&dblp_single, |addr, _| {
+    let dblp_single = EngineRegistry::single_tenant(open_engine("@dblp:2"));
+    let dblp_expected: Vec<Vec<u8>> = with_registry(&dblp_single, |addr, _| {
         dblp_bodies
             .iter()
             .map(|b| {
@@ -158,13 +157,13 @@ fn tenant_responses_byte_identical_to_single_tenant_servers() {
             })
             .collect()
     });
-    let dblp_complete_expected = with_single(&dblp_single, |addr, _| {
+    let dblp_complete_expected = with_registry(&dblp_single, |addr, _| {
         let r = client::post(addr, "/complete", complete_body).expect("single complete");
         assert_eq!(r.status, 200);
         r.body
     });
-    let treebank_single = open_engine("@treebank:2");
-    let treebank_expected: Vec<Vec<u8>> = with_single(&treebank_single, |addr, _| {
+    let treebank_single = EngineRegistry::single_tenant(open_engine("@treebank:2"));
+    let treebank_expected: Vec<Vec<u8>> = with_registry(&treebank_single, |addr, _| {
         treebank_bodies
             .iter()
             .map(|b| {
@@ -361,11 +360,7 @@ fn tenant_default_budgets_apply_only_when_wire_sets_none() {
                 TenantLimits::unlimited(),
             ),
         ],
-        parse_rules(
-            r#"[{"when": {"path_prefix": "/t/"}, "tenant": {"from_path": true}}]"#,
-            &["tiny", "free"],
-        )
-        .unwrap(),
+        parse_rules(FROM_PATH, &["tiny", "free"]).unwrap(),
     )
     .unwrap();
 
@@ -464,10 +459,54 @@ fn admin_routes_hot_reload_end_to_end() {
         assert_eq!(r.status, 405);
     });
 
-    // On a single-tenant server the endpoint does not exist.
-    let engine = LotusX::load_document(generate(Dataset::XmarkLike, 1, 42));
-    with_single(&engine, |addr, _| {
-        let r = client::post(addr, "/admin/routes", "[]").expect("single-mode admin");
-        assert_eq!(r.status, 404);
+    // A single corpus is the one-tenant registry: the endpoint is there
+    // too, and takes rules naming its `default` tenant.
+    let single = EngineRegistry::single_tenant(open_engine("<r><x>y</x></r>"));
+    with_registry(&single, |addr, _| {
+        let rules = r#"[{"when": {"always": true}, "tenant": "default"}]"#;
+        let r = client::post(addr, "/admin/routes", rules).expect("single-corpus admin");
+        assert_eq!((r.status, r.body_text().as_str()), (200, "{\"rules\":1}\n"));
+    });
+}
+
+/// Server scope is decided once, on the path routing produced: behind
+/// `/t/<tenant>` the process endpoints are still the process's. With
+/// the tenant at its quota (zero: always full) they answer 200, and its
+/// ledger stays still.
+#[test]
+fn server_endpoints_behind_a_tenant_prefix_are_never_charged_or_refused() {
+    let full = TenantLimits {
+        max_inflight: Some(0),
+        ..TenantLimits::unlimited()
+    };
+    let registry = EngineRegistry::from_parts(
+        vec![("alpha".into(), open_engine("<r><x>y</x></r>"), full)],
+        parse_rules(FROM_PATH, &["alpha"]).unwrap(),
+    )
+    .unwrap();
+    with_registry(&registry, |addr, handle| {
+        let refused = client::post(addr, "/t/alpha/query", "{\"text\":\"//x\"}").expect("query");
+        assert_eq!(refused.status, 429, "{}", refused.body_text());
+        for path in ["/t/alpha/stats", "/t/alpha/healthz", "/t/alpha/metrics"] {
+            let r = client::get(addr, path).expect("server endpoint");
+            assert_eq!(r.status, 200, "{path}: {}", r.body_text());
+        }
+        let stats = parse_json(
+            &client::get(addr, "/t/alpha/stats")
+                .expect("stats")
+                .body_text(),
+        )
+        .expect("stats JSON");
+        assert_eq!(tenant_count(&stats, "alpha", "requests"), 0);
+        assert_eq!(
+            tenant_count(&stats, "alpha", "quota_rejects"),
+            1,
+            "only the query"
+        );
+        let r = client::post(addr, "/t/alpha/shutdown", "{}").expect("shutdown");
+        assert_eq!(r.status, 200);
+        let alpha = handle.tenant_stats()[0].1;
+        assert_eq!((alpha.requests, alpha.quota_rejects), (0, 1));
+        assert_eq!(handle.stats().tenant_quota_rejects, 1);
     });
 }

@@ -347,7 +347,7 @@ fn counter_tables_are_well_formed_and_are_exactly_what_is_served() {
     let server = Server::bind(ServeConfig::default()).expect("bind");
     let (addr, handle) = (server.local_addr(), server.handle());
     let (stats, scrape) = std::thread::scope(|scope| {
-        scope.spawn(|| server.run(&engine));
+        scope.spawn(|| server.run(&lotusx::EngineRegistry::single_tenant(engine)));
         let bodies = ["/stats", "/metrics"].map(|p| client::get(addr, p).map(|r| r.body_text()));
         handle.shutdown();
         bodies.map(|b| b.expect("served")).into()
