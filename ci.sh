@@ -196,16 +196,20 @@ stage_test() {
 # the second must be the cache hit that only a `run` going through
 # `query()` produces (hits: the repeated query, the same query pinned to
 # structural-join — what `auto` resolves to, so one cache entry — and the
-# repeated run).
+# repeated run). Then a `//` child of the root and its candidates: the
+# `//` completion context goes through the guide embedding, and `author`
+# must be offered with the count it had before that embedding (3 under
+# //book in the sample bibliography).
 stage_smoke() {
     local out
-    out=$(printf 'profile on\nexplain //book[author]/title\nquery //book/title\nquery //book/title\nalgo structural-join\nquery //book/title\nquery //article/writer\nroot\nfocus 0\ntype b\naccept\nrun\nrun\nstats\nstats json\nquit\n' \
+    out=$(printf 'profile on\nexplain //book[author]/title\nquery //book/title\nquery //book/title\nalgo structural-join\nquery //book/title\nquery //article/writer\nroot\nfocus 0\ntype b\naccept\nrun\nrun\nnode 0 //\nfocus 1\nstats\nstats json\nquit\n' \
         | cargo run --release -p lotusx-serve --bin lotusx-cli) || return 1
     echo "$out" | grep -q 'parse' &&
     echo "$out" | grep -q 'total:' &&
     echo "$out" | grep -q 'cache_hit' &&
     echo "$out" | grep -q 'rewritten to.*author' &&
     echo "$out" | grep -q 'accepted book' &&
+    echo "$out" | grep -q '  author (3)$' &&
     [ "$(echo "$out" | grep -c ' matches$')" -eq 6 ] &&
     echo "$out" | grep -q 'query cache: 3 hits, 4 misses'
 }

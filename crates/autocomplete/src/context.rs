@@ -79,6 +79,22 @@ impl PositionContext {
         }
     }
 
+    /// The context as a chain pattern: one node per step, then the focus,
+    /// a wildcard leaf on [`axis_to_focus`](Self::axis_to_focus). Returns
+    /// the pattern and the focus's id.
+    pub fn to_pattern(&self) -> (TwigPattern, QNodeId) {
+        let test = |tag: &Option<String>| tag.clone().map_or(NodeTest::Wildcard, NodeTest::Tag);
+        let steps = self.steps.iter().map(|s| (test(&s.tag), s.axis));
+        let mut chain = steps.chain([(NodeTest::Wildcard, self.axis_to_focus)]);
+        let (root_test, root_axis) = chain.next().expect("the focus ends every chain");
+        let mut pattern = TwigPattern::new(root_test, root_axis);
+        let mut last = pattern.root();
+        for (test, axis) in chain {
+            last = pattern.add_child(last, axis, test);
+        }
+        (pattern, last)
+    }
+
     /// True when nothing constrains the position.
     pub fn is_unconstrained(&self) -> bool {
         self.steps.is_empty() && self.axis_to_focus == Axis::Descendant
@@ -120,6 +136,34 @@ mod tests {
         assert_eq!(ctx.steps.len(), 2);
         assert!(ctx.steps.iter().all(|s| s.axis == Axis::Child));
         assert!(!ctx.is_unconstrained());
+    }
+
+    #[test]
+    fn to_pattern_hangs_a_wildcard_focus_off_the_chain() {
+        let ctx = PositionContext {
+            steps: vec![
+                ContextStep {
+                    tag: Some("a".into()),
+                    axis: Axis::Descendant,
+                },
+                ContextStep {
+                    tag: None,
+                    axis: Axis::Child,
+                },
+            ],
+            axis_to_focus: Axis::Descendant,
+        };
+        let (pattern, focus) = ctx.to_pattern();
+        assert_eq!(pattern.to_string(), "//a[/*[//*]]");
+        assert!(pattern.node(focus).children.is_empty());
+        assert_eq!(pattern.node(focus).test, NodeTest::Wildcard);
+
+        let root_focus = PositionContext::from_tag_path(&[], Axis::Child);
+        let (pattern, focus) = root_focus.to_pattern();
+        assert_eq!(
+            (pattern.to_string().as_str(), focus),
+            ("/*", pattern.root())
+        );
     }
 
     #[test]

@@ -2,12 +2,11 @@
 
 use crate::context::PositionContext;
 use lotusx_guard::{QueryGuard, Ticker};
-use lotusx_index::{GuideNodeId, IndexedDocument, Trie};
-use lotusx_storage::codec::{get_string, get_varint, put_string, put_varint};
-use lotusx_storage::StorageError;
-use lotusx_twig::Axis;
+use lotusx_index::codec::{get_string, get_varint, put_string, put_varint};
+use lotusx_index::{IndexedDocument, StorageError, Trie};
+use lotusx_twig::guide;
 use lotusx_xml::Symbol;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// A ranked tag candidate.
@@ -181,62 +180,6 @@ impl<'a> CompletionEngine<'a> {
         CompletionEngine { idx, cache }
     }
 
-    /// The guide nodes where the *parent* of the focused node can sit.
-    ///
-    /// An anchor is only valid if it satisfies *every* context step, so
-    /// on a budget trip this returns no anchors at all (an empty
-    /// candidate list) rather than anchors from an unfinished step.
-    fn context_anchors(&self, context: &PositionContext, ticker: &mut Ticker) -> Vec<GuideNodeId> {
-        let guide = self.idx.guide();
-        let symbols = self.idx.document().symbols();
-        let mut current = vec![GuideNodeId::ROOT];
-        for step in &context.steps {
-            let want: Option<Symbol> = match &step.tag {
-                Some(name) => match symbols.get(name) {
-                    Some(s) => Some(s),
-                    // Unknown tag: nothing in the document matches.
-                    None => return Vec::new(),
-                },
-                None => None,
-            };
-            let mut next = Vec::new();
-            for &g in &current {
-                match step.axis {
-                    Axis::Child => {
-                        for &(tag, child) in guide.children(g) {
-                            if ticker.tick(1) {
-                                return Vec::new();
-                            }
-                            if want.is_none() || want == Some(tag) {
-                                next.push(child);
-                            }
-                        }
-                    }
-                    Axis::Descendant => {
-                        for d in guide.descendants_or_self(g) {
-                            if ticker.tick(1) {
-                                return Vec::new();
-                            }
-                            if d == g {
-                                continue;
-                            }
-                            if want.is_none() || want == guide.tag(d) {
-                                next.push(d);
-                            }
-                        }
-                    }
-                }
-            }
-            next.sort_unstable();
-            next.dedup();
-            if next.is_empty() {
-                return Vec::new();
-            }
-            current = next;
-        }
-        current
-    }
-
     /// Position-aware tag completion: the tags that can occur at the
     /// focused position, filtered by `prefix`, heaviest-at-position first.
     ///
@@ -253,10 +196,10 @@ impl<'a> CompletionEngine<'a> {
         self.complete_tag_guarded(context, prefix, k, &QueryGuard::unlimited())
     }
 
-    /// [`Self::complete_tag`] under a budget: anchor expansion and
-    /// count accumulation checkpoint per guide node; a tripped guard
-    /// yields fewer (or no) candidates, but every candidate returned is
-    /// a tag that genuinely occurs at the queried position.
+    /// [`Self::complete_tag`] under a budget: the context's embedding in
+    /// the DataGuide ([`guide::embed`], the pattern → guide-nodes pass the
+    /// rewriter's satisfiability check reads too) charges every guide
+    /// node it reads to `guard`; a tripped guard yields no candidates.
     pub fn complete_tag_guarded(
         &self,
         context: &PositionContext,
@@ -265,72 +208,34 @@ impl<'a> CompletionEngine<'a> {
         guard: &QueryGuard,
     ) -> Vec<TagCandidate> {
         lotusx_obs::time_stage(lotusx_obs::Stage::CompleteTag, || {
-            self.complete_tag_inner(context, prefix, k, guard)
+            if context.is_unconstrained() {
+                return self.tag_global_inner(prefix, k);
+            }
+            let (pattern, focus) = context.to_pattern();
+            let Some(sets) = guide::embed(self.idx, &pattern, &mut guard.ticker()) else {
+                return Vec::new();
+            };
+            let guide = self.idx.guide();
+            let symbols = self.idx.document().symbols();
+            // The focus's set holds each guide node once, so summing per tag
+            // counts every element at the position exactly once.
+            let mut counts = vec![0u64; symbols.len()];
+            for &g in &sets[focus.index()] {
+                let tag = guide.tag(g).expect("the guide root binds no query node");
+                counts[tag.index()] += guide.count(g);
+            }
+            let mut out: Vec<TagCandidate> = symbols
+                .iter()
+                .filter(|&(sym, name)| counts[sym.index()] > 0 && name.starts_with(prefix))
+                .map(|(sym, name)| TagCandidate {
+                    name: name.to_string(),
+                    count: counts[sym.index()],
+                })
+                .collect();
+            out.sort_by(|a, b| b.count.cmp(&a.count).then_with(|| a.name.cmp(&b.name)));
+            out.truncate(k);
+            out
         })
-    }
-
-    fn complete_tag_inner(
-        &self,
-        context: &PositionContext,
-        prefix: &str,
-        k: usize,
-        guard: &QueryGuard,
-    ) -> Vec<TagCandidate> {
-        if context.is_unconstrained() {
-            return self.tag_global_inner(prefix, k);
-        }
-        let guide = self.idx.guide();
-        let symbols = self.idx.document().symbols();
-        let mut ticker = guard.ticker();
-        let anchors = self.context_anchors(context, &mut ticker);
-        let mut counts: HashMap<Symbol, u64> = HashMap::new();
-        match context.axis_to_focus {
-            Axis::Child => {
-                // Distinct anchors have disjoint child sets (the guide is
-                // a tree), so summing per anchor cannot double-count.
-                'anchors: for g in anchors {
-                    for (tag, count) in guide.child_tag_counts(g) {
-                        if ticker.tick(1) {
-                            break 'anchors;
-                        }
-                        *counts.entry(tag).or_insert(0) += count;
-                    }
-                }
-            }
-            Axis::Descendant => {
-                // Anchors can be nested (e.g. //a over a recursive tag):
-                // summing per-anchor descendant counts would tally guide
-                // nodes once per enclosing anchor. Union the guide-node
-                // sets first, then count each node exactly once.
-                let mut under: HashSet<GuideNodeId> = HashSet::new();
-                'union: for &g in &anchors {
-                    for d in guide.descendants_or_self(g) {
-                        if ticker.tick(1) {
-                            break 'union;
-                        }
-                        if d != g {
-                            under.insert(d);
-                        }
-                    }
-                }
-                for d in under {
-                    if let Some(tag) = guide.tag(d) {
-                        *counts.entry(tag).or_insert(0) += guide.count(d);
-                    }
-                }
-            }
-        }
-        let mut out: Vec<TagCandidate> = counts
-            .into_iter()
-            .map(|(tag, count)| TagCandidate {
-                name: symbols.resolve(tag).to_string(),
-                count,
-            })
-            .filter(|c| c.name.starts_with(prefix))
-            .collect();
-        out.sort_by(|a, b| b.count.cmp(&a.count).then_with(|| a.name.cmp(&b.name)));
-        out.truncate(k);
-        out
     }
 
     /// Global (position-blind) tag completion over the tag trie — the
@@ -351,27 +256,6 @@ impl<'a> CompletionEngine<'a> {
                 count: c.weight,
             })
             .collect()
-    }
-
-    /// Ablation baseline (E9): global completion by linear scan over all
-    /// tag names instead of the trie. Same results, different cost curve.
-    pub fn complete_tag_scan(&self, prefix: &str, k: usize) -> Vec<TagCandidate> {
-        let mut out: Vec<TagCandidate> = self
-            .idx
-            .document()
-            .symbols()
-            .iter()
-            .filter(|(sym, name)| {
-                name.starts_with(prefix) && !self.idx.columns().view(*sym).is_empty()
-            })
-            .map(|(sym, name)| TagCandidate {
-                name: name.to_string(),
-                count: self.idx.columns().view(sym).len() as u64,
-            })
-            .collect();
-        out.sort_by(|a, b| b.count.cmp(&a.count).then_with(|| a.name.cmp(&b.name)));
-        out.truncate(k);
-        out
     }
 
     /// Value completion for a node whose tag is already fixed: terms that
@@ -415,7 +299,11 @@ impl<'a> CompletionEngine<'a> {
             }
             let mut ticker = guard.ticker();
             let vt = build_value_trie_ticked(self.idx, sym, &mut ticker);
-            if ticker.stopped() {
+            // Flushed after the cache decision: a trie whose build ran to
+            // the end is cached even if the flush then trips the guard.
+            let cut_short = ticker.stopped();
+            ticker.flush();
+            if cut_short {
                 return complete_from(&vt);
             }
             complete_from(slot.get_or_init(|| vt))
@@ -471,6 +359,7 @@ fn build_value_trie_ticked(idx: &IndexedDocument, tag: Symbol, ticker: &mut Tick
 mod tests {
     use super::*;
     use crate::context::ContextStep;
+    use lotusx_twig::Axis;
 
     fn empty_cache(idx: &IndexedDocument) -> Arc<ValueTrieCache> {
         Arc::new(ValueTrieCache::new(idx.document().symbols().len()))
@@ -575,19 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_and_trie_baselines_agree() {
-        let idx = idx();
-        let e = CompletionEngine::new(&idx);
-        for prefix in ["", "a", "t", "z", "pub"] {
-            assert_eq!(
-                e.complete_tag_global(prefix, 50),
-                e.complete_tag_scan(prefix, 50),
-                "prefix {prefix}"
-            );
-        }
-    }
-
-    #[test]
     fn value_completion_is_tag_scoped() {
         let idx = idx();
         let e = CompletionEngine::new(&idx);
@@ -629,6 +505,21 @@ mod tests {
         let cands = e.complete_tag(&ctx, "b", 10);
         assert_eq!(cands.len(), 1);
         assert_eq!(cands[0].count, 2, "each b counted once, not per anchor");
+    }
+
+    #[test]
+    fn keystrokes_charge_the_nodes_they_read() {
+        let idx = idx();
+        let e = CompletionEngine::new(&idx);
+        let generous =
+            || QueryGuard::new(&lotusx_guard::Budget::unlimited().with_node_quota(1 << 40));
+        let guard = generous();
+        let ctx = PositionContext::from_tag_path(&["bib", "book"], Axis::Child);
+        assert!(!e.complete_tag_guarded(&ctx, "", 10, &guard).is_empty());
+        assert!(guard.nodes_visited() > 0, "tag path flushed");
+        let guard = generous();
+        assert!(!e.complete_value_guarded("title", "", 10, &guard).is_empty());
+        assert_eq!(guard.nodes_visited(), 3, "one visit per title scanned");
     }
 
     #[test]

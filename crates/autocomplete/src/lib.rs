@@ -7,8 +7,9 @@
 //! not all tags with that prefix but only the tags that can actually occur
 //! **at that position of the partial twig**. The position is resolved
 //! against the DataGuide structural summary (hundreds of nodes even for
-//! huge documents), so candidate filtering never touches the data — the
-//! per-keystroke cost the demo depends on.
+//! huge documents) by the same pattern embedding the rewriter prunes with
+//! (`lotusx_twig::guide::embed`), so candidate filtering never touches
+//! the data — the per-keystroke cost the demo depends on.
 //!
 //! ```
 //! use lotusx_autocomplete::{CompletionEngine, PositionContext};

@@ -9,7 +9,7 @@
 
 use lotusx_autocomplete::{CompletionEngine, PositionContext};
 use lotusx_bench::metrics::{mrr, ndcg_at_k, precision_at_k};
-use lotusx_bench::{fixture, fmt_duration, median_time, time_once, SEED};
+use lotusx_bench::{complete_tag_scan, fixture, fmt_duration, median_time, time_once, SEED};
 use lotusx_datagen::{generate, queries, Dataset};
 use lotusx_guard::QueryGuard;
 use lotusx_index::IndexedDocument;
@@ -160,9 +160,7 @@ fn e3_completion_latency() {
                 traces
                     .iter()
                     .map(|t| {
-                        engine
-                            .complete_tag_scan(&t.intended[..plen.min(t.intended.len())], 10)
-                            .len()
+                        complete_tag_scan(&idx, &t.intended[..plen.min(t.intended.len())], 10).len()
                     })
                     .sum::<usize>()
             });
@@ -414,7 +412,7 @@ fn e8_scalability() {
         let ctx = PositionContext::from_tag_path(&["dblp", "article"], Axis::Child);
         let (t_aware, _) = median_time(REPS, || engine.complete_tag(&ctx, "a", 10));
         let (t_trie, _) = median_time(REPS, || engine.complete_tag_global("a", 10));
-        let (t_scan, _) = median_time(REPS, || engine.complete_tag_scan("a", 10));
+        let (t_scan, _) = median_time(REPS, || complete_tag_scan(&idx, "a", 10));
         println!(
             "| {} | {} | {} | {} | {} | {} | {} |",
             scale,

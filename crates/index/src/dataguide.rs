@@ -7,13 +7,18 @@
 //! oracle for LotusX's two position-aware questions:
 //!
 //! 1. *auto-completion*: "which tags can occur at this position of the
-//!    partial twig?" — answered by walking the guide instead of the data;
-//! 2. *rewriting*: "can this twig match anything at all?" — a twig is
-//!    structurally satisfiable iff it matches the guide tree.
+//!    partial twig?";
+//! 2. *rewriting*: "can this twig match anything at all?".
+//!
+//! Both are answered by one embedding of a twig pattern into the guide
+//! tree (`lotusx_twig::guide::embed`: per query node, the guide nodes it
+//! binds to). Completion reads the set of a wildcard focus and sums its
+//! counts per tag; the rewriter reads whether the root's set is empty.
+//! Nodes are stored parent before child, which lets that embedding cross
+//! a `//` edge in one sweep over the nodes.
 
 use crate::wire::{corrupt, put_varint, rd_len, rd_varint, StorageError};
 use lotusx_xml::{Document, NodeId, Symbol};
-use std::collections::HashMap;
 
 /// Index of a node within a [`DataGuide`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -148,19 +153,6 @@ impl DataGuide {
         &self.nodes[id.index()].children
     }
 
-    /// All guide nodes in the subtree of `id`, including `id`.
-    pub fn descendants_or_self(&self, id: GuideNodeId) -> Vec<GuideNodeId> {
-        let mut out = Vec::new();
-        let mut stack = vec![id];
-        while let Some(n) = stack.pop() {
-            out.push(n);
-            for &(_, c) in self.children(n) {
-                stack.push(c);
-            }
-        }
-        out
-    }
-
     /// The guide node for an exact root-to-node tag path, if present.
     pub fn lookup_path(&self, path: &[Symbol]) -> Option<GuideNodeId> {
         let mut cur = GuideNodeId::ROOT;
@@ -168,35 +160,6 @@ impl DataGuide {
             cur = self.child_by_tag(cur, tag)?;
         }
         Some(cur)
-    }
-
-    /// Distinct tags of children of `id` together with how many document
-    /// elements each corresponds to (sorted by count descending).
-    pub fn child_tag_counts(&self, id: GuideNodeId) -> Vec<(Symbol, u64)> {
-        let mut out: Vec<(Symbol, u64)> = self
-            .children(id)
-            .iter()
-            .map(|&(tag, c)| (tag, self.count(c)))
-            .collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
-    }
-
-    /// Distinct tags occurring anywhere strictly below `id`, with their
-    /// total element counts (sorted by count descending).
-    pub fn descendant_tag_counts(&self, id: GuideNodeId) -> Vec<(Symbol, u64)> {
-        let mut acc: HashMap<Symbol, u64> = HashMap::new();
-        for n in self.descendants_or_self(id) {
-            if n == id {
-                continue;
-            }
-            if let Some(tag) = self.tag(n) {
-                *acc.entry(tag).or_insert(0) += self.count(n);
-            }
-        }
-        let mut out: Vec<(Symbol, u64)> = acc.into_iter().collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
     }
 
     /// Number of guide nodes (including the root).
@@ -215,7 +178,7 @@ impl DataGuide {
     }
 
     /// Serializes the guide for the snapshot `GUIDE` section. Nodes and
-    /// children are written in their stored order — the rewriter's
+    /// children are written in their stored order — the guide embedding's
     /// parent-before-child sweeps and the completion ranking depend on it
     /// being preserved exactly.
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
@@ -354,34 +317,6 @@ mod tests {
         assert!(g
             .lookup_path(&[sym(&d, "bib"), sym(&d, "author")])
             .is_none());
-    }
-
-    #[test]
-    fn child_tags_sorted_by_count() {
-        let d = doc();
-        let g = DataGuide::from_document(&d);
-        let bib = g.lookup_path(&[sym(&d, "bib")]).unwrap();
-        let children = g.child_tag_counts(bib);
-        let names: Vec<(&str, u64)> = children
-            .iter()
-            .map(|(s, c)| (d.symbols().resolve(*s), *c))
-            .collect();
-        assert_eq!(names, vec![("book", 2), ("article", 1)]);
-    }
-
-    #[test]
-    fn descendant_tags_aggregate_across_paths() {
-        let d = doc();
-        let g = DataGuide::from_document(&d);
-        let bib = g.lookup_path(&[sym(&d, "bib")]).unwrap();
-        let descendants = g.descendant_tag_counts(bib);
-        let map: std::collections::HashMap<&str, u64> = descendants
-            .iter()
-            .map(|(s, c)| (d.symbols().resolve(*s), *c))
-            .collect();
-        assert_eq!(map["title"], 3);
-        assert_eq!(map["author"], 3);
-        assert_eq!(map["book"], 2);
     }
 
     #[test]

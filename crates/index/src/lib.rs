@@ -31,8 +31,12 @@ pub mod value_index;
 mod wire;
 
 pub use builder::IndexedDocument;
+// The position and persistence types an index is built from and saved
+// to, so a caller needs no dependency on the crates underneath.
 pub use columns::{ColumnView, OwnedColumns, TagColumns};
 pub use dataguide::{DataGuide, GuideNodeId};
+pub use lotusx_labeling::{DocumentLabels, RegionLabel};
+pub use lotusx_storage::{codec, read_snapshot_file, Section, StorageError};
 pub use stats::Stats;
 pub use trie::{Trie, TrieCursor};
 pub use value_index::{fold_value, tokenize, ValueIndex};

@@ -10,8 +10,9 @@
 //! Two ingredients keep the search fast:
 //!
 //! 1. **DataGuide satisfiability pruning** — a candidate rewrite is first
-//!    embedded in the index's DataGuide, read in place and charged to the
-//!    request's budget; structurally unsatisfiable candidates are
+//!    embedded in the index's DataGuide (`lotusx_twig::guide::embed`, the
+//!    embedding position-aware completion reads too), read in place and
+//!    charged to the request's budget; structurally unsatisfiable candidates are
 //!    discarded without touching the document, and nothing is built for
 //!    it on first use.
 //! 2. **Penalty-ordered frontier** — each operator has a cost, the frontier

@@ -2,12 +2,12 @@
 
 use crate::ops::{apply, RewriteOp};
 use crate::synonyms::{spelling_candidates, synonyms};
-use lotusx_guard::{QueryGuard, Ticker};
-use lotusx_index::{DataGuide, GuideNodeId, IndexedDocument};
+use lotusx_guard::QueryGuard;
+use lotusx_index::IndexedDocument;
 use lotusx_obs::Span;
 use lotusx_twig::exec::{execute_budgeted, Algorithm};
-use lotusx_twig::pattern::{Axis, NodeTest, TwigPattern};
-use lotusx_xml::Symbol;
+use lotusx_twig::guide;
+use lotusx_twig::pattern::{NodeTest, TwigPattern};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 
@@ -78,14 +78,13 @@ impl<'a> Rewriter<'a> {
 
     /// Structure-only satisfiability: does the pattern, with its value
     /// predicates dropped and its order ignored, embed in the DataGuide
-    /// tree? Sound and complete for the tag paths present in the
-    /// document. Every guide node examined charges one visit to `guard`,
-    /// so an answer is only meaningful while it has not tripped.
+    /// tree — is the root's set of [`guide::embed`] non-empty? Sound and
+    /// complete for the tag paths present in the document. Every guide
+    /// node examined charges one visit to `guard`, so an answer is only
+    /// meaningful while it has not tripped.
     pub fn is_satisfiable(&self, pattern: &TwigPattern, guard: &QueryGuard) -> bool {
-        let mut ticker = guard.ticker();
-        let embeds = embeds_in_guide(self.idx, pattern, &mut ticker);
-        ticker.flush();
-        embeds
+        guide::embed(self.idx, pattern, &mut guard.ticker())
+            .is_some_and(|sets| !sets[pattern.root().index()].is_empty())
     }
 
     /// Rewrites a (typically empty-result) query: returns up to
@@ -262,85 +261,6 @@ impl<'a> Rewriter<'a> {
         }
         out
     }
-}
-
-/// Whether `pattern` embeds in the guide tree of `idx`, predicates and
-/// order ignored. Query nodes are settled children first: guide node `g`
-/// satisfies query node `q` when its tag passes `q`'s test and, for every
-/// child `c` of `q`, a guide child (`/`) or a proper guide descendant
-/// (`//`) of `g` satisfies `c`. Returns false as soon as the ticker stops.
-fn embeds_in_guide(idx: &IndexedDocument, pattern: &TwigPattern, ticker: &mut Ticker) -> bool {
-    let symbols = idx.document().symbols();
-    // A tag the document never interned labels no guide node.
-    let tests: Option<Vec<Option<Symbol>>> = pattern
-        .node_ids()
-        .map(|q| match &pattern.node(q).test {
-            NodeTest::Tag(name) => symbols.get(name).map(Some),
-            NodeTest::Wildcard => Some(None),
-        })
-        .collect();
-    let Some(tests) = tests else {
-        return false;
-    };
-    let guide = idx.guide();
-    let mut satisfied: Vec<Vec<bool>> = vec![Vec::new(); pattern.len()];
-    for q in pattern.preorder().into_iter().rev() {
-        let below: Option<Vec<Vec<bool>>> = pattern
-            .node(q)
-            .children
-            .iter()
-            .map(|&c| marked_below(guide, &satisfied[c.index()], pattern.node(c).axis, ticker))
-            .collect();
-        let Some(below) = below else {
-            return false;
-        };
-        let mut here = vec![false; guide.node_count()];
-        // The virtual root binds no query node.
-        for (g, sat) in here.iter_mut().enumerate().skip(1) {
-            if ticker.tick(1) {
-                return false;
-            }
-            let tag = guide.tag(GuideNodeId::from_index(g));
-            *sat = tests[q.index()].is_none_or(|t| tag == Some(t)) && below.iter().all(|b| b[g]);
-        }
-        // A query node nothing satisfies sinks the whole pattern.
-        if !here.contains(&true) {
-            return false;
-        }
-        satisfied[q.index()] = here;
-    }
-    let root = &satisfied[pattern.root().index()];
-    match pattern.node(pattern.root()).axis {
-        Axis::Child => guide
-            .children(GuideNodeId::ROOT)
-            .iter()
-            .any(|&(_, g)| root[g.index()]),
-        // Non-empty, or the loop above would have returned.
-        Axis::Descendant => true,
-    }
-}
-
-/// Per guide node, whether a child (`/`) or a proper descendant (`//`) of
-/// it is marked in `marked`; `None` once the ticker stops. Guide nodes are
-/// stored parent before child, so a reverse sweep has settled a node
-/// before it passes its mark up to its parent.
-fn marked_below(
-    guide: &DataGuide,
-    marked: &[bool],
-    axis: Axis,
-    ticker: &mut Ticker,
-) -> Option<Vec<bool>> {
-    let mut below = vec![false; marked.len()];
-    for g in (1..marked.len()).rev() {
-        if ticker.tick(1) {
-            return None;
-        }
-        if marked[g] || (axis == Axis::Descendant && below[g]) {
-            let parent = guide.parent(GuideNodeId::from_index(g)).expect("non-root");
-            below[parent.index()] = true;
-        }
-    }
-    Some(below)
 }
 
 struct Candidate {

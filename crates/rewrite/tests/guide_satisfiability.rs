@@ -1,10 +1,11 @@
 //! The rewriter's DataGuide check answers what the naive join answers on
 //! the guide materialised as a document — the copy the check replaced,
-//! kept here as its oracle — on seeded random documents × random twigs
-//! (the differential generator of `lotusx-twig`'s tests) and on every
-//! dataset query and its one-step relaxations. The check is charged to
-//! the request's budget, and pruning with it changes no rewrite, only how
-//! many candidates run against the data (experiment E9b as an assertion).
+//! kept as its oracle in `random_inputs::guide_document` — on seeded
+//! random documents × random twigs (the differential generator of
+//! `lotusx-twig`'s tests) and on every dataset query and its one-step
+//! relaxations. The check is charged to the request's budget, and pruning
+//! with it changes no rewrite, only how many candidates run against the
+//! data (experiment E9b as an assertion).
 
 #[path = "../../twig/tests/random_inputs/mod.rs"]
 mod random_inputs;
@@ -12,30 +13,11 @@ mod random_inputs;
 use lotusx_datagen::rng::XorShiftRng;
 use lotusx_datagen::{generate, queries, Dataset};
 use lotusx_guard::{Budget, QueryGuard};
-use lotusx_index::{GuideNodeId, IndexedDocument};
+use lotusx_index::IndexedDocument;
 use lotusx_rewrite::{apply, RankedRewrite, RewriteOp, Rewriter, RewriterConfig};
 use lotusx_twig::exec::{execute, Algorithm};
 use lotusx_twig::pattern::TwigPattern;
 use lotusx_twig::xpath::parse_query;
-use lotusx_xml::{Document, NodeId};
-
-/// The DataGuide of `idx` as an indexed document: one element per guide
-/// node.
-fn guide_document(idx: &IndexedDocument) -> IndexedDocument {
-    let guide = idx.guide();
-    let symbols = idx.document().symbols();
-    let mut doc = Document::new();
-    let mut map = vec![NodeId::DOCUMENT; guide.node_count()];
-    // Guide nodes are stored parent before child, so a forward sweep
-    // attaches each node to its already-materialised parent.
-    for i in 1..guide.node_count() {
-        let g = GuideNodeId::from_index(i);
-        let tag = guide.tag(g).expect("non-root guide nodes have tags");
-        let parent = map[guide.parent(g).expect("non-root").index()];
-        map[i] = doc.append_element(parent, symbols.resolve(tag));
-    }
-    IndexedDocument::build(doc)
-}
 
 /// The oracle: does the pattern, predicates dropped and order ignored,
 /// match the guide document?
@@ -75,7 +57,7 @@ fn the_guide_check_answers_like_naive_over_the_materialised_guide() {
     let (mut yes, mut no) = (0, 0);
     for case in 0..300 {
         let (idx, pattern) = random_inputs::random_case(&mut rng);
-        let guide = guide_document(&idx);
+        let guide = random_inputs::guide_document(&idx);
         for p in with_relaxations(pattern) {
             let got = satisfiable(&idx, &p);
             assert_eq!(got, matches_guide(&guide, &p), "case {case}: {p}");
@@ -95,7 +77,7 @@ fn the_guide_check_answers_like_naive_over_the_materialised_guide() {
 
     for ds in Dataset::ALL {
         let idx = IndexedDocument::build(generate(ds, 1, 2012));
-        let guide = guide_document(&idx);
+        let guide = random_inputs::guide_document(&idx);
         let texts = queries::queries(ds).iter().map(|q| q.text);
         let broken = queries::broken_queries(ds).iter().map(|q| q.text);
         for text in texts.chain(broken) {

@@ -11,6 +11,9 @@
 //! * [`algorithms`] — two evaluators producing identical match sets: the
 //!   binary structural join (reduce, count, enumerate on demand) and a
 //!   navigational walk that doubles as the test oracle.
+//! * [`guide`] — the pattern's embedding in the DataGuide: per query
+//!   node, the guide nodes it binds to. Completion and the rewriter's
+//!   satisfiability check both read it.
 //! * [`ordered`] — order-sensitive twig semantics (LotusX supports
 //!   "complex twig queries (including order sensitive queries)").
 //! * [`exec`] — the execution core: the rule behind [`Algorithm::Auto`]
@@ -33,6 +36,7 @@
 
 pub mod algorithms;
 pub mod exec;
+pub mod guide;
 pub mod matcher;
 pub mod ordered;
 pub mod pattern;

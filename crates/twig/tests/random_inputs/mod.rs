@@ -1,9 +1,10 @@
 //! Seeded random documents and twig patterns, shared by the differential
-//! tests here and the ranker's top-k equivalence test (`lotusx-rank`
-//! includes this file by path).
+//! tests here and those of the ranker, the rewriter and completion (which
+//! include this file by path), plus the DataGuide materialised as a
+//! document, the oracle of the guide embedding.
 
 use lotusx_datagen::rng::XorShiftRng;
-use lotusx_index::IndexedDocument;
+use lotusx_index::{GuideNodeId, IndexedDocument};
 use lotusx_twig::pattern::{Axis, NodeTest, TwigPattern, ValuePredicate};
 use lotusx_xml::{Document, NodeId};
 use std::collections::VecDeque;
@@ -196,4 +197,23 @@ pub fn random_case(rng: &mut XorShiftRng) -> (IndexedDocument, TwigPattern) {
     };
     let pattern = random_pattern(rng, root_tag);
     (IndexedDocument::build(doc), pattern)
+}
+
+/// The DataGuide of `idx` as an indexed document: one element per guide
+/// node, guide node `i` being the element `NodeId::from_index(i)`.
+#[allow(dead_code)] // not every file including this module asks for it
+pub fn guide_document(idx: &IndexedDocument) -> IndexedDocument {
+    let guide = idx.guide();
+    let symbols = idx.document().symbols();
+    let mut doc = Document::new();
+    // Guide nodes are stored parent before child, so a forward sweep
+    // attaches each node to its already-materialised parent.
+    for i in 1..guide.node_count() {
+        let g = GuideNodeId::from_index(i);
+        let tag = guide.tag(g).expect("non-root guide nodes have tags");
+        let parent = NodeId::from_index(guide.parent(g).expect("non-root").index());
+        let element = doc.append_element(parent, symbols.resolve(tag));
+        assert_eq!(element.index(), i, "elements are numbered as appended");
+    }
+    IndexedDocument::build(doc)
 }
