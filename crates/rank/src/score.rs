@@ -6,9 +6,11 @@ use lotusx_index::value_index::Posting;
 use lotusx_index::IndexedDocument;
 use lotusx_twig::algorithms::structural_join::ReducedTwig;
 use lotusx_twig::exec::JoinResult;
+use lotusx_twig::guide::{self, Spread};
 use lotusx_twig::matcher::MatchSet;
 use lotusx_twig::pattern::{Axis, QNodeId, TwigPattern, ValuePredicate};
 use lotusx_xml::NodeId;
+use std::ops::Range;
 
 /// Weights of the three score components. Defaults follow the intuition of
 /// the demo: structure first, content second, specificity as a tiebreak.
@@ -143,21 +145,28 @@ impl<'a> PatternScorer<'a> {
         )
     }
 
-    /// An upper bound on [`Self::score`] over every row `twig` can
-    /// enumerate, from one pass over its live elements — or `None` when
-    /// the budget trips during the pass. Each component is bounded by
-    /// itself: per query node the best specificity any live element has,
-    /// per `//` edge the least slack the live levels allow (shallowest
-    /// child under deepest parent), full content relevance if the pattern
-    /// has `contains` terms at all.
+    /// How to walk the rows of `twig` so that the enumeration can stop
+    /// early: classes of root-stream runs, each with an upper bound on
+    /// the scores of its rows, best bound first — or `None` when no bound
+    /// is worth its cost against the `droppable` rows past the k-th, or
+    /// the budget trips while computing one.
     ///
-    /// The bound is *reached*, bit for bit, whenever every row scores the
-    /// same — one DataGuide path per query node, the common case on
-    /// data-centric documents — because it goes through the very
-    /// floating-point expressions a row's score does, in the same order,
-    /// and each of those is monotone in its inputs (IEEE rounding keeps
-    /// `a ≤ b ⇒ a ⊕ c ≤ b ⊕ c`; the weights are checked non-negative).
-    fn upper_bound(&self, twig: &ReducedTwig<'_>, ticker: &mut Ticker) -> Option<f64> {
+    /// Two bounds exist. The **guide** bound embeds the pattern in the
+    /// DataGuide and bounds the rows of each root path — the guide node
+    /// the root binds on — from the [`Spread`]s of its candidates; root
+    /// paths of equal bound form one class, and one counting pass over
+    /// the root stream partitions it into their runs. The **stream**
+    /// bound is one class over every row, from one pass over every live
+    /// stream element. The guide bound is taken unless the embedding
+    /// would read more guide nodes than that pass reads elements — deep,
+    /// irregular documents, whose guide outgrows the streams.
+    fn walk(
+        &self,
+        pattern: &TwigPattern,
+        twig: &ReducedTwig<'_>,
+        droppable: usize,
+        ticker: &mut Ticker,
+    ) -> Option<Walk> {
         let w = self.weights;
         if ![w.structure, w.content, w.specificity]
             .iter()
@@ -165,10 +174,116 @@ impl<'a> PatternScorer<'a> {
         {
             return None;
         }
+        // The embedding sweeps the guide about once per `//` edge, the
+        // spreads once more; the partition then reads the root stream.
+        let sweeps = 1
+            + (pattern.node_ids())
+                .filter(|&q| pattern.node(q).axis == Axis::Descendant)
+                .count();
+        let embedding = self.idx.guide().node_count() * sweeps;
+        let streams = twig.stream_elements();
+        let by_guide = embedding <= streams;
+        let cost = if by_guide {
+            embedding + twig.root_run().len()
+        } else {
+            streams
+        };
+        if cost / ELEMENTS_PER_ROW >= droppable {
+            return None;
+        }
+        if by_guide {
+            self.guide_walk(pattern, twig, ticker)
+        } else {
+            let bound = self.bound(&self.stream_spreads(twig, ticker)?);
+            Some(Walk {
+                bound: "streams",
+                classes: vec![(bound, 1)],
+                runs: vec![twig.root_run()],
+            })
+        }
+    }
+
+    /// The guide bound's walk (see [`Self::walk`]).
+    fn guide_walk(
+        &self,
+        pattern: &TwigPattern,
+        twig: &ReducedTwig<'_>,
+        ticker: &mut Ticker,
+    ) -> Option<Walk> {
+        let sets = guide::embed(self.idx, pattern, ticker)?;
+        let spreads = guide::spreads(self.idx, pattern, &sets, ticker)?;
+        let root = pattern.root();
+        let roots = &sets[root.index()];
+        let bounds: Vec<f64> = spreads.chunks(self.width).map(|s| self.bound(s)).collect();
+        let mut best_first = bounds.clone();
+        best_first.sort_unstable_by(|a, b| b.total_cmp(a));
+        best_first.dedup();
+        if best_first.len() <= 1 {
+            return Some(Walk {
+                bound: "guide",
+                classes: vec![(*best_first.first()?, 1)],
+                runs: vec![twig.root_run()],
+            });
+        }
+        // Per guide node from the first root path to the last, its class
+        // (`NONE`: not a root path).
+        const NONE: u32 = u32::MAX;
+        let first = roots.first()?.index();
+        let mut class_of = vec![NONE; roots.last()?.index() + 1 - first];
+        for (g, b) in roots.iter().zip(&bounds) {
+            class_of[g.index() - first] = best_first.partition_point(|c| c > b) as u32;
+        }
+        // A run is a maximal stretch of the root stream whose live
+        // elements share a class; the dead ones ride along with the run
+        // before them. One pass finds where runs start and counts them
+        // per class (each element's root path is one read of the guide
+        // map); the runs are then placed class by class.
+        let root_len = twig.root_run().end;
+        charge(ticker, root_len as usize)?;
+        let mut starts: Vec<(u32, u32)> = Vec::with_capacity(root_len as usize);
+        let mut ends = vec![0usize; best_first.len()];
+        for (pos, (node, _, live)) in (0..).zip(twig.stream(root)) {
+            if live {
+                let path = self.idx.guide_node(node).index().wrapping_sub(first);
+                let class = class_of.get(path).copied().unwrap_or(NONE);
+                // A live root off every root path would be a bug in the
+                // embedding; it gets no bound.
+                debug_assert_ne!(class, NONE, "a live root off every root path");
+                if class == NONE {
+                    return None;
+                }
+                if starts.last().is_none_or(|&(_, c)| c != class) {
+                    starts.push((pos, class));
+                    ends[class as usize] += 1;
+                }
+            }
+        }
+        let mut next = Vec::with_capacity(ends.len());
+        let mut total = 0;
+        for end in &mut ends {
+            next.push(total);
+            total += *end;
+            *end = total;
+        }
+        let mut runs = vec![0..0; total];
+        let run_ends = starts.iter().skip(1).map(|&(pos, _)| pos);
+        for (&(start, class), end) in starts.iter().zip(run_ends.chain([root_len])) {
+            runs[next[class as usize]] = start..end;
+            next[class as usize] += 1;
+        }
+        Some(Walk {
+            bound: "guide",
+            classes: best_first.into_iter().zip(ends).collect(),
+            runs,
+        })
+    }
+
+    /// Per query node, the spread of its live stream elements: their best
+    /// specificity, shallowest and deepest level — from one pass over
+    /// every stream element, or `None` when the budget trips during it.
+    fn stream_spreads(&self, twig: &ReducedTwig<'_>, ticker: &mut Ticker) -> Option<Vec<Spread>> {
         let guide = self.idx.guide();
-        let mut best_specificity = Vec::with_capacity(self.width);
-        // Per query node: the shallowest and the deepest live level.
-        let mut levels = Vec::with_capacity(self.width);
+        let mut spreads = Vec::with_capacity(self.width);
         // The DataGuide paths already accounted for. Only the first live
         // element on a path has anything to add — a path fixes its
         // specificity and its level. Dead elements are sent to a spare
@@ -200,29 +315,71 @@ impl<'a> PatternScorer<'a> {
             for slot in marked.drain(..) {
                 on_path[slot] = false;
             }
-            best_specificity.push(best);
-            levels.push((u32::from(shallowest), u32::from(deepest)));
+            spreads.push(Spread {
+                specificity: best,
+                shallowest,
+                deepest,
+            });
         }
-        let least_slack: u32 = self
-            .ad_edges
-            .iter()
-            .map(|&(child, parent)| levels[child].0.saturating_sub(levels[parent].1 + 1))
+        Some(spreads)
+    }
+
+    /// An upper bound on [`Self::score`] over the rows whose query nodes
+    /// bind within `spreads` (one per query node). Each component is
+    /// bounded by itself: per query node the best specificity, per `//`
+    /// edge the least slack the depths allow (shallowest child under
+    /// deepest parent), full content relevance if the pattern has
+    /// `contains` terms at all.
+    ///
+    /// The bound is *reached*, bit for bit, whenever every row it covers
+    /// scores the same — one DataGuide path per query node, the common
+    /// case on data-centric documents — because it goes through the very
+    /// floating-point expressions a row's score does, in the same order,
+    /// and each of those is monotone in its inputs (IEEE rounding keeps
+    /// `a ≤ b ⇒ a ⊕ c ≤ b ⊕ c`; [`Self::walk`] checks the weights
+    /// non-negative). Depths and region levels differ by a constant at
+    /// most, which a slack cancels.
+    fn bound(&self, spreads: &[Spread]) -> f64 {
+        let least_slack: u32 = (self.ad_edges.iter())
+            .map(|&(child, parent)| {
+                let deepest_parent = u32::from(spreads[parent].deepest);
+                u32::from(spreads[child].shallowest).saturating_sub(deepest_parent + 1)
+            })
             .sum();
         let content = if self.terms.is_empty() {
             squash(0.0)
         } else {
             1.0
         };
-        Some(self.combine(
+        self.combine(
             tightness(least_slack),
             content,
-            mean(best_specificity.into_iter()),
-        ))
+            mean(spreads.iter().map(|s| s.specificity)),
+        )
     }
 }
 
+/// The order in which [`Ranker::rank_top_k`] walks the rows: classes of
+/// root-stream runs, each with the bound on its rows' scores, the best
+/// bound first.
+struct Walk {
+    /// Which bound: `guide` or `streams`.
+    bound: &'static str,
+    /// Per class, best first: its bound and the end of its runs in `runs`
+    /// (the previous class's end is where they start).
+    classes: Vec<(f64, usize)>,
+    runs: Vec<Range<u32>>,
+}
+
+/// Charges `reads` to `ticker`; `None` once it stops.
+fn charge(ticker: &mut Ticker, reads: usize) -> Option<()> {
+    (!ticker.tick(reads as u64)).then_some(())
+}
+
 /// What scoring and enumerating one row costs, in stream elements of the
-/// bound pass (measured: ≈58 ns a row on xmark X4, ≈1.8 ns an element).
+/// bound pass (measured on the stream pass: ≈58 ns a row on xmark X4,
+/// ≈1.8 ns an element). A guide node read costs about what an element
+/// does.
 const ELEMENTS_PER_ROW: usize = 32;
 
 /// Structural tightness of a total depth slack.
@@ -305,18 +462,26 @@ impl<'a> Ranker<'a> {
     /// tie-break is a total order, so the bounded [`OrderedTopK`]
     /// collector retains the global top-k, copying only rows it keeps.
     ///
-    /// When many more than `k` rows exist and they arrive in tie-break
-    /// order ([`JoinResult::reduced_in_row_order`]), one pass over the
-    /// reduced twig's live elements bounds the score of any row, and the
-    /// enumeration stops as soon as the collector is full and its worst
-    /// score reaches the bound: a later row can at best tie, and then
-    /// loses the tie-break. The answer is the same, bit for bit, and
-    /// complete — the rows not enumerated were never candidates.
+    /// When many more than `k` rows exist and the enumerator hands them
+    /// over in tie-break order ([`JoinResult::reduced_in_row_order`]),
+    /// the rows are walked in classes, each bounded above, best bound
+    /// first, each in row order (the guide bound: one class per group of
+    /// root paths of equal bound; the stream bound: one class). The walk
+    /// stops inside a class once the collector is full and its worst row
+    /// beats the class bound, or ties it and precedes the row just
+    /// offered — a later row of the class can at best tie, and then
+    /// loses the tie-break; and before a class once the worst row beats
+    /// the class bound outright (an earlier row of that class could tie
+    /// it and win). The answer is the same, bit for bit, and complete —
+    /// the rows not enumerated were never candidates.
     ///
     /// Runs under the result's budget (a trip leaves an exact top-k of
     /// the rows scored by then, every one a true hit) and records the
     /// score/select and sort phases as timed children of `span` when one
-    /// is supplied; the span never changes the ranking.
+    /// is supplied — score/select noting the rows offered (`candidates`),
+    /// `k`, the `bound` walked under (`guide`, `streams` or `none`) and
+    /// the `classes` walked out of all; the span never changes the
+    /// ranking.
     pub fn rank_top_k(
         &self,
         pattern: &TwigPattern,
@@ -328,24 +493,44 @@ impl<'a> Ranker<'a> {
         let scorer = self.scorer(pattern);
         let mut collector = OrderedTopK::new(k);
         let mut offered = 0usize;
-        if k > 0 {
-            // The bound costs a pass over every stream element and can
-            // save the rows past the k-th: not worth computing for a
-            // handful of rows out of long streams.
-            let droppable = result.count().saturating_sub(k);
-            let bound = result
-                .reduced_in_row_order()
-                .filter(|twig| twig.stream_elements() / ELEMENTS_PER_ROW < droppable)
-                .and_then(|twig| scorer.upper_bound(twig, &mut result.guard().ticker()));
+        let (mut bound, mut walked, mut classes) = ("none", 0, 1);
+        let mut ticker = result.guard().ticker();
+        let droppable = result.count().saturating_sub(k);
+        let walk = (result.reduced_in_row_order())
+            .filter(|_| k > 0)
+            .and_then(|twig| Some((twig, scorer.walk(pattern, twig, droppable, &mut ticker)?)));
+        if let Some((twig, walk)) = walk {
+            (bound, classes) = (walk.bound, walk.classes.len());
+            let mut start = 0;
+            for &(class_bound, end) in &walk.classes {
+                if collector.score_to_beat() > Some(class_bound) {
+                    break;
+                }
+                walked += 1;
+                let runs = &walk.runs[start..end];
+                let finished = twig.for_each_row(&mut ticker, runs, |row| {
+                    offered += 1;
+                    collector.offer(scorer.score(row), row);
+                    !collector.settled(class_bound, row)
+                });
+                if !finished {
+                    break;
+                }
+                start = end;
+            }
+        } else if k > 0 {
+            walked = 1;
             result.for_each_row(|row| {
                 offered += 1;
                 collector.offer(scorer.score(row), row);
-                !bound.is_some_and(|bound| collector.score_to_beat() >= Some(bound))
+                true
             });
         }
         if let Some(select) = select {
             select.annotate("candidates", offered);
             select.annotate("k", k);
+            select.annotate("bound", bound);
+            select.annotate("classes", format!("{walked}/{classes}"));
         }
         let _sort = span.map(|p| p.child("sort"));
         collector.into_sorted()
@@ -472,6 +657,46 @@ mod tests {
             .map(|s| s.score)
             .collect();
         assert_eq!(a, b);
+    }
+
+    /// The `score-select` span names the bound the walk ran under and
+    /// the classes it walked out of all.
+    #[test]
+    fn score_select_notes_the_bound_and_the_classes_walked() {
+        let notes = |xml: &str, k: usize| {
+            let idx = IndexedDocument::from_str(xml).unwrap();
+            let pattern = parse_query("//b").unwrap();
+            let guard = lotusx_guard::QueryGuard::unlimited();
+            let result = lotusx_twig::execute_budgeted(
+                &idx,
+                &pattern,
+                Algorithm::StructuralJoin,
+                None,
+                &guard,
+            );
+            let span = lotusx_obs::Span::new("rank");
+            Ranker::new(&idx).rank_top_k(&pattern, &result, k, Some(&span));
+            let rank = span.finish();
+            let select = rank.child("score-select").unwrap();
+            let note = |key| select.note(key).unwrap().to_string();
+            (note("bound"), note("classes"))
+        };
+        let owned = |(bound, classes): (&str, &str)| (bound.to_string(), classes.to_string());
+        // Two root paths of different sizes: two classes, the rarer one
+        // walked alone.
+        let two_paths = format!(
+            "<r><p>{}</p><q>{}</q></r>",
+            "<b/>".repeat(50),
+            "<b/>".repeat(200)
+        );
+        assert_eq!(notes(&two_paths, 5), owned(("guide", "1/2")));
+        // Every `b` on a path of its own: the guide outgrows the stream.
+        let paths: String = (0..100).map(|i| format!("<t{i}><b/></t{i}>")).collect();
+        let one_each = format!("<r>{paths}</r>");
+        assert_eq!(notes(&one_each, 5), owned(("streams", "1/1")));
+        // Nothing to drop, nothing to bound; nothing asked, nothing walked.
+        assert_eq!(notes(&two_paths, 250), owned(("none", "1/1")));
+        assert_eq!(notes(&two_paths, 0), owned(("none", "0/1")));
     }
 
     #[test]

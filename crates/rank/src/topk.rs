@@ -95,8 +95,23 @@ impl OrderedTopK {
     /// The lowest retained score once `k` rows are retained: what a row
     /// still to come has to beat, or tie and precede.
     pub fn score_to_beat(&self) -> Option<f64> {
+        self.worst().map(|worst| worst.score)
+    }
+
+    /// True once no row still to come that scores at most `bound` and
+    /// follows `row` in the tie-break order can be retained: `k` rows are
+    /// retained and the worst beats `bound`, or ties it and is not after
+    /// `row`.
+    pub fn settled(&self, bound: f64, row: &[NodeId]) -> bool {
+        self.worst().is_some_and(|worst| {
+            worst.score > bound || (worst.score == bound && worst.bindings[..] <= *row)
+        })
+    }
+
+    /// The worst retained row once `k` rows are retained.
+    fn worst(&self) -> Option<&ScoredMatch> {
         let worst = self.heap.peek().filter(|_| self.heap.len() == self.k);
-        worst.map(|worst| worst.0.score)
+        worst.map(|worst| &worst.0)
     }
 
     /// Finishes, returning the retained rows best-first.

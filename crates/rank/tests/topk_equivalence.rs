@@ -122,3 +122,129 @@ fn the_best_score_is_found_wherever_it_sits() {
         "ties in document order"
     );
 }
+
+/// The notes of the `score-select` span: rows offered, the bound walked
+/// under and the classes walked out of all.
+fn walk_notes(span: Span, k: usize) -> (usize, String, (usize, usize)) {
+    let rank = span.finish();
+    let select = rank.child("score-select").expect("recorded");
+    assert_eq!(select.note("k"), Some(k.to_string().as_str()));
+    let offered = select.note("candidates").unwrap().parse().unwrap();
+    let (walked, total) = select.note("classes").unwrap().split_once('/').unwrap();
+    let classes = (walked.parse().unwrap(), total.parse().unwrap());
+    (offered, select.note("bound").unwrap().to_string(), classes)
+}
+
+/// The random sweep again, counting the walks that take the guide bound
+/// over several classes of root paths and still stop before the last
+/// row: the stop rules between and inside classes, not only the one-class
+/// case, have to hold the answer to the full ranking.
+#[test]
+fn multi_class_walks_stop_early_and_agree_with_the_full_ranking() {
+    let mut rng = XorShiftRng::seed_from_u64(0xC1A5);
+    let guard = QueryGuard::unlimited();
+    let (mut multi_class, mut multi_class_stops) = (0, 0);
+    for case in 0..2048 {
+        let (idx, pattern) = random_inputs::random_case(&mut rng);
+        let ranker = Ranker::new(&idx);
+        let full = ranker.rank(&pattern, &execute(&idx, &pattern, Algorithm::Naive));
+        let n = full.len();
+        let result = execute_budgeted(&idx, &pattern, Algorithm::StructuralJoin, None, &guard);
+        for k in [1, 2, 3, 5, 8] {
+            let span = Span::new("rank");
+            let got = ranker.rank_top_k(&pattern, &result, k, Some(&span));
+            assert_eq!(
+                bits(&got),
+                bits(&full[..k.min(n)]),
+                "case {case}: {pattern}, k={k}"
+            );
+            let (offered, bound, (walked, total)) = walk_notes(span, k);
+            assert!(walked <= total, "case {case}: {walked}/{total}");
+            if bound == "guide" && total > 1 {
+                multi_class += 1;
+                multi_class_stops += usize::from(offered < n);
+            }
+        }
+    }
+    assert!(
+        multi_class > 40,
+        "the sweep must walk several classes: {multi_class}"
+    );
+    assert!(
+        multi_class_stops > 20,
+        "multi-class walks must stop early: {multi_class_stops}"
+    );
+}
+
+/// A row kept from a better class tied by an earlier row of the next
+/// one: on the class's entry the collector's worst row scores exactly the
+/// class bound, so stopping there (`worst >= bound`) would keep it; the
+/// next class's rows precede it in document order and win the tie.
+#[test]
+fn a_tie_with_an_earlier_row_of_the_next_class_is_walked_into() {
+    // `r/x/b` holds the best bound: one `c` right under a `b` (slack 0).
+    // Its other `b` binds two `c`s one level lower (slack 1), as every
+    // `b` of `r/y/b` does; both `b` paths and both deep `c` paths hold
+    // two elements, so those four rows score alike — and the class of
+    // `r/y/b` is bounded by exactly that score. The `z` elements only
+    // lengthen the `c` stream, so the guide is the cheaper bound.
+    let padding = "<c/>".repeat(40);
+    let xml = format!(
+        "<r><y><b><m><c/></m></b><b><m><c/></m></b></y>\
+         <x><b><c/></b><b><m><c/></m><m><c/></m></b></x><z>{padding}</z></r>"
+    );
+    let idx = IndexedDocument::from_str(&xml).unwrap();
+    let pattern = parse_query("//b[//c]").unwrap();
+    let guard = QueryGuard::unlimited();
+    let result = execute_budgeted(&idx, &pattern, Algorithm::StructuralJoin, None, &guard);
+    let span = Span::new("rank");
+    let ranked = Ranker::new(&idx).rank_top_k(&pattern, &result, 3, Some(&span));
+    let (_, bound, classes) = walk_notes(span, 3);
+    assert_eq!((bound.as_str(), classes), ("guide", (2, 2)));
+    let full = Ranker::new(&idx).rank(&pattern, &execute(&idx, &pattern, Algorithm::Naive));
+    assert_eq!(full.len(), 5);
+    assert_eq!(bits(&ranked), bits(&full[..3]));
+    // The two rows after the best come from `r/y`, ahead of `r/x`'s tie.
+    let doc = idx.document();
+    let under = |m: &ScoredMatch| doc.tag(doc.parent(m.bindings[0]).unwrap()).unwrap();
+    let y = doc.symbols().get("y").unwrap();
+    assert_eq!((under(&ranked[1]), under(&ranked[2])), (y, y));
+    assert_eq!(ranked[1].score.to_bits(), full[4].score.to_bits());
+}
+
+/// X4's shape: items under several region paths of different sizes, each
+/// region a class of its own. The rarest region's rows rank first; the
+/// walk crosses classes best first and stops within one row of `k`.
+#[test]
+fn items_under_regions_of_different_sizes_stop_within_one_row_of_k() {
+    let mut xml = String::from("<site><regions>");
+    for (region, items) in [
+        ("asia", 3),
+        ("africa", 7),
+        ("europe", 40),
+        ("namerica", 400),
+    ] {
+        xml.push_str(&format!("<{region}>"));
+        xml.push_str(&"<item><description><keyword/></description><name/></item>".repeat(items));
+        xml.push_str(&format!("</{region}>"));
+    }
+    xml.push_str("</regions></site>");
+    let idx = IndexedDocument::from_str(&xml).unwrap();
+    let query = "//item[description//keyword]/name";
+    let pattern = parse_query(query).unwrap();
+    let full = Ranker::new(&idx).rank(&pattern, &execute(&idx, &pattern, Algorithm::Naive));
+    let guard = QueryGuard::unlimited();
+    let result = execute_budgeted(&idx, &pattern, Algorithm::StructuralJoin, None, &guard);
+    // Rows per class, best class first, summed.
+    let rows_by = [3, 10, 50, 450];
+    for k in [1, 3, 5, 10, 17, 50, 73] {
+        let span = Span::new("rank");
+        let ranked = Ranker::new(&idx).rank_top_k(&pattern, &result, k, Some(&span));
+        assert_eq!(bits(&ranked), bits(&full[..k]), "k={k}");
+        let (offered, bound, (walked, total)) = walk_notes(span, k);
+        assert_eq!((bound.as_str(), total), ("guide", 4), "k={k}");
+        assert!(offered <= k + 1, "k={k}: offered {offered} of 450 rows");
+        let needed = 1 + rows_by.iter().take_while(|&&rows| rows < k).count();
+        assert_eq!(walked, needed, "k={k}: classes walked");
+    }
+}

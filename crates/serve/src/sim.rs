@@ -624,6 +624,45 @@ fn a_route_swap_leaves_requests_in_flight_with_their_tenant() {
     });
 }
 
+/// A route reload pipelined ahead of a `Connection: close` request on
+/// one connection: the request after the reload routes by the new rules,
+/// both answers go out in the order asked, and only then does the
+/// connection close.
+#[test]
+fn a_reload_pipelined_before_a_close_applies_and_both_answers_flush() {
+    script(&two_tenants(None), config(), |sim| {
+        let peer = sim.connect();
+        let to_beta = r#"[{"when":{"always":true},"tenant":"beta"}]"#;
+        let mut pipeline = post("/admin/routes", to_beta);
+        let body = query(1);
+        pipeline.extend(
+            format!(
+                "POST /query HTTP/1.1\r\nHost: sim\r\nConnection: close\r\n\
+                 Content-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .into_bytes(),
+        );
+        sim.send(peer, &pipeline);
+        // The query waits behind the reload, unrouted.
+        assert_eq!(sim.jobs.len(), 1);
+        sim.complete(0);
+        assert_eq!(sim.statuses(peer), [200]);
+        assert_eq!((sim.jobs.len(), sim.inflight(1)), (1, 1), "routed to beta");
+        assert_eq!(sim.closed(peer), None, "an answer is still owed");
+        sim.complete(0);
+        let responses = sim.responses(peer);
+        assert_eq!(sim.statuses(peer), [200, 200]);
+        assert_eq!(responses[0].body_text(), "{\"rules\":1}\n");
+        assert!(responses[1].body_text().contains("\"total_matches\":"));
+        assert_eq!(sim.closed(peer), Some(CloseReason::ClientClose));
+        // Under the old rules `/query` matched no rule; it went to beta.
+        let tenants = sim.tenancy.set.snapshot();
+        assert_eq!((tenants[0].1.requests, tenants[1].1.requests), (0, 1));
+        assert!(sim.jobs.is_empty());
+    });
+}
+
 /// Regression: the process endpoints behind a tenant prefix were charged
 /// to that tenant and refused at its quota.
 #[test]

@@ -422,10 +422,17 @@ impl ReducedTwig<'_> {
             .map(|((&node, &level), &weight)| (node, level, weight != 0))
     }
 
-    /// Hands every match to `sink`, one row at a time
+    /// The root stream's positions, all of them: the one run that walks
+    /// every match.
+    pub fn root_run(&self) -> Range<u32> {
+        0..self.weights[self.order[0].0].len() as u32
+    }
+
+    /// Hands every match whose root binds inside `runs` (positions in the
+    /// root stream, walked run by run) to `sink`, one row at a time
     /// (`row[q.index()]` is the element bound to `q`), until the sink
     /// returns `false` or the budget trips; returns whether the
-    /// enumeration ran to its end.
+    /// enumeration ran to its end. `&[self.root_run()]` walks every match.
     ///
     /// One preorder walk with a cursor per query node: a node's cursor
     /// scans the range stored for its parent's current binding and stops
@@ -441,6 +448,7 @@ impl ReducedTwig<'_> {
     pub fn for_each_row(
         &self,
         ticker: &mut Ticker,
+        runs: &[Range<u32>],
         mut sink: impl FnMut(&[NodeId]) -> bool,
     ) -> bool {
         if self.columns.is_empty() {
@@ -449,11 +457,12 @@ impl ReducedTwig<'_> {
         let views: Vec<ColumnView<'_>> = self.columns.iter().map(NodeColumns::view).collect();
         let depth = self.order.len();
         // `cursors[k]` is the unvisited rest of the range level `k` scans
-        // (level 0: the root stream), `at[q]` the position bound to `q`.
+        // (level 0: the root run under way), `at[q]` the position bound
+        // to `q`.
         let mut cursors = vec![0..0; depth];
         let mut at = vec![0usize; depth];
         let mut row = vec![NodeId::DOCUMENT; depth];
-        cursors[0] = 0..views[self.order[0].0].len() as u32;
+        let mut runs = runs.iter();
         let mut k = 0;
         loop {
             // Advance level `k` to its next qualifying element.
@@ -476,9 +485,13 @@ impl ReducedTwig<'_> {
             };
             let Some(pos) = found else {
                 if k == 0 {
-                    return true;
+                    let Some(run) = runs.next() else {
+                        return true;
+                    };
+                    cursors[0] = run.clone();
+                } else {
+                    k -= 1;
                 }
-                k -= 1;
                 continue;
             };
             at[q] = pos;
@@ -498,7 +511,7 @@ impl ReducedTwig<'_> {
     /// did not already emit them ascending).
     pub fn into_match_set(self, guard: &QueryGuard) -> MatchSet {
         let mut out = MatchSet::new(self.order.len());
-        self.for_each_row(&mut guard.ticker(), |row| {
+        self.for_each_row(&mut guard.ticker(), &[self.root_run()], |row| {
             out.push(row);
             true
         });
@@ -842,7 +855,7 @@ mod tests {
         assert_eq!(twig.count(), 3);
         assert!(twig.rows_ascend());
         let mut rows = 0;
-        let exhausted = twig.for_each_row(&mut guard.ticker(), |row| {
+        let exhausted = twig.for_each_row(&mut guard.ticker(), &[twig.root_run()], |row| {
             assert_eq!(row.len(), 4);
             rows += 1;
             rows < 2
@@ -864,7 +877,8 @@ mod tests {
         for q in ["//book[year >= 2024]/author", "//book/nosuch"] {
             let twig = reduce(&idx, &parse_query(q).unwrap(), &guard);
             assert_eq!(twig.count(), 0, "{q}");
-            assert!(twig.for_each_row(&mut guard.ticker(), |_| panic!("no rows")));
+            let runs = &[twig.root_run()];
+            assert!(twig.for_each_row(&mut guard.ticker(), runs, |_| panic!("no rows")));
             assert!(twig.into_match_set(&guard).is_empty());
         }
         assert_eq!(guard.nodes_visited(), 0, "no merge ran");

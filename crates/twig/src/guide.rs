@@ -1,6 +1,8 @@
 //! A twig pattern's embedding in the DataGuide, the one structural answer
 //! position-aware completion and the rewriter's satisfiability check both
 //! read: holistic evaluation on the strong DataGuide, in three passes.
+//! Its [`spreads`] per root candidate are what the ranker bounds the
+//! scores of each root path's rows with.
 
 use crate::pattern::{Axis, QNodeId, TwigPattern};
 use lotusx_guard::Ticker;
@@ -88,6 +90,115 @@ fn bind(
         }
     }
     Some(sets)
+}
+
+/// What the candidates of one query node under one root candidate span
+/// in the guide: the best specificity and the shallowest and deepest
+/// depth among them. Nothing under the root candidate reads
+/// `(0.0, u16::MAX, 0)`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Spread {
+    /// The highest [`DataGuide::specificity`] of a candidate.
+    pub specificity: f64,
+    /// The least [`DataGuide::depth`] of a candidate.
+    pub shallowest: u16,
+    /// The greatest [`DataGuide::depth`] of a candidate.
+    pub deepest: u16,
+}
+
+impl Spread {
+    const EMPTY: Spread = Spread {
+        specificity: 0.0,
+        shallowest: u16::MAX,
+        deepest: 0,
+    };
+
+    /// The spread of one guide node.
+    fn of(guide: &DataGuide, g: GuideNodeId) -> Spread {
+        Spread {
+            specificity: guide.specificity(g),
+            shallowest: guide.depth(g),
+            deepest: guide.depth(g),
+        }
+    }
+
+    fn add(&mut self, other: Spread) {
+        self.specificity = self.specificity.max(other.specificity);
+        self.shallowest = self.shallowest.min(other.shallowest);
+        self.deepest = self.deepest.max(other.deepest);
+    }
+}
+
+/// Per root candidate `sets[root][i]` of an [`embed`]ding and per query
+/// node `q`, the [`Spread`] of `q`'s candidates inside the root
+/// candidate's guide subtree, at `i * pattern.len() + q.index()`. The
+/// root's own entry is the root candidate alone; any other node's counts
+/// only candidates strictly below it, since a match binds every other
+/// node below its root.
+///
+/// One forward sweep from the first root candidate finds each guide
+/// node's nearest root candidate at or above it; every candidate adds to
+/// the root candidate nearest above it, and root candidates nested in
+/// one another hand their totals up, innermost first. The sweep's guide
+/// nodes are charged to `ticker`; `None` means it stopped.
+pub fn spreads(
+    idx: &IndexedDocument,
+    pattern: &TwigPattern,
+    sets: &[Vec<GuideNodeId>],
+    ticker: &mut Ticker,
+) -> Option<Vec<Spread>> {
+    let guide = idx.guide();
+    let width = pattern.len();
+    let root = pattern.root().index();
+    let roots = &sets[root];
+    let mut out = vec![Spread::EMPTY; roots.len() * width];
+    let Some(first) = roots.first() else {
+        return Some(out);
+    };
+    let start = first.index();
+    charge(ticker, guide.node_count() - start)?;
+    // `nearest[g - start]`: the index in `roots` of the nearest root
+    // candidate at or above `g`, or `NO_ROOT`. Parents come before
+    // children.
+    let mut nearest = vec![NO_ROOT; guide.node_count() - start];
+    let mut anchors = roots.iter().enumerate().peekable();
+    for g in (start..guide.node_count()).map(GuideNodeId::from_index) {
+        nearest[g.index() - start] = match anchors.next_if(|&(_, &r)| r == g) {
+            Some((i, _)) => i as u32,
+            None => above(guide, &nearest, start, g),
+        };
+    }
+    for q in (0..width).filter(|&q| q != root) {
+        for &g in &sets[q] {
+            let owner = above(guide, &nearest, start, g);
+            if owner != NO_ROOT {
+                out[owner as usize * width + q].add(Spread::of(guide, g));
+            }
+        }
+    }
+    for (i, &g) in roots.iter().enumerate().rev() {
+        out[i * width + root] = Spread::of(guide, g);
+        let owner = above(guide, &nearest, start, g);
+        if owner != NO_ROOT {
+            for q in (0..width).filter(|&q| q != root) {
+                let inner = out[i * width + q];
+                out[owner as usize * width + q].add(inner);
+            }
+        }
+    }
+    Some(out)
+}
+
+/// No root candidate, in [`spreads`]' sweep table.
+const NO_ROOT: u32 = u32::MAX;
+
+/// The nearest root candidate strictly above `g`, from [`spreads`]'
+/// sweep table `nearest`.
+fn above(guide: &DataGuide, nearest: &[u32], start: usize, g: GuideNodeId) -> u32 {
+    guide
+        .parent(g)
+        .and_then(|p| p.index().checked_sub(start))
+        .map_or(NO_ROOT, |p| nearest[p])
 }
 
 /// Charges `reads` guide nodes; `None` once the ticker stops.
@@ -282,6 +393,45 @@ mod tests {
         let pattern = parse_query("/bib/article/title").unwrap();
         embed(&idx, &pattern, &mut guard.ticker()).unwrap();
         assert_eq!(guard.nodes_visited(), 1 + 2 + 2 + 2 + 2);
+    }
+
+    /// Every root candidate's spread, against its definition: per query
+    /// node, over its candidates strictly below the root candidate —
+    /// root candidates nested in one another included.
+    #[test]
+    fn spreads_cover_each_root_candidates_subtree_nested_ones_too() {
+        let idx = IndexedDocument::from_str(
+            "<r><b><c/><b><d><c/></d></b></b><x><b><d><d><c/></d></d></b></x></r>",
+        )
+        .unwrap();
+        let guide = idx.guide();
+        let below = |mut g: GuideNodeId, root: GuideNodeId| loop {
+            match guide.parent(g) {
+                Some(p) if p == root => return true,
+                Some(p) => g = p,
+                None => return false,
+            }
+        };
+        for query in ["//b//c", "//b[d]//c", "//b/c", "//*//c"] {
+            let pattern = parse_query(query).unwrap();
+            let unlimited = QueryGuard::unlimited();
+            let sets = embed(&idx, &pattern, &mut unlimited.ticker()).unwrap();
+            let got = spreads(&idx, &pattern, &sets, &mut unlimited.ticker()).unwrap();
+            let width = pattern.len();
+            assert_eq!(got.len(), sets[0].len() * width, "{query}");
+            for (i, &root) in sets[0].iter().enumerate() {
+                for (q, set) in sets.iter().enumerate() {
+                    let mut want = Spread::EMPTY;
+                    let members =
+                        set.iter()
+                            .filter(|&&g| if q == 0 { g == root } else { below(g, root) });
+                    for &g in members {
+                        want.add(Spread::of(guide, g));
+                    }
+                    assert_eq!(got[i * width + q], want, "{query}: root {i}, node {q}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   navigational walk that doubles as the test oracle.
 //! * [`guide`] — the pattern's embedding in the DataGuide: per query
 //!   node, the guide nodes it binds to. Completion and the rewriter's
-//!   satisfiability check both read it.
+//!   satisfiability check both read it; the ranker bounds each root
+//!   path's scores from its spreads.
 //! * [`ordered`] — order-sensitive twig semantics (LotusX supports
 //!   "complex twig queries (including order sensitive queries)").
 //! * [`exec`] — the execution core: the rule behind [`Algorithm::Auto`]

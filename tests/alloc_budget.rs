@@ -130,6 +130,65 @@ fn join_and_rank_allocate_per_buffer_not_per_match() {
     }
 }
 
+/// `items` flat records under three region paths of different sizes
+/// (an eighth, three eighths, half): three root paths, three classes of
+/// the rank bound, three runs of the root stream.
+fn regions(items: usize) -> IndexedDocument {
+    let mut xml = String::from("<r>");
+    for (region, share) in [
+        ("asia", items / 8),
+        ("africa", items * 3 / 8),
+        ("europe", items / 2),
+    ] {
+        xml.push_str(&format!("<{region}>"));
+        for i in 0..share {
+            xml.push_str(&format!("<item><a>{i}</a><b>x</b></item>"));
+        }
+        xml.push_str(&format!("</{region}>"));
+    }
+    xml.push_str("</r>");
+    IndexedDocument::from_str(&xml).expect("well-formed")
+}
+
+/// A ranking bounded per root path partitions the root stream into runs
+/// of a class each: the runs and their counts are sized from one
+/// counting pass, so the rows of several root paths allocate what those
+/// of one path do — per class and per buffer, not per match — under the
+/// same limits as the rows above, with no doubling step at 8x the rows.
+#[test]
+fn ranking_over_several_root_paths_allocates_per_class_not_per_match() {
+    const SMALL: usize = 6_000;
+    const GROWTH: usize = 8;
+    let query = "//item[a][b]";
+    let pattern = parse_query(query).expect("parses");
+    let spent = |idx: &IndexedDocument| {
+        let guard = QueryGuard::unlimited();
+        let before = ALLOCATIONS.with(Cell::get);
+        let matches = execute_budgeted(idx, &pattern, Algorithm::StructuralJoin, None, &guard);
+        let top = Ranker::new(idx).rank_top_k(&pattern, &matches, 10, None);
+        let spent = ALLOCATIONS.with(Cell::get) - before;
+        assert_eq!(top.len(), 10);
+        // Outside the count: the walk took the guide bound, three classes.
+        let span = lotusx_obs::Span::new("rank");
+        Ranker::new(idx).rank_top_k(&pattern, &matches, 10, Some(&span));
+        let rank = span.finish();
+        let select = rank.child("score-select").expect("recorded");
+        assert_eq!(select.note("bound"), Some("guide"));
+        assert_eq!(select.note("classes"), Some("1/3"));
+        spent
+    };
+    let (at_small, at_large) = (spent(&regions(SMALL)), spent(&regions(SMALL * GROWTH)));
+    assert!(
+        at_small < 128,
+        "{query}: {at_small} allocations for {SMALL} matches"
+    );
+    assert!(
+        at_large <= at_small,
+        "{query}: {at_small} allocations at {SMALL} matches, {at_large} at {}",
+        SMALL * GROWTH
+    );
+}
+
 /// A cache hit is a pointer copy of the cached answer: the same blocks
 /// (the parsed pattern, the key) at 10 results and at 100. One block per
 /// result anywhere on the hit path shows up as a difference of 90 or more.
