@@ -8,7 +8,7 @@ use lotusx_twig::algorithms::structural_join::ReducedTwig;
 use lotusx_twig::exec::JoinResult;
 use lotusx_twig::guide::{self, Spread};
 use lotusx_twig::matcher::MatchSet;
-use lotusx_twig::pattern::{Axis, QNodeId, TwigPattern, ValuePredicate};
+use lotusx_twig::pattern::{Axis, TwigPattern, ValuePredicate};
 use lotusx_xml::NodeId;
 use std::ops::Range;
 
@@ -147,19 +147,18 @@ impl<'a> PatternScorer<'a> {
 
     /// How to walk the rows of `twig` so that the enumeration can stop
     /// early: classes of root-stream runs, each with an upper bound on
-    /// the scores of its rows, best bound first — or `None` when no bound
-    /// is worth its cost against the `droppable` rows past the k-th, or
-    /// the budget trips while computing one.
+    /// the scores of its rows, best bound first — or `None` when the
+    /// bound is not worth its cost against the `droppable` rows past the
+    /// k-th, or the budget trips while computing it.
     ///
-    /// Two bounds exist. The **guide** bound embeds the pattern in the
-    /// DataGuide and bounds the rows of each root path — the guide node
-    /// the root binds on — from the [`Spread`]s of its candidates; root
-    /// paths of equal bound form one class, and one counting pass over
-    /// the root stream partitions it into their runs. The **stream**
-    /// bound is one class over every row, from one pass over every live
-    /// stream element. The guide bound is taken unless the embedding
-    /// would read more guide nodes than that pass reads elements — deep,
-    /// irregular documents, whose guide outgrows the streams.
+    /// The bound embeds the pattern in the DataGuide and bounds the rows
+    /// of each root path — the guide node the root binds on — from the
+    /// [`Spread`]s of its candidates; root paths of equal bound form one
+    /// class, and one counting pass over the root stream partitions it
+    /// into their runs. Deep, irregular documents, whose guide outgrows
+    /// the rows, get no bound. The embedding ignores value predicates: a
+    /// candidate path none of whose elements passes one still loosens
+    /// its root path's bound.
     fn walk(
         &self,
         pattern: &TwigPattern,
@@ -180,36 +179,10 @@ impl<'a> PatternScorer<'a> {
             + (pattern.node_ids())
                 .filter(|&q| pattern.node(q).axis == Axis::Descendant)
                 .count();
-        let embedding = self.idx.guide().node_count() * sweeps;
-        let streams = twig.stream_elements();
-        let by_guide = embedding <= streams;
-        let cost = if by_guide {
-            embedding + twig.root_run().len()
-        } else {
-            streams
-        };
-        if cost / ELEMENTS_PER_ROW >= droppable {
+        let reads = self.idx.guide().node_count() * sweeps + twig.root_run().len();
+        if reads / READS_PER_ROW >= droppable {
             return None;
         }
-        if by_guide {
-            self.guide_walk(pattern, twig, ticker)
-        } else {
-            let bound = self.bound(&self.stream_spreads(twig, ticker)?);
-            Some(Walk {
-                bound: "streams",
-                classes: vec![(bound, 1)],
-                runs: vec![twig.root_run()],
-            })
-        }
-    }
-
-    /// The guide bound's walk (see [`Self::walk`]).
-    fn guide_walk(
-        &self,
-        pattern: &TwigPattern,
-        twig: &ReducedTwig<'_>,
-        ticker: &mut Ticker,
-    ) -> Option<Walk> {
         let sets = guide::embed(self.idx, pattern, ticker)?;
         let spreads = guide::spreads(self.idx, pattern, &sets, ticker)?;
         let root = pattern.root();
@@ -220,7 +193,6 @@ impl<'a> PatternScorer<'a> {
         best_first.dedup();
         if best_first.len() <= 1 {
             return Some(Walk {
-                bound: "guide",
                 classes: vec![(*best_first.first()?, 1)],
                 runs: vec![twig.root_run()],
             });
@@ -239,10 +211,12 @@ impl<'a> PatternScorer<'a> {
         // per class (each element's root path is one read of the guide
         // map); the runs are then placed class by class.
         let root_len = twig.root_run().end;
-        charge(ticker, root_len as usize)?;
+        if ticker.tick(u64::from(root_len)) {
+            return None;
+        }
         let mut starts: Vec<(u32, u32)> = Vec::with_capacity(root_len as usize);
         let mut ends = vec![0usize; best_first.len()];
-        for (pos, (node, _, live)) in (0..).zip(twig.stream(root)) {
+        for (pos, (node, live)) in (0..).zip(twig.stream(root)) {
             if live {
                 let path = self.idx.guide_node(node).index().wrapping_sub(first);
                 let class = class_of.get(path).copied().unwrap_or(NONE);
@@ -272,56 +246,9 @@ impl<'a> PatternScorer<'a> {
             next[class as usize] += 1;
         }
         Some(Walk {
-            bound: "guide",
             classes: best_first.into_iter().zip(ends).collect(),
             runs,
         })
-    }
-
-    /// Per query node, the spread of its live stream elements: their best
-    /// specificity, shallowest and deepest level — from one pass over
-    /// every stream element, or `None` when the budget trips during it.
-    fn stream_spreads(&self, twig: &ReducedTwig<'_>, ticker: &mut Ticker) -> Option<Vec<Spread>> {
-        let guide = self.idx.guide();
-        let mut spreads = Vec::with_capacity(self.width);
-        // The DataGuide paths already accounted for. Only the first live
-        // element on a path has anything to add — a path fixes its
-        // specificity and its level. Dead elements are sent to a spare
-        // slot that always reads "accounted for", so the loop's one
-        // branch is almost never taken, however live and dead elements
-        // interleave in the stream.
-        let spare = guide.node_count();
-        let mut on_path = vec![false; spare + 1];
-        on_path[spare] = true;
-        let mut marked = Vec::new();
-        for q in 0..self.width {
-            let (mut shallowest, mut deepest, mut best) = (u16::MAX, 0u16, 0.0f64);
-            let mut seen = 0u64;
-            for (node, level, live) in twig.stream(QNodeId::from_index(q)) {
-                seen += 1;
-                let path = self.idx.guide_node(node);
-                let slot = if live { path.index() } else { spare };
-                if !on_path[slot] {
-                    on_path[slot] = true;
-                    marked.push(slot);
-                    shallowest = shallowest.min(level);
-                    deepest = deepest.max(level);
-                    best = best.max(guide.specificity(path));
-                }
-            }
-            if ticker.tick(seen) {
-                return None;
-            }
-            for slot in marked.drain(..) {
-                on_path[slot] = false;
-            }
-            spreads.push(Spread {
-                specificity: best,
-                shallowest,
-                deepest,
-            });
-        }
-        Some(spreads)
     }
 
     /// An upper bound on [`Self::score`] over the rows whose query nodes
@@ -363,24 +290,17 @@ impl<'a> PatternScorer<'a> {
 /// root-stream runs, each with the bound on its rows' scores, the best
 /// bound first.
 struct Walk {
-    /// Which bound: `guide` or `streams`.
-    bound: &'static str,
     /// Per class, best first: its bound and the end of its runs in `runs`
     /// (the previous class's end is where they start).
     classes: Vec<(f64, usize)>,
     runs: Vec<Range<u32>>,
 }
 
-/// Charges `reads` to `ticker`; `None` once it stops.
-fn charge(ticker: &mut Ticker, reads: usize) -> Option<()> {
-    (!ticker.tick(reads as u64)).then_some(())
-}
-
-/// What scoring and enumerating one row costs, in stream elements of the
-/// bound pass (measured on the stream pass: ≈58 ns a row on xmark X4,
-/// ≈1.8 ns an element). A guide node read costs about what an element
-/// does.
-const ELEMENTS_PER_ROW: usize = 32;
+/// What enumerating and scoring one row costs, in reads of the bound:
+/// ≈58 ns a row on xmark X4 against 6.4–9.8 ns a guide node read by the
+/// embedding and its spreads (xmark:64 and treebank:16) and ≈6 ns a root
+/// element read by the partition.
+const READS_PER_ROW: usize = 8;
 
 /// Structural tightness of a total depth slack.
 fn tightness(slack: u32) -> f64 {
@@ -465,8 +385,8 @@ impl<'a> Ranker<'a> {
     /// When many more than `k` rows exist and the enumerator hands them
     /// over in tie-break order ([`JoinResult::reduced_in_row_order`]),
     /// the rows are walked in classes, each bounded above, best bound
-    /// first, each in row order (the guide bound: one class per group of
-    /// root paths of equal bound; the stream bound: one class). The walk
+    /// first, each in row order (one class per group of root paths of
+    /// equal bound on the DataGuide). The walk
     /// stops inside a class once the collector is full and its worst row
     /// beats the class bound, or ties it and precedes the row just
     /// offered — a later row of the class can at best tie, and then
@@ -479,7 +399,7 @@ impl<'a> Ranker<'a> {
     /// the rows scored by then, every one a true hit) and records the
     /// score/select and sort phases as timed children of `span` when one
     /// is supplied — score/select noting the rows offered (`candidates`),
-    /// `k`, the `bound` walked under (`guide`, `streams` or `none`) and
+    /// `k`, the `bound` walked under (`guide` or `none`) and
     /// the `classes` walked out of all; the span never changes the
     /// ranking.
     pub fn rank_top_k(
@@ -500,7 +420,7 @@ impl<'a> Ranker<'a> {
             .filter(|_| k > 0)
             .and_then(|twig| Some((twig, scorer.walk(pattern, twig, droppable, &mut ticker)?)));
         if let Some((twig, walk)) = walk {
-            (bound, classes) = (walk.bound, walk.classes.len());
+            (bound, classes) = ("guide", walk.classes.len());
             let mut start = 0;
             for &(class_bound, end) in &walk.classes {
                 if collector.score_to_beat() > Some(class_bound) {
@@ -690,10 +610,11 @@ mod tests {
             "<b/>".repeat(200)
         );
         assert_eq!(notes(&two_paths, 5), owned(("guide", "1/2")));
-        // Every `b` on a path of its own: the guide outgrows the stream.
-        let paths: String = (0..100).map(|i| format!("<t{i}><b/></t{i}>")).collect();
-        let one_each = format!("<r>{paths}</r>");
-        assert_eq!(notes(&one_each, 5), owned(("streams", "1/1")));
+        // The same rows beside a thousand paths of other tags: the guide
+        // costs more to read than the rows it could drop.
+        let paths: String = (0..1000).map(|i| format!("<t{i}/>")).collect();
+        let wide = two_paths.replace("</r>", &format!("{paths}</r>"));
+        assert_eq!(notes(&wide, 5), owned(("none", "1/1")));
         // Nothing to drop, nothing to bound; nothing asked, nothing walked.
         assert_eq!(notes(&two_paths, 250), owned(("none", "1/1")));
         assert_eq!(notes(&two_paths, 0), owned(("none", "0/1")));

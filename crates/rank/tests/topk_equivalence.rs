@@ -186,12 +186,13 @@ fn a_tie_with_an_earlier_row_of_the_next_class_is_walked_into() {
     // Its other `b` binds two `c`s one level lower (slack 1), as every
     // `b` of `r/y/b` does; both `b` paths and both deep `c` paths hold
     // two elements, so those four rows score alike — and the class of
-    // `r/y/b` is bounded by exactly that score. The `z` elements only
-    // lengthen the `c` stream, so the guide is the cheaper bound.
-    let padding = "<c/>".repeat(40);
+    // `r/y/b` is bounded by exactly that score. The `w` rows (slack 2)
+    // form a worse third class, never walked; they give the walk rows
+    // to drop, enough to be worth a bound.
+    let worse = "<b><m><m><c/></m></m></b>".repeat(40);
     let xml = format!(
         "<r><y><b><m><c/></m></b><b><m><c/></m></b></y>\
-         <x><b><c/></b><b><m><c/></m><m><c/></m></b></x><z>{padding}</z></r>"
+         <x><b><c/></b><b><m><c/></m><m><c/></m></b></x><w>{worse}</w></r>"
     );
     let idx = IndexedDocument::from_str(&xml).unwrap();
     let pattern = parse_query("//b[//c]").unwrap();
@@ -200,9 +201,9 @@ fn a_tie_with_an_earlier_row_of_the_next_class_is_walked_into() {
     let span = Span::new("rank");
     let ranked = Ranker::new(&idx).rank_top_k(&pattern, &result, 3, Some(&span));
     let (_, bound, classes) = walk_notes(span, 3);
-    assert_eq!((bound.as_str(), classes), ("guide", (2, 2)));
+    assert_eq!((bound.as_str(), classes), ("guide", (2, 3)));
     let full = Ranker::new(&idx).rank(&pattern, &execute(&idx, &pattern, Algorithm::Naive));
-    assert_eq!(full.len(), 5);
+    assert_eq!(full.len(), 45);
     assert_eq!(bits(&ranked), bits(&full[..3]));
     // The two rows after the best come from `r/y`, ahead of `r/x`'s tie.
     let doc = idx.document();
@@ -246,5 +247,31 @@ fn items_under_regions_of_different_sizes_stop_within_one_row_of_k() {
         assert!(offered <= k + 1, "k={k}: offered {offered} of 450 rows");
         let needed = 1 + rows_by.iter().take_while(|&&rows| rows < k).count();
         assert_eq!(walked, needed, "k={k}: classes walked");
+    }
+}
+
+/// A value predicate the guide does not see: every `a` holds a shallow
+/// `b` that fails `. = "x"` and a deeper one that passes. The guide
+/// bound takes both `b` paths under `r/a`, so its least slack is 0,
+/// which no row reaches (every match binds the deep `b`, slack 1): the
+/// whole result is walked, where a bound over the live elements alone
+/// would stop within one row of `k`.
+#[test]
+fn a_path_the_predicate_rules_out_still_loosens_the_guide_bound() {
+    let xml = format!("<r>{}</r>", "<a><b>y</b><m><b>x</b></m></a>".repeat(200));
+    let idx = IndexedDocument::from_str(&xml).unwrap();
+    let query = r#"//a//b[. = "x"]"#;
+    let pattern = parse_query(query).unwrap();
+    let full = Ranker::new(&idx).rank(&pattern, &execute(&idx, &pattern, Algorithm::Naive));
+    assert_eq!(full.len(), 200);
+    let guard = QueryGuard::unlimited();
+    let result = execute_budgeted(&idx, &pattern, Algorithm::StructuralJoin, None, &guard);
+    for k in [1, 10, 73] {
+        let span = Span::new("rank");
+        let ranked = Ranker::new(&idx).rank_top_k(&pattern, &result, k, Some(&span));
+        assert_eq!(bits(&ranked), bits(&full[..k]), "k={k}");
+        let (offered, bound, classes) = walk_notes(span, k);
+        assert_eq!((bound.as_str(), classes), ("guide", (1, 1)), "k={k}");
+        assert_eq!(offered, 200, "k={k}: every row is walked");
     }
 }

@@ -400,26 +400,20 @@ impl ReducedTwig<'_> {
         self.rows_ascend
     }
 
-    /// The total length of the query nodes' streams: what one pass over
-    /// every [`Self::stream`] reads.
-    pub fn stream_elements(&self) -> usize {
-        self.weights.iter().map(Vec::len).sum()
-    }
-
-    /// The stream of query node `q` — node, level, and whether the
-    /// element is *live*: able to bind `q` in some match. Live is exact
+    /// The stream of query node `q` — node, and whether the element is
+    /// *live*: able to bind `q` in some match. Live is exact
     /// or slightly generous, never stingy: it holds for every element
     /// whose own sub-twig matches and that relates to *some* element of
     /// the parent's stream, whether or not that parent ends up in a match
     /// itself.
-    pub fn stream(&self, q: QNodeId) -> impl Iterator<Item = (NodeId, u16, bool)> + '_ {
+    pub fn stream(&self, q: QNodeId) -> impl Iterator<Item = (NodeId, bool)> + '_ {
         let view = self
             .columns
             .get(q.index())
             .map_or(ColumnView::empty(), NodeColumns::view);
-        (view.nodes().iter().zip(view.levels()))
+        (view.nodes().iter())
             .zip(&self.weights[q.index()])
-            .map(|((&node, &level), &weight)| (node, level, weight != 0))
+            .map(|(&node, &weight)| (node, weight != 0))
     }
 
     /// The root stream's positions, all of them: the one run that walks
@@ -865,7 +859,7 @@ mod tests {
         // The article's title and author relate to no book.
         let live = |q: usize| {
             let stream = twig.stream(QNodeId::from_index(q));
-            stream.filter(|&(_, _, live)| live).count()
+            stream.filter(|&(_, live)| live).count()
         };
         assert_eq!((live(0), live(1), live(2), live(3)), (2, 2, 3, 2));
     }
