@@ -3,7 +3,7 @@
 use crate::context::PositionContext;
 use lotusx_guard::{QueryGuard, Ticker};
 use lotusx_index::codec::{get_string, get_varint, put_string, put_varint};
-use lotusx_index::{IndexedDocument, StorageError, Trie};
+use lotusx_index::{IndexedDocument, StorageError, Trie, TrieBuilder};
 use lotusx_twig::guide;
 use lotusx_xml::Symbol;
 use std::collections::HashMap;
@@ -348,11 +348,14 @@ fn build_value_trie_ticked(idx: &IndexedDocument, tag: Symbol, ticker: &mut Tick
     }
     let mut terms: Vec<String> = counts.keys().cloned().collect();
     terms.sort();
-    let mut trie = Trie::new();
+    let mut trie = TrieBuilder::new();
     for (i, term) in terms.iter().enumerate() {
         trie.insert(term, i as u32, counts[term]);
     }
-    ValueTrie { trie, terms }
+    ValueTrie {
+        trie: trie.finish(),
+        terms,
+    }
 }
 
 #[cfg(test)]

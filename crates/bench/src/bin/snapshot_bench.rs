@@ -22,7 +22,9 @@
 //! `--gate` factor (default 3x) at a dataset's largest measured scale,
 //! 3 = a built or loaded document holding more than
 //! [`DOCUMENT_BYTES_PER_NODE`] per node plus its own character data (the
-//! tripwire for a tree that allocates per node again).
+//! tripwire for a tree that allocates per node again), 4 = a built or
+//! loaded value index holding more than [`VALUE_INDEX_BYTES_PER_ELEMENT`]
+//! (the tripwire for an index that allocates per term again).
 //! The gate is a build/load *ratio*: it exists to catch a load that has
 //! turned back into a rebuild (ratio → 1), and it falls whenever the
 //! build gets cheaper — E14 cut the label pass tenfold and the ratio
@@ -40,6 +42,13 @@ use std::time::Duration;
 /// Resident bytes a document may spend per node beyond its character
 /// data: 25 for the node columns, the rest for attribute entries.
 const DOCUMENT_BYTES_PER_NODE: usize = 32;
+
+/// Resident bytes the value index may hold per element: its key arenas,
+/// lists and offset columns, and the numeric index, by capacity. The
+/// sorted dictionaries measured 30–37 B on dblp and xmark and 6–7 on
+/// treebank (E29); the hash-map layout they replaced held about 1.7x as
+/// much.
+const VALUE_INDEX_BYTES_PER_ELEMENT: f64 = 45.0;
 
 /// The corpus's own character data: every text, comment and PI byte and
 /// every attribute value byte.
@@ -239,6 +248,11 @@ struct Row {
     /// Whether the built and the loaded document both stayed within
     /// [`document_budget`].
     document_within_budget: bool,
+    /// The loaded value index's resident bytes per element.
+    value_index_bytes_per_element: f64,
+    /// Whether the built and the loaded value index both stayed within
+    /// [`VALUE_INDEX_BYTES_PER_ELEMENT`].
+    value_index_within_budget: bool,
     build_ms: f64,
     save_ms: f64,
     load_ms: f64,
@@ -322,13 +336,20 @@ fn main() {
         let document_within_budget = [built_doc, loaded_doc]
             .iter()
             .all(|d| d.size_bytes() <= document_budget(d));
+        let value_index_bytes =
+            |system: &LotusX| system.index().values().size_bytes() as f64 / elements as f64;
+        let value_index_bytes_per_element = value_index_bytes(&loaded);
+        let value_index_within_budget = [&fresh, &loaded]
+            .iter()
+            .all(|s| value_index_bytes(s) <= VALUE_INDEX_BYTES_PER_ELEMENT);
         let xml_bytes = std::fs::metadata(&xml_path).map(|m| m.len()).unwrap_or(0);
         let snapshot_bytes = std::fs::metadata(&ltsx_path).map(|m| m.len()).unwrap_or(0);
         let speedup = build_ms / load_ms.max(1e-9);
         eprintln!(
             "  {ds} scale {scale}: {elements} elements, build {} -> load {} ({speedup:.1}x), \
              snapshot {snapshot_bytes} bytes, document {document_bytes_per_node:.1} B/node \
-             ({character_bytes_per_node:.1} of them text), {} probes {}",
+             ({character_bytes_per_node:.1} of them text), value index \
+             {value_index_bytes_per_element:.1} B/element, {} probes {}",
             fmt_duration(Duration::from_secs_f64(build_ms / 1e3)),
             fmt_duration(Duration::from_secs_f64(load_ms / 1e3)),
             fresh_probes.len(),
@@ -349,6 +370,8 @@ fn main() {
             document_bytes_per_node,
             character_bytes_per_node,
             document_within_budget,
+            value_index_bytes_per_element,
+            value_index_within_budget,
             build_ms,
             save_ms: ms(save_t),
             load_ms,
@@ -380,6 +403,11 @@ fn main() {
     let over_budget: Vec<String> = rows
         .iter()
         .filter(|r| !r.document_within_budget)
+        .map(|r| format!("{}:{}", r.dataset, r.scale))
+        .collect();
+    let index_over_budget: Vec<String> = rows
+        .iter()
+        .filter(|r| !r.value_index_within_budget)
         .map(|r| format!("{}:{}", r.dataset, r.scale))
         .collect();
     let min_speedup = rows.iter().map(|r| r.speedup).fold(f64::INFINITY, f64::min);
@@ -429,6 +457,10 @@ fn main() {
             "      \"character_bytes_per_node\": {:.2},\n",
             r.character_bytes_per_node
         ));
+        json.push_str(&format!(
+            "      \"value_index_bytes_per_element\": {:.2},\n",
+            r.value_index_bytes_per_element
+        ));
         json.push_str(&format!("      \"build_ms\": {:.3},\n", r.build_ms));
         json.push_str(&format!("      \"save_ms\": {:.3},\n", r.save_ms));
         json.push_str(&format!("      \"load_ms\": {:.3},\n", r.load_ms));
@@ -454,8 +486,15 @@ fn main() {
         over_budget.len()
     ));
     json.push_str(&format!(
+        "    \"value_indexes_over_budget\": {},\n",
+        index_over_budget.len()
+    ));
+    json.push_str(&format!(
         "    \"gate_pass\": {}\n",
-        gate_failures.is_empty() && nonequivalent == 0 && over_budget.is_empty()
+        gate_failures.is_empty()
+            && nonequivalent == 0
+            && over_budget.is_empty()
+            && index_over_budget.is_empty()
     ));
     json.push_str("  }\n");
     json.push_str("}\n");
@@ -479,6 +518,13 @@ fn main() {
         );
         std::process::exit(3);
     }
+    if !index_over_budget.is_empty() {
+        eprintln!(
+            "FAIL: value indexes above {VALUE_INDEX_BYTES_PER_ELEMENT} B/element: {}",
+            index_over_budget.join(", ")
+        );
+        std::process::exit(4);
+    }
     if !gate_failures.is_empty() {
         eprintln!(
             "FAIL: cold-boot speedup below {:.1}x at largest scale: {}",
@@ -489,7 +535,8 @@ fn main() {
     }
     eprintln!(
         "PASS: snapshot boot >= {:.1}x faster than fresh build, all responses bit-identical, \
-         documents within {DOCUMENT_BYTES_PER_NODE} B/node plus their character data",
+         documents within {DOCUMENT_BYTES_PER_NODE} B/node plus their character data, \
+         value indexes within {VALUE_INDEX_BYTES_PER_ELEMENT} B/element",
         cfg.gate
     );
 }

@@ -3,8 +3,8 @@
 use crate::columns::TagColumns;
 use crate::dataguide::{DataGuide, GuideNodeId};
 use crate::stats::Stats;
-use crate::trie::Trie;
-use crate::value_index::ValueIndex;
+use crate::trie::{Trie, TrieBuilder};
+use crate::value_index::{ValueIndex, ValueIndexBuilder};
 use lotusx_labeling::DocumentLabels;
 use lotusx_xml::{Document, NodeId, NodeKind, Symbol};
 
@@ -28,7 +28,6 @@ pub struct IndexedDocument {
     pub(crate) values: ValueIndex,
     pub(crate) tag_trie: Trie,
     pub(crate) term_trie: Trie,
-    pub(crate) terms: Vec<String>,
     pub(crate) guide: DataGuide,
     pub(crate) guide_of: Vec<GuideNodeId>,
     pub(crate) stats: Stats,
@@ -58,7 +57,7 @@ impl IndexedDocument {
         // has already filled in.
         let mut guide_of = vec![GuideNodeId::ROOT; doc.node_count()];
         let mut elements = Vec::with_capacity(stats.element_count);
-        let mut values = ValueIndex::new();
+        let mut values = ValueIndexBuilder::default();
         for node in doc.all_nodes() {
             let NodeKind::Element { name, attributes } = doc.kind(node) else {
                 continue;
@@ -71,28 +70,26 @@ impl IndexedDocument {
                 .child_by_tag(parent_guide, name)
                 .expect("guide derived from the same document");
             elements.push(node);
-            let attrs: Vec<&str> = attributes.into_iter().map(|(_, v)| v).collect();
-            values.index_element(node, &doc.direct_text(node), &attrs);
+            let attrs = attributes.into_iter().map(|(_, v)| v);
+            values.add_element(node, &doc.direct_text(node), attrs);
         }
-        values.finish();
+        let values = values.finish();
 
         let columns = TagColumns::build(&doc, &labels, &elements);
 
         // Tag trie: element tags only, weighted by occurrence count.
-        let mut tag_trie = Trie::new();
+        let mut tag_trie = TrieBuilder::new();
         for (sym, name) in doc.symbols().iter() {
             let freq = columns.view(sym).len();
             if freq > 0 {
                 tag_trie.insert(name, sym.index() as u32, freq as u64);
             }
         }
-        // Term trie: payload is an id into `terms`, weighted by document
-        // frequency.
-        let mut terms: Vec<String> = values.terms().map(|(t, _)| t.to_string()).collect();
-        terms.sort();
-        let mut term_trie = Trie::new();
-        for (i, term) in terms.iter().enumerate() {
-            term_trie.insert(term, i as u32, values.df(term) as u64);
+        // Term trie: payload is the term's rank in the value index's
+        // sorted term table, weighted by document frequency.
+        let mut term_trie = TrieBuilder::new();
+        for (i, (term, df)) in values.terms().enumerate() {
+            term_trie.insert(term, i as u32, df as u64);
         }
 
         IndexedDocument {
@@ -100,9 +97,8 @@ impl IndexedDocument {
             labels,
             columns,
             values,
-            tag_trie,
-            term_trie,
-            terms,
+            tag_trie: tag_trie.finish(),
+            term_trie: term_trie.finish(),
             guide,
             guide_of,
             stats,
@@ -139,9 +135,10 @@ impl IndexedDocument {
         &self.term_trie
     }
 
-    /// Resolves a term-trie payload to the term string.
+    /// Resolves a term-trie payload to the term string: the term of that
+    /// rank in the value index's sorted term table.
     pub fn term(&self, id: u32) -> &str {
-        &self.terms[id as usize]
+        self.values.term(id as usize)
     }
 
     /// The DataGuide structural summary.

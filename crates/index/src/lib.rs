@@ -9,7 +9,9 @@
 //!   a derived parent-slot column a child edge gathers through;
 //! * [`value_index::ValueIndex`] — tokenized term postings with term
 //!   frequencies, an exact-value index, and a numeric index for range
-//!   predicates;
+//!   predicates; terms and exact values are sorted dictionaries over
+//!   compressed sparse rows, and the term dictionary's order is the term
+//!   trie's payload;
 //! * [`trie::Trie`] — a from-scratch byte trie with best-first top-k
 //!   completion (tags and content terms each get one);
 //! * [`dataguide::DataGuide`] — a strong DataGuide structural summary,
@@ -38,5 +40,5 @@ pub use dataguide::{DataGuide, GuideNodeId};
 pub use lotusx_labeling::{DocumentLabels, RegionLabel};
 pub use lotusx_storage::{codec, read_snapshot_file, Section, StorageError};
 pub use stats::Stats;
-pub use trie::{Trie, TrieCursor};
+pub use trie::{Trie, TrieBuilder, TrieCursor};
 pub use value_index::{fold_value, tokenize, ValueIndex};

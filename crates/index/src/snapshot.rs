@@ -40,7 +40,7 @@ use crate::dataguide::{DataGuide, GuideNodeId};
 use crate::stats::Stats;
 use crate::trie::Trie;
 use crate::value_index::ValueIndex;
-use crate::wire::{corrupt, get_str, get_string, put_string, put_varint, rd_len, StorageError};
+use crate::wire::{corrupt, get_str, put_string, put_varint, rd_len, StorageError};
 use crate::wire::{get_u16_slice, get_u32_slice, put_u16_slice, put_u32_slice};
 use lotusx_labeling::{DocumentLabels, RegionLabel};
 use lotusx_storage::snapshot::{section, Section};
@@ -162,7 +162,7 @@ pub fn decode_sections(sections: Vec<Section>) -> Result<IndexedDocument, Storag
     ensure_consumed(&bytes, pos, "values")?;
     drop(bytes);
 
-    let (terms, tag_trie, term_trie) = decode_tries(&next(), tag_count)?;
+    let (tag_trie, term_trie) = decode_tries(&next(), tag_count, &values)?;
 
     let bytes = next();
     let mut pos = 0;
@@ -176,7 +176,6 @@ pub fn decode_sections(sections: Vec<Section>) -> Result<IndexedDocument, Storag
         values,
         tag_trie,
         term_trie,
-        terms,
         guide,
         guide_of,
         stats,
@@ -376,33 +375,41 @@ fn decode_labels(bytes: &[u8], node_count: usize) -> Result<DocumentLabels, Stor
     Ok(DocumentLabels::from_parts(region))
 }
 
-/// `TRIES`: the sorted term table, then both tries structurally.
+/// `TRIES`: the sorted term table, then both tries structurally. The
+/// table repeats the `VALUES` term keys, whose ranks are the term trie's
+/// payloads.
 fn encode_tries(idx: &IndexedDocument, out: &mut Vec<u8>) {
-    let term_count = idx.term_trie().len() as u64;
-    // The term table is exactly the sorted distinct-term list; its length
-    // equals the term-trie key count by construction.
-    put_varint(out, term_count);
-    for i in 0..term_count {
-        put_string(out, idx.term(i as u32));
+    let values = idx.values();
+    put_varint(out, values.term_count() as u64);
+    for (term, _) in values.terms() {
+        put_string(out, term);
     }
     idx.tag_trie().encode(out);
     idx.term_trie().encode(out);
 }
 
-fn decode_tries(bytes: &[u8], tag_count: usize) -> Result<(Vec<String>, Trie, Trie), StorageError> {
+/// Reads `TRIES`, checking its term table against the decoded `VALUES`
+/// keys instead of keeping a second copy.
+fn decode_tries(
+    bytes: &[u8],
+    tag_count: usize,
+    values: &ValueIndex,
+) -> Result<(Trie, Trie), StorageError> {
     let pos = &mut 0;
     let term_count = rd_len(bytes, pos, "term table length")?;
-    if term_count > bytes.len() {
-        return Err(corrupt("term table length"));
+    if term_count != values.term_count() {
+        return Err(corrupt("term table differs from the value index"));
     }
-    let mut terms = Vec::with_capacity(term_count);
-    for _ in 0..term_count {
-        terms.push(get_string(bytes, pos).ok_or(corrupt("term table entry"))?);
+    for i in 0..term_count {
+        let term = get_str(bytes, pos).ok_or(corrupt("term table entry"))?;
+        if term != values.term(i) {
+            return Err(corrupt("term table differs from the value index"));
+        }
     }
     let tag_trie = Trie::decode(bytes, pos, tag_count as u32)?;
-    let term_trie = Trie::decode(bytes, pos, terms.len() as u32)?;
+    let term_trie = Trie::decode(bytes, pos, term_count as u32)?;
     ensure_consumed(bytes, *pos, "tries")?;
-    Ok((terms, tag_trie, term_trie))
+    Ok((tag_trie, term_trie))
 }
 
 /// `GUIDE`: the guide nodes, then the node → guide-node map in canonical
@@ -535,6 +542,56 @@ mod tests {
             decode_sections(sections),
             Err(StorageError::Corrupt(_))
         ));
+    }
+
+    /// Replaces the first (or last) occurrence of `from` in the payload of
+    /// section `id` with `to`, a key of the same length.
+    fn rewrite(sections: &mut [Section], id: u64, from: &[u8], to: &[u8], last: bool) {
+        let bytes = &mut sections.iter_mut().find(|s| s.id == id).unwrap().bytes;
+        let mut hits = bytes
+            .windows(from.len())
+            .enumerate()
+            .filter(|(_, w)| *w == from);
+        let at = if last { hits.next_back() } else { hits.next() }.unwrap().0;
+        bytes[at..at + to.len()].copy_from_slice(to);
+    }
+
+    fn decode_error(sections: Vec<Section>) -> &'static str {
+        match decode_sections(sections) {
+            Err(StorageError::Corrupt(what)) => what,
+            other => panic!("expected a Corrupt error, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    /// Both dictionaries of `VALUES` must be sorted, and `TRIES` must
+    /// repeat the `VALUES` term keys exactly: the load keeps one table.
+    #[test]
+    fn unsorted_keys_and_a_differing_term_table_are_typed_errors() {
+        let sections = encode_sections(&sample());
+        // Term keys "1999" < "2003": make the second equal the first.
+        let mut terms = sections.clone();
+        rewrite(&mut terms, section::VALUES, b"2003", b"1999", false);
+        assert_eq!(decode_error(terms), "value-index term keys not increasing");
+        // Exact keys …, "data on the web", "deep": the last "deep" is the
+        // exact key (the term came first); "abit" sorts before "data".
+        let mut exact = sections.clone();
+        rewrite(&mut exact, section::VALUES, b"deep", b"abit", true);
+        assert_eq!(decode_error(exact), "value-index exact keys not increasing");
+        // A term table entry that is not the value index's key.
+        let mut table = sections.clone();
+        rewrite(&mut table, section::TRIES, b"1999", b"1998", false);
+        assert_eq!(
+            decode_error(table),
+            "term table differs from the value index"
+        );
+        // … or a table one entry short.
+        let mut short = sections;
+        let tries = short.iter_mut().find(|s| s.id == section::TRIES).unwrap();
+        tries.bytes[0] -= 1;
+        assert_eq!(
+            decode_error(short),
+            "term table differs from the value index"
+        );
     }
 
     /// Flip one byte of every section in turn: decoding must fail with a

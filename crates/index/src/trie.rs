@@ -6,14 +6,20 @@
 //! best-first and stop after emitting `k` results, independent of how many
 //! other completions exist. [`TrieCursor`] supports the per-keystroke
 //! narrowing of an auto-completion session.
+//!
+//! A [`TrieBuilder`] collects the keys; the finished [`Trie`] keeps its
+//! nodes in one array and every node's edges as one run of two shared
+//! edge columns, so a trie is three allocations whatever its size.
 
 use crate::wire::{corrupt, put_varint, rd_len, rd_u8, rd_varint, StorageError};
 use std::collections::BinaryHeap;
 
-#[derive(Clone, Debug, Default)]
+/// One trie node. Its outgoing edges are its run of the trie's edge
+/// columns, sorted by byte: they start where the previous node's end.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct TrieNode {
-    /// Sorted outgoing edges (byte → child index).
-    children: Vec<(u8, u32)>,
+    /// One past this node's last edge.
+    edges_end: u32,
     /// Payload and weight if a key terminates here.
     terminal: Option<(u32, u64)>,
     /// Maximum terminal weight anywhere in this subtree.
@@ -31,16 +37,19 @@ pub struct Completion {
     pub weight: u64,
 }
 
-/// The byte trie.
-#[derive(Clone, Debug)]
+/// The byte trie: nodes in creation order, and every node's edges in two
+/// shared columns (byte, child), one run per node.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Trie {
     nodes: Vec<TrieNode>,
+    edge_bytes: Vec<u8>,
+    edge_targets: Vec<u32>,
     key_count: usize,
 }
 
 impl Default for Trie {
     fn default() -> Self {
-        Self::new()
+        TrieBuilder::new().finish()
     }
 }
 
@@ -50,15 +59,122 @@ pub struct TrieCursor {
     node: u32,
 }
 
-impl Trie {
-    /// Creates an empty trie.
+/// "No node" in a [`TrieBuilder`] link.
+const NONE: u32 = u32::MAX;
+
+/// A trie under construction: nodes linked first-child / next-sibling
+/// (siblings sorted by byte), so inserting allocates nothing per node.
+/// [`finish`](Self::finish) lays every node's edges out as one run.
+#[derive(Clone, Debug)]
+pub struct TrieBuilder {
+    nodes: Vec<BuildNode>,
+    key_count: usize,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct BuildNode {
+    byte: u8,
+    first_child: u32,
+    next_sibling: u32,
+    terminal: Option<(u32, u64)>,
+}
+
+impl BuildNode {
+    const EMPTY: BuildNode = BuildNode {
+        byte: 0,
+        first_child: NONE,
+        next_sibling: NONE,
+        terminal: None,
+    };
+}
+
+impl Default for TrieBuilder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl TrieBuilder {
+    /// An empty trie: the root alone.
     pub fn new() -> Self {
-        Trie {
-            nodes: vec![TrieNode::default()],
+        TrieBuilder {
+            nodes: vec![BuildNode::EMPTY],
             key_count: 0,
         }
     }
 
+    /// Inserts `key` with `payload` and `weight`; replaces both if the key
+    /// already exists. Nodes are numbered in the order inserts create
+    /// them — the numbering the `TRIES` encoding records.
+    pub fn insert(&mut self, key: &str, payload: u32, weight: u64) {
+        let mut node = 0u32;
+        for &byte in key.as_bytes() {
+            let (mut prev, mut next) = (NONE, self.nodes[node as usize].first_child);
+            while next != NONE && self.nodes[next as usize].byte < byte {
+                prev = next;
+                next = self.nodes[next as usize].next_sibling;
+            }
+            if next != NONE && self.nodes[next as usize].byte == byte {
+                node = next;
+                continue;
+            }
+            let child = u32::try_from(self.nodes.len()).expect("fewer than 2^32 trie nodes");
+            self.nodes.push(BuildNode {
+                byte,
+                next_sibling: next,
+                ..BuildNode::EMPTY
+            });
+            match prev {
+                NONE => self.nodes[node as usize].first_child = child,
+                prev => self.nodes[prev as usize].next_sibling = child,
+            }
+            node = child;
+        }
+        let terminal = &mut self.nodes[node as usize].terminal;
+        if terminal.is_none() {
+            self.key_count += 1;
+        }
+        *terminal = Some((payload, weight));
+    }
+
+    /// Lays the edges out node by node and fills in every subtree's best
+    /// weight (children are created after their parent, so a backward
+    /// sweep sees each child before its parent).
+    pub fn finish(self) -> Trie {
+        let n = self.nodes.len();
+        let mut trie = Trie {
+            nodes: Vec::with_capacity(n),
+            edge_bytes: Vec::with_capacity(n - 1),
+            edge_targets: Vec::with_capacity(n - 1),
+            key_count: self.key_count,
+        };
+        for node in &self.nodes {
+            let mut child = node.first_child;
+            while child != NONE {
+                trie.edge_bytes.push(self.nodes[child as usize].byte);
+                trie.edge_targets.push(child);
+                child = self.nodes[child as usize].next_sibling;
+            }
+            trie.nodes.push(TrieNode {
+                edges_end: trie.edge_targets.len() as u32,
+                terminal: node.terminal,
+                best: 0,
+            });
+        }
+        for i in (0..n).rev() {
+            let own = trie.nodes[i].terminal.map_or(0, |(_, w)| w);
+            let children = trie.edges(i as u32).1;
+            let best = children
+                .iter()
+                .map(|&c| trie.nodes[c as usize].best)
+                .fold(own, u64::max);
+            trie.nodes[i].best = best;
+        }
+        trie
+    }
+}
+
+impl Trie {
     /// Number of distinct keys.
     pub fn len(&self) -> usize {
         self.key_count
@@ -74,56 +190,27 @@ impl Trie {
         self.nodes.len()
     }
 
-    /// Approximate heap size in bytes.
+    /// Heap bytes held, by capacity.
     pub fn size_bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<TrieNode>()
-            + self
-                .nodes
-                .iter()
-                .map(|n| n.children.capacity() * std::mem::size_of::<(u8, u32)>())
-                .sum::<usize>()
+        self.nodes.capacity() * std::mem::size_of::<TrieNode>()
+            + self.edge_bytes.capacity()
+            + self.edge_targets.capacity() * std::mem::size_of::<u32>()
+    }
+
+    /// The edge run of `node`: its bytes and its children.
+    fn edges(&self, node: u32) -> (&[u8], &[u32]) {
+        let node = node as usize;
+        let start = match node {
+            0 => 0,
+            _ => self.nodes[node - 1].edges_end as usize,
+        };
+        let end = self.nodes[node].edges_end as usize;
+        (&self.edge_bytes[start..end], &self.edge_targets[start..end])
     }
 
     fn child(&self, node: u32, byte: u8) -> Option<u32> {
-        let edges = &self.nodes[node as usize].children;
-        edges
-            .binary_search_by_key(&byte, |(b, _)| *b)
-            .ok()
-            .map(|i| edges[i].1)
-    }
-
-    /// Inserts `key` with `payload` and `weight`; replaces the weight if the
-    /// key already exists (keeping the max payload consistent).
-    pub fn insert(&mut self, key: &str, payload: u32, weight: u64) {
-        let mut node = 0u32;
-        let mut path = vec![0u32];
-        for &byte in key.as_bytes() {
-            node = match self.child(node, byte) {
-                Some(c) => c,
-                None => {
-                    let new_idx = self.nodes.len() as u32;
-                    self.nodes.push(TrieNode::default());
-                    let edges = &mut self.nodes[node as usize].children;
-                    let pos = edges.partition_point(|(b, _)| *b < byte);
-                    edges.insert(pos, (byte, new_idx));
-                    new_idx
-                }
-            };
-            path.push(node);
-        }
-        if self.nodes[node as usize].terminal.is_none() {
-            self.key_count += 1;
-        }
-        self.nodes[node as usize].terminal = Some((payload, weight));
-        // Refresh `best` along the path.
-        for &n in path.iter().rev() {
-            let node_ref = &self.nodes[n as usize];
-            let mut best = node_ref.terminal.map(|(_, w)| w).unwrap_or(0);
-            for &(_, c) in &node_ref.children {
-                best = best.max(self.nodes[c as usize].best);
-            }
-            self.nodes[n as usize].best = best;
-        }
+        let (bytes, targets) = self.edges(node);
+        bytes.binary_search(&byte).ok().map(|i| targets[i])
     }
 
     /// Exact lookup.
@@ -223,7 +310,8 @@ impl Trie {
                             key: entry.key.clone(),
                         });
                     }
-                    for &(byte, child) in &node.children {
+                    let (bytes, children) = self.edges(entry.node);
+                    for (&byte, &child) in bytes.iter().zip(children) {
                         let mut key = entry.key.clone();
                         key.push(byte);
                         heap.push(Frontier {
@@ -251,9 +339,10 @@ impl Trie {
     pub fn encode(&self, out: &mut Vec<u8>) {
         put_varint(out, self.key_count as u64);
         put_varint(out, self.nodes.len() as u64);
-        for node in &self.nodes {
-            put_varint(out, node.children.len() as u64);
-            for &(byte, child) in &node.children {
+        for (i, node) in self.nodes.iter().enumerate() {
+            let (bytes, children) = self.edges(i as u32);
+            put_varint(out, bytes.len() as u64);
+            for (&byte, &child) in bytes.iter().zip(children) {
                 out.push(byte);
                 put_varint(out, u64::from(child));
             }
@@ -269,35 +358,41 @@ impl Trie {
         }
     }
 
-    /// Deserializes a trie written by [`encode`](Self::encode). Edge
-    /// targets are bounds-checked against the node count and edges must be
-    /// strictly sorted by byte (the lookup invariant); terminal payloads
-    /// must be below `payload_bound` (a symbol or term-table index).
+    /// Deserializes a trie written by [`encode`](Self::encode), straight
+    /// into the node and edge columns. Edge targets must lie after their
+    /// node (so no walk can cycle) and inside the node count, and edges
+    /// must be strictly sorted by byte (the lookup invariant); terminal
+    /// payloads must be below `payload_bound` (a symbol or term-table
+    /// index).
     pub fn decode(data: &[u8], pos: &mut usize, payload_bound: u32) -> Result<Trie, StorageError> {
         let key_count = rd_len(data, pos, "trie key count")?;
         let node_count = rd_len(data, pos, "trie node count")?;
         if node_count == 0 || node_count > data.len() {
             return Err(corrupt("trie node count"));
         }
-        let mut nodes = Vec::with_capacity(node_count);
-        for _ in 0..node_count {
+        // A tree has one edge fewer than nodes.
+        let mut trie = Trie {
+            nodes: Vec::with_capacity(node_count),
+            edge_bytes: Vec::with_capacity(node_count - 1),
+            edge_targets: Vec::with_capacity(node_count - 1),
+            key_count,
+        };
+        for node in 0..node_count {
             let edge_count = rd_len(data, pos, "trie edge count")?;
             if edge_count > data.len() {
                 return Err(corrupt("trie edge count"));
             }
-            let mut children = Vec::with_capacity(edge_count);
-            for _ in 0..edge_count {
+            for i in 0..edge_count {
                 let byte = rd_u8(data, pos, "trie edge byte")?;
                 let child = rd_len(data, pos, "trie edge target")?;
-                if child >= node_count {
+                if child >= node_count || child <= node {
                     return Err(corrupt("trie edge target out of range"));
                 }
-                if let Some(&(prev, _)) = children.last() {
-                    if prev >= byte {
-                        return Err(corrupt("trie edges not sorted"));
-                    }
+                if i > 0 && trie.edge_bytes.last() >= Some(&byte) {
+                    return Err(corrupt("trie edges not sorted"));
                 }
-                children.push((byte, child as u32));
+                trie.edge_bytes.push(byte);
+                trie.edge_targets.push(child as u32);
             }
             let terminal = match rd_varint(data, pos, "trie terminal flag")? {
                 0 => None,
@@ -313,13 +408,14 @@ impl Trie {
                 _ => return Err(corrupt("trie terminal flag")),
             };
             let best = rd_varint(data, pos, "trie best weight")?;
-            nodes.push(TrieNode {
-                children,
+            trie.nodes.push(TrieNode {
+                edges_end: u32::try_from(trie.edge_targets.len())
+                    .map_err(|_| corrupt("trie edge count"))?,
                 terminal,
                 best,
             });
         }
-        Ok(Trie { nodes, key_count })
+        Ok(trie)
     }
 }
 
@@ -327,14 +423,18 @@ impl Trie {
 mod tests {
     use super::*;
 
-    fn sample() -> Trie {
-        let mut t = Trie::new();
+    fn sample_builder() -> TrieBuilder {
+        let mut t = TrieBuilder::new();
         t.insert("author", 0, 50);
         t.insert("article", 1, 80);
         t.insert("art", 2, 10);
         t.insert("book", 3, 70);
         t.insert("booktitle", 4, 20);
         t
+    }
+
+    fn sample() -> Trie {
+        sample_builder().finish()
     }
 
     #[test]
@@ -349,13 +449,51 @@ mod tests {
 
     #[test]
     fn insert_replaces_existing_key() {
-        let mut t = sample();
+        let mut t = sample_builder();
         t.insert("book", 3, 99);
+        let t = t.finish();
         assert_eq!(t.get("book"), Some((3, 99)));
         assert_eq!(t.len(), 5, "no new key added");
         // The new weight propagates to completion order.
         let top = t.complete("", 1);
         assert_eq!(top[0].key, "book");
+        // And a lighter one lowers its subtree's best.
+        let mut t = sample_builder();
+        t.insert("article", 1, 1);
+        let keys: Vec<String> = t
+            .finish()
+            .complete("a", 3)
+            .into_iter()
+            .map(|c| c.key)
+            .collect();
+        assert_eq!(keys, ["author", "art", "article"]);
+    }
+
+    #[test]
+    fn edges_are_one_run_per_node_in_creation_order() {
+        let t = sample();
+        // The root, "author", "[a]rticle", "booktitle".
+        assert_eq!(t.node_count(), 1 + 6 + 6 + 9);
+        assert_eq!(t.edge_bytes.len(), t.node_count() - 1);
+        // The root's run: 'a' (node 1, created by "author") then 'b'.
+        assert_eq!(t.edges(0), (&b"ab"[..], &[1, 13][..]));
+        // "a" → "r" (from "article", created after "author"'s chain) and "u".
+        assert_eq!(t.edges(1), (&b"ru"[..], &[7, 2][..]));
+    }
+
+    #[test]
+    fn codec_roundtrips_and_refuses_a_backward_edge() {
+        let t = sample();
+        let mut bytes = Vec::new();
+        t.encode(&mut bytes);
+        assert_eq!(Trie::decode(&bytes, &mut 0, 5).unwrap(), t);
+        // Node 1's first edge ('r' → 7) pointed back at the root.
+        let at = bytes.windows(2).position(|w| w == [b'r', 7]).unwrap();
+        bytes[at + 1] = 0;
+        assert!(matches!(
+            Trie::decode(&bytes, &mut 0, 5),
+            Err(StorageError::Corrupt("trie edge target out of range"))
+        ));
     }
 
     #[test]
@@ -415,9 +553,10 @@ mod tests {
 
     #[test]
     fn ties_broken_lexicographically() {
-        let mut t = Trie::new();
+        let mut t = TrieBuilder::new();
         t.insert("beta", 0, 5);
         t.insert("alpha", 1, 5);
+        let t = t.finish();
         let completions = t.complete("", 2);
         let keys: Vec<&str> = completions.iter().map(|c| c.key.as_str()).collect();
         assert_eq!(keys, vec!["alpha", "beta"]);
@@ -425,7 +564,7 @@ mod tests {
 
     #[test]
     fn empty_trie_behaves() {
-        let t = Trie::new();
+        let t = Trie::default();
         assert!(t.is_empty());
         assert!(t.complete("", 3).is_empty());
         assert_eq!(t.cursor_at(""), Some(t.root_cursor()));

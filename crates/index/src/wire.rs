@@ -7,7 +7,7 @@
 //! checksums in `lotusx-storage` catch accidental corruption first;
 //! these checks are the second line against crafted files.
 
-pub(crate) use lotusx_storage::codec::{get_str, get_string, get_varint, put_string, put_varint};
+pub(crate) use lotusx_storage::codec::{get_str, get_varint, put_string, put_varint};
 pub(crate) use lotusx_storage::StorageError;
 
 /// Shorthand for a structural-corruption error.

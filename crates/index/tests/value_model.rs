@@ -1,0 +1,224 @@
+//! The compact value index against a naive model (seeded, deterministic).
+//!
+//! The model is the layout the sorted dictionaries replaced — hash maps
+//! from each term and each exact value to their lists — built here from
+//! the public `tokenize` and `fold_value` alone. On random documents with
+//! non-ASCII text, attributes, terms repeated within one element,
+//! whitespace-only text and number-like values, every lookup of the index
+//! must equal the model's, before and after a snapshot round trip.
+
+use lotusx_datagen::rng::XorShiftRng;
+use lotusx_index::snapshot::{decode_sections, encode_sections};
+use lotusx_index::value_index::Posting;
+use lotusx_index::{fold_value, tokenize, IndexedDocument, ValueIndex};
+use lotusx_xml::{Document, NodeId, NodeKind};
+use std::collections::{BTreeMap, HashMap};
+
+const TAGS: [&str; 4] = ["a", "b", "c", "d"];
+const ATTRS: [&str; 2] = ["k", "year"];
+/// Words drawn into texts: repeats, case variants, non-ASCII letters
+/// (a capital sigma among them) and digits.
+const WORDS: [&str; 16] = [
+    "xml",
+    "XML",
+    "Twig",
+    "twig",
+    "Éclair",
+    "éclair",
+    "ΟΔΟΣ",
+    "οδοσ",
+    "straße",
+    "İstanbul",
+    "日本",
+    "a1",
+    "2002",
+    "x",
+    "Kaufmann",
+    "naïve",
+];
+/// Whole texts that are numbers, or nearly.
+const NUMBERS: [&str; 8] = ["NaN", "inf", "-0", "1e3", " 42 ", "42", "-inf", "3.5"];
+const SEPARATORS: [&str; 5] = [" ", "-", ", ", "  ", "\n"];
+
+fn random_text(rng: &mut XorShiftRng) -> String {
+    match rng.gen_range(0..6u32) {
+        0 => NUMBERS[rng.gen_range(0..NUMBERS.len())].to_string(),
+        1 => [" ", "\n  \t", ""][rng.gen_range(0..3usize)].to_string(),
+        _ => {
+            let mut text = String::new();
+            for i in 0..rng.gen_range(1..5usize) {
+                if i > 0 {
+                    text.push_str(SEPARATORS[rng.gen_range(0..SEPARATORS.len())]);
+                }
+                text.push_str(WORDS[rng.gen_range(0..WORDS.len())]);
+            }
+            text
+        }
+    }
+}
+
+fn random_children(rng: &mut XorShiftRng, doc: &mut Document, parent: NodeId, depth: u32) {
+    for _ in 0..rng.gen_range(0..4usize) {
+        if depth == 0 || rng.gen_bool(0.3) {
+            doc.append_text(parent, random_text(rng));
+            continue;
+        }
+        let e = doc.append_element(parent, TAGS[rng.gen_range(0..TAGS.len())]);
+        for attr in ATTRS {
+            if rng.gen_bool(0.3) {
+                doc.set_attribute(e, attr, random_text(rng));
+            }
+        }
+        random_children(rng, doc, e, depth - 1);
+    }
+}
+
+fn random_index(seed: u64) -> IndexedDocument {
+    let mut rng = XorShiftRng::seed_from_u64(seed);
+    let mut doc = Document::new();
+    let root = doc.append_element(NodeId::DOCUMENT, "r");
+    for _ in 0..16 {
+        random_children(&mut rng, &mut doc, root, 4);
+    }
+    IndexedDocument::build(doc)
+}
+
+/// The naive model: what each lookup must return.
+#[derive(Default)]
+struct Model {
+    terms: HashMap<String, Vec<Posting>>,
+    exact: HashMap<String, Vec<NodeId>>,
+    numeric: Vec<(f64, NodeId)>,
+    content_elements: usize,
+}
+
+impl Model {
+    fn of(doc: &Document) -> Model {
+        let mut model = Model::default();
+        for node in doc.all_nodes() {
+            let NodeKind::Element { attributes, .. } = doc.kind(node) else {
+                continue;
+            };
+            let text = doc.direct_text(node);
+            let mut tf: BTreeMap<String, u32> = BTreeMap::new();
+            let sources = std::iter::once(&*text).chain(attributes.into_iter().map(|(_, v)| v));
+            for term in sources.flat_map(tokenize) {
+                *tf.entry(term).or_default() += 1;
+            }
+            let mut any = !tf.is_empty();
+            for (term, tf) in tf {
+                model
+                    .terms
+                    .entry(term)
+                    .or_default()
+                    .push(Posting { node, tf });
+            }
+            let trimmed = text.trim();
+            if !trimmed.is_empty() {
+                any = true;
+                model
+                    .exact
+                    .entry(fold_value(trimmed))
+                    .or_default()
+                    .push(node);
+                if let Ok(n) = trimmed.parse::<f64>() {
+                    if !n.is_nan() {
+                        model.numeric.push((n, node));
+                    }
+                }
+            }
+            model.content_elements += usize::from(any);
+        }
+        model.numeric.sort_by(|a, b| a.0.total_cmp(&b.0));
+        model
+    }
+
+    fn check(&self, values: &ValueIndex, doc: &Document, what: &str) {
+        let mut keys: Vec<(&str, usize)> = self
+            .terms
+            .iter()
+            .map(|(t, p)| (t.as_str(), p.len()))
+            .collect();
+        keys.sort();
+        assert_eq!(values.terms().collect::<Vec<_>>(), keys, "{what}: terms()");
+        assert_eq!(values.term_count(), keys.len(), "{what}");
+        for (term, postings) in &self.terms {
+            assert_eq!(values.postings(term), &postings[..], "{what}: {term}");
+            assert_eq!(values.df(term), postings.len(), "{what}: {term}");
+        }
+        for absent in ["", "zz", "xml twig", "ΟΔΟΣ ΟΔΟΣ", "οδος"] {
+            assert!(values.postings(absent).is_empty(), "{what}: {absent}");
+        }
+        for (value, nodes) in &self.exact {
+            assert_eq!(values.exact_matches(value), &nodes[..], "{what}: {value}");
+        }
+        // Every direct text finds its own element.
+        for node in doc.all_nodes().filter(|&n| doc.is_element(n)) {
+            let text = doc.direct_text(node);
+            let expected = self.exact.get(&fold_value(&text));
+            let found = values.exact_matches(&text);
+            assert_eq!(
+                found,
+                expected.map_or(&[][..], |v| &v[..]),
+                "{what}: {text:?}"
+            );
+        }
+        assert!(values.exact_matches("no such value").is_empty());
+        for (low, high) in [
+            (f64::NEG_INFINITY, f64::INFINITY),
+            (0.0, 0.0),
+            (-0.0, 42.0),
+            (3.5, 1000.0),
+            (43.0, 999.0),
+            (f64::INFINITY, f64::INFINITY),
+        ] {
+            let expected: Vec<(f64, NodeId)> = self
+                .numeric
+                .iter()
+                .copied()
+                .filter(|&(v, _)| low <= v && v <= high)
+                .collect();
+            let found = values.range_matches(low, high);
+            assert_eq!(found.len(), expected.len(), "{what}: [{low}, {high}]");
+            for (f, e) in found.iter().zip(&expected) {
+                assert_eq!((f.0.to_bits(), f.1), (e.0.to_bits(), e.1), "{what}");
+            }
+        }
+        assert_eq!(
+            values.content_element_count(),
+            self.content_elements,
+            "{what}"
+        );
+    }
+}
+
+#[test]
+fn compact_index_equals_the_naive_model_before_and_after_a_round_trip() {
+    let (mut sigma_seen, mut postings, mut numbers) = (false, 0, 0);
+    for seed in 0..60u64 {
+        let idx = random_index(seed);
+        let model = Model::of(idx.document());
+        sigma_seen |=
+            model.terms.contains_key("οδοσ") && model.exact.keys().any(|k| k.contains('ς'));
+        postings += model.terms.values().map(Vec::len).sum::<usize>();
+        numbers += model.numeric.len();
+        model.check(idx.values(), idx.document(), &format!("seed {seed}, built"));
+        // The term trie's payloads are the term table's ranks.
+        for c in idx.term_trie().complete_all("") {
+            assert_eq!(idx.term(c.payload), c.key);
+            assert_eq!(c.weight, idx.values().df(&c.key) as u64);
+        }
+        let back = decode_sections(encode_sections(&idx)).expect("decodes");
+        model.check(
+            back.values(),
+            back.document(),
+            &format!("seed {seed}, loaded"),
+        );
+        assert_eq!(back.values(), idx.values(), "seed {seed}");
+    }
+    assert!(sigma_seen, "the corpus exercises both sigma folds");
+    assert!(
+        postings > 3_000 && numbers > 100,
+        "{postings} postings, {numbers} numbers"
+    );
+}

@@ -293,3 +293,24 @@ fn ordered_queries_are_consistent_across_algorithms() {
     assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
     assert!(counts[0] > 0, "bidders always list time before increase");
 }
+
+/// Terms fold character by character, so a word-final capital sigma is
+/// indexed as `σ`: every lookup must fold the same way, not by
+/// `str::to_lowercase`, whose final-sigma rule asks for `ς`.
+#[test]
+fn a_word_final_capital_sigma_is_found_by_every_lookup() {
+    let sys = LotusX::load_str("<r><street>ΟΔΟΣ ΑΘΗΝΑΣ</street><street>other</street></r>")
+        .expect("well-formed");
+    let values = sys.index().values();
+    assert_eq!(values.df("ΟΔΟΣ"), 1);
+    assert_eq!(values.postings("ΟΔΟΣ"), values.postings("οδοσ"));
+    let engine = lotusx_keyword::KeywordEngine::new(sys.index());
+    assert_eq!(engine.slca(&["ΟΔΟΣ"]).len(), 1);
+    assert_eq!(engine.slca(&["ΟΔΟΣ"]), engine.slca_bitmask(&["ΟΔΟΣ"]));
+    let hits = sys.query(&QueryRequest::keyword("ΟΔΟΣ")).unwrap();
+    assert_eq!(hits.matches.len(), 1);
+    assert_eq!(run(&sys, r#"//street[. ~ "ΟΔΟΣ"]"#).total_matches, 1);
+    assert_eq!(run(&sys, r#"//r[street ~ "Οδοσ ΑΘΗΝΑΣ"]"#).total_matches, 1);
+    // Exact values fold by `str::to_lowercase` on both sides.
+    assert_eq!(run(&sys, r#"//street[. = "οδος αθηνας"]"#).total_matches, 1);
+}
