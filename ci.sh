@@ -231,20 +231,9 @@ stage_robust_smoke() {
     cargo run --release -p lotusx --bin lotusx-stress -- 200 42
 }
 
-# Telemetry smoke: a headless CLI session turns tracing on, runs a
-# budget-starved query (guaranteed budget trip) plus cached repeats, and
-# exports a Chrome trace. trace-check then validates the file end to
-# end: well-formed JSON, at least one complete query span with nested
-# stage slices, per-lane monotonic timestamps, and a budget trip.
-# Finally the telemetry bench (--quick) fails the stage if recording
-# metrics costs more than 15% over the disabled path.
+# Telemetry smoke: the telemetry bench (--quick) fails the stage if
+# recording metrics costs more than 15% over the disabled path.
 stage_telemetry_smoke() {
-    local trace=/tmp/lotusx_ci_trace.json
-    rm -f "$trace"
-    printf 'trace on\ntimeout 1\nquery //*//*//*//*//*\ntimeout 0\nquery //s/np\nquery //s/np\ntrace export %s\nquit\n' "$trace" \
-        | cargo run --release -p lotusx-serve --bin lotusx-cli -- @treebank:2 \
-        || return 1
-    cargo run --release -p lotusx-bench --bin trace-check -- "$trace" --require-trip || return 1
     cargo run --release -p lotusx-bench --bin lotusx-telemetry-bench -- --quick
 }
 
@@ -332,22 +321,19 @@ serve_smoke_cycle() {
     grep -q '^stopped:' "$log"
 }
 
-# Metrics smoke: boot the server with a structured access log and
-# connection tracing on, scrape /metrics twice through the raw-socket
-# probe client (exposition-format conformance + counter monotonicity +
-# the same /stats work-counter check serve-smoke ends with, no curl),
-# stop it gracefully, then validate the exported trace with
-# trace-check --require-conns (per-connection lanes, phase slice
-# balance, exact ring accounting) and check the access log carries
-# exactly one JSONL line per request the stage made.
+# Metrics smoke: boot the server with a structured access log, drive
+# three pipelined queries (one budget-starved) and scrape /metrics twice
+# through the raw-socket probe client (exposition-format conformance +
+# counter monotonicity + the same /stats work-counter check serve-smoke
+# ends with, no curl), stop it gracefully, then check the access log
+# carries exactly one JSONL line per request the stage made, and that
+# the starved query's line names its budget trip.
 stage_metrics_smoke() {
     cargo build --release -p lotusx-serve --bin lotusx-serve || return 1
-    cargo build --release -p lotusx-bench --bin trace-check || return 1
     local log=/tmp/lotusx_ci_metrics.log
     local access=/tmp/lotusx_ci_access.jsonl
-    local trace=/tmp/lotusx_ci_conn_trace.json
-    rm -f "$log" "$access" "$trace"
-    LOTUSX_TRACE="$trace" ./target/release/lotusx-serve --addr 127.0.0.1:0 \
+    rm -f "$log" "$access"
+    ./target/release/lotusx-serve --addr 127.0.0.1:0 \
         --corpus @dblp:1 --access-log "$access" </dev/null >"$log" 2>&1 &
     local pid=$!
     local wait_secs="${CI_WAIT_SECS:-10}"
@@ -384,7 +370,6 @@ stage_metrics_smoke() {
         tail -n 40 "$log" >&2
         return 1
     fi
-    ./target/release/trace-check "$trace" --require-conns || return 1
     # The stage's request ledger: 3 pipelined queries + 2 scrapes + the
     # closing /stats work-counter check from the probe, plus the
     # POST /shutdown from --stop.
@@ -396,7 +381,8 @@ stage_metrics_smoke() {
         return 1
     fi
     grep -q '"path":"/metrics"' "$access" &&
-    grep -q '"close":"drain"' "$access"
+    grep -q '"close":"drain"' "$access" &&
+    grep -q '"truncated":' "$access"
 }
 
 # Connection soak: the quick-mode lotusx-soak run holds 1000 concurrent

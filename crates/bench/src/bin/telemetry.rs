@@ -3,10 +3,10 @@
 //! Measures the cost the observability layer adds to the query pipeline
 //! in three configurations and writes the results to `BENCH_obs.json`:
 //!
-//! * `off`     — the default ship state: metrics and tracing off; the
-//!   whole subsystem costs a few relaxed atomic loads per query.
+//! * `off`     — the default ship state: metrics off; the whole
+//!   subsystem costs a few relaxed atomic loads per query.
 //! * `metrics` — metrics recording on (what `lotusx-serve` runs with).
-//! * `full`    — metrics on, tracing on, every request profiled.
+//! * `full`    — metrics on, every request profiled.
 //!
 //! ```sh
 //! cargo run --release -p lotusx-bench --bin lotusx-telemetry-bench
@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 /// Metrics-on overhead budget enforced by `--quick`: nanoseconds added
 /// to one query. Metrics recording is the always-on production state;
 /// budgeted with headroom but still asserted so it cannot silently creep
-/// toward the full-tracing cost. The cost is fixed per query — two timed
+/// toward the cost of profiling every request. The cost is fixed per query — two timed
 /// stages and three counters on a cache hit, ≈110 ns on the CI host — so
 /// the budget is absolute: as a share of a hit it depends on how cheap a
 /// hit is (1 % of 11 µs before hits shared the cached answer, 16 % of
@@ -51,7 +51,6 @@ const QUERIES: [&str; 8] = [
 struct Mode {
     name: &'static str,
     metrics: bool,
-    tracing: bool,
     profile_requests: bool,
 }
 
@@ -59,19 +58,16 @@ const MODES: [Mode; 3] = [
     Mode {
         name: "off",
         metrics: false,
-        tracing: false,
         profile_requests: false,
     },
     Mode {
         name: "metrics",
         metrics: true,
-        tracing: false,
         profile_requests: false,
     },
     Mode {
         name: "full",
         metrics: true,
-        tracing: true,
         profile_requests: true,
     },
 ];
@@ -94,10 +90,9 @@ fn run_workload(system: &LotusX, rounds: usize, profile: bool) -> usize {
 }
 
 impl Mode {
-    /// Puts the process-wide obs flags into this mode's configuration.
+    /// Puts the process-wide metrics flag into this mode's configuration.
     fn apply(&self) {
         lotusx_obs::set_enabled(self.metrics);
-        lotusx_obs::set_tracing(self.tracing);
     }
 }
 
@@ -189,12 +184,10 @@ fn main() {
          {queries_per_rep} queries/rep, {reps} reps, host_cpus {host_cpus}"
     );
 
-    // Warm up caches and every mode's code path once, and start the
-    // trace ring empty.
+    // Warm up caches and every mode's code path once.
     for mode in &MODES {
         mode.apply();
         run_workload(&system, 2, mode.profile_requests);
-        let _ = lotusx_obs::drain_events();
     }
     lotusx_obs::metrics().reset();
 
@@ -217,11 +210,6 @@ fn main() {
             let m = run_workload(&system, rounds, mode.profile_requests);
             rep_times[i].push(t0.elapsed());
             matches_seen[i] = m;
-            // Keep the ring from pinning at "full" in tracing mode —
-            // a live system would have an exporter draining it.
-            if mode.tracing {
-                let _ = lotusx_obs::drain_events();
-            }
         }
     }
 
@@ -237,10 +225,8 @@ fn main() {
         names.push(mode.name);
         per_query_ns.push(ns);
     }
-    let trace = lotusx_obs::trace_counters();
     // Restore the default ship state.
     lotusx_obs::set_enabled(false);
-    lotusx_obs::set_tracing(false);
 
     // Per query, and as a share of the fastest `off` rep.
     let overhead_ns: Vec<f64> = rep_times
@@ -282,12 +268,10 @@ fn main() {
          \"scale\": {scale},\n  \"elements\": {elements},\n  \"seed\": {SEED},\n  \
          \"queries_per_rep\": {queries_per_rep},\n  \"reps\": {reps},\n  \
          \"host_cpus\": {host_cpus},\n  \"quick\": {quick},\n  \"modes\": {{\n{modes_json}  }},\n  \
-         \"trace_events\": {{ \"produced\": {}, \"dropped\": {}, \"exported\": {} }},\n  \
          \"serving_sample\": {{\n    \"requests\": {serve_requests},\n    \
          \"stages\": {{\n{serving_json}    }}\n  }},\n  \
          \"identical_matches\": {identical},\n  \
-         \"metrics_overhead_budget_ns\": {MAX_METRICS_OVERHEAD_NS}\n}}\n",
-        trace.produced, trace.dropped, trace.exported,
+         \"metrics_overhead_budget_ns\": {MAX_METRICS_OVERHEAD_NS}\n}}\n"
     );
     // Quick (CI) runs keep their hands off the committed full-run
     // artifact and write under target/ so they never litter the

@@ -7,10 +7,6 @@
 //! wildcard twigs — at synthetic corpora of every dataset family, each
 //! query wrapped in `catch_unwind`. The run fails (exit 1) if any panic
 //! escapes the engine; truncated responses are expected and counted.
-//!
-//! Set `LOTUSX_TRACE=<file>` to run the whole stress with structured
-//! event tracing on and export the ring buffer as a Chrome/Perfetto
-//! trace at exit — a quick way to get a trace full of budget trips.
 
 use lotusx::{Algorithm, Budget, CorpusSource, LotusX, QueryRequest};
 use lotusx_datagen::{queries::queries, rng::XorShiftRng, Dataset};
@@ -106,11 +102,6 @@ fn main() {
     let n: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(200);
     let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
 
-    let trace_path = std::env::var("LOTUSX_TRACE").ok().filter(|p| !p.is_empty());
-    if trace_path.is_some() {
-        lotusx_obs::set_tracing(true);
-    }
-
     let mut rng = XorShiftRng::seed_from_u64(seed);
     let systems: Vec<(Dataset, LotusX)> = Dataset::ALL
         .into_iter()
@@ -152,18 +143,6 @@ fn main() {
         "{n} queries (seed {seed}): {complete} complete, {truncated} truncated, \
          {errors} errors, {panics} escaping panics"
     );
-    if let Some(path) = trace_path {
-        let events = lotusx_obs::drain_events();
-        let counters = lotusx_obs::trace_counters();
-        match std::fs::write(&path, lotusx_obs::chrome_trace_json(&events)) {
-            Ok(()) => eprintln!(
-                "trace: {} events exported to {path}, {} dropped",
-                events.len(),
-                counters.dropped
-            ),
-            Err(e) => eprintln!("trace: failed to write {path}: {e}"),
-        }
-    }
     if panics > 0 {
         std::process::exit(1);
     }

@@ -21,7 +21,7 @@ use crate::request::{
 use lotusx_autocomplete::{CompletionEngine, ValueTrieCache};
 use lotusx_guard::{QueryGuard, TruncationReason};
 use lotusx_index::IndexedDocument;
-use lotusx_obs::{EventKind, QueryId, QueryProfile, Span, Stage};
+use lotusx_obs::{QueryProfile, Span, Stage};
 use lotusx_rank::Ranker;
 use lotusx_rewrite::{Rewriter, RewriterConfig};
 use lotusx_twig::exec::{execute_budgeted, Algorithm};
@@ -43,10 +43,9 @@ const QUERY_CACHE_CAPACITY: usize = 128;
 const DEFAULT_TOP_K: usize = 100;
 
 /// What one request carries from its begin to its end, so no stage
-/// threads it by hand: the trace identity, whether metrics record, the
-/// profile root and the budget guard.
+/// threads it by hand: whether metrics record, the profile root and the
+/// budget guard.
 pub(crate) struct RequestCtx {
-    qid: QueryId,
     recording: bool,
     /// The profile root when this request is profiled.
     root: Option<Span>,
@@ -58,17 +57,10 @@ pub(crate) struct RequestCtx {
 }
 
 impl RequestCtx {
-    /// The one begin of every request, twig or keyword: a trace identity,
-    /// the `QueryBegin` event, the profile root.
+    /// The one begin of every request, twig or keyword: the recording
+    /// flag and the profile root.
     fn begin(request: &QueryRequest) -> Self {
-        let qid = if lotusx_obs::tracing() {
-            lotusx_obs::next_query_id()
-        } else {
-            QueryId::NONE
-        };
-        lotusx_obs::emit(qid, EventKind::QueryBegin);
         RequestCtx {
-            qid,
             recording: lotusx_obs::enabled(),
             root: request.profile.then(|| Span::new("query")),
             guard: QueryGuard::unlimited(),
@@ -78,26 +70,21 @@ impl RequestCtx {
 
     /// Runs one pipeline stage: `f` gets a child span when the request is
     /// profiled, the stage's wall time lands in the global histogram when
-    /// recording is on, and stage begin/end events tagged with the
-    /// request's id go to the trace ring when tracing is on. With all
-    /// three off this is the bare call.
+    /// recording is on. With both off this is the bare call.
     fn stage<T>(&self, stage: Stage, f: impl FnOnce(Option<&Span>) -> T) -> T {
-        let name = stage.name();
-        lotusx_obs::emit(self.qid, EventKind::StageBegin { stage: name });
         let started = self.recording.then(Instant::now);
-        let child = self.root.as_ref().map(|root| root.child(name));
+        let child = self.root.as_ref().map(|root| root.child(stage.name()));
         let out = f(child.as_deref());
         drop(child);
         if let Some(t0) = started {
             lotusx_obs::metrics().record_stage(stage, t0.elapsed().as_nanos() as u64);
         }
-        lotusx_obs::emit(self.qid, EventKind::StageEnd { stage: name });
         out
     }
 
-    /// Counts one cache lookup and emits its trace event — the hit from
-    /// the probe, the miss from the compute, so each twig request moves
-    /// the counters exactly once wherever its halves ran.
+    /// Counts one cache lookup — the hit from the probe, the miss from
+    /// the compute, so each twig request moves the counters exactly once
+    /// wherever its halves ran.
     fn note_cache_access(&self, hit: bool) {
         if self.recording {
             let counters = &lotusx_obs::metrics().counters;
@@ -108,12 +95,11 @@ impl RequestCtx {
             };
             lookup.fetch_add(1, Ordering::Relaxed);
         }
-        lotusx_obs::emit(self.qid, EventKind::CacheAccess { hit });
     }
 
     /// The one end of every successfully parsed request: the `queries`
     /// counter and `total` stage, degradation metrics for a truncated
-    /// answer, the profile, the `QueryEnd` event, the response.
+    /// answer, the profile, the response.
     /// `pattern` is what a twig request parsed to.
     fn end(
         self,
@@ -161,14 +147,6 @@ impl RequestCtx {
                 span: root.finish(),
             }
         });
-        lotusx_obs::emit(
-            self.qid,
-            EventKind::QueryEnd {
-                cache_hit: hit,
-                truncated: truncation.is_some(),
-                results: response.matches.len() as u32,
-            },
-        );
         response
     }
 }
@@ -364,14 +342,6 @@ impl LotusX {
                         let counters = &lotusx_obs::metrics().counters;
                         counters.query_errors.fetch_add(1, Ordering::Relaxed);
                     }
-                    lotusx_obs::emit(
-                        ctx.qid,
-                        EventKind::QueryEnd {
-                            cache_hit: false,
-                            truncated: false,
-                            results: 0,
-                        },
-                    );
                     return Err(e.into());
                 }
             };
@@ -409,7 +379,6 @@ impl LotusX {
         let (mut ctx, limit) = (pending.ctx, pending.limit);
         let (pattern, plan) = pending.twig.map(|(p, key, algo)| (p, (key, algo))).unzip();
         ctx.guard = QueryGuard::new(&request.budget);
-        ctx.guard.set_trace_id(ctx.qid.0);
         if pattern.is_some() {
             ctx.note_cache_access(false);
         } else if ctx.recording {
@@ -504,14 +473,7 @@ impl LotusX {
             // A search the guard cut short applies nothing — the
             // re-execution could not run anyway — and the response
             // reports the truncation.
-            let best = rewrites.into_iter().next().filter(|_| !guard.is_tripped());
-            lotusx_obs::emit(
-                ctx.qid,
-                EventKind::Rewrite {
-                    accepted: best.is_some(),
-                },
-            );
-            if let Some(best) = best {
+            if let Some(best) = rewrites.into_iter().next().filter(|_| !guard.is_tripped()) {
                 matches = ctx.stage(Stage::Match, |s| {
                     execute_budgeted(&self.idx, &best.pattern, algorithm, s, guard)
                 });

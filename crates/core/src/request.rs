@@ -326,7 +326,7 @@ pub enum QueryProbe {
 }
 
 /// A probed-but-unanswered query: what the probe already worked out
-/// (trace identity, profile span, parsed pattern, cache key, resolved
+/// (profile span, parsed pattern, cache key, resolved
 /// algorithm), so the compute half repeats none of it. `Send`, so a
 /// server can probe where the request arrives and compute on a worker.
 pub struct PendingQuery {

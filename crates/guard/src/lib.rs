@@ -252,9 +252,6 @@ struct GuardInner {
     candidates_seen: AtomicU64,
     /// 0 = live; otherwise the encoded first trip reason (sticky).
     tripped: AtomicU8,
-    /// The trace `QueryId` this guard belongs to (0 = untraced), so the
-    /// first trip can be emitted as a structured trace event.
-    trace_id: AtomicU64,
     active: bool,
 }
 
@@ -298,7 +295,6 @@ impl QueryGuard {
                 nodes_visited: AtomicU64::new(0),
                 candidates_seen: AtomicU64::new(0),
                 tripped: AtomicU8::new(0),
-                trace_id: AtomicU64::new(0),
                 active: true,
             }),
         };
@@ -330,7 +326,6 @@ impl QueryGuard {
                     nodes_visited: AtomicU64::new(0),
                     candidates_seen: AtomicU64::new(0),
                     tripped: AtomicU8::new(0),
-                    trace_id: AtomicU64::new(0),
                     active: false,
                 }),
             })
@@ -379,33 +374,14 @@ impl QueryGuard {
         Some(Instant::now().saturating_duration_since(deadline))
     }
 
-    /// Tags this guard with the trace `QueryId` of the request it
-    /// belongs to, so a budget trip shows up in the event trace
-    /// attributed to the right query. No-op on the shared unlimited
-    /// guard (it is process-global and never trips anyway).
-    pub fn set_trace_id(&self, id: u64) {
-        if self.inner.active {
-            self.inner.trace_id.store(id, Ordering::Relaxed);
-        }
-    }
-
     fn trip(&self, reason: TruncationReason) {
         // First writer wins; later trips keep the original reason.
-        let won = self
-            .inner
-            .tripped
-            .compare_exchange(0, encode(reason), Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok();
-        if won {
-            // Only the first trip is an event; sticky re-observations
-            // are not. `emit` is one relaxed load when tracing is off.
-            lotusx_obs::emit(
-                lotusx_obs::QueryId(self.inner.trace_id.load(Ordering::Relaxed)),
-                lotusx_obs::EventKind::BudgetTrip {
-                    reason: reason.name(),
-                },
-            );
-        }
+        let _ = self.inner.tripped.compare_exchange(
+            0,
+            encode(reason),
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        );
     }
 
     fn check_cancelled(&self) {
@@ -745,18 +721,6 @@ mod tests {
         }
         assert!(stopped >= 14, "once tripped, every later tick stops");
         assert!(t.stopped());
-    }
-
-    #[test]
-    fn trace_id_tags_active_guards_only() {
-        let g = QueryGuard::new(&Budget::unlimited().with_node_quota(1));
-        g.set_trace_id(42);
-        assert!(g.charge_nodes(2), "tagged guard still trips normally");
-        // The shared unlimited guard ignores tagging: it is process-wide
-        // and must never carry one query's id into another's.
-        let u = QueryGuard::unlimited();
-        u.set_trace_id(7);
-        assert_eq!(u.inner.trace_id.load(Ordering::Relaxed), 0);
     }
 
     #[test]

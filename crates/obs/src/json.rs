@@ -6,9 +6,9 @@
 //! writes per request — wire responses, error bodies, `/stats`,
 //! access-log lines — is written in place, one buffer per body, with no
 //! `format!` or intermediate `String` per member. The reader is the only
-//! JSON grammar in the tree: wire bodies, route configs, `/stats` scrapes
-//! and trace files all go through [`parse_json_as`], which bounds nesting
-//! at [`MAX_JSON_DEPTH`] and builds either a plain [`JsonValue`] or an
+//! JSON grammar in the tree: wire bodies, route configs and `/stats`
+//! scrapes all go through [`parse_json_as`], which bounds nesting at
+//! [`MAX_JSON_DEPTH`] and builds either a plain [`JsonValue`] or an
 //! offset-tagged [`SpannedJson`].
 
 use crate::histogram::HistogramSnapshot;
@@ -148,7 +148,7 @@ fn push_histogram(out: &mut String, h: &HistogramSnapshot) {
 
 impl MetricsSnapshot {
     /// Renders the snapshot as a pretty-printed JSON object with
-    /// `stages`, `counters` and `trace` (ring accounting) sections.
+    /// `stages` and `counters` sections.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n  \"stages\": {\n");
@@ -172,16 +172,6 @@ impl MetricsSnapshot {
             push_u64(&mut out, v);
             out.push_str(if i + 1 == rows.len() { "\n  " } else { "," });
         }
-        out.push_str("},\n  \"trace\": {");
-        let trace = &self.trace;
-        push_u64_members(
-            &mut out,
-            [
-                ("produced", trace.produced),
-                ("dropped", trace.dropped),
-                ("exported", trace.exported),
-            ],
-        );
         out.push_str("}\n}\n");
         out
     }
@@ -590,7 +580,6 @@ mod tests {
     fn empty_snapshot_still_renders() {
         let json = Metrics::new().snapshot().to_json();
         assert!(json.contains("\"counters\": {\n    \"cache_hit\": 0,"));
-        assert!(json.contains("\"trace\""));
     }
 
     #[test]
@@ -712,11 +701,9 @@ mod tests {
             .iter()
             .map(|(k, _)| k.as_str())
             .collect();
-        assert_eq!(keys, ["stages", "counters", "trace"]);
+        assert_eq!(keys, ["stages", "counters"]);
         let total = doc.get("stages").and_then(|s| s.get("total")).unwrap();
         assert_eq!(total.get("sum_ns").and_then(|v| v.as_f64()), Some(2e6));
-        let trace = doc.get("trace").expect("trace section");
-        assert!(trace.get("dropped").unwrap().as_f64().is_some());
         assert_eq!(
             doc.get("counters")
                 .and_then(|c| c.get("queries"))

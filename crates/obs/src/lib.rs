@@ -17,11 +17,6 @@
 //!   finished into a [`QueryProfile`] the caller can inspect or render
 //!   as the CLI `explain` tree.
 //!
-//! Beside them, the **trace ring**: typed [`TraceEvent`]s pushed into a
-//! lock-free bounded [`EventRing`] behind the [`tracing`] flag,
-//! exportable as Chrome trace-event JSON ([`chrome_trace_json`], loadable
-//! in Perfetto with one lane per worker thread).
-//!
 //! ```
 //! use lotusx_obs::{Span, QueryProfile};
 //!
@@ -40,22 +35,14 @@
 #![warn(missing_docs)]
 
 pub mod counters;
-pub mod event;
-pub mod export;
 pub mod histogram;
 pub mod json;
 pub mod profile;
 pub mod prom;
 pub mod registry;
-pub mod ring;
 pub mod span;
 
 pub use counters::{counter_members, CounterKind, CounterRow};
-pub use event::{
-    conn_lane, drain_events, emit, emit_on_lane, next_query_id, set_tracing, trace_counters,
-    tracing, CloseReason, ConnPhase, DeadlineKind, EventKind, QueryId, TraceEvent, CONN_LANE_BASE,
-};
-pub use export::{chrome_trace_json, chrome_trace_json_with};
 pub use histogram::{fmt_ns, HistogramSnapshot, LatencyHistogram};
 pub use json::{
     json_string, parse_json, parse_json_as, push_f64, push_f64_run, push_json_str, push_u64,
@@ -68,5 +55,4 @@ pub use registry::{
     enabled, metrics, set_enabled, time_stage, Metrics, MetricsSnapshot, ProcessCounters,
     ProcessSnapshot, Stage,
 };
-pub use ring::{EventRing, RingCounters};
 pub use span::{Span, SpanGuard, SpanRecord};

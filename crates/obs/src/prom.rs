@@ -5,8 +5,8 @@
 //! / `# TYPE` comment lines — and [`MetricsSnapshot::to_prometheus`]
 //! renders the full obs snapshot with it: stage histograms as summaries
 //! (precomputed p50/p95/p99 as `quantile` labels plus `_sum` and
-//! `_count`), the process counter table as `_total` counters, and the
-//! trace ring's exact accounting. Every counter scope renders through
+//! `_count`) and the process counter table as `_total` counters. Every
+//! counter scope renders through
 //! [`PromWriter::counter_rows`], straight from its declaration.
 //! Durations are exported in seconds, per Prometheus convention.
 //!
@@ -182,18 +182,6 @@ impl MetricsSnapshot {
         w.counter_rows("lotusx_", ProcessCounters::ROWS, |w, family, i| {
             w.sample_u64(family, &[], values[i])
         });
-        w.header(
-            "lotusx_trace_events_total",
-            "Trace-ring accounting (produced == exported + dropped).",
-            "counter",
-        );
-        for (outcome, value) in [
-            ("produced", self.trace.produced),
-            ("dropped", self.trace.dropped),
-            ("exported", self.trace.exported),
-        ] {
-            w.sample_u64("lotusx_trace_events_total", &[("outcome", outcome)], value);
-        }
         w.finish()
     }
 }
@@ -297,7 +285,6 @@ mod tests {
             out.contains("lotusx_keyword_queries_total 0\n"),
             "zero rows render"
         );
-        assert!(out.contains("lotusx_trace_events_total{outcome=\"produced\"}"));
         // Exactly one HELP/TYPE pair per family.
         assert_eq!(
             out.matches("# TYPE lotusx_stage_seconds").count(),

@@ -164,7 +164,6 @@ impl Metrics {
                 .map(|&s| (s.name(), self.stage(s).snapshot()))
                 .collect(),
             counters: self.counters.snapshot(),
-            trace: crate::event::trace_counters(),
         }
     }
 }
@@ -177,8 +176,6 @@ pub struct MetricsSnapshot {
     pub stages: Vec<(&'static str, HistogramSnapshot)>,
     /// The process counter table, zeros included.
     pub counters: ProcessSnapshot,
-    /// Trace-ring accounting (produced / dropped / exported events).
-    pub trace: crate::ring::RingCounters,
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);

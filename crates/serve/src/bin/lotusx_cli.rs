@@ -113,40 +113,6 @@ fn main() {
                     Err(e) => println!("error: {e}"),
                 }
             }
-            "trace" => {
-                let (sub, arg) = rest.split_once(' ').unwrap_or((rest, ""));
-                match sub {
-                    "on" => {
-                        lotusx_obs::set_tracing(true);
-                        println!(
-                            "tracing on: queries emit events into the ring buffer \
-                             ('trace export <file>' for a Perfetto-loadable trace)"
-                        );
-                    }
-                    "off" => {
-                        lotusx_obs::set_tracing(false);
-                        println!("tracing off (buffered events are kept until exported)");
-                    }
-                    "export" if !arg.is_empty() => {
-                        let events = lotusx_obs::drain_events();
-                        match std::fs::write(arg, lotusx_obs::chrome_trace_json(&events)) {
-                            Ok(()) => {
-                                let c = lotusx_obs::trace_counters();
-                                println!(
-                                    "wrote {} events to {arg} ({} dropped) — load at ui.perfetto.dev",
-                                    events.len(),
-                                    c.dropped
-                                );
-                            }
-                            Err(e) => println!("error: {e}"),
-                        }
-                    }
-                    _ => println!(
-                        "usage: trace on|off|export <file> (currently {})",
-                        if lotusx_obs::tracing() { "on" } else { "off" }
-                    ),
-                }
-            }
             "save" | "snapshot" => match system.save_snapshot(rest) {
                 Ok(()) => {
                     let size = std::fs::metadata(rest).map(|m| m.len()).unwrap_or(0);
@@ -461,8 +427,6 @@ observability:
   explain <xpath>    run one query and print its stage-timing tree
   stats              document, cache, executor and latency statistics
   stats json         the metrics snapshot as JSON (metrics.json format)
-  trace on|off       toggle structured event tracing into the ring buffer
-  trace export <f>   drain the ring to a Chrome/Perfetto trace JSON file
 canvas (the GUI surrogate):
   root               drop the root node
   node <i> [/ | //]  add a node under node i

@@ -25,11 +25,9 @@
 //! /admin/routes` hot-reloads the rule list.
 //!
 //! `--access-log PATH` writes one JSONL line per response (method,
-//! path, status, bytes, connection id, close disposition, and the
-//! parse/queue/compute/flush timing breakdown). Setting the
-//! `LOTUSX_TRACE=PATH` environment variable turns structured event
-//! tracing on for the server's lifetime and writes a Chrome/Perfetto
-//! trace (with per-connection lifecycle lanes) to `PATH` on shutdown.
+//! path, status, bytes, connection id, close disposition, the
+//! parse/queue/compute/flush timing breakdown, and for a `/query` answer
+//! a budget cut short, the `truncated` reason).
 //!
 //! The server prints `listening on <ADDR>` once bound (scripts wait for
 //! that line), then serves until it reads `quit` on stdin, receives
@@ -200,10 +198,6 @@ fn save(source: &CorpusSource, path: &Path) -> Result<ExitCode, String> {
 
 fn serve(config: ServeConfig, boot: &Boot) -> Result<ExitCode, String> {
     lotusx_obs::set_enabled(true);
-    let trace_path = std::env::var_os("LOTUSX_TRACE").map(PathBuf::from);
-    if trace_path.is_some() {
-        lotusx_obs::set_tracing(true);
-    }
     let registry = open_registry(boot)?;
     let server = Server::bind(config).map_err(|e| format!("bind failed: {e}"))?;
     let handle = server.handle();
@@ -221,18 +215,6 @@ fn serve(config: ServeConfig, boot: &Boot) -> Result<ExitCode, String> {
             "tenant {name}: {} requests ({} queries, {} rejected, {} quota rejects)",
             tenant.requests, tenant.queries, tenant.rejected, tenant.quota_rejects
         );
-    }
-    if let Some(path) = trace_path {
-        let events = lotusx_obs::drain_events();
-        let json = lotusx_obs::chrome_trace_json_with(&events, Some(lotusx_obs::trace_counters()));
-        match std::fs::write(&path, json) {
-            Ok(()) => eprintln!(
-                "trace: {} events written to {}",
-                events.len(),
-                path.display()
-            ),
-            Err(e) => eprintln!("trace: writing {} failed: {e}", path.display()),
-        }
     }
     let stats = handle.stats();
     eprintln!(
@@ -461,16 +443,30 @@ fn metrics_probe(addr: SocketAddr) -> ExitCode {
         Err(e) => return fail(format!("connect failed: {e}")),
     };
     // Pipelined keep-alive traffic so the scrape has something to show.
-    let query = b"{\"text\":\"author\",\"kind\":\"keyword\",\"top_k\":1}";
-    for _ in 0..3 {
-        if let Err(e) = conn.send("POST", "/query", Some(query)) {
+    // The middle one, a wildcard twig any corpus matches, is starved by
+    // a one-node budget: its answer is marked truncated, and so is its
+    // access-log line.
+    let query: &[u8] = b"{\"text\":\"author\",\"kind\":\"keyword\",\"top_k\":1}";
+    let starved: &[u8] = b"{\"text\":\"//*\",\"top_k\":1,\"budget\":{\"nodes\":1}}";
+    let queries = [query, starved, query];
+    for body in queries {
+        if let Err(e) = conn.send("POST", "/query", Some(body)) {
             return fail(format!("pipelined send failed: {e}"));
         }
     }
-    for i in 0..3 {
+    for (i, body) in queries.iter().enumerate() {
         match conn.read_one() {
-            Ok(r) if r.status == 200 => {}
-            Ok(r) => return fail(format!("query {i} answered {}", r.status)),
+            Ok(r) if r.status != 200 => return fail(format!("query {i} answered {}", r.status)),
+            Ok(r)
+                if (*body == starved)
+                    != r.body_text().contains("\"completeness\":\"truncated\"") =>
+            {
+                return fail(format!(
+                    "query {i}: truncation marker wrong: {}",
+                    r.body_text()
+                ));
+            }
+            Ok(_) => {}
             Err(e) => return fail(format!("query {i} read failed: {e}")),
         }
     }
@@ -506,7 +502,6 @@ fn metrics_probe(addr: SocketAddr) -> ExitCode {
         "# TYPE lotusx_server_requests_total counter",
         "# TYPE lotusx_server_connections_open gauge",
         "# TYPE lotusx_stage_seconds summary",
-        "lotusx_trace_events_total{outcome=\"produced\"}",
     ] {
         if !first.contains(required) {
             return fail(format!("first scrape is missing {required:?}"));

@@ -111,10 +111,8 @@ use crate::poller::Interest;
 use crate::server::{Outcome, Server, Work};
 use crate::tenants::Tenancy;
 use crate::timer::{Deadline, Fired, TimerWheel};
-use lotusx_obs::{
-    conn_lane, emit_on_lane, push_json_str, push_u64_members, CloseReason, ConnPhase, DeadlineKind,
-    EventKind, QueryId, Stage,
-};
+use lotusx::TruncationReason;
+use lotusx_obs::{push_json_str, push_u64_members, Stage};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -172,9 +170,61 @@ pub(crate) enum Action {
     /// [`Core::submit_failed`] when the pool is gone.
     Submit(Box<Job>),
     /// The connection is gone: stop watching its socket and close it.
-    /// The reason is the one the trace and the access log carry (the
-    /// scripted driver checks it; the epoll driver has no use for it).
+    /// The reason is the one the access log carries (the scripted driver
+    /// checks it; the epoll driver has no use for it).
     Close(usize, #[cfg_attr(not(test), allow(dead_code))] CloseReason),
+}
+
+/// Why a connection was closed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum CloseReason {
+    /// The request opted out of keep-alive, or the peer half-closed
+    /// cleanly after its last request.
+    ClientClose,
+    /// The peer vanished (hangup readiness / reset).
+    Hangup,
+    /// The keep-alive idle deadline fired.
+    IdleTimeout,
+    /// The read deadline fired before a complete request arrived (408).
+    ReadTimeout,
+    /// A response write stalled past the write deadline.
+    WriteStall,
+    /// A socket operation failed.
+    IoError,
+    /// A protocol or routing reject (4xx/5xx) closed the connection.
+    Rejected,
+    /// The admission gate answered 429.
+    Admission,
+    /// Graceful shutdown drained or reaped the connection.
+    Drain,
+}
+
+impl CloseReason {
+    /// Stable snake-case name (the access log's `close` field).
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            CloseReason::ClientClose => "client_close",
+            CloseReason::Hangup => "hangup",
+            CloseReason::IdleTimeout => "idle_timeout",
+            CloseReason::ReadTimeout => "read_timeout",
+            CloseReason::WriteStall => "write_stall",
+            CloseReason::IoError => "io_error",
+            CloseReason::Rejected => "rejected",
+            CloseReason::Admission => "admission",
+            CloseReason::Drain => "drain",
+        }
+    }
+}
+
+/// Which per-connection deadline is armed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum DeadlineKind {
+    /// Deliver a complete request or be answered 408.
+    Read,
+    /// Keep-alive gap cap.
+    Idle,
+    /// Accept response bytes or be dropped.
+    Write,
 }
 
 /// How a driver's read of a connection's socket ended.
@@ -207,8 +257,6 @@ pub(crate) struct Job {
     /// Slot epoch at dispatch; a completion for a replaced connection
     /// fails this check and is dropped.
     pub epoch: u64,
-    /// Lifetime id of the owning connection (trace lane, access log).
-    pub conn_id: u64,
     /// The request to route.
     pub request: http::Request,
     /// What the inline attempt already decoded of it.
@@ -240,6 +288,8 @@ pub(crate) struct Done {
     /// Timing breakdown carried through to the access-log line.
     pub parse_ns: u64,
     pub queue_ns: u64,
+    /// The budget that cut a `/query` answer short, for the access log.
+    pub truncated: Option<TruncationReason>,
 }
 
 /// The response itself, in the form its producer left it.
@@ -279,6 +329,7 @@ struct PendingLog {
     parse_ns: u64,
     queue_ns: u64,
     compute_ns: u64,
+    truncated: Option<TruncationReason>,
     enqueued: Instant,
 }
 
@@ -296,17 +347,16 @@ impl PendingLog {
             parse_ns: 0,
             queue_ns: 0,
             compute_ns: 0,
+            truncated: None,
             enqueued,
         }
     }
 }
 
 /// Per-connection state. See the module docs for the state machine.
-/// The deadline (at most one) is tagged with the shared
-/// [`DeadlineKind`] so the deadline-fired trace event needs no mapping.
 struct Conn {
     /// Lifetime connection id (`connections_accepted` at accept time):
-    /// the trace-lane number and the `conn` field of access-log lines.
+    /// the `conn` field of access-log lines.
     id: u64,
     /// Bytes received but not yet parsed.
     inbuf: Vec<u8>,
@@ -319,8 +369,8 @@ struct Conn {
     /// Close once `outbuf` drains.
     close_after_flush: bool,
     /// Why the close-after-flush was decided (reject status, drain,
-    /// clean keep-alive end); reported by the close trace event and the
-    /// access log when the close finally happens.
+    /// clean keep-alive end); reported by the access log when the close
+    /// finally happens.
     close_reason: Option<CloseReason>,
     /// The peer half-closed its write side (EOF seen). Requests already
     /// buffered are still served — half-close is a legitimate way to
@@ -337,8 +387,6 @@ struct Conn {
     read_started: Option<Instant>,
     /// Responses awaiting their flush time before logging.
     log: Vec<PendingLog>,
-    /// Last lifecycle phase published on the trace lane (dedup).
-    phase: Option<ConnPhase>,
     /// What the socket is watched for (a change is a `Watch` action).
     interest: Interest,
     /// The connection's one deadline and its one wheel entry (see
@@ -362,7 +410,6 @@ impl Conn {
             dispatched: 0,
             read_started: None,
             log: Vec::new(),
-            phase: None,
             interest: Interest::default(),
             deadline: Deadline::default(),
         }
@@ -491,17 +538,6 @@ impl<'a, C: Clock> Core<'a, C> {
         let stats = &self.server.stats;
         let id = stats.connections_accepted.fetch_add(1, Ordering::Relaxed) + 1;
         let admitted = self.active < self.server.config.max_inflight;
-        if lotusx_obs::tracing() {
-            let (lane, conn) = (conn_lane(id as u32), id as u32);
-            emit_on_lane(
-                lane,
-                QueryId::NONE,
-                EventKind::ConnAccept { conn, admitted },
-            );
-            if !admitted {
-                emit_on_lane(lane, QueryId::NONE, EventKind::AdmissionReject { conn });
-            }
-        }
         let mut conn = Conn::new(id);
         if !admitted {
             // Admission gate: answer 429 without entering service.
@@ -521,7 +557,6 @@ impl<'a, C: Clock> Core<'a, C> {
         conn.interest = Interest::READ;
         let token = self.alloc(conn);
         self.set_active(self.active + 1);
-        self.set_phase(token, ConnPhase::Reading);
         self.arm(token, DeadlineKind::Read, self.server.config.read_timeout);
         Some(token)
     }
@@ -761,39 +796,9 @@ impl<'a, C: Clock> Core<'a, C> {
             .connections_open
             .store(self.open as u64, Ordering::Relaxed);
         self.free_pending.push(token);
-        if lotusx_obs::tracing() {
-            emit_on_lane(
-                conn_lane(conn.id as u32),
-                QueryId::NONE,
-                EventKind::ConnClose {
-                    conn: conn.id as u32,
-                    reason,
-                },
-            );
-        }
         // Responses that never fully drained still get their line, with
         // the close reason as the disposition.
         self.write_access_lines(conn.id, &mut conn.log, reason.name());
-    }
-
-    /// Publishes a lifecycle phase change on the connection's trace
-    /// lane (deduplicated: re-entering the current phase is silent).
-    fn set_phase(&mut self, token: usize, phase: ConnPhase) {
-        let Some(conn) = self.conn(token) else {
-            return;
-        };
-        if conn.phase == Some(phase) {
-            return;
-        }
-        conn.phase = Some(phase);
-        if lotusx_obs::tracing() {
-            let id = conn.id as u32;
-            emit_on_lane(
-                conn_lane(id),
-                QueryId::NONE,
-                EventKind::ConnPhase { conn: id, phase },
-            );
-        }
     }
 
     /// Writes one access-log line per entry (flush time measured here)
@@ -850,6 +855,10 @@ impl<'a, C: Clock> Core<'a, C> {
                     ("flush_ns", flush_ns),
                 ],
             );
+            if let Some(reason) = entry.truncated {
+                line.push_str(",\"truncated\":");
+                push_json_str(&mut line, reason.name());
+            }
             line.push('}');
             if access.log(line) {
                 stats.access_log_lines.fetch_add(1, Ordering::Relaxed);
@@ -903,14 +912,6 @@ impl<'a, C: Clock> Core<'a, C> {
         let Some(kind) = self.wheel.fired(&mut conn.deadline, f, now) else {
             return;
         };
-        if lotusx_obs::tracing() {
-            let id = conn.id as u32;
-            emit_on_lane(
-                conn_lane(id),
-                QueryId::NONE,
-                EventKind::ConnDeadline { conn: id, kind },
-            );
-        }
         let stats = &self.server.stats;
         match kind {
             DeadlineKind::Read => {
@@ -943,7 +944,6 @@ impl<'a, C: Clock> Core<'a, C> {
             self.set_active(self.active + 1);
         }
         if !pending {
-            self.set_phase(token, ConnPhase::Reading);
             self.arm(token, DeadlineKind::Read, self.server.config.read_timeout);
         }
     }
@@ -967,7 +967,6 @@ impl<'a, C: Clock> Core<'a, C> {
                 keep_alive: bool,
                 reused: bool,
                 parse_ns: u64,
-                conn_id: u64,
                 tenant: Option<u32>,
             },
             Reject(Reject),
@@ -1074,7 +1073,6 @@ impl<'a, C: Clock> Core<'a, C> {
                                     keep_alive,
                                     reused,
                                     parse_ns,
-                                    conn_id: conn.id,
                                     tenant,
                                 }
                             }
@@ -1141,7 +1139,6 @@ impl<'a, C: Clock> Core<'a, C> {
                     keep_alive,
                     reused,
                     parse_ns,
-                    conn_id,
                     tenant,
                 } => {
                     let stats = &self.server.stats;
@@ -1158,28 +1155,19 @@ impl<'a, C: Clock> Core<'a, C> {
                         let now = rt.stats.inflight.fetch_add(1, Ordering::Relaxed) + 1;
                         rt.stats.max_inflight_seen.fetch_max(now, Ordering::Relaxed);
                     }
-                    if reused && lotusx_obs::tracing() {
-                        emit_on_lane(
-                            conn_lane(conn_id as u32),
-                            QueryId::NONE,
-                            EventKind::ConnReuse {
-                                conn: conn_id as u32,
-                            },
-                        );
-                    }
                     // The fast path: whatever is bounded by the size of
                     // the request and its response is answered right
                     // here, with no hand-off.
                     let started = self.clock.now();
                     let epoch = self.slots[token].epoch;
-                    let lane = conn_lane(conn_id as u32);
                     let attempt =
                         self.server
-                            .answer(self.tenancy, tenant, &request, Work::Raw, lane, true);
+                            .answer(self.tenancy, tenant, &request, Work::Raw, true);
                     let work = match attempt {
                         Ok(outcome) => {
                             stats.inline_answers.fetch_add(1, Ordering::Relaxed);
                             let http::Request { method, path, .. } = request;
+                            let truncated = outcome.truncated();
                             self.respond(Done {
                                 token,
                                 epoch,
@@ -1193,6 +1181,7 @@ impl<'a, C: Clock> Core<'a, C> {
                                 tenant,
                                 parse_ns,
                                 queue_ns: 0,
+                                truncated,
                             });
                             // Loop: the next pipelined request parses (and
                             // its response coalesces) before the flush.
@@ -1204,14 +1193,12 @@ impl<'a, C: Clock> Core<'a, C> {
                     if let Some(conn) = self.conn(token) {
                         conn.pending = true;
                     }
-                    self.set_phase(token, ConnPhase::Pending);
                     self.disarm(token);
                     let depth = stats.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
                     stats.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
                     let job = Job {
                         token,
                         epoch,
-                        conn_id,
                         request,
                         work,
                         tenant,
@@ -1241,7 +1228,6 @@ impl<'a, C: Clock> Core<'a, C> {
             conn.counted = false;
             self.set_active(self.active - 1);
         }
-        self.set_phase(token, ConnPhase::Idle);
         self.arm(token, DeadlineKind::Idle, self.server.config.idle_timeout);
     }
 
@@ -1273,7 +1259,6 @@ impl<'a, C: Clock> Core<'a, C> {
             conn.log
                 .push(PendingLog::loop_reject(reject.status, len, tenant, now));
         }
-        self.set_phase(token, ConnPhase::Flush);
         self.disarm(token);
         self.update_read_interest(token);
     }
@@ -1373,10 +1358,10 @@ impl<'a, C: Clock> Core<'a, C> {
             parse_ns: done.parse_ns,
             queue_ns: done.queue_ns,
             compute_ns,
+            truncated: done.truncated,
             enqueued: now,
         });
         let closing = conn.close_after_flush;
-        self.set_phase(token, ConnPhase::Flush);
         Some(closing)
     }
 

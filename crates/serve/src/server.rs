@@ -46,8 +46,8 @@ use crate::http::{self, Limits, Reject, Request};
 use crate::poller::Poller;
 use crate::tenants::{Tenancy, TenantSet, TenantSnapshot};
 use crate::wire;
-use lotusx::{Budget, CancelToken, EngineRegistry, QueryGuard, QueryRequest};
-use lotusx_obs::{conn_lane, EventKind, PromWriter, QueryId, Stage};
+use lotusx::{Budget, CancelToken, EngineRegistry, QueryGuard, QueryRequest, TruncationReason};
+use lotusx_obs::{PromWriter, Stage};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::AssertUnwindSafe;
@@ -352,15 +352,13 @@ impl Server {
         let picked_up = clock.now();
         let queue_ns = nanos(picked_up, job.queued_at);
         self.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        // Stage slices land on the owning connection's trace lane so
-        // they nest inside its PENDING phase slice.
-        let lane = conn_lane(job.conn_id as u32);
         let outcome = self
-            .answer(tenancy, job.tenant, &job.request, job.work, lane, false)
+            .answer(tenancy, job.tenant, &job.request, job.work, false)
             .unwrap_or_else(|_| {
                 debug_assert!(false, "only the loop thread falls back");
                 Outcome::Panicked
             });
+        let truncated = outcome.truncated();
         let mut bytes = Vec::new();
         let (status, close) =
             self.encode_outcome(tenancy, job.tenant, outcome, job.keep_alive, &mut bytes);
@@ -381,6 +379,7 @@ impl Server {
             tenant: job.tenant,
             parse_ns: job.parse_ns,
             queue_ns,
+            truncated,
         }
     }
 
@@ -397,14 +396,15 @@ impl Server {
         tenant: Option<u32>,
         request: &Request,
         work: Work,
-        lane: u32,
         inline: bool,
     ) -> Result<Outcome, Work> {
         let routed = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            self.route(tenancy, tenant, request, work, lane, inline)
+            self.route(tenancy, tenant, request, work, inline)
         }));
         match routed {
-            Ok(Ok(Routed::Ready(content_type, body))) => Ok(Outcome::Ready(content_type, body)),
+            Ok(Ok(Routed::Ready(content_type, body, truncated))) => {
+                Ok(Outcome::Ready(content_type, body, truncated))
+            }
             Ok(Ok(Routed::Fallback(work))) => Err(work),
             Ok(Err(reject)) => Ok(Outcome::Rejected(reject)),
             Err(_) => Ok(Outcome::Panicked),
@@ -430,7 +430,7 @@ impl Server {
             }
         };
         match outcome {
-            Outcome::Ready(content_type, body) => {
+            Outcome::Ready(content_type, body, _) => {
                 http::encode_response_into(out, 200, content_type, body.as_bytes(), keep_alive);
                 (200, !keep_alive)
             }
@@ -453,9 +453,8 @@ impl Server {
 
     /// Routes one parsed request. `Ready` carries the response content
     /// type and body (the status is always 200). `tenant` is the routed
-    /// tenant index (`None` for server-scoped endpoints); `lane` is the
-    /// owning connection's trace lane; `work` is what an earlier inline
-    /// attempt already decoded.
+    /// tenant index (`None` for server-scoped endpoints); `work` is what
+    /// an earlier inline attempt already decoded.
     ///
     /// With `inline` set (the event-loop thread) only work bounded by
     /// the size of the request and of its response is done here:
@@ -469,13 +468,12 @@ impl Server {
         tenant: Option<u32>,
         request: &Request,
         work: Work,
-        lane: u32,
         inline: bool,
     ) -> Result<Routed, Reject> {
         #[cfg(test)]
         test_hooks::maybe_panic();
         let ready =
-            |content_type: &'static str, body: String| Ok(Routed::Ready(content_type, body));
+            |content_type: &'static str, body: String| Ok(Routed::Ready(content_type, body, None));
         match (request.method.as_str(), request.path.as_str()) {
             ("GET", "/healthz") => {
                 self.stats.health_checks.fetch_add(1, Ordering::Relaxed);
@@ -483,7 +481,7 @@ impl Server {
             }
             // Never falls back, so a wedged pool can't hide from the
             // scraper.
-            ("GET", "/metrics") => self.timed(Stage::HttpMetrics, lane, || {
+            ("GET", "/metrics") => self.timed(Stage::HttpMetrics, || {
                 // Counted *before* rendering so the scrape sees itself —
                 // `/metrics` and `/stats` then reconcile exactly, with
                 // no in-flight gap.
@@ -499,7 +497,7 @@ impl Server {
             ("GET", "/stats") | ("POST", "/shutdown" | "/admin/routes") if inline => {
                 Ok(Routed::Fallback(Work::Raw))
             }
-            ("GET", "/stats") => self.timed(Stage::HttpStats, lane, || {
+            ("GET", "/stats") => self.timed(Stage::HttpStats, || {
                 self.stats.stats_requests.fetch_add(1, Ordering::Relaxed);
                 let body = format!(
                     "{{\n\"server\": {},\n\"tenants\": {},\n\"metrics\": {}}}\n",
@@ -509,7 +507,7 @@ impl Server {
                 );
                 ready("application/json", body)
             }),
-            ("POST", "/query") => self.timed(Stage::HttpQuery, lane, || {
+            ("POST", "/query") => self.timed(Stage::HttpQuery, || {
                 let runtime = tenant.map(|idx| tenancy.set.runtime(idx));
                 let engine = tenancy.engine(tenant);
                 let (query, probe) = match work {
@@ -541,18 +539,19 @@ impl Server {
                     lotusx::QueryProbe::Miss(pending) => engine.query_compute(&query, pending),
                 };
                 self.stats.queries.fetch_add(1, Ordering::Relaxed);
-                let truncated = !response.completeness.is_complete();
-                if truncated {
+                let truncated = response.completeness.truncation_reason();
+                if truncated.is_some() {
                     self.stats
                         .truncated_responses
                         .fetch_add(1, Ordering::Relaxed);
                 }
                 if let Some(rt) = runtime {
-                    rt.record_query(truncated);
+                    rt.record_query(truncated.is_some());
                 }
-                ready("application/json", wire::encode_response(&response))
+                let body = wire::encode_response(&response);
+                Ok(Routed::Ready("application/json", body, truncated))
             }),
-            ("POST", "/complete") => self.timed(Stage::HttpComplete, lane, || {
+            ("POST", "/complete") => self.timed(Stage::HttpComplete, || {
                 let complete = match work {
                     Work::Complete(complete) => complete,
                     _ => self.decode_body(&request.body, wire::decode_complete)?,
@@ -637,24 +636,14 @@ impl Server {
         request
     }
 
-    /// Runs `f`, recording its wall time into `stage` and emitting stage
-    /// begin/end trace events on the owning connection's lane when
-    /// tracing is on. An inline attempt that falls back leaves no sample
-    /// — the worker's run of the same request records the one that
-    /// counts.
+    /// Runs `f`, recording its wall time into `stage` when recording is
+    /// on. An inline attempt that falls back leaves no sample — the
+    /// worker's run of the same request records the one that counts.
     fn timed(
         &self,
         stage: Stage,
-        lane: u32,
         f: impl FnOnce() -> Result<Routed, Reject>,
     ) -> Result<Routed, Reject> {
-        lotusx_obs::emit_on_lane(
-            lane,
-            QueryId::NONE,
-            EventKind::StageBegin {
-                stage: stage.name(),
-            },
-        );
         let recording = lotusx_obs::enabled();
         let started = recording.then(Instant::now);
         let out = f();
@@ -663,13 +652,6 @@ impl Server {
                 lotusx_obs::metrics().record_stage(stage, t0.elapsed().as_nanos() as u64);
             }
         }
-        lotusx_obs::emit_on_lane(
-            lane,
-            QueryId::NONE,
-            EventKind::StageEnd {
-                stage: stage.name(),
-            },
-        );
         out
     }
 }
@@ -689,20 +671,32 @@ pub(crate) enum Work {
 
 /// What routing one request produced.
 enum Routed {
-    /// A 200: content type and body.
-    Ready(&'static str, String),
+    /// A 200: content type, body and the budget that cut a `/query`
+    /// answer short.
+    Ready(&'static str, String, Option<TruncationReason>),
     /// Inline attempts only: the request needs the worker pool.
     Fallback(Work),
 }
 
 /// How a request ended, before encoding ([`Server::encode_outcome`]).
 pub(crate) enum Outcome {
-    /// A 200: content type and body.
-    Ready(&'static str, String),
+    /// A 200: content type, body and the budget that cut a `/query`
+    /// answer short.
+    Ready(&'static str, String, Option<TruncationReason>),
     /// A 4xx/5xx; the connection closes after it.
     Rejected(Reject),
     /// The handler panicked: a best-effort 500.
     Panicked,
+}
+
+impl Outcome {
+    /// The budget that cut the answer short, if one did.
+    pub(crate) fn truncated(&self) -> Option<TruncationReason> {
+        match self {
+            Outcome::Ready(_, _, truncated) => *truncated,
+            _ => None,
+        }
+    }
 }
 
 /// Test-only fault injection for the shared answer path.

@@ -18,12 +18,11 @@
 //! Each script checks response order against what it sent.
 
 use crate::client::{parse_response, Response};
-use crate::conn::{Action, Clock, Core, Job, ReadEnd, Wrote};
+use crate::conn::{Action, Clock, CloseReason, Core, Job, ReadEnd, Wrote};
 use crate::poller::Interest;
 use crate::server::{ServeConfig, Server};
 use crate::tenants::Tenancy;
 use lotusx::{parse_rules, EngineRegistry, LotusX, TenantLimits};
-use lotusx_obs::CloseReason;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -759,6 +758,52 @@ fn access_log_timings_are_the_scripted_gaps() {
             [12, 0, 3_000_000, 0, 2_000_000],
             "{}",
             lines[1]
+        );
+    });
+}
+
+/// The access log carries the budget trip: the line of a `/query` answer
+/// a budget cut short names the reason, a complete answer's line has no
+/// such member. The starved query runs on the pool; the same query once
+/// its key is cached is answered inline, complete under any budget.
+#[test]
+fn a_starved_query_logs_its_truncation_reason() {
+    let starved = "{\"text\":\"//book/title\",\"top_k\":7,\"budget\":{\"nodes\":1}}";
+    let config = config();
+    let path = config.access_log.clone().expect("the sim logs");
+    script(&bib(), config, |sim| {
+        let peer = sim.connect();
+        let mut pipeline = post("/query", starved);
+        pipeline.extend(post("/query", &query(7)));
+        pipeline.extend(post("/query", starved));
+        sim.send(peer, &pipeline);
+        sim.complete(0);
+        sim.complete(0);
+        let responses = sim.responses(peer);
+        assert_eq!(sim.statuses(peer), [200; 3]);
+        let starved_body = responses[0].body_text();
+        assert!(
+            starved_body.contains("\"completeness\":\"truncated\""),
+            "{starved_body}"
+        );
+        assert_eq!(responses[1].body, responses[2].body, "the cached answer");
+        let stats = sim.server.stats.snapshot();
+        assert_eq!((stats.inline_answers, stats.inline_fallbacks), (1, 2));
+        sim.server.access.as_ref().expect("the sim logs").shutdown();
+        let text = std::fs::read_to_string(&path).expect("the access log");
+        let truncated: Vec<Option<String>> = text
+            .lines()
+            .map(|line| {
+                let value = lotusx_obs::parse_json(line).expect("a JSON line");
+                value
+                    .get("truncated")
+                    .map(|v| v.as_str().expect("a reason").to_string())
+            })
+            .collect();
+        assert_eq!(
+            truncated,
+            [Some("node_quota_exceeded".to_string()), None, None],
+            "{text}"
         );
     });
 }

@@ -13,9 +13,10 @@
 //! so it allocates the same number of blocks whatever the answer holds —
 //! and the wire encoders then write it into one growing buffer. Routing,
 //! which every served request goes through, allocates only the path it
-//! rewrites.
+//! rewrites. Rendering the `/stats` metrics section allocates its
+//! snapshot and its text, and nothing sized by anything else.
 //!
-//! The counter is per thread, so the harness and other tests cannot
+//! The counters (blocks, and the bytes they asked for) are per thread, so the harness and other tests cannot
 //! disturb it.
 
 use lotusx::PositionContext;
@@ -32,19 +33,21 @@ struct CountingAllocator;
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(bytes: usize) {
     // `try_with`: the allocator also runs while a thread's locals are
     // being torn down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes));
 }
 
 // SAFETY: every method forwards to `System` unchanged; the only addition
 // is a thread-local counter bump that neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -53,7 +56,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -386,4 +389,18 @@ fn routing_allocates_only_the_rewritten_path() {
     assert_eq!(routed(&registry, "/complete", &header), (by_header, 0));
     let stripped = Some((1, Some("/query".to_string())));
     assert_eq!(routed(&registry, "/t/beta/query", &[]), (stripped, 1));
+}
+
+/// The `/stats` metrics section is a snapshot of the stage histograms and
+/// the counter table, rendered into one `String`. The first render of the
+/// process (which also brings the registry up) stays under 64 KiB; a
+/// buffer sized by anything but the stage and counter tables shows up as
+/// a larger total.
+#[test]
+fn rendering_the_stats_metrics_allocates_its_snapshot_and_text() {
+    let before = BYTES.with(Cell::get);
+    let json = lotusx_obs::metrics().snapshot().to_json();
+    let spent = BYTES.with(Cell::get) - before;
+    assert!(json.contains("\"counters\""));
+    assert!(spent < 64 << 10, "{spent} bytes for the first render");
 }

@@ -183,12 +183,15 @@ fn healthz_and_stats_reconcile() {
         assert_eq!(snap.queries, 4);
         assert_eq!(snap.rejected, 1);
 
-        // The metrics section is the full obs snapshot: the schema keys
-        // the rest of the tooling relies on must be present.
-        let metrics = doc.get("metrics").expect("metrics section");
-        for key in ["stages", "counters", "trace"] {
-            assert!(metrics.get(key).is_some(), "metrics.{key} missing");
-        }
+        // The metrics section is the full obs snapshot: exactly the
+        // schema keys the rest of the tooling relies on.
+        let metrics = doc.get("metrics").and_then(|m| m.as_obj());
+        let keys: Vec<&str> = metrics
+            .expect("metrics section")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["stages", "counters"]);
     });
 }
 

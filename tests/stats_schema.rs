@@ -1,7 +1,6 @@
 //! Schema check for `stats json`: the snapshot the CLI prints must parse
 //! with the in-repo JSON reader and carry exactly the documented
-//! sections — stage histograms, counters and trace-ring accounting —
-//! with every number finite.
+//! sections — stage histograms and counters — with every number finite.
 //!
 //! Also home to the Prometheus exposition conformance tests for
 //! `/metrics`: every rendered line must satisfy the text-format v0.0.4
@@ -52,7 +51,7 @@ fn stats_json_has_the_documented_schema() {
 
     let json = lotusx_obs::metrics().snapshot().to_json();
     let doc = parse_json(&json).expect("stats json must parse");
-    assert_eq!(keys(Some(&doc)), ["stages", "counters", "trace"]);
+    assert_eq!(keys(Some(&doc)), ["stages", "counters"]);
 
     // --- counters: queries ran and the cache was exercised. ------------
     let counters = doc.get("counters").expect("counters section");
@@ -77,13 +76,6 @@ fn stats_json_has_the_documented_schema() {
         total_count += count;
     }
     assert!(total_count > 0.0, "some stage recorded samples");
-
-    // --- trace: ring accounting is present and consistent. -------------
-    let trace = doc.get("trace").expect("trace section");
-    let produced = num(trace, "produced");
-    let dropped = num(trace, "dropped");
-    let exported = num(trace, "exported");
-    assert!(produced >= exported + dropped - 0.5, "accounting holds");
 }
 
 // --- Prometheus text exposition (v0.0.4) conformance ------------------
@@ -361,7 +353,7 @@ fn counter_tables_are_well_formed_and_are_exactly_what_is_served() {
         assert_eq!(keys(Some(tenant)), names(TenantStats::ROWS));
     }
     let metrics = doc.get("metrics");
-    assert_eq!(keys(metrics), ["stages", "counters", "trace"]);
+    assert_eq!(keys(metrics), ["stages", "counters"]);
     let member = |key| metrics.and_then(|m| m.get(key));
     assert_eq!(keys(member("stages")), Stage::ALL.map(|s| s.name()));
     assert_eq!(keys(member("counters")), names(ProcessCounters::ROWS));
