@@ -152,9 +152,52 @@ stage_clippy() {
 }
 
 # Broken intra-doc links (a comment still naming a deleted item) and
-# every other rustdoc lint are errors.
+# every other rustdoc lint are errors; so is a backticked `path::Item` in
+# README.md or DESIGN.md that names no item defined under crates/.
 stage_doc() {
-    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline &&
+    doc_paths_resolve README.md DESIGN.md
+}
+
+# Every segment of every backticked `a::b::{c, d}` path in the given
+# files must be a crate or an item defined under crates/: a fn, type,
+# trait, const, static, module, macro or public field name, or an enum
+# variant (a capitalized name opening a line). Paths rooted at std/core or at a
+# primitive or std type are exempt. Matching is by name only, so a
+# deleted type's methods are caught through the type.
+doc_paths_resolve() {
+    local -A known=()
+    local name dir
+    while read -r name; do known[$name]=1; done < <(
+        grep -rhoE '\b(fn|struct|enum|trait|const|static|type|mod)\s+[A-Za-z_][A-Za-z0-9_]*' \
+            crates --include='*.rs' | awk '{print $2}'
+        grep -rhoE 'macro_rules!\s*[A-Za-z_][A-Za-z0-9_]*' crates --include='*.rs' |
+            sed 's/macro_rules!\s*//'
+        grep -rhoE '^\s*[A-Z][A-Za-z0-9_]*\s*[,({]' crates --include='*.rs' | tr -d ' ,({'
+        grep -rhoE '^\s*pub(\([a-z]+\))?\s+[a-z_][a-z0-9_]*\s*:' crates --include='*.rs' |
+            sed -E 's/^\s*pub(\([a-z]+\))?\s+//; s/\s*:$//'
+    )
+    for dir in crates/*/; do
+        dir=$(basename "$dir")
+        known[$dir]=1 known[lotusx_$dir]=1
+    done
+    known[lotusx]=1
+    local exempt=" std core alloc Option Result Vec String str char bool u8 u16 u32 \
+        u64 u128 usize i8 i16 i32 i64 i128 isize f32 f64 Box Arc Rc Cow HashMap \
+        BTreeMap HashSet BTreeSet Instant Duration Ordering Mutex OnceLock Path "
+    local path segment missing=0
+    while read -r path; do
+        [[ $exempt == *" ${path%%::*} "* ]] && continue
+        for segment in $(tr ':{},!*' '      ' <<< "$path"); do
+            if [ -z "${known[$segment]:-}" ]; then
+                echo "doc: \`$path\` names no item defined under crates/ ($segment)" >&2
+                missing=1
+            fi
+        done
+    done < <(grep -ohE '`[^`]*`' "$@" |
+             grep -oE '[A-Za-z_][A-Za-z0-9_]*(::([A-Za-z_][A-Za-z0-9_]*!?|\{[^}]*\}))+' |
+             sort -u)
+    return $missing
 }
 
 stage_build() {

@@ -35,5 +35,5 @@ pub mod engine;
 pub mod session;
 
 pub use context::{ContextStep, PositionContext};
-pub use engine::{CompletionEngine, TagCandidate, ValueCandidate, ValueTrieCache};
+pub use engine::{CompletionEngine, TagCandidate, ValueCandidate};
 pub use session::CompletionState;

@@ -2,9 +2,9 @@
 //!
 //! A session models what the GUI does while the user types into one query
 //! node: every keystroke narrows the candidate list without recomputing it
-//! from scratch. Position-aware candidate sets are small (bounded by the
-//! DataGuide fan-out), so they are computed once per focus change and then
-//! narrowed by prefix; the global fallback narrows through the trie cursor.
+//! from scratch. Candidate sets are small (bounded by the DataGuide
+//! fan-out, or by the tag count when nothing is constrained), so they are
+//! computed once per focus change and then narrowed by prefix.
 //!
 //! The narrowing state lives in [`CompletionState`], an engine-free value
 //! the canvas-driven `lotusx::Session` holds per focused node.
@@ -72,23 +72,19 @@ impl CompletionState {
     }
 
     /// Processes one keystroke and returns the narrowed top-k candidates.
-    pub fn keystroke(&mut self, engine: &CompletionEngine<'_>, ch: char) -> Vec<TagCandidate> {
+    pub fn keystroke(&mut self, ch: char) -> Vec<TagCandidate> {
         self.typed.push(ch);
-        self.current(engine)
+        self.current()
     }
 
     /// Removes the last keystroke (no-op on empty input).
-    pub fn backspace(&mut self, engine: &CompletionEngine<'_>) -> Vec<TagCandidate> {
+    pub fn backspace(&mut self) -> Vec<TagCandidate> {
         self.typed.pop();
-        self.current(engine)
+        self.current()
     }
 
     /// The current top-k candidates for the typed prefix.
-    pub fn current(&self, engine: &CompletionEngine<'_>) -> Vec<TagCandidate> {
-        if self.context.is_unconstrained() {
-            // Global mode: the trie answers prefix queries directly.
-            return engine.complete_tag_global(&self.typed, self.k);
-        }
+    pub fn current(&self) -> Vec<TagCandidate> {
         self.base_candidates
             .iter()
             .filter(|c| c.name.starts_with(&self.typed))
@@ -98,8 +94,8 @@ impl CompletionState {
     }
 
     /// The single remaining candidate, if the prefix is unambiguous.
-    pub fn accept_if_unique(&self, engine: &CompletionEngine<'_>) -> Option<TagCandidate> {
-        let current = self.current(engine);
+    pub fn accept_if_unique(&self) -> Option<TagCandidate> {
+        let current = self.current();
         if current.len() == 1 {
             Some(current[0].clone())
         } else {
@@ -128,14 +124,14 @@ mod tests {
         let engine = CompletionEngine::new(&idx);
         let ctx = PositionContext::from_tag_path(&["bib", "article"], Axis::Child);
         let mut s = CompletionState::new(&engine, ctx, 10);
-        let c0 = s.current(&engine);
+        let c0 = s.current();
         assert_eq!(c0.len(), 2); // author, abstract
-        let c1 = s.keystroke(&engine, 'a');
+        let c1 = s.keystroke('a');
         assert_eq!(c1.len(), 2); // both start with 'a'
-        let c2 = s.keystroke(&engine, 'u');
+        let c2 = s.keystroke('u');
         assert_eq!(c2.len(), 1);
         assert_eq!(c2[0].name, "author");
-        assert_eq!(s.accept_if_unique(&engine).unwrap().name, "author");
+        assert_eq!(s.accept_if_unique().unwrap().name, "author");
     }
 
     #[test]
@@ -144,24 +140,21 @@ mod tests {
         let engine = CompletionEngine::new(&idx);
         let ctx = PositionContext::from_tag_path(&["bib", "article"], Axis::Child);
         let mut s = CompletionState::new(&engine, ctx, 10);
-        s.keystroke(&engine, 'a');
-        s.keystroke(&engine, 'u');
-        assert_eq!(s.current(&engine).len(), 1);
-        let widened = s.backspace(&engine);
+        s.keystroke('a');
+        s.keystroke('u');
+        assert_eq!(s.current().len(), 1);
+        let widened = s.backspace();
         assert_eq!(widened.len(), 2);
         assert_eq!(s.typed(), "a");
     }
 
     #[test]
-    fn global_state_uses_trie() {
+    fn global_state_narrows_every_tag() {
         let idx = idx();
         let engine = CompletionEngine::new(&idx);
-        let mut s = CompletionState::new(&engine, PositionContext::unconstrained(), 10);
-        let c = s.keystroke(&engine, 'a');
-        let names: Vec<&str> = c.iter().map(|x| x.name.as_str()).collect();
-        assert!(names.contains(&"author"));
-        assert!(names.contains(&"article"));
-        assert!(names.contains(&"abstract"));
+        let mut s = CompletionState::new(&engine, PositionContext::unconstrained(), 2);
+        assert_eq!(s.keystroke('a'), engine.complete_tag_global("a", 2));
+        assert_eq!(s.current()[0].name, "author");
     }
 
     #[test]
@@ -171,7 +164,7 @@ mod tests {
         let ctx = PositionContext::from_tag_path(&["bib", "book"], Axis::Child);
         let mut s = CompletionState::new(&engine, ctx.clone(), 10);
         for (i, ch) in "title".chars().enumerate() {
-            let via_state = s.keystroke(&engine, ch);
+            let via_state = s.keystroke(ch);
             let prefix: String = "title".chars().take(i + 1).collect();
             let fresh = engine.complete_tag(&ctx, &prefix, 10);
             assert_eq!(via_state, fresh, "prefix {prefix}");
@@ -184,9 +177,9 @@ mod tests {
         let engine = CompletionEngine::new(&idx);
         let ctx = PositionContext::from_tag_path(&["bib", "book"], Axis::Child);
         let mut s = CompletionState::new(&engine, ctx, 10);
-        assert!(s.keystroke(&engine, 'z').is_empty());
-        assert!(s.accept_if_unique(&engine).is_none());
-        assert!(!s.backspace(&engine).is_empty());
+        assert!(s.keystroke('z').is_empty());
+        assert!(s.accept_if_unique().is_none());
+        assert!(!s.backspace().is_empty());
     }
 
     #[test]
@@ -196,22 +189,18 @@ mod tests {
         let book = PositionContext::from_tag_path(&["bib", "book"], Axis::Child);
         let article = PositionContext::from_tag_path(&["bib", "article"], Axis::Child);
         let mut state = CompletionState::new(&engine, book.clone(), 10);
-        state.keystroke(&engine, 'a');
+        state.keystroke('a');
         // Same context: base candidates and typed prefix are kept.
         state.ensure_context(&engine, &book);
         assert_eq!(state.typed(), "a");
-        assert_eq!(state.current(&engine).len(), 1, "author under book");
+        assert_eq!(state.current().len(), 1, "author under book");
         // New context: base candidates refresh, typed prefix survives.
         state.ensure_context(&engine, &article);
         assert_eq!(state.context(), &article);
         assert_eq!(state.typed(), "a");
-        assert_eq!(
-            state.current(&engine).len(),
-            2,
-            "author + abstract under article"
-        );
+        assert_eq!(state.current().len(), 2, "author + abstract under article");
         state.clear_typed();
         state.set_k(1);
-        assert_eq!(state.current(&engine).len(), 1);
+        assert_eq!(state.current().len(), 1);
     }
 }

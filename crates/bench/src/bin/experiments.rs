@@ -9,7 +9,7 @@
 
 use lotusx_autocomplete::{CompletionEngine, PositionContext};
 use lotusx_bench::metrics::{mrr, ndcg_at_k, precision_at_k};
-use lotusx_bench::{complete_tag_scan, fixture, fmt_duration, median_time, time_once, SEED};
+use lotusx_bench::{fixture, fmt_duration, median_time, time_once, SEED};
 use lotusx_datagen::{generate, queries, Dataset};
 use lotusx_guard::QueryGuard;
 use lotusx_index::IndexedDocument;
@@ -128,8 +128,8 @@ fn e2_algorithms() {
 // ---------------------------------------------------------------- E3 ----
 fn e3_completion_latency() {
     println!("## E3 (Figure 3) — per-keystroke completion latency (scale 2)\n");
-    println!("| dataset | prefix len | position-aware | global trie | linear scan |");
-    println!("|---|---|---|---|---|");
+    println!("| dataset | prefix len | position-aware | global |");
+    println!("|---|---|---|---|");
     for ds in Dataset::ALL {
         let idx = fixture(ds, 2);
         let engine = CompletionEngine::new(&idx);
@@ -156,22 +156,13 @@ fn e3_completion_latency() {
                     })
                     .sum::<usize>()
             });
-            let (scan, _) = median_time(REPS, || {
-                traces
-                    .iter()
-                    .map(|t| {
-                        complete_tag_scan(&idx, &t.intended[..plen.min(t.intended.len())], 10).len()
-                    })
-                    .sum::<usize>()
-            });
             let n = traces.len() as u32;
             println!(
-                "| {} | {} | {} | {} | {} |",
+                "| {} | {} | {} | {} |",
                 ds,
                 plen,
                 fmt_duration(aware / n),
                 fmt_duration(global / n),
-                fmt_duration(scan / n),
             );
         }
     }
@@ -401,8 +392,10 @@ fn e7_ordered() {
 // ---------------------------------------------------------------- E8 ----
 fn e8_scalability() {
     println!("## E8 (Figure 8) — scalability on dblp-like (query D2, completion prefix \"a\")\n");
-    println!("| scale | elements | naive | structural-join | completion aware | completion trie | completion scan |");
-    println!("|---|---|---|---|---|---|---|");
+    println!(
+        "| scale | elements | naive | structural-join | completion aware | completion global |"
+    );
+    println!("|---|---|---|---|---|---|");
     let pattern = parse_query("//article[author][title]/year").unwrap();
     for scale in [1u32, 2, 4, 8, 16] {
         let idx = fixture(Dataset::DblpLike, scale);
@@ -411,17 +404,15 @@ fn e8_scalability() {
         let engine = CompletionEngine::new(&idx);
         let ctx = PositionContext::from_tag_path(&["dblp", "article"], Axis::Child);
         let (t_aware, _) = median_time(REPS, || engine.complete_tag(&ctx, "a", 10));
-        let (t_trie, _) = median_time(REPS, || engine.complete_tag_global("a", 10));
-        let (t_scan, _) = median_time(REPS, || complete_tag_scan(&idx, "a", 10));
+        let (t_global, _) = median_time(REPS, || engine.complete_tag_global("a", 10));
         println!(
-            "| {} | {} | {} | {} | {} | {} | {} |",
+            "| {} | {} | {} | {} | {} | {} |",
             scale,
             idx.stats().element_count,
             fmt_duration(t_naive),
             fmt_duration(t_sj),
             fmt_duration(t_aware),
-            fmt_duration(t_trie),
-            fmt_duration(t_scan),
+            fmt_duration(t_global),
         );
     }
     println!();
@@ -452,9 +443,7 @@ fn e8_scalability() {
 fn e9_ablations() {
     println!("## E9 — ablations\n");
 
-    println!(
-        "### E9a: DataGuide filtering off (completion = global trie) — candidate-set blowup\n"
-    );
+    println!("### E9a: DataGuide filtering off (completion = global) — candidate-set blowup\n");
     println!("| dataset | avg candidates with DataGuide | avg candidates without | blowup |");
     println!("|---|---|---|---|");
     for ds in Dataset::ALL {

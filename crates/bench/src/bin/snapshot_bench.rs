@@ -219,15 +219,14 @@ fn probes(system: &LotusX, ds: Dataset) -> Vec<(String, String)> {
 }
 
 /// Snapshot sections in file order, by the names the artifact uses.
-const SECTIONS: [(u64, &str); 8] = [
+const SECTIONS: [(u64, &str); 7] = [
     (section::DOCUMENT, "document"),
     (section::LABELS, "labels"),
     (section::COLUMNS, "columns"),
     (section::VALUES, "values"),
-    (section::TRIES, "tries"),
+    (section::TAG_TERMS, "tag_terms"),
     (section::GUIDE, "guide"),
     (section::STATS, "stats"),
-    (section::VALUE_TRIES, "value_tries"),
 ];
 
 struct Row {

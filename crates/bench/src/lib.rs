@@ -6,7 +6,6 @@
 pub mod metrics;
 
 use lotusx::{CorpusSource, LotusX};
-use lotusx_autocomplete::TagCandidate;
 use lotusx_datagen::Dataset;
 use lotusx_index::IndexedDocument;
 use std::time::{Duration, Instant};
@@ -59,50 +58,9 @@ pub fn fmt_duration(d: Duration) -> String {
     }
 }
 
-/// Ablation baseline (E3, E8): global tag completion by a linear scan over
-/// every tag name instead of the tag trie. Same candidates as
-/// `CompletionEngine::complete_tag_global`, a different cost curve.
-pub fn complete_tag_scan(idx: &IndexedDocument, prefix: &str, k: usize) -> Vec<TagCandidate> {
-    let frequency = |sym| idx.columns().view(sym).len() as u64;
-    let mut out: Vec<TagCandidate> = idx
-        .document()
-        .symbols()
-        .iter()
-        .filter(|&(sym, name)| name.starts_with(prefix) && frequency(sym) > 0)
-        .map(|(sym, name)| TagCandidate {
-            name: name.to_string(),
-            count: frequency(sym),
-        })
-        .collect();
-    out.sort_by(|a, b| b.count.cmp(&a.count).then_with(|| a.name.cmp(&b.name)));
-    out.truncate(k);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lotusx_autocomplete::CompletionEngine;
-
-    #[test]
-    fn scan_and_trie_baselines_agree() {
-        let idx = IndexedDocument::from_str(
-            "<bib>\
-               <book><title>data web</title><author>lu</author><publisher>mk</publisher></book>\
-               <book><title>xml handbook</title><author>goldfarb</author><publisher>ph</publisher></book>\
-               <article><title>twigstack paper</title><author>bruno</author><journal>tods</journal></article>\
-             </bib>",
-        )
-        .unwrap();
-        let e = CompletionEngine::new(&idx);
-        for prefix in ["", "a", "t", "z", "pub"] {
-            assert_eq!(
-                e.complete_tag_global(prefix, 50),
-                complete_tag_scan(&idx, prefix, 50),
-                "prefix {prefix}"
-            );
-        }
-    }
 
     #[test]
     fn fixtures_build_for_all_datasets() {

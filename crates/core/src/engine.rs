@@ -18,7 +18,7 @@ use crate::request::{
     Answer, LotusError, PendingQuery, QueryKind, QueryProbe, QueryRequest, QueryResponse,
     RewriteInfo,
 };
-use lotusx_autocomplete::{CompletionEngine, ValueTrieCache};
+use lotusx_autocomplete::CompletionEngine;
 use lotusx_guard::{QueryGuard, TruncationReason};
 use lotusx_index::IndexedDocument;
 use lotusx_obs::{QueryProfile, Span, Stage};
@@ -31,10 +31,6 @@ use lotusx_xml::{Document, SerializeOptions};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Number of hottest tags whose value-completion tries are prebuilt at
-/// load time.
-const HOT_TAG_TRIES: usize = 8;
 
 /// Capacity of the query-result LRU cache.
 const QUERY_CACHE_CAPACITY: usize = 128;
@@ -154,14 +150,10 @@ impl RequestCtx {
 /// The LotusX system over one loaded document.
 ///
 /// `LotusX` is `Send + Sync`: searches and completions take `&self` and
-/// may run concurrently from many threads. The two internal caches (query
-/// results, per-tag value tries) are thread-safe and shared across all
-/// callers.
+/// may run concurrently from many threads. The query-result cache is
+/// thread-safe and shared across all callers.
 pub struct LotusX {
     idx: IndexedDocument,
-    /// Per-tag value-completion tries, shared with every engine handed
-    /// out by [`Self::completion_engine`].
-    value_cache: Arc<ValueTrieCache>,
     /// Complete twig responses (profile-less) keyed by effective limit +
     /// resolved algorithm + normalized pattern. A hit clones the entry:
     /// a pointer copy of its [`Answer`].
@@ -210,19 +202,13 @@ impl LotusX {
     }
 
     /// Saves the **entire index set** — document tree, labels, tag/value
-    /// indexes, completion tries, DataGuide and statistics tables — as a
+    /// indexes, per-tag term counts, DataGuide and statistics tables — as a
     /// sectioned, checksummed binary snapshot that [`Self::open_snapshot`]
     /// reopens with bulk reads instead of a rebuild. The write is atomic:
     /// the snapshot is staged in a temp file beside the target, fsynced
     /// and renamed into place, so a crash never leaves a torn file.
     pub fn save_snapshot(&self, path: impl AsRef<std::path::Path>) -> Result<(), LotusError> {
-        let mut sections = lotusx_index::snapshot::encode_sections(&self.idx);
-        // The warm value-trie cache rides along so a reopened snapshot
-        // starts with the same hot completion set instead of rebuilding it.
-        sections.push(lotusx_storage::Section {
-            id: lotusx_storage::snapshot::section::VALUE_TRIES,
-            bytes: self.value_cache.encode(),
-        });
+        let sections = lotusx_index::snapshot::encode_sections(&self.idx);
         lotusx_storage::write_snapshot_file(path, &sections)?;
         Ok(())
     }
@@ -232,45 +218,19 @@ impl LotusX {
     /// re-labeling or stats re-walks). A file of any other format version
     /// is a typed [`LotusError::Storage`], never parsed.
     pub fn open_snapshot(path: impl AsRef<std::path::Path>) -> Result<Self, LotusError> {
-        // Every checksum is verified here, before anything decodes.
+        // Every checksum is verified here, before anything decodes; the
+        // decoder frees each payload once its section is decoded.
         let sections = lotusx_storage::read_snapshot_file(path)?;
-        // The shipped value-trie cache (duplicates are corruption) is set
-        // aside; the index decoder takes the rest and frees each payload
-        // once its section is decoded.
-        let (mut vtries, sections): (Vec<_>, Vec<_>) = sections
-            .into_iter()
-            .partition(|s| s.id == lotusx_storage::snapshot::section::VALUE_TRIES);
-        if vtries.len() > 1 {
-            return Err(LotusError::Storage(lotusx_storage::StorageError::Corrupt(
-                "duplicate snapshot section",
-            )));
-        }
-        let idx = lotusx_index::snapshot::decode_sections(sections)?;
-        // Snapshots without a value-trie cache rebuild the hot set.
-        match vtries.pop() {
-            Some(s) => {
-                let cache = ValueTrieCache::decode(&s.bytes, idx.document().symbols().len())?;
-                Ok(Self::assemble(idx, cache))
-            }
-            None => Ok(Self::from_indexed(idx)),
-        }
+        Ok(Self::from_indexed(lotusx_index::snapshot::decode_sections(
+            sections,
+        )?))
     }
 
-    /// Wraps an already-indexed document in a fresh engine (new caches),
-    /// pre-building the value tries of the hottest tags exactly as
-    /// [`Self::load_document`] does.
+    /// Wraps an already-indexed document in a fresh engine (an empty
+    /// query cache).
     pub fn from_indexed(idx: IndexedDocument) -> Self {
-        let value_cache = ValueTrieCache::new(idx.document().symbols().len());
-        value_cache.precompute_hottest(&idx, HOT_TAG_TRIES);
-        Self::assemble(idx, value_cache)
-    }
-
-    /// Pairs an index with an already-warm value-trie cache (the snapshot
-    /// fast path: no trie rebuilds at all).
-    fn assemble(idx: IndexedDocument, value_cache: ValueTrieCache) -> Self {
         LotusX {
             idx,
-            value_cache: Arc::new(value_cache),
             query_cache: ConcurrentLru::new(QUERY_CACHE_CAPACITY),
         }
     }
@@ -280,8 +240,7 @@ impl LotusX {
         self.idx
     }
 
-    /// Indexes an already-parsed document and pre-builds the value tries
-    /// of the hottest tags.
+    /// Indexes an already-parsed document.
     pub fn load_document(doc: Document) -> Self {
         Self::from_indexed(IndexedDocument::build(doc))
     }
@@ -294,11 +253,6 @@ impl LotusX {
     /// Aggregate hit/miss statistics of the query-result cache.
     pub fn query_cache_stats(&self) -> CacheStats {
         self.query_cache.stats()
-    }
-
-    /// Number of per-tag value-completion tries currently cached.
-    pub fn value_trie_cache_len(&self) -> usize {
-        self.value_cache.len()
     }
 
     /// Runs one [`QueryRequest`].
@@ -515,11 +469,9 @@ impl LotusX {
         }
     }
 
-    /// A position-aware completion engine over this document. All engines
-    /// share one value-trie cache, so a trie built while serving one
-    /// completion request is reused by every later engine.
+    /// A position-aware completion engine over this document.
     pub fn completion_engine(&self) -> CompletionEngine<'_> {
-        CompletionEngine::with_cache(&self.idx, Arc::clone(&self.value_cache))
+        CompletionEngine::new(&self.idx)
     }
 }
 
@@ -958,22 +910,6 @@ mod tests {
         assert_eq!(repeated[5], (0, 6), "first pass fills");
         assert_eq!(repeated.last(), Some(&(12, 6)), "then every lookup hits");
         assert_eq!(repeated, replay(&cold[..6], 3));
-    }
-
-    #[test]
-    fn value_trie_cache_is_precomputed_and_shared() {
-        let system = LotusX::load_str(BIB).unwrap();
-        // BIB has 5 distinct tags; all fit under the hot-tag budget.
-        assert!(system.value_trie_cache_len() > 0);
-        let before = system.value_trie_cache_len();
-        let engine = system.completion_engine();
-        let hits = engine.complete_value("title", "xm", 10);
-        assert!(hits.iter().any(|c| c.term.starts_with("xm")));
-        assert_eq!(
-            system.value_trie_cache_len(),
-            before,
-            "served from shared cache"
-        );
     }
 
     #[test]

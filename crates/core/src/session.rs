@@ -53,7 +53,7 @@ impl<'a> Session<'a> {
     pub fn focus(&mut self, node: CanvasNodeId) -> Result<Vec<TagCandidate>, CanvasError> {
         let ctx = self.canvas.context_of(node)?;
         let state = CompletionState::new(&self.completion, ctx, self.suggestion_k);
-        let candidates = state.current(&self.completion);
+        let candidates = state.current();
         self.focus = Some((node, state));
         Ok(candidates)
     }
@@ -77,7 +77,7 @@ impl<'a> Session<'a> {
         let (node, state) = self.focus.as_mut().ok_or(CanvasError::NoSuchNode)?;
         let ctx = self.canvas.context_of(*node)?;
         state.ensure_context(&self.completion, &ctx);
-        Ok(state.keystroke(&self.completion, ch))
+        Ok(state.keystroke(ch))
     }
 
     /// Deletes the last typed character.
@@ -85,7 +85,7 @@ impl<'a> Session<'a> {
         let (node, state) = self.focus.as_mut().ok_or(CanvasError::NoSuchNode)?;
         let ctx = self.canvas.context_of(*node)?;
         state.ensure_context(&self.completion, &ctx);
-        Ok(state.backspace(&self.completion))
+        Ok(state.backspace())
     }
 
     /// Accepts a candidate (or whatever has been typed) as the focused
@@ -109,7 +109,7 @@ impl<'a> Session<'a> {
         let (node, state) = self.focus.as_mut().ok_or(CanvasError::NoSuchNode)?;
         let ctx = self.canvas.context_of(*node)?;
         state.ensure_context(&self.completion, &ctx);
-        Ok(state.current(&self.completion))
+        Ok(state.current())
     }
 
     /// Accepts the current top candidate (falling back to the typed text

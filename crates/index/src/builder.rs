@@ -3,7 +3,7 @@
 use crate::columns::TagColumns;
 use crate::dataguide::{DataGuide, GuideNodeId};
 use crate::stats::Stats;
-use crate::trie::{Trie, TrieBuilder};
+use crate::term_counts::TermCounts;
 use crate::value_index::{ValueIndex, ValueIndexBuilder};
 use lotusx_labeling::DocumentLabels;
 use lotusx_xml::{Document, NodeId, NodeKind, Symbol};
@@ -26,8 +26,7 @@ pub struct IndexedDocument {
     pub(crate) labels: DocumentLabels,
     pub(crate) columns: TagColumns,
     pub(crate) values: ValueIndex,
-    pub(crate) tag_trie: Trie,
-    pub(crate) term_trie: Trie,
+    pub(crate) term_counts: TermCounts,
     pub(crate) guide: DataGuide,
     pub(crate) guide_of: Vec<GuideNodeId>,
     pub(crate) stats: Stats,
@@ -46,8 +45,8 @@ impl IndexedDocument {
     /// Builds all indexes over an already-parsed document, on the
     /// calling thread: whole-document passes for labels, DataGuide and
     /// statistics; one preorder walk for the element list and the
-    /// element→guide-node map; the value postings and the tag columns
-    /// from that list; then the two completion tries.
+    /// element→guide-node map, the value postings and the term counts;
+    /// then the tag columns from that list.
     pub fn build(doc: Document) -> Self {
         let labels = DocumentLabels::compute(&doc);
         let guide = DataGuide::from_document(&doc);
@@ -71,34 +70,18 @@ impl IndexedDocument {
                 .expect("guide derived from the same document");
             elements.push(node);
             let attrs = attributes.into_iter().map(|(_, v)| v);
-            values.add_element(node, &doc.direct_text(node), attrs);
+            values.add_element(node, name, &doc.direct_text(node), attrs);
         }
-        let values = values.finish();
+        let (values, term_counts) = values.finish(doc.symbols().len());
 
         let columns = TagColumns::build(&doc, &labels, &elements);
-
-        // Tag trie: element tags only, weighted by occurrence count.
-        let mut tag_trie = TrieBuilder::new();
-        for (sym, name) in doc.symbols().iter() {
-            let freq = columns.view(sym).len();
-            if freq > 0 {
-                tag_trie.insert(name, sym.index() as u32, freq as u64);
-            }
-        }
-        // Term trie: payload is the term's rank in the value index's
-        // sorted term table, weighted by document frequency.
-        let mut term_trie = TrieBuilder::new();
-        for (i, (term, df)) in values.terms().enumerate() {
-            term_trie.insert(term, i as u32, df as u64);
-        }
 
         IndexedDocument {
             doc,
             labels,
             columns,
             values,
-            tag_trie: tag_trie.finish(),
-            term_trie: term_trie.finish(),
+            term_counts,
             guide,
             guide_of,
             stats,
@@ -125,20 +108,9 @@ impl IndexedDocument {
         &self.values
     }
 
-    /// The tag-name completion trie (payload = `Symbol` index).
-    pub fn tag_trie(&self) -> &Trie {
-        &self.tag_trie
-    }
-
-    /// The content-term completion trie (payload = index into [`Self::term`]).
-    pub fn term_trie(&self) -> &Trie {
-        &self.term_trie
-    }
-
-    /// Resolves a term-trie payload to the term string: the term of that
-    /// rank in the value index's sorted term table.
-    pub fn term(&self, id: u32) -> &str {
-        self.values.term(id as usize)
+    /// The per-tag and document-wide term counts value completion reads.
+    pub fn term_counts(&self) -> &TermCounts {
+        &self.term_counts
     }
 
     /// The DataGuide structural summary.
@@ -167,8 +139,7 @@ impl IndexedDocument {
         self.labels.size_bytes()
             + self.columns.size_bytes()
             + self.values.size_bytes()
-            + self.tag_trie.size_bytes()
-            + self.term_trie.size_bytes()
+            + self.term_counts.size_bytes()
             + self.guide.size_bytes()
             + self.guide_of.len() * std::mem::size_of::<GuideNodeId>()
     }
@@ -204,26 +175,6 @@ mod tests {
         assert_eq!(idx.values().df("xml"), 1);
         assert_eq!(idx.values().df("1999"), 1, "attribute value indexed");
         assert_eq!(idx.values().exact_matches("twigstack").len(), 1);
-    }
-
-    #[test]
-    fn tag_trie_completes_by_frequency() {
-        let idx = idx();
-        let completions = idx.tag_trie().complete("", 10);
-        // book and title appear; heaviest first.
-        assert_eq!(completions[0].weight, 3); // title ×3
-        let keys: Vec<&str> = completions.iter().map(|c| c.key.as_str()).collect();
-        assert!(keys.contains(&"book"));
-        assert!(keys.contains(&"article"));
-        assert!(!keys.contains(&"year"), "attribute names are not tags");
-    }
-
-    #[test]
-    fn term_trie_payloads_resolve() {
-        let idx = idx();
-        let completions = idx.term_trie().complete("twig", 5);
-        assert_eq!(completions.len(), 1);
-        assert_eq!(idx.term(completions[0].payload), "twigstack");
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! * [`value_index::ValueIndex`] — tokenized term postings with term
 //!   frequencies, an exact-value index, and a numeric index for range
 //!   predicates; terms and exact values are sorted dictionaries over
-//!   compressed sparse rows, and the term dictionary's order is the term
-//!   trie's payload;
-//! * [`trie::Trie`] — a from-scratch byte trie with best-first top-k
-//!   completion (tags and content terms each get one);
+//!   compressed sparse rows, and a prefix is a range of term ranks;
+//! * [`term_counts::TermCounts`] — per tag and document-wide term counts
+//!   over those ranks, the lists every value candidate list is the top k
+//!   of;
 //! * [`dataguide::DataGuide`] — a strong DataGuide structural summary,
 //!   the engine behind *position-aware* candidate filtering and
 //!   satisfiability pruning;
@@ -28,7 +28,7 @@ pub mod columns;
 pub mod dataguide;
 pub mod snapshot;
 pub mod stats;
-pub mod trie;
+pub mod term_counts;
 pub mod value_index;
 mod wire;
 
@@ -40,5 +40,5 @@ pub use dataguide::{DataGuide, GuideNodeId};
 pub use lotusx_labeling::{DocumentLabels, RegionLabel};
 pub use lotusx_storage::{codec, read_snapshot_file, Section, StorageError};
 pub use stats::Stats;
-pub use trie::{Trie, TrieBuilder, TrieCursor};
+pub use term_counts::TermCounts;
 pub use value_index::{fold_value, tokenize, ValueIndex};

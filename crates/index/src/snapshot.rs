@@ -3,7 +3,7 @@
 //!
 //! [`encode_sections`] serializes every structure of an
 //! [`IndexedDocument`] — the document tree, the region labels, the
-//! columnar arenas, the value index, both completion tries, the
+//! columnar arenas, the value index, the per-tag term counts, the
 //! DataGuide and the statistics tables — into the sections that
 //! `lotusx-storage` frames and checksums. [`decode_sections`] is the
 //! inverse: bulk reads straight into the arena layouts plus validation,
@@ -11,7 +11,8 @@
 //! the sections by value and frees each payload as soon as its section
 //! is decoded, so a load never holds the whole file beside the whole
 //! index. What is *derived* from another section's bytes — today whether
-//! the columns' node ids ascend, and the columns' parent slots — is
+//! the columns' node ids ascend, the columns' parent slots, the
+//! document-frequency list and the count lists' block maxima — is
 //! recomputed, not stored: a stored derivation must be validated against
 //! its source or it can lie, and validating it costs what recomputing it
 //! costs.
@@ -28,9 +29,8 @@
 //!
 //! ## Determinism
 //!
-//! Every hash-map-backed structure is emitted under a sorted key order
-//! and the tries are serialized structurally, so encoding the same
-//! index twice yields byte-identical sections — and a loaded snapshot
+//! Every hash-map-backed structure is emitted under a sorted key order,
+//! so encoding the same index twice yields byte-identical sections — and a loaded snapshot
 //! answers every query and completion bit-identically to
 //! the fresh build it was saved from.
 
@@ -38,7 +38,7 @@ use crate::builder::IndexedDocument;
 use crate::columns::TagColumns;
 use crate::dataguide::{DataGuide, GuideNodeId};
 use crate::stats::Stats;
-use crate::trie::Trie;
+use crate::term_counts::TermCounts;
 use crate::value_index::ValueIndex;
 use crate::wire::{corrupt, get_str, put_string, put_varint, rd_len, StorageError};
 use crate::wire::{get_u16_slice, get_u32_slice, put_u16_slice, put_u32_slice};
@@ -65,8 +65,8 @@ pub fn encode_sections(idx: &IndexedDocument) -> Vec<Section> {
     idx.columns().encode(&node_map, &mut columns);
     let mut values = Vec::new();
     idx.values().encode(&node_map, &mut values);
-    let mut tries = Vec::new();
-    encode_tries(idx, &mut tries);
+    let mut tag_terms = Vec::new();
+    idx.term_counts().encode(&mut tag_terms);
     let mut guide = Vec::new();
     encode_guide(idx, &order, &mut guide);
     let mut stats = Vec::new();
@@ -90,8 +90,8 @@ pub fn encode_sections(idx: &IndexedDocument) -> Vec<Section> {
             bytes: values,
         },
         Section {
-            id: section::TRIES,
-            bytes: tries,
+            id: section::TAG_TERMS,
+            bytes: tag_terms,
         },
         Section {
             id: section::GUIDE,
@@ -112,15 +112,14 @@ const DECODED: [u64; 7] = [
     section::GUIDE,
     section::COLUMNS,
     section::VALUES,
-    section::TRIES,
+    section::TAG_TERMS,
     section::STATS,
 ];
 
 /// Reassembles an [`IndexedDocument`] from snapshot sections. Every
-/// section must be present exactly once (sections it does not read, such
-/// as `VALUE_TRIES`, are dropped); every embedded id is bounds-checked so
-/// a crafted payload yields a typed error, never a panic. Each payload
-/// is freed once its section is decoded.
+/// section must be present exactly once; every embedded id is
+/// bounds-checked so a crafted payload yields a typed error, never a
+/// panic. Each payload is freed once its section is decoded.
 pub fn decode_sections(sections: Vec<Section>) -> Result<IndexedDocument, StorageError> {
     let mut payloads: [Option<Vec<u8>>; DECODED.len()] = Default::default();
     for s in sections {
@@ -162,7 +161,11 @@ pub fn decode_sections(sections: Vec<Section>) -> Result<IndexedDocument, Storag
     ensure_consumed(&bytes, pos, "values")?;
     drop(bytes);
 
-    let (tag_trie, term_trie) = decode_tries(&next(), tag_count, &values)?;
+    let bytes = next();
+    let mut pos = 0;
+    let term_counts = TermCounts::decode(&bytes, &mut pos, tag_count, &values)?;
+    ensure_consumed(&bytes, pos, "tag terms")?;
+    drop(bytes);
 
     let bytes = next();
     let mut pos = 0;
@@ -174,8 +177,7 @@ pub fn decode_sections(sections: Vec<Section>) -> Result<IndexedDocument, Storag
         labels,
         columns,
         values,
-        tag_trie,
-        term_trie,
+        term_counts,
         guide,
         guide_of,
         stats,
@@ -375,43 +377,6 @@ fn decode_labels(bytes: &[u8], node_count: usize) -> Result<DocumentLabels, Stor
     Ok(DocumentLabels::from_parts(region))
 }
 
-/// `TRIES`: the sorted term table, then both tries structurally. The
-/// table repeats the `VALUES` term keys, whose ranks are the term trie's
-/// payloads.
-fn encode_tries(idx: &IndexedDocument, out: &mut Vec<u8>) {
-    let values = idx.values();
-    put_varint(out, values.term_count() as u64);
-    for (term, _) in values.terms() {
-        put_string(out, term);
-    }
-    idx.tag_trie().encode(out);
-    idx.term_trie().encode(out);
-}
-
-/// Reads `TRIES`, checking its term table against the decoded `VALUES`
-/// keys instead of keeping a second copy.
-fn decode_tries(
-    bytes: &[u8],
-    tag_count: usize,
-    values: &ValueIndex,
-) -> Result<(Trie, Trie), StorageError> {
-    let pos = &mut 0;
-    let term_count = rd_len(bytes, pos, "term table length")?;
-    if term_count != values.term_count() {
-        return Err(corrupt("term table differs from the value index"));
-    }
-    for i in 0..term_count {
-        let term = get_str(bytes, pos).ok_or(corrupt("term table entry"))?;
-        if term != values.term(i) {
-            return Err(corrupt("term table differs from the value index"));
-        }
-    }
-    let tag_trie = Trie::decode(bytes, pos, tag_count as u32)?;
-    let term_trie = Trie::decode(bytes, pos, term_count as u32)?;
-    ensure_consumed(bytes, *pos, "tries")?;
-    Ok((tag_trie, term_trie))
-}
-
 /// `GUIDE`: the guide nodes, then the node → guide-node map in canonical
 /// node order.
 fn encode_guide(idx: &IndexedDocument, order: &[NodeId], out: &mut Vec<u8>) {
@@ -489,17 +454,7 @@ mod tests {
             back.values().content_element_count(),
             idx.values().content_element_count()
         );
-        assert_eq!(
-            back.tag_trie().complete("", 100),
-            idx.tag_trie().complete("", 100)
-        );
-        assert_eq!(
-            back.term_trie().complete("", 1000),
-            idx.term_trie().complete("", 1000)
-        );
-        for c in back.term_trie().complete("", 1000) {
-            assert_eq!(back.term(c.payload), idx.term(c.payload));
-        }
+        assert_eq!(back.term_counts(), idx.term_counts());
         assert_eq!(back.guide().node_count(), idx.guide().node_count());
         for i in 0..idx.guide().node_count() {
             let id = GuideNodeId::from_index(i);
@@ -563,10 +518,9 @@ mod tests {
         }
     }
 
-    /// Both dictionaries of `VALUES` must be sorted, and `TRIES` must
-    /// repeat the `VALUES` term keys exactly: the load keeps one table.
+    /// Both dictionaries of `VALUES` must be sorted.
     #[test]
-    fn unsorted_keys_and_a_differing_term_table_are_typed_errors() {
+    fn unsorted_keys_are_typed_errors() {
         let sections = encode_sections(&sample());
         // Term keys "1999" < "2003": make the second equal the first.
         let mut terms = sections.clone();
@@ -577,21 +531,63 @@ mod tests {
         let mut exact = sections.clone();
         rewrite(&mut exact, section::VALUES, b"deep", b"abit", true);
         assert_eq!(decode_error(exact), "value-index exact keys not increasing");
-        // A term table entry that is not the value index's key.
-        let mut table = sections.clone();
-        rewrite(&mut table, section::TRIES, b"1999", b"1998", false);
-        assert_eq!(
-            decode_error(table),
-            "term table differs from the value index"
-        );
-        // … or a table one entry short.
-        let mut short = sections;
-        let tries = short.iter_mut().find(|s| s.id == section::TRIES).unwrap();
-        tries.bytes[0] -= 1;
-        assert_eq!(
-            decode_error(short),
-            "term table differs from the value index"
-        );
+    }
+
+    /// A `TAG_TERMS` payload of one list per `(tag, [(rank gap, count)])`.
+    fn tag_terms<const N: usize>(lists: &[(u64, [(u64, u64); N])]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_varint(&mut out, (lists.len() * N) as u64);
+        put_varint(&mut out, lists.len() as u64);
+        for (tag, list) in lists {
+            put_varint(&mut out, *tag);
+            put_varint(&mut out, N as u64);
+            for &(gap, count) in list {
+                put_varint(&mut out, gap);
+                put_varint(&mut out, count);
+            }
+        }
+        out
+    }
+
+    /// Every invariant of `TAG_TERMS` is a typed error naming it.
+    #[test]
+    fn malformed_tag_terms_are_typed_errors() {
+        let idx = sample();
+        let tags = idx.document().symbols().len() as u64;
+        let terms = idx.values().term_count() as u64;
+        let with = |payload: Vec<u8>| {
+            let mut sections = encode_sections(&idx);
+            let s = sections.iter_mut().find(|s| s.id == section::TAG_TERMS);
+            s.unwrap().bytes = payload;
+            sections
+        };
+        assert!(decode_sections(with(tag_terms(&[(1, [(0, 1), (3, 2)])]))).is_ok());
+        for (payload, error) in [
+            (tag_terms(&[(tags, [(0, 1)])]), "tag-terms tag out of range"),
+            (
+                tag_terms(&[(2, [(0, 1)]), (1, [(0, 1)])]),
+                "tag-terms tag out of range",
+            ),
+            (
+                tag_terms(&[(1, [(2, 1), (0, 1)])]),
+                "tag-terms ranks not increasing",
+            ),
+            (
+                tag_terms(&[(1, [(terms, 1)])]),
+                "tag-terms rank out of range",
+            ),
+            (
+                tag_terms(&[(1, [(1, 1), (terms - 1, 1)])]),
+                "tag-terms rank out of range",
+            ),
+            (tag_terms(&[(1, [(0, 0)])]), "tag-terms count out of range"),
+            (
+                [tag_terms(&[(1, [(0, 1)])]), vec![0]].concat(),
+                "trailing bytes in snapshot section",
+            ),
+        ] {
+            assert_eq!(decode_error(with(payload)), error);
+        }
     }
 
     /// Flip one byte of every section in turn: decoding must fail with a

@@ -7,13 +7,16 @@
 //! Both string-keyed indexes are sorted dictionaries: every key in one
 //! byte arena, every list in one array, and a pair of offset columns
 //! between them (compressed sparse rows). A lookup is a binary search over
-//! the keys, and a key's rank is a stable id — the term trie's payload.
-//! The whole index is a dozen allocations, whatever the number of
-//! distinct terms and values.
+//! the keys, and a key's rank is a stable id: the completion counts of
+//! [`TermCounts`] are keyed by it, and a prefix is a range of ranks. The
+//! whole index is a dozen allocations, whatever the number of distinct
+//! terms and values.
 
+use crate::term_counts::TermCounts;
 use crate::wire::{corrupt, get_str, put_string, put_varint, rd_f64, rd_len, StorageError};
-use lotusx_xml::NodeId;
+use lotusx_xml::{NodeId, Symbol};
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::ops::Range;
 
 /// Appends the case fold of one term character: its Unicode lowercase,
@@ -150,18 +153,28 @@ impl<T: Copy> Dictionary<T> {
         &self.entries[span(&self.entry_offsets, i)]
     }
 
-    /// The list of `key`, empty if the key is absent.
-    fn get(&self, key: &str) -> &[T] {
+    /// The first rank whose key fails `pred`, which must hold for a
+    /// prefix of the keys.
+    fn partition_point(&self, pred: impl Fn(&str) -> bool) -> usize {
         let (mut low, mut high) = (0, self.len());
         while low < high {
             let mid = low + (high - low) / 2;
-            match self.key(mid).cmp(key) {
-                std::cmp::Ordering::Less => low = mid + 1,
-                std::cmp::Ordering::Greater => high = mid,
-                std::cmp::Ordering::Equal => return self.entries_of(mid),
+            if pred(self.key(mid)) {
+                low = mid + 1;
+            } else {
+                high = mid;
             }
         }
-        &[]
+        low
+    }
+
+    /// The list of `key`, empty if the key is absent.
+    fn get(&self, key: &str) -> &[T] {
+        let at = self.partition_point(|k| k < key);
+        match at < self.len() && self.key(at) == key {
+            true => self.entries_of(at),
+            false => &[],
+        }
     }
 
     fn iter(&self) -> impl Iterator<Item = (&str, &[T])> {
@@ -174,33 +187,32 @@ impl<T: Copy> Dictionary<T> {
             + self.entries.capacity() * std::mem::size_of::<T>()
     }
 
-    /// Sorts the keys of `interned` and gathers each one's items, kept in
-    /// arrival order, with one counting pass: every array is sized once.
-    fn gather(interned: &Interner, items: &[(u32, T)]) -> Self {
+    /// Lays the keys of `interned` out in byte order (`rank` is
+    /// [`Interner::ranks`]) and gathers each one's items, kept in arrival
+    /// order, with one counting pass: every array is sized once.
+    fn gather(interned: &Interner, rank: &[u32], items: &[(u32, T)]) -> Self {
         let n = interned.len();
-        let mut order: Vec<u32> = (0..offset(n)).collect();
-        order.sort_unstable_by(|&a, &b| interned.key(a).cmp(interned.key(b)));
+        let mut order = vec![0u32; n];
+        for (id, &r) in rank.iter().enumerate() {
+            order[r as usize] = id as u32;
+        }
         let mut keys = String::with_capacity(interned.arena.len());
         let mut key_offsets = Vec::with_capacity(n + 1);
         key_offsets.push(0);
-        // Per interned id: first its rank, then its write position.
-        let mut slot = vec![0u32; n];
-        for (rank, &id) in order.iter().enumerate() {
-            slot[id as usize] = rank as u32;
+        for &id in &order {
             keys.push_str(interned.key(id));
             key_offsets.push(offset(keys.len()));
         }
         drop(order);
         let mut entry_offsets = vec![0u32; n + 1];
         for &(id, _) in items {
-            entry_offsets[slot[id as usize] as usize + 1] += 1;
+            entry_offsets[rank[id as usize] as usize + 1] += 1;
         }
         for i in 0..n {
             entry_offsets[i + 1] += entry_offsets[i];
         }
-        for s in &mut slot {
-            *s = entry_offsets[*s as usize];
-        }
+        // Per interned id, its next write position.
+        let mut slot: Vec<u32> = rank.iter().map(|&r| entry_offsets[r as usize]).collect();
         let mut entries = items
             .first()
             .map_or(Vec::new(), |&(_, t)| vec![t; items.len()]);
@@ -315,6 +327,17 @@ impl Interner {
         &self.arena[start as usize..self.ends[id] as usize]
     }
 
+    /// Each id's rank in the byte order of the keys.
+    fn ranks(&self) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..offset(self.len())).collect();
+        order.sort_unstable_by(|&a, &b| self.key(a).cmp(self.key(b)));
+        let mut rank = vec![0u32; self.len()];
+        for (r, &id) in order.iter().enumerate() {
+            rank[id as usize] = r as u32;
+        }
+        rank
+    }
+
     fn home(key: &str, mask: usize) -> usize {
         // FNV-1a, with the high bits of a multiply choosing the slot.
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -368,6 +391,8 @@ pub(crate) struct ValueIndexBuilder {
     last: Vec<usize>,
     /// `(term id, posting)` in arrival order.
     postings: Vec<(u32, Posting)>,
+    /// Occurrences per `tag << 32 | term id` in direct text.
+    tag_terms: HashMap<u64, u32>,
     values: Interner,
     /// `(value id, element)` in arrival order.
     exact: Vec<(u32, NodeId)>,
@@ -377,17 +402,18 @@ pub(crate) struct ValueIndexBuilder {
 }
 
 impl ValueIndexBuilder {
-    /// Indexes the direct content of `node`: its text plus attribute
-    /// values.
+    /// Indexes the direct content of `node`, a `tag` element: its text
+    /// plus attribute values.
     pub(crate) fn add_element<'t>(
         &mut self,
         node: NodeId,
+        tag: Symbol,
         direct_text: &str,
         attr_values: impl IntoIterator<Item = &'t str>,
     ) {
-        let mut any = self.add_terms(node, direct_text);
+        let mut any = self.add_terms(node, Some(tag), direct_text);
         for value in attr_values {
-            any |= self.add_terms(node, value);
+            any |= self.add_terms(node, None, value);
         }
         let trimmed = direct_text.trim();
         if !trimmed.is_empty() {
@@ -405,16 +431,23 @@ impl ValueIndexBuilder {
         }
     }
 
-    /// Counts the terms of `source` into `node`'s postings; true if it
-    /// had any. Elements arrive in document order, so a term's postings
-    /// do too, and a term seen before in this element finds the
-    /// element's posting last in the term's list.
-    fn add_terms(&mut self, node: NodeId, source: &str) -> bool {
+    /// Counts the terms of `source` into `node`'s postings, and into
+    /// `tag`'s term counts when it is direct text; true if it had any.
+    /// Elements arrive in document order, so a term's postings do too,
+    /// and a term seen before in this element finds the element's
+    /// posting last in the term's list.
+    fn add_terms(&mut self, node: NodeId, tag: Option<Symbol>, source: &str) -> bool {
         let mut any = false;
         let (terms, last, postings) = (&mut self.terms, &mut self.last, &mut self.postings);
+        let tag_terms = &mut self.tag_terms;
         visit_terms(source, &mut self.scratch, |term| {
             any = true;
             let id = terms.intern(term);
+            if let Some(tag) = tag {
+                *tag_terms
+                    .entry((tag.index() as u64) << 32 | u64::from(id))
+                    .or_insert(0) += 1;
+            }
             if let Some(&at) = last.get(id as usize) {
                 if postings[at].1.node == node {
                     postings[at].1.tf += 1;
@@ -430,17 +463,28 @@ impl ValueIndexBuilder {
     }
 
     /// Sorts both dictionaries and the numeric index (stably by value,
-    /// so equal values stay in document order).
-    pub(crate) fn finish(self) -> ValueIndex {
+    /// so equal values stay in document order), and lays out the term
+    /// counts of a document with `tag_count` tag symbols.
+    pub(crate) fn finish(self, tag_count: usize) -> (ValueIndex, TermCounts) {
         let mut numeric = self.numeric;
         numeric.sort_by(|a, b| a.0.total_cmp(&b.0));
         numeric.shrink_to_fit();
-        ValueIndex {
-            terms: Dictionary::gather(&self.terms, &self.postings),
-            exact: Dictionary::gather(&self.values, &self.exact),
+        let term_rank = self.terms.ranks();
+        let values = ValueIndex {
+            terms: Dictionary::gather(&self.terms, &term_rank, &self.postings),
+            exact: Dictionary::gather(&self.values, &self.values.ranks(), &self.exact),
             numeric,
             content_elements: self.content_elements,
-        }
+        };
+        drop(self.postings);
+        let mut triples: Vec<(u32, u32, u32)> = self
+            .tag_terms
+            .into_iter()
+            .map(|(pair, count)| ((pair >> 32) as u32, term_rank[pair as u32 as usize], count))
+            .collect();
+        triples.sort_unstable();
+        let counts = TermCounts::from_sorted(tag_count, &triples, &values);
+        (values, counts)
     }
 }
 
@@ -484,6 +528,16 @@ impl ValueIndex {
     /// Number of elements carrying any content.
     pub fn content_element_count(&self) -> usize {
         self.content_elements
+    }
+
+    /// The ranks of the terms that start with `prefix`, byte for byte:
+    /// the keys are folded, so a prefix that is not matches nothing.
+    pub fn prefix_range(&self, prefix: &str) -> Range<usize> {
+        let from = self.terms.partition_point(|k| k < prefix);
+        let to = self
+            .terms
+            .partition_point(|k| k < prefix || k.starts_with(prefix));
+        from..to
     }
 
     /// Number of distinct terms.
@@ -601,9 +655,9 @@ mod tests {
     fn index(rows: &[(usize, &str, &[&str])]) -> ValueIndex {
         let mut builder = ValueIndexBuilder::default();
         for &(i, text, attrs) in rows {
-            builder.add_element(node(i), text, attrs.iter().copied());
+            builder.add_element(node(i), Symbol::from_index(0), text, attrs.iter().copied());
         }
-        builder.finish()
+        builder.finish(1).0
     }
 
     #[test]

@@ -33,13 +33,6 @@ pub(crate) fn rd_len(
     usize::try_from(rd_varint(data, pos, what)?).map_err(|_| corrupt(what))
 }
 
-/// Reads one raw byte.
-pub(crate) fn rd_u8(data: &[u8], pos: &mut usize, what: &'static str) -> Result<u8, StorageError> {
-    let b = *data.get(*pos).ok_or(StorageError::Corrupt(what))?;
-    *pos += 1;
-    Ok(b)
-}
-
 /// Reads a raw little-endian `f64` (bit-exact, including NaN payloads).
 pub(crate) fn rd_f64(
     data: &[u8],

@@ -203,10 +203,9 @@ fn compact_index_equals_the_naive_model_before_and_after_a_round_trip() {
         postings += model.terms.values().map(Vec::len).sum::<usize>();
         numbers += model.numeric.len();
         model.check(idx.values(), idx.document(), &format!("seed {seed}, built"));
-        // The term trie's payloads are the term table's ranks.
-        for c in idx.term_trie().complete_all("") {
-            assert_eq!(idx.term(c.payload), c.key);
-            assert_eq!(c.weight, idx.values().df(&c.key) as u64);
+        // A term's prefix range starts at its own rank.
+        for (rank, (term, _)) in idx.values().terms().enumerate() {
+            assert_eq!(idx.values().prefix_range(term).start, rank);
         }
         let back = decode_sections(encode_sections(&idx)).expect("decodes");
         model.check(
@@ -215,6 +214,7 @@ fn compact_index_equals_the_naive_model_before_and_after_a_round_trip() {
             &format!("seed {seed}, loaded"),
         );
         assert_eq!(back.values(), idx.values(), "seed {seed}");
+        assert_eq!(back.term_counts(), idx.term_counts(), "seed {seed}");
     }
     assert!(sigma_seen, "the corpus exercises both sigma folds");
     assert!(

@@ -323,12 +323,8 @@ fn print_stats(system: &LotusX) {
     );
     let qc = system.query_cache_stats();
     println!(
-        "query cache: {} hits, {} misses, {}/{} entries  value tries cached: {}",
-        qc.hits,
-        qc.misses,
-        qc.entries,
-        qc.capacity,
-        system.value_trie_cache_len()
+        "query cache: {} hits, {} misses, {}/{} entries",
+        qc.hits, qc.misses, qc.entries, qc.capacity
     );
     if !lotusx_obs::enabled() {
         println!("profiling off — `profile on` to record stage latencies ('stats json' for the raw snapshot)");

@@ -118,8 +118,8 @@ use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 /// The node-visit budget of one inline answer: how many DataGuide nodes
-/// (tag completion) or elements (building a value trie that is not
-/// resident yet) the loop thread may touch for a request before it drops
+/// (tag completion) or term-count entries (value completion) the loop
+/// thread may touch for a request before it drops
 /// the partial work and hands the request to the worker pool. It bounds
 /// how long one request can keep every other connection waiting — a few
 /// tens of microseconds — while covering whole-guide completions on

@@ -517,9 +517,9 @@ fn answers_behind_a_stalled_write_go_out_when_it_clears() {
     });
 }
 
-/// Ten tags `t0`..`t9` with 3000, 2900, … 2100 elements: `t9`'s value
-/// trie is not resident, and building it visits more elements than the
-/// inline budget allows.
+/// Ten tags `t0`..`t9` with 3000, 2900, … 2100 elements, each with its
+/// own `v` term: the 600 best `v` terms of `t9` take more count entries
+/// than the inline budget allows.
 fn tags() -> EngineRegistry {
     let mut xml = String::from("<r>");
     for tag in 0..10 {
@@ -535,7 +535,7 @@ fn tags() -> EngineRegistry {
 fn an_inline_budget_trip_falls_back_mid_pipeline_in_order() {
     let keystroke =
         "{\"prefix\":\"t\",\"context\":{\"steps\":[{\"tag\":\"r\"}],\"axis\":\"child\"}}";
-    let cold = "{\"kind\":\"value\",\"tag\":\"t9\",\"prefix\":\"w\",\"k\":5}";
+    let cold = "{\"kind\":\"value\",\"tag\":\"t9\",\"prefix\":\"v\",\"k\":600}";
     script(&tags(), config(), |sim| {
         let peer = sim.connect();
         let mut pipeline = post("/complete", keystroke);

@@ -39,11 +39,6 @@ pub fn put_string(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Reads a length-prefixed UTF-8 string.
-pub fn get_string(data: &[u8], pos: &mut usize) -> Option<String> {
-    get_str(data, pos).map(str::to_string)
-}
-
 /// Reads a length-prefixed UTF-8 string, borrowed from `data`.
 pub fn get_str<'a>(data: &'a [u8], pos: &mut usize) -> Option<&'a str> {
     let len = get_varint(data, pos)? as usize;
@@ -123,7 +118,7 @@ mod tests {
             let mut buf = Vec::new();
             put_string(&mut buf, s);
             let mut pos = 0;
-            assert_eq!(get_string(&buf, &mut pos).as_deref(), Some(s));
+            assert_eq!(get_str(&buf, &mut pos), Some(s));
         }
     }
 
@@ -134,13 +129,13 @@ mod tests {
         buf.push(0xff);
         buf.push(0xfe);
         let mut pos = 0;
-        assert_eq!(get_string(&buf, &mut pos), None);
+        assert_eq!(get_str(&buf, &mut pos), None);
 
         let mut buf = Vec::new();
         put_varint(&mut buf, 10);
         buf.push(b'x');
         let mut pos = 0;
-        assert_eq!(get_string(&buf, &mut pos), None);
+        assert_eq!(get_str(&buf, &mut pos), None);
     }
 
     #[test]

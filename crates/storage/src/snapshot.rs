@@ -1,9 +1,9 @@
-//! The sectioned `LTSX` snapshot container, version 4.
+//! The sectioned `LTSX` snapshot container, version 5.
 //!
 //! Layout:
 //!
 //! ```text
-//! magic "LTSX" | version (1 byte, = 4) | varint section count
+//! magic "LTSX" | version (1 byte, = 5) | varint section count
 //! then per section:
 //!   varint section id | varint payload length | u64 LE checksum | payload
 //! ```
@@ -33,8 +33,10 @@ use std::path::Path;
 /// The one snapshot container version this build writes and reads.
 /// (1 was a document-only file; 2 also stored path-style labels and the
 /// columns' end trees, and did not validate the latter; 3 also stored
-/// the join-cost statistics of a retired algorithm chooser in `STATS`.)
-pub const SNAPSHOT_VERSION: u8 = 4;
+/// the join-cost statistics of a retired algorithm chooser in `STATS`;
+/// 4 stored completion tries in sections 5 and 8 where 5 has
+/// `TAG_TERMS`.)
+pub const SNAPSHOT_VERSION: u8 = 5;
 
 /// Section ids of the full-index snapshot.
 pub mod section {
@@ -48,27 +50,16 @@ pub mod section {
     pub const COLUMNS: u64 = 3;
     /// The value index: term postings, exact strings, numeric values.
     pub const VALUES: u64 = 4;
-    /// Completion tries (tag + term) and the term table.
-    pub const TRIES: u64 = 5;
     /// The DataGuide and the node → guide-node map.
     pub const GUIDE: u64 = 6;
     /// Document statistics.
     pub const STATS: u64 = 7;
-    /// Precomputed per-tag value-completion tries (the hot-tag cache).
-    /// Optional: a file without it recomputes the hot set on load.
-    pub const VALUE_TRIES: u64 = 8;
+    /// Per tag, the `(term rank, count)` pairs of its elements' direct
+    /// text: what value completion ranks by.
+    pub const TAG_TERMS: u64 = 9;
 
     /// Every id this build understands.
-    pub const KNOWN: &[u64] = &[
-        DOCUMENT,
-        LABELS,
-        COLUMNS,
-        VALUES,
-        TRIES,
-        GUIDE,
-        STATS,
-        VALUE_TRIES,
-    ];
+    pub const KNOWN: &[u64] = &[DOCUMENT, LABELS, COLUMNS, VALUES, TAG_TERMS, GUIDE, STATS];
 }
 
 /// One framed snapshot section: an id plus its raw payload.
@@ -299,6 +290,11 @@ mod tests {
                 "version 3",
                 |b| b[4] = 3,
                 |e| matches!(e, StorageError::UnsupportedVersion(3)),
+            ),
+            (
+                "version 4",
+                |b| b[4] = 4,
+                |e| matches!(e, StorageError::UnsupportedVersion(4)),
             ),
             (
                 "unknown section id",

@@ -8,7 +8,7 @@ use lotusx::{LotusX, QueryRequest};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Load & index an XML document (one call builds labels, tag
-    //    streams, value indexes, completion tries and the DataGuide).
+    //    streams, value indexes, completion counts and the DataGuide).
     let system = LotusX::load_str(
         r#"<bib>
              <book year="1999"><title>Data on the Web</title><author>Abiteboul</author></book>

@@ -11,8 +11,8 @@
 //!   the generator's own tree (ids need not ascend with document order,
 //!   so the encoder's preorder remap is exercised);
 //! - `<dataset>/parsed/ltsx`: the whole `.ltsx` file saved from the
-//!   parsed text, value-trie section included — the file a snapshot boot
-//!   opens and `snapshot_bytes_per_node` divides.
+//!   parsed text — the file a snapshot boot opens and
+//!   `snapshot_bytes_per_node` divides.
 //!
 //! On a deliberate format change, the failure message prints the whole
 //! table in source form; paste it over `RECORDED`.
@@ -32,28 +32,28 @@ const RECORDED: &[(&str, u64)] = &[
     ("dblp-like/generated/labels", 0xf42d33e7552c75c2),
     ("dblp-like/generated/columns", 0x5eb5e5fd28e866f9),
     ("dblp-like/generated/values", 0x7043ef899f977fbf),
-    ("dblp-like/generated/tries", 0x9b01d0f736402eec),
+    ("dblp-like/generated/tag_terms", 0xd1d79684d8cc036a),
     ("dblp-like/generated/guide", 0x26a2b9a6cd91ab4b),
     ("dblp-like/generated/stats", 0xe1f5051d621438d2),
-    ("dblp-like/parsed/ltsx", 0xc6c33872c9911441),
+    ("dblp-like/parsed/ltsx", 0x35601718832103f5),
     ("xmark-like/xml", 0x7390d636741da3c1),
     ("xmark-like/generated/document", 0xbc8538d6b93ee2b9),
     ("xmark-like/generated/labels", 0x706baa193a01ffb1),
     ("xmark-like/generated/columns", 0xcf76ffbef3e290da),
     ("xmark-like/generated/values", 0x0e018935e98569f5),
-    ("xmark-like/generated/tries", 0xaf2d12df64163ec5),
+    ("xmark-like/generated/tag_terms", 0x6a13fab6c1241350),
     ("xmark-like/generated/guide", 0x8500af68f1d12d6e),
     ("xmark-like/generated/stats", 0x480b0601346d8f1d),
-    ("xmark-like/parsed/ltsx", 0xd70361fea81155ba),
+    ("xmark-like/parsed/ltsx", 0x4909c0988c277aaf),
     ("treebank-like/xml", 0x47cf283d30198078),
     ("treebank-like/generated/document", 0xdbbc15e5f05bb069),
     ("treebank-like/generated/labels", 0x2b1433aeaf9f1569),
     ("treebank-like/generated/columns", 0x74a88594dc6fc9b7),
     ("treebank-like/generated/values", 0xbde447300cb0ea2b),
-    ("treebank-like/generated/tries", 0xe3fb6909b0b5b542),
+    ("treebank-like/generated/tag_terms", 0x97a7d6985ceea8b9),
     ("treebank-like/generated/guide", 0xba2dcc208a15c309),
     ("treebank-like/generated/stats", 0x9db234db892b1849),
-    ("treebank-like/parsed/ltsx", 0x5606ba1ad3664592),
+    ("treebank-like/parsed/ltsx", 0xdd35bc0eb22c49b4),
 ];
 
 fn section_name(id: u64) -> &'static str {
@@ -63,10 +63,9 @@ fn section_name(id: u64) -> &'static str {
         section::LABELS => "labels",
         section::COLUMNS => "columns",
         section::VALUES => "values",
-        section::TRIES => "tries",
+        section::TAG_TERMS => "tag_terms",
         section::GUIDE => "guide",
         section::STATS => "stats",
-        section::VALUE_TRIES => "value_tries",
         _ => "unknown",
     }
 }

@@ -33,9 +33,9 @@ fn serial() -> MutexGuard<'static, ()> {
 }
 
 /// Ten tags `t0`..`t9` with 3000, 2900, … 2100 elements each under one
-/// root. The engine pre-builds the value tries of the eight hottest
-/// (`t0`..`t7`); `t9` is the cold one, with more elements than the
-/// inline budget lets the loop thread scan.
+/// root, each element holding one of 37 `w` terms and its own `v` term:
+/// `t9` has 2100 `v` terms of count 1, more than the inline budget lets
+/// the loop thread read.
 fn corpus() -> LotusX {
     let mut xml = String::from("<r>");
     for tag in 0..10 {
@@ -49,7 +49,13 @@ fn corpus() -> LotusX {
 
 const TAG_KEYSTROKE: &str =
     "{\"prefix\":\"t\",\"context\":{\"steps\":[{\"tag\":\"r\"}],\"axis\":\"child\"}}";
-const COLD_VALUE: &str = "{\"kind\":\"value\",\"tag\":\"t9\",\"prefix\":\"w\",\"k\":5}";
+/// Reads at least 600 count entries: past the 512-node inline budget.
+const COLD_VALUE: &str = "{\"kind\":\"value\",\"tag\":\"t9\",\"prefix\":\"v\",\"k\":600}";
+
+/// The full (never truncated) answer to [`COLD_VALUE`].
+fn cold_value_answer() -> String {
+    wire::encode_value_candidates(&corpus().completion_engine().complete_value("t9", "v", 600))
+}
 
 fn with_server<T: Send>(
     registry: &EngineRegistry,
@@ -134,11 +140,8 @@ fn inline_and_fallback_answers_are_byte_identical() {
     lotusx_obs::set_enabled(true);
     let registry = EngineRegistry::single_tenant(corpus());
     let engine = registry.tenants()[0].engine();
-    // What the full (never truncated) answer looks like, from a twin
-    // engine so the served one's trie cache stays cold.
-    let want_value =
-        wire::encode_value_candidates(&corpus().completion_engine().complete_value("t9", "w", 5));
-    assert!(want_value.contains("\"count\":57"), "{want_value}");
+    let want_value = cold_value_answer();
+    assert_eq!(want_value.matches("\"count\":1}").count(), 600);
     let counters = || {
         let c = lotusx_obs::metrics().counters.snapshot();
         (c.queries, c.cache_hit, c.cache_miss)
@@ -147,22 +150,19 @@ fn inline_and_fallback_answers_are_byte_identical() {
     with_server(&registry, ServeConfig::default(), |addr, handle| {
         let mut conn = client::Conn::connect(addr).expect("connect");
 
-        // Value completion on a tag whose trie is not resident: the
-        // inline budget trips, the partial trie is dropped, a worker
-        // builds it once; the repeat is answered inline from it.
-        let tries = engine.value_trie_cache_len();
+        // A value completion that reads more than the inline budget:
+        // the budget trips, the partial list is dropped and a worker
+        // answers, every time.
         let s0 = handle.stats();
         let first = post(&mut conn, "/complete", COLD_VALUE);
         let s1 = handle.stats();
         assert_eq!(s1.inline_fallbacks - s0.inline_fallbacks, 1);
         assert_eq!(s1.inline_answers, s0.inline_answers);
-        assert_eq!(engine.value_trie_cache_len(), tries + 1);
         assert_eq!(first.body_text(), want_value, "never a truncated list");
         let second = post(&mut conn, "/complete", COLD_VALUE);
         let s2 = handle.stats();
-        assert_eq!(s2.inline_answers - s1.inline_answers, 1);
-        assert_eq!(s2.inline_fallbacks, s1.inline_fallbacks);
-        assert_eq!(engine.value_trie_cache_len(), tries + 1, "built once");
+        assert_eq!(s2.inline_fallbacks - s1.inline_fallbacks, 1);
+        assert_eq!(s2.inline_answers, s1.inline_answers);
         assert_eq!(second.body, first.body);
         assert_eq!(s2.completions - s0.completions, 2);
 
@@ -409,8 +409,7 @@ fn inline_answers_hold_a_tenant_slot_only_while_they_run() {
 fn inline_answers_honour_the_drain() {
     let _serial = serial();
     let registry = EngineRegistry::single_tenant(corpus());
-    let want_value =
-        wire::encode_value_candidates(&corpus().completion_engine().complete_value("t9", "w", 5));
+    let want_value = cold_value_answer();
     let server = Server::bind(ServeConfig {
         // Deliberately long: the drain — not a deadline — ends things.
         read_timeout: Duration::from_secs(30),
