@@ -462,11 +462,13 @@ stage_join_bench_smoke() {
     cargo run --release -p lotusx-bench --bin join-bench -- --quick
 }
 
-# Snapshot smoke: build @dblp:2 from XML, save a v4 .ltsx snapshot,
+# Snapshot smoke: build @dblp:2 from XML, save a .ltsx snapshot,
 # reload it cold, and byte-compare query responses across every join
 # algorithm plus auto and completion sweeps (exit 2 on any mismatch),
-# then gate the cold-boot speedup (exit 1). Artifact
-# under target/BENCH_snapshot_quick.json. Fully offline.
+# bound the resident document (exit 3), value index (exit 4) and
+# positions — tag-stream columns, parent slots, position map — at 30 B
+# per element (exit 5), then gate the cold-boot speedup (exit 1).
+# Artifact under target/BENCH_snapshot_quick.json. Fully offline.
 stage_snapshot_smoke() {
     cargo run --release -p lotusx-bench --bin snapshot-bench -- --quick
 }

@@ -11,7 +11,9 @@
 //! canonical strings. Each cell also records where the
 //! snapshot's bytes go — bytes per element, section by section — and
 //! what the document tree holds resident once loaded: its columns and
-//! arenas per node (`Document::size_bytes`).
+//! arenas per node (`Document::size_bytes`), and what the index holds
+//! per element to place it: the tag-stream columns, their parent slots
+//! and the per-node position map (`TagColumns::size_bytes`).
 //!
 //! ```sh
 //! cargo run --release -p lotusx-bench --bin snapshot-bench            # full sweep, writes BENCH_snapshot.json
@@ -24,7 +26,9 @@
 //! [`DOCUMENT_BYTES_PER_NODE`] per node plus its own character data (the
 //! tripwire for a tree that allocates per node again), 4 = a built or
 //! loaded value index holding more than [`VALUE_INDEX_BYTES_PER_ELEMENT`]
-//! (the tripwire for an index that allocates per term again).
+//! (the tripwire for an index that allocates per term again), 5 = a
+//! loaded index holding more than [`POSITIONS_BYTES_PER_ELEMENT`] of
+//! positions (the tripwire for a second resident copy of the regions).
 //! The gate is a build/load *ratio*: it exists to catch a load that has
 //! turned back into a rebuild (ratio → 1), and it falls whenever the
 //! build gets cheaper — E14 cut the label pass tenfold and the ratio
@@ -49,6 +53,13 @@ const DOCUMENT_BYTES_PER_NODE: usize = 32;
 /// treebank (E29); the hash-map layout they replaced held about 1.7x as
 /// much.
 const VALUE_INDEX_BYTES_PER_ELEMENT: f64 = 45.0;
+
+/// Resident bytes the loaded tag-stream columns, parent slots and
+/// position map may hold per element. One copy of the regions reads
+/// ≈ 25 on dblp (18 B of columns and slots plus a 4 B position for each
+/// of ≈ 1.9 nodes per element); a per-node label store beside it read
+/// ≈ 54.
+const POSITIONS_BYTES_PER_ELEMENT: f64 = 30.0;
 
 /// The corpus's own character data: every text, comment and PI byte and
 /// every attribute value byte.
@@ -219,9 +230,8 @@ fn probes(system: &LotusX, ds: Dataset) -> Vec<(String, String)> {
 }
 
 /// Snapshot sections in file order, by the names the artifact uses.
-const SECTIONS: [(u64, &str); 7] = [
+const SECTIONS: [(u64, &str); 6] = [
     (section::DOCUMENT, "document"),
-    (section::LABELS, "labels"),
     (section::COLUMNS, "columns"),
     (section::VALUES, "values"),
     (section::TAG_TERMS, "tag_terms"),
@@ -252,6 +262,9 @@ struct Row {
     /// Whether the built and the loaded value index both stayed within
     /// [`VALUE_INDEX_BYTES_PER_ELEMENT`].
     value_index_within_budget: bool,
+    /// The loaded tag-stream columns, parent slots and position map per
+    /// element, before any `*` query gathers the all-elements stream.
+    positions_bytes_per_element: f64,
     build_ms: f64,
     save_ms: f64,
     load_ms: f64,
@@ -303,6 +316,10 @@ fn main() {
             loaded = Some(system);
         }
         let loaded = loaded.expect("at least one rep");
+        // Read before the probes run `*` queries, the first of which
+        // gathers the all-elements stream.
+        let positions_bytes_per_element =
+            loaded.index().columns().size_bytes() as f64 / elements as f64;
 
         // Bit-identical behavior: every probe must render byte-equal.
         let fresh_probes = probes(&fresh, ds);
@@ -348,7 +365,8 @@ fn main() {
             "  {ds} scale {scale}: {elements} elements, build {} -> load {} ({speedup:.1}x), \
              snapshot {snapshot_bytes} bytes, document {document_bytes_per_node:.1} B/node \
              ({character_bytes_per_node:.1} of them text), value index \
-             {value_index_bytes_per_element:.1} B/element, {} probes {}",
+             {value_index_bytes_per_element:.1} B/element, positions \
+             {positions_bytes_per_element:.1} B/element, {} probes {}",
             fmt_duration(Duration::from_secs_f64(build_ms / 1e3)),
             fmt_duration(Duration::from_secs_f64(load_ms / 1e3)),
             fresh_probes.len(),
@@ -371,6 +389,7 @@ fn main() {
             document_within_budget,
             value_index_bytes_per_element,
             value_index_within_budget,
+            positions_bytes_per_element,
             build_ms,
             save_ms: ms(save_t),
             load_ms,
@@ -407,6 +426,11 @@ fn main() {
     let index_over_budget: Vec<String> = rows
         .iter()
         .filter(|r| !r.value_index_within_budget)
+        .map(|r| format!("{}:{}", r.dataset, r.scale))
+        .collect();
+    let positions_over_budget: Vec<String> = rows
+        .iter()
+        .filter(|r| r.positions_bytes_per_element > POSITIONS_BYTES_PER_ELEMENT)
         .map(|r| format!("{}:{}", r.dataset, r.scale))
         .collect();
     let min_speedup = rows.iter().map(|r| r.speedup).fold(f64::INFINITY, f64::min);
@@ -460,6 +484,10 @@ fn main() {
             "      \"value_index_bytes_per_element\": {:.2},\n",
             r.value_index_bytes_per_element
         ));
+        json.push_str(&format!(
+            "      \"positions_bytes_per_element\": {:.2},\n",
+            r.positions_bytes_per_element
+        ));
         json.push_str(&format!("      \"build_ms\": {:.3},\n", r.build_ms));
         json.push_str(&format!("      \"save_ms\": {:.3},\n", r.save_ms));
         json.push_str(&format!("      \"load_ms\": {:.3},\n", r.load_ms));
@@ -489,11 +517,16 @@ fn main() {
         index_over_budget.len()
     ));
     json.push_str(&format!(
+        "    \"positions_over_budget\": {},\n",
+        positions_over_budget.len()
+    ));
+    json.push_str(&format!(
         "    \"gate_pass\": {}\n",
         gate_failures.is_empty()
             && nonequivalent == 0
             && over_budget.is_empty()
             && index_over_budget.is_empty()
+            && positions_over_budget.is_empty()
     ));
     json.push_str("  }\n");
     json.push_str("}\n");
@@ -524,6 +557,13 @@ fn main() {
         );
         std::process::exit(4);
     }
+    if !positions_over_budget.is_empty() {
+        eprintln!(
+            "FAIL: positions above {POSITIONS_BYTES_PER_ELEMENT} B/element: {}",
+            positions_over_budget.join(", ")
+        );
+        std::process::exit(5);
+    }
     if !gate_failures.is_empty() {
         eprintln!(
             "FAIL: cold-boot speedup below {:.1}x at largest scale: {}",
@@ -535,7 +575,8 @@ fn main() {
     eprintln!(
         "PASS: snapshot boot >= {:.1}x faster than fresh build, all responses bit-identical, \
          documents within {DOCUMENT_BYTES_PER_NODE} B/node plus their character data, \
-         value indexes within {VALUE_INDEX_BYTES_PER_ELEMENT} B/element",
+         value indexes within {VALUE_INDEX_BYTES_PER_ELEMENT} B/element, \
+         positions within {POSITIONS_BYTES_PER_ELEMENT} B/element",
         cfg.gate
     );
 }

@@ -5,12 +5,13 @@ use crate::dataguide::{DataGuide, GuideNodeId};
 use crate::stats::Stats;
 use crate::term_counts::TermCounts;
 use crate::value_index::{ValueIndex, ValueIndexBuilder};
-use lotusx_labeling::DocumentLabels;
+use lotusx_labeling::RegionLabel;
 use lotusx_xml::{Document, NodeId, NodeKind, Symbol};
 
-/// A document together with its labels and all indexes — the unit LotusX
-/// loads and queries. Each fact is held once: positions as region labels
-/// (by node in `labels`, by tag stream in `columns`), nothing else.
+/// A document together with all its indexes — the unit LotusX loads and
+/// queries. Each fact is held once: an element's region label only in its
+/// tag stream in `columns`, which [`region`](Self::region) reads through
+/// the per-node position map.
 ///
 /// ```
 /// use lotusx_index::IndexedDocument;
@@ -23,7 +24,6 @@ use lotusx_xml::{Document, NodeId, NodeKind, Symbol};
 #[derive(Clone, Debug)]
 pub struct IndexedDocument {
     pub(crate) doc: Document,
-    pub(crate) labels: DocumentLabels,
     pub(crate) columns: TagColumns,
     pub(crate) values: ValueIndex,
     pub(crate) term_counts: TermCounts,
@@ -43,19 +43,19 @@ impl IndexedDocument {
     }
 
     /// Builds all indexes over an already-parsed document, on the
-    /// calling thread: whole-document passes for labels, DataGuide and
-    /// statistics; one preorder walk for the element list and the
+    /// calling thread: whole-document passes for DataGuide and
+    /// statistics; one preorder walk for the per-tag element counts, the
     /// element→guide-node map, the value postings and the term counts;
-    /// then the tag columns from that list.
+    /// then one enter/exit walk that labels every element straight into
+    /// its tag stream.
     pub fn build(doc: Document) -> Self {
-        let labels = DocumentLabels::compute(&doc);
         let guide = DataGuide::from_document(&doc);
         let stats = Stats::compute(&doc);
 
         // Each guide-of entry depends on its parent's, which preorder
         // has already filled in.
         let mut guide_of = vec![GuideNodeId::ROOT; doc.node_count()];
-        let mut elements = Vec::with_capacity(stats.element_count);
+        let mut lens = vec![0u32; doc.symbols().len()];
         let mut values = ValueIndexBuilder::default();
         for node in doc.all_nodes() {
             let NodeKind::Element { name, attributes } = doc.kind(node) else {
@@ -68,17 +68,16 @@ impl IndexedDocument {
             guide_of[node.index()] = guide
                 .child_by_tag(parent_guide, name)
                 .expect("guide derived from the same document");
-            elements.push(node);
+            lens[name.index()] += 1;
             let attrs = attributes.into_iter().map(|(_, v)| v);
             values.add_element(node, name, &doc.direct_text(node), attrs);
         }
         let (values, term_counts) = values.finish(doc.symbols().len());
 
-        let columns = TagColumns::build(&doc, &labels, &elements);
+        let columns = TagColumns::build(&doc, &lens);
 
         IndexedDocument {
             doc,
-            labels,
             columns,
             values,
             term_counts,
@@ -93,9 +92,22 @@ impl IndexedDocument {
         &self.doc
     }
 
-    /// The region label of every node.
-    pub fn labels(&self) -> &DocumentLabels {
-        &self.labels
+    /// The region label of element `node`, read from its tag stream
+    /// through the position map. Panics when `node` is no element.
+    pub fn region(&self, node: NodeId) -> RegionLabel {
+        self.columns.region(node)
+    }
+
+    /// The region start of element `node`: its document-order key, one
+    /// column read. Panics when `node` is no element.
+    pub fn start(&self, node: NodeId) -> u32 {
+        self.columns.start(node)
+    }
+
+    /// The level (depth) of element `node`: the root element's is 1.
+    /// Panics when `node` is no element.
+    pub fn level(&self, node: NodeId) -> u16 {
+        self.columns.level(node)
     }
 
     /// The per-tag element streams, in columnar (struct-of-arrays) form.
@@ -133,11 +145,10 @@ impl IndexedDocument {
         self.doc.symbols().resolve(sym)
     }
 
-    /// Approximate total index size in bytes (labels + all indexes),
-    /// excluding the document tree itself. Reported by experiment E1.
+    /// Approximate total index size in bytes, excluding the document
+    /// tree itself. Reported by experiment E1.
     pub fn index_size_bytes(&self) -> usize {
-        self.labels.size_bytes()
-            + self.columns.size_bytes()
+        self.columns.size_bytes()
             + self.values.size_bytes()
             + self.term_counts.size_bytes()
             + self.guide.size_bytes()
@@ -194,10 +205,12 @@ mod tests {
     #[test]
     fn stats_and_sizes_are_consistent() {
         let idx = idx();
-        assert_eq!(
-            idx.stats().element_count,
-            idx.columns().all_elements().len()
-        );
+        let symbols = idx.document().symbols();
+        let streamed: usize = symbols
+            .iter()
+            .map(|(s, _)| idx.columns().view(s).len())
+            .sum();
+        assert_eq!(idx.stats().element_count, streamed);
         assert!(idx.index_size_bytes() > 0);
     }
 }

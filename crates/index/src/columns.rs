@@ -1,4 +1,5 @@
-//! Struct-of-arrays region-label columns: the one stream representation.
+//! Struct-of-arrays region-label columns: the one stream representation,
+//! and the one place an element's region is stored.
 //!
 //! A join touches one field of a region label at a time — a skip loop
 //! compares only `start`s, a containment check only `end`s — so an array
@@ -7,7 +8,10 @@
 //! document-ordered element stream as four contiguous per-tag arrays
 //! (`starts`, `ends`, `levels`, `nodes`), packed back-to-back in one arena
 //! per column so a stream scan is a pure sequential read at memory
-//! bandwidth. Nothing else in the index stores a per-tag stream.
+//! bandwidth. Nothing else in the index stores a per-tag stream or a
+//! region: a node's region is read through its *position*, its slot in
+//! the arenas, which a per-node map derived at build and at load holds
+//! ([`NO_SLOT`] for non-elements).
 //!
 //! One skip primitive rides on top: `starts` is strictly increasing within
 //! a stream (document order), so "first element starting at or after X"
@@ -20,17 +24,19 @@
 //! A child edge needs no search at all. Every tag-stream element carries
 //! one derived `u32`, its *parent slot*: its parent's position in the
 //! parent's own tag stream. The join gathers a child's parent through
-//! it. The column is derived at build and at load from one
-//! document-order pass and never stored in a snapshot. It costs 4 B per
-//! element. The all-elements stream has no such column: a `*` endpoint
-//! would need a second one.
+//! it. The column is derived at build and at load in the same
+//! document-order pass as the position map and never stored in a
+//! snapshot. It costs 4 B per element.
+//!
+//! The all-elements stream that `*` query nodes scan is not held beside
+//! the tag streams: [`TagColumns::all_elements`] gathers it from them
+//! through the position map the first time a query asks, and keeps it.
 
-use crate::wire::{
-    corrupt, get_u16_slice, get_u32_slice, put_u16_slice, put_u32_slice, put_varint, rd_len,
-    StorageError,
-};
-use lotusx_labeling::{DocumentLabels, RegionLabel};
+use crate::wire::{corrupt, get_u16_slice, get_u32_slice, put_u16_slice, put_u32_slice};
+use crate::wire::{put_varint, rd_len, StorageError};
+use lotusx_labeling::RegionLabel;
 use lotusx_xml::{Document, NodeId, Symbol};
+use std::sync::OnceLock;
 
 /// Per-stream extent of one tag inside the column arenas.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -46,125 +52,129 @@ impl StreamRange {
     fn of<T>(self, arena: &[T]) -> &[T] {
         &arena[self.offset as usize..(self.offset + self.len) as usize]
     }
+
+    fn contains(self, slot: u32) -> bool {
+        slot.wrapping_sub(self.offset) < self.len
+    }
 }
 
-/// The parent slot of the document's root element, whose parent is no
-/// element; also what a filtered stream's kept map holds for a dropped
-/// position. Larger than any stream position.
+/// The position of a node that is no element, and the parent slot of the
+/// document's root element, whose parent is no element; also what a
+/// filtered stream's kept map holds for a dropped position. Larger than
+/// any stream position.
 pub const NO_SLOT: u32 = u32::MAX;
 
-/// Every tag's element stream in columnar (struct-of-arrays) form, plus
-/// one extra pseudo-stream covering all elements in document order (what
-/// wildcard query nodes scan). Immutable once built.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Every tag's element stream in columnar (struct-of-arrays) form, with
+/// the per-node position map into it. Immutable once built, but for the
+/// all-elements stream, built on first use.
+#[derive(Clone, Debug, Default)]
 pub struct TagColumns {
     starts: Vec<u32>,
     ends: Vec<u32>,
     levels: Vec<u16>,
     nodes: Vec<NodeId>,
-    /// Per tag-stream slot (the arenas' first half; the all-elements
-    /// stream has none): the element's parent's position in the parent's
+    /// Per arena slot: the element's parent's position in the parent's
     /// own tag stream, or [`NO_SLOT`]. Derived, never serialized.
     parent_slots: Vec<u32>,
+    /// Per node, by id: its arena slot, or [`NO_SLOT`] for a node that is
+    /// no element. Derived, never serialized.
+    positions: Vec<u32>,
     /// Per-tag extents; index = symbol index.
     ranges: Vec<StreamRange>,
-    /// Extent of the all-elements pseudo-stream.
-    all_range: StreamRange,
-    /// Derived from `nodes`: node ids ascend along every stream.
+    /// Derived: node ids ascend with document order.
     ids_ascend: bool,
+    /// Every element in document order, gathered on the first call to
+    /// [`all_elements`](Self::all_elements).
+    all: OnceLock<OwnedColumns>,
 }
 
+/// Equal streams, positions and derived columns; whether either side has
+/// gathered its all-elements stream yet does not count.
+impl PartialEq for TagColumns {
+    fn eq(&self, other: &Self) -> bool {
+        self.starts == other.starts
+            && self.ends == other.ends
+            && self.levels == other.levels
+            && self.nodes == other.nodes
+            && self.parent_slots == other.parent_slots
+            && self.positions == other.positions
+            && self.ranges == other.ranges
+            && self.ids_ascend == other.ids_ascend
+    }
+}
+
+impl Eq for TagColumns {}
+
 impl TagColumns {
-    /// Builds the columns of `doc`. `elements` — every element, in
-    /// document order — is counting-sorted by tag straight into the
-    /// arenas (the sort is stable, so each stream stays in document
-    /// order): the tag streams in symbol order, then the all-elements
-    /// pseudo-stream.
-    pub fn build(doc: &Document, labels: &DocumentLabels, elements: &[NodeId]) -> Self {
-        let tag_of = |node: NodeId| doc.tag(node).expect("element").index();
-        let mut lens = vec![0u32; doc.symbols().len()];
-        for &node in elements {
-            lens[tag_of(node)] += 1;
-        }
-        lens.push(elements.len() as u32);
-        let total = 2 * elements.len();
+    /// Builds the columns of `doc`, whose elements number `lens[t]` for
+    /// each tag symbol `t`, in one enter/exit walk in document order. The
+    /// walk numbers every node's enter and exit, text included, as
+    /// `DocumentLabels` does, and writes each element's region, node,
+    /// position and parent slot straight into its tag's next arena slot,
+    /// so every stream comes out in document order.
+    pub fn build(doc: &Document, lens: &[u32]) -> Self {
+        let total: usize = lens.iter().map(|&len| len as usize).sum();
         let mut cols = TagColumns {
             starts: vec![0; total],
             ends: vec![0; total],
             levels: vec![0; total],
             nodes: vec![NodeId::DOCUMENT; total],
+            parent_slots: vec![NO_SLOT; total],
+            positions: vec![NO_SLOT; doc.node_count()],
+            ids_ascend: true,
             ..TagColumns::default()
         };
-        cols.lay_out(&lens);
+        cols.lay_out(lens);
         // `next[t]` is the arena slot of tag `t`'s next element.
         let mut next: Vec<u32> = cols.ranges.iter().map(|r| r.offset).collect();
-        let all = cols.all_range.offset as usize;
-        for (i, &node) in elements.iter().enumerate() {
-            let region = labels.region(node);
-            let slot = &mut next[tag_of(node)];
-            for at in [*slot as usize, all + i] {
-                cols.starts[at] = region.start;
-                cols.ends[at] = region.end;
-                cols.levels[at] = region.level;
-                cols.nodes[at] = node;
-            }
-            *slot += 1;
+        // The nodes entered and not yet exited, the document first, each
+        // with its arena slot and its position in its own stream
+        // ([`NO_SLOT`] for nodes that are no element).
+        let mut open = vec![(NodeId::DOCUMENT, NO_SLOT, NO_SLOT)];
+        let mut last_element = None;
+        // The document's enter is number 1.
+        let mut counter = 1u32;
+        let mut cursor = doc.first_child(NodeId::DOCUMENT);
+        loop {
+            let Some(node) = cursor else {
+                // The innermost open node has no more children: exit it.
+                let (node, slot, _) = open.pop().expect("the document is open");
+                if node == NodeId::DOCUMENT {
+                    break;
+                }
+                counter += 1;
+                if slot != NO_SLOT {
+                    cols.ends[slot as usize] = counter;
+                }
+                cursor = doc.next_sibling(node);
+                continue;
+            };
+            counter += 1;
+            let (slot, pos) = match doc.tag(node) {
+                Some(tag) => {
+                    let t = tag.index();
+                    let slot = next[t];
+                    next[t] += 1;
+                    let at = slot as usize;
+                    cols.starts[at] = counter;
+                    cols.levels[at] = open.len() as u16;
+                    cols.nodes[at] = node;
+                    cols.parent_slots[at] = open.last().expect("the document is open").2;
+                    cols.positions[node.index()] = slot;
+                    cols.ids_ascend &= last_element < Some(node);
+                    last_element = Some(node);
+                    (slot, slot - cols.ranges[t].offset)
+                }
+                None => (NO_SLOT, NO_SLOT),
+            };
+            open.push((node, slot, pos));
+            cursor = doc.first_child(node);
         }
-        cols.derive_parent_slots(|node| doc.tag(node))
-            .expect("streams built from the document agree with it");
-        cols.derive_id_order();
         cols
     }
 
-    /// Derives `parent_slots` from the filled arenas — the last-but-one
-    /// step of both a fresh build and a snapshot load — in one pass over
-    /// the all-elements stream, which is in document order. An element's
-    /// parent is the last element seen one level up, so a stack holding
-    /// per open level that element's tag-stream position names every
-    /// parent. `tag_of` names each element's stream, which is walked
-    /// alongside, and each step checks that both streams hold the same
-    /// element: a snapshot whose streams disagree with its tags is
-    /// corrupt.
-    fn derive_parent_slots(
-        &mut self,
-        tag_of: impl Fn(NodeId) -> Option<Symbol>,
-    ) -> Result<(), StorageError> {
-        let all = self.all_range;
-        self.parent_slots = vec![NO_SLOT; all.offset as usize];
-        // `next[t]`: how many of tag `t`'s elements the pass has met.
-        let mut next = vec![0u32; self.ranges.len()];
-        // `open[l]`: the tag-stream position of the open element at level
-        // `l`; level 0 is the document, which no stream holds.
-        let mut open = vec![NO_SLOT];
-        for (&node, &level) in all.of(&self.nodes).iter().zip(all.of(&self.levels)) {
-            let level = usize::from(level);
-            if level == 0 || level > open.len() {
-                return Err(corrupt("column element without a parent level"));
-            }
-            open.truncate(level);
-            let tag = tag_of(node).map(Symbol::index);
-            let (Some(range), Some(pos)) = (
-                tag.and_then(|t| self.ranges.get(t)),
-                tag.and_then(|t| next.get_mut(t)),
-            ) else {
-                return Err(corrupt("column element without a tag stream"));
-            };
-            let slot = (range.offset + *pos) as usize;
-            if *pos >= range.len || self.nodes[slot] != node {
-                return Err(corrupt("tag stream disagrees with the all-elements stream"));
-            }
-            self.parent_slots[slot] = open[level - 1];
-            open.push(*pos);
-            *pos += 1;
-        }
-        if next.iter().zip(&self.ranges).any(|(&met, r)| met != r.len) {
-            return Err(corrupt("tag stream disagrees with the all-elements stream"));
-        }
-        Ok(())
-    }
-
-    /// Sets the stream extents from `lens` — one length per tag, then the
-    /// all-elements stream's — laid back to back from arena offset 0.
+    /// Sets the stream extents from `lens`, one length per tag, laid back
+    /// to back from arena offset 0.
     fn lay_out(&mut self, lens: &[u32]) {
         let mut offset = 0u32;
         self.ranges = lens
@@ -175,15 +185,6 @@ impl TagColumns {
                 range
             })
             .collect();
-        self.all_range = self.ranges.pop().expect("lens ends with the all stream");
-    }
-
-    /// Sets `ids_ascend` from the filled `nodes` arena — the last step of
-    /// both a fresh build and a snapshot load. The all-elements stream
-    /// holds every element in document order, so it decides for all.
-    fn derive_id_order(&mut self) {
-        let all = self.all_elements().nodes();
-        self.ids_ascend = all.windows(2).all(|w| w[0] < w[1]);
     }
 
     /// True when node ids ascend with document order, so that a stream
@@ -195,44 +196,95 @@ impl TagColumns {
         self.ids_ascend
     }
 
+    /// The arena position of `node`: its slot in its tag stream's columns,
+    /// or [`NO_SLOT`] when it is no element.
+    pub fn position(&self, node: NodeId) -> u32 {
+        self.positions[node.index()]
+    }
+
+    /// The region label of element `node`, read from its tag stream.
+    /// Panics when `node` is no element.
+    pub fn region(&self, node: NodeId) -> RegionLabel {
+        self.region_at(self.positions[node.index()] as usize)
+    }
+
+    fn region_at(&self, at: usize) -> RegionLabel {
+        RegionLabel::new(self.starts[at], self.ends[at], self.levels[at])
+    }
+
+    /// The region start of element `node`, its document-order key.
+    /// Panics when `node` is no element.
+    pub fn start(&self, node: NodeId) -> u32 {
+        self.starts[self.positions[node.index()] as usize]
+    }
+
+    /// The level of element `node` (the root element's is 1). Panics when
+    /// `node` is no element.
+    pub fn level(&self, node: NodeId) -> u16 {
+        self.levels[self.positions[node.index()] as usize]
+    }
+
     /// The columns of one tag's stream, parent slots included (empty view
     /// for unseen symbols).
     pub fn view(&self, tag: Symbol) -> ColumnView<'_> {
         match self.ranges.get(tag.index()) {
-            Some(&range) => ColumnView {
-                parent_slots: range.of(&self.parent_slots),
-                ..self.slice(range)
+            Some(&r) => ColumnView {
+                starts: r.of(&self.starts),
+                ends: r.of(&self.ends),
+                levels: r.of(&self.levels),
+                nodes: r.of(&self.nodes),
+                parent_slots: r.of(&self.parent_slots),
             },
             None => ColumnView::empty(),
         }
     }
 
-    /// The columns of the all-elements pseudo-stream (no parent slots).
+    /// The columns of every element in document order (no parent slots),
+    /// what `*` query nodes scan. Gathered from the tag streams through
+    /// the position map on the first call; later calls, from any thread,
+    /// share that one copy.
     pub fn all_elements(&self) -> ColumnView<'_> {
-        self.slice(self.all_range)
+        self.all.get_or_init(|| self.gather_all()).view()
     }
 
-    fn slice(&self, r: StreamRange) -> ColumnView<'_> {
-        ColumnView {
-            starts: r.of(&self.starts),
-            ends: r.of(&self.ends),
-            levels: r.of(&self.levels),
-            nodes: r.of(&self.nodes),
-            parent_slots: &[],
+    /// True once [`all_elements`](Self::all_elements) has gathered its
+    /// stream.
+    pub fn all_elements_gathered(&self) -> bool {
+        self.all.get().is_some()
+    }
+
+    /// Every element in document order: by node id when ids ascend with
+    /// it, by region start otherwise.
+    fn gather_all(&self) -> OwnedColumns {
+        let mut slots: Vec<u32> = self
+            .positions
+            .iter()
+            .copied()
+            .filter(|&slot| slot != NO_SLOT)
+            .collect();
+        if !self.ids_ascend {
+            slots.sort_unstable_by_key(|&slot| self.starts[slot as usize]);
         }
+        OwnedColumns::from_elements(slots.into_iter().map(|slot| {
+            let at = slot as usize;
+            (self.nodes[at], self.region_at(at))
+        }))
     }
 
-    /// Approximate heap size in bytes.
+    /// Approximate heap size in bytes, the all-elements stream included
+    /// once it is gathered.
     pub fn size_bytes(&self) -> usize {
         self.starts.capacity() * 4
             + self.ends.capacity() * 4
             + self.levels.capacity() * 2
             + self.nodes.capacity() * std::mem::size_of::<NodeId>()
             + self.parent_slots.capacity() * 4
+            + self.positions.capacity() * 4
             + self.ranges.capacity() * std::mem::size_of::<StreamRange>()
+            + self.all.get().map_or(0, OwnedColumns::size_bytes)
     }
 
-    /// Serializes the arenas and stream lengths for the snapshot
+    /// Serializes the tag streams' arenas and lengths for the snapshot
     /// `COLUMNS` section. Node ids are written through `node_map` (old id
     /// → canonical preorder id) so the decoded columns reference the
     /// decoded document's ids.
@@ -246,26 +298,29 @@ impl TagColumns {
             out.extend_from_slice(&node_map[n.index()].to_le_bytes());
         }
         put_varint(out, self.ranges.len() as u64);
-        for r in self.ranges.iter().chain([&self.all_range]) {
+        for r in &self.ranges {
             put_varint(out, r.len as u64);
         }
     }
 
     /// Deserializes arenas written by [`encode`](Self::encode) — a bulk
-    /// read straight into the struct-of-arrays layout. Validates every
-    /// invariant the join loops rely on: node
-    /// ids within the document, stream lengths that tile the arenas
-    /// exactly, per-element `start < end`, strictly increasing `starts`
-    /// within each stream (document order), and tag streams that hold
-    /// exactly the elements `tag_of` gives their tag — which the parent
-    /// slots, derived here, rely on. `tag_of` is called only with ids
-    /// below `node_count`.
+    /// read straight into the struct-of-arrays layout — and proves them
+    /// against `doc`, which the snapshot decoder numbers in preorder: the
+    /// streams are the only copy of the regions, so nothing else could.
+    /// Every element of `doc` must sit in exactly one stream, its tag's
+    /// (which `guide_tag` must also give it), at the place document order
+    /// gives it there, with the region its preorder id implies:
+    /// `start = 2·id − level + 1` and `end = start + 2·size − 1`, where
+    /// `size` counts its subtree's nodes. One forward pass over `doc`
+    /// with a stack of open nodes checks all of it and derives the
+    /// position map and the parent slots on the way.
     pub(crate) fn decode(
         data: &[u8],
         pos: &mut usize,
-        node_count: usize,
-        tag_of: impl Fn(NodeId) -> Option<Symbol>,
+        doc: &Document,
+        guide_tag: impl Fn(NodeId) -> Option<Symbol>,
     ) -> Result<TagColumns, StorageError> {
+        let node_count = doc.node_count();
         let n = rd_len(data, pos, "columns length")?;
         if n > u32::MAX as usize {
             return Err(corrupt("columns length exceeds u32"));
@@ -273,52 +328,145 @@ impl TagColumns {
         let starts = get_u32_slice(data, pos, n, "columns starts")?;
         let ends = get_u32_slice(data, pos, n, "columns ends")?;
         let levels = get_u16_slice(data, pos, n, "columns levels")?;
-        let raw_nodes = get_u32_slice(data, pos, n, "columns nodes")?;
-        let mut nodes = Vec::with_capacity(n);
-        for v in raw_nodes {
-            if v as usize >= node_count {
-                return Err(corrupt("columns node id out of range"));
-            }
-            nodes.push(NodeId::from_index(v as usize));
-        }
+        let nodes = get_node_ids(data, pos, n, node_count)?;
         let range_count = rd_len(data, pos, "columns range count")?;
         if range_count > data.len() {
             return Err(corrupt("columns range count"));
         }
-        let mut lens = Vec::with_capacity(range_count + 1);
-        let mut a = 0usize;
-        for _ in 0..range_count + 1 {
+        let mut lens = Vec::with_capacity(range_count);
+        let mut total = 0usize;
+        for _ in 0..range_count {
             let len = rd_len(data, pos, "range length")?;
-            let b = a
+            total = total
                 .checked_add(len)
-                .filter(|&b| b <= n)
+                .filter(|&t| t <= n)
                 .ok_or(corrupt("range exceeds column arenas"))?;
-            for i in a..b {
-                if starts[i] >= ends[i] {
-                    return Err(corrupt("column element with start >= end"));
-                }
-                if i > a && starts[i - 1] >= starts[i] {
-                    return Err(corrupt("column stream not in document order"));
-                }
-            }
             lens.push(len as u32);
-            a = b;
         }
-        if a != n {
+        if total != n {
             return Err(corrupt("column arenas longer than their streams"));
         }
         let mut cols = TagColumns {
             starts,
             ends,
             levels,
-            nodes,
+            parent_slots: vec![NO_SLOT; n],
+            positions: vec![NO_SLOT; node_count],
+            ids_ascend: true,
             ..TagColumns::default()
         };
         cols.lay_out(&lens);
-        cols.derive_parent_slots(tag_of)?;
-        cols.derive_id_order();
+        // Every stream element claims its slot in the position map.
+        for (slot, &node) in nodes.iter().enumerate() {
+            let at = &mut cols.positions[node.index()];
+            if *at != NO_SLOT {
+                return Err(corrupt("element in two tag streams"));
+            }
+            *at = slot as u32;
+        }
+        cols.nodes = nodes;
+        cols.check_against(doc, guide_tag)?;
         Ok(cols)
     }
+
+    /// The forward pass of [`decode`](Self::decode), once the position
+    /// map holds every stream element's slot.
+    fn check_against(
+        &mut self,
+        doc: &Document,
+        guide_tag: impl Fn(NodeId) -> Option<Symbol>,
+    ) -> Result<(), StorageError> {
+        let mismatch = || corrupt("column region disagrees with the document");
+        // `next[t]`: the arena slot tag `t`'s next element must hold.
+        let mut next: Vec<u32> = self.ranges.iter().map(|r| r.offset).collect();
+        // The nodes entered and not yet exited, from the document down,
+        // each with its arena slot and stream position (or [`NO_SLOT`]).
+        let mut open = vec![(0usize, NO_SLOT, NO_SLOT)];
+        // Whether an open node, exited as node `id` is entered, ends
+        // where its subtree — the ids in between — says it does.
+        let ends_right = |cols: &Self, (node, slot, _): (usize, u32, u32), id: usize| {
+            let (at, size) = (slot as usize, (id - node) as u64);
+            slot == NO_SLOT || u64::from(cols.ends[at]) == u64::from(cols.starts[at]) + 2 * size - 1
+        };
+        if self.positions[0] != NO_SLOT {
+            return Err(corrupt("tag stream holds a node that is no element"));
+        }
+        for id in 1..doc.node_count() {
+            let node = NodeId::from_index(id);
+            let parent = doc.parent(node).map_or(0, NodeId::index);
+            while open.last().expect("the document is open").0 != parent {
+                if open.len() == 1 {
+                    return Err(corrupt("document not in preorder"));
+                }
+                if !ends_right(self, open.pop().expect("checked"), id) {
+                    return Err(mismatch());
+                }
+            }
+            let slot = self.positions[id];
+            let Some(tag) = doc.tag(node) else {
+                if slot != NO_SLOT {
+                    return Err(corrupt("tag stream holds a node that is no element"));
+                }
+                open.push((id, NO_SLOT, NO_SLOT));
+                continue;
+            };
+            if guide_tag(node) != Some(tag) {
+                return Err(corrupt("guide node of another tag than its element"));
+            }
+            if slot == NO_SLOT {
+                return Err(corrupt("element in no tag stream"));
+            }
+            let range = self.ranges.get(tag.index()).copied().unwrap_or_default();
+            if !range.contains(slot) {
+                return Err(corrupt("tag stream element of the wrong tag"));
+            }
+            let expected = &mut next[tag.index()];
+            if slot != *expected {
+                return Err(corrupt("tag stream not in document order"));
+            }
+            *expected += 1;
+            let at = slot as usize;
+            let level = open.len();
+            if usize::from(self.levels[at]) != level
+                || u64::from(self.starts[at]) != 2 * id as u64 - level as u64 + 1
+            {
+                return Err(mismatch());
+            }
+            self.parent_slots[at] = open.last().expect("the document is open").2;
+            open.push((id, slot, slot - range.offset));
+        }
+        while open.len() > 1 {
+            if !ends_right(self, open.pop().expect("checked"), doc.node_count()) {
+                return Err(mismatch());
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Reads `len` raw little-endian node ids, each below `node_count`,
+/// straight into their column.
+fn get_node_ids(
+    data: &[u8],
+    pos: &mut usize,
+    len: usize,
+    node_count: usize,
+) -> Result<Vec<NodeId>, StorageError> {
+    let end = len
+        .checked_mul(4)
+        .and_then(|bytes| pos.checked_add(bytes))
+        .filter(|&e| e <= data.len())
+        .ok_or(corrupt("columns nodes"))?;
+    let mut nodes = Vec::with_capacity(len);
+    for c in data[*pos..end].chunks_exact(4) {
+        let v = u32::from_le_bytes(c.try_into().expect("4 bytes")) as usize;
+        if v >= node_count {
+            return Err(corrupt("columns node id out of range"));
+        }
+        nodes.push(NodeId::from_index(v));
+    }
+    *pos = end;
+    Ok(nodes)
 }
 
 /// Owned columnar form of an ad-hoc stream (a predicate-filtered stream the
@@ -398,6 +546,14 @@ impl OwnedColumns {
             cols.kept = kept;
         }
         cols
+    }
+
+    /// Approximate heap size in bytes.
+    fn size_bytes(&self) -> usize {
+        (self.starts.capacity() + self.ends.capacity()) * 4
+            + self.levels.capacity() * 2
+            + self.nodes.capacity() * std::mem::size_of::<NodeId>()
+            + (self.parent_slots.capacity() + self.kept.capacity()) * 4
     }
 
     /// A borrowed view of the columns.
@@ -574,7 +730,8 @@ mod tests {
             "<s><s><t/><s k=\"1\"><t>x</t></s></s><t/><u>y<t/></u><s/></s>",
         )
         .unwrap();
-        let (doc, labels, cols) = (idx.document(), idx.labels(), idx.columns());
+        let (doc, cols) = (idx.document(), idx.columns());
+        let labels = lotusx_labeling::DocumentLabels::compute(doc);
         let scan = |keep: &dyn Fn(NodeId) -> bool| -> Vec<(NodeId, RegionLabel)> {
             doc.all_nodes()
                 .filter(|&n| doc.is_element(n) && keep(n))
@@ -591,7 +748,9 @@ mod tests {
         // `k` is an attribute name: a symbol no element carries.
         assert!(cols.view(doc.symbols().get("k").unwrap()).is_empty());
         assert!(cols.view(Symbol::from_index(99)).is_empty());
+        assert!(!cols.all_elements_gathered());
         assert_eq!(elements(cols.all_elements()), scan(&|_| true));
+        assert!(cols.all_elements_gathered());
         assert!(cols.size_bytes() > 0);
         assert!(cols.ids_ascend(), "a parsed document numbers in preorder");
         assert_parent_slots_name_parents(&idx);
@@ -600,7 +759,7 @@ mod tests {
         let mut bytes = Vec::new();
         cols.encode(&identity, &mut bytes);
         let mut pos = 0;
-        let back = TagColumns::decode(&bytes, &mut pos, doc.node_count(), |n| doc.tag(n)).unwrap();
+        let back = TagColumns::decode(&bytes, &mut pos, doc, |n| doc.tag(n)).unwrap();
         assert_eq!(pos, bytes.len());
         assert_eq!(&back, cols);
     }
@@ -660,7 +819,7 @@ mod tests {
         let mut bytes = Vec::new();
         idx.columns().encode(&identity, &mut bytes);
         let other = Document::parse_str("<a><c/><b/></a>").unwrap();
-        let got = TagColumns::decode(&bytes, &mut 0, other.node_count(), |n| other.tag(n));
+        let got = TagColumns::decode(&bytes, &mut 0, &other, |n| other.tag(n));
         assert!(matches!(got, Err(StorageError::Corrupt(_))));
     }
 
@@ -672,13 +831,13 @@ mod tests {
         let identity: Vec<u32> = (0..idx.document().node_count() as u32).collect();
         let mut good = Vec::new();
         idx.columns().encode(&identity, &mut good);
-        // The payload ends with the all-elements stream's length (3).
-        assert_eq!(good.last(), Some(&3));
-        for last in [2u8, 4] {
+        // The payload ends with the `b` stream's length (2).
+        assert_eq!(good.last(), Some(&2));
+        for last in [1u8, 3] {
             let mut bad = good.clone();
             *bad.last_mut().unwrap() = last;
             let doc = idx.document();
-            let got = TagColumns::decode(&bad, &mut 0, doc.node_count(), |n| doc.tag(n));
+            let got = TagColumns::decode(&bad, &mut 0, doc, |n| doc.tag(n));
             assert!(matches!(got, Err(StorageError::Corrupt(_))), "{last}");
         }
     }

@@ -2,17 +2,19 @@
 //! container.
 //!
 //! [`encode_sections`] serializes every structure of an
-//! [`IndexedDocument`] — the document tree, the region labels, the
-//! columnar arenas, the value index, the per-tag term counts, the
-//! DataGuide and the statistics tables — into the sections that
-//! `lotusx-storage` frames and checksums. [`decode_sections`] is the
-//! inverse: bulk reads straight into the arena layouts plus validation,
-//! with **no re-parsing, no re-labeling and no stats re-walks**. It takes
+//! [`IndexedDocument`] — the document tree, the tag streams' columnar
+//! arenas (the one copy of every element's region), the value index, the
+//! per-tag term counts, the DataGuide and the statistics tables — into
+//! the sections that `lotusx-storage` frames and checksums.
+//! [`decode_sections`] is the inverse: bulk reads straight into the arena
+//! layouts plus validation, with **no re-parsing, no re-labeling and no
+//! stats re-walks**. It takes
 //! the sections by value and frees each payload as soon as its section
 //! is decoded, so a load never holds the whole file beside the whole
-//! index. What is *derived* from another section's bytes — today whether
-//! the columns' node ids ascend, the columns' parent slots, the
-//! document-frequency list and the count lists' block maxima — is
+//! index. What is *derived* from another section's bytes — today the
+//! per-node position map into the columns, whether their node ids
+//! ascend, their parent slots, the document-frequency list and the count
+//! lists' block maxima — is
 //! recomputed, not stored: a stored derivation must be validated against
 //! its source or it can lie, and validating it costs what recomputing it
 //! costs.
@@ -40,9 +42,8 @@ use crate::dataguide::{DataGuide, GuideNodeId};
 use crate::stats::Stats;
 use crate::term_counts::TermCounts;
 use crate::value_index::ValueIndex;
-use crate::wire::{corrupt, get_str, put_string, put_varint, rd_len, StorageError};
-use crate::wire::{get_u16_slice, get_u32_slice, put_u16_slice, put_u32_slice};
-use lotusx_labeling::{DocumentLabels, RegionLabel};
+use crate::wire::{corrupt, get_str, get_u32_slice, put_string, put_u32_slice};
+use crate::wire::{put_varint, rd_len, StorageError};
 use lotusx_storage::snapshot::{section, Section};
 use lotusx_xml::{Document, NodeId, NodeKind, Symbol};
 
@@ -59,8 +60,6 @@ pub fn encode_sections(idx: &IndexedDocument) -> Vec<Section> {
 
     let mut document = Vec::new();
     encode_document(doc, &order, &node_map, &mut document);
-    let mut labels = Vec::new();
-    encode_labels(idx, &order, &mut labels);
     let mut columns = Vec::new();
     idx.columns().encode(&node_map, &mut columns);
     let mut values = Vec::new();
@@ -76,10 +75,6 @@ pub fn encode_sections(idx: &IndexedDocument) -> Vec<Section> {
         Section {
             id: section::DOCUMENT,
             bytes: document,
-        },
-        Section {
-            id: section::LABELS,
-            bytes: labels,
         },
         Section {
             id: section::COLUMNS,
@@ -105,10 +100,10 @@ pub fn encode_sections(idx: &IndexedDocument) -> Vec<Section> {
 }
 
 /// The sections [`decode_sections`] reads, in decode order: `GUIDE`
-/// before `COLUMNS`, whose tag streams take their tags from it.
-const DECODED: [u64; 7] = [
+/// before `COLUMNS`, whose check compares each element's guide node with
+/// its tag.
+const DECODED: [u64; 6] = [
     section::DOCUMENT,
-    section::LABELS,
     section::GUIDE,
     section::COLUMNS,
     section::VALUES,
@@ -139,17 +134,13 @@ pub fn decode_sections(sections: Vec<Section>) -> Result<IndexedDocument, Storag
     let n = doc.node_count();
     let tag_count = doc.symbols().len();
 
-    let labels = decode_labels(&next(), n)?;
-
     let (guide, guide_of) = decode_guide(&next(), n, tag_count)?;
 
-    // The columns take each element's tag from its guide node: the
-    // guide-of map is 4 B per node, and on dblp:128 reading tags from
-    // the document's node records made the parent-slot pass 6.3 ms
-    // rather than 1.5 (E21).
+    // The columns are checked against the document, and each element's
+    // guide node against its tag.
     let bytes = next();
     let mut pos = 0;
-    let columns = TagColumns::decode(&bytes, &mut pos, n, |node| {
+    let columns = TagColumns::decode(&bytes, &mut pos, &doc, |node| {
         guide.tag(guide_of[node.index()])
     })?;
     ensure_consumed(&bytes, pos, "columns")?;
@@ -174,7 +165,6 @@ pub fn decode_sections(sections: Vec<Section>) -> Result<IndexedDocument, Storag
 
     Ok(IndexedDocument {
         doc,
-        labels,
         columns,
         values,
         term_counts,
@@ -337,46 +327,6 @@ fn decode_document(bytes: &[u8]) -> Result<Document, StorageError> {
     Ok(doc)
 }
 
-/// `LABELS`: the region label of every node in canonical order, as three
-/// raw columns.
-fn encode_labels(idx: &IndexedDocument, order: &[NodeId], out: &mut Vec<u8>) {
-    let labels = idx.labels();
-    let n = order.len();
-    put_varint(out, n as u64);
-    let mut starts = Vec::with_capacity(n);
-    let mut ends = Vec::with_capacity(n);
-    let mut levels = Vec::with_capacity(n);
-    for &old in order {
-        let r = labels.region(old);
-        starts.push(r.start);
-        ends.push(r.end);
-        levels.push(r.level);
-    }
-    put_u32_slice(out, &starts);
-    put_u32_slice(out, &ends);
-    put_u16_slice(out, &levels);
-}
-
-fn decode_labels(bytes: &[u8], node_count: usize) -> Result<DocumentLabels, StorageError> {
-    let pos = &mut 0;
-    let n = rd_len(bytes, pos, "labels length")?;
-    if n != node_count {
-        return Err(corrupt("labels length mismatch with document"));
-    }
-    let starts = get_u32_slice(bytes, pos, n, "region starts")?;
-    let ends = get_u32_slice(bytes, pos, n, "region ends")?;
-    let levels = get_u16_slice(bytes, pos, n, "region levels")?;
-    let mut region = Vec::with_capacity(n);
-    for i in 0..n {
-        if starts[i] >= ends[i] {
-            return Err(corrupt("region label with start >= end"));
-        }
-        region.push(RegionLabel::new(starts[i], ends[i], levels[i]));
-    }
-    ensure_consumed(bytes, *pos, "labels")?;
-    Ok(DocumentLabels::from_parts(region))
-}
-
 /// `GUIDE`: the guide nodes, then the node → guide-node map in canonical
 /// node order.
 fn encode_guide(idx: &IndexedDocument, order: &[NodeId], out: &mut Vec<u8>) {
@@ -431,8 +381,8 @@ mod tests {
         assert_eq!(back.document().to_xml(), idx.document().to_xml());
         let doc = idx.document();
         for node in doc.all_nodes() {
-            assert_eq!(back.labels().region(node), idx.labels().region(node));
             if doc.is_element(node) {
+                assert_eq!(back.region(node), idx.region(node));
                 assert_eq!(back.guide_node(node), idx.guide_node(node));
             }
         }

@@ -32,11 +32,14 @@ fn push_folded(ch: char, out: &mut String) {
 
 /// Calls `visit` with each term of `text` in order, folded by
 /// [`push_folded`] into the reused `buf`: tokenizing allocates nothing
-/// but `buf`'s growth.
+/// but `buf`'s growth. An ASCII character takes the ASCII tests, which
+/// agree with the Unicode ones on it and skip their table lookups.
 fn visit_terms(text: &str, buf: &mut String, mut visit: impl FnMut(&str)) {
     buf.clear();
     for ch in text.chars() {
-        if ch.is_alphanumeric() {
+        if ch.is_ascii_alphanumeric() {
+            buf.push(ch.to_ascii_lowercase());
+        } else if !ch.is_ascii() && ch.is_alphanumeric() {
             push_folded(ch, buf);
         } else if !buf.is_empty() {
             visit(buf);

@@ -222,3 +222,40 @@ fn compact_index_equals_the_naive_model_before_and_after_a_round_trip() {
         "{postings} postings, {numbers} numbers"
     );
 }
+
+/// `tokenize` with no fast path: each character tested by
+/// `is_alphanumeric` and folded by `to_lowercase`, one at a time.
+fn tokenize_by_char(text: &str) -> Vec<String> {
+    let mut terms = vec![String::new()];
+    for ch in text.chars() {
+        if ch.is_alphanumeric() {
+            terms.last_mut().unwrap().extend(ch.to_lowercase());
+        } else if !terms.last().unwrap().is_empty() {
+            terms.push(String::new());
+        }
+    }
+    terms.retain(|t| !t.is_empty());
+    terms
+}
+
+/// The ASCII fast path of `tokenize` splits and folds exactly like the
+/// per-character Unicode rule, on strings that interleave ASCII letters,
+/// digits and punctuation with both sigmas, a dotted capital I and CJK.
+#[test]
+fn tokenize_equals_the_per_character_unicode_rule() {
+    const CHARS: [char; 16] = [
+        'a', 'Z', 'q', '7', '0', ' ', '-', ',', '.', '_', 'Σ', 'ς', 'İ', '日', '本', 'É',
+    ];
+    let mut non_ascii_terms = 0;
+    for seed in 0..200u64 {
+        let mut rng = XorShiftRng::seed_from_u64(seed);
+        let len = rng.gen_range(0..40usize);
+        let text: String = (0..len)
+            .map(|_| CHARS[rng.gen_range(0..CHARS.len())])
+            .collect();
+        let expect = tokenize_by_char(&text);
+        non_ascii_terms += expect.iter().filter(|t| !t.is_ascii()).count();
+        assert_eq!(tokenize(&text), expect, "{text:?}");
+    }
+    assert!(non_ascii_terms > 100, "{non_ascii_terms} non-ASCII terms");
+}

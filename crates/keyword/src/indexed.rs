@@ -15,49 +15,55 @@
 //! size, unlike the bitmask oracle's `O(n)` pass.
 
 use lotusx_index::IndexedDocument;
-use lotusx_labeling::DocumentLabels;
 use lotusx_xml::{Document, NodeId};
 
-/// One keyword's occurrence list in document order, with region starts
+/// A key of element `node` that ascends with document order: its id when
+/// ids do (every parsed or loaded document), read from nothing; its
+/// region start otherwise.
+fn order_key(idx: &IndexedDocument, node: NodeId) -> u32 {
+    match idx.columns().ids_ascend() {
+        true => node.index() as u32,
+        false => idx.start(node),
+    }
+}
+
+/// One keyword's occurrence list in document order, with [`order_key`]s
 /// for binary search.
 struct KeywordList {
-    starts: Vec<u32>,
+    keys: Vec<u32>,
     nodes: Vec<NodeId>,
 }
 
 impl KeywordList {
     fn build(idx: &IndexedDocument, keyword: &str) -> Self {
-        let labels = idx.labels();
         // Value-index postings are built in one preorder pass, so they are
         // already in document order; assert in debug builds.
         let postings = idx.values().postings(keyword);
-        let starts: Vec<u32> = postings
-            .iter()
-            .map(|p| labels.region(p.node).start)
-            .collect();
-        debug_assert!(starts.windows(2).all(|w| w[0] < w[1]));
+        let keys: Vec<u32> = postings.iter().map(|p| order_key(idx, p.node)).collect();
+        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]));
         KeywordList {
-            starts,
+            keys,
             nodes: postings.iter().map(|p| p.node).collect(),
         }
     }
 
-    /// Closest occurrence at or before `start` in document order, and the
+    /// Closest occurrence at or before `key` in document order, and the
     /// closest strictly after.
-    fn neighbours(&self, start: u32) -> (Option<NodeId>, Option<NodeId>) {
-        let pos = self.starts.partition_point(|&s| s <= start);
+    fn neighbours(&self, key: u32) -> (Option<NodeId>, Option<NodeId>) {
+        let pos = self.keys.partition_point(|&k| k <= key);
         let pred = pos.checked_sub(1).map(|i| self.nodes[i]);
         let succ = self.nodes.get(pos).copied();
         (pred, succ)
     }
 }
 
-/// Lowest common ancestor of two elements by parent-walking (O(depth)).
-fn lca(doc: &Document, labels: &DocumentLabels, a: NodeId, b: NodeId) -> Option<NodeId> {
-    let mut x = a;
-    let mut y = b;
-    let mut dx = labels.region(x).level;
-    let mut dy = labels.region(y).level;
+/// Lowest common ancestor of two elements, each given with its level,
+/// by parent-walking (O(depth)); returned with its level, which the walk
+/// counts down to, so the fold below reads a level only for each list
+/// neighbour it meets.
+fn lca(doc: &Document, (a, da): (NodeId, u16), (b, db): (NodeId, u16)) -> Option<(NodeId, u16)> {
+    let (mut x, mut dx) = (a, da);
+    let (mut y, mut dy) = (b, db);
     while dx > dy {
         x = doc.parent(x)?;
         dx -= 1;
@@ -69,12 +75,9 @@ fn lca(doc: &Document, labels: &DocumentLabels, a: NodeId, b: NodeId) -> Option<
     while x != y {
         x = doc.parent(x)?;
         y = doc.parent(y)?;
+        dx -= 1;
     }
-    if x == NodeId::DOCUMENT {
-        None
-    } else {
-        Some(x)
-    }
+    (x != NodeId::DOCUMENT).then_some((x, dx))
 }
 
 /// SLCA via indexed lookup on the keyword posting lists.
@@ -98,20 +101,19 @@ pub fn slca_indexed(idx: &IndexedDocument, keywords: &[&str]) -> Vec<NodeId> {
     let scan = lists.swap_remove(min_idx);
 
     let doc = idx.document();
-    let labels = idx.labels();
+    let with_level = |n: NodeId| (n, idx.level(n));
     let mut candidates: Vec<NodeId> = Vec::new();
     'occurrences: for &v in &scan.nodes {
         // Fold: the deepest ancestor of v whose subtree has a hit from
         // every remaining list.
-        let mut current = v;
+        let mut current = with_level(v);
         for list in &lists {
-            let start = labels.region(current).start;
-            let (pred, succ) = list.neighbours(start);
-            let lca_pred = pred.and_then(|p| lca(doc, labels, current, p));
-            let lca_succ = succ.and_then(|s| lca(doc, labels, current, s));
+            let (pred, succ) = list.neighbours(order_key(idx, current.0));
+            let lca_pred = pred.and_then(|p| lca(doc, current, with_level(p)));
+            let lca_succ = succ.and_then(|s| lca(doc, current, with_level(s)));
             current = match (lca_pred, lca_succ) {
                 (Some(a), Some(b)) => {
-                    if labels.region(a).level >= labels.region(b).level {
+                    if a.1 >= b.1 {
                         a
                     } else {
                         b
@@ -122,19 +124,19 @@ pub fn slca_indexed(idx: &IndexedDocument, keywords: &[&str]) -> Vec<NodeId> {
                 (None, None) => continue 'occurrences,
             };
         }
-        candidates.push(current);
+        candidates.push(current.0);
     }
 
     // Sort in document order, dedup, and drop proper ancestors of other
     // candidates: in document order an ancestor sorts before all its
     // descendants, so a stack-less sweep against the last kept entry
     // suffices.
-    candidates.sort_by_key(|&n| labels.region(n).start);
+    candidates.sort_by_key(|&n| order_key(idx, n));
     candidates.dedup();
     let mut kept: Vec<NodeId> = Vec::new();
     for c in candidates {
         while let Some(&last) = kept.last() {
-            if labels.is_ancestor(last, c) {
+            if idx.region(last).is_ancestor_of(&idx.region(c)) {
                 kept.pop();
             } else {
                 break;

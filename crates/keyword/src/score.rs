@@ -14,8 +14,7 @@ pub fn score_hit(idx: &IndexedDocument, node: NodeId, keywords: &[&str]) -> f64 
     let values = idx.values();
     let n = values.content_element_count().max(1) as f64;
 
-    let labels = idx.labels();
-    let region = labels.region(node);
+    let region = idx.region(node);
     let mut weight = 0.0;
     for kw in keywords {
         let postings = values.postings(kw);
@@ -26,10 +25,10 @@ pub fn score_hit(idx: &IndexedDocument, node: NodeId, keywords: &[&str]) -> f64 
         // Occurrences inside the answer subtree: postings are in document
         // order, so the subtree's are the contiguous run whose region
         // starts fall inside the answer's region.
-        let from = postings.partition_point(|p| labels.region(p.node).start < region.start);
+        let from = postings.partition_point(|p| idx.start(p.node) < region.start);
         let tf: u32 = postings[from..]
             .iter()
-            .take_while(|p| labels.region(p.node).start < region.end)
+            .take_while(|p| idx.start(p.node) < region.end)
             .map(|p| p.tf)
             .sum();
         if tf > 0 {

@@ -98,13 +98,12 @@ fn slca_answers_form_an_antichain_and_subset_elca() {
         let (idx, keywords) = random_case(&mut rng);
         let slca = bitmask::slca(&idx, &keywords);
         let elca = bitmask::elca(&idx, &keywords);
-        let labels = idx.labels();
         // No SLCA answer is an ancestor of another.
         for &x in &slca {
             for &y in &slca {
                 if x != y {
                     assert!(
-                        !labels.is_ancestor(x, y),
+                        !idx.region(x).is_ancestor_of(&idx.region(y)),
                         "case {case}: {x:?} contains {y:?}"
                     );
                 }
@@ -130,17 +129,17 @@ fn slca_answers_form_an_antichain_and_subset_elca() {
 }
 
 /// The scoring `score_hit` replaced: every keyword's whole posting list
-/// filtered by subtree membership, per hit.
+/// filtered by subtree membership, per hit, with membership read off the
+/// tree's parent links.
 fn score_hit_by_scan(idx: &IndexedDocument, node: NodeId, keywords: &[&str]) -> f64 {
-    let (values, labels) = (idx.values(), idx.labels());
+    let (values, doc) = (idx.values(), idx.document());
     let n = values.content_element_count().max(1) as f64;
-    let region = labels.region(node);
     let mut weight = 0.0;
     for kw in keywords {
         let postings = values.postings(kw);
         let tf: u32 = postings
             .iter()
-            .filter(|p| p.node == node || region.is_ancestor_of(&labels.region(p.node)))
+            .filter(|p| p.node == node || doc.ancestors(p.node).any(|a| a == node))
             .map(|p| p.tf)
             .sum();
         if tf > 0 {
@@ -160,7 +159,8 @@ fn slice_scoring_equals_the_posting_scan_bit_for_bit() {
         let (idx, keywords) = random_case(&mut rng);
         // Every element, not just answers: subtrees with no, some and all
         // of the keywords.
-        for &node in idx.columns().all_elements().nodes() {
+        let doc = idx.document();
+        for node in doc.all_nodes().filter(|&n| doc.is_element(n)) {
             let got = score_hit(&idx, node, &keywords);
             let want = score_hit_by_scan(&idx, node, &keywords);
             assert_eq!(got.to_bits(), want.to_bits(), "case {case}: {node:?}");
@@ -185,10 +185,10 @@ fn build_split(doc: &mut Document, parent: NodeId, t: &GenTree) {
     }
 }
 
-/// `score_hit` sizes an answer from its region label: every node's enter
-/// and exit are numbered, so the subtree walk it replaced counts exactly
-/// `(end - start + 1) / 2` nodes — text nodes included, and so are the
-/// ones `coalesce_text` empties.
+/// `score_hit` sizes an answer (an element) from its region label: every
+/// node's enter and exit are numbered, so the subtree walk it replaced
+/// counts exactly `(end - start + 1) / 2` nodes — text nodes included,
+/// and so are the ones `coalesce_text` empties.
 #[test]
 fn region_labels_count_every_node_of_a_subtree() {
     let mut rng = XorShiftRng::seed_from_u64(0x517E);
@@ -201,9 +201,9 @@ fn region_labels_count_every_node_of_a_subtree() {
         merged += lotusx_xml::parser::coalesce_text(&mut doc);
         let idx = IndexedDocument::build(doc);
         let doc = idx.document();
-        for node in doc.all_nodes() {
+        for node in doc.all_nodes().filter(|&n| doc.is_element(n)) {
             assert_eq!(
-                subtree_size(idx.labels().region(node)) as usize,
+                subtree_size(idx.region(node)) as usize,
                 doc.descendants_or_self(node).count(),
                 "case {case}: {node:?}"
             );

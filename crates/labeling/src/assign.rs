@@ -51,20 +51,6 @@ impl DocumentLabels {
         DocumentLabels { region }
     }
 
-    /// Reassembles a label store from previously computed labels (the
-    /// snapshot load path). `region` must be indexed by [`NodeId`] and
-    /// cover every node of the document, like [`compute`](Self::compute)
-    /// produces; callers are responsible for validating its length
-    /// against the document.
-    pub fn from_parts(region: Vec<RegionLabel>) -> Self {
-        DocumentLabels { region }
-    }
-
-    /// All region labels, indexed by [`NodeId`].
-    pub fn region_labels(&self) -> &[RegionLabel] {
-        &self.region
-    }
-
     /// The region label of `id`.
     pub fn region(&self, id: NodeId) -> RegionLabel {
         self.region[id.index()]

@@ -113,8 +113,7 @@ impl<'a> PatternScorer<'a> {
 
     fn structure(&self, row: &[NodeId]) -> f64 {
         // The region label's level is the element's depth.
-        let labels = self.idx.labels();
-        let level = |col: usize| u32::from(labels.region(row[col]).level);
+        let level = |col: usize| u32::from(self.idx.level(row[col]));
         let slack: u32 = self
             .ad_edges
             .iter()
@@ -124,12 +123,12 @@ impl<'a> PatternScorer<'a> {
     }
 
     fn content(&self, row: &[NodeId]) -> f64 {
-        let labels = self.idx.labels();
+        let idx = self.idx;
         let mut sum = 0.0;
         for &(col, postings, idf) in &self.terms {
             // Postings are in document order, which region starts index.
-            let start = labels.region(row[col]).start;
-            let at = postings.partition_point(|p| labels.region(p.node).start < start);
+            let start = idx.start(row[col]);
+            let at = postings.partition_point(|p| idx.start(p.node) < start);
             if let Some(p) = postings.get(at).filter(|p| p.node == row[col]) {
                 sum += (1.0 + f64::from(p.tf).ln_1p()) * idf;
             }

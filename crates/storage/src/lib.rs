@@ -4,7 +4,7 @@
 //! cleaned once can be reopened without re-tokenizing XML.
 //!
 //! One container, [`snapshot`]: a sectioned file where each section
-//! (document, labels, columns, values, tag terms, dataguide, stats) carries
+//! (document, columns, values, tag terms, dataguide, stats) carries
 //! its own FNV-1a checksum, so the entire index set loads via bulk reads
 //! with no re-parsing, re-labeling, or stats re-walks. Section payload
 //! codecs live in `lotusx-index`; this crate owns framing, the version

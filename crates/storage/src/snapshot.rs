@@ -1,9 +1,9 @@
-//! The sectioned `LTSX` snapshot container, version 5.
+//! The sectioned `LTSX` snapshot container, version 6.
 //!
 //! Layout:
 //!
 //! ```text
-//! magic "LTSX" | version (1 byte, = 5) | varint section count
+//! magic "LTSX" | version (1 byte, = 6) | varint section count
 //! then per section:
 //!   varint section id | varint payload length | u64 LE checksum | payload
 //! ```
@@ -35,18 +35,19 @@ use std::path::Path;
 /// columns' end trees, and did not validate the latter; 3 also stored
 /// the join-cost statistics of a retired algorithm chooser in `STATS`;
 /// 4 stored completion tries in sections 5 and 8 where 5 has
-/// `TAG_TERMS`.)
-pub const SNAPSHOT_VERSION: u8 = 5;
+/// `TAG_TERMS`; 5 also stored every node's region label in section 2 and
+/// an all-elements stream in `COLUMNS`, neither checked against the
+/// document.)
+pub const SNAPSHOT_VERSION: u8 = 6;
 
 /// Section ids of the full-index snapshot.
 pub mod section {
     /// The document tree: symbol table, then kind, parent and payload
     /// columns in preorder.
     pub const DOCUMENT: u64 = 1;
-    /// The region label of every node, as three columns.
-    pub const LABELS: u64 = 2;
     /// Struct-of-arrays region columns: the per-tag arenas and stream
-    /// lengths.
+    /// lengths, the one stored copy of every element's region. (Id 2
+    /// held every node's region label again until version 6.)
     pub const COLUMNS: u64 = 3;
     /// The value index: term postings, exact strings, numeric values.
     pub const VALUES: u64 = 4;
@@ -59,7 +60,7 @@ pub mod section {
     pub const TAG_TERMS: u64 = 9;
 
     /// Every id this build understands.
-    pub const KNOWN: &[u64] = &[DOCUMENT, LABELS, COLUMNS, VALUES, TAG_TERMS, GUIDE, STATS];
+    pub const KNOWN: &[u64] = &[DOCUMENT, COLUMNS, VALUES, TAG_TERMS, GUIDE, STATS];
 }
 
 /// One framed snapshot section: an id plus its raw payload.
@@ -295,6 +296,11 @@ mod tests {
                 "version 4",
                 |b| b[4] = 4,
                 |e| matches!(e, StorageError::UnsupportedVersion(4)),
+            ),
+            (
+                "version 5",
+                |b| b[4] = 5,
+                |e| matches!(e, StorageError::UnsupportedVersion(5)),
             ),
             (
                 "unknown section id",

@@ -273,10 +273,10 @@ fn filtered_stream(idx: &IndexedDocument, node: &QNode, base: ColumnView<'_>) ->
 
 /// Checks the structural edge between a bound parent and child element.
 pub fn edge_satisfied(idx: &IndexedDocument, axis: Axis, parent: NodeId, child: NodeId) -> bool {
-    let labels = idx.labels();
+    let (parent, child) = (idx.region(parent), idx.region(child));
     match axis {
-        Axis::Child => labels.is_parent(parent, child),
-        Axis::Descendant => labels.is_ancestor(parent, child),
+        Axis::Child => parent.is_parent_of(&child),
+        Axis::Descendant => parent.is_ancestor_of(&child),
     }
 }
 

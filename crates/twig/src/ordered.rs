@@ -15,14 +15,13 @@ use lotusx_xml::NodeId;
 /// True if `m` satisfies the order constraint: for every query node, the
 /// bindings of its children occur in strictly increasing document order.
 pub fn match_is_ordered(idx: &IndexedDocument, pattern: &TwigPattern, row: &[NodeId]) -> bool {
-    let labels = idx.labels();
     for q in pattern.node_ids() {
         let children: &[QNodeId] = &pattern.node(q).children;
         for pair in children.windows(2) {
             let a = row[pair[0].index()];
             let b = row[pair[1].index()];
             // Strict document order; equal bindings violate ordering.
-            if !labels.doc_order_before(a, b) {
+            if idx.start(a) >= idx.start(b) {
                 return false;
             }
         }

@@ -84,11 +84,7 @@ fn pipeline_allocations(idx: &IndexedDocument, query: &str, algorithm: Algorithm
     let matches = execute_budgeted(idx, &pattern, algorithm, None, &guard);
     let top = Ranker::new(idx).rank_top_k(&pattern, &matches, 10, None);
     let spent = ALLOCATIONS.with(Cell::get) - before;
-    assert_eq!(
-        matches.count(),
-        idx.columns().all_elements().len() / 3,
-        "{query}"
-    );
+    assert_eq!(matches.count(), idx.stats().element_count / 3, "{query}");
     assert_eq!(top.len(), 10);
     spent
 }

@@ -1,0 +1,126 @@
+//! One copy of every element's position (seeded, deterministic): the
+//! index stores each region only in its tag stream and reads it through
+//! a per-node position map, and gathers the all-elements stream that
+//! `*` query nodes scan only when one first asks.
+//!
+//! - On random documents parsed, loaded from a snapshot, and assembled
+//!   through the tree API with ids that do not ascend, every element's
+//!   region equals what `DocumentLabels::compute` assigns it, and the
+//!   gathered all-elements stream is every element in document order.
+//! - Every random twig with a `*` node answers like the naive oracle,
+//!   built and loaded.
+//! - The six dblp benchmark twigs never gather the all-elements stream;
+//!   the first `*` query gathers it once, also when two threads race.
+
+#[path = "../crates/twig/tests/random_inputs/mod.rs"]
+mod random_inputs;
+
+use lotusx::{CorpusSource, LotusX, QueryRequest};
+use lotusx_datagen::rng::XorShiftRng;
+use lotusx_datagen::{queries, Dataset};
+use lotusx_index::columns::NO_SLOT;
+use lotusx_index::snapshot::{decode_sections, encode_sections};
+use lotusx_index::{DocumentLabels, IndexedDocument};
+use lotusx_twig::pattern::NodeTest;
+use lotusx_twig::{execute, Algorithm};
+use lotusx_xml::NodeId;
+
+/// Every node of `idx` against the labeling oracle: an element reads its
+/// computed region through its position, any other node has none; the
+/// all-elements stream lists the elements in document order with those
+/// regions.
+fn assert_regions_match_the_labeling(idx: &IndexedDocument, what: &str) {
+    let doc = idx.document();
+    let labels = DocumentLabels::compute(doc);
+    let mut in_order: Vec<NodeId> = Vec::new();
+    for node in doc.all_nodes() {
+        if doc.is_element(node) {
+            assert_eq!(idx.region(node), labels.region(node), "{what}: {node:?}");
+            assert_eq!(idx.level(node), labels.region(node).level, "{what}");
+            in_order.push(node);
+        } else {
+            assert_eq!(idx.columns().position(node), NO_SLOT, "{what}: {node:?}");
+        }
+    }
+    let all = idx.columns().all_elements();
+    assert_eq!(all.nodes(), in_order, "{what}");
+    for (i, &node) in in_order.iter().enumerate() {
+        assert_eq!(all.element(i).1, labels.region(node), "{what}: {node:?}");
+    }
+}
+
+#[test]
+fn every_element_reads_the_region_the_labeling_assigns() {
+    let mut rng = XorShiftRng::seed_from_u64(0x9051);
+    let mut ids_descend = 0;
+    for case in 0..150 {
+        let (built, _) = random_inputs::random_case(&mut rng);
+        ids_descend += usize::from(!built.columns().ids_ascend());
+        assert_regions_match_the_labeling(&built, &format!("case {case}, built"));
+        let parsed = IndexedDocument::from_str(&built.document().to_xml()).unwrap();
+        assert!(parsed.columns().ids_ascend());
+        assert_regions_match_the_labeling(&parsed, &format!("case {case}, parsed"));
+        let loaded = decode_sections(encode_sections(&built)).unwrap();
+        assert_regions_match_the_labeling(&loaded, &format!("case {case}, loaded"));
+    }
+    assert!(
+        ids_descend > 20,
+        "arenas out of document order: {ids_descend}"
+    );
+}
+
+#[test]
+fn every_random_wildcard_twig_answers_like_naive_built_and_loaded() {
+    let mut rng = XorShiftRng::seed_from_u64(0x2A57);
+    let (mut wildcard_cases, mut rows) = (0, 0);
+    while wildcard_cases < 150 {
+        let (built, pattern) = random_inputs::random_case(&mut rng);
+        let wildcard = pattern
+            .node_ids()
+            .any(|q| matches!(pattern.node(q).test, NodeTest::Wildcard));
+        if !wildcard {
+            continue;
+        }
+        wildcard_cases += 1;
+        let loaded = decode_sections(encode_sections(&built)).unwrap();
+        for (idx, what) in [(&built, "built"), (&loaded, "loaded")] {
+            let reference = execute(idx, &pattern, Algorithm::Naive);
+            let got = execute(idx, &pattern, Algorithm::StructuralJoin);
+            assert_eq!(got, reference, "{what}: {pattern}");
+            rows += reference.len();
+        }
+    }
+    assert!(rows > 1000, "wildcard twigs must match: {rows}");
+}
+
+#[test]
+fn only_a_wildcard_query_gathers_the_all_elements_stream_and_only_once() {
+    let system = LotusX::open(&"@dblp:2:2012".parse::<CorpusSource>().unwrap()).unwrap();
+    let columns = system.index().columns();
+    for q in queries::queries(Dataset::DblpLike) {
+        let response = system.query(&QueryRequest::twig(q.text)).unwrap();
+        assert!(response.total_matches > 0, "{}", q.id);
+        assert!(!columns.all_elements_gathered(), "{} gathered it", q.id);
+    }
+    let before = columns.size_bytes();
+    let barrier = std::sync::Barrier::new(2);
+    let seen: Vec<usize> = std::thread::scope(|scope| {
+        let racers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    let response = system.query(&QueryRequest::twig("//article/*")).unwrap();
+                    assert!(response.total_matches > 0);
+                    columns.all_elements().nodes().as_ptr() as usize
+                })
+            })
+            .collect();
+        racers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    assert_eq!(seen[0], seen[1], "both racers read one gathered copy");
+    assert!(columns.all_elements_gathered());
+    let elements = system.index().stats().element_count;
+    assert_eq!(columns.all_elements().len(), elements);
+    assert_eq!(columns.all_elements().nodes().as_ptr() as usize, seen[0]);
+    assert_eq!(columns.size_bytes(), before + 14 * elements);
+}

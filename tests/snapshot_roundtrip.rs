@@ -238,7 +238,7 @@ fn corrupted_snapshots_yield_typed_errors_not_panics() {
     // section is parsed: the good file relabelled (every byte after the
     // version would parse) and a bare header followed by garbage fail
     // alike, naming the version they claimed.
-    for version in [1u8, 2, 3, 4] {
+    for version in [1u8, 2, 3, 4, 5] {
         let mut relabelled = good.clone();
         relabelled[4] = version;
         let bare = [&b"LTSX"[..], &[version, 0xff, 0xff, 0xff]].concat();
@@ -251,6 +251,143 @@ fn corrupted_snapshots_yield_typed_errors_not_panics() {
                 Err(other) => panic!("version {version}: wrong error kind: {other}"),
                 Ok(_) => panic!("version {version}: retired layout opened"),
             }
+        }
+    }
+}
+
+/// The `COLUMNS` arenas of a saved snapshot, located: `n` elements,
+/// then per tag stream its arena offset and length.
+struct Columns {
+    bytes: Vec<u8>,
+    n: usize,
+    /// Where the `starts` column begins (after the length varint).
+    at: usize,
+    streams: Vec<(usize, usize)>,
+}
+
+impl Columns {
+    fn of(sections: &[lotusx_storage::Section]) -> Self {
+        use lotusx_storage::codec::get_varint;
+        let id = lotusx_storage::snapshot::section::COLUMNS;
+        let bytes = sections.iter().find(|s| s.id == id).unwrap().bytes.clone();
+        let mut pos = 0;
+        let n = get_varint(&bytes, &mut pos).unwrap() as usize;
+        let at = pos;
+        pos += 14 * n;
+        let count = get_varint(&bytes, &mut pos).unwrap();
+        let mut offset = 0;
+        let streams = (0..count)
+            .map(|_| {
+                let len = get_varint(&bytes, &mut pos).unwrap() as usize;
+                offset += len;
+                (offset - len, len)
+            })
+            .collect();
+        Columns {
+            bytes,
+            n,
+            at,
+            streams,
+        }
+    }
+
+    /// Byte offset of entry `i` of the column that begins `column · n`
+    /// bytes into the arenas (starts 0, ends 4, levels 8, nodes 10), its
+    /// entries `width` bytes wide.
+    fn field(&self, column: usize, width: usize, i: usize) -> usize {
+        self.at + column * self.n + width * i
+    }
+
+    fn u32_at(&self, at: usize) -> u32 {
+        u32::from_le_bytes(self.bytes[at..at + 4].try_into().unwrap())
+    }
+
+    fn add(&mut self, at: usize, delta: u8) {
+        self.bytes[at] = self.bytes[at].wrapping_add(delta);
+    }
+
+    fn swap_u32(&mut self, a: usize, b: usize) {
+        for k in 0..4 {
+            self.bytes.swap(a + k, b + k);
+        }
+    }
+}
+
+/// `COLUMNS` is the only stored copy of the regions, so a load proves it
+/// against the document: a snapshot re-framed with fresh checksums
+/// around one changed start, end or level, one region moved whole, two
+/// swapped nodes of one stream, or an element held twice, opens to a
+/// typed error naming what disagrees — never a panic.
+#[test]
+fn a_region_store_that_disagrees_with_the_document_is_a_typed_error() {
+    let fresh = LotusX::open(&"@dblp:1:4242".parse::<CorpusSource>().unwrap()).unwrap();
+    let path = Scratch::new("regions.ltsx");
+    fresh.save_snapshot(&path.0).unwrap();
+    let sections = lotusx_storage::read_snapshot_file(&path.0).unwrap();
+    let columns = Columns::of(&sections);
+    // A stream of several elements, and an element of another stream.
+    let &(first, len) = columns.streams.iter().find(|(_, len)| *len > 2).unwrap();
+    let other = columns
+        .streams
+        .iter()
+        .find(|(o, l)| *l > 0 && *o != first)
+        .unwrap()
+        .0;
+    let i = first + len / 2;
+    type Tamper = Box<dyn Fn(&mut Columns)>;
+    let cases: Vec<(&str, Tamper, &str)> = vec![
+        (
+            "one start",
+            Box::new(move |c| c.add(c.field(0, 4, i), 2)),
+            "column region disagrees with the document",
+        ),
+        (
+            "one end",
+            Box::new(move |c| c.add(c.field(4, 4, i), 2)),
+            "column region disagrees with the document",
+        ),
+        (
+            "one region shifted, its size kept",
+            Box::new(move |c| {
+                c.add(c.field(0, 4, i), 2);
+                c.add(c.field(4, 4, i), 2);
+            }),
+            "column region disagrees with the document",
+        ),
+        (
+            "one level",
+            Box::new(move |c| c.add(c.field(8, 2, i), 1)),
+            "column region disagrees with the document",
+        ),
+        (
+            "two nodes of one stream swapped",
+            Box::new(move |c| c.swap_u32(c.field(10, 4, i), c.field(10, 4, i + 1))),
+            "tag stream not in document order",
+        ),
+        (
+            "an element in two streams",
+            Box::new(move |c| {
+                let node = c.u32_at(c.field(10, 4, other));
+                let at = c.field(10, 4, i);
+                c.bytes[at..at + 4].copy_from_slice(&node.to_le_bytes());
+            }),
+            "element in two tag streams",
+        ),
+    ];
+    let tampered = Scratch::new("regions-tampered.ltsx");
+    for (name, tamper, error) in cases {
+        let mut c = Columns::of(&sections);
+        tamper(&mut c);
+        let mut bad = sections.clone();
+        let id = lotusx_storage::snapshot::section::COLUMNS;
+        bad.iter_mut().find(|s| s.id == id).unwrap().bytes = c.bytes;
+        lotusx_storage::write_snapshot_file(&tampered.0, &bad).unwrap();
+        match LotusX::open_snapshot(&tampered.0) {
+            Err(LotusError::Storage(StorageError::Corrupt(what))) => {
+                assert_eq!(what, error, "{name}")
+            }
+            Err(other) => panic!("{name}: wrong error kind: {other}"),
+            Ok(_) => panic!("{name}: the tampered snapshot opened"),
         }
     }
 }
