@@ -59,9 +59,8 @@ impl StreamRange {
 }
 
 /// The position of a node that is no element, and the parent slot of the
-/// document's root element, whose parent is no element; also what a
-/// filtered stream's kept map holds for a dropped position. Larger than
-/// any stream position.
+/// document's root element, whose parent is no element. Larger than any
+/// stream position.
 pub const NO_SLOT: u32 = u32::MAX;
 
 /// Every tag's element stream in columnar (struct-of-arrays) form, with
@@ -469,19 +468,15 @@ fn get_node_ids(
     Ok(nodes)
 }
 
-/// Owned columnar form of an ad-hoc stream (a predicate-filtered stream the
-/// index does not hold). Same layout as one [`TagColumns`] range.
+/// Owned columnar form of a stream the tag arenas do not hold as one
+/// range: the all-elements stream, gathered on first use. Same layout as
+/// one [`TagColumns`] range, without parent slots.
 #[derive(Clone, Debug, Default)]
 pub struct OwnedColumns {
     starts: Vec<u32>,
     ends: Vec<u32>,
     levels: Vec<u16>,
     nodes: Vec<NodeId>,
-    /// The kept elements' parent slots, when the base stream has them.
-    parent_slots: Vec<u32>,
-    /// Per base-stream position: its position here, or [`NO_SLOT`] when
-    /// the filter dropped it. Empty unless the base is a tag stream.
-    kept: Vec<u32>,
 }
 
 impl OwnedColumns {
@@ -501,7 +496,6 @@ impl OwnedColumns {
             ends: Vec::with_capacity(n),
             levels: Vec::with_capacity(n),
             nodes: Vec::with_capacity(n),
-            ..OwnedColumns::default()
         }
     }
 
@@ -516,44 +510,11 @@ impl OwnedColumns {
         self.nodes.push(node);
     }
 
-    /// The elements of `base` at the positions `keep` accepts (asked once
-    /// each, in order). From a tag stream the result carries the kept
-    /// elements' parent slots and the map from base positions to kept
-    /// ones, so a child edge gathers into or out of it as it would with
-    /// the base. The map comes first and is sized once, so that every
-    /// column is then allocated once, at its final size.
-    pub fn filter(base: ColumnView<'_>, mut keep: impl FnMut(usize) -> bool) -> Self {
-        let mut kept = vec![NO_SLOT; base.len()];
-        let mut len = 0;
-        for (i, k) in kept.iter_mut().enumerate() {
-            if keep(i) {
-                *k = len;
-                len += 1;
-            }
-        }
-        let mut cols = OwnedColumns::with_capacity(len as usize);
-        let from_tag = !base.parent_slots.is_empty();
-        if from_tag {
-            cols.parent_slots.reserve_exact(len as usize);
-        }
-        for (i, _) in kept.iter().enumerate().filter(|(_, &k)| k != NO_SLOT) {
-            cols.push(base.element(i));
-            if from_tag {
-                cols.parent_slots.push(base.parent_slots[i]);
-            }
-        }
-        if from_tag {
-            cols.kept = kept;
-        }
-        cols
-    }
-
     /// Approximate heap size in bytes.
     fn size_bytes(&self) -> usize {
         (self.starts.capacity() + self.ends.capacity()) * 4
             + self.levels.capacity() * 2
             + self.nodes.capacity() * std::mem::size_of::<NodeId>()
-            + (self.parent_slots.capacity() + self.kept.capacity()) * 4
     }
 
     /// A borrowed view of the columns.
@@ -563,14 +524,8 @@ impl OwnedColumns {
             ends: &self.ends,
             levels: &self.levels,
             nodes: &self.nodes,
-            parent_slots: &self.parent_slots,
+            parent_slots: &[],
         }
-    }
-
-    /// Per position of the tag stream this was filtered from: the position
-    /// here, or [`NO_SLOT`]. Empty when the base was not a tag stream.
-    pub fn kept(&self) -> &[u32] {
-        &self.kept
     }
 }
 
@@ -629,7 +584,7 @@ impl<'a> ColumnView<'a> {
 
     /// Parent slots column: per element, its parent's position in the
     /// parent's own tag stream ([`NO_SLOT`] for the root element). Empty
-    /// for the all-elements stream and the streams filtered from it.
+    /// for the all-elements stream.
     pub fn parent_slots(&self) -> &'a [u32] {
         self.parent_slots
     }
@@ -701,24 +656,6 @@ mod tests {
         for (i, e) in elements.iter().enumerate() {
             assert_eq!(view.element(i), *e);
         }
-    }
-
-    /// A filtered tag stream keeps its elements' parent slots and maps
-    /// every base position to its kept one; one filtered from the
-    /// all-elements stream has neither.
-    #[test]
-    fn filtered_streams_carry_parent_slots_and_the_kept_map() {
-        let idx = crate::IndexedDocument::from_str("<r><s><s/><s><s/></s></s><s/></r>").unwrap();
-        let s = idx.document().symbols().get("s").unwrap();
-        let base = idx.columns().view(s);
-        assert_eq!(base.parent_slots(), [0, 0, 0, 2, 0]);
-        let odd = OwnedColumns::filter(base, |i| i % 2 == 1);
-        assert_eq!(odd.view().nodes(), [base.nodes()[1], base.nodes()[3]]);
-        assert_eq!(odd.view().parent_slots(), [0, 2]);
-        assert_eq!(odd.kept(), [NO_SLOT, 0, NO_SLOT, 1, NO_SLOT]);
-        let all = OwnedColumns::filter(idx.columns().all_elements(), |i| i > 0);
-        assert_eq!(all.view().len(), 5);
-        assert!(all.view().parent_slots().is_empty() && all.kept().is_empty());
     }
 
     /// Columns built from a document equal a per-tag scan of that

@@ -6,7 +6,7 @@
 //! per-child binding sets. Exponential in the worst case — exactly the
 //! baseline the structural/holistic join literature improves on.
 
-use crate::matcher::{node_columns, predicate_matches, MatchSet};
+use crate::matcher::{initial_weights, node_stream, predicate_matches, MatchSet};
 use crate::pattern::{Axis, NodeTest, QNodeId, TwigPattern};
 use lotusx_guard::{QueryGuard, Ticker};
 use lotusx_index::IndexedDocument;
@@ -15,20 +15,27 @@ use lotusx_xml::NodeId;
 /// Evaluates `pattern` navigationally under a budget, returning all full
 /// matches found before `guard` trips.
 ///
+/// The root's candidates are its stream's elements of non-zero initial
+/// weight, as the join seeds them; every other node's candidates are
+/// tested element by element with [`predicate_matches`].
+///
 /// The walk charges one node visit per candidate binding it examines
 /// and one candidate per row it pushes (amortized through a [`Ticker`]);
 /// on trip it finishes its in-flight recursion step and stops expanding
 /// new root candidates. Only fully bound assignments are ever emitted, so
 /// partial output is valid.
 pub fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern, guard: &QueryGuard) -> MatchSet {
-    let roots = node_columns(idx, pattern, pattern.root());
+    let root = pattern.node(pattern.root());
+    let stream = node_stream(idx, root);
+    let weights = initial_weights(idx, root, stream);
+    let roots = (stream.nodes().iter().zip(weights)).filter_map(|(&n, w)| (w != 0).then_some(n));
     // Preorder binds each node after its parent and its whole subtree
     // before the next sibling: one nest of loops, no intermediate sets.
     let order = pattern.preorder();
     let mut out = MatchSet::new(pattern.len());
     let mut bindings = vec![NodeId::DOCUMENT; pattern.len()];
     let mut ticker = guard.ticker();
-    for &root in roots.view().nodes() {
+    for root in roots {
         if ticker.tick(1) {
             break;
         }

@@ -20,6 +20,11 @@
 //!   preorder is its id order and the document's node ids ascend, which
 //!   is what lets a ranker stop as soon as its k-th score is unbeatable.
 //!
+//! Every query node reads the index's own stream for its test, borrowed:
+//! its predicate, and a child-axis root's level test, are its initial
+//! weights ([`initial_weights`]), 1 for an element that passes and 0 for
+//! one that does not, and the join carries them like any other weight.
+//!
 //! A child (`/`) edge between two tag streams is a *gather*: a child's
 //! parent is a function of the element, which the index stores as a
 //! parent slot, so one sequential pass over the children adds each
@@ -30,19 +35,12 @@
 //! contains are skipped in one galloping seek; parents are walked
 //! linearly and the open ones — a nested chain — sit on a stack.
 
-use crate::matcher::{node_columns, MatchSet, NodeColumns};
+use crate::matcher::{initial_weights, node_stream, MatchSet};
 use crate::pattern::{Axis, QNodeId, TwigPattern};
 use lotusx_guard::{QueryGuard, Ticker};
 use lotusx_index::{ColumnView, IndexedDocument};
 use lotusx_xml::NodeId;
 use std::ops::Range;
-
-/// Evaluates `pattern` in full: [`reduce`], then every row enumerated
-/// into a canonical [`MatchSet`]. On a budget trip the set holds the rows
-/// enumerated by then — every one a true match.
-pub fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern, guard: &QueryGuard) -> MatchSet {
-    reduce(idx, pattern, guard).into_match_set(guard)
-}
 
 /// A twig reduced against a document: per query node its stream and, per
 /// stream position, how many matches of the node's sub-twig bind it there;
@@ -50,7 +48,7 @@ pub fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern, guard: &QueryGuard
 /// stream. Enough to count the matches exactly and to enumerate them
 /// lazily, in document order.
 pub struct ReducedTwig<'a> {
-    columns: Vec<NodeColumns<'a>>,
+    columns: Vec<ColumnView<'a>>,
     /// `(node, parent)` columns in preorder; the root is its own parent.
     order: Vec<(usize, usize)>,
     /// Per node: its edge to the parent is a child (`/`) edge, so a
@@ -101,17 +99,23 @@ pub fn reduce<'a>(
         rows_ascend,
     };
     for q in pattern.node_ids() {
-        let columns = node_columns(idx, pattern, q);
-        if columns.view().is_empty() {
-            // One empty stream empties the answer: no merge can change
-            // that, and no later stream needs filtering.
+        let node = pattern.node(q);
+        let stream = node_stream(idx, node);
+        let seeds = if stream.is_empty() {
+            Vec::new()
+        } else {
+            initial_weights(idx, node, stream)
+        };
+        if seeds.iter().all(|&w| w == 0) {
+            // A node nothing can bind empties the answer: no merge can
+            // change that, and no later node needs weighing. Every
+            // node's weights go, or the root's seeds would still count.
             twig.columns.clear();
+            twig.weights.iter_mut().for_each(Vec::clear);
             return twig;
         }
-        twig.columns.push(columns);
-    }
-    for (weights, columns) in twig.weights.iter_mut().zip(&twig.columns) {
-        *weights = vec![1; columns.view().len()];
+        twig.columns.push(stream);
+        twig.weights[q.index()] = seeds;
     }
     let mut ticker = guard.ticker();
     // Children carry larger ids than their parent, so descending ids meet
@@ -129,8 +133,8 @@ pub fn reduce<'a>(
         }
         let (above, below) = twig.weights.split_at_mut(q.index());
         twig.ranges[q.index()] = reduce_edge(
-            &twig.columns[parent.index()],
-            twig.columns[q.index()].view(),
+            twig.columns[parent.index()],
+            twig.columns[q.index()],
             node.axis,
             &mut above[parent.index()],
             &mut below[0],
@@ -141,70 +145,53 @@ pub fn reduce<'a>(
 }
 
 /// One edge's reduce pass: a [`gather_edge`] for a child edge between two
-/// tag streams (filtered or not: those are the streams with parent
-/// slots), a [`merge_edge`] for any other.
+/// tag streams (the streams with parent slots), a [`merge_edge`] for any
+/// other.
 fn reduce_edge(
-    parents: &NodeColumns<'_>,
+    parents: ColumnView<'_>,
     children: ColumnView<'_>,
     axis: Axis,
     parent_weights: &mut [u64],
     child_weights: &mut [u64],
     ticker: &mut Ticker,
 ) -> Vec<Range<u32>> {
-    let gather = axis == Axis::Child
+    if axis == Axis::Child
         && !children.parent_slots().is_empty()
-        && !parents.view().parent_slots().is_empty();
-    match parents {
-        NodeColumns::Borrowed(view) if gather => gather_edge(
-            *view,
-            children,
-            |slot| slot as usize,
-            parent_weights,
-            child_weights,
-            ticker,
-        ),
-        NodeColumns::Owned(cols) if gather => {
-            let kept = cols.kept();
-            gather_edge(
-                cols.view(),
-                children,
-                |slot| kept.get(slot as usize).map_or(usize::MAX, |&k| k as usize),
-                parent_weights,
-                child_weights,
-                ticker,
-            )
-        }
-        _ => merge_edge(
-            parents.view(),
+        && !parents.parent_slots().is_empty()
+    {
+        gather_edge(parents, children, parent_weights, child_weights, ticker)
+    } else {
+        merge_edge(
+            parents,
             children,
             axis,
             parent_weights,
             child_weights,
             ticker,
-        ),
+        )
     }
 }
 
 /// Children a gather pass handles between two budget ticks.
 const GATHER_STRIDE: usize = 16;
 
-/// One child edge's reduce pass, by gather: `position` maps a child's
-/// parent slot to a parent-stream position (one past the stream, or
-/// further, when the parent is not in it). A child is related iff the
-/// parent there sits one level up and contains it — which also rejects
-/// the slot of a parent with another tag. Its weight goes to that
-/// parent's sum and widens the parent's range to it; any other child's
-/// weight becomes zero. A second pass multiplies the sums into the
-/// parents' weights.
+/// One child edge's reduce pass, by gather: a child's parent slot is its
+/// parent's position in the parent stream ([`NO_SLOT`], past the stream,
+/// for the root element's). A child is related iff the parent there sits
+/// one level up and contains it — which also rejects the slot of a parent
+/// with another tag. Its weight goes to that parent's sum and widens the
+/// parent's range to it; any other child's weight becomes zero. A second
+/// pass multiplies the sums into the parents' weights.
 ///
 /// Charges one node visit per child, in strides, and one per parent.
 /// After a budget trip the children not reached get weight zero and the
 /// parent pass still runs: the sums it multiplies in are true ones, over
 /// the children seen. Sums saturate.
+///
+/// [`NO_SLOT`]: lotusx_index::columns::NO_SLOT
 fn gather_edge(
     parents: ColumnView<'_>,
     children: ColumnView<'_>,
-    position: impl Fn(u32) -> usize,
     parent_weights: &mut [u64],
     child_weights: &mut [u64],
     ticker: &mut Ticker,
@@ -221,7 +208,7 @@ fn gather_edge(
             break;
         }
         for c in ci..to {
-            let (weight, pi, start) = (child_weights[c], position(c_slots[c]), c_starts[c]);
+            let (weight, pi, start) = (child_weights[c], c_slots[c] as usize, c_starts[c]);
             let related = pi < p_starts.len()
                 && u32::from(p_levels[pi]) + 1 == u32::from(c_levels[c])
                 && p_starts[pi] < start
@@ -407,11 +394,8 @@ impl ReducedTwig<'_> {
     /// the parent's stream, whether or not that parent ends up in a match
     /// itself.
     pub fn stream(&self, q: QNodeId) -> impl Iterator<Item = (NodeId, bool)> + '_ {
-        let view = self
-            .columns
-            .get(q.index())
-            .map_or(ColumnView::empty(), NodeColumns::view);
-        (view.nodes().iter())
+        let view = self.columns.get(q.index()).copied();
+        (view.unwrap_or(ColumnView::empty()).nodes().iter())
             .zip(&self.weights[q.index()])
             .map(|(&node, &weight)| (node, weight != 0))
     }
@@ -448,7 +432,7 @@ impl ReducedTwig<'_> {
         if self.columns.is_empty() {
             return true;
         }
-        let views: Vec<ColumnView<'_>> = self.columns.iter().map(NodeColumns::view).collect();
+        let views = &self.columns;
         let depth = self.order.len();
         // `cursors[k]` is the unvisited rest of the range level `k` scans
         // (level 0: the root run under way), `at[q]` the position bound
@@ -525,7 +509,8 @@ mod tests {
     use lotusx_labeling::RegionLabel;
 
     fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern) -> MatchSet {
-        super::evaluate(idx, pattern, &QueryGuard::unlimited())
+        let guard = QueryGuard::unlimited();
+        reduce(idx, pattern, &guard).into_match_set(&guard)
     }
 
     fn naive_evaluate(idx: &IndexedDocument, pattern: &TwigPattern) -> MatchSet {
@@ -557,46 +542,100 @@ mod tests {
     /// weight, and the child weights.
     type Merged = (Vec<Range<u32>>, Vec<u64>, Vec<u64>);
 
-    /// The merge under test over hand-built streams; child `j` enters
-    /// with weight `j + 1`, so sums tell the children apart.
+    /// The weights an edge's two streams enter its pass with.
+    #[derive(Clone)]
+    struct Seeds {
+        parents: Vec<u64>,
+        children: Vec<u64>,
+    }
+
+    impl Seeds {
+        /// Parent `i` enters with `parents[i]` (0 or 1), child `j` with
+        /// `j + 1` times `children[j]`, so sums tell the children apart.
+        fn masked(parents: Vec<u64>, children: &[u64]) -> Seeds {
+            let children = (1..).zip(children).map(|(j, &m)| j * m).collect();
+            Seeds { parents, children }
+        }
+
+        /// Every element weighed in.
+        fn unit(parents: usize, children: usize) -> Seeds {
+            Seeds::masked(vec![1; parents], &vec![1; children])
+        }
+    }
+
+    /// The merge under test over hand-built streams, every element
+    /// weighed in.
     fn merge(parents: &[Element], children: &[Element], axis: Axis) -> Merged {
         let p = OwnedColumns::from_elements(parents.iter().copied());
         let c = OwnedColumns::from_elements(children.iter().copied());
-        let mut parent_weights = vec![1; parents.len()];
-        let mut child_weights: Vec<u64> = (1..=children.len() as u64).collect();
-        let ranges = merge_edge(
+        let seeds = Seeds::unit(parents.len(), children.len());
+        pass(
+            merge_edge,
             p.view(),
             c.view(),
             axis,
+            &seeds,
+            &QueryGuard::unlimited(),
+        )
+    }
+
+    /// An edge pass: `merge_edge` or `reduce_edge`.
+    type EdgePass =
+        fn(ColumnView, ColumnView, Axis, &mut [u64], &mut [u64], &mut Ticker) -> Vec<Range<u32>>;
+
+    /// One edge pass entering with `seeds`, under `guard`.
+    fn pass(
+        edge: EdgePass,
+        parents: ColumnView<'_>,
+        children: ColumnView<'_>,
+        axis: Axis,
+        seeds: &Seeds,
+        guard: &QueryGuard,
+    ) -> Merged {
+        let Seeds {
+            parents: mut parent_weights,
+            children: mut child_weights,
+        } = seeds.clone();
+        let ranges = edge(
+            parents,
+            children,
+            axis,
             &mut parent_weights,
             &mut child_weights,
-            &mut QueryGuard::unlimited().ticker(),
+            &mut guard.ticker(),
         );
         (ranges, parent_weights, child_weights)
     }
 
-    /// The same by definition, pair by pair.
-    fn merge_by_definition(parents: &[Element], children: &[Element], axis: Axis) -> Merged {
+    /// The same by definition, pair by pair: a parent's weight is its
+    /// seed times its related children's, and a child keeps its seed iff
+    /// some parent of the stream — of any weight — relates to it.
+    fn merge_by_definition(
+        parents: &[Element],
+        children: &[Element],
+        axis: Axis,
+        seeds: &Seeds,
+    ) -> Merged {
         let related = |p: &RegionLabel, c: &RegionLabel| {
             p.is_ancestor_of(c) && (axis == Axis::Descendant || p.level + 1 == c.level)
         };
         let inside = |p: &RegionLabel, c: &RegionLabel| p.start < c.start && c.start < p.end;
         let mut ranges = Vec::new();
         let mut parent_weights = Vec::new();
-        for (_, p) in parents {
+        for ((_, p), seed) in parents.iter().zip(&seeds.parents) {
             let lo = children.iter().take_while(|(_, c)| c.start <= p.start);
             let lo = lo.count();
             let len = children[lo..].iter().take_while(|(_, c)| inside(p, c));
             ranges.push(lo as u32..(lo + len.count()) as u32);
-            let sum = (children.iter().enumerate())
-                .filter(|(_, (_, c))| related(p, c))
-                .map(|(j, _)| j as u64 + 1);
-            parent_weights.push(sum.sum());
+            let sum = (children.iter().zip(&seeds.children))
+                .filter(|((_, c), _)| related(p, c))
+                .map(|(_, w)| w);
+            parent_weights.push(seed * sum.sum::<u64>());
         }
-        let child_weights = (children.iter().enumerate())
-            .map(|(j, (_, c))| {
+        let child_weights = (children.iter().zip(&seeds.children))
+            .map(|((_, c), w)| {
                 let kept = parents.iter().any(|(_, p)| related(p, c));
-                (j as u64 + 1) * u64::from(kept)
+                w * u64::from(kept)
             })
             .collect();
         (ranges, parent_weights, child_weights)
@@ -651,7 +690,7 @@ mod tests {
         for axis in [Axis::Descendant, Axis::Child] {
             for (p, c) in [(&stream, &stream), (&stream, &sparse), (&sparse, &stream)] {
                 let (ranges, parent_weights, child_weights) = merge(p, c, axis);
-                let expect = merge_by_definition(p, c, axis);
+                let expect = merge_by_definition(p, c, axis, &Seeds::unit(p.len(), c.len()));
                 // Only non-empty ranges are ever opened: compare those.
                 for (i, range) in ranges.iter().enumerate() {
                     assert!(
@@ -675,49 +714,34 @@ mod tests {
         (0..view.len()).map(|i| view.element(i)).collect()
     }
 
-    /// One edge through [`reduce_edge`] — the gather on a child edge
-    /// between tag streams — under `guard`; child `j` enters with weight
-    /// `j + 1`.
-    fn reduce_one(
-        parents: &NodeColumns<'_>,
-        children: ColumnView<'_>,
-        axis: Axis,
-        guard: &QueryGuard,
-    ) -> Merged {
-        let mut parent_weights = vec![1; parents.view().len()];
-        let mut child_weights: Vec<u64> = (1..=children.len() as u64).collect();
-        let ranges = reduce_edge(
-            parents,
-            children,
-            axis,
-            &mut parent_weights,
-            &mut child_weights,
-            &mut guard.ticker(),
-        );
-        (ranges, parent_weights, child_weights)
-    }
+    /// One edge of [`edge_cases`]: its name, its two tag streams and the
+    /// weights they enter the pass with.
+    type Case<'a> = (String, ColumnView<'a>, ColumnView<'a>, Seeds);
 
     /// Parent and child streams over `idx`'s `s`, `t` and `u` streams:
     /// the self-join `//s/s` over recursive nesting, `t` under parents of
-    /// three tags, and filtered parents and children (every other element
-    /// kept, both ways round).
-    fn edge_cases(idx: &IndexedDocument) -> Vec<(String, NodeColumns<'_>, NodeColumns<'_>)> {
-        let borrowed = |tag| NodeColumns::Borrowed(view(idx, tag));
-        let filtered = |tag, parity| {
-            NodeColumns::Owned(OwnedColumns::filter(view(idx, tag), |i| i % 2 == parity))
+    /// three tags, and parents and children that a predicate thins (every
+    /// other element weighed in, by a 0/1 parity mask, both ways round).
+    fn edge_cases(idx: &IndexedDocument) -> Vec<Case<'_>> {
+        let all = |view: ColumnView<'_>| vec![1; view.len()];
+        let every_other = |view: ColumnView<'_>, parity: usize| -> Vec<u64> {
+            (0..view.len())
+                .map(|i| u64::from(i % 2 == parity))
+                .collect()
         };
         let mut cases = Vec::new();
         for (p, c) in [("s", "s"), ("s", "t"), ("u", "t"), ("r", "s"), ("t", "s")] {
-            cases.push((format!("//{p}/{c}"), borrowed(p), borrowed(c)));
+            let (parents, children) = (view(idx, p), view(idx, c));
+            let mut case = |name: String, p_mask: Vec<u64>, c_mask: Vec<u64>| {
+                cases.push((name, parents, children, Seeds::masked(p_mask, &c_mask)));
+            };
+            case(format!("//{p}/{c}"), all(parents), all(children));
             for parity in [0, 1] {
                 let odd = ["even", "odd"][parity];
-                cases.push((format!("{odd} {p} / {c}"), filtered(p, parity), borrowed(c)));
-                cases.push((format!("{p} / {odd} {c}"), borrowed(p), filtered(c, parity)));
-                cases.push((
-                    format!("{odd} {p} / {odd} {c}"),
-                    filtered(p, parity),
-                    filtered(c, parity),
-                ));
+                let (p_odd, c_odd) = (every_other(parents, parity), every_other(children, parity));
+                case(format!("{odd} {p} / {c}"), p_odd.clone(), all(children));
+                case(format!("{p} / {odd} {c}"), all(parents), c_odd.clone());
+                case(format!("{odd} {p} / {odd} {c}"), p_odd, c_odd);
             }
         }
         cases
@@ -734,22 +758,35 @@ mod tests {
     #[test]
     fn gather_matches_the_definition_and_the_merge() {
         let idx = recursive_idx();
-        for (case, parents, children) in edge_cases(&idx) {
-            let children = children.view();
+        let unlimited = &QueryGuard::unlimited();
+        for (case, parents, children, seeds) in edge_cases(&idx) {
             assert!(!children.parent_slots().is_empty(), "{case}: a tag stream");
-            let (p, c) = (elements(parents.view()), elements(children));
-            let (ranges, parent_weights, child_weights) =
-                reduce_one(&parents, children, Axis::Child, &QueryGuard::unlimited());
-            let expect = merge_by_definition(&p, &c, Axis::Child);
+            let (p, c) = (elements(parents), elements(children));
+            let (ranges, parent_weights, child_weights) = pass(
+                reduce_edge,
+                parents,
+                children,
+                Axis::Child,
+                &seeds,
+                unlimited,
+            );
+            let expect = merge_by_definition(&p, &c, Axis::Child, &seeds);
             assert_eq!(parent_weights, expect.1, "{case}");
             assert_eq!(child_weights, expect.2, "{case}");
-            let merged = merge(&p, &c, Axis::Child);
+            let merged = pass(
+                merge_edge,
+                parents,
+                children,
+                Axis::Child,
+                &seeds,
+                unlimited,
+            );
             assert_eq!((&merged.1, &merged.2), (&expect.1, &expect.2), "{case}");
             // A gathered range runs from the parent's first related child
-            // to its last.
+            // of non-zero weight to its last.
             for (i, (_, parent)) in p.iter().enumerate() {
-                let related: Vec<u32> = (c.iter().enumerate())
-                    .filter(|(_, (_, child))| parent.is_parent_of(child))
+                let related: Vec<u32> = (c.iter().zip(&seeds.children).enumerate())
+                    .filter(|(_, ((_, child), &w))| w != 0 && parent.is_parent_of(child))
                     .map(|(j, _)| j as u32)
                     .collect();
                 let tight = match (related.first(), related.last()) {
@@ -759,13 +796,15 @@ mod tests {
                 assert_eq!(ranges[i], tight, "{case} parent {i}");
             }
             // The descendant axis of the same streams still merges.
-            let descendants = reduce_one(
-                &parents,
+            let descendants = pass(
+                reduce_edge,
+                parents,
                 children,
                 Axis::Descendant,
-                &QueryGuard::unlimited(),
+                &seeds,
+                unlimited,
             );
-            let expect = merge_by_definition(&p, &c, Axis::Descendant);
+            let expect = merge_by_definition(&p, &c, Axis::Descendant, &seeds);
             assert_eq!(
                 (descendants.1, descendants.2),
                 (expect.1, expect.2),
@@ -783,14 +822,14 @@ mod tests {
         xml.push_str("<u><t/></u></r>");
         let idx = IndexedDocument::from_str(&xml).unwrap();
         let mut partial = 0;
-        for (case, parents, children) in edge_cases(&idx) {
+        for (case, parents, children, seeds) in edge_cases(&idx) {
             for axis in [Axis::Child, Axis::Descendant] {
-                let children = children.view();
-                let full = reduce_one(&parents, children, axis, &QueryGuard::unlimited());
+                let run =
+                    |guard: &QueryGuard| pass(reduce_edge, parents, children, axis, &seeds, guard);
+                let full = run(&QueryGuard::unlimited());
                 for quota in 0..48 {
                     let budget = lotusx_guard::Budget::unlimited().with_node_quota(quota);
-                    let (_, sums, weights) =
-                        reduce_one(&parents, children, axis, &QueryGuard::new(&budget));
+                    let (_, sums, weights) = run(&QueryGuard::new(&budget));
                     let at = format!("{case} {axis:?} quota {quota}");
                     assert!(sums.iter().zip(&full.1).all(|(s, f)| s <= f), "{at}");
                     let reached = weights.iter().zip(&full.2).take_while(|(w, f)| w == f);
@@ -830,7 +869,7 @@ mod tests {
         let mut parent_weights = vec![3];
         let mut child_weights = vec![u64::MAX, u64::MAX];
         reduce_edge(
-            &NodeColumns::Borrowed(view(&idx, "s")),
+            view(&idx, "s"),
             view(&idx, "t"),
             Axis::Child,
             &mut parent_weights,

@@ -1,8 +1,8 @@
-//! Shared evaluation plumbing: filtered streams, predicate checks and the
-//! match representation.
+//! Shared evaluation plumbing: query-node streams and their initial
+//! weights, predicate checks and the match representation.
 
-use crate::pattern::{Axis, NodeTest, QNode, QNodeId, TwigPattern, ValuePredicate};
-use lotusx_index::{ColumnView, IndexedDocument, OwnedColumns};
+use crate::pattern::{Axis, NodeTest, QNode, TwigPattern, ValuePredicate};
+use lotusx_index::{ColumnView, IndexedDocument};
 use lotusx_xml::{NodeId, NodeKind};
 
 /// A set of fixed-width binding rows in one flat, row-major buffer — the
@@ -155,71 +155,41 @@ pub fn predicate_matches(idx: &IndexedDocument, node: NodeId, pred: &ValuePredic
     }
 }
 
-/// The columnar stream for one query node — the input every join
-/// consumes for that node: a zero-copy borrow of the index-resident
-/// column arenas when the node carries no predicate (the overwhelmingly
-/// common case — the join then scans the index's own memory), or an owned
-/// filtered copy otherwise.
-pub enum NodeColumns<'a> {
-    /// Index-resident columns, borrowed.
-    Borrowed(ColumnView<'a>),
-    /// Filtered stream, owned.
-    Owned(OwnedColumns),
-}
-
-impl NodeColumns<'_> {
-    /// The column slices to scan.
-    pub fn view(&self) -> ColumnView<'_> {
-        match self {
-            NodeColumns::Borrowed(view) => *view,
-            NodeColumns::Owned(cols) => cols.view(),
-        }
-    }
-}
-
-/// Resolves the document-ordered stream of elements matching a query
-/// node's test and predicate, borrowing the tag's columns from the index
-/// unless something filters them: a predicate, or the level-1 filter of a
-/// child-axis query root.
-pub fn node_columns<'a>(
-    idx: &'a IndexedDocument,
-    pattern: &TwigPattern,
-    q: QNodeId,
-) -> NodeColumns<'a> {
-    let node = pattern.node(q);
-    let base = match &node.test {
+/// The document-ordered stream of the elements that pass query node
+/// `node`'s test, borrowed from the index: its tag's columns, or every
+/// element for `*`. What the predicate and the root edge leave of it is
+/// said by [`initial_weights`], not by a copy.
+pub fn node_stream<'a>(idx: &'a IndexedDocument, node: &QNode) -> ColumnView<'a> {
+    match &node.test {
         NodeTest::Tag(name) => match idx.document().symbols().get(name) {
             Some(sym) => idx.columns().view(sym),
             None => ColumnView::empty(),
         },
         NodeTest::Wildcard => idx.columns().all_elements(),
-    };
-    let level_filtered_root = node.parent.is_none() && node.axis == Axis::Child;
-    if node.predicate.is_none() && !level_filtered_root {
-        NodeColumns::Borrowed(base)
-    } else {
-        NodeColumns::Owned(filtered_stream(idx, node, base))
     }
 }
 
-/// The elements of `base` that satisfy `node`'s predicate (and root
-/// edge), as columns of their own.
+/// Per element of `stream` (the node's [`node_stream`]): 1 if it passes
+/// `node`'s predicate and root edge, 0 if not — the node's weights before
+/// the join multiplies in its sub-twig's counts, where 0 binds nothing.
 ///
+/// A child-axis query root passes only the document's root element.
 /// Value predicates are pushed into the index: `Equals` and `Range`
 /// resolve to candidate sets from the value index, and `Contains` to the
 /// postings of each of its terms, ANDed. The candidates are marked in a
-/// bitmap over node ids and intersected with the tag stream by one bit
-/// probe per stream element, so a selective predicate shrinks the stream
-/// before any join work happens. The postings index exactly what
-/// [`predicate_matches`] reads — direct text plus attribute values,
-/// through `tokenize` — so both give the same answer.
-fn filtered_stream(idx: &IndexedDocument, node: &QNode, base: ColumnView<'_>) -> OwnedColumns {
-    let nodes = base.nodes();
-    let keep = |accept: &dyn Fn(usize) -> bool| OwnedColumns::filter(base, accept);
-    // A child-axis query root can only bind the document's root element.
+/// bitmap over node ids, and one bit probe per stream element writes its
+/// weight. The postings index exactly what [`predicate_matches`] reads —
+/// direct text plus attribute values, through `tokenize` — so both give
+/// the same answer. Attribute predicates have no candidate index; they
+/// read each element.
+pub fn initial_weights(idx: &IndexedDocument, node: &QNode, stream: ColumnView<'_>) -> Vec<u64> {
+    let nodes = stream.nodes();
+    let weigh = |passes: &dyn Fn(usize) -> bool| -> Vec<u64> {
+        (0..nodes.len()).map(|i| u64::from(passes(i))).collect()
+    };
     if node.parent.is_none() && node.axis == Axis::Child {
-        return keep(&|i| {
-            base.levels()[i] == 1
+        return weigh(&|i| {
+            stream.levels()[i] == 1
                 && node
                     .predicate
                     .as_ref()
@@ -235,12 +205,12 @@ fn filtered_stream(idx: &IndexedDocument, node: &QNode, base: ColumnView<'_>) ->
         marked
     };
     let among = |marked: &[u64]| {
-        keep(&|i| marked[nodes[i].index() / 64] >> (nodes[i].index() % 64) & 1 == 1)
+        weigh(&|i| marked[nodes[i].index() / 64] >> (nodes[i].index() % 64) & 1 == 1)
     };
     let values = idx.values();
     let postings = |term: &str| values.postings(term).iter().map(|p| p.node);
     match &node.predicate {
-        None => keep(&|_| true),
+        None => vec![1; nodes.len()],
         Some(ValuePredicate::Equals(v)) => {
             among(&mark(&mut values.exact_matches(v).iter().copied()))
         }
@@ -251,7 +221,7 @@ fn filtered_stream(idx: &IndexedDocument, node: &QNode, base: ColumnView<'_>) ->
             let mut terms = lotusx_index::tokenize(v).into_iter();
             // A needle with no terms is contained in everything.
             let Some(first) = terms.next() else {
-                return keep(&|_| true);
+                return vec![1; nodes.len()];
             };
             let mut marked = mark(&mut postings(&first));
             for term in terms {
@@ -260,14 +230,12 @@ fn filtered_stream(idx: &IndexedDocument, node: &QNode, base: ColumnView<'_>) ->
             }
             among(&marked)
         }
-        // Attribute predicates have no candidate index; they filter the
-        // tag stream directly.
         Some(
             pred @ (ValuePredicate::AttrEquals { .. }
             | ValuePredicate::AttrContains { .. }
             | ValuePredicate::AttrRange { .. }
             | ValuePredicate::AttrExists { .. }),
-        ) => keep(&|i| predicate_matches(idx, nodes[i], pred)),
+        ) => weigh(&|i| predicate_matches(idx, nodes[i], pred)),
     }
 }
 
@@ -339,9 +307,16 @@ mod tests {
         idx.columns().view(sym).nodes()[n]
     }
 
-    /// The nodes of the stream `node_columns` resolves for the root.
+    /// The root's stream elements its initial weights leave live.
     fn root_stream(idx: &IndexedDocument, p: &TwigPattern) -> Vec<NodeId> {
-        node_columns(idx, p, p.root()).view().nodes().to_vec()
+        let root = p.node(p.root());
+        let stream = node_stream(idx, root);
+        let weights = initial_weights(idx, root, stream);
+        assert!(weights.iter().all(|&w| w <= 1), "weights are 0 or 1");
+        (stream.nodes().iter().zip(weights))
+            .filter(|&(_, w)| w == 1)
+            .map(|(&n, _)| n)
+            .collect()
     }
 
     #[test]
@@ -495,7 +470,7 @@ mod tests {
             }
         ));
 
-        // Through the stream filter and a full query:
+        // Through the initial weights:
         let mut b = TwigBuilder::root("book");
         b.predicate(
             b.root_id(),

@@ -6,8 +6,9 @@
 //! match, pair or partial. A per-match `Vec` (or a hash map keyed per
 //! binding) anywhere between join output and the ranked top-k multiplies
 //! the count by the match total and fails this test deterministically.
-//! So does a per-entry allocation where a predicate filters a stream
-//! into columns of its own.
+//! A value predicate is a 0/1 weight per stream element: it allocates its
+//! candidate bitmap and the weights every node has, never a copy of the
+//! stream it thins, which the bytes it asks for show.
 //!
 //! And of the cache-hit path: a hit hands out the answer the miss built,
 //! so it allocates the same number of blocks whatever the answer holds —
@@ -78,12 +79,21 @@ fn corpus(items: usize) -> IndexedDocument {
 
 /// Allocations (and reallocations) made by join + rank of `query`.
 fn pipeline_allocations(idx: &IndexedDocument, query: &str, algorithm: Algorithm) -> usize {
+    pipeline_spend(idx, query, algorithm).0
+}
+
+/// Allocations (and reallocations) made by join + rank of `query`, and
+/// the bytes they asked for.
+fn pipeline_spend(idx: &IndexedDocument, query: &str, algorithm: Algorithm) -> (usize, usize) {
     let pattern = parse_query(query).expect("parses");
     let guard = QueryGuard::unlimited();
-    let before = ALLOCATIONS.with(Cell::get);
+    let before = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
     let matches = execute_budgeted(idx, &pattern, algorithm, None, &guard);
     let top = Ranker::new(idx).rank_top_k(&pattern, &matches, 10, None);
-    let spent = ALLOCATIONS.with(Cell::get) - before;
+    let spent = (
+        ALLOCATIONS.with(Cell::get) - before.0,
+        BYTES.with(Cell::get) - before.1,
+    );
     assert_eq!(matches.count(), idx.stats().element_count / 3, "{query}");
     assert_eq!(top.len(), 10);
     spent
@@ -97,25 +107,25 @@ fn join_and_rank_allocate_per_buffer_not_per_match() {
     for (query, algorithm) in [
         ("//item[a][b]", Algorithm::StructuralJoin),
         ("//item[a][b]", Algorithm::Naive),
-        // Filtered streams: candidates from the value index, and from a
-        // term's postings, intersected with the tag stream.
+        // Predicates: candidates from the value index, and from a term's
+        // postings, weighed over the tag stream.
         ("//item[a >= 0][b]", Algorithm::StructuralJoin),
         (r#"//item[a][b ~ "x"]"#, Algorithm::StructuralJoin),
     ] {
         let at_small = pipeline_allocations(&small, query, algorithm);
         let at_large = pipeline_allocations(&large, query, algorithm);
-        // A few dozen buffers and their doubling steps (the kept
-        // positions of a filtered stream grow), whatever the match
-        // count …
+        // A few dozen buffers and their doubling steps, whatever the
+        // match count …
         assert!(
             at_small < 128,
             "{algorithm} on {query}: {at_small} allocations for {SMALL} matches"
         );
         // … and 8x the matches may only add doubling steps: 3 per buffer
         // that grows with the output. The structural join has no such
-        // buffer when no stream is filtered — weights and ranges are
-        // sized from the stream lengths, the ranker keeps 10 rows.
-        let doubling_steps = if (query, algorithm) == ("//item[a][b]", Algorithm::StructuralJoin) {
+        // buffer, predicates or not — weights and ranges are sized from
+        // the stream lengths, a candidate bitmap from the node count, the
+        // ranker keeps 10 rows.
+        let doubling_steps = if algorithm == Algorithm::StructuralJoin {
             0
         } else {
             24
@@ -126,6 +136,28 @@ fn join_and_rank_allocate_per_buffer_not_per_match() {
              {at_large} at {}",
             SMALL * GROWTH
         );
+    }
+}
+
+/// A value predicate is a 0 in its query node's initial weights, not a
+/// copy of the stream it thins: join + rank of a predicated twig asks for
+/// the bytes of the unpredicated one plus the candidate bitmap (a bit per
+/// node, in whole words) and a small constant, at any stream length.
+#[test]
+fn a_predicate_allocates_its_candidate_bitmap_not_a_stream_copy() {
+    const SLACK: usize = 512;
+    for items in [6_000, 48_000] {
+        let idx = corpus(items);
+        let bitmap = idx.document().node_count().div_ceil(64) * 8;
+        let (_, plain) = pipeline_spend(&idx, "//item[a][b]", Algorithm::StructuralJoin);
+        for query in ["//item[a >= 0][b]", r#"//item[a][b ~ "x"]"#] {
+            let (_, bytes) = pipeline_spend(&idx, query, Algorithm::StructuralJoin);
+            assert!(
+                bytes <= plain + bitmap + SLACK,
+                "{query} over {items} items: {bytes} B, against {plain} B unpredicated \
+                 and a {bitmap} B candidate bitmap"
+            );
+        }
     }
 }
 

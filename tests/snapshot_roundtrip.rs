@@ -158,8 +158,8 @@ fn contains_through_the_postings_answers_like_naive_built_and_loaded() {
         <book><title>Data on the Web</title><note>intro <br/> tail words</note></book>
     </lib>"#;
     // Every predicate sits below the query root: naive binds its root
-    // from the same filtered stream the join reads, and tests any other
-    // node element by element.
+    // from the same stream and initial weights the join reads, and tests
+    // any other node element by element.
     let cases = [
         // Multi-term needles: every term, in any order.
         (r#"//book[title ~ "handbook XML"]"#, 1),
