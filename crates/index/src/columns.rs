@@ -22,9 +22,13 @@
 //! and keeps the open ones on a stack.
 //!
 //! A child edge needs no search at all. Every tag-stream element carries
-//! one derived `u32`, its *parent slot*: its parent's position in the
-//! parent's own tag stream. The join gathers a child's parent through
-//! it. The column is derived at build and at load in the same
+//! one derived `u32`, its *parent slot*: its parent's arena slot, the
+//! number [`TagColumns::position`] gives the parent. The streams lie back
+//! to back in the arenas, so a parent slot inside stream `P`'s extent
+//! says the parent has tag `P`, and its distance from the extent's start
+//! is the parent's place in that stream: one subtraction and one compare
+//! ([`ColumnView::arena_offset`]). The join gathers a child's parent
+//! through it. The column is derived at build and at load in the same
 //! document-order pass as the position map and never stored in a
 //! snapshot. It costs 4 B per element.
 //!
@@ -58,9 +62,10 @@ impl StreamRange {
     }
 }
 
-/// The position of a node that is no element, and the parent slot of the
-/// document's root element, whose parent is no element. Larger than any
-/// stream position.
+/// The position of a node that is no element, the parent slot of the
+/// document's root element, whose parent is no element, and the arena
+/// offset of a stream the arenas do not hold. Past every arena slot, so
+/// no stream's extent contains it.
 pub const NO_SLOT: u32 = u32::MAX;
 
 /// Every tag's element stream in columnar (struct-of-arrays) form, with
@@ -72,8 +77,8 @@ pub struct TagColumns {
     ends: Vec<u32>,
     levels: Vec<u16>,
     nodes: Vec<NodeId>,
-    /// Per arena slot: the element's parent's position in the parent's
-    /// own tag stream, or [`NO_SLOT`]. Derived, never serialized.
+    /// Per arena slot: the arena slot of the element's parent, or
+    /// [`NO_SLOT`] for the root element. Derived, never serialized.
     parent_slots: Vec<u32>,
     /// Per node, by id: its arena slot, or [`NO_SLOT`] for a node that is
     /// no element. Derived, never serialized.
@@ -127,9 +132,8 @@ impl TagColumns {
         // `next[t]` is the arena slot of tag `t`'s next element.
         let mut next: Vec<u32> = cols.ranges.iter().map(|r| r.offset).collect();
         // The nodes entered and not yet exited, the document first, each
-        // with its arena slot and its position in its own stream
-        // ([`NO_SLOT`] for nodes that are no element).
-        let mut open = vec![(NodeId::DOCUMENT, NO_SLOT, NO_SLOT)];
+        // with its arena slot ([`NO_SLOT`] for nodes that are no element).
+        let mut open = vec![(NodeId::DOCUMENT, NO_SLOT)];
         let mut last_element = None;
         // The document's enter is number 1.
         let mut counter = 1u32;
@@ -137,7 +141,7 @@ impl TagColumns {
         loop {
             let Some(node) = cursor else {
                 // The innermost open node has no more children: exit it.
-                let (node, slot, _) = open.pop().expect("the document is open");
+                let (node, slot) = open.pop().expect("the document is open");
                 if node == NodeId::DOCUMENT {
                     break;
                 }
@@ -149,7 +153,7 @@ impl TagColumns {
                 continue;
             };
             counter += 1;
-            let (slot, pos) = match doc.tag(node) {
+            let slot = match doc.tag(node) {
                 Some(tag) => {
                     let t = tag.index();
                     let slot = next[t];
@@ -158,15 +162,15 @@ impl TagColumns {
                     cols.starts[at] = counter;
                     cols.levels[at] = open.len() as u16;
                     cols.nodes[at] = node;
-                    cols.parent_slots[at] = open.last().expect("the document is open").2;
+                    cols.parent_slots[at] = open.last().expect("the document is open").1;
                     cols.positions[node.index()] = slot;
                     cols.ids_ascend &= last_element < Some(node);
                     last_element = Some(node);
-                    (slot, slot - cols.ranges[t].offset)
+                    slot
                 }
-                None => (NO_SLOT, NO_SLOT),
+                None => NO_SLOT,
             };
-            open.push((node, slot, pos));
+            open.push((node, slot));
             cursor = doc.first_child(node);
         }
         cols
@@ -233,6 +237,7 @@ impl TagColumns {
                 levels: r.of(&self.levels),
                 nodes: r.of(&self.nodes),
                 parent_slots: r.of(&self.parent_slots),
+                offset: r.offset,
             },
             None => ColumnView::empty(),
         }
@@ -306,18 +311,20 @@ impl TagColumns {
     /// read straight into the struct-of-arrays layout — and proves them
     /// against `doc`, which the snapshot decoder numbers in preorder: the
     /// streams are the only copy of the regions, so nothing else could.
-    /// Every element of `doc` must sit in exactly one stream, its tag's
-    /// (which `guide_tag` must also give it), at the place document order
-    /// gives it there, with the region its preorder id implies:
-    /// `start = 2·id − level + 1` and `end = start + 2·size − 1`, where
-    /// `size` counts its subtree's nodes. One forward pass over `doc`
-    /// with a stack of open nodes checks all of it and derives the
-    /// position map and the parent slots on the way.
+    /// Every element of `doc` must sit in exactly one stream, its tag's,
+    /// at the place document order gives it there, with the region its
+    /// preorder id implies: `start = 2·id − level + 1` and
+    /// `end = start + 2·size − 1`, where `size` counts its subtree's
+    /// nodes. One forward pass over `doc` with a stack of open nodes
+    /// checks all of it and derives the position map and the parent slots
+    /// on the way. The pass hands each node but the document, with its
+    /// parent, to `visit`, so that what else is keyed by node can be
+    /// checked in the same walk; its error stops the decode.
     pub(crate) fn decode(
         data: &[u8],
         pos: &mut usize,
         doc: &Document,
-        guide_tag: impl Fn(NodeId) -> Option<Symbol>,
+        visit: impl FnMut(NodeId, NodeId) -> Result<(), StorageError>,
     ) -> Result<TagColumns, StorageError> {
         let node_count = doc.node_count();
         let n = rd_len(data, pos, "columns length")?;
@@ -364,7 +371,7 @@ impl TagColumns {
             *at = slot as u32;
         }
         cols.nodes = nodes;
-        cols.check_against(doc, guide_tag)?;
+        cols.check_against(doc, visit)?;
         Ok(cols)
     }
 
@@ -373,17 +380,17 @@ impl TagColumns {
     fn check_against(
         &mut self,
         doc: &Document,
-        guide_tag: impl Fn(NodeId) -> Option<Symbol>,
+        mut visit: impl FnMut(NodeId, NodeId) -> Result<(), StorageError>,
     ) -> Result<(), StorageError> {
         let mismatch = || corrupt("column region disagrees with the document");
         // `next[t]`: the arena slot tag `t`'s next element must hold.
         let mut next: Vec<u32> = self.ranges.iter().map(|r| r.offset).collect();
         // The nodes entered and not yet exited, from the document down,
-        // each with its arena slot and stream position (or [`NO_SLOT`]).
-        let mut open = vec![(0usize, NO_SLOT, NO_SLOT)];
+        // each with its arena slot (or [`NO_SLOT`]).
+        let mut open = vec![(0usize, NO_SLOT)];
         // Whether an open node, exited as node `id` is entered, ends
         // where its subtree — the ids in between — says it does.
-        let ends_right = |cols: &Self, (node, slot, _): (usize, u32, u32), id: usize| {
+        let ends_right = |cols: &Self, (node, slot): (usize, u32), id: usize| {
             let (at, size) = (slot as usize, (id - node) as u64);
             slot == NO_SLOT || u64::from(cols.ends[at]) == u64::from(cols.starts[at]) + 2 * size - 1
         };
@@ -401,17 +408,15 @@ impl TagColumns {
                     return Err(mismatch());
                 }
             }
+            visit(node, NodeId::from_index(parent))?;
             let slot = self.positions[id];
             let Some(tag) = doc.tag(node) else {
                 if slot != NO_SLOT {
                     return Err(corrupt("tag stream holds a node that is no element"));
                 }
-                open.push((id, NO_SLOT, NO_SLOT));
+                open.push((id, NO_SLOT));
                 continue;
             };
-            if guide_tag(node) != Some(tag) {
-                return Err(corrupt("guide node of another tag than its element"));
-            }
             if slot == NO_SLOT {
                 return Err(corrupt("element in no tag stream"));
             }
@@ -431,8 +436,8 @@ impl TagColumns {
             {
                 return Err(mismatch());
             }
-            self.parent_slots[at] = open.last().expect("the document is open").2;
-            open.push((id, slot, slot - range.offset));
+            self.parent_slots[at] = open.last().expect("the document is open").1;
+            open.push((id, slot));
         }
         while open.len() > 1 {
             if !ends_right(self, open.pop().expect("checked"), doc.node_count()) {
@@ -525,12 +530,14 @@ impl OwnedColumns {
             levels: &self.levels,
             nodes: &self.nodes,
             parent_slots: &[],
+            offset: NO_SLOT,
         }
     }
 }
 
 /// Borrowed column slices of one stream — the unit the join algorithms
-/// scan. Copy-cheap (five fat pointers).
+/// scan — and where the stream begins in the arenas. Copy-cheap (five
+/// fat pointers and an offset).
 #[derive(Clone, Copy, Debug)]
 pub struct ColumnView<'a> {
     starts: &'a [u32],
@@ -538,6 +545,7 @@ pub struct ColumnView<'a> {
     levels: &'a [u16],
     nodes: &'a [NodeId],
     parent_slots: &'a [u32],
+    offset: u32,
 }
 
 impl<'a> ColumnView<'a> {
@@ -549,6 +557,7 @@ impl<'a> ColumnView<'a> {
             levels: &[],
             nodes: &[],
             parent_slots: &[],
+            offset: NO_SLOT,
         }
     }
 
@@ -582,11 +591,20 @@ impl<'a> ColumnView<'a> {
         self.nodes
     }
 
-    /// Parent slots column: per element, its parent's position in the
-    /// parent's own tag stream ([`NO_SLOT`] for the root element). Empty
-    /// for the all-elements stream.
+    /// Parent slots column: per element, its parent's arena slot
+    /// ([`NO_SLOT`] for the root element). Empty for the all-elements
+    /// stream.
     pub fn parent_slots(&self) -> &'a [u32] {
         self.parent_slots
+    }
+
+    /// The arena slot of this stream's first element, [`NO_SLOT`] for a
+    /// stream the arenas do not hold (the all-elements stream, the empty
+    /// view). For a tag stream, a parent slot `s` names an element of
+    /// this stream iff `s.wrapping_sub(offset) < len`, and the difference
+    /// is that element's position here.
+    pub fn arena_offset(&self) -> u32 {
+        self.offset
     }
 
     /// The `i`-th element: its node and region label.
@@ -696,34 +714,43 @@ mod tests {
         let mut bytes = Vec::new();
         cols.encode(&identity, &mut bytes);
         let mut pos = 0;
-        let back = TagColumns::decode(&bytes, &mut pos, doc, |n| doc.tag(n)).unwrap();
+        let mut visited = Vec::new();
+        let back = TagColumns::decode(&bytes, &mut pos, doc, |node, parent| {
+            visited.push((node, parent));
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(pos, bytes.len());
         assert_eq!(&back, cols);
+        // The pass visits every node but the document, with its parent.
+        let nodes = doc.all_nodes().skip(1);
+        let expect: Vec<_> = nodes.map(|n| (n, doc.parent(n).unwrap())).collect();
+        assert_eq!(visited, expect);
     }
 
-    /// Every tag-stream element's parent slot names its parent's position
-    /// in the parent's tag stream, looked up the slow way; the
-    /// all-elements stream has no slots.
+    /// Every tag-stream element's parent slot is its parent's arena slot
+    /// ([`NO_SLOT`] under the document), and the parent's stream reads
+    /// the parent back at that slot less its arena offset; the
+    /// all-elements stream has no slots and no offset.
     fn assert_parent_slots_name_parents(idx: &crate::IndexedDocument) {
         let (doc, cols) = (idx.document(), idx.columns());
-        let position = |node: NodeId| {
-            let stream = cols.view(doc.tag(node)?).nodes();
-            Some(
-                stream
-                    .iter()
-                    .position(|&n| n == node)
-                    .expect("in its stream") as u32,
-            )
-        };
         for (sym, name) in doc.symbols().iter() {
             let view = cols.view(sym);
             assert_eq!(view.parent_slots().len(), view.len(), "<{name}>");
             for (&node, &slot) in view.nodes().iter().zip(view.parent_slots()) {
                 let parent = doc.parent(node).expect("elements have parents");
-                assert_eq!(slot, position(parent).unwrap_or(NO_SLOT), "<{name}>");
+                assert_eq!(slot, cols.position(parent), "<{name}>");
+                let Some(tag) = doc.tag(parent) else {
+                    assert_eq!(slot, NO_SLOT, "<{name}> under the document");
+                    continue;
+                };
+                let stream = cols.view(tag);
+                let at = slot.wrapping_sub(stream.arena_offset()) as usize;
+                assert_eq!(stream.nodes()[at], parent, "<{name}>");
             }
         }
         assert!(cols.all_elements().parent_slots().is_empty());
+        assert_eq!(cols.all_elements().arena_offset(), NO_SLOT);
     }
 
     /// A tree assembled out of document order (a child appended to an
@@ -741,10 +768,12 @@ mod tests {
         let idx = crate::IndexedDocument::build(doc);
         assert!(!idx.columns().ids_ascend());
         assert_parent_slots_name_parents(&idx);
-        // Document order: r, a(first) [b], a(second) [a]. The nested `a`
-        // is a child of the `a` stream's second element.
+        // Document order: r, a(first) [b], a(second) [a]. The arenas
+        // hold `r` at slot 0 and the `a` stream from slot 1, so the
+        // nested `a`'s parent, the stream's second element, is slot 2.
         let a = idx.document().symbols().get("a").unwrap();
-        assert_eq!(idx.columns().view(a).parent_slots(), [0, 0, 1]);
+        assert_eq!(idx.columns().view(a).arena_offset(), 1);
+        assert_eq!(idx.columns().view(a).parent_slots(), [0, 0, 2]);
     }
 
     /// Columns decoded against tags that disagree with their streams are
@@ -756,7 +785,7 @@ mod tests {
         let mut bytes = Vec::new();
         idx.columns().encode(&identity, &mut bytes);
         let other = Document::parse_str("<a><c/><b/></a>").unwrap();
-        let got = TagColumns::decode(&bytes, &mut 0, &other, |n| other.tag(n));
+        let got = TagColumns::decode(&bytes, &mut 0, &other, |_, _| Ok(()));
         assert!(matches!(got, Err(StorageError::Corrupt(_))));
     }
 
@@ -774,7 +803,7 @@ mod tests {
             let mut bad = good.clone();
             *bad.last_mut().unwrap() = last;
             let doc = idx.document();
-            let got = TagColumns::decode(&bad, &mut 0, doc, |n| doc.tag(n));
+            let got = TagColumns::decode(&bad, &mut 0, doc, |_, _| Ok(()));
             assert!(matches!(got, Err(StorageError::Corrupt(_))), "{last}");
         }
     }

@@ -200,8 +200,13 @@ impl DataGuide {
     /// Deserializes a guide written by [`encode`](Self::encode), checking
     /// the invariants consumers rely on: nodes are stored
     /// parent-before-child (children have larger indexes than their
-    /// parent), the root has neither tag nor parent, every other node has
-    /// both, and all symbols fall below `tag_count`.
+    /// parent), the root has neither tag nor parent and depth 0, every
+    /// other node has both and sits one level below its parent, all
+    /// symbols fall below `tag_count`, and the child lists are the
+    /// parent links read the other way: each non-root node is listed
+    /// once, under its parent, with its tag, and no two children of one
+    /// node share a tag. The counts are checked against the document by
+    /// a [`GuideMapCheck`].
     pub(crate) fn decode(
         data: &[u8],
         pos: &mut usize,
@@ -217,7 +222,7 @@ impl DataGuide {
             }
             Ok(Symbol::from_index(v))
         };
-        let mut nodes = Vec::with_capacity(node_count);
+        let mut nodes: Vec<GuideNode> = Vec::with_capacity(node_count);
         for i in 0..node_count {
             let tag = match rd_len(data, pos, "guide tag")? {
                 0 if i == 0 => None,
@@ -249,6 +254,10 @@ impl DataGuide {
             let count = rd_varint(data, pos, "guide count")?;
             let depth = u16::try_from(rd_varint(data, pos, "guide depth")?)
                 .map_err(|_| corrupt("guide depth"))?;
+            let parent_depth = parent.map(|p| u32::from(nodes[p.index()].depth));
+            if u32::from(depth) != parent_depth.map_or(0, |d| d + 1) {
+                return Err(corrupt("guide depth disagrees with its parent's"));
+            }
             nodes.push(GuideNode {
                 tag,
                 parent,
@@ -257,12 +266,109 @@ impl DataGuide {
                 depth,
             });
         }
+        check_children(&nodes, tag_count)?;
         let mut guide = DataGuide {
             nodes,
             specificity: Vec::new(),
         };
         guide.derive_specificity();
         Ok(guide)
+    }
+}
+
+/// Whether the child lists of decoded `nodes` are their parent links read
+/// the other way, with one child per tag under each node.
+fn check_children(nodes: &[GuideNode], tag_count: usize) -> Result<(), StorageError> {
+    let mut listed = vec![false; nodes.len()];
+    // Per tag: the last node that listed a child of it, plus one.
+    let mut tag_seen_under = vec![0usize; tag_count];
+    for (i, node) in nodes.iter().enumerate() {
+        for &(tag, child) in &node.children {
+            let entry = &nodes[child.index()];
+            if entry.tag != Some(tag) || entry.parent != Some(GuideNodeId::from_index(i)) {
+                return Err(corrupt("guide child entry disagrees with its node"));
+            }
+            if std::mem::replace(&mut listed[child.index()], true) {
+                return Err(corrupt("guide node listed twice under its parent"));
+            }
+            if std::mem::replace(&mut tag_seen_under[tag.index()], i + 1) == i + 1 {
+                return Err(corrupt("two guide children of one tag"));
+            }
+        }
+    }
+    if listed.iter().skip(1).any(|&l| !l) {
+        return Err(corrupt("guide node missing from its parent's children"));
+    }
+    Ok(())
+}
+
+/// Checks a decoded node → guide-node map against its document, one node
+/// at a time in preorder (each node after its parent), so that it rides
+/// the pass that checks the tag streams. A node that is no element maps
+/// to the root; an element maps to a guide node of its tag whose parent
+/// is its parent's guide node — so, inductively, to the one guide node of
+/// its tag path. [`finish`](Self::finish) then compares the elements
+/// counted per guide node with the stored counts, which the ranker's
+/// position specificity is read from.
+pub(crate) struct GuideMapCheck<'a> {
+    guide: &'a DataGuide,
+    guide_of: &'a [GuideNodeId],
+    doc: &'a Document,
+    /// Per guide node: the nodes mapped to it so far; the root counts the
+    /// document.
+    counts: Vec<u64>,
+}
+
+impl<'a> GuideMapCheck<'a> {
+    /// A check of `guide_of`, one entry per node of `doc`, against
+    /// `guide`.
+    pub(crate) fn new(
+        guide: &'a DataGuide,
+        guide_of: &'a [GuideNodeId],
+        doc: &'a Document,
+    ) -> Self {
+        let mut counts = vec![0u64; guide.node_count()];
+        counts[GuideNodeId::ROOT.index()] = 1;
+        GuideMapCheck {
+            guide,
+            guide_of,
+            doc,
+            counts,
+        }
+    }
+
+    /// Checks `node`'s entry, `parent`'s having been checked.
+    pub(crate) fn node(&mut self, node: NodeId, parent: NodeId) -> Result<(), StorageError> {
+        let g = self.guide_of[node.index()];
+        let Some(tag) = self.doc.tag(node) else {
+            if g != GuideNodeId::ROOT {
+                return Err(corrupt("guide node of a node that is no element"));
+            }
+            return Ok(());
+        };
+        if self.guide.tag(g) != Some(tag) {
+            return Err(corrupt("guide node of another tag than its element"));
+        }
+        if self.guide.parent(g) != Some(self.guide_of[parent.index()]) {
+            return Err(corrupt(
+                "guide node under another parent than its element's",
+            ));
+        }
+        self.counts[g.index()] += 1;
+        Ok(())
+    }
+
+    /// Once every node but the document has been checked: the document's
+    /// entry, and the counts.
+    pub(crate) fn finish(self) -> Result<(), StorageError> {
+        if self.guide_of[NodeId::DOCUMENT.index()] != GuideNodeId::ROOT {
+            return Err(corrupt("guide node of a node that is no element"));
+        }
+        let stored = self.guide.nodes.iter().map(|n| n.count);
+        if !stored.eq(self.counts) {
+            return Err(corrupt("guide count disagrees with its elements"));
+        }
+        Ok(())
     }
 }
 

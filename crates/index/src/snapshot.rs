@@ -38,7 +38,7 @@
 
 use crate::builder::IndexedDocument;
 use crate::columns::TagColumns;
-use crate::dataguide::{DataGuide, GuideNodeId};
+use crate::dataguide::{DataGuide, GuideMapCheck, GuideNodeId};
 use crate::stats::Stats;
 use crate::term_counts::TermCounts;
 use crate::value_index::ValueIndex;
@@ -100,8 +100,8 @@ pub fn encode_sections(idx: &IndexedDocument) -> Vec<Section> {
 }
 
 /// The sections [`decode_sections`] reads, in decode order: `GUIDE`
-/// before `COLUMNS`, whose check compares each element's guide node with
-/// its tag.
+/// before `COLUMNS`, whose pass over the document also checks the
+/// node → guide-node map.
 const DECODED: [u64; 6] = [
     section::DOCUMENT,
     section::GUIDE,
@@ -136,13 +136,15 @@ pub fn decode_sections(sections: Vec<Section>) -> Result<IndexedDocument, Storag
 
     let (guide, guide_of) = decode_guide(&next(), n, tag_count)?;
 
-    // The columns are checked against the document, and each element's
-    // guide node against its tag.
+    // The columns are checked against the document, and in the same pass
+    // each node's guide node against its tag and its parent's.
     let bytes = next();
     let mut pos = 0;
-    let columns = TagColumns::decode(&bytes, &mut pos, &doc, |node| {
-        guide.tag(guide_of[node.index()])
+    let mut guide_map = GuideMapCheck::new(&guide, &guide_of, &doc);
+    let columns = TagColumns::decode(&bytes, &mut pos, &doc, |node, parent| {
+        guide_map.node(node, parent)
     })?;
+    guide_map.finish()?;
     ensure_consumed(&bytes, pos, "columns")?;
     drop(bytes);
 

@@ -92,11 +92,15 @@ pub fn fold_value(text: &str) -> String {
     out
 }
 
-/// [`fold_value`] into a reused buffer.
+/// [`fold_value`] into a reused buffer. ASCII text, most of it, takes
+/// the ASCII lowercase, which is the same function there.
 fn fold_value_into(text: &str, out: &mut String) {
     out.clear();
     let text = text.trim();
-    if text.contains('Σ') {
+    if text.is_ascii() {
+        out.push_str(text);
+        out.make_ascii_lowercase();
+    } else if text.contains('Σ') {
         // Only the sigma's fold depends on its neighbours.
         out.push_str(&text.to_lowercase());
     } else {

@@ -259,3 +259,42 @@ fn tokenize_equals_the_per_character_unicode_rule() {
     }
     assert!(non_ascii_terms > 100, "{non_ascii_terms} non-ASCII terms");
 }
+
+/// `fold_value` with no fast path: trimmed, then each character folded by
+/// `to_lowercase` — except that text holding a capital sigma takes
+/// `str::to_lowercase`, whose sigma fold depends on the neighbours.
+fn fold_value_by_char(text: &str) -> String {
+    let text = text.trim();
+    if text.contains('Σ') {
+        return text.to_lowercase();
+    }
+    text.chars().flat_map(char::to_lowercase).collect()
+}
+
+/// The ASCII fast path of `fold_value` folds exactly like the
+/// per-character rule, on all-ASCII strings and on strings that mix in
+/// both sigmas, a dotted capital I, CJK and non-ASCII whitespace.
+#[test]
+fn fold_value_equals_the_per_character_unicode_rule() {
+    const ASCII: [char; 10] = ['a', 'Z', 'Q', '7', ' ', '-', '\t', '\n', '.', '_'];
+    const OTHER: [char; 7] = ['Σ', 'ς', 'İ', '日', 'É', 'ß', '\u{a0}'];
+    let (mut ascii, mut sigma) = (0, 0);
+    for seed in 0..400u64 {
+        let mut rng = XorShiftRng::seed_from_u64(seed);
+        let mixed = seed % 2 == 1;
+        let len = rng.gen_range(0..30usize);
+        let text: String = (0..len)
+            .map(|_| match rng.gen_range(0..4u32) {
+                0 if mixed => OTHER[rng.gen_range(0..OTHER.len())],
+                _ => ASCII[rng.gen_range(0..ASCII.len())],
+            })
+            .collect();
+        ascii += usize::from(text.is_ascii());
+        sigma += usize::from(text.contains('Σ'));
+        assert_eq!(fold_value(&text), fold_value_by_char(&text), "{text:?}");
+    }
+    assert!(
+        ascii > 200 && sigma > 50,
+        "{ascii} ASCII, {sigma} with a sigma"
+    );
+}

@@ -27,17 +27,20 @@
 //!
 //! A child (`/`) edge between two tag streams is a *gather*: a child's
 //! parent is a function of the element, which the index stores as a
-//! parent slot, so one sequential pass over the children adds each
-//! one's weight to its parent's sum, and one pass over the parents
-//! multiplies the sums in. Every other edge — descendant (`//`), or one
-//! with a `*` end, whose all-elements stream has no parent slots — is a
-//! stack merge that walks both streams once. Children no open parent
-//! contains are skipped in one galloping seek; parents are walked
-//! linearly and the open ones — a nested chain — sit on a stack.
+//! parent slot — the parent's arena slot — so one sequential pass over
+//! the children tests each one's slot against the parent stream's arena
+//! extent, one compare, and adds its weight to that parent's sum; one
+//! pass over the parents multiplies the sums in. Every other edge —
+//! descendant (`//`), or one with a `*` end, whose all-elements stream
+//! has neither parent slots nor an arena extent — is a stack merge that
+//! walks both streams once. Children no open parent contains are
+//! skipped in one galloping seek; parents are walked linearly and the
+//! open ones — a nested chain — sit on a stack.
 
 use crate::matcher::{initial_weights, node_stream, MatchSet};
 use crate::pattern::{Axis, QNodeId, TwigPattern};
 use lotusx_guard::{QueryGuard, Ticker};
+use lotusx_index::columns::NO_SLOT;
 use lotusx_index::{ColumnView, IndexedDocument};
 use lotusx_xml::NodeId;
 use std::ops::Range;
@@ -145,8 +148,8 @@ pub fn reduce<'a>(
 }
 
 /// One edge's reduce pass: a [`gather_edge`] for a child edge between two
-/// tag streams (the streams with parent slots), a [`merge_edge`] for any
-/// other.
+/// tag streams (children with parent slots, parents with an arena
+/// extent), a [`merge_edge`] for any other.
 fn reduce_edge(
     parents: ColumnView<'_>,
     children: ColumnView<'_>,
@@ -157,7 +160,7 @@ fn reduce_edge(
 ) -> Vec<Range<u32>> {
     if axis == Axis::Child
         && !children.parent_slots().is_empty()
-        && !parents.parent_slots().is_empty()
+        && parents.arena_offset() != NO_SLOT
     {
         gather_edge(parents, children, parent_weights, child_weights, ticker)
     } else {
@@ -176,19 +179,20 @@ fn reduce_edge(
 const GATHER_STRIDE: usize = 16;
 
 /// One child edge's reduce pass, by gather: a child's parent slot is its
-/// parent's position in the parent stream ([`NO_SLOT`], past the stream,
-/// for the root element's). A child is related iff the parent there sits
-/// one level up and contains it — which also rejects the slot of a parent
-/// with another tag. Its weight goes to that parent's sum and widens the
-/// parent's range to it; any other child's weight becomes zero. A second
-/// pass multiplies the sums into the parents' weights.
+/// parent's arena slot ([`NO_SLOT`], past every stream, for the root
+/// element's). The parent stream holds the arena slots from its offset
+/// on, so the child is related iff its slot less that offset, wrapping,
+/// falls below the stream's length — its parent has the parent tag — and
+/// the difference is the parent's position in the stream. The child's
+/// weight goes to that parent's sum and widens the parent's range to it;
+/// any other child's weight becomes zero. A second pass multiplies the
+/// sums into the parents' weights. No column of the parent stream is
+/// read.
 ///
 /// Charges one node visit per child, in strides, and one per parent.
 /// After a budget trip the children not reached get weight zero and the
 /// parent pass still runs: the sums it multiplies in are true ones, over
 /// the children seen. Sums saturate.
-///
-/// [`NO_SLOT`]: lotusx_index::columns::NO_SLOT
 fn gather_edge(
     parents: ColumnView<'_>,
     children: ColumnView<'_>,
@@ -196,41 +200,43 @@ fn gather_edge(
     child_weights: &mut [u64],
     ticker: &mut Ticker,
 ) -> Vec<Range<u32>> {
-    let (p_starts, p_ends, p_levels) = (parents.starts(), parents.ends(), parents.levels());
-    let (c_starts, c_levels) = (children.starts(), children.levels());
+    let (offset, p_len) = (parents.arena_offset(), parents.len() as u32);
     let c_slots = children.parent_slots();
-    let mut ranges = vec![0..0; parents.len()];
+    // A range opens empty at `u32::MAX` and its start only ever falls,
+    // so the first related child sets it without a branch on whether it
+    // is the first — which the fan-out of real data makes unpredictable.
+    let unreached = Range {
+        start: u32::MAX,
+        end: 0,
+    };
+    let mut ranges = vec![unreached; parents.len()];
     let mut sums = vec![0u64; parents.len()];
     let mut ci = 0;
-    while ci < c_starts.len() {
-        let to = (ci + GATHER_STRIDE).min(c_starts.len());
+    while ci < c_slots.len() {
+        let to = (ci + GATHER_STRIDE).min(c_slots.len());
         if ticker.tick((to - ci) as u64) {
             break;
         }
         for c in ci..to {
-            let (weight, pi, start) = (child_weights[c], c_slots[c] as usize, c_starts[c]);
-            let related = pi < p_starts.len()
-                && u32::from(p_levels[pi]) + 1 == u32::from(c_levels[c])
-                && p_starts[pi] < start
-                && start < p_ends[pi];
-            if weight == 0 || !related {
+            let (weight, pi) = (child_weights[c], c_slots[c].wrapping_sub(offset));
+            if weight == 0 || pi >= p_len {
                 child_weights[c] = 0;
                 continue;
             }
+            let pi = pi as usize;
             sums[pi] = sums[pi].saturating_add(weight);
             let range = &mut ranges[pi];
-            if range.end == 0 {
-                // The parent's first related child.
-                range.start = c as u32;
-            }
+            range.start = range.start.min(c as u32);
             range.end = c as u32 + 1;
         }
         ci = to;
     }
     child_weights[ci..].fill(0);
     ticker.tick(parents.len() as u64);
-    for (weight, sum) in parent_weights.iter_mut().zip(sums) {
+    for ((weight, sum), range) in parent_weights.iter_mut().zip(sums).zip(&mut ranges) {
         *weight = weight.saturating_mul(sum);
+        // A parent no child reached closes as `0..0`.
+        range.start = range.start.min(range.end);
     }
     ranges
 }
@@ -810,6 +816,47 @@ mod tests {
                 (expect.1, expect.2),
                 "{case}"
             );
+        }
+    }
+
+    /// The gather's one compare at both ends of the arenas: a parent
+    /// stream at offset 0 (where a slot needs no subtraction) and one
+    /// that ends the arenas (where only `NO_SLOT` lies past it), each
+    /// with the root element — parent slot `NO_SLOT` — among the
+    /// children, every element weighed in and every other one.
+    #[test]
+    fn gather_at_the_first_and_the_last_arena_range_matches_the_definition() {
+        // Symbols in order of first use: `s` (the root's) first, `u` last.
+        let idx = IndexedDocument::from_str(
+            "<s><t><s/><u><s><s/></s></u></t><s><s/><t/></s><u><t/><s/></u><s/></s>",
+        )
+        .unwrap();
+        let elements_in_arenas = idx.columns().all_elements().len();
+        let (s, u) = (view(&idx, "s"), view(&idx, "u"));
+        assert_eq!(s.arena_offset(), 0, "`s` is the first range");
+        let u_end = u.arena_offset() as usize + u.len();
+        assert_eq!(u_end, elements_in_arenas, "`u` is the last");
+        assert_eq!(s.parent_slots()[0], NO_SLOT, "the root element");
+        for (name, parents) in [("s", s), ("u", u)] {
+            let (p, c) = (elements(parents), elements(s));
+            let odd: Vec<u64> = (0..c.len()).map(|j| (j % 2) as u64).collect();
+            for seeds in [
+                Seeds::unit(p.len(), c.len()),
+                Seeds::masked(vec![1; p.len()], &odd),
+            ] {
+                let gathered = pass(
+                    reduce_edge,
+                    parents,
+                    s,
+                    Axis::Child,
+                    &seeds,
+                    &QueryGuard::unlimited(),
+                );
+                let expect = merge_by_definition(&p, &c, Axis::Child, &seeds);
+                assert_eq!(gathered.1, expect.1, "//{name}/s");
+                assert_eq!(gathered.2, expect.2, "//{name}/s");
+                assert_eq!(gathered.2[0], 0, "the root element has no parent");
+            }
         }
     }
 

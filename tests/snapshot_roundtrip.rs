@@ -392,6 +392,157 @@ fn a_region_store_that_disagrees_with_the_document_is_a_typed_error() {
     }
 }
 
+/// The `GUIDE` section of a saved snapshot, parsed: per guide node its
+/// stored fields (tag and parent shifted by one, as written), then the
+/// node → guide-node map in canonical node order.
+struct Guide {
+    nodes: Vec<GuideEntry>,
+    map: Vec<u32>,
+}
+
+struct GuideEntry {
+    tag: u64,
+    parent: u64,
+    children: Vec<(u64, u64)>,
+    count: u64,
+    depth: u64,
+}
+
+impl Guide {
+    fn of(sections: &[lotusx_storage::Section]) -> Self {
+        use lotusx_storage::codec::get_varint;
+        let id = lotusx_storage::snapshot::section::GUIDE;
+        let bytes = &sections.iter().find(|s| s.id == id).unwrap().bytes;
+        let pos = &mut 0;
+        let mut varint = || get_varint(bytes, pos).unwrap();
+        let nodes = (0..varint())
+            .map(|_| {
+                let (tag, parent) = (varint(), varint());
+                let children = (0..varint()).map(|_| (varint(), varint())).collect();
+                let (count, depth) = (varint(), varint());
+                GuideEntry {
+                    tag,
+                    parent,
+                    children,
+                    count,
+                    depth,
+                }
+            })
+            .collect();
+        let map = bytes[*pos..]
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        Guide { nodes, map }
+    }
+
+    fn bytes(&self) -> Vec<u8> {
+        use lotusx_storage::codec::put_varint;
+        let mut out = Vec::new();
+        put_varint(&mut out, self.nodes.len() as u64);
+        for n in &self.nodes {
+            put_varint(&mut out, n.tag);
+            put_varint(&mut out, n.parent);
+            put_varint(&mut out, n.children.len() as u64);
+            for &(tag, child) in &n.children {
+                put_varint(&mut out, tag);
+                put_varint(&mut out, child);
+            }
+            put_varint(&mut out, n.count);
+            put_varint(&mut out, n.depth);
+        }
+        for &g in &self.map {
+            out.extend_from_slice(&g.to_le_bytes());
+        }
+        out
+    }
+}
+
+/// The DataGuide and the node → guide-node map are stored, so a load
+/// proves them against the document: a snapshot re-framed with fresh
+/// checksums around `<article><title>` mapped to the `book/title` guide
+/// node (same tag, other path — it would rank `//title` by the wrong
+/// path's specificity), one changed count, one changed depth, or one
+/// child entry pointed at another node, opens to a typed error naming
+/// what disagrees.
+#[test]
+fn a_guide_that_disagrees_with_the_document_is_a_typed_error() {
+    let fresh = LotusX::load_str(
+        "<bib><book><title>a</title></book><book><title>b</title></book>\
+         <article><title>c</title></article></bib>",
+    )
+    .unwrap();
+    let path = Scratch::new("guide.ltsx");
+    fresh.save_snapshot(&path.0).unwrap();
+    let sections = lotusx_storage::read_snapshot_file(&path.0).unwrap();
+    let (doc, guide) = (fresh.index().document(), fresh.index().guide());
+    let sym = |name: &str| doc.symbols().get(name).unwrap();
+    let path_of = |tags: &[&str]| {
+        let tags: Vec<_> = tags.iter().map(|&t| sym(t)).collect();
+        guide.lookup_path(&tags).unwrap().index()
+    };
+    let book_title = path_of(&["bib", "book", "title"]);
+    let article = path_of(&["bib", "article"]);
+    let bib = path_of(&["bib"]);
+    // `<article><title>` in canonical (preorder) node order.
+    let article_title = doc
+        .all_nodes()
+        .position(|n| {
+            doc.tag(n) == Some(sym("title"))
+                && doc.parent(n).and_then(|p| doc.tag(p)) == Some(sym("article"))
+        })
+        .unwrap();
+    type Tamper = Box<dyn Fn(&mut Guide)>;
+    let cases: Vec<(&str, Tamper, &str)> = vec![
+        (
+            "a map entry on another path of the same tag",
+            Box::new(move |g| g.map[article_title] = book_title as u32),
+            "guide node under another parent than its element's",
+        ),
+        (
+            "one count",
+            Box::new(move |g| g.nodes[article].count += 1),
+            "guide count disagrees with its elements",
+        ),
+        (
+            "one depth",
+            Box::new(move |g| g.nodes[article].depth += 1),
+            "guide depth disagrees with its parent's",
+        ),
+        (
+            "one child entry pointed at another node",
+            Box::new(move |g| {
+                let entry = (g.nodes[bib].children.iter_mut())
+                    .find(|(_, child)| *child == article as u64)
+                    .unwrap();
+                entry.1 = book_title as u64;
+            }),
+            "guide child entry disagrees with its node",
+        ),
+    ];
+    let tampered = Scratch::new("guide-tampered.ltsx");
+    for (name, tamper, error) in cases {
+        let mut g = Guide::of(&sections);
+        tamper(&mut g);
+        let mut bad = sections.clone();
+        let id = lotusx_storage::snapshot::section::GUIDE;
+        bad.iter_mut().find(|s| s.id == id).unwrap().bytes = g.bytes();
+        lotusx_storage::write_snapshot_file(&tampered.0, &bad).unwrap();
+        match LotusX::open_snapshot(&tampered.0) {
+            Err(LotusError::Storage(StorageError::Corrupt(what))) => {
+                assert_eq!(what, error, "{name}")
+            }
+            Err(other) => panic!("{name}: wrong error kind: {other}"),
+            Ok(_) => panic!("{name}: the tampered snapshot opened"),
+        }
+    }
+    // The parse and re-encode alone change nothing.
+    let mut same = sections.clone();
+    let id = lotusx_storage::snapshot::section::GUIDE;
+    same.iter_mut().find(|s| s.id == id).unwrap().bytes = Guide::of(&sections).bytes();
+    assert_eq!(same, sections);
+}
+
 #[test]
 fn save_is_atomic_and_leaves_no_temp_files() {
     let dir = std::env::temp_dir().join(format!(
