@@ -467,7 +467,10 @@ stage_join_bench_smoke() {
 # algorithm plus auto and completion sweeps (exit 2 on any mismatch),
 # bound the resident document (exit 3), value index (exit 4) and
 # positions — tag-stream columns, parent slots, position map — at 30 B
-# per element (exit 5), then gate the cold-boot speedup (exit 1).
+# per element (exit 5), fail a saved file holding any section besides
+# DOCUMENT, VALUES and TAG_TERMS, so that nothing the document
+# determines is stored again (exit 6), then gate the cold-boot speedup
+# (exit 1).
 # Artifact under target/BENCH_snapshot_quick.json. Fully offline.
 stage_snapshot_smoke() {
     cargo run --release -p lotusx-bench --bin snapshot-bench -- --quick

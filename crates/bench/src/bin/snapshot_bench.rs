@@ -1,15 +1,18 @@
 //! Cold-start benchmark: fresh XML build vs full-index snapshot load.
 //!
 //! For every (dataset, scale) cell it writes the generated corpus to an
-//! XML file, times `LotusX::open` on that file (parse + label + index +
-//! stats — the fresh-build cold boot), saves a full-index `.ltsx`
-//! snapshot, and times `LotusX::open` on the snapshot (bulk section
-//! reads, no rebuild). Both timings are minimum-of-reps. It then proves
+//! XML file, times `LotusX::open` on that file (parse + index — the
+//! fresh-build cold boot), saves a full-index `.ltsx` snapshot, and
+//! times `LotusX::open` on the snapshot (bulk reads of the stored
+//! sections, then the tag streams, DataGuide and statistics derived
+//! from the loaded tree as a build derives them; no parsing). Both
+//! timings are minimum-of-reps. It then proves
 //! the loaded engine is *bit-identical* to the fresh one: every
 //! canonical query under every concrete join algorithm plus `auto`, and
 //! tag/value completions over a prefix sweep, must render to byte-equal
 //! canonical strings. Each cell also records where the
-//! snapshot's bytes go — bytes per element, section by section — and
+//! snapshot's bytes go — bytes per element, section by section, for the
+//! three sections a snapshot stores — and
 //! what the document tree holds resident once loaded: its columns and
 //! arenas per node (`Document::size_bytes`), and what the index holds
 //! per element to place it: the tag-stream columns, their parent slots
@@ -28,12 +31,16 @@
 //! loaded value index holding more than [`VALUE_INDEX_BYTES_PER_ELEMENT`]
 //! (the tripwire for an index that allocates per term again), 5 = a
 //! loaded index holding more than [`POSITIONS_BYTES_PER_ELEMENT`] of
-//! positions (the tripwire for a second resident copy of the regions).
+//! positions (the tripwire for a second resident copy of the regions),
+//! 6 = a saved snapshot holding any section but [`SECTIONS`] (the
+//! tripwire for a stored derivation: what the document determines is
+//! derived at load, never written).
 //! The gate is a build/load *ratio*: it exists to catch a load that has
 //! turned back into a rebuild (ratio → 1), and it falls whenever the
-//! build gets cheaper — E14 cut the label pass tenfold and the ratio
-//! read 3.4–6.3 across six runs on a host where the unchanged parent
-//! read 4.1–7.0 — so it is set below that spread, not at its top.
+//! build gets cheaper or the load derives more — E14 cut the label pass
+//! tenfold and the ratio read 3.4–6.3 across six runs on a host where
+//! the unchanged parent read 4.1–7.0 — so it is set below that spread,
+//! not at its top.
 
 use lotusx::{CorpusSource, LotusX, QueryRequest, QueryResponse};
 use lotusx_bench::{fmt_duration, time_once, SEED};
@@ -229,14 +236,12 @@ fn probes(system: &LotusX, ds: Dataset) -> Vec<(String, String)> {
     out
 }
 
-/// Snapshot sections in file order, by the names the artifact uses.
-const SECTIONS: [(u64, &str); 6] = [
+/// The sections a snapshot stores, in file order, by the names the
+/// artifact uses: what the document tree cannot give back.
+const SECTIONS: [(u64, &str); 3] = [
     (section::DOCUMENT, "document"),
-    (section::COLUMNS, "columns"),
     (section::VALUES, "values"),
     (section::TAG_TERMS, "tag_terms"),
-    (section::GUIDE, "guide"),
-    (section::STATS, "stats"),
 ];
 
 struct Row {
@@ -248,6 +253,8 @@ struct Row {
     /// Payload bytes per element of each of [`SECTIONS`] (framing — 5
     /// header bytes and ~12 per section — is in `snapshot_bytes` only).
     section_bytes_per_element: Vec<f64>,
+    /// Ids of the saved sections that are not [`SECTIONS`].
+    extra_sections: Vec<u64>,
     /// The loaded document's columns and arenas per node (text nodes
     /// included).
     document_bytes_per_node: f64,
@@ -307,7 +314,8 @@ fn main() {
 
         let (save_t, ()) = time_once(|| fresh.save_snapshot(&ltsx_path).expect("snapshot saves"));
 
-        // Snapshot cold boot: bulk section reads, no rebuild.
+        // Snapshot cold boot: bulk section reads, then the structure
+        // derived from the loaded tree; no parsing.
         let mut load_ms = f64::INFINITY;
         let mut loaded = None;
         for _ in 0..cfg.reps {
@@ -333,6 +341,11 @@ fn main() {
         }
 
         let stored = lotusx_storage::read_snapshot_file(&ltsx_path).expect("snapshot reads");
+        let extra_sections: Vec<u64> = stored
+            .iter()
+            .map(|s| s.id)
+            .filter(|id| SECTIONS.iter().all(|&(known, _)| known != *id))
+            .collect();
         let section_bytes_per_element = SECTIONS
             .iter()
             .map(|&(id, _)| {
@@ -384,6 +397,7 @@ fn main() {
             xml_bytes,
             snapshot_bytes,
             section_bytes_per_element,
+            extra_sections,
             document_bytes_per_node,
             character_bytes_per_node,
             document_within_budget,
@@ -432,6 +446,11 @@ fn main() {
         .iter()
         .filter(|r| r.positions_bytes_per_element > POSITIONS_BYTES_PER_ELEMENT)
         .map(|r| format!("{}:{}", r.dataset, r.scale))
+        .collect();
+    let stored_derivations: Vec<String> = rows
+        .iter()
+        .filter(|r| !r.extra_sections.is_empty())
+        .map(|r| format!("{}:{} {:?}", r.dataset, r.scale, r.extra_sections))
         .collect();
     let min_speedup = rows.iter().map(|r| r.speedup).fold(f64::INFINITY, f64::min);
     let max_speedup = rows.iter().map(|r| r.speedup).fold(0.0f64, f64::max);
@@ -521,9 +540,14 @@ fn main() {
         positions_over_budget.len()
     ));
     json.push_str(&format!(
+        "    \"snapshots_with_extra_sections\": {},\n",
+        stored_derivations.len()
+    ));
+    json.push_str(&format!(
         "    \"gate_pass\": {}\n",
         gate_failures.is_empty()
             && nonequivalent == 0
+            && stored_derivations.is_empty()
             && over_budget.is_empty()
             && index_over_budget.is_empty()
             && positions_over_budget.is_empty()
@@ -564,6 +588,13 @@ fn main() {
         );
         std::process::exit(5);
     }
+    if !stored_derivations.is_empty() {
+        eprintln!(
+            "FAIL: snapshots storing sections beyond document, values and tag terms: {}",
+            stored_derivations.join(", ")
+        );
+        std::process::exit(6);
+    }
     if !gate_failures.is_empty() {
         eprintln!(
             "FAIL: cold-boot speedup below {:.1}x at largest scale: {}",
@@ -576,7 +607,8 @@ fn main() {
         "PASS: snapshot boot >= {:.1}x faster than fresh build, all responses bit-identical, \
          documents within {DOCUMENT_BYTES_PER_NODE} B/node plus their character data, \
          value indexes within {VALUE_INDEX_BYTES_PER_ELEMENT} B/element, \
-         positions within {POSITIONS_BYTES_PER_ELEMENT} B/element",
+         positions within {POSITIONS_BYTES_PER_ELEMENT} B/element, \
+         only document, values and tag terms stored",
         cfg.gate
     );
 }

@@ -201,10 +201,10 @@ impl LotusX {
         }
     }
 
-    /// Saves the **entire index set** — document tree, labels, tag/value
-    /// indexes, per-tag term counts, DataGuide and statistics tables — as a
+    /// Saves what the index cannot derive from its document — the
+    /// document tree, the value index and the per-tag term counts — as a
     /// sectioned, checksummed binary snapshot that [`Self::open_snapshot`]
-    /// reopens with bulk reads instead of a rebuild. The write is atomic:
+    /// reopens with bulk reads instead of a parse. The write is atomic:
     /// the snapshot is staged in a temp file beside the target, fsynced
     /// and renamed into place, so a crash never leaves a torn file.
     pub fn save_snapshot(&self, path: impl AsRef<std::path::Path>) -> Result<(), LotusError> {
@@ -213,9 +213,10 @@ impl LotusX {
         Ok(())
     }
 
-    /// Opens a binary snapshot written by [`Self::save_snapshot`]: every
-    /// index structure deserializes directly into place (no re-parsing,
-    /// re-labeling or stats re-walks). A file of any other format version
+    /// Opens a binary snapshot written by [`Self::save_snapshot`]: the
+    /// stored structures deserialize directly into place (no re-parsing),
+    /// then the tag streams, DataGuide and statistics are derived from the
+    /// tree as a build derives them. A file of any other format version
     /// is a typed [`LotusError::Storage`], never parsed.
     pub fn open_snapshot(path: impl AsRef<std::path::Path>) -> Result<Self, LotusError> {
         // Every checksum is verified here, before anything decodes; the

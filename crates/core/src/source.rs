@@ -35,7 +35,7 @@ use std::str::FromStr;
 pub enum CorpusSource {
     /// An XML document on disk, parsed and indexed on open.
     XmlFile(PathBuf),
-    /// A `.ltsx` binary snapshot, which opens without a rebuild.
+    /// A `.ltsx` binary snapshot, which opens without parsing XML.
     Snapshot(PathBuf),
     /// A deterministic generated dataset (`@dataset[:scale[:seed]]`).
     Spec {

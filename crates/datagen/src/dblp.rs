@@ -95,7 +95,9 @@ mod tests {
     #[test]
     fn shape_is_wide_and_shallow() {
         let doc = generate(1, 11);
-        let stats = lotusx_index::Stats::compute(&doc);
+        let stats = lotusx_index::IndexedDocument::build(doc.clone())
+            .stats()
+            .clone();
         assert_eq!(stats.max_depth, 3, "dblp-like is three levels deep");
         assert!(stats.element_count > 2000);
         let root = doc.root_element().unwrap();

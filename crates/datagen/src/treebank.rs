@@ -88,7 +88,9 @@ mod tests {
     #[test]
     fn shape_is_deep_and_recursive() {
         let doc = generate(1, 31);
-        let stats = lotusx_index::Stats::compute(&doc);
+        let stats = lotusx_index::IndexedDocument::build(doc.clone())
+            .stats()
+            .clone();
         assert!(stats.max_depth >= 8, "depth was {}", stats.max_depth);
         assert!(stats.element_count > 2000);
     }

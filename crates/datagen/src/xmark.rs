@@ -156,7 +156,9 @@ mod tests {
     #[test]
     fn shape_has_moderate_depth_and_mixed_structure() {
         let doc = generate(1, 21);
-        let stats = lotusx_index::Stats::compute(&doc);
+        let stats = lotusx_index::IndexedDocument::build(doc.clone())
+            .stats()
+            .clone();
         assert!(stats.max_depth >= 6, "depth was {}", stats.max_depth);
         assert!(stats.element_count > 2500);
         for tag in [

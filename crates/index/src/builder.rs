@@ -1,7 +1,7 @@
 //! One-pass construction of every index over a document.
 
 use crate::columns::TagColumns;
-use crate::dataguide::{DataGuide, GuideNodeId};
+use crate::dataguide::{DataGuide, GuideBuilder, GuideNodeId};
 use crate::stats::Stats;
 use crate::term_counts::TermCounts;
 use crate::value_index::{ValueIndex, ValueIndexBuilder};
@@ -43,36 +43,86 @@ impl IndexedDocument {
     }
 
     /// Builds all indexes over an already-parsed document, on the
-    /// calling thread: whole-document passes for DataGuide and
-    /// statistics; one preorder walk for the per-tag element counts, the
-    /// element→guide-node map, the value postings and the term counts;
-    /// then one enter/exit walk that labels every element straight into
-    /// its tag stream.
+    /// calling thread: one preorder walk for the value postings and the
+    /// term counts, then the derivation a snapshot load ends in too —
+    /// the DataGuide, the statistics and the tag streams.
     pub fn build(doc: Document) -> Self {
-        let guide = DataGuide::from_document(&doc);
-        let stats = Stats::compute(&doc);
-
-        // Each guide-of entry depends on its parent's, which preorder
-        // has already filled in.
-        let mut guide_of = vec![GuideNodeId::ROOT; doc.node_count()];
-        let mut lens = vec![0u32; doc.symbols().len()];
         let mut values = ValueIndexBuilder::default();
         for node in doc.all_nodes() {
             let NodeKind::Element { name, attributes } = doc.kind(node) else {
                 continue;
             };
-            let parent_guide = doc
-                .parent(node)
-                .map(|p| guide_of[p.index()])
-                .unwrap_or(GuideNodeId::ROOT);
-            guide_of[node.index()] = guide
-                .child_by_tag(parent_guide, name)
-                .expect("guide derived from the same document");
-            lens[name.index()] += 1;
             let attrs = attributes.into_iter().map(|(_, v)| v);
             values.add_element(node, name, &doc.direct_text(node), attrs);
         }
         let (values, term_counts) = values.finish(doc.symbols().len());
+        Self::assemble(doc, values, term_counts)
+    }
+
+    /// Completes an index from its document and content indexes by
+    /// deriving everything the tree alone determines: the DataGuide,
+    /// each node's guide node, the statistics and the tag streams. A
+    /// fresh build and a snapshot load both end here, so the two boot
+    /// paths hold the same structure by construction.
+    ///
+    /// One depth-first walk over the elements builds the guide, the
+    /// node → guide-node map, the per-tag element counts and the
+    /// statistics (the depth histogram is read off the guide: an
+    /// element's depth is its guide node's); then one enter/exit walk
+    /// labels every element straight into its tag stream
+    /// ([`TagColumns::build`]).
+    pub(crate) fn assemble(doc: Document, values: ValueIndex, term_counts: TermCounts) -> Self {
+        let mut guide = GuideBuilder::new();
+        let mut guide_of = vec![GuideNodeId::ROOT; doc.node_count()];
+        let mut lens = vec![0u32; doc.symbols().len()];
+        let mut stats = Stats {
+            distinct_tags: doc.symbols().len(),
+            ..Stats::default()
+        };
+        let (mut fanout_sum, mut internal) = (0usize, 0usize);
+        // Children are numbered in document order under the node popped
+        // last-pushed-first: the guide's numbering, which its
+        // parent-before-child sweeps and the completion ranking read.
+        let mut stack = vec![(NodeId::DOCUMENT, GuideNodeId::ROOT)];
+        while let Some((node, g)) = stack.pop() {
+            let mut kids = 0usize;
+            let mut cursor = doc.first_child(node);
+            while let Some(child) = cursor {
+                // A text node is told by its kind byte alone: its
+                // characters stay unread.
+                if doc.is_text(child) {
+                    stats.text_count += 1;
+                } else if let NodeKind::Element { name, attributes } = doc.kind(child) {
+                    let gc = guide.count_child(g, name);
+                    guide_of[child.index()] = gc;
+                    lens[name.index()] += 1;
+                    stats.attribute_count += attributes.len();
+                    kids += 1;
+                    stack.push((child, gc));
+                }
+                cursor = doc.next_sibling(child);
+            }
+            if node != NodeId::DOCUMENT && kids > 0 {
+                fanout_sum += kids;
+                internal += 1;
+            }
+        }
+        let guide = guide.finish();
+        // An element's depth is its guide node's.
+        for g in (1..guide.node_count()).map(GuideNodeId::from_index) {
+            let depth = usize::from(guide.depth(g));
+            if stats.depth_histogram.len() <= depth {
+                stats.depth_histogram.resize(depth + 1, 0);
+            }
+            stats.depth_histogram[depth] += guide.count(g) as usize;
+        }
+        stats.element_count = lens.iter().map(|&len| len as usize).sum();
+        stats.max_depth = stats.depth_histogram.len().saturating_sub(1) as u32;
+        stats.avg_fanout = if internal > 0 {
+            fanout_sum as f64 / internal as f64
+        } else {
+            0.0
+        };
 
         let columns = TagColumns::build(&doc, &lens);
 

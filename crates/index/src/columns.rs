@@ -28,16 +28,17 @@
 //! says the parent has tag `P`, and its distance from the extent's start
 //! is the parent's place in that stream: one subtraction and one compare
 //! ([`ColumnView::arena_offset`]). The join gathers a child's parent
-//! through it. The column is derived at build and at load in the same
-//! document-order pass as the position map and never stored in a
-//! snapshot. It costs 4 B per element.
+//! through it. It costs 4 B per element.
+//!
+//! Every column here is a function of the document tree, so none is
+//! stored in a snapshot: [`TagColumns::build`] runs at build and at load
+//! alike, one document-order pass for arenas, position map and parent
+//! slots.
 //!
 //! The all-elements stream that `*` query nodes scan is not held beside
 //! the tag streams: [`TagColumns::all_elements`] gathers it from them
 //! through the position map the first time a query asks, and keeps it.
 
-use crate::wire::{corrupt, get_u16_slice, get_u32_slice, put_u16_slice, put_u32_slice};
-use crate::wire::{put_varint, rd_len, StorageError};
 use lotusx_labeling::RegionLabel;
 use lotusx_xml::{Document, NodeId, Symbol};
 use std::sync::OnceLock;
@@ -55,10 +56,6 @@ impl StreamRange {
     /// This stream's part of `arena`.
     fn of<T>(self, arena: &[T]) -> &[T] {
         &arena[self.offset as usize..(self.offset + self.len) as usize]
-    }
-
-    fn contains(self, slot: u32) -> bool {
-        slot.wrapping_sub(self.offset) < self.len
     }
 }
 
@@ -78,10 +75,10 @@ pub struct TagColumns {
     levels: Vec<u16>,
     nodes: Vec<NodeId>,
     /// Per arena slot: the arena slot of the element's parent, or
-    /// [`NO_SLOT`] for the root element. Derived, never serialized.
+    /// [`NO_SLOT`] for the root element.
     parent_slots: Vec<u32>,
     /// Per node, by id: its arena slot, or [`NO_SLOT`] for a node that is
-    /// no element. Derived, never serialized.
+    /// no element.
     positions: Vec<u32>,
     /// Per-tag extents; index = symbol index.
     ranges: Vec<StreamRange>,
@@ -287,190 +284,6 @@ impl TagColumns {
             + self.ranges.capacity() * std::mem::size_of::<StreamRange>()
             + self.all.get().map_or(0, OwnedColumns::size_bytes)
     }
-
-    /// Serializes the tag streams' arenas and lengths for the snapshot
-    /// `COLUMNS` section. Node ids are written through `node_map` (old id
-    /// → canonical preorder id) so the decoded columns reference the
-    /// decoded document's ids.
-    pub(crate) fn encode(&self, node_map: &[u32], out: &mut Vec<u8>) {
-        put_varint(out, self.starts.len() as u64);
-        put_u32_slice(out, &self.starts);
-        put_u32_slice(out, &self.ends);
-        put_u16_slice(out, &self.levels);
-        out.reserve(self.nodes.len() * 4);
-        for &n in &self.nodes {
-            out.extend_from_slice(&node_map[n.index()].to_le_bytes());
-        }
-        put_varint(out, self.ranges.len() as u64);
-        for r in &self.ranges {
-            put_varint(out, r.len as u64);
-        }
-    }
-
-    /// Deserializes arenas written by [`encode`](Self::encode) — a bulk
-    /// read straight into the struct-of-arrays layout — and proves them
-    /// against `doc`, which the snapshot decoder numbers in preorder: the
-    /// streams are the only copy of the regions, so nothing else could.
-    /// Every element of `doc` must sit in exactly one stream, its tag's,
-    /// at the place document order gives it there, with the region its
-    /// preorder id implies: `start = 2·id − level + 1` and
-    /// `end = start + 2·size − 1`, where `size` counts its subtree's
-    /// nodes. One forward pass over `doc` with a stack of open nodes
-    /// checks all of it and derives the position map and the parent slots
-    /// on the way. The pass hands each node but the document, with its
-    /// parent, to `visit`, so that what else is keyed by node can be
-    /// checked in the same walk; its error stops the decode.
-    pub(crate) fn decode(
-        data: &[u8],
-        pos: &mut usize,
-        doc: &Document,
-        visit: impl FnMut(NodeId, NodeId) -> Result<(), StorageError>,
-    ) -> Result<TagColumns, StorageError> {
-        let node_count = doc.node_count();
-        let n = rd_len(data, pos, "columns length")?;
-        if n > u32::MAX as usize {
-            return Err(corrupt("columns length exceeds u32"));
-        }
-        let starts = get_u32_slice(data, pos, n, "columns starts")?;
-        let ends = get_u32_slice(data, pos, n, "columns ends")?;
-        let levels = get_u16_slice(data, pos, n, "columns levels")?;
-        let nodes = get_node_ids(data, pos, n, node_count)?;
-        let range_count = rd_len(data, pos, "columns range count")?;
-        if range_count > data.len() {
-            return Err(corrupt("columns range count"));
-        }
-        let mut lens = Vec::with_capacity(range_count);
-        let mut total = 0usize;
-        for _ in 0..range_count {
-            let len = rd_len(data, pos, "range length")?;
-            total = total
-                .checked_add(len)
-                .filter(|&t| t <= n)
-                .ok_or(corrupt("range exceeds column arenas"))?;
-            lens.push(len as u32);
-        }
-        if total != n {
-            return Err(corrupt("column arenas longer than their streams"));
-        }
-        let mut cols = TagColumns {
-            starts,
-            ends,
-            levels,
-            parent_slots: vec![NO_SLOT; n],
-            positions: vec![NO_SLOT; node_count],
-            ids_ascend: true,
-            ..TagColumns::default()
-        };
-        cols.lay_out(&lens);
-        // Every stream element claims its slot in the position map.
-        for (slot, &node) in nodes.iter().enumerate() {
-            let at = &mut cols.positions[node.index()];
-            if *at != NO_SLOT {
-                return Err(corrupt("element in two tag streams"));
-            }
-            *at = slot as u32;
-        }
-        cols.nodes = nodes;
-        cols.check_against(doc, visit)?;
-        Ok(cols)
-    }
-
-    /// The forward pass of [`decode`](Self::decode), once the position
-    /// map holds every stream element's slot.
-    fn check_against(
-        &mut self,
-        doc: &Document,
-        mut visit: impl FnMut(NodeId, NodeId) -> Result<(), StorageError>,
-    ) -> Result<(), StorageError> {
-        let mismatch = || corrupt("column region disagrees with the document");
-        // `next[t]`: the arena slot tag `t`'s next element must hold.
-        let mut next: Vec<u32> = self.ranges.iter().map(|r| r.offset).collect();
-        // The nodes entered and not yet exited, from the document down,
-        // each with its arena slot (or [`NO_SLOT`]).
-        let mut open = vec![(0usize, NO_SLOT)];
-        // Whether an open node, exited as node `id` is entered, ends
-        // where its subtree — the ids in between — says it does.
-        let ends_right = |cols: &Self, (node, slot): (usize, u32), id: usize| {
-            let (at, size) = (slot as usize, (id - node) as u64);
-            slot == NO_SLOT || u64::from(cols.ends[at]) == u64::from(cols.starts[at]) + 2 * size - 1
-        };
-        if self.positions[0] != NO_SLOT {
-            return Err(corrupt("tag stream holds a node that is no element"));
-        }
-        for id in 1..doc.node_count() {
-            let node = NodeId::from_index(id);
-            let parent = doc.parent(node).map_or(0, NodeId::index);
-            while open.last().expect("the document is open").0 != parent {
-                if open.len() == 1 {
-                    return Err(corrupt("document not in preorder"));
-                }
-                if !ends_right(self, open.pop().expect("checked"), id) {
-                    return Err(mismatch());
-                }
-            }
-            visit(node, NodeId::from_index(parent))?;
-            let slot = self.positions[id];
-            let Some(tag) = doc.tag(node) else {
-                if slot != NO_SLOT {
-                    return Err(corrupt("tag stream holds a node that is no element"));
-                }
-                open.push((id, NO_SLOT));
-                continue;
-            };
-            if slot == NO_SLOT {
-                return Err(corrupt("element in no tag stream"));
-            }
-            let range = self.ranges.get(tag.index()).copied().unwrap_or_default();
-            if !range.contains(slot) {
-                return Err(corrupt("tag stream element of the wrong tag"));
-            }
-            let expected = &mut next[tag.index()];
-            if slot != *expected {
-                return Err(corrupt("tag stream not in document order"));
-            }
-            *expected += 1;
-            let at = slot as usize;
-            let level = open.len();
-            if usize::from(self.levels[at]) != level
-                || u64::from(self.starts[at]) != 2 * id as u64 - level as u64 + 1
-            {
-                return Err(mismatch());
-            }
-            self.parent_slots[at] = open.last().expect("the document is open").1;
-            open.push((id, slot));
-        }
-        while open.len() > 1 {
-            if !ends_right(self, open.pop().expect("checked"), doc.node_count()) {
-                return Err(mismatch());
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Reads `len` raw little-endian node ids, each below `node_count`,
-/// straight into their column.
-fn get_node_ids(
-    data: &[u8],
-    pos: &mut usize,
-    len: usize,
-    node_count: usize,
-) -> Result<Vec<NodeId>, StorageError> {
-    let end = len
-        .checked_mul(4)
-        .and_then(|bytes| pos.checked_add(bytes))
-        .filter(|&e| e <= data.len())
-        .ok_or(corrupt("columns nodes"))?;
-    let mut nodes = Vec::with_capacity(len);
-    for c in data[*pos..end].chunks_exact(4) {
-        let v = u32::from_le_bytes(c.try_into().expect("4 bytes")) as usize;
-        if v >= node_count {
-            return Err(corrupt("columns node id out of range"));
-        }
-        nodes.push(NodeId::from_index(v));
-    }
-    *pos = end;
-    Ok(nodes)
 }
 
 /// Owned columnar form of a stream the tag arenas do not hold as one
@@ -677,10 +490,9 @@ mod tests {
     }
 
     /// Columns built from a document equal a per-tag scan of that
-    /// document, and equal themselves — arenas, ranges and the derived
-    /// id-order flag — after a snapshot round trip.
+    /// document.
     #[test]
-    fn tag_columns_equal_a_document_scan_and_survive_the_codec() {
+    fn tag_columns_equal_a_document_scan() {
         let idx = crate::IndexedDocument::from_str(
             "<s><s><t/><s k=\"1\"><t>x</t></s></s><t/><u>y<t/></u><s/></s>",
         )
@@ -709,23 +521,6 @@ mod tests {
         assert!(cols.size_bytes() > 0);
         assert!(cols.ids_ascend(), "a parsed document numbers in preorder");
         assert_parent_slots_name_parents(&idx);
-
-        let identity: Vec<u32> = (0..doc.node_count() as u32).collect();
-        let mut bytes = Vec::new();
-        cols.encode(&identity, &mut bytes);
-        let mut pos = 0;
-        let mut visited = Vec::new();
-        let back = TagColumns::decode(&bytes, &mut pos, doc, |node, parent| {
-            visited.push((node, parent));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(pos, bytes.len());
-        assert_eq!(&back, cols);
-        // The pass visits every node but the document, with its parent.
-        let nodes = doc.all_nodes().skip(1);
-        let expect: Vec<_> = nodes.map(|n| (n, doc.parent(n).unwrap())).collect();
-        assert_eq!(visited, expect);
     }
 
     /// Every tag-stream element's parent slot is its parent's arena slot
@@ -774,38 +569,6 @@ mod tests {
         let a = idx.document().symbols().get("a").unwrap();
         assert_eq!(idx.columns().view(a).arena_offset(), 1);
         assert_eq!(idx.columns().view(a).parent_slots(), [0, 0, 2]);
-    }
-
-    /// Columns decoded against tags that disagree with their streams are
-    /// corrupt: the parent slots would name wrong elements.
-    #[test]
-    fn decode_rejects_streams_that_disagree_with_their_tags() {
-        let idx = crate::IndexedDocument::from_str("<a><b/><b/></a>").unwrap();
-        let identity: Vec<u32> = (0..idx.document().node_count() as u32).collect();
-        let mut bytes = Vec::new();
-        idx.columns().encode(&identity, &mut bytes);
-        let other = Document::parse_str("<a><c/><b/></a>").unwrap();
-        let got = TagColumns::decode(&bytes, &mut 0, &other, |_, _| Ok(()));
-        assert!(matches!(got, Err(StorageError::Corrupt(_))));
-    }
-
-    /// A payload whose stream lengths do not tile the arenas exactly is
-    /// corrupt, whichever way it is off.
-    #[test]
-    fn decode_rejects_stream_lengths_that_do_not_tile_the_arenas() {
-        let idx = crate::IndexedDocument::from_str("<a><b/><b/></a>").unwrap();
-        let identity: Vec<u32> = (0..idx.document().node_count() as u32).collect();
-        let mut good = Vec::new();
-        idx.columns().encode(&identity, &mut good);
-        // The payload ends with the `b` stream's length (2).
-        assert_eq!(good.last(), Some(&2));
-        for last in [1u8, 3] {
-            let mut bad = good.clone();
-            *bad.last_mut().unwrap() = last;
-            let doc = idx.document();
-            let got = TagColumns::decode(&bad, &mut 0, doc, |_, _| Ok(()));
-            assert!(matches!(got, Err(StorageError::Corrupt(_))), "{last}");
-        }
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //! Nodes are stored parent before child, which lets that embedding cross
 //! a `//` edge in one sweep over the nodes.
 
-use crate::wire::{corrupt, put_varint, rd_len, rd_varint, StorageError};
-use lotusx_xml::{Document, NodeId, Symbol};
+use lotusx_xml::Symbol;
 
 /// Index of a node within a [`DataGuide`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -44,7 +43,6 @@ impl GuideNodeId {
 struct GuideNode {
     tag: Option<Symbol>,
     parent: Option<GuideNodeId>,
-    children: Vec<(Symbol, GuideNodeId)>,
     count: u64,
     depth: u16,
 }
@@ -53,70 +51,95 @@ struct GuideNode {
 #[derive(Clone, Debug)]
 pub struct DataGuide {
     nodes: Vec<GuideNode>,
+    /// Every node's children back to back, each node's in the order they
+    /// were created: node `i`'s are `children[child_starts[i]..child_starts[i + 1]]`.
+    children: Vec<(Symbol, GuideNodeId)>,
+    child_starts: Vec<u32>,
     /// Per node, `1 / (1 + ln(1 + count))` — the ranker's position
-    /// specificity term. Derived from the counts whenever a guide is
-    /// built or decoded; never serialized.
+    /// specificity term, derived from the counts.
     specificity: Vec<f64>,
 }
 
-impl DataGuide {
-    /// Builds the DataGuide of `doc` in one traversal.
-    pub fn from_document(doc: &Document) -> Self {
-        let mut guide = DataGuide {
+/// A DataGuide under construction: each node's children in a list of
+/// their own, so that a child is found or appended while the document is
+/// walked. [`IndexedDocument`](crate::IndexedDocument) calls
+/// [`count_child`](Self::count_child) once per element;
+/// [`finish`](Self::finish) lays the lists out in one array.
+pub(crate) struct GuideBuilder {
+    nodes: Vec<GuideNode>,
+    children: Vec<Vec<(Symbol, GuideNodeId)>>,
+}
+
+impl GuideBuilder {
+    /// The guide of a document with no elements: the root alone, counting
+    /// the document node.
+    pub(crate) fn new() -> Self {
+        GuideBuilder {
             nodes: vec![GuideNode {
                 tag: None,
                 parent: None,
-                children: Vec::new(),
                 count: 1,
                 depth: 0,
             }],
-            specificity: Vec::new(),
-        };
-        // DFS over (document node, guide node) pairs.
-        let mut stack: Vec<(NodeId, GuideNodeId)> = vec![(NodeId::DOCUMENT, GuideNodeId::ROOT)];
-        while let Some((node, gnode)) = stack.pop() {
-            for child in doc.element_children(node) {
-                let tag = doc.tag(child).expect("element");
-                let gchild = guide.child_or_insert(gnode, tag);
-                guide.nodes[gchild.index()].count += 1;
-                stack.push((child, gchild));
-            }
+            children: vec![Vec::new()],
         }
-        // Construction initializes counts to 0 via child_or_insert; the
-        // root was seeded with 1 representing the single document node.
-        guide.derive_specificity();
-        guide
     }
 
-    fn derive_specificity(&mut self) {
-        self.specificity = self
-            .nodes
+    /// Counts one more element labelled `tag` under guide node `parent`,
+    /// and returns its guide node, appended if it is the first.
+    pub(crate) fn count_child(&mut self, parent: GuideNodeId, tag: Symbol) -> GuideNodeId {
+        let found = self.children[parent.index()]
+            .iter()
+            .find(|(t, _)| *t == tag);
+        let child = match found {
+            Some(&(_, child)) => child,
+            None => {
+                let child = GuideNodeId(self.nodes.len() as u32);
+                let depth = self.nodes[parent.index()].depth + 1;
+                self.nodes.push(GuideNode {
+                    tag: Some(tag),
+                    parent: Some(parent),
+                    count: 0,
+                    depth,
+                });
+                self.children.push(Vec::new());
+                self.children[parent.index()].push((tag, child));
+                child
+            }
+        };
+        self.nodes[child.index()].count += 1;
+        child
+    }
+
+    /// The guide: its child lists laid out back to back, and each node's
+    /// position specificity derived from its final count.
+    pub(crate) fn finish(self) -> DataGuide {
+        let mut nodes = self.nodes;
+        nodes.shrink_to_fit();
+        let mut children = Vec::with_capacity(nodes.len() - 1);
+        let mut child_starts = Vec::with_capacity(nodes.len() + 1);
+        child_starts.push(0);
+        for list in &self.children {
+            children.extend_from_slice(list);
+            child_starts.push(children.len() as u32);
+        }
+        let specificity = nodes
             .iter()
             .map(|n| 1.0 / (1.0 + (n.count as f64).ln_1p()))
             .collect();
-    }
-
-    fn child_or_insert(&mut self, parent: GuideNodeId, tag: Symbol) -> GuideNodeId {
-        if let Some(existing) = self.child_by_tag(parent, tag) {
-            return existing;
+        DataGuide {
+            nodes,
+            children,
+            child_starts,
+            specificity,
         }
-        let id = GuideNodeId(self.nodes.len() as u32);
-        let depth = self.nodes[parent.index()].depth + 1;
-        self.nodes.push(GuideNode {
-            tag: Some(tag),
-            parent: Some(parent),
-            children: Vec::new(),
-            count: 0,
-            depth,
-        });
-        self.nodes[parent.index()].children.push((tag, id));
-        id
     }
+}
 
+impl DataGuide {
     /// The guide child of `parent` labelled `tag`.
     pub fn child_by_tag(&self, parent: GuideNodeId, tag: Symbol) -> Option<GuideNodeId> {
-        self.nodes[parent.index()]
-            .children
+        self.children(parent)
             .iter()
             .find(|(t, _)| *t == tag)
             .map(|(_, id)| *id)
@@ -150,7 +173,8 @@ impl DataGuide {
 
     /// Child guide nodes of `id` with their tags.
     pub fn children(&self, id: GuideNodeId) -> &[(Symbol, GuideNodeId)] {
-        &self.nodes[id.index()].children
+        let i = id.index();
+        &self.children[self.child_starts[i] as usize..self.child_starts[i + 1] as usize]
     }
 
     /// The guide node for an exact root-to-node tag path, if present.
@@ -169,206 +193,10 @@ impl DataGuide {
 
     /// Approximate heap size in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.nodes.len() * (std::mem::size_of::<GuideNode>() + std::mem::size_of::<f64>())
-            + self
-                .nodes
-                .iter()
-                .map(|n| n.children.capacity() * std::mem::size_of::<(Symbol, GuideNodeId)>())
-                .sum::<usize>()
-    }
-
-    /// Serializes the guide for the snapshot `GUIDE` section. Nodes and
-    /// children are written in their stored order — the guide embedding's
-    /// parent-before-child sweeps and the completion ranking depend on it
-    /// being preserved exactly.
-    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.nodes.len() as u64);
-        for node in &self.nodes {
-            // 0 encodes None; symbols/ids are shifted by one.
-            put_varint(out, node.tag.map(|t| t.index() as u64 + 1).unwrap_or(0));
-            put_varint(out, node.parent.map(|p| p.index() as u64 + 1).unwrap_or(0));
-            put_varint(out, node.children.len() as u64);
-            for &(tag, child) in &node.children {
-                put_varint(out, tag.index() as u64);
-                put_varint(out, child.index() as u64);
-            }
-            put_varint(out, node.count);
-            put_varint(out, u64::from(node.depth));
-        }
-    }
-
-    /// Deserializes a guide written by [`encode`](Self::encode), checking
-    /// the invariants consumers rely on: nodes are stored
-    /// parent-before-child (children have larger indexes than their
-    /// parent), the root has neither tag nor parent and depth 0, every
-    /// other node has both and sits one level below its parent, all
-    /// symbols fall below `tag_count`, and the child lists are the
-    /// parent links read the other way: each non-root node is listed
-    /// once, under its parent, with its tag, and no two children of one
-    /// node share a tag. The counts are checked against the document by
-    /// a [`GuideMapCheck`].
-    pub(crate) fn decode(
-        data: &[u8],
-        pos: &mut usize,
-        tag_count: usize,
-    ) -> Result<DataGuide, StorageError> {
-        let node_count = rd_len(data, pos, "guide node count")?;
-        if node_count == 0 || node_count > data.len() {
-            return Err(corrupt("guide node count"));
-        }
-        let rd_tag = |v: usize, what| -> Result<Symbol, StorageError> {
-            if v >= tag_count {
-                return Err(corrupt(what));
-            }
-            Ok(Symbol::from_index(v))
-        };
-        let mut nodes: Vec<GuideNode> = Vec::with_capacity(node_count);
-        for i in 0..node_count {
-            let tag = match rd_len(data, pos, "guide tag")? {
-                0 if i == 0 => None,
-                0 => return Err(corrupt("non-root guide node without tag")),
-                v => Some(rd_tag(v - 1, "guide tag out of range")?),
-            };
-            let parent = match rd_len(data, pos, "guide parent")? {
-                0 if i == 0 => None,
-                0 => return Err(corrupt("non-root guide node without parent")),
-                v if v - 1 < i => Some(GuideNodeId::from_index(v - 1)),
-                _ => return Err(corrupt("guide parent not before child")),
-            };
-            let child_count = rd_len(data, pos, "guide child count")?;
-            if child_count > data.len() {
-                return Err(corrupt("guide child count"));
-            }
-            let mut children = Vec::with_capacity(child_count);
-            for _ in 0..child_count {
-                let tag = rd_tag(
-                    rd_len(data, pos, "guide child tag")?,
-                    "guide child tag out of range",
-                )?;
-                let child = rd_len(data, pos, "guide child id")?;
-                if child <= i || child >= node_count {
-                    return Err(corrupt("guide child id out of range"));
-                }
-                children.push((tag, GuideNodeId::from_index(child)));
-            }
-            let count = rd_varint(data, pos, "guide count")?;
-            let depth = u16::try_from(rd_varint(data, pos, "guide depth")?)
-                .map_err(|_| corrupt("guide depth"))?;
-            let parent_depth = parent.map(|p| u32::from(nodes[p.index()].depth));
-            if u32::from(depth) != parent_depth.map_or(0, |d| d + 1) {
-                return Err(corrupt("guide depth disagrees with its parent's"));
-            }
-            nodes.push(GuideNode {
-                tag,
-                parent,
-                children,
-                count,
-                depth,
-            });
-        }
-        check_children(&nodes, tag_count)?;
-        let mut guide = DataGuide {
-            nodes,
-            specificity: Vec::new(),
-        };
-        guide.derive_specificity();
-        Ok(guide)
-    }
-}
-
-/// Whether the child lists of decoded `nodes` are their parent links read
-/// the other way, with one child per tag under each node.
-fn check_children(nodes: &[GuideNode], tag_count: usize) -> Result<(), StorageError> {
-    let mut listed = vec![false; nodes.len()];
-    // Per tag: the last node that listed a child of it, plus one.
-    let mut tag_seen_under = vec![0usize; tag_count];
-    for (i, node) in nodes.iter().enumerate() {
-        for &(tag, child) in &node.children {
-            let entry = &nodes[child.index()];
-            if entry.tag != Some(tag) || entry.parent != Some(GuideNodeId::from_index(i)) {
-                return Err(corrupt("guide child entry disagrees with its node"));
-            }
-            if std::mem::replace(&mut listed[child.index()], true) {
-                return Err(corrupt("guide node listed twice under its parent"));
-            }
-            if std::mem::replace(&mut tag_seen_under[tag.index()], i + 1) == i + 1 {
-                return Err(corrupt("two guide children of one tag"));
-            }
-        }
-    }
-    if listed.iter().skip(1).any(|&l| !l) {
-        return Err(corrupt("guide node missing from its parent's children"));
-    }
-    Ok(())
-}
-
-/// Checks a decoded node → guide-node map against its document, one node
-/// at a time in preorder (each node after its parent), so that it rides
-/// the pass that checks the tag streams. A node that is no element maps
-/// to the root; an element maps to a guide node of its tag whose parent
-/// is its parent's guide node — so, inductively, to the one guide node of
-/// its tag path. [`finish`](Self::finish) then compares the elements
-/// counted per guide node with the stored counts, which the ranker's
-/// position specificity is read from.
-pub(crate) struct GuideMapCheck<'a> {
-    guide: &'a DataGuide,
-    guide_of: &'a [GuideNodeId],
-    doc: &'a Document,
-    /// Per guide node: the nodes mapped to it so far; the root counts the
-    /// document.
-    counts: Vec<u64>,
-}
-
-impl<'a> GuideMapCheck<'a> {
-    /// A check of `guide_of`, one entry per node of `doc`, against
-    /// `guide`.
-    pub(crate) fn new(
-        guide: &'a DataGuide,
-        guide_of: &'a [GuideNodeId],
-        doc: &'a Document,
-    ) -> Self {
-        let mut counts = vec![0u64; guide.node_count()];
-        counts[GuideNodeId::ROOT.index()] = 1;
-        GuideMapCheck {
-            guide,
-            guide_of,
-            doc,
-            counts,
-        }
-    }
-
-    /// Checks `node`'s entry, `parent`'s having been checked.
-    pub(crate) fn node(&mut self, node: NodeId, parent: NodeId) -> Result<(), StorageError> {
-        let g = self.guide_of[node.index()];
-        let Some(tag) = self.doc.tag(node) else {
-            if g != GuideNodeId::ROOT {
-                return Err(corrupt("guide node of a node that is no element"));
-            }
-            return Ok(());
-        };
-        if self.guide.tag(g) != Some(tag) {
-            return Err(corrupt("guide node of another tag than its element"));
-        }
-        if self.guide.parent(g) != Some(self.guide_of[parent.index()]) {
-            return Err(corrupt(
-                "guide node under another parent than its element's",
-            ));
-        }
-        self.counts[g.index()] += 1;
-        Ok(())
-    }
-
-    /// Once every node but the document has been checked: the document's
-    /// entry, and the counts.
-    pub(crate) fn finish(self) -> Result<(), StorageError> {
-        if self.guide_of[NodeId::DOCUMENT.index()] != GuideNodeId::ROOT {
-            return Err(corrupt("guide node of a node that is no element"));
-        }
-        let stored = self.guide.nodes.iter().map(|n| n.count);
-        if !stored.eq(self.counts) {
-            return Err(corrupt("guide count disagrees with its elements"));
-        }
-        Ok(())
+        self.nodes.capacity() * std::mem::size_of::<GuideNode>()
+            + self.children.capacity() * std::mem::size_of::<(Symbol, GuideNodeId)>()
+            + self.child_starts.capacity() * 4
+            + self.specificity.capacity() * std::mem::size_of::<f64>()
     }
 }
 
@@ -376,8 +204,11 @@ impl<'a> GuideMapCheck<'a> {
 mod tests {
     use super::*;
 
-    fn doc() -> Document {
-        Document::parse_str(
+    use crate::IndexedDocument;
+    use lotusx_xml::Document;
+
+    fn doc() -> IndexedDocument {
+        IndexedDocument::from_str(
             "<bib>\
                <book><title>a</title><author>x</author><author>y</author></book>\
                <book><title>b</title></book>\
@@ -393,36 +224,67 @@ mod tests {
 
     #[test]
     fn one_guide_node_per_distinct_path() {
-        let d = doc();
-        let g = DataGuide::from_document(&d);
+        let g = doc().guide().clone();
         // Paths: root, bib, bib/book, bib/book/title, bib/book/author,
         //        bib/article, bib/article/title, bib/article/author
         assert_eq!(g.node_count(), 8);
     }
 
+    /// Nodes are numbered as a depth-first walk meets them: the children
+    /// of one element in document order, the last element pushed walked
+    /// first. Completion and ranking read this order, so a loaded index
+    /// must number as a fresh one does.
+    #[test]
+    fn nodes_are_numbered_depth_first_last_pushed_first() {
+        let idx = doc();
+        let (d, g) = (idx.document(), idx.guide());
+        let paths: Vec<Vec<&str>> = (1..g.node_count())
+            .map(|i| {
+                let mut path = Vec::new();
+                let mut cur = Some(GuideNodeId::from_index(i));
+                while let Some(tag) = cur.and_then(|n| g.tag(n)) {
+                    path.push(d.symbols().resolve(tag));
+                    cur = g.parent(cur.unwrap());
+                }
+                path.reverse();
+                path
+            })
+            .collect();
+        assert_eq!(
+            paths,
+            [
+                vec!["bib"],
+                vec!["bib", "book"],
+                vec!["bib", "article"],
+                vec!["bib", "article", "title"],
+                vec!["bib", "article", "author"],
+                vec!["bib", "book", "title"],
+                vec!["bib", "book", "author"],
+            ]
+        );
+    }
+
     #[test]
     fn counts_aggregate_elements_per_path() {
-        let d = doc();
-        let g = DataGuide::from_document(&d);
-        let book_path = g.lookup_path(&[sym(&d, "bib"), sym(&d, "book")]).unwrap();
+        let idx = doc();
+        let (d, g) = (idx.document(), idx.guide());
+        let book_path = g.lookup_path(&[sym(d, "bib"), sym(d, "book")]).unwrap();
         assert_eq!(g.count(book_path), 2);
         let book_author = g
-            .lookup_path(&[sym(&d, "bib"), sym(&d, "book"), sym(&d, "author")])
+            .lookup_path(&[sym(d, "bib"), sym(d, "book"), sym(d, "author")])
             .unwrap();
         assert_eq!(g.count(book_author), 2);
         let art_author = g
-            .lookup_path(&[sym(&d, "bib"), sym(&d, "article"), sym(&d, "author")])
+            .lookup_path(&[sym(d, "bib"), sym(d, "article"), sym(d, "author")])
             .unwrap();
         assert_eq!(g.count(art_author), 1);
     }
 
     #[test]
     fn lookup_of_absent_path_fails() {
-        let d = doc();
-        let g = DataGuide::from_document(&d);
-        assert!(g
-            .lookup_path(&[sym(&d, "bib"), sym(&d, "author")])
-            .is_none());
+        let idx = doc();
+        let (d, g) = (idx.document(), idx.guide());
+        assert!(g.lookup_path(&[sym(d, "bib"), sym(d, "author")]).is_none());
     }
 
     #[test]
@@ -432,11 +294,11 @@ mod tests {
             xml.push_str(&format!("<book><title>t{i}</title></book>"));
         }
         xml.push_str("</bib>");
-        let d = Document::parse_str(&xml).unwrap();
-        let g = DataGuide::from_document(&d);
+        let idx = IndexedDocument::from_str(&xml).unwrap();
+        let (d, g) = (idx.document(), idx.guide());
         assert_eq!(g.node_count(), 4); // root, bib, book, title
         assert_eq!(
-            g.count(g.lookup_path(&[sym(&d, "bib"), sym(&d, "book")]).unwrap()),
+            g.count(g.lookup_path(&[sym(d, "bib"), sym(d, "book")]).unwrap()),
             500
         );
     }

@@ -1,33 +1,30 @@
 //! Full-index snapshot codecs: the section payloads of the `LTSX`
 //! container.
 //!
-//! [`encode_sections`] serializes every structure of an
-//! [`IndexedDocument`] — the document tree, the tag streams' columnar
-//! arenas (the one copy of every element's region), the value index, the
-//! per-tag term counts, the DataGuide and the statistics tables — into
-//! the sections that `lotusx-storage` frames and checksums.
-//! [`decode_sections`] is the inverse: bulk reads straight into the arena
-//! layouts plus validation, with **no re-parsing, no re-labeling and no
-//! stats re-walks**. It takes
-//! the sections by value and frees each payload as soon as its section
-//! is decoded, so a load never holds the whole file beside the whole
-//! index. What is *derived* from another section's bytes — today the
-//! per-node position map into the columns, whether their node ids
-//! ascend, their parent slots, the document-frequency list and the count
-//! lists' block maxima — is
-//! recomputed, not stored: a stored derivation must be validated against
-//! its source or it can lie, and validating it costs what recomputing it
-//! costs.
+//! A snapshot stores only what the document tree cannot give back.
+//! [`encode_sections`] writes three sections: the document tree, the
+//! value index and the per-tag term counts. [`decode_sections`] is the
+//! inverse: bulk reads straight into the arena layouts plus validation,
+//! with **no re-parsing**. It takes the sections by value and frees each
+//! payload as soon as its section is decoded, so a load never holds the
+//! whole file beside the whole index. Only then does it derive the tag
+//! streams, the DataGuide, the node → guide-node map and the statistics
+//! from the decoded tree, through `IndexedDocument::assemble`, where a
+//! fresh build ends too. What is derived is recomputed, not stored: a
+//! stored derivation must be validated against its source or it can lie,
+//! and validating it costs what recomputing it costs. The same holds
+//! inside the stored sections: the document-frequency list and the count
+//! lists' block maxima are derived from `VALUES` and `TAG_TERMS`.
 //!
 //! ## Node-id canonicalization
 //!
-//! Sections embed [`NodeId`]s (columns, value postings). The document
-//! section decoder assigns ids in strict preorder, but the *source*
-//! document's ids need not be preorder-dense (e.g. after text
-//! coalescing). Encoding therefore remaps every stored node id through
-//! the canonical preorder numbering of the document walk, so decoded
-//! sections always agree with the decoded tree. For documents built by
-//! the parser or the generators the map is the identity.
+//! `VALUES` embeds [`NodeId`]s. The document section decoder assigns ids
+//! in strict preorder, but the *source* document's ids need not be
+//! preorder-dense (e.g. after text coalescing). Encoding therefore
+//! remaps every stored node id through the canonical preorder numbering
+//! of the document walk, so decoded sections always agree with the
+//! decoded tree. For documents built by the parser the map is the
+//! identity.
 //!
 //! ## Determinism
 //!
@@ -37,12 +34,9 @@
 //! the fresh build it was saved from.
 
 use crate::builder::IndexedDocument;
-use crate::columns::TagColumns;
-use crate::dataguide::{DataGuide, GuideMapCheck, GuideNodeId};
-use crate::stats::Stats;
 use crate::term_counts::TermCounts;
 use crate::value_index::ValueIndex;
-use crate::wire::{corrupt, get_str, get_u32_slice, put_string, put_u32_slice};
+use crate::wire::{corrupt, get_str, put_string, put_u32_slice};
 use crate::wire::{put_varint, rd_len, StorageError};
 use lotusx_storage::snapshot::{section, Section};
 use lotusx_xml::{Document, NodeId, NodeKind, Symbol};
@@ -60,25 +54,15 @@ pub fn encode_sections(idx: &IndexedDocument) -> Vec<Section> {
 
     let mut document = Vec::new();
     encode_document(doc, &order, &node_map, &mut document);
-    let mut columns = Vec::new();
-    idx.columns().encode(&node_map, &mut columns);
     let mut values = Vec::new();
     idx.values().encode(&node_map, &mut values);
     let mut tag_terms = Vec::new();
     idx.term_counts().encode(&mut tag_terms);
-    let mut guide = Vec::new();
-    encode_guide(idx, &order, &mut guide);
-    let mut stats = Vec::new();
-    idx.stats().encode(&mut stats);
 
     vec![
         Section {
             id: section::DOCUMENT,
             bytes: document,
-        },
-        Section {
-            id: section::COLUMNS,
-            bytes: columns,
         },
         Section {
             id: section::VALUES,
@@ -88,33 +72,17 @@ pub fn encode_sections(idx: &IndexedDocument) -> Vec<Section> {
             id: section::TAG_TERMS,
             bytes: tag_terms,
         },
-        Section {
-            id: section::GUIDE,
-            bytes: guide,
-        },
-        Section {
-            id: section::STATS,
-            bytes: stats,
-        },
     ]
 }
 
-/// The sections [`decode_sections`] reads, in decode order: `GUIDE`
-/// before `COLUMNS`, whose pass over the document also checks the
-/// node → guide-node map.
-const DECODED: [u64; 6] = [
-    section::DOCUMENT,
-    section::GUIDE,
-    section::COLUMNS,
-    section::VALUES,
-    section::TAG_TERMS,
-    section::STATS,
-];
+/// The sections [`decode_sections`] reads, in decode order.
+const DECODED: [u64; 3] = [section::DOCUMENT, section::VALUES, section::TAG_TERMS];
 
 /// Reassembles an [`IndexedDocument`] from snapshot sections. Every
 /// section must be present exactly once; every embedded id is
 /// bounds-checked so a crafted payload yields a typed error, never a
-/// panic. Each payload is freed once its section is decoded.
+/// panic. Each payload is freed once its section is decoded, before the
+/// structure is derived from the document.
 pub fn decode_sections(sections: Vec<Section>) -> Result<IndexedDocument, StorageError> {
     let mut payloads: [Option<Vec<u8>>; DECODED.len()] = Default::default();
     for s in sections {
@@ -124,56 +92,25 @@ pub fn decode_sections(sections: Vec<Section>) -> Result<IndexedDocument, Storag
             }
         }
     }
-    if payloads.iter().any(Option::is_none) {
+    let [Some(doc_bytes), Some(value_bytes), Some(term_bytes)] = payloads else {
         return Err(corrupt("missing snapshot section"));
-    }
-    let mut payloads = payloads.into_iter().flatten();
-    let mut next = || payloads.next().expect("every section present");
+    };
 
-    let doc = decode_document(&next())?;
-    let n = doc.node_count();
+    let doc = decode_document(&doc_bytes)?;
+    drop(doc_bytes);
+
+    let mut pos = 0;
+    let values = ValueIndex::decode(&value_bytes, &mut pos, doc.node_count())?;
+    ensure_consumed(&value_bytes, pos, "values")?;
+    drop(value_bytes);
+
+    let mut pos = 0;
     let tag_count = doc.symbols().len();
+    let term_counts = TermCounts::decode(&term_bytes, &mut pos, tag_count, &values)?;
+    ensure_consumed(&term_bytes, pos, "tag terms")?;
+    drop(term_bytes);
 
-    let (guide, guide_of) = decode_guide(&next(), n, tag_count)?;
-
-    // The columns are checked against the document, and in the same pass
-    // each node's guide node against its tag and its parent's.
-    let bytes = next();
-    let mut pos = 0;
-    let mut guide_map = GuideMapCheck::new(&guide, &guide_of, &doc);
-    let columns = TagColumns::decode(&bytes, &mut pos, &doc, |node, parent| {
-        guide_map.node(node, parent)
-    })?;
-    guide_map.finish()?;
-    ensure_consumed(&bytes, pos, "columns")?;
-    drop(bytes);
-
-    let bytes = next();
-    let mut pos = 0;
-    let values = ValueIndex::decode(&bytes, &mut pos, n)?;
-    ensure_consumed(&bytes, pos, "values")?;
-    drop(bytes);
-
-    let bytes = next();
-    let mut pos = 0;
-    let term_counts = TermCounts::decode(&bytes, &mut pos, tag_count, &values)?;
-    ensure_consumed(&bytes, pos, "tag terms")?;
-    drop(bytes);
-
-    let bytes = next();
-    let mut pos = 0;
-    let stats = Stats::decode(&bytes, &mut pos)?;
-    ensure_consumed(&bytes, pos, "stats")?;
-
-    Ok(IndexedDocument {
-        doc,
-        columns,
-        values,
-        term_counts,
-        guide,
-        guide_of,
-        stats,
-    })
+    Ok(IndexedDocument::assemble(doc, values, term_counts))
 }
 
 fn ensure_consumed(bytes: &[u8], pos: usize, _what: &'static str) -> Result<(), StorageError> {
@@ -286,6 +223,11 @@ fn decode_document(bytes: &[u8]) -> Result<Document, StorageError> {
         Ok(Symbol::from_index(v))
     };
     let rd_str = |bytes, pos: &mut usize, what| get_str(bytes, pos).ok_or(corrupt(what));
+    // The document and the elements entered and not yet left, outermost
+    // first. Each node's parent must be on it: then the ids are the
+    // preorder, only the document and elements hold children (what the
+    // derivations walk), and its length is the level an element gets.
+    let mut open = vec![0u32];
     for (i, (&kind, parent)) in kinds.iter().zip(parents).enumerate() {
         if i == 0 {
             if parent != 0 {
@@ -298,6 +240,19 @@ fn decode_document(bytes: &[u8]) -> Result<Document, StorageError> {
         // links acyclically.
         if parent == 0 || parent as usize > i {
             return Err(corrupt("parent id out of preorder range"));
+        }
+        let parent = parent - 1;
+        while open.last().is_some_and(|&o| o != parent) {
+            open.pop();
+        }
+        if open.is_empty() {
+            return Err(corrupt("parent not open in preorder"));
+        }
+        if kind == 1 {
+            if open.len() > usize::from(u16::MAX) {
+                return Err(corrupt("elements nested past u16 levels"));
+            }
+            open.push(i as u32);
         }
         let id = match kind {
             1 => {
@@ -322,47 +277,17 @@ fn decode_document(bytes: &[u8]) -> Result<Document, StorageError> {
             _ => return Err(corrupt("unknown node kind")),
         };
         debug_assert_eq!(id.index(), i);
-        doc.append_child(NodeId::from_index(parent as usize - 1), id);
+        doc.append_child(NodeId::from_index(parent as usize), id);
     }
     ensure_consumed(bytes, *pos, "document")?;
     doc.shrink_to_fit();
     Ok(doc)
 }
 
-/// `GUIDE`: the guide nodes, then the node → guide-node map in canonical
-/// node order.
-fn encode_guide(idx: &IndexedDocument, order: &[NodeId], out: &mut Vec<u8>) {
-    idx.guide().encode(out);
-    // The node → guide-node map as one raw u32 column (bulk read on load).
-    let guide_of: Vec<u32> = order
-        .iter()
-        .map(|&old| idx.guide_node(old).index() as u32)
-        .collect();
-    put_u32_slice(out, &guide_of);
-}
-
-fn decode_guide(
-    bytes: &[u8],
-    node_count: usize,
-    tag_count: usize,
-) -> Result<(DataGuide, Vec<GuideNodeId>), StorageError> {
-    let pos = &mut 0;
-    let guide = DataGuide::decode(bytes, pos, tag_count)?;
-    let raw = get_u32_slice(bytes, pos, node_count, "guide-of entries")?;
-    let mut guide_of = Vec::with_capacity(node_count);
-    for g in raw {
-        if g as usize >= guide.node_count() {
-            return Err(corrupt("guide-of entry out of range"));
-        }
-        guide_of.push(GuideNodeId::from_index(g as usize));
-    }
-    ensure_consumed(bytes, *pos, "guide")?;
-    Ok((guide, guide_of))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataguide::GuideNodeId;
 
     fn sample() -> IndexedDocument {
         IndexedDocument::from_str(
@@ -483,6 +408,33 @@ mod tests {
         let mut exact = sections.clone();
         rewrite(&mut exact, section::VALUES, b"deep", b"abit", true);
         assert_eq!(decode_error(exact), "value-index exact keys not increasing");
+    }
+
+    /// The derivations walk elements under elements in preorder, so the
+    /// document decoder admits nothing else: a node whose parent is a
+    /// text node, or a node whose parent was already left in preorder,
+    /// is a typed error.
+    #[test]
+    fn a_document_out_of_preorder_or_under_text_is_a_typed_error() {
+        let idx = IndexedDocument::from_str("<a><b>t</b><c/><d/></a>").unwrap();
+        // Nodes 0 document, 1 <a>, 2 <b>, 3 "t", 4 <c>, 5 <d>; the
+        // parent column holds each parent's id + 1.
+        fn column(ids: &[u32]) -> Vec<u8> {
+            ids.iter().flat_map(|p| p.to_le_bytes()).collect()
+        }
+        let stored = column(&[0, 1, 2, 3, 2, 2]);
+        let parent_of_d = |parent: u32| {
+            let mut sections = encode_sections(&idx);
+            let doc = &mut sections[0].bytes;
+            let at = doc.windows(stored.len()).position(|w| w == stored).unwrap();
+            doc[at + 20..at + 24].copy_from_slice(&(parent + 1).to_le_bytes());
+            sections
+        };
+        assert!(decode_sections(parent_of_d(4)).is_ok(), "<d> under <c>");
+        for (parent, what) in [(3, "the text"), (2, "<b>, already left")] {
+            let error = decode_error(parent_of_d(parent));
+            assert_eq!(error, "parent not open in preorder", "<d> under {what}");
+        }
     }
 
     /// A `TAG_TERMS` payload of one list per `(tag, [(rank gap, count)])`.

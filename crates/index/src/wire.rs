@@ -56,51 +56,3 @@ pub(crate) fn put_u32_slice(out: &mut Vec<u8>, values: &[u32]) {
         out.extend_from_slice(&v.to_le_bytes());
     }
 }
-
-/// Reads `len` raw little-endian `u32`s, bounds-checked before allocating.
-pub(crate) fn get_u32_slice(
-    data: &[u8],
-    pos: &mut usize,
-    len: usize,
-    what: &'static str,
-) -> Result<Vec<u32>, StorageError> {
-    let bytes = len.checked_mul(4).ok_or(corrupt(what))?;
-    let end = pos
-        .checked_add(bytes)
-        .filter(|&e| e <= data.len())
-        .ok_or(corrupt(what))?;
-    let out = data[*pos..end]
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-        .collect();
-    *pos = end;
-    Ok(out)
-}
-
-/// Appends a `u16` slice as raw little-endian words.
-pub(crate) fn put_u16_slice(out: &mut Vec<u8>, values: &[u16]) {
-    out.reserve(values.len() * 2);
-    for &v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Reads `len` raw little-endian `u16`s, bounds-checked before allocating.
-pub(crate) fn get_u16_slice(
-    data: &[u8],
-    pos: &mut usize,
-    len: usize,
-    what: &'static str,
-) -> Result<Vec<u16>, StorageError> {
-    let bytes = len.checked_mul(2).ok_or(corrupt(what))?;
-    let end = pos
-        .checked_add(bytes)
-        .filter(|&e| e <= data.len())
-        .ok_or(corrupt(what))?;
-    let out = data[*pos..end]
-        .chunks_exact(2)
-        .map(|c| u16::from_le_bytes(c.try_into().expect("2 bytes")))
-        .collect();
-    *pos = end;
-    Ok(out)
-}

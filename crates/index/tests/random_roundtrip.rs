@@ -1,14 +1,15 @@
 //! Randomized tests (seeded, deterministic) of the snapshot section
 //! codecs, the `DOCUMENT` section first of all: index → sections → index
 //! is the identity on random mixed-content trees and on the generated
-//! benchmark corpora, and random corruption of a framed snapshot never
-//! panics.
+//! benchmark corpora, a load derives the same tag streams, DataGuide and
+//! statistics a fresh build holds (also from trees whose ids do not
+//! ascend), and random corruption of a framed snapshot never panics.
 
 use lotusx_datagen::rng::XorShiftRng;
 use lotusx_index::snapshot::{decode_sections, encode_sections};
-use lotusx_index::IndexedDocument;
+use lotusx_index::{GuideNodeId, IndexedDocument, Stats};
 use lotusx_storage::{read_snapshot, write_snapshot};
-use lotusx_xml::{Document, NodeId};
+use lotusx_xml::{Document, NodeId, NodeKind, Symbol};
 
 const TAGS: [&str; 5] = ["a", "b", "c", "d", "e"];
 const ATTRS: [&str; 3] = ["k", "id", "year"];
@@ -82,6 +83,219 @@ fn build(doc: &mut Document, parent: NodeId, node: &GenNode) {
         GenNode::Text(t) => {
             doc.append_text(parent, t.clone());
         }
+    }
+}
+
+/// [`build`], but appending level by level: every element of a level is
+/// numbered before any element below it, so the ids of a subtree do not
+/// follow its root's as document order would have them.
+fn build_breadth_first(doc: &mut Document, root: &GenNode) {
+    let mut level = vec![(NodeId::DOCUMENT, root)];
+    while !level.is_empty() {
+        let mut next = Vec::new();
+        for (parent, node) in level {
+            match node {
+                GenNode::Element {
+                    tag,
+                    attrs,
+                    children,
+                } => {
+                    let e = doc.append_element(parent, TAGS[*tag]);
+                    for (k, v) in attrs {
+                        doc.set_attribute(e, ATTRS[*k], v.clone());
+                    }
+                    next.extend(children.iter().map(|c| (e, c)));
+                }
+                GenNode::Text(t) => {
+                    doc.append_text(parent, t.clone());
+                }
+            }
+        }
+        level = next;
+    }
+}
+
+/// The statistics by their definitions, node by node: depth by walking
+/// the parent links, fan-out by counting element children.
+fn recount(doc: &Document) -> Stats {
+    let mut stats = Stats {
+        distinct_tags: doc.symbols().len(),
+        ..Stats::default()
+    };
+    let (mut fanout_sum, mut internal) = (0, 0);
+    for node in doc.all_nodes().skip(1) {
+        match doc.kind(node) {
+            NodeKind::Element { attributes, .. } => {
+                stats.element_count += 1;
+                stats.attribute_count += attributes.len();
+                let depth = doc.depth(node);
+                stats.max_depth = stats.max_depth.max(depth);
+                let depth = depth as usize;
+                if stats.depth_histogram.len() <= depth {
+                    stats.depth_histogram.resize(depth + 1, 0);
+                }
+                stats.depth_histogram[depth] += 1;
+                let kids = doc.element_children(node).count();
+                fanout_sum += kids;
+                internal += usize::from(kids > 0);
+            }
+            NodeKind::Text(_) => stats.text_count += 1,
+            _ => {}
+        }
+    }
+    if internal > 0 {
+        stats.avg_fanout = fanout_sum as f64 / internal as f64;
+    }
+    stats
+}
+
+fn assert_stats_eq(got: &Stats, want: &Stats, case: &str) {
+    assert_eq!(got.element_count, want.element_count, "{case}");
+    assert_eq!(got.text_count, want.text_count, "{case}");
+    assert_eq!(got.attribute_count, want.attribute_count, "{case}");
+    assert_eq!(got.distinct_tags, want.distinct_tags, "{case}");
+    assert_eq!(got.max_depth, want.max_depth, "{case}");
+    assert_eq!(got.depth_histogram, want.depth_histogram, "{case}");
+    assert_eq!(
+        got.avg_fanout.to_bits(),
+        want.avg_fanout.to_bits(),
+        "{case}"
+    );
+}
+
+/// Guide nodes as `(tag, parent)` in the order a depth-first walk over
+/// `(element, guide node)` pairs creates them: the children of the
+/// element popped last-pushed-first, in document order.
+fn dfs_numbering(doc: &Document) -> Vec<(Option<Symbol>, Option<usize>)> {
+    let mut nodes = vec![(None, None)];
+    let mut children: Vec<Vec<(Symbol, usize)>> = vec![Vec::new()];
+    let mut stack = vec![(NodeId::DOCUMENT, 0)];
+    while let Some((node, g)) = stack.pop() {
+        for child in doc.element_children(node) {
+            let tag = doc.tag(child).unwrap();
+            let found = children[g].iter().find(|(t, _)| *t == tag);
+            let gc = match found {
+                Some(&(_, gc)) => gc,
+                None => {
+                    nodes.push((Some(tag), Some(g)));
+                    children.push(Vec::new());
+                    children[g].push((tag, nodes.len() - 1));
+                    nodes.len() - 1
+                }
+            };
+            stack.push((child, gc));
+        }
+    }
+    nodes
+}
+
+/// A load derives what the fresh build of its source holds, node for
+/// node through the preorder renumbering: every tag stream (regions,
+/// parent slots, arena offset), the position map, the DataGuide with its
+/// numbering, each node's guide node and the statistics. The loaded
+/// index also equals a fresh build over the loaded tree, `ids_ascend`
+/// included, and its guide and statistics match their definitions.
+fn assert_derived_alike(fresh: &IndexedDocument, case: &str) {
+    let loaded = decode_sections(encode_sections(fresh)).expect("own sections decode");
+    let (doc, back) = (fresh.document(), loaded.document());
+    // Source id → loaded id: the loader numbers in preorder.
+    let mut map = vec![NodeId::DOCUMENT; doc.node_count()];
+    for (i, node) in doc.all_nodes().enumerate() {
+        map[node.index()] = NodeId::from_index(i);
+    }
+    let (cols, back_cols) = (fresh.columns(), loaded.columns());
+    for (sym, name) in doc.symbols().iter() {
+        let (a, b) = (cols.view(sym), back_cols.view(sym));
+        assert_eq!(a.starts(), b.starts(), "{case}: <{name}> starts");
+        assert_eq!(a.ends(), b.ends(), "{case}: <{name}> ends");
+        assert_eq!(a.levels(), b.levels(), "{case}: <{name}> levels");
+        assert_eq!(a.parent_slots(), b.parent_slots(), "{case}: <{name}>");
+        assert_eq!(a.arena_offset(), b.arena_offset(), "{case}: <{name}>");
+        let mapped: Vec<NodeId> = a.nodes().iter().map(|n| map[n.index()]).collect();
+        assert_eq!(mapped, b.nodes(), "{case}: <{name}> nodes");
+    }
+    for node in doc.all_nodes() {
+        let to = map[node.index()];
+        assert_eq!(cols.position(node), back_cols.position(to), "{case}");
+        assert_eq!(fresh.guide_node(node), loaded.guide_node(to), "{case}");
+    }
+    assert!(
+        back_cols.ids_ascend(),
+        "{case}: a loaded tree is in preorder"
+    );
+    let rebuilt = IndexedDocument::build(back.clone());
+    assert!(back_cols == rebuilt.columns(), "{case}: columns");
+
+    let (guide, back_guide) = (fresh.guide(), loaded.guide());
+    assert_eq!(guide.node_count(), back_guide.node_count(), "{case}");
+    for i in 0..guide.node_count() {
+        let g = GuideNodeId::from_index(i);
+        assert_eq!(guide.tag(g), back_guide.tag(g), "{case}: guide {i}");
+        assert_eq!(guide.parent(g), back_guide.parent(g), "{case}: guide {i}");
+        assert_eq!(guide.count(g), back_guide.count(g), "{case}: guide {i}");
+        assert_eq!(guide.depth(g), back_guide.depth(g), "{case}: guide {i}");
+        assert_eq!(guide.children(g), back_guide.children(g), "{case}");
+        let (a, b) = (guide.specificity(g), back_guide.specificity(g));
+        assert_eq!(a.to_bits(), b.to_bits(), "{case}: guide {i}");
+    }
+    // Its numbering is the depth-first walk's that built guides before
+    // they were derived at load.
+    let numbered = dfs_numbering(back);
+    assert_eq!(numbered.len(), back_guide.node_count(), "{case}");
+    for (i, &(tag, parent)) in numbered.iter().enumerate() {
+        let g = GuideNodeId::from_index(i);
+        assert_eq!(back_guide.tag(g), tag, "{case}: guide {i}");
+        let got = back_guide.parent(g).map(GuideNodeId::index);
+        assert_eq!(got, parent, "{case}: guide {i}");
+    }
+    // The guide by its definition: one node per distinct tag path,
+    // counting the elements on it.
+    let mut per_path = std::collections::HashMap::new();
+    for node in back.all_nodes().filter(|&n| back.is_element(n)) {
+        let g = back_guide.lookup_path(&back.tag_path(node));
+        assert_eq!(g, Some(loaded.guide_node(node)), "{case}: {node:?}");
+        *per_path.entry(g).or_insert(0u64) += 1;
+    }
+    assert_eq!(per_path.len() + 1, back_guide.node_count(), "{case}");
+    for (g, count) in per_path {
+        assert_eq!(back_guide.count(g.unwrap()), count, "{case}");
+    }
+
+    assert_stats_eq(loaded.stats(), fresh.stats(), case);
+    assert_stats_eq(loaded.stats(), &recount(back), case);
+}
+
+#[test]
+fn a_load_derives_what_a_fresh_build_holds() {
+    let mut rng = XorShiftRng::seed_from_u64(0x2012);
+    let mut ids_descend = 0;
+    for case in 0..128 {
+        let root = GenNode::Element {
+            tag: rng.gen_range(0..TAGS.len()),
+            attrs: vec![],
+            children: (0..rng.gen_range(1..6usize))
+                .map(|_| random_node(&mut rng, 5))
+                .collect(),
+        };
+        let mut doc = Document::new();
+        if case % 2 == 0 {
+            build_breadth_first(&mut doc, &root);
+        } else {
+            build(&mut doc, NodeId::DOCUMENT, &root);
+        }
+        let fresh = IndexedDocument::build(doc);
+        ids_descend += usize::from(!fresh.columns().ids_ascend());
+        assert_derived_alike(&fresh, &format!("case {case}"));
+    }
+    assert!(
+        ids_descend > 20,
+        "trees numbered out of order: {ids_descend}"
+    );
+    for ds in lotusx_datagen::Dataset::ALL {
+        assert_derived_alike(
+            &IndexedDocument::build(lotusx_datagen::generate(ds, 1, 7)),
+            ds.name(),
+        );
     }
 }
 

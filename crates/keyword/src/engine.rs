@@ -49,12 +49,15 @@ impl<'a> KeywordEngine<'a> {
         if refs.is_empty() {
             return Vec::new();
         }
+        // The answers come in document order, so one scorer's cursors
+        // only move forward.
+        let mut scorer = score::HitScorer::new(self.idx, &refs);
         let mut hits: Vec<KeywordHit> = self
             .slca(&refs)
             .into_iter()
             .map(|node| KeywordHit {
                 node,
-                score: score::score_hit(self.idx, node, &refs),
+                score: scorer.score(node),
             })
             .collect();
         hits.sort_by(|a, b| {

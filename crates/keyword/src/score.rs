@@ -1,5 +1,6 @@
 //! Scoring of keyword hits: smaller, term-rich subtrees first.
 
+use lotusx_index::value_index::Posting;
 use lotusx_index::IndexedDocument;
 use lotusx_labeling::RegionLabel;
 use lotusx_xml::NodeId;
@@ -9,36 +10,83 @@ use lotusx_xml::NodeId;
 /// Combines (a) keyword weight — the TF-IDF mass of the query keywords
 /// inside the answer subtree — and (b) compactness — smaller answers are
 /// more specific and rank higher (the intuition behind preferring SLCAs
-/// over arbitrary LCAs in the first place).
+/// over arbitrary LCAs in the first place). To score many answers of
+/// one query, use a [`HitScorer`].
 pub fn score_hit(idx: &IndexedDocument, node: NodeId, keywords: &[&str]) -> f64 {
-    let values = idx.values();
-    let n = values.content_element_count().max(1) as f64;
+    HitScorer::new(idx, keywords).score(node)
+}
 
-    let region = idx.region(node);
-    let mut weight = 0.0;
-    for kw in keywords {
-        let postings = values.postings(kw);
-        if postings.is_empty() {
-            continue;
-        }
-        let idf = (1.0 + n / postings.len() as f64).ln();
-        // Occurrences inside the answer subtree: postings are in document
-        // order, so the subtree's are the contiguous run whose region
-        // starts fall inside the answer's region.
-        let from = postings.partition_point(|p| idx.start(p.node) < region.start);
-        let tf: u32 = postings[from..]
+/// The scorer of one query's answers: each keyword's postings and IDF
+/// resolved once, and per keyword a cursor that moves forward through
+/// the postings as answers arrive in document order.
+pub struct HitScorer<'a> {
+    idx: &'a IndexedDocument,
+    /// Per keyword with postings, in query order.
+    terms: Vec<TermCursor<'a>>,
+    /// The region start of the last answer scored.
+    last_start: u32,
+}
+
+struct TermCursor<'a> {
+    postings: &'a [Posting],
+    idf: f64,
+    /// The first posting that starts at or after `last_start`.
+    from: usize,
+}
+
+impl<'a> HitScorer<'a> {
+    /// Resolves `keywords` against `idx`'s postings.
+    pub fn new(idx: &'a IndexedDocument, keywords: &[&str]) -> Self {
+        let values = idx.values();
+        let n = values.content_element_count().max(1) as f64;
+        let terms = keywords
             .iter()
-            .take_while(|p| idx.start(p.node) < region.end)
-            .map(|p| p.tf)
-            .sum();
-        if tf > 0 {
-            weight += (1.0 + f64::from(tf).ln_1p()) * idf;
+            .map(|kw| values.postings(kw))
+            .filter(|postings| !postings.is_empty())
+            .map(|postings| TermCursor {
+                postings,
+                idf: (1.0 + n / postings.len() as f64).ln(),
+                from: 0,
+            })
+            .collect();
+        HitScorer {
+            idx,
+            terms,
+            last_start: 0,
         }
     }
 
-    let subtree_size = f64::from(subtree_size(region));
-    let compactness = 1.0 / (1.0 + subtree_size.ln_1p());
-    weight * compactness
+    /// The score of the answer rooted at element `node`. Answers in
+    /// document order move each cursor forward only; one that starts
+    /// before the last rewinds them.
+    pub fn score(&mut self, node: NodeId) -> f64 {
+        let idx = self.idx;
+        let region = idx.region(node);
+        if region.start < self.last_start {
+            self.terms.iter_mut().for_each(|t| t.from = 0);
+        }
+        self.last_start = region.start;
+        let mut weight = 0.0;
+        for t in &mut self.terms {
+            // Occurrences inside the answer subtree: postings are in
+            // document order, so the subtree's are the contiguous run
+            // whose region starts fall inside the answer's region.
+            let rest = &t.postings[t.from..];
+            t.from += rest.partition_point(|p| idx.start(p.node) < region.start);
+            let tf: u32 = t.postings[t.from..]
+                .iter()
+                .take_while(|p| idx.start(p.node) < region.end)
+                .map(|p| p.tf)
+                .sum();
+            if tf > 0 {
+                weight += (1.0 + f64::from(tf).ln_1p()) * t.idf;
+            }
+        }
+
+        let subtree_size = f64::from(subtree_size(region));
+        let compactness = 1.0 / (1.0 + subtree_size.ln_1p());
+        weight * compactness
+    }
 }
 
 /// Nodes in the subtree `region` labels, the node itself included:

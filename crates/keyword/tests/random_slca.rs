@@ -1,13 +1,14 @@
 //! Randomized tests (seeded, deterministic): the indexed SLCA algorithm
 //! agrees with the bitmask ground truth on random documents and keyword
 //! sets, and the classic set relations (SLCA ⊆ ELCA, anti-chain property)
-//! always hold; hit scoring over posting-list slices equals the full
-//! posting scan it replaced. Ported from proptest to plain seeded loops
+//! always hold; hit scoring over posting-list slices, one scorer per
+//! answer or one per query in either order, equals the full posting
+//! scan it replaced. Ported from proptest to plain seeded loops
 //! so the workspace builds offline.
 
 use lotusx_datagen::rng::XorShiftRng;
 use lotusx_index::IndexedDocument;
-use lotusx_keyword::score::{score_hit, subtree_size};
+use lotusx_keyword::score::{score_hit, subtree_size, HitScorer};
 use lotusx_keyword::{bitmask, indexed};
 use lotusx_xml::{Document, NodeId};
 
@@ -159,12 +160,27 @@ fn slice_scoring_equals_the_posting_scan_bit_for_bit() {
         let (idx, keywords) = random_case(&mut rng);
         // Every element, not just answers: subtrees with no, some and all
         // of the keywords.
+        // One scorer fed in document order (its cursors only move
+        // forward, nested answers included) and one fed backwards (each
+        // answer rewinds them) score as a fresh one per answer does.
         let doc = idx.document();
-        for node in doc.all_nodes().filter(|&n| doc.is_element(n)) {
+        let elements: Vec<NodeId> = doc.all_nodes().filter(|&n| doc.is_element(n)).collect();
+        let (mut forward, mut backward) = (
+            HitScorer::new(&idx, &keywords),
+            HitScorer::new(&idx, &keywords),
+        );
+        for &node in &elements {
             let got = score_hit(&idx, node, &keywords);
             let want = score_hit_by_scan(&idx, node, &keywords);
             assert_eq!(got.to_bits(), want.to_bits(), "case {case}: {node:?}");
+            let got = forward.score(node);
+            assert_eq!(got.to_bits(), want.to_bits(), "case {case}: {node:?}");
             scored += usize::from(got > 0.0);
+        }
+        for &node in elements.iter().rev() {
+            let want = score_hit_by_scan(&idx, node, &keywords);
+            let got = backward.score(node);
+            assert_eq!(got.to_bits(), want.to_bits(), "case {case}: {node:?}");
         }
     }
     assert!(

@@ -416,7 +416,7 @@ one-shot queries:
   query <xpath>      run a query, e.g.  query //book[@year >= 2000]/title
   keyword <terms>    keyword search (ranked smallest covering subtrees)
   snapshot <p.ltsx>  write a full-index snapshot; reopening it (lotusx-cli
-                     <p.ltsx>) cold-boots in milliseconds without a rebuild
+                     <p.ltsx>) cold-boots in milliseconds without parsing XML
                      ('save' is an alias)
 observability:
   profile on|off     toggle metrics recording + per-query profiles

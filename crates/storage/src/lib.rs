@@ -4,11 +4,12 @@
 //! cleaned once can be reopened without re-tokenizing XML.
 //!
 //! One container, [`snapshot`]: a sectioned file where each section
-//! (document, columns, values, tag terms, dataguide, stats) carries
-//! its own FNV-1a checksum, so the entire index set loads via bulk reads
-//! with no re-parsing, re-labeling, or stats re-walks. Section payload
-//! codecs live in `lotusx-index`; this crate owns framing, the version
-//! check, and atomic file writes.
+//! (document, values, tag terms) carries its own FNV-1a checksum. It
+//! stores only what the document tree cannot give back: the loader
+//! rebuilds the tag streams, DataGuide and statistics from the decoded
+//! tree, never re-parsing XML. Section payload codecs live in
+//! `lotusx-index`; this crate owns framing, the version check, and
+//! atomic file writes.
 //!
 //! ```
 //! use lotusx_storage::{read_snapshot, write_snapshot, Section};

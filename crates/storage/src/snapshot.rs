@@ -1,9 +1,9 @@
-//! The sectioned `LTSX` snapshot container, version 6.
+//! The sectioned `LTSX` snapshot container, version 7.
 //!
 //! Layout:
 //!
 //! ```text
-//! magic "LTSX" | version (1 byte, = 6) | varint section count
+//! magic "LTSX" | version (1 byte, = 7) | varint section count
 //! then per section:
 //!   varint section id | varint payload length | u64 LE checksum | payload
 //! ```
@@ -37,30 +37,28 @@ use std::path::Path;
 /// 4 stored completion tries in sections 5 and 8 where 5 has
 /// `TAG_TERMS`; 5 also stored every node's region label in section 2 and
 /// an all-elements stream in `COLUMNS`, neither checked against the
-/// document.)
-pub const SNAPSHOT_VERSION: u8 = 6;
+/// document; 6 also stored the tag streams' regions in section 3, the
+/// DataGuide and the node → guide-node map in section 6 and the corpus
+/// statistics in section 7, all of which the document determines.)
+pub const SNAPSHOT_VERSION: u8 = 7;
 
-/// Section ids of the full-index snapshot.
+/// Section ids of the full-index snapshot: only what the document tree
+/// cannot give back. The tag streams, the DataGuide and the statistics
+/// are derived from the document at load, as at build. (Ids 2, 3, 5, 6,
+/// 7 and 8 are retired; a file that carries one is
+/// [`StorageError::UnknownSection`].)
 pub mod section {
     /// The document tree: symbol table, then kind, parent and payload
     /// columns in preorder.
     pub const DOCUMENT: u64 = 1;
-    /// Struct-of-arrays region columns: the per-tag arenas and stream
-    /// lengths, the one stored copy of every element's region. (Id 2
-    /// held every node's region label again until version 6.)
-    pub const COLUMNS: u64 = 3;
     /// The value index: term postings, exact strings, numeric values.
     pub const VALUES: u64 = 4;
-    /// The DataGuide and the node → guide-node map.
-    pub const GUIDE: u64 = 6;
-    /// Document statistics.
-    pub const STATS: u64 = 7;
     /// Per tag, the `(term rank, count)` pairs of its elements' direct
     /// text: what value completion ranks by.
     pub const TAG_TERMS: u64 = 9;
 
     /// Every id this build understands.
-    pub const KNOWN: &[u64] = &[DOCUMENT, COLUMNS, VALUES, TAG_TERMS, GUIDE, STATS];
+    pub const KNOWN: &[u64] = &[DOCUMENT, VALUES, TAG_TERMS];
 }
 
 /// One framed snapshot section: an id plus its raw payload.
@@ -233,11 +231,11 @@ mod tests {
                 bytes: vec![1, 2, 3, 4, 5],
             },
             Section {
-                id: section::STATS,
+                id: section::TAG_TERMS,
                 bytes: vec![],
             },
             Section {
-                id: section::COLUMNS,
+                id: section::VALUES,
                 bytes: (0..=255).collect(),
             },
         ]
@@ -303,6 +301,11 @@ mod tests {
                 |e| matches!(e, StorageError::UnsupportedVersion(5)),
             ),
             (
+                "version 6",
+                |b| b[4] = 6,
+                |e| matches!(e, StorageError::UnsupportedVersion(6)),
+            ),
+            (
                 "unknown section id",
                 |b| b[6] = 42,
                 |e| matches!(e, StorageError::UnknownSection(42)),
@@ -344,6 +347,21 @@ mod tests {
             match read_snapshot(&bytes[..]) {
                 Ok(_) => panic!("{name}: corrupt snapshot read back successfully"),
                 Err(e) => assert!(check(&e), "{name}: wrong error kind: {e:?}"),
+            }
+        }
+    }
+
+    /// The sections version 6 stored beside the document — the tag
+    /// streams (3), the DataGuide (6) and the statistics (7) — are not
+    /// read past: a file that carries one is refused by its id.
+    #[test]
+    fn retired_derived_sections_are_unknown() {
+        for id in [3u64, 6, 7] {
+            let mut sections = sample_sections();
+            sections[1].id = id;
+            match read_snapshot(&encode(&sections)[..]) {
+                Err(StorageError::UnknownSection(got)) => assert_eq!(got, id),
+                other => panic!("section {id}: {:?}", other.map(|_| ())),
             }
         }
     }

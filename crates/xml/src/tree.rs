@@ -322,6 +322,12 @@ impl Document {
         self.kinds[id.index()] == ELEMENT
     }
 
+    /// True if `id` is a text node. Unlike [`kind`](Self::kind), reads
+    /// no character data.
+    pub fn is_text(&self, id: NodeId) -> bool {
+        self.kinds[id.index()] == TEXT
+    }
+
     /// The interned tag symbol of an element node.
     pub fn tag(&self, id: NodeId) -> Option<Symbol> {
         self.is_element(id)

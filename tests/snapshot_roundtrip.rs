@@ -238,7 +238,7 @@ fn corrupted_snapshots_yield_typed_errors_not_panics() {
     // section is parsed: the good file relabelled (every byte after the
     // version would parse) and a bare header followed by garbage fail
     // alike, naming the version they claimed.
-    for version in [1u8, 2, 3, 4, 5] {
+    for version in [1u8, 2, 3, 4, 5, 6] {
         let mut relabelled = good.clone();
         relabelled[4] = version;
         let bare = [&b"LTSX"[..], &[version, 0xff, 0xff, 0xff]].concat();
@@ -255,292 +255,49 @@ fn corrupted_snapshots_yield_typed_errors_not_panics() {
     }
 }
 
-/// The `COLUMNS` arenas of a saved snapshot, located: `n` elements,
-/// then per tag stream its arena offset and length.
-struct Columns {
-    bytes: Vec<u8>,
-    n: usize,
-    /// Where the `starts` column begins (after the length varint).
-    at: usize,
-    streams: Vec<(usize, usize)>,
-}
-
-impl Columns {
-    fn of(sections: &[lotusx_storage::Section]) -> Self {
-        use lotusx_storage::codec::get_varint;
-        let id = lotusx_storage::snapshot::section::COLUMNS;
-        let bytes = sections.iter().find(|s| s.id == id).unwrap().bytes.clone();
-        let mut pos = 0;
-        let n = get_varint(&bytes, &mut pos).unwrap() as usize;
-        let at = pos;
-        pos += 14 * n;
-        let count = get_varint(&bytes, &mut pos).unwrap();
-        let mut offset = 0;
-        let streams = (0..count)
-            .map(|_| {
-                let len = get_varint(&bytes, &mut pos).unwrap() as usize;
-                offset += len;
-                (offset - len, len)
-            })
-            .collect();
-        Columns {
-            bytes,
-            n,
-            at,
-            streams,
-        }
-    }
-
-    /// Byte offset of entry `i` of the column that begins `column · n`
-    /// bytes into the arenas (starts 0, ends 4, levels 8, nodes 10), its
-    /// entries `width` bytes wide.
-    fn field(&self, column: usize, width: usize, i: usize) -> usize {
-        self.at + column * self.n + width * i
-    }
-
-    fn u32_at(&self, at: usize) -> u32 {
-        u32::from_le_bytes(self.bytes[at..at + 4].try_into().unwrap())
-    }
-
-    fn add(&mut self, at: usize, delta: u8) {
-        self.bytes[at] = self.bytes[at].wrapping_add(delta);
-    }
-
-    fn swap_u32(&mut self, a: usize, b: usize) {
-        for k in 0..4 {
-            self.bytes.swap(a + k, b + k);
-        }
-    }
-}
-
-/// `COLUMNS` is the only stored copy of the regions, so a load proves it
-/// against the document: a snapshot re-framed with fresh checksums
-/// around one changed start, end or level, one region moved whole, two
-/// swapped nodes of one stream, or an element held twice, opens to a
-/// typed error naming what disagrees — never a panic.
+/// A snapshot holds only `DOCUMENT`, `VALUES` and `TAG_TERMS`: a file
+/// that also carries one of the sections version 6 stored beside them —
+/// the tag streams (3), the DataGuide (6), the statistics (7) — is a
+/// typed error naming the id, never read past.
 #[test]
-fn a_region_store_that_disagrees_with_the_document_is_a_typed_error() {
+fn a_file_carrying_a_retired_section_is_a_typed_error() {
     let fresh = LotusX::open(&"@dblp:1:4242".parse::<CorpusSource>().unwrap()).unwrap();
-    let path = Scratch::new("regions.ltsx");
+    let path = Scratch::new("retired.ltsx");
     fresh.save_snapshot(&path.0).unwrap();
     let sections = lotusx_storage::read_snapshot_file(&path.0).unwrap();
-    let columns = Columns::of(&sections);
-    // A stream of several elements, and an element of another stream.
-    let &(first, len) = columns.streams.iter().find(|(_, len)| *len > 2).unwrap();
-    let other = columns
-        .streams
-        .iter()
-        .find(|(o, l)| *l > 0 && *o != first)
-        .unwrap()
-        .0;
-    let i = first + len / 2;
-    type Tamper = Box<dyn Fn(&mut Columns)>;
-    let cases: Vec<(&str, Tamper, &str)> = vec![
-        (
-            "one start",
-            Box::new(move |c| c.add(c.field(0, 4, i), 2)),
-            "column region disagrees with the document",
-        ),
-        (
-            "one end",
-            Box::new(move |c| c.add(c.field(4, 4, i), 2)),
-            "column region disagrees with the document",
-        ),
-        (
-            "one region shifted, its size kept",
-            Box::new(move |c| {
-                c.add(c.field(0, 4, i), 2);
-                c.add(c.field(4, 4, i), 2);
-            }),
-            "column region disagrees with the document",
-        ),
-        (
-            "one level",
-            Box::new(move |c| c.add(c.field(8, 2, i), 1)),
-            "column region disagrees with the document",
-        ),
-        (
-            "two nodes of one stream swapped",
-            Box::new(move |c| c.swap_u32(c.field(10, 4, i), c.field(10, 4, i + 1))),
-            "tag stream not in document order",
-        ),
-        (
-            "an element in two streams",
-            Box::new(move |c| {
-                let node = c.u32_at(c.field(10, 4, other));
-                let at = c.field(10, 4, i);
-                c.bytes[at..at + 4].copy_from_slice(&node.to_le_bytes());
-            }),
-            "element in two tag streams",
-        ),
-    ];
-    let tampered = Scratch::new("regions-tampered.ltsx");
-    for (name, tamper, error) in cases {
-        let mut c = Columns::of(&sections);
-        tamper(&mut c);
+    let ids: Vec<u64> = sections.iter().map(|s| s.id).collect();
+    assert_eq!(ids, lotusx_storage::snapshot::section::KNOWN);
+    let tampered = Scratch::new("retired-tampered.ltsx");
+    for id in [3u64, 6, 7] {
         let mut bad = sections.clone();
-        let id = lotusx_storage::snapshot::section::COLUMNS;
-        bad.iter_mut().find(|s| s.id == id).unwrap().bytes = c.bytes;
+        bad.push(lotusx_storage::Section { id, bytes: vec![0] });
         lotusx_storage::write_snapshot_file(&tampered.0, &bad).unwrap();
         match LotusX::open_snapshot(&tampered.0) {
-            Err(LotusError::Storage(StorageError::Corrupt(what))) => {
-                assert_eq!(what, error, "{name}")
-            }
-            Err(other) => panic!("{name}: wrong error kind: {other}"),
-            Ok(_) => panic!("{name}: the tampered snapshot opened"),
+            Err(LotusError::Storage(StorageError::UnknownSection(got))) => assert_eq!(got, id),
+            Err(other) => panic!("section {id}: wrong error kind: {other}"),
+            Ok(_) => panic!("section {id}: the snapshot opened"),
         }
     }
 }
 
-/// The `GUIDE` section of a saved snapshot, parsed: per guide node its
-/// stored fields (tag and parent shifted by one, as written), then the
-/// node → guide-node map in canonical node order.
-struct Guide {
-    nodes: Vec<GuideEntry>,
-    map: Vec<u32>,
-}
-
-struct GuideEntry {
-    tag: u64,
-    parent: u64,
-    children: Vec<(u64, u64)>,
-    count: u64,
-    depth: u64,
-}
-
-impl Guide {
-    fn of(sections: &[lotusx_storage::Section]) -> Self {
-        use lotusx_storage::codec::get_varint;
-        let id = lotusx_storage::snapshot::section::GUIDE;
-        let bytes = &sections.iter().find(|s| s.id == id).unwrap().bytes;
-        let pos = &mut 0;
-        let mut varint = || get_varint(bytes, pos).unwrap();
-        let nodes = (0..varint())
-            .map(|_| {
-                let (tag, parent) = (varint(), varint());
-                let children = (0..varint()).map(|_| (varint(), varint())).collect();
-                let (count, depth) = (varint(), varint());
-                GuideEntry {
-                    tag,
-                    parent,
-                    children,
-                    count,
-                    depth,
-                }
-            })
-            .collect();
-        let map = bytes[*pos..]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        Guide { nodes, map }
-    }
-
-    fn bytes(&self) -> Vec<u8> {
-        use lotusx_storage::codec::put_varint;
-        let mut out = Vec::new();
-        put_varint(&mut out, self.nodes.len() as u64);
-        for n in &self.nodes {
-            put_varint(&mut out, n.tag);
-            put_varint(&mut out, n.parent);
-            put_varint(&mut out, n.children.len() as u64);
-            for &(tag, child) in &n.children {
-                put_varint(&mut out, tag);
-                put_varint(&mut out, child);
-            }
-            put_varint(&mut out, n.count);
-            put_varint(&mut out, n.depth);
-        }
-        for &g in &self.map {
-            out.extend_from_slice(&g.to_le_bytes());
-        }
-        out
-    }
-}
-
-/// The DataGuide and the node → guide-node map are stored, so a load
-/// proves them against the document: a snapshot re-framed with fresh
-/// checksums around `<article><title>` mapped to the `book/title` guide
-/// node (same tag, other path — it would rank `//title` by the wrong
-/// path's specificity), one changed count, one changed depth, or one
-/// child entry pointed at another node, opens to a typed error naming
-/// what disagrees.
+/// The statistics are derived from the loaded tree, so no stored count
+/// can disagree with it: `//*` on a five-element corpus answers 5 and
+/// `//bib//*` 4, fresh and loaded alike.
 #[test]
-fn a_guide_that_disagrees_with_the_document_is_a_typed_error() {
-    let fresh = LotusX::load_str(
-        "<bib><book><title>a</title></book><book><title>b</title></book>\
-         <article><title>c</title></article></bib>",
-    )
-    .unwrap();
-    let path = Scratch::new("guide.ltsx");
+fn a_loaded_wildcard_counts_every_element() {
+    let fresh =
+        LotusX::load_str("<bib><book><title>a</title><author>b</author></book><article/></bib>")
+            .unwrap();
+    let path = Scratch::new("wildcard.ltsx");
     fresh.save_snapshot(&path.0).unwrap();
-    let sections = lotusx_storage::read_snapshot_file(&path.0).unwrap();
-    let (doc, guide) = (fresh.index().document(), fresh.index().guide());
-    let sym = |name: &str| doc.symbols().get(name).unwrap();
-    let path_of = |tags: &[&str]| {
-        let tags: Vec<_> = tags.iter().map(|&t| sym(t)).collect();
-        guide.lookup_path(&tags).unwrap().index()
-    };
-    let book_title = path_of(&["bib", "book", "title"]);
-    let article = path_of(&["bib", "article"]);
-    let bib = path_of(&["bib"]);
-    // `<article><title>` in canonical (preorder) node order.
-    let article_title = doc
-        .all_nodes()
-        .position(|n| {
-            doc.tag(n) == Some(sym("title"))
-                && doc.parent(n).and_then(|p| doc.tag(p)) == Some(sym("article"))
-        })
-        .unwrap();
-    type Tamper = Box<dyn Fn(&mut Guide)>;
-    let cases: Vec<(&str, Tamper, &str)> = vec![
-        (
-            "a map entry on another path of the same tag",
-            Box::new(move |g| g.map[article_title] = book_title as u32),
-            "guide node under another parent than its element's",
-        ),
-        (
-            "one count",
-            Box::new(move |g| g.nodes[article].count += 1),
-            "guide count disagrees with its elements",
-        ),
-        (
-            "one depth",
-            Box::new(move |g| g.nodes[article].depth += 1),
-            "guide depth disagrees with its parent's",
-        ),
-        (
-            "one child entry pointed at another node",
-            Box::new(move |g| {
-                let entry = (g.nodes[bib].children.iter_mut())
-                    .find(|(_, child)| *child == article as u64)
-                    .unwrap();
-                entry.1 = book_title as u64;
-            }),
-            "guide child entry disagrees with its node",
-        ),
-    ];
-    let tampered = Scratch::new("guide-tampered.ltsx");
-    for (name, tamper, error) in cases {
-        let mut g = Guide::of(&sections);
-        tamper(&mut g);
-        let mut bad = sections.clone();
-        let id = lotusx_storage::snapshot::section::GUIDE;
-        bad.iter_mut().find(|s| s.id == id).unwrap().bytes = g.bytes();
-        lotusx_storage::write_snapshot_file(&tampered.0, &bad).unwrap();
-        match LotusX::open_snapshot(&tampered.0) {
-            Err(LotusError::Storage(StorageError::Corrupt(what))) => {
-                assert_eq!(what, error, "{name}")
-            }
-            Err(other) => panic!("{name}: wrong error kind: {other}"),
-            Ok(_) => panic!("{name}: the tampered snapshot opened"),
+    let loaded = LotusX::open_snapshot(&path.0).unwrap();
+    for system in [&fresh, &loaded] {
+        assert_eq!(system.index().stats().element_count, 5);
+        for (q, want) in [("//*", 5), ("//bib//*", 4)] {
+            let response = system.query(&QueryRequest::twig(q)).unwrap();
+            assert_eq!(response.total_matches, want, "{q}");
         }
     }
-    // The parse and re-encode alone change nothing.
-    let mut same = sections.clone();
-    let id = lotusx_storage::snapshot::section::GUIDE;
-    same.iter_mut().find(|s| s.id == id).unwrap().bytes = Guide::of(&sections).bytes();
-    assert_eq!(same, sections);
 }
 
 #[test]
