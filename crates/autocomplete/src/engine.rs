@@ -195,10 +195,21 @@ impl<'a> CompletionEngine<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::context::ContextStep;
     use lotusx_twig::Axis;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The stage histograms are process-global, and switching metrics on
+    /// records every thread's keystrokes: every test of this crate that
+    /// completes holds this lock, so the one that counts keystrokes
+    /// counts only its own.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    pub(crate) fn serial() -> MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn idx() -> IndexedDocument {
         IndexedDocument::from_str(
@@ -213,6 +224,7 @@ mod tests {
 
     #[test]
     fn unconstrained_is_global_completion() {
+        let _serial = serial();
         let idx = idx();
         let e = CompletionEngine::new(&idx);
         let ctx = PositionContext::unconstrained();
@@ -224,6 +236,7 @@ mod tests {
 
     #[test]
     fn position_filters_candidates() {
+        let _serial = serial();
         let idx = idx();
         let e = CompletionEngine::new(&idx);
         // Inside //bib/book, "j..." (journal) must NOT be offered.
@@ -239,6 +252,7 @@ mod tests {
 
     #[test]
     fn position_counts_are_per_position_not_global() {
+        let _serial = serial();
         let idx = idx();
         let e = CompletionEngine::new(&idx);
         let ctx = PositionContext::from_tag_path(&["bib", "book"], Axis::Child);
@@ -251,6 +265,7 @@ mod tests {
 
     #[test]
     fn descendant_axis_widens_candidates() {
+        let _serial = serial();
         let idx = idx();
         let e = CompletionEngine::new(&idx);
         let ctx = PositionContext::from_tag_path(&["bib"], Axis::Descendant);
@@ -266,6 +281,7 @@ mod tests {
 
     #[test]
     fn wildcard_steps_match_any_tag() {
+        let _serial = serial();
         let idx = idx();
         let e = CompletionEngine::new(&idx);
         let ctx = PositionContext {
@@ -293,6 +309,7 @@ mod tests {
 
     #[test]
     fn unknown_context_tag_gives_no_candidates() {
+        let _serial = serial();
         let idx = idx();
         let e = CompletionEngine::new(&idx);
         let ctx = PositionContext::from_tag_path(&["nosuch"], Axis::Child);
@@ -301,6 +318,7 @@ mod tests {
 
     #[test]
     fn k_limits_results() {
+        let _serial = serial();
         let idx = idx();
         let e = CompletionEngine::new(&idx);
         let ctx = PositionContext::from_tag_path(&["bib", "book"], Axis::Child);
@@ -309,6 +327,7 @@ mod tests {
 
     #[test]
     fn nested_anchors_do_not_double_count_descendants() {
+        let _serial = serial();
         // //a anchors at both the outer and the inner <a>; the inner
         // anchor's subtree is contained in the outer's. Each <b> must be
         // counted once: the document has exactly two.
@@ -322,6 +341,7 @@ mod tests {
 
     #[test]
     fn keystrokes_charge_the_nodes_they_read() {
+        let _serial = serial();
         let idx = idx();
         let e = CompletionEngine::new(&idx);
         let generous =
@@ -340,6 +360,7 @@ mod tests {
 
     #[test]
     fn a_starved_value_keystroke_trips_its_guard() {
+        let _serial = serial();
         let idx = idx();
         let e = CompletionEngine::new(&idx);
         let starved = QueryGuard::new(&lotusx_guard::Budget::unlimited().with_node_quota(1));
@@ -352,6 +373,7 @@ mod tests {
 
     #[test]
     fn keystroke_latency_lands_in_the_global_histograms() {
+        let _serial = serial();
         let idx = idx();
         let e = CompletionEngine::new(&idx);
         let ctx = PositionContext::from_tag_path(&["bib", "book"], Axis::Child);

@@ -120,6 +120,7 @@ mod tests {
 
     #[test]
     fn keystrokes_narrow_candidates() {
+        let _serial = crate::engine::tests::serial();
         let idx = idx();
         let engine = CompletionEngine::new(&idx);
         let ctx = PositionContext::from_tag_path(&["bib", "article"], Axis::Child);
@@ -136,6 +137,7 @@ mod tests {
 
     #[test]
     fn backspace_widens_again() {
+        let _serial = crate::engine::tests::serial();
         let idx = idx();
         let engine = CompletionEngine::new(&idx);
         let ctx = PositionContext::from_tag_path(&["bib", "article"], Axis::Child);
@@ -150,6 +152,7 @@ mod tests {
 
     #[test]
     fn global_state_narrows_every_tag() {
+        let _serial = crate::engine::tests::serial();
         let idx = idx();
         let engine = CompletionEngine::new(&idx);
         let mut s = CompletionState::new(&engine, PositionContext::unconstrained(), 2);
@@ -159,6 +162,7 @@ mod tests {
 
     #[test]
     fn state_matches_fresh_queries_at_every_prefix() {
+        let _serial = crate::engine::tests::serial();
         let idx = idx();
         let engine = CompletionEngine::new(&idx);
         let ctx = PositionContext::from_tag_path(&["bib", "book"], Axis::Child);
@@ -173,6 +177,7 @@ mod tests {
 
     #[test]
     fn dead_prefix_yields_empty_and_recovers() {
+        let _serial = crate::engine::tests::serial();
         let idx = idx();
         let engine = CompletionEngine::new(&idx);
         let ctx = PositionContext::from_tag_path(&["bib", "book"], Axis::Child);
@@ -184,6 +189,7 @@ mod tests {
 
     #[test]
     fn state_refocuses_only_when_the_context_changes() {
+        let _serial = crate::engine::tests::serial();
         let idx = idx();
         let engine = CompletionEngine::new(&idx);
         let book = PositionContext::from_tag_path(&["bib", "book"], Axis::Child);

@@ -15,8 +15,8 @@
 //! three sections a snapshot stores — and
 //! what the document tree holds resident once loaded: its columns and
 //! arenas per node (`Document::size_bytes`), and what the index holds
-//! per element to place it: the tag-stream columns, their parent slots
-//! and the per-node position map (`TagColumns::size_bytes`).
+//! per element to place it: the tag-stream columns and their parent
+//! slots (`TagColumns::size_bytes`).
 //!
 //! ```sh
 //! cargo run --release -p lotusx-bench --bin snapshot-bench            # full sweep, writes BENCH_snapshot.json
@@ -51,8 +51,11 @@ use lotusx_xml::{Document, NodeKind};
 use std::time::Duration;
 
 /// Resident bytes a document may spend per node beyond its character
-/// data: 25 for the node columns, the rest for attribute entries.
-const DOCUMENT_BYTES_PER_NODE: usize = 32;
+/// data: 17 for the node columns (kind, parent, subtree end, payload),
+/// the rest for attribute entries. The preorder-only document reads
+/// 17.0 on treebank, 18.5 on dblp and 20.9 on xmark (E36); the 25-byte
+/// columns with sibling links it replaced read 25–29.
+const DOCUMENT_BYTES_PER_NODE: usize = 22;
 
 /// Resident bytes the value index may hold per element: its key arenas,
 /// lists and offset columns, and the numeric index, by capacity. The
@@ -61,12 +64,11 @@ const DOCUMENT_BYTES_PER_NODE: usize = 32;
 /// much.
 const VALUE_INDEX_BYTES_PER_ELEMENT: f64 = 45.0;
 
-/// Resident bytes the loaded tag-stream columns, parent slots and
-/// position map may hold per element. One copy of the regions reads
-/// ≈ 25 on dblp (18 B of columns and slots plus a 4 B position for each
-/// of ≈ 1.9 nodes per element); a per-node label store beside it read
-/// ≈ 54.
-const POSITIONS_BYTES_PER_ELEMENT: f64 = 30.0;
+/// Resident bytes the loaded tag-stream columns and parent slots may
+/// hold per element: node, subtree end, level and parent slot read 14.0
+/// on every dataset (E36). Region starts and a per-node position map
+/// beside them read ≈ 25 on dblp, a per-node label store ≈ 54.
+const POSITIONS_BYTES_PER_ELEMENT: f64 = 16.0;
 
 /// The corpus's own character data: every text, comment and PI byte and
 /// every attribute value byte.
@@ -269,8 +271,8 @@ struct Row {
     /// Whether the built and the loaded value index both stayed within
     /// [`VALUE_INDEX_BYTES_PER_ELEMENT`].
     value_index_within_budget: bool,
-    /// The loaded tag-stream columns, parent slots and position map per
-    /// element, before any `*` query gathers the all-elements stream.
+    /// The loaded tag-stream columns and parent slots per element,
+    /// before any `*` query gathers the all-elements stream.
     positions_bytes_per_element: f64,
     build_ms: f64,
     save_ms: f64,

@@ -8,7 +8,7 @@
 
 use crate::rng::XorShiftRng;
 use crate::words::{zipf_words, Zipf, NAMES, WORDS};
-use lotusx_xml::{Document, NodeId};
+use lotusx_xml::{Document, DocumentBuilder, NodeId};
 
 /// People generated per unit of scale.
 pub const PEOPLE_PER_SCALE: u32 = 120;
@@ -23,7 +23,9 @@ const REGIONS: [&str; 5] = ["africa", "asia", "europe", "namerica", "samerica"];
 pub fn generate(scale: u32, seed: u64) -> Document {
     let mut rng = XorShiftRng::seed_from_u64(seed);
     let word_zipf = Zipf::new(WORDS.len(), 1.0);
-    let mut doc = Document::new();
+    // Items join regions created lazily, out of document order: the
+    // builder renumbers the tree into preorder at the end.
+    let mut doc = DocumentBuilder::new();
     let site = doc.append_element(NodeId::DOCUMENT, "site");
 
     // Regions with items.
@@ -146,7 +148,7 @@ pub fn generate(scale: u32, seed: u64) -> Document {
         }
     }
 
-    doc
+    doc.finish()
 }
 
 #[cfg(test)]

@@ -9,9 +9,10 @@ use lotusx_labeling::RegionLabel;
 use lotusx_xml::{Document, NodeId, NodeKind, Symbol};
 
 /// A document together with all its indexes — the unit LotusX loads and
-/// queries. Each fact is held once: an element's region label only in its
-/// tag stream in `columns`, which [`region`](Self::region) reads through
-/// the per-node position map.
+/// queries. Each fact is held once: node ids are the preorder, so an
+/// element's region label is arithmetic on its id, its subtree end (the
+/// document's) and its level (its guide node's depth), and stored
+/// nowhere ([`region`](Self::region)).
 ///
 /// ```
 /// use lotusx_index::IndexedDocument;
@@ -48,7 +49,9 @@ impl IndexedDocument {
     /// the DataGuide, the statistics and the tag streams.
     pub fn build(doc: Document) -> Self {
         let mut values = ValueIndexBuilder::default();
-        for node in doc.all_nodes() {
+        // The kind byte first: `kind` would slice a text node's
+        // characters only for the walk to discard them.
+        for node in doc.all_nodes().filter(|&n| doc.is_element(n)) {
             let NodeKind::Element { name, attributes } = doc.kind(node) else {
                 continue;
             };
@@ -68,8 +71,8 @@ impl IndexedDocument {
     /// One depth-first walk over the elements builds the guide, the
     /// node → guide-node map, the per-tag element counts and the
     /// statistics (the depth histogram is read off the guide: an
-    /// element's depth is its guide node's); then one enter/exit walk
-    /// labels every element straight into its tag stream
+    /// element's depth is its guide node's); then one pass over the node
+    /// ids writes every element straight into its tag stream
     /// ([`TagColumns::build`]).
     pub(crate) fn assemble(doc: Document, values: ValueIndex, term_counts: TermCounts) -> Self {
         let mut guide = GuideBuilder::new();
@@ -142,22 +145,29 @@ impl IndexedDocument {
         &self.doc
     }
 
-    /// The region label of element `node`, read from its tag stream
-    /// through the position map. Panics when `node` is no element.
+    /// The region label of element `node`: the enter/exit numbering
+    /// `DocumentLabels` assigns, as arithmetic. Before an element's
+    /// enter come the enters of the `id` nodes before it and the exits
+    /// of all of those but its `level` ancestors (the document
+    /// included); before its exit come the enters up to its subtree end
+    /// `e` and the exits of everything up to `e` that is not its proper
+    /// ancestor. So `start = 2·id − level + 1` and
+    /// `end = 2·e − level + 2`. Meaningful for elements only.
     pub fn region(&self, node: NodeId) -> RegionLabel {
-        self.columns.region(node)
+        let level = self.level(node);
+        let end = 2 * self.doc.subtree_end(node).index() as u32 - u32::from(level) + 2;
+        RegionLabel::new(self.start(node), end, level)
     }
 
-    /// The region start of element `node`: its document-order key, one
-    /// column read. Panics when `node` is no element.
+    /// The region start of element `node`: `2·id − level + 1`.
     pub fn start(&self, node: NodeId) -> u32 {
-        self.columns.start(node)
+        2 * node.index() as u32 - u32::from(self.level(node)) + 1
     }
 
-    /// The level (depth) of element `node`: the root element's is 1.
-    /// Panics when `node` is no element.
+    /// The level (depth) of element `node`: its guide node's depth, the
+    /// root element's 1. Meaningful for elements only.
     pub fn level(&self, node: NodeId) -> u16 {
-        self.columns.level(node)
+        self.guide.depth(self.guide_of[node.index()])
     }
 
     /// The per-tag element streams, in columnar (struct-of-arrays) form.
@@ -225,9 +235,22 @@ mod tests {
     fn tag_streams_are_document_ordered() {
         let idx = idx();
         let title = idx.document().symbols().get("title").unwrap();
-        let starts = idx.columns().view(title).starts();
-        assert_eq!(starts.len(), 3);
-        assert!(starts.windows(2).all(|w| w[0] < w[1]));
+        let nodes = idx.columns().view(title).nodes();
+        assert_eq!(nodes.len(), 3);
+        assert!(nodes.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// The arithmetic regions equal the enter/exit numbering.
+    #[test]
+    fn regions_are_the_labeling() {
+        let idx = idx();
+        let labels = lotusx_labeling::DocumentLabels::compute(idx.document());
+        for node in idx.document().all_nodes() {
+            if idx.document().is_element(node) {
+                assert_eq!(idx.region(node), labels.region(node), "{node:?}");
+                assert_eq!(idx.start(node), labels.region(node).start);
+            }
+        }
     }
 
     #[test]

@@ -16,15 +16,11 @@
 //! inside the stored sections: the document-frequency list and the count
 //! lists' block maxima are derived from `VALUES` and `TAG_TERMS`.
 //!
-//! ## Node-id canonicalization
+//! ## Node ids
 //!
-//! `VALUES` embeds [`NodeId`]s. The document section decoder assigns ids
-//! in strict preorder, but the *source* document's ids need not be
-//! preorder-dense (e.g. after text coalescing). Encoding therefore
-//! remaps every stored node id through the canonical preorder numbering
-//! of the document walk, so decoded sections always agree with the
-//! decoded tree. For documents built by the parser the map is the
-//! identity.
+//! `VALUES` embeds [`NodeId`]s. A document's ids are its preorder, and
+//! the document section decoder appends the nodes in that order, so the
+//! ids a snapshot stores are the ids the loaded tree has.
 //!
 //! ## Determinism
 //!
@@ -36,26 +32,17 @@
 use crate::builder::IndexedDocument;
 use crate::term_counts::TermCounts;
 use crate::value_index::ValueIndex;
-use crate::wire::{corrupt, get_str, put_string, put_u32_slice};
+use crate::wire::{corrupt, get_str, put_string};
 use crate::wire::{put_varint, rd_len, StorageError};
 use lotusx_storage::snapshot::{section, Section};
 use lotusx_xml::{Document, NodeId, NodeKind, Symbol};
 
 /// Serializes the entire index set into snapshot sections.
 pub fn encode_sections(idx: &IndexedDocument) -> Vec<Section> {
-    let doc = idx.document();
-    // The canonical node order: preorder from the document root, the
-    // order the document-section decoder re-creates nodes in.
-    let order: Vec<NodeId> = doc.all_nodes().collect();
-    let mut node_map = vec![u32::MAX; doc.node_count()];
-    for (new_id, old) in order.iter().enumerate() {
-        node_map[old.index()] = new_id as u32;
-    }
-
     let mut document = Vec::new();
-    encode_document(doc, &order, &node_map, &mut document);
+    encode_document(idx.document(), &mut document);
     let mut values = Vec::new();
-    idx.values().encode(&node_map, &mut values);
+    idx.values().encode(&mut values);
     let mut tag_terms = Vec::new();
     idx.term_counts().encode(&mut tag_terms);
 
@@ -120,21 +107,24 @@ fn ensure_consumed(bytes: &[u8], pos: usize, _what: &'static str) -> Result<(), 
     Ok(())
 }
 
-/// `DOCUMENT`: the symbol table in exact insertion order, then a kind
-/// column, a parent column, and the per-node payload stream — all in
-/// canonical preorder. Symbols load with their original dense indexes
-/// (which every other section's symbol references rely on), never
-/// re-interned per node; sibling links are rebuilt in one forward pass
-/// and every string payload is appended to the document's arena.
-fn encode_document(doc: &Document, order: &[NodeId], node_map: &[u32], out: &mut Vec<u8>) {
+/// `DOCUMENT`: the symbol table in exact insertion order, then the node
+/// count, a kind column, and per node after the document root its
+/// *close count* — how many open elements end before it, a depth delta,
+/// one varint byte below 128 — followed by its payload, all in
+/// preorder. Preorder and the close counts determine the tree: a node's
+/// parent is the innermost element still open once its close count is
+/// taken. Symbols load with their original dense indexes (which every
+/// other section's symbol references rely on), never re-interned per
+/// node, and every string payload is appended to the document's arena.
+fn encode_document(doc: &Document, out: &mut Vec<u8>) {
     let symbols = doc.symbols();
     put_varint(out, symbols.len() as u64);
     for (_, name) in symbols.iter() {
         put_string(out, name);
     }
-    put_varint(out, order.len() as u64);
-    for &old in order {
-        out.push(match doc.kind(old) {
+    put_varint(out, doc.node_count() as u64);
+    for node in doc.all_nodes() {
+        out.push(match doc.kind(node) {
             NodeKind::Document => 0,
             NodeKind::Element { .. } => 1,
             NodeKind::Text(_) => 2,
@@ -142,21 +132,16 @@ fn encode_document(doc: &Document, order: &[NodeId], node_map: &[u32], out: &mut
             NodeKind::Pi { .. } => 4,
         });
     }
-    // The parent column as raw u32s (0 = no parent, the root alone; else
-    // new preorder id + 1) — a bulk read on load.
-    let parents: Vec<u32> = order
-        .iter()
-        .map(|&old| {
-            doc.parent(old)
-                .map(|p| node_map[p.index()] + 1)
-                .unwrap_or(0)
-        })
-        .collect();
-    put_u32_slice(out, &parents);
-    for &old in order {
-        match doc.kind(old) {
+    // The subtree ends of the open elements, outermost first.
+    let mut open: Vec<NodeId> = Vec::new();
+    for node in doc.all_nodes().skip(1) {
+        let still_open = open.iter().take_while(|&&end| end >= node).count();
+        put_varint(out, (open.len() - still_open) as u64);
+        open.truncate(still_open);
+        match doc.kind(node) {
             NodeKind::Document => {}
             NodeKind::Element { name, attributes } => {
+                open.push(doc.subtree_end(node));
                 put_varint(out, name.index() as u64);
                 put_varint(out, attributes.len() as u64);
                 for (sym, value) in attributes {
@@ -196,15 +181,6 @@ fn decode_document(bytes: &[u8]) -> Result<Document, StorageError> {
     if kinds[0] != 0 {
         return Err(corrupt("first node must be the document root"));
     }
-    let end = n
-        .checked_mul(4)
-        .and_then(|len| pos.checked_add(len))
-        .filter(|&e| e <= bytes.len())
-        .ok_or(corrupt("parent column"))?;
-    let parents = bytes[*pos..end]
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")));
-    *pos = end;
 
     // Every string payload is a slice of what is left of this section,
     // so its length bounds the arena.
@@ -223,61 +199,47 @@ fn decode_document(bytes: &[u8]) -> Result<Document, StorageError> {
         Ok(Symbol::from_index(v))
     };
     let rd_str = |bytes, pos: &mut usize, what| get_str(bytes, pos).ok_or(corrupt(what));
-    // The document and the elements entered and not yet left, outermost
-    // first. Each node's parent must be on it: then the ids are the
-    // preorder, only the document and elements hold children (what the
-    // derivations walk), and its length is the level an element gets.
-    let mut open = vec![0u32];
-    for (i, (&kind, parent)) in kinds.iter().zip(parents).enumerate() {
-        if i == 0 {
-            if parent != 0 {
-                return Err(corrupt("document root with a parent"));
-            }
-            continue;
-        }
-        // The parent column holds preorder id + 1: every parent precedes
-        // its children, so a single forward pass rebuilds the sibling
-        // links acyclically.
-        if parent == 0 || parent as usize > i {
-            return Err(corrupt("parent id out of preorder range"));
-        }
-        let parent = parent - 1;
-        while open.last().is_some_and(|&o| o != parent) {
-            open.pop();
-        }
-        if open.is_empty() {
+    // The document and the open elements, outermost first: a node's
+    // parent is the last once its close count is taken, so only the
+    // document and elements hold children, and an element's level is
+    // the stack's length when it is pushed.
+    let mut open = vec![NodeId::DOCUMENT];
+    for &kind in &kinds[1..] {
+        let closes = rd_len(bytes, pos, "close count")?;
+        if closes >= open.len() {
             return Err(corrupt("parent not open in preorder"));
         }
-        if kind == 1 {
-            if open.len() > usize::from(u16::MAX) {
-                return Err(corrupt("elements nested past u16 levels"));
-            }
-            open.push(i as u32);
-        }
-        let id = match kind {
+        open.truncate(open.len() - closes);
+        let parent = *open.last().expect("the document stays open");
+        match kind {
             1 => {
+                if open.len() > usize::from(u16::MAX) {
+                    return Err(corrupt("elements nested past u16 levels"));
+                }
                 let name = rd_sym(bytes, pos, "element tag symbol")?;
                 let attr_count = rd_len(bytes, pos, "attribute count")?;
                 if attr_count > bytes.len() {
                     return Err(corrupt("attribute count"));
                 }
-                let id = doc.new_element_interned(name);
+                let id = doc.append_element_interned(parent, name);
                 for _ in 0..attr_count {
                     let sym = rd_sym(bytes, pos, "attribute name symbol")?;
                     doc.append_attribute(id, sym, rd_str(bytes, pos, "attribute value")?);
                 }
-                id
+                open.push(id);
             }
-            2 => doc.new_text(rd_str(bytes, pos, "text payload")?),
-            3 => doc.new_comment(rd_str(bytes, pos, "comment payload")?),
+            2 => {
+                doc.append_text(parent, rd_str(bytes, pos, "text payload")?);
+            }
+            3 => {
+                doc.append_comment(parent, rd_str(bytes, pos, "comment payload")?);
+            }
             4 => {
                 let target = rd_str(bytes, pos, "pi target")?;
-                doc.new_pi(target, rd_str(bytes, pos, "pi data")?)
+                doc.append_pi(parent, target, rd_str(bytes, pos, "pi data")?);
             }
             _ => return Err(corrupt("unknown node kind")),
-        };
-        debug_assert_eq!(id.index(), i);
-        doc.append_child(NodeId::from_index(parent as usize), id);
+        }
     }
     ensure_consumed(bytes, *pos, "document")?;
     doc.shrink_to_fit();
@@ -410,31 +372,67 @@ mod tests {
         assert_eq!(decode_error(exact), "value-index exact keys not increasing");
     }
 
-    /// The derivations walk elements under elements in preorder, so the
-    /// document decoder admits nothing else: a node whose parent is a
-    /// text node, or a node whose parent was already left in preorder,
-    /// is a typed error.
+    /// A node's parent is the innermost element still open once its
+    /// close count is taken, so the document decoder admits nothing the
+    /// derivations cannot walk: a close count past the open elements
+    /// (the document included) is a typed error, and a text never holds
+    /// children, whatever the counts say.
     #[test]
-    fn a_document_out_of_preorder_or_under_text_is_a_typed_error() {
+    fn close_counts_past_the_open_elements_are_typed_errors() {
         let idx = IndexedDocument::from_str("<a><b>t</b><c/><d/></a>").unwrap();
         // Nodes 0 document, 1 <a>, 2 <b>, 3 "t", 4 <c>, 5 <d>; the
-        // parent column holds each parent's id + 1.
-        fn column(ids: &[u32]) -> Vec<u8> {
-            ids.iter().flat_map(|p| p.to_le_bytes()).collect()
-        }
-        let stored = column(&[0, 1, 2, 3, 2, 2]);
-        let parent_of_d = |parent: u32| {
+        // section ends with the close count, tag symbol and attribute
+        // count of <c>, then of <d>.
+        let with_closes = |c: u8, d: u8| {
             let mut sections = encode_sections(&idx);
             let doc = &mut sections[0].bytes;
-            let at = doc.windows(stored.len()).position(|w| w == stored).unwrap();
-            doc[at + 20..at + 24].copy_from_slice(&(parent + 1).to_le_bytes());
+            let n = doc.len();
+            assert_eq!(doc[n - 6..], [1, 2, 0, 1, 3, 0]);
+            (doc[n - 6], doc[n - 3]) = (c, d);
             sections
         };
-        assert!(decode_sections(parent_of_d(4)).is_ok(), "<d> under <c>");
-        for (parent, what) in [(3, "the text"), (2, "<b>, already left")] {
-            let error = decode_error(parent_of_d(parent));
-            assert_eq!(error, "parent not open in preorder", "<d> under {what}");
+        let parent_of = |sections: Vec<Section>, node: usize| {
+            let back = decode_sections(sections).unwrap();
+            let parent = back.document().parent(NodeId::from_index(node));
+            parent.unwrap().index()
+        };
+        assert_eq!(parent_of(with_closes(1, 1), 5), 1, "<d> under <a>");
+        assert_eq!(parent_of(with_closes(1, 0), 5), 4, "<d> under <c>");
+        assert_eq!(
+            parent_of(with_closes(0, 1), 4),
+            2,
+            "<c> under <b>, not its text"
+        );
+        for (c, d) in [(3, 0), (1, 3)] {
+            assert_eq!(
+                decode_error(with_closes(c, d)),
+                "parent not open in preorder",
+                "close counts {c}, {d}"
+            );
         }
+    }
+
+    /// Levels are `u16`: a chain of elements one deeper than that is a
+    /// typed error.
+    #[test]
+    fn elements_nested_past_u16_levels_are_a_typed_error() {
+        let chain = |depth: usize| {
+            let mut bytes = Vec::new();
+            put_varint(&mut bytes, 1);
+            put_string(&mut bytes, "a");
+            put_varint(&mut bytes, depth as u64 + 1);
+            bytes.push(0);
+            bytes.extend(std::iter::repeat_n(1, depth));
+            // Per element: no close, tag symbol 0, no attributes.
+            bytes.extend(std::iter::repeat_n([0, 0, 0], depth).flatten());
+            decode_document(&bytes)
+        };
+        let deepest = usize::from(u16::MAX);
+        assert_eq!(chain(deepest).unwrap().node_count(), deepest + 1);
+        assert!(matches!(
+            chain(deepest + 1),
+            Err(StorageError::Corrupt("elements nested past u16 levels"))
+        ));
     }
 
     /// A `TAG_TERMS` payload of one list per `(tag, [(rank gap, count)])`.

@@ -564,10 +564,9 @@ impl ValueIndex {
     }
 
     /// Serializes the content index for the snapshot `VALUES` section:
-    /// both dictionaries in key order, then the numeric index. Node ids
-    /// are written through `node_map` (old id → canonical preorder id).
-    pub(crate) fn encode(&self, node_map: &[u32], out: &mut Vec<u8>) {
-        let id = |n: &NodeId| u64::from(node_map[n.index()]);
+    /// both dictionaries in key order, then the numeric index.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        let id = |n: &NodeId| n.index() as u64;
         self.terms.encode(out, |out, p| {
             put_varint(out, id(&p.node));
             put_varint(out, u64::from(p.tf));
@@ -768,9 +767,8 @@ mod tests {
             (5.0, node(2)),
             (3.0, node(6)),
         ];
-        let identity: Vec<u32> = (0..8).collect();
         let mut bytes = Vec::new();
-        idx.encode(&identity, &mut bytes);
+        idx.encode(&mut bytes);
         let back = ValueIndex::decode(&bytes, &mut 0, 8).unwrap();
         assert_eq!(
             back.range_matches(f64::NEG_INFINITY, f64::INFINITY),
@@ -825,7 +823,7 @@ mod tests {
     fn keys_must_strictly_increase() {
         let idx = index(&[(0, "b", &[]), (1, "a", &[])]);
         let mut bytes = Vec::new();
-        idx.encode(&[0, 1], &mut bytes);
+        idx.encode(&mut bytes);
         assert!(ValueIndex::decode(&bytes, &mut 0, 2).is_ok());
         // Term keys: "a", "b" → "b", "b"; then exact keys likewise.
         let mut terms_swapped = bytes.clone();

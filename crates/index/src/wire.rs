@@ -47,12 +47,3 @@ pub(crate) fn rd_f64(
     *pos = end;
     Ok(f64::from_bits(bits))
 }
-
-/// Appends a `u32` slice as raw little-endian words (the bulk-load path:
-/// arena columns deserialize with one pass, no per-element varints).
-pub(crate) fn put_u32_slice(out: &mut Vec<u8>, values: &[u32]) {
-    out.reserve(values.len() * 4);
-    for &v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}

@@ -2,14 +2,15 @@
 //! codecs, the `DOCUMENT` section first of all: index → sections → index
 //! is the identity on random mixed-content trees and on the generated
 //! benchmark corpora, a load derives the same tag streams, DataGuide and
-//! statistics a fresh build holds (also from trees whose ids do not
-//! ascend), and random corruption of a framed snapshot never panics.
+//! statistics a fresh build holds (also from trees assembled out of
+//! order and renumbered into preorder), and random corruption of a
+//! framed snapshot never panics.
 
 use lotusx_datagen::rng::XorShiftRng;
 use lotusx_index::snapshot::{decode_sections, encode_sections};
 use lotusx_index::{GuideNodeId, IndexedDocument, Stats};
 use lotusx_storage::{read_snapshot, write_snapshot};
-use lotusx_xml::{Document, NodeId, NodeKind, Symbol};
+use lotusx_xml::{Document, DocumentBuilder, NodeId, NodeKind, Symbol};
 
 const TAGS: [&str; 5] = ["a", "b", "c", "d", "e"];
 const ATTRS: [&str; 3] = ["k", "id", "year"];
@@ -86,10 +87,13 @@ fn build(doc: &mut Document, parent: NodeId, node: &GenNode) {
     }
 }
 
-/// [`build`], but appending level by level: every element of a level is
-/// numbered before any element below it, so the ids of a subtree do not
-/// follow its root's as document order would have them.
-fn build_breadth_first(doc: &mut Document, root: &GenNode) {
+/// [`build`], but appending level by level in a builder: every element
+/// of a level is created before any element below it, so the creation
+/// ids of a subtree do not follow its root's as document order would
+/// have them. Returns the document, renumbered into preorder, and how
+/// many nodes the renumbering moved.
+fn build_breadth_first(root: &GenNode) -> (Document, usize) {
+    let mut doc = DocumentBuilder::new();
     let mut level = vec![(NodeId::DOCUMENT, root)];
     while !level.is_empty() {
         let mut next = Vec::new();
@@ -113,6 +117,11 @@ fn build_breadth_first(doc: &mut Document, root: &GenNode) {
         }
         level = next;
     }
+    let (doc, ids) = doc.finish_renumbered();
+    let moved = (ids.iter().enumerate())
+        .filter(|&(i, id)| *id != Some(NodeId::from_index(i)))
+        .count();
+    (doc, moved)
 }
 
 /// The statistics by their definitions, node by node: depth by walking
@@ -190,39 +199,29 @@ fn dfs_numbering(doc: &Document) -> Vec<(Option<Symbol>, Option<usize>)> {
 }
 
 /// A load derives what the fresh build of its source holds, node for
-/// node through the preorder renumbering: every tag stream (regions,
-/// parent slots, arena offset), the position map, the DataGuide with its
-/// numbering, each node's guide node and the statistics. The loaded
-/// index also equals a fresh build over the loaded tree, `ids_ascend`
-/// included, and its guide and statistics match their definitions.
+/// node — both trees are in preorder, so ids carry over unchanged: every
+/// tag stream (nodes, subtree ends, levels, parent slots, arena offset),
+/// the DataGuide with its numbering, each node's guide node and the
+/// statistics. The loaded index also equals a fresh build over the
+/// loaded tree, and its guide and statistics match their definitions.
 fn assert_derived_alike(fresh: &IndexedDocument, case: &str) {
     let loaded = decode_sections(encode_sections(fresh)).expect("own sections decode");
     let (doc, back) = (fresh.document(), loaded.document());
-    // Source id → loaded id: the loader numbers in preorder.
-    let mut map = vec![NodeId::DOCUMENT; doc.node_count()];
-    for (i, node) in doc.all_nodes().enumerate() {
-        map[node.index()] = NodeId::from_index(i);
-    }
+    assert_eq!(back.node_count(), doc.node_count(), "{case}");
     let (cols, back_cols) = (fresh.columns(), loaded.columns());
     for (sym, name) in doc.symbols().iter() {
         let (a, b) = (cols.view(sym), back_cols.view(sym));
-        assert_eq!(a.starts(), b.starts(), "{case}: <{name}> starts");
+        assert_eq!(a.nodes(), b.nodes(), "{case}: <{name}> nodes");
         assert_eq!(a.ends(), b.ends(), "{case}: <{name}> ends");
         assert_eq!(a.levels(), b.levels(), "{case}: <{name}> levels");
         assert_eq!(a.parent_slots(), b.parent_slots(), "{case}: <{name}>");
         assert_eq!(a.arena_offset(), b.arena_offset(), "{case}: <{name}>");
-        let mapped: Vec<NodeId> = a.nodes().iter().map(|n| map[n.index()]).collect();
-        assert_eq!(mapped, b.nodes(), "{case}: <{name}> nodes");
     }
     for node in doc.all_nodes() {
-        let to = map[node.index()];
-        assert_eq!(cols.position(node), back_cols.position(to), "{case}");
-        assert_eq!(fresh.guide_node(node), loaded.guide_node(to), "{case}");
+        assert_eq!(doc.parent(node), back.parent(node), "{case}: {node:?}");
+        assert_eq!(doc.subtree_end(node), back.subtree_end(node), "{case}");
+        assert_eq!(fresh.guide_node(node), loaded.guide_node(node), "{case}");
     }
-    assert!(
-        back_cols.ids_ascend(),
-        "{case}: a loaded tree is in preorder"
-    );
     let rebuilt = IndexedDocument::build(back.clone());
     assert!(back_cols == rebuilt.columns(), "{case}: columns");
 
@@ -268,7 +267,7 @@ fn assert_derived_alike(fresh: &IndexedDocument, case: &str) {
 #[test]
 fn a_load_derives_what_a_fresh_build_holds() {
     let mut rng = XorShiftRng::seed_from_u64(0x2012);
-    let mut ids_descend = 0;
+    let mut renumbered = 0;
     for case in 0..128 {
         let root = GenNode::Element {
             tag: rng.gen_range(0..TAGS.len()),
@@ -277,19 +276,21 @@ fn a_load_derives_what_a_fresh_build_holds() {
                 .map(|_| random_node(&mut rng, 5))
                 .collect(),
         };
-        let mut doc = Document::new();
-        if case % 2 == 0 {
-            build_breadth_first(&mut doc, &root);
+        let doc = if case % 2 == 0 {
+            let (doc, moved) = build_breadth_first(&root);
+            renumbered += usize::from(moved > 0);
+            doc
         } else {
+            let mut doc = Document::new();
             build(&mut doc, NodeId::DOCUMENT, &root);
-        }
+            doc
+        };
         let fresh = IndexedDocument::build(doc);
-        ids_descend += usize::from(!fresh.columns().ids_ascend());
         assert_derived_alike(&fresh, &format!("case {case}"));
     }
     assert!(
-        ids_descend > 20,
-        "trees numbered out of order: {ids_descend}"
+        renumbered > 20,
+        "trees the builder renumbered into preorder: {renumbered}"
     );
     for ds in lotusx_datagen::Dataset::ALL {
         assert_derived_alike(
@@ -300,10 +301,8 @@ fn a_load_derives_what_a_fresh_build_holds() {
 }
 
 /// Encodes `doc`'s index set, decodes it again, and checks the decoded
-/// side against the source. Source node ids need not be preorder-dense
-/// (`append_text` coalesces adjacent text nodes; the generators allocate
-/// in construction order), so the columns must come back renumbered to
-/// the decoded tree — equal to a fresh build over it.
+/// side against the source: the same tree, and columns equal to a fresh
+/// build over it.
 fn assert_roundtrips(doc: Document, case: &str) {
     let idx = IndexedDocument::build(doc);
     let back = decode_sections(encode_sections(&idx)).expect("own sections decode");

@@ -17,20 +17,10 @@
 use lotusx_index::IndexedDocument;
 use lotusx_xml::{Document, NodeId};
 
-/// A key of element `node` that ascends with document order: its id when
-/// ids do (every parsed or loaded document), read from nothing; its
-/// region start otherwise.
-fn order_key(idx: &IndexedDocument, node: NodeId) -> u32 {
-    match idx.columns().ids_ascend() {
-        true => node.index() as u32,
-        false => idx.start(node),
-    }
-}
-
-/// One keyword's occurrence list in document order, with [`order_key`]s
-/// for binary search.
+/// One keyword's occurrence list in document order: node ids, which are
+/// the preorder, so a binary search over them finds document-order
+/// neighbours.
 struct KeywordList {
-    keys: Vec<u32>,
     nodes: Vec<NodeId>,
 }
 
@@ -38,19 +28,20 @@ impl KeywordList {
     fn build(idx: &IndexedDocument, keyword: &str) -> Self {
         // Value-index postings are built in one preorder pass, so they are
         // already in document order; assert in debug builds.
-        let postings = idx.values().postings(keyword);
-        let keys: Vec<u32> = postings.iter().map(|p| order_key(idx, p.node)).collect();
-        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]));
-        KeywordList {
-            keys,
-            nodes: postings.iter().map(|p| p.node).collect(),
-        }
+        let nodes: Vec<NodeId> = idx
+            .values()
+            .postings(keyword)
+            .iter()
+            .map(|p| p.node)
+            .collect();
+        debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]));
+        KeywordList { nodes }
     }
 
-    /// Closest occurrence at or before `key` in document order, and the
+    /// Closest occurrence at or before `node` in document order, and the
     /// closest strictly after.
-    fn neighbours(&self, key: u32) -> (Option<NodeId>, Option<NodeId>) {
-        let pos = self.keys.partition_point(|&k| k <= key);
+    fn neighbours(&self, node: NodeId) -> (Option<NodeId>, Option<NodeId>) {
+        let pos = self.nodes.partition_point(|&n| n <= node);
         let pred = pos.checked_sub(1).map(|i| self.nodes[i]);
         let succ = self.nodes.get(pos).copied();
         (pred, succ)
@@ -108,7 +99,7 @@ pub fn slca_indexed(idx: &IndexedDocument, keywords: &[&str]) -> Vec<NodeId> {
         // every remaining list.
         let mut current = with_level(v);
         for list in &lists {
-            let (pred, succ) = list.neighbours(order_key(idx, current.0));
+            let (pred, succ) = list.neighbours(current.0);
             let lca_pred = pred.and_then(|p| lca(doc, current, with_level(p)));
             let lca_succ = succ.and_then(|s| lca(doc, current, with_level(s)));
             current = match (lca_pred, lca_succ) {
@@ -131,12 +122,12 @@ pub fn slca_indexed(idx: &IndexedDocument, keywords: &[&str]) -> Vec<NodeId> {
     // candidates: in document order an ancestor sorts before all its
     // descendants, so a stack-less sweep against the last kept entry
     // suffices.
-    candidates.sort_by_key(|&n| order_key(idx, n));
+    candidates.sort();
     candidates.dedup();
     let mut kept: Vec<NodeId> = Vec::new();
     for c in candidates {
         while let Some(&last) = kept.last() {
-            if idx.region(last).is_ancestor_of(&idx.region(c)) {
+            if c <= doc.subtree_end(last) {
                 kept.pop();
             } else {
                 break;
@@ -144,7 +135,6 @@ pub fn slca_indexed(idx: &IndexedDocument, keywords: &[&str]) -> Vec<NodeId> {
         }
         kept.push(c);
     }
-    kept.sort();
     kept
 }
 

@@ -2,8 +2,7 @@
 
 use lotusx_index::value_index::Posting;
 use lotusx_index::IndexedDocument;
-use lotusx_labeling::RegionLabel;
-use lotusx_xml::NodeId;
+use lotusx_xml::{Document, NodeId};
 
 /// Scores one SLCA/ELCA answer subtree for ranking.
 ///
@@ -23,14 +22,14 @@ pub struct HitScorer<'a> {
     idx: &'a IndexedDocument,
     /// Per keyword with postings, in query order.
     terms: Vec<TermCursor<'a>>,
-    /// The region start of the last answer scored.
-    last_start: u32,
+    /// The last answer scored.
+    last: NodeId,
 }
 
 struct TermCursor<'a> {
     postings: &'a [Posting],
     idf: f64,
-    /// The first posting that starts at or after `last_start`.
+    /// The first posting at or after `last` in document order.
     from: usize,
 }
 
@@ -52,30 +51,31 @@ impl<'a> HitScorer<'a> {
         HitScorer {
             idx,
             terms,
-            last_start: 0,
+            last: NodeId::DOCUMENT,
         }
     }
 
     /// The score of the answer rooted at element `node`. Answers in
-    /// document order move each cursor forward only; one that starts
+    /// document order move each cursor forward only; one that comes
     /// before the last rewinds them.
     pub fn score(&mut self, node: NodeId) -> f64 {
-        let idx = self.idx;
-        let region = idx.region(node);
-        if region.start < self.last_start {
+        let doc = self.idx.document();
+        let end = doc.subtree_end(node);
+        if node < self.last {
             self.terms.iter_mut().for_each(|t| t.from = 0);
         }
-        self.last_start = region.start;
+        self.last = node;
         let mut weight = 0.0;
         for t in &mut self.terms {
             // Occurrences inside the answer subtree: postings are in
-            // document order, so the subtree's are the contiguous run
-            // whose region starts fall inside the answer's region.
+            // document order — node ids are the preorder — so the
+            // subtree's are the contiguous run from the answer to its
+            // subtree end.
             let rest = &t.postings[t.from..];
-            t.from += rest.partition_point(|p| idx.start(p.node) < region.start);
+            t.from += rest.partition_point(|p| p.node < node);
             let tf: u32 = t.postings[t.from..]
                 .iter()
-                .take_while(|p| idx.start(p.node) < region.end)
+                .take_while(|p| p.node <= end)
                 .map(|p| p.tf)
                 .sum();
             if tf > 0 {
@@ -83,17 +83,16 @@ impl<'a> HitScorer<'a> {
             }
         }
 
-        let subtree_size = f64::from(subtree_size(region));
+        let subtree_size = f64::from(subtree_size(doc, node));
         let compactness = 1.0 / (1.0 + subtree_size.ln_1p());
         weight * compactness
     }
 }
 
-/// Nodes in the subtree `region` labels, the node itself included:
-/// every node's enter and exit are numbered, so the exit of a subtree of
-/// `k` nodes comes `2k - 1` numbers after its enter.
-pub fn subtree_size(region: RegionLabel) -> u32 {
-    (region.end - region.start) / 2 + 1
+/// Nodes in the subtree of `node`, the node itself included: the ids
+/// from it to its subtree end.
+pub fn subtree_size(doc: &Document, node: NodeId) -> u32 {
+    (doc.subtree_end(node).index() - node.index() + 1) as u32
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! so the workspace builds offline.
 
 use lotusx_datagen::rng::XorShiftRng;
-use lotusx_index::IndexedDocument;
+use lotusx_index::{DocumentLabels, IndexedDocument};
 use lotusx_keyword::score::{score_hit, subtree_size, HitScorer};
 use lotusx_keyword::{bitmask, indexed};
 use lotusx_xml::{Document, NodeId};
@@ -201,10 +201,10 @@ fn build_split(doc: &mut Document, parent: NodeId, t: &GenTree) {
     }
 }
 
-/// `score_hit` sizes an answer (an element) from its region label: every
-/// node's enter and exit are numbered, so the subtree walk it replaced
-/// counts exactly `(end - start + 1) / 2` nodes — text nodes included,
-/// and so are the ones `coalesce_text` empties.
+/// `score_hit` sizes an answer (an element) from its subtree end: the
+/// size the enter/exit numbering gives, `(end - start) / 2 + 1` (every
+/// node's enter and exit are numbered) — text nodes included, and so
+/// are the ones `coalesce_text` empties.
 #[test]
 fn region_labels_count_every_node_of_a_subtree() {
     let mut rng = XorShiftRng::seed_from_u64(0x517E);
@@ -217,10 +217,12 @@ fn region_labels_count_every_node_of_a_subtree() {
         merged += lotusx_xml::parser::coalesce_text(&mut doc);
         let idx = IndexedDocument::build(doc);
         let doc = idx.document();
+        let labels = DocumentLabels::compute(doc);
         for node in doc.all_nodes().filter(|&n| doc.is_element(n)) {
+            let region = labels.region(node);
             assert_eq!(
-                subtree_size(idx.region(node)) as usize,
-                doc.descendants_or_self(node).count(),
+                subtree_size(doc, node),
+                (region.end - region.start) / 2 + 1,
                 "case {case}: {node:?}"
             );
         }

@@ -123,13 +123,12 @@ impl<'a> PatternScorer<'a> {
     }
 
     fn content(&self, row: &[NodeId]) -> f64 {
-        let idx = self.idx;
         let mut sum = 0.0;
         for &(col, postings, idf) in &self.terms {
-            // Postings are in document order, which region starts index.
-            let start = idx.start(row[col]);
-            let at = postings.partition_point(|p| idx.start(p.node) < start);
-            if let Some(p) = postings.get(at).filter(|p| p.node == row[col]) {
+            // Postings are in document order: node id order.
+            let node = row[col];
+            let at = postings.partition_point(|p| p.node < node);
+            if let Some(p) = postings.get(at).filter(|p| p.node == node) {
                 sum += (1.0 + f64::from(p.tf).ln_1p()) * idf;
             }
         }

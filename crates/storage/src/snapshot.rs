@@ -1,9 +1,9 @@
-//! The sectioned `LTSX` snapshot container, version 7.
+//! The sectioned `LTSX` snapshot container, version 8.
 //!
 //! Layout:
 //!
 //! ```text
-//! magic "LTSX" | version (1 byte, = 7) | varint section count
+//! magic "LTSX" | version (1 byte, = 8) | varint section count
 //! then per section:
 //!   varint section id | varint payload length | u64 LE checksum | payload
 //! ```
@@ -39,8 +39,10 @@ use std::path::Path;
 /// an all-elements stream in `COLUMNS`, neither checked against the
 /// document; 6 also stored the tag streams' regions in section 3, the
 /// DataGuide and the node → guide-node map in section 6 and the corpus
-/// statistics in section 7, all of which the document determines.)
-pub const SNAPSHOT_VERSION: u8 = 7;
+/// statistics in section 7, all of which the document determines; 7
+/// stored a `u32` parent per node in `DOCUMENT` where 8 stores a close
+/// count, one byte for nearly every node.)
+pub const SNAPSHOT_VERSION: u8 = 8;
 
 /// Section ids of the full-index snapshot: only what the document tree
 /// cannot give back. The tag streams, the DataGuide and the statistics
@@ -48,8 +50,8 @@ pub const SNAPSHOT_VERSION: u8 = 7;
 /// 7 and 8 are retired; a file that carries one is
 /// [`StorageError::UnknownSection`].)
 pub mod section {
-    /// The document tree: symbol table, then kind, parent and payload
-    /// columns in preorder.
+    /// The document tree: symbol table, then a kind column and per node
+    /// its close count and payload, in preorder.
     pub const DOCUMENT: u64 = 1;
     /// The value index: term postings, exact strings, numeric values.
     pub const VALUES: u64 = 4;
@@ -304,6 +306,11 @@ mod tests {
                 "version 6",
                 |b| b[4] = 6,
                 |e| matches!(e, StorageError::UnsupportedVersion(6)),
+            ),
+            (
+                "version 7",
+                |b| b[4] = 7,
+                |e| matches!(e, StorageError::UnsupportedVersion(7)),
             ),
             (
                 "unknown section id",

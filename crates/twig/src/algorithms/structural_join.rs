@@ -17,7 +17,7 @@
 //! * **Enumerate** ([`ReducedTwig::for_each_row`]): a preorder walk over
 //!   the stored ranges, one cursor per query node, hands the rows to a
 //!   sink one at a time — in ascending row order when the pattern's
-//!   preorder is its id order and the document's node ids ascend, which
+//!   preorder is its id order (node ids are the document order), which
 //!   is what lets a ranker stop as soon as its k-th score is unbeatable.
 //!
 //! Every query node reads the index's own stream for its test, borrowed:
@@ -33,7 +33,8 @@
 //! pass over the parents multiplies the sums in. Every other edge —
 //! descendant (`//`), or one with a `*` end, whose all-elements stream
 //! has neither parent slots nor an arena extent — is a stack merge that
-//! walks both streams once. Children no open parent contains are
+//! walks both streams once, by node id: a parent contains a child iff
+//! `parent < child ≤ end(parent)`. Children no open parent contains are
 //! skipped in one galloping seek; parents are walked linearly and the
 //! open ones — a nested chain — sit on a stack.
 
@@ -63,8 +64,8 @@ pub struct ReducedTwig<'a> {
     weights: Vec<Vec<u64>>,
     /// Per non-root node and *parent* stream position: node stream
     /// positions holding every element related to the parent — on a
-    /// merged edge those starting inside its region, on a gathered one
-    /// its first related child to its last.
+    /// merged edge those inside its subtree, on a gathered one its first
+    /// related child to its last.
     ranges: Vec<Vec<Range<u32>>>,
     rows_ascend: bool,
 }
@@ -85,11 +86,10 @@ pub fn reduce<'a>(
         .into_iter()
         .map(|q| (q.index(), pattern.node(q).parent.unwrap_or(q).index()))
         .collect();
-    // Rows compare column by column in id order and bind in preorder:
-    // the walk emits them ascending iff the two orders are one and each
-    // stream's ids ascend.
-    let rows_ascend =
-        idx.columns().ids_ascend() && order.iter().enumerate().all(|(k, &(q, _))| k == q);
+    // Rows compare column by column in id order and bind in preorder,
+    // and every stream ascends: the walk emits them ascending iff the
+    // two orders are one.
+    let rows_ascend = order.iter().enumerate().all(|(k, &(q, _))| k == q);
     let mut twig = ReducedTwig {
         columns: Vec::with_capacity(pattern.len()),
         order,
@@ -241,7 +241,7 @@ fn gather_edge(
     ranges
 }
 
-/// A parent whose region the merge is inside of.
+/// A parent whose subtree the merge is inside of.
 struct Open {
     /// Position in the parent stream.
     parent: usize,
@@ -254,7 +254,7 @@ struct Open {
 /// it writes down.
 struct OpenParents<'m> {
     axis: Axis,
-    ends: &'m [u32],
+    ends: &'m [NodeId],
     weights: &'m mut [u64],
     ranges: Vec<Range<u32>>,
     /// The open parents — a nested chain, innermost last.
@@ -275,10 +275,10 @@ impl OpenParents<'_> {
         self.open.push(Open { parent: pi, acc });
     }
 
-    /// Closes every open parent that ends before `start`; `ci` is the
-    /// first child position no longer inside them.
-    fn close_ended(&mut self, start: u32, ci: usize) {
-        while let Some(top) = self.open.pop_if(|top| self.ends[top.parent] < start) {
+    /// Closes every open parent whose subtree ends before `node`; `ci`
+    /// is the first child position no longer inside them.
+    fn close_ended(&mut self, node: NodeId, ci: usize) {
+        while let Some(top) = self.open.pop_if(|top| self.ends[top.parent] < node) {
             let sum = match self.axis {
                 Axis::Child => top.acc,
                 Axis::Descendant => self.total - top.acc,
@@ -291,7 +291,7 @@ impl OpenParents<'_> {
 }
 
 /// One edge's reduce pass: a stack merge over the two streams that, per
-/// parent, records the child positions starting inside its region and
+/// parent, records the child positions inside its subtree and
 /// multiplies the summed weights of its related children into the
 /// parent's weight; children related to no parent get weight zero.
 ///
@@ -313,8 +313,8 @@ fn merge_edge(
     child_weights: &mut [u64],
     ticker: &mut Ticker,
 ) -> Vec<Range<u32>> {
-    let (p_starts, p_levels) = (parents.starts(), parents.levels());
-    let (c_starts, c_levels) = (children.starts(), children.levels());
+    let (p_nodes, p_levels) = (parents.nodes(), parents.levels());
+    let (c_nodes, c_levels) = (children.nodes(), children.levels());
     let mut up = OpenParents {
         axis,
         ends: parents.ends(),
@@ -324,27 +324,27 @@ fn merge_edge(
         total: 0,
     };
     let (mut pi, mut ci) = (0, 0);
-    while ci < c_starts.len() {
-        let c_start = c_starts[ci];
-        // Open every parent that starts before this child does. (The
-        // same element in both streams starts *with* it and is not its
-        // own ancestor: the child goes first.)
+    while ci < c_nodes.len() {
+        let child = c_nodes[ci];
+        // Open every parent that comes before this child. (The same
+        // element in both streams is not its own ancestor: the child
+        // goes first.)
         let mut visited = 1;
-        while pi < p_starts.len() && p_starts[pi] < c_start {
-            up.close_ended(p_starts[pi], ci);
+        while pi < p_nodes.len() && p_nodes[pi] < child {
+            up.close_ended(p_nodes[pi], ci);
             up.open(pi, ci);
             pi += 1;
             visited += 1;
         }
-        up.close_ended(c_start, ci);
+        up.close_ended(child, ci);
         match up.open.last_mut() {
             None => {
-                // Nothing contains this child — nor any other that starts
-                // before the next parent does. One seek disposes of the
-                // gap (at least the child itself).
-                let to = match p_starts.get(pi) {
-                    Some(&next) => children.first_start_at_least(ci, next.saturating_add(1)),
-                    None => c_starts.len(),
+                // Nothing contains this child — nor any other that comes
+                // before the next parent or is it. One seek disposes of
+                // the gap (at least the child itself).
+                let to = match p_nodes.get(pi) {
+                    Some(&next) => children.first_after(ci, next),
+                    None => c_nodes.len(),
                 };
                 child_weights[ci..to].fill(0);
                 visited += to - ci - 1;
@@ -366,11 +366,11 @@ fn merge_edge(
             break;
         }
     }
-    // Out of children, or of budget: no later child starts inside what is
+    // Out of children, or of budget: no later child lies inside what is
     // still open (a budget trip leaves sums over the children seen — true
     // ones, just not all, and the children not seen relate to nothing),
     // and a parent never opened has none.
-    up.close_ended(u32::MAX, ci);
+    up.close_ended(NodeId::from_index(u32::MAX as usize), ci);
     up.weights[pi..].fill(0);
     child_weights[ci..].fill(0);
     up.ranges
@@ -511,8 +511,8 @@ mod tests {
     use super::*;
     use crate::algorithms::naive;
     use crate::xpath::parse_query;
+    use lotusx_index::columns::StreamElement;
     use lotusx_index::OwnedColumns;
-    use lotusx_labeling::RegionLabel;
 
     fn evaluate(idx: &IndexedDocument, pattern: &TwigPattern) -> MatchSet {
         let guard = QueryGuard::unlimited();
@@ -535,13 +535,17 @@ mod tests {
         .unwrap()
     }
 
-    type Element = (NodeId, RegionLabel);
+    /// A stream element: node, subtree end, level.
+    type Element = StreamElement;
 
-    fn element(node: u32, start: u32, end: u32, level: u16) -> Element {
-        (
-            NodeId::from_index(node as usize),
-            RegionLabel::new(start, end, level),
-        )
+    fn element(node: u32, end: u32, level: u16) -> Element {
+        let id = |i: u32| NodeId::from_index(i as usize);
+        (id(node), id(end), level)
+    }
+
+    /// `c` lies in `p`'s subtree, below it.
+    fn inside(p: &Element, c: &Element) -> bool {
+        p.0 < c.0 && c.0 <= p.1
     }
 
     /// What one merge leaves behind: per parent its child range and
@@ -622,25 +626,22 @@ mod tests {
         axis: Axis,
         seeds: &Seeds,
     ) -> Merged {
-        let related = |p: &RegionLabel, c: &RegionLabel| {
-            p.is_ancestor_of(c) && (axis == Axis::Descendant || p.level + 1 == c.level)
-        };
-        let inside = |p: &RegionLabel, c: &RegionLabel| p.start < c.start && c.start < p.end;
+        let related =
+            |p: &Element, c: &Element| inside(p, c) && (axis == Axis::Descendant || p.2 + 1 == c.2);
         let mut ranges = Vec::new();
         let mut parent_weights = Vec::new();
-        for ((_, p), seed) in parents.iter().zip(&seeds.parents) {
-            let lo = children.iter().take_while(|(_, c)| c.start <= p.start);
-            let lo = lo.count();
-            let len = children[lo..].iter().take_while(|(_, c)| inside(p, c));
+        for (p, seed) in parents.iter().zip(&seeds.parents) {
+            let lo = children.iter().take_while(|c| c.0 <= p.0).count();
+            let len = children[lo..].iter().take_while(|c| inside(p, c));
             ranges.push(lo as u32..(lo + len.count()) as u32);
             let sum = (children.iter().zip(&seeds.children))
-                .filter(|((_, c), _)| related(p, c))
+                .filter(|(c, _)| related(p, c))
                 .map(|(_, w)| w);
             parent_weights.push(seed * sum.sum::<u64>());
         }
         let child_weights = (children.iter().zip(&seeds.children))
-            .map(|((_, c), w)| {
-                let kept = parents.iter().any(|(_, p)| related(p, c));
+            .map(|(c, w)| {
+                let kept = parents.iter().any(|p| related(p, c));
                 w * u64::from(kept)
             })
             .collect();
@@ -649,9 +650,9 @@ mod tests {
 
     #[test]
     fn merge_sums_descendants_under_every_nested_parent() {
-        // a1(1,10) contains d1(2,3), a2(4,9) inside a1 contains d2(5,6).
-        let parents = vec![element(1, 1, 10, 1), element(2, 4, 9, 2)];
-        let children = vec![element(3, 2, 3, 2), element(4, 5, 6, 3)];
+        // a1 (1..=4) contains d1 (2), a2 (3..=4) inside a1 contains d2 (4).
+        let parents = vec![element(1, 4, 1), element(3, 4, 2)];
+        let children = vec![element(2, 2, 2), element(4, 4, 3)];
         let (ranges, parent_weights, child_weights) = merge(&parents, &children, Axis::Descendant);
         assert_eq!(ranges, [0..2, 1..2]);
         assert_eq!(parent_weights, [1 + 2, 2], "(a1,d1), (a1,d2), (a2,d2)");
@@ -660,8 +661,8 @@ mod tests {
 
     #[test]
     fn merge_on_the_child_axis_counts_only_the_level_below() {
-        let parents = vec![element(1, 1, 10, 1), element(2, 4, 9, 2)];
-        let children = vec![element(3, 2, 3, 2), element(4, 5, 6, 3)];
+        let parents = vec![element(1, 4, 1), element(3, 4, 2)];
+        let children = vec![element(2, 2, 2), element(4, 4, 3)];
         let (ranges, parent_weights, _) = merge(&parents, &children, Axis::Child);
         // a1's range still spans d2 — the enumerator's level test skips it.
         assert_eq!(ranges, [0..2, 1..2]);
@@ -670,8 +671,8 @@ mod tests {
 
     #[test]
     fn merge_of_disjoint_streams_zeroes_both_sides() {
-        let parents = vec![element(1, 1, 2, 1)];
-        let children = vec![element(2, 3, 4, 1)];
+        let parents = vec![element(1, 1, 1)];
+        let children = vec![element(2, 2, 1)];
         let (ranges, parent_weights, child_weights) = merge(&parents, &children, Axis::Descendant);
         assert!(ranges[0].is_empty());
         assert_eq!((parent_weights, child_weights), (vec![0], vec![0]));
@@ -681,18 +682,18 @@ mod tests {
     fn merge_matches_the_definition_on_self_join_and_gaps() {
         // A shape exercising every path: parents that close childless
         // (early siblings), child gaps (runs no parent contains), and a
-        // self-join (identical streams) where starts collide.
+        // self-join (identical streams) where ids collide.
         let stream = vec![
-            element(1, 1, 4, 1),
-            element(2, 2, 3, 2),
-            element(3, 5, 6, 1),
-            element(4, 7, 20, 1),
-            element(5, 8, 15, 2),
-            element(6, 9, 10, 3),
-            element(7, 16, 17, 2),
-            element(8, 21, 22, 1),
+            element(1, 2, 1),
+            element(2, 2, 2),
+            element(3, 3, 1),
+            element(4, 7, 1),
+            element(5, 6, 2),
+            element(6, 6, 3),
+            element(7, 7, 2),
+            element(8, 8, 1),
         ];
-        let sparse = vec![element(9, 9, 10, 3), element(10, 21, 22, 1)];
+        let sparse = vec![element(6, 6, 3), element(8, 8, 1)];
         for axis in [Axis::Descendant, Axis::Child] {
             for (p, c) in [(&stream, &stream), (&stream, &sparse), (&sparse, &stream)] {
                 let (ranges, parent_weights, child_weights) = merge(p, c, axis);
@@ -790,9 +791,11 @@ mod tests {
             assert_eq!((&merged.1, &merged.2), (&expect.1, &expect.2), "{case}");
             // A gathered range runs from the parent's first related child
             // of non-zero weight to its last.
-            for (i, (_, parent)) in p.iter().enumerate() {
+            for (i, parent) in p.iter().enumerate() {
                 let related: Vec<u32> = (c.iter().zip(&seeds.children).enumerate())
-                    .filter(|(_, ((_, child), &w))| w != 0 && parent.is_parent_of(child))
+                    .filter(|(_, (child, &w))| {
+                        w != 0 && inside(parent, child) && parent.2 + 1 == child.2
+                    })
                     .map(|(j, _)| j as u32)
                     .collect();
                 let tight = match (related.first(), related.last()) {
@@ -894,8 +897,8 @@ mod tests {
 
     #[test]
     fn sums_saturate_instead_of_wrapping() {
-        let parents = vec![element(1, 1, 10, 1)];
-        let children = vec![element(2, 2, 3, 2), element(3, 4, 5, 2)];
+        let parents = vec![element(1, 3, 1)];
+        let children = vec![element(2, 2, 2), element(3, 3, 2)];
         let p = OwnedColumns::from_elements(parents);
         let c = OwnedColumns::from_elements(children);
         for axis in [Axis::Descendant, Axis::Child] {

@@ -222,7 +222,7 @@ pub fn execute_budgeted<'a>(
     let filter_span = span.map(|parent| parent.child("ordered-filter"));
     let rows = result.into_match_set();
     let rows_in = rows.len();
-    let kept = filter_ordered(idx, pattern, rows);
+    let kept = filter_ordered(pattern, rows);
     if let Some(filter_span) = filter_span {
         filter_span.annotate("in", rows_in);
         filter_span.annotate("kept", kept.len());

@@ -241,10 +241,12 @@ pub fn initial_weights(idx: &IndexedDocument, node: &QNode, stream: ColumnView<'
 
 /// Checks the structural edge between a bound parent and child element.
 pub fn edge_satisfied(idx: &IndexedDocument, axis: Axis, parent: NodeId, child: NodeId) -> bool {
-    let (parent, child) = (idx.region(parent), idx.region(child));
+    let doc = idx.document();
     match axis {
-        Axis::Child => parent.is_parent_of(&child),
-        Axis::Descendant => parent.is_ancestor_of(&child),
+        Axis::Child => doc.parent(child) == Some(parent),
+        // Ids are the preorder: the subtree of `parent` is the ids after
+        // it up to its subtree end.
+        Axis::Descendant => parent < child && child <= doc.subtree_end(parent),
     }
 }
 

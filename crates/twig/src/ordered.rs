@@ -9,19 +9,19 @@
 
 use crate::matcher::MatchSet;
 use crate::pattern::{QNodeId, TwigPattern};
-use lotusx_index::IndexedDocument;
 use lotusx_xml::NodeId;
 
 /// True if `m` satisfies the order constraint: for every query node, the
 /// bindings of its children occur in strictly increasing document order.
-pub fn match_is_ordered(idx: &IndexedDocument, pattern: &TwigPattern, row: &[NodeId]) -> bool {
+pub fn match_is_ordered(pattern: &TwigPattern, row: &[NodeId]) -> bool {
     for q in pattern.node_ids() {
         let children: &[QNodeId] = &pattern.node(q).children;
         for pair in children.windows(2) {
             let a = row[pair[0].index()];
             let b = row[pair[1].index()];
-            // Strict document order; equal bindings violate ordering.
-            if idx.start(a) >= idx.start(b) {
+            // Strict document order — node ids are the preorder; equal
+            // bindings violate ordering.
+            if a >= b {
                 return false;
             }
         }
@@ -30,12 +30,8 @@ pub fn match_is_ordered(idx: &IndexedDocument, pattern: &TwigPattern, row: &[Nod
 }
 
 /// Retains only the order-satisfying matches (in place, order kept).
-pub fn filter_ordered(
-    idx: &IndexedDocument,
-    pattern: &TwigPattern,
-    mut matches: MatchSet,
-) -> MatchSet {
-    matches.retain(|row| match_is_ordered(idx, pattern, row));
+pub fn filter_ordered(pattern: &TwigPattern, mut matches: MatchSet) -> MatchSet {
+    matches.retain(|row| match_is_ordered(pattern, row));
     matches
 }
 
@@ -44,6 +40,7 @@ mod tests {
     use super::*;
     use crate::exec::{execute, Algorithm};
     use crate::xpath::parse_query;
+    use lotusx_index::IndexedDocument;
 
     fn idx() -> IndexedDocument {
         // Two sections: one has title before para, the other after.
@@ -64,7 +61,7 @@ mod tests {
         assert_eq!(all.len(), 2);
 
         let ordered = parse_query("ordered //section[title][para]").unwrap();
-        let kept = filter_ordered(&idx, &ordered, all.clone());
+        let kept = filter_ordered(&ordered, all.clone());
         assert_eq!(kept.len(), 1, "only the title-before-para section");
 
         // Reversing the sibling order in the query flips the result.
@@ -74,7 +71,7 @@ mod tests {
             &parse_query("//section[para][title]").unwrap(),
             Algorithm::Naive,
         );
-        let kept_rev = filter_ordered(&idx, &reversed, all_rev);
+        let kept_rev = filter_ordered(&reversed, all_rev);
         assert_eq!(kept_rev.len(), 1);
     }
 
@@ -85,7 +82,7 @@ mod tests {
         let q = parse_query("//r[x][x]").unwrap();
         let all = execute(&idx, &q, Algorithm::Naive);
         assert_eq!(all.len(), 1);
-        let kept = filter_ordered(&idx, &q, all);
+        let kept = filter_ordered(&q, all);
         assert!(
             kept.is_empty(),
             "same element cannot satisfy ordered siblings"
@@ -100,7 +97,7 @@ mod tests {
         let q = parse_query("//r/g[a][b]").unwrap();
         let all = execute(&idx, &q, Algorithm::Naive);
         assert_eq!(all.len(), 2);
-        let kept = filter_ordered(&idx, &q, all);
+        let kept = filter_ordered(&q, all);
         assert_eq!(kept.len(), 1);
     }
 
@@ -109,7 +106,7 @@ mod tests {
         let idx = idx();
         let q = parse_query("//section/title").unwrap();
         let all = execute(&idx, &q, Algorithm::Naive);
-        let kept = filter_ordered(&idx, &q, all.clone());
+        let kept = filter_ordered(&q, all.clone());
         assert_eq!(all, kept);
     }
 }

@@ -57,12 +57,15 @@ fn with_relaxations(pattern: &TwigPattern) -> Vec<TwigPattern> {
 }
 
 /// Per query node, the guide nodes naive binds it to on the guide
-/// document (its element `i` is guide node `i`).
-fn naive_sets(guide: &IndexedDocument, pattern: &TwigPattern) -> Vec<Vec<GuideNodeId>> {
+/// document (`guide_of` names each element's guide node).
+fn naive_sets(
+    (guide, guide_of): &(IndexedDocument, Vec<GuideNodeId>),
+    pattern: &TwigPattern,
+) -> Vec<Vec<GuideNodeId>> {
     let mut sets = vec![Vec::new(); pattern.len()];
     for row in execute(guide, pattern, Algorithm::Naive).rows() {
         for (set, node) in sets.iter_mut().zip(row) {
-            set.push(GuideNodeId::from_index(node.index()));
+            set.push(guide_of[node.index()]);
         }
     }
     for set in &mut sets {

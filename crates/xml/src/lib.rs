@@ -36,4 +36,4 @@ pub use parser::ParseOptions;
 pub use serializer::SerializeOptions;
 pub use symbols::{Symbol, SymbolTable};
 pub use tokenizer::{Token, Tokenizer};
-pub use tree::{AttributeIter, Attributes, Document, NodeId, NodeKind};
+pub use tree::{AttributeIter, Attributes, Document, DocumentBuilder, NodeId, NodeKind};

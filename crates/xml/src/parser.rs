@@ -67,7 +67,7 @@ impl Document {
                             limit: options.max_depth,
                         });
                     }
-                    let elem = doc.new_element(name);
+                    let elem = doc.append_element(parent, name);
                     for (i, attr) in attributes.iter().enumerate() {
                         if attributes[..i].iter().any(|a| a.name == attr.name) {
                             return Err(Error::DuplicateAttribute {
@@ -78,7 +78,6 @@ impl Document {
                         let value = unescaped(attr.raw_value, input, attr.value_offset)?;
                         doc.set_attribute(elem, attr.name, value);
                     }
-                    doc.append_child(parent, elem);
                     if parent == NodeId::DOCUMENT {
                         seen_root = true;
                     }
@@ -130,14 +129,12 @@ impl Document {
                 }
                 Token::Comment { text } => {
                     if options.keep_comments {
-                        let c = doc.new_comment(text);
-                        doc.append_child(parent, c);
+                        doc.append_comment(parent, text);
                     }
                 }
                 Token::ProcessingInstruction { target, data } => {
                     if options.keep_pis {
-                        let pi = doc.new_pi(target, data);
-                        doc.append_child(parent, pi);
+                        doc.append_pi(parent, target, data);
                     }
                 }
             }

@@ -1,13 +1,30 @@
-//! Arena-allocated document tree, stored as struct-of-arrays columns.
+//! Arena-allocated document tree in preorder, stored as struct-of-arrays
+//! columns.
 //!
-//! A node is a [`NodeId`] into parallel columns: a kind byte, `u32`
-//! parent / first-child / last-child / next-sibling links (`u32::MAX`
-//! is "none") and one `u32` payload pair. Character data — text,
-//! comments, processing instructions and attribute values — is appended
-//! to one byte arena and addressed by spans; attributes are
-//! `(Symbol, span)` runs in one more arena. Building a document
-//! therefore allocates per arena growth step, never per node, and
-//! [`Document::kind`] hands out a borrowed, `Copy` view ([`NodeKind`]).
+//! A node is a [`NodeId`] into parallel columns, and node ids *are* the
+//! preorder: a node's descendants are exactly the ids after it up to
+//! its subtree end, the id of its last descendant. So per node the
+//! document stores a kind byte, a `u32` parent (`u32::MAX` is "none"),
+//! a `u32` subtree end and one `u32` payload pair (17 B), and every
+//! other link is arithmetic: the first child of `n` is `n + 1` when that
+//! is still inside `n`'s subtree, the next sibling of `c` is one past
+//! `c`'s subtree end when that is still inside its parent's, and a
+//! subtree is an id range ([`Document::descendants_or_self`]).
+//!
+//! Character data — text, comments, processing instructions and
+//! attribute values — is appended to one byte arena and addressed by
+//! spans; attributes are `(Symbol, span)` runs in one more arena.
+//! Building a document therefore allocates per arena growth step, never
+//! per node, and [`Document::kind`] hands out a borrowed, `Copy` view
+//! ([`NodeKind`]).
+//!
+//! A document grows only at its end: `append_*` adds a node as the last
+//! child of a node on the path from the root to the last node appended
+//! (the *open* nodes), which closes every open node below that parent.
+//! The parser and the snapshot decoder append this way. A tree whose
+//! nodes are created or attached in any other order is assembled in a
+//! [`DocumentBuilder`], which keeps sibling links and renumbers into
+//! preorder once, in [`DocumentBuilder::finish`].
 //!
 //! A virtual document root (id 0) holds the root element plus any
 //! top-level comments and processing instructions.
@@ -139,7 +156,9 @@ fn slice(text: &str, [start, end]: Span) -> &str {
     &text[start as usize..end as usize]
 }
 
-/// "No link" in a link column, and "no attributes" in an element's run slot.
+/// "No parent" in the parent column, "still open" in the subtree-end
+/// column, "no link" in a builder's link columns and "no attributes" in
+/// an element's run slot.
 const NONE: u32 = u32::MAX;
 
 // Kind bytes.
@@ -149,15 +168,17 @@ const TEXT: u8 = 2;
 const COMMENT: u8 = 3;
 const PI: u8 = 4;
 
-/// An XML document: node columns, character-data arenas and the
-/// tag/attribute symbol table.
+/// An XML document in preorder: node columns, character-data arenas and
+/// the tag/attribute symbol table.
 #[derive(Clone, Debug)]
 pub struct Document {
     kinds: Vec<u8>,
     parents: Vec<u32>,
-    first_children: Vec<u32>,
-    last_children: Vec<u32>,
-    next_siblings: Vec<u32>,
+    /// Per node: the id of its last descendant (its own for a leaf), or
+    /// `NONE` while it is open — on the path from the root to the last
+    /// node — which [`subtree_end`](Self::subtree_end) reads as the last
+    /// node.
+    ends: Vec<u32>,
     /// Per node: an element's tag symbol and attribute-run index
     /// (`NONE` without attributes); a text's or comment's span in
     /// `text`; a PI's index into `pis`.
@@ -192,9 +213,7 @@ impl Document {
         let mut doc = Document {
             kinds: Vec::with_capacity(nodes),
             parents: Vec::with_capacity(nodes),
-            first_children: Vec::with_capacity(nodes),
-            last_children: Vec::with_capacity(nodes),
-            next_siblings: Vec::with_capacity(nodes),
+            ends: Vec::with_capacity(nodes),
             payloads: Vec::with_capacity(nodes),
             text: String::with_capacity(text_bytes),
             attrs: Vec::new(),
@@ -211,9 +230,7 @@ impl Document {
     pub fn shrink_to_fit(&mut self) {
         self.kinds.shrink_to_fit();
         self.parents.shrink_to_fit();
-        self.first_children.shrink_to_fit();
-        self.last_children.shrink_to_fit();
-        self.next_siblings.shrink_to_fit();
+        self.ends.shrink_to_fit();
         self.payloads.shrink_to_fit();
         self.text.shrink_to_fit();
         self.attrs.shrink_to_fit();
@@ -225,10 +242,7 @@ impl Document {
     pub fn size_bytes(&self) -> usize {
         use std::mem::size_of;
         self.kinds.capacity()
-            + 4 * (self.parents.capacity()
-                + self.first_children.capacity()
-                + self.last_children.capacity()
-                + self.next_siblings.capacity())
+            + 4 * (self.parents.capacity() + self.ends.capacity())
             + self.payloads.capacity() * size_of::<[u32; 2]>()
             + self.text.capacity()
             + self.attrs.capacity() * size_of::<(Symbol, Span)>()
@@ -292,29 +306,37 @@ impl Document {
         }
     }
 
-    fn link(column: &[u32], id: NodeId) -> Option<NodeId> {
-        let v = column[id.index()];
-        (v != NONE).then_some(NodeId(v))
-    }
-
     /// Parent of `id`, if any (the virtual root has none).
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        Self::link(&self.parents, id)
+        let p = self.parents[id.index()];
+        (p != NONE).then_some(NodeId(p))
     }
 
-    /// First child of `id`.
+    /// The last descendant of `id` in preorder (`id` itself for a leaf):
+    /// the subtree of `id` is the ids from `id` to it.
+    pub fn subtree_end(&self, id: NodeId) -> NodeId {
+        NodeId(self.end(id.0))
+    }
+
+    /// [`subtree_end`](Self::subtree_end) by raw id. An open node's
+    /// subtree ends at the last node.
+    fn end(&self, id: u32) -> u32 {
+        self.ends[id as usize].min(self.kinds.len() as u32 - 1)
+    }
+
+    /// First child of `id`: the next id, when it lies inside `id`'s
+    /// subtree.
     pub fn first_child(&self, id: NodeId) -> Option<NodeId> {
-        Self::link(&self.first_children, id)
+        let child = id.0 + 1;
+        (child <= self.end(id.0)).then_some(NodeId(child))
     }
 
-    /// Last child of `id`.
-    pub fn last_child(&self, id: NodeId) -> Option<NodeId> {
-        Self::link(&self.last_children, id)
-    }
-
-    /// Next sibling of `id`.
+    /// Next sibling of `id`: the id after its subtree, when that still
+    /// lies inside its parent's.
     pub fn next_sibling(&self, id: NodeId) -> Option<NodeId> {
-        Self::link(&self.next_siblings, id)
+        let parent = self.parents[id.index()];
+        let after = self.end(id.0) + 1;
+        (parent != NONE && after <= self.end(parent)).then_some(NodeId(after))
     }
 
     /// True if `id` is an element.
@@ -372,7 +394,8 @@ impl Document {
     pub fn children(&self, id: NodeId) -> Children<'_> {
         Children {
             doc: self,
-            next: self.first_child(id),
+            next: id.0 + 1,
+            end: self.end(id.0),
         }
     }
 
@@ -382,18 +405,18 @@ impl Document {
     }
 
     /// Preorder (document-order) traversal of the subtree rooted at `id`,
-    /// including `id` itself.
-    pub fn descendants_or_self(&self, id: NodeId) -> Descendants<'_> {
+    /// including `id` itself: the ids from `id` to its subtree end.
+    pub fn descendants_or_self(&self, id: NodeId) -> Descendants {
         Descendants {
-            doc: self,
-            root: id,
-            next: Some(id),
+            ids: id.0..self.end(id.0) + 1,
         }
     }
 
-    /// Preorder traversal of the whole document below the virtual root.
-    pub fn all_nodes(&self) -> Descendants<'_> {
-        self.descendants_or_self(NodeId::DOCUMENT)
+    /// Preorder traversal of the whole document, the virtual root first.
+    pub fn all_nodes(&self) -> Descendants {
+        Descendants {
+            ids: 0..self.kinds.len() as u32,
+        }
     }
 
     /// Ancestors of `id`, nearest first, excluding the virtual root.
@@ -426,22 +449,7 @@ impl Document {
     /// Concatenated text of the *direct* text children of `id`: borrowed
     /// from the arena when at most one of them is non-empty.
     pub fn direct_text(&self, id: NodeId) -> Cow<'_, str> {
-        let mut texts = self.children(id).filter_map(|c| match self.kind(c) {
-            NodeKind::Text(t) if !t.is_empty() => Some(t),
-            _ => None,
-        });
-        let Some(first) = texts.next() else {
-            return Cow::Borrowed("");
-        };
-        match texts.next() {
-            None => Cow::Borrowed(first),
-            Some(second) => {
-                let mut out = String::from(first);
-                out.push_str(second);
-                out.extend(texts);
-                Cow::Owned(out)
-            }
-        }
+        join_texts(self.children(id).map(|c| self.kind(c)))
     }
 
     /// Concatenated text of all descendant text nodes of `id`.
@@ -469,6 +477,7 @@ impl Document {
     // Construction
     // ------------------------------------------------------------------
 
+    /// Pushes a detached, open node.
     fn push_node(&mut self, kind: u8, payload: [u32; 2]) -> NodeId {
         let id = u32::try_from(self.kinds.len())
             .ok()
@@ -476,11 +485,37 @@ impl Document {
             .expect("fewer than 2^32 - 1 nodes");
         self.kinds.push(kind);
         self.parents.push(NONE);
-        self.first_children.push(NONE);
-        self.last_children.push(NONE);
-        self.next_siblings.push(NONE);
+        self.ends.push(NONE);
         self.payloads.push(payload);
         NodeId(id)
+    }
+
+    /// Makes the last node, `id`, the last child of `parent`: closes
+    /// every open node below `parent` — the path up from the node before
+    /// `id` — at that node. Each node is closed once, so appending costs
+    /// O(1) amortized at any depth.
+    ///
+    /// # Panics
+    /// Panics if `parent` is closed or holds no children (a text,
+    /// comment or PI).
+    fn attach(&mut self, parent: NodeId, id: NodeId) {
+        let p = parent.index();
+        assert!(
+            matches!(self.kinds[p], DOCUMENT | ELEMENT),
+            "only the document and elements hold children"
+        );
+        assert!(
+            self.ends[p] == NONE,
+            "appending under {parent:?}, whose subtree is closed: \
+             out of preorder (build such a tree with a DocumentBuilder)"
+        );
+        let last = id.0 - 1;
+        let mut open = last;
+        while open != parent.0 {
+            self.ends[open as usize] = last;
+            open = self.parents[open as usize];
+        }
+        self.parents[id.index()] = parent.0;
     }
 
     /// Appends `s` to the arena and returns its span.
@@ -491,36 +526,55 @@ impl Document {
         [start, end]
     }
 
-    /// Creates a detached element node with the given tag name.
-    pub fn new_element(&mut self, tag: &str) -> NodeId {
+    /// Appends an element with the given tag name as the last child of
+    /// `parent`, which must be open (see the module docs).
+    pub fn append_element(&mut self, parent: NodeId, tag: &str) -> NodeId {
         let name = self.symbols.intern(tag);
-        self.new_element_interned(name)
+        self.append_element_interned(parent, name)
     }
 
-    /// Creates a detached element from an already-interned tag symbol.
-    /// Bulk loaders (the snapshot decoder) use this to skip the per-node
-    /// hash lookup of [`Self::new_element`]; the caller must guarantee
-    /// the symbol came from this document's table.
-    pub fn new_element_interned(&mut self, name: Symbol) -> NodeId {
-        self.push_node(ELEMENT, [name.index() as u32, NONE])
+    /// Appends an element from an already-interned tag symbol. Bulk
+    /// loaders (the snapshot decoder) use this to skip the per-node hash
+    /// lookup of [`Self::append_element`]; the caller must guarantee the
+    /// symbol came from this document's table.
+    pub fn append_element_interned(&mut self, parent: NodeId, name: Symbol) -> NodeId {
+        let id = self.push_node(ELEMENT, [name.index() as u32, NONE]);
+        self.attach(parent, id);
+        id
     }
 
-    /// Creates a detached text node.
-    pub fn new_text(&mut self, text: impl AsRef<str>) -> NodeId {
+    /// Appends a text node as the last child of `parent`.
+    pub fn append_text(&mut self, parent: NodeId, text: impl AsRef<str>) -> NodeId {
         let span = self.push_str(text.as_ref());
-        self.push_node(TEXT, span)
+        let id = self.push_node(TEXT, span);
+        self.attach(parent, id);
+        id
     }
 
-    /// Creates a detached comment node.
-    pub fn new_comment(&mut self, text: impl AsRef<str>) -> NodeId {
+    /// Appends a comment node as the last child of `parent`.
+    pub fn append_comment(&mut self, parent: NodeId, text: impl AsRef<str>) -> NodeId {
         let span = self.push_str(text.as_ref());
-        self.push_node(COMMENT, span)
+        let id = self.push_node(COMMENT, span);
+        self.attach(parent, id);
+        id
     }
 
-    /// Creates a detached processing-instruction node.
-    pub fn new_pi(&mut self, target: impl AsRef<str>, data: impl AsRef<str>) -> NodeId {
-        let target = self.push_str(target.as_ref());
-        let data = self.push_str(data.as_ref());
+    /// Appends a processing-instruction node as the last child of
+    /// `parent`.
+    pub fn append_pi(
+        &mut self,
+        parent: NodeId,
+        target: impl AsRef<str>,
+        data: impl AsRef<str>,
+    ) -> NodeId {
+        let id = self.push_pi(target.as_ref(), data.as_ref());
+        self.attach(parent, id);
+        id
+    }
+
+    fn push_pi(&mut self, target: &str, data: &str) -> NodeId {
+        let target = self.push_str(target);
+        let data = self.push_str(data);
         let index = u32::try_from(self.pis.len()).expect("fewer than 2^32 PIs");
         self.pis.push((target, data));
         self.push_node(PI, [index, 0])
@@ -562,7 +616,7 @@ impl Document {
 
     /// Adds `(name, value)` at the end of `id`'s run. A run is contiguous
     /// in `attrs`; one that is not the last run is first copied to the end
-    /// (only tree-API documents that revisit an element get there).
+    /// (only documents that revisit an element get there).
     fn push_attribute(&mut self, id: NodeId, name: Symbol, value: Span) {
         let end = u32::try_from(self.attrs.len()).expect("fewer than 2^32 attributes");
         let slot = &mut self.payloads[id.index()][1];
@@ -592,16 +646,175 @@ impl Document {
         }
         self.payloads[id.index()] = self.push_str(text.as_ref());
     }
+}
+
+/// The texts among `kinds` joined: borrowed when at most one is
+/// non-empty.
+fn join_texts<'a>(kinds: impl Iterator<Item = NodeKind<'a>>) -> Cow<'a, str> {
+    let mut texts = kinds.filter_map(|kind| match kind {
+        NodeKind::Text(t) if !t.is_empty() => Some(t),
+        _ => None,
+    });
+    let Some(first) = texts.next() else {
+        return Cow::Borrowed("");
+    };
+    match texts.next() {
+        None => Cow::Borrowed(first),
+        Some(second) => {
+            let mut out = String::from(first);
+            out.push_str(second);
+            out.extend(texts);
+            Cow::Owned(out)
+        }
+    }
+}
+
+/// Iterator over the children of a node: each one past the subtree end
+/// of the one before, up to the parent's subtree end.
+#[derive(Clone)]
+pub struct Children<'a> {
+    doc: &'a Document,
+    next: u32,
+    end: u32,
+}
+
+impl Iterator for Children<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        if self.next > self.end {
+            return None;
+        }
+        let cur = self.next;
+        self.next = self.doc.end(cur) + 1;
+        Some(NodeId(cur))
+    }
+}
+
+/// Preorder iterator over a subtree: a range of ids.
+#[derive(Clone, Debug)]
+pub struct Descendants {
+    ids: std::ops::Range<u32>,
+}
+
+impl Iterator for Descendants {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        self.ids.next().map(NodeId)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ids.size_hint()
+    }
+}
+
+impl DoubleEndedIterator for Descendants {
+    fn next_back(&mut self) -> Option<NodeId> {
+        self.ids.next_back().map(NodeId)
+    }
+}
+
+impl ExactSizeIterator for Descendants {}
+
+/// Assembles a tree in any order — nodes created detached and attached
+/// later, children appended to an element that already has a following
+/// sibling — with parent and sibling links, and renumbers it into a
+/// preorder [`Document`] in [`finish`](Self::finish). Ids handed out
+/// here are creation ids, valid only until then.
+#[derive(Clone, Debug)]
+pub struct DocumentBuilder {
+    /// Kinds, payloads, arenas and symbols by creation id; its parent
+    /// column holds the links' parents, its subtree ends stay unused.
+    doc: Document,
+    first_children: Vec<u32>,
+    last_children: Vec<u32>,
+    next_siblings: Vec<u32>,
+}
+
+impl Default for DocumentBuilder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl DocumentBuilder {
+    /// A builder holding only the virtual root.
+    pub fn new() -> Self {
+        DocumentBuilder {
+            doc: Document::new(),
+            first_children: vec![NONE],
+            last_children: vec![NONE],
+            next_siblings: vec![NONE],
+        }
+    }
+
+    /// The symbol table for tag and attribute names.
+    pub fn symbols(&self) -> &SymbolTable {
+        &self.doc.symbols
+    }
+
+    /// Mutable access to the symbol table.
+    pub fn symbols_mut(&mut self) -> &mut SymbolTable {
+        &mut self.doc.symbols
+    }
+
+    fn push_node(&mut self, id: NodeId) -> NodeId {
+        self.first_children.push(NONE);
+        self.last_children.push(NONE);
+        self.next_siblings.push(NONE);
+        id
+    }
+
+    /// Creates a detached element node with the given tag name.
+    pub fn new_element(&mut self, tag: &str) -> NodeId {
+        let name = self.doc.symbols.intern(tag);
+        let id = self.doc.push_node(ELEMENT, [name.index() as u32, NONE]);
+        self.push_node(id)
+    }
+
+    /// Creates a detached text node.
+    pub fn new_text(&mut self, text: impl AsRef<str>) -> NodeId {
+        let span = self.doc.push_str(text.as_ref());
+        let id = self.doc.push_node(TEXT, span);
+        self.push_node(id)
+    }
+
+    /// Creates a detached comment node.
+    pub fn new_comment(&mut self, text: impl AsRef<str>) -> NodeId {
+        let span = self.doc.push_str(text.as_ref());
+        let id = self.doc.push_node(COMMENT, span);
+        self.push_node(id)
+    }
+
+    /// Creates a detached processing-instruction node.
+    pub fn new_pi(&mut self, target: impl AsRef<str>, data: impl AsRef<str>) -> NodeId {
+        let id = self.doc.push_pi(target.as_ref(), data.as_ref());
+        self.push_node(id)
+    }
+
+    /// Sets (or replaces) an attribute on an element node.
+    ///
+    /// # Panics
+    /// Panics if `id` is not an element.
+    pub fn set_attribute(&mut self, id: NodeId, name: &str, value: impl AsRef<str>) {
+        self.doc.set_attribute(id, name, value);
+    }
 
     /// Appends `child` as the last child of `parent`.
     ///
     /// # Panics
-    /// Panics if `child` already has a parent or if `child == parent`.
+    /// Panics if `child` already has a parent, if `child == parent`, or
+    /// if `parent` holds no children (a text, comment or PI).
     pub fn append_child(&mut self, parent: NodeId, child: NodeId) {
         assert_ne!(parent, child, "cannot append a node to itself");
         let (p, c) = (parent.index(), child.index());
-        assert!(self.parents[c] == NONE, "node already attached");
-        self.parents[c] = parent.0;
+        assert!(
+            matches!(self.doc.kinds[p], DOCUMENT | ELEMENT),
+            "only the document and elements hold children"
+        );
+        assert!(self.doc.parents[c] == NONE, "node already attached");
+        self.doc.parents[c] = parent.0;
         match self.last_children[p] {
             NONE => self.first_children[p] = child.0,
             prev_last => self.next_siblings[prev_last as usize] = child.0,
@@ -609,69 +822,118 @@ impl Document {
         self.last_children[p] = child.0;
     }
 
-    /// Convenience: creates an element and appends it under `parent`.
+    /// Creates an element and appends it under `parent`.
     pub fn append_element(&mut self, parent: NodeId, tag: &str) -> NodeId {
         let id = self.new_element(tag);
         self.append_child(parent, id);
         id
     }
 
-    /// Convenience: creates a text node and appends it under `parent`.
+    /// Creates a text node and appends it under `parent`.
     pub fn append_text(&mut self, parent: NodeId, text: impl AsRef<str>) -> NodeId {
         let id = self.new_text(text);
         self.append_child(parent, id);
         id
     }
-}
 
-/// Iterator over the children of a node.
-#[derive(Clone)]
-pub struct Children<'a> {
-    doc: &'a Document,
-    next: Option<NodeId>,
-}
-
-impl Iterator for Children<'_> {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        let cur = self.next?;
-        self.next = self.doc.next_sibling(cur);
-        Some(cur)
+    /// The kind of `id`.
+    pub fn kind(&self, id: NodeId) -> NodeKind<'_> {
+        self.doc.kind(id)
     }
-}
 
-/// Preorder iterator over a subtree.
-pub struct Descendants<'a> {
-    doc: &'a Document,
-    root: NodeId,
-    next: Option<NodeId>,
-}
+    /// The tag name string of an element node.
+    pub fn tag_name(&self, id: NodeId) -> Option<&str> {
+        self.doc.tag_name(id)
+    }
 
-impl Iterator for Descendants<'_> {
-    type Item = NodeId;
+    fn link(column: &[u32], id: NodeId) -> Option<NodeId> {
+        let v = column[id.index()];
+        (v != NONE).then_some(NodeId(v))
+    }
 
-    fn next(&mut self) -> Option<NodeId> {
-        let cur = self.next?;
-        // Compute the successor in preorder without leaving the subtree.
-        self.next = if let Some(c) = self.doc.first_child(cur) {
-            Some(c)
-        } else {
-            let mut node = cur;
-            loop {
-                if node == self.root {
-                    break None;
-                }
-                if let Some(sib) = self.doc.next_sibling(node) {
-                    break Some(sib);
-                }
-                match self.doc.parent(node) {
-                    Some(p) => node = p,
-                    None => break None,
-                }
+    /// Parent of `id`, if it is attached.
+    pub fn parent(&self, id: NodeId) -> Option<NodeId> {
+        Self::link(&self.doc.parents, id)
+    }
+
+    /// First child of `id`.
+    pub fn first_child(&self, id: NodeId) -> Option<NodeId> {
+        Self::link(&self.first_children, id)
+    }
+
+    /// Next sibling of `id`.
+    pub fn next_sibling(&self, id: NodeId) -> Option<NodeId> {
+        Self::link(&self.next_siblings, id)
+    }
+
+    /// The children of `id`, in order.
+    pub fn children(&self, id: NodeId) -> impl Iterator<Item = NodeId> + Clone + '_ {
+        std::iter::successors(self.first_child(id), |&c| self.next_sibling(c))
+    }
+
+    /// The element children of `id`, in order.
+    pub fn element_children(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.children(id).filter(|&c| self.doc.is_element(c))
+    }
+
+    /// The subtree of `id` in preorder, `id` first.
+    pub fn descendants_or_self(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::successors(Some(id), move |&node| {
+            if let Some(child) = self.first_child(node) {
+                return Some(child);
             }
-        };
-        Some(cur)
+            let mut node = node;
+            loop {
+                if node == id {
+                    return None;
+                }
+                if let Some(sibling) = self.next_sibling(node) {
+                    return Some(sibling);
+                }
+                node = self.parent(node)?;
+            }
+        })
+    }
+
+    /// Concatenated text of the direct text children of `id`.
+    pub fn direct_text(&self, id: NodeId) -> Cow<'_, str> {
+        join_texts(self.children(id).map(|c| self.doc.kind(c)))
+    }
+
+    /// The tree in preorder; nodes never attached under the virtual root
+    /// are left out.
+    pub fn finish(self) -> Document {
+        self.finish_renumbered().0
+    }
+
+    /// The tree in preorder, and per creation id the node's id in it
+    /// (`None` for a node never attached under the virtual root). Kinds
+    /// and payloads move to their preorder slots; the arenas and the
+    /// symbol table stay as they are.
+    pub fn finish_renumbered(self) -> (Document, Vec<Option<NodeId>>) {
+        let order: Vec<NodeId> = self.descendants_or_self(NodeId::DOCUMENT).collect();
+        let DocumentBuilder { mut doc, .. } = self;
+        let mut renumbered = vec![None; doc.kinds.len()];
+        for (new, old) in order.iter().enumerate() {
+            renumbered[old.index()] = Some(NodeId(new as u32));
+        }
+        doc.kinds = order.iter().map(|old| doc.kinds[old.index()]).collect();
+        doc.payloads = order.iter().map(|old| doc.payloads[old.index()]).collect();
+        doc.parents = order
+            .iter()
+            .map(|old| match doc.parents[old.index()] {
+                NONE => NONE,
+                parent => renumbered[parent as usize].expect("attached").0,
+            })
+            .collect();
+        // Children follow their parent in preorder: one backward pass
+        // hands every subtree end up.
+        doc.ends = (0..order.len() as u32).collect();
+        for id in (1..order.len()).rev() {
+            let parent = doc.parents[id] as usize;
+            doc.ends[parent] = doc.ends[parent].max(doc.ends[id]);
+        }
+        (doc, renumbered)
     }
 }
 
@@ -696,10 +958,63 @@ mod tests {
         let (doc, bib, book, title, author) = sample();
         assert_eq!(doc.parent(book), Some(bib));
         assert_eq!(doc.first_child(book), Some(title));
-        assert_eq!(doc.last_child(book), Some(author));
         assert_eq!(doc.next_sibling(title), Some(author));
         assert_eq!(doc.next_sibling(author), None);
+        assert_eq!(doc.next_sibling(bib), None);
+        assert_eq!(doc.first_child(NodeId::from_index(4)), None, "a text");
         assert_eq!(doc.root_element(), Some(bib));
+        assert_eq!(doc.subtree_end(book), NodeId::from_index(6));
+        assert_eq!(doc.subtree_end(title), NodeId::from_index(4));
+    }
+
+    /// Appending closes the open nodes below the parent, and a closed
+    /// node takes no more children.
+    #[test]
+    fn appending_closes_the_path_below_the_parent() {
+        let mut doc = Document::new();
+        let a = doc.append_element(NodeId::DOCUMENT, "a");
+        let b = doc.append_element(a, "b");
+        let c = doc.append_element(b, "c");
+        let d = doc.append_element(a, "d");
+        assert_eq!(doc.subtree_end(b), c, "closed when <d> came");
+        assert_eq!(doc.subtree_end(a), d, "open: the last node");
+        assert_eq!(doc.children(a).collect::<Vec<_>>(), [b, d]);
+        let late = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            doc.clone().append_element(b, "e")
+        }));
+        assert!(late.is_err(), "<b> is closed");
+        let t = doc.append_text(d, "x");
+        let under_text = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            doc.clone().append_element(t, "f")
+        }));
+        assert!(under_text.is_err(), "a text holds no children");
+    }
+
+    /// A builder takes children in any order and renumbers into
+    /// preorder: the same tree, each node at its preorder id.
+    #[test]
+    fn the_builder_renumbers_into_preorder() {
+        let mut b = DocumentBuilder::new();
+        let r = b.append_element(NodeId::DOCUMENT, "r");
+        let x = b.append_element(r, "x");
+        let y = b.append_element(r, "y");
+        let x1 = b.append_element(x, "x1");
+        b.append_text(y, "t");
+        b.append_text(x1, "u");
+        let detached = b.new_comment("never attached");
+        b.set_attribute(x, "k", "v");
+        assert_eq!(b.children(r).collect::<Vec<_>>(), [x, y]);
+        assert_eq!(b.direct_text(y), "t");
+        let (doc, ids) = b.finish_renumbered();
+        assert_eq!(doc.to_xml(), r#"<r><x k="v"><x1>u</x1></x><y>t</y></r>"#);
+        let at = |old: NodeId| ids[old.index()].unwrap().index();
+        assert_eq!((at(r), at(x), at(x1), at(y)), (1, 2, 3, 5));
+        assert_eq!(ids[detached.index()], None);
+        assert_eq!(doc.node_count(), 7);
+        assert_eq!(
+            doc.subtree_end(NodeId::from_index(2)),
+            NodeId::from_index(4)
+        );
     }
 
     #[test]
@@ -805,8 +1120,8 @@ mod tests {
         let b = doc.append_element(a, "a");
         doc.set_attribute(a, "k", "v");
         doc.set_attribute(b, "k", "v");
-        let c = doc.new_comment("note");
-        let p = doc.new_pi("t", "d");
+        let c = doc.append_comment(b, "note");
+        let p = doc.append_pi(b, "t", "d");
         assert_eq!(doc.kind(a), doc.kind(b));
         assert_eq!(doc.kind(c), NodeKind::Comment("note"));
         assert_eq!(
@@ -832,14 +1147,14 @@ mod tests {
         let a = doc.append_element(NodeId::DOCUMENT, "a");
         doc.append_text(a, "hello");
         doc.shrink_to_fit();
-        // 25 column bytes per node, then the five text bytes.
-        assert_eq!(doc.size_bytes(), 3 * 25 + 5);
+        // 17 column bytes per node, then the five text bytes.
+        assert_eq!(doc.size_bytes(), 3 * 17 + 5);
     }
 
     #[test]
     #[should_panic(expected = "already attached")]
     fn double_attach_panics() {
-        let mut doc = Document::new();
+        let mut doc = DocumentBuilder::new();
         let a = doc.append_element(NodeId::DOCUMENT, "a");
         let b = doc.new_element("b");
         doc.append_child(a, b);

@@ -4,7 +4,7 @@
 //! workspace builds offline.
 
 use lotusx_datagen::rng::XorShiftRng;
-use lotusx_xml::{Document, NodeId, NodeKind};
+use lotusx_xml::{Document, DocumentBuilder, NodeId, NodeKind};
 
 const TAGS: [&str; 8] = ["a", "b", "book", "title", "author", "item", "x-y", "ns:tag"];
 const ATTR_NAMES: [&str; 3] = ["k", "id", "year"];
@@ -260,7 +260,7 @@ fn merge_rich_text(children: Vec<RichNode>) -> Vec<RichNode> {
 /// so ids descend against document order. The first half of each
 /// element's attributes is set to a placeholder here and replaced by
 /// [`set_real_attributes`] once the whole tree stands.
-fn build_bottom_up(doc: &mut Document, node: &RichNode) -> NodeId {
+fn build_bottom_up(doc: &mut DocumentBuilder, node: &RichNode) -> NodeId {
     match node {
         RichNode::Element {
             tag,
@@ -285,7 +285,7 @@ fn build_bottom_up(doc: &mut Document, node: &RichNode) -> NodeId {
 
 /// Sets every element's real attribute values, last element first:
 /// the placeholders are replaced in place, the rest appended.
-fn set_real_attributes(doc: &mut Document, id: NodeId, node: &RichNode) {
+fn set_real_attributes(doc: &mut DocumentBuilder, id: NodeId, node: &RichNode) {
     if let RichNode::Element {
         attrs, children, ..
     } = node
@@ -301,15 +301,15 @@ fn set_real_attributes(doc: &mut Document, id: NodeId, node: &RichNode) {
 }
 
 /// A document with an optional top-level comment and PI around a random
-/// root element, built through the tree API with descending ids.
-fn random_tree_api_document(rng: &mut XorShiftRng) -> (Document, RichNode) {
+/// root element, assembled in a builder with descending ids.
+fn random_tree_api_document(rng: &mut XorShiftRng) -> (DocumentBuilder, RichNode) {
     let root = loop {
         let node = random_rich(rng, 4);
         if matches!(node, RichNode::Element { .. }) {
             break node;
         }
     };
-    let mut doc = Document::new();
+    let mut doc = DocumentBuilder::new();
     let before = rng
         .gen_bool(0.3)
         .then(|| RichNode::Comment(random_from(rng, &COMMENT_CHARS, 1)));
@@ -350,13 +350,18 @@ const TREE_API_BYTES: u64 = 0x58a6_3741_5dd7_5dc7;
 fn tree_api_documents_serialize_byte_identically_and_reparse() {
     let mut rng = XorShiftRng::seed_from_u64(0x7AEE);
     let mut hash = FNV_BASIS;
+    let mut renumbered = 0;
     for case in 0..128 {
-        let (doc, root) = random_tree_api_document(&mut rng);
-        let first = doc.root_element().expect("has a root");
+        let (built, root) = random_tree_api_document(&mut rng);
+        let built_root = built.element_children(NodeId::DOCUMENT).next().unwrap();
         // Bottom-up construction: the root was created after its subtree.
-        if doc.first_child(first).is_some() {
-            assert!(doc.first_child(first).unwrap() < first, "case {case}");
+        if let Some(child) = built.first_child(built_root) {
+            assert!(child < built_root, "case {case}");
+            renumbered += 1;
         }
+        let (doc, ids) = built.clone().finish_renumbered();
+        assert_the_renumbering_keeps_the_tree(&built, &doc, &ids, case);
+        let first = doc.root_element().expect("has a root");
         // Replacement kept the first-set attributes in place.
         if let RichNode::Element { attrs, .. } = &root {
             let names: Vec<&str> = doc.attributes(first).iter().map(|(n, _)| *n).collect();
@@ -386,6 +391,50 @@ fn tree_api_documents_serialize_byte_identically_and_reparse() {
         hash, TREE_API_BYTES,
         "serialized bytes moved: 0x{hash:016x}"
     );
+    assert!(renumbered > 64, "builder ids out of preorder: {renumbered}");
+}
+
+/// The frozen document is the builder's tree, node for node through the
+/// renumbering: every node keeps its parent, first child, next sibling,
+/// children, subtree, direct text, kind and attributes, and its new id
+/// is its place in the builder's preorder.
+fn assert_the_renumbering_keeps_the_tree(
+    built: &DocumentBuilder,
+    doc: &Document,
+    ids: &[Option<NodeId>],
+    case: usize,
+) {
+    let map = |n: NodeId| ids[n.index()].expect("attached under the root");
+    let preorder: Vec<NodeId> = built.descendants_or_self(NodeId::DOCUMENT).collect();
+    assert_eq!(preorder.len(), doc.node_count(), "case {case}");
+    for (at, &old) in preorder.iter().enumerate() {
+        let new = map(old);
+        assert_eq!(new.index(), at, "case {case}: {old:?}");
+        assert_eq!(built.parent(old).map(map), doc.parent(new), "case {case}");
+        assert_eq!(
+            built.first_child(old).map(map),
+            doc.first_child(new),
+            "case {case}"
+        );
+        assert_eq!(
+            built.next_sibling(old).map(map),
+            doc.next_sibling(new),
+            "case {case}"
+        );
+        assert!(
+            built.children(old).map(map).eq(doc.children(new)),
+            "case {case}: children of {old:?}"
+        );
+        assert!(
+            built
+                .descendants_or_self(old)
+                .map(map)
+                .eq(doc.descendants_or_self(new)),
+            "case {case}: subtree of {old:?}"
+        );
+        assert_eq!(built.direct_text(old), doc.direct_text(new), "case {case}");
+        assert_eq!(built.kind(old), doc.kind(new), "case {case}");
+    }
 }
 
 /// Splits every text of `node` into one to three adjacent text nodes.
@@ -462,7 +511,7 @@ const COALESCED_BYTES: u64 = 0x874a_c908_20dd_eaf3;
 fn parse_serialize_parse_is_a_fixpoint() {
     let mut rng = XorShiftRng::seed_from_u64(0xF1C5);
     for case in 0..128 {
-        let (doc, _) = random_tree_api_document(&mut rng);
+        let doc = random_tree_api_document(&mut rng).0.finish();
         // Pretty output adds whitespace text; with it kept, the second
         // round must reproduce the first byte for byte.
         for xml in [doc.to_xml(), doc.to_xml_pretty()] {

@@ -4,6 +4,13 @@
 //! landed, so a pass proves answers, scores, snippets and rewrites are
 //! byte-identical across that change — and across any later one.
 //!
+//! Two rows, `xmark-like/X4` and `xmark-like/R4`, were re-recorded when
+//! documents became preorder-only: the xmark generator creates its
+//! regions lazily, out of document order, and its tree is now renumbered
+//! into preorder, so the item ids these two answers bind moved. Their new
+//! hashes are the ones the commit before gave for the same queries over
+//! the parsed corpus, whose ids were already the preorder.
+//!
 //! `EDGES` pins what `GOLDEN` does not reach, recorded on the commit
 //! before the append-only JSON writer replaced the `format!` encoders:
 //! `/complete` tag and value candidates, truncated answers, `top_k` at
@@ -38,13 +45,13 @@ const GOLDEN: &[(&str, u64)] = &[
     ("xmark-like/X1", 0x144675add6b4af1f),
     ("xmark-like/X2", 0x2ee8c863de41f713),
     ("xmark-like/X3", 0xe56a5ae8211858a0),
-    ("xmark-like/X4", 0xa50725e4ec17f752),
+    ("xmark-like/X4", 0xb4e6b915c685de29),
     ("xmark-like/X5", 0x3e186698d345547e),
     ("xmark-like/X6", 0x3cf6780ffe2ff925),
     ("xmark-like/R1", 0xc3867edab6789959),
     ("xmark-like/R2", 0x7d11d37ad759d4e2),
     ("xmark-like/R3", 0x12f4634e905f51b5),
-    ("xmark-like/R4", 0x5ddcbfae3f8034d0),
+    ("xmark-like/R4", 0x69cef979fc9c4d65),
     ("xmark-like/R5", 0x575ca7de9abda8db),
     ("treebank-like/T1", 0x7b4d9b4134ae5690),
     ("treebank-like/T2", 0xe6b8e81599c7a541),

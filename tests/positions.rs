@@ -1,12 +1,13 @@
-//! One copy of every element's position (seeded, deterministic): the
-//! index stores each region only in its tag stream and reads it through
-//! a per-node position map, and gathers the all-elements stream that
-//! `*` query nodes scan only when one first asks.
+//! Preorder is the position (seeded, deterministic): node ids are the
+//! document order, an element's region is arithmetic on its id, its
+//! subtree end and its level, and the index gathers the all-elements
+//! stream that `*` query nodes scan only when one first asks.
 //!
 //! - On random documents parsed, loaded from a snapshot, and assembled
-//!   through the tree API with ids that do not ascend, every element's
-//!   region equals what `DocumentLabels::compute` assigns it, and the
-//!   gathered all-elements stream is every element in document order.
+//!   out of order in a builder and renumbered into preorder, every
+//!   element's region equals what `DocumentLabels::compute` assigns it,
+//!   and the gathered all-elements stream is every element in document
+//!   order with its subtree end and level.
 //! - Every random twig with a `*` node answers like the naive oracle,
 //!   built and loaded.
 //! - The six dblp benchmark twigs never gather the all-elements stream;
@@ -18,54 +19,60 @@ mod random_inputs;
 use lotusx::{CorpusSource, LotusX, QueryRequest};
 use lotusx_datagen::rng::XorShiftRng;
 use lotusx_datagen::{queries, Dataset};
-use lotusx_index::columns::NO_SLOT;
 use lotusx_index::snapshot::{decode_sections, encode_sections};
 use lotusx_index::{DocumentLabels, IndexedDocument};
 use lotusx_twig::pattern::NodeTest;
 use lotusx_twig::{execute, Algorithm};
 use lotusx_xml::NodeId;
 
-/// Every node of `idx` against the labeling oracle: an element reads its
-/// computed region through its position, any other node has none; the
-/// all-elements stream lists the elements in document order with those
-/// regions.
+/// Every element of `idx` against the labeling oracle: its arithmetic
+/// region, start and level are the ones computed by the enter/exit walk;
+/// the all-elements stream lists the elements in document order with
+/// their subtree ends and levels.
 fn assert_regions_match_the_labeling(idx: &IndexedDocument, what: &str) {
     let doc = idx.document();
     let labels = DocumentLabels::compute(doc);
     let mut in_order: Vec<NodeId> = Vec::new();
-    for node in doc.all_nodes() {
-        if doc.is_element(node) {
-            assert_eq!(idx.region(node), labels.region(node), "{what}: {node:?}");
-            assert_eq!(idx.level(node), labels.region(node).level, "{what}");
-            in_order.push(node);
-        } else {
-            assert_eq!(idx.columns().position(node), NO_SLOT, "{what}: {node:?}");
-        }
+    for node in doc.all_nodes().filter(|&n| doc.is_element(n)) {
+        let region = labels.region(node);
+        assert_eq!(idx.region(node), region, "{what}: {node:?}");
+        assert_eq!(idx.start(node), region.start, "{what}: {node:?}");
+        assert_eq!(idx.level(node), region.level, "{what}: {node:?}");
+        in_order.push(node);
     }
     let all = idx.columns().all_elements();
     assert_eq!(all.nodes(), in_order, "{what}");
     for (i, &node) in in_order.iter().enumerate() {
-        assert_eq!(all.element(i).1, labels.region(node), "{what}: {node:?}");
+        let (_, end, level) = all.element(i);
+        assert_eq!(end, doc.subtree_end(node), "{what}: {node:?}");
+        assert_eq!(level, labels.region(node).level, "{what}: {node:?}");
     }
 }
 
 #[test]
 fn every_element_reads_the_region_the_labeling_assigns() {
     let mut rng = XorShiftRng::seed_from_u64(0x9051);
-    let mut ids_descend = 0;
+    let mut renumbered = 0;
     for case in 0..150 {
-        let (built, _) = random_inputs::random_case(&mut rng);
-        ids_descend += usize::from(!built.columns().ids_ascend());
+        let (built, _, moved) = random_inputs::random_case_renumbered(&mut rng);
+        renumbered += usize::from(moved > 0);
         assert_regions_match_the_labeling(&built, &format!("case {case}, built"));
+        // The builder's renumbering is the numbering parsing the
+        // serialized tree gives.
         let parsed = IndexedDocument::from_str(&built.document().to_xml()).unwrap();
-        assert!(parsed.columns().ids_ascend());
+        let (doc, reparsed) = (built.document(), parsed.document());
+        assert_eq!(doc.node_count(), reparsed.node_count(), "case {case}");
+        for node in doc.all_nodes() {
+            assert_eq!(doc.tag_name(node), reparsed.tag_name(node), "case {case}");
+            assert_eq!(doc.parent(node), reparsed.parent(node), "case {case}");
+        }
         assert_regions_match_the_labeling(&parsed, &format!("case {case}, parsed"));
         let loaded = decode_sections(encode_sections(&built)).unwrap();
         assert_regions_match_the_labeling(&loaded, &format!("case {case}, loaded"));
     }
     assert!(
-        ids_descend > 20,
-        "arenas out of document order: {ids_descend}"
+        renumbered > 20,
+        "trees the builder renumbered into preorder: {renumbered}"
     );
 }
 
@@ -122,5 +129,6 @@ fn only_a_wildcard_query_gathers_the_all_elements_stream_and_only_once() {
     let elements = system.index().stats().element_count;
     assert_eq!(columns.all_elements().len(), elements);
     assert_eq!(columns.all_elements().nodes().as_ptr() as usize, seen[0]);
-    assert_eq!(columns.size_bytes(), before + 14 * elements);
+    // A node id, a subtree end and a level per element.
+    assert_eq!(columns.size_bytes(), before + 10 * elements);
 }

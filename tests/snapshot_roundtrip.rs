@@ -238,7 +238,7 @@ fn corrupted_snapshots_yield_typed_errors_not_panics() {
     // section is parsed: the good file relabelled (every byte after the
     // version would parse) and a bare header followed by garbage fail
     // alike, naming the version they claimed.
-    for version in [1u8, 2, 3, 4, 5, 6] {
+    for version in [1u8, 2, 3, 4, 5, 6, 7] {
         let mut relabelled = good.clone();
         relabelled[4] = version;
         let bare = [&b"LTSX"[..], &[version, 0xff, 0xff, 0xff]].concat();
