@@ -58,11 +58,13 @@ use std::time::Duration;
 const DOCUMENT_BYTES_PER_NODE: usize = 22;
 
 /// Resident bytes the value index may hold per element: its key arenas,
-/// lists and offset columns, and the numeric index, by capacity. The
-/// sorted dictionaries measured 30–37 B on dblp and xmark and 6–7 on
-/// treebank (E29); the hash-map layout they replaced held about 1.7x as
-/// much.
-const VALUE_INDEX_BYTES_PER_ELEMENT: f64 = 45.0;
+/// lists and offset columns, its frequencies above 1 and the numeric
+/// index, by capacity. Bare node-id postings, exact keys read in the
+/// document's text and numbers derived per key read 16–19 B on dblp and
+/// xmark and 4 on treebank (E37); postings carrying a tf each, every key
+/// copied and a number per element read 30–37 and 6–7 (E29), and the
+/// hash-map layout before them about 1.7x that.
+const VALUE_INDEX_BYTES_PER_ELEMENT: f64 = 20.0;
 
 /// Resident bytes the loaded tag-stream columns and parent slots may
 /// hold per element: node, subtree end, level and parent slot read 14.0

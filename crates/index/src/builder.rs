@@ -56,7 +56,7 @@ impl IndexedDocument {
                 continue;
             };
             let attrs = attributes.into_iter().map(|(_, v)| v);
-            values.add_element(node, name, &doc.direct_text(node), attrs);
+            values.add_element(node, name, doc.direct_text(node), attrs);
         }
         let (values, term_counts) = values.finish(doc.symbols().len());
         Self::assemble(doc, values, term_counts)
@@ -258,7 +258,12 @@ mod tests {
         let idx = idx();
         assert_eq!(idx.values().df("xml"), 1);
         assert_eq!(idx.values().df("1999"), 1, "attribute value indexed");
-        assert_eq!(idx.values().exact_matches("twigstack").len(), 1);
+        assert_eq!(
+            idx.values()
+                .exact_matches(idx.document(), "twigstack")
+                .len(),
+            1
+        );
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //!   contiguous start/end/level/node arrays, which the join scans
 //!   branch-light and skips through with galloping binary search, plus
 //!   a derived parent-slot column a child edge gathers through;
-//! * [`value_index::ValueIndex`] — tokenized term postings with term
-//!   frequencies, an exact-value index, and a numeric index for range
-//!   predicates; terms and exact values are sorted dictionaries over
-//!   compressed sparse rows, and a prefix is a range of term ranks;
+//! * [`value_index::ValueIndex`] — tokenized term postings (node ids,
+//!   with the term frequencies above 1 beside them), an exact-value index
+//!   whose keys are read in the document's text, and a numeric index for
+//!   range predicates derived from those keys; terms and exact values
+//!   are sorted dictionaries over compressed sparse rows, and a prefix is
+//!   a range of term ranks;
 //! * [`term_counts::TermCounts`] — per tag and document-wide term counts
 //!   over those ranks, the lists every value candidate list is the top k
 //!   of;

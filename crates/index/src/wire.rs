@@ -32,18 +32,3 @@ pub(crate) fn rd_len(
 ) -> Result<usize, StorageError> {
     usize::try_from(rd_varint(data, pos, what)?).map_err(|_| corrupt(what))
 }
-
-/// Reads a raw little-endian `f64` (bit-exact, including NaN payloads).
-pub(crate) fn rd_f64(
-    data: &[u8],
-    pos: &mut usize,
-    what: &'static str,
-) -> Result<f64, StorageError> {
-    let end = pos
-        .checked_add(8)
-        .filter(|&e| e <= data.len())
-        .ok_or(corrupt(what))?;
-    let bits = u64::from_le_bytes(data[*pos..end].try_into().expect("8 bytes"));
-    *pos = end;
-    Ok(f64::from_bits(bits))
-}

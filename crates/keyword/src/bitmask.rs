@@ -34,8 +34,8 @@ impl ContainmentMasks {
         let n = idx.document().node_count();
         let mut direct = vec![0u64; n];
         for (i, kw) in keywords.iter().enumerate() {
-            for posting in idx.values().postings(kw) {
-                direct[posting.node.index()] |= 1 << i;
+            for node in idx.values().postings(kw).nodes() {
+                direct[node.index()] |= 1 << i;
             }
         }
         // Propagate to ancestors. Node ids are assigned in document

@@ -19,21 +19,16 @@ use lotusx_xml::{Document, NodeId};
 
 /// One keyword's occurrence list in document order: node ids, which are
 /// the preorder, so a binary search over them finds document-order
-/// neighbours.
-struct KeywordList {
-    nodes: Vec<NodeId>,
+/// neighbours. It is the value index's own list, borrowed.
+struct KeywordList<'a> {
+    nodes: &'a [NodeId],
 }
 
-impl KeywordList {
-    fn build(idx: &IndexedDocument, keyword: &str) -> Self {
+impl<'a> KeywordList<'a> {
+    fn build(idx: &'a IndexedDocument, keyword: &str) -> Self {
         // Value-index postings are built in one preorder pass, so they are
         // already in document order; assert in debug builds.
-        let nodes: Vec<NodeId> = idx
-            .values()
-            .postings(keyword)
-            .iter()
-            .map(|p| p.node)
-            .collect();
+        let nodes = idx.values().postings(keyword).nodes();
         debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]));
         KeywordList { nodes }
     }
@@ -94,7 +89,7 @@ pub fn slca_indexed(idx: &IndexedDocument, keywords: &[&str]) -> Vec<NodeId> {
     let doc = idx.document();
     let with_level = |n: NodeId| (n, idx.level(n));
     let mut candidates: Vec<NodeId> = Vec::new();
-    'occurrences: for &v in &scan.nodes {
+    'occurrences: for &v in scan.nodes {
         // Fold: the deepest ancestor of v whose subtree has a hit from
         // every remaining list.
         let mut current = with_level(v);

@@ -1,6 +1,6 @@
 //! Scoring of keyword hits: smaller, term-rich subtrees first.
 
-use lotusx_index::value_index::Posting;
+use lotusx_index::value_index::Postings;
 use lotusx_index::IndexedDocument;
 use lotusx_xml::{Document, NodeId};
 
@@ -27,10 +27,12 @@ pub struct HitScorer<'a> {
 }
 
 struct TermCursor<'a> {
-    postings: &'a [Posting],
+    postings: Postings<'a>,
     idf: f64,
     /// The first posting at or after `last` in document order.
     from: usize,
+    /// The frequency cursor of [`Postings::tf_sum`] at `from`.
+    tf_from: usize,
 }
 
 impl<'a> HitScorer<'a> {
@@ -46,6 +48,7 @@ impl<'a> HitScorer<'a> {
                 postings,
                 idf: (1.0 + n / postings.len() as f64).ln(),
                 from: 0,
+                tf_from: 0,
             })
             .collect();
         HitScorer {
@@ -62,7 +65,9 @@ impl<'a> HitScorer<'a> {
         let doc = self.idx.document();
         let end = doc.subtree_end(node);
         if node < self.last {
-            self.terms.iter_mut().for_each(|t| t.from = 0);
+            self.terms
+                .iter_mut()
+                .for_each(|t| (t.from, t.tf_from) = (0, 0));
         }
         self.last = node;
         let mut weight = 0.0;
@@ -71,13 +76,11 @@ impl<'a> HitScorer<'a> {
             // document order — node ids are the preorder — so the
             // subtree's are the contiguous run from the answer to its
             // subtree end.
-            let rest = &t.postings[t.from..];
-            t.from += rest.partition_point(|p| p.node < node);
-            let tf: u32 = t.postings[t.from..]
-                .iter()
-                .take_while(|p| p.node <= end)
-                .map(|p| p.tf)
-                .sum();
+            let nodes = t.postings.nodes();
+            t.from += nodes[t.from..].partition_point(|&p| p < node);
+            let inside = nodes[t.from..].iter().take_while(|&&p| p <= end);
+            let to = t.from + inside.count();
+            let tf = t.postings.tf_sum(t.from..to, &mut t.tf_from);
             if tf > 0 {
                 weight += (1.0 + f64::from(tf).ln_1p()) * t.idf;
             }

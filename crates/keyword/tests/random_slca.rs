@@ -140,8 +140,8 @@ fn score_hit_by_scan(idx: &IndexedDocument, node: NodeId, keywords: &[&str]) -> 
         let postings = values.postings(kw);
         let tf: u32 = postings
             .iter()
-            .filter(|p| p.node == node || doc.ancestors(p.node).any(|a| a == node))
-            .map(|p| p.tf)
+            .filter(|&(p, _)| p == node || doc.ancestors(p).any(|a| a == node))
+            .map(|(_, tf)| tf)
             .sum();
         if tf > 0 {
             let idf = (1.0 + n / postings.len() as f64).ln();

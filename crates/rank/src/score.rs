@@ -2,7 +2,7 @@
 
 use crate::topk::{rank_cmp, OrderedTopK};
 use lotusx_guard::Ticker;
-use lotusx_index::value_index::Posting;
+use lotusx_index::value_index::Postings;
 use lotusx_index::IndexedDocument;
 use lotusx_twig::algorithms::structural_join::ReducedTwig;
 use lotusx_twig::exec::JoinResult;
@@ -60,7 +60,7 @@ struct PatternScorer<'a> {
     ad_edges: Vec<(usize, usize)>,
     /// One entry per `contains` term with postings, in (query node, term)
     /// order: the bound column, the term's postings and its IDF.
-    terms: Vec<(usize, &'a [Posting], f64)>,
+    terms: Vec<(usize, Postings<'a>, f64)>,
 }
 
 impl<'a> PatternScorer<'a> {
@@ -126,10 +126,10 @@ impl<'a> PatternScorer<'a> {
         let mut sum = 0.0;
         for &(col, postings, idf) in &self.terms {
             // Postings are in document order: node id order.
-            let node = row[col];
-            let at = postings.partition_point(|p| p.node < node);
-            if let Some(p) = postings.get(at).filter(|p| p.node == node) {
-                sum += (1.0 + f64::from(p.tf).ln_1p()) * idf;
+            let (node, nodes) = (row[col], postings.nodes());
+            let at = nodes.partition_point(|&p| p < node);
+            if nodes.get(at) == Some(&node) {
+                sum += (1.0 + f64::from(postings.tf(at)).ln_1p()) * idf;
             }
         }
         squash(sum)

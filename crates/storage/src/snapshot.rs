@@ -1,9 +1,9 @@
-//! The sectioned `LTSX` snapshot container, version 8.
+//! The sectioned `LTSX` snapshot container, version 9.
 //!
 //! Layout:
 //!
 //! ```text
-//! magic "LTSX" | version (1 byte, = 8) | varint section count
+//! magic "LTSX" | version (1 byte, = 9) | varint section count
 //! then per section:
 //!   varint section id | varint payload length | u64 LE checksum | payload
 //! ```
@@ -41,8 +41,12 @@ use std::path::Path;
 /// DataGuide and the node → guide-node map in section 6 and the corpus
 /// statistics in section 7, all of which the document determines; 7
 /// stored a `u32` parent per node in `DOCUMENT` where 8 stores a close
-/// count, one byte for nearly every node.)
-pub const SNAPSHOT_VERSION: u8 = 8;
+/// count, one byte for nearly every node; 8 stored in `VALUES` a tf with
+/// every posting, absolute node ids, every exact key's bytes and a
+/// numeric entry per element, where 9 gap-codes the lists, writes only
+/// the frequencies above 1, points an exact key at its element's text
+/// unless folding changed it, and derives the numbers from the keys.)
+pub const SNAPSHOT_VERSION: u8 = 9;
 
 /// Section ids of the full-index snapshot: only what the document tree
 /// cannot give back. The tag streams, the DataGuide and the statistics
@@ -53,7 +57,8 @@ pub mod section {
     /// The document tree: symbol table, then a kind column and per node
     /// its close count and payload, in preorder.
     pub const DOCUMENT: u64 = 1;
-    /// The value index: term postings, exact strings, numeric values.
+    /// The value index: term postings and exact values (the numeric
+    /// index is derived from the exact keys).
     pub const VALUES: u64 = 4;
     /// Per tag, the `(term rank, count)` pairs of its elements' direct
     /// text: what value completion ranks by.
@@ -272,8 +277,8 @@ mod tests {
             ),
             (
                 "future version",
-                |b| b[4] = 9,
-                |e| matches!(e, StorageError::UnsupportedVersion(9)),
+                |b| b[4] = 10,
+                |e| matches!(e, StorageError::UnsupportedVersion(10)),
             ),
             // The retired layouts are refused at the version byte: the
             // rest of this file would parse as any of them.
@@ -311,6 +316,11 @@ mod tests {
                 "version 7",
                 |b| b[4] = 7,
                 |e| matches!(e, StorageError::UnsupportedVersion(7)),
+            ),
+            (
+                "version 8",
+                |b| b[4] = 8,
+                |e| matches!(e, StorageError::UnsupportedVersion(8)),
             ),
             (
                 "unknown section id",

@@ -208,15 +208,16 @@ pub fn initial_weights(idx: &IndexedDocument, node: &QNode, stream: ColumnView<'
         weigh(&|i| marked[nodes[i].index() / 64] >> (nodes[i].index() % 64) & 1 == 1)
     };
     let values = idx.values();
-    let postings = |term: &str| values.postings(term).iter().map(|p| p.node);
+    let postings = |term: &str| values.postings(term).nodes().iter().copied();
     match &node.predicate {
         None => vec![1; nodes.len()],
         Some(ValuePredicate::Equals(v)) => {
-            among(&mark(&mut values.exact_matches(v).iter().copied()))
+            let exact = values.exact_matches(idx.document(), v);
+            among(&mark(&mut exact.iter().copied()))
         }
-        Some(ValuePredicate::Range { low, high }) => among(&mark(
-            &mut values.range_matches(*low, *high).iter().map(|e| e.1),
-        )),
+        Some(ValuePredicate::Range { low, high }) => {
+            among(&mark(&mut values.range_matches(*low, *high)))
+        }
         Some(ValuePredicate::Contains(v)) => {
             let mut terms = lotusx_index::tokenize(v).into_iter();
             // A needle with no terms is contained in everything.

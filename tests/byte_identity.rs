@@ -22,7 +22,11 @@
 //! a close count per node; every `xml`, `values` and `tag_terms` row
 //! kept its hash, so the tree, the value index and the term counts did
 //! not move — the generators' trees included, the xmark one renumbered
-//! into preorder.
+//! into preorder. The three `values` rows and the three `ltsx` rows were
+//! re-recorded when format version 9 gap-coded the value lists, kept only
+//! the frequencies above 1, pointed exact keys at their elements' text
+//! and stopped storing the numeric index; every `xml`, `document` and
+//! `tag_terms` row kept its hash.
 //!
 //! On a deliberate format change, the failure message prints the whole
 //! table in source form; paste it over `RECORDED`.
@@ -39,19 +43,19 @@ const SEED: u64 = 2012;
 const RECORDED: &[(&str, u64)] = &[
     ("dblp-like/xml", 0x2af8c3d8bc47c652),
     ("dblp-like/generated/document", 0x6fb829123f809b79),
-    ("dblp-like/generated/values", 0x7043ef899f977fbf),
+    ("dblp-like/generated/values", 0xd0ce5eb8915a5418),
     ("dblp-like/generated/tag_terms", 0xd1d79684d8cc036a),
-    ("dblp-like/parsed/ltsx", 0xa908805e912b2066),
+    ("dblp-like/parsed/ltsx", 0xd892323a7f1f8d09),
     ("xmark-like/xml", 0x7390d636741da3c1),
     ("xmark-like/generated/document", 0x4c9119cc5d160eac),
-    ("xmark-like/generated/values", 0x0e018935e98569f5),
+    ("xmark-like/generated/values", 0x2a812fed7b12a5ab),
     ("xmark-like/generated/tag_terms", 0x6a13fab6c1241350),
-    ("xmark-like/parsed/ltsx", 0xec1fe757aefca76b),
+    ("xmark-like/parsed/ltsx", 0xf21d73070bb96eb0),
     ("treebank-like/xml", 0x47cf283d30198078),
     ("treebank-like/generated/document", 0xd6f2d8c7681b683b),
-    ("treebank-like/generated/values", 0xbde447300cb0ea2b),
+    ("treebank-like/generated/values", 0xffdf6f17fb89a544),
     ("treebank-like/generated/tag_terms", 0x97a7d6985ceea8b9),
-    ("treebank-like/parsed/ltsx", 0x298f924c908ed9e3),
+    ("treebank-like/parsed/ltsx", 0xc1c4647910f0d191),
 ];
 
 fn section_name(id: u64) -> &'static str {

@@ -238,7 +238,7 @@ fn corrupted_snapshots_yield_typed_errors_not_panics() {
     // section is parsed: the good file relabelled (every byte after the
     // version would parse) and a bare header followed by garbage fail
     // alike, naming the version they claimed.
-    for version in [1u8, 2, 3, 4, 5, 6, 7] {
+    for version in [1u8, 2, 3, 4, 5, 6, 7, 8] {
         let mut relabelled = good.clone();
         relabelled[4] = version;
         let bare = [&b"LTSX"[..], &[version, 0xff, 0xff, 0xff]].concat();
@@ -276,6 +276,77 @@ fn a_file_carrying_a_retired_section_is_a_typed_error() {
             Err(LotusError::Storage(StorageError::UnknownSection(got))) => assert_eq!(got, id),
             Err(other) => panic!("section {id}: wrong error kind: {other}"),
             Ok(_) => panic!("section {id}: the snapshot opened"),
+        }
+    }
+}
+
+/// `VALUES` of `<r><a>x y x</a><b>x</b></r>` (elements 2 and 4, their
+/// texts 3 and 5), every number one varint byte: the terms "x" (the gaps
+/// 2, 2 to elements 2 and 4; one frequency above 1, 2 at position 0)
+/// and "y" (element 2), then the exact keys "x" and "x y x", each empty
+/// because it is its element's text (elements 4 and 2), then 2 content
+/// elements. `forge` edits a copy before it is written.
+fn forged_values(forge: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut bytes = vec![
+        2, 1, b'x', 2, 2, 2, 1, 0, 2, // "x": [2, 4], tf 2 at position 0
+        1, b'y', 1, 2, 0, // "y": [2]
+        2, 0, 1, 4, // "x" → [4]
+        0, 1, 2, // "x y x" → [2]
+        2,
+    ];
+    forge(&mut bytes);
+    bytes
+}
+
+/// A crafted `VALUES` that holds a fact out of its one canonical form —
+/// a list not strictly increasing, a frequency out of order, past its
+/// list or not above 1, a key stored beside the text it equals — is a
+/// typed error, written with fresh checksums so the decoder, not the
+/// framing, must refuse it.
+#[test]
+fn a_forged_value_index_is_a_typed_error() {
+    let fresh = LotusX::load_str("<r><a>x y x</a><b>x</b></r>").unwrap();
+    let path = Scratch::new("forged.ltsx");
+    fresh.save_snapshot(&path.0).unwrap();
+    let sections = lotusx_storage::read_snapshot_file(&path.0).unwrap();
+    let values = |s: &lotusx_storage::Section| s.id == lotusx_storage::snapshot::section::VALUES;
+    let at = sections.iter().position(values).unwrap();
+    assert_eq!(
+        sections[at].bytes,
+        forged_values(|_| {}),
+        "the layout above"
+    );
+
+    type Forge = fn(&mut Vec<u8>);
+    let cases: &[(Forge, &str)] = &[
+        // "x": gaps 2, 0 — element 2 twice.
+        (|b| b[5] = 0, "value-index id gap is zero"),
+        // "x": two frequencies, at positions 1 then 0.
+        (
+            |b| {
+                b.splice(6..9, [2, 1, 2, 0, 2]);
+            },
+            "value-index tf positions not increasing",
+        ),
+        (|b| b[7] = 2, "value-index tf position past its list"),
+        (|b| b[8] = 1, "value-index tf below 2"),
+        // The key "x" written out although it is element 4's text.
+        (
+            |b| {
+                b.splice(15..16, [1, b'x']);
+            },
+            "value-index exact key stored beside its text",
+        ),
+    ];
+    let tampered = Scratch::new("forged-tampered.ltsx");
+    for (forge, want) in cases {
+        let mut bad = sections.clone();
+        bad[at].bytes = forged_values(forge);
+        lotusx_storage::write_snapshot_file(&tampered.0, &bad).unwrap();
+        match LotusX::open_snapshot(&tampered.0) {
+            Err(LotusError::Storage(StorageError::Corrupt(what))) => assert_eq!(what, *want),
+            Err(other) => panic!("{want}: wrong error kind: {other}"),
+            Ok(_) => panic!("{want}: the forged snapshot opened"),
         }
     }
 }
