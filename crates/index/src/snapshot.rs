@@ -14,7 +14,9 @@
 //! stored derivation must be validated against its source or it can lie,
 //! and validating it costs what recomputing it costs. The same holds
 //! inside the stored sections: the document-frequency list and the count
-//! lists' block maxima are derived from `VALUES` and `TAG_TERMS`.
+//! lists' block maxima are derived from `VALUES` and `TAG_TERMS`, and the
+//! numeric index from the exact keys, most of which are read in the
+//! document's own text.
 //!
 //! ## Node ids
 //!
