@@ -10,7 +10,10 @@
 //! this binary as a regression gate for the one plan. One more column,
 //! `count_top10`, times what a query actually asks of the join: the
 //! count and the ten best rows through the ranker, no row built that the
-//! ranker does not look at.
+//! ranker does not look at. Those ten rows must equal, score bits and
+//! bindings, the full ranking of the naive answer cut at ten, and
+//! `top10_offered` records how many rows the ranker was offered to find
+//! them (the `candidates` note of its `score-select` span).
 //!
 //! The corpora are generated, serialized and parsed, like any document a
 //! server loads: node ids ascend with document order (the xmark
@@ -29,9 +32,11 @@ use lotusx_bench::{fmt_duration, time_once, SEED};
 use lotusx_datagen::{queries, Dataset};
 use lotusx_guard::QueryGuard;
 use lotusx_index::IndexedDocument;
-use lotusx_rank::Ranker;
+use lotusx_obs::Span;
+use lotusx_rank::{Ranker, ScoredMatch};
 use lotusx_twig::xpath::parse_query;
 use lotusx_twig::{execute, execute_budgeted, Algorithm};
+use lotusx_xml::NodeId;
 use std::time::Duration;
 
 struct Config {
@@ -102,6 +107,13 @@ fn json_str(s: &str) -> String {
     out
 }
 
+/// A ranking as score bits and bindings, to compare bit for bit.
+fn score_bits(ranked: &[ScoredMatch]) -> Vec<(u64, Vec<NodeId>)> {
+    let rows = ranked.iter();
+    rows.map(|m| (m.score.to_bits(), m.bindings.clone()))
+        .collect()
+}
+
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
@@ -118,6 +130,8 @@ struct QueryRow {
     equivalent: bool,
     /// Count + top-10 through the ranker, as a query runs them.
     count_top10_ms: f64,
+    /// Rows the ranker was offered to find the top 10.
+    top10_offered: usize,
 }
 
 fn main() {
@@ -146,6 +160,8 @@ fn main() {
 
                 // Reference answer from the navigational baseline.
                 let reference = execute(&idx, &pattern, Algorithm::Naive);
+                let ranked = Ranker::new(&idx).rank(&pattern, &reference);
+                let top10_reference = score_bits(&ranked[..ranked.len().min(10)]);
                 let mut equivalent = true;
 
                 // Interleaved timing: one run of every contender per round,
@@ -157,6 +173,15 @@ fn main() {
                 let mut mins = [f64::INFINITY; Algorithm::ALL.len()];
                 let mut count_top10_ms = f64::INFINITY;
                 let guard = QueryGuard::unlimited();
+                let top10_offered = {
+                    let result = execute_budgeted(&idx, &pattern, Algorithm::Auto, None, &guard);
+                    let span = Span::new("rank");
+                    Ranker::new(&idx).rank_top_k(&pattern, &result, 10, Some(&span));
+                    let rank = span.finish();
+                    let select = rank.child("score-select").expect("score-select recorded");
+                    let candidates = select.note("candidates").expect("candidates noted");
+                    candidates.parse().expect("a row count")
+                };
                 for rep in 0..cfg.reps {
                     for (slot, algo) in Algorithm::ALL.into_iter().enumerate() {
                         let (t, m) = time_once(|| execute(&idx, &pattern, algo));
@@ -173,7 +198,7 @@ fn main() {
                         (result.count(), top)
                     });
                     count_top10_ms = count_top10_ms.min(ms(t));
-                    if rep == 0 && (count, top.len()) != (reference.len(), reference.len().min(10))
+                    if rep == 0 && (count != reference.len() || score_bits(&top) != top10_reference)
                     {
                         equivalent = false;
                         eprintln!("  MISMATCH: count + top-10 on {} {}", ds, q.id);
@@ -191,7 +216,7 @@ fn main() {
                 let show = |t: f64| fmt_duration(Duration::from_secs_f64(t / 1e3));
 
                 eprintln!(
-                    "  {:3} {:-44} {:7} m  naive {:>9}  join {:>9} {:.2}x{}  top-10 {:>9}",
+                    "  {:3} {:-44} {:7} m  naive {:>9}  join {:>9} {:.2}x{}  top-10 {:>9} ({} offered)",
                     q.id,
                     q.text,
                     reference.len(),
@@ -200,6 +225,7 @@ fn main() {
                     join_factor,
                     if gate_pass { "" } else { " GATE-FAIL" },
                     show(count_top10_ms),
+                    top10_offered,
                 );
 
                 rows.push(QueryRow {
@@ -211,6 +237,7 @@ fn main() {
                     gate_pass,
                     equivalent,
                     count_top10_ms,
+                    top10_offered,
                 });
             }
             sections.push((ds, scale, elements, rows.len()));
@@ -276,6 +303,10 @@ fn main() {
             json.push_str(&format!(
                 "          \"count_top10_ms\": {:.4},\n",
                 r.count_top10_ms
+            ));
+            json.push_str(&format!(
+                "          \"top10_offered\": {},\n",
+                r.top10_offered
             ));
             json.push_str(&format!(
                 "          \"join_factor\": {:.3},\n",

@@ -97,11 +97,12 @@ impl<'a> PatternScorer<'a> {
     }
 
     fn score(&self, row: &[NodeId]) -> f64 {
-        self.combine(
-            self.structure(row),
-            self.content(row),
-            self.specificity(row),
-        )
+        self.score_at_slack(row, self.slack(row))
+    }
+
+    /// [`Self::score`] of a row whose total slack is already known.
+    fn score_at_slack(&self, row: &[NodeId], slack: u32) -> f64 {
+        self.combine(tightness(slack), self.content(row), self.specificity(row))
     }
 
     /// The weighted sum of the three components — the one expression
@@ -112,14 +113,16 @@ impl<'a> PatternScorer<'a> {
     }
 
     fn structure(&self, row: &[NodeId]) -> f64 {
+        tightness(self.slack(row))
+    }
+
+    /// The levels the `//` edges of `row` bind below one step down, summed.
+    fn slack(&self, row: &[NodeId]) -> u32 {
         // The region label's level is the element's depth.
         let level = |col: usize| u32::from(self.idx.level(row[col]));
-        let slack: u32 = self
-            .ad_edges
-            .iter()
+        (self.ad_edges.iter())
             .map(|&(child, parent)| level(child).saturating_sub(level(parent) + 1))
-            .sum();
-        tightness(slack)
+            .sum()
     }
 
     fn content(&self, row: &[NodeId]) -> f64 {
@@ -144,19 +147,20 @@ impl<'a> PatternScorer<'a> {
     }
 
     /// How to walk the rows of `twig` so that the enumeration can stop
-    /// early: classes of root-stream runs, each with an upper bound on
-    /// the scores of its rows, best bound first — or `None` when the
-    /// bound is not worth its cost against the `droppable` rows past the
-    /// k-th, or the budget trips while computing it.
+    /// early: classes of rows, each with an upper bound on the scores of
+    /// its rows, best bound first — or `None` when no bound is worth its
+    /// cost against the `droppable` rows past the k-th, or the budget
+    /// trips while computing it.
     ///
-    /// The bound embeds the pattern in the DataGuide and bounds the rows
-    /// of each root path — the guide node the root binds on — from the
-    /// [`Spread`]s of its candidates; root paths of equal bound form one
-    /// class, and one counting pass over the root stream partitions it
-    /// into their runs. Deep, irregular documents, whose guide outgrows
-    /// the rows, get no bound. The embedding ignores value predicates: a
+    /// The guide bound embeds the pattern in the DataGuide and bounds the
+    /// rows of each root path — the guide node the root binds on — from
+    /// the [`Spread`]s of its candidates; root paths of equal bound form
+    /// one class, and one counting pass over the root stream partitions
+    /// it into their runs. The embedding ignores value predicates: a
     /// candidate path none of whose elements passes one still loosens
-    /// its root path's bound.
+    /// its root path's bound. Deep, irregular documents, whose guide
+    /// outgrows the rows, get the structural bound instead
+    /// ([`Self::structural_walk`]).
     fn walk(
         &self,
         pattern: &TwigPattern,
@@ -179,7 +183,7 @@ impl<'a> PatternScorer<'a> {
                 .count();
         let reads = self.idx.guide().node_count() * sweeps + twig.root_run().len();
         if reads / READS_PER_ROW >= droppable {
-            return None;
+            return self.structural_walk(twig, droppable);
         }
         let sets = guide::embed(self.idx, pattern, ticker)?;
         let spreads = guide::spreads(self.idx, pattern, &sets, ticker)?;
@@ -191,7 +195,8 @@ impl<'a> PatternScorer<'a> {
         best_first.dedup();
         if best_first.len() <= 1 {
             return Some(Walk {
-                classes: vec![(*best_first.first()?, 1)],
+                name: "guide",
+                classes: vec![Class::every_row(*best_first.first()?, 1)],
                 runs: vec![twig.root_run()],
             });
         }
@@ -244,8 +249,50 @@ impl<'a> PatternScorer<'a> {
             next[class as usize] += 1;
         }
         Some(Walk {
-            classes: best_first.into_iter().zip(ends).collect(),
+            name: "guide",
+            classes: (best_first.into_iter().zip(ends))
+                .map(|(bound, end)| Class::every_row(bound, end))
+                .collect(),
             runs,
+        })
+    }
+
+    /// The structural bound, which reads nothing but the rows: first the
+    /// tight rows — every `//` edge bound one level down, total slack 0
+    /// — then the rest, whose slack of at least one bounds their
+    /// structure by `tightness(1)`, skipping the tight ones. The other
+    /// two components are bounded at their best, as [`Self::bound`]
+    /// does. Without `contains` terms a tight row outscores every other
+    /// (by default at least 0.5 against at most 0.4), so `k` tight rows
+    /// end the walk.
+    ///
+    /// The tight walk reads the root stream once more than one walk of
+    /// every row does, so it is taken only for a pattern with a `//`
+    /// edge to be tight on and enough rows past the k-th to pay for that
+    /// read — and only when the two bounds differ, since the stop after
+    /// the tight class relies on it.
+    fn structural_walk(&self, twig: &ReducedTwig<'_>, droppable: usize) -> Option<Walk> {
+        let root_len = twig.root_run().len();
+        if self.ad_edges.is_empty() || droppable.saturating_mul(ROOT_STEPS_PER_ROW) < root_len {
+            return None;
+        }
+        let bound = |slack| self.combine(tightness(slack), self.content_bound(), 1.0);
+        let (tight, loose) = (bound(0), bound(1));
+        (tight > loose).then(|| Walk {
+            name: "structure",
+            classes: vec![
+                Class {
+                    bound: tight,
+                    end: 1,
+                    rows: Rows::Tight,
+                },
+                Class {
+                    bound: loose,
+                    end: 2,
+                    rows: Rows::Loose,
+                },
+            ],
+            runs: vec![twig.root_run(); 2],
         })
     }
 
@@ -271,27 +318,60 @@ impl<'a> PatternScorer<'a> {
                 u32::from(spreads[child].shallowest).saturating_sub(deepest_parent + 1)
             })
             .sum();
-        let content = if self.terms.is_empty() {
+        self.combine(
+            tightness(least_slack),
+            self.content_bound(),
+            mean(spreads.iter().map(|s| s.specificity)),
+        )
+    }
+
+    /// The best content relevance a row can have: full if the pattern
+    /// has `contains` terms at all, none otherwise.
+    fn content_bound(&self) -> f64 {
+        if self.terms.is_empty() {
             squash(0.0)
         } else {
             1.0
-        };
-        self.combine(
-            tightness(least_slack),
-            content,
-            mean(spreads.iter().map(|s| s.specificity)),
-        )
+        }
     }
 }
 
 /// The order in which [`Ranker::rank_top_k`] walks the rows: classes of
-/// root-stream runs, each with the bound on its rows' scores, the best
-/// bound first.
+/// rows, each with the bound on their scores, the best bound first.
 struct Walk {
-    /// Per class, best first: its bound and the end of its runs in `runs`
-    /// (the previous class's end is where they start).
-    classes: Vec<(f64, usize)>,
+    /// The bound's name on the span: `guide` or `structure`.
+    name: &'static str,
+    /// Best bound first.
+    classes: Vec<Class>,
     runs: Vec<Range<u32>>,
+}
+
+/// The rows of some root-stream runs that one filter lets through, and
+/// the bound on their scores.
+struct Class {
+    bound: f64,
+    /// The end of its runs in [`Walk::runs`] (the previous class's end
+    /// is where they start).
+    end: usize,
+    rows: Rows,
+}
+
+impl Class {
+    fn every_row(bound: f64, end: usize) -> Self {
+        let rows = Rows::All;
+        Class { bound, end, rows }
+    }
+}
+
+/// Which rows of its runs a [`Class`] holds.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Rows {
+    /// Every one.
+    All,
+    /// Those of total slack 0.
+    Tight,
+    /// Those of total slack 1 or more.
+    Loose,
 }
 
 /// What enumerating and scoring one row costs, in reads of the bound:
@@ -299,6 +379,10 @@ struct Walk {
 /// embedding and its spreads (xmark:64 and treebank:16) and ≈6 ns a root
 /// element read by the partition.
 const READS_PER_ROW: usize = 8;
+
+/// What enumerating and scoring one row costs, in steps of a walk along
+/// the root stream: ≈60–130 ns a row against ≈2 ns a step on treebank:16.
+const ROOT_STEPS_PER_ROW: usize = 32;
 
 /// Structural tightness of a total depth slack.
 fn tightness(slack: u32) -> f64 {
@@ -383,8 +467,10 @@ impl<'a> Ranker<'a> {
     /// When many more than `k` rows exist and the enumerator hands them
     /// over in tie-break order ([`JoinResult::reduced_in_row_order`]),
     /// the rows are walked in classes, each bounded above, best bound
-    /// first, each in row order (one class per group of root paths of
-    /// equal bound on the DataGuide). The walk
+    /// first, each in row order: one class per group of root paths of
+    /// equal bound on the DataGuide or, where the guide costs more to
+    /// read than the rows it could drop, the tight rows (no `//` edge
+    /// bound below one step down) and then the rest. The walk
     /// stops inside a class once the collector is full and its worst row
     /// beats the class bound, or ties it and precedes the row just
     /// offered — a later row of the class can at best tie, and then
@@ -397,7 +483,7 @@ impl<'a> Ranker<'a> {
     /// the rows scored by then, every one a true hit) and records the
     /// score/select and sort phases as timed children of `span` when one
     /// is supplied — score/select noting the rows offered (`candidates`),
-    /// `k`, the `bound` walked under (`guide` or `none`) and
+    /// `k`, the `bound` walked under (`guide`, `structure` or `none`) and
     /// the `classes` walked out of all; the span never changes the
     /// ranking.
     pub fn rank_top_k(
@@ -418,23 +504,29 @@ impl<'a> Ranker<'a> {
             .filter(|_| k > 0)
             .and_then(|twig| Some((twig, scorer.walk(pattern, twig, droppable, &mut ticker)?)));
         if let Some((twig, walk)) = walk {
-            (bound, classes) = ("guide", walk.classes.len());
+            (bound, classes) = (walk.name, walk.classes.len());
             let mut start = 0;
-            for &(class_bound, end) in &walk.classes {
-                if collector.score_to_beat() > Some(class_bound) {
+            for class in &walk.classes {
+                if collector.score_to_beat() > Some(class.bound) {
                     break;
                 }
                 walked += 1;
-                let runs = &walk.runs[start..end];
-                let finished = twig.for_each_row(&mut ticker, runs, |row| {
+                let runs = &walk.runs[start..class.end];
+                let tight = class.rows == Rows::Tight;
+                let finished = twig.for_each_row(&mut ticker, runs, tight, |row| {
+                    let slack = scorer.slack(row);
+                    if slack == 0 && class.rows == Rows::Loose {
+                        // The tight class's: offered, or out of reach.
+                        return true;
+                    }
                     offered += 1;
-                    collector.offer(scorer.score(row), row);
-                    !collector.settled(class_bound, row)
+                    collector.offer(scorer.score_at_slack(row, slack), row);
+                    !collector.settled(class.bound, row)
                 });
                 if !finished {
                     break;
                 }
-                start = end;
+                start = class.end;
             }
         } else if k > 0 {
             walked = 1;
@@ -581,9 +673,9 @@ mod tests {
     /// the classes it walked out of all.
     #[test]
     fn score_select_notes_the_bound_and_the_classes_walked() {
-        let notes = |xml: &str, k: usize| {
+        let notes = |xml: &str, query: &str, k: usize| {
             let idx = IndexedDocument::from_str(xml).unwrap();
-            let pattern = parse_query("//b").unwrap();
+            let pattern = parse_query(query).unwrap();
             let guard = lotusx_guard::QueryGuard::unlimited();
             let result = lotusx_twig::execute_budgeted(
                 &idx,
@@ -607,15 +699,22 @@ mod tests {
             "<b/>".repeat(50),
             "<b/>".repeat(200)
         );
-        assert_eq!(notes(&two_paths, 5), owned(("guide", "1/2")));
+        assert_eq!(notes(&two_paths, "//b", 5), owned(("guide", "1/2")));
         // The same rows beside a thousand paths of other tags: the guide
         // costs more to read than the rows it could drop.
         let paths: String = (0..1000).map(|i| format!("<t{i}/>")).collect();
         let wide = two_paths.replace("</r>", &format!("{paths}</r>"));
-        assert_eq!(notes(&wide, 5), owned(("none", "1/1")));
+        assert_eq!(notes(&wide, "//b", 5), owned(("none", "1/1")));
+        // A `//` edge beside the same paths: the structural bound. A
+        // hundred tight rows settle k = 5 in the first class; k = 150
+        // walks the rest too.
+        let (tight, loose) = ("<b/>".repeat(100), "<m><b/></m>".repeat(100));
+        let deep = format!("<r><q>{tight}{loose}</q>{paths}</r>");
+        assert_eq!(notes(&deep, "//q//b", 5), owned(("structure", "1/2")));
+        assert_eq!(notes(&deep, "//q//b", 150), owned(("structure", "2/2")));
         // Nothing to drop, nothing to bound; nothing asked, nothing walked.
-        assert_eq!(notes(&two_paths, 250), owned(("none", "1/1")));
-        assert_eq!(notes(&two_paths, 0), owned(("none", "0/1")));
+        assert_eq!(notes(&two_paths, "//b", 250), owned(("none", "1/1")));
+        assert_eq!(notes(&two_paths, "//b", 0), owned(("none", "0/1")));
     }
 
     #[test]

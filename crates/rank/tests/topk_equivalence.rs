@@ -275,3 +275,183 @@ fn a_path_the_predicate_rules_out_still_loosens_the_guide_bound() {
         assert_eq!(offered, 200, "k={k}: every row is walked");
     }
 }
+
+/// Tags of the deep documents: enough that almost every element sits on
+/// a root path of its own.
+const DEEP_TAGS: [&str; 6] = ["a", "b", "c", "d", "e", "f"];
+
+/// Words of the deep documents' leaves, the `contains` needles.
+const DEEP_WORDS: [&str; 4] = ["w0", "w1", "w2", "w3"];
+
+fn deep_element(rng: &mut XorShiftRng, depth: u32, budget: &mut u32, xml: &mut String) {
+    let tag = DEEP_TAGS[rng.gen_range(0..DEEP_TAGS.len())];
+    xml.push_str(&format!("<{tag}>"));
+    if depth == 0 || *budget == 0 || rng.gen_bool(0.15) {
+        for _ in 0..rng.gen_range(1..4usize) {
+            xml.push_str(DEEP_WORDS[rng.gen_range(0..DEEP_WORDS.len())]);
+            xml.push(' ');
+        }
+    } else {
+        for _ in 0..rng.gen_range(1..4usize) {
+            if *budget == 0 {
+                break;
+            }
+            *budget -= 1;
+            deep_element(rng, depth - 1, budget, xml);
+        }
+    }
+    xml.push_str(&format!("</{tag}>"));
+}
+
+/// A seeded deep document of 150–400 elements over six tags, nested up
+/// to 16 levels: its DataGuide holds about a node per element, more than
+/// the guide bound can pay for against the rows of a twig.
+fn deep_document(rng: &mut XorShiftRng) -> IndexedDocument {
+    let mut xml = String::from("<r>");
+    let mut budget = rng.gen_range(150..400u32);
+    while budget > 0 {
+        budget -= 1;
+        deep_element(rng, 16, &mut budget, &mut xml);
+    }
+    xml.push_str("</r>");
+    IndexedDocument::from_str(&xml).unwrap()
+}
+
+/// A random twig of 2–4 tag nodes whose first edge below the root is a
+/// `//` edge, the rest of either axis, with a `contains` word on one node
+/// when `contains` is set.
+fn deep_twig(rng: &mut XorShiftRng, contains: bool) -> lotusx_twig::pattern::TwigPattern {
+    use lotusx_twig::pattern::{Axis, NodeTest, TwigPattern, ValuePredicate};
+    let mut tag = || NodeTest::Tag(DEEP_TAGS[rng.gen_range(0..DEEP_TAGS.len())].to_string());
+    let mut pattern = TwigPattern::new(tag(), Axis::Descendant);
+    let mut ids = vec![pattern.root()];
+    ids.push(pattern.add_child(ids[0], Axis::Descendant, tag()));
+    for _ in 0..rng.gen_range(0..3usize) {
+        let parent = ids[rng.gen_range(0..ids.len())];
+        let axis = if rng.gen_bool(0.6) {
+            Axis::Descendant
+        } else {
+            Axis::Child
+        };
+        let test = NodeTest::Tag(DEEP_TAGS[rng.gen_range(0..DEEP_TAGS.len())].to_string());
+        ids.push(pattern.add_child(parent, axis, test));
+    }
+    if contains {
+        let word = DEEP_WORDS[rng.gen_range(0..DEEP_WORDS.len())].to_string();
+        let q = ids[rng.gen_range(0..ids.len())];
+        pattern.set_predicate(q, Some(ValuePredicate::Contains(word)));
+    }
+    pattern
+}
+
+/// On deep documents the guide costs more to read than the rows it could
+/// drop, and the walk takes the structural bound: the tight rows first,
+/// the rest only while it can still win. Whatever the twig — `//` and
+/// `/` edges, with and without `contains` terms — the answer is the full
+/// ranking cut at `k`, bit for bit, at the boundary `k`s; and the
+/// structural walk has to be taken, and to stop early, often enough to
+/// be what the sweep tests.
+#[test]
+fn structural_walks_on_deep_documents_agree_with_the_full_ranking() {
+    let mut rng = XorShiftRng::seed_from_u64(0x5714C7);
+    let guard = QueryGuard::unlimited();
+    let (mut structural, mut with_terms, mut stops, mut rest_walked) = (0, 0, 0, 0);
+    for case in 0..240 {
+        let idx = deep_document(&mut rng);
+        let pattern = deep_twig(&mut rng, case % 3 == 0);
+        let ranker = Ranker::new(&idx);
+        let full = ranker.rank(&pattern, &execute(&idx, &pattern, Algorithm::Naive));
+        let n = full.len();
+        let result = execute_budgeted(&idx, &pattern, Algorithm::StructuralJoin, None, &guard);
+        let mut ks = vec![1, 2, 3, n.saturating_sub(1), n, n + 1];
+        ks.retain(|&k| k > 0);
+        ks.dedup();
+        for k in ks {
+            let span = Span::new("rank");
+            let got = ranker.rank_top_k(&pattern, &result, k, Some(&span));
+            assert_eq!(
+                bits(&got),
+                bits(&full[..k.min(n)]),
+                "case {case}: {pattern}, k={k}"
+            );
+            let (offered, bound, (walked, total)) = walk_notes(span, k);
+            if bound == "structure" {
+                assert_eq!(total, 2, "case {case}: {pattern}, k={k}");
+                structural += 1;
+                with_terms += usize::from(case % 3 == 0);
+                stops += usize::from(offered < n);
+                rest_walked += usize::from(walked == 2);
+            }
+        }
+    }
+    assert!(
+        structural > 160,
+        "the sweep must take the structural bound: {structural}"
+    );
+    assert!(
+        with_terms > 30,
+        "structural walks with `contains` terms: {with_terms}"
+    );
+    assert!(stops > 80, "structural walks must stop early: {stops}");
+    assert!(
+        rest_walked > 80,
+        "the rest must be walked where the tight rows leave room: {rest_walked}"
+    );
+}
+
+/// A candidate quota that trips inside a structural walk — in the tight
+/// class or in the rest — leaves an exact top-k of true rows: every row a
+/// match with its own score, best first, none twice.
+#[test]
+fn a_budget_trip_in_a_structural_walk_keeps_an_exact_top_k_of_true_rows() {
+    use lotusx_guard::Budget;
+    use std::collections::HashMap;
+    let mut rng = XorShiftRng::seed_from_u64(0xB0D6E7);
+    let (mut tripped, mut tripped_with_rows) = (0, 0);
+    for case in 0..240 {
+        let idx = deep_document(&mut rng);
+        let pattern = deep_twig(&mut rng, case % 3 == 0);
+        let ranker = Ranker::new(&idx);
+        let full = ranker.rank(&pattern, &execute(&idx, &pattern, Algorithm::Naive));
+        let n = full.len();
+        if n < 8 {
+            continue;
+        }
+        let score_of: HashMap<&[lotusx_xml::NodeId], u64> = (full.iter())
+            .map(|m| (&m.bindings[..], m.score.to_bits()))
+            .collect();
+        let k = rng.gen_range(1..n / 2);
+        let quota = rng.gen_range(1..n as u64);
+        let guard = QueryGuard::new(&Budget::unlimited().with_candidate_quota(quota));
+        let result = execute_budgeted(&idx, &pattern, Algorithm::StructuralJoin, None, &guard);
+        let span = Span::new("rank");
+        let got = ranker.rank_top_k(&pattern, &result, k, Some(&span));
+        let (_, bound, _) = walk_notes(span, k);
+        if bound != "structure" || !guard.is_tripped() {
+            continue;
+        }
+        tripped += 1;
+        tripped_with_rows += usize::from(!got.is_empty());
+        assert!(got.len() <= k, "case {case}: {pattern}");
+        for m in &got {
+            let score = score_of.get(&m.bindings[..]);
+            assert_eq!(score, Some(&m.score.to_bits()), "case {case}: {pattern}");
+        }
+        for w in got.windows(2) {
+            let order = (w[1].score, &w[0].bindings).partial_cmp(&(w[0].score, &w[1].bindings));
+            assert_eq!(
+                order,
+                Some(std::cmp::Ordering::Less),
+                "case {case}: {pattern}"
+            );
+        }
+    }
+    assert!(
+        tripped > 20,
+        "the quota must trip structural walks: {tripped}"
+    );
+    assert!(
+        tripped_with_rows > 10,
+        "tripped walks must keep rows: {tripped_with_rows}"
+    );
+}

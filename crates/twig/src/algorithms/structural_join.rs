@@ -417,6 +417,8 @@ impl ReducedTwig<'_> {
     /// (`row[q.index()]` is the element bound to `q`), until the sink
     /// returns `false` or the budget trips; returns whether the
     /// enumeration ran to its end. `&[self.root_run()]` walks every match.
+    /// With `tight`, only the *tight* matches: those whose descendant
+    /// (`//`) edges all bind one level down, as child edges do.
     ///
     /// One preorder walk with a cursor per query node: a node's cursor
     /// scans the range stored for its parent's current binding and stops
@@ -426,13 +428,16 @@ impl ReducedTwig<'_> {
     /// completes — the work is the root stream, the rows, and on child
     /// edges the deeper descendants the level test passes over (on a
     /// gathered edge only those between the parent's first child and its
-    /// last).
+    /// last). A tight walk puts every edge to the level test; an element
+    /// of non-zero weight may then have no tight completion, and the
+    /// walk backs out of it.
     ///
     /// Charges one node visit per cursor step and one candidate per row.
     pub fn for_each_row(
         &self,
         ticker: &mut Ticker,
         runs: &[Range<u32>],
+        tight: bool,
         mut sink: impl FnMut(&[NodeId]) -> bool,
     ) -> bool {
         if self.columns.is_empty() {
@@ -461,7 +466,7 @@ impl ReducedTwig<'_> {
                 }
                 let pos = pos as usize;
                 let level_fits = k == 0
-                    || !self.child_edge[q]
+                    || !(tight || self.child_edge[q])
                     || u32::from(views[q].levels()[pos]) == u32::from(parent_level) + 1;
                 if self.weights[q][pos] != 0 && level_fits {
                     break Some(pos);
@@ -495,7 +500,7 @@ impl ReducedTwig<'_> {
     /// did not already emit them ascending).
     pub fn into_match_set(self, guard: &QueryGuard) -> MatchSet {
         let mut out = MatchSet::new(self.order.len());
-        self.for_each_row(&mut guard.ticker(), &[self.root_run()], |row| {
+        self.for_each_row(&mut guard.ticker(), &[self.root_run()], false, |row| {
             out.push(row);
             true
         });
@@ -533,6 +538,31 @@ mod tests {
              </bib>",
         )
         .unwrap()
+    }
+
+    /// A tight walk hands over exactly the rows whose `//` edges bind one
+    /// level down, in the order the full walk does.
+    #[test]
+    fn a_tight_walk_hands_over_the_rows_of_no_slack() {
+        let idx =
+            IndexedDocument::from_str("<r><a><b/><m><b/></m></a><a><a><b/></a></a></r>").unwrap();
+        let guard = QueryGuard::unlimited();
+        let twig = reduce(&idx, &parse_query("//a//b").unwrap(), &guard);
+        let walk = |tight| {
+            let mut rows = Vec::new();
+            let runs = &[twig.root_run()];
+            assert!(twig.for_each_row(&mut guard.ticker(), runs, tight, |row| {
+                rows.push(row.to_vec());
+                true
+            }));
+            rows
+        };
+        let (all, tight) = (walk(false), walk(true));
+        assert_eq!(all.len(), 4);
+        let one_down = |row: &&Vec<NodeId>| idx.level(row[1]) == idx.level(row[0]) + 1;
+        let expect: Vec<Vec<NodeId>> = all.iter().filter(one_down).cloned().collect();
+        assert_eq!(tight, expect);
+        assert_eq!(tight.len(), 2);
     }
 
     /// A stream element: node, subtree end, level.
@@ -938,7 +968,7 @@ mod tests {
         assert_eq!(twig.count(), 3);
         assert!(twig.rows_ascend());
         let mut rows = 0;
-        let exhausted = twig.for_each_row(&mut guard.ticker(), &[twig.root_run()], |row| {
+        let exhausted = twig.for_each_row(&mut guard.ticker(), &[twig.root_run()], false, |row| {
             assert_eq!(row.len(), 4);
             rows += 1;
             rows < 2
@@ -961,7 +991,7 @@ mod tests {
             let twig = reduce(&idx, &parse_query(q).unwrap(), &guard);
             assert_eq!(twig.count(), 0, "{q}");
             let runs = &[twig.root_run()];
-            assert!(twig.for_each_row(&mut guard.ticker(), runs, |_| panic!("no rows")));
+            assert!(twig.for_each_row(&mut guard.ticker(), runs, false, |_| panic!("no rows")));
             assert!(twig.into_match_set(&guard).is_empty());
         }
         assert_eq!(guard.nodes_visited(), 0, "no merge ran");

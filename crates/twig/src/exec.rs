@@ -136,7 +136,9 @@ impl<'a> JoinResult<'a> {
     pub fn for_each_row(&self, mut sink: impl FnMut(&[NodeId]) -> bool) -> bool {
         let mut ticker = self.guard.ticker();
         match &self.matches {
-            Matches::Reduced(twig) => twig.for_each_row(&mut ticker, &[twig.root_run()], sink),
+            Matches::Reduced(twig) => {
+                twig.for_each_row(&mut ticker, &[twig.root_run()], false, sink)
+            }
             Matches::Rows(rows) => rows.rows().all(|row| !ticker.tick(1) && sink(row)),
         }
     }

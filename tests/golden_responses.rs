@@ -16,8 +16,12 @@
 //! `/complete` tag and value candidates, truncated answers, `top_k` at
 //! both ends of the wire range, and an error body that needs escaping.
 //!
+//! `KEYWORDS` pins keyword answers — SLCA set, order and `HitScorer`
+//! scores — on the same corpora, a single term and a pair per dataset,
+//! recorded when the table was added.
+//!
 //! On a deliberate answer change, the failure message prints the whole
-//! table in source form; paste it over `GOLDEN` (or `EDGES`).
+//! table in source form; paste it over `GOLDEN` (or `EDGES`, `KEYWORDS`).
 
 use lotusx::{Algorithm, Axis, Budget, LotusX, PositionContext, QueryRequest};
 use lotusx_datagen::{generate, queries, Dataset};
@@ -161,6 +165,39 @@ fn completions_truncations_and_errors_match_the_recorded_hashes() {
         &encode_error(400, "bad \"x\" at C:\\dir\u{1}\u{1f}\t\n end"),
     );
     check("EDGES", &got, EDGES);
+}
+
+/// The keyword requests `KEYWORDS` pins, per dataset.
+fn keyword_texts(ds: Dataset) -> [&'static str; 2] {
+    match ds {
+        Dataset::DblpLike => ["graph data", "xml"],
+        Dataset::XmarkLike => ["query index", "data"],
+        Dataset::TreebankLike => ["twig join", "tree"],
+    }
+}
+
+const KEYWORDS: &[(&str, u64)] = &[
+    ("dblp-like/graph data", 0x79eb461cc552322f),
+    ("dblp-like/xml", 0x5e14a09bc7ff80fe),
+    ("xmark-like/query index", 0x585584222e19c3ae),
+    ("xmark-like/data", 0x9c79c6a55c905071),
+    ("treebank-like/twig join", 0xf246bc0d007cd9cc),
+    ("treebank-like/tree", 0xbe29bc44fb8f5d35),
+];
+
+#[test]
+fn keyword_responses_match_the_recorded_hashes() {
+    let mut got: Vec<(String, u64)> = Vec::new();
+    for ds in Dataset::ALL {
+        let sys = LotusX::load_document(generate(ds, SCALE, SEED));
+        for text in keyword_texts(ds) {
+            let response = sys.query(&QueryRequest::keyword(text)).expect("parses");
+            assert!(!response.matches.is_empty(), "{ds} {text:?}: no hit");
+            let body = encode_response(&response);
+            got.push((format!("{ds}/{text}"), fnv1a(body.as_bytes())));
+        }
+    }
+    check("KEYWORDS", &got, KEYWORDS);
 }
 
 /// Panics with the computed table in source form unless `got` is `want`.
