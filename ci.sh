@@ -232,7 +232,8 @@ stage_test() {
 
 # Smoke-test the CLI observability surface headlessly: a scripted REPL
 # session exercising profile/explain/stats must run to completion, and
-# the explain output must contain the stage-timing tree. A broken query
+# the explain output must contain the stage timings and the rank walk's
+# plan (the `bound=` the ranker walked under). A broken query
 # (`writer` for `author`) must come back through the rewriter. The
 # session ends on the canvas (root, focus, type, accept, run, run): both
 # runs must print a matches line like the four queries before them, and
@@ -249,6 +250,7 @@ stage_smoke() {
         | cargo run --release -p lotusx-serve --bin lotusx-cli) || return 1
     echo "$out" | grep -q 'parse' &&
     echo "$out" | grep -q 'total:' &&
+    echo "$out" | grep -q 'bound=' &&
     echo "$out" | grep -q 'cache_hit' &&
     echo "$out" | grep -q 'rewritten to.*author' &&
     echo "$out" | grep -q 'accepted book' &&

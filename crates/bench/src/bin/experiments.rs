@@ -324,10 +324,10 @@ fn e6_rewriting() {
         for q in queries::broken_queries(ds) {
             let pattern = parse_query(q.text).unwrap();
             let (latency, (rewrites, stats)) = median_time(REPS.min(3), || {
-                pruned.rewrite(&pattern, None, &QueryGuard::unlimited())
+                pruned.rewrite(&pattern, &QueryGuard::unlimited())
             });
             let (_, (_, ustats)) =
-                time_once(|| unpruned.rewrite(&pattern, None, &QueryGuard::unlimited()));
+                time_once(|| unpruned.rewrite(&pattern, &QueryGuard::unlimited()));
             match rewrites.first() {
                 Some(best) => println!(
                     "| {} | `{}` | {} | yes ({} matches) | {:.1} | {} | {} | {} | {} | {} |",
@@ -491,10 +491,8 @@ fn e9_ablations() {
         let mut tu = std::time::Duration::ZERO;
         for q in queries::broken_queries(ds) {
             let pattern = parse_query(q.text).unwrap();
-            let (t1, (_, s1)) =
-                time_once(|| pruned.rewrite(&pattern, None, &QueryGuard::unlimited()));
-            let (t2, (_, s2)) =
-                time_once(|| unpruned.rewrite(&pattern, None, &QueryGuard::unlimited()));
+            let (t1, (_, s1)) = time_once(|| pruned.rewrite(&pattern, &QueryGuard::unlimited()));
+            let (t2, (_, s2)) = time_once(|| unpruned.rewrite(&pattern, &QueryGuard::unlimited()));
             pe += s1.executions;
             pa += s1.pruned_unsatisfiable;
             ue += s2.executions;

@@ -13,7 +13,7 @@
 //! ranker does not look at. Those ten rows must equal, score bits and
 //! bindings, the full ranking of the naive answer cut at ten, and
 //! `top10_offered` records how many rows the ranker was offered to find
-//! them (the `candidates` note of its `score-select` span).
+//! them (`RankStats::offered`).
 //!
 //! The corpora are generated, serialized and parsed, like any document a
 //! server loads: node ids ascend with document order (the xmark
@@ -32,7 +32,6 @@ use lotusx_bench::{fmt_duration, time_once, SEED};
 use lotusx_datagen::{queries, Dataset};
 use lotusx_guard::QueryGuard;
 use lotusx_index::IndexedDocument;
-use lotusx_obs::Span;
 use lotusx_rank::{Ranker, ScoredMatch};
 use lotusx_twig::xpath::parse_query;
 use lotusx_twig::{execute, execute_budgeted, Algorithm};
@@ -174,13 +173,11 @@ fn main() {
                 let mut count_top10_ms = f64::INFINITY;
                 let guard = QueryGuard::unlimited();
                 let top10_offered = {
-                    let result = execute_budgeted(&idx, &pattern, Algorithm::Auto, None, &guard);
-                    let span = Span::new("rank");
-                    Ranker::new(&idx).rank_top_k(&pattern, &result, 10, Some(&span));
-                    let rank = span.finish();
-                    let select = rank.child("score-select").expect("score-select recorded");
-                    let candidates = select.note("candidates").expect("candidates noted");
-                    candidates.parse().expect("a row count")
+                    let result = execute_budgeted(&idx, &pattern, Algorithm::Auto, &guard);
+                    Ranker::new(&idx)
+                        .rank_top_k(&pattern, &result, 10)
+                        .1
+                        .offered
                 };
                 for rep in 0..cfg.reps {
                     for (slot, algo) in Algorithm::ALL.into_iter().enumerate() {
@@ -192,9 +189,8 @@ fn main() {
                         }
                     }
                     let (t, (count, top)) = time_once(|| {
-                        let result =
-                            execute_budgeted(&idx, &pattern, Algorithm::Auto, None, &guard);
-                        let top = Ranker::new(&idx).rank_top_k(&pattern, &result, 10, None);
+                        let result = execute_budgeted(&idx, &pattern, Algorithm::Auto, &guard);
+                        let (top, _) = Ranker::new(&idx).rank_top_k(&pattern, &result, 10);
                         (result.count(), top)
                     });
                     count_top10_ms = count_top10_ms.min(ms(t));

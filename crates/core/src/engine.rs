@@ -14,6 +14,7 @@
 //! responses are not cached.
 
 use crate::lru::{CacheStats, ConcurrentLru};
+use crate::profile::QueryProfile;
 use crate::request::{
     Answer, LotusError, PendingQuery, QueryKind, QueryProbe, QueryRequest, QueryResponse,
     RewriteInfo,
@@ -21,7 +22,7 @@ use crate::request::{
 use lotusx_autocomplete::CompletionEngine;
 use lotusx_guard::{QueryGuard, TruncationReason};
 use lotusx_index::IndexedDocument;
-use lotusx_obs::{QueryProfile, Span, Stage};
+use lotusx_obs::Stage;
 use lotusx_rank::Ranker;
 use lotusx_rewrite::{Rewriter, RewriterConfig};
 use lotusx_twig::exec::{execute_budgeted, Algorithm};
@@ -39,12 +40,13 @@ const QUERY_CACHE_CAPACITY: usize = 128;
 const DEFAULT_TOP_K: usize = 100;
 
 /// What one request carries from its begin to its end, so no stage
-/// threads it by hand: whether metrics record, the profile root and the
-/// budget guard.
+/// threads it by hand: whether metrics record, the profile being
+/// recorded and the budget guard.
 pub(crate) struct RequestCtx {
     recording: bool,
-    /// The profile root when this request is profiled.
-    root: Option<Span>,
+    /// The profile when this request is profiled: stages and plan facts
+    /// as they run, the rest filled in by [`Self::end`].
+    profile: Option<Box<QueryProfile>>,
     /// Unlimited until [`LotusX::query_compute`] starts the request's
     /// budget clock: nothing before it can tick a guard.
     guard: QueryGuard,
@@ -54,26 +56,32 @@ pub(crate) struct RequestCtx {
 
 impl RequestCtx {
     /// The one begin of every request, twig or keyword: the recording
-    /// flag and the profile root.
+    /// flag and the profile.
     fn begin(request: &QueryRequest) -> Self {
         RequestCtx {
             recording: lotusx_obs::enabled(),
-            root: request.profile.then(|| Span::new("query")),
+            profile: request.profile.then(Box::default),
             guard: QueryGuard::unlimited(),
             spent_ns: 0,
         }
     }
 
-    /// Runs one pipeline stage: `f` gets a child span when the request is
-    /// profiled, the stage's wall time lands in the global histogram when
-    /// recording is on. With both off this is the bare call.
-    fn stage<T>(&self, stage: Stage, f: impl FnOnce(Option<&Span>) -> T) -> T {
-        let started = self.recording.then(Instant::now);
-        let child = self.root.as_ref().map(|root| root.child(stage.name()));
-        let out = f(child.as_deref());
-        drop(child);
-        if let Some(t0) = started {
-            lotusx_obs::metrics().record_stage(stage, t0.elapsed().as_nanos() as u64);
+    /// Runs one pipeline stage under the request's guard. When metrics
+    /// record or the request is profiled, one clock reading times it for
+    /// both the stage histogram and the profile; with both off this is
+    /// the bare call.
+    fn stage<T>(&mut self, stage: Stage, f: impl FnOnce(&QueryGuard) -> T) -> T {
+        if !self.recording && self.profile.is_none() {
+            return f(&self.guard);
+        }
+        let started = Instant::now();
+        let out = f(&self.guard);
+        let ns = started.elapsed().as_nanos() as u64;
+        if self.recording {
+            lotusx_obs::metrics().record_stage(stage, ns);
+        }
+        if let Some(profile) = &mut self.profile {
+            profile.stages.push((stage, ns));
         }
         out
     }
@@ -123,26 +131,21 @@ impl RequestCtx {
                 }
             }
         }
-        response.profile = self.root.map(|root| {
-            root.annotate("cache", if hit { "hit" } else { "miss" });
-            if let Some(reason) = truncation {
-                root.annotate("truncated", reason.name());
-            }
-            QueryProfile {
-                query: request.text.clone(),
-                executed: pattern.map_or_else(|| request.text.clone(), |p| p.to_string()),
-                // A cache hit never reaches the join.
-                algorithm: response
-                    .algorithm
-                    .filter(|_| !hit)
-                    .map(|a| a.name().to_string()),
-                cache_hit: hit,
-                candidates: response.total_matches,
-                results: response.matches.len(),
-                rewritten: response.rewrite.as_ref().map(|i| i.pattern.to_string()),
-                span: root.finish(),
-            }
-        });
+        if let Some(mut profile) = self.profile {
+            profile.query = request.text.clone();
+            profile.executed = pattern.map_or_else(|| request.text.clone(), |p| p.to_string());
+            // A cache hit never reaches the join.
+            profile.algorithm = (response.algorithm)
+                .filter(|_| !hit)
+                .map(|a| a.name().to_string());
+            profile.cache_hit = hit;
+            profile.candidates = response.total_matches;
+            profile.results = response.matches.len();
+            profile.rewritten = response.rewrite.as_ref().map(|i| i.pattern.to_string());
+            profile.truncated = truncation;
+            profile.total_ns = self.spent_ns;
+            response.profile = Some(profile);
+        }
         response
     }
 }
@@ -353,13 +356,13 @@ impl LotusX {
                 profile: None,
             }
         } else if let (Some(pattern), Some((key, algorithm))) = (&pattern, plan) {
-            let response = self.run_twig(&ctx, pattern, limit, algorithm);
+            let response = self.run_twig(&mut ctx, pattern, limit, algorithm);
             if response.completeness.is_complete() {
                 self.query_cache.insert(key, response.clone());
             }
             response
         } else {
-            self.run_keyword(&ctx, &request.text, limit)
+            self.run_keyword(&mut ctx, &request.text, limit)
         };
         ctx.spent_ns += started.elapsed().as_nanos() as u64;
         ctx.end(request, pattern.as_ref(), response, false)
@@ -370,7 +373,7 @@ impl LotusX {
     pub fn explain(&self, query: &str) -> Result<QueryProfile, LotusError> {
         let request = QueryRequest::twig(query).profiled(true);
         let response = self.query(&request)?;
-        Ok(response
+        Ok(*response
             .profile
             .expect("profiled requests always carry a profile"))
     }
@@ -378,12 +381,9 @@ impl LotusX {
     /// The keyword body. SLCA search runs to completion once started, so
     /// the budget gates only whether it starts at all: the caller answers
     /// an exhausted budget itself, anything else is a complete answer.
-    fn run_keyword(&self, ctx: &RequestCtx, text: &str, limit: usize) -> QueryResponse {
-        ctx.stage(Stage::Keyword, |span| {
+    fn run_keyword(&self, ctx: &mut RequestCtx, text: &str, limit: usize) -> QueryResponse {
+        ctx.stage(Stage::Keyword, |guard| {
             let hits = lotusx_keyword::KeywordEngine::new(&self.idx).search(text);
-            if let Some(s) = span {
-                s.annotate("hits", hits.len());
-            }
             let doc = self.idx.document();
             let mut answer = Answer::with_capacity(hits.len().min(limit), 1, 1);
             for hit in hits.iter().take(limit) {
@@ -394,7 +394,7 @@ impl LotusX {
                 matches: answer.finish(),
                 total_matches: hits.len(),
                 rewrite: None,
-                completeness: ctx.guard.completeness(),
+                completeness: guard.completeness(),
                 algorithm: None,
                 profile: None,
             }
@@ -405,32 +405,35 @@ impl LotusX {
     /// with `algorithm` (already resolved) for the query and its rewrite.
     fn run_twig(
         &self,
-        ctx: &RequestCtx,
+        ctx: &mut RequestCtx,
         pattern: &TwigPattern,
         limit: usize,
         algorithm: Algorithm,
     ) -> QueryResponse {
-        let guard = &ctx.guard;
         // The match stage reduces and counts; rows exist only in the rank
         // stage, and only as many as the ranker asks for.
-        let mut matches = ctx.stage(Stage::Match, |s| {
-            execute_budgeted(&self.idx, pattern, algorithm, s, guard)
+        let mut matches = ctx.stage(Stage::Match, |guard| {
+            execute_budgeted(&self.idx, pattern, algorithm, guard)
         });
         let mut rewrite = None;
         // An empty complete answer is rewritten, under the same budget. A
         // tripped guard suppresses it: a truncated empty run says nothing
         // about whether the query is truly empty, and the budget is spent
         // anyway.
-        if matches.is_empty() && !guard.is_tripped() {
-            let (rewrites, _) = ctx.stage(Stage::Rewrite, |s| {
-                Rewriter::new(&self.idx, RewriterConfig::default()).rewrite(pattern, s, guard)
+        if matches.is_empty() && !ctx.guard.is_tripped() {
+            let (rewrites, stats) = ctx.stage(Stage::Rewrite, |guard| {
+                Rewriter::new(&self.idx, RewriterConfig::default()).rewrite(pattern, guard)
             });
+            if let Some(profile) = &mut ctx.profile {
+                (profile.rewrite, profile.rewrites) = (Some(stats), rewrites.len());
+            }
             // A search the guard cut short applies nothing — the
             // re-execution could not run anyway — and the response
             // reports the truncation.
-            if let Some(best) = rewrites.into_iter().next().filter(|_| !guard.is_tripped()) {
-                matches = ctx.stage(Stage::Match, |s| {
-                    execute_budgeted(&self.idx, &best.pattern, algorithm, s, guard)
+            let tripped = ctx.guard.is_tripped();
+            if let Some(best) = rewrites.into_iter().next().filter(|_| !tripped) {
+                matches = ctx.stage(Stage::Match, |guard| {
+                    execute_budgeted(&self.idx, &best.pattern, algorithm, guard)
                 });
                 rewrite = Some(RewriteInfo {
                     pattern: best.pattern,
@@ -440,13 +443,13 @@ impl LotusX {
             }
         }
         let executed = rewrite.as_ref().map_or(pattern, |info| &info.pattern);
-        let ranked = ctx.stage(Stage::Rank, |s| {
-            Ranker::new(&self.idx).rank_top_k(executed, &matches, limit, s)
+        let (ranked, stats) = ctx.stage(Stage::Rank, |_| {
+            Ranker::new(&self.idx).rank_top_k(executed, &matches, limit)
         });
-        let answer = ctx.stage(Stage::Serialize, |s| {
-            if let Some(s) = s {
-                s.annotate("snippets", ranked.len());
-            }
+        if let Some(profile) = &mut ctx.profile {
+            profile.rank = Some(stats);
+        }
+        let answer = ctx.stage(Stage::Serialize, |_| {
             let doc = self.idx.document();
             let outputs = executed.output_nodes();
             let mut answer = Answer::with_capacity(ranked.len(), executed.len(), outputs.len());
@@ -464,7 +467,7 @@ impl LotusX {
             matches: answer,
             total_matches: matches.count(),
             rewrite,
-            completeness: guard.completeness(),
+            completeness: ctx.guard.completeness(),
             algorithm: Some(algorithm),
             profile: None,
         }
@@ -795,8 +798,8 @@ mod tests {
         assert_eq!(p.algorithm.as_deref(), Some("structural-join"));
         assert_eq!(p.candidates, 2);
         assert_eq!(p.results, 2);
-        assert!(p.stage_ns("match") > 0);
-        assert!(p.stages_ns() <= p.total_ns());
+        assert!(p.stage_ns(Stage::Match) > 0);
+        assert!(p.stages_ns() <= p.total_ns);
         let hit = system.query(&request.profiled(true)).unwrap();
         let p = hit.profile.expect("requested");
         assert!(p.cache_hit);
@@ -819,12 +822,9 @@ mod tests {
         assert_eq!(stopped.completeness, Completeness::Complete);
         assert_eq!(stopped.total_matches, 10_000);
         let profile = stopped.profile.as_ref().expect("requested");
-        let stage = |name: &str| profile.span.child(name).expect("stage ran");
-        let join = stage("match").child("join/structural-join").unwrap();
-        assert_eq!(join.note("matches"), Some("10000"));
-        let select = stage("rank").child("score-select").unwrap();
-        assert_eq!(select.note("candidates"), Some("10"));
-        assert_eq!(select.note("k"), Some("10"));
+        assert_eq!(profile.candidates, 10_000);
+        assert_eq!(profile.rank.expect("ranked").offered, 10);
+        assert_eq!(profile.results, 10);
 
         let all = system.query(&request.clone().top_k(10_000)).unwrap();
         assert_eq!(all.matches.len(), 10_000);
@@ -868,10 +868,43 @@ mod tests {
         assert!(text.contains("serialize"));
         assert!(text.contains("total:"));
         // Rewritten queries say so.
+        assert!(text.contains("bound="), "the rank walk is named: {text}");
+        // Rewritten queries say so, with the search that found the
+        // rewrite.
         let rewritten = system.explain("//book/writer").unwrap();
         assert!(rewritten.rewritten.is_some());
-        assert!(rewritten.render().contains("rewritten to:"));
-        assert!(rewritten.stage_ns("rewrite") > 0);
+        assert!(rewritten.stage_ns(Stage::Rewrite) > 0);
+        let search = rewritten.rewrite.expect("a rewrite search ran");
+        assert!(search.executions >= 1);
+        assert!(rewritten.rewrites >= 1);
+        let text = rewritten.render();
+        assert!(text.contains("rewritten to:"));
+        assert!(
+            text.contains(&format!("executions={}", search.executions)),
+            "{text}"
+        );
+        // Two joins ran: the empty original and its rewrite.
+        let matches = rewritten.stages.iter().filter(|(s, _)| *s == Stage::Match);
+        assert_eq!(matches.count(), 2);
+    }
+
+    /// Time between the probe and the compute — a queue, another thread
+    /// — is not the engine's: a profile's total is the `total` stage's
+    /// engine time, and its stages fit inside it.
+    #[test]
+    fn a_profile_leaves_out_the_wait_between_probe_and_compute() {
+        let system = LotusX::load_str(BIB).unwrap();
+        let request = twig("//book/title").profiled(true);
+        let QueryProbe::Miss(pending) = system.query_probe(&request).unwrap() else {
+            panic!("an empty cache cannot hit");
+        };
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let profile = system.query_compute(&request, pending).profile.unwrap();
+        assert!(profile.total_ns < 50_000_000, "{}", profile.render());
+        assert!(profile.stages_ns() <= profile.total_ns);
+        let ran: Vec<Stage> = profile.stages.iter().map(|&(s, _)| s).collect();
+        let expected = [Stage::Parse, Stage::Match, Stage::Rank, Stage::Serialize];
+        assert_eq!(ran, expected);
     }
 
     /// The two shapes the serving benchmark gates on, through the engine:
@@ -998,19 +1031,26 @@ mod tests {
         assert_eq!(third.total_matches, 2);
     }
 
+    /// A starved budget — spent before any work or inside the join —
+    /// reaches the profile as the response's own truncation reason.
     #[test]
     fn truncated_profile_reports_the_reason() {
         use lotusx_guard::Budget;
         let system = LotusX::load_str(BIB).unwrap();
-        let budget = Budget::default().with_node_quota(0);
-        let response = system
-            .query(&twig("//book/title").budget(budget).profiled(true))
-            .unwrap();
-        let profile = response.profile.expect("requested");
-        assert!(
-            profile.render().contains("truncated=node_quota_exceeded"),
-            "{}",
-            profile.render()
-        );
+        for quota in [0, 2] {
+            let budget = Budget::default().with_node_quota(quota);
+            let response = system
+                .query(&twig("//book/title").budget(budget).profiled(true))
+                .unwrap();
+            let reason = response.completeness.truncation_reason();
+            assert_eq!(reason, Some(TruncationReason::NodeQuotaExceeded));
+            let profile = response.profile.expect("requested");
+            assert_eq!(profile.truncated, reason, "quota {quota}");
+            assert!(
+                profile.render().contains("truncated: node_quota_exceeded"),
+                "{}",
+                profile.render()
+            );
+        }
     }
 }

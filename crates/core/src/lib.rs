@@ -32,6 +32,7 @@
 pub mod canvas;
 pub mod engine;
 mod lru;
+pub mod profile;
 pub mod registry;
 pub mod request;
 pub mod routing;
@@ -41,6 +42,7 @@ pub mod source;
 pub use canvas::{CanvasError, CanvasNodeId, QueryCanvas};
 pub use engine::LotusX;
 pub use lru::CacheStats;
+pub use profile::QueryProfile;
 pub use registry::{EngineRegistry, Tenant};
 pub use request::{
     Answer, LotusError, PendingQuery, QueryKind, QueryProbe, QueryRequest, QueryResponse,
@@ -61,7 +63,7 @@ pub use lotusx_guard::{
     Budget, CancelToken, Completeness, QueryGuard, TenantLimits, TruncationReason,
 };
 pub use lotusx_index::IndexedDocument;
-pub use lotusx_obs::QueryProfile;
-pub use lotusx_rewrite::RankedRewrite;
+pub use lotusx_rank::{Bound, RankStats};
+pub use lotusx_rewrite::{RankedRewrite, RewriteStats};
 pub use lotusx_twig::{Algorithm, Axis, NodeTest, TwigPattern, ValuePredicate};
 pub use lotusx_xml::{Document, NodeId};

@@ -5,12 +5,12 @@
 //! text plus four per-request fields — `top_k`, `algorithm`, an execution
 //! [`Budget`], an opt-in profiling flag) and [`QueryResponse`] (ranked
 //! matches, a [`Completeness`] marker, plus an optional [`QueryProfile`]
-//! with the stage-timing tree). There are no engine-wide settings.
+//! with the stage timings and the plan behind them). There are no engine-wide settings.
 
 use crate::canvas::CanvasError;
 use crate::engine::RequestCtx;
+use crate::profile::QueryProfile;
 use lotusx_guard::{Budget, Completeness};
-use lotusx_obs::QueryProfile;
 use lotusx_twig::exec::Algorithm;
 use lotusx_twig::pattern::TwigPattern;
 use lotusx_twig::xpath::ParseError;
@@ -194,8 +194,9 @@ pub struct QueryResponse {
     /// Not part of the wire encoding: identical answers stay
     /// byte-identical regardless of which algorithm produced them.
     pub algorithm: Option<Algorithm>,
-    /// The execution profile, present iff the request asked for one.
-    pub profile: Option<QueryProfile>,
+    /// The execution profile, present iff the request asked for one
+    /// (boxed: a response without one stays small).
+    pub profile: Option<Box<QueryProfile>>,
 }
 
 /// The ranked results of one query, flat: all results' scores, node ids
@@ -326,7 +327,7 @@ pub enum QueryProbe {
 }
 
 /// A probed-but-unanswered query: what the probe already worked out
-/// (profile span, parsed pattern, cache key, resolved
+/// (the profile so far, parsed pattern, cache key, resolved
 /// algorithm), so the compute half repeats none of it. `Send`, so a
 /// server can probe where the request arrives and compute on a worker.
 pub struct PendingQuery {

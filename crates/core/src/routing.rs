@@ -27,7 +27,10 @@
 use std::time::Duration;
 
 use lotusx_guard::TenantLimits;
-use lotusx_obs::{parse_json_as, JsonNode as Val, SpannedJson as Sp};
+use lotusx_obs::{parse_json_as, JsonNode as Val};
+
+/// A config value with the byte offsets of its source text.
+type Sp = lotusx_obs::json::SpannedJson;
 
 /// What went wrong while loading a route config.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

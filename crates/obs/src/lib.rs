@@ -12,24 +12,22 @@
 //!   of the subsystem while disabled is a few relaxed atomic loads. Rates
 //!   and windowed means are the scraper's arithmetic over two readings
 //!   (Δcounter/Δt, Δ`sum_ns`/Δ`count`).
-//! * **Per-query profiles** — a [`Span`] tree threaded through the
-//!   pipeline only when one request opts in (`QueryRequest::profile`),
-//!   finished into a [`QueryProfile`] the caller can inspect or render
-//!   as the CLI `explain` tree.
+//! * **Per-request profiles** live in the engine (`lotusx::QueryProfile`),
+//!   which holds the ranker's and the rewriter's typed statistics; a
+//!   profile names its stages with [`Stage`] and renders their times with
+//!   [`fmt_ns`]. Nothing here is per request.
 //!
 //! ```
-//! use lotusx_obs::{Span, QueryProfile};
+//! use lotusx_obs::{fmt_ns, Metrics, Stage};
+//! use std::sync::atomic::Ordering;
 //!
-//! let root = Span::new("query");
-//! root.time("parse", |_| { /* … */ });
-//! root.time("match", |s| s.annotate("algorithm", "structural-join"));
-//! let profile = QueryProfile {
-//!     query: "//book/title".into(),
-//!     span: root.finish(),
-//!     ..Default::default()
-//! };
-//! assert!(profile.stages_ns() <= profile.total_ns());
-//! assert!(profile.render().contains("├─ parse"));
+//! let m = Metrics::new();
+//! m.record_stage(Stage::Parse, 12_300);
+//! m.counters.queries.fetch_add(1, Ordering::Relaxed);
+//! let snapshot = m.snapshot();
+//! assert_eq!(snapshot.counters.queries, 1);
+//! assert!(snapshot.to_json().contains("\"parse\""));
+//! assert_eq!(fmt_ns(12_300), "12.3µs");
 //! ```
 
 #![warn(missing_docs)]
@@ -37,10 +35,8 @@
 pub mod counters;
 pub mod histogram;
 pub mod json;
-pub mod profile;
 pub mod prom;
 pub mod registry;
-pub mod span;
 
 pub use counters::{counter_members, CounterKind, CounterRow};
 pub use histogram::{fmt_ns, HistogramSnapshot, LatencyHistogram};
@@ -49,10 +45,8 @@ pub use json::{
     push_u64_members, u64_decimal, JsonError, JsonNode, JsonTree, JsonValue, SpannedJson,
     MAX_JSON_DEPTH,
 };
-pub use profile::QueryProfile;
 pub use prom::{escape_label_value, sanitize_metric_name, PromWriter};
 pub use registry::{
     enabled, metrics, set_enabled, time_stage, Metrics, MetricsSnapshot, ProcessCounters,
     ProcessSnapshot, Stage,
 };
-pub use span::{Span, SpanGuard, SpanRecord};

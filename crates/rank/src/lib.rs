@@ -19,5 +19,5 @@
 pub mod score;
 pub mod topk;
 
-pub use score::{RankWeights, Ranker, ScoredMatch};
+pub use score::{Bound, RankStats, RankWeights, Ranker, ScoredMatch};
 pub use topk::OrderedTopK;

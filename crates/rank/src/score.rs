@@ -43,6 +43,43 @@ pub struct ScoredMatch {
     pub score: f64,
 }
 
+/// The bound a top-k ranking walked its rows under (see
+/// [`Ranker::rank_top_k`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Bound {
+    /// No bound: every row offered, in one class.
+    None,
+    /// One bound per group of root paths, read off the DataGuide.
+    Guide,
+    /// The tight rows first, then the rest.
+    Structure,
+}
+
+impl Bound {
+    /// Stable lower-case name (`none`, `guide`, `structure`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Bound::None => "none",
+            Bound::Guide => "guide",
+            Bound::Structure => "structure",
+        }
+    }
+}
+
+/// How one [`Ranker::rank_top_k`] call walked the rows: what a profile
+/// reports as the plan behind the rank stage.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RankStats {
+    /// Rows the enumerator offered the collector.
+    pub offered: usize,
+    /// The bound the rows were walked under.
+    pub bound: Bound,
+    /// Classes of rows walked (0 when `k` is 0).
+    pub walked: usize,
+    /// Classes in the walk (1 without a bound).
+    pub classes: usize,
+}
+
 /// Scores matches of one pattern over one document.
 pub struct Ranker<'a> {
     idx: &'a IndexedDocument,
@@ -195,7 +232,7 @@ impl<'a> PatternScorer<'a> {
         best_first.dedup();
         if best_first.len() <= 1 {
             return Some(Walk {
-                name: "guide",
+                bound: Bound::Guide,
                 classes: vec![Class::every_row(*best_first.first()?, 1)],
                 runs: vec![twig.root_run()],
             });
@@ -249,7 +286,7 @@ impl<'a> PatternScorer<'a> {
             next[class as usize] += 1;
         }
         Some(Walk {
-            name: "guide",
+            bound: Bound::Guide,
             classes: (best_first.into_iter().zip(ends))
                 .map(|(bound, end)| Class::every_row(bound, end))
                 .collect(),
@@ -279,7 +316,7 @@ impl<'a> PatternScorer<'a> {
         let bound = |slack| self.combine(tightness(slack), self.content_bound(), 1.0);
         let (tight, loose) = (bound(0), bound(1));
         (tight > loose).then(|| Walk {
-            name: "structure",
+            bound: Bound::Structure,
             classes: vec![
                 Class {
                     bound: tight,
@@ -339,8 +376,8 @@ impl<'a> PatternScorer<'a> {
 /// The order in which [`Ranker::rank_top_k`] walks the rows: classes of
 /// rows, each with the bound on their scores, the best bound first.
 struct Walk {
-    /// The bound's name on the span: `guide` or `structure`.
-    name: &'static str,
+    /// `Guide` or `Structure`.
+    bound: Bound,
     /// Best bound first.
     classes: Vec<Class>,
     runs: Vec<Range<u32>>,
@@ -480,31 +517,27 @@ impl<'a> Ranker<'a> {
     /// the rows not enumerated were never candidates.
     ///
     /// Runs under the result's budget (a trip leaves an exact top-k of
-    /// the rows scored by then, every one a true hit) and records the
-    /// score/select and sort phases as timed children of `span` when one
-    /// is supplied — score/select noting the rows offered (`candidates`),
-    /// `k`, the `bound` walked under (`guide`, `structure` or `none`) and
-    /// the `classes` walked out of all; the span never changes the
-    /// ranking.
+    /// the rows scored by then, every one a true hit). Returns the
+    /// ranking with the walk that found it: the rows offered, the bound
+    /// walked under and the classes walked out of all — counters the walk
+    /// keeps anyway.
     pub fn rank_top_k(
         &self,
         pattern: &TwigPattern,
         result: &JoinResult<'_>,
         k: usize,
-        span: Option<&lotusx_obs::Span>,
-    ) -> Vec<ScoredMatch> {
-        let select = span.map(|p| p.child("score-select"));
+    ) -> (Vec<ScoredMatch>, RankStats) {
         let scorer = self.scorer(pattern);
         let mut collector = OrderedTopK::new(k);
         let mut offered = 0usize;
-        let (mut bound, mut walked, mut classes) = ("none", 0, 1);
+        let (mut bound, mut walked, mut classes) = (Bound::None, 0, 1);
         let mut ticker = result.guard().ticker();
         let droppable = result.count().saturating_sub(k);
         let walk = (result.reduced_in_row_order())
             .filter(|_| k > 0)
             .and_then(|twig| Some((twig, scorer.walk(pattern, twig, droppable, &mut ticker)?)));
         if let Some((twig, walk)) = walk {
-            (bound, classes) = (walk.name, walk.classes.len());
+            (bound, classes) = (walk.bound, walk.classes.len());
             let mut start = 0;
             for class in &walk.classes {
                 if collector.score_to_beat() > Some(class.bound) {
@@ -536,14 +569,13 @@ impl<'a> Ranker<'a> {
                 true
             });
         }
-        if let Some(select) = select {
-            select.annotate("candidates", offered);
-            select.annotate("k", k);
-            select.annotate("bound", bound);
-            select.annotate("classes", format!("{walked}/{classes}"));
-        }
-        let _sort = span.map(|p| p.child("sort"));
-        collector.into_sorted()
+        let stats = RankStats {
+            offered,
+            bound,
+            walked,
+            classes,
+        };
+        (collector.into_sorted(), stats)
     }
 }
 
@@ -669,29 +701,19 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The `score-select` span names the bound the walk ran under and
-    /// the classes it walked out of all.
+    /// The ranking reports the bound it walked under and the classes it
+    /// walked out of all.
     #[test]
-    fn score_select_notes_the_bound_and_the_classes_walked() {
-        let notes = |xml: &str, query: &str, k: usize| {
+    fn rank_stats_name_the_bound_and_the_classes_walked() {
+        let walk = |xml: &str, query: &str, k: usize| {
             let idx = IndexedDocument::from_str(xml).unwrap();
             let pattern = parse_query(query).unwrap();
             let guard = lotusx_guard::QueryGuard::unlimited();
-            let result = lotusx_twig::execute_budgeted(
-                &idx,
-                &pattern,
-                Algorithm::StructuralJoin,
-                None,
-                &guard,
-            );
-            let span = lotusx_obs::Span::new("rank");
-            Ranker::new(&idx).rank_top_k(&pattern, &result, k, Some(&span));
-            let rank = span.finish();
-            let select = rank.child("score-select").unwrap();
-            let note = |key| select.note(key).unwrap().to_string();
-            (note("bound"), note("classes"))
+            let result =
+                lotusx_twig::execute_budgeted(&idx, &pattern, Algorithm::StructuralJoin, &guard);
+            let (_, stats) = Ranker::new(&idx).rank_top_k(&pattern, &result, k);
+            (stats.bound, (stats.walked, stats.classes))
         };
-        let owned = |(bound, classes): (&str, &str)| (bound.to_string(), classes.to_string());
         // Two root paths of different sizes: two classes, the rarer one
         // walked alone.
         let two_paths = format!(
@@ -699,22 +721,22 @@ mod tests {
             "<b/>".repeat(50),
             "<b/>".repeat(200)
         );
-        assert_eq!(notes(&two_paths, "//b", 5), owned(("guide", "1/2")));
+        assert_eq!(walk(&two_paths, "//b", 5), (Bound::Guide, (1, 2)));
         // The same rows beside a thousand paths of other tags: the guide
         // costs more to read than the rows it could drop.
         let paths: String = (0..1000).map(|i| format!("<t{i}/>")).collect();
         let wide = two_paths.replace("</r>", &format!("{paths}</r>"));
-        assert_eq!(notes(&wide, "//b", 5), owned(("none", "1/1")));
+        assert_eq!(walk(&wide, "//b", 5), (Bound::None, (1, 1)));
         // A `//` edge beside the same paths: the structural bound. A
         // hundred tight rows settle k = 5 in the first class; k = 150
         // walks the rest too.
         let (tight, loose) = ("<b/>".repeat(100), "<m><b/></m>".repeat(100));
         let deep = format!("<r><q>{tight}{loose}</q>{paths}</r>");
-        assert_eq!(notes(&deep, "//q//b", 5), owned(("structure", "1/2")));
-        assert_eq!(notes(&deep, "//q//b", 150), owned(("structure", "2/2")));
+        assert_eq!(walk(&deep, "//q//b", 5), (Bound::Structure, (1, 2)));
+        assert_eq!(walk(&deep, "//q//b", 150), (Bound::Structure, (2, 2)));
         // Nothing to drop, nothing to bound; nothing asked, nothing walked.
-        assert_eq!(notes(&two_paths, "//b", 250), owned(("none", "1/1")));
-        assert_eq!(notes(&two_paths, "//b", 0), owned(("none", "0/1")));
+        assert_eq!(walk(&two_paths, "//b", 250), (Bound::None, (1, 1)));
+        assert_eq!(walk(&two_paths, "//b", 0), (Bound::None, (0, 1)));
     }
 
     #[test]

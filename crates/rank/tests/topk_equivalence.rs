@@ -10,8 +10,7 @@ mod random_inputs;
 use lotusx_datagen::rng::XorShiftRng;
 use lotusx_guard::QueryGuard;
 use lotusx_index::IndexedDocument;
-use lotusx_obs::Span;
-use lotusx_rank::{Ranker, ScoredMatch};
+use lotusx_rank::{Bound, RankStats, Ranker, ScoredMatch};
 use lotusx_twig::exec::{execute, execute_budgeted, Algorithm};
 use lotusx_twig::xpath::parse_query;
 
@@ -20,14 +19,6 @@ fn bits(ranked: &[ScoredMatch]) -> Vec<(u64, &[lotusx_xml::NodeId])> {
     matches
         .map(|m| (m.score.to_bits(), &m.bindings[..]))
         .collect()
-}
-
-/// Rows the enumerator offered the collector, from the ranking's span.
-fn offered(span: Span, k: usize) -> usize {
-    let rank = span.finish();
-    let select = rank.child("score-select").expect("recorded");
-    assert_eq!(select.note("k"), Some(k.to_string().as_str()));
-    select.note("candidates").unwrap().parse().unwrap()
 }
 
 #[test]
@@ -45,17 +36,16 @@ fn top_k_equals_the_full_ranking_truncated() {
         ranked_rows += n;
         tied_cases += usize::from(full.windows(2).any(|w| w[0].score == w[1].score));
         for algo in Algorithm::ALL {
-            let result = execute_budgeted(&idx, &pattern, algo, None, &guard);
+            let result = execute_budgeted(&idx, &pattern, algo, &guard);
             assert_eq!(result.count(), n, "case {case}: {algo}");
             for k in [0, 1, 2, 3, 5, n, n + 1] {
-                let span = Span::new("rank");
-                let got = ranker.rank_top_k(&pattern, &result, k, Some(&span));
+                let (got, stats) = ranker.rank_top_k(&pattern, &result, k);
                 assert_eq!(
                     bits(&got),
                     bits(&full[..k.min(n)]),
                     "case {case}: {pattern} via {algo}, k={k}"
                 );
-                let offered = offered(span, k);
+                let offered = stats.offered;
                 assert!(offered == n || k == 0 || result.reduced_in_row_order().is_some());
                 early_stops += usize::from(k > 0 && offered < n);
             }
@@ -75,15 +65,14 @@ fn top_k_equals_the_full_ranking_truncated() {
     );
 }
 
-/// Runs `query` with `k` under a span and returns the ranking with the
-/// number of rows the enumerator offered the collector.
+/// Runs `query` with `k` and returns the ranking with the number of rows
+/// the enumerator offered the collector.
 fn ranked_and_offered(idx: &IndexedDocument, query: &str, k: usize) -> (Vec<ScoredMatch>, usize) {
     let pattern = parse_query(query).unwrap();
     let guard = QueryGuard::unlimited();
-    let result = execute_budgeted(idx, &pattern, Algorithm::StructuralJoin, None, &guard);
-    let span = Span::new("rank");
-    let ranked = Ranker::new(idx).rank_top_k(&pattern, &result, k, Some(&span));
-    (ranked, offered(span, k))
+    let result = execute_budgeted(idx, &pattern, Algorithm::StructuralJoin, &guard);
+    let (ranked, stats) = Ranker::new(idx).rank_top_k(&pattern, &result, k);
+    (ranked, stats.offered)
 }
 
 /// When every row ties, the answer is the first `k` in document order
@@ -123,18 +112,6 @@ fn the_best_score_is_found_wherever_it_sits() {
     );
 }
 
-/// The notes of the `score-select` span: rows offered, the bound walked
-/// under and the classes walked out of all.
-fn walk_notes(span: Span, k: usize) -> (usize, String, (usize, usize)) {
-    let rank = span.finish();
-    let select = rank.child("score-select").expect("recorded");
-    assert_eq!(select.note("k"), Some(k.to_string().as_str()));
-    let offered = select.note("candidates").unwrap().parse().unwrap();
-    let (walked, total) = select.note("classes").unwrap().split_once('/').unwrap();
-    let classes = (walked.parse().unwrap(), total.parse().unwrap());
-    (offered, select.note("bound").unwrap().to_string(), classes)
-}
-
 /// The random sweep again, counting the walks that take the guide bound
 /// over several classes of root paths and still stop before the last
 /// row: the stop rules between and inside classes, not only the one-class
@@ -149,18 +126,22 @@ fn multi_class_walks_stop_early_and_agree_with_the_full_ranking() {
         let ranker = Ranker::new(&idx);
         let full = ranker.rank(&pattern, &execute(&idx, &pattern, Algorithm::Naive));
         let n = full.len();
-        let result = execute_budgeted(&idx, &pattern, Algorithm::StructuralJoin, None, &guard);
+        let result = execute_budgeted(&idx, &pattern, Algorithm::StructuralJoin, &guard);
         for k in [1, 2, 3, 5, 8] {
-            let span = Span::new("rank");
-            let got = ranker.rank_top_k(&pattern, &result, k, Some(&span));
+            let (got, stats) = ranker.rank_top_k(&pattern, &result, k);
             assert_eq!(
                 bits(&got),
                 bits(&full[..k.min(n)]),
                 "case {case}: {pattern}, k={k}"
             );
-            let (offered, bound, (walked, total)) = walk_notes(span, k);
+            let RankStats {
+                offered,
+                bound,
+                walked,
+                classes: total,
+            } = stats;
             assert!(walked <= total, "case {case}: {walked}/{total}");
-            if bound == "guide" && total > 1 {
+            if bound == Bound::Guide && total > 1 {
                 multi_class += 1;
                 multi_class_stops += usize::from(offered < n);
             }
@@ -197,11 +178,10 @@ fn a_tie_with_an_earlier_row_of_the_next_class_is_walked_into() {
     let idx = IndexedDocument::from_str(&xml).unwrap();
     let pattern = parse_query("//b[//c]").unwrap();
     let guard = QueryGuard::unlimited();
-    let result = execute_budgeted(&idx, &pattern, Algorithm::StructuralJoin, None, &guard);
-    let span = Span::new("rank");
-    let ranked = Ranker::new(&idx).rank_top_k(&pattern, &result, 3, Some(&span));
-    let (_, bound, classes) = walk_notes(span, 3);
-    assert_eq!((bound.as_str(), classes), ("guide", (2, 3)));
+    let result = execute_budgeted(&idx, &pattern, Algorithm::StructuralJoin, &guard);
+    let (ranked, stats) = Ranker::new(&idx).rank_top_k(&pattern, &result, 3);
+    let walk = (stats.bound, (stats.walked, stats.classes));
+    assert_eq!(walk, (Bound::Guide, (2, 3)));
     let full = Ranker::new(&idx).rank(&pattern, &execute(&idx, &pattern, Algorithm::Naive));
     assert_eq!(full.len(), 45);
     assert_eq!(bits(&ranked), bits(&full[..3]));
@@ -235,15 +215,19 @@ fn items_under_regions_of_different_sizes_stop_within_one_row_of_k() {
     let pattern = parse_query(query).unwrap();
     let full = Ranker::new(&idx).rank(&pattern, &execute(&idx, &pattern, Algorithm::Naive));
     let guard = QueryGuard::unlimited();
-    let result = execute_budgeted(&idx, &pattern, Algorithm::StructuralJoin, None, &guard);
+    let result = execute_budgeted(&idx, &pattern, Algorithm::StructuralJoin, &guard);
     // Rows per class, best class first, summed.
     let rows_by = [3, 10, 50, 450];
     for k in [1, 3, 5, 10, 17, 50, 73] {
-        let span = Span::new("rank");
-        let ranked = Ranker::new(&idx).rank_top_k(&pattern, &result, k, Some(&span));
+        let (ranked, stats) = Ranker::new(&idx).rank_top_k(&pattern, &result, k);
         assert_eq!(bits(&ranked), bits(&full[..k]), "k={k}");
-        let (offered, bound, (walked, total)) = walk_notes(span, k);
-        assert_eq!((bound.as_str(), total), ("guide", 4), "k={k}");
+        let RankStats {
+            offered,
+            bound,
+            walked,
+            classes: total,
+        } = stats;
+        assert_eq!((bound, total), (Bound::Guide, 4), "k={k}");
         assert!(offered <= k + 1, "k={k}: offered {offered} of 450 rows");
         let needed = 1 + rows_by.iter().take_while(|&&rows| rows < k).count();
         assert_eq!(walked, needed, "k={k}: classes walked");
@@ -265,14 +249,13 @@ fn a_path_the_predicate_rules_out_still_loosens_the_guide_bound() {
     let full = Ranker::new(&idx).rank(&pattern, &execute(&idx, &pattern, Algorithm::Naive));
     assert_eq!(full.len(), 200);
     let guard = QueryGuard::unlimited();
-    let result = execute_budgeted(&idx, &pattern, Algorithm::StructuralJoin, None, &guard);
+    let result = execute_budgeted(&idx, &pattern, Algorithm::StructuralJoin, &guard);
     for k in [1, 10, 73] {
-        let span = Span::new("rank");
-        let ranked = Ranker::new(&idx).rank_top_k(&pattern, &result, k, Some(&span));
+        let (ranked, stats) = Ranker::new(&idx).rank_top_k(&pattern, &result, k);
         assert_eq!(bits(&ranked), bits(&full[..k]), "k={k}");
-        let (offered, bound, classes) = walk_notes(span, k);
-        assert_eq!((bound.as_str(), classes), ("guide", (1, 1)), "k={k}");
-        assert_eq!(offered, 200, "k={k}: every row is walked");
+        let walk = (stats.bound, (stats.walked, stats.classes));
+        assert_eq!(walk, (Bound::Guide, (1, 1)), "k={k}");
+        assert_eq!(stats.offered, 200, "k={k}: every row is walked");
     }
 }
 
@@ -362,20 +345,24 @@ fn structural_walks_on_deep_documents_agree_with_the_full_ranking() {
         let ranker = Ranker::new(&idx);
         let full = ranker.rank(&pattern, &execute(&idx, &pattern, Algorithm::Naive));
         let n = full.len();
-        let result = execute_budgeted(&idx, &pattern, Algorithm::StructuralJoin, None, &guard);
+        let result = execute_budgeted(&idx, &pattern, Algorithm::StructuralJoin, &guard);
         let mut ks = vec![1, 2, 3, n.saturating_sub(1), n, n + 1];
         ks.retain(|&k| k > 0);
         ks.dedup();
         for k in ks {
-            let span = Span::new("rank");
-            let got = ranker.rank_top_k(&pattern, &result, k, Some(&span));
+            let (got, stats) = ranker.rank_top_k(&pattern, &result, k);
             assert_eq!(
                 bits(&got),
                 bits(&full[..k.min(n)]),
                 "case {case}: {pattern}, k={k}"
             );
-            let (offered, bound, (walked, total)) = walk_notes(span, k);
-            if bound == "structure" {
+            let RankStats {
+                offered,
+                bound,
+                walked,
+                classes: total,
+            } = stats;
+            if bound == Bound::Structure {
                 assert_eq!(total, 2, "case {case}: {pattern}, k={k}");
                 structural += 1;
                 with_terms += usize::from(case % 3 == 0);
@@ -423,11 +410,9 @@ fn a_budget_trip_in_a_structural_walk_keeps_an_exact_top_k_of_true_rows() {
         let k = rng.gen_range(1..n / 2);
         let quota = rng.gen_range(1..n as u64);
         let guard = QueryGuard::new(&Budget::unlimited().with_candidate_quota(quota));
-        let result = execute_budgeted(&idx, &pattern, Algorithm::StructuralJoin, None, &guard);
-        let span = Span::new("rank");
-        let got = ranker.rank_top_k(&pattern, &result, k, Some(&span));
-        let (_, bound, _) = walk_notes(span, k);
-        if bound != "structure" || !guard.is_tripped() {
+        let result = execute_budgeted(&idx, &pattern, Algorithm::StructuralJoin, &guard);
+        let (got, stats) = ranker.rank_top_k(&pattern, &result, k);
+        if stats.bound != Bound::Structure || !guard.is_tripped() {
             continue;
         }
         tripped += 1;

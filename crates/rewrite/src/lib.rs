@@ -29,4 +29,4 @@ pub mod rewriter;
 pub mod synonyms;
 
 pub use ops::{apply, RewriteOp};
-pub use rewriter::{RankedRewrite, Rewriter, RewriterConfig};
+pub use rewriter::{RankedRewrite, RewriteStats, Rewriter, RewriterConfig};

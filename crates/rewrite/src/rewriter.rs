@@ -4,7 +4,6 @@ use crate::ops::{apply, RewriteOp};
 use crate::synonyms::{spelling_candidates, synonyms};
 use lotusx_guard::QueryGuard;
 use lotusx_index::IndexedDocument;
-use lotusx_obs::Span;
 use lotusx_twig::exec::{execute_budgeted, Algorithm};
 use lotusx_twig::guide;
 use lotusx_twig::pattern::{NodeTest, TwigPattern};
@@ -51,7 +50,7 @@ pub struct RankedRewrite {
 }
 
 /// Statistics of one rewrite search (reported by experiment E6).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RewriteStats {
     /// Candidates popped from the frontier.
     pub expansions: usize,
@@ -91,8 +90,7 @@ impl<'a> Rewriter<'a> {
     /// five non-empty rewrites, gentlest first, with the search
     /// statistics — frontier expansions, candidates pruned as
     /// unsatisfiable by the DataGuide, and candidates executed against
-    /// the data — which also annotate `span` when one is supplied (the
-    /// span never changes the search).
+    /// the data.
     ///
     /// The search runs under the request's `guard`: every expansion
     /// charges one node visit, candidates execute budgeted, and the
@@ -103,7 +101,6 @@ impl<'a> Rewriter<'a> {
     pub fn rewrite(
         &self,
         original: &TwigPattern,
-        span: Option<&Span>,
         guard: &QueryGuard,
     ) -> (Vec<RankedRewrite>, RewriteStats) {
         let mut stats = RewriteStats::default();
@@ -143,14 +140,9 @@ impl<'a> Rewriter<'a> {
                     // Only the count matters here — no row is built for
                     // it — and every algorithm counts the same: run what
                     // `auto` resolves to.
-                    let match_count = execute_budgeted(
-                        self.idx,
-                        &candidate.pattern,
-                        Algorithm::Auto,
-                        None,
-                        guard,
-                    )
-                    .count();
+                    let match_count =
+                        execute_budgeted(self.idx, &candidate.pattern, Algorithm::Auto, guard)
+                            .count();
                     if guard.is_tripped() {
                         break;
                     }
@@ -198,12 +190,6 @@ impl<'a> Rewriter<'a> {
                 .unwrap_or(Ordering::Equal)
                 .then_with(|| b.match_count.cmp(&a.match_count))
         });
-        if let Some(span) = span {
-            span.annotate("expansions", stats.expansions);
-            span.annotate("pruned-unsatisfiable", stats.pruned_unsatisfiable);
-            span.annotate("executions", stats.executions);
-            span.annotate("rewrites", results.len());
-        }
         (results, stats)
     }
 
@@ -299,7 +285,7 @@ mod tests {
     use lotusx_twig::xpath::parse_query;
 
     fn rewrite(r: &Rewriter<'_>, pattern: &TwigPattern) -> (Vec<RankedRewrite>, RewriteStats) {
-        r.rewrite(pattern, None, &QueryGuard::unlimited())
+        r.rewrite(pattern, &QueryGuard::unlimited())
     }
 
     fn idx() -> IndexedDocument {
@@ -418,7 +404,7 @@ mod tests {
         let r = Rewriter::new(&idx, RewriterConfig::default());
         let broken = parse_query("//nosuchtag1/nosuchtag2").unwrap();
         let guard = QueryGuard::new(&Budget::unlimited().with_node_quota(2));
-        let (_, stats) = r.rewrite(&broken, None, &guard);
+        let (_, stats) = r.rewrite(&broken, &guard);
         assert!(guard.is_tripped());
         assert!(stats.expansions <= 2);
     }
@@ -436,7 +422,7 @@ mod tests {
         };
         // A generous budget changes nothing.
         let generous = QueryGuard::new(&Budget::unlimited().with_node_quota(1 << 40));
-        let (same, same_stats) = r.rewrite(&broken, None, &generous);
+        let (same, same_stats) = r.rewrite(&broken, &generous);
         assert!(!generous.is_tripped());
         assert_eq!(describe(&same), describe(&full));
         assert_eq!(same_stats.expansions, full_stats.expansions);
@@ -444,7 +430,7 @@ mod tests {
         let mut tripped = 0;
         for quota in 0..full_stats.expansions as u64 {
             let guard = QueryGuard::new(&Budget::unlimited().with_node_quota(quota));
-            let (got, stats) = r.rewrite(&broken, None, &guard);
+            let (got, stats) = r.rewrite(&broken, &guard);
             assert!(guard.is_tripped(), "quota {quota}");
             assert!(stats.expansions as u64 <= quota, "one visit per expansion");
             tripped += usize::from(got.len() < full.len());

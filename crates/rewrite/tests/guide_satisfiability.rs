@@ -144,8 +144,8 @@ fn pruning_changes_no_rewrite_only_the_executions() {
         );
         for q in queries::broken_queries(ds) {
             let pattern = parse_query(q.text).unwrap();
-            let (with, ws) = pruned.rewrite(&pattern, None, &guard);
-            let (without, us) = unpruned.rewrite(&pattern, None, &guard);
+            let (with, ws) = pruned.rewrite(&pattern, &guard);
+            let (without, us) = unpruned.rewrite(&pattern, &guard);
             assert_eq!(describe(&with), describe(&without), "{ds} {}", q.id);
             assert_eq!(ws.expansions, us.expansions, "{ds} {}", q.id);
             assert!(ws.executions <= us.executions, "{ds} {}", q.id);

@@ -101,7 +101,7 @@ fn main() {
                 ),
             },
             "explain" => {
-                // Honor the session's `algo` (the stage tree names the
+                // Honor the session's `algo` (the profile names the
                 // join that ran).
                 let mut request = QueryRequest::twig(rest).profiled(true);
                 request.algorithm = Some(algorithm);
@@ -420,7 +420,7 @@ one-shot queries:
                      ('save' is an alias)
 observability:
   profile on|off     toggle metrics recording + per-query profiles
-  explain <xpath>    run one query and print its stage-timing tree
+  explain <xpath>    run one query and print its stage timings and plan
   stats              document, cache, executor and latency statistics
   stats json         the metrics snapshot as JSON (metrics.json format)
 canvas (the GUI surrogate):

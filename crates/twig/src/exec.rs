@@ -8,7 +8,6 @@ use crate::ordered::filter_ordered;
 use crate::pattern::TwigPattern;
 use lotusx_guard::QueryGuard;
 use lotusx_index::IndexedDocument;
-use lotusx_obs::Span;
 use lotusx_xml::NodeId;
 
 /// The available twig evaluation algorithms.
@@ -192,43 +191,27 @@ fn join<'a>(
 /// order-sensitivity filter if the pattern requests it, and materializes
 /// every match.
 pub fn execute(idx: &IndexedDocument, pattern: &TwigPattern, algorithm: Algorithm) -> MatchSet {
-    execute_budgeted(idx, pattern, algorithm, None, &QueryGuard::unlimited()).into_match_set()
+    execute_budgeted(idx, pattern, algorithm, &QueryGuard::unlimited()).into_match_set()
 }
 
-/// Like [`execute`], under a budget, recording the join and the ordered
-/// filter as timed children of `span` when one is supplied (the span
-/// never changes what is computed) — and stopping short of the rows: the
-/// [`JoinResult`] counts them and enumerates them on demand. The join
-/// stops cooperatively once `guard` trips, keeping only matches proven
-/// valid by then. Callers inspect the guard afterwards to learn whether
-/// the result is complete.
+/// Like [`execute`], under a budget — and stopping short of the rows:
+/// the [`JoinResult`] counts them and enumerates them on demand. The
+/// join stops cooperatively once `guard` trips, keeping only matches
+/// proven valid by then. Callers inspect the guard afterwards to learn
+/// whether the result is complete.
 pub fn execute_budgeted<'a>(
     idx: &'a IndexedDocument,
     pattern: &TwigPattern,
     algorithm: Algorithm,
-    span: Option<&Span>,
     guard: &QueryGuard,
 ) -> JoinResult<'a> {
-    // Resolve the auto policy up front so spans report the algorithm
-    // that actually runs.
     let algorithm = algorithm.resolve(idx, pattern);
-    let join_span = span.map(|parent| parent.child(format!("join/{algorithm}")));
     let result = JoinResult::new(guard, join(idx, pattern, algorithm, guard));
-    if let Some(join_span) = join_span {
-        join_span.annotate("matches", result.count());
-    }
     if !pattern.is_ordered() {
         return result;
     }
     // Sibling order is a property of whole rows: build them, filter them.
-    let filter_span = span.map(|parent| parent.child("ordered-filter"));
-    let rows = result.into_match_set();
-    let rows_in = rows.len();
-    let kept = filter_ordered(pattern, rows);
-    if let Some(filter_span) = filter_span {
-        filter_span.annotate("in", rows_in);
-        filter_span.annotate("kept", kept.len());
-    }
+    let kept = filter_ordered(pattern, result.into_match_set());
     JoinResult::new(guard, Matches::Rows(kept))
 }
 
@@ -322,31 +305,5 @@ mod tests {
             !Algorithm::ALL.contains(&Algorithm::Auto),
             "Auto is a policy, not a third join"
         );
-    }
-
-    #[test]
-    fn spans_observe_without_changing_results() {
-        let idx = idx();
-        let pattern = parse_query("ordered //book[title][author]").unwrap();
-        let plain = execute(&idx, &pattern, Algorithm::StructuralJoin);
-        let span = Span::new("query");
-        let unlimited = QueryGuard::unlimited();
-        let spanned = execute_budgeted(
-            &idx,
-            &pattern,
-            Algorithm::StructuralJoin,
-            Some(&span),
-            &unlimited,
-        );
-        assert_eq!(spanned.count(), plain.len());
-        assert_eq!(plain, spanned.into_match_set());
-        let rec = span.finish();
-        let join = rec
-            .child("join/structural-join")
-            .expect("join child recorded");
-        assert_eq!(join.note("matches"), Some("2"));
-        let filter = rec.child("ordered-filter").expect("filter child");
-        assert_eq!(filter.note("in"), Some("2"));
-        assert_eq!(filter.note("kept"), Some("1"));
     }
 }

@@ -84,7 +84,7 @@ fn enumerate(
     algo: Algorithm,
     guard: &QueryGuard,
 ) -> (usize, MatchSet) {
-    let result = execute_budgeted(idx, pattern, algo, None, guard);
+    let result = execute_budgeted(idx, pattern, algo, guard);
     let mut rows = MatchSet::new(pattern.len());
     let exhausted = result.for_each_row(|row| {
         rows.push(row);
@@ -143,7 +143,7 @@ fn all_algorithms_agree_on_random_inputs() {
             // Starved: whatever survives is a true match of the full answer.
             let quota = rng.gen_range(0..12u64);
             let guard = QueryGuard::new(&Budget::unlimited().with_node_quota(quota));
-            let partial = execute_budgeted(&idx, &pattern, algo, None, &guard).into_match_set();
+            let partial = execute_budgeted(&idx, &pattern, algo, &guard).into_match_set();
             truncated_cases += usize::from(guard.is_tripped());
             assert!(
                 guard.is_tripped() || partial == reference,
@@ -164,7 +164,7 @@ fn all_algorithms_agree_on_random_inputs() {
         let order: Vec<usize> = pattern.preorder().iter().map(|q| q.index()).collect();
         let preorder_is_id_order = order.iter().copied().eq(0..pattern.len());
         let unlimited = QueryGuard::unlimited();
-        let result = execute_budgeted(&idx, &pattern, Algorithm::StructuralJoin, None, &unlimited);
+        let result = execute_budgeted(&idx, &pattern, Algorithm::StructuralJoin, &unlimited);
         let row_order = result.reduced_in_row_order().is_some();
         assert_eq!(
             row_order,

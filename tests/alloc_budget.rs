@@ -23,7 +23,7 @@
 use lotusx::PositionContext;
 use lotusx_guard::QueryGuard;
 use lotusx_index::IndexedDocument;
-use lotusx_rank::Ranker;
+use lotusx_rank::{Bound, Ranker};
 use lotusx_serve::wire::{encode_response, encode_tag_candidates};
 use lotusx_twig::exec::{execute_budgeted, Algorithm};
 use lotusx_twig::xpath::parse_query;
@@ -88,8 +88,8 @@ fn pipeline_spend(idx: &IndexedDocument, query: &str, algorithm: Algorithm) -> (
     let pattern = parse_query(query).expect("parses");
     let guard = QueryGuard::unlimited();
     let before = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
-    let matches = execute_budgeted(idx, &pattern, algorithm, None, &guard);
-    let top = Ranker::new(idx).rank_top_k(&pattern, &matches, 10, None);
+    let matches = execute_budgeted(idx, &pattern, algorithm, &guard);
+    let (top, _) = Ranker::new(idx).rank_top_k(&pattern, &matches, 10);
     let spent = (
         ALLOCATIONS.with(Cell::get) - before.0,
         BYTES.with(Cell::get) - before.1,
@@ -195,17 +195,13 @@ fn ranking_over_several_root_paths_allocates_per_class_not_per_match() {
     let spent = |idx: &IndexedDocument| {
         let guard = QueryGuard::unlimited();
         let before = ALLOCATIONS.with(Cell::get);
-        let matches = execute_budgeted(idx, &pattern, Algorithm::StructuralJoin, None, &guard);
-        let top = Ranker::new(idx).rank_top_k(&pattern, &matches, 10, None);
+        let matches = execute_budgeted(idx, &pattern, Algorithm::StructuralJoin, &guard);
+        let (top, stats) = Ranker::new(idx).rank_top_k(&pattern, &matches, 10);
         let spent = ALLOCATIONS.with(Cell::get) - before;
         assert_eq!(top.len(), 10);
-        // Outside the count: the walk took the guide bound, three classes.
-        let span = lotusx_obs::Span::new("rank");
-        Ranker::new(idx).rank_top_k(&pattern, &matches, 10, Some(&span));
-        let rank = span.finish();
-        let select = rank.child("score-select").expect("recorded");
-        assert_eq!(select.note("bound"), Some("guide"));
-        assert_eq!(select.note("classes"), Some("1/3"));
+        // The walk took the guide bound, one class of three.
+        assert_eq!(stats.bound, Bound::Guide);
+        assert_eq!((stats.walked, stats.classes), (1, 3));
         spent
     };
     let (at_small, at_large) = (spent(&regions(SMALL)), spent(&regions(SMALL * GROWTH)));

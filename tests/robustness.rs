@@ -8,6 +8,7 @@
 
 use lotusx::{Budget, CancelToken, LotusX, QueryRequest, TruncationReason};
 use lotusx_datagen::{generate, queries, Dataset};
+use lotusx_obs::Stage;
 use lotusx_serve::wire::encode_response;
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -271,7 +272,7 @@ fn budgets_bound_the_rewrite_search() {
                 let budget = Budget::default().with_node_quota(quota);
                 let request = QueryRequest::twig(q.text).budget(budget).profiled(true);
                 let mut got = system.query(&request).unwrap();
-                let stages = got.profile.take().expect("profiled").span.children;
+                let stages = got.profile.take().expect("profiled").stages;
                 if got.completeness.is_complete() {
                     assert_eq!(
                         encode_response(&got),
@@ -293,9 +294,13 @@ fn budgets_bound_the_rewrite_search() {
                     Some(info) => assert_eq!(info.pattern, applied.pattern, "{dataset} {}", q.id),
                     None => assert!(got.matches.is_empty(), "{dataset} {}", q.id),
                 }
-                let ran = |stage: &str| stages.iter().filter(|s| s.name == stage).count();
-                if ran("rewrite") == 1 && got.rewrite.is_none() {
-                    assert_eq!(ran("match"), 1, "a cut-short search re-executes nothing");
+                let ran = |stage: Stage| stages.iter().filter(|(s, _)| *s == stage).count();
+                if ran(Stage::Rewrite) == 1 && got.rewrite.is_none() {
+                    assert_eq!(
+                        ran(Stage::Match),
+                        1,
+                        "a cut-short search re-executes nothing"
+                    );
                     stopped_in_rewrite += 1;
                 }
             }
