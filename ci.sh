@@ -277,7 +277,8 @@ stage_robust_smoke() {
 }
 
 # Telemetry smoke: the telemetry bench (--quick) fails the stage if
-# recording metrics costs more than 15% over the disabled path.
+# recording metrics adds more than 250 ns to a query over the disabled
+# path (MAX_METRICS_OVERHEAD_NS, an absolute budget).
 stage_telemetry_smoke() {
     cargo run --release -p lotusx-bench --bin lotusx-telemetry-bench -- --quick
 }

@@ -51,11 +51,6 @@ impl CompletionState {
         &self.context
     }
 
-    /// Sets how many candidates each keystroke returns.
-    pub fn set_k(&mut self, k: usize) {
-        self.k = k;
-    }
-
     /// Discards the typed prefix.
     pub fn clear_typed(&mut self) {
         self.typed.clear();
@@ -206,7 +201,6 @@ mod tests {
         assert_eq!(state.typed(), "a");
         assert_eq!(state.current().len(), 2, "author + abstract under article");
         state.clear_typed();
-        state.set_k(1);
-        assert_eq!(state.current().len(), 1);
+        assert_eq!(state.typed(), "");
     }
 }

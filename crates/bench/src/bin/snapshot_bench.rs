@@ -74,15 +74,14 @@ const VALUE_INDEX_BYTES_PER_ELEMENT: f64 = 20.0;
 /// beside them read ≈ 25 on dblp, a per-node label store ≈ 54.
 const POSITIONS_BYTES_PER_ELEMENT: f64 = 16.0;
 
-/// The corpus's own character data: every text, comment and PI byte and
-/// every attribute value byte.
+/// The corpus's own character data: every text byte and every attribute
+/// value byte.
 fn character_bytes(doc: &Document) -> usize {
     doc.all_nodes()
         .map(|n| match doc.kind(n) {
             NodeKind::Document => 0,
             NodeKind::Element { attributes, .. } => attributes.iter().map(|(_, v)| v.len()).sum(),
-            NodeKind::Text(t) | NodeKind::Comment(t) => t.len(),
-            NodeKind::Pi { target, data } => target.len() + data.len(),
+            NodeKind::Text(t) => t.len(),
         })
         .sum()
 }

@@ -28,7 +28,7 @@ use lotusx_rewrite::{Rewriter, RewriterConfig};
 use lotusx_twig::exec::{execute_budgeted, Algorithm};
 use lotusx_twig::pattern::TwigPattern;
 use lotusx_twig::xpath::parse_query;
-use lotusx_xml::{Document, SerializeOptions};
+use lotusx_xml::Document;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -387,7 +387,7 @@ impl LotusX {
             let doc = self.idx.document();
             let mut answer = Answer::with_capacity(hits.len().min(limit), 1, 1);
             for hit in hits.iter().take(limit) {
-                let snippet = doc.serialize(hit.node, SerializeOptions::default());
+                let snippet = doc.serialize(hit.node);
                 answer.push(hit.score, &[hit.node], [hit.node], &snippet);
             }
             QueryResponse {
@@ -458,7 +458,7 @@ impl LotusX {
                 // The snippet shows the first output node (`output_nodes`
                 // falls back to the root, so there always is one).
                 let shown = sm.bindings[outputs[0].index()];
-                let snippet = doc.serialize(shown, SerializeOptions::default());
+                let snippet = doc.serialize(shown);
                 answer.push(sm.score, &sm.bindings, output, &snippet);
             }
             answer.finish()

@@ -9,13 +9,15 @@ use crate::engine::LotusX;
 use crate::request::{LotusError, QueryRequest, QueryResponse};
 use lotusx_autocomplete::{CompletionEngine, CompletionState, TagCandidate, ValueCandidate};
 
+/// How many candidates each keystroke and each value lookup returns.
+const SUGGESTIONS: usize = 8;
+
 /// An interactive query-building session over one loaded document.
 pub struct Session<'a> {
     engine: &'a LotusX,
     completion: CompletionEngine<'a>,
     canvas: QueryCanvas,
     focus: Option<(CanvasNodeId, CompletionState)>,
-    suggestion_k: usize,
 }
 
 impl<'a> Session<'a> {
@@ -26,7 +28,6 @@ impl<'a> Session<'a> {
             engine,
             canvas: QueryCanvas::new(),
             focus: None,
-            suggestion_k: 8,
         }
     }
 
@@ -40,19 +41,11 @@ impl<'a> Session<'a> {
         &mut self.canvas
     }
 
-    /// Sets how many candidates each keystroke returns (default 8).
-    pub fn set_suggestion_count(&mut self, k: usize) {
-        self.suggestion_k = k;
-        if let Some((_, state)) = &mut self.focus {
-            state.set_k(k);
-        }
-    }
-
     /// Focuses a canvas node for typing; returns the initial (empty-prefix)
     /// candidates for that position.
     pub fn focus(&mut self, node: CanvasNodeId) -> Result<Vec<TagCandidate>, CanvasError> {
         let ctx = self.canvas.context_of(node)?;
-        let state = CompletionState::new(&self.completion, ctx, self.suggestion_k);
+        let state = CompletionState::new(&self.completion, ctx, SUGGESTIONS);
         let candidates = state.current();
         self.focus = Some((node, state));
         Ok(candidates)
@@ -124,12 +117,8 @@ impl<'a> Session<'a> {
         let (node, _) = self.focus.as_ref().ok_or(CanvasError::NoSuchNode)?;
         let node = *node;
         match self.canvas.tag(node)? {
-            Some(tag) => Ok(self
-                .completion
-                .complete_value(tag, prefix, self.suggestion_k)),
-            None => Ok(self
-                .completion
-                .complete_value_global(prefix, self.suggestion_k)),
+            Some(tag) => Ok(self.completion.complete_value(tag, prefix, SUGGESTIONS)),
+            None => Ok(self.completion.complete_value_global(prefix, SUGGESTIONS)),
         }
     }
 

@@ -8,7 +8,7 @@
 
 use crate::rng::XorShiftRng;
 use crate::words::{zipf_words, Zipf, NAMES, WORDS};
-use lotusx_xml::{Document, DocumentBuilder, NodeId};
+use lotusx_xml::{Document, NodeId};
 
 /// People generated per unit of scale.
 pub const PEOPLE_PER_SCALE: u32 = 120;
@@ -19,43 +19,79 @@ pub const AUCTIONS_PER_SCALE: u32 = 120;
 
 const REGIONS: [&str; 5] = ["africa", "asia", "europe", "namerica", "samerica"];
 
+/// One item, drawn before the regions are laid out.
+struct Item {
+    id: u32,
+    name: String,
+    description: String,
+    keywords: Vec<&'static str>,
+    quantity: Option<i32>,
+}
+
 /// Generates an XMark-like document.
 pub fn generate(scale: u32, seed: u64) -> Document {
     let mut rng = XorShiftRng::seed_from_u64(seed);
     let word_zipf = Zipf::new(WORDS.len(), 1.0);
-    // Items join regions created lazily, out of document order: the
-    // builder renumbers the tree into preorder at the end.
-    let mut doc = DocumentBuilder::new();
+    let mut doc = Document::new();
     let site = doc.append_element(NodeId::DOCUMENT, "site");
 
-    // Regions with items.
+    // Regions with items. Each item draws its region, so the items are
+    // drawn first and then appended in preorder, grouped under their
+    // region, each region placed where it first appears. Names are
+    // interned in the order the items first use them: the symbol table,
+    // which snapshots store in order, stays the one it always was.
     let regions = doc.append_element(site, "regions");
     let items = scale * ITEMS_PER_SCALE;
+    let mut region_order: Vec<usize> = Vec::new();
+    let mut by_region: [Vec<Item>; REGIONS.len()] = Default::default();
     for i in 0..items {
-        let region_tag = REGIONS[rng.gen_range(0..REGIONS.len())];
-        // Reuse existing region element or create it lazily.
-        let existing = doc
-            .element_children(regions)
-            .find(|&r| doc.tag_name(r) == Some(region_tag));
-        let region = match existing {
-            Some(r) => r,
-            None => doc.append_element(regions, region_tag),
-        };
-        let item = doc.append_element(region, "item");
-        doc.set_attribute(item, "id", format!("item{i}"));
-        let name = doc.append_element(item, "name");
-        doc.append_text(name, zipf_words(&mut rng, &word_zipf, 2));
-        let description = doc.append_element(item, "description");
-        let text = doc.append_element(description, "text");
-        let desc_len = 4 + rng.gen_range(0..8);
-        doc.append_text(text, zipf_words(&mut rng, &word_zipf, desc_len));
-        for _ in 0..rng.gen_range(0..3) {
-            let keyword = doc.append_element(text, "keyword");
-            doc.append_text(keyword, WORDS[word_zipf.sample(&mut rng) % WORDS.len()]);
+        let region = rng.gen_range(0..REGIONS.len());
+        if by_region[region].is_empty() {
+            region_order.push(region);
         }
-        if rng.gen_bool(0.6) {
-            let quantity = doc.append_element(item, "quantity");
-            doc.append_text(quantity, format!("{}", rng.gen_range(1..10)));
+        let symbols = doc.symbols_mut();
+        for tag in [REGIONS[region], "item", "id", "name", "description", "text"] {
+            symbols.intern(tag);
+        }
+        let name = zipf_words(&mut rng, &word_zipf, 2);
+        let desc_len = 4 + rng.gen_range(0..8);
+        let description = zipf_words(&mut rng, &word_zipf, desc_len);
+        let keywords: Vec<&'static str> = (0..rng.gen_range(0..3))
+            .map(|_| WORDS[word_zipf.sample(&mut rng) % WORDS.len()])
+            .collect();
+        if !keywords.is_empty() {
+            doc.symbols_mut().intern("keyword");
+        }
+        let quantity = rng.gen_bool(0.6).then(|| rng.gen_range(1..10));
+        if quantity.is_some() {
+            doc.symbols_mut().intern("quantity");
+        }
+        by_region[region].push(Item {
+            id: i,
+            name,
+            description,
+            keywords,
+            quantity,
+        });
+    }
+    for region_index in region_order {
+        let region = doc.append_element(regions, REGIONS[region_index]);
+        for item in &by_region[region_index] {
+            let element = doc.append_element(region, "item");
+            doc.set_attribute(element, "id", format!("item{}", item.id));
+            let name = doc.append_element(element, "name");
+            doc.append_text(name, &item.name);
+            let description = doc.append_element(element, "description");
+            let text = doc.append_element(description, "text");
+            doc.append_text(text, &item.description);
+            for &word in &item.keywords {
+                let keyword = doc.append_element(text, "keyword");
+                doc.append_text(keyword, word);
+            }
+            if let Some(value) = item.quantity {
+                let quantity = doc.append_element(element, "quantity");
+                doc.append_text(quantity, value.to_string());
+            }
         }
     }
 
@@ -148,7 +184,7 @@ pub fn generate(scale: u32, seed: u64) -> Document {
         }
     }
 
-    doc.finish()
+    doc
 }
 
 #[cfg(test)]

@@ -453,22 +453,17 @@ mod tests {
         assert_eq!(cols.all_elements().arena_offset(), NO_SLOT);
     }
 
-    /// A tree assembled out of document order (a child appended to an
-    /// element that already has a following sibling) is renumbered into
-    /// preorder when the builder finishes, so its streams ascend and its
-    /// parent slots follow document order like a parsed tree's.
+    /// A tree appended in preorder — `r, a[b], a[a]` — has ascending
+    /// streams and parent slots that follow document order, like a
+    /// parsed tree's.
     #[test]
-    fn a_tree_built_out_of_order_is_renumbered_into_preorder() {
-        let mut built = lotusx_xml::DocumentBuilder::new();
-        let root = built.append_element(NodeId::DOCUMENT, "r");
-        let first = built.append_element(root, "a");
-        let second = built.append_element(root, "a");
-        let late = built.append_element(first, "b");
-        let nested = built.append_element(second, "a");
-        let (doc, ids) = built.finish_renumbered();
-        let at = |n: NodeId| ids[n.index()].unwrap().index();
-        // Creation order r, a, a, b, a; document order r, a [b], a [a].
-        assert_eq!([root, first, late, second, nested].map(at), [1, 2, 3, 4, 5]);
+    fn parent_slots_of_a_tree_appended_in_preorder() {
+        let mut doc = Document::new();
+        let root = doc.append_element(NodeId::DOCUMENT, "r");
+        let first = doc.append_element(root, "a");
+        doc.append_element(first, "b");
+        let second = doc.append_element(root, "a");
+        doc.append_element(second, "a");
         let idx = crate::IndexedDocument::build(doc);
         assert_parent_slots_name_parents(&idx);
         // The arenas hold `r` at slot 0 and the `a` stream from slot 1,

@@ -130,8 +130,6 @@ fn encode_document(doc: &Document, out: &mut Vec<u8>) {
             NodeKind::Document => 0,
             NodeKind::Element { .. } => 1,
             NodeKind::Text(_) => 2,
-            NodeKind::Comment(_) => 3,
-            NodeKind::Pi { .. } => 4,
         });
     }
     // The subtree ends of the open elements, outermost first.
@@ -151,11 +149,7 @@ fn encode_document(doc: &Document, out: &mut Vec<u8>) {
                     put_string(out, value);
                 }
             }
-            NodeKind::Text(t) | NodeKind::Comment(t) => put_string(out, t),
-            NodeKind::Pi { target, data } => {
-                put_string(out, target);
-                put_string(out, data);
-            }
+            NodeKind::Text(t) => put_string(out, t),
         }
     }
 }
@@ -232,13 +226,6 @@ fn decode_document(bytes: &[u8]) -> Result<Document, StorageError> {
             }
             2 => {
                 doc.append_text(parent, rd_str(bytes, pos, "text payload")?);
-            }
-            3 => {
-                doc.append_comment(parent, rd_str(bytes, pos, "comment payload")?);
-            }
-            4 => {
-                let target = rd_str(bytes, pos, "pi target")?;
-                doc.append_pi(parent, target, rd_str(bytes, pos, "pi data")?);
             }
             _ => return Err(corrupt("unknown node kind")),
         }

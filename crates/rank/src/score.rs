@@ -149,10 +149,6 @@ impl<'a> PatternScorer<'a> {
         w.structure * structure + w.content * content + w.specificity * specificity
     }
 
-    fn structure(&self, row: &[NodeId]) -> f64 {
-        tightness(self.slack(row))
-    }
-
     /// The levels the `//` edges of `row` bind below one step down, summed.
     fn slack(&self, row: &[NodeId]) -> u32 {
         // The region label's level is the element's depth.
@@ -459,12 +455,6 @@ impl<'a> Ranker<'a> {
     /// The full LotusScore of one match row.
     pub fn score(&self, pattern: &TwigPattern, row: &[NodeId]) -> f64 {
         self.scorer(pattern).score(row)
-    }
-
-    /// Structural tightness in `(0, 1]`: 1 when every A-D edge binds at
-    /// minimal distance, decaying with the total extra depth (slack).
-    pub fn structure_score(&self, pattern: &TwigPattern, row: &[NodeId]) -> f64 {
-        self.scorer(pattern).structure(row)
     }
 
     /// TF-IDF sum over the `contains` terms of every predicate, squashed

@@ -273,15 +273,6 @@ impl TwigPattern {
     pub fn has_predicates(&self) -> bool {
         self.nodes.iter().any(|n| n.predicate.is_some())
     }
-
-    /// Number of edges with [`Axis::Child`] (excluding the root edge).
-    pub fn parent_child_edge_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .skip(1)
-            .filter(|n| n.axis == Axis::Child)
-            .count()
-    }
 }
 
 fn write_range(f: &mut fmt::Formatter<'_>, target: &str, low: f64, high: f64) -> fmt::Result {
@@ -467,12 +458,6 @@ mod tests {
         let p = b.build();
         assert!(p.is_ordered());
         assert!(p.to_string().starts_with("ordered "));
-    }
-
-    #[test]
-    fn pc_edge_count() {
-        let p = book_twig();
-        assert_eq!(p.parent_child_edge_count(), 1);
     }
 
     #[test]

@@ -6,8 +6,7 @@
 use lotusx_datagen::rng::XorShiftRng;
 use lotusx_index::{GuideNodeId, IndexedDocument};
 use lotusx_twig::pattern::{Axis, NodeTest, TwigPattern, ValuePredicate};
-use lotusx_xml::{Document, DocumentBuilder, NodeId};
-use std::collections::VecDeque;
+use lotusx_xml::{Document, NodeId};
 
 const TAGS: [&str; 3] = ["a", "b", "c"];
 
@@ -80,30 +79,6 @@ fn build(doc: &mut Document, parent: NodeId, t: &GenTree) {
     for c in &t.children {
         build(doc, e, c);
     }
-}
-
-/// Builds the same tree level by level in a builder — a creation id says
-/// nothing about a node's position, as in the xmark generator or an
-/// editor — and renumbers it into preorder. Returns the document and how
-/// many nodes the renumbering moved.
-fn build_breadth_first(root: &GenTree) -> (Document, usize) {
-    let mut doc = DocumentBuilder::new();
-    let mut pending = VecDeque::from([(NodeId::DOCUMENT, root)]);
-    while let Some((parent, t)) = pending.pop_front() {
-        let e = doc.append_element(parent, TAGS[t.tag]);
-        if let Some(year) = t.year {
-            doc.set_attribute(e, "year", year.to_string());
-        }
-        if let Some(text) = &t.text {
-            doc.append_text(e, text.clone());
-        }
-        pending.extend(t.children.iter().map(|c| (e, c)));
-    }
-    let (doc, ids) = doc.finish_renumbered();
-    let moved = (ids.iter().enumerate())
-        .filter(|&(i, id)| *id != Some(NodeId::from_index(i)))
-        .count();
-    (doc, moved)
 }
 
 /// A value predicate on about a third of pattern nodes, spread over every
@@ -185,36 +160,22 @@ fn random_pattern(rng: &mut XorShiftRng, root_tag: usize) -> TwigPattern {
 /// One random case: a document of 20 to ~60 elements over three tags
 /// (few tags and deep nesting make matches — and same-tag recursion —
 /// common) whose leaves carry small integer text (one in six an odd one)
-/// and half of whose elements a `year` attribute, indexed — one tree in
-/// four assembled out of document order and renumbered; and a pattern of
-/// 1–4 nodes that is ordered half the time and carries predicates on a
-/// third of them.
+/// and half of whose elements a `year` attribute, indexed; and a pattern
+/// of 1–4 nodes that is ordered half the time and carries predicates on
+/// a third of them.
 #[allow(dead_code)] // not every file including this module asks for it
 pub fn random_case(rng: &mut XorShiftRng) -> (IndexedDocument, TwigPattern) {
-    let (idx, pattern, _) = random_case_renumbered(rng);
-    (idx, pattern)
-}
-
-/// [`random_case`], and how many of the document's nodes the builder's
-/// renumbering into preorder moved: none for a tree appended in
-/// preorder, usually most for one assembled level by level.
-pub fn random_case_renumbered(rng: &mut XorShiftRng) -> (IndexedDocument, TwigPattern, usize) {
-    let (doc, root_tag, moved) = loop {
+    let (doc, root_tag) = loop {
         let mut budget = 60u32;
         let root = random_tree(rng, 6, &mut budget);
-        let (doc, moved) = if rng.gen_bool(0.25) {
-            build_breadth_first(&root)
-        } else {
-            let mut doc = Document::new();
-            build(&mut doc, NodeId::DOCUMENT, &root);
-            (doc, 0)
-        };
+        let mut doc = Document::new();
+        build(&mut doc, NodeId::DOCUMENT, &root);
         if doc.element_count() > 20 {
-            break (doc, root.tag, moved);
+            break (doc, root.tag);
         }
     };
     let pattern = random_pattern(rng, root_tag);
-    (IndexedDocument::build(doc), pattern, moved)
+    (IndexedDocument::build(doc), pattern)
 }
 
 /// The DataGuide of `idx` as an indexed document, one element per guide
@@ -223,21 +184,21 @@ pub fn random_case_renumbered(rng: &mut XorShiftRng) -> (IndexedDocument, TwigPa
 pub fn guide_document(idx: &IndexedDocument) -> (IndexedDocument, Vec<GuideNodeId>) {
     let guide = idx.guide();
     let symbols = idx.document().symbols();
-    let mut doc = DocumentBuilder::new();
-    // Guide nodes are stored parent before child, so a forward sweep
-    // attaches each node to its already-materialised parent; the
-    // builder renumbers them into preorder.
-    for i in 1..guide.node_count() {
-        let g = GuideNodeId::from_index(i);
+    let mut doc = Document::new();
+    let mut guide_of = vec![GuideNodeId::ROOT];
+    // Depth-first, each node's children in their order: the guide's
+    // preorder, appended as it comes, one element per id in `guide_of`.
+    let mut pending = Vec::new();
+    let mut last = (NodeId::DOCUMENT, GuideNodeId::ROOT);
+    loop {
+        let (element, g) = last;
+        pending.extend(guide.children(g).iter().rev().map(|&(_, c)| (element, c)));
+        let Some((parent, g)) = pending.pop() else {
+            break;
+        };
         let tag = guide.tag(g).expect("non-root guide nodes have tags");
-        let parent = NodeId::from_index(guide.parent(g).expect("non-root").index());
-        let element = doc.append_element(parent, symbols.resolve(tag));
-        assert_eq!(element.index(), i, "elements are created as appended");
-    }
-    let (doc, ids) = doc.finish_renumbered();
-    let mut guide_of = vec![GuideNodeId::ROOT; doc.node_count()];
-    for (i, id) in ids.into_iter().enumerate() {
-        guide_of[id.expect("attached").index()] = GuideNodeId::from_index(i);
+        last = (doc.append_element(parent, symbols.resolve(tag)), g);
+        guide_of.push(g);
     }
     (IndexedDocument::build(doc), guide_of)
 }

@@ -4,13 +4,14 @@
 //! tokenizer, a columnar document tree over byte arenas, a
 //! well-formedness-checking parser and an escaping serializer.
 //!
-//! The scope is deliberately the subset of XML that the twig-search
-//! literature's corpora (DBLP, XMark, TreeBank) exercise: elements,
-//! attributes, character data, CDATA sections, comments, processing
-//! instructions, the five predefined entities and numeric character
-//! references. Namespaces are treated as plain prefixed names (as the
-//! original LotusX demo does) and DTD internal subsets are skipped, not
-//! validated.
+//! The scope is deliberately what the twig-search literature's corpora
+//! (DBLP, XMark, TreeBank) hold: a document is elements, attributes and
+//! text, built one way, in preorder. The parser reads CDATA sections,
+//! the five predefined entities and numeric character references into
+//! text, drops whitespace-only text, and skips comments, processing
+//! instructions and the prolog. Namespaces are treated as plain
+//! prefixed names (as the original LotusX demo does) and DTD internal
+//! subsets are skipped, not validated. Serialization is compact.
 //!
 //! ```
 //! use lotusx_xml::Document;
@@ -32,8 +33,6 @@ pub mod tokenizer;
 pub mod tree;
 
 pub use error::{Error, Result, TextPos};
-pub use parser::ParseOptions;
-pub use serializer::SerializeOptions;
 pub use symbols::{Symbol, SymbolTable};
 pub use tokenizer::{Token, Tokenizer};
-pub use tree::{AttributeIter, Attributes, Document, DocumentBuilder, NodeId, NodeKind};
+pub use tree::{AttributeIter, Attributes, Document, NodeId, NodeKind};

@@ -6,39 +6,16 @@ use crate::tokenizer::{Token, Tokenizer};
 use crate::tree::{Document, NodeId, NodeKind};
 use std::borrow::Cow;
 
-/// Options controlling parsing behaviour.
-#[derive(Clone, Copy, Debug)]
-pub struct ParseOptions {
-    /// Drop text nodes that consist only of whitespace (the usual setting
-    /// for data-centric XML like DBLP/XMark).
-    pub trim_whitespace_text: bool,
-    /// Keep comment nodes in the tree.
-    pub keep_comments: bool,
-    /// Keep processing-instruction nodes in the tree.
-    pub keep_pis: bool,
-    /// Maximum element nesting depth (guards against stack abuse).
-    pub max_depth: u32,
-}
-
-impl Default for ParseOptions {
-    fn default() -> Self {
-        ParseOptions {
-            trim_whitespace_text: true,
-            keep_comments: false,
-            keep_pis: false,
-            max_depth: 2048,
-        }
-    }
-}
+/// The deepest element nesting a document may have: a guard against
+/// stack abuse in every consumer that recurses over the tree.
+pub const MAX_DEPTH: u32 = 2048;
 
 impl Document {
-    /// Parses `input` with default options.
+    /// Parses `input`. Whitespace-only text is dropped (the corpora are
+    /// data-centric, so it is indentation), comments and processing
+    /// instructions are skipped, and elements may nest [`MAX_DEPTH`]
+    /// deep.
     pub fn parse_str(input: &str) -> Result<Document> {
-        Document::parse_with_options(input, ParseOptions::default())
-    }
-
-    /// Parses `input` with the given options.
-    pub fn parse_with_options(input: &str, options: ParseOptions) -> Result<Document> {
         let mut doc = Document::new();
         let mut tokenizer = Tokenizer::new(input);
         // Stack of open elements; the virtual root is always at the bottom.
@@ -62,10 +39,8 @@ impl Document {
                             pos: TextPos::from_offset(input, tokenizer.offset()),
                         });
                     }
-                    if stack.len() as u32 > options.max_depth {
-                        return Err(Error::TooDeep {
-                            limit: options.max_depth,
-                        });
+                    if stack.len() as u32 > MAX_DEPTH {
+                        return Err(Error::TooDeep { limit: MAX_DEPTH });
                     }
                     let elem = doc.append_element(parent, name);
                     for (i, attr) in attributes.iter().enumerate() {
@@ -103,18 +78,14 @@ impl Document {
                     }
                 }
                 Token::Text { raw, offset } => {
-                    let is_ws_only = raw.chars().all(|c| c.is_ascii_whitespace());
-                    if parent == NodeId::DOCUMENT {
-                        if !is_ws_only {
-                            return Err(Error::InvalidDocumentStructure {
-                                detail: "character data outside the root element",
-                                pos: TextPos::from_offset(input, offset),
-                            });
-                        }
+                    if raw.chars().all(|c| c.is_ascii_whitespace()) {
                         continue;
                     }
-                    if options.trim_whitespace_text && is_ws_only {
-                        continue;
+                    if parent == NodeId::DOCUMENT {
+                        return Err(Error::InvalidDocumentStructure {
+                            detail: "character data outside the root element",
+                            pos: TextPos::from_offset(input, offset),
+                        });
                     }
                     doc.append_text(parent, unescaped(raw, input, offset)?);
                 }
@@ -127,16 +98,7 @@ impl Document {
                     }
                     doc.append_text(parent, text);
                 }
-                Token::Comment { text } => {
-                    if options.keep_comments {
-                        doc.append_comment(parent, text);
-                    }
-                }
-                Token::ProcessingInstruction { target, data } => {
-                    if options.keep_pis {
-                        doc.append_pi(parent, target, data);
-                    }
-                }
+                Token::Comment { .. } | Token::ProcessingInstruction { .. } => {}
             }
         }
 
@@ -260,34 +222,12 @@ mod tests {
     }
 
     #[test]
-    fn whitespace_text_kept_when_requested() {
-        let opts = ParseOptions {
-            trim_whitespace_text: false,
-            ..ParseOptions::default()
-        };
-        let doc = Document::parse_with_options("<a> <b/> </a>", opts).unwrap();
+    fn comments_and_pis_are_skipped() {
+        let doc = Document::parse_str("<?top?><a>x<!--c--><?pi data?>y<b/></a><!--end-->").unwrap();
         let a = doc.root_element().unwrap();
-        assert_eq!(doc.children(a).count(), 3);
-    }
-
-    #[test]
-    fn comments_and_pis_dropped_by_default_kept_on_request() {
-        let input = "<a><!--c--><?pi data?><b/></a>";
-        let doc = Document::parse_str(input).unwrap();
-        assert_eq!(doc.children(doc.root_element().unwrap()).count(), 1);
-
-        let opts = ParseOptions {
-            keep_comments: true,
-            keep_pis: true,
-            ..ParseOptions::default()
-        };
-        let doc = Document::parse_with_options(input, opts).unwrap();
-        let a = doc.root_element().unwrap();
-        let kinds: Vec<bool> = doc
-            .children(a)
-            .map(|c| matches!(doc.kind(c), NodeKind::Comment(_) | NodeKind::Pi { .. }))
-            .collect();
-        assert_eq!(kinds, vec![true, true, false]);
+        assert_eq!(doc.node_count(), 5, "the root, a, two texts and b");
+        assert_eq!(doc.direct_text(a), "xy");
+        assert_eq!(doc.to_xml(), "<a>xy<b/></a>");
     }
 
     #[test]
@@ -332,15 +272,17 @@ mod tests {
         assert!(matches!(err, Error::DuplicateAttribute { .. }));
     }
 
+    fn nested(depth: usize) -> String {
+        "<a>".repeat(depth) + &"</a>".repeat(depth)
+    }
+
     #[test]
     fn enforces_depth_limit() {
-        let opts = ParseOptions {
-            max_depth: 4,
-            ..ParseOptions::default()
-        };
-        let deep = "<a><a><a><a><a></a></a></a></a></a>";
-        let err = Document::parse_with_options(deep, opts).unwrap_err();
-        assert!(matches!(err, Error::TooDeep { limit: 4 }));
+        let err = Document::parse_str(&nested(2049)).unwrap_err();
+        assert!(matches!(err, Error::TooDeep { limit: 2048 }), "{err}");
+        let doc = Document::parse_str(&nested(2048)).unwrap();
+        assert_eq!(doc.element_count(), 2048);
+        assert_eq!(doc.depth(NodeId::from_index(2048)), 2048);
     }
 
     #[test]

@@ -11,23 +11,21 @@
 //! `c`'s subtree end when that is still inside its parent's, and a
 //! subtree is an id range ([`Document::descendants_or_self`]).
 //!
-//! Character data — text, comments, processing instructions and
-//! attribute values — is appended to one byte arena and addressed by
-//! spans; attributes are `(Symbol, span)` runs in one more arena.
+//! A document holds what the data-centric corpora hold: elements,
+//! attributes and text. Character data — text and attribute values — is
+//! appended to one byte arena and addressed by spans; attributes are
+//! `(Symbol, span)` runs in one more arena.
 //! Building a document therefore allocates per arena growth step, never
 //! per node, and [`Document::kind`] hands out a borrowed, `Copy` view
 //! ([`NodeKind`]).
 //!
-//! A document grows only at its end: `append_*` adds a node as the last
-//! child of a node on the path from the root to the last node appended
-//! (the *open* nodes), which closes every open node below that parent.
-//! The parser and the snapshot decoder append this way. A tree whose
-//! nodes are created or attached in any other order is assembled in a
-//! [`DocumentBuilder`], which keeps sibling links and renumbers into
-//! preorder once, in [`DocumentBuilder::finish`].
+//! A document is built one way, in preorder, and grows only at its
+//! end: `append_*` adds a node as the last child of a node on the path
+//! from the root to the last node appended (the *open* nodes), which
+//! closes every open node below that parent. The parser, the snapshot
+//! decoder and the generators all append this way.
 //!
-//! A virtual document root (id 0) holds the root element plus any
-//! top-level comments and processing instructions.
+//! A virtual document root (id 0) holds the root element.
 
 use crate::symbols::{Symbol, SymbolTable};
 use std::borrow::Cow;
@@ -67,15 +65,6 @@ pub enum NodeKind<'a> {
     },
     /// A text node (already unescaped).
     Text(&'a str),
-    /// A comment.
-    Comment(&'a str),
-    /// A processing instruction.
-    Pi {
-        /// The PI target.
-        target: &'a str,
-        /// The PI data.
-        data: &'a str,
-    },
 }
 
 /// A byte range `[start, end)` of the character-data arena.
@@ -157,16 +146,13 @@ fn slice(text: &str, [start, end]: Span) -> &str {
 }
 
 /// "No parent" in the parent column, "still open" in the subtree-end
-/// column, "no link" in a builder's link columns and "no attributes" in
-/// an element's run slot.
+/// column and "no attributes" in an element's run slot.
 const NONE: u32 = u32::MAX;
 
 // Kind bytes.
 const DOCUMENT: u8 = 0;
 const ELEMENT: u8 = 1;
 const TEXT: u8 = 2;
-const COMMENT: u8 = 3;
-const PI: u8 = 4;
 
 /// An XML document in preorder: node columns, character-data arenas and
 /// the tag/attribute symbol table.
@@ -180,17 +166,14 @@ pub struct Document {
     /// node.
     ends: Vec<u32>,
     /// Per node: an element's tag symbol and attribute-run index
-    /// (`NONE` without attributes); a text's or comment's span in
-    /// `text`; a PI's index into `pis`.
+    /// (`NONE` without attributes); a text's span in `text`.
     payloads: Vec<[u32; 2]>,
-    /// Every text, comment, PI and attribute value, back to back.
+    /// Every text and attribute value, back to back.
     text: String,
     /// Attribute names and value spans, one run per element.
     attrs: Vec<(Symbol, Span)>,
     /// Per element with attributes: its run in `attrs` as `[start, len]`.
     runs: Vec<[u32; 2]>,
-    /// Per PI: the target and data spans.
-    pis: Vec<(Span, Span)>,
     symbols: SymbolTable,
 }
 
@@ -218,7 +201,6 @@ impl Document {
             text: String::with_capacity(text_bytes),
             attrs: Vec::new(),
             runs: Vec::new(),
-            pis: Vec::new(),
             symbols: SymbolTable::new(),
         };
         doc.push_node(DOCUMENT, [0, 0]);
@@ -235,7 +217,6 @@ impl Document {
         self.text.shrink_to_fit();
         self.attrs.shrink_to_fit();
         self.runs.shrink_to_fit();
-        self.pis.shrink_to_fit();
     }
 
     /// Bytes held by the node columns and the arenas (by capacity).
@@ -247,7 +228,6 @@ impl Document {
             + self.text.capacity()
             + self.attrs.capacity() * size_of::<(Symbol, Span)>()
             + self.runs.capacity() * size_of::<[u32; 2]>()
-            + self.pis.capacity() * size_of::<(Span, Span)>()
     }
 
     /// The symbol table for tag and attribute names.
@@ -255,7 +235,8 @@ impl Document {
         &self.symbols
     }
 
-    /// Mutable access to the symbol table (used by builders).
+    /// Mutable access to the symbol table (the snapshot decoder and the
+    /// xmark generator intern names through it).
     pub fn symbols_mut(&mut self) -> &mut SymbolTable {
         &mut self.symbols
     }
@@ -278,21 +259,9 @@ impl Document {
                 name: Symbol::from_index(a as usize),
                 attributes: self.attribute_run(b),
             },
-            TEXT => NodeKind::Text(self.str_at([a, b])),
-            COMMENT => NodeKind::Comment(self.str_at([a, b])),
-            PI => {
-                let (target, data) = self.pis[a as usize];
-                NodeKind::Pi {
-                    target: self.str_at(target),
-                    data: self.str_at(data),
-                }
-            }
+            TEXT => NodeKind::Text(slice(&self.text, [a, b])),
             _ => NodeKind::Document,
         }
-    }
-
-    fn str_at(&self, span: Span) -> &str {
-        slice(&self.text, span)
     }
 
     fn attribute_run(&self, run: u32) -> Attributes<'_> {
@@ -496,8 +465,7 @@ impl Document {
     /// O(1) amortized at any depth.
     ///
     /// # Panics
-    /// Panics if `parent` is closed or holds no children (a text,
-    /// comment or PI).
+    /// Panics if `parent` is closed or is a text.
     fn attach(&mut self, parent: NodeId, id: NodeId) {
         let p = parent.index();
         assert!(
@@ -506,8 +474,7 @@ impl Document {
         );
         assert!(
             self.ends[p] == NONE,
-            "appending under {parent:?}, whose subtree is closed: \
-             out of preorder (build such a tree with a DocumentBuilder)"
+            "appending under {parent:?}, whose subtree is closed: out of preorder"
         );
         let last = id.0 - 1;
         let mut open = last;
@@ -549,35 +516,6 @@ impl Document {
         let id = self.push_node(TEXT, span);
         self.attach(parent, id);
         id
-    }
-
-    /// Appends a comment node as the last child of `parent`.
-    pub fn append_comment(&mut self, parent: NodeId, text: impl AsRef<str>) -> NodeId {
-        let span = self.push_str(text.as_ref());
-        let id = self.push_node(COMMENT, span);
-        self.attach(parent, id);
-        id
-    }
-
-    /// Appends a processing-instruction node as the last child of
-    /// `parent`.
-    pub fn append_pi(
-        &mut self,
-        parent: NodeId,
-        target: impl AsRef<str>,
-        data: impl AsRef<str>,
-    ) -> NodeId {
-        let id = self.push_pi(target.as_ref(), data.as_ref());
-        self.attach(parent, id);
-        id
-    }
-
-    fn push_pi(&mut self, target: &str, data: &str) -> NodeId {
-        let target = self.push_str(target);
-        let data = self.push_str(data);
-        let index = u32::try_from(self.pis.len()).expect("fewer than 2^32 PIs");
-        self.pis.push((target, data));
-        self.push_node(PI, [index, 0])
     }
 
     /// Sets (or replaces) an attribute on an element node.
@@ -717,226 +655,6 @@ impl DoubleEndedIterator for Descendants {
 
 impl ExactSizeIterator for Descendants {}
 
-/// Assembles a tree in any order — nodes created detached and attached
-/// later, children appended to an element that already has a following
-/// sibling — with parent and sibling links, and renumbers it into a
-/// preorder [`Document`] in [`finish`](Self::finish). Ids handed out
-/// here are creation ids, valid only until then.
-#[derive(Clone, Debug)]
-pub struct DocumentBuilder {
-    /// Kinds, payloads, arenas and symbols by creation id; its parent
-    /// column holds the links' parents, its subtree ends stay unused.
-    doc: Document,
-    first_children: Vec<u32>,
-    last_children: Vec<u32>,
-    next_siblings: Vec<u32>,
-}
-
-impl Default for DocumentBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DocumentBuilder {
-    /// A builder holding only the virtual root.
-    pub fn new() -> Self {
-        DocumentBuilder {
-            doc: Document::new(),
-            first_children: vec![NONE],
-            last_children: vec![NONE],
-            next_siblings: vec![NONE],
-        }
-    }
-
-    /// The symbol table for tag and attribute names.
-    pub fn symbols(&self) -> &SymbolTable {
-        &self.doc.symbols
-    }
-
-    /// Mutable access to the symbol table.
-    pub fn symbols_mut(&mut self) -> &mut SymbolTable {
-        &mut self.doc.symbols
-    }
-
-    fn push_node(&mut self, id: NodeId) -> NodeId {
-        self.first_children.push(NONE);
-        self.last_children.push(NONE);
-        self.next_siblings.push(NONE);
-        id
-    }
-
-    /// Creates a detached element node with the given tag name.
-    pub fn new_element(&mut self, tag: &str) -> NodeId {
-        let name = self.doc.symbols.intern(tag);
-        let id = self.doc.push_node(ELEMENT, [name.index() as u32, NONE]);
-        self.push_node(id)
-    }
-
-    /// Creates a detached text node.
-    pub fn new_text(&mut self, text: impl AsRef<str>) -> NodeId {
-        let span = self.doc.push_str(text.as_ref());
-        let id = self.doc.push_node(TEXT, span);
-        self.push_node(id)
-    }
-
-    /// Creates a detached comment node.
-    pub fn new_comment(&mut self, text: impl AsRef<str>) -> NodeId {
-        let span = self.doc.push_str(text.as_ref());
-        let id = self.doc.push_node(COMMENT, span);
-        self.push_node(id)
-    }
-
-    /// Creates a detached processing-instruction node.
-    pub fn new_pi(&mut self, target: impl AsRef<str>, data: impl AsRef<str>) -> NodeId {
-        let id = self.doc.push_pi(target.as_ref(), data.as_ref());
-        self.push_node(id)
-    }
-
-    /// Sets (or replaces) an attribute on an element node.
-    ///
-    /// # Panics
-    /// Panics if `id` is not an element.
-    pub fn set_attribute(&mut self, id: NodeId, name: &str, value: impl AsRef<str>) {
-        self.doc.set_attribute(id, name, value);
-    }
-
-    /// Appends `child` as the last child of `parent`.
-    ///
-    /// # Panics
-    /// Panics if `child` already has a parent, if `child == parent`, or
-    /// if `parent` holds no children (a text, comment or PI).
-    pub fn append_child(&mut self, parent: NodeId, child: NodeId) {
-        assert_ne!(parent, child, "cannot append a node to itself");
-        let (p, c) = (parent.index(), child.index());
-        assert!(
-            matches!(self.doc.kinds[p], DOCUMENT | ELEMENT),
-            "only the document and elements hold children"
-        );
-        assert!(self.doc.parents[c] == NONE, "node already attached");
-        self.doc.parents[c] = parent.0;
-        match self.last_children[p] {
-            NONE => self.first_children[p] = child.0,
-            prev_last => self.next_siblings[prev_last as usize] = child.0,
-        }
-        self.last_children[p] = child.0;
-    }
-
-    /// Creates an element and appends it under `parent`.
-    pub fn append_element(&mut self, parent: NodeId, tag: &str) -> NodeId {
-        let id = self.new_element(tag);
-        self.append_child(parent, id);
-        id
-    }
-
-    /// Creates a text node and appends it under `parent`.
-    pub fn append_text(&mut self, parent: NodeId, text: impl AsRef<str>) -> NodeId {
-        let id = self.new_text(text);
-        self.append_child(parent, id);
-        id
-    }
-
-    /// The kind of `id`.
-    pub fn kind(&self, id: NodeId) -> NodeKind<'_> {
-        self.doc.kind(id)
-    }
-
-    /// The tag name string of an element node.
-    pub fn tag_name(&self, id: NodeId) -> Option<&str> {
-        self.doc.tag_name(id)
-    }
-
-    fn link(column: &[u32], id: NodeId) -> Option<NodeId> {
-        let v = column[id.index()];
-        (v != NONE).then_some(NodeId(v))
-    }
-
-    /// Parent of `id`, if it is attached.
-    pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        Self::link(&self.doc.parents, id)
-    }
-
-    /// First child of `id`.
-    pub fn first_child(&self, id: NodeId) -> Option<NodeId> {
-        Self::link(&self.first_children, id)
-    }
-
-    /// Next sibling of `id`.
-    pub fn next_sibling(&self, id: NodeId) -> Option<NodeId> {
-        Self::link(&self.next_siblings, id)
-    }
-
-    /// The children of `id`, in order.
-    pub fn children(&self, id: NodeId) -> impl Iterator<Item = NodeId> + Clone + '_ {
-        std::iter::successors(self.first_child(id), |&c| self.next_sibling(c))
-    }
-
-    /// The element children of `id`, in order.
-    pub fn element_children(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.children(id).filter(|&c| self.doc.is_element(c))
-    }
-
-    /// The subtree of `id` in preorder, `id` first.
-    pub fn descendants_or_self(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        std::iter::successors(Some(id), move |&node| {
-            if let Some(child) = self.first_child(node) {
-                return Some(child);
-            }
-            let mut node = node;
-            loop {
-                if node == id {
-                    return None;
-                }
-                if let Some(sibling) = self.next_sibling(node) {
-                    return Some(sibling);
-                }
-                node = self.parent(node)?;
-            }
-        })
-    }
-
-    /// Concatenated text of the direct text children of `id`.
-    pub fn direct_text(&self, id: NodeId) -> Cow<'_, str> {
-        join_texts(self.children(id).map(|c| self.doc.kind(c)))
-    }
-
-    /// The tree in preorder; nodes never attached under the virtual root
-    /// are left out.
-    pub fn finish(self) -> Document {
-        self.finish_renumbered().0
-    }
-
-    /// The tree in preorder, and per creation id the node's id in it
-    /// (`None` for a node never attached under the virtual root). Kinds
-    /// and payloads move to their preorder slots; the arenas and the
-    /// symbol table stay as they are.
-    pub fn finish_renumbered(self) -> (Document, Vec<Option<NodeId>>) {
-        let order: Vec<NodeId> = self.descendants_or_self(NodeId::DOCUMENT).collect();
-        let DocumentBuilder { mut doc, .. } = self;
-        let mut renumbered = vec![None; doc.kinds.len()];
-        for (new, old) in order.iter().enumerate() {
-            renumbered[old.index()] = Some(NodeId(new as u32));
-        }
-        doc.kinds = order.iter().map(|old| doc.kinds[old.index()]).collect();
-        doc.payloads = order.iter().map(|old| doc.payloads[old.index()]).collect();
-        doc.parents = order
-            .iter()
-            .map(|old| match doc.parents[old.index()] {
-                NONE => NONE,
-                parent => renumbered[parent as usize].expect("attached").0,
-            })
-            .collect();
-        // Children follow their parent in preorder: one backward pass
-        // hands every subtree end up.
-        doc.ends = (0..order.len() as u32).collect();
-        for id in (1..order.len()).rev() {
-            let parent = doc.parents[id] as usize;
-            doc.ends[parent] = doc.ends[parent].max(doc.ends[id]);
-        }
-        (doc, renumbered)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -988,33 +706,6 @@ mod tests {
             doc.clone().append_element(t, "f")
         }));
         assert!(under_text.is_err(), "a text holds no children");
-    }
-
-    /// A builder takes children in any order and renumbers into
-    /// preorder: the same tree, each node at its preorder id.
-    #[test]
-    fn the_builder_renumbers_into_preorder() {
-        let mut b = DocumentBuilder::new();
-        let r = b.append_element(NodeId::DOCUMENT, "r");
-        let x = b.append_element(r, "x");
-        let y = b.append_element(r, "y");
-        let x1 = b.append_element(x, "x1");
-        b.append_text(y, "t");
-        b.append_text(x1, "u");
-        let detached = b.new_comment("never attached");
-        b.set_attribute(x, "k", "v");
-        assert_eq!(b.children(r).collect::<Vec<_>>(), [x, y]);
-        assert_eq!(b.direct_text(y), "t");
-        let (doc, ids) = b.finish_renumbered();
-        assert_eq!(doc.to_xml(), r#"<r><x k="v"><x1>u</x1></x><y>t</y></r>"#);
-        let at = |old: NodeId| ids[old.index()].unwrap().index();
-        assert_eq!((at(r), at(x), at(x1), at(y)), (1, 2, 3, 5));
-        assert_eq!(ids[detached.index()], None);
-        assert_eq!(doc.node_count(), 7);
-        assert_eq!(
-            doc.subtree_end(NodeId::from_index(2)),
-            NodeId::from_index(4)
-        );
     }
 
     #[test]
@@ -1120,17 +811,9 @@ mod tests {
         let b = doc.append_element(a, "a");
         doc.set_attribute(a, "k", "v");
         doc.set_attribute(b, "k", "v");
-        let c = doc.append_comment(b, "note");
-        let p = doc.append_pi(b, "t", "d");
+        let t = doc.append_text(b, "note");
         assert_eq!(doc.kind(a), doc.kind(b));
-        assert_eq!(doc.kind(c), NodeKind::Comment("note"));
-        assert_eq!(
-            doc.kind(p),
-            NodeKind::Pi {
-                target: "t",
-                data: "d"
-            }
-        );
+        assert_eq!(doc.kind(t), NodeKind::Text("note"));
         assert_eq!(doc.kind(NodeId::DOCUMENT), NodeKind::Document);
     }
 
@@ -1149,15 +832,5 @@ mod tests {
         doc.shrink_to_fit();
         // 17 column bytes per node, then the five text bytes.
         assert_eq!(doc.size_bytes(), 3 * 17 + 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "already attached")]
-    fn double_attach_panics() {
-        let mut doc = DocumentBuilder::new();
-        let a = doc.append_element(NodeId::DOCUMENT, "a");
-        let b = doc.new_element("b");
-        doc.append_child(a, b);
-        doc.append_child(a, b);
     }
 }

@@ -4,7 +4,8 @@
 //! workspace builds offline.
 
 use lotusx_datagen::rng::XorShiftRng;
-use lotusx_xml::{Document, DocumentBuilder, NodeId, NodeKind};
+use lotusx_xml::escape::{escape_attr_into, escape_text_into};
+use lotusx_xml::{Document, NodeId, NodeKind};
 
 const TAGS: [&str; 8] = ["a", "b", "book", "title", "author", "item", "x-y", "ns:tag"];
 const ATTR_NAMES: [&str; 3] = ["k", "id", "year"];
@@ -120,8 +121,6 @@ fn structure(doc: &Document, id: NodeId) -> String {
             )
         }
         NodeKind::Text(t) => format!("T({t:?})"),
-        NodeKind::Comment(t) => format!("C({t:?})"),
-        NodeKind::Pi { target, data } => format!("P({target:?},{data:?})"),
     }
 }
 
@@ -138,14 +137,8 @@ fn serialize_then_parse_preserves_structure() {
             build(&mut doc, root, &c);
         }
         let xml = doc.to_xml();
-        let parsed = Document::parse_with_options(
-            &xml,
-            lotusx_xml::ParseOptions {
-                trim_whitespace_text: false,
-                ..Default::default()
-            },
-        )
-        .unwrap_or_else(|e| {
+        // No generated text is whitespace only, so parsing drops none.
+        let parsed = Document::parse_str(&xml).unwrap_or_else(|e| {
             panic!("case {case}: serialized output must be well-formed: {e}\n{xml}")
         });
         assert_eq!(
@@ -187,11 +180,12 @@ fn escape_unescape_roundtrip() {
 }
 
 // ----------------------------------------------------------------------
-// Tree-API documents: comments, PIs, ids that do not ascend with
-// document order, attribute replacement, text coalescing, and the
-// parse → serialize → parse fixpoint. Every serialized byte these tests
-// produce is folded into one FNV-1a, recorded on the commit before the
-// document became struct-of-arrays columns with a byte arena.
+// Tree-API documents: elements, text and attributes appended in preorder
+// and checked node for node against the model they were built from,
+// with attribute replacement; XML text around them that also holds
+// comments and PIs, which parsing skips; text coalescing; and the
+// parse → serialize → parse fixpoint. Every compact serialization these
+// tests produce is folded into one FNV-1a.
 // ----------------------------------------------------------------------
 
 const COMMENT_CHARS: [char; 6] = ['c', ' ', '<', '&', 'é', '中'];
@@ -256,80 +250,222 @@ fn merge_rich_text(children: Vec<RichNode>) -> Vec<RichNode> {
     out
 }
 
-/// Materializes `node` bottom-up: every child exists before its parent,
-/// so ids descend against document order. The first half of each
-/// element's attributes is set to a placeholder here and replaced by
-/// [`set_real_attributes`] once the whole tree stands.
-fn build_bottom_up(doc: &mut DocumentBuilder, node: &RichNode) -> NodeId {
-    match node {
-        RichNode::Element {
-            tag,
-            attrs,
-            children,
-        } => {
-            let kids: Vec<NodeId> = children.iter().map(|c| build_bottom_up(doc, c)).collect();
-            let e = doc.new_element(TAGS[*tag]);
-            for (k, _) in &attrs[..attrs.len() / 2] {
-                doc.set_attribute(e, ATTR_NAMES[*k], "placeholder");
-            }
-            for k in kids {
-                doc.append_child(e, k);
-            }
-            e
-        }
-        RichNode::Text(t) => doc.new_text(t.clone()),
-        RichNode::Comment(t) => doc.new_comment(t.clone()),
-        RichNode::Pi(target, data) => doc.new_pi(*target, data.clone()),
-    }
-}
-
-/// Sets every element's real attribute values, last element first:
-/// the placeholders are replaced in place, the rest appended.
-fn set_real_attributes(doc: &mut DocumentBuilder, id: NodeId, node: &RichNode) {
-    if let RichNode::Element {
-        attrs, children, ..
-    } = node
-    {
-        let kids: Vec<NodeId> = doc.children(id).collect();
-        for (kid, child) in kids.iter().zip(children).rev() {
-            set_real_attributes(doc, *kid, child);
-        }
-        for (k, v) in attrs {
-            doc.set_attribute(id, ATTR_NAMES[*k], v.clone());
-        }
-    }
-}
-
-/// A document with an optional top-level comment and PI around a random
-/// root element, assembled in a builder with descending ids.
-fn random_tree_api_document(rng: &mut XorShiftRng) -> (DocumentBuilder, RichNode) {
+/// The top-level nodes of a random document: an optional comment and PI
+/// around a random root element.
+fn random_tree_api_nodes(rng: &mut XorShiftRng) -> Vec<RichNode> {
     let root = loop {
         let node = random_rich(rng, 4);
         if matches!(node, RichNode::Element { .. }) {
             break node;
         }
     };
-    let mut doc = DocumentBuilder::new();
     let before = rng
         .gen_bool(0.3)
         .then(|| RichNode::Comment(random_from(rng, &COMMENT_CHARS, 1)));
     let after = rng.gen_bool(0.3).then(|| RichNode::Pi("t", "end".into()));
-    let root_id = build_bottom_up(&mut doc, &root);
-    let before_id = before.as_ref().map(|b| build_bottom_up(&mut doc, b));
-    let after_id = after.as_ref().map(|a| build_bottom_up(&mut doc, a));
-    for id in before_id.into_iter().chain([root_id]).chain(after_id) {
-        doc.append_child(NodeId::DOCUMENT, id);
-    }
-    set_real_attributes(&mut doc, root_id, &root);
-    (doc, root)
+    before.into_iter().chain([root]).chain(after).collect()
 }
 
-fn keep_everything() -> lotusx_xml::ParseOptions {
-    lotusx_xml::ParseOptions {
-        trim_whitespace_text: false,
-        keep_comments: true,
-        keep_pis: true,
-        ..Default::default()
+/// `nodes` as XML text, comments and PIs included.
+fn rich_xml(nodes: &[RichNode]) -> String {
+    fn write(node: &RichNode, out: &mut String) {
+        match node {
+            RichNode::Element {
+                tag,
+                attrs,
+                children,
+            } => {
+                out.push('<');
+                out.push_str(TAGS[*tag]);
+                for (k, v) in attrs {
+                    out.push(' ');
+                    out.push_str(ATTR_NAMES[*k]);
+                    out.push_str("=\"");
+                    escape_attr_into(v, out);
+                    out.push('"');
+                }
+                if children.is_empty() {
+                    out.push_str("/>");
+                    return;
+                }
+                out.push('>');
+                for c in children {
+                    write(c, out);
+                }
+                out.push_str("</");
+                out.push_str(TAGS[*tag]);
+                out.push('>');
+            }
+            RichNode::Text(t) => escape_text_into(t, out),
+            RichNode::Comment(t) => {
+                out.push_str("<!--");
+                out.push_str(t);
+                out.push_str("-->");
+            }
+            RichNode::Pi(target, data) => {
+                out.push_str("<?");
+                out.push_str(target);
+                if !data.is_empty() {
+                    out.push(' ');
+                    out.push_str(data);
+                }
+                out.push_str("?>");
+            }
+        }
+    }
+    let mut out = String::new();
+    for node in nodes {
+        write(node, &mut out);
+    }
+    out
+}
+
+/// A node of the model as a document must hold it, at its preorder id:
+/// comments and PIs are left out, so texts they separated stay two.
+#[derive(Debug)]
+struct Expected {
+    parent: Option<usize>,
+    children: Vec<usize>,
+    /// The id of the last descendant.
+    end: usize,
+    kind: Kind,
+}
+
+#[derive(Debug)]
+enum Kind {
+    Document,
+    Element(&'static str, Vec<(&'static str, String)>),
+    Text(String),
+}
+
+fn expected_tree(nodes: &[RichNode]) -> Vec<Expected> {
+    fn flatten(node: &RichNode, parent: usize, out: &mut Vec<Expected>) {
+        let kind = match node {
+            RichNode::Element { tag, attrs, .. } => Kind::Element(
+                TAGS[*tag],
+                attrs
+                    .iter()
+                    .map(|(k, v)| (ATTR_NAMES[*k], v.clone()))
+                    .collect(),
+            ),
+            RichNode::Text(t) => Kind::Text(t.clone()),
+            RichNode::Comment(_) | RichNode::Pi(..) => return,
+        };
+        let id = out.len();
+        out[parent].children.push(id);
+        out.push(Expected {
+            parent: Some(parent),
+            children: Vec::new(),
+            end: id,
+            kind,
+        });
+        if let RichNode::Element { children, .. } = node {
+            for c in children {
+                flatten(c, id, out);
+            }
+        }
+        out[id].end = out.len() - 1;
+    }
+    let mut out = vec![Expected {
+        parent: None,
+        children: Vec::new(),
+        end: 0,
+        kind: Kind::Document,
+    }];
+    for node in nodes {
+        flatten(node, 0, &mut out);
+    }
+    out[0].end = out.len() - 1;
+    out
+}
+
+/// Appends `nodes` in preorder, leaving comments and PIs out. The first
+/// half of each element's attributes is first set to a placeholder;
+/// once the whole tree stands, every element's real values are set,
+/// last element first: the placeholders are replaced in place, the rest
+/// appended, and the runs of elements revisited move.
+fn build_tree_api_document(nodes: &[RichNode], model: &[Expected]) -> Document {
+    fn append(doc: &mut Document, parent: NodeId, node: &RichNode) {
+        match node {
+            RichNode::Element {
+                tag,
+                attrs,
+                children,
+            } => {
+                let e = doc.append_element(parent, TAGS[*tag]);
+                for (k, _) in &attrs[..attrs.len() / 2] {
+                    doc.set_attribute(e, ATTR_NAMES[*k], "placeholder");
+                }
+                for c in children {
+                    append(doc, e, c);
+                }
+            }
+            RichNode::Text(t) => {
+                doc.append_text(parent, t);
+            }
+            RichNode::Comment(_) | RichNode::Pi(..) => {}
+        }
+    }
+    let mut doc = Document::new();
+    for node in nodes {
+        append(&mut doc, NodeId::DOCUMENT, node);
+    }
+    for (id, expected) in model.iter().enumerate().rev() {
+        if let Kind::Element(_, attrs) = &expected.kind {
+            for (name, value) in attrs {
+                doc.set_attribute(NodeId::from_index(id), name, value);
+            }
+        }
+    }
+    doc
+}
+
+/// `doc` is the model node for node: every node has its parent, first
+/// child, next sibling, children, subtree, direct text, kind and
+/// attributes.
+fn assert_holds(doc: &Document, model: &[Expected], what: &str) {
+    let id = NodeId::from_index;
+    assert_eq!(doc.node_count(), model.len(), "{what}");
+    for (i, want) in model.iter().enumerate() {
+        let node = id(i);
+        assert_eq!(doc.parent(node), want.parent.map(id), "{what}: {i}");
+        let first = want.children.first().map(|&c| id(c));
+        assert_eq!(doc.first_child(node), first, "{what}: {i}");
+        let next = want.parent.and_then(|p| {
+            let siblings = &model[p].children;
+            let at = siblings.iter().position(|&c| c == i).expect("a child");
+            siblings.get(at + 1).map(|&c| id(c))
+        });
+        assert_eq!(doc.next_sibling(node), next, "{what}: {i}");
+        assert!(
+            doc.children(node).eq(want.children.iter().map(|&c| id(c))),
+            "{what}: children of {i}"
+        );
+        assert!(
+            doc.descendants_or_self(node).eq((i..=want.end).map(id)),
+            "{what}: subtree of {i}"
+        );
+        let text: String = (want.children.iter())
+            .filter_map(|&c| match &model[c].kind {
+                Kind::Text(t) => Some(t.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(doc.direct_text(node), text, "{what}: {i}");
+        match (&want.kind, doc.kind(node)) {
+            (Kind::Document, NodeKind::Document) => {}
+            (Kind::Element(tag, attrs), NodeKind::Element { name, attributes }) => {
+                assert_eq!(doc.symbols().resolve(name), *tag, "{what}: {i}");
+                let want: Vec<(&str, &str)> = attrs.iter().map(|(n, v)| (*n, v.as_str())).collect();
+                let got: Vec<(&str, &str)> = (attributes.iter())
+                    .map(|(n, v)| (doc.symbols().resolve(n), v))
+                    .collect();
+                assert_eq!(got, want, "{what}: {i}");
+                assert_eq!(doc.attributes(node), want, "{what}: {i}");
+            }
+            (Kind::Text(t), NodeKind::Text(got)) => assert_eq!(got, t, "{what}: {i}"),
+            (want, got) => panic!("{what}: {i} is {got:?}, not {want:?}"),
+        }
     }
 }
 
@@ -342,99 +478,38 @@ fn fnv_fold(hash: u64, bytes: &[u8]) -> u64 {
 
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// FNV-1a of every compact and pretty serialization below, recorded
-/// before the columnar document landed.
-const TREE_API_BYTES: u64 = 0x58a6_3741_5dd7_5dc7;
+/// FNV-1a of every compact serialization below, recorded by running
+/// this generator against the document that still held comments and PIs.
+const TREE_API_BYTES: u64 = 0x947e_f9af_acfd_110e;
 
 #[test]
-fn tree_api_documents_serialize_byte_identically_and_reparse() {
+fn tree_api_documents_hold_their_model_and_parse_to_it_without_comments() {
     let mut rng = XorShiftRng::seed_from_u64(0x7AEE);
     let mut hash = FNV_BASIS;
-    let mut renumbered = 0;
+    let (mut comments, mut pis) = (0, 0);
     for case in 0..128 {
-        let (built, root) = random_tree_api_document(&mut rng);
-        let built_root = built.element_children(NodeId::DOCUMENT).next().unwrap();
-        // Bottom-up construction: the root was created after its subtree.
-        if let Some(child) = built.first_child(built_root) {
-            assert!(child < built_root, "case {case}");
-            renumbered += 1;
-        }
-        let (doc, ids) = built.clone().finish_renumbered();
-        assert_the_renumbering_keeps_the_tree(&built, &doc, &ids, case);
-        let first = doc.root_element().expect("has a root");
-        // Replacement kept the first-set attributes in place.
-        if let RichNode::Element { attrs, .. } = &root {
-            let names: Vec<&str> = doc.attributes(first).iter().map(|(n, _)| *n).collect();
-            let mut want: Vec<&str> = attrs[..attrs.len() / 2]
-                .iter()
-                .map(|(k, _)| ATTR_NAMES[*k])
-                .collect();
-            want.extend(attrs[attrs.len() / 2..].iter().map(|(k, _)| ATTR_NAMES[*k]));
-            assert_eq!(names, want, "case {case}");
-            for (k, v) in attrs {
-                assert_eq!(doc.attribute(first, ATTR_NAMES[*k]), Some(v.as_str()));
-            }
-        }
+        let nodes = random_tree_api_nodes(&mut rng);
+        let model = expected_tree(&nodes);
+        let doc = build_tree_api_document(&nodes, &model);
+        assert_holds(&doc, &model, &format!("case {case}, built"));
+        let text = rich_xml(&nodes);
+        comments += text.matches("<!--").count();
+        pis += text.matches("<?").count();
+        let parsed =
+            Document::parse_str(&text).unwrap_or_else(|e| panic!("case {case}: {e}\n{text}"));
+        assert_holds(&parsed, &model, &format!("case {case}, parsed"));
         let xml = doc.to_xml();
-        hash = fnv_fold(hash, xml.as_bytes());
-        hash = fnv_fold(hash, doc.to_xml_pretty().as_bytes());
-        let parsed = Document::parse_with_options(&xml, keep_everything())
-            .unwrap_or_else(|e| panic!("case {case}: {e}\n{xml}"));
-        assert_eq!(
-            structure(&doc, NodeId::DOCUMENT),
-            structure(&parsed, NodeId::DOCUMENT),
-            "case {case}: {xml}"
-        );
         assert_eq!(parsed.to_xml(), xml, "case {case}");
+        hash = fnv_fold(hash, xml.as_bytes());
     }
     assert_eq!(
         hash, TREE_API_BYTES,
         "serialized bytes moved: 0x{hash:016x}"
     );
-    assert!(renumbered > 64, "builder ids out of preorder: {renumbered}");
-}
-
-/// The frozen document is the builder's tree, node for node through the
-/// renumbering: every node keeps its parent, first child, next sibling,
-/// children, subtree, direct text, kind and attributes, and its new id
-/// is its place in the builder's preorder.
-fn assert_the_renumbering_keeps_the_tree(
-    built: &DocumentBuilder,
-    doc: &Document,
-    ids: &[Option<NodeId>],
-    case: usize,
-) {
-    let map = |n: NodeId| ids[n.index()].expect("attached under the root");
-    let preorder: Vec<NodeId> = built.descendants_or_self(NodeId::DOCUMENT).collect();
-    assert_eq!(preorder.len(), doc.node_count(), "case {case}");
-    for (at, &old) in preorder.iter().enumerate() {
-        let new = map(old);
-        assert_eq!(new.index(), at, "case {case}: {old:?}");
-        assert_eq!(built.parent(old).map(map), doc.parent(new), "case {case}");
-        assert_eq!(
-            built.first_child(old).map(map),
-            doc.first_child(new),
-            "case {case}"
-        );
-        assert_eq!(
-            built.next_sibling(old).map(map),
-            doc.next_sibling(new),
-            "case {case}"
-        );
-        assert!(
-            built.children(old).map(map).eq(doc.children(new)),
-            "case {case}: children of {old:?}"
-        );
-        assert!(
-            built
-                .descendants_or_self(old)
-                .map(map)
-                .eq(doc.descendants_or_self(new)),
-            "case {case}: subtree of {old:?}"
-        );
-        assert_eq!(built.direct_text(old), doc.direct_text(new), "case {case}");
-        assert_eq!(built.kind(old), doc.kind(new), "case {case}");
-    }
+    assert!(
+        comments > 64 && pis > 64,
+        "the texts hold comments and PIs: {comments} / {pis}"
+    );
 }
 
 /// Splits every text of `node` into one to three adjacent text nodes.
@@ -486,7 +561,6 @@ fn coalesced_text_serializes_like_text_built_whole() {
         // Emptied text nodes stay in the tree but serialize to nothing.
         assert_eq!(split.node_count(), whole.node_count() + pieces);
         assert_eq!(split.to_xml(), whole.to_xml(), "case {case}");
-        assert_eq!(split.to_xml_pretty(), whole.to_xml_pretty(), "case {case}");
         let elements =
             |d: &Document| -> Vec<NodeId> { d.all_nodes().filter(|&n| d.is_element(n)).collect() };
         for (a, b) in elements(&split).into_iter().zip(elements(&whole)) {
@@ -511,27 +585,17 @@ const COALESCED_BYTES: u64 = 0x874a_c908_20dd_eaf3;
 fn parse_serialize_parse_is_a_fixpoint() {
     let mut rng = XorShiftRng::seed_from_u64(0xF1C5);
     for case in 0..128 {
-        let doc = random_tree_api_document(&mut rng).0.finish();
-        // Pretty output adds whitespace text; with it kept, the second
-        // round must reproduce the first byte for byte.
-        for xml in [doc.to_xml(), doc.to_xml_pretty()] {
-            for options in [keep_everything(), lotusx_xml::ParseOptions::default()] {
-                let once = Document::parse_with_options(&xml, options)
-                    .unwrap_or_else(|e| panic!("case {case}: {e}\n{xml}"));
-                let text = once.to_xml();
-                let twice = Document::parse_with_options(&text, options).expect("reparses");
-                assert_eq!(twice.to_xml(), text, "case {case}");
-                // Dropping a comment between two texts leaves them
-                // adjacent, which the next parse reads as one node: the
-                // structure is a fixpoint only when nothing is dropped.
-                if options.keep_comments {
-                    assert_eq!(
-                        structure(&once, NodeId::DOCUMENT),
-                        structure(&twice, NodeId::DOCUMENT),
-                        "case {case}"
-                    );
-                }
-            }
+        let nodes = random_tree_api_nodes(&mut rng);
+        let doc = build_tree_api_document(&nodes, &expected_tree(&nodes));
+        // A comment skipped between two texts leaves them adjacent, which
+        // the next parse reads as one node: from the first serialization
+        // on, the bytes are a fixpoint.
+        for xml in [rich_xml(&nodes), doc.to_xml()] {
+            let once =
+                Document::parse_str(&xml).unwrap_or_else(|e| panic!("case {case}: {e}\n{xml}"));
+            let text = once.to_xml();
+            let twice = Document::parse_str(&text).expect("reparses");
+            assert_eq!(twice.to_xml(), text, "case {case}");
         }
     }
 }

@@ -8,8 +8,8 @@
 //! - `<dataset>/xml`: `generate(d, 2, seed).to_xml()`, the corpus file
 //!   every XML-booted workload parses;
 //! - `<dataset>/generated/<section>`: every `encode_sections` payload of
-//!   the generator's own tree (the xmark generator assembles its tree
-//!   out of document order and renumbers it into preorder);
+//!   the generator's own tree (the xmark generator draws every item
+//!   before it appends them in preorder, grouped under their regions);
 //! - `<dataset>/parsed/ltsx`: the whole `.ltsx` file saved from the
 //!   parsed text — the file a snapshot boot opens and
 //!   `snapshot_bytes_per_node` divides.
@@ -26,7 +26,9 @@
 //! re-recorded when format version 9 gap-coded the value lists, kept only
 //! the frequencies above 1, pointed exact keys at their elements' text
 //! and stopped storing the numeric index; every `xml`, `document` and
-//! `tag_terms` row kept its hash.
+//! `tag_terms` row kept its hash. Every row kept its hash when the xmark
+//! generator stopped renumbering a tree assembled out of order and
+//! appended it in preorder instead.
 //!
 //! On a deliberate format change, the failure message prints the whole
 //! table in source form; paste it over `RECORDED`.

@@ -6,10 +6,11 @@
 //!
 //! Two rows, `xmark-like/X4` and `xmark-like/R4`, were re-recorded when
 //! documents became preorder-only: the xmark generator creates its
-//! regions lazily, out of document order, and its tree is now renumbered
-//! into preorder, so the item ids these two answers bind moved. Their new
-//! hashes are the ones the commit before gave for the same queries over
-//! the parsed corpus, whose ids were already the preorder.
+//! regions lazily, out of document order, and its tree has since been
+//! numbered in preorder (first renumbered, now appended in preorder once
+//! every item is drawn), so the item ids these two answers bind moved.
+//! Their new hashes are the ones the commit before gave for the same
+//! queries over the parsed corpus, whose ids were already the preorder.
 //!
 //! `EDGES` pins what `GOLDEN` does not reach, recorded on the commit
 //! before the append-only JSON writer replaced the `format!` encoders:

@@ -125,8 +125,9 @@ fn loaded_snapshot_answers_bit_identically_on_every_dataset() {
 
 #[test]
 fn mixed_content_document_survives_the_roundtrip() {
-    // Comments, processing instructions, attributes and mixed text all
-    // ride through the DOCUMENT section byte-exactly.
+    // Attributes and mixed text ride through the DOCUMENT section
+    // byte-exactly. The parser skips the comment and the processing
+    // instruction, so neither tree holds one.
     let xml = "<?xml version=\"1.0\"?><lib owner=\"t&amp;t\"><!-- a comment -->\
                <?render fast?><book id=\"b1\">intro <title lang=\"en\">Xml &lt;in&gt; practice</title>\
                tail</book><book id=\"b2\"><title>Graphs</title><empty/></book></lib>";
@@ -140,6 +141,14 @@ fn mixed_content_document_survives_the_roundtrip() {
         loaded.index().document().to_xml(),
         "serialized document must be byte-identical"
     );
+    let doc = loaded.index().document();
+    assert_eq!(
+        doc.to_xml(),
+        "<lib owner=\"t&amp;t\"><book id=\"b1\">intro <title lang=\"en\">Xml &lt;in&gt; \
+         practice</title>tail</book><book id=\"b2\"><title>Graphs</title><empty/></book></lib>"
+    );
+    // The root, six elements and four texts.
+    assert_eq!(doc.node_count(), 11, "no comment or PI node");
     let q = QueryRequest::twig("//book/title");
     assert_eq!(
         canonical(&fresh.query(&q).unwrap()),
@@ -347,6 +356,66 @@ fn a_forged_value_index_is_a_typed_error() {
             Err(LotusError::Storage(StorageError::Corrupt(what))) => assert_eq!(what, *want),
             Err(other) => panic!("{want}: wrong error kind: {other}"),
             Ok(_) => panic!("{want}: the forged snapshot opened"),
+        }
+    }
+}
+
+/// `DOCUMENT` of `<r><a>x</a></r>`, every number one varint byte: the
+/// symbols "r" and "a", four nodes of kinds document, element, element
+/// and text, then per node its close count (0) and payload: `r` (symbol
+/// 0, no attributes), `a` (symbol 1), the text "x". `forge` edits a copy
+/// before it is written.
+fn forged_document(forge: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut bytes = vec![
+        2, 1, b'r', 1, b'a', // symbols
+        4, 0, 1, 1, 2, // kinds
+        0, 0, 0, // r
+        0, 1, 0, // a
+        0, 1, b'x', // "x"
+    ];
+    forge(&mut bytes);
+    bytes
+}
+
+/// A document holds elements, attributes and text only: a crafted
+/// `DOCUMENT` whose text is a node of kind 3 (once a comment, with its
+/// text payload) or 4 (once a processing instruction, with a target and
+/// data) is a typed error, written with fresh checksums so the decoder,
+/// not the framing, must refuse it.
+#[test]
+fn a_forged_comment_or_pi_node_is_a_typed_error() {
+    let fresh = LotusX::load_str("<r><a>x</a></r>").unwrap();
+    let path = Scratch::new("forged-kind.ltsx");
+    fresh.save_snapshot(&path.0).unwrap();
+    let sections = lotusx_storage::read_snapshot_file(&path.0).unwrap();
+    let document =
+        |s: &lotusx_storage::Section| s.id == lotusx_storage::snapshot::section::DOCUMENT;
+    let at = sections.iter().position(document).unwrap();
+    assert_eq!(
+        sections[at].bytes,
+        forged_document(|_| {}),
+        "the layout above"
+    );
+
+    type Forge = fn(&mut Vec<u8>);
+    let cases: &[Forge] = &[
+        |b| b[9] = 3,
+        |b| {
+            b[9] = 4;
+            b.splice(17.., [1, b't', 1, b'd']);
+        },
+    ];
+    let tampered = Scratch::new("forged-kind-tampered.ltsx");
+    for (case, forge) in cases.iter().enumerate() {
+        let mut bad = sections.clone();
+        bad[at].bytes = forged_document(forge);
+        lotusx_storage::write_snapshot_file(&tampered.0, &bad).unwrap();
+        match LotusX::open_snapshot(&tampered.0) {
+            Err(LotusError::Storage(StorageError::Corrupt(what))) => {
+                assert_eq!(what, "unknown node kind", "case {case}")
+            }
+            Err(other) => panic!("case {case}: wrong error kind: {other}"),
+            Ok(_) => panic!("case {case}: the forged snapshot opened"),
         }
     }
 }
